@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"slices"
 
@@ -45,11 +46,8 @@ type SegmentStore interface {
 func (sc *StreamCorrelator) FeedLogged(batchID uint64, spans ...*trace.Span) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if sc.opts.Store != nil && !sc.replaying && sc.durErr == nil {
-		if err := sc.opts.Store.LogBatch(spans, nil, batchID); err != nil {
-			sc.durErr = err
-			return err
-		}
+	if err := sc.logBatch(spans, batchID); err != nil {
+		return err
 	}
 	sc.feedLocked(spans)
 	return nil
@@ -70,16 +68,20 @@ func (sc *StreamCorrelator) DurabilityErr() error {
 	return sc.durErr
 }
 
-// logFeed appends one Feed batch to the WAL before it is consumed. Unlike
-// FeedLogged there is no acknowledgment to withhold, so an error just
-// latches (the stream continues RAM-only). Callers hold sc.mu.
-func (sc *StreamCorrelator) logFeed(spans []*trace.Span) {
+// logBatch appends one fed batch to the WAL before it is consumed, and
+// counts its spans into walSpans. An error latches and is returned: Feed
+// has no acknowledgment to withhold and drops it (the stream continues
+// RAM-only), FeedLogged hands it to the caller. Callers hold sc.mu.
+func (sc *StreamCorrelator) logBatch(spans []*trace.Span, batchID uint64) error {
 	if sc.opts.Store == nil || sc.replaying || sc.durErr != nil {
-		return
+		return nil
 	}
-	if err := sc.opts.Store.LogBatch(spans, nil, 0); err != nil {
+	if err := sc.opts.Store.LogBatch(spans, nil, batchID); err != nil {
 		sc.durErr = err
+		return err
 	}
+	sc.walSpans += len(spans)
+	return nil
 }
 
 // persistLadder writes a segment file for every checkpoint segment that
@@ -106,11 +108,26 @@ func (sc *StreamCorrelator) persistLadder() {
 	}
 }
 
+// walNeedsRotation is the fold-time rotation rule. A fold leaves its
+// spans dead in the WAL — durable in a segment file now, still present in
+// the snapshot or batch record that first carried them — and rewriting
+// the live tail to shed them costs O(live), so the rewrite waits until the
+// dead spans it sheds are at least as many as the live ones it copies:
+// walSpans >= 2*live. That bounds the WAL at twice the live tail plus one
+// batch and the rotation rewrite at one span per span fed, amortised.
+// Segment files a reopen pulled back live force the rotation regardless:
+// only a snapshot re-covering their spans releases them. Callers hold
+// sc.mu.
+func (sc *StreamCorrelator) walNeedsRotation() bool {
+	return len(sc.staleSegs) > 0 || sc.walSpans >= 2*len(sc.all)
+}
+
 // rotateWAL trims the WAL: a fresh generation whose snapshot record
 // covers the entire unfolded state (live tail, correlation table, release
-// floor; the store adds the dedup-id window). Segment files a reopen
-// pulled back live are deleted here and only here — the rotation is what
-// makes their spans durable elsewhere. Callers hold sc.mu.
+// floor; the store adds the dedup-id window and its segment-id stamp).
+// Segment files a reopen pulled back live are deleted here and only here —
+// the rotation is what makes their spans durable elsewhere. Callers hold
+// sc.mu.
 func (sc *StreamCorrelator) rotateWAL() {
 	if sc.opts.Store == nil || sc.replaying || sc.durErr != nil {
 		return
@@ -119,6 +136,7 @@ func (sc *StreamCorrelator) rotateWAL() {
 		sc.durErr = err
 		return
 	}
+	sc.walSpans = len(sc.all)
 	if len(sc.staleSegs) > 0 {
 		if err := sc.opts.Store.DropSegments(sc.staleSegs); err != nil {
 			sc.durErr = err
@@ -149,15 +167,7 @@ func (sc *StreamCorrelator) snapshotLocked() segio.Snapshot {
 		snap.Corr = append(snap.Corr, segio.CorrEntry{Corr: corr, Parent: parent, At: sc.corrAt[corr]})
 	})
 	slices.SortFunc(snap.Corr, func(a, b segio.CorrEntry) int {
-		switch {
-		case a.At != b.At:
-			return int(a.At - b.At)
-		case a.Corr < b.Corr:
-			return -1
-		case a.Corr > b.Corr:
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Corr, b.Corr))
 	})
 	if f := sc.releaseFloor(); f != nil {
 		snap.Floor = &segio.SpanKey{Begin: f.Begin, End: f.End, Level: f.Level, Kind: f.Kind, ID: f.ID}
@@ -200,39 +210,36 @@ func (ct *corrTable) each(fn func(corr, parent uint64)) {
 // the resolver re-derives them — replay is just a resumed stream, which
 // is what makes the recovered state provably equal to the uncrashed one.
 // Span-id dedup across segments, snapshot, and batches (segments win)
-// absorbs every crash-point overlap the store's write orderings can
-// produce. On return the store has been rotated onto a fresh WAL covering
-// the rebuilt state, so the recovery itself is crash-safe and appends are
-// re-armed.
+// absorbs every overlap the store's write orderings can produce, deferred
+// folds first among them: a fold whose WAL rotation had not come due left
+// its spans in both places, its segment installs, and the WAL's copies
+// drop out of replay — so recovery replays the live tail, not the
+// history the WAL happened to still hold. On return the store has been
+// rotated onto a fresh WAL covering the rebuilt state, so the recovery
+// itself is crash-safe and appends are re-armed.
 func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, error) {
 	if opts.Store == nil {
 		return nil, errors.New("core: RecoverStream requires StreamOptions.Store")
 	}
 	sc := NewStreamCorrelator(opts)
 
-	// Span ids the WAL re-covers. A segment file whose spans all appear in
-	// the WAL is stale and the WAL wins: either a reopen pulled it back
-	// live and the crash interrupted deleting it — its settled parents
-	// predate the straggler repair, only replay gets them right — or a
-	// fold's rotation never became durable, in which case replaying the
-	// records re-derives the very parents the segment froze. The file is
-	// queued for deletion once the end-of-recovery rotation re-covers it.
-	walSeen := make(map[uint64]bool)
-	if rec.Snapshot != nil {
-		for _, s := range rec.Snapshot.Live {
-			if s != nil {
-				walSeen[s.ID] = true
-			}
-		}
-	}
-	for _, b := range rec.Batches {
-		for _, s := range b.Spans {
-			if s != nil {
-				walSeen[s.ID] = true
-			}
-		}
-	}
+	// Span ids the WAL carries. A segment file the WAL fully covers is one
+	// of two things, told apart by the segment-id stamp on the snapshot
+	// record. Written after the snapshot, it is a deferred fold and installs
+	// like any other segment. Older than the snapshot, it is stale and the
+	// WAL wins: a reopen pulled it back live, the snapshot re-covered its
+	// spans, and the crash interrupted deleting it — its settled parents
+	// predate the straggler repair, only replay gets them right. The stale
+	// file is queued for deletion once the end-of-recovery rotation
+	// re-covers it. (A snapshot from before the stamp existed dates every
+	// segment as older, which is the inference it was written under:
+	// replaying a covered fold re-derives the very parents it froze.)
+	// Indexed on first use: only a segment older than the snapshot asks.
+	var walSeen map[uint64]bool
 	walCovered := func(spans []*trace.Span) bool {
+		if walSeen == nil {
+			walSeen = walSpanIDs(rec)
+		}
 		for _, s := range spans {
 			if !walSeen[s.ID] {
 				return false
@@ -244,7 +251,7 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 	seen := make(map[uint64]bool)
 	segCorr := make(map[uint64]uint64)
 	for _, seg := range rec.Segments {
-		if walCovered(seg.Spans) {
+		if !seg.SinceSnapshot && walCovered(seg.Spans) {
 			sc.staleSegs = append(sc.staleSegs, seg.ID)
 			continue
 		}
@@ -261,10 +268,10 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 				// A folded launch's correlation entry always mirrors its
 				// settled ParentID (a repair that moved it would have
 				// destroyed the segment by reopening), so the entry can be
-				// re-derived from the segment. It must be: a crash between a
-				// fold's segment write and its WAL rotation leaves the only
-				// durable snapshot predating the fold, and without the entry
-				// a live exec replaying later would degrade to containment.
+				// re-derived from the segment. It must be: a deferred fold
+				// leaves the only durable snapshot predating the fold, and
+				// without the entry a live exec replaying later would
+				// degrade to containment.
 				segCorr[s.CorrelationID] = s.ParentID
 			}
 		}
@@ -342,6 +349,26 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 		return nil, err
 	}
 	return sc, nil
+}
+
+// walSpanIDs indexes the id of every span the recovered WAL carries, in its
+// snapshot or in a batch record after it.
+func walSpanIDs(rec *segio.Recovery) map[uint64]bool {
+	ids := make(map[uint64]bool)
+	note := func(spans []*trace.Span) {
+		for _, s := range spans {
+			if s != nil {
+				ids[s.ID] = true
+			}
+		}
+	}
+	if rec.Snapshot != nil {
+		note(rec.Snapshot.Live)
+	}
+	for _, b := range rec.Batches {
+		note(b.Spans)
+	}
+	return ids
 }
 
 // dedupStrip prepares recovered spans for replay: spans whose id a

@@ -8,7 +8,10 @@ package core_test
 // crash point" enumerable.
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"xsp/internal/core"
@@ -29,18 +32,170 @@ func durableOpts(store core.SegmentStore) core.StreamOptions {
 	}
 }
 
-// durableWorkload is a stream with reordering, pipelined overlap, and a
-// withheld straggler window — every repair path a crash can interleave
-// with.
-func durableWorkload(spans int) [][]*trace.Span {
+// durableWideOpts is the big-tail shape: a reorder window far wider than
+// the retain horizon, so the live tail is many times what one fold
+// releases and most folds defer their WAL rotation — crash points land
+// inside runs of several deferred folds and the compactions among them.
+func durableWideOpts(store core.SegmentStore) core.StreamOptions {
+	return core.StreamOptions{
+		ReorderWindow: 6000,
+		Retain:        8,
+		Store:         store,
+	}
+}
+
+// durableWideLoad is the stream the big-tail shape runs: nested, so the
+// fold horizon advances steadily and every Checkpoint folds a few batches
+// against a tail many times that, with the withheld stragglers placed
+// mid-trace so their repair reopens a ladder of deferred folds.
+func durableWideLoad(spans int, seed int64) [][]*trace.Span {
 	return workload.StreamingArrivals(workload.StreamingSpec{
-		Trace:           workload.SyntheticSpec{Spans: spans, Streams: 2, Seed: 7},
+		Trace:           workload.SyntheticSpec{Spans: spans, Seed: seed},
 		BatchSize:       32,
 		ReorderSkew:     8,
 		StragglerWindow: 24,
-		Seed:            11,
+		StragglerPos:    0.5,
+		Seed:            seed + 4,
 	})
 }
+
+// durableShapes are the window shapes every crash test runs under.
+var durableShapes = []struct {
+	name string
+	opts func(core.SegmentStore) core.StreamOptions
+	load func(spans int, seed int64) [][]*trace.Span
+	// deferring shapes must put runs of deferred folds, and compactions
+	// inside those runs, on the timeline being crashed.
+	deferring bool
+}{
+	{"smalltail", durableOpts, durableLoad, false},
+	{"bigtail", durableWideOpts, durableWideLoad, true},
+}
+
+// storeLog wraps a SegmentStore and derives, from the calls alone, what
+// the rotation rule did: no stat field in core or segio exists for any of
+// it, so a test that wants to know wraps the store.
+type storeLog struct {
+	core.SegmentStore
+
+	fed          int // spans logged, ever
+	walSpans     int // spans in the WAL: the last snapshot's tail plus batches since
+	rotatedSpans int // sum of len(snap.Live) over every Rotate
+
+	deferredFolds       int // folds that wrote their segment and left the WAL alone
+	deferredCompactions int // compaction survivors replacing a segment written since the last Rotate
+	ratioRotations      int // rotations a fold made with no stale segment to release
+	forcedRotations     int // rotations followed by the DropSegments of a reopen
+
+	// The run since the last Rotate: what a crash right now would have
+	// recovery install from segment files the WAL's snapshot predates.
+	runWrites      int             // segment files written
+	runCompactions int             // of them, deferred compactions
+	sinceRotate    map[uint64]bool // the run's files still on disk; true: every span is also in the WAL
+
+	foldOpen    bool // a WriteSegment has not yet been followed by Rotate or LogBatch
+	rotatedFold bool // the last call was a fold's Rotate, counted as ratio-triggered
+}
+
+func newStoreLog(st core.SegmentStore) *storeLog {
+	return &storeLog{SegmentStore: st, sinceRotate: make(map[uint64]bool)}
+}
+
+func (l *storeLog) closeFold() {
+	if l.foldOpen {
+		l.deferredFolds++
+	}
+	l.foldOpen, l.rotatedFold = false, false
+}
+
+func (l *storeLog) LogBatch(spans []*trace.Span, owned []uint64, batchID uint64) error {
+	l.closeFold()
+	if err := l.SegmentStore.LogBatch(spans, owned, batchID); err != nil {
+		return err
+	}
+	l.fed += len(spans)
+	l.walSpans += len(spans)
+	return nil
+}
+
+func (l *storeLog) WriteSegment(spans []*trace.Span, owned []uint64, replaces []uint64) (uint64, error) {
+	id, err := l.SegmentStore.WriteSegment(spans, owned, replaces)
+	if err != nil {
+		return 0, err
+	}
+	l.foldOpen, l.rotatedFold = true, false
+	l.runWrites++
+	for _, r := range replaces {
+		if _, ok := l.sinceRotate[r]; ok {
+			l.deferredCompactions++
+			l.runCompactions++
+			break
+		}
+	}
+	covered := true // a fold, or a merge of nothing but this run's folds
+	for _, r := range replaces {
+		covered = covered && l.sinceRotate[r]
+		delete(l.sinceRotate, r)
+	}
+	l.sinceRotate[id] = covered
+	return id, nil
+}
+
+// coveredRun counts the run's segment files the WAL fully covers: the
+// ones recovery could mistake for leftovers of a reopen.
+func (l *storeLog) coveredRun() int {
+	n := 0
+	for _, covered := range l.sinceRotate {
+		if covered {
+			n++
+		}
+	}
+	return n
+}
+
+func (l *storeLog) Rotate(snap segio.Snapshot) error {
+	if err := l.SegmentStore.Rotate(snap); err != nil {
+		return err
+	}
+	l.rotatedFold = l.foldOpen
+	if l.rotatedFold {
+		l.ratioRotations++
+	}
+	l.foldOpen = false
+	l.walSpans = len(snap.Live)
+	l.rotatedSpans += len(snap.Live)
+	l.runWrites, l.runCompactions = 0, 0
+	clear(l.sinceRotate)
+	return nil
+}
+
+func (l *storeLog) DropSegments(ids []uint64) error {
+	if len(ids) > 0 {
+		// Only a rotation with stale segments to release drops anything.
+		l.forcedRotations++
+		if l.rotatedFold {
+			l.ratioRotations--
+		}
+	}
+	l.rotatedFold = false
+	return l.SegmentStore.DropSegments(ids)
+}
+
+// durableLoad is a stream with reordering, pipelined overlap, and a
+// withheld straggler window — every repair path a crash can interleave
+// with.
+func durableLoad(spans int, seed int64) [][]*trace.Span {
+	return workload.StreamingArrivals(workload.StreamingSpec{
+		Trace:           workload.SyntheticSpec{Spans: spans, Streams: 2, Seed: seed},
+		BatchSize:       32,
+		ReorderSkew:     8,
+		StragglerWindow: 24,
+		Seed:            seed + 4,
+	})
+}
+
+// durableWorkload is durableLoad at the seed the fault tests share.
+func durableWorkload(spans int) [][]*trace.Span { return durableLoad(spans, 7) }
 
 func cloneBatch(b []*trace.Span) []*trace.Span {
 	out := make([]*trace.Span, len(b))
@@ -92,39 +247,59 @@ func spanIDSet(t *trace.Trace) map[uint64]bool {
 // uncrashed batch correlation span for span. Along the way it pins the
 // ack contract (every acked batch id is in the recovered dedup window,
 // and nothing more) and that a clean or torn crash never quarantines a
-// file — torn tails are truncated by checksum, not half-loaded.
+// file — torn tails are truncated by checksum, not half-loaded. It runs
+// under both window shapes: the small tail, where nearly every fold
+// rotates, and the big one, where crash points land inside runs of
+// deferred folds.
 func TestDurableStreamCrashMatrix(t *testing.T) {
-	batches := durableWorkload(3_000)
-	want := batchParents(batches)
+	type matrix struct {
+		batches [][]*trace.Span
+		want    map[uint64]uint64
+		total   int // the store's mutating operations over the workload: the crash points
+	}
+	runs := make([]matrix, len(durableShapes))
+	for i, shape := range durableShapes {
+		batches := shape.load(3_000, 7)
+		runs[i] = matrix{batches: batches, want: batchParents(batches)}
 
-	// Dry run on an unarmed FS: checks the durable path end to end and
-	// counts the store's mutating operations — the crash points.
-	dry := faultfs.New()
-	st, rec, err := segio.Open(dry, segio.Options{})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	sc, err := core.RecoverStream(durableOpts(st), rec)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if acked, crashed := feedDurable(sc, batches); crashed || acked != len(batches) {
-		t.Fatalf("unarmed run crashed after %d/%d batches: %v", acked, len(batches), sc.DurabilityErr())
-	}
-	sc.Flush()
-	if err := sc.DurabilityErr(); err != nil {
-		t.Fatalf("unarmed run latched: %v", err)
-	}
-	assertStreamMatchesBatch(t, sc, batches)
-	if s := sc.Stats(); s.Compactions == 0 || s.Stragglers == 0 || s.Reopens == 0 {
-		// The matrix is only worth its cost if folds, compaction merges,
-		// and a checkpoint reopen (the staleSegs/DropSegments path) all
-		// actually put file operations on the timeline being crashed.
-		t.Fatalf("workload not adversarial enough: %+v", s)
-	}
-	total := dry.Ops()
-	if total < 100 {
-		t.Fatalf("suspiciously few store operations to crash at: %d", total)
+		// Dry run on an unarmed FS: checks the durable path end to end and
+		// counts the store's mutating operations.
+		dry := faultfs.New()
+		st, rec, err := segio.Open(dry, segio.Options{})
+		if err != nil {
+			t.Fatalf("%s: open: %v", shape.name, err)
+		}
+		log := newStoreLog(st)
+		sc, err := core.RecoverStream(shape.opts(log), rec)
+		if err != nil {
+			t.Fatalf("%s: recover: %v", shape.name, err)
+		}
+		if acked, crashed := feedDurable(sc, batches); crashed || acked != len(batches) {
+			t.Fatalf("%s: unarmed run crashed after %d/%d batches: %v", shape.name, acked, len(batches), sc.DurabilityErr())
+		}
+		sc.Flush()
+		if err := sc.DurabilityErr(); err != nil {
+			t.Fatalf("%s: unarmed run latched: %v", shape.name, err)
+		}
+		assertStreamMatchesBatch(t, sc, batches)
+		// The matrix is only worth its cost if folds, compaction merges, a
+		// checkpoint reopen (the staleSegs/DropSegments path), and every
+		// outcome of the rotation rule — deferred, come due by ratio,
+		// forced by stale segments — all actually put file operations on
+		// the timeline being crashed.
+		s := sc.Stats()
+		adversarial := s.Compactions > 0 && s.Stragglers > 0 && s.Reopens > 0 &&
+			log.deferredFolds > 0 && log.ratioRotations > 0 && log.forcedRotations > 0
+		if shape.deferring {
+			adversarial = adversarial && log.deferredCompactions > 0 && log.deferredFolds >= 3*log.ratioRotations
+		}
+		if !adversarial {
+			t.Fatalf("%s: workload not adversarial enough: %+v, folds deferred %d (compactions among them %d), rotations by ratio %d, forced %d",
+				shape.name, s, log.deferredFolds, log.deferredCompactions, log.ratioRotations, log.forcedRotations)
+		}
+		if runs[i].total = dry.Ops(); runs[i].total < 100 {
+			t.Fatalf("%s: suspiciously few store operations to crash at: %d", shape.name, runs[i].total)
+		}
 	}
 
 	stride := 1
@@ -138,63 +313,312 @@ func TestDurableStreamCrashMatrix(t *testing.T) {
 	for _, m := range modes {
 		m := m
 		t.Run(m.name, func(t *testing.T) {
-			t.Parallel()
-			for crash := 0; crash < total; crash += stride {
-				ctx := fmt.Sprintf("crash@%d/%d", crash, total)
-
-				// The doomed process.
-				fs := faultfs.New()
-				fs.Arm(faultfs.Plan{CrashAfter: crash, Mode: m.mode})
-				acked := 0
-				if st, rec, err := segio.Open(fs, segio.Options{}); err == nil {
-					if sc, err := core.RecoverStream(durableOpts(st), rec); err == nil {
-						acked, _ = feedDurable(sc, batches)
+			for i, shape := range durableShapes {
+				shape, run := shape, runs[i]
+				t.Run(shape.name, func(t *testing.T) {
+					t.Parallel()
+					for crash := 0; crash < run.total; crash += stride {
+						crashAndRecover(t, fmt.Sprintf("crash@%d/%d", crash, run.total),
+							faultfs.Plan{CrashAfter: crash, Mode: m.mode}, shape.opts, run.batches, run.want)
 					}
-				}
-
-				// Reboot from the durable view.
-				st2, rec2, err := segio.Open(fs.Recovered(), segio.Options{})
-				if err != nil {
-					t.Fatalf("%s: recovery open: %v", ctx, err)
-				}
-				if len(rec2.Quarantined) != 0 {
-					t.Fatalf("%s: crash quarantined %v — synced data must never fail validation", ctx, rec2.Quarantined)
-				}
-				if len(rec2.DedupIDs) != acked {
-					t.Fatalf("%s: %d batches acked but %d dedup ids recovered", ctx, acked, len(rec2.DedupIDs))
-				}
-				for _, id := range rec2.DedupIDs {
-					if id == 0 || id > uint64(acked) {
-						t.Fatalf("%s: recovered dedup id %d outside acked range 1..%d", ctx, id, acked)
-					}
-				}
-
-				sc2, err := core.RecoverStream(durableOpts(st2), rec2)
-				if err != nil {
-					t.Fatalf("%s: recover: %v", ctx, err)
-				}
-				// The client retries everything it holds no ack for.
-				for i := acked; i < len(batches); i++ {
-					if err := sc2.FeedLogged(uint64(i+1), cloneBatch(batches[i])...); err != nil {
-						t.Fatalf("%s: refeed batch %d: %v", ctx, i+1, err)
-					}
-				}
-				sc2.Flush()
-				if err := sc2.DurabilityErr(); err != nil {
-					t.Fatalf("%s: recovered run latched: %v", ctx, err)
-				}
-				got := sc2.Trace()
-				if len(got.Spans) != len(want) {
-					t.Fatalf("%s: recovered %d spans, want %d", ctx, len(got.Spans), len(want))
-				}
-				for _, s := range got.Spans {
-					if s.ParentID != want[s.ID] {
-						t.Fatalf("%s: span %d: recovered parent %d, batch parent %d", ctx, s.ID, s.ParentID, want[s.ID])
-					}
-				}
+				})
 			}
 		})
 	}
+}
+
+// crashAndRecover is one cell of the matrix: a process doomed by plan
+// feeds batches until the crash, a second one reboots from the durable
+// view, the client retries everything it holds no ack for, and the
+// finished stream must equal the batch oracle.
+func crashAndRecover(t *testing.T, ctx string, plan faultfs.Plan, opts func(core.SegmentStore) core.StreamOptions,
+	batches [][]*trace.Span, want map[uint64]uint64) {
+	t.Helper()
+	// The doomed process.
+	fs := faultfs.New()
+	fs.Arm(plan)
+	acked := 0
+	if st, rec, err := segio.Open(fs, segio.Options{}); err == nil {
+		if sc, err := core.RecoverStream(opts(st), rec); err == nil {
+			acked, _ = feedDurable(sc, batches)
+		}
+	}
+
+	// Reboot from the durable view.
+	st2, rec2, err := segio.Open(fs.Recovered(), segio.Options{})
+	if err != nil {
+		t.Fatalf("%s: recovery open: %v", ctx, err)
+	}
+	if len(rec2.Quarantined) != 0 {
+		t.Fatalf("%s: crash quarantined %v — synced data must never fail validation", ctx, rec2.Quarantined)
+	}
+	if len(rec2.DedupIDs) != acked {
+		t.Fatalf("%s: %d batches acked but %d dedup ids recovered", ctx, acked, len(rec2.DedupIDs))
+	}
+	for _, id := range rec2.DedupIDs {
+		if id == 0 || id > uint64(acked) {
+			t.Fatalf("%s: recovered dedup id %d outside acked range 1..%d", ctx, id, acked)
+		}
+	}
+
+	sc2, err := core.RecoverStream(opts(st2), rec2)
+	if err != nil {
+		t.Fatalf("%s: recover: %v", ctx, err)
+	}
+	// The client retries everything it holds no ack for.
+	for i := acked; i < len(batches); i++ {
+		if err := sc2.FeedLogged(uint64(i+1), cloneBatch(batches[i])...); err != nil {
+			t.Fatalf("%s: refeed batch %d: %v", ctx, i+1, err)
+		}
+	}
+	sc2.Flush()
+	if err := sc2.DurabilityErr(); err != nil {
+		t.Fatalf("%s: recovered run latched: %v", ctx, err)
+	}
+	got := sc2.Trace()
+	if len(got.Spans) != len(want) {
+		t.Fatalf("%s: recovered %d spans, want %d", ctx, len(got.Spans), len(want))
+	}
+	for _, s := range got.Spans {
+		if s.ParentID != want[s.ID] {
+			t.Fatalf("%s: span %d: recovered parent %d, batch parent %d", ctx, s.ID, s.ParentID, want[s.ID])
+		}
+	}
+}
+
+// The first contract of the rotation rule: a fold costs what it folds.
+// Over a stream whose live tail is several times what one fold releases,
+// the spans every rotation rewrites add up to no more than the spans fed,
+// and the WAL never holds more than twice the live tail plus the batch in
+// flight. Rotating at every fold, as the correlator once did, rewrites
+// the tail once per fold — the test first shows that sum is several times
+// the stream, so the bound it then checks is not vacuous.
+func TestFoldRotationAmortised(t *testing.T) {
+	const batchSize = 256
+	batches := workload.StreamingArrivals(workload.StreamingSpec{
+		Trace:     workload.SyntheticSpec{Spans: 40_000, Seed: 3},
+		BatchSize: batchSize, ReorderSkew: 48, Seed: 3,
+	})
+	st, rec, err := segio.Open(faultfs.New(), segio.Options{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	log := newStoreLog(st)
+	sc, err := core.RecoverStream(core.StreamOptions{ReorderWindow: 60_000, Retain: 64, Store: log}, rec)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	folds, tailAtFolds, checkpointed := 0, 0, 0
+	for i, b := range batches {
+		if err := sc.FeedLogged(uint64(i+1), b...); err != nil {
+			t.Fatalf("batch %d: %v", i+1, err)
+		}
+		s := sc.Stats()
+		if s.Checkpointed != checkpointed {
+			checkpointed = s.Checkpointed
+			folds++
+			tailAtFolds += s.Live
+		}
+		if log.walSpans > 2*s.Live+len(b) {
+			t.Fatalf("after batch %d the WAL holds %d spans against a live tail of %d: over 2x live + one batch (%d)",
+				i+1, log.walSpans, s.Live, len(b))
+		}
+	}
+	if err := sc.DurabilityErr(); err != nil {
+		t.Fatalf("latched: %v", err)
+	}
+	if folds < 10 || tailAtFolds < 3*log.fed || log.ratioRotations == 0 {
+		t.Fatalf("not a big-tail stream: %d folds, live tails at them sum to %d of %d spans fed, %d rotations by ratio",
+			folds, tailAtFolds, log.fed, log.ratioRotations)
+	}
+	if log.rotatedSpans > log.fed {
+		t.Fatalf("rotations rewrote %d spans for %d fed", log.rotatedSpans, log.fed)
+	}
+	sc.Flush()
+	assertStreamMatchesBatch(t, sc, batches)
+}
+
+// The second contract: deferring a rotation must not move its cost into
+// recovery. Crash inside a run of deferred folds with a compaction among
+// them: the recovered correlator, before it is fed anything, holds the
+// same checkpoint ladder the crashed one did, from the same files — no
+// deferred fold was dropped for the WAL to re-derive — and the finished
+// stream still equals the batch oracle.
+func TestRecoverInstallsDeferredFolds(t *testing.T) {
+	batches := durableWideLoad(3_000, 7)
+	fs := faultfs.New()
+	st, rec, err := segio.Open(fs, segio.Options{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	log := newStoreLog(st)
+	sc, err := core.RecoverStream(durableWideOpts(log), rec)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	// Stop inside a run of deferred folds with a segment the WAL fully
+	// covers in it — the one the snapshot's stamp has to tell from a stale
+	// leftover — and a segment older than the snapshot beside it.
+	inRun := func() bool {
+		return log.runWrites >= 3 && log.runCompactions > 0 && log.coveredRun() > 0 && len(log.sinceRotate) < st.Stats().Segments
+	}
+	acked := 0
+	for acked < len(batches) && !inRun() {
+		if err := sc.FeedLogged(uint64(acked+1), cloneBatch(batches[acked])...); err != nil {
+			t.Fatalf("batch %d: %v", acked+1, err)
+		}
+		if acked++; acked%4 == 0 {
+			sc.Checkpoint()
+		}
+	}
+	if !inRun() {
+		t.Fatalf("the stream never stood 3 segment writes and a compaction past a rotation, a covered segment and an older one on disk: ended %d writes, %d compactions past rotation %d",
+			log.runWrites, log.runCompactions, log.ratioRotations)
+	}
+	before, files := sc.Stats(), st.Stats().Segments
+	fs.Arm(faultfs.Plan{CrashAfter: fs.Ops(), Mode: faultfs.ModeTorn})
+	if err := sc.FeedLogged(uint64(acked+1), cloneBatch(batches[acked])...); err == nil {
+		t.Fatal("the batch fed into the crash was acknowledged")
+	}
+
+	st2, rec2, err := segio.Open(fs.Recovered(), segio.Options{})
+	if err != nil {
+		t.Fatalf("recovery open: %v", err)
+	}
+	if len(rec2.Quarantined) != 0 || len(rec2.Segments) != files {
+		t.Fatalf("recovered %d segment files (quarantined %v), the crashed store held %d", len(rec2.Segments), rec2.Quarantined, files)
+	}
+	deferred := 0
+	for _, seg := range rec2.Segments {
+		if seg.SinceSnapshot {
+			deferred++
+		}
+	}
+	if deferred == 0 || deferred == len(rec2.Segments) {
+		t.Fatalf("%d of %d recovered segments postdate the snapshot: want deferred folds beside older ones", deferred, len(rec2.Segments))
+	}
+	sc2, err := core.RecoverStream(durableWideOpts(st2), rec2)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if after := sc2.Stats(); after.Checkpointed != before.Checkpointed || after.Live != before.Live || after.Segments != before.Segments {
+		t.Fatalf("recovered %d checkpointed in %d segments + %d live, crashed with %d in %d + %d",
+			after.Checkpointed, after.Segments, after.Live, before.Checkpointed, before.Segments, before.Live)
+	}
+	if got := st2.Stats().Segments; got != files {
+		t.Fatalf("recovery left %d segment files, found %d", got, files)
+	}
+	if acked2, crashed := feedDurable2(sc2, batches, acked); crashed || acked2 != len(batches)-acked {
+		t.Fatalf("refeed after recovery: acked %d, crashed=%v (%v)", acked2, crashed, sc2.DurabilityErr())
+	}
+	sc2.Flush()
+	assertStreamMatchesBatch(t, sc2, batches)
+}
+
+// A snapshot record written before the segment-id stamp existed must still
+// decode, and must date every segment as older than itself — so a segment
+// its WAL fully covers recovers the way it did when the record was
+// written, by coverage: the WAL wins and the file is dropped. The same
+// files with the stamp in place are a deferred fold, and install.
+func TestSnapshotWithoutSegStampRecoversByCoverage(t *testing.T) {
+	// A settled trace, split at a fold horizon: everything ending before it
+	// is the folded segment, and the snapshot still carries the whole tail.
+	ref := &trace.Trace{}
+	for _, b := range workload.StreamingArrivals(workload.StreamingSpec{Trace: workload.SyntheticSpec{Spans: 400, Seed: 5}}) {
+		ref.Spans = append(ref.Spans, b...)
+	}
+	ref.SortByBegin()
+	want := batchParents([][]*trace.Span{ref.Spans})
+	core.CorrelateWith(ref, core.StrategyAuto)
+	horizon := ref.Spans[len(ref.Spans)/2].Begin
+	var folded []*trace.Span
+	for _, s := range ref.Spans {
+		if s.End < horizon {
+			folded = append(folded, s)
+		}
+	}
+	if len(folded) < 50 || len(folded) > len(ref.Spans)-50 {
+		t.Fatalf("fold horizon splits %d spans %d/%d", len(ref.Spans), len(folded), len(ref.Spans)-len(folded))
+	}
+	allOwned := func(n int) []uint64 {
+		owned := make([]uint64, (n+63)/64)
+		for i := range owned {
+			owned[i] = ^uint64(0)
+		}
+		return owned
+	}
+	fs := faultfs.New()
+	st, _, err := segio.Open(fs, segio.Options{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if err := st.Rotate(segio.Snapshot{Live: ref.Spans, Owned: allOwned(len(ref.Spans))}); err != nil {
+		t.Fatalf("rotate: %v", err)
+	}
+	if _, err := st.WriteSegment(folded, allOwned(len(folded)), nil); err != nil {
+		t.Fatalf("write segment: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	recoverFrom := func(fs *faultfs.FS, sinceSnapshot bool, checkpointed int) {
+		t.Helper()
+		st, rec, err := segio.Open(fs, segio.Options{})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		if len(rec.Quarantined) != 0 || rec.WALTruncatedBytes != 0 || rec.Snapshot == nil || len(rec.Snapshot.Live) != len(ref.Spans) {
+			t.Fatalf("snapshot did not decode whole: quarantined %v, %d bytes truncated, snapshot %v", rec.Quarantined, rec.WALTruncatedBytes, rec.Snapshot)
+		}
+		if len(rec.Segments) != 1 || rec.Segments[0].SinceSnapshot != sinceSnapshot {
+			t.Fatalf("recovered segments %+v, want one with SinceSnapshot=%v", rec.Segments, sinceSnapshot)
+		}
+		sc, err := core.RecoverStream(core.StreamOptions{ReorderWindow: 16, Store: st}, rec)
+		if err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		if s := sc.Stats(); s.Checkpointed != checkpointed || s.Checkpointed+s.Live != len(ref.Spans) {
+			t.Fatalf("recovered %d checkpointed + %d live of %d spans, want %d checkpointed", s.Checkpointed, s.Live, len(ref.Spans), checkpointed)
+		}
+		if got, want := st.Stats().Segments, min(checkpointed, 1); got != want {
+			t.Fatalf("%d segment files after recovery, want %d", got, want)
+		}
+		sc.Flush()
+		for _, s := range sc.Trace().Spans {
+			if s.ParentID != want[s.ID] {
+				t.Fatalf("span %d: recovered parent %d, batch parent %d", s.ID, s.ParentID, want[s.ID])
+			}
+		}
+	}
+
+	// The record as PR 12 wrote it: the same bytes less the trailing stamp,
+	// under a recomputed frame (u32 length, u32 CRC-32C over the body).
+	old := fs.Recovered()
+	const walHeader, recHeader, stamp = 16, 8, 8
+	name := "wal-0000000000000002.wal"
+	data, err := old.ReadFile(name)
+	if err != nil {
+		t.Fatalf("read wal: %v", err)
+	}
+	if n := int(binary.LittleEndian.Uint32(data[walHeader:])); walHeader+recHeader+n != len(data) {
+		t.Fatalf("WAL is not one snapshot record: %d bytes, record of %d", len(data), n)
+	}
+	body := data[walHeader+recHeader : len(data)-stamp]
+	data = data[:walHeader+recHeader+len(body)]
+	binary.LittleEndian.PutUint32(data[walHeader:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(data[walHeader+4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	f, err := old.Create(name)
+	if err != nil {
+		t.Fatalf("rewrite wal: %v", err)
+	}
+	_, werr := f.Write(data)
+	if err := errors.Join(werr, f.Sync(), f.Close()); err != nil {
+		t.Fatalf("rewrite wal: %v", err)
+	}
+
+	recoverFrom(old, false, 0)
+	recoverFrom(fs, true, len(folded))
 }
 
 // A lying disk (fsync acknowledged, nothing persisted) voids the

@@ -117,9 +117,12 @@ type StreamOptions struct {
 
 	// Store, when non-nil, makes the correlator durable: every Feed batch
 	// is appended to the store's WAL before it is consumed, checkpoint
-	// folds and compactions write immutable segment files, and each fold
-	// rotates the WAL onto a snapshot of the unfolded state — so a crash
-	// at any point recovers exactly through RecoverStream. All store
+	// folds and compactions write immutable segment files, and a fold
+	// rotates the WAL onto a snapshot of the unfolded state once the WAL
+	// holds as many folded spans as live ones (so the WAL stays within
+	// twice the live tail plus one batch, and a fold costs what it folds,
+	// not what is live) — so a crash at any point recovers exactly
+	// through RecoverStream. All store
 	// calls happen under the correlator's mutex (rotation can never race
 	// an append); a store error latches (DurabilityErr) and the stream
 	// degrades to RAM-only rather than failing feeds. Durable ingest
@@ -241,6 +244,7 @@ type StreamCorrelator struct {
 	durErr    error       // first Store failure; durability is off once set
 	floor     *trace.Span // release floor recovered from a previous process (synthetic compare key)
 	staleSegs []uint64    // segment files a reopen pulled back live; deletable after the next WAL rotation re-covers their spans
+	walSpans  int         // spans the WAL holds, live or since folded: its snapshot's tail plus every batch logged after it
 }
 
 // corrRecord remembers when (in watermark time) a correlation-id entry was
@@ -301,7 +305,7 @@ func (sc *StreamCorrelator) Publish(spans ...*trace.Span) { sc.Feed(spans...) }
 func (sc *StreamCorrelator) Feed(spans ...*trace.Span) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	sc.logFeed(spans)
+	_ = sc.logBatch(spans, 0) // latched; there is no ack to withhold
 	sc.feedLocked(spans)
 }
 
@@ -514,6 +518,7 @@ func (sc *StreamCorrelator) Reset() {
 	sc.foldCheck = 0
 	sc.floor = nil
 	sc.staleSegs = nil
+	sc.walSpans = 0
 	// Durable state resets with the rest; durErr stays latched — a store
 	// that failed once is not trusted again until the process restarts.
 	if sc.opts.Store != nil && !sc.replaying && sc.durErr == nil {
@@ -1006,12 +1011,14 @@ func (sc *StreamCorrelator) repair() {
 	}
 }
 
-// stackInsert places a repaired straggler at its begin-order position on
+// stackInsert places a repaired straggler at its sweep-order position on
 // its level's ancestor stack, so spans released after the repair can still
-// find it as a container.
+// find it as a container. Sweep order, not just begin order: among spans
+// of one interval the stack scan keeps the first, and the batch sweep
+// pushed them in canonical order.
 func (sc *StreamCorrelator) stackInsert(s *trace.Span) {
 	st := sc.stacks.slot(s.Level)
-	i := sort.Search(len(*st), func(i int) bool { return (*st)[i].Begin > s.Begin })
+	i := sort.Search(len(*st), func(i int) bool { return compareEvents((*st)[i], s) > 0 })
 	*st = slices.Insert(*st, i, s)
 }
 
@@ -1081,7 +1088,9 @@ func (sc *StreamCorrelator) Checkpoint() int {
 }
 
 // fold moves finalized released spans out of the live state into a new
-// checkpoint segment. Costs O(live); amortize through autoFoldEvery.
+// checkpoint segment. The in-memory pass costs O(live) pointer work;
+// amortize through autoFoldEvery. The durable part costs O(spans folded):
+// see walNeedsRotation.
 func (sc *StreamCorrelator) fold() int {
 	f := sc.finalizedBefore()
 	var folded []*trace.Span
@@ -1147,12 +1156,16 @@ func (sc *StreamCorrelator) fold() int {
 	// merge work per span instead of re-merging everything periodically.
 	sc.compact()
 
-	// Durability: segments first, then the WAL trim — a crash between the
-	// two leaves folded spans present in both a segment and the old WAL,
-	// which recovery resolves by span-id dedup (segments win). The
-	// rotation also releases any files a reopen pulled back live.
+	// Durability: the segment files are written every time, which is
+	// O(spans folded); the WAL trim, which is O(live tail), only when the
+	// rotation rule says it pays. Until then the folded spans sit in both a
+	// segment and the WAL — the same state a crash between the two writes
+	// always could leave — and recovery installs the segment and drops its
+	// spans from replay by span-id dedup.
 	sc.persistLadder()
-	sc.rotateWAL()
+	if sc.walNeedsRotation() {
+		sc.rotateWAL()
+	}
 	return len(spans)
 }
 

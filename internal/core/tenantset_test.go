@@ -82,8 +82,19 @@ func TestTenantSetParallelFeedsMatchBatchOracle(t *testing.T) {
 // Each tenant's durable state is its own: a crash in one tenant's store
 // mid-stream latches and recovers that tenant alone, the neighbor's WAL
 // and ladder never notice, and after reboot both tenants' recovered
-// streams equal their batch oracles.
+// streams equal their batch oracles — under both window shapes, the
+// big-tail crash placed inside a run of deferred folds.
 func TestTenantSetIndependentCrashRecovery(t *testing.T) {
+	for _, shape := range durableShapes {
+		shape := shape
+		t.Run(shape.name, func(t *testing.T) {
+			testTenantSetIndependentCrashRecovery(t, shape.opts, shape.load, shape.deferring)
+		})
+	}
+}
+
+func testTenantSetIndependentCrashRecovery(t *testing.T, opts func(core.SegmentStore) core.StreamOptions,
+	load func(spans int, seed int64) [][]*trace.Span, deferring bool) {
 	fses := map[string]*faultfs.FS{
 		"crashy": faultfs.New(),
 		"steady": faultfs.New(),
@@ -99,14 +110,14 @@ func TestTenantSetIndependentCrashRecovery(t *testing.T) {
 	}
 	newSet := func(fses map[string]*faultfs.FS) *core.TenantSet {
 		return core.NewTenantSet(core.TenantSetOptions{
-			Stream:    core.StreamOptions{ReorderWindow: 16, Retain: 32},
+			Stream:    opts(nil),
 			OpenStore: openStore(fses),
 		})
 	}
 	set := newSet(fses)
 
-	crashyLoad := tenantWorkload(2_000, 1)
-	steadyLoad := tenantWorkload(2_000, 2)
+	crashyLoad := load(2_000, 1)
+	steadyLoad := load(2_000, 2)
 
 	crashy, err := set.Stream("crashy")
 	if err != nil {
@@ -120,23 +131,39 @@ func TestTenantSetIndependentCrashRecovery(t *testing.T) {
 		t.Fatalf("fresh stores errored: %v / %v", crashy.Err(), steady.Err())
 	}
 
-	// Count the store operations a full run of the crashy load performs
-	// (on a throwaway store), then crash the real one halfway through.
-	dry := faultfs.New()
+	// Pick the crash on a throwaway store: the first batch past the middle
+	// of the crashy load — for a deferring shape, the first one that also
+	// finds at least two segment files written since the last rotation.
+	// One operation into that batch the WAL append is written, not synced.
+	crashAfter := 0
 	{
+		dry := faultfs.New()
 		st, rec, err := segio.Open(dry, segio.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc, err := core.RecoverStream(durableOpts(st), rec)
+		log := newStoreLog(st)
+		sc, err := core.RecoverStream(opts(log), rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if acked, crashed := feedDurable(sc, crashyLoad); crashed || acked != len(crashyLoad) {
-			t.Fatalf("dry run crashed after %d/%d batches: %v", acked, len(crashyLoad), sc.DurabilityErr())
+		for i, b := range crashyLoad { // feedDurable's cadence, stopped early
+			if i >= len(crashyLoad)/2 && (!deferring || log.runWrites >= 2) {
+				crashAfter = dry.Ops() + 1
+				break
+			}
+			if err := sc.FeedLogged(uint64(i+1), cloneBatch(b)...); err != nil {
+				t.Fatalf("dry run refused batch %d: %v", i+1, err)
+			}
+			if (i+1)%4 == 0 {
+				sc.Checkpoint()
+			}
+		}
+		if crashAfter == 0 {
+			t.Fatal("the crashy load never stood two segment writes past a rotation")
 		}
 	}
-	fses["crashy"].Arm(faultfs.Plan{CrashAfter: dry.Ops() / 2, Mode: faultfs.ModeTorn})
+	fses["crashy"].Arm(faultfs.Plan{CrashAfter: crashAfter, Mode: faultfs.ModeTorn})
 	crashyAcked, crashed := feedDurable(crashy.Correlator(), crashyLoad)
 	if !crashed || crashyAcked == 0 || crashyAcked == len(crashyLoad) {
 		t.Fatalf("crashy tenant: acked %d/%d, crashed=%v — want a mid-stream crash",

@@ -14,9 +14,18 @@
 //   - A write-ahead log (wal-<gen>.wal): an append-only record stream
 //     covering everything not yet in a segment — the live span tail as
 //     batch records, plus periodic snapshot records holding the live
-//     tail, the correlation-id table, the release floor, and the batch
-//     dedup-id window. Rotation replaces the WAL with a fresh generation
-//     whose first record is a snapshot; that is the trim.
+//     tail, the correlation-id table, the release floor, the batch
+//     dedup-id window, and the store's next segment id. Rotation replaces
+//     the WAL with a fresh generation whose first record is a snapshot;
+//     that is the trim. The caller decides when: the correlator rotates
+//     only once the WAL holds as many folded spans as live ones, so
+//     between rotations a folded span is in both a segment file and the
+//     WAL. The segment-id stamp is what lets recovery read that state:
+//     Open reports each segment as written before or since the snapshot
+//     (Segment.SinceSnapshot), and a segment the WAL fully covers is a
+//     deferred fold if since, a leftover the snapshot re-covered if
+//     before. A record without the stamp (written before it existed)
+//     dates every segment as before.
 //
 // Crash safety rests on three rules, all enforced by the Store and
 // checked by the fault-injection tests in this package and faultfs:

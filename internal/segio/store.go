@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -73,7 +74,7 @@ type CorrEntry struct {
 // Snapshot is the WAL-resident image of everything not yet folded into a
 // segment file: the correlator's live tail, its correlation-id table, its
 // release floor, and (maintained by the store itself) the batch-dedup id
-// window.
+// window and the segment-id stamp that dates segment files against it.
 type Snapshot struct {
 	// Live is the fed-but-unfolded span tail, in a valid arrival order.
 	Live []*trace.Span
@@ -89,6 +90,12 @@ type Snapshot struct {
 	// dedup carries the store-maintained batch-id window across the WAL
 	// boundary; it is the store's state, not the caller's.
 	dedup []uint64
+	// nextSeg is the store's next segment id when the record was written:
+	// every segment file with a smaller id predates the snapshot. A record
+	// written before the stamp existed decodes as math.MaxUint64 — every
+	// segment predates it. Store state like dedup; Open reports it per
+	// segment as Segment.SinceSnapshot.
+	nextSeg uint64
 }
 
 // Segment is one recovered segment file.
@@ -96,6 +103,11 @@ type Segment struct {
 	ID    uint64
 	Spans []*trace.Span
 	Owned []uint64
+	// SinceSnapshot reports that the file was written after the recovered
+	// WAL's snapshot record (or that the WAL holds none): if the WAL also
+	// carries the segment's spans, the segment is a fold whose rotation was
+	// deferred, not a leftover the snapshot re-covered.
+	SinceSnapshot bool
 }
 
 // Batch is one recovered WAL batch record: spans fed (or ingested over
@@ -307,10 +319,20 @@ func Open(fs FS, opts Options) (*Store, *Recovery, error) {
 		rec.WALTruncatedBytes = trunc
 	}
 
+	// Date every segment against the snapshot's segment-id stamp, and keep
+	// ids ascending across the restart even when every file the stamp
+	// counted has since been deleted.
+	for i := range rec.Segments {
+		rec.Segments[i].SinceSnapshot = rec.Snapshot == nil || rec.Segments[i].ID >= rec.Snapshot.nextSeg
+	}
+	if rec.Snapshot != nil && rec.Snapshot.nextSeg != math.MaxUint64 {
+		st.nextSeg = max(st.nextSeg, rec.Snapshot.nextSeg)
+	}
+
 	// Reconstruct the dedup window: the snapshot's persisted ids, then
 	// every batch id appended after it, bounded to the newest MaxDedup.
 	if rec.Snapshot != nil {
-		st.dedup = append(st.dedup, snapDedup(rec.Snapshot)...)
+		st.dedup = append(st.dedup, rec.Snapshot.dedup...)
 	}
 	for _, b := range rec.Batches {
 		if b.BatchID != 0 {
@@ -360,19 +382,24 @@ func Open(fs FS, opts Options) (*Store, *Recovery, error) {
 	return st, rec, nil
 }
 
-func snapDedup(s *Snapshot) []uint64 { return s.dedup }
-
 // publishWAL writes a brand-new WAL for the current walGen containing the
 // header and, when snap is non-nil, one snapshot record; it is synced,
 // atomically renamed into place, and left closed (the caller reopens for
-// append as needed).
+// append as needed). The image is built in one buffer presized from the
+// live tail, so a snapshot is encoded once and never copied.
 func (st *Store) publishWAL(snap *Snapshot) error {
-	buf := make([]byte, 0, 4096)
+	size := walHeaderLen
+	if snap != nil {
+		size += walRecHeaderLen + 128 + spanRecSize*len(snap.Live) + 24*len(snap.Corr) + 8*len(st.dedup)
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, walMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, formatVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, 0)
 	if snap != nil {
-		buf = appendWALRecord(buf, walSnapshotRec, encodeSnapshot(nil, snap, st.dedup))
+		var start int
+		buf, start = beginWALRecord(buf, walSnapshotRec)
+		buf = sealWALRecord(encodeSnapshot(buf, snap, st.dedup, st.nextSeg), start)
 	}
 	name := walName(st.walGen)
 	tmp := name + tmpSuffix
@@ -404,10 +431,11 @@ func (st *Store) publishWAL(snap *Snapshot) error {
 }
 
 // Rotate atomically replaces the WAL with a fresh one holding a single
-// snapshot record (plus the store-maintained dedup window), then deletes
-// the previous WAL. This is the WAL trim: everything the snapshot covers
-// no longer needs its old batch records. It also re-arms appends after a
-// recovery.
+// snapshot record (plus the store-maintained dedup window and segment-id
+// stamp), then deletes the previous WAL. This is the WAL trim: everything
+// the snapshot covers no longer needs its old batch records. It costs the
+// whole snapshot, so callers rotate when the records it sheds outweigh
+// that, not at every fold. It also re-arms appends after a recovery.
 func (st *Store) Rotate(snap Snapshot) error {
 	st.lock()
 	defer st.unlock()
@@ -447,10 +475,9 @@ func (st *Store) LogBatch(spans []*trace.Span, owned []uint64, batchID uint64) e
 	if st.needRot || st.wal == nil {
 		return ErrNeedRotate
 	}
-	payload := binary.LittleEndian.AppendUint64(make([]byte, 0, 64+spanRecSize*len(spans)), batchID)
-	ownedFn := func(i int) bool { return ownedBit(owned, i) }
-	payload = appendSpanBlock(payload, spans, ownedFn)
-	rec := appendWALRecord(nil, walBatchRec, payload)
+	rec, start := beginWALRecord(make([]byte, 0, walRecHeaderLen+64+spanRecSize*len(spans)), walBatchRec)
+	rec = binary.LittleEndian.AppendUint64(rec, batchID)
+	rec = sealWALRecord(appendSpanBlock(rec, spans, func(i int) bool { return ownedBit(owned, i) }), start)
 	if _, err := st.wal.Write(rec); err != nil {
 		return err
 	}
@@ -615,13 +642,27 @@ func ownedBit(owned []uint64, i int) bool {
 	return i/64 < len(owned) && owned[i/64]&(1<<(i%64)) != 0
 }
 
-func appendWALRecord(buf []byte, typ byte, payload []byte) []byte {
-	body := make([]byte, 0, 1+len(payload))
-	body = append(body, typ)
-	body = append(body, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))
-	return append(buf, body...)
+// walRecHeaderLen is what beginWALRecord puts on the buffer: body length,
+// body CRC, and the type byte the body starts with.
+const walRecHeaderLen = 4 + 4 + 1
+
+// beginWALRecord opens a WAL record on buf — a reserved length/CRC header
+// and the type byte — and returns the record's offset. The caller appends
+// the payload straight onto the returned buffer and closes the record with
+// sealWALRecord, so a record is built in place instead of being copied
+// into its frame.
+func beginWALRecord(buf []byte, typ byte) ([]byte, int) {
+	start := len(buf)
+	return append(buf, 0, 0, 0, 0, 0, 0, 0, 0, typ), start
+}
+
+// sealWALRecord fills in the header of the record opened at start: the
+// length and checksum of everything appended since, type byte included.
+func sealWALRecord(buf []byte, start int) []byte {
+	body := buf[start+8:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(body, castagnoli))
+	return buf
 }
 
 func decodeSegment(data []byte) (spans []*trace.Span, owned []uint64, err error) {
@@ -696,9 +737,11 @@ func decodeWAL(data []byte) (snap *Snapshot, batches []Batch, trunc int64, err e
 	return snap, batches, int64(len(data) - off), nil
 }
 
-// dedup rides inside Snapshot only across the WAL boundary; it is the
-// store's own state, not the caller's, so it stays unexported.
-func encodeSnapshot(buf []byte, s *Snapshot, dedup []uint64) []byte {
+// dedup and nextSeg ride inside Snapshot only across the WAL boundary;
+// they are the store's own state, not the caller's, so they stay
+// unexported. nextSeg is the trailing field: records that end at the dedup
+// window are the format before it existed.
+func encodeSnapshot(buf []byte, s *Snapshot, dedup []uint64, nextSeg uint64) []byte {
 	le := binary.LittleEndian
 	buf = appendSpanBlock(buf, s.Live, func(i int) bool { return ownedBit(s.Owned, i) })
 	buf = le.AppendUint32(buf, uint32(len(s.Corr)))
@@ -721,7 +764,7 @@ func encodeSnapshot(buf []byte, s *Snapshot, dedup []uint64) []byte {
 	for _, id := range dedup {
 		buf = le.AppendUint64(buf, id)
 	}
-	return buf
+	return le.AppendUint64(buf, nextSeg)
 }
 
 func decodeSnapshot(payload []byte) (*Snapshot, error) {
@@ -771,6 +814,14 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 	s.dedup = make([]uint64, dedupN)
 	for i := range s.dedup {
 		s.dedup[i] = le.Uint64(dedupBytes[i*8:])
+	}
+	s.nextSeg = math.MaxUint64
+	if r.off < len(r.b) {
+		stamp := r.bytes(8)
+		if r.err != nil {
+			return nil, r.err
+		}
+		s.nextSeg = le.Uint64(stamp)
 	}
 	return s, nil
 }

@@ -130,6 +130,44 @@ func TestDedupWindowBounded(t *testing.T) {
 	}
 }
 
+// Every snapshot record is stamped with the store's next segment id, and
+// Open dates each recovered segment against it — also when every file the
+// stamp counted is gone by the next start: ids keep ascending across the
+// restart, so a file written after a snapshot never reads as older.
+func TestSnapshotDatesSegments(t *testing.T) {
+	fs := faultfs.New()
+	st, _, err := segio.Open(fs, segio.Options{})
+	requireNoErr(t, err)
+	before, err := st.WriteSegment([]*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}, nil, nil)
+	requireNoErr(t, err)
+	requireNoErr(t, st.Rotate(segio.Snapshot{}))
+	since, err := st.WriteSegment([]*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}, nil, nil)
+	requireNoErr(t, err)
+	requireNoErr(t, st.Close())
+
+	st, rec, err := segio.Open(fs, segio.Options{})
+	requireNoErr(t, err)
+	if len(rec.Segments) != 2 || rec.Segments[0].ID != before || rec.Segments[0].SinceSnapshot ||
+		rec.Segments[1].ID != since || !rec.Segments[1].SinceSnapshot {
+		t.Fatalf("want segment %d before the snapshot and %d since, got %+v", before, since, rec.Segments)
+	}
+
+	requireNoErr(t, st.Rotate(segio.Snapshot{}))
+	requireNoErr(t, st.DropSegments([]uint64{before, since}))
+	requireNoErr(t, st.Close())
+	st, rec, err = segio.Open(fs, segio.Options{})
+	requireNoErr(t, err)
+	if len(rec.Segments) != 0 {
+		t.Fatalf("dropped segments recovered: %+v", rec.Segments)
+	}
+	requireNoErr(t, st.Rotate(segio.Snapshot{}))
+	next, err := st.WriteSegment([]*trace.Span{mkSpan(3, 20, 30, 0, trace.KindSync)}, nil, nil)
+	requireNoErr(t, err)
+	if next <= since {
+		t.Fatalf("segment id %d reused after a restart over an empty directory (last was %d)", next, since)
+	}
+}
+
 func TestSupersededSegmentsDropped(t *testing.T) {
 	fs := faultfs.New()
 	st, _, err := segio.Open(fs, segio.Options{})
