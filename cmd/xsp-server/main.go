@@ -22,7 +22,9 @@
 // finalize pending work (device-only executions, buffered reordered
 // arrivals, stragglers — stragglers repair a bounded region, not the
 // whole trace) exactly as a batch correlation would. /api/trace keeps
-// serving the raw ingested spans either way, and /api/reset clears the
+// serving the raw ingested spans either way — the correlator links its own
+// header-only copies of them and shares their payload, which nothing
+// writes after ingest — and /api/reset clears the
 // addressed tenant's collector and streaming state together — and only
 // that tenant's. -reorder-window sets how much cross-shard arrival skew
 // (in virtual-clock duration) the stream absorbs in order, and -retain
@@ -233,9 +235,11 @@ func main() {
 	})
 
 	if *stream {
-		// Each tenant's correlator works on isolated clones: parents are
-		// resolved on the correlator's copies, so /api/trace readers never
-		// race the correlator's writes.
+		// Each tenant's correlator works on header-only copies: parents are
+		// resolved on the correlator's headers, so /api/trace readers never
+		// race the correlator's writes, and the payload (name, tags,
+		// metrics — immutable once published) is held once, shared with the
+		// raw store.
 		setOpts := core.TenantSetOptions{
 			Stream: core.StreamOptions{
 				ReorderWindow:  vclock.Duration(*window),
@@ -307,7 +311,8 @@ func main() {
 				}
 				if rec := st.Recovery(); rec != nil {
 					// The raw /api/trace view restarts with the recovered
-					// spans too, not just batches accepted by this process.
+					// spans too, not just batches accepted by this process:
+					// header copies, sharing the correlator's payloads.
 					if recovered := st.Correlator().SnapshotTrace(); len(recovered.Spans) > 0 {
 						tn.Collector().Publish(recovered.Spans...)
 					}

@@ -123,15 +123,20 @@
 // Both correlation paths mutate spans in place through the shared
 // pointers the trace substrate hands out (the trace.Memory.Trace
 // aliasing contract; spans themselves live in trace.SpanStore arenas),
-// so correlating allocates no span copies. The StreamCorrelator
+// so correlating allocates no span copies. An Isolated StreamCorrelator
+// copies headers only, one allocation per fed batch: a span's payload
+// (Name, Source, Tags, Metrics) is immutable after publish, the
+// correlator writes only ParentID, and so the copy shares the payload
+// with whoever else holds the span. The StreamCorrelator
 // additionally draws every interval-tree node — degraded windows and
 // straggler repairs both — from a per-correlator free-list pool
 // (internal/interval.Pool): a closed window releases its trees back and
 // the next window rebuilds from recycled nodes, so sustained pipelined
 // overlap runs with ~0 tree-node allocations per span at steady state.
 // TestStreamAllocBudget pins the whole Feed path to a checked-in
-// allocs-per-span budget, and BenchmarkIngestToCorrelate measures it
-// end to end from the wire.
+// allocs-per-span budget — and, in the server's isolated configuration,
+// bytes per span too — and BenchmarkIngestToCorrelate measures it end to
+// end from the wire.
 //
 // Leveled experimentation (Section III-C) runs the model once per
 // profiling level so every level's latencies are read from the run where

@@ -156,7 +156,7 @@ func (sc *StreamCorrelator) snapshotLocked() segio.Snapshot {
 	snap := segio.Snapshot{Live: sc.all}
 	snap.Owned = make([]uint64, (len(sc.all)+63)/64)
 	for i, s := range sc.all {
-		if sc.owned[s] {
+		if sc.owns(s) {
 			snap.Owned[i/64] |= 1 << (i % 64)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"container/heap"
 	"math"
 	"slices"
@@ -28,11 +29,14 @@ type StreamOptions struct {
 	// straggler.
 	ReorderWindow vclock.Duration
 
-	// Isolated makes Feed clone every span before using it, so the
-	// correlator's parent links never write into spans a concurrent reader
-	// (or the publishing tracer) still holds. The server tap runs isolated;
-	// in-process pipelines that want the links written through — the
-	// Memory.Trace sharing semantics — leave it false.
+	// Isolated makes Feed copy every span's header (trace.CloneHeaders)
+	// before using it, so the correlator's parent links never write into
+	// spans a concurrent reader (or the publishing tracer) still holds. The
+	// copy shares Name, Source, Tags and Metrics with the fed span: a span's
+	// payload is immutable once published, and the correlator writes only
+	// ParentID. The server tap runs isolated; in-process pipelines that want
+	// the links written through — the Memory.Trace sharing semantics —
+	// leave it false.
 	Isolated bool
 
 	// Retain bounds the live, repairable state of a long-running stream.
@@ -187,8 +191,10 @@ type StreamCorrelator struct {
 	mu   sync.Mutex
 	opts StreamOptions
 
-	all   []*trace.Span        // live spans, in arrival order (checkpointed spans excluded)
-	owned map[*trace.Span]bool // fed unparented: the correlator owns their ParentID
+	all []*trace.Span // live spans, in arrival order (checkpointed spans excluded)
+	// parented holds the live spans fed with a ParentID: the correlator owns
+	// every link but theirs. Empty on server traffic, which is unparented.
+	parented map[*trace.Span]bool
 
 	buf          eventHeap // reorder buffer, min-heap in sweep order
 	maxBegin     vclock.Time
@@ -285,13 +291,16 @@ type pendingExec struct {
 // NewStreamCorrelator returns an empty streaming correlator.
 func NewStreamCorrelator(opts StreamOptions) *StreamCorrelator {
 	return &StreamCorrelator{
-		opts:    opts,
-		owned:   make(map[*trace.Span]bool),
-		corr:    newSparseCorrTable(),
-		pending: make(map[uint64][]pendingExec),
-		execs:   make(map[uint64][]*trace.Span),
+		opts:     opts,
+		parented: make(map[*trace.Span]bool),
+		corr:     newSparseCorrTable(),
+		pending:  make(map[uint64][]pendingExec),
+		execs:    make(map[uint64][]*trace.Span),
 	}
 }
+
+// owns reports whether s was fed unparented: its ParentID is the correlator's.
+func (sc *StreamCorrelator) owns(s *trace.Span) bool { return !sc.parented[s] }
 
 // Publish implements trace.Collector, so the correlator can tap a span
 // stream directly (e.g. behind trace.Memory.SetTap or trace.Server.SetTap).
@@ -312,16 +321,16 @@ func (sc *StreamCorrelator) Feed(spans ...*trace.Span) {
 // feedLocked is the Feed body, shared with FeedLogged (which does its own
 // WAL append first). Callers hold sc.mu.
 func (sc *StreamCorrelator) feedLocked(spans []*trace.Span) {
+	if sc.opts.Isolated {
+		spans = trace.CloneHeaders(spans)
+	}
 	for _, s := range spans {
 		if s == nil {
 			continue
 		}
-		if sc.opts.Isolated {
-			s = s.Clone()
-		}
 		sc.all = append(sc.all, s)
-		if s.ParentID == 0 {
-			sc.owned[s] = true
+		if s.ParentID != 0 {
+			sc.parented[s] = true
 		}
 		if f := sc.releaseFloor(); f != nil && compareEvents(s, f) <= 0 {
 			// Arrived behind the release point — this process's, or a
@@ -444,7 +453,7 @@ func (sc *StreamCorrelator) drain(watermark vclock.Time) {
 // timeline indexes the straggler repair queries.
 func (sc *StreamCorrelator) noteReleased(s *trace.Span) {
 	sc.rel.slot(s.Level).push(s)
-	if s.Kind == trace.KindExec && s.CorrelationID != 0 && sc.owned[s] {
+	if s.Kind == trace.KindExec && s.CorrelationID != 0 && sc.owns(s) {
 		sc.execs[s.CorrelationID] = append(sc.execs[s.CorrelationID], s)
 	}
 }
@@ -487,7 +496,7 @@ func (sc *StreamCorrelator) Reset() {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	sc.all = nil
-	sc.owned = make(map[*trace.Span]bool)
+	sc.parented = make(map[*trace.Span]bool)
 	sc.buf = nil
 	sc.maxBegin = 0
 	sc.lastReleased = nil
@@ -810,7 +819,7 @@ func (sc *StreamCorrelator) repair() {
 		sc.noteLevel(s.Level)
 		byLevel[s.Level] = append(byLevel[s.Level], s) // sorted: stragglers are
 		sc.stackInsert(s)
-		if s.Kind == trace.KindExec && s.CorrelationID != 0 && sc.owned[s] {
+		if s.Kind == trace.KindExec && s.CorrelationID != 0 && sc.owns(s) {
 			sc.execs[s.CorrelationID] = append(sc.execs[s.CorrelationID], s)
 		}
 	}
@@ -868,7 +877,7 @@ func (sc *StreamCorrelator) repair() {
 			settledExec = make(map[*trace.Span]uint64)
 		}
 		for _, c := range cands {
-			if sc.owned[c] {
+			if sc.owns(c) {
 				if settledExec != nil && c.Kind == trace.KindExec && c.CorrelationID != 0 && c.ParentID != 0 {
 					settledExec[c] = c.ParentID
 				}
@@ -894,7 +903,7 @@ func (sc *StreamCorrelator) repair() {
 		// the correlation table fills in region order.
 		pass1 = pass1[:0]
 		for _, s := range cands {
-			if sc.owned[s] && s.Kind != trace.KindExec {
+			if sc.owns(s) && s.Kind != trace.KindExec {
 				pass1 = append(pass1, s)
 			}
 		}
@@ -940,7 +949,7 @@ func (sc *StreamCorrelator) repair() {
 		// that pass 1 settled the correlation table — are queried.
 		pass2 = pass2[:0]
 		for _, s := range cands {
-			if !sc.owned[s] || s.Kind != trace.KindExec || s.ParentID != 0 {
+			if !sc.owns(s) || s.Kind != trace.KindExec || s.ParentID != 0 {
 				continue
 			}
 			if s.CorrelationID != 0 {
@@ -986,7 +995,7 @@ func (sc *StreamCorrelator) repair() {
 			continue
 		}
 		for _, e := range sc.execs[corr] {
-			if e.ParentID != pid && sc.owned[e] {
+			if e.ParentID != pid && sc.owns(e) {
 				e.ParentID = pid
 			}
 		}
@@ -1093,36 +1102,44 @@ func (sc *StreamCorrelator) Checkpoint() int {
 // see walNeedsRotation.
 func (sc *StreamCorrelator) fold() int {
 	f := sc.finalizedBefore()
-	var folded []*trace.Span
+	var runs [][]*trace.Span
 	for _, l := range sc.levels {
-		r := sc.rel.slot(l)
-		folded = r.evictBefore(f, folded)
+		if run := sc.rel.slot(l).evictBefore(f); len(run) > 0 {
+			runs = append(runs, run)
+		}
 	}
-	if len(folded) == 0 {
+	if len(runs) == 0 {
 		return 0
 	}
 
-	foldedSet := make(map[*trace.Span]bool, len(folded))
-	for _, s := range folded {
-		foldedSet[s] = true
+	// The eviction rule retires the folded spans from the arrival list and
+	// the ancestor stacks too: a released span ending before f was evicted
+	// just now. A span not yet released — buffered, or a straggler awaiting
+	// repair — begins at or after f, so only a malformed one (End < Begin,
+	// which ingest accepts) can end before f; those stay, by name.
+	unreleased := map[*trace.Span]bool{}
+	for _, waiting := range [2][]*trace.Span{sc.buf, sc.stragglers} {
+		for _, s := range waiting {
+			if s.End < f {
+				unreleased[s] = true
+			}
+		}
 	}
-
-	// The live arrival list shrinks to the survivors.
 	live := sc.all[:0]
 	for _, s := range sc.all {
-		if !foldedSet[s] {
+		if s.End >= f || unreleased[s] {
 			live = append(live, s)
 		}
 	}
 	clear(sc.all[len(live):])
 	sc.all = live
 
-	// Folded spans may still sit (dead) on the ancestor stacks.
+	// Folded spans may still sit (dead) on the stacks: released spans all.
 	for _, l := range sc.levels {
 		st := sc.stacks.slot(l)
 		keep := (*st)[:0]
 		for _, s := range *st {
-			if !foldedSet[s] {
+			if s.End >= f {
 				keep = append(keep, s)
 			}
 		}
@@ -1132,14 +1149,14 @@ func (sc *StreamCorrelator) fold() int {
 
 	// The segment stores the spans in canonical order with the owned set
 	// as a bitset, so a reopen can restore the live state exactly. The
-	// per-level eviction emits level-grouped begin-ascending runs; MergeRuns
-	// sorts the concatenation privately.
-	spans := trace.MergeRuns([][]*trace.Span{folded})
+	// levels' evicted runs are begin-ascending: MergeRuns reads them in place.
+	spans := trace.MergeRuns(runs)
 	seg := ckptSegment{spans: spans, owned: make([]uint64, (len(spans)+63)/64)}
 	for i, s := range spans {
-		if sc.owned[s] {
+		if sc.owns(s) {
 			seg.owned[i/64] |= 1 << (i % 64)
-			delete(sc.owned, s)
+		} else {
+			delete(sc.parented, s)
 		}
 		if s.End > sc.ckptMaxEnd {
 			sc.ckptMaxEnd = s.End
@@ -1198,14 +1215,17 @@ func (sc *StreamCorrelator) dropExec(s *trace.Span) {
 // segments) matters: one tiny straggler fold must not shield a plateau of
 // equal-size segments behind it from ever merging.
 func (sc *StreamCorrelator) compact() {
-	for len(sc.ckpt) > 1 {
-		order := make([]int, len(sc.ckpt))
-		for i := range order {
-			order[i] = i
-		}
-		slices.SortFunc(order, func(a, b int) int {
-			return len(sc.ckpt[a].spans) - len(sc.ckpt[b].spans)
-		})
+	// order lists the segments by size, equal sizes by position, and stays
+	// sorted across the merges below.
+	bySize := func(a, b int) int {
+		return cmp.Or(cmp.Compare(len(sc.ckpt[a].spans), len(sc.ckpt[b].spans)), cmp.Compare(a, b))
+	}
+	order := make([]int, len(sc.ckpt))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, bySize)
+	for {
 		pair := -1
 		for i := 0; i+1 < len(order); i++ {
 			if 2*len(sc.ckpt[order[i]].spans) >= len(sc.ckpt[order[i+1]].spans) {
@@ -1220,36 +1240,71 @@ func (sc *StreamCorrelator) compact() {
 		sc.ckpt[lo] = mergeSegments(sc.ckpt[lo], sc.ckpt[hi])
 		sc.ckpt = slices.Delete(sc.ckpt, hi, hi+1)
 		sc.compactions++
+
+		// The pair leaves the order, the segments behind hi move down one
+		// position, and the survivor re-enters where its new size puts it.
+		order = slices.Delete(order, pair, pair+2)
+		for i, k := range order {
+			if k > hi {
+				order[i] = k - 1
+			}
+		}
+		at, _ := slices.BinarySearchFunc(order, lo, bySize)
+		order = slices.Insert(order, at, lo)
 	}
 }
 
-// mergeSegments merges two immutable checkpoint segments into one,
-// preserving canonical order and the owned bitsets. The merged segment
-// has no durable file yet; it inherits the inputs' files (and their own
-// pending replacements) as its replaced list, so persistLadder deletes
-// them only once the merged file is on disk.
+// mergeSegments merges two immutable checkpoint segments into one: a
+// two-pointer merge of the canonically sorted inputs — ties toward a, as
+// trace.MergeRuns breaks them — that carries each span's owned bit from
+// its input's bitset to the output's. The merged segment has no durable
+// file yet; it inherits the inputs' files (and their own pending
+// replacements) as its replaced list, so persistLadder deletes them only
+// once the merged file is on disk.
 func mergeSegments(a, b ckptSegment) ckptSegment {
-	ownedSet := make(map[*trace.Span]bool, len(a.spans)+len(b.spans))
-	var replaced []uint64
-	for _, seg := range []ckptSegment{a, b} {
-		for j, s := range seg.spans {
-			if seg.owned[j/64]&(1<<(j%64)) != 0 {
-				ownedSet[s] = true
+	n := len(a.spans) + len(b.spans)
+	seg := ckptSegment{spans: make([]*trace.Span, 0, n), owned: make([]uint64, (n+63)/64)}
+	take := func(from *ckptSegment, lo, hi int) {
+		for k, at := lo, len(seg.spans); k < hi; k, at = k+1, at+1 {
+			if ownedBitSet(from.owned, k) {
+				seg.owned[at/64] |= 1 << (at % 64)
 			}
 		}
-		replaced = append(replaced, seg.replaced...)
-		if seg.fileID != 0 {
-			replaced = append(replaced, seg.fileID)
+		seg.spans = append(seg.spans, from.spans[lo:hi]...)
+	}
+	// Segments fold from successive stretches of the stream, so the merge
+	// is mostly long runs from one side: gallop to the end of each run
+	// rather than compare span by span.
+	i, j := 0, 0
+	for i < len(a.spans) && j < len(b.spans) {
+		end := i + gallop(len(a.spans)-i, func(k int) bool { return trace.CanonicalLess(b.spans[j], a.spans[i+k]) })
+		take(&a, i, end)
+		if i = end; i < len(a.spans) {
+			end = j + gallop(len(b.spans)-j, func(k int) bool { return !trace.CanonicalLess(b.spans[j+k], a.spans[i]) })
+			take(&b, j, end)
+			j = end
 		}
 	}
-	spans := trace.MergeRuns([][]*trace.Span{a.spans, b.spans})
-	seg := ckptSegment{spans: spans, owned: make([]uint64, (len(spans)+63)/64), replaced: replaced}
-	for i, s := range spans {
-		if ownedSet[s] {
-			seg.owned[i/64] |= 1 << (i % 64)
+	take(&a, i, len(a.spans))
+	take(&b, j, len(b.spans))
+	for _, in := range [2]ckptSegment{a, b} {
+		seg.replaced = append(seg.replaced, in.replaced...)
+		if in.fileID != 0 {
+			seg.replaced = append(seg.replaced, in.fileID)
 		}
 	}
 	return seg
+}
+
+// gallop returns the least k in [0, n) at which the monotone stop holds, or
+// n when it never does, in O(log k) probes: doubling steps, then a binary
+// search of the last step.
+func gallop(n int, stop func(k int) bool) int {
+	lo, step := 0, 1 // stop fails everywhere before lo
+	for lo+step <= n && !stop(lo+step-1) {
+		lo, step = lo+step, 2*step
+	}
+	return lo + sort.Search(min(step-1, n-lo), func(k int) bool { return stop(lo + k) })
 }
 
 // reopen folds the checkpoint back into the live state — the rare path a
@@ -1268,8 +1323,8 @@ func (sc *StreamCorrelator) reopen() {
 	for _, seg := range sc.ckpt {
 		for i, s := range seg.spans {
 			sc.all = append(sc.all, s)
-			if seg.owned[i/64]&(1<<(i%64)) != 0 {
-				sc.owned[s] = true
+			if !ownedBitSet(seg.owned, i) {
+				sc.parented[s] = true
 			}
 		}
 		released = append(released, seg.spans...)
@@ -1319,16 +1374,15 @@ func (sc *StreamCorrelator) mergedSpans() []*trace.Span {
 	return trace.MergeRuns(runs)
 }
 
-// SnapshotTrace is Trace with every span deep-copied: a point-in-time
-// snapshot safe to read and mutate while the stream keeps feeding.
+// SnapshotTrace is Trace with every span's header copied
+// (trace.CloneHeaders): a point-in-time snapshot whose parent links stay as
+// they were while the stream keeps feeding, and whose header fields the
+// caller may rewrite. The payload — Name, Source, Tags, Metrics — is shared
+// read-only with the correlator's spans: immutable once published.
 func (sc *StreamCorrelator) SnapshotTrace() *trace.Trace {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	spans := sc.mergedSpans()
-	for i, s := range spans {
-		spans[i] = s.Clone()
-	}
-	return &trace.Trace{Spans: spans}
+	return &trace.Trace{Spans: trace.CloneHeaders(sc.mergedSpans())}
 }
 
 // StreamStats describes a correlator's progress, for observability and
@@ -1508,20 +1562,23 @@ func (r *levelRun) overlapping(lo, hi vclock.Time, dst []*trace.Span) []*trace.S
 	return dst
 }
 
-// evictBefore removes every span ending before f, appending them to dst in
-// begin order, and rebuilds the run over the survivors.
-func (r *levelRun) evictBefore(f vclock.Time, dst []*trace.Span) []*trace.Span {
-	mark := len(dst)
+// evictBefore removes every span ending before f, returning them in sweep
+// (so begin-ascending) order, and rebuilds the run over the survivors.
+func (r *levelRun) evictBefore(f vclock.Time) []*trace.Span {
+	var evicted []*trace.Span
 	keep := r.spans[:0]
-	for _, s := range r.spans {
+	for i, s := range r.spans {
 		if s.End < f {
-			dst = append(dst, s)
+			if evicted == nil {
+				evicted = make([]*trace.Span, 0, len(r.spans)-i)
+			}
+			evicted = append(evicted, s)
 		} else {
 			keep = append(keep, s)
 		}
 	}
-	if len(dst) == mark {
-		return dst
+	if len(evicted) == 0 {
+		return nil
 	}
 	clear(r.spans[len(keep):])
 	r.spans = keep
@@ -1533,7 +1590,7 @@ func (r *levelRun) evictBefore(f vclock.Time, dst []*trace.Span) []*trace.Span {
 		}
 		r.maxEnd = append(r.maxEnd, m)
 	}
-	return dst
+	return evicted
 }
 
 // levelRuns holds one levelRun per stack level, the paper's five in a

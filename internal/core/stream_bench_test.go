@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"xsp/internal/core"
 	"xsp/internal/trace"
@@ -245,4 +247,51 @@ func BenchmarkStreamCorrelate(b *testing.B) {
 		b.ReportMetric(float64(live), "live-spans")
 		b.ReportMetric(float64(checkpointed), "checkpointed-spans")
 	})
+}
+
+// BenchmarkFoldCompact times the checkpoint stages alone — fold (evict the
+// finalized spans, retire them from the live state, build the segment) and
+// compact (the geometric ladder's merges) — on a nested stream at the
+// ram_nested shape: reorder window 64, 1024-span batches with a fold after
+// each, header-only isolation, payload-carrying spans, and over a million
+// spans so the ladder reaches its ~10 levels and a span rides ~10 merges.
+// Retain is zero and every fold is an explicit Checkpoint, so the clock and
+// the allocation counters run over exactly the two stages (auto-folds
+// would hide inside Feed); the horizon sits 10µs nearer the tip than the
+// server's, which moves a fold's population by a few hundred spans and
+// nothing else. One op is the whole stream; the per-span metrics are
+// stage cost over spans fed.
+func BenchmarkFoldCompact(b *testing.B) {
+	spec := workload.StreamingSpec{
+		Trace:     payloadTrace(131_072, 42),
+		BatchSize: 1_024, ReorderSkew: 48, Repeat: 9, Seed: 42,
+	}
+	var stats core.StreamStats
+	var busy time.Duration
+	var allocs, bytes uint64
+	for i := 0; i < b.N; i++ {
+		sc := core.NewStreamCorrelator(core.StreamOptions{Isolated: true, ReorderWindow: 64, CorrRetain: 100_000})
+		var before, after runtime.MemStats
+		workload.Stream(spec, func(batch []*trace.Span) bool {
+			sc.Feed(batch...)
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			sc.Checkpoint()
+			busy += time.Since(start)
+			runtime.ReadMemStats(&after)
+			allocs += after.Mallocs - before.Mallocs
+			bytes += after.TotalAlloc - before.TotalAlloc
+			return true
+		})
+		stats = sc.Stats()
+		if stats.Fed < 1_000_000 || stats.Compactions == 0 || stats.Live > stats.Fed/100 {
+			b.Fatalf("not the ram_nested ladder: %+v", stats)
+		}
+	}
+	spans := float64(b.N) * float64(stats.Fed)
+	b.ReportMetric(float64(busy.Nanoseconds())/spans, "ns/span")
+	b.ReportMetric(float64(bytes)/spans, "B/span")
+	b.ReportMetric(float64(allocs)/spans, "allocs/span")
+	b.ReportMetric(float64(stats.Compactions), "compactions")
+	b.ReportMetric(float64(stats.Segments), "segments")
 }

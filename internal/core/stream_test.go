@@ -6,6 +6,8 @@ package core_test
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 
@@ -31,6 +33,16 @@ func batchParents(batches [][]*trace.Span) map[uint64]uint64 {
 		parents[s.ID] = s.ParentID
 	}
 	return parents
+}
+
+// payloadTrace is a nested trace whose spans carry what a profiled model
+// publishes — layer tags, kernel and memcpy metrics — the spans xsp-server
+// ingests.
+func payloadTrace(spans int, seed int64) workload.SyntheticSpec {
+	return workload.SyntheticSpec{
+		Spans: spans, Seed: seed, KernelMetrics: true, MemcpysPerLayer: 1,
+		LayerTypes: []string{"Conv2D", "Relu", "BatchNorm"},
+	}
 }
 
 func feedAll(sc *core.StreamCorrelator, batches [][]*trace.Span) {
@@ -676,6 +688,98 @@ func TestStreamCorrelatorCheckpointResetReuse(t *testing.T) {
 	assertStreamMatchesBatch(t, sc, again)
 }
 
+// A fold retires exactly the spans it moved into the segment: on a
+// pipelined stream skewed past the reorder window — stragglers pending,
+// degraded windows open, the reorder buffer never empty — every fed span is
+// either live or checkpointed after every Feed, and Trace returns each
+// exactly once after every fold. The stream carries malformed spans
+// (End < Begin, which ingest accepts) placed where a fold's horizon passes
+// their End before the resolver has released them: one ahead of the
+// watermark, waiting in the reorder buffer, and one behind the release
+// floor, a straggler waiting for the open window to close. Retiring live
+// spans by "ends before the horizon" alone drops both.
+func TestFoldRetiresExactlyTheFolded(t *testing.T) {
+	const window = 16
+	batches := workload.StreamingArrivals(workload.StreamingSpec{
+		Trace:     workload.SyntheticSpec{Spans: 24_000, Streams: 3, Seed: 5},
+		BatchSize: 128, ReorderSkew: 4 * window, Seed: 6,
+	})
+	sc := core.NewStreamCorrelator(core.StreamOptions{ReorderWindow: window, Retain: 32})
+
+	fed := make(map[uint64]bool)
+	exactlyOnce := func(when string) {
+		t.Helper()
+		got := sc.Trace().Spans
+		seen := make(map[uint64]bool, len(got))
+		for _, s := range got {
+			if seen[s.ID] {
+				t.Fatalf("%s: span %d is both in the live tail and in a segment", when, s.ID)
+			}
+			seen[s.ID] = true
+		}
+		for id := range fed {
+			if !seen[id] {
+				t.Fatalf("%s: span %d was fed and is gone", when, id)
+			}
+		}
+	}
+
+	var last core.StreamStats
+	var foldsBuffered, foldsPending, foldsDegraded int
+	var tip vclock.Time
+	malformed := uint64(1) << 40
+	for i, b := range batches {
+		for _, s := range b {
+			tip = max(tip, s.Begin)
+		}
+		if i%8 == 7 {
+			// Behind the release floor and ahead of the watermark; both end
+			// at 1, far behind any horizon.
+			b = append(slices.Clone(b),
+				&trace.Span{ID: malformed, Level: trace.LevelKernel, Begin: tip - 40*window, End: 1},
+				&trace.Span{ID: malformed + 1, Level: trace.LevelKernel, Begin: tip + window, End: 1})
+			malformed += 2
+		}
+		for _, s := range b {
+			fed[s.ID] = true
+		}
+		sc.Feed(b...)
+		if i%8 == 7 {
+			sc.Checkpoint() // a fold with the malformed pair still waiting
+		}
+
+		st := sc.Stats()
+		if st.Live+st.Checkpointed != len(fed) {
+			t.Fatalf("batch %d: live %d + checkpointed %d = %d, fed %d",
+				i, st.Live, st.Checkpointed, st.Live+st.Checkpointed, len(fed))
+		}
+		if st.Checkpointed != last.Checkpointed || st.Compactions != last.Compactions {
+			exactlyOnce(fmt.Sprintf("after the fold in batch %d", i))
+			if st.Buffered > 0 {
+				foldsBuffered++
+			}
+			if st.Stragglers > last.Stragglers {
+				foldsPending++
+			}
+			if st.DegradedWindows > last.DegradedWindows {
+				foldsDegraded++
+			}
+		}
+		last = st
+	}
+	if foldsBuffered == 0 || foldsPending == 0 || foldsDegraded == 0 {
+		t.Fatalf("folds never ran beside a non-empty buffer (%d), new stragglers (%d) and new degraded windows (%d)",
+			foldsBuffered, foldsPending, foldsDegraded)
+	}
+	t.Logf("%+v; folds beside a buffer %d, new stragglers %d, new windows %d", last, foldsBuffered, foldsPending, foldsDegraded)
+	sc.Flush()
+	sc.Checkpoint()
+	if st := sc.Stats(); st.Live+st.Checkpointed != len(fed) {
+		t.Fatalf("after Flush: live %d + checkpointed %d, fed %d", st.Live, st.Checkpointed, len(fed))
+	}
+	exactlyOnce("after Flush")
+}
+
 // The Memory-level tap under load: concurrent tracers publish through
 // dedicated shards into a tapped Memory while Checkpoint, Stats, and
 // snapshot readers run — the -race exercise for the Publish/tap/Checkpoint
@@ -736,8 +840,116 @@ func TestMemoryTapStreamCheckpointConcurrently(t *testing.T) {
 	}
 }
 
-// Isolated mode clones: the fed spans stay untouched, the correlated
-// copies live inside the correlator.
+// The isolation contract under -race: an Isolated correlator copies span
+// headers and shares the payload with the raw store, so the rule is that a
+// span's payload is immutable once published and the correlator writes
+// only ParentID, on its own copy. Publishers land batches in a tapped
+// Memory while raw-store readers and SnapshotTrace readers iterate Tags and
+// Metrics and the stream folds; the raw spans must stay unparented, the
+// correlator's copies must resolve, the payloads must compare equal, and
+// the race detector must have nothing to say.
+func TestIsolatedCorrelatorSharesPayloadReadOnly(t *testing.T) {
+	const publishers = 4
+	batches := workload.StreamingArrivals(workload.StreamingSpec{
+		Trace:     payloadTrace(16_000, 9),
+		BatchSize: 64, ReorderSkew: 48, Seed: 9,
+	})
+	want := batchParents(batches)
+
+	mem := trace.NewMemory()
+	// The window absorbs most of the skew the racing publishers add, so the
+	// stream folds as it goes; what it misses repairs as stragglers.
+	sc := core.NewStreamCorrelator(core.StreamOptions{Isolated: true, ReorderWindow: 4_096, Retain: 256})
+	mem.SetTap(sc)
+
+	readPayload := func(spans []*trace.Span) (n int) {
+		for _, s := range spans {
+			n += len(s.Name)
+			for k, v := range s.Tags {
+				n += len(k) + len(v)
+			}
+			for k, v := range s.Metrics {
+				n += len(k) + int(v)
+			}
+		}
+		return n
+	}
+
+	next := make(chan []*trace.Span)
+	var pubs sync.WaitGroup
+	for w := 0; w < publishers; w++ {
+		pubs.Add(1)
+		go func() {
+			defer pubs.Done()
+			for b := range next {
+				mem.Publish(b...)
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for _, read := range []func(){
+		func() { readPayload(mem.Trace().Spans) },
+		func() {
+			snap := sc.SnapshotTrace().Spans
+			readPayload(snap)
+			for _, s := range snap {
+				s.ParentID = 0 // the snapshot's headers are the caller's
+			}
+		},
+	} {
+		readers.Add(1)
+		go func(read func()) {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					read()
+				}
+			}
+		}(read)
+	}
+	for _, b := range batches {
+		next <- b
+	}
+	close(next)
+	pubs.Wait()
+	close(stop)
+	readers.Wait()
+	sc.Flush()
+
+	if st := sc.Stats(); st.Checkpointed == 0 && st.Reopens == 0 {
+		t.Fatalf("the stream never folded: %+v", st)
+	}
+	raw := make(map[uint64]*trace.Span, len(want))
+	for _, s := range mem.Trace().Spans {
+		if s.ParentID != 0 {
+			t.Fatalf("raw span %d got parent %d: the correlator wrote through its copy", s.ID, s.ParentID)
+		}
+		raw[s.ID] = s
+	}
+	got := sc.Trace().Spans
+	if len(got) != len(want) || len(raw) != len(want) {
+		t.Fatalf("correlator holds %d spans, raw store %d, published %d", len(got), len(raw), len(want))
+	}
+	for _, s := range got {
+		if s.ParentID != want[s.ID] {
+			t.Fatalf("span %d: isolated stream parent %d, batch parent %d", s.ID, s.ParentID, want[s.ID])
+		}
+		r := raw[s.ID]
+		if s == r {
+			t.Fatalf("span %d: the correlator holds the raw store's span, not a copy", s.ID)
+		}
+		if s.Name != r.Name || !maps.Equal(s.Tags, r.Tags) || !maps.Equal(s.Metrics, r.Metrics) {
+			t.Fatalf("span %d: payload differs between the raw store and the correlator", s.ID)
+		}
+	}
+}
+
+// Isolated mode copies headers: the fed spans stay untouched, the
+// correlated copies live inside the correlator.
 func TestStreamCorrelatorIsolated(t *testing.T) {
 	orig := []*trace.Span{
 		{ID: 1, Level: trace.LevelModel, Begin: 0, End: 100},

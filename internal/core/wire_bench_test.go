@@ -3,6 +3,7 @@ package core_test
 import (
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -91,49 +92,79 @@ func BenchmarkIngestToCorrelate(b *testing.B) {
 }
 
 // TestStreamAllocBudget is the allocation-regression smoke for the
-// streaming hot path: a sustained pipelined stream past warmup must stay
-// within a checked-in allocs-per-span budget. The budget has headroom for
-// amortized work (checkpoint folds, map growth, the occasional segment
-// compaction) but sits far below one allocation per span — pooled
-// interval-tree nodes and the span arena are what hold it there, so a
-// regression in either shows up here before it shows up in a profile.
+// streaming hot path: a sustained stream past warmup must stay within a
+// checked-in per-span budget. The budgets have headroom for amortized work
+// (checkpoint folds, map growth, the occasional segment compaction) and
+// slower boxes.
+//
+//   - shared is the in-process shape: a pipelined stream fed without
+//     isolation. Pooled interval-tree nodes and the span arena hold it far
+//     below one allocation per span — before them this path ran at several
+//     (tree nodes alone were ~1/span in overlapped regions) — so a
+//     regression in either shows up here before it shows up in a profile.
+//   - server is what xsp-server runs per tenant: Isolated, Retain and
+//     CorrRetain set, spans carrying the Tags and Metrics a profiled model
+//     publishes. Isolation costs one header copy per span and the fold
+//     path no per-span hash set, so both the count and the bytes are
+//     pinned: deep-copying the payload maps again (3+ allocs, ~600 B per
+//     span) or hashing every span through a fold fails it.
 func TestStreamAllocBudget(t *testing.T) {
-	const batchSize = 500
-	batches := workload.StreamingArrivals(workload.StreamingSpec{
-		Trace:     workload.SyntheticSpec{Spans: 120_000, Streams: 3, Seed: 7},
-		BatchSize: batchSize, ReorderSkew: 48, Seed: 7,
-	})
-	sc := core.NewStreamCorrelator(core.StreamOptions{
-		ReorderWindow: 48, Retain: 4_096, MaxWindowSpans: 2_048,
-	})
+	for _, tc := range []struct {
+		name          string
+		trace         workload.SyntheticSpec
+		opts          core.StreamOptions
+		allocs, bytes float64 // per-span budgets; zero bytes leaves them unpinned
+	}{
+		{
+			name:   "shared",
+			trace:  workload.SyntheticSpec{Spans: 120_000, Streams: 3, Seed: 7},
+			opts:   core.StreamOptions{ReorderWindow: 48, Retain: 4_096, MaxWindowSpans: 2_048},
+			allocs: 2.0,
+		},
+		{
+			name:   "server",
+			trace:  payloadTrace(120_000, 7),
+			opts:   core.StreamOptions{Isolated: true, ReorderWindow: 64, Retain: 10_000, CorrRetain: 100_000},
+			allocs: 2.0, bytes: 320,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const batchSize = 500
+			batches := workload.StreamingArrivals(workload.StreamingSpec{
+				Trace: tc.trace, BatchSize: batchSize, ReorderSkew: 48, Seed: 7,
+			})
+			sc := core.NewStreamCorrelator(tc.opts)
 
-	// Warm up: let the window chain, the checkpoint ladder, and the pool
-	// reach steady state.
-	warm := len(batches) / 3
-	for _, b := range batches[:warm] {
-		sc.Feed(b...)
-	}
+			// Warm up: let the window chain, the checkpoint ladder, and the
+			// pool reach steady state.
+			warm := len(batches) / 3
+			for _, b := range batches[:warm] {
+				sc.Feed(b...)
+			}
+			const runs = 60
+			if warm+runs > len(batches) {
+				t.Fatalf("stream too short: %d batches, need %d", len(batches), warm+runs)
+			}
 
-	const runs = 60
-	if warm+runs+1 > len(batches) {
-		t.Fatalf("stream too short: %d batches, need %d", len(batches), warm+runs+1)
-	}
-	i := warm
-	perBatch := testing.AllocsPerRun(runs, func() {
-		sc.Feed(batches[i]...)
-		i++
-	})
-	perSpan := perBatch / batchSize
+			// One goroutine on one P, like testing.AllocsPerRun, which counts
+			// allocations but not their bytes.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, b := range batches[warm : warm+runs] {
+				sc.Feed(b...)
+			}
+			runtime.ReadMemStats(&after)
+			allocs := float64(after.Mallocs-before.Mallocs) / (runs * batchSize)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs * batchSize)
 
-	// The checked-in budget. Measured steady state is well under 1
-	// alloc/span; the budget doubles that for slower boxes and amortized
-	// spikes. Before the node pool and arena, this path ran at several
-	// allocations per span (tree nodes alone were ~1/span in overlapped
-	// regions).
-	const budget = 2.0
-	if perSpan > budget {
-		t.Fatalf("steady-state stream path allocates %.2f allocs/span (%.0f/batch), budget %v",
-			perSpan, perBatch, budget)
+			if allocs > tc.allocs {
+				t.Fatalf("steady-state stream path allocates %.2f allocs/span, budget %v", allocs, tc.allocs)
+			}
+			if tc.bytes > 0 && bytes > tc.bytes {
+				t.Fatalf("steady-state stream path allocates %.0f B/span, budget %v", bytes, tc.bytes)
+			}
+			t.Logf("steady-state stream path: %.3f allocs/span, %.0f B/span", allocs, bytes)
+		})
 	}
-	t.Logf("steady-state stream path: %.3f allocs/span", perSpan)
 }

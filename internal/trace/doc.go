@@ -104,7 +104,11 @@
 //
 // [Memory.Trace] shares span pointers with the collector: in-place edits
 // (core.Correlate rewriting ParentID) persist across reads. Use
-// [Memory.SnapshotTrace] for a deep-copied, isolated trace instead.
+// [Memory.SnapshotTrace] for a deep-copied, isolated trace instead. A
+// span's payload — Name, Source, Tags, Metrics — is immutable after
+// publish: readers iterate the maps without locks, and [CloneHeaders]
+// (what an isolated stream correlator and its snapshots hold) copies the
+// header fields and shares the payload.
 //
 // # Multi-tenant ingestion
 //

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -44,6 +45,10 @@ func TestPublishParallelLosesNothing(t *testing.T) {
 // see some prefix of the in-flight spans, never corrupt state. (The race
 // detector is the real assertion here.)
 func TestTraceWhilePublishing(t *testing.T) {
+	// Publishers pause at a span cap: every Trace call merges all that was
+	// published, so on a loaded box unthrottled publishers outran the 50
+	// snapshots below without bound (the test binary reached 16 GB).
+	const maxSpans = 200_000
 	mem := NewMemory()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -52,11 +57,15 @@ func TestTraceWhilePublishing(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			tr := NewTracer("p", LevelLayer, mem)
-			for i := 0; ; i++ {
+			for {
 				select {
 				case <-stop:
 					return
 				default:
+				}
+				if mem.Len() >= maxSpans {
+					runtime.Gosched()
+					continue
 				}
 				tr.PublishCompleted(&Span{ID: NewSpanID(), Level: LevelLayer, Begin: 0, End: 1})
 			}

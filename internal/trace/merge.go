@@ -5,13 +5,15 @@ import "sort"
 // sortSpansCanonical sorts spans into canonical timeline order, keeping
 // the existing order among full ties (possible only for duplicate IDs).
 func sortSpansCanonical(spans []*Span) {
-	sort.SliceStable(spans, func(i, j int) bool { return spanLess(spans[i], spans[j]) })
+	sort.SliceStable(spans, func(i, j int) bool { return CanonicalLess(spans[i], spans[j]) })
 }
 
-// spanLess is the canonical timeline order: begin ascending, outer levels
-// first on ties, then span ID. SortByBegin and the shard k-way merge sort
-// by it, so a merged Memory.Trace and a re-sorted one agree exactly.
-func spanLess(a, b *Span) bool {
+// CanonicalLess is the canonical timeline order: begin ascending, outer
+// levels first on ties, then span ID. SortByBegin and the shard k-way merge
+// sort by it, so a merged Memory.Trace and a re-sorted one agree exactly;
+// core.StreamCorrelator's checkpoint segments are stored in it and merged
+// by it.
+func CanonicalLess(a, b *Span) bool {
 	if a.Begin != b.Begin {
 		return a.Begin < b.Begin
 	}
@@ -26,7 +28,7 @@ func spanLess(a, b *Span) bool {
 // timeline, so a dedicated shard's buffer is begin-ordered as ingested.
 func sortedRun(run []*Span) bool {
 	for i := 1; i < len(run); i++ {
-		if spanLess(run[i], run[i-1]) {
+		if CanonicalLess(run[i], run[i-1]) {
 			return false
 		}
 	}
@@ -109,7 +111,7 @@ func mergeKnownRuns(known []spanRun, total int) []*Span {
 		out := make([]*Span, 0, total)
 		i, j := 0, 0
 		for i < len(a) && j < len(b) {
-			if spanLess(b[j], a[i]) {
+			if CanonicalLess(b[j], a[i]) {
 				out = append(out, b[j])
 				j++
 			} else {
@@ -130,10 +132,10 @@ func mergeKnownRuns(known []spanRun, total int) []*Span {
 	heads := make([]head, 0, len(runs))
 	less := func(a, b head) bool {
 		sa, sb := runs[a.run][a.pos], runs[b.run][b.pos]
-		if spanLess(sa, sb) {
+		if CanonicalLess(sa, sb) {
 			return true
 		}
-		if spanLess(sb, sa) {
+		if CanonicalLess(sb, sa) {
 			return false
 		}
 		return a.run < b.run

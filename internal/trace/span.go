@@ -132,6 +132,26 @@ func (s *Span) Clone() *Span {
 	return &c
 }
 
+// CloneHeaders returns a copy of every span's header — the scalar fields,
+// ParentID included — sharing the payload (Name, Source, Tags, Metrics)
+// with the originals; nil entries stay nil. A span's payload is immutable
+// once published, so a consumer that rewrites only header fields (the
+// stream correlator writes ParentID and nothing else) needs no more than
+// this, and the process holds one copy of every payload however many views
+// of a span exist. The copies share one allocation, which lives as long as
+// any of them does. Use Clone for a span whose maps may be written.
+func CloneHeaders(spans []*Span) []*Span {
+	headers := make([]Span, 0, len(spans))
+	out := make([]*Span, len(spans))
+	for i, s := range spans {
+		if s != nil {
+			headers = append(headers, *s)
+			out[i] = &headers[len(headers)-1]
+		}
+	}
+	return out
+}
+
 var nextSpanID atomic.Uint64
 
 // NewSpanID returns a process-unique span identifier.

@@ -78,7 +78,7 @@ func (st *SpanStore) Alloc() *Span {
 func (st *SpanStore) Add(s *Span) {
 	if n := len(st.ids); n > 0 && !st.unsorted {
 		// Canonical order check against the previous append, straight off
-		// the columns (spanLess without the pointer chase).
+		// the columns (CanonicalLess without the pointer chase).
 		pb, pl, pi := st.begins[n-1], st.levels[n-1], st.ids[n-1]
 		if s.Begin < pb || (s.Begin == pb && (s.Level < pl || (s.Level == pl && s.ID < pi))) {
 			st.unsorted = true
@@ -106,7 +106,7 @@ func (st *SpanStore) AddAll(spans []*Span) {
 func (st *SpanStore) Spans() []*Span { return st.ptrs }
 
 // Sorted reports whether the view is in canonical timeline order
-// (spanLess: begin, level, ID), maintained incrementally on append.
+// (CanonicalLess: begin, level, ID), maintained incrementally on append.
 func (st *SpanStore) Sorted() bool { return !st.unsorted }
 
 // Columns returns the struct-of-arrays mirror of the immutable span keys,

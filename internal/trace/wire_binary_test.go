@@ -92,7 +92,7 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 	}
 	// DecodeBinary returns canonical begin order, like DecodeJSON.
 	for i := 1; i < len(tr.Spans); i++ {
-		if spanLess(tr.Spans[i], tr.Spans[i-1]) {
+		if CanonicalLess(tr.Spans[i], tr.Spans[i-1]) {
 			t.Fatal("decoded trace not in canonical order")
 		}
 	}
