@@ -21,7 +21,9 @@
 // correlated view is served from /api/correlated; GET it with ?flush=1 to
 // finalize pending work (device-only executions, buffered reordered
 // arrivals, stragglers — stragglers repair a bounded region, not the
-// whole trace) exactly as a batch correlation would. /api/trace keeps
+// whole trace, and one reaching behind the checkpoint horizon takes just
+// that region's spans back out of it: the X-Stream-Reopens response header
+// counts those repairs) exactly as a batch correlation would. /api/trace keeps
 // serving the raw ingested spans either way — the correlator links its own
 // header-only copies of them and shares their payload, which nothing
 // writes after ingest — and /api/reset clears the

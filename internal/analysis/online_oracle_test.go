@@ -128,11 +128,18 @@ func assertOnlineEqualsBatch(t *testing.T, eng *Online, tr *trace.Trace) {
 	if len(snap.Layers.Types) != len(types) {
 		t.Fatalf("online types = %d, batch = %d", len(snap.Layers.Types), len(types))
 	}
-	for i, want := range types {
-		got := snap.Layers.Types[i]
-		if got.Type != want.Type || got.Count != want.Count ||
-			!relClose(got.Value, want.Value) || !relClose(got.Percent, want.Percent) {
-			t.Fatalf("type %d: online %+v batch %+v", i, got, want)
+	// Both sides rank types by summed latency, and sum in different orders:
+	// two types within rounding of each other may swap places. So a rank
+	// must hold a close value on both sides, and a type the same numbers.
+	byType := make(map[string]TypeStat, len(types))
+	for _, want := range types {
+		byType[want.Type] = want
+	}
+	for i, got := range snap.Layers.Types {
+		want, ok := byType[got.Type]
+		if !ok || got.Count != want.Count || !relClose(got.Value, want.Value) || !relClose(got.Percent, want.Percent) ||
+			!relClose(got.Value, types[i].Value) {
+			t.Fatalf("type %d: online %+v batch %+v (rank %d: %+v)", i, got, want, i, types[i])
 		}
 	}
 

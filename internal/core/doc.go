@@ -61,8 +61,11 @@
 // open degraded window or pending execution reaching back — into
 // immutable checkpoint segments that Trace and SnapshotTrace merge with
 // the live tail, keeping the live resolver state bounded; a straggler
-// reaching behind the checkpoint horizon reopens it, trading the rare
-// deep repair for cheap steady-state memory. Three further mechanisms
+// reaching behind the checkpoint horizon reopens it by the window — the
+// folded spans its repair window overlaps go back live, the segments that
+// held them are replaced by their remainders, the rest of the history
+// stays folded — so a deep repair costs a pass over span headers plus the
+// region, not a rebuild of the stream. Three further mechanisms
 // make unbounded runs flat-cost. Segments compact on a geometric
 // (size-tiered) schedule: whenever two size-adjacent segments are within
 // 2x of each other they merge, so the segment sizes form a doubling

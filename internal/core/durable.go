@@ -26,8 +26,8 @@ type SegmentStore interface {
 	// WriteSegment durably publishes one checkpoint segment, then deletes
 	// the segment files it replaces.
 	WriteSegment(spans []*trace.Span, owned []uint64, replaces []uint64) (uint64, error)
-	// DropSegments deletes segment files a reopen pulled back into the
-	// live tail (after a Rotate re-covered their spans).
+	// DropSegments deletes segment files a reopen emptied into the live
+	// tail (after a Rotate covered their spans).
 	DropSegments(ids []uint64) error
 	// Rotate replaces the WAL with a fresh generation holding snap.
 	Rotate(snap segio.Snapshot) error
@@ -114,19 +114,19 @@ func (sc *StreamCorrelator) persistLadder() {
 // the live tail to shed them costs O(live), so the rewrite waits until the
 // dead spans it sheds are at least as many as the live ones it copies:
 // walSpans >= 2*live. That bounds the WAL at twice the live tail plus one
-// batch and the rotation rewrite at one span per span fed, amortised.
-// Segment files a reopen pulled back live force the rotation regardless:
-// only a snapshot re-covering their spans releases them. Callers hold
-// sc.mu.
+// batch and the rotation rewrite at one span per span fed, amortised. (A
+// reopening repair does not ask: it rotates at once, its snapshot being
+// what makes the spans it took out of segments durable again.) Callers
+// hold sc.mu.
 func (sc *StreamCorrelator) walNeedsRotation() bool {
-	return len(sc.staleSegs) > 0 || sc.walSpans >= 2*len(sc.all)
+	return sc.walSpans >= 2*len(sc.all)
 }
 
 // rotateWAL trims the WAL: a fresh generation whose snapshot record
 // covers the entire unfolded state (live tail, correlation table, release
 // floor; the store adds the dedup-id window and its segment-id stamp).
-// Segment files a reopen pulled back live are deleted here and only here —
-// the rotation is what makes their spans durable elsewhere. Callers hold
+// Segment files a reopen emptied are deleted here and only here — the
+// rotation is what makes their spans durable elsewhere. Callers hold
 // sc.mu.
 func (sc *StreamCorrelator) rotateWAL() {
 	if sc.opts.Store == nil || sc.replaying || sc.durErr != nil {
@@ -223,42 +223,46 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 	}
 	sc := NewStreamCorrelator(opts)
 
-	// Span ids the WAL carries. A segment file the WAL fully covers is one
-	// of two things, told apart by the segment-id stamp on the snapshot
-	// record. Written after the snapshot, it is a deferred fold and installs
-	// like any other segment. Older than the snapshot, it is stale and the
-	// WAL wins: a reopen pulled it back live, the snapshot re-covered its
-	// spans, and the crash interrupted deleting it — its settled parents
-	// predate the straggler repair, only replay gets them right. The stale
-	// file is queued for deletion once the end-of-recovery rotation
-	// re-covers it. (A snapshot from before the stamp existed dates every
-	// segment as older, which is the inference it was written under:
-	// replaying a covered fold re-derives the very parents it froze.)
-	// Indexed on first use: only a segment older than the snapshot asks.
+	// A segment file written after the WAL's snapshot record (the segment-id
+	// stamp on the record dates it) whose spans the WAL also carries is a
+	// deferred fold, and installs whole like any other segment. In a file
+	// older than the snapshot, a span the WAL carries was moved back live by
+	// a straggler repair before the snapshot was taken, and the WAL wins it:
+	// its settled parent predates the repair, only replay gets it right. So
+	// an older segment installs without those spans — all of them, and the
+	// file is stale: the crash interrupted deleting it; some of them, and
+	// the crash fell between the repair's rotation and the rewrite of the
+	// segment's remainder, which the end of recovery now writes. (A snapshot
+	// from before the stamp existed dates every segment as older, which is
+	// the inference it was written under: replaying a covered fold
+	// re-derives the very parents it froze.) The WAL's span ids are indexed
+	// on first use: only a segment older than the snapshot asks.
 	var walSeen map[uint64]bool
-	walCovered := func(spans []*trace.Span) bool {
-		if walSeen == nil {
-			walSeen = walSpanIDs(rec)
-		}
-		for _, s := range spans {
-			if !walSeen[s.ID] {
-				return false
-			}
-		}
-		return len(spans) > 0
-	}
 
 	seen := make(map[uint64]bool)
 	segCorr := make(map[uint64]uint64)
 	for _, seg := range rec.Segments {
-		if !seg.SinceSnapshot && walCovered(seg.Spans) {
-			sc.staleSegs = append(sc.staleSegs, seg.ID)
-			continue
-		}
 		cs := ckptSegment{spans: seg.Spans, owned: seg.Owned, fileID: seg.ID}
+		if !seg.SinceSnapshot {
+			if walSeen == nil {
+				walSeen = walSpanIDs(rec)
+			}
+			var covered []int
+			for i, s := range seg.Spans {
+				if walSeen[s.ID] {
+					covered = append(covered, i)
+				}
+			}
+			if len(covered) > 0 {
+				if cs = cs.without(covered); len(cs.spans) == 0 {
+					sc.staleSegs = append(sc.staleSegs, seg.ID)
+					continue
+				}
+			}
+		}
 		sc.ckpt = append(sc.ckpt, cs)
-		sc.ckptSpans += len(seg.Spans)
-		for _, s := range seg.Spans {
+		sc.ckptSpans += len(cs.spans)
+		for _, s := range cs.spans {
 			seen[s.ID] = true
 			sc.noteLevel(s.Level)
 			if s.End > sc.ckptMaxEnd {
@@ -266,12 +270,12 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 			}
 			if s.Kind == trace.KindLaunch && s.CorrelationID != 0 && s.ParentID != 0 {
 				// A folded launch's correlation entry always mirrors its
-				// settled ParentID (a repair that moved it would have
-				// destroyed the segment by reopening), so the entry can be
-				// re-derived from the segment. It must be: a deferred fold
-				// leaves the only durable snapshot predating the fold, and
-				// without the entry a live exec replaying later would
-				// degrade to containment.
+				// settled ParentID (a repair that moved it would have taken
+				// it out of the segment, and a file still holding it lost
+				// it to the WAL above), so the entry can be re-derived from
+				// the segment. It must be: a deferred fold leaves the only
+				// durable snapshot predating the fold, and without the entry
+				// a live exec replaying later would degrade to containment.
 				segCorr[s.CorrelationID] = s.ParentID
 			}
 		}
@@ -337,12 +341,14 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 
 	sc.mu.Lock()
 	sc.replaying = false
-	// Persist whatever shape replay left the ladder in (compactions merge
-	// recovered segments; their inputs land on each survivor's replaced
-	// list) and rotate onto a fresh WAL — which re-arms appends and drops
-	// any files a replay-time reopen pulled back into the live tail.
-	sc.persistLadder()
+	// Rotate onto a fresh WAL — which re-arms appends and covers whatever a
+	// replay-time repair, or the coverage rule above, took out of a segment
+	// — and only then persist the shape replay left the ladder in:
+	// remainders, and compaction survivors with their inputs on their
+	// replaced lists. Writing a remainder deletes the file holding the spans
+	// it left out, so the snapshot carrying them has to exist first.
 	sc.rotateWAL()
+	sc.persistLadder()
 	err := sc.durErr
 	sc.mu.Unlock()
 	if err != nil {

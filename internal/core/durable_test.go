@@ -84,8 +84,19 @@ type storeLog struct {
 
 	deferredFolds       int // folds that wrote their segment and left the WAL alone
 	deferredCompactions int // compaction survivors replacing a segment written since the last Rotate
-	ratioRotations      int // rotations a fold made with no stale segment to release
-	forcedRotations     int // rotations followed by the DropSegments of a reopen
+	ratioRotations      int // rotations a fold made, its segment written first
+	forcedRotations     int // rotations no fold made (nor a recovery): a reopening repair's, covering the spans it took out of the checkpoint
+
+	// A windowed reopen's remainders: segment writes right behind a forced
+	// rotation that rewrite one file as fewer spans, but not none. ops, when
+	// set, numbers the filesystem's operations; remainderAt is its reading as
+	// each such write began — a crash there lands between the rotation and
+	// the remainder's write.
+	ops         func() int
+	sizes       map[uint64]int // spans per segment file on disk
+	forcedAt    []int          // ops as each forced rotation began: a crash there leaves the reopen to recovery's replay
+	remainderAt []int
+	afterForced bool // the last Rotate was no fold's, and no batch was logged since
 
 	// The run since the last Rotate: what a crash right now would have
 	// recovery install from segment files the WAL's snapshot predates.
@@ -93,23 +104,23 @@ type storeLog struct {
 	runCompactions int             // of them, deferred compactions
 	sinceRotate    map[uint64]bool // the run's files still on disk; true: every span is also in the WAL
 
-	foldOpen    bool // a WriteSegment has not yet been followed by Rotate or LogBatch
-	rotatedFold bool // the last call was a fold's Rotate, counted as ratio-triggered
+	foldOpen bool // a fold's WriteSegment has not yet been followed by Rotate or LogBatch
 }
 
 func newStoreLog(st core.SegmentStore) *storeLog {
-	return &storeLog{SegmentStore: st, sinceRotate: make(map[uint64]bool)}
+	return &storeLog{SegmentStore: st, sinceRotate: make(map[uint64]bool), sizes: make(map[uint64]int)}
 }
 
 func (l *storeLog) closeFold() {
 	if l.foldOpen {
 		l.deferredFolds++
 	}
-	l.foldOpen, l.rotatedFold = false, false
+	l.foldOpen = false
 }
 
 func (l *storeLog) LogBatch(spans []*trace.Span, owned []uint64, batchID uint64) error {
 	l.closeFold()
+	l.afterForced = false
 	if err := l.SegmentStore.LogBatch(spans, owned, batchID); err != nil {
 		return err
 	}
@@ -119,11 +130,28 @@ func (l *storeLog) LogBatch(spans []*trace.Span, owned []uint64, batchID uint64)
 }
 
 func (l *storeLog) WriteSegment(spans []*trace.Span, owned []uint64, replaces []uint64) (uint64, error) {
+	remainder := l.afterForced && len(replaces) == 1 && len(spans) > 0 && len(spans) < l.sizes[replaces[0]]
+	if remainder && l.ops != nil {
+		l.remainderAt = append(l.remainderAt, l.ops())
+	}
 	id, err := l.SegmentStore.WriteSegment(spans, owned, replaces)
 	if err != nil {
 		return 0, err
 	}
-	l.foldOpen, l.rotatedFold = true, false
+	l.sizes[id] = len(spans)
+	for _, r := range replaces {
+		delete(l.sizes, r)
+	}
+	if l.afterForced {
+		// A repair rewriting what it reopened, not a fold: nothing the WAL
+		// covers, nothing the rotation rule decided.
+		if !remainder {
+			panic(fmt.Sprintf("segment write behind a forced rotation is no remainder: %d spans replacing %v", len(spans), replaces))
+		}
+		l.sinceRotate[id] = false
+		return id, nil
+	}
+	l.foldOpen = true
 	l.runWrites++
 	for _, r := range replaces {
 		if _, ok := l.sinceRotate[r]; ok {
@@ -154,12 +182,16 @@ func (l *storeLog) coveredRun() int {
 }
 
 func (l *storeLog) Rotate(snap segio.Snapshot) error {
+	if !l.foldOpen && l.fed > 0 && l.ops != nil {
+		l.forcedAt = append(l.forcedAt, l.ops())
+	}
 	if err := l.SegmentStore.Rotate(snap); err != nil {
 		return err
 	}
-	l.rotatedFold = l.foldOpen
-	if l.rotatedFold {
+	if l.afterForced = !l.foldOpen; l.foldOpen {
 		l.ratioRotations++
+	} else if l.fed > 0 { // not the rotation that ends a recovery
+		l.forcedRotations++
 	}
 	l.foldOpen = false
 	l.walSpans = len(snap.Live)
@@ -170,14 +202,14 @@ func (l *storeLog) Rotate(snap segio.Snapshot) error {
 }
 
 func (l *storeLog) DropSegments(ids []uint64) error {
-	if len(ids) > 0 {
-		// Only a rotation with stale segments to release drops anything.
-		l.forcedRotations++
-		if l.rotatedFold {
-			l.ratioRotations--
-		}
+	// Only a forced rotation has stale files to release: the ones a reopen
+	// emptied.
+	if len(ids) > 0 && !l.afterForced {
+		panic(fmt.Sprintf("segments %v dropped behind a rotation no reopen forced", ids))
 	}
-	l.rotatedFold = false
+	for _, id := range ids {
+		delete(l.sizes, id)
+	}
 	return l.SegmentStore.DropSegments(ids)
 }
 
@@ -196,6 +228,15 @@ func durableLoad(spans int, seed int64) [][]*trace.Span {
 
 // durableWorkload is durableLoad at the seed the fault tests share.
 func durableWorkload(spans int) [][]*trace.Span { return durableLoad(spans, 7) }
+
+// allOwned is the owned bitset of n spans the correlator owns every one of.
+func allOwned(n int) []uint64 {
+	owned := make([]uint64, (n+63)/64)
+	for i := range owned {
+		owned[i] = ^uint64(0)
+	}
+	return owned
+}
 
 func cloneBatch(b []*trace.Span) []*trace.Span {
 	out := make([]*trace.Span, len(b))
@@ -256,6 +297,11 @@ func TestDurableStreamCrashMatrix(t *testing.T) {
 		batches [][]*trace.Span
 		want    map[uint64]uint64
 		total   int // the store's mutating operations over the workload: the crash points
+		// Crash points that leave recovery a reopen to do (as a forced
+		// rotation begins: the stragglers are logged, their repair is not
+		// durable) or to finish (between the rotation and the write of a
+		// remainder): run at any stride, and with the recovery crashed too.
+		reopenAt []int
 	}
 	runs := make([]matrix, len(durableShapes))
 	for i, shape := range durableShapes {
@@ -270,6 +316,7 @@ func TestDurableStreamCrashMatrix(t *testing.T) {
 			t.Fatalf("%s: open: %v", shape.name, err)
 		}
 		log := newStoreLog(st)
+		log.ops = dry.Ops
 		sc, err := core.RecoverStream(shape.opts(log), rec)
 		if err != nil {
 			t.Fatalf("%s: recover: %v", shape.name, err)
@@ -283,20 +330,21 @@ func TestDurableStreamCrashMatrix(t *testing.T) {
 		}
 		assertStreamMatchesBatch(t, sc, batches)
 		// The matrix is only worth its cost if folds, compaction merges, a
-		// checkpoint reopen (the staleSegs/DropSegments path), and every
-		// outcome of the rotation rule — deferred, come due by ratio,
-		// forced by stale segments — all actually put file operations on
-		// the timeline being crashed.
+		// windowed checkpoint reopen that leaves a segment's remainder to
+		// rewrite, and every outcome of the rotation rule — deferred, come
+		// due by ratio, forced by a reopen — all actually put file
+		// operations on the timeline being crashed.
 		s := sc.Stats()
 		adversarial := s.Compactions > 0 && s.Stragglers > 0 && s.Reopens > 0 &&
-			log.deferredFolds > 0 && log.ratioRotations > 0 && log.forcedRotations > 0
+			log.deferredFolds > 0 && log.ratioRotations > 0 && log.forcedRotations > 0 && len(log.remainderAt) > 0
 		if shape.deferring {
 			adversarial = adversarial && log.deferredCompactions > 0 && log.deferredFolds >= 3*log.ratioRotations
 		}
 		if !adversarial {
-			t.Fatalf("%s: workload not adversarial enough: %+v, folds deferred %d (compactions among them %d), rotations by ratio %d, forced %d",
-				shape.name, s, log.deferredFolds, log.deferredCompactions, log.ratioRotations, log.forcedRotations)
+			t.Fatalf("%s: workload not adversarial enough: %+v, folds deferred %d (compactions among them %d), rotations by ratio %d, forced %d, remainders written %d",
+				shape.name, s, log.deferredFolds, log.deferredCompactions, log.ratioRotations, log.forcedRotations, len(log.remainderAt))
 		}
+		runs[i].reopenAt = append(log.forcedAt, log.remainderAt...)
 		if runs[i].total = dry.Ops(); runs[i].total < 100 {
 			t.Fatalf("%s: suspiciously few store operations to crash at: %d", shape.name, runs[i].total)
 		}
@@ -321,6 +369,10 @@ func TestDurableStreamCrashMatrix(t *testing.T) {
 						crashAndRecover(t, fmt.Sprintf("crash@%d/%d", crash, run.total),
 							faultfs.Plan{CrashAfter: crash, Mode: m.mode}, shape.opts, run.batches, run.want)
 					}
+					for _, crash := range run.reopenAt {
+						crashRecoveryToo(t, fmt.Sprintf("crash@%d/%d", crash, run.total),
+							faultfs.Plan{CrashAfter: crash, Mode: m.mode}, shape.opts, run.batches, run.want)
+					}
 				})
 			}
 		})
@@ -334,18 +386,54 @@ func TestDurableStreamCrashMatrix(t *testing.T) {
 func crashAndRecover(t *testing.T, ctx string, plan faultfs.Plan, opts func(core.SegmentStore) core.StreamOptions,
 	batches [][]*trace.Span, want map[uint64]uint64) {
 	t.Helper()
-	// The doomed process.
+	disk, acked := doomedRun(plan, opts, batches)
+	rebootAndFinish(t, ctx, disk, acked, opts, batches, want)
+}
+
+// doomedRun is the process plan dooms: it feeds batches until the crash and
+// returns the durable view it leaves behind with the number of batches the
+// client holds an ack for.
+func doomedRun(plan faultfs.Plan, opts func(core.SegmentStore) core.StreamOptions, batches [][]*trace.Span) (disk *faultfs.FS, acked int) {
 	fs := faultfs.New()
 	fs.Arm(plan)
-	acked := 0
 	if st, rec, err := segio.Open(fs, segio.Options{}); err == nil {
 		if sc, err := core.RecoverStream(opts(st), rec); err == nil {
 			acked, _ = feedDurable(sc, batches)
 		}
 	}
+	return fs.Recovered(), acked
+}
 
-	// Reboot from the durable view.
-	st2, rec2, err := segio.Open(fs.Recovered(), segio.Options{})
+// crashRecoveryToo is the matrix cell for the crash points whose recovery
+// has a reopen of its own to do or to finish: the recovery is crashed too,
+// at every one of its operations, and the boot after that must still finish
+// the stream on the batch oracle.
+func crashRecoveryToo(t *testing.T, ctx string, plan faultfs.Plan, opts func(core.SegmentStore) core.StreamOptions,
+	batches [][]*trace.Span, want map[uint64]uint64) {
+	t.Helper()
+	disk, acked := doomedRun(plan, opts, batches)
+	boot := func(fs *faultfs.FS) {
+		if st, rec, err := segio.Open(fs, segio.Options{}); err == nil {
+			_, _ = core.RecoverStream(opts(st), rec) // a crashed boot fails; the next one is what counts
+		}
+	}
+	dry := disk.Recovered()
+	boot(dry)
+	for crash := 0; crash < dry.Ops(); crash++ {
+		fs := disk.Recovered()
+		fs.Arm(faultfs.Plan{CrashAfter: crash, Mode: plan.Mode})
+		boot(fs)
+		rebootAndFinish(t, fmt.Sprintf("%s, recovery crash@%d/%d", ctx, crash, dry.Ops()), fs.Recovered(), acked, opts, batches, want)
+	}
+}
+
+// rebootAndFinish boots from the durable view disk, has the client retry
+// everything past the acked batches, and requires the finished stream to
+// equal the batch oracle.
+func rebootAndFinish(t *testing.T, ctx string, disk *faultfs.FS, acked int, opts func(core.SegmentStore) core.StreamOptions,
+	batches [][]*trace.Span, want map[uint64]uint64) {
+	t.Helper()
+	st2, rec2, err := segio.Open(disk, segio.Options{})
 	if err != nil {
 		t.Fatalf("%s: recovery open: %v", ctx, err)
 	}
@@ -540,13 +628,6 @@ func TestSnapshotWithoutSegStampRecoversByCoverage(t *testing.T) {
 	if len(folded) < 50 || len(folded) > len(ref.Spans)-50 {
 		t.Fatalf("fold horizon splits %d spans %d/%d", len(ref.Spans), len(folded), len(ref.Spans)-len(folded))
 	}
-	allOwned := func(n int) []uint64 {
-		owned := make([]uint64, (n+63)/64)
-		for i := range owned {
-			owned[i] = ^uint64(0)
-		}
-		return owned
-	}
 	fs := faultfs.New()
 	st, _, err := segio.Open(fs, segio.Options{})
 	if err != nil {
@@ -619,6 +700,131 @@ func TestSnapshotWithoutSegStampRecoversByCoverage(t *testing.T) {
 
 	recoverFrom(old, false, 0)
 	recoverFrom(fs, true, len(folded))
+}
+
+// The WAL wins over an older-than-snapshot segment per span: a file that
+// still holds spans the snapshot carries is what a crash leaves between a
+// reopening repair's forced rotation and the rewrite of the segment's
+// remainder. Recovery must install the segment without those spans — their
+// parents in the file predate the repair; here they are plainly wrong — take
+// them from the WAL instead, and leave one rewritten file holding exactly
+// the remainder. Crashing the recovery itself at every operation must come
+// out the same.
+func TestRecoverDropsWALCoveredSpansFromOlderSegment(t *testing.T) {
+	ref := &trace.Trace{}
+	for _, b := range workload.StreamingArrivals(workload.StreamingSpec{Trace: workload.SyntheticSpec{Spans: 600, Seed: 5}}) {
+		ref.Spans = append(ref.Spans, b...)
+	}
+	ref.SortByBegin()
+	want := batchParents([][]*trace.Span{ref.Spans})
+	core.CorrelateWith(ref, core.StrategyAuto)
+	horizon := ref.Spans[2*len(ref.Spans)/3].Begin
+	lo, hi := ref.Spans[len(ref.Spans)/4].Begin, ref.Spans[len(ref.Spans)/3].Begin
+
+	// The segment as folded before the repair: everything ending before the
+	// horizon. The snapshot the repair's rotation wrote: the tail, and the
+	// folded spans overlapping [lo, hi] the repair took back (re-parented
+	// since — the segment's copies of them carry a stale link).
+	var folded, live []*trace.Span
+	remainder := make(map[uint64]bool)
+	for _, s := range ref.Spans {
+		switch {
+		case s.End >= horizon:
+			live = append(live, s)
+		case s.Begin <= hi && s.End >= lo:
+			live = append(live, s)
+			stale := s.Clone()
+			stale.ParentID = 1 << 50
+			folded = append(folded, stale)
+		default:
+			folded = append(folded, s)
+			remainder[s.ID] = true
+		}
+	}
+	pulled := len(folded) - len(remainder)
+	if pulled < 20 || len(remainder) < 100 || len(live)-pulled < 100 {
+		t.Fatalf("split %d spans: %d folded and kept, %d folded and pulled back, %d never folded", len(ref.Spans), len(remainder), pulled, len(live)-pulled)
+	}
+	base := faultfs.New()
+	st, _, err := segio.Open(base, segio.Options{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	oldID, err := st.WriteSegment(folded, allOwned(len(folded)), nil)
+	if err != nil {
+		t.Fatalf("write segment: %v", err)
+	}
+	if err := st.Rotate(segio.Snapshot{Live: live, Owned: allOwned(len(live))}); err != nil {
+		t.Fatalf("rotate: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	// recoverOn boots from fs; a nil correlator is a boot the armed crash cut
+	// short.
+	recoverOn := func(fs *faultfs.FS) (*core.StreamCorrelator, *segio.Store) {
+		st, rec, err := segio.Open(fs, segio.Options{})
+		if err != nil {
+			return nil, nil
+		}
+		if len(rec.Quarantined) != 0 {
+			t.Fatalf("recovery quarantined %v", rec.Quarantined)
+		}
+		sc, err := core.RecoverStream(core.StreamOptions{ReorderWindow: 16, Store: st}, rec)
+		if err != nil {
+			return nil, nil
+		}
+		return sc, st
+	}
+	check := func(ctx string, fs *faultfs.FS) {
+		t.Helper()
+		sc, st := recoverOn(fs)
+		if sc == nil {
+			t.Fatalf("%s: recovery failed on a healthy disk", ctx)
+		}
+		if s := sc.Stats(); s.Checkpointed != len(remainder) || s.Live != len(live) {
+			t.Fatalf("%s: recovered %d checkpointed + %d live, want the remainder's %d + %d", ctx, s.Checkpointed, s.Live, len(remainder), len(live))
+		}
+		if got := st.Stats().Segments; got != 1 {
+			t.Fatalf("%s: %d segment files after recovery, want the rewritten remainder alone", ctx, got)
+		}
+		sc.Flush()
+		for _, s := range sc.Trace().Spans {
+			if s.ParentID != want[s.ID] {
+				t.Fatalf("%s: span %d: recovered parent %d, batch parent %d", ctx, s.ID, s.ParentID, want[s.ID])
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatalf("%s: close: %v", ctx, err)
+		}
+		// What is on disk now: one file, not the old one, the remainder only.
+		_, rec, err := segio.Open(fs, segio.Options{})
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", ctx, err)
+		}
+		if len(rec.Segments) != 1 || rec.Segments[0].ID == oldID || len(rec.Segments[0].Spans) != len(remainder) {
+			t.Fatalf("%s: segments on disk %+v, want one new file of %d spans", ctx, rec.Segments, len(remainder))
+		}
+		for _, s := range rec.Segments[0].Spans {
+			if !remainder[s.ID] {
+				t.Fatalf("%s: the rewritten segment holds span %d, which the WAL carries", ctx, s.ID)
+			}
+		}
+	}
+
+	dry := base.Recovered()
+	check("uncrashed", dry)
+	total := dry.Ops()
+	if total < 8 {
+		t.Fatalf("recovery took %d filesystem operations: too few to have rotated and rewritten", total)
+	}
+	for crash := 0; crash < total; crash++ {
+		fs := base.Recovered()
+		fs.Arm(faultfs.Plan{CrashAfter: crash, Mode: faultfs.ModeTorn})
+		recoverOn(fs)
+		check(fmt.Sprintf("recovery crashed@%d/%d", crash, total), fs.Recovered())
+	}
 }
 
 // A lying disk (fsync acknowledged, nothing persisted) voids the

@@ -48,9 +48,11 @@ type StreamOptions struct {
 	// the resolver's live state covers a bounded stretch of recent history
 	// instead of every span ever fed. Stragglers whose repair window
 	// reaches behind the checkpoint horizon reopen it (exact, counted in
-	// Stats.Reopens); size Retain to the deepest straggler you
-	// expect to repair cheaply. Zero (the default) keeps every span live;
-	// Checkpoint folds on demand either way.
+	// Stats.Reopens): the folded spans the window overlaps go back live, at
+	// the cost of one pass over the checkpoint's span headers and a copy of
+	// the segments holding them — the history stays folded. Size Retain to
+	// the stragglers you expect to repair without that pass. Zero (the
+	// default) keeps every span live; Checkpoint folds on demand either way.
 	Retain vclock.Duration
 
 	// MaxWindowSpans bounds how many spans a degraded window may
@@ -249,7 +251,7 @@ type StreamCorrelator struct {
 	replaying bool        // RecoverStream replay in progress: suppress durable writes
 	durErr    error       // first Store failure; durability is off once set
 	floor     *trace.Span // release floor recovered from a previous process (synthetic compare key)
-	staleSegs []uint64    // segment files a reopen pulled back live; deletable after the next WAL rotation re-covers their spans
+	staleSegs []uint64    // segment files a reopen emptied; deletable after the next WAL rotation covers their spans
 	walSpans  int         // spans the WAL holds, live or since folded: its snapshot's tail plus every batch logged after it
 }
 
@@ -266,14 +268,16 @@ type corrRecord struct {
 // ckptSegment is one immutable fold of finalized spans, in canonical
 // order. The owned bitset remembers which spans the correlator owns, so a
 // reopen (a straggler reaching behind the checkpoint horizon) can restore
-// the live owned set exactly.
+// the ownership of the spans it takes back live. Immutable means replaced,
+// never edited: a merge or a reopen builds a new segment over fresh arrays.
 type ckptSegment struct {
 	spans []*trace.Span
 	owned []uint64 // bitset over spans
 
 	// fileID is the segment's durable file id (0: not yet on disk);
-	// replaced lists the file ids a pending compaction merge superseded,
-	// deleted when this segment's own file is published.
+	// replaced lists the file ids this segment supersedes — a compaction
+	// merge's inputs, or the file a reopen left this remainder of — deleted
+	// when this segment's own file is published.
 	fileID   uint64
 	replaced []uint64
 }
@@ -785,8 +789,9 @@ func (sc *StreamCorrelator) deepestLevel() trace.Level {
 // exactly the batch assignment at a cost proportional to the window's
 // span population, not the stream's length. Launches whose parent moved
 // propagate through the correlation table to execution spans outside the
-// window. Stragglers behind the checkpoint horizon first reopen the
-// checkpoint so the region can include folded spans.
+// window. Stragglers behind the checkpoint horizon first reopen it — take
+// the folded spans their windows overlap back live (see extract) — so the
+// regions include them; the rest of the checkpoint stays folded.
 func (sc *StreamCorrelator) repair() {
 	stragglers := sc.stragglers
 	sc.stragglers = nil
@@ -806,8 +811,31 @@ func (sc *StreamCorrelator) repair() {
 			clusters = append(clusters, window{lo: s.Begin, hi: s.End})
 		}
 	}
-	if sc.ckptSpans > 0 && sc.ckptMaxEnd >= clusters[0].lo {
-		sc.reopen()
+	// A window reaching behind the checkpoint horizon reopens it — the
+	// window, not the ladder: every folded span overlapping a cluster moves
+	// back into the live released state, so the regions below still find in
+	// rel every released span overlapping [lo, hi].
+	deep := sc.ckptSpans > 0 && sc.ckptMaxEnd >= clusters[0].lo
+	pulled := 0
+	if deep {
+		pulled = sc.extract(func(seg *ckptSegment) (hits []int) {
+			// Segment and clusters both ascend by begin: one pass over the
+			// headers, done at the first span past the last window. (A
+			// malformed cluster, hi < lo, selects as [lo, lo]: a superset.)
+			k := 0
+			for i, s := range seg.spans {
+				for k < len(clusters) && max(clusters[k].lo, clusters[k].hi) < s.Begin {
+					k++
+				}
+				if k == len(clusters) {
+					break
+				}
+				if s.End >= clusters[k].lo {
+					hits = append(hits, i)
+				}
+			}
+			return hits
+		})
 	}
 
 	// Splice the stragglers into the released timeline: the per-level
@@ -990,6 +1018,26 @@ func (sc *StreamCorrelator) repair() {
 	// Execs outside the regions whose launch's parent moved follow the
 	// correlation id. (An unresolved launch parent propagates nothing:
 	// batch leaves such execs to containment, which they already hold.)
+	// Folded ones among them leave the checkpoint first, like the windows'
+	// spans did: the link they take must reach the WAL, not only memory.
+	if deep && len(dirty) > 0 {
+		// Tracers mint correlation ids in order, so the moved launches' ids
+		// span a narrow range: most headers are done at one comparison.
+		minCorr, maxCorr := uint64(math.MaxUint64), uint64(0)
+		for corr := range dirty {
+			minCorr, maxCorr = min(minCorr, corr), max(maxCorr, corr)
+		}
+		pulled += sc.extract(func(seg *ckptSegment) (hits []int) {
+			for i, s := range seg.spans {
+				if c := s.CorrelationID; c >= minCorr && c <= maxCorr && s.Kind == trace.KindExec && ownedBitSet(seg.owned, i) {
+					if pid := dirty[c]; pid != 0 && pid != s.ParentID {
+						hits = append(hits, i)
+					}
+				}
+			}
+			return hits
+		})
+	}
 	for corr, pid := range dirty {
 		if pid == 0 {
 			continue
@@ -1011,12 +1059,13 @@ func (sc *StreamCorrelator) repair() {
 		}
 	}
 
-	// A reopen pulled checkpoint segments back into the live tail; rotate
-	// the WAL so its snapshot re-covers their spans, which releases the
-	// now-redundant segment files.
-	if len(sc.staleSegs) > 0 {
-		sc.persistLadder()
+	// A reopen moved folded spans into the live tail: rotate the WAL so its
+	// snapshot carries them, and only then rewrite the segments they left —
+	// each remainder's write deletes the file that still holds them.
+	if pulled > 0 {
+		sc.reopens++
 		sc.rotateWAL()
+		sc.persistLadder()
 	}
 }
 
@@ -1087,7 +1136,7 @@ func (sc *StreamCorrelator) finalizedBefore() vclock.Time {
 // links and stay visible through Trace and SnapshotTrace — the fold only
 // retires them from the live resolver state, so a long-running stream's
 // repairable tail stays bounded. Folding is exact: a straggler that later
-// reaches behind the checkpoint horizon reopens it. With
+// reaches behind the checkpoint horizon takes what it needs back out. With
 // StreamOptions.Retain set, Feed folds automatically; Checkpoint is the
 // on-demand form.
 func (sc *StreamCorrelator) Checkpoint() int {
@@ -1148,7 +1197,7 @@ func (sc *StreamCorrelator) fold() int {
 	}
 
 	// The segment stores the spans in canonical order with the owned set
-	// as a bitset, so a reopen can restore the live state exactly. The
+	// as a bitset, so a reopen can restore their ownership exactly. The
 	// levels' evicted runs are begin-ascending: MergeRuns reads them in place.
 	spans := trace.MergeRuns(runs)
 	seg := ckptSegment{spans: spans, owned: make([]uint64, (len(spans)+63)/64)}
@@ -1262,31 +1311,22 @@ func (sc *StreamCorrelator) compact() {
 // replacements) as its replaced list, so persistLadder deletes them only
 // once the merged file is on disk.
 func mergeSegments(a, b ckptSegment) ckptSegment {
-	n := len(a.spans) + len(b.spans)
-	seg := ckptSegment{spans: make([]*trace.Span, 0, n), owned: make([]uint64, (n+63)/64)}
-	take := func(from *ckptSegment, lo, hi int) {
-		for k, at := lo, len(seg.spans); k < hi; k, at = k+1, at+1 {
-			if ownedBitSet(from.owned, k) {
-				seg.owned[at/64] |= 1 << (at % 64)
-			}
-		}
-		seg.spans = append(seg.spans, from.spans[lo:hi]...)
-	}
+	seg := newSegment(len(a.spans) + len(b.spans))
 	// Segments fold from successive stretches of the stream, so the merge
 	// is mostly long runs from one side: gallop to the end of each run
 	// rather than compare span by span.
 	i, j := 0, 0
 	for i < len(a.spans) && j < len(b.spans) {
 		end := i + gallop(len(a.spans)-i, func(k int) bool { return trace.CanonicalLess(b.spans[j], a.spans[i+k]) })
-		take(&a, i, end)
+		seg.take(&a, i, end)
 		if i = end; i < len(a.spans) {
 			end = j + gallop(len(b.spans)-j, func(k int) bool { return !trace.CanonicalLess(b.spans[j+k], a.spans[i]) })
-			take(&b, j, end)
+			seg.take(&b, j, end)
 			j = end
 		}
 	}
-	take(&a, i, len(a.spans))
-	take(&b, j, len(b.spans))
+	seg.take(&a, i, len(a.spans))
+	seg.take(&b, j, len(b.spans))
 	for _, in := range [2]ckptSegment{a, b} {
 		seg.replaced = append(seg.replaced, in.replaced...)
 		if in.fileID != 0 {
@@ -1294,6 +1334,40 @@ func mergeSegments(a, b ckptSegment) ckptSegment {
 		}
 	}
 	return seg
+}
+
+// newSegment returns an empty segment with room for n spans.
+func newSegment(n int) ckptSegment {
+	return ckptSegment{spans: make([]*trace.Span, 0, n), owned: make([]uint64, (n+63)/64)}
+}
+
+// take appends from.spans[lo:hi] to seg, carrying each span's owned bit to
+// its new position.
+func (seg *ckptSegment) take(from *ckptSegment, lo, hi int) {
+	for k, at := lo, len(seg.spans); k < hi; k, at = k+1, at+1 {
+		if ownedBitSet(from.owned, k) {
+			seg.owned[at/64] |= 1 << (at % 64)
+		}
+	}
+	seg.spans = append(seg.spans, from.spans[lo:hi]...)
+}
+
+// without returns seg less the spans at the ascending indexes drop: fresh
+// arrays (seg is immutable), the rest still in canonical order with their
+// owned bits moved down. Like a merge's survivor it has no durable file yet
+// and names seg's — with seg's own pending replacements — as replaced.
+func (seg ckptSegment) without(drop []int) ckptSegment {
+	rest, from := newSegment(len(seg.spans)-len(drop)), 0
+	for _, i := range drop {
+		rest.take(&seg, from, i)
+		from = i + 1
+	}
+	rest.take(&seg, from, len(seg.spans))
+	rest.replaced = slices.Clip(seg.replaced)
+	if seg.fileID != 0 {
+		rest.replaced = append(rest.replaced, seg.fileID)
+	}
+	return rest
 }
 
 // gallop returns the least k in [0, n) at which the monotone stop holds, or
@@ -1307,45 +1381,59 @@ func gallop(n int, stop func(k int) bool) int {
 	return lo + sort.Search(min(step-1, n-lo), func(k int) bool { return stop(lo + k) })
 }
 
-// reopen folds the checkpoint back into the live state — the rare path a
-// straggler takes when its repair window reaches behind the checkpoint
-// horizon. Exact but O(total spans): Retain trades this cost against live
-// memory.
-func (sc *StreamCorrelator) reopen() {
-	sc.reopens++
-
-	// Every released span, live and checkpointed, rejoins the released
-	// timeline in sweep order.
-	var released []*trace.Span
-	for _, l := range sc.levels {
-		released = append(released, sc.rel.slot(l).spans...)
-	}
+// extract moves the folded spans sel picks — ascending indexes into one
+// segment's spans — out of the checkpoint into the live released state:
+// the arrival list, the parented set (from the owned bit), their level's
+// released run and the exec-by-correlation table. This is how a straggler
+// repair reaches behind the checkpoint horizon, at the cost of the headers
+// sel reads plus the segments it touches: a touched segment is replaced by
+// its remainder, an emptied one leaves the ladder (its files deletable
+// once a WAL rotation covers the spans), an untouched one is not looked at
+// again. Returns the number of spans moved.
+func (sc *StreamCorrelator) extract(sel func(seg *ckptSegment) []int) int {
+	byLevel := make(map[trace.Level][]*trace.Span)
+	ladder, moved, tookMaxEnd := sc.ckpt[:0], 0, false
 	for _, seg := range sc.ckpt {
-		for i, s := range seg.spans {
+		hits := sel(&seg)
+		for _, i := range hits {
+			s := seg.spans[i]
+			tookMaxEnd = tookMaxEnd || s.End == sc.ckptMaxEnd
 			sc.all = append(sc.all, s)
+			byLevel[s.Level] = append(byLevel[s.Level], s)
 			if !ownedBitSet(seg.owned, i) {
 				sc.parented[s] = true
+			} else if s.Kind == trace.KindExec && s.CorrelationID != 0 {
+				sc.execs[s.CorrelationID] = append(sc.execs[s.CorrelationID], s)
 			}
 		}
-		released = append(released, seg.spans...)
-		// The segment's files stay on disk until a WAL rotation re-covers
-		// their spans — deleting them now would lose the spans to a crash.
-		if seg.fileID != 0 {
-			sc.staleSegs = append(sc.staleSegs, seg.fileID)
+		if len(hits) > 0 {
+			moved += len(hits)
+			if seg = seg.without(hits); len(seg.spans) == 0 {
+				sc.staleSegs = append(sc.staleSegs, seg.replaced...)
+				continue
+			}
 		}
-		sc.staleSegs = append(sc.staleSegs, seg.replaced...)
+		ladder = append(ladder, seg)
 	}
-	slices.SortFunc(released, compareEvents)
-
-	sc.rel = levelRuns{}
-	sc.execs = make(map[uint64][]*trace.Span)
-	for _, s := range released {
-		sc.noteReleased(s)
+	clear(sc.ckpt[len(ladder):])
+	sc.ckpt = ladder
+	if moved == 0 {
+		return 0
 	}
-
-	sc.ckpt = nil
-	sc.ckptSpans = 0
-	sc.ckptMaxEnd = 0
+	for l, batch := range byLevel {
+		slices.SortFunc(batch, compareEvents) // canonical order is not sweep order
+		sc.rel.slot(l).mergeIn(batch)
+	}
+	sc.ckptSpans -= moved
+	if tookMaxEnd { // else some span left behind still ends there
+		sc.ckptMaxEnd = 0
+		for _, seg := range sc.ckpt {
+			for _, s := range seg.spans {
+				sc.ckptMaxEnd = max(sc.ckptMaxEnd, s.End)
+			}
+		}
+	}
+	return moved
 }
 
 // Trace returns the accumulated spans — checkpointed history and live tail
@@ -1400,7 +1488,7 @@ type StreamStats struct {
 	Checkpointed    int // spans folded into immutable checkpoint segments
 	Segments        int // checkpoint segments currently held (geometric schedule keeps this ~log)
 	Compactions     int // checkpoint segment merges performed, ever
-	Reopens         int // checkpoints reopened by a deep straggler repair
+	Reopens         int // straggler repairs that took folded spans back out of the checkpoint
 	CorrEntries     int // live correlation-id entries (launch -> parent)
 	CorrEvicted     int // correlation-id entries evicted past the CorrRetain horizon, ever
 }

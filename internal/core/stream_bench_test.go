@@ -295,3 +295,54 @@ func BenchmarkFoldCompact(b *testing.B) {
 	b.ReportMetric(float64(stats.Compactions), "compactions")
 	b.ReportMetric(float64(stats.Segments), "segments")
 }
+
+// BenchmarkStragglerReopen times one deep-straggler repair — a straggler
+// whose window overlaps ~2k folded spans, fed behind the checkpoint horizon
+// — over a folded history of 128k and of 1M spans: the cost of reaching
+// behind the checkpoint, which must follow the window and not the history.
+// The history is a nested stream folded by the ordinary cadence (so the
+// ladder is the geometric one); every op feeds one fresh kernel-level
+// straggler at its own position in the history, and the untimed Checkpoint
+// after it refolds what the repair took live. pulled-spans/op is what the
+// repair moved out of the checkpoint.
+func BenchmarkStragglerReopen(b *testing.B) {
+	for _, size := range []struct {
+		name  string
+		spans int
+	}{{"128k", 131_072}, {"1M", 1_048_576}} {
+		b.Run(size.name, func(b *testing.B) {
+			batches := workload.StreamingArrivals(workload.StreamingSpec{
+				Trace: workload.SyntheticSpec{Spans: size.spans, Seed: 16}, BatchSize: 1_024,
+			})
+			sc := core.NewStreamCorrelator(core.StreamOptions{ReorderWindow: 64, Retain: 10_000})
+			var end vclock.Time
+			for _, batch := range batches {
+				sc.Feed(batch...)
+				end = max(end, batch[len(batch)-1].Begin)
+			}
+			sc.Checkpoint()
+			width := end * 2_048 / vclock.Time(size.spans) // ~2k spans of the stream
+			pulled := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				before := sc.Stats()
+				if before.Checkpointed < size.spans*9/10 {
+					b.Fatalf("history not folded: %+v", before)
+				}
+				at := end / 10 * vclock.Time(1+i*5%8) // spread over the history, clear of the live tail
+				b.StartTimer()
+				sc.Feed(&trace.Span{ID: uint64(1<<40 + i), Level: trace.LevelKernel, Name: "late", Begin: at, End: at + width})
+				b.StopTimer()
+				after := sc.Stats()
+				if after.Reopens != before.Reopens+1 || after.Repaired-before.Repaired < 1_024 {
+					b.Fatalf("not a deep repair of a ~2k-span window: %+v after %+v", after, before)
+				}
+				pulled += after.Live - before.Live - 1
+				sc.Checkpoint()
+			}
+			b.ReportMetric(float64(pulled)/float64(b.N), "pulled-spans/op")
+		})
+	}
+}

@@ -1,0 +1,209 @@
+package core_test
+
+import (
+	"slices"
+	"testing"
+
+	"xsp/internal/core"
+	"xsp/internal/trace"
+	"xsp/internal/vclock"
+	"xsp/internal/workload"
+)
+
+// reopenCycles generates deep-straggler cycles on one growing timeline:
+// each cycle is a pipelined 3-stream trace, shifted past the previous one,
+// that withholds a window of spans two fifths of the way in and delivers it
+// after everything else — by which time the window's surroundings are
+// folded. On top of the generated spans every cycle carries the shapes a
+// windowed reopen could get wrong and a whole-ladder one cannot:
+//
+//   - tracer-parented spans (fed with the model span as ParentID, which is
+//     not what containment would derive), one inside the withheld window and
+//     a few spread over the rest of the cycle, all punctual: the first must
+//     come out of the checkpoint parented, the others sit in the remainder of
+//     a touched segment, at positions the extraction shifts;
+//   - End < Begin spans inside the window, one punctual (folded, and selected
+//     by the window or not, it must stay exactly once) and one withheld (a
+//     straggler whose own window has hi < lo);
+//   - a punctual launch inside the window, its exec punctual and well past
+//     the window — folded, and outside every repair region — and a withheld
+//     library-level span around the launch alone: its arrival moves the
+//     launch's parent, and the exec must follow from inside the checkpoint.
+type reopenCycles struct {
+	seed             int64
+	idBase, corrBase uint64
+	tBase            vclock.Time
+}
+
+func (c *reopenCycles) next() (punctual [][]*trace.Span, held []*trace.Span) {
+	const batchSize = 64
+	batches := workload.StreamingArrivals(workload.StreamingSpec{
+		Trace:           workload.SyntheticSpec{Spans: 3_000, Streams: 3, Seed: c.seed},
+		BatchSize:       batchSize,
+		ReorderSkew:     16,
+		StragglerWindow: 300,
+		StragglerPos:    0.4,
+		Seed:            c.seed + 1,
+	})
+	c.seed += 2
+	var arrivals []*trace.Span
+	var model *trace.Span
+	var maxID, maxCorr uint64
+	var end vclock.Time
+	for i, b := range batches {
+		for _, s := range b {
+			s.ID += c.idBase
+			if s.CorrelationID != 0 {
+				s.CorrelationID += c.corrBase
+			}
+			s.Begin += c.tBase
+			s.End += c.tBase
+			maxID, maxCorr, end = max(maxID, s.ID), max(maxCorr, s.CorrelationID), max(end, s.End)
+			if s.Level == trace.LevelModel {
+				model = s
+			}
+		}
+		if i < len(batches)-1 {
+			arrivals = append(arrivals, b...)
+		}
+	}
+	held = batches[len(batches)-1]
+	lo, hiEnd := held[0].Begin, held[0].End
+	for _, s := range held {
+		hiEnd = max(hiEnd, s.End)
+	}
+	mid := (lo + held[len(held)-1].Begin) / 2
+
+	id := func() uint64 { maxID++; return maxID }
+	maxCorr++
+	extra := []*trace.Span{
+		{ID: id(), Level: trace.LevelKernel, Name: "parented", Begin: mid, End: mid + 1, ParentID: model.ID},
+		{ID: id(), Level: trace.LevelKernel, Name: "malformed", Begin: mid + 3, End: mid - 2},
+		{ID: id(), Level: trace.LevelKernel, Kind: trace.KindLaunch, Name: "launch", Begin: mid + 7, End: mid + 9, CorrelationID: maxCorr},
+		{ID: id(), Level: trace.LevelKernel, Kind: trace.KindExec, Name: "exec", Begin: hiEnd + 40, End: hiEnd + 43, CorrelationID: maxCorr},
+	}
+	for k := vclock.Time(1); k < 8; k++ {
+		at := c.tBase + (end-c.tBase)*k/8
+		extra = append(extra, &trace.Span{ID: id(), Level: trace.LevelKernel, Name: "parented", Begin: at, End: at + 1, ParentID: model.ID})
+	}
+	for _, x := range extra {
+		// Punctual: each arrives where the stream's begins reach its own.
+		at := slices.IndexFunc(arrivals, func(s *trace.Span) bool { return s.Begin >= x.Begin })
+		if at < 0 {
+			at = len(arrivals)
+		}
+		arrivals = slices.Insert(arrivals, at, x)
+	}
+	held = append(held,
+		&trace.Span{ID: id(), Level: trace.LevelKernel, Name: "malformed", Begin: mid + 5, End: mid + 1},
+		&trace.Span{ID: id(), Level: trace.LevelLibrary, Name: "library", Begin: mid + 6, End: mid + 10},
+	)
+
+	for at := 0; at < len(arrivals); at += batchSize {
+		punctual = append(punctual, arrivals[at:min(at+batchSize, len(arrivals))])
+	}
+	c.idBase, c.corrBase, c.tBase = maxID, maxCorr, end+64
+	return punctual, held
+}
+
+// HGTD-style stress cycles with an inspection after every one: the windowed
+// reopen against the whole-ladder reopen it replaced (reopenAll, run on a
+// second correlator right before each deep-straggler batch) and against
+// batch correlation of everything fed so far.
+func TestWindowedReopenMatchesFullReopen(t *testing.T) {
+	const cycles = 11
+	opts := core.StreamOptions{ReorderWindow: 32, Retain: 64, CorrRetain: 2_048, MaxWindowSpans: 256}
+	sc, oracle := core.NewStreamCorrelator(opts), core.NewStreamCorrelator(opts)
+	gen := &reopenCycles{seed: 16}
+	var fed [][]*trace.Span
+	unparented := make(map[uint64]bool)
+	for cycle := 1; cycle <= cycles; cycle++ {
+		var punctual [][]*trace.Span
+		var held []*trace.Span
+		slack := 1_000
+		if cycle < cycles {
+			punctual, held = gen.next()
+		} else {
+			// The last cycle is one straggler alone, its window reaching from
+			// the previous cycle's withheld stretch to the tip: it takes the
+			// latest-ending folded span — the one ckptMaxEnd tracks — and
+			// most of a cycle's spans with it, and no fold follows to hide a
+			// stale maximum.
+			last := fed[len(fed)-1]
+			held = []*trace.Span{{ID: 1 << 40, Level: trace.LevelKernel, Name: "long", Begin: last[0].Begin, End: gen.tBase}}
+			slack = 3_500
+		}
+		for _, b := range append(punctual, held) {
+			for _, s := range b {
+				unparented[s.ID] = s.ParentID == 0
+			}
+		}
+		fed = append(append(fed, punctual...), held)
+		for _, b := range punctual {
+			sc.Feed(cloneBatch(b)...)
+			oracle.Feed(cloneBatch(b)...)
+		}
+		// Fold on both sides whatever the amortised cadence has not yet: the
+		// stragglers are to arrive behind the checkpoint horizon.
+		sc.Checkpoint()
+		oracle.Checkpoint()
+		before := sc.Stats()
+		if before.Checkpointed < 9*before.Fed/10 {
+			t.Fatalf("cycle %d: only %d of %d spans folded before the stragglers arrive: not a deep straggler", cycle, before.Checkpointed, before.Fed)
+		}
+		oracle.ReopenAll()
+		sc.Feed(cloneBatch(held)...)
+		oracle.Feed(cloneBatch(held)...)
+		sc.Flush()
+		oracle.Flush()
+
+		st, ost := sc.Stats(), oracle.Stats()
+		if st.Reopens <= before.Reopens || ost.Reopens != 0 {
+			t.Fatalf("cycle %d: %d reopens after %d before, oracle %d: want the windowed path on one side only", cycle, st.Reopens, before.Reopens, ost.Reopens)
+		}
+		if st.Stragglers != ost.Stragglers || st.Repaired != ost.Repaired {
+			t.Fatalf("cycle %d: %d stragglers repaired over %d spans, oracle %d over %d", cycle, st.Stragglers, st.Repaired, ost.Stragglers, ost.Repaired)
+		}
+		if st.Live+st.Checkpointed != len(unparented) || st.Fed != len(unparented) {
+			t.Fatalf("cycle %d: live %d + checkpointed %d, fed %d of %d", cycle, st.Live, st.Checkpointed, st.Fed, len(unparented))
+		}
+		// The repair took the window's spans live, not the history: bounded
+		// by the tail, the stragglers and what their windows overlap, all of
+		// which one cycle's spans bound many times over.
+		if st.Live > before.Live+len(held)+slack {
+			t.Fatalf("cycle %d: %d spans live after the repair (%d before, %d stragglers) of %d fed", cycle, st.Live, before.Live, len(held), st.Fed)
+		}
+		if st.Checkpointed == 0 {
+			t.Fatalf("cycle %d: the reopen left nothing folded", cycle)
+		}
+
+		got, ref, want := sc.Trace().Spans, oracle.Trace().Spans, batchParents(fed)
+		if len(got) != len(ref) || len(got) != len(want) {
+			t.Fatalf("cycle %d: trace of %d spans, oracle %d, fed %d", cycle, len(got), len(ref), len(want))
+		}
+		for i, s := range got {
+			if i > 0 && trace.CanonicalLess(s, got[i-1]) {
+				t.Fatalf("cycle %d: trace position %d (span %d) out of canonical order", cycle, i, s.ID)
+			}
+			if s.ID != ref[i].ID {
+				t.Fatalf("cycle %d: trace position %d holds span %d, oracle span %d", cycle, i, s.ID, ref[i].ID)
+			}
+			if s.ParentID != ref[i].ParentID || s.ParentID != want[s.ID] {
+				t.Fatalf("cycle %d: span %d (%q %v %v [%d,%d) corr %d): parent %d, oracle %d, batch %d",
+					cycle, s.ID, s.Name, s.Level, s.Kind, s.Begin, s.End, s.CorrelationID, s.ParentID, ref[i].ParentID, want[s.ID])
+			}
+		}
+		if n, maxEnd, wantN, wantMaxEnd := sc.CheckpointSummary(); n != wantN || maxEnd != wantMaxEnd {
+			t.Fatalf("cycle %d: checkpoint tracked as %d spans ending by %d, the segments hold %d ending by %d", cycle, n, maxEnd, wantN, wantMaxEnd)
+		}
+		owned, refOwned := sc.OwnedBits(), oracle.OwnedBits()
+		for id, fedUnparented := range unparented {
+			if owned[id] != fedUnparented || refOwned[id] != fedUnparented {
+				t.Fatalf("cycle %d: span %d fed unparented=%v is owned=%v, in the oracle %v", cycle, id, fedUnparented, owned[id], refOwned[id])
+			}
+		}
+	}
+	if st := sc.Stats(); st.CorrEvicted == 0 || st.DegradedWindows == 0 {
+		t.Fatalf("the cycles never evicted a correlation entry or degraded a window: %+v", st)
+	}
+}

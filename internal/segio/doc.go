@@ -5,8 +5,10 @@
 //
 //   - Segment files (seg-<id>.seg): one immutable, checksummed file per
 //     checkpoint segment, written once when the correlator folds or
-//     compacts finalized history and deleted when a later compaction or
-//     reopen supersedes it. The payload is a fixed-layout span block —
+//     compacts finalized history and deleted when a later file
+//     supersedes it: a compaction's survivor, or the remainder a straggler
+//     reopen rewrites the file as once the WAL carries the spans it took
+//     out. The payload is a fixed-layout span block —
 //     constant-size records up front, one shared string blob at the end —
 //     so a reader can index spans at fixed offsets and decode all strings
 //     as substrings of a single allocation.
@@ -22,10 +24,12 @@
 //     between rotations a folded span is in both a segment file and the
 //     WAL. The segment-id stamp is what lets recovery read that state:
 //     Open reports each segment as written before or since the snapshot
-//     (Segment.SinceSnapshot), and a segment the WAL fully covers is a
-//     deferred fold if since, a leftover the snapshot re-covered if
-//     before. A record without the stamp (written before it existed)
-//     dates every segment as before.
+//     (Segment.SinceSnapshot). Spans of a segment written since that the
+//     WAL also carries are a deferred fold; spans of a segment written
+//     before are what a straggler reopen took back live before the
+//     snapshot — all of the file's, and it is a leftover; some, and its
+//     remainder's rewrite was cut short. A record without the stamp
+//     (written before it existed) dates every segment as before.
 //
 // Crash safety rests on three rules, all enforced by the Store and
 // checked by the fault-injection tests in this package and faultfs:

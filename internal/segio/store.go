@@ -546,8 +546,9 @@ func (st *Store) WriteSegment(spans []*trace.Span, owned []uint64, replaces []ui
 }
 
 // DropSegments deletes segment files that are no longer referenced (for
-// example after a deep-straggler reopen pulled their spans back into the
-// live tail and a Rotate re-covered them in the WAL snapshot).
+// example after a deep-straggler reopen took every span of theirs back
+// into the live tail and a Rotate covered them in the WAL snapshot; a file
+// a reopen took only some spans of is replaced through WriteSegment).
 func (st *Store) DropSegments(ids []uint64) error {
 	st.lock()
 	defer st.unlock()

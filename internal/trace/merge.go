@@ -1,11 +1,23 @@
 package trace
 
-import "sort"
+import "slices"
 
 // sortSpansCanonical sorts spans into canonical timeline order, keeping
 // the existing order among full ties (possible only for duplicate IDs).
+// A run already in order — a tracer's batch usually is — is left alone.
 func sortSpansCanonical(spans []*Span) {
-	sort.SliceStable(spans, func(i, j int) bool { return CanonicalLess(spans[i], spans[j]) })
+	if sortedRun(spans) {
+		return
+	}
+	slices.SortStableFunc(spans, func(a, b *Span) int {
+		switch {
+		case CanonicalLess(a, b):
+			return -1
+		case CanonicalLess(b, a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // CanonicalLess is the canonical timeline order: begin ascending, outer

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"xsp/internal/vclock"
@@ -120,4 +121,43 @@ func BenchmarkMemoryTrace(b *testing.B) {
 	}
 	b.Run("kway-merge/100k", func(b *testing.B) { run(b, (*Memory).Trace) })
 	b.Run("full-resort/100k", func(b *testing.B) { run(b, legacyTrace) })
+}
+
+// sortSpansCanonicalBySlice is the reflection-based stable sort
+// sortSpansCanonical replaced, kept as its reference.
+func sortSpansCanonicalBySlice(spans []*Span) {
+	sort.SliceStable(spans, func(i, j int) bool { return CanonicalLess(spans[i], spans[j]) })
+}
+
+// Same comparator, both sorts stable: the order must be the old one span
+// for span — on shuffled batches dense with (Begin, Level) ties the ID
+// decides, with duplicate IDs among them (full ties, which only stability
+// orders), and on batches already in order, which are now left alone.
+func TestSortSpansCanonicalMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, n := range []int{0, 1, 2, 13, 64, 257, 2048} {
+		for round := 0; round < 6; round++ {
+			batch := make([]*Span, n)
+			for i := range batch {
+				batch[i] = &Span{
+					ID:    uint64(1 + rng.Intn(n/2+1)), // collides: full ties
+					Begin: vclock.Time(rng.Intn(n/8 + 1)),
+					Level: Level(rng.Intn(3)),
+					End:   vclock.Time(rng.Intn(100)),
+				}
+			}
+			if round%3 == 2 {
+				sortSpansCanonicalBySlice(batch) // the presorted shape
+			}
+			got, want := append([]*Span(nil), batch...), append([]*Span(nil), batch...)
+			sortSpansCanonical(got)
+			sortSpansCanonicalBySlice(want)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%d spans, round %d: position %d holds span %d (begin %d level %d), the old sort put span %d (begin %d level %d) there",
+						n, round, i, got[i].ID, got[i].Begin, got[i].Level, want[i].ID, want[i].Begin, want[i].Level)
+				}
+			}
+		}
+	}
 }
