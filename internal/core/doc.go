@@ -60,7 +60,10 @@
 // spans the sweep has passed by more than ReorderWindow+Retain, with no
 // open degraded window or pending execution reaching back — into
 // immutable checkpoint segments that Trace and SnapshotTrace merge with
-// the live tail, keeping the live resolver state bounded; a straggler
+// the live tail, keeping the live resolver state bounded (the automatic
+// fold waits for 1024 releases or an eighth of the live tail, whichever is
+// more, so its O(live) pass and its segment file cost what they fold at any
+// tail, and the tail overshoots its horizon by at most a seventh); a straggler
 // reaching behind the checkpoint horizon reopens it by the window — the
 // folded spans its repair window overlaps go back live, the segments that
 // held them are replaced by their remainders, the rest of the history

@@ -8,16 +8,19 @@ package core_test
 // crash point" enumerable.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"testing"
 
 	"xsp/internal/core"
 	"xsp/internal/segio"
 	"xsp/internal/segio/faultfs"
 	"xsp/internal/trace"
+	"xsp/internal/vclock"
 	"xsp/internal/workload"
 )
 
@@ -79,6 +82,7 @@ type storeLog struct {
 	core.SegmentStore
 
 	fed          int // spans logged, ever
+	segWrites    int // segment files written, ever
 	walSpans     int // spans in the WAL: the last snapshot's tail plus batches since
 	rotatedSpans int // sum of len(snap.Live) over every Rotate
 
@@ -138,6 +142,7 @@ func (l *storeLog) WriteSegment(spans []*trace.Span, owned []uint64, replaces []
 	if err != nil {
 		return 0, err
 	}
+	l.segWrites++
 	l.sizes[id] = len(spans)
 	for _, r := range replaces {
 		delete(l.sizes, r)
@@ -524,6 +529,125 @@ func TestFoldRotationAmortised(t *testing.T) {
 	}
 	sc.Flush()
 	assertStreamMatchesBatch(t, sc, batches)
+}
+
+// The automatic fold's cadence: it waits for max(1024, live/8) releases.
+// A fold's in-memory pass is O(live) and its durable part is a file, an
+// fsync, a rename and a directory sync, so at a 64k-span tail a fold every
+// 1024 releases visits ~64 live spans per span released and writes a
+// ~1k-span file per batch. Waiting for an eighth of the tail bounds the
+// visits at 8 per released span and makes every file carry an eighth of
+// the tail, at the price of the tail overshooting its horizon by at most a
+// seventh (L = T + L/8). Both halves are inspected after every batch, not
+// at the end: the overshoot bound on the big tail; and on a tail under 8192
+// spans the very fold sequence the fixed cadence produced.
+func TestFoldCadenceScalesWithLive(t *testing.T) {
+	const batchSize, retain, fixedCadence = 1024, 64, 1024
+	// drive feeds a nested stream through a store log and hands inspect each
+	// batch's aftermath, with horizon = the fed spans the fold horizon
+	// (watermark - window - retain) has not passed: what a fold right now
+	// would leave live.
+	drive := func(t *testing.T, spans int, window vclock.Duration,
+		inspect func(sc *core.StreamCorrelator, log *storeLog, s core.StreamStats, horizon int)) {
+		batches := workload.StreamingArrivals(workload.StreamingSpec{
+			Trace:     workload.SyntheticSpec{Spans: spans, Seed: 11},
+			BatchSize: batchSize, ReorderSkew: 48, Seed: 11,
+		})
+		var byEnd []*trace.Span
+		for _, b := range batches {
+			byEnd = append(byEnd, b...)
+		}
+		slices.SortFunc(byEnd, func(a, b *trace.Span) int { return cmp.Compare(a.End, b.End) })
+		st, rec, err := segio.Open(faultfs.New(), segio.Options{})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		log := newStoreLog(st)
+		sc, err := core.RecoverStream(core.StreamOptions{ReorderWindow: window, Retain: retain, Store: log}, rec)
+		if err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		fed, passed, maxBegin := make(map[uint64]bool), 0, vclock.Time(0)
+		for i, b := range batches {
+			if err := sc.FeedLogged(uint64(i+1), b...); err != nil {
+				t.Fatalf("batch %d: %v", i+1, err)
+			}
+			for _, s := range b {
+				fed[s.ID] = true
+				maxBegin = max(maxBegin, s.Begin)
+			}
+			for f := maxBegin - vclock.Time(window) - retain; passed < len(byEnd) && byEnd[passed].End < f; passed++ {
+				if !fed[byEnd[passed].ID] {
+					t.Fatalf("batch %d: span %d fell behind the fold horizon before it was fed: not the in-window stream this test assumes", i+1, byEnd[passed].ID)
+				}
+			}
+			inspect(sc, log, sc.Stats(), len(fed)-passed)
+		}
+		if err := sc.DurabilityErr(); err != nil {
+			t.Fatalf("latched: %v", err)
+		}
+		sc.Flush()
+		if s := sc.Stats(); s.Stragglers != 0 || s.Reopens != 0 {
+			t.Fatalf("the stream was to stay inside its window: %+v", s)
+		}
+		assertStreamMatchesBatch(t, sc, batches)
+	}
+
+	t.Run("bigtail", func(t *testing.T) {
+		var last core.StreamStats
+		folds, peak := 0, 0
+		fullAt, writesAtFull, writes := 0, 0, 0 // released and files written as the tail first filled (the first fold), files at the end
+		drive(t, 360_000, 740_000, func(_ *core.StreamCorrelator, log *storeLog, s core.StreamStats, horizon int) {
+			if limit := horizon*8/7 + batchSize; s.Live > limit {
+				t.Fatalf("after %d spans fed the live tail is %d with %d inside the fold horizon: over 8/7 of them + one batch (%d)",
+					s.Fed, s.Live, horizon, limit)
+			}
+			if s.Checkpointed != last.Checkpointed {
+				if folds++; folds == 1 {
+					fullAt, writesAtFull = s.Released, log.segWrites
+				}
+			}
+			last, peak, writes = s, max(peak, horizon), log.segWrites
+		})
+		if peak < 56_000 || folds < 16 {
+			t.Fatalf("not a big-tail stream: at most %d spans inside the fold horizon, %d folds", peak, folds)
+		}
+		// One segment file per eighth of the tail and the odd compaction
+		// survivor beside it (~10 here); the fixed cadence wrote ~70 per 100k.
+		if released := last.Released - fullAt; (writes-writesAtFull)*100_000 > 16*released {
+			t.Fatalf("%d segment files written over %d releases with the tail full: over 16 per 100k", writes-writesAtFull, released)
+		}
+	})
+
+	t.Run("smalltail", func(t *testing.T) {
+		var last core.StreamStats
+		foldCheck, folds := 0, 0
+		drive(t, 60_000, 60_000, func(sc *core.StreamCorrelator, _ *storeLog, s core.StreamStats, horizon int) {
+			if s.Live >= 8192 {
+				t.Fatalf("live tail of %d: not the small-tail stream this half is about", s.Live)
+			}
+			// The fixed rule, replayed: an attempt is due once 1024 releases
+			// have passed since the last one. A fold anywhere else, or a due
+			// attempt that left something for Checkpoint to fold, is a cadence
+			// the parent did not have.
+			due := s.Released-foldCheck >= fixedCadence
+			if s.Checkpointed != last.Checkpointed {
+				if folds++; !due {
+					t.Fatalf("after %d released a fold of %d spans the fixed cadence did not make", s.Released, s.Checkpointed-last.Checkpointed)
+				}
+			}
+			if due {
+				foldCheck = s.Released
+				if n := sc.Checkpoint(); n != 0 {
+					t.Fatalf("after %d released the fixed cadence folds %d spans the automatic fold left live", s.Released, n)
+				}
+			}
+			last = s
+		})
+		if folds < 20 {
+			t.Fatalf("only %d folds: the sequence compared is too short to mean anything", folds)
+		}
+	})
 }
 
 // The second contract: deferring a rotation must not move its cost into

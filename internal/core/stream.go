@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"container/heap"
 	"math"
 	"slices"
 	"sort"
@@ -51,8 +50,11 @@ type StreamOptions struct {
 	// Stats.Reopens): the folded spans the window overlaps go back live, at
 	// the cost of one pass over the checkpoint's span headers and a copy of
 	// the segments holding them — the history stays folded. Size Retain to
-	// the stragglers you expect to repair without that pass. Zero (the
-	// default) keeps every span live; Checkpoint folds on demand either way.
+	// the stragglers you expect to repair without that pass. Between
+	// automatic folds the live tail may exceed this horizon by up to an
+	// eighth of itself (see autoFoldEvery); PressureSpans still folds
+	// eagerly. Zero (the default) keeps every span live; Checkpoint folds on
+	// demand either way.
 	Retain vclock.Duration
 
 	// MaxWindowSpans bounds how many spans a degraded window may
@@ -149,9 +151,12 @@ type StreamObserver interface {
 	ObserveSpan(s *trace.Span)
 }
 
-// autoFoldEvery is how many releases Feed lets pass between automatic
-// checkpoint folds when StreamOptions.Retain is set — folding is O(live),
-// so it is amortized rather than attempted per span.
+// autoFoldEvery is the least number of releases Feed lets pass between
+// automatic checkpoint folds when StreamOptions.Retain is set. A fold is an
+// O(live) pass and, durable, a segment file, so past 8*autoFoldEvery live
+// spans Feed waits for an eighth of the live tail instead: at most 8 spans
+// visited per span released at any tail, every file at least an eighth of
+// it, and a tail at most a seventh over its horizon (L = T + L/8).
 const autoFoldEvery = 1024
 
 // StreamCorrelator is the online counterpart of Correlate: it consumes
@@ -343,7 +348,7 @@ func (sc *StreamCorrelator) feedLocked(spans []*trace.Span) {
 			sc.stragglersSeen++
 			continue
 		}
-		heap.Push(&sc.buf, s)
+		sc.buf.push(s)
 		if s.Begin > sc.maxBegin {
 			sc.maxBegin = s.Begin
 		}
@@ -366,7 +371,7 @@ func (sc *StreamCorrelator) feedLocked(spans []*trace.Span) {
 	}
 	if sc.opts.Retain > 0 {
 		overBudget := sc.opts.PressureSpans > 0 && len(sc.all) >= sc.opts.PressureSpans
-		if sc.released-sc.foldCheck >= autoFoldEvery || (overBudget && sc.released != sc.foldCheck) {
+		if sc.released-sc.foldCheck >= max(autoFoldEvery, len(sc.all)/8) || (overBudget && sc.released != sc.foldCheck) {
 			// The eager (over-budget) fold skips the amortization cadence:
 			// under pressure, reclaiming finalized spans now is worth the
 			// O(live) pass. It still waits for the resolver to advance since
@@ -442,7 +447,7 @@ func (sc *StreamCorrelator) noteCorrSet(corr uint64) {
 // sweep order, into the resolver.
 func (sc *StreamCorrelator) drain(watermark vclock.Time) {
 	for len(sc.buf) > 0 && sc.buf[0].Begin <= watermark {
-		s := heap.Pop(&sc.buf).(*trace.Span)
+		s := sc.buf.pop()
 		sc.resolve(s)
 		sc.noteReleased(s)
 		sc.lastReleased = s
@@ -1146,9 +1151,9 @@ func (sc *StreamCorrelator) Checkpoint() int {
 }
 
 // fold moves finalized released spans out of the live state into a new
-// checkpoint segment. The in-memory pass costs O(live) pointer work;
-// amortize through autoFoldEvery. The durable part costs O(spans folded):
-// see walNeedsRotation.
+// checkpoint segment. The in-memory pass costs O(live) pointer work, which
+// Feed's cadence amortizes (see autoFoldEvery). The durable part costs
+// O(spans folded): see walNeedsRotation.
 func (sc *StreamCorrelator) fold() int {
 	f := sc.finalizedBefore()
 	var runs [][]*trace.Span
@@ -1706,20 +1711,45 @@ func (lr *levelRuns) slot(l trace.Level) *levelRun {
 }
 
 // eventHeap is a min-heap of spans in sweep order (compareEvents), backing
-// the reorder buffer.
+// the reorder buffer. push and pop sift exactly as container/heap does — so
+// spans that compare equal leave in the same order — but call compareEvents
+// directly, not through heap.Interface: a pop from a 90k-span buffer is ~17
+// levels of comparisons.
 type eventHeap []*trace.Span
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return compareEvents(h[i], h[j]) < 0 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) push(s *trace.Span) {
+	a := append(*h, s)
+	*h = a
+	for j := len(a) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if compareEvents(a[j], a[i]) >= 0 {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		j = i
+	}
+}
 
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*trace.Span)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
+func (h *eventHeap) pop() *trace.Span {
+	a := *h
+	n := len(a) - 1
+	a[0], a[n] = a[n], a[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j+1 < n && compareEvents(a[j+1], a[j]) < 0 {
+			j++
+		}
+		if compareEvents(a[j], a[i]) >= 0 {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		i = j
+	}
+	s := a[n]
+	a[n] = nil
+	*h = a[:n]
+	return s
 }

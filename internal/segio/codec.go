@@ -16,9 +16,10 @@ import (
 // small bounds-checked reader segio uses for its own trailing snapshot
 // fields.
 
-// spanRecSize is the fixed per-span record size, used to presize encode
-// buffers.
-const spanRecSize = trace.SpanRecordSize
+// spanEncSize presizes encode buffers: the fixed per-span record plus a
+// typical span's share of the entry tables and blob. A low guess costs one
+// regrow of the buffer, nothing else.
+const spanEncSize = trace.SpanRecordSize + 48
 
 // appendSpanBlock encodes spans (with their owned flags) onto buf. Nil
 // spans are skipped. owned may be nil (no span owned).

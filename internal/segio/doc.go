@@ -40,4 +40,10 @@
 // and deletions happen only after their replacement is durable, so
 // recovery can drop superseded leftovers by span-id overlap (newest file
 // wins) without a manifest.
+//
+// Buffers: WriteSegment encodes its payload once, into the buffer it hands
+// File.Write, and patches length and checksum into the header afterwards;
+// LogBatch builds each record in one buffer the Store owns and reuses under
+// its lock. So an FS's File must not retain p past Write — which is what
+// io.Writer already says.
 package segio

@@ -156,7 +156,8 @@ type Store struct {
 	segs     map[uint64]int64 // id -> file bytes
 	dedup    []uint64
 	needRot  bool
-	lastRecs int // WAL records appended since last Rotate
+	lastRecs int    // WAL records appended since last Rotate
+	rec      []byte // LogBatch's record buffer, reused across calls under mu
 }
 
 func (st *Store) lock()   { st.mu.Lock() }
@@ -390,7 +391,7 @@ func Open(fs FS, opts Options) (*Store, *Recovery, error) {
 func (st *Store) publishWAL(snap *Snapshot) error {
 	size := walHeaderLen
 	if snap != nil {
-		size += walRecHeaderLen + 128 + spanRecSize*len(snap.Live) + 24*len(snap.Corr) + 8*len(st.dedup)
+		size += walRecHeaderLen + 128 + spanEncSize*len(snap.Live) + 24*len(snap.Corr) + 8*len(st.dedup)
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, walMagic...)
@@ -475,9 +476,10 @@ func (st *Store) LogBatch(spans []*trace.Span, owned []uint64, batchID uint64) e
 	if st.needRot || st.wal == nil {
 		return ErrNeedRotate
 	}
-	rec, start := beginWALRecord(make([]byte, 0, walRecHeaderLen+64+spanRecSize*len(spans)), walBatchRec)
+	rec, start := beginWALRecord(st.rec[:0], walBatchRec)
 	rec = binary.LittleEndian.AppendUint64(rec, batchID)
 	rec = sealWALRecord(appendSpanBlock(rec, spans, func(i int) bool { return ownedBit(owned, i) }), start)
+	st.rec = rec
 	if _, err := st.wal.Write(rec); err != nil {
 		return err
 	}
@@ -507,13 +509,14 @@ func (st *Store) WriteSegment(spans []*trace.Span, owned []uint64, replaces []ui
 	defer st.unlock()
 	id := st.nextSeg
 	st.nextSeg++
-	payload := appendSpanBlock(make([]byte, 0, 64+spanRecSize*len(spans)), spans, func(i int) bool { return ownedBit(owned, i) })
-	buf := make([]byte, 0, segHeaderLen+len(payload))
-	buf = append(buf, segMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, formatVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-	buf = append(buf, payload...)
+	// The payload is encoded once, behind a header patched afterwards.
+	buf := make([]byte, segHeaderLen, segHeaderLen+64+spanEncSize*len(spans))
+	buf = appendSpanBlock(buf, spans, func(i int) bool { return ownedBit(owned, i) })
+	payload := buf[segHeaderLen:]
+	copy(buf, segMagic)
+	binary.LittleEndian.PutUint32(buf[8:], formatVersion)
+	binary.LittleEndian.PutUint64(buf[12:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(buf[20:], crc32.Checksum(payload, castagnoli))
 
 	name := segName(id)
 	tmp := name + tmpSuffix

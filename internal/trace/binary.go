@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"sync"
 
 	"xsp/internal/vclock"
 )
@@ -25,6 +27,12 @@ import (
 // copy. Decoded Span structs themselves come out of a SpanStore arena
 // (one allocation per 256 spans), so decoding a batch costs O(1)
 // allocations plus the rare tag/metric map, not one per span.
+//
+// Fixed records also let the encoder write where the bytes are going:
+// AppendSpanBlock counts the spans, grows the caller's buffer once and
+// fills each record in place at its offset. Only the variable-size parts
+// (entry tables, blob, intern table) pass through a pooled scratch, and
+// they are copied out of it: the returned slice never aliases the scratch.
 //
 // Each record carries a flags byte; bit 0 ("owned") marks spans whose
 // ParentID a correlator derived online rather than received from the
@@ -76,10 +84,10 @@ const (
 	// frameHeaderSize is magic + version + payload length.
 	frameHeaderSize = len(wireMagic) + 1 + 4
 
-	// maxFramePayload bounds a frame's declared payload so a corrupt or
-	// hostile length prefix cannot drive a huge allocation. 1 GiB is far
-	// above any real batch (the server additionally enforces its own
-	// request body limits).
+	// maxFramePayload bounds a frame's declared payload, far above any real
+	// batch. It does not bound allocation — the server caps request bodies
+	// only under admission budgets — so DecodeBinary allocates what it
+	// reads, never what the prefix declares.
 	maxFramePayload = 1 << 30
 )
 
@@ -88,22 +96,24 @@ const (
 // no spans — there are no partial results to publish.
 var ErrBadFrame = errors.New("trace: bad span frame")
 
-// spanBlockEncoder accumulates one span block.
-type spanBlockEncoder struct {
-	recs []byte
+// blockScratch holds the variable-size parts of a span block — tag and
+// metric entries, the string blob and its intern table — while the fixed
+// records are written in place. Scratches are pooled and reset by
+// truncation; an encoded block holds copies, never the scratch's memory.
+type blockScratch struct {
 	tags []byte
 	mets []byte
 	blob []byte
 	pos  map[string]uint32 // interned blob offsets: names and sources repeat heavily
-	n    uint32
-	tagN uint32
-	metN uint32
 }
 
-func (e *spanBlockEncoder) intern(s string) (off, n uint32) {
-	if e.pos == nil {
-		e.pos = make(map[string]uint32)
-	}
+// maxPooledScratch is the most buffer capacity a scratch may take back to
+// the pool: room for the tables of a ~200k-span segment.
+const maxPooledScratch = 8 << 20
+
+var blockScratchPool = sync.Pool{New: func() any { return &blockScratch{pos: make(map[string]uint32)} }}
+
+func (e *blockScratch) intern(s string) (off, n uint32) {
 	if off, ok := e.pos[s]; ok {
 		return off, uint32(len(s))
 	}
@@ -113,8 +123,10 @@ func (e *spanBlockEncoder) intern(s string) (off, n uint32) {
 	return off, uint32(len(s))
 }
 
-func (e *spanBlockEncoder) add(s *Span, owned bool) {
-	var rec [SpanRecordSize]byte
+// put fills rec, one span's record, in place. rec may be dirty spare
+// capacity, so every byte is written, flags and padding included.
+func (e *blockScratch) put(rec []byte, s *Span, owned bool) {
+	_ = rec[SpanRecordSize-1]
 	le := binary.LittleEndian
 	le.PutUint64(rec[0:], s.ID)
 	le.PutUint64(rec[8:], s.ParentID)
@@ -122,9 +134,9 @@ func (e *spanBlockEncoder) add(s *Span, owned bool) {
 	le.PutUint64(rec[24:], uint64(s.Begin))
 	le.PutUint64(rec[32:], uint64(s.End))
 	le.PutUint32(rec[40:], uint32(int32(s.Level)))
-	rec[44] = byte(s.Kind)
+	rec[44], rec[45], rec[46], rec[47] = byte(s.Kind), 0, 0, 0
 	if owned {
-		rec[45] |= flagOwned
+		rec[45] = flagOwned
 	}
 	off, n := e.intern(s.Name)
 	le.PutUint32(rec[48:], off)
@@ -132,60 +144,58 @@ func (e *spanBlockEncoder) add(s *Span, owned bool) {
 	off, n = e.intern(s.Source)
 	le.PutUint32(rec[56:], off)
 	le.PutUint32(rec[60:], n)
-	le.PutUint32(rec[64:], e.tagN)
+	le.PutUint32(rec[64:], uint32(len(e.tags)/16))
 	le.PutUint32(rec[68:], uint32(len(s.Tags)))
 	for k, v := range s.Tags {
-		var ent [16]byte
 		off, n = e.intern(k)
-		le.PutUint32(ent[0:], off)
-		le.PutUint32(ent[4:], n)
+		e.tags = le.AppendUint32(le.AppendUint32(e.tags, off), n)
 		off, n = e.intern(v)
-		le.PutUint32(ent[8:], off)
-		le.PutUint32(ent[12:], n)
-		e.tags = append(e.tags, ent[:]...)
-		e.tagN++
+		e.tags = le.AppendUint32(le.AppendUint32(e.tags, off), n)
 	}
-	le.PutUint32(rec[72:], e.metN)
+	le.PutUint32(rec[72:], uint32(len(e.mets)/16))
 	le.PutUint32(rec[76:], uint32(len(s.Metrics)))
 	for k, v := range s.Metrics {
-		var ent [16]byte
 		off, n = e.intern(k)
-		le.PutUint32(ent[0:], off)
-		le.PutUint32(ent[4:], n)
-		le.PutUint64(ent[8:], math.Float64bits(v))
-		e.mets = append(e.mets, ent[:]...)
-		e.metN++
+		e.mets = le.AppendUint32(le.AppendUint32(e.mets, off), n)
+		e.mets = le.AppendUint64(e.mets, math.Float64bits(v))
 	}
-	e.recs = append(e.recs, rec[:]...)
-	e.n++
-}
-
-// appendTo serializes the accumulated block onto buf.
-func (e *spanBlockEncoder) appendTo(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, e.n)
-	buf = append(buf, e.recs...)
-	buf = binary.LittleEndian.AppendUint32(buf, e.tagN)
-	buf = append(buf, e.tags...)
-	buf = binary.LittleEndian.AppendUint32(buf, e.metN)
-	buf = append(buf, e.mets...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.blob)))
-	buf = append(buf, e.blob...)
-	return buf
 }
 
 // AppendSpanBlock encodes spans (with their owned flags) onto buf and
 // returns the extended buffer. Nil spans are skipped. owned may be nil
 // (no span owned); otherwise owned(i) reports whether spans[i] carries a
-// correlator-derived parent.
+// correlator-derived parent. buf grows at most twice — once for the
+// records, whose size is known up front, once for the rest.
 func AppendSpanBlock(buf []byte, spans []*Span, owned func(i int) bool) []byte {
-	var e spanBlockEncoder
-	for i, s := range spans {
-		if s == nil {
-			continue
+	count := 0
+	for _, s := range spans {
+		if s != nil {
+			count++
 		}
-		e.add(s, owned != nil && owned(i))
 	}
-	return e.appendTo(buf)
+	le := binary.LittleEndian
+	at := len(buf) + 4
+	buf = slices.Grow(buf, 4+count*SpanRecordSize)[:at+count*SpanRecordSize]
+	le.PutUint32(buf[at-4:], uint32(count))
+	e := blockScratchPool.Get().(*blockScratch)
+	for i, s := range spans {
+		if s != nil {
+			e.put(buf[at:at+SpanRecordSize], s, owned != nil && owned(i))
+			at += SpanRecordSize
+		}
+	}
+	buf = slices.Grow(buf, 12+len(e.tags)+len(e.mets)+len(e.blob))
+	buf = append(le.AppendUint32(buf, uint32(len(e.tags)/16)), e.tags...)
+	buf = append(le.AppendUint32(buf, uint32(len(e.mets)/16)), e.mets...)
+	buf = append(le.AppendUint32(buf, uint32(len(e.blob))), e.blob...)
+	// A scratch in steady use never leaves the pool: one a whole-history
+	// snapshot grew is dropped rather than kept alive by 1k-span records.
+	if cap(e.tags)+cap(e.mets)+cap(e.blob) <= maxPooledScratch {
+		e.tags, e.mets, e.blob = e.tags[:0], e.mets[:0], e.blob[:0]
+		clear(e.pos)
+		blockScratchPool.Put(e)
+	}
+	return buf
 }
 
 // blockReader walks a span block with running bounds checks; the first
@@ -414,9 +424,17 @@ func DecodeBinary(r io.Reader) (*Trace, error) {
 	if n > maxFramePayload {
 		return nil, fmt.Errorf("%w: payload length %d exceeds limit", ErrBadFrame, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: short payload: %v", ErrBadFrame, err)
+	// The declared length is a claim: allocate as the bytes arrive, in
+	// doubling steps past the first MiB.
+	payload := make([]byte, min(n, 1<<20))
+	for read := 0; ; {
+		if _, err := io.ReadFull(r, payload[read:]); err != nil {
+			return nil, fmt.Errorf("%w: short payload: %v", ErrBadFrame, err)
+		}
+		if read = len(payload); read == int(n) {
+			break
+		}
+		payload = append(payload, make([]byte, min(read, int(n)-read))...)
 	}
 	var st SpanStore
 	spans, _, rest, err := DecodeSpanBlockInto(&st, payload)

@@ -2,12 +2,18 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"xsp/internal/vclock"
 )
 
 // binarySpans builds a batch exercising every encoded field. At most one
@@ -45,6 +51,294 @@ func sameSpan(t *testing.T, got, want *Span) {
 			t.Fatalf("span %d metric %q = %v, want %v", want.ID, k, got.Metrics[k], v)
 		}
 	}
+}
+
+// spanBlockEncoder is the encoder AppendSpanBlock replaced, kept as its
+// oracle: four private buffers grown from zero, copied into the output at
+// the end. Same layout, same intern order, so the same bytes wherever map
+// iteration order cannot differ.
+type spanBlockEncoder struct {
+	recs []byte
+	tags []byte
+	mets []byte
+	blob []byte
+	pos  map[string]uint32 // interned blob offsets: names and sources repeat heavily
+	n    uint32
+	tagN uint32
+	metN uint32
+}
+
+func (e *spanBlockEncoder) intern(s string) (off, n uint32) {
+	if e.pos == nil {
+		e.pos = make(map[string]uint32)
+	}
+	if off, ok := e.pos[s]; ok {
+		return off, uint32(len(s))
+	}
+	off = uint32(len(e.blob))
+	e.pos[s] = off
+	e.blob = append(e.blob, s...)
+	return off, uint32(len(s))
+}
+
+func (e *spanBlockEncoder) add(s *Span, owned bool) {
+	var rec [SpanRecordSize]byte
+	le := binary.LittleEndian
+	le.PutUint64(rec[0:], s.ID)
+	le.PutUint64(rec[8:], s.ParentID)
+	le.PutUint64(rec[16:], s.CorrelationID)
+	le.PutUint64(rec[24:], uint64(s.Begin))
+	le.PutUint64(rec[32:], uint64(s.End))
+	le.PutUint32(rec[40:], uint32(int32(s.Level)))
+	rec[44] = byte(s.Kind)
+	if owned {
+		rec[45] |= flagOwned
+	}
+	off, n := e.intern(s.Name)
+	le.PutUint32(rec[48:], off)
+	le.PutUint32(rec[52:], n)
+	off, n = e.intern(s.Source)
+	le.PutUint32(rec[56:], off)
+	le.PutUint32(rec[60:], n)
+	le.PutUint32(rec[64:], e.tagN)
+	le.PutUint32(rec[68:], uint32(len(s.Tags)))
+	for k, v := range s.Tags {
+		var ent [16]byte
+		off, n = e.intern(k)
+		le.PutUint32(ent[0:], off)
+		le.PutUint32(ent[4:], n)
+		off, n = e.intern(v)
+		le.PutUint32(ent[8:], off)
+		le.PutUint32(ent[12:], n)
+		e.tags = append(e.tags, ent[:]...)
+		e.tagN++
+	}
+	le.PutUint32(rec[72:], e.metN)
+	le.PutUint32(rec[76:], uint32(len(s.Metrics)))
+	for k, v := range s.Metrics {
+		var ent [16]byte
+		off, n = e.intern(k)
+		le.PutUint32(ent[0:], off)
+		le.PutUint32(ent[4:], n)
+		le.PutUint64(ent[8:], math.Float64bits(v))
+		e.mets = append(e.mets, ent[:]...)
+		e.metN++
+	}
+	e.recs = append(e.recs, rec[:]...)
+	e.n++
+}
+
+// appendTo serializes the accumulated block onto buf.
+func (e *spanBlockEncoder) appendTo(buf []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, e.n)
+	buf = append(buf, e.recs...)
+	buf = binary.LittleEndian.AppendUint32(buf, e.tagN)
+	buf = append(buf, e.tags...)
+	buf = binary.LittleEndian.AppendUint32(buf, e.metN)
+	buf = append(buf, e.mets...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.blob)))
+	buf = append(buf, e.blob...)
+	return buf
+}
+
+// appendSpanBlockByCopy is AppendSpanBlock as the copying encoder did it.
+func appendSpanBlockByCopy(buf []byte, spans []*Span, owned func(i int) bool) []byte {
+	var e spanBlockEncoder
+	for i, s := range spans {
+		if s == nil {
+			continue
+		}
+		e.add(s, owned != nil && owned(i))
+	}
+	return e.appendTo(buf)
+}
+
+// AppendSpanBlockByCopy hands the oracle to the external benchmark file.
+var AppendSpanBlockByCopy = appendSpanBlockByCopy
+
+// encoderBatch builds n spans over a handful of repeating names and
+// sources. With multi false every span has at most one tag and one metric,
+// so map iteration cannot reorder the intern table and two encoders must
+// agree to the byte; with multi true some spans carry several of each.
+func encoderBatch(n int, seed uint64, multi bool) []*Span {
+	names := []string{"layer", "cudaLaunchKernel", "synthetic_kernel", "MemcpyHtoD", ""}
+	spans := make([]*Span, n)
+	for i := range spans {
+		k := seed + uint64(i)
+		s := &Span{
+			ID: k + 1, ParentID: k % 3, CorrelationID: k % 7,
+			Begin: vclock.Time(3 * k), End: vclock.Time(3*k + k%11),
+			Level: Level(k % 5), Kind: Kind(k % 3), Name: names[k%5], Source: names[(k/5)%5],
+		}
+		if k%2 == 0 {
+			s.SetTag("layer_index", names[k%4])
+		}
+		if k%3 == 0 {
+			s.SetMetric("bytes", float64(k)*1.5)
+		}
+		if multi && k%4 == 0 {
+			s.SetTag("layer_type", "Conv2D")
+			s.SetTag("layer_shape", "1x64")
+			s.SetMetric("flop_count_sp", float64(k))
+			s.SetMetric("dram_read_bytes", 4096)
+		}
+		spans[i] = s
+	}
+	return spans
+}
+
+// TestAppendSpanBlockMatchesReference holds the in-place encoder to the
+// copying one it replaced: the same bytes wherever the encoding is
+// deterministic, the same spans everywhere, and none of the ways writing
+// in place can go wrong — dirty spare capacity showing through, a pooled
+// scratch aliased by a returned block, nil spans shifting the owned index.
+func TestAppendSpanBlockMatchesReference(t *testing.T) {
+	ownedIn := func(i int) bool { return i%3 == 1 }
+	withNils := encoderBatch(300, 9, false)
+	for i := range withNils {
+		if i%7 == 2 {
+			withNils[i] = nil
+		}
+	}
+	exact := map[string][]*Span{
+		"empty":       nil,
+		"every field": binarySpans(),
+		"one span":    encoderBatch(1, 1, false),
+		"batch":       encoderBatch(1500, 3, false),
+		"nil spans":   withNils,
+	}
+	for name, spans := range exact {
+		for _, owned := range []func(int) bool{nil, ownedIn} {
+			prefix := []byte("prefix")
+			want := appendSpanBlockByCopy(prefix, spans, owned)
+			if got := AppendSpanBlock(prefix, spans, owned); !bytes.Equal(got, want) {
+				t.Fatalf("%s: in-place encoding differs from the reference (%d vs %d bytes)", name, len(got), len(want))
+			}
+			// Spare capacity is not zero: every byte of a record, flags and
+			// padding included, has to be written.
+			dirty := bytes.Repeat([]byte{0xFF}, 2*len(want))[:len(prefix)]
+			copy(dirty, prefix)
+			if got := AppendSpanBlock(dirty, spans, owned); !bytes.Equal(got, want) {
+				t.Fatalf("%s: encoding into 0xFF-filled spare capacity differs from encoding into a fresh buffer", name)
+			}
+		}
+	}
+
+	// owned(i) is indexed by input position, nil spans counted.
+	got, ownedOut, _, err := DecodeSpanBlock(AppendSpanBlock(nil, withNils, ownedIn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := 0
+	for i, s := range withNils {
+		if s == nil {
+			continue
+		}
+		sameSpan(t, got[at], s)
+		if is := ownedOut[at/64]&(1<<(at%64)) != 0; is != ownedIn(i) {
+			t.Fatalf("input span %d (record %d) owned=%v, want %v", i, at, is, ownedIn(i))
+		}
+		at++
+	}
+	if at != len(got) {
+		t.Fatalf("decoded %d spans, encoded %d non-nil ones", len(got), at)
+	}
+
+	// Several tags or metrics on a span: map order may differ between two
+	// encodings, the decoded spans may not.
+	multi := encoderBatch(800, 5, true)
+	a, _, _, errA := DecodeSpanBlock(AppendSpanBlock(nil, multi, ownedIn))
+	b, _, _, errB := DecodeSpanBlock(appendSpanBlockByCopy(nil, multi, ownedIn))
+	if errA != nil || errB != nil || len(a) != len(multi) || len(b) != len(multi) {
+		t.Fatalf("multi-entry batch: decoded %d (%v) and %d (%v) of %d spans", len(a), errA, len(b), errB, len(multi))
+	}
+	for i := range multi {
+		sameSpan(t, a[i], multi[i])
+		sameSpan(t, b[i], multi[i])
+	}
+
+	// The scratch goes back to the pool: the next encoding must not reach
+	// the bytes this one returned.
+	first := AppendSpanBlock(nil, multi, nil)
+	saved := bytes.Clone(first)
+	_ = AppendSpanBlock(nil, encoderBatch(2000, 77, true), ownedIn)
+	if !bytes.Equal(first, saved) {
+		t.Fatal("a later encoding changed the bytes an earlier one returned: the block aliases the pooled scratch")
+	}
+
+	// Concurrent encoders each get their own scratch (run under -race).
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			spans := encoderBatch(200+50*g, uint64(1000*g), false)
+			want := appendSpanBlockByCopy(nil, spans, ownedIn)
+			var buf []byte
+			for round := 0; round < 20; round++ {
+				if buf = AppendSpanBlock(buf[:0], spans, ownedIn); !bytes.Equal(buf, want) {
+					t.Errorf("goroutine %d round %d: encoding differs from the reference", g, round)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// A scratch in steady use never leaves a sync.Pool, so one grown by a huge
+// block must not go back: the next 1k-span record would keep it alive.
+func TestAppendSpanBlockDropsOversizedScratch(t *testing.T) {
+	huge := &Span{ID: 1, Name: strings.Repeat("x", maxPooledScratch+1)}
+	if _, _, _, err := DecodeSpanBlock(AppendSpanBlock(nil, []*Span{huge}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	e := blockScratchPool.Get().(*blockScratch)
+	if got := cap(e.tags) + cap(e.mets) + cap(e.blob); got > maxPooledScratch {
+		t.Fatalf("the pool handed back a scratch of %d bytes: over the %d it may keep", got, maxPooledScratch)
+	}
+	if len(e.tags)+len(e.mets)+len(e.blob)+len(e.pos) != 0 {
+		t.Fatal("a pooled scratch was not reset")
+	}
+	blockScratchPool.Put(e)
+}
+
+// TestDecodeBinaryShortBodyAllocatesWhatItReads: a frame header is a
+// claim. Thirteen bytes declaring a gigabyte must fail as a short payload
+// having allocated about what arrived, not what was declared.
+func TestDecodeBinaryShortBodyAllocatesWhatItReads(t *testing.T) {
+	frame := hostileLengthFrame()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr, err := DecodeBinary(bytes.NewReader(frame))
+	runtime.ReadMemStats(&after)
+	if tr != nil || !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("decoded %v, %v: want no trace and ErrBadFrame", tr, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2<<20 {
+		t.Fatalf("a %d-byte body declaring %d payload bytes allocated %d bytes", len(frame), maxFramePayload, grew)
+	}
+
+	// Past the first MiB the buffer follows the bytes: a large honest frame
+	// still decodes whole.
+	big := encoderBatch(40_000, 1, false)
+	honest := AppendBinaryFrame(nil, big)
+	if len(honest) < 2<<20 {
+		t.Fatalf("frame of %d bytes does not reach past the up-front allocation", len(honest))
+	}
+	tr, err = DecodeBinary(bytes.NewReader(honest))
+	if err != nil || len(tr.Spans) != len(big) {
+		t.Fatalf("large frame: %v", err)
+	}
+	if _, err := DecodeBinary(bytes.NewReader(honest[:len(honest)-1])); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("large frame cut short: %v, want ErrBadFrame", err)
+	}
+}
+
+// hostileLengthFrame is a version-1 header declaring the largest payload
+// the decoder admits, and no payload.
+func hostileLengthFrame() []byte {
+	return binary.LittleEndian.AppendUint32(append([]byte(wireMagic), wireVersion), maxFramePayload)
 }
 
 func TestSpanBlockRoundTripByteExact(t *testing.T) {
@@ -161,6 +455,7 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add(AppendSpanBlock(nil, binarySpans(), nil))
 	f.Add([]byte(wireMagic))
 	f.Add([]byte{})
+	f.Add(hostileLengthFrame())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if tr, err := DecodeBinary(bytes.NewReader(data)); err == nil {
 			again, err2 := DecodeBinary(bytes.NewReader(AppendBinaryFrame(nil, tr.Spans)))
@@ -175,7 +470,17 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		buf := AppendSpanBlock(nil, spans, func(i int) bool { return owned[i/64]&(1<<(i%64)) != 0 })
+		ownedIn := func(i int) bool { return owned[i/64]&(1<<(i%64)) != 0 }
+		first := AppendSpanBlock(nil, spans, ownedIn)
+		// Again, into a reused buffer whose spare capacity is dirty: the
+		// same length always, and the same bytes unless some span's several
+		// tags or metrics may come out of their maps in another order. The
+		// dirty encoding is the one decoded below.
+		buf := AppendSpanBlock(bytes.Repeat([]byte{0xFF}, len(first)+1)[:0], spans, ownedIn)
+		ordered := !slices.ContainsFunc(spans, func(s *Span) bool { return len(s.Tags) > 1 || len(s.Metrics) > 1 })
+		if len(buf) != len(first) || (ordered && !bytes.Equal(buf, first)) {
+			t.Fatalf("encoding into a dirty buffer gave %d bytes, into a fresh one %d; equal must be %v", len(buf), len(first), ordered)
+		}
 		spans2, owned2, rest, err := DecodeSpanBlock(buf)
 		if err != nil {
 			t.Fatalf("re-encoded block failed to decode: %v", err)
