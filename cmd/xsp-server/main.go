@@ -24,9 +24,12 @@
 // whole trace, and one reaching behind the checkpoint horizon takes just
 // that region's spans back out of it: the X-Stream-Reopens response header
 // counts those repairs) exactly as a batch correlation would. /api/trace keeps
-// serving the raw ingested spans either way — the correlator links its own
-// header-only copies of them and shares their payload, which nothing
-// writes after ingest — and /api/reset clears the
+// serving the spans as published, from the same store — the correlator
+// links the decoded spans themselves, a streamed span is held once, and
+// /api/trace is its history with its links masked out: every batch whose 202
+// has returned and, durable, everything recovered (only -shed-policy
+// drop|degrade, which promise a shed batch stays in the raw store, keep one,
+// beside a correlator on header-only copies) — and /api/reset clears the
 // addressed tenant's collector and streaming state together — and only
 // that tenant's. -reorder-window sets how much cross-shard arrival skew
 // (in virtual-clock duration) the stream absorbs in order, and -retain
@@ -52,9 +55,9 @@
 // (-tap-queue spans; 0 restores the inline synchronous tap) whose
 // overflow behavior is -shed-policy: "block" applies backpressure to the
 // publish path, "drop" sheds the overflowing batch, "degrade" sheds the
-// whole stream until the queue drains. A shed batch is never lost — it
-// stays in the raw store and the next /api/correlated?flush=1 or batch
-// re-correlate covers it, and shed clients retry safely under their batch
+// whole stream until the queue drains. A batch so shed is never lost — under
+// those two policies it stays in the raw store and a batch re-correlate of
+// /api/trace covers it — and shed clients retry safely under their batch
 // ids. GET /api/overload reports the admission, tap, and pressure
 // counters, per tenant.
 //
@@ -237,15 +240,17 @@ func main() {
 	})
 
 	if *stream {
-		// Each tenant's correlator works on header-only copies: parents are
-		// resolved on the correlator's headers, so /api/trace readers never
-		// race the correlator's writes, and the payload (name, tags,
-		// metrics — immutable once published) is held once, shared with the
-		// raw store.
+		// Where nothing can shed a batch on its way to the correlator — the
+		// synchronous durable sink, an inline tap, a blocking queue — the
+		// correlator's history is the tenant's one span store: it links the
+		// decoded spans themselves and /api/trace masks its links back out. A
+		// drop|degrade tap promises a shed batch stays in the raw store: there
+		// it stays, beside header copies the raw view's readers never race.
+		oneStore := *dataDir != "" || *tapQueue <= 0 || pol == trace.ShedBlock
 		setOpts := core.TenantSetOptions{
 			Stream: core.StreamOptions{
 				ReorderWindow:  vclock.Duration(*window),
-				Isolated:       true,
+				Isolated:       !oneStore,
 				Retain:         vclock.Duration(*retain),
 				CorrRetain:     vclock.Duration(*corrRetain),
 				MaxWindowSpans: *maxWindow,
@@ -312,12 +317,6 @@ func main() {
 					fmt.Fprintf(os.Stderr, "xsp-server: tenant %s degraded to RAM-only: %v\n", tn.Key(), err)
 				}
 				if rec := st.Recovery(); rec != nil {
-					// The raw /api/trace view restarts with the recovered
-					// spans too, not just batches accepted by this process:
-					// header copies, sharing the correlator's payloads.
-					if recovered := st.Correlator().SnapshotTrace(); len(recovered.Spans) > 0 {
-						tn.Collector().Publish(recovered.Spans...)
-					}
 					// The recovered dedup window makes client retries of
 					// pre-crash acked batches duplicate-ack instead of
 					// double-publish.
@@ -332,6 +331,14 @@ func main() {
 				rt.tap = tn.SetTapAsync(st, trace.TapOptions{Queue: *tapQueue, Policy: pol})
 			} else {
 				tn.SetTap(st)
+			}
+			if oneStore {
+				tn.SetHistory(func() *trace.Trace {
+					if rt.tap != nil {
+						rt.tap.Flush() // a batch whose 202 has returned is in the view
+					}
+					return st.Correlator().SnapshotRaw()
+				})
 			}
 			rtMu.Lock()
 			rts[tn.Key()] = rt

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"xsp/internal/analysis"
+	"xsp/internal/core"
 	"xsp/internal/gpu"
 	"xsp/internal/trace"
 	"xsp/internal/workload"
@@ -590,5 +592,329 @@ func TestServerLiveAnalysisSoak(t *testing.T) {
 		if snap.Spans != int64(published[ti]) {
 			t.Errorf("tenant %q analyzed %d spans, published %d", tenant, snap.Spans, published[ti])
 		}
+	}
+}
+
+// fedStream is a pipelined 3-stream workload in arrival order — bounded
+// reordering, and one window of spans withheld to the last batch, which by
+// then arrives behind the release point — with one non-launch span in 41
+// handed to the model span (id 1) by its tracer: the parents the raw view
+// must give back as sent, while every other ParentID reads zero.
+func fedStream(seed int64, spans int) [][]*trace.Span {
+	batches := workload.StreamingArrivals(workload.StreamingSpec{
+		Trace:           workload.SyntheticSpec{Spans: spans, Streams: 3, Seed: seed},
+		BatchSize:       128,
+		ReorderSkew:     12,
+		StragglerWindow: 32,
+		Seed:            seed + 1,
+	})
+	for _, b := range batches {
+		for _, s := range b {
+			if s.ID%41 == 0 && s.Kind != trace.KindLaunch {
+				s.ParentID = 1
+			}
+		}
+	}
+	return batches
+}
+
+// postBatch POSTs one binary batch under a batch id and insists on the 202:
+// from here on the batch is acknowledged, and every view owes it.
+func postBatch(t *testing.T, baseURL, tenant string, id uint64, spans []*trace.Span) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, baseURL+"/api/spans", bytes.NewReader(trace.AppendBinaryFrameTenant(nil, tenant, spans)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", trace.ContentTypeBinary)
+	req.Header.Set("X-Batch-Id", strconv.FormatUint(id, 16))
+	if tenant != "" {
+		req.Header.Set(trace.TenantHeader, tenant)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("POST batch %x: %v", id, err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST batch %x (tenant %q): %s", id, tenant, resp.Status)
+	}
+}
+
+// getBody GETs one tenant's view of an endpoint as JSON.
+func getBody(t *testing.T, url, tenant string) []byte {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tenant != "" {
+		req.Header.Set(trace.TenantHeader, tenant)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s (tenant %q): %s, %v", url, tenant, resp.Status, err)
+	}
+	return body
+}
+
+// checkRawView holds /api/trace — no flush parameter — to the bytes a
+// trace.Memory fed the acknowledged batches would serve: every span, in
+// canonical order, each ParentID the one its tracer sent. The binary
+// encoding must decode to the same spans.
+func checkRawView(t *testing.T, when, baseURL, tenant string, acked [][]*trace.Span) {
+	t.Helper()
+	mem := trace.NewMemory()
+	for _, b := range acked {
+		for _, s := range b {
+			mem.Publish(s.Clone())
+		}
+	}
+	want := mem.Trace()
+	want.Tenant = tenant
+	var wantBody bytes.Buffer
+	if err := want.EncodeJSON(&wantBody); err != nil {
+		t.Fatal(err)
+	}
+	if got := getBody(t, baseURL+"/api/trace", tenant); !bytes.Equal(got, wantBody.Bytes()) {
+		gotTrace, err := trace.DecodeJSON(bytes.NewReader(got))
+		if err != nil {
+			t.Fatalf("%s: tenant %q /api/trace: %v", when, tenant, err)
+		}
+		parented, wantParented := 0, 0
+		for _, s := range gotTrace.Spans {
+			if s.ParentID != 0 {
+				parented++
+			}
+		}
+		for _, s := range want.Spans {
+			if s.ParentID != 0 {
+				wantParented++
+			}
+		}
+		t.Fatalf("%s: tenant %q /api/trace serves %d spans, %d with a parent; acknowledged %d, %d sent with one",
+			when, tenant, len(gotTrace.Spans), parented, len(want.Spans), wantParented)
+	}
+	bin, err := trace.FetchTraceTenant(nil, baseURL, tenant)
+	if err != nil {
+		t.Fatalf("%s: tenant %q binary /api/trace: %v", when, tenant, err)
+	}
+	if len(bin.Spans) != len(want.Spans) {
+		t.Fatalf("%s: tenant %q binary /api/trace holds %d spans, want %d", when, tenant, len(bin.Spans), len(want.Spans))
+	}
+	for i, s := range bin.Spans {
+		if w := want.Spans[i]; s.ID != w.ID || s.ParentID != w.ParentID || s.Name != w.Name {
+			t.Fatalf("%s: tenant %q binary /api/trace position %d: span %d under %d, want span %d under %d", when, tenant, i, s.ID, s.ParentID, w.ID, w.ParentID)
+		}
+	}
+}
+
+// checkCorrelatedView holds /api/correlated?flush=1 to core.Correlate of the
+// acknowledged batches.
+func checkCorrelatedView(t *testing.T, when, baseURL, tenant string, acked [][]*trace.Span) {
+	t.Helper()
+	want := &trace.Trace{}
+	for _, b := range acked {
+		for _, s := range b {
+			want.Spans = append(want.Spans, s.Clone())
+		}
+	}
+	want.SortByBegin()
+	core.CorrelateWith(want, core.StrategyAuto)
+	got, err := trace.DecodeJSON(bytes.NewReader(getBody(t, baseURL+"/api/correlated?flush=1", tenant)))
+	if err != nil {
+		t.Fatalf("%s: tenant %q /api/correlated: %v", when, tenant, err)
+	}
+	if len(got.Spans) != len(want.Spans) {
+		t.Fatalf("%s: tenant %q /api/correlated holds %d spans, acknowledged %d", when, tenant, len(got.Spans), len(want.Spans))
+	}
+	for i, s := range got.Spans {
+		if w := want.Spans[i]; s.ID != w.ID || s.ParentID != w.ParentID {
+			t.Fatalf("%s: tenant %q /api/correlated position %d: span %d under %d, batch correlation has span %d under %d",
+				when, tenant, i, s.ID, s.ParentID, w.ID, w.ParentID)
+		}
+	}
+}
+
+// TestServerTraceIsTheFedStream: in stream mode /api/trace is served from
+// the correlator's history (or, where the tap may shed, from the raw store
+// kept for that), and either way it must be the stream as it was fed — two
+// tenants, stragglers, tracer-parented spans — the moment the last 202 has
+// returned, with nothing flushed by the reader.
+func TestServerTraceIsTheFedStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real server processes")
+	}
+	tmp := t.TempDir()
+	bin := buildServer(t, tmp)
+	modes := []struct {
+		name string
+		args []string
+		shed bool // the tap may drop batches: the correlated view owes nothing
+	}{
+		{"block", []string{"-stream-correlate"}, false},
+		{"inline", []string{"-stream-correlate", "-tap-queue", "0"}, false},
+		{"degrade", []string{"-stream-correlate", "-shed-policy", "degrade", "-tap-queue", "2048"}, true},
+		{"durable", []string{"-data-dir", filepath.Join(tmp, "data")}, false},
+	}
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			args := append([]string{"-addr", "127.0.0.1:0", "-reorder-window", "64ns", "-retain", "512ns"}, mode.args...)
+			proc, baseURL := startServer(t, bin, args...)
+			defer func() {
+				_ = proc.Process.Kill()
+				_ = proc.Wait()
+			}()
+
+			tenants := []string{"", "acme"}
+			streams := [][][]*trace.Span{fedStream(31, 6_000), fedStream(33, 4_000)}
+			for i := 0; i < len(streams[0]) || i < len(streams[1]); i++ {
+				for k, tenant := range tenants {
+					if i < len(streams[k]) {
+						postBatch(t, baseURL, tenant, uint64(i+1), streams[k][i])
+					}
+				}
+			}
+			for k, tenant := range tenants {
+				checkRawView(t, "after the last 202", baseURL, tenant, streams[k])
+			}
+
+			if mode.shed {
+				// Overdrive one tenant's tap until it sheds: bursts of
+				// concurrent batches, each burst four times the queue bound.
+				// What the tap dropped, the raw view still holds.
+				nextID, at := uint64(1<<32), streams[0][len(streams[0])-1][0].End+10_000
+				for burst := 0; ; burst++ {
+					var wg sync.WaitGroup
+					for p := 0; p < 8; p++ {
+						batch := make([]*trace.Span, 1_024)
+						for i := range batch {
+							nextID, at = nextID+1, at+2
+							batch[i] = &trace.Span{ID: nextID, Level: trace.LevelKernel, Name: "burst", Begin: at, End: at + 1}
+						}
+						streams[0] = append(streams[0], batch)
+						wg.Add(1)
+						go func(id uint64) {
+							defer wg.Done()
+							postBatch(t, baseURL, "", id, batch)
+						}(nextID)
+					}
+					wg.Wait()
+					var overload struct {
+						Tenants map[string]struct {
+							Tap struct{ Dropped int64 } `json:"tap"`
+						} `json:"tenants"`
+					}
+					if err := json.Unmarshal(getBody(t, baseURL+"/api/overload", ""), &overload); err != nil {
+						t.Fatal(err)
+					}
+					if overload.Tenants["default"].Tap.Dropped > 0 {
+						break
+					}
+					if burst == 50 {
+						t.Fatal("fifty bursts of four queue bounds each never overflowed the tap")
+					}
+				}
+				checkRawView(t, "after the tap shed", baseURL, "", streams[0])
+			} else {
+				for k, tenant := range tenants {
+					checkCorrelatedView(t, "after the last 202", baseURL, tenant, streams[k])
+					// Settling every link changed nothing in the raw view.
+					checkRawView(t, "after the flush", baseURL, tenant, streams[k])
+				}
+			}
+
+			req, _ := http.NewRequest(http.MethodPost, baseURL+"/api/reset?tenant=acme", nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			checkRawView(t, "after its reset", baseURL, "acme", nil)
+			checkRawView(t, "after the neighbour's reset", baseURL, "", streams[0])
+		})
+	}
+}
+
+// TestServerRawViewSurvivesRestartCycles: thermal cycling for the raw view.
+// A durable server is SIGKILLed and restarted three times with publishing in
+// between, and after every cycle — not only the last — /api/trace is
+// everything acknowledged with the parents the tracers sent (a boot that
+// republished the correlator's snapshot served the resolver's parents here),
+// /api/correlated?flush=1 is its batch correlation, and the store is clean.
+// -shed-policy is ignored in durable mode, and stays ignored.
+func TestServerRawViewSurvivesRestartCycles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real server processes")
+	}
+	tmp := t.TempDir()
+	bin := buildServer(t, tmp)
+	for _, mode := range []struct {
+		name  string
+		extra []string
+	}{{"default", nil}, {"shed-policy-drop", []string{"-shed-policy", "drop"}}} {
+		t.Run(mode.name, func(t *testing.T) {
+			dataDir := filepath.Join(tmp, "data-"+mode.name)
+			serverArgs := func(addr string) []string {
+				return append([]string{"-addr", addr, "-data-dir", dataDir, "-reorder-window", "64ns", "-retain", "512ns"}, mode.extra...)
+			}
+			proc, baseURL := startServer(t, bin, serverArgs("127.0.0.1:0")...)
+			defer func() {
+				_ = proc.Process.Kill()
+				_ = proc.Wait()
+			}()
+			addr := strings.TrimPrefix(baseURL, "http://")
+
+			tenants := []string{"", "acme"}
+			streams := [][][]*trace.Span{fedStream(41, 6_000), fedStream(43, 4_000)}
+			acked := make([][][]*trace.Span, len(tenants))
+			const cycles = 3
+			for cycle := 0; cycle <= cycles; cycle++ {
+				// One more quarter of each stream; the last holds the withheld
+				// window, which reaches behind three restarts' worth of folds.
+				for k, tenant := range tenants {
+					n := len(streams[k])
+					for i := cycle * n / (cycles + 1); i < (cycle+1)*n/(cycles+1); i++ {
+						postBatch(t, baseURL, tenant, uint64(i+1), streams[k][i])
+						acked[k] = append(acked[k], streams[k][i])
+					}
+				}
+				when := "after the last quarter"
+				if cycle < cycles {
+					if err := proc.Process.Kill(); err != nil {
+						t.Fatalf("kill server: %v", err)
+					}
+					_ = proc.Wait()
+					proc, baseURL = startServer(t, bin, serverArgs(addr)...)
+					when = "after restart " + strconv.Itoa(cycle+1)
+				}
+				for k, tenant := range tenants {
+					checkRawView(t, when, baseURL, tenant, acked[k])
+					checkCorrelatedView(t, when, baseURL, tenant, acked[k])
+					checkRawView(t, when+" and a flush", baseURL, tenant, acked[k])
+				}
+				var dur struct {
+					Tenants map[string]struct {
+						Err      string `json:"err"`
+						Recovery struct {
+							Quarantined []string `json:"quarantined"`
+						} `json:"recovery"`
+					} `json:"tenants"`
+				}
+				if err := json.Unmarshal(getBody(t, baseURL+"/api/durability", ""), &dur); err != nil {
+					t.Fatal(err)
+				}
+				for _, key := range []string{"default", "acme"} {
+					if d, ok := dur.Tenants[key]; !ok || d.Err != "" || len(d.Recovery.Quarantined) != 0 {
+						t.Fatalf("%s: tenant %s durability: present %v, err %q, quarantined %v", when, key, ok, d.Err, d.Recovery.Quarantined)
+					}
+				}
+			}
+		})
 	}
 }

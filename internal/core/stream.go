@@ -33,9 +33,9 @@ type StreamOptions struct {
 	// spans a concurrent reader (or the publishing tracer) still holds. The
 	// copy shares Name, Source, Tags and Metrics with the fed span: a span's
 	// payload is immutable once published, and the correlator writes only
-	// ParentID. The server tap runs isolated; in-process pipelines that want
-	// the links written through — the Memory.Trace sharing semantics —
-	// leave it false.
+	// ParentID. A server tap beside a raw store (xsp-server -shed-policy
+	// drop|degrade) runs isolated; a correlator that alone holds its spans (its
+	// other modes) and pipelines that want Memory.Trace sharing leave it false.
 	Isolated bool
 
 	// Retain bounds the live, repairable state of a long-running stream.
@@ -1476,6 +1476,31 @@ func (sc *StreamCorrelator) SnapshotTrace() *trace.Trace {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	return &trace.Trace{Spans: trace.CloneHeaders(sc.mergedSpans())}
+}
+
+// SnapshotRaw is SnapshotTrace as the spans were fed: on the copies, every
+// link the resolver assigned — a segment's owned bit, owns for the live
+// tail — reads zero again, and a tracer-supplied ParentID stays. It is what
+// a raw store fed the same batches would serve, at query-time cost only, so
+// a non-Isolated correlator can be a server tenant's one span store.
+func (sc *StreamCorrelator) SnapshotRaw() *trace.Trace {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	runs := make([][]*trace.Span, 0, len(sc.ckpt)+1)
+	add := func(spans []*trace.Span, owned func(i int) bool) {
+		run := trace.CloneHeaders(spans)
+		for i, s := range run {
+			if owned(i) {
+				s.ParentID = 0
+			}
+		}
+		runs = append(runs, run)
+	}
+	for _, seg := range sc.ckpt {
+		add(seg.spans, func(i int) bool { return ownedBitSet(seg.owned, i) })
+	}
+	add(sc.all, func(i int) bool { return sc.owns(sc.all[i]) })
+	return &trace.Trace{Spans: trace.MergeRuns(runs)}
 }
 
 // StreamStats describes a correlator's progress, for observability and

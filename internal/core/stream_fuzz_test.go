@@ -95,6 +95,7 @@ func FuzzStreamVsBatch(f *testing.F) {
 			StragglerWindow: vclock.Duration(stragglerWin % 2048),
 			Seed:            seed + 1,
 		})
+		parentSome(batches)
 		if wireBinary {
 			// The binary ingest path: round-trip every batch through the
 			// wire codec before feeding, exactly as spans arrive off
@@ -114,6 +115,8 @@ func FuzzStreamVsBatch(f *testing.F) {
 		// nonzero parents as tracer truth, and feeding mutates the spans
 		// in place (batchParents clones, so compute it before the feed).
 		want := batchParents(batches)
+		fed := make(map[uint64]uint64, len(want))
+		noteFed(fed, batches...)
 		opts := core.StreamOptions{
 			ReorderWindow:  vclock.Duration(window % 512),
 			MaxWindowSpans: int(maxWindow), // negative = unbounded, 0 = default, tiny = aggressive chaining
@@ -160,6 +163,8 @@ func FuzzStreamVsBatch(f *testing.F) {
 				if sc, err = core.RecoverStream(opts, rec); err != nil {
 					t.Fatalf("recover after restart: %v", err)
 				}
+				// The raw view comes back as it was published, mid-stream.
+				checkSnapshotRaw(t, sc, fed)
 			}
 			if durable {
 				if err := sc.FeedLogged(uint64(i+1), b...); err != nil {
@@ -190,7 +195,25 @@ func FuzzStreamVsBatch(f *testing.F) {
 		if stats.Live+stats.Checkpointed != len(want) {
 			t.Fatalf("live %d + checkpointed %d != fed %d", stats.Live, stats.Checkpointed, len(want))
 		}
+		// And with every link settled, the raw view still reads as fed.
+		checkSnapshotRaw(t, sc, fed)
 	})
+}
+
+// parentSome hands one span in 41 to the model span (id 1) as a tracer would:
+// a link the correlator must keep through folds, segment files, WAL
+// snapshots and recovery, the batch oracle keeps too, and the raw view must
+// not mask. Launches are left alone: a tracer-parented launch beside deep
+// stragglers and a durable restart already parts stream from batch at the
+// parent commit (see CHANGES.md, PR 18), which is the resolver's to fix.
+func parentSome(batches [][]*trace.Span) {
+	for _, b := range batches {
+		for _, s := range b {
+			if s.ID%41 == 0 && s.Kind != trace.KindLaunch {
+				s.ParentID = 1
+			}
+		}
+	}
 }
 
 // fuzzTenantInterleave is the multi-tenant arm of FuzzStreamVsBatch: T
@@ -205,6 +228,7 @@ func fuzzTenantInterleave(t *testing.T, T, n int, streams uint8, dropLaunches bo
 	keys := make([]string, T)
 	loads := make([][][]*trace.Span, T)
 	wants := make([]map[uint64]uint64, T)
+	feds := make([]map[uint64]uint64, T)
 	total := 0
 	for k := 0; k < T; k++ {
 		keys[k] = fmt.Sprintf("t%d", k)
@@ -220,6 +244,7 @@ func fuzzTenantInterleave(t *testing.T, T, n int, streams uint8, dropLaunches bo
 			StragglerWindow: vclock.Duration(stragglerWin % 2048),
 			Seed:            seed + 1 + int64(k)*103,
 		})
+		parentSome(loads[k])
 		if wireBinary {
 			for i, b := range loads[k] {
 				tr, err := trace.DecodeBinary(bytes.NewReader(trace.AppendBinaryFrameTenant(nil, keys[k], b)))
@@ -233,6 +258,8 @@ func fuzzTenantInterleave(t *testing.T, T, n int, streams uint8, dropLaunches bo
 			}
 		}
 		wants[k] = batchParents(loads[k])
+		feds[k] = make(map[uint64]uint64, len(wants[k]))
+		noteFed(feds[k], loads[k]...)
 		total += len(loads[k])
 	}
 
@@ -327,5 +354,6 @@ func fuzzTenantInterleave(t *testing.T, T, n int, streams uint8, dropLaunches bo
 			t.Fatalf("tenant %s: live %d + checkpointed %d != fed %d",
 				keys[k], stats.Live, stats.Checkpointed, len(wants[k]))
 		}
+		checkSnapshotRaw(t, sc, feds[k])
 	}
 }

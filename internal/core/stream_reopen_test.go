@@ -117,6 +117,7 @@ func TestWindowedReopenMatchesFullReopen(t *testing.T) {
 	gen := &reopenCycles{seed: 16}
 	var fed [][]*trace.Span
 	unparented := make(map[uint64]bool)
+	fedParent := make(map[uint64]uint64)
 	for cycle := 1; cycle <= cycles; cycle++ {
 		var punctual [][]*trace.Span
 		var held []*trace.Span
@@ -134,6 +135,7 @@ func TestWindowedReopenMatchesFullReopen(t *testing.T) {
 			slack = 3_500
 		}
 		for _, b := range append(punctual, held) {
+			noteFed(fedParent, b)
 			for _, s := range b {
 				unparented[s.ID] = s.ParentID == 0
 			}
@@ -196,6 +198,7 @@ func TestWindowedReopenMatchesFullReopen(t *testing.T) {
 		if n, maxEnd, wantN, wantMaxEnd := sc.CheckpointSummary(); n != wantN || maxEnd != wantMaxEnd {
 			t.Fatalf("cycle %d: checkpoint tracked as %d spans ending by %d, the segments hold %d ending by %d", cycle, n, maxEnd, wantN, wantMaxEnd)
 		}
+		checkSnapshotRaw(t, sc, fedParent)
 		owned, refOwned := sc.OwnedBits(), oracle.OwnedBits()
 		for id, fedUnparented := range unparented {
 			if owned[id] != fedUnparented || refOwned[id] != fedUnparented {

@@ -382,6 +382,12 @@ func (t *Trace) EncodeBinary(w io.Writer) error {
 	return err
 }
 
+// framePool recycles DecodeBinary's payload buffers, never one above
+// maxPooledFrame: a ~1k-span ingest batch is ~116 KB of garbage otherwise.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFrame = 1 << 20
+
 // DecodeBinary reads one framed binary span batch written by EncodeBinary
 // (or AppendBinaryFrame) and returns the decoded trace in canonical begin
 // order, exactly like DecodeJSON. The spans are decoded straight into a
@@ -425,8 +431,22 @@ func DecodeBinary(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("%w: payload length %d exceeds limit", ErrBadFrame, n)
 	}
 	// The declared length is a claim: allocate as the bytes arrive, in
-	// doubling steps past the first MiB.
-	payload := make([]byte, min(n, 1<<20))
+	// doubling steps past the first MiB. Up to there the buffer is pooled:
+	// nothing decoded aliases it (the blob is copied into one string, records
+	// and entry tables are read by value), so it is garbage on return.
+	bp := framePool.Get().(*[]byte)
+	first := int(min(n, maxPooledFrame))
+	payload := *bp
+	if cap(payload) < first {
+		payload = make([]byte, first)
+	}
+	payload = payload[:first]
+	defer func() {
+		if cap(payload) <= maxPooledFrame {
+			*bp = payload[:0]
+			framePool.Put(bp)
+		}
+	}()
 	for read := 0; ; {
 		if _, err := io.ReadFull(r, payload[read:]); err != nil {
 			return nil, fmt.Errorf("%w: short payload: %v", ErrBadFrame, err)

@@ -44,6 +44,11 @@
 // accepted by /api/spans (zero-ID spans get fresh server-side IDs first)
 // and in-process publishes into Server.Collector — how cmd/xsp-server
 // feeds a core.StreamCorrelator for streaming correlation.
+// Where nothing between the handler and the tap's consumer can shed a
+// batch, [ServerTenant.SetHistory] makes that consumer the store: accepted
+// batches skip the tenant's Memory and /api/trace serves the consumer's
+// history (a stream correlator's SnapshotRaw) — a streamed span is held
+// once.
 //
 // Ingest accounting: [Server.Received] counts spans accepted over HTTP
 // since the server started or since the last /api/reset — the reset
@@ -68,8 +73,9 @@
 //     counted ([AsyncTap.Stats]); a shed batch is only lost to the
 //     *online* consumer — it already landed in the Memory store, so a
 //     snapshot re-correlate (or the correlator's next Flush over the raw
-//     trace) recovers it. An oversized batch is admitted when it has the
-//     queue to itself, so one batch larger than the bound cannot wedge.
+//     trace) recovers it (so a tenant whose tap may shed gets no
+//     history). An oversized batch is admitted when it has the queue to
+//     itself, so one batch larger than the bound cannot wedge.
 //   - In-flight request bytes and spans. [Server.SetAdmission] installs an
 //     [AdmissionPolicy]: request bodies reserve their Content-Length
 //     against MaxInflightBytes before being read, and decoded-but-unlanded
@@ -107,8 +113,8 @@
 // [Memory.SnapshotTrace] for a deep-copied, isolated trace instead. A
 // span's payload — Name, Source, Tags, Metrics — is immutable after
 // publish: readers iterate the maps without locks, and [CloneHeaders]
-// (what an isolated stream correlator and its snapshots hold) copies the
-// header fields and shares the payload.
+// (what an isolated stream correlator and every correlator snapshot hold)
+// copies the header fields and shares the payload.
 //
 // # Multi-tenant ingestion
 //
@@ -171,24 +177,22 @@
 //     treat them as read-only, and synchronize appends against queries
 //     externally (an extend may rearrange a shared slice).
 //
-// # Columnar span storage
+// # Arena span storage
 //
 // Memory shards and the wire decoders do not allocate spans one by one:
 // a [SpanStore] carves them from chunked arenas (one allocation per 256
-// spans) and mirrors the immutable sort keys — ID, Begin, End, Level,
-// CorrelationID — into side-by-side columns as spans are appended, while
-// tracking canonical sortedness incrementally. Snapshot merges
-// ([Memory.Trace]) read the columns and the O(1) sortedness flag instead
-// of re-scanning span structs; [Interner] collapses the names and sources
-// that repeat across thousands of spans into shared strings.
+// spans) and tracks canonical sortedness incrementally, from the previous
+// append's (Begin, Level, ID) alone, so snapshot merges ([Memory.Trace])
+// read an O(1) flag instead of re-scanning span structs; [Interner]
+// collapses the names and sources that repeat across thousands of spans
+// into shared strings.
 //
 // The aliasing rule that makes this safe: the arena's *Span pointers are
 // stable for the store's lifetime, and only fields that never reorder a
-// trace are mutable through them. ParentID, Tags, and Metrics are
-// deliberately *not* mirrored — core.Correlate rewrites ParentID in place
-// through shared pointers (see the Memory.Trace contract above), and a
-// column copy would go silently stale. The Span structs stay
-// authoritative; columns are an acceleration of what cannot change.
+// trace are mutable through them. The store mirrors no field —
+// core.Correlate rewrites ParentID in place through shared pointers (see
+// the Memory.Trace contract above), and a copy would go silently stale.
+// The Span structs stay authoritative.
 //
 // # Binary wire format
 //

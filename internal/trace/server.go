@@ -66,6 +66,7 @@ type ServerTenant struct {
 	received atomic.Int64 // spans accepted over HTTP since start or the tenant's last reset
 
 	load         atomic.Pointer[LoadReporter]
+	history      func() *Trace // SetHistory: the consumer's store serves Trace, mem stays empty
 	tapQ         atomic.Pointer[AsyncTap]
 	durable      atomic.Pointer[DurableSink]
 	inflightS    atomic.Int64 // spans decoded, not yet landed in this tenant's collector
@@ -186,13 +187,28 @@ func (s *Server) EachTenant(fn func(*ServerTenant)) {
 func (t *ServerTenant) Key() string { return t.key }
 
 // Collector returns the tenant's in-process collector, for tracers
-// running in the same process as the server.
+// running in the same process as the server. With a history set
+// (SetHistory) spans accepted over HTTP bypass it and Trace does not read it.
 func (t *ServerTenant) Collector() *Memory { return t.mem }
 
-// Trace returns the tenant's currently aggregated timeline trace, tagged
-// with the tenant key.
+// SetHistory makes the tenant's consumer its span store: an accepted batch
+// is forwarded to the tap (after the durable sink) without being appended
+// to the tenant's Memory, and Trace — hence GET /api/trace — serves src():
+// every span the consumer was handed, in canonical order with ParentIDs as
+// published, safe to encode while ingest continues
+// (core.StreamCorrelator.SnapshotRaw). Sound only when nothing between the
+// handler and the consumer can shed a batch. Call it from the SetTenantInit
+// hook, before the tenant serves: unlike its siblings it is not atomic.
+func (t *ServerTenant) SetHistory(src func() *Trace) { t.history = src }
+
+// Trace returns the tenant's currently aggregated timeline trace — its
+// history's, when one is set — tagged with the tenant key.
 func (t *ServerTenant) Trace() *Trace {
-	tr := t.mem.Trace()
+	src := t.mem.Trace
+	if t.history != nil {
+		src = t.history
+	}
+	tr := src()
 	tr.Tenant = t.key
 	return tr
 }
@@ -206,7 +222,7 @@ func (t *ServerTenant) Received() int { return int(t.received.Load()) }
 func (s *Server) Collector() *Memory { return s.Tenant(DefaultTenant).Collector() }
 
 // Trace returns the default tenant's currently aggregated timeline trace.
-func (s *Server) Trace() *Trace { return s.Tenant(DefaultTenant).mem.Trace() }
+func (s *Server) Trace() *Trace { return s.Tenant(DefaultTenant).Trace() }
 
 // Received returns the count of spans the default tenant accepted over
 // HTTP since the server started or since its last reset — the reset
@@ -450,8 +466,8 @@ func (s *Server) SeedBatches(ids []uint64) { s.Tenant(DefaultTenant).SeedBatches
 // delegates to the tenant Memory's SetTap; see that method for the
 // exactly-once and pointer-sharing contract (a tap that mutates spans
 // while /api/trace readers run must work on its own copies, like the
-// stream correlator's Isolated mode). A nil tap detaches. Safe to call
-// while serving.
+// stream correlator's Isolated mode — or be the tenant's store itself,
+// see SetHistory). A nil tap detaches. Safe to call while serving.
 func (t *ServerTenant) SetTap(c Collector) { t.mem.SetTap(c) }
 
 // SetTap registers the default tenant's tap; see ServerTenant.SetTap.
@@ -713,7 +729,11 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	tn.mem.Publish(t.Spans...) // forwards to the tenant's Memory tap, if attached
+	if tn.history != nil {
+		tn.mem.tapPublish(t.Spans) // the tap's consumer is the store: held once
+	} else {
+		tn.mem.Publish(t.Spans...) // forwards to the tenant's Memory tap, if attached
+	}
 	tn.received.Add(int64(len(t.Spans)))
 	if batchID != 0 {
 		tn.commitBatch(batchID)

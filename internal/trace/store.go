@@ -9,11 +9,10 @@ import "xsp/internal/vclock"
 // allocation amortized over 256 spans instead of one per span.
 const storeChunkSpans = 256
 
-// SpanStore is an arena-backed, column-mirrored span container: the hot
-// ingest representation underneath Memory shards and the binary decode
-// path.
+// SpanStore is an arena-backed span container: the hot ingest
+// representation underneath Memory shards and the binary decode path.
 //
-// It has three parts:
+// It has two parts:
 //
 //   - An arena of fixed-capacity []Span chunks. Alloc hands out stable
 //     pointers into the current chunk, so decoding a batch costs one
@@ -23,16 +22,12 @@ const storeChunkSpans = 256
 //     The prefix of the view is immutable — appends extend it, Reset
 //     replaces the header — so readers can scan a captured header without
 //     holding the writer's lock.
-//   - Struct-of-arrays columns mirroring the immutable merge/scan keys
-//     (ID, Begin, End, Level, CorrelationID), appended in lock-step with
-//     the view. Scan-heavy consumers (sortedness tracking, stats) read
-//     the columns without chasing pointers.
 //
-// Aliasing rule: the Span structs stay authoritative for every mutable
-// field. core.Correlate writes ParentID through the shared pointers and
-// that mutation must stay visible to later Trace calls, so ParentID (and
-// Tags/Metrics) are deliberately NOT mirrored in columns — only fields
-// that are immutable after publish are. See the package comment.
+// Aliasing rule: the Span structs are authoritative for every field.
+// core.Correlate writes ParentID through the shared pointers and that
+// mutation must stay visible to later Trace calls; the store copies
+// nothing but the last append's canonical-order key, which is immutable
+// after publish. See the package comment.
 //
 // The zero value is an empty store ready for use. A SpanStore is not safe
 // for concurrent use; Memory wraps one per shard under the shard lock.
@@ -40,16 +35,15 @@ type SpanStore struct {
 	chunks [][]Span // arena; each chunk's backing array never reallocates
 	ptrs   []*Span  // dense view, in append order
 
-	ids    []uint64
-	begins []vclock.Time
-	ends   []vclock.Time
-	levels []Level
-	corrs  []uint64
-
-	// unsorted is the inverted canonical-order flag, maintained in O(1)
-	// per append, so snapshotting skips the O(n) per-shard sortedness
-	// scan. Inverted so the zero value (empty store) reads as sorted.
-	unsorted bool
+	// The previous append's canonical-order key, and the inverted
+	// canonical-order flag it maintains in O(1) per append without chasing
+	// the previous pointer, so snapshotting skips the O(n) per-shard
+	// sortedness scan. Inverted so the zero value (empty store) reads as
+	// sorted.
+	lastBegin vclock.Time
+	lastLevel Level
+	lastID    uint64
+	unsorted  bool
 }
 
 // Len returns the number of spans in the store.
@@ -71,25 +65,16 @@ func (st *SpanStore) Alloc() *Span {
 	return &(*c)[len(*c)-1]
 }
 
-// Add appends a span to the store's view and mirrors its immutable keys
-// into the columns. The span may live anywhere — the arena (Alloc) or an
-// ordinary heap allocation from a publisher — the store does not care;
-// only decode paths use the arena.
+// Add appends a span to the store's view. The span may live anywhere — the
+// arena (Alloc) or an ordinary heap allocation from a publisher — the store
+// does not care; only decode paths use the arena.
 func (st *SpanStore) Add(s *Span) {
-	if n := len(st.ids); n > 0 && !st.unsorted {
-		// Canonical order check against the previous append, straight off
-		// the columns (CanonicalLess without the pointer chase).
-		pb, pl, pi := st.begins[n-1], st.levels[n-1], st.ids[n-1]
-		if s.Begin < pb || (s.Begin == pb && (s.Level < pl || (s.Level == pl && s.ID < pi))) {
-			st.unsorted = true
-		}
+	pb, pl, pi := st.lastBegin, st.lastLevel, st.lastID
+	if len(st.ptrs) > 0 && (s.Begin < pb || (s.Begin == pb && (s.Level < pl || (s.Level == pl && s.ID < pi)))) {
+		st.unsorted = true
 	}
+	st.lastBegin, st.lastLevel, st.lastID = s.Begin, s.Level, s.ID
 	st.ptrs = append(st.ptrs, s)
-	st.ids = append(st.ids, s.ID)
-	st.begins = append(st.begins, s.Begin)
-	st.ends = append(st.ends, s.End)
-	st.levels = append(st.levels, s.Level)
-	st.corrs = append(st.corrs, s.CorrelationID)
 }
 
 // AddAll appends a batch of spans.
@@ -108,14 +93,6 @@ func (st *SpanStore) Spans() []*Span { return st.ptrs }
 // Sorted reports whether the view is in canonical timeline order
 // (CanonicalLess: begin, level, ID), maintained incrementally on append.
 func (st *SpanStore) Sorted() bool { return !st.unsorted }
-
-// Columns returns the struct-of-arrays mirror of the immutable span keys,
-// index-aligned with Spans. Like Spans, the current prefixes are
-// immutable. Mutable fields (ParentID, Tags, Metrics) have no columns by
-// design — read them through the span pointers.
-func (st *SpanStore) Columns() (ids []uint64, begins, ends []vclock.Time, levels []Level, corrs []uint64) {
-	return st.ids, st.begins, st.ends, st.levels, st.corrs
-}
 
 // Reset empties the store by replacing, not truncating: outstanding
 // snapshot headers and arena pointers remain valid, the store simply

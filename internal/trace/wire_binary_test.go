@@ -335,6 +335,84 @@ func TestDecodeBinaryShortBodyAllocatesWhatItReads(t *testing.T) {
 	}
 }
 
+// The payload buffer goes back to a pool when DecodeBinary returns, so
+// nothing a decoded span holds may point into it: decode A, decode a
+// different B of the same size — into the same bytes, as far as the pool
+// allows — and A must read exactly as encoded. Then the same from eight
+// goroutines sharing the pool, and a frame past the pooling bound, whose
+// buffer must not come back.
+func TestDecodeBinaryPooledBufferDoesNotAlias(t *testing.T) {
+	// other is batch with every string and number changed and every length
+	// kept, so the two frames lay out identically.
+	other := func(batch []*Span) []*Span {
+		out := make([]*Span, len(batch))
+		for i, s := range batch {
+			c := &Span{
+				ID: s.ID ^ 1<<40, ParentID: s.ParentID + 1, CorrelationID: s.CorrelationID + 1,
+				Begin: s.Begin, End: s.End + 1, Level: s.Level, Kind: s.Kind,
+				Name: strings.ToUpper(s.Name), Source: strings.ToUpper(s.Source),
+			}
+			for k, v := range s.Tags {
+				c.SetTag(strings.ToUpper(k), strings.ToUpper(v))
+			}
+			for k, v := range s.Metrics {
+				c.SetMetric(strings.ToUpper(k), -v-1)
+			}
+			out[i] = c
+		}
+		return out
+	}
+	check := func(t *testing.T, seed uint64) {
+		a := encoderBatch(1_000, seed, true)
+		b := other(a)
+		frameA, frameB := AppendBinaryFrame(nil, a), AppendBinaryFrame(nil, b)
+		if len(frameA) != len(frameB) {
+			t.Errorf("frames of %d and %d bytes: not the same size", len(frameA), len(frameB))
+			return
+		}
+		for round := 0; round < 20; round++ {
+			gotA, err := DecodeBinary(bytes.NewReader(frameA))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			gotB, err := DecodeBinary(bytes.NewReader(frameB))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(gotA.Spans) != len(a) || len(gotB.Spans) != len(b) {
+				t.Errorf("decoded %d and %d spans, want %d each", len(gotA.Spans), len(gotB.Spans), len(a))
+				return
+			}
+			for i := range a { // begins ascend, so decode order is encode order
+				sameSpan(t, gotA.Spans[i], a[i])
+				sameSpan(t, gotB.Spans[i], b[i])
+			}
+		}
+	}
+	check(t, 1)
+	var wg sync.WaitGroup
+	for g := uint64(0); g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check(t, 1+g*5_000)
+		}()
+	}
+	wg.Wait()
+
+	big := AppendBinaryFrame(nil, encoderBatch(40_000, 1, false))
+	if _, err := DecodeBinary(bytes.NewReader(big)); err != nil || len(big) <= maxPooledFrame {
+		t.Fatalf("frame of %d bytes past the pooling bound: %v", len(big), err)
+	}
+	for i := 0; i < 4; i++ {
+		if bp := framePool.Get().(*[]byte); cap(*bp) > maxPooledFrame {
+			t.Fatalf("the pool handed back a %d-byte buffer: over the %d it may keep", cap(*bp), maxPooledFrame)
+		}
+	}
+}
+
 // hostileLengthFrame is a version-1 header declaring the largest payload
 // the decoder admits, and no payload.
 func hostileLengthFrame() []byte {
@@ -458,12 +536,22 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add(hostileLengthFrame())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if tr, err := DecodeBinary(bytes.NewReader(data)); err == nil {
+			// Twice: the second decode refills the first one's pooled payload
+			// buffer, which nothing of tr may still be reading.
+			twice, err2 := DecodeBinary(bytes.NewReader(data))
+			if err2 != nil || len(twice.Spans) != len(tr.Spans) {
+				t.Fatalf("second decode of the same frame: %v", err2)
+			}
 			again, err2 := DecodeBinary(bytes.NewReader(AppendBinaryFrame(nil, tr.Spans)))
 			if err2 != nil {
 				t.Fatalf("re-encode of decoded frame failed: %v", err2)
 			}
 			if len(again.Spans) != len(tr.Spans) {
 				t.Fatalf("re-decode has %d spans, want %d", len(again.Spans), len(tr.Spans))
+			}
+			for i, s := range twice.Spans {
+				sameSpan(t, tr.Spans[i], s)
+				sameSpan(t, again.Spans[i], s)
 			}
 		}
 		spans, owned, _, err := DecodeSpanBlock(data)
