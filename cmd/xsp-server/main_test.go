@@ -6,21 +6,25 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"xsp/internal/analysis"
 	"xsp/internal/core"
 	"xsp/internal/gpu"
+	"xsp/internal/server"
 	"xsp/internal/trace"
 	"xsp/internal/workload"
 )
@@ -84,6 +88,30 @@ func startServer(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
 		t.Fatalf("server never reported its listen address")
 		return nil, ""
 	}
+}
+
+// serveInProcess is startServer without the process: args go through main's
+// own flag binding into a server.Config, and the server it builds is served
+// from a loopback listener until the test ends. For tests that never kill
+// the server.
+func serveInProcess(t *testing.T, args ...string) string {
+	t.Helper()
+	fs := flag.NewFlagSet("xsp-server", flag.ContinueOnError)
+	var cfg server.Config
+	bindFlags(fs, &cfg)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parse %v: %v", args, err)
+	}
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatalf("server.New(%v): %v", args, err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	return ts.URL
 }
 
 // TestServerRestartLosesNothing is the end-to-end durability proof: two
@@ -300,16 +328,7 @@ func decodeAnalysis(t *testing.T, url string) analysis.OnlineSnapshot {
 // stay untouched. The SSE form must deliver converging snapshots from a
 // plain GET with Accept: text/event-stream semantics (?watch=1 here).
 func TestServerLiveAnalysis(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real server processes")
-	}
-	tmp := t.TempDir()
-	bin := buildServer(t, tmp)
-	proc, baseURL := startServer(t, bin, "-addr", "127.0.0.1:0", "-live-analysis", "-reorder-window", "64ns")
-	defer func() {
-		_ = proc.Process.Kill()
-		_ = proc.Wait()
-	}()
+	baseURL := serveInProcess(t, "-addr", "127.0.0.1:0", "-live-analysis", "-reorder-window", "64ns")
 
 	layerTypes := []string{"Conv2D", "Relu", "MatMul"}
 	publish := func(tenant string, seed int64) *trace.Trace {
@@ -595,6 +614,27 @@ func TestServerLiveAnalysisSoak(t *testing.T) {
 	}
 }
 
+// stopServer SIGTERMs the server and holds it to the clean exit: status 0,
+// inside the shutdown deadline (and some slack for a loaded machine).
+func stopServer(t *testing.T, proc *exec.Cmd) {
+	t.Helper()
+	if err := proc.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatalf("SIGTERM server: %v", err)
+	}
+	const limit = shutdownDeadline + 5*time.Second
+	exited := make(chan error, 1)
+	go func() { exited <- proc.Wait() }()
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("SIGTERMed server did not exit 0: %v", err)
+		}
+	case <-time.After(limit):
+		_ = proc.Process.Kill()
+		t.Fatalf("SIGTERMed server still running %v after the signal", limit)
+	}
+}
+
 // fedStream is a pipelined 3-stream workload in arrival order — bounded
 // reordering, and one window of spans withheld to the last batch, which by
 // then arrives behind the release point — with one non-launch span in 41
@@ -747,11 +787,7 @@ func checkCorrelatedView(t *testing.T, when, baseURL, tenant string, acked [][]*
 // tenants, stragglers, tracer-parented spans — the moment the last 202 has
 // returned, with nothing flushed by the reader.
 func TestServerTraceIsTheFedStream(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real server processes")
-	}
 	tmp := t.TempDir()
-	bin := buildServer(t, tmp)
 	modes := []struct {
 		name string
 		args []string
@@ -765,11 +801,7 @@ func TestServerTraceIsTheFedStream(t *testing.T) {
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
 			args := append([]string{"-addr", "127.0.0.1:0", "-reorder-window", "64ns", "-retain", "512ns"}, mode.args...)
-			proc, baseURL := startServer(t, bin, args...)
-			defer func() {
-				_ = proc.Process.Kill()
-				_ = proc.Wait()
-			}()
+			baseURL := serveInProcess(t, args...)
 
 			tenants := []string{"", "acme"}
 			streams := [][][]*trace.Span{fedStream(31, 6_000), fedStream(33, 4_000)}
@@ -842,11 +874,14 @@ func TestServerTraceIsTheFedStream(t *testing.T) {
 }
 
 // TestServerRawViewSurvivesRestartCycles: thermal cycling for the raw view.
-// A durable server is SIGKILLed and restarted three times with publishing in
-// between, and after every cycle — not only the last — /api/trace is
-// everything acknowledged with the parents the tracers sent (a boot that
-// republished the correlator's snapshot served the resolver's parents here),
-// /api/correlated?flush=1 is its batch correlation, and the store is clean.
+// A durable server is stopped and restarted four times with publishing in
+// between — SIGTERM and SIGKILL alternately, so a clean shutdown's directory
+// is recovered after a crash's and the other way round; a SIGTERMed server
+// must exit 0 inside the shutdown deadline — and after every cycle, not only
+// the last, /api/trace is everything acknowledged with the parents the
+// tracers sent (a boot that republished the correlator's snapshot served the
+// resolver's parents here), /api/correlated?flush=1 is its batch
+// correlation, and the store is clean.
 // -shed-policy is ignored in durable mode, and stays ignored.
 func TestServerRawViewSurvivesRestartCycles(t *testing.T) {
 	if testing.Short() {
@@ -873,10 +908,10 @@ func TestServerRawViewSurvivesRestartCycles(t *testing.T) {
 			tenants := []string{"", "acme"}
 			streams := [][][]*trace.Span{fedStream(41, 6_000), fedStream(43, 4_000)}
 			acked := make([][][]*trace.Span, len(tenants))
-			const cycles = 3
+			const cycles = 4
 			for cycle := 0; cycle <= cycles; cycle++ {
 				// One more quarter of each stream; the last holds the withheld
-				// window, which reaches behind three restarts' worth of folds.
+				// window, which reaches behind four restarts' worth of folds.
 				for k, tenant := range tenants {
 					n := len(streams[k])
 					for i := cycle * n / (cycles + 1); i < (cycle+1)*n/(cycles+1); i++ {
@@ -886,12 +921,17 @@ func TestServerRawViewSurvivesRestartCycles(t *testing.T) {
 				}
 				when := "after the last quarter"
 				if cycle < cycles {
-					if err := proc.Process.Kill(); err != nil {
-						t.Fatalf("kill server: %v", err)
+					if cycle%2 == 0 {
+						stopServer(t, proc)
+						when = "after SIGTERM and restart " + strconv.Itoa(cycle+1)
+					} else {
+						if err := proc.Process.Kill(); err != nil {
+							t.Fatalf("kill server: %v", err)
+						}
+						_ = proc.Wait()
+						when = "after SIGKILL and restart " + strconv.Itoa(cycle+1)
 					}
-					_ = proc.Wait()
 					proc, baseURL = startServer(t, bin, serverArgs(addr)...)
-					when = "after restart " + strconv.Itoa(cycle+1)
 				}
 				for k, tenant := range tenants {
 					checkRawView(t, when, baseURL, tenant, acked[k])

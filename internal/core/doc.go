@@ -110,10 +110,10 @@
 // [TenantSet] shards the streaming pipeline by tenant: one lazily
 // created [TenantStream] — its own StreamCorrelator, its own durable
 // store, its own pressure signal — per tenant key, sharing nothing
-// across tenants but a bounded worker pool (TenantSetOptions.Workers,
-// default GOMAXPROCS) that caps cross-tenant feed parallelism. Feeds
-// for distinct tenants run concurrently across cores; within one tenant
-// the correlator's own mutex keeps arrival order and every
+// across tenants but a bounded worker pool (GOMAXPROCS slots) that caps
+// cross-tenant feed parallelism. Feeds for distinct tenants run
+// concurrently across cores; within one tenant the correlator's own
+// mutex keeps arrival order and every
 // single-stream contract above intact. A TenantStream implements
 // trace.Collector, trace.DurableSink, and trace.LoadReporter, so
 // trace.Server's per-tenant hooks wire to it directly.

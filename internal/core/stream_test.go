@@ -693,7 +693,8 @@ func TestStreamCorrelatorCheckpointResetReuse(t *testing.T) {
 // degraded windows open, the reorder buffer never empty — every fed span is
 // either live or checkpointed after every Feed, and Trace returns each
 // exactly once after every fold. The stream carries malformed spans
-// (End < Begin, which ingest accepts) placed where a fold's horizon passes
+// (End < Begin: the server's HTTP ingress refuses them, Feed does not and
+// direct callers rely on that) placed where a fold's horizon passes
 // their End before the resolver has released them: one ahead of the
 // watermark, waiting in the reorder buffer, and one behind the release
 // floor, a straggler waiting for the open window to close. Retiring live

@@ -34,15 +34,6 @@ type TenantSetOptions struct {
 	// the error is surfaced through TenantStream.Err — the same
 	// keep-ingesting posture as StreamCorrelator.DurabilityErr.
 	OpenStore func(tenant string) (*segio.Store, *segio.Recovery, error)
-
-	// Workers bounds how many tenants' feeds run concurrently: each
-	// Publish/IngestLogged holds one worker slot while its correlator
-	// consumes the batch. Zero means GOMAXPROCS. Within one tenant the
-	// correlator's own mutex serializes feeds, so per-tenant arrival order
-	// (and the reorder window's meaning) is untouched; the pool only caps
-	// cross-tenant parallelism so a many-tenant burst cannot run the
-	// process out of scheduler headroom.
-	Workers int
 }
 
 // TenantSet owns one streaming correlator per tenant key, created lazily
@@ -55,7 +46,14 @@ type TenantSetOptions struct {
 // own StreamCorrelator.
 type TenantSet struct {
 	opts TenantSetOptions
-	sem  chan struct{}
+
+	// sem is the worker pool, GOMAXPROCS slots: each Publish/IngestLogged
+	// holds one while its correlator consumes the batch. Within one tenant
+	// the correlator's own mutex serializes feeds, so per-tenant arrival
+	// order (and the reorder window's meaning) is untouched; the pool only
+	// caps cross-tenant parallelism so a many-tenant burst cannot run the
+	// process out of scheduler headroom.
+	sem chan struct{}
 
 	mu      sync.RWMutex
 	streams map[string]*TenantStream
@@ -66,11 +64,7 @@ type TenantSet struct {
 // Stream call.
 func NewTenantSet(opts TenantSetOptions) *TenantSet {
 	opts.Stream.Store = nil
-	w := opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return &TenantSet{opts: opts, sem: make(chan struct{}, w)}
+	return &TenantSet{opts: opts, sem: make(chan struct{}, runtime.GOMAXPROCS(0))}
 }
 
 // TenantStream is one tenant's slice of a TenantSet: its correlator, its

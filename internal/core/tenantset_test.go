@@ -42,8 +42,6 @@ func TestTenantSetParallelFeedsMatchBatchOracle(t *testing.T) {
 	const tenants = 6
 	set := core.NewTenantSet(core.TenantSetOptions{
 		Stream: core.StreamOptions{ReorderWindow: 16, Retain: 32},
-		// Fewer slots than tenants, so the pool genuinely arbitrates.
-		Workers: 3,
 	})
 
 	loads := make([][][]*trace.Span, tenants)

@@ -1,0 +1,537 @@
+package server
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"time"
+
+	"xsp/internal/analysis"
+	"xsp/internal/core"
+	"xsp/internal/gpu"
+	"xsp/internal/segio"
+	"xsp/internal/trace"
+	"xsp/internal/vclock"
+)
+
+// Config is the server's whole configuration: one field per xsp-server
+// flag (the listen address stays with whoever listens) with the flag's
+// meaning; its help text in cmd/xsp-server is the field's reference. The
+// zero Config is not the flags' defaults: ShedPolicy must name a policy,
+// and a zero TapQueue runs the taps inline.
+type Config struct {
+	StreamCorrelate  bool          // -stream-correlate
+	DataDir          string        // -data-dir (implies StreamCorrelate)
+	ReorderWindow    time.Duration // -reorder-window
+	Retain           time.Duration // -retain
+	CorrRetain       time.Duration // -corr-retain
+	MaxWindowSpans   int           // -max-window-spans
+	MaxInflightSpans int           // -max-inflight-spans
+	MaxInflightBytes int64         // -max-inflight-bytes
+	TapQueue         int           // -tap-queue
+	ShedPolicy       string        // -shed-policy: block, drop or degrade
+	RetryAfter       time.Duration // -retry-after
+	PressureSpans    int           // -pressure-spans
+	LiveAnalysis     bool          // -live-analysis (implies StreamCorrelate)
+	GPU              string        // -gpu: a gpu.Systems name; read only with LiveAnalysis
+}
+
+// Server is the tracing server as a value: an http.Handler from New until
+// Close. See the package comment for what it serves.
+type Server struct {
+	cfg    Config
+	policy trace.ShedPolicy
+	gpu    gpu.Spec // set with LiveAnalysis, its only reader
+
+	// oneStore: where nothing can shed a batch on its way to the correlator
+	// — the synchronous durable sink, an inline tap, a blocking queue — the
+	// correlator's history is the tenant's one span store: it links the
+	// decoded spans themselves and /api/trace masks its links back out. A
+	// drop|degrade tap promises a shed batch stays in the raw store: there it
+	// stays, beside header copies the raw view's readers never race.
+	oneStore bool
+
+	ingest  *trace.Server   // /api/spans, /api/trace, and the tenants' ingest halves
+	streams *core.TenantSet // the tenants' correlators; nil unless stream mode
+	mux     *http.ServeMux
+	idle    *analysis.Online // never fed: the analyses of a tenant that does not exist
+
+	mu      sync.RWMutex
+	tenants map[string]*tenant
+	opening *tenant // the tenant open is building: the InitStream hook, under it on the same stack, reads its engine
+
+	life      sync.RWMutex  // shared by every request in flight, exclusive in Close
+	done      chan struct{} // closed when Close begins: watchers leave, new requests are refused
+	closeOnce sync.Once
+}
+
+// New builds a server from cfg and, in stream mode, opens the default
+// tenant and every tenant DataDir holds, recovering each. The only errors
+// are a ShedPolicy or GPU that names nothing; a store that will not open
+// degrades its tenant to RAM-only instead (see /api/durability).
+func New(cfg Config) (*Server, error) {
+	pol, err := trace.ParseShedPolicy(cfg.ShedPolicy)
+	if err != nil {
+		return nil, err
+	}
+	s := &Server{cfg: cfg, policy: pol, ingest: trace.NewServer(), mux: http.NewServeMux(),
+		tenants: map[string]*tenant{}, done: make(chan struct{})}
+	if cfg.LiveAnalysis {
+		if s.gpu, err = gpu.SystemByName(cfg.GPU); err != nil {
+			return nil, fmt.Errorf("unknown -gpu %q", cfg.GPU)
+		}
+		s.idle = analysis.NewOnline(analysis.OnlineOptions{Spec: s.gpu})
+		fmt.Fprintf(os.Stderr, "xsp-server: live analyses on (%s)\n", s.gpu.Name)
+	}
+	if cfg.MaxInflightSpans > 0 || cfg.MaxInflightBytes > 0 || cfg.PressureSpans > 0 {
+		s.ingest.SetAdmission(trace.AdmissionPolicy{MaxInflightBytes: cfg.MaxInflightBytes, MaxInflightSpans: cfg.MaxInflightSpans, RetryAfter: cfg.RetryAfter})
+	}
+	s.mux.Handle("/", s.ingest)
+	s.route(http.MethodGet, "/api/tenants", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, append([]string{}, s.ingest.Tenants()...)) // in creation order; never null
+	})
+	s.route(http.MethodGet, "/api/overload", s.handleOverload)
+	if !cfg.StreamCorrelate && cfg.DataDir == "" && !cfg.LiveAnalysis {
+		return s, nil
+	}
+
+	s.oneStore = cfg.DataDir != "" || cfg.TapQueue <= 0 || pol == trace.ShedBlock
+	opts := core.TenantSetOptions{Stream: core.StreamOptions{
+		ReorderWindow:  vclock.Duration(cfg.ReorderWindow),
+		Isolated:       !s.oneStore,
+		Retain:         vclock.Duration(cfg.Retain),
+		CorrRetain:     vclock.Duration(cfg.CorrRetain),
+		MaxWindowSpans: cfg.MaxWindowSpans,
+		PressureSpans:  cfg.PressureSpans,
+	}}
+	s.tenantRoute(http.MethodPost, "/api/reset", s.handleReset)
+	s.tenantRoute(http.MethodPost, "/api/checkpoint", s.handleCheckpoint)
+	s.tenantRoute(http.MethodGet, "/api/correlated", s.handleCorrelated)
+	if cfg.LiveAnalysis {
+		// The engine attaches as the stream's observer before the correlator
+		// is built — and, durable, before recovery replays the tenant's
+		// history — so a restarted server's live analyses cover everything
+		// its correlated view does.
+		opts.InitStream = func(_ string, o core.StreamOptions) core.StreamOptions {
+			o.Observer = s.opening.engine
+			return o
+		}
+		s.tenantRoute(http.MethodGet, "/api/analysis", s.handleAnalysis)
+		s.tenantRoute(http.MethodGet, "/api/analysis/", s.handleAnalysis)
+	}
+	if cfg.DataDir != "" {
+		opts.OpenStore = s.openStore
+		s.route(http.MethodGet, "/api/durability", s.handleDurability)
+	}
+	s.streams = core.NewTenantSet(opts)
+	s.ingest.SetTenantInit(s.open)
+
+	// The default tenant exists from boot — the common single-tenant
+	// deployment recovers (or starts) its stream before the first request —
+	// and so does every tenant with a directory, so no tenant's recovery
+	// waits for its first POST.
+	s.ingest.Tenant(trace.DefaultTenant)
+	if cfg.DataDir != "" {
+		entries, _ := os.ReadDir(s.dir("")) // no directory yet: no tenants yet
+		for _, e := range entries {
+			if e.IsDir() && trace.ValidateTenant(e.Name()) == nil {
+				s.ingest.Tenant(e.Name())
+			}
+		}
+	}
+	fmt.Fprintf(os.Stderr, "xsp-server: streaming correlation on (reorder window %s, retain %s)\n", cfg.ReorderWindow, cfg.Retain)
+	return s, nil
+}
+
+// dir is the on-disk layout: the default tenant's store at the DataDir
+// root, where a pre-tenant build left it, and any other under tenants/<key>
+// — so the empty key names the directory boot scans for them.
+func (s *Server) dir(key string) string {
+	if key == trace.DefaultTenant {
+		return s.cfg.DataDir
+	}
+	return filepath.Join(s.cfg.DataDir, "tenants", key)
+}
+
+// ServeHTTP implements http.Handler. After Close it answers 503.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.life.RLock()
+	defer s.life.RUnlock()
+	select {
+	case <-s.done:
+		http.Error(w, "xsp-server: closed", http.StatusServiceUnavailable)
+	default:
+		s.mux.ServeHTTP(w, r)
+	}
+}
+
+// Close ends the lifecycle: it refuses new requests, ends the analysis
+// watchers, waits for the requests in flight, and then closes every tenant
+// — its tap, draining the queue into the correlator, and then its store.
+// Every acknowledged batch is already fsynced, so there is nothing to fold
+// or rotate first: the directory is left as a crash would leave it, minus
+// the torn tail. Close is idempotent, and returns once the first call has.
+func (s *Server) Close() {
+	s.closeOnce.Do(func() {
+		close(s.done)
+		s.life.Lock()
+		defer s.life.Unlock()
+		for _, t := range s.tenants { // nothing is in flight: the table is still
+			t.close()
+		}
+	})
+}
+
+// lookup returns the named tenant only if it exists: reads never mint one.
+func (s *Server) lookup(key string) *tenant {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.tenants[trace.CanonicalTenant(key)]
+}
+
+// route registers h as pattern's handler for one method; any other is a
+// 405. (Not a "GET /api/…" pattern: beside the "/" catch-all the mux would
+// hand the wrong method to trace.Server, a 404.)
+func (s *Server) route(method, pattern string, h http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			http.Error(w, method+" required", http.StatusMethodNotAllowed)
+			return
+		}
+		h(w, r)
+	})
+}
+
+// tenantRoute is route for an endpoint that addresses one tenant (X-Tenant
+// or ?tenant=, else the default): an invalid key is a 400, and an unknown
+// one reaches h as nil — the tenant does not exist (yet), the endpoint
+// serves its empty answer, and nothing is minted for a typo.
+func (s *Server) tenantRoute(method, pattern string, h func(http.ResponseWriter, *http.Request, *tenant)) {
+	s.route(method, pattern, func(w http.ResponseWriter, r *http.Request) {
+		key, err := trace.RequestTenant(r)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		h(w, r, s.lookup(key))
+	})
+}
+
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
+// tenant is everything the server holds for one tenant key in stream mode:
+// the ingest half (collector, dedup window, admission counters), the
+// correlator with its durable store, the async tap between them (RAM mode
+// with a queue; nil otherwise) and the live-analysis engine (nil without
+// LiveAnalysis). Built once by open, immutable afterwards.
+type tenant struct {
+	ingest *trace.ServerTenant
+	stream *core.TenantStream
+	tap    *trace.AsyncTap
+	engine *analysis.Online
+}
+
+// openStore opens (or creates) one tenant's durable store in its directory.
+func (s *Server) openStore(key string) (*segio.Store, *segio.Recovery, error) {
+	fs, err := segio.DirFS(s.dir(key)) // creates the directory
+	if err != nil {
+		return nil, nil, err
+	}
+	return segio.Open(fs, segio.Options{})
+}
+
+// open is trace.Server's tenant-init hook, run once per key under that
+// server's table lock before any request can reach the tenant: it opens
+// (durable: recovers) the tenant's stream and wires it to the ingest half —
+// as load reporter, and as durable sink (recovered dedup ids seeded first)
+// or behind the tap.
+func (s *Server) open(tn *trace.ServerTenant) {
+	t := &tenant{ingest: tn}
+	if s.cfg.LiveAnalysis {
+		t.engine = analysis.NewOnline(analysis.OnlineOptions{Spec: s.gpu})
+	}
+	s.opening = t
+	st, _ := s.streams.Stream(tn.Key()) // the only error is an invalid key, and trace.Server validated it
+	t.stream = st
+	tn.SetLoad(st)
+	switch {
+	case s.cfg.DataDir != "":
+		if err := st.Err(); err != nil {
+			fmt.Fprintf(os.Stderr, "xsp-server: tenant %s degraded to RAM-only: %v\n", tn.Key(), err)
+		}
+		if rec := st.Recovery(); rec != nil {
+			// The recovered dedup window makes client retries of pre-crash
+			// acked batches duplicate-ack instead of double-publish.
+			tn.SeedBatches(rec.DedupIDs)
+			fmt.Fprintf(os.Stderr, "xsp-server: tenant %s recovered %d segment(s), %d live batch record(s), %d dedup id(s)\n",
+				tn.Key(), len(rec.Segments), len(rec.Batches), len(rec.DedupIDs))
+		}
+		// Batches reach the correlator synchronously at the ack barrier (WAL
+		// fsync before the 202), replacing the tap.
+		tn.SetDurable(st)
+	case s.cfg.TapQueue > 0:
+		t.tap = tn.SetTapAsync(st, trace.TapOptions{Queue: s.cfg.TapQueue, Policy: s.policy})
+	default:
+		tn.SetTap(st)
+	}
+	if s.oneStore {
+		tn.SetHistory(func() *trace.Trace {
+			t.settle() // a batch whose 202 has returned is in the view
+			return st.Correlator().SnapshotRaw()
+		})
+	}
+	s.mu.Lock()
+	s.tenants[tn.Key()] = t
+	s.mu.Unlock()
+}
+
+// settle waits until every batch acknowledged so far has reached the
+// correlator — the step in front of anything that reads or clears it.
+func (t *tenant) settle() {
+	if t.tap != nil {
+		t.tap.Flush()
+	}
+}
+
+// flush settles and then finalizes the correlator's pending work (buffered
+// reordered arrivals, device-only executions, stragglers) exactly as a
+// batch correlation would: what ?flush=1 asks for.
+func (t *tenant) flush() {
+	t.settle()
+	t.stream.Correlator().Flush()
+}
+
+// reset clears both sides of the tap, or the correlated view would keep
+// serving (and mis-parenting against) spans from a run the collector no
+// longer holds — and the durable state with them. Queued batches drain
+// first, so none lands in a reset correlator; the engine goes last, so none
+// lands in a reset engine.
+func (t *tenant) reset() {
+	t.ingest.Reset()
+	t.settle()
+	t.stream.Correlator().Reset()
+	if t.engine != nil {
+		t.engine.Reset()
+	}
+}
+
+// close drains the tap into the correlator and stops its worker, then
+// releases the store's WAL handle. Every record behind that handle was
+// synced before its batch was acknowledged, so an error here loses nothing.
+func (t *tenant) close() {
+	if t.tap != nil {
+		t.tap.Close()
+	}
+	if store := t.stream.Store(); store != nil {
+		if err := store.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "xsp-server: tenant %s: closing the store: %v\n", t.stream.Key(), err)
+		}
+	}
+}
+
+// GET /api/overload: the admission, tap and pressure counters, per tenant.
+func (s *Server) handleOverload(w http.ResponseWriter, _ *http.Request) {
+	type tenantView struct {
+		Admission trace.OverloadStats  `json:"admission"`
+		Tap       *trace.AsyncTapStats `json:"tap,omitempty"`
+		Pressure  string               `json:"pressure,omitempty"`
+		Load      *core.Load           `json:"load,omitempty"`
+	}
+	type overloadView struct {
+		Admission trace.OverloadStats   `json:"admission"`
+		Tenants   map[string]tenantView `json:"tenants,omitempty"`
+	}
+	v := overloadView{Admission: s.ingest.OverloadStats(), Tenants: map[string]tenantView{}}
+	s.ingest.EachTenant(func(tn *trace.ServerTenant) {
+		tv := tenantView{Admission: tn.OverloadStats()}
+		if t := s.lookup(tn.Key()); t != nil {
+			if t.tap != nil {
+				st := t.tap.Stats()
+				tv.Tap = &st
+			}
+			sc := t.stream.Correlator()
+			tv.Pressure = sc.Pressure().String()
+			l := sc.Load()
+			tv.Load = &l
+		}
+		v.Tenants[tn.Key()] = tv
+	})
+	writeJSON(w, v)
+}
+
+// GET /api/durability: every tenant's directory, store stats, latched
+// error and what its last recovery found.
+func (s *Server) handleDurability(w http.ResponseWriter, _ *http.Request) {
+	type recoveryView struct {
+		Segments           int      `json:"segments"`
+		BatchRecords       int      `json:"batch_records"`
+		DedupIDs           int      `json:"dedup_ids"`
+		Quarantined        []string `json:"quarantined,omitempty"`
+		SupersededSegments int      `json:"superseded_segments,omitempty"`
+		WALTruncatedBytes  int64    `json:"wal_truncated_bytes,omitempty"`
+	}
+	type tenantView struct {
+		Dir      string        `json:"dir"`
+		Store    *segio.Stats  `json:"store,omitempty"`
+		Err      string        `json:"err,omitempty"`
+		Recovery *recoveryView `json:"recovery,omitempty"`
+	}
+	type durabilityView struct {
+		Dir     string                `json:"dir"`
+		Tenants map[string]tenantView `json:"tenants"`
+	}
+	v := durabilityView{Dir: s.cfg.DataDir, Tenants: map[string]tenantView{}}
+	s.streams.Each(func(st *core.TenantStream) {
+		tv := tenantView{Dir: s.dir(st.Key())}
+		if store := st.Store(); store != nil {
+			stats := store.Stats()
+			tv.Store = &stats
+		}
+		if rec := st.Recovery(); rec != nil {
+			tv.Recovery = &recoveryView{len(rec.Segments), len(rec.Batches), len(rec.DedupIDs), rec.Quarantined, rec.SupersededSegments, rec.WALTruncatedBytes}
+		}
+		if err := st.Err(); err != nil {
+			tv.Err = err.Error()
+		} else if err := st.Correlator().DurabilityErr(); err != nil {
+			tv.Err = err.Error()
+		}
+		v.Tenants[st.Key()] = tv
+	})
+	writeJSON(w, v)
+}
+
+// POST /api/reset clears the addressed tenant — collector, dedup window,
+// correlator, durable state, analyses — and only that tenant. One that does
+// not exist is already empty.
+func (s *Server) handleReset(w http.ResponseWriter, _ *http.Request, t *tenant) {
+	if t != nil {
+		t.reset()
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// POST /api/checkpoint folds finalized history past the retain window into
+// a checkpoint segment on demand.
+func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request, t *tenant) {
+	folded := 0
+	if t != nil {
+		folded = t.stream.Correlator().Checkpoint()
+	}
+	writeJSON(w, map[string]int{"folded": folded})
+}
+
+// GET /api/correlated: the tenant's trace with parents resolved, settled
+// first when ?flush= asks, under the correlator's counters as headers.
+func (s *Server) handleCorrelated(w http.ResponseWriter, r *http.Request, t *tenant) {
+	snap := &trace.Trace{}
+	if t != nil {
+		if r.URL.Query().Get("flush") != "" {
+			t.flush()
+		}
+		sc := t.stream.Correlator()
+		st := sc.Stats()
+		set := func(name string, v int) { w.Header().Set("X-Stream-"+name, fmt.Sprint(v)) }
+		set("Released", st.Released)
+		set("Pending", st.Buffered+st.PendingExecs)
+		set("Stragglers", st.Stragglers)
+		set("Degraded-Windows", st.DegradedWindows)
+		set("Windows-Chained", st.WindowsChained)
+		set("Repaired", st.Repaired)
+		set("Live", st.Live)
+		set("Checkpointed", st.Checkpointed)
+		set("Segments", st.Segments)
+		set("Compactions", st.Compactions)
+		set("Reopens", st.Reopens)
+		set("Corr-Entries", st.CorrEntries)
+		set("Corr-Evicted", st.CorrEvicted)
+		snap = sc.SnapshotTrace()
+		snap.Tenant = t.stream.Key()
+	}
+	trace.WriteTrace(w, r, snap)
+}
+
+// analysisViews are the snapshots /api/analysis[/view] serves; the combined
+// one returns all four under one lock acquisition.
+var analysisViews = map[string]func(*analysis.Online) any{
+	"":           func(e *analysis.Online) any { return e.Snapshot() },
+	"layers":     func(e *analysis.Online) any { return e.LayersSnapshot() },
+	"launchgaps": func(e *analysis.Online) any { return e.LaunchGapsSnapshot() },
+	"memcpy":     func(e *analysis.Online) any { return e.MemcpySnapshot() },
+	"roofline":   func(e *analysis.Online) any { return e.RooflineSnapshot() },
+}
+
+// GET /api/analysis[/view]: the tenant's live analyses as JSON, or — with
+// Accept: text/event-stream or ?watch= — as a stream of them.
+func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request, t *tenant) {
+	view, ok := analysisViews[strings.Trim(strings.TrimPrefix(r.URL.Path, "/api/analysis"), "/")]
+	if !ok {
+		http.Error(w, "unknown analysis view", http.StatusNotFound)
+		return
+	}
+	eng := s.idle
+	if t != nil {
+		eng = t.engine
+		if r.URL.Query().Get("flush") != "" {
+			t.flush() // pending correlator work reaches the analyses, like /api/correlated
+		}
+	}
+	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") || r.URL.Query().Get("watch") != "" {
+		s.watch(w, r, func() any { return view(eng) })
+		return
+	}
+	w.Header().Set("X-Analysis-Spans", fmt.Sprint(eng.SpansObserved()))
+	w.Header().Set("X-Analysis-GPU", s.gpu.Name)
+	writeJSON(w, view(eng))
+}
+
+// watch serves snapshot as server-sent events, one per ?interval= (default
+// 1s): always the current totals, so a consumer that connects mid-ingest
+// converges without replaying history. It ends with the request's context
+// (the client left, or the listener's base context was cancelled) or when
+// Close begins — it never holds a shutdown open.
+func (s *Server) watch(w http.ResponseWriter, r *http.Request, snapshot func() any) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
+		return
+	}
+	interval := time.Second
+	if iv := r.URL.Query().Get("interval"); iv != "" {
+		d, err := time.ParseDuration(iv)
+		if err != nil || d <= 0 {
+			http.Error(w, "bad interval", http.StatusBadRequest)
+			return
+		}
+		interval = d
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	enc := json.NewEncoder(w)
+	for {
+		fmt.Fprintf(w, "event: analysis\ndata: ")
+		if err := enc.Encode(snapshot()); err != nil {
+			return
+		}
+		fmt.Fprint(w, "\n")
+		fl.Flush()
+		select {
+		case <-r.Context().Done():
+			return
+		case <-s.done:
+			return
+		case <-tick.C:
+		}
+	}
+}

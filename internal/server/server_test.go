@@ -1,0 +1,538 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime/pprof"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"xsp/internal/gpu"
+	"xsp/internal/trace"
+	"xsp/internal/workload"
+)
+
+// testConfig is cmd/xsp-server's flag defaults with the window and retain
+// bound sized to the synthetic workloads' clock (a few thousand ticks), so
+// streams fold, straggle and reopen while a test runs.
+func testConfig(dataDir string) Config {
+	return Config{
+		DataDir: dataDir, StreamCorrelate: true, LiveAnalysis: true, GPU: gpu.TeslaV100.Name,
+		ReorderWindow: 64, Retain: 512, TapQueue: trace.DefaultTapQueue, ShedPolicy: "block", RetryAfter: time.Second,
+	}
+}
+
+func newServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
+// arrivals is a pipelined stream in arrival order: bounded reordering, and
+// one window of spans withheld to the last batch, behind the release point.
+func arrivals(seed int64, spans int) [][]*trace.Span {
+	return workload.StreamingArrivals(workload.StreamingSpec{
+		Trace:     workload.SyntheticSpec{Spans: spans, Streams: 3, Seed: seed},
+		BatchSize: 128, ReorderSkew: 12, StragglerWindow: 32, Seed: seed + 1,
+	})
+}
+
+// do serves one request straight through the handler.
+func do(s http.Handler, method, target, tenant string, hdr map[string]string, body []byte) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(method, target, bytes.NewReader(body))
+	if tenant != "" {
+		req.Header.Set(trace.TenantHeader, tenant)
+	}
+	for k, v := range hdr {
+		req.Header.Set(k, v)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	return rec
+}
+
+// post ships one binary batch under a batch id.
+func post(s http.Handler, tenant string, id uint64, spans []*trace.Span) *httptest.ResponseRecorder {
+	return do(s, http.MethodPost, "/api/spans", tenant, map[string]string{
+		"Content-Type": trace.ContentTypeBinary,
+		"X-Batch-Id":   strconv.FormatUint(id, 16),
+	}, trace.AppendBinaryFrameTenant(nil, tenant, spans))
+}
+
+func get(t *testing.T, s http.Handler, target, tenant string) []byte {
+	t.Helper()
+	rec := do(s, http.MethodGet, target, tenant, nil, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s (tenant %q): %d %s", target, tenant, rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+// durabilityView is the part of /api/durability the lifecycle tests read.
+type durabilityView struct {
+	Tenants map[string]struct {
+		Dir      string `json:"dir"`
+		Err      string `json:"err"`
+		Recovery *struct {
+			DedupIDs          int      `json:"dedup_ids"`
+			Quarantined       []string `json:"quarantined"`
+			WALTruncatedBytes int64    `json:"wal_truncated_bytes"`
+		} `json:"recovery"`
+	} `json:"tenants"`
+}
+
+func durability(t *testing.T, s http.Handler) durabilityView {
+	t.Helper()
+	var v durabilityView
+	if err := json.Unmarshal(get(t, s, "/api/durability", ""), &v); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// Lifecycle (a): a durable server that was closed comes back byte for byte.
+// Both views of both tenants are the same before Close and after New over
+// the same directory, an acknowledged batch id is still a duplicate, and
+// recovery found a clean directory — nothing quarantined, no torn WAL tail:
+// Close leaves what a crash would, minus the tear.
+func TestDurableCloseReopenIsByteIdentical(t *testing.T) {
+	cfg := testConfig(t.TempDir())
+	s := newServer(t, cfg)
+	tenants := []string{"", "acme"}
+	streams := [][][]*trace.Span{arrivals(61, 6_000), arrivals(63, 4_000)}
+	for k, tenant := range tenants {
+		for i, b := range streams[k] {
+			if rec := post(s, tenant, uint64(i+1), b); rec.Code != http.StatusAccepted {
+				t.Fatalf("tenant %q batch %d: %d %s", tenant, i+1, rec.Code, rec.Body)
+			}
+		}
+	}
+	views := []string{"/api/trace", "/api/correlated?flush=1"}
+	before := map[string][]byte{}
+	for _, tenant := range tenants {
+		for _, v := range views {
+			before[tenant+v] = get(t, s, v, tenant)
+		}
+	}
+	s.Close()
+	s.Close() // idempotent
+	if rec := post(s, "", 1<<40, streams[0][0]); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("POST to a closed server: %d, want 503", rec.Code)
+	}
+
+	s = newServer(t, cfg)
+	for k, tenant := range tenants {
+		for _, v := range views {
+			if after := get(t, s, v, tenant); !bytes.Equal(after, before[tenant+v]) {
+				t.Errorf("tenant %q %s: %d bytes after reopen, %d before Close, and they differ", tenant, v, len(after), len(before[tenant+v]))
+			}
+		}
+		rec := post(s, tenant, 1, streams[k][0])
+		if rec.Code != http.StatusAccepted || rec.Header().Get("X-Duplicate-Batch") == "" {
+			t.Errorf("tenant %q: re-post of acknowledged batch 1 after reopen: %d, X-Duplicate-Batch %q", tenant, rec.Code, rec.Header().Get("X-Duplicate-Batch"))
+		}
+	}
+	dur := durability(t, s)
+	for _, key := range []string{"default", "acme"} {
+		d, ok := dur.Tenants[key]
+		if !ok || d.Err != "" || d.Recovery == nil {
+			t.Fatalf("tenant %s durability after reopen: present %v, err %q, recovery %v", key, ok, d.Err, d.Recovery)
+		}
+		if len(d.Recovery.Quarantined) != 0 || d.Recovery.WALTruncatedBytes != 0 || d.Recovery.DedupIDs == 0 {
+			t.Errorf("tenant %s recovered from a closed directory with quarantined %v, %d torn WAL bytes, %d dedup ids",
+				key, d.Recovery.Quarantined, d.Recovery.WALTruncatedBytes, d.Recovery.DedupIDs)
+		}
+	}
+}
+
+// Lifecycle (b): Close on a RAM server drains what its tap still holds into
+// the correlator, and the tap's worker goroutine is gone when it returns.
+func TestCloseDrainsTheTap(t *testing.T) {
+	cfg := testConfig("")
+	s := newServer(t, cfg)
+	batches := arrivals(71, 60_000)
+	total := 0
+	var wg sync.WaitGroup
+	for p := 0; p < 4; p++ { // four publishers against one tap worker: a queue builds
+		for i := p; i < len(batches); i += 4 {
+			total += len(batches[i])
+		}
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := p; i < len(batches); i += 4 {
+				if rec := post(s, "", uint64(i+1), batches[i]); rec.Code != http.StatusAccepted {
+					t.Errorf("batch %d: %d %s", i+1, rec.Code, rec.Body)
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	tn := s.lookup("")
+	t.Logf("tap depth at Close: %d spans (high-water %d)", tn.tap.Depth(), tn.tap.Stats().MaxDepth)
+	s.Close()
+
+	st := tn.tap.Stats()
+	if st.Enqueued != int64(total) || st.Forwarded != st.Enqueued || st.Depth != 0 {
+		t.Errorf("after Close the tap has enqueued %d, forwarded %d, holds %d; %d spans were acknowledged", st.Enqueued, st.Forwarded, st.Depth, total)
+	}
+	if fed := tn.stream.Correlator().Stats().Fed; fed != total {
+		t.Errorf("the correlator was fed %d spans, %d were acknowledged", fed, total)
+	}
+	var stacks bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&stacks, 1); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(stacks.String(), "(*AsyncTap).run") {
+		t.Errorf("a tap worker is still running after Close:\n%s", stacks.String())
+	}
+}
+
+// Lifecycle (c): Close racing publishers. Whatever got its 202 is in the
+// reopened server, and nothing else is: a request is either finished before
+// the tenants close or refused.
+func TestCloseRacingPostsKeepsEveryAck(t *testing.T) {
+	cfg := testConfig(t.TempDir())
+	s := newServer(t, cfg)
+	batches := arrivals(81, 40_000)
+	var (
+		wg       sync.WaitGroup
+		acked    = make([]atomic.Bool, len(batches))
+		answered atomic.Int64
+	)
+	for p := 0; p < 4; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := p; i < len(batches); i += 4 {
+				rec := post(s, "", uint64(i+1), batches[i])
+				acked[i].Store(rec.Code == http.StatusAccepted)
+				answered.Add(1)
+			}
+		}(p)
+	}
+	for answered.Load() < int64(len(batches)/3) { // Close lands mid-stream
+		time.Sleep(100 * time.Microsecond)
+	}
+	s.Close()
+	wg.Wait()
+
+	want := map[uint64]bool{}
+	refused := 0
+	for i, b := range batches {
+		if !acked[i].Load() {
+			refused++
+			continue
+		}
+		for _, sp := range b {
+			want[sp.ID] = true
+		}
+	}
+	if refused == 0 || refused == len(batches) {
+		t.Fatalf("Close did not land mid-stream: %d of %d batches refused", refused, len(batches))
+	}
+	s = newServer(t, cfg)
+	got, err := trace.DecodeJSON(bytes.NewReader(get(t, s, "/api/trace", "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range got.Spans {
+		if !want[sp.ID] {
+			t.Fatalf("span %d is in the reopened server; its batch was never acknowledged", sp.ID)
+		}
+		delete(want, sp.ID)
+	}
+	if len(want) != 0 {
+		t.Fatalf("%d acknowledged spans are missing from the reopened server (%d batches refused of %d)", len(want), refused, len(batches))
+	}
+}
+
+// Close ends an analysis watcher that is still connected instead of waiting
+// for its client to leave.
+func TestCloseEndsWatchers(t *testing.T) {
+	s := newServer(t, testConfig(""))
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/api/analysis?watch=1&interval=5ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() && !strings.HasPrefix(sc.Text(), "data: ") {
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close is still waiting for a connected watcher after 10s")
+	}
+	for sc.Scan() { // the stream ends; the client did not end it
+	}
+}
+
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = old }()
+	fn()
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+func jsonKeys(t *testing.T, body []byte, path ...string) []string {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatalf("%v in %s", err, body)
+	}
+	for _, p := range path {
+		m, ok := v.(map[string]any)
+		if !ok || m[p] == nil {
+			t.Fatalf("no %q under %v in %s", p, path, body)
+		}
+		v = m[p]
+	}
+	m, ok := v.(map[string]any)
+	if !ok {
+		t.Fatalf("%v is not an object in %s", path, body)
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// TestExternalContract pins what clients and supervisors of xsp-server see,
+// over an in-process durable server with live analyses: status codes,
+// headers, JSON keys, stderr wording and the directory layout.
+func TestExternalContract(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := testConfig(dataDir)
+	var s *Server
+	boot := captureStderr(t, func() { s = newServer(t, cfg) })
+	for _, line := range []string{
+		"xsp-server: live analyses on (Tesla_V100)\n",
+		"xsp-server: tenant default recovered 0 segment(s), 0 live batch record(s), 0 dedup id(s)\n",
+		"xsp-server: streaming correlation on (reorder window 64ns, retain 512ns)\n",
+	} {
+		if !strings.Contains(boot, line) {
+			t.Errorf("boot stderr lacks %q:\n%s", line, boot)
+		}
+	}
+	for i, b := range arrivals(91, 3_000) {
+		for _, tenant := range []string{"", "acme"} {
+			if rec := post(s, tenant, uint64(i+1), b); rec.Code != http.StatusAccepted {
+				t.Fatalf("tenant %q batch %d: %d %s", tenant, i+1, rec.Code, rec.Body)
+			}
+		}
+	}
+
+	endpoints := []struct {
+		path, method string
+		addressed    bool // resolves a tenant: 400 on a bad key, empty answer for an unknown one
+		empty        string
+	}{
+		{"/api/spans", http.MethodPost, false, ""},
+		{"/api/trace", http.MethodGet, true, "{\n \"tenant\": \"ghost\",\n \"spans\": []\n}\n"},
+		{"/api/tenants", http.MethodGet, false, ""},
+		{"/api/overload", http.MethodGet, false, ""},
+		{"/api/durability", http.MethodGet, false, ""},
+		{"/api/reset", http.MethodPost, true, ""},
+		{"/api/checkpoint", http.MethodPost, true, "{\"folded\":0}\n"},
+		{"/api/correlated", http.MethodGet, true, "[]\n"},
+		{"/api/analysis", http.MethodGet, true, string(get(t, newServer(t, testConfig("")), "/api/analysis", ""))},
+		{"/api/analysis/layers", http.MethodGet, true, ""},
+		{"/api/analysis/launchgaps", http.MethodGet, true, ""},
+		{"/api/analysis/memcpy", http.MethodGet, true, ""},
+		{"/api/analysis/roofline", http.MethodGet, true, ""},
+	}
+	tenantsBefore := string(get(t, s, "/api/tenants", ""))
+	if tenantsBefore != "[\"default\",\"acme\"]\n" {
+		t.Errorf("/api/tenants: %q", tenantsBefore)
+	}
+	for _, e := range endpoints {
+		wrong := http.MethodGet
+		if e.method == http.MethodGet {
+			wrong = http.MethodPost
+		}
+		for _, m := range []string{wrong, http.MethodDelete} {
+			if rec := do(s, m, e.path, "", nil, nil); rec.Code != http.StatusMethodNotAllowed || rec.Body.String() != e.method+" required\n" {
+				t.Errorf("%s %s: %d %q, want 405 %q", m, e.path, rec.Code, rec.Body, e.method+" required")
+			}
+		}
+		if !e.addressed {
+			continue
+		}
+		for _, bad := range []string{".hidden", "a/b", strings.Repeat("x", 65)} {
+			if rec := do(s, e.method, e.path+"?tenant="+bad, "", nil, nil); rec.Code != http.StatusBadRequest {
+				t.Errorf("%s %s for tenant %q: %d, want 400", e.method, e.path, bad, rec.Code)
+			}
+		}
+		rec := do(s, e.method, e.path, "ghost", nil, nil)
+		if rec.Code/100 != 2 || (e.empty != "" && rec.Body.String() != e.empty) {
+			t.Errorf("%s %s for an unknown tenant: %d %q, want the empty answer %q", e.method, e.path, rec.Code, rec.Body, e.empty)
+		}
+		if h := rec.Header(); h.Get("X-Stream-Released") != "" || (h.Get("X-Analysis-Spans") != "" && h.Get("X-Analysis-Spans") != "0") {
+			t.Errorf("%s %s for an unknown tenant carries a live tenant's headers: %v", e.method, e.path, h)
+		}
+	}
+	if after := string(get(t, s, "/api/tenants", "")); after != tenantsBefore {
+		t.Errorf("reads of an unknown tenant minted it: /api/tenants %q, was %q", after, tenantsBefore)
+	}
+	if rec := do(s, http.MethodGet, "/api/analysis/bogus", "", nil, nil); rec.Code != http.StatusNotFound {
+		t.Errorf("GET /api/analysis/bogus: %d, want 404", rec.Code)
+	}
+
+	rec := do(s, http.MethodGet, "/api/correlated?flush=1", "acme", map[string]string{"Accept": trace.ContentTypeBinary}, nil)
+	for _, name := range []string{"Released", "Pending", "Stragglers", "Degraded-Windows", "Windows-Chained", "Repaired", "Live",
+		"Checkpointed", "Segments", "Compactions", "Reopens", "Corr-Entries", "Corr-Evicted"} {
+		if _, err := strconv.Atoi(rec.Header().Get("X-Stream-" + name)); err != nil {
+			t.Errorf("/api/correlated X-Stream-%s: %q", name, rec.Header().Get("X-Stream-"+name))
+		}
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != trace.ContentTypeBinary {
+		t.Errorf("/api/correlated with Accept: %s answered %s", trace.ContentTypeBinary, ct)
+	}
+	if tr, err := trace.DecodeBinary(rec.Body); err != nil || tr.Tenant != "acme" || len(tr.Spans) == 0 {
+		t.Errorf("/api/correlated binary body: %v, %+v", err, tr)
+	}
+	if ct := do(s, http.MethodGet, "/api/correlated", "acme", nil, nil).Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("/api/correlated without Accept answered %s", ct)
+	}
+
+	rec = do(s, http.MethodGet, "/api/analysis/roofline?flush=1", "acme", nil, nil)
+	if n, err := strconv.Atoi(rec.Header().Get("X-Analysis-Spans")); err != nil || n == 0 || rec.Header().Get("X-Analysis-GPU") != "Tesla_V100" {
+		t.Errorf("/api/analysis headers: X-Analysis-Spans %q, X-Analysis-GPU %q", rec.Header().Get("X-Analysis-Spans"), rec.Header().Get("X-Analysis-GPU"))
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/api/analysis/layers?watch=1&interval=5ms&tenant=acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Errorf("SSE content type %q", ct)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 1<<20)
+	var lines []string
+	for len(lines) < 6 && sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	resp.Body.Close()
+	if len(lines) != 6 || lines[0] != "event: analysis" || !strings.HasPrefix(lines[1], "data: {") || lines[2] != "" || lines[3] != lines[0] {
+		t.Errorf("SSE framing: %q", lines)
+	}
+	if rec := do(s, http.MethodGet, "/api/analysis?watch=1&interval=soon", "", nil, nil); rec.Code != http.StatusBadRequest {
+		t.Errorf("bad SSE interval: %d, want 400", rec.Code)
+	}
+
+	overload := get(t, s, "/api/overload", "")
+	if got := jsonKeys(t, overload); fmt.Sprint(got) != "[admission tenants]" {
+		t.Errorf("/api/overload keys %v", got)
+	}
+	if got := jsonKeys(t, overload, "admission"); fmt.Sprint(got) != "[InflightBytes InflightSpans ShedRequests ShedSpans TapDepth]" {
+		t.Errorf("/api/overload admission keys %v", got)
+	}
+	if got := jsonKeys(t, overload, "tenants", "acme"); fmt.Sprint(got) != "[admission load pressure]" {
+		t.Errorf("/api/overload tenant keys %v (durable: no tap)", got)
+	}
+	ram := newServer(t, testConfig(""))
+	post(ram, "", 1, arrivals(93, 300)[0])
+	if got := jsonKeys(t, get(t, ram, "/api/overload", ""), "tenants", "default"); fmt.Sprint(got) != "[admission load pressure tap]" {
+		t.Errorf("/api/overload tenant keys %v (RAM: tap)", got)
+	}
+	if rec := do(ram, http.MethodGet, "/api/durability", "", nil, nil); rec.Code != http.StatusNotFound {
+		t.Errorf("/api/durability without a data dir: %d, want 404", rec.Code)
+	}
+	dur := get(t, s, "/api/durability", "")
+	if got := jsonKeys(t, dur); fmt.Sprint(got) != "[dir tenants]" {
+		t.Errorf("/api/durability keys %v", got)
+	}
+	if got := jsonKeys(t, dur, "tenants", "acme"); fmt.Sprint(got) != "[dir recovery store]" {
+		t.Errorf("/api/durability tenant keys %v", got)
+	}
+	if got := jsonKeys(t, dur, "tenants", "acme", "recovery"); fmt.Sprint(got) != "[batch_records dedup_ids segments]" {
+		t.Errorf("/api/durability recovery keys %v", got)
+	}
+	if got := jsonKeys(t, dur, "tenants", "acme", "store"); fmt.Sprint(got) != "[DedupIDs SegmentBytes Segments WALBytes WALRecords]" {
+		t.Errorf("/api/durability store keys %v", got)
+	}
+
+	// The layout: the default tenant at the root, any other under tenants/.
+	view := durability(t, s)
+	for key, dir := range map[string]string{"default": dataDir, "acme": filepath.Join(dataDir, "tenants", "acme")} {
+		if view.Tenants[key].Dir != dir {
+			t.Errorf("tenant %s reports dir %q, want %q", key, view.Tenants[key].Dir, dir)
+		}
+		if wals, _ := filepath.Glob(filepath.Join(dir, "wal-*.wal")); len(wals) != 1 {
+			t.Errorf("tenant %s: WAL files in %s: %v", key, dir, wals)
+		}
+	}
+
+	// Reset answers 204 and empties exactly its tenant, durably.
+	if rec := do(s, http.MethodPost, "/api/reset", "acme", nil, nil); rec.Code != http.StatusNoContent {
+		t.Errorf("POST /api/reset: %d", rec.Code)
+	}
+	if got := string(get(t, s, "/api/correlated?flush=1", "acme")); got != "{\n \"tenant\": \"acme\",\n \"spans\": []\n}\n" {
+		t.Errorf("acme after its reset: %q", got)
+	}
+	if got, err := trace.DecodeJSON(bytes.NewReader(get(t, s, "/api/trace", ""))); err != nil || len(got.Spans) == 0 {
+		t.Errorf("default tenant after acme's reset: %v, %d spans", err, len(got.Spans))
+	}
+
+	// A tenant whose store cannot open degrades to RAM-only, and says so.
+	blocked := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocked, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var degraded *Server
+	boot = captureStderr(t, func() { degraded = newServer(t, testConfig(blocked)) })
+	if !strings.Contains(boot, "xsp-server: tenant default degraded to RAM-only: ") {
+		t.Errorf("boot stderr of a server over an unusable data dir:\n%s", boot)
+	}
+	if rec := post(degraded, "", 1, arrivals(95, 300)[0]); rec.Code != http.StatusAccepted {
+		t.Errorf("POST to the degraded tenant: %d %s", rec.Code, rec.Body)
+	}
+	if d := durability(t, degraded).Tenants["default"]; d.Err == "" {
+		t.Errorf("/api/durability does not report the degraded tenant's error")
+	}
+
+	// What New refuses: the two names that can be wrong.
+	for _, bad := range []Config{{ShedPolicy: "sometimes"}, {ShedPolicy: "block", LiveAnalysis: true, GPU: "Voodoo2"}} {
+		if _, err := New(bad); err == nil {
+			t.Errorf("New(%+v) succeeded", bad)
+		}
+	}
+}

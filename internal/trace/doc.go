@@ -207,6 +207,22 @@
 // here), so wire, WAL, and segment bytes share one codec and one fuzzer
 // ([ErrBadFrame] on any corruption, never a partial decode). Content
 // negotiation — [ContentTypeBinary] vs [ContentTypeJSON] on POST,
-// [AcceptsBinary] on GET, the HTTPCollector's 415-latched JSON fallback
-// — keeps pre-binary clients and servers interoperable.
+// [AcceptsBinary] on GET ([WriteTrace] is the one reply every
+// trace-serving endpoint gives), the HTTPCollector's 415-latched JSON
+// fallback — keeps pre-binary clients and servers interoperable.
+//
+// # Ingress validation
+//
+// One rule is checked on the decoded spans of a POST, whichever encoding
+// carried them: a span must not end before it begins. [Server] refuses a
+// batch holding any span with End < Begin whole — 400 naming the first
+// such span (its position in begin order, and its id), nothing published,
+// tapped or logged, the batch claim and admission reservations released
+// exactly as on a decode failure, so the corrected batch lands under the
+// same id. End == Begin, a zero-length event, is valid. Consumers fed
+// directly (a tap attached to a [Memory], core.StreamCorrelator.Feed) are
+// not behind this check and keep tolerating such spans.
+// FuzzHandleSpans holds the handler to the rest of the ingress contract
+// under arbitrary methods, headers, declared lengths and bodies: no
+// panic, no partial publish, no leaked batch claim or reservation.
 package trace

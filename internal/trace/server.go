@@ -665,6 +665,14 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	// Ingress validation: a span that ends before it begins refuses its
+	// whole batch the same way (End == Begin, a zero-length event, is
+	// valid). The index counts in begin order, the order decoding leaves.
+	if i := slices.IndexFunc(t.Spans, func(sp *Span) bool { return sp.End < sp.Begin }); i >= 0 {
+		http.Error(w, fmt.Sprintf("trace: span %d of the batch (id %d) ends before it begins: end_ns %d < begin_ns %d",
+			i, t.Spans[i].ID, t.Spans[i].End, t.Spans[i].Begin), http.StatusBadRequest)
+		return
+	}
 	if wire := t.Tenant; wire != "" {
 		if explicit != "" {
 			// Both the request and the batch name a tenant: they must
@@ -866,15 +874,20 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if tn := s.lookupTenant(key); tn != nil {
 		tr = tn.Trace()
 	}
+	WriteTrace(w, r, tr)
+}
+
+// WriteTrace answers a GET with tr in the encoding the request's Accept
+// header negotiates (AcceptsBinary: binary when listed, JSON otherwise) —
+// the one reply every trace-serving endpoint gives, /api/trace here and a
+// profiling server's /api/correlated alike.
+func WriteTrace(w http.ResponseWriter, r *http.Request, tr *Trace) {
+	encode, contentType := tr.EncodeJSON, ContentTypeJSON
 	if AcceptsBinary(r.Header.Get("Accept")) {
-		w.Header().Set("Content-Type", ContentTypeBinary)
-		if err := tr.EncodeBinary(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
+		encode, contentType = tr.EncodeBinary, ContentTypeBinary
 	}
-	w.Header().Set("Content-Type", ContentTypeJSON)
-	if err := tr.EncodeJSON(w); err != nil {
+	w.Header().Set("Content-Type", contentType)
+	if err := encode(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
