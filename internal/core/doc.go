@@ -33,7 +33,7 @@
 // [StreamCorrelator] is the online counterpart of Correlate for
 // correlate-as-you-ingest: it consumes spans in arrival order (Feed, or
 // Publish as a trace.Collector tap — trace.Memory.SetTap covers every
-// in-process publisher, trace.Server.SetTap rides it for the HTTP path,
+// in-process publisher, trace.ServerTenant.SetTap rides it for the HTTP path,
 // and Session/Application runs attach one through Options.Tap or
 // Application.SetTap) and maintains the same per-level active-ancestor
 // stacks incrementally, so launch and synchronous spans resolve the
@@ -90,7 +90,7 @@
 // StreamOptions.PressureSpans gives the live resolver state a soft
 // budget: [StreamCorrelator.Pressure] reports nominal below half of it,
 // elevated past half, and overloaded at the budget — the
-// trace.LoadReporter contract trace.Server.SetLoad consumes, so HTTP
+// trace.LoadReporter contract trace.ServerTenant.SetLoad consumes, so HTTP
 // ingest sheds (429 + Retry-After) exactly when the component whose
 // memory actually grows says it is full — and [StreamCorrelator.Load]
 // itemizes where the live state sits (buffered reorder window, pending
@@ -107,23 +107,24 @@
 //
 // # Multi-tenant correlation
 //
-// [TenantSet] shards the streaming pipeline by tenant: one lazily
-// created [TenantStream] — its own StreamCorrelator, its own durable
-// store, its own pressure signal — per tenant key, sharing nothing
-// across tenants but a bounded worker pool (GOMAXPROCS slots) that caps
-// cross-tenant feed parallelism. Feeds for distinct tenants run
-// concurrently across cores; within one tenant the correlator's own
-// mutex keeps arrival order and every
-// single-stream contract above intact. A TenantStream implements
-// trace.Collector, trace.DurableSink, and trace.LoadReporter, so
-// trace.Server's per-tenant hooks wire to it directly.
-// TenantSetOptions.OpenStore gives each tenant its own segio store
-// (cmd/xsp-server maps the default tenant to the data-dir root —
+// The streaming pipeline shards by tenant: [OpenTenantStream] builds one
+// [TenantStream] — its own StreamCorrelator, its own durable store, its
+// own pressure signal — for a tenant key, and streams share nothing, so
+// feeds for distinct tenants (WAL fsyncs included) run concurrently across
+// cores; within one tenant the correlator's own mutex keeps arrival order
+// and every single-stream contract above intact. A TenantStream
+// implements trace.Collector, trace.DurableSink, and trace.LoadReporter,
+// so trace.Server's per-tenant hooks wire to it directly. The open
+// function handed to OpenTenantStream gives the tenant its own segio store
+// (internal/server maps the default tenant to the data-dir root —
 // pre-tenant layouts recover unchanged — and every other tenant to
 // tenants/<key>/), so tenants crash and recover independently; a store
 // that fails to open or recover degrades that tenant to RAM-only with
 // the error latched on [TenantStream.Err], the same keep-ingesting
-// posture as a mid-stream durability error.
+// posture as a mid-stream durability error. internal/server opens each
+// tenant's stream into its own per-tenant table; [TenantSet], a keyed
+// cache of OpenTenantStream results, remains for bench/replica.go and this
+// package's tests.
 //
 // # Allocation discipline on the hot path
 //

@@ -54,7 +54,7 @@ func (sc *StreamCorrelator) FeedLogged(batchID uint64, spans ...*trace.Span) err
 }
 
 // IngestLogged implements trace.DurableSink over FeedLogged, so a durable
-// correlator can be handed to trace.Server.SetDurable directly.
+// correlator can be handed to trace.ServerTenant.SetDurable directly.
 func (sc *StreamCorrelator) IngestLogged(batchID uint64, spans []*trace.Span) error {
 	return sc.FeedLogged(batchID, spans...)
 }
@@ -69,9 +69,8 @@ func (sc *StreamCorrelator) DurabilityErr() error {
 }
 
 // logBatch appends one fed batch to the WAL before it is consumed, and
-// counts its spans into walSpans. An error latches and is returned: Feed
-// has no acknowledgment to withhold and drops it (the stream continues
-// RAM-only), FeedLogged hands it to the caller. Callers hold sc.mu.
+// counts its spans into walSpans. An error latches (the stream continues
+// RAM-only) and is returned. Callers hold sc.mu.
 func (sc *StreamCorrelator) logBatch(spans []*trace.Span, batchID uint64) error {
 	if sc.opts.Store == nil || sc.replaying || sc.durErr != nil {
 		return nil
@@ -262,13 +261,22 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 		}
 		sc.ckpt = append(sc.ckpt, cs)
 		sc.ckptSpans += len(cs.spans)
-		for _, s := range cs.spans {
+		for i, s := range cs.spans {
 			seen[s.ID] = true
 			sc.noteLevel(s.Level)
 			if s.End > sc.ckptMaxEnd {
 				sc.ckptMaxEnd = s.End
 			}
-			if s.Kind == trace.KindLaunch && s.CorrelationID != 0 && s.ParentID != 0 {
+			if s.Begin > sc.maxBegin {
+				// Every folded span was fed, so the crashed process's
+				// watermark was at least here. After a deferred fold the spans
+				// that advanced it are deduped out of the replay below, whose
+				// drain would otherwise stop short of what had been released:
+				// a span behind the recovered floor would then be repaired
+				// against a region still missing its buffered container.
+				sc.maxBegin = s.Begin
+			}
+			if s.Kind == trace.KindLaunch && s.CorrelationID != 0 && s.ParentID != 0 && ownedBitSet(cs.owned, i) {
 				// A folded launch's correlation entry always mirrors its
 				// settled ParentID (a repair that moved it would have taken
 				// it out of the segment, and a file still holding it lost
@@ -276,6 +284,8 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 				// the segment. It must be: a deferred fold leaves the only
 				// durable snapshot predating the fold, and without the entry
 				// a live exec replaying later would degrade to containment.
+				// Only for a launch the resolver parented: a tracer-parented
+				// one never sets an entry in a live process either.
 				segCorr[s.CorrelationID] = s.ParentID
 			}
 		}

@@ -312,23 +312,19 @@ func NewStreamCorrelator(opts StreamOptions) *StreamCorrelator {
 func (sc *StreamCorrelator) owns(s *trace.Span) bool { return !sc.parented[s] }
 
 // Publish implements trace.Collector, so the correlator can tap a span
-// stream directly (e.g. behind trace.Memory.SetTap or trace.Server.SetTap).
+// stream directly (e.g. behind trace.Memory.SetTap or trace.ServerTenant.SetTap).
 func (sc *StreamCorrelator) Publish(spans ...*trace.Span) { sc.Feed(spans...) }
 
 // Feed consumes the next spans in arrival order, resolving every parent
-// the stream's progress allows. With StreamOptions.Store set the batch is
-// appended to the WAL before it is consumed (errors latch, see
-// DurabilityErr); ingest paths that must withhold acknowledgment until
-// the fsync use FeedLogged instead.
+// the stream's progress allows. It is FeedLogged without a batch id or an
+// acknowledgment to withhold: with StreamOptions.Store set the batch is
+// appended to the WAL before it is consumed, and the batch a failing append
+// latches on (see DurabilityErr) is not consumed, here as there.
 func (sc *StreamCorrelator) Feed(spans ...*trace.Span) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	_ = sc.logBatch(spans, 0) // latched; there is no ack to withhold
-	sc.feedLocked(spans)
+	_ = sc.FeedLogged(0, spans...)
 }
 
-// feedLocked is the Feed body, shared with FeedLogged (which does its own
-// WAL append first). Callers hold sc.mu.
+// feedLocked is FeedLogged past the WAL append. Callers hold sc.mu.
 func (sc *StreamCorrelator) feedLocked(spans []*trace.Span) {
 	if sc.opts.Isolated {
 		spans = trace.CloneHeaders(spans)

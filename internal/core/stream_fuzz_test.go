@@ -111,108 +111,139 @@ func FuzzStreamVsBatch(f *testing.F) {
 				batches[i] = tr.Spans
 			}
 		}
-		// The oracle must come from pristine spans: CorrelateWith keeps
-		// nonzero parents as tracer truth, and feeding mutates the spans
-		// in place (batchParents clones, so compute it before the feed).
-		want := batchParents(batches)
-		fed := make(map[uint64]uint64, len(want))
-		noteFed(fed, batches...)
 		opts := core.StreamOptions{
 			ReorderWindow:  vclock.Duration(window % 512),
 			MaxWindowSpans: int(maxWindow), // negative = unbounded, 0 = default, tiny = aggressive chaining
 			Retain:         vclock.Duration(retain % 4096),
 		}
-		var sc *core.StreamCorrelator
-		var fs *faultfs.FS
-		var st *segio.Store
-		if durable {
-			fs = faultfs.New() // unarmed: a perfect disk, no injected crash
-			var rec *segio.Recovery
-			var err error
-			st, rec, err = segio.Open(fs, segio.Options{})
-			if err != nil {
-				t.Fatalf("open store: %v", err)
-			}
-			opts.Store = st
-			if sc, err = core.RecoverStream(opts, rec); err != nil {
-				t.Fatalf("recover empty store: %v", err)
-			}
-		} else {
-			sc = core.NewStreamCorrelator(opts)
-		}
 		restart := -1
 		if durable && len(batches) > 0 {
 			restart = int(restartAt) % len(batches)
 		}
-		for i, b := range batches {
-			if i == restart {
-				// Simulated process restart: the store closes mid-stream
-				// and the correlator is rebuilt from what the files hold.
-				if err := st.Close(); err != nil {
-					t.Fatalf("close store before restart: %v", err)
-				}
-				store, rec, err := segio.Open(fs, segio.Options{})
-				if err != nil {
-					t.Fatalf("reopen store: %v", err)
-				}
-				if len(rec.Quarantined) != 0 {
-					t.Fatalf("clean restart quarantined %v", rec.Quarantined)
-				}
-				st = store
-				opts.Store = st
-				if sc, err = core.RecoverStream(opts, rec); err != nil {
-					t.Fatalf("recover after restart: %v", err)
-				}
-				// The raw view comes back as it was published, mid-stream.
-				checkSnapshotRaw(t, sc, fed)
-			}
-			if durable {
-				if err := sc.FeedLogged(uint64(i+1), b...); err != nil {
-					t.Fatalf("batch %d not acked on a healthy disk: %v", i+1, err)
-				}
-			} else {
-				sc.Feed(b...)
-			}
-		}
-		sc.Flush()
-		if err := sc.DurabilityErr(); err != nil {
-			t.Fatalf("durability error latched on a healthy disk: %v", err)
-		}
-
-		got := sc.Trace()
-		if len(got.Spans) != len(want) {
-			t.Fatalf("stream holds %d spans, fed %d", len(got.Spans), len(want))
-		}
-		for _, s := range got.Spans {
-			if s.ParentID != want[s.ID] {
-				t.Fatalf("span %d (%v %v [%d,%d) corr %d): stream parent %d, batch parent %d",
-					s.ID, s.Level, s.Kind, s.Begin, s.End, s.CorrelationID, s.ParentID, want[s.ID])
-			}
-		}
-		// Conservation: checkpointing must never drop or duplicate spans,
-		// restart or not.
-		stats := sc.Stats()
-		if stats.Live+stats.Checkpointed != len(want) {
-			t.Fatalf("live %d + checkpointed %d != fed %d", stats.Live, stats.Checkpointed, len(want))
-		}
-		// And with every link settled, the raw view still reads as fed.
-		checkSnapshotRaw(t, sc, fed)
+		checkStreamVsBatch(t, batches, opts, durable, restart)
 	})
+}
+
+// checkStreamVsBatch feeds batches to one correlator built from opts and
+// holds what it ends with to the batch oracle. Durable backs it with an
+// in-memory segio store and, before batch index restart (none when
+// negative), simulates a process restart: close the store, reopen the
+// surviving files, RecoverStream, keep feeding.
+func checkStreamVsBatch(t *testing.T, batches [][]*trace.Span, opts core.StreamOptions, durable bool, restart int) {
+	// The oracle must come from pristine spans: CorrelateWith keeps
+	// nonzero parents as tracer truth, and feeding mutates the spans
+	// in place (batchParents clones, so compute it before the feed).
+	want := batchParents(batches)
+	fed := make(map[uint64]uint64, len(want))
+	noteFed(fed, batches...)
+	var sc *core.StreamCorrelator
+	var fs *faultfs.FS
+	var st *segio.Store
+	if durable {
+		fs = faultfs.New() // unarmed: a perfect disk, no injected crash
+		var rec *segio.Recovery
+		var err error
+		st, rec, err = segio.Open(fs, segio.Options{})
+		if err != nil {
+			t.Fatalf("open store: %v", err)
+		}
+		opts.Store = st
+		if sc, err = core.RecoverStream(opts, rec); err != nil {
+			t.Fatalf("recover empty store: %v", err)
+		}
+	} else {
+		sc = core.NewStreamCorrelator(opts)
+	}
+	for i, b := range batches {
+		if i == restart {
+			// Simulated process restart: the store closes mid-stream
+			// and the correlator is rebuilt from what the files hold.
+			if err := st.Close(); err != nil {
+				t.Fatalf("close store before restart: %v", err)
+			}
+			store, rec, err := segio.Open(fs, segio.Options{})
+			if err != nil {
+				t.Fatalf("reopen store: %v", err)
+			}
+			if len(rec.Quarantined) != 0 {
+				t.Fatalf("clean restart quarantined %v", rec.Quarantined)
+			}
+			st = store
+			opts.Store = st
+			if sc, err = core.RecoverStream(opts, rec); err != nil {
+				t.Fatalf("recover after restart: %v", err)
+			}
+			// The raw view comes back as it was published, mid-stream.
+			checkSnapshotRaw(t, sc, fed)
+		}
+		if durable {
+			if err := sc.FeedLogged(uint64(i+1), b...); err != nil {
+				t.Fatalf("batch %d not acked on a healthy disk: %v", i+1, err)
+			}
+		} else {
+			sc.Feed(b...)
+		}
+	}
+	sc.Flush()
+	if err := sc.DurabilityErr(); err != nil {
+		t.Fatalf("durability error latched on a healthy disk: %v", err)
+	}
+
+	got := sc.Trace()
+	if len(got.Spans) != len(want) {
+		t.Fatalf("stream holds %d spans, fed %d", len(got.Spans), len(want))
+	}
+	for _, s := range got.Spans {
+		if s.ParentID != want[s.ID] {
+			t.Fatalf("span %d (%v %v [%d,%d) corr %d): stream parent %d, batch parent %d",
+				s.ID, s.Level, s.Kind, s.Begin, s.End, s.CorrelationID, s.ParentID, want[s.ID])
+		}
+	}
+	// Conservation: checkpointing must never drop or duplicate spans,
+	// restart or not.
+	stats := sc.Stats()
+	if stats.Live+stats.Checkpointed != len(want) {
+		t.Fatalf("live %d + checkpointed %d != fed %d", stats.Live, stats.Checkpointed, len(want))
+	}
+	// And with every link settled, the raw view still reads as fed.
+	checkSnapshotRaw(t, sc, fed)
 }
 
 // parentSome hands one span in 41 to the model span (id 1) as a tracer would:
 // a link the correlator must keep through folds, segment files, WAL
 // snapshots and recovery, the batch oracle keeps too, and the raw view must
-// not mask. Launches are left alone: a tracer-parented launch beside deep
-// stragglers and a durable restart already parts stream from batch at the
-// parent commit (see CHANGES.md, PR 18), which is the resolver's to fix.
+// not mask.
 func parentSome(batches [][]*trace.Span) {
 	for _, b := range batches {
 		for _, s := range b {
-			if s.ID%41 == 0 && s.Kind != trace.KindLaunch {
+			if s.ID%41 == 0 {
 				s.ParentID = 1
 			}
 		}
+	}
+}
+
+// TestRecoveryWithTracerParentedLaunches pins two recovery defects a
+// tracer-parented launch exposed (its execs pend, which stalls the fold
+// horizon until a deferred fold leaves the watermark's spans in segment
+// files only): the watermark not restored from folded history, so a layer
+// the crashed process had released was still buffered when its straggling
+// launch was repaired, and a correlation entry derived from a folded launch
+// the correlator does not own. Restarting at several points of one stream
+// and inspecting after each is what told them apart.
+func TestRecoveryWithTracerParentedLaunches(t *testing.T) {
+	for _, restart := range []int{65, 80, 100, 150, 200} {
+		t.Run(fmt.Sprint("restart", restart), func(t *testing.T) {
+			batches := workload.StreamingArrivals(workload.StreamingSpec{
+				Trace:           workload.SyntheticSpec{Spans: 4096, Streams: 3, Seed: 105},
+				BatchSize:       16,
+				ReorderSkew:     64,
+				StragglerWindow: 300,
+				Seed:            108,
+			})
+			parentSome(batches)
+			checkStreamVsBatch(t, batches, core.StreamOptions{ReorderWindow: 8, MaxWindowSpans: 24, Retain: 15}, true, restart)
+		})
 	}
 }
 
@@ -297,11 +328,11 @@ func fuzzTenantInterleave(t *testing.T, T, n int, streams uint8, dropLaunches bo
 				// Simulated process restart mid-interleave: every tenant's
 				// store closes, and a fresh set recovers each tenant from
 				// its own surviving files.
-				set.Each(func(st *core.TenantStream) {
-					if err := st.Store().Close(); err != nil {
-						t.Fatalf("close %s store before restart: %v", st.Key(), err)
+				for _, key := range set.Keys() {
+					if err := set.Lookup(key).Store().Close(); err != nil {
+						t.Fatalf("close %s store before restart: %v", key, err)
 					}
-				})
+				}
 				set = core.NewTenantSet(setOpts)
 			}
 			st, err := set.Stream(keys[k])

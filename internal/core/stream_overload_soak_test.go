@@ -64,11 +64,11 @@ func TestOverloadSoakBlockPolicy(t *testing.T) {
 		MaxInflightSpans: spanBudget,
 		RetryAfter:       time.Millisecond,
 	})
-	srv.SetLoad(sc)
+	srv.Tenant(trace.DefaultTenant).SetLoad(sc)
 	// The consumer is throttled (as a real correlator under CPU contention
 	// would be), so the overdrive genuinely outruns it and admission has to
 	// shed; ShedBlock means no span is ever dropped on the way in.
-	tap := srv.SetTapAsync(&slowCollector{dst: sc, delay: time.Millisecond},
+	tap := srv.Tenant(trace.DefaultTenant).SetTapAsync(&slowCollector{dst: sc, delay: time.Millisecond},
 		trace.TapOptions{Queue: tapQueue, Policy: trace.ShedBlock})
 	defer tap.Close()
 	ts := httptest.NewServer(srv)
@@ -239,7 +239,7 @@ func TestOverloadSoakShedPoliciesKeepStoreExact(t *testing.T) {
 				MaxInflightSpans: 512,
 				RetryAfter:       time.Millisecond,
 			})
-			tap := srv.SetTapAsync(&slowCollector{dst: sc, delay: 200 * time.Microsecond},
+			tap := srv.Tenant(trace.DefaultTenant).SetTapAsync(&slowCollector{dst: sc, delay: 200 * time.Microsecond},
 				trace.TapOptions{Queue: tapQueue, Policy: pol})
 			defer tap.Close()
 			ts := httptest.NewServer(srv)

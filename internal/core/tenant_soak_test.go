@@ -17,7 +17,7 @@ import (
 
 // TestMultiTenantSoak is the tenancy tentpole's soak: several tenants,
 // each overdriven by its own publisher pool against per-tenant admission
-// budgets, all sharing one server and one TenantSet worker pool. Asserts
+// budgets, all sharing one server and one TenantSet. Asserts
 // the three properties the sharding must not break: (a) every tenant's
 // live state stays inside its own configured ceiling, (b) every tenant
 // ends exactly-once — its span set is precisely what its publishers
@@ -226,8 +226,8 @@ func TestMultiTenantSoak(t *testing.T) {
 // wire path (collector binary encode → POST → decode → per-tenant publish
 // → tap → that tenant's stream correlator) behind a single server. With
 // -cpu=1,2,4... the spans/s curve is the sharding's scorecard: tenants
-// share nothing on the hot path but the listener and the worker pool, so
-// throughput should scale with cores until the pool caps it. One op is a
+// share nothing on the hot path but the listener, so
+// throughput should scale with cores. One op is a
 // 512-span batch; each goroutine rebases its private stream's IDs and
 // virtual times forward whenever it wraps, so every tenant's stream stays
 // monotone and dedup-clean for arbitrarily large b.N. Run with -benchmem.
@@ -315,11 +315,12 @@ func BenchmarkIngestToCorrelateParallel(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(shipped.Load())/b.Elapsed().Seconds(), "spans/s")
 	total := 0
-	set.Each(func(st *core.TenantStream) {
-		st.Correlator().Flush()
-		stats := st.Correlator().Stats()
+	for _, key := range set.Keys() {
+		sc := set.Lookup(key).Correlator()
+		sc.Flush()
+		stats := sc.Stats()
 		total += stats.Live + stats.Checkpointed
-	})
+	}
 	if total != int(shipped.Load()) {
 		b.Fatalf("correlators account for %d spans, shipped %d", total, shipped.Load())
 	}

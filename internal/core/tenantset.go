@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"xsp/internal/segio"
@@ -18,42 +17,24 @@ type TenantSetOptions struct {
 	Stream StreamOptions
 
 	// InitStream, when non-nil, customizes one tenant's stream options at
-	// creation time, before the correlator is built — and, crucially,
-	// before RecoverStream replays the tenant's durable state — so a
-	// per-tenant StreamOptions.Observer (an analysis.Online engine, say)
-	// sees recovered history too. The returned options' Store field is
-	// ignored; durability stays wired through OpenStore.
+	// creation time, before OpenTenantStream builds (and recovers) the
+	// correlator — so a per-tenant StreamOptions.Observer sees recovered
+	// history too. The returned options' Store field is ignored.
 	InitStream func(tenant string, opts StreamOptions) StreamOptions
 
-	// OpenStore opens (or creates) the named tenant's durable store and
-	// returns what segio recovered from it; the tenant's correlator is
-	// then rebuilt with RecoverStream, so every tenant's checkpoint ladder
-	// and dedup window comes back independently after a crash. Nil runs
-	// every tenant RAM-only. An OpenStore or recovery error does not fail
-	// tenant creation: the tenant degrades to a RAM-only correlator and
-	// the error is surfaced through TenantStream.Err — the same
-	// keep-ingesting posture as StreamCorrelator.DurabilityErr.
+	// OpenStore opens (or creates) the named tenant's durable store: the
+	// open argument of the tenant's OpenTenantStream call. Nil runs every
+	// tenant RAM-only.
 	OpenStore func(tenant string) (*segio.Store, *segio.Recovery, error)
 }
 
-// TenantSet owns one streaming correlator per tenant key, created lazily
-// on first use — the core-side counterpart of trace.Server's tenant
-// table. Distinct tenants share nothing but the worker pool: separate
-// correlators (separate locks, separate reorder windows, separate
-// checkpoint ladders), separate durable stores, separate pressure
-// signals. Feeds for distinct tenants therefore run in parallel across
-// cores, while each tenant keeps the exact single-stream semantics of its
-// own StreamCorrelator.
+// TenantSet is a keyed cache of OpenTenantStream results, created lazily
+// on first use. The server does not use it — internal/server opens each
+// tenant's stream itself, into its own per-tenant table; it is kept for
+// bench/replica.go and this package's tests, and goes with the benchmark
+// PR that re-bases the replica on server.New.
 type TenantSet struct {
 	opts TenantSetOptions
-
-	// sem is the worker pool, GOMAXPROCS slots: each Publish/IngestLogged
-	// holds one while its correlator consumes the batch. Within one tenant
-	// the correlator's own mutex serializes feeds, so per-tenant arrival
-	// order (and the reorder window's meaning) is untouched; the pool only
-	// caps cross-tenant parallelism so a many-tenant burst cannot run the
-	// process out of scheduler headroom.
-	sem chan struct{}
 
 	mu      sync.RWMutex
 	streams map[string]*TenantStream
@@ -63,23 +44,55 @@ type TenantSet struct {
 // NewTenantSet returns an empty set; tenants materialize on first
 // Stream call.
 func NewTenantSet(opts TenantSetOptions) *TenantSet {
-	opts.Stream.Store = nil
-	return &TenantSet{opts: opts, sem: make(chan struct{}, runtime.GOMAXPROCS(0))}
+	return &TenantSet{opts: opts}
 }
 
-// TenantStream is one tenant's slice of a TenantSet: its correlator, its
-// durable store (when the set opens stores), and what recovery found in
-// it. It implements trace.Collector, trace.DurableSink, and
-// trace.LoadReporter, so it can be handed to a ServerTenant's tap,
-// durable-sink, and load hooks directly.
+// TenantStream is one tenant's stream: its correlator, its durable store
+// (when one was opened), and what recovery found in it. It implements
+// trace.Collector, trace.DurableSink, and trace.LoadReporter, so it can be
+// handed to a ServerTenant's tap, durable-sink, and load hooks directly.
+// Distinct tenants' streams share nothing — separate correlators (locks,
+// reorder windows, checkpoint ladders), separate stores, separate pressure
+// signals — so their feeds, WAL fsyncs included, run in parallel, while
+// each keeps the exact single-stream semantics of its own StreamCorrelator.
 type TenantStream struct {
-	set *TenantSet
 	key string
 
 	sc    *StreamCorrelator
 	store *segio.Store
 	rec   *segio.Recovery
-	err   error // OpenStore/recovery failure; the stream runs RAM-only past it
+	err   error // open/recovery failure; the stream runs RAM-only past it
+}
+
+// OpenTenantStream builds the stream of the tenant named key from opts
+// (whose Store field is ignored). With open non-nil it opens the tenant's
+// durable store and rebuilds the correlator from it with RecoverStream —
+// opts.Observer, attached before the replay, sees recovered history too —
+// so every tenant's checkpoint ladder and dedup window comes back
+// independently after a crash; nil runs the tenant RAM-only. An open or
+// recovery error does not fail the tenant: it degrades to a RAM-only
+// correlator and the error is surfaced through Err — the same
+// keep-ingesting posture as StreamCorrelator.DurabilityErr.
+func OpenTenantStream(key string, opts StreamOptions, open func() (*segio.Store, *segio.Recovery, error)) *TenantStream {
+	st := &TenantStream{key: key}
+	opts.Store = nil
+	if open != nil {
+		store, rec, err := open()
+		if err == nil {
+			opts.Store = store
+			if st.sc, err = RecoverStream(opts, rec); err == nil {
+				st.store, st.rec = store, rec
+			}
+		}
+		if err != nil {
+			st.err = fmt.Errorf("core: tenant %q durable store: %w", key, err)
+			opts.Store = nil
+		}
+	}
+	if st.sc == nil {
+		st.sc = NewStreamCorrelator(opts)
+	}
+	return st
 }
 
 // Stream returns the named tenant's stream, creating (and, with OpenStore
@@ -101,34 +114,15 @@ func (ts *TenantSet) Stream(key string) (*TenantStream, error) {
 	if st = ts.streams[key]; st != nil {
 		return st, nil
 	}
-	st = &TenantStream{set: ts, key: key}
 	opts := ts.opts.Stream
 	if ts.opts.InitStream != nil {
 		opts = ts.opts.InitStream(key, opts)
-		opts.Store = nil
 	}
+	var open func() (*segio.Store, *segio.Recovery, error)
 	if ts.opts.OpenStore != nil {
-		store, rec, err := ts.opts.OpenStore(key)
-		if err == nil {
-			opts.Store = store
-			sc, rerr := RecoverStream(opts, rec)
-			if rerr == nil {
-				st.sc, st.store, st.rec = sc, store, rec
-			} else {
-				err = rerr
-			}
-		}
-		if err != nil {
-			// Degrade to RAM-only rather than refuse the tenant: ingest
-			// stays available and the error is inspectable, exactly like a
-			// durability error latching mid-stream.
-			st.err = fmt.Errorf("core: tenant %q durable store: %w", key, err)
-		}
+		open = func() (*segio.Store, *segio.Recovery, error) { return ts.opts.OpenStore(key) }
 	}
-	if st.sc == nil {
-		opts.Store = nil
-		st.sc = NewStreamCorrelator(opts)
-	}
+	st = OpenTenantStream(key, opts, open)
 	if ts.streams == nil {
 		ts.streams = make(map[string]*TenantStream)
 	}
@@ -154,15 +148,6 @@ func (ts *TenantSet) Keys() []string {
 	return out
 }
 
-// Each calls fn for every existing tenant stream, in creation order.
-func (ts *TenantSet) Each(fn func(*TenantStream)) {
-	for _, key := range ts.Keys() {
-		if st := ts.Lookup(key); st != nil {
-			fn(st)
-		}
-	}
-}
-
 // Key returns the tenant's key.
 func (st *TenantStream) Key() string { return st.key }
 
@@ -184,24 +169,16 @@ func (st *TenantStream) Recovery() *segio.Recovery { return st.rec }
 // Correlator().DurabilityErr as before.
 func (st *TenantStream) Err() error { return st.err }
 
-// Publish feeds spans to the tenant's correlator under a worker slot,
-// implementing trace.Collector — the tap target for a non-durable
-// tenant.
-func (st *TenantStream) Publish(spans ...*trace.Span) {
-	st.set.sem <- struct{}{}
-	defer func() { <-st.set.sem }()
-	st.sc.Feed(spans...)
-}
+// Publish feeds spans to the tenant's correlator, implementing
+// trace.Collector — the tap target for a non-durable tenant.
+func (st *TenantStream) Publish(spans ...*trace.Span) { st.sc.Feed(spans...) }
 
-// IngestLogged feeds one batch through the tenant's durability barrier
-// under a worker slot, implementing trace.DurableSink.
+// IngestLogged feeds one batch through the tenant's durability barrier,
+// implementing trace.DurableSink.
 func (st *TenantStream) IngestLogged(batchID uint64, spans []*trace.Span) error {
-	st.set.sem <- struct{}{}
-	defer func() { <-st.set.sem }()
 	return st.sc.FeedLogged(batchID, spans...)
 }
 
 // Pressure reports the tenant correlator's admission pressure,
-// implementing trace.LoadReporter. No worker slot: the signal must stay
-// readable while every slot is busy feeding.
+// implementing trace.LoadReporter.
 func (st *TenantStream) Pressure() trace.Pressure { return st.sc.Pressure() }

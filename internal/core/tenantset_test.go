@@ -7,8 +7,10 @@ package core_test
 // into shedding without touching its neighbor.
 
 import (
+	"errors"
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -34,8 +36,7 @@ func tenantWorkload(spans, seed int) [][]*trace.Span {
 	})
 }
 
-// Feeds for distinct tenants run concurrently on the worker pool, and
-// every tenant's post-Flush stream still equals its own batch oracle —
+// Feeds for distinct tenants run concurrently, and every tenant's post-Flush stream still equals its own batch oracle —
 // cross-tenant parallelism must not leak anything between correlators or
 // disturb per-tenant arrival order.
 func TestTenantSetParallelFeedsMatchBatchOracle(t *testing.T) {
@@ -339,4 +340,94 @@ func TestTenantOverloadIsolation(t *testing.T) {
 func span(id uint64) *trace.Span {
 	return &trace.Span{ID: id, Level: trace.LevelKernel, Name: "k",
 		Begin: vclock.Time(id), End: vclock.Time(id + 1)}
+}
+
+// syncBarrierFS is a segio.FS whose WAL append handles, once armed, block in
+// their first Sync until every one of the expected callers is inside Sync
+// with them: it passes only if that many syncs can be in flight at once.
+type syncBarrierFS struct {
+	segio.FS
+	armed   *bool // set before the concurrent syncs start, never after
+	arrived *sync.WaitGroup
+}
+
+func (fs syncBarrierFS) OpenAppend(name string) (segio.File, error) {
+	f, err := fs.FS.OpenAppend(name)
+	if err != nil {
+		return nil, err
+	}
+	return &syncBarrierFile{File: f, fs: fs}, nil
+}
+
+type syncBarrierFile struct {
+	segio.File
+	fs   syncBarrierFS
+	once sync.Once
+}
+
+func (f *syncBarrierFile) Sync() error {
+	if *f.fs.armed {
+		f.once.Do(func() {
+			f.fs.arrived.Done()
+			f.fs.arrived.Wait()
+		})
+	}
+	return f.File.Sync()
+}
+
+// Distinct durable tenants share nothing, their WAL fsyncs included: more
+// tenants than cores must all be able to sit in Sync at once. (A per-process
+// pool of GOMAXPROCS feed slots, held across the fsync, deadlocks here.)
+func TestDurableTenantsSyncConcurrently(t *testing.T) {
+	tenants := 2*runtime.GOMAXPROCS(0) + 1
+	armed := false
+	var arrived sync.WaitGroup
+	arrived.Add(tenants)
+	streams := make([]*core.TenantStream, tenants)
+	for i := range streams {
+		fs := syncBarrierFS{FS: faultfs.New(), armed: &armed, arrived: &arrived}
+		streams[i] = core.OpenTenantStream(fmt.Sprintf("tenant-%d", i), core.StreamOptions{},
+			func() (*segio.Store, *segio.Recovery, error) { return segio.Open(fs, segio.Options{}) })
+		if err := streams[i].Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	armed = true
+	errs := make(chan error, tenants)
+	for i, st := range streams {
+		go func() {
+			errs <- st.IngestLogged(1, []*trace.Span{{ID: uint64(i + 1), Level: trace.LevelModel, Begin: 1, End: 2}})
+		}()
+	}
+	deadline := time.After(10 * time.Second)
+	for range streams {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("batch not acked on a healthy disk: %v", err)
+			}
+		case <-deadline:
+			t.Fatalf("%d durable tenants cannot all be inside their WAL fsync at once", tenants)
+		}
+	}
+}
+
+// A tenant whose store will not open is not refused: it feeds RAM-only and
+// says why.
+func TestOpenTenantStreamDegradesToRAM(t *testing.T) {
+	boom := errors.New("disk on fire")
+	st := core.OpenTenantStream("acme", core.StreamOptions{},
+		func() (*segio.Store, *segio.Recovery, error) { return nil, nil, boom })
+	if !errors.Is(st.Err(), boom) || st.Store() != nil || st.Recovery() != nil {
+		t.Fatalf("Err() = %v, Store() = %v, Recovery() = %v; want the open error and neither", st.Err(), st.Store(), st.Recovery())
+	}
+	if err := st.IngestLogged(1, []*trace.Span{{ID: 1, Level: trace.LevelModel, Begin: 1, End: 5}}); err != nil {
+		t.Fatalf("degraded tenant refused a batch: %v", err)
+	}
+	st.Publish(&trace.Span{ID: 2, Level: trace.LevelLayer, Begin: 2, End: 3})
+	st.Correlator().Flush()
+	got := st.Correlator().Trace()
+	if len(got.Spans) != 2 || got.ByID(2).ParentID != 1 {
+		t.Fatalf("degraded tenant holds %d spans, layer parent %d; want 2 spans, parent 1", len(got.Spans), got.ByID(2).ParentID)
+	}
 }

@@ -62,7 +62,7 @@ func BenchmarkIngestToCorrelate(b *testing.B) {
 				b.StopTimer()
 				srv := trace.NewServer()
 				sc := core.NewStreamCorrelator(core.StreamOptions{ReorderWindow: 48})
-				srv.SetTap(scTap{sc})
+				srv.Tenant(trace.DefaultTenant).SetTap(scTap{sc})
 				current.Store(srv)
 				col := trace.NewHTTPCollector(ts.URL)
 				col.SetEncoding(enc.e)

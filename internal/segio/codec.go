@@ -21,12 +21,6 @@ import (
 // regrow of the buffer, nothing else.
 const spanEncSize = trace.SpanRecordSize + 48
 
-// appendSpanBlock encodes spans (with their owned flags) onto buf. Nil
-// spans are skipped. owned may be nil (no span owned).
-func appendSpanBlock(buf []byte, spans []*trace.Span, owned func(i int) bool) []byte {
-	return trace.AppendSpanBlock(buf, spans, owned)
-}
-
 // decodeSpanBlock decodes one span block from b, returning the spans,
 // their owned bitset, and the remaining bytes after the block. Errors
 // wrap ErrCorrupt.

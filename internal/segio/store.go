@@ -48,9 +48,6 @@ type Options struct {
 	// MaxDedup bounds the persisted batch-dedup id window. Zero means the
 	// default (4096, matching the server's in-memory FIFO).
 	MaxDedup int
-	// NoSync skips the per-append File.Sync on LogBatch. Only for
-	// benchmarks; it voids the exactly-once-across-crash guarantee.
-	NoSync bool
 }
 
 // SpanKey is the canonical sweep-order compare key of a span, persisted
@@ -403,6 +400,19 @@ func (st *Store) publishWAL(snap *Snapshot) error {
 		buf = sealWALRecord(encodeSnapshot(buf, snap, st.dedup, st.nextSeg), start)
 	}
 	name := walName(st.walGen)
+	if err := st.publishFile(name, buf); err != nil {
+		return err
+	}
+	st.walName = name
+	st.walBytes = int64(len(buf))
+	st.lastRecs = 0
+	return nil
+}
+
+// publishFile durably publishes buf as the file name: written to a
+// temporary name, synced and closed, renamed into place, and the directory
+// synced — so a crash leaves either no file of that name or all of it.
+func (st *Store) publishFile(name string, buf []byte) error {
 	tmp := name + tmpSuffix
 	f, err := st.fs.Create(tmp)
 	if err != nil {
@@ -422,13 +432,7 @@ func (st *Store) publishWAL(snap *Snapshot) error {
 	if err := st.fs.Rename(tmp, name); err != nil {
 		return err
 	}
-	if err := st.fs.SyncDir(); err != nil {
-		return err
-	}
-	st.walName = name
-	st.walBytes = int64(len(buf))
-	st.lastRecs = 0
-	return nil
+	return st.fs.SyncDir()
 }
 
 // Rotate atomically replaces the WAL with a fresh one holding a single
@@ -467,7 +471,7 @@ func (st *Store) Rotate(snap Snapshot) error {
 }
 
 // LogBatch appends one batch record (spans plus an optional nonzero batch
-// id) to the WAL and, unless NoSync is set, syncs it before returning.
+// id) to the WAL and syncs it before returning.
 // Once LogBatch returns nil the batch survives any crash. owned may be
 // nil. After a recovery it fails with ErrNeedRotate until Rotate runs.
 func (st *Store) LogBatch(spans []*trace.Span, owned []uint64, batchID uint64) error {
@@ -478,15 +482,13 @@ func (st *Store) LogBatch(spans []*trace.Span, owned []uint64, batchID uint64) e
 	}
 	rec, start := beginWALRecord(st.rec[:0], walBatchRec)
 	rec = binary.LittleEndian.AppendUint64(rec, batchID)
-	rec = sealWALRecord(appendSpanBlock(rec, spans, func(i int) bool { return ownedBit(owned, i) }), start)
+	rec = sealWALRecord(trace.AppendSpanBlock(rec, spans, func(i int) bool { return ownedBit(owned, i) }), start)
 	st.rec = rec
 	if _, err := st.wal.Write(rec); err != nil {
 		return err
 	}
-	if !st.opts.NoSync {
-		if err := st.wal.Sync(); err != nil {
-			return err
-		}
+	if err := st.wal.Sync(); err != nil {
+		return err
 	}
 	st.walBytes += int64(len(rec))
 	st.lastRecs++
@@ -511,34 +513,14 @@ func (st *Store) WriteSegment(spans []*trace.Span, owned []uint64, replaces []ui
 	st.nextSeg++
 	// The payload is encoded once, behind a header patched afterwards.
 	buf := make([]byte, segHeaderLen, segHeaderLen+64+spanEncSize*len(spans))
-	buf = appendSpanBlock(buf, spans, func(i int) bool { return ownedBit(owned, i) })
+	buf = trace.AppendSpanBlock(buf, spans, func(i int) bool { return ownedBit(owned, i) })
 	payload := buf[segHeaderLen:]
 	copy(buf, segMagic)
 	binary.LittleEndian.PutUint32(buf[8:], formatVersion)
 	binary.LittleEndian.PutUint64(buf[12:], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(buf[20:], crc32.Checksum(payload, castagnoli))
 
-	name := segName(id)
-	tmp := name + tmpSuffix
-	f, err := st.fs.Create(tmp)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		return 0, err
-	}
-	if err := st.fs.Rename(tmp, name); err != nil {
-		return 0, err
-	}
-	if err := st.fs.SyncDir(); err != nil {
+	if err := st.publishFile(segName(id), buf); err != nil {
 		return 0, err
 	}
 	st.segs[id] = int64(len(buf))
@@ -747,7 +729,7 @@ func decodeWAL(data []byte) (snap *Snapshot, batches []Batch, trunc int64, err e
 // window are the format before it existed.
 func encodeSnapshot(buf []byte, s *Snapshot, dedup []uint64, nextSeg uint64) []byte {
 	le := binary.LittleEndian
-	buf = appendSpanBlock(buf, s.Live, func(i int) bool { return ownedBit(s.Owned, i) })
+	buf = trace.AppendSpanBlock(buf, s.Live, func(i int) bool { return ownedBit(s.Owned, i) })
 	buf = le.AppendUint32(buf, uint32(len(s.Corr)))
 	for _, c := range s.Corr {
 		buf = le.AppendUint64(buf, c.Corr)

@@ -14,13 +14,13 @@
 // "default" tenant with exactly the single-tenant behavior this server
 // always had. Every /api endpoint resolves the tenant the same way;
 // GET /api/tenants lists the tenants the process has materialized.
-// Tenants are created lazily on first use, and feeds for distinct tenants
-// run concurrently on a bounded worker pool (GOMAXPROCS slots), so a
-// multi-tenant ingest load spreads across cores while each tenant keeps
-// strict per-tenant ordering and exactly-once dedup. In stream mode
-// everything held for one key is one tenant value — ingest half,
-// correlator and store, tap, analysis engine — in the package's one
-// per-tenant table.
+// Tenants are created lazily on first use, and distinct tenants share
+// nothing on the feed path, so a multi-tenant ingest load spreads across
+// cores (WAL fsyncs included) while each tenant keeps strict per-tenant
+// ordering and exactly-once dedup. In stream mode everything held for one
+// key is one tenant value — ingest half, correlator and store
+// (core.OpenTenantStream, called as the tenant is created), tap, analysis
+// engine — in the package's one per-tenant table.
 //
 // With StreamCorrelate, a core.StreamCorrelator per tenant taps the
 // ingestion path (a Memory-level tap, so any future in-process publisher

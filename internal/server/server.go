@@ -55,14 +55,12 @@ type Server struct {
 	// stays, beside header copies the raw view's readers never race.
 	oneStore bool
 
-	ingest  *trace.Server   // /api/spans, /api/trace, and the tenants' ingest halves
-	streams *core.TenantSet // the tenants' correlators; nil unless stream mode
-	mux     *http.ServeMux
-	idle    *analysis.Online // never fed: the analyses of a tenant that does not exist
+	ingest *trace.Server // /api/spans, /api/trace, and the tenants' ingest halves
+	mux    *http.ServeMux
+	idle   *analysis.Online // never fed: the analyses of a tenant that does not exist
 
 	mu      sync.RWMutex
 	tenants map[string]*tenant
-	opening *tenant // the tenant open is building: the InitStream hook, under it on the same stack, reads its engine
 
 	life      sync.RWMutex  // shared by every request in flight, exclusive in Close
 	done      chan struct{} // closed when Close begins: watchers leave, new requests are refused
@@ -100,34 +98,16 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s.oneStore = cfg.DataDir != "" || cfg.TapQueue <= 0 || pol == trace.ShedBlock
-	opts := core.TenantSetOptions{Stream: core.StreamOptions{
-		ReorderWindow:  vclock.Duration(cfg.ReorderWindow),
-		Isolated:       !s.oneStore,
-		Retain:         vclock.Duration(cfg.Retain),
-		CorrRetain:     vclock.Duration(cfg.CorrRetain),
-		MaxWindowSpans: cfg.MaxWindowSpans,
-		PressureSpans:  cfg.PressureSpans,
-	}}
 	s.tenantRoute(http.MethodPost, "/api/reset", s.handleReset)
 	s.tenantRoute(http.MethodPost, "/api/checkpoint", s.handleCheckpoint)
 	s.tenantRoute(http.MethodGet, "/api/correlated", s.handleCorrelated)
 	if cfg.LiveAnalysis {
-		// The engine attaches as the stream's observer before the correlator
-		// is built — and, durable, before recovery replays the tenant's
-		// history — so a restarted server's live analyses cover everything
-		// its correlated view does.
-		opts.InitStream = func(_ string, o core.StreamOptions) core.StreamOptions {
-			o.Observer = s.opening.engine
-			return o
-		}
 		s.tenantRoute(http.MethodGet, "/api/analysis", s.handleAnalysis)
 		s.tenantRoute(http.MethodGet, "/api/analysis/", s.handleAnalysis)
 	}
 	if cfg.DataDir != "" {
-		opts.OpenStore = s.openStore
 		s.route(http.MethodGet, "/api/durability", s.handleDurability)
 	}
-	s.streams = core.NewTenantSet(opts)
 	s.ingest.SetTenantInit(s.open)
 
 	// The default tenant exists from boot — the common single-tenant
@@ -240,15 +220,6 @@ type tenant struct {
 	engine *analysis.Online
 }
 
-// openStore opens (or creates) one tenant's durable store in its directory.
-func (s *Server) openStore(key string) (*segio.Store, *segio.Recovery, error) {
-	fs, err := segio.DirFS(s.dir(key)) // creates the directory
-	if err != nil {
-		return nil, nil, err
-	}
-	return segio.Open(fs, segio.Options{})
-}
-
 // open is trace.Server's tenant-init hook, run once per key under that
 // server's table lock before any request can reach the tenant: it opens
 // (durable: recovers) the tenant's stream and wires it to the ingest half —
@@ -256,11 +227,33 @@ func (s *Server) openStore(key string) (*segio.Store, *segio.Recovery, error) {
 // or behind the tap.
 func (s *Server) open(tn *trace.ServerTenant) {
 	t := &tenant{ingest: tn}
-	if s.cfg.LiveAnalysis {
-		t.engine = analysis.NewOnline(analysis.OnlineOptions{Spec: s.gpu})
+	opts := core.StreamOptions{
+		ReorderWindow:  vclock.Duration(s.cfg.ReorderWindow),
+		Isolated:       !s.oneStore,
+		Retain:         vclock.Duration(s.cfg.Retain),
+		CorrRetain:     vclock.Duration(s.cfg.CorrRetain),
+		MaxWindowSpans: s.cfg.MaxWindowSpans,
+		PressureSpans:  s.cfg.PressureSpans,
 	}
-	s.opening = t
-	st, _ := s.streams.Stream(tn.Key()) // the only error is an invalid key, and trace.Server validated it
+	if s.cfg.LiveAnalysis {
+		// The engine attaches as the stream's observer before the correlator
+		// is built — and, durable, before recovery replays the tenant's
+		// history — so a restarted server's live analyses cover everything
+		// its correlated view does.
+		t.engine = analysis.NewOnline(analysis.OnlineOptions{Spec: s.gpu})
+		opts.Observer = t.engine
+	}
+	var openStore func() (*segio.Store, *segio.Recovery, error)
+	if s.cfg.DataDir != "" {
+		openStore = func() (*segio.Store, *segio.Recovery, error) {
+			fs, err := segio.DirFS(s.dir(tn.Key())) // creates the directory
+			if err != nil {
+				return nil, nil, err
+			}
+			return segio.Open(fs, segio.Options{})
+		}
+	}
+	st := core.OpenTenantStream(tn.Key(), opts, openStore)
 	t.stream = st
 	tn.SetLoad(st)
 	switch {
@@ -390,8 +383,9 @@ func (s *Server) handleDurability(w http.ResponseWriter, _ *http.Request) {
 		Tenants map[string]tenantView `json:"tenants"`
 	}
 	v := durabilityView{Dir: s.cfg.DataDir, Tenants: map[string]tenantView{}}
-	s.streams.Each(func(st *core.TenantStream) {
-		tv := tenantView{Dir: s.dir(st.Key())}
+	for _, key := range s.ingest.Tenants() {
+		st := s.lookup(key).stream // open tables a tenant before trace.Server lists its key
+		tv := tenantView{Dir: s.dir(key)}
 		if store := st.Store(); store != nil {
 			stats := store.Stats()
 			tv.Store = &stats
@@ -404,8 +398,8 @@ func (s *Server) handleDurability(w http.ResponseWriter, _ *http.Request) {
 		} else if err := st.Correlator().DurabilityErr(); err != nil {
 			tv.Err = err.Error()
 		}
-		v.Tenants[st.Key()] = tv
-	})
+		v.Tenants[key] = tv
+	}
 	writeJSON(w, v)
 }
 

@@ -40,9 +40,9 @@
 // Close moves already-tapped spans without re-forwarding), runs outside
 // the Memory's locks, and must be concurrency-safe; batches from
 // concurrent publishers arrive in an unspecified relative order.
-// [Server.SetTap] delegates to it, so a server tap covers both spans
+// [ServerTenant.SetTap] delegates to it, so a server tap covers both spans
 // accepted by /api/spans (zero-ID spans get fresh server-side IDs first)
-// and in-process publishes into Server.Collector — how cmd/xsp-server
+// and in-process publishes into ServerTenant.Collector — how cmd/xsp-server
 // feeds a core.StreamCorrelator for streaming correlation.
 // Where nothing between the handler and the tap's consumer can shed a
 // batch, [ServerTenant.SetHistory] makes that consumer the store: accepted
@@ -61,7 +61,7 @@
 // Every structure on the ingest path has an explicit bound and a defined
 // shed behavior when it is reached; nothing grows with offered load.
 //
-//   - The tap queue. [Memory.SetTapAsync] (and [Server.SetTapAsync])
+//   - The tap queue. [Memory.SetTapAsync] (and [ServerTenant.SetTapAsync])
 //     replaces the inline tap with an [AsyncTap]: publishers enqueue onto
 //     a queue bounded at [TapOptions.Queue] spans and a single worker
 //     forwards to the consumer, so the publish path decouples from
@@ -81,7 +81,7 @@
 //     against MaxInflightBytes before being read, and decoded-but-unlanded
 //     spans plus the tap backlog count against MaxInflightSpans. Past
 //     either budget — or when the [LoadReporter] installed with
-//     [Server.SetLoad] reports [PressureOverloaded] — the POST is shed
+//     [ServerTenant.SetLoad] reports [PressureOverloaded] — the POST is shed
 //     with 429, a Retry-After hint, and the X-Shed-* stats headers.
 //   - The batch-dedup FIFO, bounded at maxRememberedBatches ids.
 //
@@ -141,7 +141,7 @@
 // window together and touches nothing else. [Server.SetTenantInit] runs
 // a hook under the tenant-table lock before a new tenant is published,
 // so per-tenant wiring (taps, correlators, durable sinks — see
-// core.TenantSet) is complete before the first request can see it.
+// core.OpenTenantStream) is complete before the first request can see it.
 //
 // The wire stays backward compatible: encoders emit the pre-tenant
 // version-1 frame and bare JSON array whenever the tenant is the
@@ -161,12 +161,11 @@
 //
 // The index growth and invalidation contract:
 //
-//   - Appends are incremental. When len(Trace.Spans) has grown since the
-//     last build, the index extends in place with only the appended tail:
-//     O(K log K) for a K-span tail arriving in begin order (the streaming
-//     case), degrading to a linear merge of the touched per-level and
-//     per-parent lists for out-of-order tails — never a full O(n log n)
-//     rebuild. Shrinking Trace.Spans forces a rebuild.
+//   - The index is rebuilt when the trace has grown (or shrunk) since
+//     the last build: a changed len(Trace.Spans) is detected on the next
+//     query, and so is a truncate-and-regrow to the same length. Growing
+//     an indexed trace batch by batch is therefore O(n log n) per batch;
+//     a stream of batches belongs in core.StreamCorrelator.
 //   - Mutations that change indexed state without changing the span count
 //     — renaming spans, reordering the Spans slice — must be followed by
 //     [Trace.InvalidateIndex] ([Trace.SortByBegin] invalidates itself).
@@ -174,8 +173,7 @@
 //     [Trace.InvalidateChildren], which drops just the adjacency and keeps
 //     every other index; core.Correlate relies on this.
 //   - Slices returned by indexed accessors are shared with the index:
-//     treat them as read-only, and synchronize appends against queries
-//     externally (an extend may rearrange a shared slice).
+//     treat them as read-only.
 //
 // # Arena span storage
 //

@@ -10,15 +10,11 @@ import (
 //
 // Growth and invalidation contract (see also the package documentation):
 //
-//   - The index is built on first use. When len(Trace.Spans) has grown
-//     since the last build, the index is extended in place with only the
-//     appended tail — appending K spans to an n-span indexed trace costs
-//     O(K log K) when the tail arrives in begin order (the streaming
-//     case), degrading to a linear merge of the touched per-level and
-//     per-parent lists for out-of-order tails, never a full O(n log n)
-//     rebuild. Shrinking Trace.Spans forces a rebuild — including
-//     truncating and regrowing it between queries, which the index
-//     detects by checking the span at its build boundary.
+//   - The index is built on first use and rebuilt when the trace has
+//     grown or shrunk since (len(Trace.Spans) differs from the length it
+//     was built at) — including truncating and regrowing it to the same
+//     length or beyond between queries, which the index detects by
+//     checking the span at its build boundary.
 //   - In-place mutations that change what the index records without
 //     changing the span count — renaming spans, reordering Spans — must be
 //     followed by an explicit InvalidateIndex call. SortByBegin does this
@@ -26,11 +22,9 @@ import (
 //     use the cheaper InvalidateChildren, which keeps every other index.
 //   - Slices returned by the indexed accessors ByLevel, Children, and
 //     ByCorrelation are shared with the index: callers must treat them as
-//     read-only, and appends need external synchronization with queries
-//     (an extend may rearrange a shared slice). Levels returns a copy —
-//     deliberately, since extend shifts the level list in place.
+//     read-only. Levels returns a copy.
 type traceIndex struct {
-	built   int // len(Trace.Spans) when the index was last built/extended
+	built   int // len(Trace.Spans) when the index was built
 	byID    map[uint64]*Span
 	byName  map[string]*Span   // first span per name, in Spans order
 	byLevel map[Level][]*Span  // begin-sorted (stable over Spans order)
@@ -43,8 +37,7 @@ type traceIndex struct {
 }
 
 // index returns the current index, building it if the trace has never been
-// indexed, extending it in place if the trace has grown, and rebuilding it
-// if the trace has shrunk.
+// indexed and rebuilding it if the trace has grown, shrunk or regrown.
 func (t *Trace) index() *traceIndex {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -52,23 +45,16 @@ func (t *Trace) index() *traceIndex {
 }
 
 func (t *Trace) indexLocked() *traceIndex {
-	n := len(t.Spans)
-	switch {
-	case t.idx == nil || t.idx.built > n || t.idx.stale(t.Spans):
+	if t.idx == nil || t.idx.built != len(t.Spans) || t.idx.stale(t.Spans) {
 		t.idx = t.buildIndex()
-	case t.idx.built < n:
-		t.idx.extend(t.Spans[t.idx.built:])
-		t.idx.built = n
-		t.idx.last = t.Spans[n-1]
 	}
 	return t.idx
 }
 
 // stale reports whether the span at the index's build boundary is no
 // longer the one that was indexed there — the signature of Spans having
-// been truncated and regrown (rather than purely appended to) since the
-// last build, which growth-only length checks cannot distinguish from an
-// append. Only called with built <= len(spans).
+// been truncated and regrown to the indexed length since the last build,
+// which the length check cannot see. Only called with built == len(spans).
 func (ix *traceIndex) stale(spans []*Span) bool {
 	return ix.built > 0 && spans[ix.built-1] != ix.last
 }
@@ -90,8 +76,9 @@ func (t *Trace) childrenIndex() map[uint64][]*Span {
 // InvalidateIndex discards the lazily built indexes so the next query
 // rebuilds them. Callers must invoke it after mutating spans in place in a
 // way that does not change the span count (e.g. renaming spans or
-// reordering the Spans slice); plain appends are detected automatically,
-// and ParentID-only rewrites can use the cheaper InvalidateChildren.
+// reordering the Spans slice); a changed span count is detected
+// automatically, and ParentID-only rewrites can use the cheaper
+// InvalidateChildren.
 func (t *Trace) InvalidateIndex() {
 	t.mu.Lock()
 	t.idx = nil
@@ -173,86 +160,6 @@ func buildChildren(spans []*Span) map[uint64][]*Span {
 		sortSpansByBegin(kids)
 	}
 	return children
-}
-
-// extend grows the index in place with the spans appended since the last
-// build. The map inserts are O(K); the per-level slices and touched
-// children lists restore their begin-sorted invariant by stably sorting
-// only the appended tail and merging it in — which is a no-op comparison
-// when the tail already begins at or after the indexed spans, the common
-// streaming case.
-func (ix *traceIndex) extend(tail []*Span) {
-	addedPerLevel := make(map[Level]int)
-	var addedPerParent map[uint64]int
-	for _, s := range tail {
-		if _, ok := ix.byID[s.ID]; !ok {
-			ix.byID[s.ID] = s
-		}
-		if _, ok := ix.byName[s.Name]; !ok {
-			ix.byName[s.Name] = s
-		}
-		ix.byLevel[s.Level] = append(ix.byLevel[s.Level], s)
-		addedPerLevel[s.Level]++
-		if s.CorrelationID != 0 {
-			ix.byCorr[s.CorrelationID] = append(ix.byCorr[s.CorrelationID], s)
-		}
-		if ix.childrenOK && s.ParentID != 0 && s.ParentID != s.ID {
-			ix.children[s.ParentID] = append(ix.children[s.ParentID], s)
-			if addedPerParent == nil {
-				addedPerParent = make(map[uint64]int)
-			}
-			addedPerParent[s.ParentID]++
-		}
-	}
-	for l, k := range addedPerLevel {
-		spans := ix.byLevel[l]
-		mergeAppended(spans, k)
-		if len(spans) == k { // first spans at this level: record it
-			ix.levels = insertLevel(ix.levels, l)
-		}
-	}
-	for pid, k := range addedPerParent {
-		mergeAppended(ix.children[pid], k)
-	}
-}
-
-// mergeAppended restores the begin-sorted-stable invariant of spans after
-// its last k elements were appended unsorted (in Spans order). The tail is
-// stably sorted — O(k log k) — and, only when it actually begins before
-// the sorted prefix ends, merged in with a backward pass that keeps
-// prefix spans ahead of tail spans on equal begins, matching what a full
-// stable re-sort in Spans order would produce.
-func mergeAppended(spans []*Span, k int) {
-	n := len(spans)
-	tail := spans[n-k:]
-	sortSpansByBegin(tail)
-	if n == k || spans[n-k-1].Begin <= tail[0].Begin {
-		return
-	}
-	scratch := append([]*Span(nil), tail...)
-	i, j, w := n-k-1, k-1, n-1
-	for j >= 0 {
-		if i >= 0 && spans[i].Begin > scratch[j].Begin {
-			spans[w] = spans[i]
-			i--
-		} else {
-			spans[w] = scratch[j]
-			j--
-		}
-		w--
-	}
-}
-
-// insertLevel inserts l into the sorted level list if absent.
-func insertLevel(levels []Level, l Level) []Level {
-	i := sort.Search(len(levels), func(i int) bool { return levels[i] >= l })
-	if i < len(levels) && levels[i] == l {
-		return levels
-	}
-	levels = append(levels, 0)
-	copy(levels[i+1:], levels[i:])
-	levels[i] = l
-	return levels
 }
 
 // sortSpansByBegin orders spans by begin time, keeping the existing order

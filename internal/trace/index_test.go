@@ -94,34 +94,6 @@ func names(spans []*Span) []string {
 	return out
 }
 
-// Appending must extend the index in place, not rebuild it: the per-level
-// slices keep their identity (same backing array, possibly regrown) and
-// previously indexed spans stay indexed.
-func TestIncrementalExtendAppendsInPlace(t *testing.T) {
-	tr := indexedTrace()
-	before := tr.ByLevel(LevelLayer)
-	if len(before) != 2 {
-		t.Fatalf("ByLevel(layer) = %d spans, want 2", len(before))
-	}
-	tr.Spans = append(tr.Spans,
-		&Span{ID: 10, ParentID: 1, Level: LevelLayer, Name: "fc2", Begin: 91, End: 95},
-		&Span{ID: 11, ParentID: 10, Level: LevelKernel, Kind: KindExec, Name: "gemm2", Begin: 92, End: 94, CorrelationID: 9},
-	)
-	layers := tr.ByLevel(LevelLayer)
-	if len(layers) != 3 || layers[2].Name != "fc2" {
-		t.Fatalf("ByLevel(layer) after append = %v", names(layers))
-	}
-	if tr.ByID(11) == nil || tr.Find("fc2") == nil {
-		t.Fatal("appended spans not indexed")
-	}
-	if got := tr.ByCorrelation(9); len(got) != 1 || got[0].ID != 11 {
-		t.Fatalf("ByCorrelation(9) = %v", got)
-	}
-	if kids := tr.Children(tr.ByID(10)); len(kids) != 1 || kids[0].ID != 11 {
-		t.Fatalf("Children(fc2) = %v", names(kids))
-	}
-}
-
 // An appended span at a level the trace has never seen must show up in
 // Levels, in sorted position.
 func TestIncrementalExtendNewLevel(t *testing.T) {
@@ -139,8 +111,8 @@ func TestIncrementalExtendNewLevel(t *testing.T) {
 	}
 }
 
-// Out-of-order appends exercise the merge path: the per-level order must
-// match what a full rebuild would produce.
+// After out-of-order appends the per-level and per-parent order must be
+// begin-sorted over the whole trace.
 func TestIncrementalExtendOutOfOrderMerge(t *testing.T) {
 	tr := indexedTrace()
 	tr.ByID(1) // build
@@ -193,8 +165,8 @@ func TestInvalidateChildrenKeepsOtherIndexes(t *testing.T) {
 	}
 }
 
-// Truncating Spans and regrowing it between queries must rebuild, not
-// extend: a growth-only length check would miss the replaced middle.
+// Truncating Spans and regrowing it between queries must rebuild: a
+// length check alone would miss a regrow to the indexed length.
 func TestTruncateRegrowRebuilds(t *testing.T) {
 	tr := indexedTrace()
 	tr.ByID(1) // build
@@ -255,7 +227,7 @@ func TestIncrementalExtendMatchesRebuild(t *testing.T) {
 			all = append(all, s)
 		}
 		grown.Spans = append(grown.Spans, batch...)
-		grown.ByID(1) // force an incremental extend this round
+		grown.ByID(1) // index the grown trace this round
 
 		fresh := &Trace{Spans: append([]*Span(nil), all...)}
 		for _, l := range fresh.Levels() {

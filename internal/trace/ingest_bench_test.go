@@ -1,16 +1,10 @@
 package trace_test
 
-// External test package so the benchmarks can consume the synthetic
-// generator (internal/workload transitively imports internal/trace).
-
 import (
-	"math/rand"
 	"sync"
 	"testing"
 
 	"xsp/internal/trace"
-	"xsp/internal/vclock"
-	"xsp/internal/workload"
 )
 
 // lockedCollector is the pre-sharding Memory design — every publisher
@@ -68,112 +62,5 @@ func BenchmarkPublishParallel(b *testing.B) {
 				tr.PublishCompleted(s)
 			}
 		})
-	})
-}
-
-// BenchmarkIncrementalIndex proves appends extend the index instead of
-// rebuilding it: each iteration appends a 1000-span batch to a trace that
-// started at 100k indexed spans and runs one indexed query.
-//
-//   - extend: the incremental path; per-iteration cost is O(K log K) in
-//     the batch size and stays flat as the trace grows past millions of
-//     spans.
-//   - extend-outoforder: same, but the batch arrives in random begin
-//     order, forcing the tail merge into the touched per-level lists.
-//   - invalidate-rebuild: the pre-incremental behavior (InvalidateIndex
-//     after every append); per-iteration cost is O(n log n) in the whole
-//     trace and keeps growing as it grows.
-func BenchmarkIncrementalIndex(b *testing.B) {
-	const base = 100_000
-	const k = 1_000
-
-	// appender hands out successive fresh batches along one advancing
-	// timeline, so every iteration's batch really arrives after every
-	// previously indexed span — the streaming case. The out-of-order
-	// variant shuffles within each batch, exercising the tail merge.
-	type appender struct {
-		cursor  vclock.Time
-		nextID  uint64
-		shuffle bool
-		rng     *rand.Rand
-	}
-	newAppender := func(tr *trace.Trace, shuffle bool) *appender {
-		var end vclock.Time
-		for _, s := range tr.Spans {
-			if s.End > end {
-				end = s.End
-			}
-		}
-		return &appender{cursor: end + 1, nextID: base + 10, shuffle: shuffle, rng: rand.New(rand.NewSource(11))}
-	}
-	next := func(a *appender) []*trace.Span {
-		batch := make([]*trace.Span, k)
-		for i := range batch {
-			batch[i] = &trace.Span{
-				ID:    a.nextID,
-				Level: trace.LevelKernel, Kind: trace.KindExec,
-				Name: "appended", Begin: a.cursor, End: a.cursor + 2,
-			}
-			a.nextID++
-			a.cursor += 3
-		}
-		if a.shuffle {
-			a.rng.Shuffle(k, func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
-		}
-		return batch
-	}
-	makeBase := func() *trace.Trace {
-		tr := workload.SyntheticTrace(workload.SyntheticSpec{Spans: base, Seed: 7, Prelinked: true})
-		tr.ByID(1) // build the index at the base size
-		return tr
-	}
-
-	// Batch generation runs with the timer stopped: the measured op is
-	// "append k spans and restore the index", nothing else.
-	b.Run("extend", func(b *testing.B) {
-		tr := makeBase()
-		a := newAppender(tr, false)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			batch := next(a)
-			b.StartTimer()
-			tr.Spans = append(tr.Spans, batch...)
-			if tr.ByID(1) == nil {
-				b.Fatal("lost the model span")
-			}
-		}
-	})
-	b.Run("extend-outoforder", func(b *testing.B) {
-		tr := makeBase()
-		a := newAppender(tr, true)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			batch := next(a)
-			b.StartTimer()
-			tr.Spans = append(tr.Spans, batch...)
-			if tr.ByID(1) == nil {
-				b.Fatal("lost the model span")
-			}
-		}
-	})
-	b.Run("invalidate-rebuild", func(b *testing.B) {
-		tr := makeBase()
-		a := newAppender(tr, false)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			batch := next(a)
-			b.StartTimer()
-			tr.Spans = append(tr.Spans, batch...)
-			tr.InvalidateIndex()
-			if tr.ByID(1) == nil {
-				b.Fatal("lost the model span")
-			}
-		}
 	})
 }

@@ -90,7 +90,7 @@ const DefaultTapQueue = 65536
 //
 // AsyncTap implements Collector, so it drops in wherever a synchronous
 // tap went: mem.SetTap(NewAsyncTap(sc, opts)) — or the one-call
-// Memory.SetTapAsync / Server.SetTapAsync. Like a synchronous tap it
+// Memory.SetTapAsync / ServerTenant.SetTapAsync. Like a synchronous tap it
 // forwards the same span pointers and the same batch slices it was given;
 // the destination's sharing contract (see Memory.SetTap) is unchanged,
 // and batches reach the destination exactly once, in the order their

@@ -217,10 +217,6 @@ func (t *ServerTenant) Trace() *Trace {
 // the server started or since the tenant's last reset.
 func (t *ServerTenant) Received() int { return int(t.received.Load()) }
 
-// Collector returns the default tenant's in-process collector, for
-// tracers running in the same process as the server.
-func (s *Server) Collector() *Memory { return s.Tenant(DefaultTenant).Collector() }
-
 // Trace returns the default tenant's currently aggregated timeline trace.
 func (s *Server) Trace() *Trace { return s.Tenant(DefaultTenant).Trace() }
 
@@ -281,10 +277,6 @@ func (t *ServerTenant) SetLoad(l LoadReporter) {
 	t.load.Store(&l)
 }
 
-// SetLoad registers the default tenant's load reporter; see
-// ServerTenant.SetLoad.
-func (s *Server) SetLoad(l LoadReporter) { s.Tenant(DefaultTenant).SetLoad(l) }
-
 // SetTapAsync attaches dst as the tenant's tap behind a bounded queue
 // (see Memory.SetTapAsync) and registers the queue with admission
 // control, so its backlog counts against the tenant's share of
@@ -294,12 +286,6 @@ func (t *ServerTenant) SetTapAsync(dst Collector, opts TapOptions) *AsyncTap {
 	tap := t.mem.SetTapAsync(dst, opts)
 	t.tapQ.Store(tap)
 	return tap
-}
-
-// SetTapAsync attaches the default tenant's async tap; see
-// ServerTenant.SetTapAsync.
-func (s *Server) SetTapAsync(dst Collector, opts TapOptions) *AsyncTap {
-	return s.Tenant(DefaultTenant).SetTapAsync(dst, opts)
 }
 
 // OverloadStats is a point-in-time snapshot of admission state, for
@@ -426,10 +412,6 @@ func (t *ServerTenant) SetDurable(d DurableSink) {
 	t.durable.Store(&d)
 }
 
-// SetDurable installs the default tenant's durable sink; see
-// ServerTenant.SetDurable.
-func (s *Server) SetDurable(d DurableSink) { s.Tenant(DefaultTenant).SetDurable(d) }
-
 // SeedBatches preloads the tenant's batch-dedup window with ids recovered
 // from its durable store, marking each committed: a client retrying a
 // batch the crashed process already acknowledged gets the duplicate ack
@@ -455,10 +437,6 @@ func (t *ServerTenant) SeedBatches(ids []uint64) {
 	}
 }
 
-// SeedBatches preloads the default tenant's batch-dedup window; see
-// ServerTenant.SeedBatches.
-func (s *Server) SeedBatches(ids []uint64) { s.Tenant(DefaultTenant).SeedBatches(ids) }
-
 // SetTap registers a collector that receives every span the tenant
 // aggregates — spans accepted over HTTP (after server-side ID assignment)
 // and spans published in-process through Collector() alike — the hook an
@@ -469,9 +447,6 @@ func (s *Server) SeedBatches(ids []uint64) { s.Tenant(DefaultTenant).SeedBatches
 // stream correlator's Isolated mode — or be the tenant's store itself,
 // see SetHistory). A nil tap detaches. Safe to call while serving.
 func (t *ServerTenant) SetTap(c Collector) { t.mem.SetTap(c) }
-
-// SetTap registers the default tenant's tap; see ServerTenant.SetTap.
-func (s *Server) SetTap(c Collector) { s.Tenant(DefaultTenant).SetTap(c) }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {

@@ -95,7 +95,7 @@ func TestServerAdmissionSpanBudgetCountsTapBacklog(t *testing.T) {
 	srv := NewServer()
 	srv.SetAdmission(AdmissionPolicy{MaxInflightSpans: 4, RetryAfter: time.Second})
 	dst := &recordingCollector{gate: make(chan struct{})}
-	tap := srv.SetTapAsync(dst, TapOptions{Queue: 100, Policy: ShedBlock})
+	tap := srv.Tenant(DefaultTenant).SetTapAsync(dst, TapOptions{Queue: 100, Policy: ShedBlock})
 	defer tap.Close()
 	defer close(dst.gate)
 
@@ -149,7 +149,7 @@ func TestServerAdmissionConsultsLoadReporter(t *testing.T) {
 	srv := NewServer()
 	srv.SetAdmission(AdmissionPolicy{RetryAfter: time.Second})
 	load := &fakeLoad{}
-	srv.SetLoad(load)
+	srv.Tenant(DefaultTenant).SetLoad(load)
 
 	body := encodeSpans(t, span(1))
 	load.p.Store(int32(PressureOverloaded))
@@ -193,7 +193,7 @@ func TestRetryAfterOnBothPushbackPaths(t *testing.T) {
 	srv.SetAdmission(AdmissionPolicy{RetryAfter: 1500 * time.Millisecond})
 	load := &fakeLoad{}
 	load.p.Store(int32(PressureOverloaded))
-	srv.SetLoad(load)
+	srv.Tenant(DefaultTenant).SetLoad(load)
 	rec = postSpans(srv, bytes.NewReader(body), int64(len(body)), "")
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("shed POST = %d, want 429", rec.Code)

@@ -79,7 +79,7 @@ func (c *countingTap) Publish(spans ...*Span) {
 func TestServerTapSeesAcceptedSpans(t *testing.T) {
 	srv := NewServer()
 	tap := &countingTap{}
-	srv.SetTap(tap)
+	srv.Tenant(DefaultTenant).SetTap(tap)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -98,7 +98,7 @@ func TestServerTapSeesAcceptedSpans(t *testing.T) {
 		}
 	}
 
-	srv.SetTap(nil)
+	srv.Tenant(DefaultTenant).SetTap(nil)
 	col.Publish(&Span{ID: 9, Level: LevelModel, Name: "after", Begin: 20, End: 30})
 	if _, err := col.Flush(); err != nil {
 		t.Fatal(err)
@@ -111,17 +111,17 @@ func TestServerTapSeesAcceptedSpans(t *testing.T) {
 	}
 }
 
-// Server.SetTap rides the Memory-level tap, so in-process publishers into
+// ServerTenant.SetTap rides the Memory-level tap, so in-process publishers into
 // Collector() reach the tap too — not just the HTTP ingest path.
 func TestServerTapSeesInProcessPublishes(t *testing.T) {
 	srv := NewServer()
 	tap := &countingTap{}
-	srv.SetTap(tap)
+	srv.Tenant(DefaultTenant).SetTap(tap)
 
-	tr := NewTracer("inproc", LevelModel, srv.Collector())
+	tr := NewTracer("inproc", LevelModel, srv.Tenant(DefaultTenant).Collector())
 	sp := tr.StartSpan("m", 0)
 	tr.FinishSpan(sp, 10)
-	srv.Collector().Publish(&Span{ID: NewSpanID(), Level: LevelLayer, Name: "l", Begin: 1, End: 5})
+	srv.Tenant(DefaultTenant).Collector().Publish(&Span{ID: NewSpanID(), Level: LevelLayer, Name: "l", Begin: 1, End: 5})
 
 	if len(tap.spans) != 2 {
 		t.Fatalf("tap saw %d in-process spans, want 2", len(tap.spans))

@@ -279,7 +279,7 @@ func TestServerReset(t *testing.T) {
 	srv := NewServer()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	srv.Collector().Publish(&Span{ID: 1})
+	srv.Tenant(DefaultTenant).Collector().Publish(&Span{ID: 1})
 	resp, err := ts.Client().Post(ts.URL+"/api/reset", "", nil)
 	if err != nil {
 		t.Fatal(err)
