@@ -1,9 +1,10 @@
 // Package xsp_test holds the benchmark harness that regenerates every
-// table and figure of the paper's evaluation (see DESIGN.md's
-// per-experiment index). Each benchmark drives the corresponding
-// experiment generator end to end — profiling runs, analysis pipeline, and
-// table rendering — so `go test -bench=.` both regenerates the results and
-// measures the harness cost. Run `go run ./cmd/xsp-bench <id>` to see an
+// table and figure of the paper's evaluation (internal/experiments
+// registers them; `go run ./cmd/xsp-bench -list` is the index). Each
+// benchmark drives the corresponding experiment generator end to end —
+// profiling runs, analysis pipeline, and table rendering — so
+// `go test -bench=.` both regenerates the results and measures the
+// harness cost. Run `go run ./cmd/xsp-bench <id>` to see an
 // experiment's output.
 package xsp_test
 
@@ -94,7 +95,7 @@ func BenchmarkFig11_Systems(b *testing.B) { runExperiment(b, "fig11") }
 // Fig 12: roofline of the 37 IC models.
 func BenchmarkFig12_ICRoofline(b *testing.B) { runExperiment(b, "fig12") }
 
-// Ablations of the design choices DESIGN.md calls out.
+// Ablations of the design choices (the abl* experiments in internal/experiments).
 
 // cuDNN algorithm heuristics vs forced algorithms.
 func BenchmarkAbl01_ConvAlgorithms(b *testing.B) { runExperiment(b, "abl01") }

@@ -38,9 +38,8 @@ const shutdownDeadline = 10 * time.Second
 // and returns the listen address.
 func bindFlags(fs *flag.FlagSet, cfg *server.Config) *string {
 	addr := fs.String("addr", "127.0.0.1:7777", "listen address")
-	fs.BoolVar(&cfg.StreamCorrelate, "stream-correlate", false, "resolve span parents online at ingest; serves /api/correlated")
-	fs.StringVar(&cfg.DataDir, "data-dir", "", "directory for the durable segment stores + WALs, one per tenant (default tenant at the root, others under tenants/<key>); batches are fsynced before they are acknowledged and each tenant's streaming state recovers exactly on restart (implies -stream-correlate)")
-	fs.DurationVar(&cfg.ReorderWindow, "reorder-window", time.Millisecond, "virtual-time arrival skew absorbed in order by -stream-correlate")
+	fs.StringVar(&cfg.DataDir, "data-dir", "", "directory for the durable segment stores + WALs, one per tenant (default tenant at the root, others under tenants/<key>); batches are fsynced before they are acknowledged and each tenant's streaming state recovers exactly on restart")
+	fs.DurationVar(&cfg.ReorderWindow, "reorder-window", time.Millisecond, "virtual-time arrival skew the streaming correlator absorbs in order")
 	fs.DurationVar(&cfg.Retain, "retain", 0, "virtual-time length of finalized history kept live for cheap straggler repair; older history folds into checkpoints (0 keeps everything live)")
 	fs.DurationVar(&cfg.CorrRetain, "corr-retain", 0, "virtual-time retention horizon for correlation-id entries — size to the device queue depth; execs later than this resolve by containment (0 retains forever)")
 	fs.IntVar(&cfg.MaxWindowSpans, "max-window-spans", 0, "span bound at which a degraded window closes and chains a successor, keeping checkpoints flowing under sustained pipelined overlap (0 applies the default, negative disables)")
@@ -50,7 +49,7 @@ func bindFlags(fs *flag.FlagSet, cfg *server.Config) *string {
 	fs.StringVar(&cfg.ShedPolicy, "shed-policy", "block", "tap overflow behavior: block (backpressure), drop (shed overflowing batch), degrade (shed stream until drained)")
 	fs.DurationVar(&cfg.RetryAfter, "retry-after", time.Second, "Retry-After hint on 429/503 push-backs")
 	fs.IntVar(&cfg.PressureSpans, "pressure-spans", 0, "per-tenant live-span budget of the streaming correlator; at it the tenant reports overloaded and its ingest sheds (0 disables the signal)")
-	fs.BoolVar(&cfg.LiveAnalysis, "live-analysis", false, "maintain the paper's analyses online per tenant as spans stream in; serves GET /api/analysis/{layers,launchgaps,memcpy,roofline} as JSON or SSE (implies -stream-correlate)")
+	fs.BoolVar(&cfg.LiveAnalysis, "live-analysis", false, "maintain the paper's analyses online per tenant as spans stream in; serves GET /api/analysis/{layers,launchgaps,memcpy,roofline} as JSON or SSE")
 	fs.StringVar(&cfg.GPU, "gpu", gpu.TeslaV100.Name, "GPU system the live analyses classify kernels against (roofline ridge point); one of the paper's Table VII systems")
 	return addr
 }

@@ -781,27 +781,44 @@ func checkCorrelatedView(t *testing.T, when, baseURL, tenant string, acked [][]*
 	}
 }
 
-// TestServerTraceIsTheFedStream: in stream mode /api/trace is served from
-// the correlator's history (or, where the tap may shed, from the raw store
-// kept for that), and either way it must be the stream as it was fed — two
-// tenants, stragglers, tracer-parented spans — the moment the last 202 has
-// returned, with nothing flushed by the reader.
+// tapDropped reads the default tenant's tap.dropped counter off /api/overload.
+func tapDropped(t *testing.T, baseURL string) int {
+	t.Helper()
+	var overload struct {
+		Tenants map[string]struct {
+			Tap struct{ Dropped int }
+		}
+	}
+	if err := json.Unmarshal(getBody(t, baseURL+"/api/overload", ""), &overload); err != nil {
+		t.Fatal(err)
+	}
+	return overload.Tenants["default"].Tap.Dropped
+}
+
+// TestServerTraceIsTheFedStream: /api/trace is served from the correlator's
+// history — merged, where the tap may shed, with the batches it shed — and in
+// every mode it must be the stream as it was fed — two tenants, stragglers,
+// tracer-parented spans — the moment the last 202 has returned, with nothing
+// flushed by the reader. Every acknowledged span is held once: resolved in
+// the history, or unresolved among the shed.
 func TestServerTraceIsTheFedStream(t *testing.T) {
 	tmp := t.TempDir()
+	window := []string{"-reorder-window", "64ns", "-retain", "512ns"}
 	modes := []struct {
 		name string
 		args []string
-		shed bool // the tap may drop batches: the correlated view owes nothing
+		shed bool // the tap may drop batches: the correlated view owes only the rest
 	}{
-		{"block", []string{"-stream-correlate"}, false},
-		{"inline", []string{"-stream-correlate", "-tap-queue", "0"}, false},
-		{"degrade", []string{"-stream-correlate", "-shed-policy", "degrade", "-tap-queue", "2048"}, true},
-		{"durable", []string{"-data-dir", filepath.Join(tmp, "data")}, false},
+		{"plain", nil, false}, // no flag at all: the defaults, nothing ever folds
+		{"block", window, false},
+		{"inline", append([]string{"-tap-queue", "0"}, window...), false},
+		{"drop", append([]string{"-shed-policy", "drop", "-tap-queue", "2048"}, window...), true},
+		{"degrade", append([]string{"-shed-policy", "degrade", "-tap-queue", "2048"}, window...), true},
+		{"durable", append([]string{"-data-dir", filepath.Join(tmp, "data")}, window...), false},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
-			args := append([]string{"-addr", "127.0.0.1:0", "-reorder-window", "64ns", "-retain", "512ns"}, mode.args...)
-			baseURL := serveInProcess(t, args...)
+			baseURL := serveInProcess(t, append([]string{"-addr", "127.0.0.1:0"}, mode.args...)...)
 
 			tenants := []string{"", "acme"}
 			streams := [][][]*trace.Span{fedStream(31, 6_000), fedStream(33, 4_000)}
@@ -837,15 +854,7 @@ func TestServerTraceIsTheFedStream(t *testing.T) {
 						}(nextID)
 					}
 					wg.Wait()
-					var overload struct {
-						Tenants map[string]struct {
-							Tap struct{ Dropped int64 } `json:"tap"`
-						} `json:"tenants"`
-					}
-					if err := json.Unmarshal(getBody(t, baseURL+"/api/overload", ""), &overload); err != nil {
-						t.Fatal(err)
-					}
-					if overload.Tenants["default"].Tap.Dropped > 0 {
+					if tapDropped(t, baseURL) > 0 {
 						break
 					}
 					if burst == 50 {
@@ -853,6 +862,34 @@ func TestServerTraceIsTheFedStream(t *testing.T) {
 					}
 				}
 				checkRawView(t, "after the tap shed", baseURL, "", streams[0])
+
+				// Held once: what is not in the history is what the tap counts
+				// dropped. And the gap is a gap, not the end of the online view:
+				// the queue has drained, so a fresh batch is correlated again.
+				heldOnce := func(when string) *trace.Trace {
+					t.Helper()
+					acked := 0
+					for _, b := range streams[0] {
+						acked += len(b)
+					}
+					got, err := trace.DecodeJSON(bytes.NewReader(getBody(t, baseURL+"/api/correlated?flush=1", "")))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if dropped := tapDropped(t, baseURL); len(got.Spans)+dropped != acked {
+						t.Fatalf("%s: /api/correlated holds %d spans and the tap dropped %d: %d were acknowledged", when, len(got.Spans), dropped, acked)
+					}
+					return got
+				}
+				heldOnce("after the tap shed")
+				layer := &trace.Span{ID: nextID + 1, Level: trace.LevelLayer, Name: "fresh", Begin: at + 10, End: at + 20}
+				kernel := &trace.Span{ID: nextID + 2, Level: trace.LevelKernel, Name: "fresh", Begin: at + 12, End: at + 14}
+				streams[0] = append(streams[0], []*trace.Span{layer, kernel})
+				postBatch(t, baseURL, "", nextID+2, streams[0][len(streams[0])-1])
+				if k := heldOnce("after the queue drained").ByID(kernel.ID); k == nil || k.ParentID != layer.ID {
+					t.Fatalf("a batch posted after the queue drained was not correlated: %+v", k)
+				}
+				checkRawView(t, "after the queue drained", baseURL, "", streams[0])
 			} else {
 				for k, tenant := range tenants {
 					checkCorrelatedView(t, "after the last 202", baseURL, tenant, streams[k])

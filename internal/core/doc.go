@@ -101,9 +101,10 @@
 // budget between scheduled folds. Backpressure composes with
 // correctness: spans shed upstream (admission, or a lossy tap policy)
 // simply never arrive, and the stream-equals-batch property holds over
-// the spans that did; a batch shed only from the online tap still sits
-// in the raw store, and re-correlating a snapshot recovers it exactly
-// (xsp-server keeps a raw store only under -shed-policy drop|degrade).
+// the spans that did; a batch shed only from the online tap is still
+// held by whoever published it (xsp-server: once, unresolved, by the
+// tenant's ingest half, merged into /api/trace beside the history), and
+// re-correlating a snapshot recovers it exactly.
 //
 // # Multi-tenant correlation
 //
@@ -135,12 +136,13 @@
 // copies headers only, one allocation per fed batch: a span's payload
 // (Name, Source, Tags, Metrics) is immutable after publish, the
 // correlator writes only ParentID, and so the copy shares the payload
-// with whoever else holds the span. A correlator that is the only holder
-// of its spans needs no copy: cmd/xsp-server, where no batch can be shed
-// on the way to it, runs it non-Isolated as the tenant's one span store,
-// and [StreamCorrelator.SnapshotRaw] — SnapshotTrace with every
-// resolver-assigned link zeroed on the copies — serves /api/trace what
-// was published, before and after a restart. The StreamCorrelator
+// with whoever else holds the span (bench/replica.go and this package's
+// tests; the option goes with the benchmark PR that re-bases the replica
+// on server.New). A correlator that is the only holder of its spans needs
+// no copy: cmd/xsp-server runs it non-Isolated, in every mode, as the
+// tenant's one span store, and [StreamCorrelator.SnapshotRaw] —
+// SnapshotTrace with every resolver-assigned link zeroed on the copies —
+// serves /api/trace what was published, before and after a restart. The StreamCorrelator
 // additionally draws every interval-tree node — degraded windows and
 // straggler repairs both — from a per-correlator free-list pool
 // (internal/interval.Pool): a closed window releases its trees back and

@@ -7,7 +7,6 @@ import (
 
 	"xsp/internal/segio"
 	"xsp/internal/trace"
-	"xsp/internal/vclock"
 )
 
 // SegmentStore is the durability hook a StreamCorrelator writes through
@@ -72,7 +71,7 @@ func (sc *StreamCorrelator) DurabilityErr() error {
 // counts its spans into walSpans. An error latches (the stream continues
 // RAM-only) and is returned. Callers hold sc.mu.
 func (sc *StreamCorrelator) logBatch(spans []*trace.Span, batchID uint64) error {
-	if sc.opts.Store == nil || sc.replaying || sc.durErr != nil {
+	if !sc.durable() {
 		return nil
 	}
 	if err := sc.opts.Store.LogBatch(spans, nil, batchID); err != nil {
@@ -83,27 +82,18 @@ func (sc *StreamCorrelator) logBatch(spans []*trace.Span, batchID uint64) error 
 	return nil
 }
 
-// persistLadder writes a segment file for every checkpoint segment that
-// does not have one yet — fresh folds and compaction survivors — handing
-// each its own replaced-file list, so a crash between two writes can
-// never have deleted an input whose merged survivor is not yet on disk.
-// Callers hold sc.mu.
-func (sc *StreamCorrelator) persistLadder() {
-	if sc.opts.Store == nil || sc.replaying || sc.durErr != nil {
-		return
-	}
-	for i := range sc.ckpt {
-		seg := &sc.ckpt[i]
-		if seg.fileID != 0 {
-			continue
-		}
-		id, err := sc.opts.Store.WriteSegment(seg.spans, seg.owned, seg.replaced)
-		if err != nil {
-			sc.durErr = err
-			return
-		}
-		seg.fileID = id
-		seg.replaced = nil
+// durable reports whether store writes are armed: there is a store, this
+// is not RecoverStream's replay, and no store error has latched. Callers
+// hold sc.mu.
+func (sc *StreamCorrelator) durable() bool {
+	return sc.opts.Store != nil && !sc.replaying && sc.durErr == nil
+}
+
+// persistHistory writes the segment files the ladder still owes (see
+// history.persistLadder); an error latches. Callers hold sc.mu.
+func (sc *StreamCorrelator) persistHistory() {
+	if sc.durable() {
+		sc.durErr = sc.hist.persistLadder(sc.opts.Store)
 	}
 }
 
@@ -128,21 +118,14 @@ func (sc *StreamCorrelator) walNeedsRotation() bool {
 // rotation is what makes their spans durable elsewhere. Callers hold
 // sc.mu.
 func (sc *StreamCorrelator) rotateWAL() {
-	if sc.opts.Store == nil || sc.replaying || sc.durErr != nil {
+	if !sc.durable() {
 		return
 	}
-	if err := sc.opts.Store.Rotate(sc.snapshotLocked()); err != nil {
-		sc.durErr = err
+	if sc.durErr = sc.opts.Store.Rotate(sc.snapshotLocked()); sc.durErr != nil {
 		return
 	}
 	sc.walSpans = len(sc.all)
-	if len(sc.staleSegs) > 0 {
-		if err := sc.opts.Store.DropSegments(sc.staleSegs); err != nil {
-			sc.durErr = err
-			return
-		}
-		sc.staleSegs = nil
-	}
+	sc.durErr = sc.hist.dropStale(sc.opts.Store)
 }
 
 // snapshotLocked builds the WAL snapshot of everything not in a segment.
@@ -152,13 +135,13 @@ func (sc *StreamCorrelator) rotateWAL() {
 // owned parent; only non-owned (tracer-assigned) links are carried as
 // data. Callers hold sc.mu.
 func (sc *StreamCorrelator) snapshotLocked() segio.Snapshot {
-	snap := segio.Snapshot{Live: sc.all}
-	snap.Owned = make([]uint64, (len(sc.all)+63)/64)
+	owned := newOwnedBits(len(sc.all))
 	for i, s := range sc.all {
 		if sc.owns(s) {
-			snap.Owned[i/64] |= 1 << (i % 64)
+			owned.set(i)
 		}
 	}
+	snap := segio.Snapshot{Live: sc.all, Owned: owned}
 	sc.corr.each(func(corr, parent uint64) {
 		if parent == 0 {
 			return // absent and zero-parent entries are indistinguishable to every reader
@@ -241,32 +224,20 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 	seen := make(map[uint64]bool)
 	segCorr := make(map[uint64]uint64)
 	for _, seg := range rec.Segments {
-		cs := ckptSegment{spans: seg.Spans, owned: seg.Owned, fileID: seg.ID}
+		var covered []int
 		if !seg.SinceSnapshot {
 			if walSeen == nil {
 				walSeen = walSpanIDs(rec)
 			}
-			var covered []int
 			for i, s := range seg.Spans {
 				if walSeen[s.ID] {
 					covered = append(covered, i)
 				}
 			}
-			if len(covered) > 0 {
-				if cs = cs.without(covered); len(cs.spans) == 0 {
-					sc.staleSegs = append(sc.staleSegs, seg.ID)
-					continue
-				}
-			}
 		}
-		sc.ckpt = append(sc.ckpt, cs)
-		sc.ckptSpans += len(cs.spans)
-		for i, s := range cs.spans {
+		sc.hist.install(seg.Spans, seg.Owned, seg.ID, covered, func(s *trace.Span, owned bool) {
 			seen[s.ID] = true
 			sc.noteLevel(s.Level)
-			if s.End > sc.ckptMaxEnd {
-				sc.ckptMaxEnd = s.End
-			}
 			if s.Begin > sc.maxBegin {
 				// Every folded span was fed, so the crashed process's
 				// watermark was at least here. After a deferred fold the spans
@@ -276,7 +247,7 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 				// against a region still missing its buffered container.
 				sc.maxBegin = s.Begin
 			}
-			if s.Kind == trace.KindLaunch && s.CorrelationID != 0 && s.ParentID != 0 && ownedBitSet(cs.owned, i) {
+			if s.Kind == trace.KindLaunch && s.CorrelationID != 0 && s.ParentID != 0 && owned {
 				// A folded launch's correlation entry always mirrors its
 				// settled ParentID (a repair that moved it would have taken
 				// it out of the segment, and a file still holding it lost
@@ -288,17 +259,11 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 				// one never sets an entry in a live process either.
 				segCorr[s.CorrelationID] = s.ParentID
 			}
-		}
+		})
 	}
 	for corr, parent := range segCorr {
 		sc.corr.set(corr, parent)
-		if opts.CorrRetain > 0 {
-			if sc.corrAt == nil {
-				sc.corrAt = make(map[uint64]vclock.Time)
-			}
-			sc.corrLog = append(sc.corrLog, corrRecord{corr: corr})
-			sc.corrAt[corr] = 0
-		}
+		sc.noteCorrSet(corr, 0)
 	}
 
 	snap := rec.Snapshot
@@ -313,13 +278,7 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 				continue
 			}
 			sc.corr.set(c.Corr, c.Parent)
-			if opts.CorrRetain > 0 {
-				if sc.corrAt == nil {
-					sc.corrAt = make(map[uint64]vclock.Time)
-				}
-				sc.corrLog = append(sc.corrLog, corrRecord{corr: c.Corr, at: c.At})
-				sc.corrAt[c.Corr] = c.At
-			}
+			sc.noteCorrSet(c.Corr, c.At)
 		}
 	}
 
@@ -328,12 +287,8 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 	// spans are delivered here — merged into one canonical order, which
 	// keeps begins non-decreasing across segments — and the WAL replay
 	// below re-releases the rest through the ordinary drain path.
-	if opts.Observer != nil && len(sc.ckpt) > 0 {
-		runs := make([][]*trace.Span, 0, len(sc.ckpt))
-		for _, seg := range sc.ckpt {
-			runs = append(runs, seg.spans)
-		}
-		for _, s := range trace.MergeRuns(runs) {
+	if opts.Observer != nil {
+		for _, s := range sc.hist.merged(nil, nil) {
 			opts.Observer.ObserveSpan(s)
 		}
 	}
@@ -358,7 +313,7 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 	// replaced lists. Writing a remainder deletes the file holding the spans
 	// it left out, so the snapshot carrying them has to exist first.
 	sc.rotateWAL()
-	sc.persistLadder()
+	sc.persistHistory()
 	err := sc.durErr
 	sc.mu.Unlock()
 	if err != nil {
@@ -391,23 +346,19 @@ func walSpanIDs(rec *segio.Recovery) map[uint64]bool {
 // segment (or an earlier replayed record) already carries are dropped —
 // segments win — and correlator-owned spans lose their derived ParentID
 // so the resolver re-derives it.
-func dedupStrip(spans []*trace.Span, owned []uint64, seen map[uint64]bool) []*trace.Span {
+func dedupStrip(spans []*trace.Span, owned ownedBits, seen map[uint64]bool) []*trace.Span {
 	out := make([]*trace.Span, 0, len(spans))
 	for i, s := range spans {
 		if s == nil || seen[s.ID] {
 			continue
 		}
 		seen[s.ID] = true
-		if ownedBitSet(owned, i) {
+		if owned.has(i) {
 			s.ParentID = 0
 		}
 		out = append(out, s)
 	}
 	return out
-}
-
-func ownedBitSet(owned []uint64, i int) bool {
-	return i/64 < len(owned) && owned[i/64]&(1<<(i%64)) != 0
 }
 
 // installFloor adopts a recovered release floor — the crashed process's

@@ -17,18 +17,18 @@ func (sc *StreamCorrelator) reopenAll() {
 	for _, l := range sc.levels {
 		released = append(released, sc.rel.slot(l).spans...)
 	}
-	for _, seg := range sc.ckpt {
+	for _, seg := range sc.hist.segs {
 		for i, s := range seg.spans {
 			sc.all = append(sc.all, s)
-			if !ownedBitSet(seg.owned, i) {
+			if !seg.owned.has(i) {
 				sc.parented[s] = true
 			}
 		}
 		released = append(released, seg.spans...)
 		if seg.fileID != 0 {
-			sc.staleSegs = append(sc.staleSegs, seg.fileID)
+			sc.hist.stale = append(sc.hist.stale, seg.fileID)
 		}
-		sc.staleSegs = append(sc.staleSegs, seg.replaced...)
+		sc.hist.stale = append(sc.hist.stale, seg.replaced...)
 	}
 	slices.SortFunc(released, compareEvents)
 
@@ -38,9 +38,7 @@ func (sc *StreamCorrelator) reopenAll() {
 		sc.noteReleased(s)
 	}
 
-	sc.ckpt = nil
-	sc.ckptSpans = 0
-	sc.ckptMaxEnd = 0
+	sc.hist.segs, sc.hist.spans, sc.hist.maxEnd = nil, 0, 0
 }
 
 // ReopenAll runs reopenAll under the correlator's mutex, for the external
@@ -57,10 +55,10 @@ func (sc *StreamCorrelator) ReopenAll() {
 func (sc *StreamCorrelator) OwnedBits() map[uint64]bool {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	owned := make(map[uint64]bool, len(sc.all)+sc.ckptSpans)
-	for _, seg := range sc.ckpt {
+	owned := make(map[uint64]bool, len(sc.all)+sc.hist.spans)
+	for _, seg := range sc.hist.segs {
 		for i, s := range seg.spans {
-			owned[s.ID] = ownedBitSet(seg.owned, i)
+			owned[s.ID] = seg.owned.has(i)
 		}
 	}
 	for _, s := range sc.all {
@@ -74,11 +72,11 @@ func (sc *StreamCorrelator) OwnedBits() map[uint64]bool {
 func (sc *StreamCorrelator) CheckpointSummary() (spans int, maxEnd vclock.Time, wantSpans int, wantMaxEnd vclock.Time) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	for _, seg := range sc.ckpt {
+	for _, seg := range sc.hist.segs {
 		wantSpans += len(seg.spans)
 		for _, s := range seg.spans {
 			wantMaxEnd = max(wantMaxEnd, s.End)
 		}
 	}
-	return sc.ckptSpans, sc.ckptMaxEnd, wantSpans, wantMaxEnd
+	return sc.hist.spans, sc.hist.maxEnd, wantSpans, wantMaxEnd
 }

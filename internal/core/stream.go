@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -33,9 +32,10 @@ type StreamOptions struct {
 	// spans a concurrent reader (or the publishing tracer) still holds. The
 	// copy shares Name, Source, Tags and Metrics with the fed span: a span's
 	// payload is immutable once published, and the correlator writes only
-	// ParentID. A server tap beside a raw store (xsp-server -shed-policy
-	// drop|degrade) runs isolated; a correlator that alone holds its spans (its
-	// other modes) and pipelines that want Memory.Trace sharing leave it false.
+	// ParentID. xsp-server never sets it: there the correlator alone holds
+	// its spans. Kept for bench/replica.go (a tap beside a raw store) and the
+	// core tests; it goes with the benchmark PR that re-bases the replica on
+	// server.New.
 	Isolated bool
 
 	// Retain bounds the live, repairable state of a long-running stream.
@@ -198,6 +198,23 @@ type StreamCorrelator struct {
 	mu   sync.Mutex
 	opts StreamOptions
 
+	// treePool recycles interval-tree nodes across degraded windows and
+	// straggler repairs: a sustained-overlap stream closes thousands of
+	// windows, and per-close tree allocation used to dominate the hot
+	// path (~0.5M node allocs per 100k spans). Guarded by mu like every
+	// window structure.
+	treePool interval.Pool
+
+	replaying bool  // RecoverStream replay in progress: suppress durable writes
+	durErr    error // first Store failure; durability is off once set
+
+	streamState
+}
+
+// streamState is what a StreamCorrelator knows about the spans it was fed —
+// everything Reset returns to empty, which is every field of the correlator
+// but its options, its node pool and its store's latch.
+type streamState struct {
 	all []*trace.Span // live spans, in arrival order (checkpointed spans excluded)
 	// parented holds the live spans fed with a ParentID: the correlator owns
 	// every link but theirs. Empty on server traffic, which is unparented.
@@ -230,13 +247,6 @@ type StreamCorrelator struct {
 	windows     int
 	chained     int // windows closed at the size bound with a successor chained
 
-	// treePool recycles interval-tree nodes across degraded windows and
-	// straggler repairs: a sustained-overlap stream closes thousands of
-	// windows, and per-close tree allocation used to dominate the hot
-	// path (~0.5M node allocs per 100k spans). Guarded by mu like every
-	// window structure.
-	treePool interval.Pool
-
 	stragglers     []*trace.Span // arrived behind the release point; Flush repairs
 	stragglersSeen int
 	repaired       int // spans re-correlated by straggler repair, cumulative
@@ -246,18 +256,12 @@ type StreamCorrelator struct {
 	corrSweep   vclock.Time            // watermark at the last CorrRetain eviction sweep
 	corrEvicted int
 
-	ckpt        []ckptSegment // immutable finalized history; geometric compaction merges by size, so segments carry no time order
-	ckptSpans   int
-	ckptMaxEnd  vclock.Time
-	reopens     int
-	compactions int // checkpoint segment merges performed by the geometric schedule
-	foldCheck   int // released count at the last automatic fold attempt
+	hist      history // immutable finalized history: the checkpoint ladder
+	reopens   int
+	foldCheck int // released count at the last automatic fold attempt
 
-	replaying bool        // RecoverStream replay in progress: suppress durable writes
-	durErr    error       // first Store failure; durability is off once set
-	floor     *trace.Span // release floor recovered from a previous process (synthetic compare key)
-	staleSegs []uint64    // segment files a reopen emptied; deletable after the next WAL rotation covers their spans
-	walSpans  int         // spans the WAL holds, live or since folded: its snapshot's tail plus every batch logged after it
+	floor    *trace.Span // release floor recovered from a previous process (synthetic compare key)
+	walSpans int         // spans the WAL holds, live or since folded: its snapshot's tail plus every batch logged after it
 }
 
 // corrRecord remembers when (in watermark time) a correlation-id entry was
@@ -268,23 +272,6 @@ type StreamCorrelator struct {
 type corrRecord struct {
 	corr uint64
 	at   vclock.Time
-}
-
-// ckptSegment is one immutable fold of finalized spans, in canonical
-// order. The owned bitset remembers which spans the correlator owns, so a
-// reopen (a straggler reaching behind the checkpoint horizon) can restore
-// the ownership of the spans it takes back live. Immutable means replaced,
-// never edited: a merge or a reopen builds a new segment over fresh arrays.
-type ckptSegment struct {
-	spans []*trace.Span
-	owned []uint64 // bitset over spans
-
-	// fileID is the segment's durable file id (0: not yet on disk);
-	// replaced lists the file ids this segment supersedes — a compaction
-	// merge's inputs, or the file a reopen left this remainder of — deleted
-	// when this segment's own file is published.
-	fileID   uint64
-	replaced []uint64
 }
 
 // pendingExec is an execution span waiting for its launch to resolve. The
@@ -299,8 +286,11 @@ type pendingExec struct {
 
 // NewStreamCorrelator returns an empty streaming correlator.
 func NewStreamCorrelator(opts StreamOptions) *StreamCorrelator {
-	return &StreamCorrelator{
-		opts:     opts,
+	return &StreamCorrelator{opts: opts, streamState: newStreamState()}
+}
+
+func newStreamState() streamState {
+	return streamState{
 		parented: make(map[*trace.Span]bool),
 		corr:     newSparseCorrTable(),
 		pending:  make(map[uint64][]pendingExec),
@@ -425,18 +415,19 @@ func (sc *StreamCorrelator) evictCorr() {
 	}
 }
 
-// noteCorrSet records a correlation-id entry in the retention log, so the
-// CorrRetain sweep can age it out; re-setting an entry (straggler repair)
-// supersedes its earlier records. A no-op unless CorrRetain is set.
-func (sc *StreamCorrelator) noteCorrSet(corr uint64) {
+// noteCorrSet records a correlation-id entry, set at watermark at, in the
+// retention log, so the CorrRetain sweep can age it out; re-setting an entry
+// (straggler repair) supersedes its earlier records. A no-op unless
+// CorrRetain is set.
+func (sc *StreamCorrelator) noteCorrSet(corr uint64, at vclock.Time) {
 	if sc.opts.CorrRetain <= 0 {
 		return
 	}
 	if sc.corrAt == nil {
 		sc.corrAt = make(map[uint64]vclock.Time)
 	}
-	sc.corrLog = append(sc.corrLog, corrRecord{corr: corr, at: sc.maxBegin})
-	sc.corrAt[corr] = sc.maxBegin
+	sc.corrLog = append(sc.corrLog, corrRecord{corr: corr, at: at})
+	sc.corrAt[corr] = at
 }
 
 // drain releases buffered spans whose begin the watermark has passed, in
@@ -500,45 +491,11 @@ func (sc *StreamCorrelator) Flush() {
 func (sc *StreamCorrelator) Reset() {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	sc.all = nil
-	sc.parented = make(map[*trace.Span]bool)
-	sc.buf = nil
-	sc.maxBegin = 0
-	sc.lastReleased = nil
-	sc.released = 0
-	sc.stacks = levelStacks{}
-	sc.levels = nil
-	sc.corr = newSparseCorrTable()
-	sc.pending = make(map[uint64][]pendingExec)
-	sc.rel = levelRuns{}
-	sc.execs = make(map[uint64][]*trace.Span)
-	sc.degraded = false
-	sc.windowStart, sc.windowEnd = 0, 0
-	sc.winCands, sc.winDeferred = nil, nil
-	sc.windows = 0
-	sc.chained = 0
-	sc.stragglers = nil
-	sc.stragglersSeen = 0
-	sc.repaired = 0
-	sc.corrLog = nil
-	sc.corrAt = nil
-	sc.corrSweep = 0
-	sc.corrEvicted = 0
-	sc.ckpt = nil
-	sc.ckptSpans = 0
-	sc.ckptMaxEnd = 0
-	sc.reopens = 0
-	sc.compactions = 0
-	sc.foldCheck = 0
-	sc.floor = nil
-	sc.staleSegs = nil
-	sc.walSpans = 0
+	sc.streamState = newStreamState()
 	// Durable state resets with the rest; durErr stays latched — a store
 	// that failed once is not trusted again until the process restarts.
-	if sc.opts.Store != nil && !sc.replaying && sc.durErr == nil {
-		if err := sc.opts.Store.Reset(); err != nil {
-			sc.durErr = err
-		}
+	if sc.durable() {
+		sc.durErr = sc.opts.Store.Reset()
 	}
 }
 
@@ -585,7 +542,7 @@ func (sc *StreamCorrelator) resolve(s *trace.Span) {
 			}
 			if s.Kind == trace.KindLaunch && s.CorrelationID != 0 {
 				sc.corr.set(s.CorrelationID, s.ParentID)
-				sc.noteCorrSet(s.CorrelationID)
+				sc.noteCorrSet(s.CorrelationID, sc.maxBegin)
 				sc.launchResolved(s.CorrelationID, s.ParentID)
 			}
 		} else {
@@ -707,7 +664,7 @@ func (sc *StreamCorrelator) closeWindow() {
 		s.ParentID = parents[i]
 		if s.Kind == trace.KindLaunch && s.CorrelationID != 0 {
 			sc.corr.set(s.CorrelationID, s.ParentID)
-			sc.noteCorrSet(s.CorrelationID)
+			sc.noteCorrSet(s.CorrelationID, sc.maxBegin)
 			sc.launchResolved(s.CorrelationID, s.ParentID)
 		}
 	}
@@ -791,7 +748,7 @@ func (sc *StreamCorrelator) deepestLevel() trace.Level {
 // span population, not the stream's length. Launches whose parent moved
 // propagate through the correlation table to execution spans outside the
 // window. Stragglers behind the checkpoint horizon first reopen it — take
-// the folded spans their windows overlap back live (see extract) — so the
+// the folded spans their windows overlap back live (see relive) — so the
 // regions include them; the rest of the checkpoint stays folded.
 func (sc *StreamCorrelator) repair() {
 	stragglers := sc.stragglers
@@ -801,7 +758,6 @@ func (sc *StreamCorrelator) repair() {
 	// windows by interval overlap, so one stray early arrival does not
 	// widen the region around a burst of late ones.
 	slices.SortFunc(stragglers, compareEvents)
-	type window struct{ lo, hi vclock.Time }
 	var clusters []window
 	for _, s := range stragglers {
 		if n := len(clusters); n > 0 && s.Begin <= clusters[n-1].hi {
@@ -816,27 +772,10 @@ func (sc *StreamCorrelator) repair() {
 	// window, not the ladder: every folded span overlapping a cluster moves
 	// back into the live released state, so the regions below still find in
 	// rel every released span overlapping [lo, hi].
-	deep := sc.ckptSpans > 0 && sc.ckptMaxEnd >= clusters[0].lo
+	deep := sc.hist.reaches(clusters[0].lo)
 	pulled := 0
 	if deep {
-		pulled = sc.extract(func(seg *ckptSegment) (hits []int) {
-			// Segment and clusters both ascend by begin: one pass over the
-			// headers, done at the first span past the last window. (A
-			// malformed cluster, hi < lo, selects as [lo, lo]: a superset.)
-			k := 0
-			for i, s := range seg.spans {
-				for k < len(clusters) && max(clusters[k].lo, clusters[k].hi) < s.Begin {
-					k++
-				}
-				if k == len(clusters) {
-					break
-				}
-				if s.End >= clusters[k].lo {
-					hits = append(hits, i)
-				}
-			}
-			return hits
-		})
+		pulled = sc.relive(sc.hist.extractOverlapping(clusters))
 	}
 
 	// Splice the stragglers into the released timeline: the per-level
@@ -942,7 +881,7 @@ func (sc *StreamCorrelator) repair() {
 			if s.Kind == trace.KindLaunch && s.CorrelationID != 0 {
 				old := sc.corr.get(s.CorrelationID)
 				sc.corr.set(s.CorrelationID, s.ParentID)
-				sc.noteCorrSet(s.CorrelationID)
+				sc.noteCorrSet(s.CorrelationID, sc.maxBegin)
 				if old != s.ParentID {
 					// Changed — or newly resolved: a straggler launch whose
 					// exec a previous Flush finalized by containment must
@@ -1022,22 +961,7 @@ func (sc *StreamCorrelator) repair() {
 	// Folded ones among them leave the checkpoint first, like the windows'
 	// spans did: the link they take must reach the WAL, not only memory.
 	if deep && len(dirty) > 0 {
-		// Tracers mint correlation ids in order, so the moved launches' ids
-		// span a narrow range: most headers are done at one comparison.
-		minCorr, maxCorr := uint64(math.MaxUint64), uint64(0)
-		for corr := range dirty {
-			minCorr, maxCorr = min(minCorr, corr), max(maxCorr, corr)
-		}
-		pulled += sc.extract(func(seg *ckptSegment) (hits []int) {
-			for i, s := range seg.spans {
-				if c := s.CorrelationID; c >= minCorr && c <= maxCorr && s.Kind == trace.KindExec && ownedBitSet(seg.owned, i) {
-					if pid := dirty[c]; pid != 0 && pid != s.ParentID {
-						hits = append(hits, i)
-					}
-				}
-			}
-			return hits
-		})
+		pulled += sc.relive(sc.hist.extractExecs(dirty))
 	}
 	for corr, pid := range dirty {
 		if pid == 0 {
@@ -1066,8 +990,31 @@ func (sc *StreamCorrelator) repair() {
 	if pulled > 0 {
 		sc.reopens++
 		sc.rotateWAL()
-		sc.persistLadder()
+		sc.persistHistory()
 	}
+}
+
+// relive moves spans a straggler repair took out of the history (see
+// history.extract) back into the live released state: the arrival list, the
+// parented set (from the owned bit), their level's released run and the
+// exec-by-correlation table. Returns the number of spans moved.
+func (sc *StreamCorrelator) relive(back []folded) int {
+	byLevel := make(map[trace.Level][]*trace.Span)
+	for _, f := range back {
+		s := f.span
+		sc.all = append(sc.all, s)
+		byLevel[s.Level] = append(byLevel[s.Level], s)
+		if !f.own {
+			sc.parented[s] = true
+		} else if s.Kind == trace.KindExec && s.CorrelationID != 0 {
+			sc.execs[s.CorrelationID] = append(sc.execs[s.CorrelationID], s)
+		}
+	}
+	for l, batch := range byLevel {
+		slices.SortFunc(batch, compareEvents) // canonical order is not sweep order
+		sc.rel.slot(l).mergeIn(batch)
+	}
+	return len(back)
 }
 
 // stackInsert places a repaired straggler at its sweep-order position on
@@ -1197,31 +1144,18 @@ func (sc *StreamCorrelator) fold() int {
 		*st = keep
 	}
 
-	// The segment stores the spans in canonical order with the owned set
-	// as a bitset, so a reopen can restore their ownership exactly. The
-	// levels' evicted runs are begin-ascending: MergeRuns reads them in place.
+	// The levels' evicted runs are begin-ascending: MergeRuns reads them in place.
 	spans := trace.MergeRuns(runs)
-	seg := ckptSegment{spans: spans, owned: make([]uint64, (len(spans)+63)/64)}
-	for i, s := range spans {
-		if sc.owns(s) {
-			seg.owned[i/64] |= 1 << (i % 64)
-		} else {
-			delete(sc.parented, s)
-		}
-		if s.End > sc.ckptMaxEnd {
-			sc.ckptMaxEnd = s.End
-		}
+	sc.hist.add(spans, func(s *trace.Span) bool {
 		if s.Kind == trace.KindExec && s.CorrelationID != 0 {
 			sc.dropExec(s)
 		}
-	}
-	sc.ckpt = append(sc.ckpt, seg)
-	sc.ckptSpans += len(spans)
-
-	// Keep the segment count in check so Trace's k-way merge stays
-	// shallow — geometrically, so a day-long stream amortizes O(log n)
-	// merge work per span instead of re-merging everything periodically.
-	sc.compact()
+		if sc.owns(s) {
+			return true
+		}
+		delete(sc.parented, s)
+		return false
+	})
 
 	// Durability: the segment files are written every time, which is
 	// O(spans folded); the WAL trim, which is O(live tail), only when the
@@ -1229,7 +1163,7 @@ func (sc *StreamCorrelator) fold() int {
 	// segment and the WAL — the same state a crash between the two writes
 	// always could leave — and recovery installs the segment and drops its
 	// spans from replay by span-id dedup.
-	sc.persistLadder()
+	sc.persistHistory()
 	if sc.walNeedsRotation() {
 		sc.rotateWAL()
 	}
@@ -1253,190 +1187,6 @@ func (sc *StreamCorrelator) dropExec(s *trace.Span) {
 	}
 }
 
-// compact applies the geometric (size-tiered) compaction schedule: while
-// any two size-adjacent checkpoint segments are within a factor of two of
-// each other, the smaller pair of them merges into one. The surviving
-// segments therefore form a strictly more-than-doubling size ladder — at
-// most ~log2(checkpointed) segments, so Trace's k-way merge stays shallow
-// — and a span takes part in a merge only when its segment's size grows
-// by at least 1.5x, so a day-long stream pays O(log n) amortized merge
-// work per span instead of the O(total) re-merge a fixed every-N-folds
-// schedule cost. Scanning the whole ladder (not just the two smallest
-// segments) matters: one tiny straggler fold must not shield a plateau of
-// equal-size segments behind it from ever merging.
-func (sc *StreamCorrelator) compact() {
-	// order lists the segments by size, equal sizes by position, and stays
-	// sorted across the merges below.
-	bySize := func(a, b int) int {
-		return cmp.Or(cmp.Compare(len(sc.ckpt[a].spans), len(sc.ckpt[b].spans)), cmp.Compare(a, b))
-	}
-	order := make([]int, len(sc.ckpt))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, bySize)
-	for {
-		pair := -1
-		for i := 0; i+1 < len(order); i++ {
-			if 2*len(sc.ckpt[order[i]].spans) >= len(sc.ckpt[order[i+1]].spans) {
-				pair = i
-				break
-			}
-		}
-		if pair < 0 {
-			return // the doubling ladder holds everywhere
-		}
-		lo, hi := min(order[pair], order[pair+1]), max(order[pair], order[pair+1])
-		sc.ckpt[lo] = mergeSegments(sc.ckpt[lo], sc.ckpt[hi])
-		sc.ckpt = slices.Delete(sc.ckpt, hi, hi+1)
-		sc.compactions++
-
-		// The pair leaves the order, the segments behind hi move down one
-		// position, and the survivor re-enters where its new size puts it.
-		order = slices.Delete(order, pair, pair+2)
-		for i, k := range order {
-			if k > hi {
-				order[i] = k - 1
-			}
-		}
-		at, _ := slices.BinarySearchFunc(order, lo, bySize)
-		order = slices.Insert(order, at, lo)
-	}
-}
-
-// mergeSegments merges two immutable checkpoint segments into one: a
-// two-pointer merge of the canonically sorted inputs — ties toward a, as
-// trace.MergeRuns breaks them — that carries each span's owned bit from
-// its input's bitset to the output's. The merged segment has no durable
-// file yet; it inherits the inputs' files (and their own pending
-// replacements) as its replaced list, so persistLadder deletes them only
-// once the merged file is on disk.
-func mergeSegments(a, b ckptSegment) ckptSegment {
-	seg := newSegment(len(a.spans) + len(b.spans))
-	// Segments fold from successive stretches of the stream, so the merge
-	// is mostly long runs from one side: gallop to the end of each run
-	// rather than compare span by span.
-	i, j := 0, 0
-	for i < len(a.spans) && j < len(b.spans) {
-		end := i + gallop(len(a.spans)-i, func(k int) bool { return trace.CanonicalLess(b.spans[j], a.spans[i+k]) })
-		seg.take(&a, i, end)
-		if i = end; i < len(a.spans) {
-			end = j + gallop(len(b.spans)-j, func(k int) bool { return !trace.CanonicalLess(b.spans[j+k], a.spans[i]) })
-			seg.take(&b, j, end)
-			j = end
-		}
-	}
-	seg.take(&a, i, len(a.spans))
-	seg.take(&b, j, len(b.spans))
-	for _, in := range [2]ckptSegment{a, b} {
-		seg.replaced = append(seg.replaced, in.replaced...)
-		if in.fileID != 0 {
-			seg.replaced = append(seg.replaced, in.fileID)
-		}
-	}
-	return seg
-}
-
-// newSegment returns an empty segment with room for n spans.
-func newSegment(n int) ckptSegment {
-	return ckptSegment{spans: make([]*trace.Span, 0, n), owned: make([]uint64, (n+63)/64)}
-}
-
-// take appends from.spans[lo:hi] to seg, carrying each span's owned bit to
-// its new position.
-func (seg *ckptSegment) take(from *ckptSegment, lo, hi int) {
-	for k, at := lo, len(seg.spans); k < hi; k, at = k+1, at+1 {
-		if ownedBitSet(from.owned, k) {
-			seg.owned[at/64] |= 1 << (at % 64)
-		}
-	}
-	seg.spans = append(seg.spans, from.spans[lo:hi]...)
-}
-
-// without returns seg less the spans at the ascending indexes drop: fresh
-// arrays (seg is immutable), the rest still in canonical order with their
-// owned bits moved down. Like a merge's survivor it has no durable file yet
-// and names seg's — with seg's own pending replacements — as replaced.
-func (seg ckptSegment) without(drop []int) ckptSegment {
-	rest, from := newSegment(len(seg.spans)-len(drop)), 0
-	for _, i := range drop {
-		rest.take(&seg, from, i)
-		from = i + 1
-	}
-	rest.take(&seg, from, len(seg.spans))
-	rest.replaced = slices.Clip(seg.replaced)
-	if seg.fileID != 0 {
-		rest.replaced = append(rest.replaced, seg.fileID)
-	}
-	return rest
-}
-
-// gallop returns the least k in [0, n) at which the monotone stop holds, or
-// n when it never does, in O(log k) probes: doubling steps, then a binary
-// search of the last step.
-func gallop(n int, stop func(k int) bool) int {
-	lo, step := 0, 1 // stop fails everywhere before lo
-	for lo+step <= n && !stop(lo+step-1) {
-		lo, step = lo+step, 2*step
-	}
-	return lo + sort.Search(min(step-1, n-lo), func(k int) bool { return stop(lo + k) })
-}
-
-// extract moves the folded spans sel picks — ascending indexes into one
-// segment's spans — out of the checkpoint into the live released state:
-// the arrival list, the parented set (from the owned bit), their level's
-// released run and the exec-by-correlation table. This is how a straggler
-// repair reaches behind the checkpoint horizon, at the cost of the headers
-// sel reads plus the segments it touches: a touched segment is replaced by
-// its remainder, an emptied one leaves the ladder (its files deletable
-// once a WAL rotation covers the spans), an untouched one is not looked at
-// again. Returns the number of spans moved.
-func (sc *StreamCorrelator) extract(sel func(seg *ckptSegment) []int) int {
-	byLevel := make(map[trace.Level][]*trace.Span)
-	ladder, moved, tookMaxEnd := sc.ckpt[:0], 0, false
-	for _, seg := range sc.ckpt {
-		hits := sel(&seg)
-		for _, i := range hits {
-			s := seg.spans[i]
-			tookMaxEnd = tookMaxEnd || s.End == sc.ckptMaxEnd
-			sc.all = append(sc.all, s)
-			byLevel[s.Level] = append(byLevel[s.Level], s)
-			if !ownedBitSet(seg.owned, i) {
-				sc.parented[s] = true
-			} else if s.Kind == trace.KindExec && s.CorrelationID != 0 {
-				sc.execs[s.CorrelationID] = append(sc.execs[s.CorrelationID], s)
-			}
-		}
-		if len(hits) > 0 {
-			moved += len(hits)
-			if seg = seg.without(hits); len(seg.spans) == 0 {
-				sc.staleSegs = append(sc.staleSegs, seg.replaced...)
-				continue
-			}
-		}
-		ladder = append(ladder, seg)
-	}
-	clear(sc.ckpt[len(ladder):])
-	sc.ckpt = ladder
-	if moved == 0 {
-		return 0
-	}
-	for l, batch := range byLevel {
-		slices.SortFunc(batch, compareEvents) // canonical order is not sweep order
-		sc.rel.slot(l).mergeIn(batch)
-	}
-	sc.ckptSpans -= moved
-	if tookMaxEnd { // else some span left behind still ends there
-		sc.ckptMaxEnd = 0
-		for _, seg := range sc.ckpt {
-			for _, s := range seg.spans {
-				sc.ckptMaxEnd = max(sc.ckptMaxEnd, s.End)
-			}
-		}
-	}
-	return moved
-}
-
 // Trace returns the accumulated spans — checkpointed history and live tail
 // merged — as a canonically ordered trace. The spans are shared with the
 // correlator (and, unless the correlator is Isolated, with whoever fed
@@ -1445,22 +1195,7 @@ func (sc *StreamCorrelator) extract(sel func(seg *ckptSegment) []int) int {
 func (sc *StreamCorrelator) Trace() *trace.Trace {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return &trace.Trace{Spans: sc.mergedSpans()}
-}
-
-// mergedSpans k-way-merges the sorted checkpoint segments with the live
-// tail. Callers must hold sc.mu.
-func (sc *StreamCorrelator) mergedSpans() []*trace.Span {
-	runs := make([][]*trace.Span, 0, len(sc.ckpt)+1)
-	for _, seg := range sc.ckpt {
-		runs = append(runs, seg.spans)
-	}
-	if len(sc.all) > 0 {
-		// The live tail is in arrival order; MergeRuns sorts a private
-		// copy when needed and never mutates the run in place.
-		runs = append(runs, sc.all)
-	}
-	return trace.MergeRuns(runs)
+	return &trace.Trace{Spans: sc.hist.merged(sc.all, nil)}
 }
 
 // SnapshotTrace is Trace with every span's header copied
@@ -1471,7 +1206,7 @@ func (sc *StreamCorrelator) mergedSpans() []*trace.Span {
 func (sc *StreamCorrelator) SnapshotTrace() *trace.Trace {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return &trace.Trace{Spans: trace.CloneHeaders(sc.mergedSpans())}
+	return &trace.Trace{Spans: trace.CloneHeaders(sc.hist.merged(sc.all, nil))}
 }
 
 // SnapshotRaw is SnapshotTrace as the spans were fed: on the copies, every
@@ -1482,21 +1217,7 @@ func (sc *StreamCorrelator) SnapshotTrace() *trace.Trace {
 func (sc *StreamCorrelator) SnapshotRaw() *trace.Trace {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	runs := make([][]*trace.Span, 0, len(sc.ckpt)+1)
-	add := func(spans []*trace.Span, owned func(i int) bool) {
-		run := trace.CloneHeaders(spans)
-		for i, s := range run {
-			if owned(i) {
-				s.ParentID = 0
-			}
-		}
-		runs = append(runs, run)
-	}
-	for _, seg := range sc.ckpt {
-		add(seg.spans, func(i int) bool { return ownedBitSet(seg.owned, i) })
-	}
-	add(sc.all, func(i int) bool { return sc.owns(sc.all[i]) })
-	return &trace.Trace{Spans: trace.MergeRuns(runs)}
+	return &trace.Trace{Spans: sc.hist.merged(sc.all, func(i int) bool { return sc.owns(sc.all[i]) })}
 }
 
 // StreamStats describes a correlator's progress, for observability and
@@ -1523,27 +1244,31 @@ type StreamStats struct {
 func (sc *StreamCorrelator) Stats() StreamStats {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	pending := 0
-	for _, w := range sc.pending {
-		pending += len(w)
-	}
 	return StreamStats{
-		Fed:             len(sc.all) + sc.ckptSpans,
+		Fed:             len(sc.all) + sc.hist.spans,
 		Released:        sc.released,
 		Buffered:        len(sc.buf),
-		PendingExecs:    pending,
+		PendingExecs:    sc.pendingExecs(),
 		Stragglers:      sc.stragglersSeen,
 		DegradedWindows: sc.windows,
 		WindowsChained:  sc.chained,
 		Repaired:        sc.repaired,
 		Live:            len(sc.all),
-		Checkpointed:    sc.ckptSpans,
-		Segments:        len(sc.ckpt),
-		Compactions:     sc.compactions,
+		Checkpointed:    sc.hist.spans,
+		Segments:        len(sc.hist.segs),
+		Compactions:     sc.hist.compactions,
 		Reopens:         sc.reopens,
 		CorrEntries:     sc.corr.len(),
 		CorrEvicted:     sc.corrEvicted,
 	}
+}
+
+// pendingExecs counts the execution spans waiting for their launch.
+func (sc *StreamCorrelator) pendingExecs() (n int) {
+	for _, w := range sc.pending {
+		n += len(w)
+	}
+	return n
 }
 
 // Load describes the correlator's live occupancy against its configured
@@ -1563,14 +1288,10 @@ type Load struct {
 func (sc *StreamCorrelator) Load() Load {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	pending := 0
-	for _, w := range sc.pending {
-		pending += len(w)
-	}
 	return Load{
 		LiveSpans:    len(sc.all),
 		Buffered:     len(sc.buf),
-		PendingExecs: pending,
+		PendingExecs: sc.pendingExecs(),
 		WindowSpans:  len(sc.winCands),
 		Budget:       sc.opts.PressureSpans,
 	}

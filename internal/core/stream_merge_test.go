@@ -18,7 +18,7 @@ func mergeSegmentsByMap(a, b ckptSegment) ckptSegment {
 	var replaced []uint64
 	for _, seg := range []ckptSegment{a, b} {
 		for j, s := range seg.spans {
-			if seg.owned[j/64]&(1<<(j%64)) != 0 {
+			if seg.owned.has(j) {
 				ownedSet[s] = true
 			}
 		}
@@ -28,10 +28,10 @@ func mergeSegmentsByMap(a, b ckptSegment) ckptSegment {
 		}
 	}
 	spans := trace.MergeRuns([][]*trace.Span{a.spans, b.spans})
-	seg := ckptSegment{spans: spans, owned: make([]uint64, (len(spans)+63)/64), replaced: replaced}
+	seg := ckptSegment{spans: spans, owned: newOwnedBits(len(spans)), replaced: replaced}
 	for i, s := range spans {
 		if ownedSet[s] {
-			seg.owned[i/64] |= 1 << (i % 64)
+			seg.owned.set(i)
 		}
 	}
 	return seg
@@ -43,7 +43,7 @@ func mergeSegmentsByMap(a, b ckptSegment) ckptSegment {
 // the shared pool, so no two spans of a pair tie completely. shift moves
 // the whole segment later in time.
 func randomSegment(rng *rand.Rand, n int, shift vclock.Time, ids *[]uint64) ckptSegment {
-	seg := ckptSegment{owned: make([]uint64, (n+63)/64)}
+	seg := ckptSegment{owned: newOwnedBits(n)}
 	for i := 0; i < n; i++ {
 		k := rng.Intn(len(*ids))
 		id := (*ids)[k]
@@ -67,7 +67,7 @@ func randomSegment(rng *rand.Rand, n int, shift vclock.Time, ids *[]uint64) ckpt
 	})
 	for i := range seg.spans {
 		if rng.Intn(2) == 0 {
-			seg.owned[i/64] |= 1 << (i % 64)
+			seg.owned.set(i)
 		}
 	}
 	if rng.Intn(3) > 0 {

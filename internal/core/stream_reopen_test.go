@@ -127,7 +127,7 @@ func TestWindowedReopenMatchesFullReopen(t *testing.T) {
 		} else {
 			// The last cycle is one straggler alone, its window reaching from
 			// the previous cycle's withheld stretch to the tip: it takes the
-			// latest-ending folded span — the one ckptMaxEnd tracks — and
+			// latest-ending folded span — the one history.maxEnd tracks — and
 			// most of a cycle's spans with it, and no fold follows to hide a
 			// stale maximum.
 			last := fed[len(fed)-1]

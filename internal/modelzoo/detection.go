@@ -125,8 +125,7 @@ func buildSSDResNet34(name string, batch int) *framework.Graph {
 
 // fasterRCNNHead appends the second-stage box head: RPN convolutions plus
 // per-proposal dense compute (the 300 region crops re-enter a conv stack;
-// modelled as wide convolutions carrying the equivalent flops, see
-// DESIGN.md).
+// modelled as wide convolutions carrying the equivalent flops).
 func fasterRCNNHead(b *builder, headConvs, headCh, headHW, whereCount int) {
 	b.convBNRelu(512, 3, 1, 1) // RPN
 	b.conv(24, 1, 1, 0)        // RPN box deltas

@@ -9,8 +9,8 @@
 // Detection/segmentation/super-resolution models are built from their
 // backbone plus a head whose operator mix (convolutions vs Where/reshape
 // ops) reproduces the paper's reported convolution latency percentages;
-// their exact proposal plumbing is approximated, which DESIGN.md documents
-// as a substitution.
+// their exact proposal plumbing is approximated: a substitution, spelled
+// out at each head builder in detection.go.
 //
 // Static metadata (accuracy, frozen-graph size) and the paper's measured
 // reference numbers (online latency, maximum throughput, optimal batch

@@ -17,12 +17,12 @@
 // Tenants are created lazily on first use, and distinct tenants share
 // nothing on the feed path, so a multi-tenant ingest load spreads across
 // cores (WAL fsyncs included) while each tenant keeps strict per-tenant
-// ordering and exactly-once dedup. In stream mode everything held for one
+// ordering and exactly-once dedup. Everything held for one
 // key is one tenant value — ingest half, correlator and store
 // (core.OpenTenantStream, called as the tenant is created), tap, analysis
 // engine — in the package's one per-tenant table.
 //
-// With StreamCorrelate, a core.StreamCorrelator per tenant taps the
+// The server always correlates: a core.StreamCorrelator per tenant taps the
 // ingestion path (a Memory-level tap, so any future in-process publisher
 // is covered too) and resolves span parents online as batches arrive,
 // instead of leaving correlation to whoever fetches the trace. The
@@ -35,11 +35,11 @@
 // serving the spans as published, from the same store — the correlator
 // links the decoded spans themselves, a streamed span is held once, and
 // /api/trace is its history with its links masked out: every batch whose 202
-// has returned and, durable, everything recovered (only ShedPolicy
-// drop|degrade, which promise a shed batch stays in the raw store, keep one,
-// beside a correlator on header-only copies) — and /api/reset clears the
-// addressed tenant's collector and streaming state together — and only
-// that tenant's. ReorderWindow sets how much cross-shard arrival skew
+// has returned and, durable, everything recovered (a batch a ShedPolicy
+// drop|degrade tap shed is kept once by the ingest half instead, and merged
+// in; there is no raw store beside the history in any mode) — and /api/reset
+// clears the addressed tenant's collector and streaming state together — and
+// only that tenant's. ReorderWindow sets how much cross-shard arrival skew
 // (in virtual-clock duration) the stream absorbs in order, and Retain
 // bounds the live correlator state on a long-running server: finalized
 // history older than the retain window folds into immutable checkpoint
@@ -52,12 +52,12 @@
 // ingest exactly once across client retries. A batch holding a span that
 // ends before it begins is refused whole with a 400.
 //
-// With LiveAnalysis (it implies StreamCorrelate) each tenant's
+// With LiveAnalysis each tenant's
 // analysis.Online engine observes its correlator's accepted spans exactly
 // once, recovered history included, and GET
 // /api/analysis[/layers|launchgaps|memcpy|roofline] serves the paper's
 // analyses as JSON or, with ?watch=1 or Accept: text/event-stream, as
-// server-sent events every ?interval=.
+// server-sent events every ?interval= (a millisecond at least).
 //
 // Overload control: MaxInflightSpans and MaxInflightBytes give the
 // server an admission budget — past it, span POSTs are shed with 429 and a
@@ -71,14 +71,14 @@
 // (TapQueue spans; 0 restores the inline synchronous tap) whose
 // overflow behavior is ShedPolicy: "block" applies backpressure to the
 // publish path, "drop" sheds the overflowing batch, "degrade" sheds the
-// whole stream until the queue drains. A batch so shed is never lost — under
-// those two policies it stays in the raw store and a batch re-correlate of
-// /api/trace covers it — and shed clients retry safely under their batch
-// ids. GET /api/overload reports the admission, tap, and pressure
+// whole stream until the queue drains. A batch so shed is never lost — the
+// tenant's ingest half holds it, once and unresolved, /api/trace merges it
+// in, and a batch re-correlate of /api/trace covers it — and shed clients
+// retry safely under their batch ids. GET /api/overload reports the admission, tap, and pressure
 // counters, per tenant.
 //
 // Durability: DataDir names a directory the streaming state survives
-// crashes in (it implies StreamCorrelate). The default tenant's store
+// crashes in. The default tenant's store
 // lives at the directory root — a data directory written by a pre-tenant
 // build recovers as the default tenant unchanged — and every other
 // tenant's under tenants/<key>, so one tenant's WAL, segments, and

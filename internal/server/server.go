@@ -24,8 +24,7 @@ import (
 // zero Config is not the flags' defaults: ShedPolicy must name a policy,
 // and a zero TapQueue runs the taps inline.
 type Config struct {
-	StreamCorrelate  bool          // -stream-correlate
-	DataDir          string        // -data-dir (implies StreamCorrelate)
+	DataDir          string        // -data-dir
 	ReorderWindow    time.Duration // -reorder-window
 	Retain           time.Duration // -retain
 	CorrRetain       time.Duration // -corr-retain
@@ -36,7 +35,7 @@ type Config struct {
 	ShedPolicy       string        // -shed-policy: block, drop or degrade
 	RetryAfter       time.Duration // -retry-after
 	PressureSpans    int           // -pressure-spans
-	LiveAnalysis     bool          // -live-analysis (implies StreamCorrelate)
+	LiveAnalysis     bool          // -live-analysis
 	GPU              string        // -gpu: a gpu.Systems name; read only with LiveAnalysis
 }
 
@@ -46,14 +45,6 @@ type Server struct {
 	cfg    Config
 	policy trace.ShedPolicy
 	gpu    gpu.Spec // set with LiveAnalysis, its only reader
-
-	// oneStore: where nothing can shed a batch on its way to the correlator
-	// — the synchronous durable sink, an inline tap, a blocking queue — the
-	// correlator's history is the tenant's one span store: it links the
-	// decoded spans themselves and /api/trace masks its links back out. A
-	// drop|degrade tap promises a shed batch stays in the raw store: there it
-	// stays, beside header copies the raw view's readers never race.
-	oneStore bool
 
 	ingest *trace.Server // /api/spans, /api/trace, and the tenants' ingest halves
 	mux    *http.ServeMux
@@ -67,10 +58,10 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// New builds a server from cfg and, in stream mode, opens the default
-// tenant and every tenant DataDir holds, recovering each. The only errors
-// are a ShedPolicy or GPU that names nothing; a store that will not open
-// degrades its tenant to RAM-only instead (see /api/durability).
+// New builds a server from cfg and opens the default tenant and every
+// tenant DataDir holds, recovering each. The only errors are a ShedPolicy
+// or GPU that names nothing; a store that will not open degrades its tenant
+// to RAM-only instead (see /api/durability).
 func New(cfg Config) (*Server, error) {
 	pol, err := trace.ParseShedPolicy(cfg.ShedPolicy)
 	if err != nil {
@@ -93,11 +84,6 @@ func New(cfg Config) (*Server, error) {
 		writeJSON(w, append([]string{}, s.ingest.Tenants()...)) // in creation order; never null
 	})
 	s.route(http.MethodGet, "/api/overload", s.handleOverload)
-	if !cfg.StreamCorrelate && cfg.DataDir == "" && !cfg.LiveAnalysis {
-		return s, nil
-	}
-
-	s.oneStore = cfg.DataDir != "" || cfg.TapQueue <= 0 || pol == trace.ShedBlock
 	s.tenantRoute(http.MethodPost, "/api/reset", s.handleReset)
 	s.tenantRoute(http.MethodPost, "/api/checkpoint", s.handleCheckpoint)
 	s.tenantRoute(http.MethodGet, "/api/correlated", s.handleCorrelated)
@@ -208,11 +194,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// tenant is everything the server holds for one tenant key in stream mode:
-// the ingest half (collector, dedup window, admission counters), the
-// correlator with its durable store, the async tap between them (RAM mode
-// with a queue; nil otherwise) and the live-analysis engine (nil without
-// LiveAnalysis). Built once by open, immutable afterwards.
+// tenant is everything the server holds for one tenant key: the ingest half
+// (collector, dedup window, admission counters), the correlator with its
+// durable store, the async tap between them (RAM mode with a queue; nil
+// otherwise) and the live-analysis engine (nil without LiveAnalysis). Built
+// once by open, immutable afterwards.
 type tenant struct {
 	ingest *trace.ServerTenant
 	stream *core.TenantStream
@@ -229,7 +215,6 @@ func (s *Server) open(tn *trace.ServerTenant) {
 	t := &tenant{ingest: tn}
 	opts := core.StreamOptions{
 		ReorderWindow:  vclock.Duration(s.cfg.ReorderWindow),
-		Isolated:       !s.oneStore,
 		Retain:         vclock.Duration(s.cfg.Retain),
 		CorrRetain:     vclock.Duration(s.cfg.CorrRetain),
 		MaxWindowSpans: s.cfg.MaxWindowSpans,
@@ -276,12 +261,13 @@ func (s *Server) open(tn *trace.ServerTenant) {
 	default:
 		tn.SetTap(st)
 	}
-	if s.oneStore {
-		tn.SetHistory(func() *trace.Trace {
-			t.settle() // a batch whose 202 has returned is in the view
-			return st.Correlator().SnapshotRaw()
-		})
-	}
+	// The correlator's history is the tenant's span store: it links the
+	// decoded spans themselves and /api/trace masks its links back out. A
+	// batch a drop|degrade tap sheds stays with the ingest half instead.
+	tn.SetHistory(func() *trace.Trace {
+		t.settle() // a batch whose 202 has returned is in the view
+		return st.Correlator().SnapshotRaw()
+	})
 	s.mu.Lock()
 	s.tenants[tn.Key()] = t
 	s.mu.Unlock()
@@ -487,11 +473,17 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request, t *tenan
 	writeJSON(w, view(eng))
 }
 
+// minWatchInterval is the shortest SSE period watch honours. Each event
+// re-encodes a snapshot under the engine lock ObserveSpan takes under the
+// correlator's mutex, so an unclamped ?interval=1ns would slow the tenant's
+// ingest for as long as the GET stays open.
+const minWatchInterval = time.Millisecond
+
 // watch serves snapshot as server-sent events, one per ?interval= (default
-// 1s): always the current totals, so a consumer that connects mid-ingest
-// converges without replaying history. It ends with the request's context
-// (the client left, or the listener's base context was cancelled) or when
-// Close begins — it never holds a shutdown open.
+// 1s, at least minWatchInterval): always the current totals, so a consumer
+// that connects mid-ingest converges without replaying history. It ends with
+// the request's context (the client left, or the listener's base context was
+// cancelled) or when Close begins — it never holds a shutdown open.
 func (s *Server) watch(w http.ResponseWriter, r *http.Request, snapshot func() any) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -505,7 +497,7 @@ func (s *Server) watch(w http.ResponseWriter, r *http.Request, snapshot func() a
 			http.Error(w, "bad interval", http.StatusBadRequest)
 			return
 		}
-		interval = d
+		interval = max(d, minWatchInterval)
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")

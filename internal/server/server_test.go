@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/pprof"
 	"slices"
 	"strconv"
@@ -20,6 +21,7 @@ import (
 
 	"xsp/internal/gpu"
 	"xsp/internal/trace"
+	"xsp/internal/vclock"
 	"xsp/internal/workload"
 )
 
@@ -28,7 +30,7 @@ import (
 // streams fold, straggle and reopen while a test runs.
 func testConfig(dataDir string) Config {
 	return Config{
-		DataDir: dataDir, StreamCorrelate: true, LiveAnalysis: true, GPU: gpu.TeslaV100.Name,
+		DataDir: dataDir, LiveAnalysis: true, GPU: gpu.TeslaV100.Name,
 		ReorderWindow: 64, Retain: 512, TapQueue: trace.DefaultTapQueue, ShedPolicy: "block", RetryAfter: time.Second,
 	}
 }
@@ -290,6 +292,103 @@ func TestCloseEndsWatchers(t *testing.T) {
 	}
 }
 
+// Thermal cycling for the shed path: three times over, a degrade tap of 2048
+// spans is overdriven until it sheds, drained, and its tenant reset — and
+// every invariant is inspected in every cycle, not just the last. The raw
+// view is the stream as fed, tracer-sent parents included; every acknowledged
+// span is held once (in the history, or in the ingest half's store, which
+// holds exactly what the tap counts dropped); the reset leaves both empty;
+// and no cycle leaves a goroutine behind.
+func TestShedDrainResetCycles(t *testing.T) {
+	cfg := testConfig("")
+	cfg.ShedPolicy, cfg.TapQueue = "degrade", 2048
+	s := newServer(t, cfg)
+	tn := s.lookup("")
+	nextID, droppedBefore, goroutines := uint64(1<<32), int64(0), 0
+	for cycle := 1; cycle <= 3; cycle++ {
+		fed := arrivals(int64(100+cycle), 3_000)
+		for i, b := range fed {
+			for _, sp := range b {
+				if sp.ID%41 == 0 && sp.Kind != trace.KindLaunch {
+					sp.ParentID = 1 // tracer-sent: the raw view gives it back
+				}
+			}
+			if rec := post(s, "", uint64(cycle)<<20|uint64(i+1), b); rec.Code != http.StatusAccepted {
+				t.Fatalf("cycle %d batch %d: %d %s", cycle, i+1, rec.Code, rec.Body)
+			}
+		}
+		// Overflow: bursts of eight concurrent batches, four queue bounds each.
+		at := vclock.Time(1 << 40)
+		for burst := 0; tn.tap.Stats().Dropped == droppedBefore; burst++ {
+			if burst == 50 {
+				t.Fatalf("cycle %d: fifty bursts of four queue bounds each never overflowed the tap", cycle)
+			}
+			var wg sync.WaitGroup
+			for p := 0; p < 8; p++ {
+				batch := make([]*trace.Span, 1_024)
+				for i := range batch {
+					nextID, at = nextID+1, at+2
+					batch[i] = &trace.Span{ID: nextID, Level: trace.LevelKernel, Name: "burst", Begin: at, End: at + 1}
+				}
+				fed = append(fed, batch)
+				wg.Add(1)
+				go func(id uint64) {
+					defer wg.Done()
+					if rec := post(s, "", id, batch); rec.Code != http.StatusAccepted {
+						t.Errorf("cycle %d burst batch %x: %d %s", cycle, id, rec.Code, rec.Body)
+					}
+				}(nextID)
+			}
+			wg.Wait()
+		}
+
+		mem, acked := trace.NewMemory(), 0
+		for _, b := range fed {
+			acked += len(b)
+			for _, sp := range b {
+				mem.Publish(sp.Clone())
+			}
+		}
+		want := mem.Trace()
+		want.Tenant = trace.DefaultTenant
+		var wantBody bytes.Buffer
+		if err := want.EncodeJSON(&wantBody); err != nil {
+			t.Fatal(err)
+		}
+		if got := get(t, s, "/api/trace", ""); !bytes.Equal(got, wantBody.Bytes()) {
+			t.Fatalf("cycle %d: /api/trace is %d bytes, the fed stream encodes to %d", cycle, len(got), wantBody.Len())
+		}
+		correlated, err := trace.DecodeJSON(bytes.NewReader(get(t, s, "/api/correlated?flush=1", "")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shed := tn.tap.Stats().Dropped - droppedBefore
+		if kept := tn.ingest.Collector().Len(); len(correlated.Spans)+int(shed) != acked || int64(kept) != shed {
+			t.Fatalf("cycle %d: %d spans acknowledged; the history holds %d, the tap shed %d, the ingest half keeps %d",
+				cycle, acked, len(correlated.Spans), shed, kept)
+		}
+		if st := tn.tap.Stats(); st.Degraded || st.Depth != 0 {
+			t.Fatalf("cycle %d: the drained tap is still degraded: %+v", cycle, st)
+		}
+
+		if rec := do(s, http.MethodPost, "/api/reset", "", nil, nil); rec.Code != http.StatusNoContent {
+			t.Fatalf("cycle %d: POST /api/reset: %d", cycle, rec.Code)
+		}
+		if kept, fedNow := tn.ingest.Collector().Len(), tn.stream.Correlator().Stats().Fed; kept != 0 || fedNow != 0 {
+			t.Fatalf("cycle %d: after the reset the ingest half keeps %d spans and the history %d", cycle, kept, fedNow)
+		}
+		if got := string(get(t, s, "/api/trace", "")); got != "[]\n" {
+			t.Fatalf("cycle %d: /api/trace after the reset: %q", cycle, got)
+		}
+		droppedBefore = tn.tap.Stats().Dropped
+		if n := runtime.NumGoroutine(); cycle == 1 {
+			goroutines = n
+		} else if n > goroutines {
+			t.Fatalf("cycle %d ends with %d goroutines, cycle 1 ended with %d", cycle, n, goroutines)
+		}
+	}
+}
+
 func captureStderr(t *testing.T, fn func()) string {
 	t.Helper()
 	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
@@ -456,6 +555,22 @@ func TestExternalContract(t *testing.T) {
 	}
 	if rec := do(s, http.MethodGet, "/api/analysis?watch=1&interval=soon", "", nil, nil); rec.Code != http.StatusBadRequest {
 		t.Errorf("bad SSE interval: %d, want 400", rec.Code)
+	}
+	// A watcher cannot ask for more than one event a millisecond: each one
+	// re-encodes a snapshot under the lock ingest observes spans through.
+	resp, err = http.Get(ts.URL + "/api/analysis/layers?watch=1&interval=1ns&tenant=ghost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, events := bufio.NewScanner(resp.Body), 0
+	for start := time.Now(); time.Since(start) < time.Second && sc.Scan(); {
+		if sc.Text() == "event: analysis" {
+			events++
+		}
+	}
+	resp.Body.Close()
+	if events < 2 || events > 1_100 {
+		t.Errorf("a 1ns watcher was sent %d events in a second, want one a millisecond at most", events)
 	}
 
 	overload := get(t, s, "/api/overload", "")

@@ -71,10 +71,11 @@
 //     until the queue fully drains (hysteresis, so a saturated consumer
 //     gets a quiet catch-up window). Shedding is batch-granular and
 //     counted ([AsyncTap.Stats]); a shed batch is only lost to the
-//     *online* consumer — it already landed in the Memory store, so a
-//     snapshot re-correlate (or the correlator's next Flush over the raw
-//     trace) recovers it (so a tenant whose tap may shed gets no
-//     history). An oversized batch is admitted when it has the queue to
+//     *online* consumer — it already landed in the Memory store, or, on a
+//     tenant whose consumer is its span store ([ServerTenant.SetHistory]),
+//     the tenant's Memory keeps exactly the shed batches and
+//     [ServerTenant.Trace] merges them in — so a snapshot re-correlate
+//     recovers it. An oversized batch is admitted when it has the queue to
 //     itself, so one batch larger than the bound cannot wedge.
 //   - In-flight request bytes and spans. [Server.SetAdmission] installs an
 //     [AdmissionPolicy]: request bodies reserve their Content-Length
@@ -113,7 +114,7 @@
 // [Memory.SnapshotTrace] for a deep-copied, isolated trace instead. A
 // span's payload — Name, Source, Tags, Metrics — is immutable after
 // publish: readers iterate the maps without locks, and [CloneHeaders]
-// (what an isolated stream correlator and every correlator snapshot hold)
+// (what every stream-correlator snapshot holds)
 // copies the header fields and shares the payload.
 //
 // # Multi-tenant ingestion

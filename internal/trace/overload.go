@@ -8,11 +8,12 @@ import (
 // ShedPolicy is what an AsyncTap does with a published batch when its
 // queue is full — the explicit overload contract between the publish path
 // and a slower online consumer. Whatever the policy, the spans themselves
-// are never lost: a tap forwards spans that are already buffered in the
-// collector, so a batch the tap sheds stays in the store and is picked up
-// by the next snapshot re-correlate (see the package comment's "Overload"
-// section). The policies trade publish-path latency against online-view
-// completeness.
+// are never lost: a tap on a Memory forwards spans the collector already
+// buffers, and a ServerTenant whose consumer is its span store (SetHistory)
+// keeps a batch its tap sheds itself — once, unresolved, merged into
+// ServerTenant.Trace — so a batch re-correlate of that trace still sees it
+// (see the package comment's "Overload" section). The policies trade
+// publish-path latency against online-view completeness.
 type ShedPolicy int
 
 const (
@@ -100,6 +101,7 @@ type AsyncTap struct {
 	dst  Collector
 	max  int
 	pol  ShedPolicy
+	keep func([]*Span) // takes each batch the policy sheds; nil when whoever publishes already holds it
 	wg   sync.WaitGroup
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast: queue state changed (room, work, or close)
@@ -159,8 +161,7 @@ func (t *AsyncTap) Publish(spans ...*Span) {
 		}
 		if t.degraded {
 			// Degraded: shed everything until the worker drains the queue.
-			t.dropped += int64(n)
-			t.mu.Unlock()
+			t.drop(spans)
 			return
 		}
 		if t.depth+t.busy+n <= t.max || t.depth+t.busy == 0 {
@@ -171,14 +172,12 @@ func (t *AsyncTap) Publish(spans ...*Span) {
 			t.cond.Wait()
 			continue
 		case ShedDropNewest:
-			t.dropped += int64(n)
-			t.mu.Unlock()
+			t.drop(spans)
 			return
 		case ShedDegradeToBatch:
 			t.degraded = true
 			t.degradations++
-			t.dropped += int64(n)
-			t.mu.Unlock()
+			t.drop(spans)
 			return
 		}
 	}
@@ -190,6 +189,17 @@ func (t *AsyncTap) Publish(spans ...*Span) {
 	}
 	t.cond.Broadcast()
 	t.mu.Unlock()
+}
+
+// drop sheds a batch: counted, the lock released, and the batch handed to
+// the keeper — outside the lock, so shedding never waits on a store. Callers
+// hold t.mu and return.
+func (t *AsyncTap) drop(spans []*Span) {
+	t.dropped += int64(len(spans))
+	t.mu.Unlock()
+	if t.keep != nil {
+		t.keep(spans)
+	}
 }
 
 // run is the worker: it forwards queued batches to the destination, one

@@ -39,9 +39,9 @@ func BenchmarkPublishTapped(b *testing.B) {
 		return batch
 	}
 	newCorrelator := func() *core.StreamCorrelator {
-		// Isolated + Retain match the server's tap wiring: the correlator
-		// clones what it keeps and folds finalized history, so its cost is
-		// the steady-state one, not an ever-growing append.
+		// Isolated, because the Memory it taps keeps the same spans; Retain
+		// folds finalized history, so the cost is the steady-state one, not
+		// an ever-growing append.
 		return core.NewStreamCorrelator(core.StreamOptions{
 			Isolated:      true,
 			ReorderWindow: 64,

@@ -66,7 +66,7 @@ type ServerTenant struct {
 	received atomic.Int64 // spans accepted over HTTP since start or the tenant's last reset
 
 	load         atomic.Pointer[LoadReporter]
-	history      func() *Trace // SetHistory: the consumer's store serves Trace, mem stays empty
+	history      func() *Trace // SetHistory: the consumer's store serves Trace, mem holds only what the tap shed
 	tapQ         atomic.Pointer[AsyncTap]
 	durable      atomic.Pointer[DurableSink]
 	inflightS    atomic.Int64 // spans decoded, not yet landed in this tenant's collector
@@ -188,7 +188,8 @@ func (t *ServerTenant) Key() string { return t.key }
 
 // Collector returns the tenant's in-process collector, for tracers
 // running in the same process as the server. With a history set
-// (SetHistory) spans accepted over HTTP bypass it and Trace does not read it.
+// (SetHistory) spans accepted over HTTP bypass it: it then holds exactly
+// the batches the tenant's async tap shed, which Trace merges in.
 func (t *ServerTenant) Collector() *Memory { return t.mem }
 
 // SetHistory makes the tenant's consumer its span store: an accepted batch
@@ -196,19 +197,25 @@ func (t *ServerTenant) Collector() *Memory { return t.mem }
 // to the tenant's Memory, and Trace — hence GET /api/trace — serves src():
 // every span the consumer was handed, in canonical order with ParentIDs as
 // published, safe to encode while ingest continues
-// (core.StreamCorrelator.SnapshotRaw). Sound only when nothing between the
-// handler and the consumer can shed a batch. Call it from the SetTenantInit
-// hook, before the tenant serves: unlike its siblings it is not atomic.
+// (core.StreamCorrelator.SnapshotRaw). A batch the tenant's async tap sheds
+// on the way (SetTapAsync under ShedDropNewest or ShedDegradeToBatch) never
+// reaches the consumer: the tenant's Memory keeps it instead, untouched, and
+// Trace merges the two, so every accepted span is held once and served. Call
+// it from the SetTenantInit hook, before the tenant serves: unlike its
+// siblings it is not atomic.
 func (t *ServerTenant) SetHistory(src func() *Trace) { t.history = src }
 
-// Trace returns the tenant's currently aggregated timeline trace — its
-// history's, when one is set — tagged with the tenant key.
+// Trace returns the tenant's currently aggregated timeline trace — with a
+// history set, the history's merged with whatever the tap shed — tagged
+// with the tenant key.
 func (t *ServerTenant) Trace() *Trace {
-	src := t.mem.Trace
+	tr := t.mem.Trace()
 	if t.history != nil {
-		src = t.history
+		shed := tr.Spans
+		if tr = t.history(); len(shed) > 0 {
+			tr.Spans = MergeRuns([][]*Span{tr.Spans, shed})
+		}
 	}
-	tr := src()
 	tr.Tenant = t.key
 	return tr
 }
@@ -281,9 +288,17 @@ func (t *ServerTenant) SetLoad(l LoadReporter) {
 // (see Memory.SetTapAsync) and registers the queue with admission
 // control, so its backlog counts against the tenant's share of
 // AdmissionPolicy.MaxInflightSpans and is reported in the
-// X-Tap-Queue-Depth header. Close the returned tap when detaching.
+// X-Tap-Queue-Depth header. With a history set (SetHistory) the tenant's
+// Memory is the tap's keeper: a shed batch lands there and nowhere else.
+// Close the returned tap when detaching.
 func (t *ServerTenant) SetTapAsync(dst Collector, opts TapOptions) *AsyncTap {
-	tap := t.mem.SetTapAsync(dst, opts)
+	tap := NewAsyncTap(dst, opts)
+	tap.keep = func(spans []*Span) {
+		if t.history != nil { // else Publish already appended the batch
+			t.mem.append(spans)
+		}
+	}
+	t.mem.SetTap(tap)
 	t.tapQ.Store(tap)
 	return tap
 }

@@ -172,3 +172,70 @@ func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
 		t.Fatal("the neighbour's dedup window did not survive the reset")
 	}
 }
+
+// A history-backed tenant loses nothing its tap sheds. The consumer blocks, a
+// drop tap of queue 1 fills, and every batch acknowledged after that never
+// reaches the history: the tenant's own store must hold it — it and nothing
+// else, exactly the spans the tap counts dropped — and Trace must serve both
+// halves as one canonical timeline with the ParentIDs as sent.
+func TestTenantHistoryKeepsWhatItSheds(t *testing.T) {
+	srv := NewServer()
+	store := &historyStore{}
+	store.gate = make(chan struct{}, 4) // one token lets one batch through
+	var tap *AsyncTap
+	srv.SetTenantInit(func(tn *ServerTenant) {
+		tap = tn.SetTapAsync(store, TapOptions{Queue: 1, Policy: ShedDropNewest})
+		tn.SetHistory(store.trace)
+	})
+	tn := srv.Tenant("hist")
+	defer tap.Close()
+
+	var acked []*Span
+	post := func(batchID string, spans ...*Span) {
+		t.Helper()
+		if rec := postTenant(srv, "hist", encodeSpans(t, spans...), ContentTypeJSON, batchID); rec.Code != http.StatusAccepted {
+			t.Fatalf("batch %s: POST = %d (%s)", batchID, rec.Code, rec.Body)
+		}
+		acked = append(acked, spans...)
+	}
+	check := func(step string, wantDropped int64) {
+		t.Helper()
+		tap.Flush()
+		if got := tap.Stats().Dropped; got != wantDropped {
+			t.Fatalf("%s: the tap counts %d spans dropped, want %d", step, got, wantDropped)
+		}
+		if n := tn.Collector().Len(); int64(n) != wantDropped {
+			t.Fatalf("%s: the tenant's own store holds %d spans, the tap shed %d", step, n, wantDropped)
+		}
+		got, want := tn.Trace().Spans, MergeRuns([][]*Span{acked})
+		if len(got) != len(want) {
+			t.Fatalf("%s: Trace serves %d spans, %d were acknowledged", step, len(got), len(want))
+		}
+		for i, w := range want {
+			if g := got[i]; g.ID != w.ID || g.ParentID != w.ParentID {
+				t.Fatalf("%s: Trace position %d holds span %d under %d, want span %d under %d", step, i, g.ID, g.ParentID, w.ID, w.ParentID)
+			}
+		}
+	}
+
+	store.gate <- struct{}{}
+	post("c1", span(4), span(2))
+	check("consumer keeping up", 0)
+
+	// The worker is stuck handing c2 to the consumer: the queue's one slot is
+	// taken, and c3 and c4 — sorting before, between and after what the
+	// history holds — are shed.
+	post("c2", span(6))
+	parented := span(3)
+	parented.ParentID = 2
+	post("c3", span(9), parented)
+	post("c4", span(5))
+	store.gate <- struct{}{}
+	check("after the tap shed", 3)
+
+	// Reset empties the tenant's half; the history is its owner's to clear.
+	tn.Reset()
+	if n, tr := tn.Collector().Len(), tn.Trace(); n != 0 || tn.Received() != 0 || len(tr.Spans) != 3 {
+		t.Fatalf("after Reset the tenant holds %d spans and counts %d received; Trace serves %d, the history holds 3", n, tn.Received(), len(tr.Spans))
+	}
+}
