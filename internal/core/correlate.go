@@ -176,37 +176,37 @@ func stackConflict(top, s *trace.Span) bool {
 	return s.Begin < top.End && top.End < s.End // crossing overlap
 }
 
+// perLevel holds one T per stack level. The five paper levels index a flat
+// array — a map here would put a hash lookup and mapassign on every one of
+// the sweep's pushes; exotic level numbers spill into a pointer map.
+type perLevel[T any] struct {
+	flat     [16]T
+	overflow map[trace.Level]*T
+}
+
+// slot returns the T for a level, creating the overflow entry on first use.
+func (p *perLevel[T]) slot(l trace.Level) *T {
+	if l >= 0 && int(l) < len(p.flat) {
+		return &p.flat[l]
+	}
+	if v, ok := p.overflow[l]; ok {
+		return v
+	}
+	if p.overflow == nil {
+		p.overflow = make(map[trace.Level]*T)
+	}
+	v := new(T)
+	p.overflow[l] = v
+	return v
+}
+
 // levelStacks maintains, per stack level, the spans whose interval is
 // still active at the sweep position. Entries are pushed in begin order;
 // dead entries (ended strictly before the current begin) are popped
 // lazily. Every container of a query interval is guaranteed to be on its
 // level's stack when the query runs: containers begin no later than the
 // query and end no earlier, so they can never have been popped.
-//
-// The five paper levels index a flat array — a map here would put a hash
-// lookup and mapassign on every one of the sweep's pushes; exotic level
-// numbers spill into a pointer map.
-type levelStacks struct {
-	flat     [16][]*trace.Span
-	overflow map[trace.Level]*[]*trace.Span
-}
-
-// slot returns the stack for a level, creating the overflow entry on
-// first use.
-func (ls *levelStacks) slot(l trace.Level) *[]*trace.Span {
-	if l >= 0 && int(l) < len(ls.flat) {
-		return &ls.flat[l]
-	}
-	if st, ok := ls.overflow[l]; ok {
-		return st
-	}
-	if ls.overflow == nil {
-		ls.overflow = make(map[trace.Level]*[]*trace.Span)
-	}
-	st := new([]*trace.Span)
-	ls.overflow[l] = st
-	return st
-}
+type levelStacks struct{ perLevel[[]*trace.Span] }
 
 func (ls *levelStacks) push(s *trace.Span) {
 	st := ls.slot(s.Level)

@@ -49,11 +49,23 @@
 // region — only the released spans overlapping the stragglers' windows
 // (clustered by overlap) re-correlate, against interval trees over
 // exactly that region, with launch-parent changes propagated through the
-// correlation table to execution spans outside it — so the post-Flush
+// correlation table to execution spans outside it, which one pass over the
+// released runs finds — so the post-Flush
 // assignment is exactly the batch CorrelateWith result (property-tested
 // across nested, pipelined, and device-only workloads under every arrival
-// regime) at a cost proportional to the stragglers' overlap, not the
-// accumulated trace.
+// regime) at a cost proportional to the stragglers' overlap (plus, when a
+// launch moved, that pass over what is live), not the accumulated trace.
+//
+// A live span is held in exactly one place: the reorder buffer until the
+// watermark releases it, the straggler list until a repair splices it in,
+// and from then on its level's released run — spans in sweep order with
+// prefix maxima over End — until a fold moves it into a checkpoint
+// segment. The released runs, the buffer and the stragglers are the live
+// set: repairs collect their regions from the runs, folds evict from them,
+// WAL snapshots and Trace / SnapshotTrace / SnapshotRaw enumerate the three
+// holders, and Stats().Live sums them. There is no arrival-ordered list of
+// live spans and no table of execution spans by correlation id to keep in
+// step with them.
 //
 // For always-on servers, [StreamCorrelator.Checkpoint] (and
 // StreamOptions.Retain for the automatic form) folds finalized history —
@@ -88,7 +100,8 @@
 //
 // Under overload the correlator is also the load signal.
 // StreamOptions.PressureSpans gives the live resolver state a soft
-// budget: [StreamCorrelator.Pressure] reports nominal below half of it,
+// budget: [StreamCorrelator.Pressure] (which is [Load.Pressure] of the
+// current load) reports nominal below half of it,
 // elevated past half, and overloaded at the budget — the
 // trace.LoadReporter contract trace.ServerTenant.SetLoad consumes, so HTTP
 // ingest sheds (429 + Retry-After) exactly when the component whose
@@ -148,10 +161,11 @@
 // (internal/interval.Pool): a closed window releases its trees back and
 // the next window rebuilds from recycled nodes, so sustained pipelined
 // overlap runs with ~0 tree-node allocations per span at steady state.
-// TestStreamAllocBudget pins the whole Feed path to a checked-in
-// allocs-per-span budget — and, in the server's isolated configuration,
-// bytes per span too — and BenchmarkIngestToCorrelate measures it end to
-// end from the wire.
+// A released span costs one append to its level's run and no allocation of
+// its own. TestStreamAllocBudget pins the whole Feed path to a checked-in
+// allocs-per-span budget — and, in the server's configuration, bytes per
+// span too — and BenchmarkIngestToCorrelate measures it end to end from the
+// wire.
 //
 // Leveled experimentation (Section III-C) runs the model once per
 // profiling level so every level's latencies are read from the run where

@@ -108,7 +108,7 @@ func (sc *StreamCorrelator) persistHistory() {
 // what makes the spans it took out of segments durable again.) Callers
 // hold sc.mu.
 func (sc *StreamCorrelator) walNeedsRotation() bool {
-	return sc.walSpans >= 2*len(sc.all)
+	return sc.walSpans >= 2*sc.liveLen()
 }
 
 // rotateWAL trims the WAL: a fresh generation whose snapshot record
@@ -124,24 +124,26 @@ func (sc *StreamCorrelator) rotateWAL() {
 	if sc.durErr = sc.opts.Store.Rotate(sc.snapshotLocked()); sc.durErr != nil {
 		return
 	}
-	sc.walSpans = len(sc.all)
+	sc.walSpans = sc.liveLen()
 	sc.durErr = sc.hist.dropStale(sc.opts.Store)
 }
 
 // snapshotLocked builds the WAL snapshot of everything not in a segment.
-// The live tail is sc.all verbatim — a valid arrival order covering the
-// reorder buffer, open windows, pending execs, and unrepaired stragglers
-// alike — because recovery replays it through Feed and re-derives every
-// owned parent; only non-owned (tracer-assigned) links are carried as
-// data. Callers hold sc.mu.
+// The live tail is the live set, holder after holder (see liveRuns) — the
+// released runs, open windows and pending execs among them, the reorder
+// buffer, the unrepaired stragglers. Its order carries nothing: recovery
+// replays it as one Feed, through the reorder buffer's total order, and
+// re-derives every owned parent; only non-owned (tracer-assigned) links are
+// carried as data. Callers hold sc.mu.
 func (sc *StreamCorrelator) snapshotLocked() segio.Snapshot {
-	owned := newOwnedBits(len(sc.all))
-	for i, s := range sc.all {
+	live := slices.Concat(sc.liveRuns()...)
+	owned := newOwnedBits(len(live))
+	for i, s := range live {
 		if sc.owns(s) {
 			owned.set(i)
 		}
 	}
-	snap := segio.Snapshot{Live: sc.all, Owned: owned}
+	snap := segio.Snapshot{Live: live, Owned: owned}
 	sc.corr.each(func(corr, parent uint64) {
 		if parent == 0 {
 			return // absent and zero-parent entries are indistinguishable to every reader

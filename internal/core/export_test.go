@@ -9,9 +9,9 @@ import (
 
 // reopenAll is the whole-ladder reopen the windowed extraction replaced,
 // kept as its reference: every checkpoint segment folds back into the live
-// state — arrival list, parented set, released runs and exec table rebuilt
-// over all of history — so the repair that follows finds everything live
-// and takes nothing out of a checkpoint. Exact, O(total spans).
+// state — parented set and released runs rebuilt over all of history — so
+// the repair that follows finds everything live and takes nothing out of a
+// checkpoint. Exact, O(total spans).
 func (sc *StreamCorrelator) reopenAll() {
 	var released []*trace.Span
 	for _, l := range sc.levels {
@@ -19,7 +19,6 @@ func (sc *StreamCorrelator) reopenAll() {
 	}
 	for _, seg := range sc.hist.segs {
 		for i, s := range seg.spans {
-			sc.all = append(sc.all, s)
 			if !seg.owned.has(i) {
 				sc.parented[s] = true
 			}
@@ -33,9 +32,8 @@ func (sc *StreamCorrelator) reopenAll() {
 	slices.SortFunc(released, compareEvents)
 
 	sc.rel = levelRuns{}
-	sc.execs = make(map[uint64][]*trace.Span)
 	for _, s := range released {
-		sc.noteReleased(s)
+		sc.rel.slot(s.Level).push(s)
 	}
 
 	sc.hist.segs, sc.hist.spans, sc.hist.maxEnd = nil, 0, 0
@@ -51,18 +49,20 @@ func (sc *StreamCorrelator) ReopenAll() {
 
 // OwnedBits reports, by span id, whether the correlator owns each span's
 // parent link: read from the owned bitset of every checkpoint segment and,
-// for live spans, from the parented set.
+// for the live set (released, buffered, straggling), from the parented set.
 func (sc *StreamCorrelator) OwnedBits() map[uint64]bool {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	owned := make(map[uint64]bool, len(sc.all)+sc.hist.spans)
+	owned := make(map[uint64]bool, sc.liveLen()+sc.hist.spans)
 	for _, seg := range sc.hist.segs {
 		for i, s := range seg.spans {
 			owned[s.ID] = seg.owned.has(i)
 		}
 	}
-	for _, s := range sc.all {
-		owned[s.ID] = sc.owns(s)
+	for _, run := range sc.liveRuns() {
+		for _, s := range run {
+			owned[s.ID] = sc.owns(s)
+		}
 	}
 	return owned
 }

@@ -109,25 +109,30 @@ func (h *history) install(spans []*trace.Span, owned []uint64, fileID uint64, dr
 // repair window opening at t has anything to take back.
 func (h *history) reaches(t vclock.Time) bool { return h.spans > 0 && h.maxEnd >= t }
 
-// merged k-way-merges the segments with the live tail — in arrival order;
-// MergeRuns sorts a private copy when needed and never mutates a run in
-// place — into one canonically ordered slice. With a nil raw the spans are
-// the correlator's own; otherwise they are header copies as the spans were
-// fed: every owned link — a segment's bit, raw(i) for tail[i] — zero again.
-func (h *history) merged(tail []*trace.Span, raw func(i int) bool) []*trace.Span {
-	runs := make([][]*trace.Span, 0, len(h.segs)+1)
+// merged k-way-merges the segments with the live set's runs (see liveRuns:
+// the released runs are begin-ascending and usually read in place; MergeRuns
+// sorts a private copy of a run that needs it and never mutates one) into
+// one canonically ordered slice. With a nil owns the spans are the
+// correlator's own; otherwise they are header copies as the spans were fed:
+// every owned link — a segment's bit, owns(s) for a live span — zero again.
+func (h *history) merged(live [][]*trace.Span, owns func(*trace.Span) bool) []*trace.Span {
+	runs := make([][]*trace.Span, 0, len(h.segs)+len(live))
 	for _, seg := range h.segs {
 		run := seg.spans
-		if raw != nil {
+		if owns != nil {
 			run = unlinked(run, seg.owned.has)
 		}
 		runs = append(runs, run)
 	}
-	if raw != nil {
-		tail = unlinked(tail, raw)
-	}
-	if len(tail) > 0 {
-		runs = append(runs, tail)
+	for _, fed := range live {
+		if len(fed) == 0 {
+			continue // an empty history merges to nil, not to an empty slice
+		}
+		run := fed
+		if owns != nil {
+			run = unlinked(fed, func(i int) bool { return owns(fed[i]) })
+		}
+		runs = append(runs, run)
 	}
 	return trace.MergeRuns(runs)
 }
@@ -365,22 +370,44 @@ func (h *history) extractOverlapping(windows []window) []folded {
 	})
 }
 
-// extractExecs takes out the owned execution spans whose correlation id
-// parent maps to a parent other than the one they hold: the execs a repaired
-// launch's new parent must still reach.
-func (h *history) extractExecs(parent map[uint64]uint64) []folded {
-	// Tracers mint correlation ids in order, so the moved launches' ids
-	// span a narrow range: most headers are done at one comparison.
-	minCorr, maxCorr := uint64(math.MaxUint64), uint64(0)
+// movedLaunches is the launches a repair gave a new parent, by correlation
+// id, and the one test for the execs that parent must still reach: the
+// repair applies it to the live released runs, extractExecs to the folded
+// spans.
+type movedLaunches struct {
+	parent map[uint64]uint64
+	// Tracers mint correlation ids in order, so the moved launches' ids span
+	// a narrow range: most spans are done at one comparison.
+	minCorr, maxCorr uint64
+}
+
+func newMovedLaunches(parent map[uint64]uint64) movedLaunches {
+	m := movedLaunches{parent: parent, minCorr: math.MaxUint64}
 	for corr := range parent {
-		minCorr, maxCorr = min(minCorr, corr), max(maxCorr, corr)
+		m.minCorr, m.maxCorr = min(m.minCorr, corr), max(m.maxCorr, corr)
 	}
+	return m
+}
+
+// newParent returns the parent s, if the correlator owns it, must take from
+// its moved launch: zero unless s is an execution span whose launch moved to
+// a parent other than the one s holds.
+func (m movedLaunches) newParent(s *trace.Span) uint64 {
+	if c := s.CorrelationID; c >= m.minCorr && c <= m.maxCorr && s.Kind == trace.KindExec {
+		if pid := m.parent[c]; pid != s.ParentID {
+			return pid
+		}
+	}
+	return 0
+}
+
+// extractExecs takes out the owned execution spans a moved launch's new
+// parent must still reach.
+func (h *history) extractExecs(moved movedLaunches) []folded {
 	return h.extract(func(seg *ckptSegment) (hits []int) {
 		for i, s := range seg.spans {
-			if c := s.CorrelationID; c >= minCorr && c <= maxCorr && s.Kind == trace.KindExec && seg.owned.has(i) {
-				if pid := parent[c]; pid != 0 && pid != s.ParentID {
-					hits = append(hits, i)
-				}
+			if moved.newParent(s) != 0 && seg.owned.has(i) {
+				hits = append(hits, i)
 			}
 		}
 		return hits

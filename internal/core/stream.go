@@ -38,8 +38,11 @@ type StreamOptions struct {
 	// server.New.
 	Isolated bool
 
-	// Retain bounds the live, repairable state of a long-running stream.
-	// When nonzero, Feed periodically folds finalized spans — those the
+	// Retain bounds the live, repairable state of a long-running stream:
+	// what the correlator holds outside its checkpoint — the reorder buffer,
+	// the unrepaired stragglers and the per-level released runs, each live
+	// span in exactly one of the three. When nonzero, Feed periodically
+	// folds finalized spans out of the released runs — those the
 	// sweep has passed by more than ReorderWindow+Retain of virtual time,
 	// with no open degraded window, pending execution span, or unrepaired
 	// straggler reaching back to them — into an immutable checkpoint
@@ -98,8 +101,8 @@ type StreamOptions struct {
 	// later than the horizon resolves by containment, not by correlation
 	// id, which may differ from the batch assignment for launches whose
 	// parent the containment walk cannot see — a launch arriving that late
-	// as a straggler still repairs exactly, because the repair path
-	// follows the exec-by-correlation table, not the evicted entry. A
+	// as a straggler still repairs exactly, because the repair path finds
+	// the launch's execs in the released runs, not through the evicted entry. A
 	// straggler repair overlapping an exec whose entry was already
 	// evicted keeps the exec's settled link rather than re-deriving it
 	// (the launch, outside the repair region, did not move); the
@@ -186,6 +189,12 @@ const autoFoldEvery = 1024
 //     immutable checkpoint segments (see Checkpoint), keeping the live
 //     resolver state bounded on long-running servers.
 //
+// A fed span is held once. Live, it sits in the reorder buffer, among the
+// unrepaired stragglers, or — from its release until a fold — in its level's
+// released run, the index every repair, fold, snapshot and read works from;
+// there is no arrival list beside them and no second table of execution
+// spans. Folded, it sits in one checkpoint segment.
+//
 // After Flush, parent assignments are identical to CorrelateWith on the
 // same spans in canonical order. Before Flush they are provisional: spans
 // still buffered, deferred in an open window, or pending a launch are not
@@ -215,12 +224,21 @@ type StreamCorrelator struct {
 // everything Reset returns to empty, which is every field of the correlator
 // but its options, its node pool and its store's latch.
 type streamState struct {
-	all []*trace.Span // live spans, in arrival order (checkpointed spans excluded)
+	// A live span is held in exactly one of three places: the reorder buffer
+	// until the watermark releases it, stragglers if it arrived behind the
+	// release point and no repair has run yet, and its level's released run
+	// from then until a fold moves it into hist (see liveRuns).
+	buf        eventHeap     // reorder buffer, min-heap in sweep order
+	stragglers []*trace.Span // arrived behind the release point; Flush repairs
+	// rel holds the released spans per level, in sweep order with running
+	// prefix maxima over End — the index the straggler repair uses to
+	// collect every span overlapping a repair window in O(log n + k).
+	rel levelRuns
+
 	// parented holds the live spans fed with a ParentID: the correlator owns
 	// every link but theirs. Empty on server traffic, which is unparented.
 	parented map[*trace.Span]bool
 
-	buf          eventHeap // reorder buffer, min-heap in sweep order
 	maxBegin     vclock.Time
 	lastReleased *trace.Span // last span handed to the resolver, in sweep order
 	released     int
@@ -230,15 +248,6 @@ type streamState struct {
 	corr    *corrTable    // correlation id -> resolved launch parent; survives checkpoints
 	pending map[uint64][]pendingExec
 
-	// rel holds the live released spans per level, in sweep order with
-	// running prefix maxima over End — the index the straggler repair uses
-	// to collect every span overlapping a repair window in O(log n + k).
-	rel levelRuns
-	// execs tracks the live correlator-owned execution spans by
-	// correlation id, so a repair that moves a launch's parent can follow
-	// the correlation to execs outside the repair window.
-	execs map[uint64][]*trace.Span
-
 	degraded    bool
 	windowStart vclock.Time
 	windowEnd   vclock.Time
@@ -247,7 +256,6 @@ type streamState struct {
 	windows     int
 	chained     int // windows closed at the size bound with a successor chained
 
-	stragglers     []*trace.Span // arrived behind the release point; Flush repairs
 	stragglersSeen int
 	repaired       int // spans re-correlated by straggler repair, cumulative
 
@@ -284,6 +292,18 @@ type pendingExec struct {
 	containment uint64
 }
 
+// settle ends the wait: the exec takes its launch's parent or — when the
+// launch found none, or never came (parent 0) — its containment fallback,
+// matching the batch second pass. A link the exec already holds stands.
+func (p pendingExec) settle(parent uint64) {
+	if parent == 0 {
+		parent = p.containment
+	}
+	if parent != 0 && p.span.ParentID == 0 {
+		p.span.ParentID = parent
+	}
+}
+
 // NewStreamCorrelator returns an empty streaming correlator.
 func NewStreamCorrelator(opts StreamOptions) *StreamCorrelator {
 	return &StreamCorrelator{opts: opts, streamState: newStreamState()}
@@ -294,12 +314,32 @@ func newStreamState() streamState {
 		parented: make(map[*trace.Span]bool),
 		corr:     newSparseCorrTable(),
 		pending:  make(map[uint64][]pendingExec),
-		execs:    make(map[uint64][]*trace.Span),
 	}
 }
 
 // owns reports whether s was fed unparented: its ParentID is the correlator's.
 func (sc *StreamCorrelator) owns(s *trace.Span) bool { return !sc.parented[s] }
+
+// liveRuns lists the live set, holder by holder: each level's released run
+// (sweep order, so begin-ascending), the reorder buffer (heap order) and the
+// unrepaired stragglers (arrival order). The runs are the holders' own
+// arrays: read them under sc.mu, and do not keep them past it.
+func (sc *StreamCorrelator) liveRuns() [][]*trace.Span {
+	runs := make([][]*trace.Span, 0, len(sc.levels)+2)
+	for _, l := range sc.levels {
+		runs = append(runs, sc.rel.slot(l).spans)
+	}
+	return append(runs, sc.buf, sc.stragglers)
+}
+
+// liveLen is the number of live spans: what liveRuns holds.
+func (sc *StreamCorrelator) liveLen() int {
+	n := len(sc.buf) + len(sc.stragglers)
+	for _, l := range sc.levels {
+		n += len(sc.rel.slot(l).spans)
+	}
+	return n
+}
 
 // Publish implements trace.Collector, so the correlator can tap a span
 // stream directly (e.g. behind trace.Memory.SetTap or trace.ServerTenant.SetTap).
@@ -323,7 +363,6 @@ func (sc *StreamCorrelator) feedLocked(spans []*trace.Span) {
 		if s == nil {
 			continue
 		}
-		sc.all = append(sc.all, s)
 		if s.ParentID != 0 {
 			sc.parented[s] = true
 		}
@@ -356,8 +395,9 @@ func (sc *StreamCorrelator) feedLocked(spans []*trace.Span) {
 		sc.repair()
 	}
 	if sc.opts.Retain > 0 {
-		overBudget := sc.opts.PressureSpans > 0 && len(sc.all) >= sc.opts.PressureSpans
-		if sc.released-sc.foldCheck >= max(autoFoldEvery, len(sc.all)/8) || (overBudget && sc.released != sc.foldCheck) {
+		live := sc.liveLen()
+		overBudget := sc.opts.PressureSpans > 0 && live >= sc.opts.PressureSpans
+		if sc.released-sc.foldCheck >= max(autoFoldEvery, live/8) || (overBudget && sc.released != sc.foldCheck) {
 			// The eager (over-budget) fold skips the amortization cadence:
 			// under pressure, reclaiming finalized spans now is worth the
 			// O(live) pass. It still waits for the resolver to advance since
@@ -374,7 +414,7 @@ func (sc *StreamCorrelator) feedLocked(spans []*trace.Span) {
 // and pending execution spans that far behind take their containment
 // fallback now — their launch, were it still coming, would arrive beyond
 // the retention horizon anyway (and a launch that does arrive that late
-// repairs through the exec-by-correlation table, not the evicted entry).
+// repairs through the released runs, not the evicted entry).
 // Runs amortized: one sweep per CorrRetain of watermark advance.
 func (sc *StreamCorrelator) evictCorr() {
 	horizon := sc.maxBegin - vclock.Time(sc.opts.ReorderWindow) - vclock.Time(sc.opts.CorrRetain)
@@ -401,10 +441,8 @@ func (sc *StreamCorrelator) evictCorr() {
 		for _, p := range waiting {
 			if p.span.Begin >= horizon {
 				keep = append(keep, p)
-				continue
-			}
-			if p.span.ParentID == 0 && p.containment != 0 {
-				p.span.ParentID = p.containment
+			} else {
+				p.settle(0)
 			}
 		}
 		if len(keep) == 0 {
@@ -436,21 +474,12 @@ func (sc *StreamCorrelator) drain(watermark vclock.Time) {
 	for len(sc.buf) > 0 && sc.buf[0].Begin <= watermark {
 		s := sc.buf.pop()
 		sc.resolve(s)
-		sc.noteReleased(s)
+		sc.rel.slot(s.Level).push(s)
 		sc.lastReleased = s
 		sc.released++
 		if sc.opts.Observer != nil {
 			sc.opts.Observer.ObserveSpan(s)
 		}
-	}
-}
-
-// noteReleased records a span the resolver has processed in the released
-// timeline indexes the straggler repair queries.
-func (sc *StreamCorrelator) noteReleased(s *trace.Span) {
-	sc.rel.slot(s.Level).push(s)
-	if s.Kind == trace.KindExec && s.CorrelationID != 0 && sc.owns(s) {
-		sc.execs[s.CorrelationID] = append(sc.execs[s.CorrelationID], s)
 	}
 }
 
@@ -473,9 +502,7 @@ func (sc *StreamCorrelator) Flush() {
 	}
 	for corr, waiting := range sc.pending {
 		for _, p := range waiting {
-			if p.span.ParentID == 0 && p.containment != 0 {
-				p.span.ParentID = p.containment
-			}
+			p.settle(0)
 		}
 		delete(sc.pending, corr)
 	}
@@ -592,13 +619,7 @@ func (sc *StreamCorrelator) launchResolved(corr, parent uint64) {
 	}
 	delete(sc.pending, corr)
 	for _, p := range waiting {
-		pid := parent
-		if pid == 0 {
-			pid = p.containment
-		}
-		if pid != 0 && p.span.ParentID == 0 {
-			p.span.ParentID = pid
-		}
+		p.settle(parent)
 	}
 }
 
@@ -747,7 +768,9 @@ func (sc *StreamCorrelator) deepestLevel() trace.Level {
 // exactly the batch assignment at a cost proportional to the window's
 // span population, not the stream's length. Launches whose parent moved
 // propagate through the correlation table to execution spans outside the
-// window. Stragglers behind the checkpoint horizon first reopen it — take
+// window, which one pass over the released runs finds: the one step that
+// costs the live set rather than the region, and only when a launch moved.
+// Stragglers behind the checkpoint horizon first reopen it — take
 // the folded spans their windows overlap back live (see relive) — so the
 // regions include them; the rest of the checkpoint stays folded.
 func (sc *StreamCorrelator) repair() {
@@ -778,48 +801,33 @@ func (sc *StreamCorrelator) repair() {
 		pulled = sc.relive(sc.hist.extractOverlapping(clusters))
 	}
 
-	// Splice the stragglers into the released timeline: the per-level
-	// runs (one merge per touched level, not one O(tail) insert per
-	// straggler), the ancestor stacks (they may contain or parent spans
-	// that arrive after this Flush), and the exec-by-correlation table.
-	byLevel := make(map[trace.Level][]*trace.Span)
+	// Splice the stragglers into the released timeline: their levels' runs
+	// and the ancestor stacks (they may contain or parent spans that arrive
+	// after this Flush).
 	for _, s := range stragglers {
 		sc.noteLevel(s.Level)
-		byLevel[s.Level] = append(byLevel[s.Level], s) // sorted: stragglers are
 		sc.stackInsert(s)
-		if s.Kind == trace.KindExec && s.CorrelationID != 0 && sc.owns(s) {
-			sc.execs[s.CorrelationID] = append(sc.execs[s.CorrelationID], s)
-		}
 	}
-	for l, batch := range byLevel {
-		sc.rel.slot(l).mergeIn(batch)
-	}
+	sc.splice(stragglers)
 	sc.released += len(stragglers)
 
-	// One begin-sorted index (with prefix maxima over End, like the
-	// released runs) over the pending execs, built once: each cluster then
-	// refreshes only the pending entries overlapping its window in
+	// The pending execs as one more released run, built once: each cluster
+	// then refreshes only the pending entries overlapping its window in
 	// O(log p + hits) instead of rescanning the whole table per cluster —
 	// a device-only stream keeps every exec pending, so the table can be
 	// half the trace.
-	pendingSet := make(map[*trace.Span]bool)
-	var pendSorted []*pendingExec
+	pending := make(map[*trace.Span]*pendingExec)
+	var pendSpans []*trace.Span
 	for _, waiting := range sc.pending {
 		for i := range waiting {
-			pendingSet[waiting[i].span] = true
-			pendSorted = append(pendSorted, &waiting[i])
+			pending[waiting[i].span] = &waiting[i]
+			pendSpans = append(pendSpans, waiting[i].span)
 		}
 	}
-	slices.SortFunc(pendSorted, func(a, b *pendingExec) int {
-		return compareEvents(a.span, b.span)
-	})
-	pendMaxEnd := make([]vclock.Time, len(pendSorted))
-	for i, p := range pendSorted {
-		m := p.span.End
-		if i > 0 && pendMaxEnd[i-1] > m {
-			m = pendMaxEnd[i-1]
-		}
-		pendMaxEnd[i] = m
+	slices.SortFunc(pendSpans, compareEvents)
+	var pendRun levelRun
+	for _, s := range pendSpans {
+		pendRun.push(s)
 	}
 
 	dirty := make(map[uint64]uint64)
@@ -895,14 +903,8 @@ func (sc *StreamCorrelator) repair() {
 		// the window: a straggler may be a tighter container than the one
 		// recorded at arrival. (Outside the windows the candidate set is
 		// unchanged, so the stored fallback stands.)
-		pe := sort.Search(len(pendSorted), func(i int) bool { return pendSorted[i].span.Begin > w.hi })
-		for i := pe - 1; i >= 0; i-- {
-			if pendMaxEnd[i] < w.lo {
-				break // everything earlier ended before the window
-			}
-			if p := pendSorted[i]; p.span.End >= w.lo {
-				p.containment = parentAt(p.span)
-			}
+		for _, s := range pendRun.overlapping(w.lo, w.hi, nil) {
+			pending[s].containment = parentAt(s)
 		}
 
 		// Pass 2: execution spans in the region inherit through the
@@ -925,7 +927,7 @@ func (sc *StreamCorrelator) repair() {
 					s.ParentID = pid
 					continue
 				}
-				if pendingSet[s] {
+				if pending[s] != nil {
 					continue
 				}
 				if pid, ok := settledExec[s]; ok {
@@ -948,9 +950,7 @@ func (sc *StreamCorrelator) repair() {
 		if pid := sc.corr.get(corr); pid != 0 {
 			delete(sc.pending, corr)
 			for _, p := range waiting {
-				if p.span.ParentID == 0 {
-					p.span.ParentID = pid
-				}
+				p.settle(pid)
 			}
 		}
 	}
@@ -960,16 +960,17 @@ func (sc *StreamCorrelator) repair() {
 	// batch leaves such execs to containment, which they already hold.)
 	// Folded ones among them leave the checkpoint first, like the windows'
 	// spans did: the link they take must reach the WAL, not only memory.
-	if deep && len(dirty) > 0 {
-		pulled += sc.relive(sc.hist.extractExecs(dirty))
-	}
-	for corr, pid := range dirty {
-		if pid == 0 {
-			continue
+	// The live ones are found where every released span is, in the runs.
+	if len(dirty) > 0 {
+		moved := newMovedLaunches(dirty)
+		if deep {
+			pulled += sc.relive(sc.hist.extractExecs(moved))
 		}
-		for _, e := range sc.execs[corr] {
-			if e.ParentID != pid && sc.owns(e) {
-				e.ParentID = pid
+		for _, l := range sc.levels {
+			for _, s := range sc.rel.slot(l).spans {
+				if pid := moved.newParent(s); pid != 0 && sc.owns(s) {
+					s.ParentID = pid
+				}
 			}
 		}
 	}
@@ -995,26 +996,32 @@ func (sc *StreamCorrelator) repair() {
 }
 
 // relive moves spans a straggler repair took out of the history (see
-// history.extract) back into the live released state: the arrival list, the
-// parented set (from the owned bit), their level's released run and the
-// exec-by-correlation table. Returns the number of spans moved.
+// history.extract) back into the live released state: the parented set (from
+// the owned bit) and their level's released run. Returns the number of spans
+// moved.
 func (sc *StreamCorrelator) relive(back []folded) int {
-	byLevel := make(map[trace.Level][]*trace.Span)
-	for _, f := range back {
-		s := f.span
-		sc.all = append(sc.all, s)
-		byLevel[s.Level] = append(byLevel[s.Level], s)
+	spans := make([]*trace.Span, len(back))
+	for i, f := range back {
+		spans[i] = f.span
 		if !f.own {
-			sc.parented[s] = true
-		} else if s.Kind == trace.KindExec && s.CorrelationID != 0 {
-			sc.execs[s.CorrelationID] = append(sc.execs[s.CorrelationID], s)
+			sc.parented[f.span] = true
 		}
 	}
+	slices.SortFunc(spans, compareEvents) // canonical order is not sweep order
+	sc.splice(spans)
+	return len(back)
+}
+
+// splice merges spans, in sweep order, into their levels' released runs: one
+// merge per touched level, not one O(tail) insert per span.
+func (sc *StreamCorrelator) splice(spans []*trace.Span) {
+	byLevel := make(map[trace.Level][]*trace.Span)
+	for _, s := range spans {
+		byLevel[s.Level] = append(byLevel[s.Level], s)
+	}
 	for l, batch := range byLevel {
-		slices.SortFunc(batch, compareEvents) // canonical order is not sweep order
 		sc.rel.slot(l).mergeIn(batch)
 	}
-	return len(back)
 }
 
 // stackInsert places a repaired straggler at its sweep-order position on
@@ -1109,29 +1116,9 @@ func (sc *StreamCorrelator) fold() int {
 		return 0
 	}
 
-	// The eviction rule retires the folded spans from the arrival list and
-	// the ancestor stacks too: a released span ending before f was evicted
-	// just now. A span not yet released — buffered, or a straggler awaiting
-	// repair — begins at or after f, so only a malformed one (End < Begin,
-	// which ingest accepts) can end before f; those stay, by name.
-	unreleased := map[*trace.Span]bool{}
-	for _, waiting := range [2][]*trace.Span{sc.buf, sc.stragglers} {
-		for _, s := range waiting {
-			if s.End < f {
-				unreleased[s] = true
-			}
-		}
-	}
-	live := sc.all[:0]
-	for _, s := range sc.all {
-		if s.End >= f || unreleased[s] {
-			live = append(live, s)
-		}
-	}
-	clear(sc.all[len(live):])
-	sc.all = live
-
-	// Folded spans may still sit (dead) on the stacks: released spans all.
+	// The eviction rule retires the folded spans from the ancestor stacks
+	// too, where they may still sit (dead): every span on a stack was
+	// released, and a released span ending before f was evicted just now.
 	for _, l := range sc.levels {
 		st := sc.stacks.slot(l)
 		keep := (*st)[:0]
@@ -1147,9 +1134,6 @@ func (sc *StreamCorrelator) fold() int {
 	// The levels' evicted runs are begin-ascending: MergeRuns reads them in place.
 	spans := trace.MergeRuns(runs)
 	sc.hist.add(spans, func(s *trace.Span) bool {
-		if s.Kind == trace.KindExec && s.CorrelationID != 0 {
-			sc.dropExec(s)
-		}
 		if sc.owns(s) {
 			return true
 		}
@@ -1170,23 +1154,6 @@ func (sc *StreamCorrelator) fold() int {
 	return len(spans)
 }
 
-// dropExec removes a folded exec from the live exec-by-correlation table.
-func (sc *StreamCorrelator) dropExec(s *trace.Span) {
-	es := sc.execs[s.CorrelationID]
-	for i, e := range es {
-		if e == s {
-			es[i] = es[len(es)-1]
-			es = es[:len(es)-1]
-			break
-		}
-	}
-	if len(es) == 0 {
-		delete(sc.execs, s.CorrelationID)
-	} else {
-		sc.execs[s.CorrelationID] = es
-	}
-}
-
 // Trace returns the accumulated spans — checkpointed history and live tail
 // merged — as a canonically ordered trace. The spans are shared with the
 // correlator (and, unless the correlator is Isolated, with whoever fed
@@ -1195,7 +1162,7 @@ func (sc *StreamCorrelator) dropExec(s *trace.Span) {
 func (sc *StreamCorrelator) Trace() *trace.Trace {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return &trace.Trace{Spans: sc.hist.merged(sc.all, nil)}
+	return &trace.Trace{Spans: sc.hist.merged(sc.liveRuns(), nil)}
 }
 
 // SnapshotTrace is Trace with every span's header copied
@@ -1206,7 +1173,7 @@ func (sc *StreamCorrelator) Trace() *trace.Trace {
 func (sc *StreamCorrelator) SnapshotTrace() *trace.Trace {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return &trace.Trace{Spans: trace.CloneHeaders(sc.hist.merged(sc.all, nil))}
+	return &trace.Trace{Spans: trace.CloneHeaders(sc.hist.merged(sc.liveRuns(), nil))}
 }
 
 // SnapshotRaw is SnapshotTrace as the spans were fed: on the copies, every
@@ -1217,7 +1184,7 @@ func (sc *StreamCorrelator) SnapshotTrace() *trace.Trace {
 func (sc *StreamCorrelator) SnapshotRaw() *trace.Trace {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return &trace.Trace{Spans: sc.hist.merged(sc.all, func(i int) bool { return sc.owns(sc.all[i]) })}
+	return &trace.Trace{Spans: sc.hist.merged(sc.liveRuns(), sc.owns)}
 }
 
 // StreamStats describes a correlator's progress, for observability and
@@ -1245,7 +1212,7 @@ func (sc *StreamCorrelator) Stats() StreamStats {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	return StreamStats{
-		Fed:             len(sc.all) + sc.hist.spans,
+		Fed:             sc.liveLen() + sc.hist.spans,
 		Released:        sc.released,
 		Buffered:        len(sc.buf),
 		PendingExecs:    sc.pendingExecs(),
@@ -1253,7 +1220,7 @@ func (sc *StreamCorrelator) Stats() StreamStats {
 		DegradedWindows: sc.windows,
 		WindowsChained:  sc.chained,
 		Repaired:        sc.repaired,
-		Live:            len(sc.all),
+		Live:            sc.liveLen(),
 		Checkpointed:    sc.hist.spans,
 		Segments:        len(sc.hist.segs),
 		Compactions:     sc.hist.compactions,
@@ -1289,7 +1256,7 @@ func (sc *StreamCorrelator) Load() Load {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	return Load{
-		LiveSpans:    len(sc.all),
+		LiveSpans:    sc.liveLen(),
 		Buffered:     len(sc.buf),
 		PendingExecs: sc.pendingExecs(),
 		WindowSpans:  len(sc.winCands),
@@ -1297,23 +1264,30 @@ func (sc *StreamCorrelator) Load() Load {
 	}
 }
 
-// Pressure reports the correlator's load state against the PressureSpans
-// budget — nominal below half, elevated past half, overloaded at the
-// budget — implementing trace.LoadReporter so ingest admission control is
-// driven by the component that actually owns the memory. Always nominal
-// when no budget is configured.
-func (sc *StreamCorrelator) Pressure() trace.Pressure {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	budget := sc.opts.PressureSpans
-	switch live := len(sc.all); {
-	case budget <= 0 || 2*live < budget:
+// Pressure is the load state l amounts to: nominal below half the budget,
+// elevated past half, overloaded at it; always nominal when no budget is
+// configured. A view that prints a Load derives its pressure from that Load,
+// so the two cannot disagree.
+func (l Load) Pressure() trace.Pressure {
+	switch {
+	case l.Budget <= 0 || 2*l.LiveSpans < l.Budget:
 		return trace.PressureNominal
-	case live < budget:
+	case l.LiveSpans < l.Budget:
 		return trace.PressureElevated
 	default:
 		return trace.PressureOverloaded
 	}
+}
+
+// Pressure reports the correlator's load state against the PressureSpans
+// budget (see Load.Pressure), implementing trace.LoadReporter so ingest
+// admission control is driven by the component that actually owns the memory.
+// Admission asks per request, so this fills in only the two fields the state
+// depends on: Load itself counts the pending table.
+func (sc *StreamCorrelator) Pressure() trace.Pressure {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return Load{LiveSpans: sc.liveLen(), Budget: sc.opts.PressureSpans}.Pressure()
 }
 
 // levelRun is the released-span timeline of one level: spans in sweep
@@ -1428,29 +1402,8 @@ func (r *levelRun) evictBefore(f vclock.Time) []*trace.Span {
 	return evicted
 }
 
-// levelRuns holds one levelRun per stack level, the paper's five in a
-// flat array (like levelStacks) and exotic levels in an overflow map.
-type levelRuns struct {
-	flat     [16]levelRun
-	overflow map[trace.Level]*levelRun
-}
-
-// slot returns the run for a level, creating the overflow entry on first
-// use.
-func (lr *levelRuns) slot(l trace.Level) *levelRun {
-	if l >= 0 && int(l) < len(lr.flat) {
-		return &lr.flat[l]
-	}
-	if r, ok := lr.overflow[l]; ok {
-		return r
-	}
-	if lr.overflow == nil {
-		lr.overflow = make(map[trace.Level]*levelRun)
-	}
-	r := new(levelRun)
-	lr.overflow[l] = r
-	return r
-}
+// levelRuns holds one levelRun per stack level.
+type levelRuns = perLevel[levelRun]
 
 // eventHeap is a min-heap of spans in sweep order (compareEvents), backing
 // the reorder buffer. push and pop sift exactly as container/heap does — so

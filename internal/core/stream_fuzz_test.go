@@ -3,6 +3,9 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"xsp/internal/core"
@@ -244,6 +247,109 @@ func TestRecoveryWithTracerParentedLaunches(t *testing.T) {
 			parentSome(batches)
 			checkStreamVsBatch(t, batches, core.StreamOptions{ReorderWindow: 8, MaxWindowSpans: 24, Retain: 15}, true, restart)
 		})
+	}
+}
+
+// observed counts what a StreamObserver was handed: each delivery by span id
+// and the parent the span held at that moment.
+type observed map[[2]uint64]int
+
+func (o observed) ObserveSpan(s *trace.Span) { o[[2]uint64{s.ID, s.ParentID}]++ }
+
+// TestRecoveryIgnoresSnapshotLiveOrder pins what lets the WAL snapshot list
+// the live set holder by holder instead of in arrival order: recovery replays
+// the snapshot's tail as one Feed and the reorder buffer's order is total, so
+// the order of the tail carries nothing. The same files recovered with the
+// tail reversed and shuffled (owned bits moved with their spans) give the
+// same raw view, the same flushed trace and the same observer deliveries as
+// with the tail as written — under both window shapes, mid-stream and at the
+// end, with tracer-parented spans in the tails.
+func TestRecoveryIgnoresSnapshotLiveOrder(t *testing.T) {
+	type views struct {
+		raw, flushed []*trace.Span
+		seen         observed
+	}
+	identity := func(n int) []int {
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
+		}
+		return p
+	}
+	permuted, parented := 0, 0
+	for _, shape := range durableShapes {
+		batches := shape.load(3_000, 7)
+		for _, b := range batches {
+			for _, s := range b {
+				if s.ID%41 == 0 && s.Kind != trace.KindLaunch { // a parented launch's execs pend, and nothing folds
+					s.ParentID = 1
+				}
+			}
+		}
+		for _, crash := range []int{len(batches) / 2, 4 * len(batches) / 5, len(batches)} {
+			disk := faultfs.New()
+			st, rec, err := segio.Open(disk, segio.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := core.RecoverStream(shape.opts(st), rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if acked, crashed := feedDurable(sc, batches[:crash]); crashed {
+				t.Fatalf("%s: a healthy disk failed after %d batches", shape.name, acked)
+			}
+
+			recoverWith := func(permute func(n int) []int) views {
+				st, rec, err := segio.Open(disk.Recovered(), segio.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap := rec.Snapshot
+				live, owned := snap.Live, snap.Owned
+				snap.Live, snap.Owned = make([]*trace.Span, len(live)), make([]uint64, len(owned))
+				for to, from := range permute(len(live)) {
+					snap.Live[to] = live[from]
+					if owned[from/64]&(1<<(from%64)) != 0 {
+						snap.Owned[to/64] |= 1 << (to % 64)
+					} else {
+						parented++
+					}
+				}
+				permuted += len(live)
+				v := views{seen: observed{}}
+				opts := shape.opts(st)
+				opts.Observer = v.seen
+				sc, err := core.RecoverStream(opts, rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v.raw = sc.SnapshotRaw().Spans
+				sc.Flush()
+				v.flushed = sc.SnapshotTrace().Spans
+				return v
+			}
+			want := recoverWith(identity)
+			for name, permute := range map[string]func(n int) []int{
+				"reversed": func(n int) []int { p := identity(n); slices.Reverse(p); return p },
+				"shuffled": rand.New(rand.NewSource(int64(crash))).Perm,
+			} {
+				got := recoverWith(permute)
+				ctx := fmt.Sprintf("%s, crash after batch %d, tail %s", shape.name, crash, name)
+				if !reflect.DeepEqual(got.raw, want.raw) {
+					t.Errorf("%s: SnapshotRaw differs from the tail as written", ctx)
+				}
+				if !reflect.DeepEqual(got.flushed, want.flushed) {
+					t.Errorf("%s: the flushed SnapshotTrace differs from the tail as written", ctx)
+				}
+				if !reflect.DeepEqual(got.seen, want.seen) {
+					t.Errorf("%s: the observer saw different deliveries", ctx)
+				}
+			}
+		}
+	}
+	if permuted < 1_000 || parented == 0 {
+		t.Fatalf("not adversarial enough: %d tail spans permuted, %d of them tracer-parented", permuted, parented)
 	}
 }
 

@@ -459,6 +459,42 @@ func TestStreamCorrelatorRepairKeepsSettledExecAfterCorrEviction(t *testing.T) {
 	}
 }
 
+// A straggler container moves a live launch's parent while the launch's
+// exec lies after the repair window: the exec is outside every region the
+// repair re-correlates, so only the propagation of the moved launch through
+// its correlation id — a pass over the released runs — reaches it. Repaired
+// at Flush (no Retain) and at feed time (Retain set, the exec still live).
+func TestStreamCorrelatorMovedLaunchReachesExecPastTheWindow(t *testing.T) {
+	for _, retain := range []vclock.Duration{0, 10_000} {
+		batches := [][]*trace.Span{{
+			{ID: 1, Level: trace.LevelModel, Begin: 0, End: 1_000},
+			{ID: 2, Level: trace.LevelLayer, Name: "layer", Begin: 100, End: 200},
+			{ID: 3, Level: trace.LevelKernel, Kind: trace.KindLaunch, Name: "cudaLaunchKernel", Begin: 130, End: 140, CorrelationID: 7},
+			{ID: 4, Level: trace.LevelKernel, Kind: trace.KindExec, Name: "kernel", Begin: 500, End: 520, CorrelationID: 7},
+		}, {
+			// Behind the release point, between the layer and the launch.
+			{ID: 5, Level: trace.LevelLibrary, Name: "cudnnConvolutionForward", Begin: 125, End: 150},
+		}}
+		// Fed as copies: the batch oracle below must start from unlinked spans.
+		fed := [][]*trace.Span{cloneBatch(batches[0]), cloneBatch(batches[1])}
+		exec := fed[0][3]
+		sc := core.NewStreamCorrelator(core.StreamOptions{Retain: retain})
+		sc.Feed(fed[0]...)
+		if exec.ParentID != 2 {
+			t.Fatalf("retain %d: timely exec resolved to %d, want its launch's layer 2", retain, exec.ParentID)
+		}
+		sc.Feed(fed[1]...)
+		sc.Flush()
+		if st := sc.Stats(); st.Stragglers != 1 || st.Repaired == 0 || st.Repaired > 4 {
+			t.Fatalf("retain %d: %d stragglers, %d spans repaired; want one straggler and a region without the exec", retain, st.Stragglers, st.Repaired)
+		}
+		if exec.ParentID != 5 {
+			t.Fatalf("retain %d: exec parent %d, want 5: its launch moved under the straggler", retain, exec.ParentID)
+		}
+		assertStreamMatchesBatch(t, sc, batches)
+	}
+}
+
 // With CorrRetain set, device-only execution records no longer stall the
 // fold horizon: pending execs past the horizon finalize by containment and
 // the stream checkpoints while feeding — previously a device-only stream

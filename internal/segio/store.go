@@ -73,7 +73,9 @@ type CorrEntry struct {
 // release floor, and (maintained by the store itself) the batch-dedup id
 // window and the segment-id stamp that dates segment files against it.
 type Snapshot struct {
-	// Live is the fed-but-unfolded span tail, in a valid arrival order.
+	// Live is the fed-but-unfolded span tail, in any order: recovery replays
+	// it as one batch, through the correlator's totally ordered reorder
+	// buffer.
 	Live []*trace.Span
 	// Owned marks Live spans (bitset, bit i for Live[i]) whose ParentID
 	// was derived by the correlator rather than supplied by the tracer.

@@ -74,8 +74,11 @@
 // whole stream until the queue drains. A batch so shed is never lost — the
 // tenant's ingest half holds it, once and unresolved, /api/trace merges it
 // in, and a batch re-correlate of /api/trace covers it — and shed clients
-// retry safely under their batch ids. GET /api/overload reports the admission, tap, and pressure
-// counters, per tenant.
+// retry safely under their batch ids. While the byte budget is set a span
+// POST must declare its length: a chunked body has nothing to reserve and is
+// a 411 before it is read. GET /api/overload reports the admission, tap,
+// and pressure counters, per tenant; a tenant's pressure is derived from the
+// load printed beside it, one read of its correlator.
 //
 // Durability: DataDir names a directory the streaming state survives
 // crashes in. The default tenant's store

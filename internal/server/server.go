@@ -337,10 +337,8 @@ func (s *Server) handleOverload(w http.ResponseWriter, _ *http.Request) {
 				st := t.tap.Stats()
 				tv.Tap = &st
 			}
-			sc := t.stream.Correlator()
-			tv.Pressure = sc.Pressure().String()
-			l := sc.Load()
-			tv.Load = &l
+			l := t.stream.Correlator().Load()
+			tv.Pressure, tv.Load = l.Pressure().String(), &l // one snapshot: the state is this load's
 		}
 		v.Tenants[tn.Key()] = tv
 	})

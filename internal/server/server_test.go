@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"xsp/internal/core"
 	"xsp/internal/gpu"
 	"xsp/internal/trace"
 	"xsp/internal/vclock"
@@ -386,6 +387,57 @@ func TestShedDrainResetCycles(t *testing.T) {
 		} else if n > goroutines {
 			t.Fatalf("cycle %d ends with %d goroutines, cycle 1 ended with %d", cycle, n, goroutines)
 		}
+	}
+}
+
+// /api/overload prints a tenant's pressure beside its load: both come from
+// one read of the correlator, so the state printed is the state of the load
+// printed — never "nominal" beside a live count past half its budget, however
+// fast the tenant is filling and emptying meanwhile.
+func TestOverloadViewIsOneSnapshot(t *testing.T) {
+	cfg := testConfig("")
+	cfg.TapQueue, cfg.PressureSpans = 0, 128 // inline tap: a 202 means the correlator holds the batch
+	s := newServer(t, cfg)
+	batch := arrivals(71, 128)[0][:96] // past half the budget, under it: elevated
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for id := uint64(1); ; id++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if rec := post(s, "", id, batch); rec.Code != http.StatusAccepted {
+				t.Errorf("batch %d: %d %s", id, rec.Code, rec.Body)
+				return
+			}
+			do(s, http.MethodPost, "/api/reset", "", nil, nil)
+		}
+	}()
+	seen := map[string]bool{}
+	for i := 0; i < 4_000; i++ {
+		var v struct {
+			Tenants map[string]struct {
+				Pressure string
+				Load     core.Load
+			}
+		}
+		if err := json.Unmarshal(get(t, s, "/api/overload", ""), &v); err != nil {
+			t.Fatal(err)
+		}
+		tv := v.Tenants[trace.DefaultTenant]
+		if want := tv.Load.Pressure().String(); tv.Pressure != want {
+			t.Errorf("poll %d: pressure %q beside load %+v, whose pressure is %q", i, tv.Pressure, tv.Load, want)
+			break
+		}
+		seen[tv.Pressure] = true
+	}
+	close(stop)
+	<-done
+	if len(seen) < 2 {
+		t.Fatalf("the polls saw only %v: the tenant never changed state under them", seen)
 	}
 }
 

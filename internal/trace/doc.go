@@ -79,7 +79,8 @@
 //     itself, so one batch larger than the bound cannot wedge.
 //   - In-flight request bytes and spans. [Server.SetAdmission] installs an
 //     [AdmissionPolicy]: request bodies reserve their Content-Length
-//     against MaxInflightBytes before being read, and decoded-but-unlanded
+//     against MaxInflightBytes before being read (a chunked body, which
+//     declares none, is a 411 while that budget is set), and decoded-but-unlanded
 //     spans plus the tap backlog count against MaxInflightSpans. Past
 //     either budget — or when the [LoadReporter] installed with
 //     [ServerTenant.SetLoad] reports [PressureOverloaded] — the POST is shed

@@ -246,7 +246,9 @@ type AdmissionPolicy struct {
 	// (reserved from Content-Length before the body is read, released when
 	// the request completes; a single request may exceed the budget only
 	// when it is alone, so an oversized batch cannot starve forever). Each
-	// admitted body is additionally capped at this size. Zero is unlimited.
+	// admitted body is additionally capped at this size, and a POST with no
+	// Content-Length (chunked) has nothing to reserve and is refused with
+	// 411 before its body is read. Zero is unlimited.
 	MaxInflightBytes int64
 
 	// MaxInflightSpans bounds, per tenant, the decoded spans not yet
@@ -603,7 +605,13 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if adm.MaxInflightBytes > 0 {
-			n := max(r.ContentLength, 0)
+			n := r.ContentLength
+			if n < 0 {
+				// A chunked body declares nothing to reserve, so any number of
+				// them would be in flight beside a full budget.
+				http.Error(w, "trace: a span POST needs a Content-Length while an in-flight byte budget is set", http.StatusLengthRequired)
+				return
+			}
 			if cur := s.inflightB.Add(n); cur > adm.MaxInflightBytes && cur != n {
 				// Over budget with other requests in flight. (Alone — cur
 				// == n — even an oversized body is admitted, so one big
@@ -613,9 +621,9 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			defer s.inflightB.Add(-n)
-			// A body must not exceed its Content-Length reservation (or
-			// the whole budget, chunked): decode fails cleanly instead of
-			// growing past the admitted bytes.
+			// A body must not exceed its Content-Length reservation, or the
+			// whole budget: decode fails cleanly instead of growing past
+			// the admitted bytes.
 			limit := adm.MaxInflightBytes
 			if n > 0 && n < limit {
 				limit = n

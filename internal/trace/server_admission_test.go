@@ -86,6 +86,29 @@ func TestServerAdmissionByteBudget(t *testing.T) {
 	if srv.Received() != 2 {
 		t.Fatalf("Received = %d, want 2 — the shed batch must not partially ingest", srv.Received())
 	}
+
+	// A chunked POST declares no length to reserve, so any number of them
+	// could be in flight beside a full budget: 411, before the body is read
+	// and before the batch id is claimed — the same id, sent with a length,
+	// lands fresh.
+	if rec := postSpans(srv, unreadBody{t}, -1, "2a"); rec.Code != http.StatusLengthRequired {
+		t.Fatalf("chunked POST under a byte budget = %d (%s), want 411", rec.Code, rec.Body)
+	}
+	body := encodeSpans(t, span(4))
+	if rec := postSpans(srv, bytes.NewReader(body), int64(len(body)), "2a"); rec.Code != http.StatusAccepted || rec.Header().Get("X-Duplicate-Batch") != "" {
+		t.Fatalf("the refused id re-posted with a length = %d, duplicate %q; want a fresh 202", rec.Code, rec.Header().Get("X-Duplicate-Batch"))
+	}
+	if st := srv.OverloadStats(); st.InflightBytes != 0 || srv.Received() != 3 {
+		t.Fatalf("after the 411 and its re-post: %d bytes in flight, %d received; want 0 and 3", st.InflightBytes, srv.Received())
+	}
+}
+
+// unreadBody is a request body that must not be read.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("the body of a refused request was read")
+	return 0, io.EOF
 }
 
 // The span budget counts decoded-unlanded spans plus the async tap's

@@ -171,13 +171,16 @@ func FuzzHandleSpans(f *testing.F) {
 	} {
 		f.Add(seed.method, seed.contentType, seed.tenant, seed.batchID, int64(len(seed.body)), seed.body)
 		f.Add(seed.method, seed.contentType, seed.tenant, seed.batchID, int64(len(seed.body)/2), seed.body)
-		f.Add(seed.method, seed.contentType, seed.tenant, seed.batchID, int64(-1), seed.body)
+		f.Add(seed.method, seed.contentType, seed.tenant, seed.batchID, int64(-1), seed.body) // chunked: no declared length
 	}
 	f.Fuzz(func(t *testing.T, method, contentType, tenant, batchID string, contentLength int64, body []byte) {
 		p := newIngressProbe()
 		rec := httptest.NewRecorder()
 		p.srv.ServeHTTP(rec, spansRequest(method, contentType, tenant, batchID, contentLength, body))
 		received, stored := p.held(t)
+		if contentLength < 0 && rec.Code == http.StatusAccepted {
+			t.Fatal("a length-less POST was accepted under a byte budget: it reserved nothing")
+		}
 		if rec.Code != http.StatusAccepted {
 			if received != 0 || stored != 0 || p.tapped != 0 || p.logged != 0 {
 				t.Fatalf("a %d left %d received, %d stored, %d tapped, %d logged", rec.Code, received, stored, p.tapped, p.logged)
