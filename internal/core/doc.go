@@ -80,9 +80,28 @@
 // folded spans its repair window overlaps go back live, the segments that
 // held them are replaced by their remainders, the rest of the history
 // stays folded — so a deep repair costs a pass over span headers plus the
-// region, not a rebuild of the stream. Three further mechanisms
-// make unbounded runs flat-cost. Segments compact on a geometric
-// (size-tiered) schedule: whenever two size-adjacent segments are within
+// region, not a rebuild of the stream.
+//
+// Folded history is held encoded: a fold
+// encodes its spans once into an immutable span block (the trace codec's
+// layout, the owned bit in each 80-byte record), a checkpoint segment is an
+// ordered list of 8-byte references to records of such blocks, and every
+// ladder operation — compaction, extraction, remainders — reads keys from
+// the records and moves references, never encoded bytes. A checkpointed span
+// therefore costs what the codec makes of it (~113 B plus its reference, not
+// the ~250 B of a decoded span with its maps) and holds no pointer for the
+// collector to follow; a block leaves with the last reference to it, and one
+// under half referenced gives its records up to a gathered block. Reads
+// (Trace, SnapshotTrace, SnapshotRaw, recovery's observer replay) decode
+// through the references into fresh copies — the correlator's mutex held
+// only to pin the immutable segment list and copy the live tail's headers,
+// the decode after it is released — a reopen decodes only the spans it takes
+// back, and a durable segment file is the fold's block as it is, or the
+// records of several gathered with their table offsets rebased; recovery
+// keeps a validated file payload as the block.
+//
+// Three further mechanisms make unbounded runs flat-cost. Segments compact
+// on a geometric (size-tiered) schedule: whenever two size-adjacent segments are within
 // 2x of each other they merge, so the segment sizes form a doubling
 // ladder — ~log2 of the checkpointed span count — and each span pays
 // O(log n) amortized merge work over the stream's life. Degraded windows

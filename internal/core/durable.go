@@ -22,9 +22,10 @@ type SegmentStore interface {
 	// LogBatch durably appends one fed batch (and its ingest batch id, 0
 	// when none) to the WAL before the correlator consumes it.
 	LogBatch(spans []*trace.Span, owned []uint64, batchID uint64) error
-	// WriteSegment durably publishes one checkpoint segment, then deletes
-	// the segment files it replaces.
-	WriteSegment(spans []*trace.Span, owned []uint64, replaces []uint64) (uint64, error)
+	// WriteSegment durably publishes one checkpoint segment — block is its
+	// spans as one encoded span block, owned flags in the records — then
+	// deletes the segment files it replaces.
+	WriteSegment(block []byte, replaces []uint64) (uint64, error)
 	// DropSegments deletes segment files a reopen emptied into the live
 	// tail (after a Rotate covered their spans).
 	DropSegments(ids []uint64) error
@@ -225,31 +226,41 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 
 	seen := make(map[uint64]bool)
 	segCorr := make(map[uint64]uint64)
+	var tip trace.Span // the folded span latest in sweep order, a compare key (ID 0: none yet)
 	for _, seg := range rec.Segments {
 		var covered []int
 		if !seg.SinceSnapshot {
 			if walSeen == nil {
 				walSeen = walSpanIDs(rec)
 			}
-			for i, s := range seg.Spans {
-				if walSeen[s.ID] {
+			for i := 0; i < seg.Block.Len(); i++ {
+				if walSeen[seg.Block.ID(i)] {
 					covered = append(covered, i)
 				}
 			}
 		}
-		sc.hist.install(seg.Spans, seg.Owned, seg.ID, covered, func(s *trace.Span, owned bool) {
-			seen[s.ID] = true
-			sc.noteLevel(s.Level)
-			if s.Begin > sc.maxBegin {
+		sc.hist.install(seg.Block, seg.ID, covered, func(blk *trace.SpanBlock, i int) {
+			seen[blk.ID(i)] = true
+			sc.noteLevel(blk.Level(i))
+			if begin := blk.Begin(i); begin > sc.maxBegin {
 				// Every folded span was fed, so the crashed process's
 				// watermark was at least here. After a deferred fold the spans
 				// that advanced it are deduped out of the replay below, whose
 				// drain would otherwise stop short of what had been released:
 				// a span behind the recovered floor would then be repaired
 				// against a region still missing its buffered container.
-				sc.maxBegin = s.Begin
+				sc.maxBegin = begin
 			}
-			if s.Kind == trace.KindLaunch && s.CorrelationID != 0 && s.ParentID != 0 && owned {
+			// And its release floor was at least here, for the same reason: a
+			// span arriving behind one the crashed process had released and
+			// folded is a straggler, however little of the WAL is left to
+			// release past it again. (Installed once the replay is through:
+			// replayed spans are classified by what the replay has released,
+			// folded spans a repair took back live included — see relive.)
+			if key := (trace.Span{ID: blk.ID(i), Level: blk.Level(i), Kind: blk.Kind(i), Begin: blk.Begin(i), End: blk.End(i)}); tip.ID == 0 || compareEvents(&key, &tip) > 0 {
+				tip = key
+			}
+			if corr, parent := blk.CorrelationID(i), blk.ParentID(i); blk.Kind(i) == trace.KindLaunch && corr != 0 && parent != 0 && blk.Owned(i) {
 				// A folded launch's correlation entry always mirrors its
 				// settled ParentID (a repair that moved it would have taken
 				// it out of the segment, and a file still holding it lost
@@ -259,7 +270,7 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 				// a live exec replaying later would degrade to containment.
 				// Only for a launch the resolver parented: a tracer-parented
 				// one never sets an entry in a live process either.
-				segCorr[s.CorrelationID] = s.ParentID
+				segCorr[corr] = parent
 			}
 		})
 	}
@@ -286,11 +297,12 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 
 	// An observer attached for recovery sees the whole stream again:
 	// recovered segments never pass through the release path, so their
-	// spans are delivered here — merged into one canonical order, which
-	// keeps begins non-decreasing across segments — and the WAL replay
-	// below re-releases the rest through the ordinary drain path.
+	// spans are delivered here — decoded for the occasion, the history keeps
+	// the files' blocks — merged into one canonical order, which keeps
+	// begins non-decreasing across segments — and the WAL replay below
+	// re-releases the rest through the ordinary drain path.
 	if opts.Observer != nil {
-		for _, s := range sc.hist.merged(nil, nil) {
+		for _, s := range trace.MergeRuns(decodeSegments(sc.hist.segs, false)) {
 			opts.Observer.ObserveSpan(s)
 		}
 	}
@@ -298,12 +310,15 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 	sc.replaying = true
 	if snap != nil {
 		sc.Feed(dedupStrip(snap.Live, snap.Owned, seen)...)
-		if snap.Floor != nil {
-			sc.installFloor(snap.Floor)
+		if k := snap.Floor; k != nil {
+			sc.installFloor(&trace.Span{ID: k.ID, Level: k.Level, Kind: k.Kind, Begin: k.Begin, End: k.End})
 		}
 	}
 	for _, b := range rec.Batches {
 		sc.Feed(dedupStrip(b.Spans, b.Owned, seen)...)
+	}
+	if tip.ID != 0 {
+		sc.installFloor(&tip)
 	}
 
 	sc.mu.Lock()
@@ -364,14 +379,14 @@ func dedupStrip(spans []*trace.Span, owned ownedBits, seen map[uint64]bool) []*t
 }
 
 // installFloor adopts a recovered release floor — the crashed process's
-// release point — unless replay has already released past it. It must be
-// installed after the snapshot's own spans replayed: they released before
-// the floor existed originally and must not classify as stragglers.
-func (sc *StreamCorrelator) installFloor(k *segio.SpanKey) {
+// release point, from its snapshot or from the spans it had folded — unless
+// the floor already stands later. It must be installed after the snapshot's
+// own spans replayed: they released before the floor existed originally and
+// must not classify as stragglers.
+func (sc *StreamCorrelator) installFloor(f *trace.Span) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	f := &trace.Span{ID: k.ID, Level: k.Level, Kind: k.Kind, Begin: k.Begin, End: k.End}
-	if sc.lastReleased == nil || compareEvents(f, sc.lastReleased) > 0 {
+	if cur := sc.releaseFloor(); cur == nil || compareEvents(f, cur) > 0 {
 		sc.floor = f
 	}
 }

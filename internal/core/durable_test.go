@@ -133,17 +133,22 @@ func (l *storeLog) LogBatch(spans []*trace.Span, owned []uint64, batchID uint64)
 	return nil
 }
 
-func (l *storeLog) WriteSegment(spans []*trace.Span, owned []uint64, replaces []uint64) (uint64, error) {
-	remainder := l.afterForced && len(replaces) == 1 && len(spans) > 0 && len(spans) < l.sizes[replaces[0]]
+func (l *storeLog) WriteSegment(block []byte, replaces []uint64) (uint64, error) {
+	blk, rest, err := trace.ParseSpanBlock(block)
+	if err != nil || len(rest) != 0 {
+		panic(fmt.Sprintf("segment payload is no span block: %v, %d bytes behind it", err, len(rest)))
+	}
+	spans := blk.Len()
+	remainder := l.afterForced && len(replaces) == 1 && spans > 0 && spans < l.sizes[replaces[0]]
 	if remainder && l.ops != nil {
 		l.remainderAt = append(l.remainderAt, l.ops())
 	}
-	id, err := l.SegmentStore.WriteSegment(spans, owned, replaces)
+	id, err := l.SegmentStore.WriteSegment(block, replaces)
 	if err != nil {
 		return 0, err
 	}
 	l.segWrites++
-	l.sizes[id] = len(spans)
+	l.sizes[id] = spans
 	for _, r := range replaces {
 		delete(l.sizes, r)
 	}
@@ -151,7 +156,7 @@ func (l *storeLog) WriteSegment(spans []*trace.Span, owned []uint64, replaces []
 		// A repair rewriting what it reopened, not a fold: nothing the WAL
 		// covers, nothing the rotation rule decided.
 		if !remainder {
-			panic(fmt.Sprintf("segment write behind a forced rotation is no remainder: %d spans replacing %v", len(spans), replaces))
+			panic(fmt.Sprintf("segment write behind a forced rotation is no remainder: %d spans replacing %v", spans, replaces))
 		}
 		l.sinceRotate[id] = false
 		return id, nil
@@ -760,7 +765,7 @@ func TestSnapshotWithoutSegStampRecoversByCoverage(t *testing.T) {
 	if err := st.Rotate(segio.Snapshot{Live: ref.Spans, Owned: allOwned(len(ref.Spans))}); err != nil {
 		t.Fatalf("rotate: %v", err)
 	}
-	if _, err := st.WriteSegment(folded, allOwned(len(folded)), nil); err != nil {
+	if _, err := st.WriteSegment(trace.AppendSpanBlock(nil, folded, func(int) bool { return true }), nil); err != nil {
 		t.Fatalf("write segment: %v", err)
 	}
 	if err := st.Close(); err != nil {
@@ -874,7 +879,7 @@ func TestRecoverDropsWALCoveredSpansFromOlderSegment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	oldID, err := st.WriteSegment(folded, allOwned(len(folded)), nil)
+	oldID, err := st.WriteSegment(trace.AppendSpanBlock(nil, folded, func(int) bool { return true }), nil)
 	if err != nil {
 		t.Fatalf("write segment: %v", err)
 	}
@@ -927,12 +932,12 @@ func TestRecoverDropsWALCoveredSpansFromOlderSegment(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reopen: %v", ctx, err)
 		}
-		if len(rec.Segments) != 1 || rec.Segments[0].ID == oldID || len(rec.Segments[0].Spans) != len(remainder) {
+		if len(rec.Segments) != 1 || rec.Segments[0].ID == oldID || rec.Segments[0].Block.Len() != len(remainder) {
 			t.Fatalf("%s: segments on disk %+v, want one new file of %d spans", ctx, rec.Segments, len(remainder))
 		}
-		for _, s := range rec.Segments[0].Spans {
-			if !remainder[s.ID] {
-				t.Fatalf("%s: the rewritten segment holds span %d, which the WAL carries", ctx, s.ID)
+		for blk, i := rec.Segments[0].Block, 0; i < blk.Len(); i++ {
+			if !remainder[blk.ID(i)] {
+				t.Fatalf("%s: the rewritten segment holds span %d, which the WAL carries", ctx, blk.ID(i))
 			}
 		}
 	}
@@ -1047,7 +1052,10 @@ func TestDurableStreamQuarantinesCorruptSegment(t *testing.T) {
 	}
 	scB.Flush()
 	got := spanIDSet(scB.Trace())
-	lost := spanIDSet(&trace.Trace{Spans: victim.Spans})
+	lost := make(map[uint64]bool)
+	for i := 0; i < victim.Block.Len(); i++ {
+		lost[victim.Block.ID(i)] = true
+	}
 	for id := range got {
 		if !all[id] {
 			t.Fatalf("recovered span %d was never fed", id)

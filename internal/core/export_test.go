@@ -17,13 +17,14 @@ func (sc *StreamCorrelator) reopenAll() {
 	for _, l := range sc.levels {
 		released = append(released, sc.rel.slot(l).spans...)
 	}
-	for _, seg := range sc.hist.segs {
-		for i, s := range seg.spans {
-			if !seg.owned.has(i) {
+	for k, run := range decodeSegments(sc.hist.segs, false) {
+		seg := &sc.hist.segs[k]
+		for i, s := range run {
+			if blk, r := seg.at(i); !blk.Owned(r) {
 				sc.parented[s] = true
 			}
 		}
-		released = append(released, seg.spans...)
+		released = append(released, run...)
 		if seg.fileID != 0 {
 			sc.hist.stale = append(sc.hist.stale, seg.fileID)
 		}
@@ -48,15 +49,16 @@ func (sc *StreamCorrelator) ReopenAll() {
 }
 
 // OwnedBits reports, by span id, whether the correlator owns each span's
-// parent link: read from the owned bitset of every checkpoint segment and,
+// parent link: read from the owned flag of every checkpointed record and,
 // for the live set (released, buffered, straggling), from the parented set.
 func (sc *StreamCorrelator) OwnedBits() map[uint64]bool {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	owned := make(map[uint64]bool, sc.liveLen()+sc.hist.spans)
 	for _, seg := range sc.hist.segs {
-		for i, s := range seg.spans {
-			owned[s.ID] = seg.owned.has(i)
+		for i := range seg.refs {
+			blk, r := seg.at(i)
+			owned[blk.ID(r)] = blk.Owned(r)
 		}
 	}
 	for _, run := range sc.liveRuns() {
@@ -73,10 +75,37 @@ func (sc *StreamCorrelator) CheckpointSummary() (spans int, maxEnd vclock.Time, 
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	for _, seg := range sc.hist.segs {
-		wantSpans += len(seg.spans)
-		for _, s := range seg.spans {
-			wantMaxEnd = max(wantMaxEnd, s.End)
+		wantSpans += len(seg.refs)
+		for i := range seg.refs {
+			blk, r := seg.at(i)
+			wantMaxEnd = max(wantMaxEnd, blk.End(r))
 		}
 	}
 	return sc.hist.spans, sc.hist.maxEnd, wantSpans, wantMaxEnd
+}
+
+// BlockResidency returns the bytes of every block the checkpoint ladder
+// holds, the share of them its records still referenced account for (a
+// block's bytes in proportion to its referenced records), and whether any
+// two segments share a block.
+func (sc *StreamCorrelator) BlockResidency() (resident, referenced int, shared bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	holder := make(map[*byte]int)
+	for k, seg := range sc.hist.segs {
+		used := make([]int, len(seg.blocks))
+		for _, r := range seg.refs {
+			used[r.Block]++
+		}
+		for b, blk := range seg.blocks {
+			bytes := blk.Bytes()
+			resident += len(bytes)
+			referenced += len(bytes) * used[b] / blk.Len()
+			if at, ok := holder[&bytes[0]]; ok && at != k {
+				shared = true
+			}
+			holder[&bytes[0]] = k
+		}
+	}
+	return resident, referenced, shared
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"math"
 	"slices"
@@ -12,8 +13,8 @@ import (
 
 // ownedBits is a bitset over a run of spans: bit i set means the correlator
 // owns span i's parent link (the span was fed unparented). It is the form
-// ownership takes wherever spans are stored by position — a checkpoint
-// segment, its file, a WAL record.
+// ownership takes beside decoded spans held by position — a WAL record's, a
+// decoded block's; encoded, the bit is a flag in the span's record.
 type ownedBits []uint64
 
 func newOwnedBits(n int) ownedBits { return make(ownedBits, (n+63)/64) }
@@ -24,28 +25,44 @@ func (b ownedBits) set(i int) { b[i/64] |= 1 << (i % 64) }
 func (b ownedBits) has(i int) bool { return i/64 < len(b) && b[i/64]&(1<<(i%64)) != 0 }
 
 // history is a stream's folded past — the checkpoint ladder — and the one
-// place that knows how it is laid out: immutable segments of finalized spans
-// kept to a more-than-doubling size ladder, each with its owned bitset and
-// its durable file. The resolver adds folds, takes back what a straggler's
-// windows overlap, reads the segments merged with its live tail, and
-// persists; the zero history is empty. Guarded by the correlator's mutex like everything
-// the resolver holds.
+// place that knows how it is laid out. A folded span is not a trace.Span: it
+// is one 80-byte record, plus its share of the tables, in an immutable encoded
+// span block (trace.SpanBlock: what a fold encoded, once, or what a segment
+// file held), and a segment is an ordered list of 8-byte references to such
+// records. So what is resident per folded span is the codec's size and holds
+// no pointer the collector has to follow; the ladder's work — compaction,
+// extraction, remainders — compares keys read from the records and moves
+// references, never encoded bytes; and a span is decoded only when somebody
+// reads it, into copies the history keeps no hold on. The resolver adds
+// folds, takes back what a straggler's windows overlap, reads the segments
+// merged with its live tail, and persists; the zero history is empty.
+//
+// The correlator's mutex guards the ladder — the list of segments and the
+// counters — like everything the resolver holds. The segments themselves and
+// the blocks behind them are immutable, replaced and never edited, so a
+// reader holds the mutex only to pin the list — copy it — and decodes what
+// it pinned after letting go (see StreamCorrelator.read).
 type history struct {
 	segs        []ckptSegment // geometric compaction merges by size, so segments carry no time order
 	spans       int           // folded spans, over all segments
 	maxEnd      vclock.Time   // latest End among them
 	compactions int           // segment merges performed by the geometric schedule
 	stale       []uint64      // segment files a reopen emptied; deletable after the next WAL rotation covers their spans
+	enc         []byte        // where hold encodes a block before keeping its exact-size copy; empty between holds
 }
 
-// ckptSegment is one immutable fold of finalized spans, in canonical
-// order. The owned bitset remembers which spans the correlator owns, so a
-// reopen (a straggler reaching behind the checkpoint horizon) can restore
-// the ownership of the spans it takes back live. Immutable means replaced,
-// never edited: a merge or a reopen builds a new segment over fresh arrays.
+// ckptSegment is one immutable run of finalized spans in canonical order:
+// refs names their records, each in one of the segment's own blocks, and a
+// record's flag byte holds the owned bit a reopen (a straggler reaching
+// behind the checkpoint horizon) restores the span's ownership from.
+// Immutable means replaced, never edited: a merge or a reopen builds a new
+// segment over a fresh refs array and a fresh list of the same blocks. No
+// two segments share a block, and every block is referenced by at least half
+// its records (see compactBlocks): one no reference reaches leaves with the
+// segment that dropped it.
 type ckptSegment struct {
-	spans []*trace.Span
-	owned ownedBits
+	blocks []heldBlock
+	refs   []trace.RecordRef
 
 	// fileID is the segment's durable file id (0: not yet on disk);
 	// replaced lists the file ids this segment supersedes — a compaction
@@ -55,8 +72,8 @@ type ckptSegment struct {
 	replaced []uint64
 }
 
-// folded is a span on its way out of the history, with the owned bit its
-// segment held for it.
+// folded is a span on its way out of the history: decoded, with the owned
+// bit its record held for it.
 type folded struct {
 	span *trace.Span
 	own  bool
@@ -66,19 +83,100 @@ type folded struct {
 // straggler intervals whose overlap a repair re-correlates.
 type window struct{ lo, hi vclock.Time }
 
-// add folds spans — in canonical order, owned telling each one's bit, kept
-// so a reopen can restore their ownership exactly — into a new segment and
-// restores the size ladder.
-func (h *history) add(spans []*trace.Span, owned func(*trace.Span) bool) {
-	seg := ckptSegment{spans: spans, owned: newOwnedBits(len(spans))}
-	for i, s := range spans {
-		if owned(s) {
-			seg.owned.set(i)
+// maxEncodeScratch is the most capacity history.enc keeps between holds: room
+// for the block of a ~70k-span fold. A larger one — an on-demand Checkpoint
+// of a whole stream — is encoded into a buffer that leaves with the call.
+const maxEncodeScratch = 8 << 20
+
+// heldBlock is a span block the history holds, with the one thing a repair
+// asks of a block before reading it: which correlation ids its execution
+// spans may carry.
+type heldBlock struct {
+	trace.SpanBlock
+	// execCorr is the sorted set of corrBucket values over the block's owned
+	// execution spans with a correlation id: one entry per 64 of them where a
+	// tracer mints the ids densely and in order, up to one per span where it
+	// does not. A block is one fold — one stretch of the stream — so a moved
+	// launch's bucket is in almost no block's. Blocks are never merged, so
+	// what a repair that moved a launch pays here, and what the sets weigh,
+	// grows with the number of folds, not with the ladder's O(log n) segments.
+	execCorr []uint64
+}
+
+// corrBucket coarsens a correlation id to the granularity execCorr keeps.
+func corrBucket(corr uint64) uint64 { return corr >> 6 }
+
+// holdBlock wraps a parsed block the history will keep.
+func holdBlock(blk trace.SpanBlock) heldBlock {
+	held := heldBlock{SpanBlock: blk}
+	for i := 0; i < blk.Len(); i++ {
+		if c := blk.CorrelationID(i); c != 0 && blk.Kind(i) == trace.KindExec && blk.Owned(i) {
+			// Ids minted in order repeat a bucket 64 times running: collect it once.
+			if k, n := corrBucket(c), len(held.execCorr); n == 0 || held.execCorr[n-1] != k {
+				held.execCorr = append(held.execCorr, k)
+			}
 		}
-		h.maxEnd = max(h.maxEnd, s.End)
 	}
+	slices.Sort(held.execCorr)
+	held.execCorr = slices.Clone(slices.Compact(held.execCorr)) // not the array several interleaved streams' ids were collected in
+	return held
+}
+
+// hold runs encode into the history's scratch and returns a private,
+// exact-size copy of the block it appended, parsed: the held block is one
+// allocation, and a stream in steady state makes no other for it.
+func (h *history) hold(encode func(buf []byte) []byte) heldBlock {
+	buf := encode(h.enc[:0])
+	blk, _, err := trace.ParseSpanBlock(bytes.Clone(buf))
+	if err != nil {
+		panic(err) // the encoder's own output
+	}
+	if cap(buf) <= maxEncodeScratch {
+		h.enc = buf[:0]
+	}
+	return holdBlock(blk)
+}
+
+// segmentOf returns the segment that is all of blk, whose records the caller
+// knows to be in canonical order.
+func segmentOf(blk heldBlock) ckptSegment {
+	seg := ckptSegment{blocks: []heldBlock{blk}, refs: make([]trace.RecordRef, blk.Len())}
+	for i := range seg.refs {
+		seg.refs[i].Record = uint32(i)
+	}
+	return seg
+}
+
+// at returns the block and the record index reference i names.
+func (seg *ckptSegment) at(i int) (*heldBlock, int) {
+	r := seg.refs[i]
+	return &seg.blocks[r.Block], int(r.Record)
+}
+
+// spanBlocks returns the segment's blocks as the codec takes them.
+func (seg *ckptSegment) spanBlocks() []trace.SpanBlock {
+	blocks := make([]trace.SpanBlock, len(seg.blocks))
+	for b := range seg.blocks {
+		blocks[b] = seg.blocks[b].SpanBlock
+	}
+	return blocks
+}
+
+// push appends a segment to the ladder and counts its spans in.
+func (h *history) push(seg ckptSegment) {
 	h.segs = append(h.segs, seg)
-	h.spans += len(spans)
+	h.spans += len(seg.refs)
+	for i := range seg.refs {
+		blk, r := seg.at(i)
+		h.maxEnd = max(h.maxEnd, blk.End(r))
+	}
+}
+
+// add folds spans — in canonical order, owned telling each one's bit, kept
+// so a reopen can restore their ownership exactly — into a new block, one
+// encode, and a new segment that is all of it, and restores the size ladder.
+func (h *history) add(spans []*trace.Span, owned func(i int) bool) {
+	h.push(segmentOf(h.hold(func(buf []byte) []byte { return trace.AppendSpanBlock(buf, spans, owned) })))
 
 	// Keep the segment count in check so a snapshot's k-way merge stays
 	// shallow — geometrically, so a day-long stream amortizes O(log n)
@@ -86,22 +184,23 @@ func (h *history) add(spans []*trace.Span, owned func(*trace.Span) bool) {
 	h.compact()
 }
 
-// install adds a recovered segment file to the ladder — less the spans at
-// the ascending indexes drop, which the WAL won — and hands kept each span
-// that stays, with its owned bit. A file left empty is stale.
-func (h *history) install(spans []*trace.Span, owned []uint64, fileID uint64, drop []int, kept func(s *trace.Span, owned bool)) {
-	seg := ckptSegment{spans: spans, owned: owned, fileID: fileID}
+// install adds a recovered segment file to the ladder: its validated payload
+// is the segment's block, as it is — less the records at the ascending
+// indexes drop, which the WAL won — and kept is handed each record that
+// stays. A file left empty is stale.
+func (h *history) install(blk trace.SpanBlock, fileID uint64, drop []int, kept func(blk *trace.SpanBlock, i int)) {
+	seg := segmentOf(holdBlock(blk))
+	seg.fileID = fileID
 	if len(drop) > 0 {
-		if seg = seg.without(drop); len(seg.spans) == 0 {
+		if seg = h.without(seg, drop); len(seg.refs) == 0 {
 			h.stale = append(h.stale, seg.replaced...)
 			return
 		}
 	}
-	h.segs = append(h.segs, seg)
-	h.spans += len(seg.spans)
-	for i, s := range seg.spans {
-		h.maxEnd = max(h.maxEnd, s.End)
-		kept(s, seg.owned.has(i))
+	h.push(seg)
+	for i := range seg.refs {
+		held, r := seg.at(i)
+		kept(&held.SpanBlock, r)
 	}
 }
 
@@ -109,44 +208,27 @@ func (h *history) install(spans []*trace.Span, owned []uint64, fileID uint64, dr
 // repair window opening at t has anything to take back.
 func (h *history) reaches(t vclock.Time) bool { return h.spans > 0 && h.maxEnd >= t }
 
-// merged k-way-merges the segments with the live set's runs (see liveRuns:
-// the released runs are begin-ascending and usually read in place; MergeRuns
-// sorts a private copy of a run that needs it and never mutates one) into
-// one canonically ordered slice. With a nil owns the spans are the
-// correlator's own; otherwise they are header copies as the spans were fed:
-// every owned link — a segment's bit, owns(s) for a live span — zero again.
-func (h *history) merged(live [][]*trace.Span, owns func(*trace.Span) bool) []*trace.Span {
-	runs := make([][]*trace.Span, 0, len(h.segs)+len(live))
-	for _, seg := range h.segs {
-		run := seg.spans
-		if owns != nil {
-			run = unlinked(run, seg.owned.has)
+// decodeSegments decodes pinned segments, one canonically ordered run of
+// fresh spans each: copies nobody else holds. With raw the spans are as they
+// were fed: every owned link — the record's flag — zero again.
+func decodeSegments(segs []ckptSegment, raw bool) [][]*trace.Span {
+	var st trace.SpanStore
+	runs := make([][]*trace.Span, len(segs))
+	for k, seg := range segs {
+		decs := make([]trace.SpanDecoder, len(seg.blocks))
+		for b := range seg.blocks {
+			decs[b] = seg.blocks[b].Decoder()
 		}
-		runs = append(runs, run)
+		run := make([]*trace.Span, len(seg.refs))
+		for i, r := range seg.refs {
+			run[i] = decs[r.Block].Span(&st, int(r.Record))
+			if raw && seg.blocks[r.Block].Owned(int(r.Record)) {
+				run[i].ParentID = 0
+			}
+		}
+		runs[k] = run
 	}
-	for _, fed := range live {
-		if len(fed) == 0 {
-			continue // an empty history merges to nil, not to an empty slice
-		}
-		run := fed
-		if owns != nil {
-			run = unlinked(fed, func(i int) bool { return owns(fed[i]) })
-		}
-		runs = append(runs, run)
-	}
-	return trace.MergeRuns(runs)
-}
-
-// unlinked copies the spans' headers (trace.CloneHeaders) and zeroes, on
-// the copies, the ParentID of every position owned reports.
-func unlinked(spans []*trace.Span, owned func(i int) bool) []*trace.Span {
-	run := trace.CloneHeaders(spans)
-	for i, s := range run {
-		if owned(i) {
-			s.ParentID = 0
-		}
-	}
-	return run
+	return runs
 }
 
 // persistLadder writes a segment file for every checkpoint segment that
@@ -159,13 +241,29 @@ func (h *history) persistLadder(store SegmentStore) error {
 		if seg.fileID != 0 {
 			continue
 		}
-		id, err := store.WriteSegment(seg.spans, seg.owned, seg.replaced)
+		id, err := store.WriteSegment(seg.payload(), seg.replaced)
 		if err != nil {
 			return err
 		}
 		seg.fileID, seg.replaced = id, nil
 	}
 	return nil
+}
+
+// payload returns the segment as one span block, its file's payload: the
+// block itself when the segment is all of one block — a fresh fold, whose
+// refs are then its records in order — and otherwise its records gathered in
+// segment order, table offsets rebased, nothing decoded or re-encoded from
+// maps.
+func (seg *ckptSegment) payload() []byte {
+	if len(seg.blocks) == 1 && len(seg.refs) == seg.blocks[0].Len() {
+		return seg.blocks[0].Bytes()
+	}
+	size := 0
+	for b := range seg.blocks {
+		size += len(seg.blocks[b].Bytes())
+	}
+	return trace.GatherSpanBlock(make([]byte, 0, size), seg.spanBlocks(), seg.refs)
 }
 
 // dropStale deletes the segment files reopens emptied. Only a WAL rotation
@@ -196,7 +294,7 @@ func (h *history) compact() {
 	// order lists the segments by size, equal sizes by position, and stays
 	// sorted across the merges below.
 	bySize := func(a, b int) int {
-		return cmp.Or(cmp.Compare(len(h.segs[a].spans), len(h.segs[b].spans)), cmp.Compare(a, b))
+		return cmp.Or(cmp.Compare(len(h.segs[a].refs), len(h.segs[b].refs)), cmp.Compare(a, b))
 	}
 	order := make([]int, len(h.segs))
 	for i := range order {
@@ -206,7 +304,7 @@ func (h *history) compact() {
 	for {
 		pair := -1
 		for i := 0; i+1 < len(order); i++ {
-			if 2*len(h.segs[order[i]].spans) >= len(h.segs[order[i+1]].spans) {
+			if 2*len(h.segs[order[i]].refs) >= len(h.segs[order[i+1]].refs) {
 				pair = i
 				break
 			}
@@ -232,30 +330,42 @@ func (h *history) compact() {
 	}
 }
 
+// less reports whether seg's span i sorts before o's span j in canonical
+// order, from their records.
+func (seg *ckptSegment) less(i int, o *ckptSegment, j int) bool {
+	a, x := seg.at(i)
+	b, y := o.at(j)
+	return trace.RecordLess(&a.SpanBlock, x, &b.SpanBlock, y)
+}
+
 // mergeSegments merges two immutable checkpoint segments into one: a
 // two-pointer merge of the canonically sorted inputs — ties toward a, as
-// trace.MergeRuns breaks them — that carries each span's owned bit from
-// its input's bitset to the output's. The merged segment has no durable
-// file yet; it inherits the inputs' files (and their own pending
-// replacements) as its replaced list, so persistLadder deletes them only
-// once the merged file is on disk.
+// trace.MergeRuns breaks them — that moves references and reads keys from
+// the records; the blocks, a's then b's, are carried as they are, the owned
+// bits inside them. The merged segment has no durable file yet; it inherits
+// the inputs' files (and their own pending replacements) as its replaced
+// list, so persistLadder deletes them only once the merged file is on disk.
 func mergeSegments(a, b ckptSegment) ckptSegment {
-	seg := newSegment(len(a.spans) + len(b.spans))
+	seg := ckptSegment{
+		blocks: slices.Concat(a.blocks, b.blocks),
+		refs:   make([]trace.RecordRef, 0, len(a.refs)+len(b.refs)),
+	}
 	// Segments fold from successive stretches of the stream, so the merge
 	// is mostly long runs from one side: gallop to the end of each run
 	// rather than compare span by span.
+	shift := uint32(len(a.blocks))
 	i, j := 0, 0
-	for i < len(a.spans) && j < len(b.spans) {
-		end := i + gallop(len(a.spans)-i, func(k int) bool { return trace.CanonicalLess(b.spans[j], a.spans[i+k]) })
-		seg.take(&a, i, end)
-		if i = end; i < len(a.spans) {
-			end = j + gallop(len(b.spans)-j, func(k int) bool { return !trace.CanonicalLess(b.spans[j+k], a.spans[i]) })
-			seg.take(&b, j, end)
+	for i < len(a.refs) && j < len(b.refs) {
+		end := i + gallop(len(a.refs)-i, func(k int) bool { return b.less(j, &a, i+k) })
+		seg.take(a.refs[i:end], 0)
+		if i = end; i < len(a.refs) {
+			end = j + gallop(len(b.refs)-j, func(k int) bool { return !b.less(j+k, &a, i) })
+			seg.take(b.refs[j:end], shift)
 			j = end
 		}
 	}
-	seg.take(&a, i, len(a.spans))
-	seg.take(&b, j, len(b.spans))
+	seg.take(a.refs[i:], 0)
+	seg.take(b.refs[j:], shift)
 	for _, in := range [2]ckptSegment{a, b} {
 		seg.replaced = append(seg.replaced, in.replaced...)
 		if in.fileID != 0 {
@@ -265,38 +375,76 @@ func mergeSegments(a, b ckptSegment) ckptSegment {
 	return seg
 }
 
-// newSegment returns an empty segment with room for n spans.
-func newSegment(n int) ckptSegment {
-	return ckptSegment{spans: make([]*trace.Span, 0, n), owned: newOwnedBits(n)}
-}
-
-// take appends from.spans[lo:hi] to seg, carrying each span's owned bit to
-// its new position.
-func (seg *ckptSegment) take(from *ckptSegment, lo, hi int) {
-	for k, at := lo, len(seg.spans); k < hi; k, at = k+1, at+1 {
-		if from.owned.has(k) {
-			seg.owned.set(at)
+// take appends refs to seg, their block indexes moved up by shift: where
+// their segment's blocks start in seg's list.
+func (seg *ckptSegment) take(refs []trace.RecordRef, shift uint32) {
+	at := len(seg.refs)
+	seg.refs = append(seg.refs, refs...)
+	if shift != 0 {
+		for k := at; k < len(seg.refs); k++ {
+			seg.refs[k].Block += shift
 		}
 	}
-	seg.spans = append(seg.spans, from.spans[lo:hi]...)
 }
 
-// without returns seg less the spans at the ascending indexes drop: fresh
-// arrays (seg is immutable), the rest still in canonical order with their
-// owned bits moved down. Like a merge's survivor it has no durable file yet
-// and names seg's — with seg's own pending replacements — as replaced.
-func (seg ckptSegment) without(drop []int) ckptSegment {
-	rest, from := newSegment(len(seg.spans)-len(drop)), 0
+// without returns seg less the spans at the ascending indexes drop: a fresh
+// refs array (seg is immutable), the rest still in canonical order, over
+// the blocks that still earn their keep. Like a merge's survivor it has no
+// durable file yet and names seg's — with seg's own pending replacements —
+// as replaced.
+func (h *history) without(seg ckptSegment, drop []int) ckptSegment {
+	rest := ckptSegment{blocks: seg.blocks, refs: make([]trace.RecordRef, 0, len(seg.refs)-len(drop))}
+	from := 0
 	for _, i := range drop {
-		rest.take(&seg, from, i)
+		rest.refs = append(rest.refs, seg.refs[from:i]...)
 		from = i + 1
 	}
-	rest.take(&seg, from, len(seg.spans))
+	rest.refs = append(rest.refs, seg.refs[from:]...)
+	h.compactBlocks(&rest)
 	rest.replaced = slices.Clip(seg.replaced)
 	if seg.fileID != 0 {
 		rest.replaced = append(rest.replaced, seg.fileID)
 	}
 	return rest
+}
+
+// compactBlocks restores, on a segment under construction (its refs array
+// is still private), the rule that bounds what is resident by what is
+// referenced: a block fewer than half of whose records the segment still
+// references gives them up — gathered, in segment order and with the other
+// sparse blocks', into one new fully referenced block — and leaves; one no
+// reference reaches just leaves. Blocks at least half referenced stay as
+// they are, so resident bytes stay within twice the referenced ones and a
+// record is re-gathered only after as many of its block's have left.
+func (h *history) compactBlocks(seg *ckptSegment) {
+	used := make([]int, len(seg.blocks))
+	for _, r := range seg.refs {
+		used[r.Block]++
+	}
+	to := make([]int, len(seg.blocks)) // a kept block's new index; -1: sparse
+	var kept []heldBlock
+	for b := range seg.blocks {
+		if to[b] = -1; 2*used[b] >= seg.blocks[b].Len() {
+			to[b] = len(kept)
+			kept = append(kept, seg.blocks[b])
+		}
+	}
+	if len(kept) == len(seg.blocks) {
+		return
+	}
+	var moved []trace.RecordRef
+	for i, r := range seg.refs {
+		if to[r.Block] < 0 {
+			seg.refs[i] = trace.RecordRef{Block: uint32(len(kept)), Record: uint32(len(moved))}
+			moved = append(moved, r)
+		} else {
+			seg.refs[i].Block = uint32(to[r.Block])
+		}
+	}
+	if len(moved) > 0 { // out of the blocks as they stood: seg.blocks changes below
+		kept = append(kept, h.hold(func(buf []byte) []byte { return trace.GatherSpanBlock(buf, seg.spanBlocks(), moved) }))
+	}
+	seg.blocks = kept
 }
 
 // gallop returns the least k in [0, n) at which the monotone stop holds, or
@@ -311,22 +459,32 @@ func gallop(n int, stop func(k int) bool) int {
 }
 
 // extract takes the folded spans sel picks — ascending indexes into one
-// segment's spans — out of the ladder and returns them, each with its owned
-// bit, for the resolver to make live again. The cost is the headers sel
-// reads plus the segments it touches: a touched segment is replaced by its
-// remainder, an emptied one leaves the ladder (its files deletable once a
-// WAL rotation covers the spans), an untouched one is not looked at again.
+// segment's refs — out of the ladder and returns them decoded, each with its
+// owned bit, for the resolver to make live again: only the hits are decoded,
+// gathered into a block of their own first so the spans share nothing with
+// the blocks they leave. The cost is the records sel reads plus the segments
+// it touches: a touched segment is replaced by its remainder, an emptied one
+// leaves the ladder (its files deletable once a WAL rotation covers the
+// spans), an untouched one is not looked at again.
 func (h *history) extract(sel func(seg *ckptSegment) []int) (out []folded) {
 	ladder, tookMaxEnd := h.segs[:0], false
 	for _, seg := range h.segs {
 		hits := sel(&seg)
-		for _, i := range hits {
-			s := seg.spans[i]
-			tookMaxEnd = tookMaxEnd || s.End == h.maxEnd
-			out = append(out, folded{s, seg.owned.has(i)})
-		}
 		if len(hits) > 0 {
-			if seg = seg.without(hits); len(seg.spans) == 0 {
+			picked := make([]trace.RecordRef, len(hits))
+			for k, i := range hits {
+				picked[k] = seg.refs[i]
+				blk, r := seg.at(i)
+				tookMaxEnd = tookMaxEnd || blk.End(r) == h.maxEnd
+			}
+			spans, owned, _, err := trace.DecodeSpanBlock(trace.GatherSpanBlock(nil, seg.spanBlocks(), picked))
+			if err != nil {
+				panic(err) // gathered from validated blocks
+			}
+			for k, s := range spans {
+				out = append(out, folded{s, ownedBits(owned).has(k)})
+			}
+			if seg = h.without(seg, hits); len(seg.refs) == 0 {
 				h.stale = append(h.stale, seg.replaced...)
 				continue
 			}
@@ -338,9 +496,11 @@ func (h *history) extract(sel func(seg *ckptSegment) []int) (out []folded) {
 	h.spans -= len(out)
 	if tookMaxEnd { // else some span left behind still ends there
 		h.maxEnd = 0
-		for _, seg := range h.segs {
-			for _, s := range seg.spans {
-				h.maxEnd = max(h.maxEnd, s.End)
+		for i := range h.segs {
+			seg := &h.segs[i]
+			for k := range seg.refs {
+				blk, r := seg.at(k)
+				h.maxEnd = max(h.maxEnd, blk.End(r))
 			}
 		}
 	}
@@ -352,17 +512,19 @@ func (h *history) extract(sel func(seg *ckptSegment) []int) (out []folded) {
 func (h *history) extractOverlapping(windows []window) []folded {
 	return h.extract(func(seg *ckptSegment) (hits []int) {
 		// Segment and windows both ascend by begin: one pass over the
-		// headers, done at the first span past the last window. (A
+		// records, done at the first span past the last window. (A
 		// malformed window, hi < lo, selects as [lo, lo]: a superset.)
 		k := 0
-		for i, s := range seg.spans {
-			for k < len(windows) && max(windows[k].lo, windows[k].hi) < s.Begin {
+		for i := range seg.refs {
+			blk, r := seg.at(i)
+			begin := blk.Begin(r)
+			for k < len(windows) && max(windows[k].lo, windows[k].hi) < begin {
 				k++
 			}
 			if k == len(windows) {
 				break
 			}
-			if s.End >= windows[k].lo {
+			if blk.End(r) >= windows[k].lo {
 				hits = append(hits, i)
 			}
 		}
@@ -373,40 +535,71 @@ func (h *history) extractOverlapping(windows []window) []folded {
 // movedLaunches is the launches a repair gave a new parent, by correlation
 // id, and the one test for the execs that parent must still reach: the
 // repair applies it to the live released runs, extractExecs to the folded
-// spans.
+// records.
 type movedLaunches struct {
 	parent map[uint64]uint64
 	// Tracers mint correlation ids in order, so the moved launches' ids span
 	// a narrow range: most spans are done at one comparison.
 	minCorr, maxCorr uint64
+	buckets          []uint64 // the ids' corrBucket values, sorted: what a heldBlock's execCorr is matched against
 }
 
 func newMovedLaunches(parent map[uint64]uint64) movedLaunches {
 	m := movedLaunches{parent: parent, minCorr: math.MaxUint64}
 	for corr := range parent {
 		m.minCorr, m.maxCorr = min(m.minCorr, corr), max(m.maxCorr, corr)
+		m.buckets = append(m.buckets, corrBucket(corr))
 	}
+	slices.Sort(m.buckets)
+	m.buckets = slices.Compact(m.buckets)
 	return m
 }
 
-// newParent returns the parent s, if the correlator owns it, must take from
-// its moved launch: zero unless s is an execution span whose launch moved to
-// a parent other than the one s holds.
-func (m movedLaunches) newParent(s *trace.Span) uint64 {
-	if c := s.CorrelationID; c >= m.minCorr && c <= m.maxCorr && s.Kind == trace.KindExec {
-		if pid := m.parent[c]; pid != s.ParentID {
+// newParent returns the parent a span of this kind and correlation id,
+// holding this parent and owned by the correlator, must take from its moved
+// launch: zero unless it is an execution span whose launch moved to a parent
+// other than the one it holds.
+func (m movedLaunches) newParent(kind trace.Kind, corr, parent uint64) uint64 {
+	if corr >= m.minCorr && corr <= m.maxCorr && kind == trace.KindExec {
+		if pid := m.parent[corr]; pid != parent {
 			return pid
 		}
 	}
 	return 0
 }
 
+// mayHold reports whether the block may hold an execution span of one of the
+// moved launches: whether the two sorted bucket sets meet. One pass over the
+// block's set, each of its buckets looked for in what is left of the moved.
+func (m movedLaunches) mayHold(blk *heldBlock) bool {
+	rest := m.buckets
+	for _, b := range blk.execCorr {
+		at, ok := slices.BinarySearch(rest, b)
+		if rest = rest[at:]; ok || len(rest) == 0 {
+			return ok
+		}
+	}
+	return false
+}
+
 // extractExecs takes out the owned execution spans a moved launch's new
-// parent must still reach.
+// parent must still reach. It reads the records of the blocks whose
+// correlation-id buckets meet the moved launches' and passes over the rest:
+// a repair that moved launches nothing folded hangs on costs a few
+// comparisons per block — O(folds), see heldBlock — and one that finds such
+// a block costs a pass over its segment's references besides.
 func (h *history) extractExecs(moved movedLaunches) []folded {
 	return h.extract(func(seg *ckptSegment) (hits []int) {
-		for i, s := range seg.spans {
-			if moved.newParent(s) != 0 && seg.owned.has(i) {
+		match, some := make([]bool, len(seg.blocks)), false
+		for b := range seg.blocks {
+			match[b] = moved.mayHold(&seg.blocks[b])
+			some = some || match[b]
+		}
+		if !some {
+			return nil
+		}
+		for i, ref := range seg.refs {
+			if blk, r := seg.at(i); match[ref.Block] && moved.newParent(blk.Kind(r), blk.CorrelationID(r), blk.ParentID(r)) != 0 && blk.Owned(r) {
 				hits = append(hits, i)
 			}
 		}

@@ -268,6 +268,8 @@ type streamState struct {
 	reopens   int
 	foldCheck int // released count at the last automatic fold attempt
 
+	foldEvicted, foldMerged []*trace.Span // fold's scratch, empty between folds
+
 	floor    *trace.Span // release floor recovered from a previous process (synthetic compare key)
 	walSpans int         // spans the WAL holds, live or since folded: its snapshot's tail plus every batch logged after it
 }
@@ -795,9 +797,8 @@ func (sc *StreamCorrelator) repair() {
 	// window, not the ladder: every folded span overlapping a cluster moves
 	// back into the live released state, so the regions below still find in
 	// rel every released span overlapping [lo, hi].
-	deep := sc.hist.reaches(clusters[0].lo)
 	pulled := 0
-	if deep {
+	if sc.hist.reaches(clusters[0].lo) {
 		pulled = sc.relive(sc.hist.extractOverlapping(clusters))
 	}
 
@@ -959,16 +960,19 @@ func (sc *StreamCorrelator) repair() {
 	// correlation id. (An unresolved launch parent propagates nothing:
 	// batch leaves such execs to containment, which they already hold.)
 	// Folded ones among them leave the checkpoint first, like the windows'
-	// spans did: the link they take must reach the WAL, not only memory.
+	// spans did: the link they take must reach the WAL, not only memory. That
+	// does not wait for a window to reach behind the horizon — an exec can
+	// have folded while its launch, ending later, stayed live — and costs a
+	// range check per segment when nothing folded hangs on a moved launch.
 	// The live ones are found where every released span is, in the runs.
 	if len(dirty) > 0 {
 		moved := newMovedLaunches(dirty)
-		if deep {
+		if sc.hist.spans > 0 {
 			pulled += sc.relive(sc.hist.extractExecs(moved))
 		}
 		for _, l := range sc.levels {
 			for _, s := range sc.rel.slot(l).spans {
-				if pid := moved.newParent(s); pid != 0 && sc.owns(s) {
+				if pid := moved.newParent(s.Kind, s.CorrelationID, s.ParentID); pid != 0 && sc.owns(s) {
 					s.ParentID = pid
 				}
 			}
@@ -1009,6 +1013,14 @@ func (sc *StreamCorrelator) relive(back []folded) int {
 	}
 	slices.SortFunc(spans, compareEvents) // canonical order is not sweep order
 	sc.splice(spans)
+	// They are released spans again, so what arrives behind them is a
+	// straggler. The process that folded them had released past them; one
+	// recovered from its files has not, until its replay does.
+	if n := len(spans); n > 0 {
+		if f := sc.releaseFloor(); f == nil || compareEvents(spans[n-1], f) > 0 {
+			sc.floor = spans[n-1]
+		}
+	}
 	return len(back)
 }
 
@@ -1106,10 +1118,15 @@ func (sc *StreamCorrelator) Checkpoint() int {
 // O(spans folded): see walNeedsRotation.
 func (sc *StreamCorrelator) fold() int {
 	f := sc.finalizedBefore()
+	// The evicted runs and their merge are read once, by the encoder: both
+	// live in scratch arrays the folds share, cleared before they are put
+	// back so that nothing keeps the folded spans from the collector.
 	var runs [][]*trace.Span
+	evicted := sc.foldEvicted[:0]
 	for _, l := range sc.levels {
-		if run := sc.rel.slot(l).evictBefore(f); len(run) > 0 {
-			runs = append(runs, run)
+		at := len(evicted)
+		if evicted = sc.rel.slot(l).evictBefore(f, evicted); len(evicted) > at {
+			runs = append(runs, evicted[at:])
 		}
 	}
 	if len(runs) == 0 {
@@ -1131,15 +1148,16 @@ func (sc *StreamCorrelator) fold() int {
 		*st = keep
 	}
 
-	// The levels' evicted runs are begin-ascending: MergeRuns reads them in place.
-	spans := trace.MergeRuns(runs)
-	sc.hist.add(spans, func(s *trace.Span) bool {
-		if sc.owns(s) {
-			return true
-		}
+	// The levels' evicted runs are begin-ascending: the merge reads them in place.
+	spans := trace.MergeRunsInto(sc.foldMerged, runs)
+	sc.hist.add(spans, func(i int) bool { return sc.owns(spans[i]) })
+	for _, s := range spans {
 		delete(sc.parented, s)
-		return false
-	})
+	}
+	folded := len(spans)
+	clear(evicted)
+	clear(spans)
+	sc.foldEvicted, sc.foldMerged = evicted[:0], spans[:0]
 
 	// Durability: the segment files are written every time, which is
 	// O(spans folded); the WAL trim, which is O(live tail), only when the
@@ -1151,40 +1169,62 @@ func (sc *StreamCorrelator) fold() int {
 	if sc.walNeedsRotation() {
 		sc.rotateWAL()
 	}
-	return len(spans)
+	return folded
 }
 
 // Trace returns the accumulated spans — checkpointed history and live tail
-// merged — as a canonically ordered trace. The spans are shared with the
-// correlator (and, unless the correlator is Isolated, with whoever fed
-// them): parents resolved later are visible through the returned trace,
-// exactly like trace.Memory.Trace.
+// merged — as a canonically ordered trace. The live tail's spans are shared
+// with the correlator (and, unless the correlator is Isolated, with whoever
+// fed them): parents resolved later are visible through the returned trace,
+// exactly like trace.Memory.Trace. Checkpointed spans are not: the history
+// holds them encoded, so they come back as decoded copies — final as folded,
+// and the caller's own — and a span read live by one call may be a copy in
+// the next.
 func (sc *StreamCorrelator) Trace() *trace.Trace {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return &trace.Trace{Spans: sc.hist.merged(sc.liveRuns(), nil)}
+	return sc.read(slices.Clone[[]*trace.Span], false)
 }
 
-// SnapshotTrace is Trace with every span's header copied
+// SnapshotTrace is Trace with every live span's header copied
 // (trace.CloneHeaders): a point-in-time snapshot whose parent links stay as
 // they were while the stream keeps feeding, and whose header fields the
-// caller may rewrite. The payload — Name, Source, Tags, Metrics — is shared
-// read-only with the correlator's spans: immutable once published.
-func (sc *StreamCorrelator) SnapshotTrace() *trace.Trace {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return &trace.Trace{Spans: trace.CloneHeaders(sc.hist.merged(sc.liveRuns(), nil))}
-}
+// caller may rewrite. The live tail's payload — Name, Source, Tags, Metrics —
+// is shared read-only with the correlator's spans: immutable once published.
+func (sc *StreamCorrelator) SnapshotTrace() *trace.Trace { return sc.read(trace.CloneHeaders, false) }
 
 // SnapshotRaw is SnapshotTrace as the spans were fed: on the copies, every
-// link the resolver assigned — a segment's owned bit, owns for the live
-// tail — reads zero again, and a tracer-supplied ParentID stays. It is what
+// link the resolver assigned — a folded record's owned flag, owns for the
+// live tail — reads zero again, and a tracer-supplied ParentID stays. It is what
 // a raw store fed the same batches would serve, at query-time cost only, so
 // a non-Isolated correlator can be a server tenant's one span store.
 func (sc *StreamCorrelator) SnapshotRaw() *trace.Trace {
+	return sc.read(func(run []*trace.Span) []*trace.Span {
+		raw := trace.CloneHeaders(run)
+		for i, s := range run {
+			if sc.owns(s) {
+				raw[i].ParentID = 0
+			}
+		}
+		return raw
+	}, true)
+}
+
+// read is the three reads above. Under the mutex it only pins the history's
+// segment list and takes the live set, run by run, through live — a copy of
+// the run at least: the holders' arrays are theirs. Decoding the history
+// (raw: owned links zeroed) and merging it with the live runs happen after
+// the mutex is released, so a read of a long history delays ingest by the
+// live tail, not by the history.
+func (sc *StreamCorrelator) read(live func(run []*trace.Span) []*trace.Span, raw bool) *trace.Trace {
 	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return &trace.Trace{Spans: sc.hist.merged(sc.liveRuns(), sc.owns)}
+	segs := slices.Clone(sc.hist.segs) // segments and blocks are immutable: the copy stays decodable whatever follows
+	var tail [][]*trace.Span
+	for _, run := range sc.liveRuns() {
+		if len(run) > 0 { // an empty stream reads as nil, not as an empty slice
+			tail = append(tail, live(run))
+		}
+	}
+	sc.mu.Unlock()
+	return &trace.Trace{Spans: trace.MergeRuns(append(decodeSegments(segs, raw), tail...))}
 }
 
 // StreamStats describes a correlator's progress, for observability and
@@ -1371,23 +1411,21 @@ func (r *levelRun) overlapping(lo, hi vclock.Time, dst []*trace.Span) []*trace.S
 	return dst
 }
 
-// evictBefore removes every span ending before f, returning them in sweep
-// (so begin-ascending) order, and rebuilds the run over the survivors.
-func (r *levelRun) evictBefore(f vclock.Time) []*trace.Span {
-	var evicted []*trace.Span
+// evictBefore removes every span ending before f, appending them to evicted
+// in sweep (so begin-ascending) order, and rebuilds the run over the
+// survivors.
+func (r *levelRun) evictBefore(f vclock.Time, evicted []*trace.Span) []*trace.Span {
+	at := len(evicted)
 	keep := r.spans[:0]
-	for i, s := range r.spans {
+	for _, s := range r.spans {
 		if s.End < f {
-			if evicted == nil {
-				evicted = make([]*trace.Span, 0, len(r.spans)-i)
-			}
 			evicted = append(evicted, s)
 		} else {
 			keep = append(keep, s)
 		}
 	}
-	if len(evicted) == 0 {
-		return nil
+	if len(evicted) == at {
+		return evicted
 	}
 	clear(r.spans[len(keep):])
 	r.spans = keep

@@ -250,6 +250,39 @@ func TestRecoveryWithTracerParentedLaunches(t *testing.T) {
 	}
 }
 
+// TestRecoveryRestoresReleaseFloorAfterDeferredFold pins a recovery defect of
+// its own, found by FuzzStreamVsBatch (testdata's deferred_fold_restart_floor
+// seeds are these two streams) and fixed apart from any change of the
+// history's representation: after a deferred fold the WAL replay had not
+// released past the folded spans, so a layer the crashed process had repaired
+// as a straggler arrived punctual after the restart, and the launch a
+// replay-time reopen had re-linked provisionally kept that link. relive
+// raises the release floor to what it takes back live, and recovery installs
+// the latest folded span as the floor once the replay is through.
+func TestRecoveryRestoresReleaseFloorAfterDeferredFold(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		seed           int64
+		window, retain vclock.Duration
+		restart        int
+	}{
+		{"restart65", 1277, 55, 15, 65},
+		{"restart195", 6, 8, 16, 195},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			batches := workload.StreamingArrivals(workload.StreamingSpec{
+				Trace:           workload.SyntheticSpec{Spans: 4096, Streams: 3, Seed: tc.seed},
+				BatchSize:       16,
+				ReorderSkew:     64,
+				StragglerWindow: 300,
+				Seed:            tc.seed + 1,
+			})
+			parentSome(batches)
+			checkStreamVsBatch(t, batches, core.StreamOptions{ReorderWindow: tc.window, MaxWindowSpans: 24, Retain: tc.retain}, true, tc.restart)
+		})
+	}
+}
+
 // observed counts what a StreamObserver was handed: each delivery by span id
 // and the parent the span held at that moment.
 type observed map[[2]uint64]int

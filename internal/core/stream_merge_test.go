@@ -9,16 +9,23 @@ import (
 	"xsp/internal/vclock"
 )
 
+// keyed is one span of a segment as the merge must carry it: its id and the
+// owned bit its record holds.
+type keyed struct {
+	id    uint64
+	owned bool
+}
+
 // mergeSegmentsByMap is the map-based segment merge mergeSegments
-// replaced, kept as its reference: the spans go through trace.MergeRuns and
-// every owned bit is looked up by span pointer in a set built from both
-// inputs.
-func mergeSegmentsByMap(a, b ckptSegment) ckptSegment {
-	ownedSet := make(map[*trace.Span]bool, len(a.spans)+len(b.spans))
-	var replaced []uint64
-	for _, seg := range []ckptSegment{a, b} {
-		for j, s := range seg.spans {
-			if seg.owned.has(j) {
+// replaced, kept as its reference: the segments' spans, decoded, go through
+// trace.MergeRuns and every owned bit is looked up by span pointer in a set
+// built from both inputs.
+func mergeSegmentsByMap(a, b ckptSegment) (merged []keyed, replaced []uint64) {
+	ownedSet := make(map[*trace.Span]bool)
+	runs := decodeSegments([]ckptSegment{a, b}, false)
+	for k, seg := range []ckptSegment{a, b} {
+		for i, s := range runs[k] {
+			if blk, r := seg.at(i); blk.Owned(r) {
 				ownedSet[s] = true
 			}
 		}
@@ -27,48 +34,23 @@ func mergeSegmentsByMap(a, b ckptSegment) ckptSegment {
 			replaced = append(replaced, seg.fileID)
 		}
 	}
-	spans := trace.MergeRuns([][]*trace.Span{a.spans, b.spans})
-	seg := ckptSegment{spans: spans, owned: newOwnedBits(len(spans)), replaced: replaced}
-	for i, s := range spans {
-		if ownedSet[s] {
-			seg.owned.set(i)
-		}
+	for _, s := range trace.MergeRuns(runs) {
+		merged = append(merged, keyed{s.ID, ownedSet[s]})
 	}
-	return seg
+	return merged, replaced
 }
 
 // randomSegment draws a canonically sorted segment of n spans whose
 // (Begin, Level) keys come from a range narrow enough that two segments
 // drawn from it collide on them, so that the ID decides; ids are taken from
 // the shared pool, so no two spans of a pair tie completely. shift moves
-// the whole segment later in time.
+// the whole segment later in time. Every other segment keeps its spans in
+// two blocks, alternately, so that its references are not its blocks'
+// records in order.
 func randomSegment(rng *rand.Rand, n int, shift vclock.Time, ids *[]uint64) ckptSegment {
-	seg := ckptSegment{owned: newOwnedBits(n)}
-	for i := 0; i < n; i++ {
-		k := rng.Intn(len(*ids))
-		id := (*ids)[k]
-		(*ids)[k] = (*ids)[len(*ids)-1]
-		*ids = (*ids)[:len(*ids)-1]
-		seg.spans = append(seg.spans, &trace.Span{
-			ID:    id,
-			Begin: shift + vclock.Time(rng.Intn(n/3+2)),
-			Level: trace.Level(rng.Intn(3)),
-			End:   vclock.Time(rng.Intn(100)),
-		})
-	}
-	slices.SortFunc(seg.spans, func(x, y *trace.Span) int {
-		switch {
-		case trace.CanonicalLess(x, y):
-			return -1
-		case trace.CanonicalLess(y, x):
-			return 1
-		}
-		return 0
-	})
-	for i := range seg.spans {
-		if rng.Intn(2) == 0 {
-			seg.owned.set(i)
-		}
+	seg := randomOneBlock(rng, n, shift, ids)
+	if rng.Intn(2) == 0 && n > 1 {
+		seg.blocks, seg.refs = splitAlternately(seg)
 	}
 	if rng.Intn(3) > 0 {
 		seg.fileID = 1 + uint64(rng.Intn(1000))
@@ -79,12 +61,64 @@ func randomSegment(rng *rand.Rand, n int, shift vclock.Time, ids *[]uint64) ckpt
 	return seg
 }
 
-// Property: the two-pointer merge that carries owned bits is the map-based
-// merge it replaced — same span order (the ID tie-break across inputs
-// included), same bitset, same replaced list — over random segment pairs
-// with empty sides and lengths on both sides of a bitset word, interleaved
-// span by span (both drawn from one stretch of time) and in long runs (the
-// second following the first with a short overlap, the ladder's shape).
+// randomOneBlock is randomSegment's segment before it is split or given
+// files: all of one block.
+func randomOneBlock(rng *rand.Rand, n int, shift vclock.Time, ids *[]uint64) ckptSegment {
+	var spans []*trace.Span
+	for i := 0; i < n; i++ {
+		k := rng.Intn(len(*ids))
+		id := (*ids)[k]
+		(*ids)[k] = (*ids)[len(*ids)-1]
+		*ids = (*ids)[:len(*ids)-1]
+		spans = append(spans, &trace.Span{
+			ID:    id,
+			Begin: shift + vclock.Time(rng.Intn(n/3+2)),
+			Level: trace.Level(rng.Intn(3)),
+			End:   vclock.Time(rng.Intn(100)),
+		})
+	}
+	slices.SortFunc(spans, func(x, y *trace.Span) int {
+		switch {
+		case trace.CanonicalLess(x, y):
+			return -1
+		case trace.CanonicalLess(y, x):
+			return 1
+		}
+		return 0
+	})
+	owned := make(map[*trace.Span]bool)
+	for _, s := range spans {
+		owned[s] = rng.Intn(2) == 0
+	}
+	return segmentOf(new(history).hold(func(buf []byte) []byte {
+		return trace.AppendSpanBlock(buf, spans, func(i int) bool { return owned[spans[i]] })
+	}))
+}
+
+// splitAlternately re-homes a one-block segment's records in two blocks,
+// even positions and odd, and returns them with the references that keep the
+// segment's order.
+func splitAlternately(seg ckptSegment) ([]heldBlock, []trace.RecordRef) {
+	var halves [2][]trace.RecordRef
+	refs := make([]trace.RecordRef, len(seg.refs))
+	for i, r := range seg.refs {
+		refs[i] = trace.RecordRef{Block: uint32(i % 2), Record: uint32(i / 2)}
+		halves[i%2] = append(halves[i%2], r)
+	}
+	blocks := make([]heldBlock, 2)
+	for h := range blocks {
+		blocks[h] = new(history).hold(func(buf []byte) []byte { return trace.GatherSpanBlock(buf, seg.spanBlocks(), halves[h]) })
+	}
+	return blocks, refs
+}
+
+// Property: the two-pointer merge that moves references is the map-based
+// merge of decoded spans it replaced — same span order (the ID tie-break
+// across inputs included), same owned bits, same replaced list — over random
+// segment pairs with empty sides and lengths on both sides of a bitset word,
+// of one block or two, interleaved span by span (both drawn from one stretch
+// of time) and in long runs (the second following the first with a short
+// overlap, the ladder's shape).
 func TestMergeSegmentsCarriesOwnedBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	lengths := []int{0, 1, 2, 63, 64, 65, 127, 128, 129, 300}
@@ -100,26 +134,95 @@ func TestMergeSegmentsCarriesOwnedBits(t *testing.T) {
 					follow = vclock.Time(na/3 - 1)
 				}
 				a, b := randomSegment(rng, na, 0, &ids), randomSegment(rng, nb, follow, &ids)
-				want, got := mergeSegmentsByMap(a, b), mergeSegments(a, b)
-				if len(got.spans) != len(want.spans) {
-					t.Fatalf("%d+%d spans: merged %d, reference %d", na, nb, len(got.spans), len(want.spans))
+				want, wantReplaced := mergeSegmentsByMap(a, b)
+				got := mergeSegments(a, b)
+				if len(got.refs) != len(want) {
+					t.Fatalf("%d+%d spans: merged %d, reference %d", na, nb, len(got.refs), len(want))
 				}
-				for i, w := range want.spans {
-					if g := got.spans[i]; g != w {
-						t.Fatalf("%d+%d spans: position %d holds span %d (begin %d level %d), reference span %d (begin %d level %d)",
-							na, nb, i, g.ID, g.Begin, g.Level, w.ID, w.Begin, w.Level)
+				for i, w := range want {
+					blk, r := got.at(i)
+					if g := (keyed{blk.ID(r), blk.Owned(r)}); g != w {
+						t.Fatalf("%d+%d spans: position %d holds span %d (begin %d level %d owned %v), reference span %d (owned %v)",
+							na, nb, i, g.id, blk.Begin(r), blk.Level(r), g.owned, w.id, w.owned)
 					}
 				}
-				if !slices.Equal(got.owned, want.owned) {
-					t.Fatalf("%d+%d spans: owned bitset %x, reference %x", na, nb, got.owned, want.owned)
-				}
-				if !slices.Equal(got.replaced, want.replaced) {
-					t.Fatalf("%d+%d spans: replaced %v, reference %v", na, nb, got.replaced, want.replaced)
+				if !slices.Equal(got.replaced, wantReplaced) {
+					t.Fatalf("%d+%d spans: replaced %v, reference %v", na, nb, got.replaced, wantReplaced)
 				}
 				if got.fileID != 0 {
 					t.Fatalf("%d+%d spans: merged segment claims file %d before it is written", na, nb, got.fileID)
 				}
 			}
+		}
+	}
+}
+
+// A remainder keeps a block as it is while at least half its records are
+// referenced, gathers the survivors of a block that falls below into a new,
+// fully referenced one, and drops a block nothing references — and whatever
+// it does to the blocks, its spans, their order and their owned bits are the
+// input's less the dropped ones.
+func TestWithoutKeepsBlocksHalfReferenced(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	ids := make([]uint64, 400)
+	for i := range ids {
+		ids[i] = uint64(i + 1)
+	}
+	// Two one-block segments, far enough apart that the merge is a's records,
+	// then b's: positions [0, 100) are block 0, [100, 300) block 1.
+	a, b := randomOneBlock(rng, 100, 0, &ids), randomOneBlock(rng, 200, 1_000, &ids)
+	seg := mergeSegments(a, b)
+	want := func(seg ckptSegment, drop []int) []keyed {
+		var out []keyed
+		for i := range seg.refs {
+			if _, dropped := slices.BinarySearch(drop, i); !dropped {
+				blk, r := seg.at(i)
+				out = append(out, keyed{blk.ID(r), blk.Owned(r)})
+			}
+		}
+		return out
+	}
+	span := func(lo, hi int) (drop []int) {
+		for i := lo; i < hi; i++ {
+			drop = append(drop, i)
+		}
+		return drop
+	}
+	for _, tc := range []struct {
+		name     string
+		drop     []int
+		blocks   []int // records of each block the remainder holds
+		gathered bool  // the last of them is new
+	}{
+		{"a tenth of each: both blocks stay", append(span(0, 10), span(100, 120)...), []int{100, 200}, false},
+		{"exactly half of the first: it stays", span(0, 50), []int{100, 200}, false},
+		{"over half of the first: its survivors are gathered", span(0, 51), []int{200, 49}, true},
+		{"all of the first: it leaves", span(0, 100), []int{200}, false},
+		{"over half of both: one gathered block", append(span(10, 100), span(100, 290)...), []int{20}, true},
+	} {
+		rest := new(history).without(seg, tc.drop)
+		var got []keyed
+		for i := range rest.refs {
+			blk, r := rest.at(i)
+			got = append(got, keyed{blk.ID(r), blk.Owned(r)})
+		}
+		if !slices.Equal(got, want(seg, tc.drop)) {
+			t.Fatalf("%s: the remainder is not the segment less the dropped spans", tc.name)
+		}
+		var sizes []int
+		for b := range rest.blocks {
+			sizes = append(sizes, rest.blocks[b].Len())
+		}
+		if !slices.Equal(sizes, tc.blocks) {
+			t.Fatalf("%s: remainder's blocks hold %v records, want %v", tc.name, sizes, tc.blocks)
+		}
+		last := rest.blocks[len(rest.blocks)-1].Bytes()
+		isNew := &last[0] != &a.blocks[0].Bytes()[0] && &last[0] != &b.blocks[0].Bytes()[0]
+		if isNew != tc.gathered {
+			t.Fatalf("%s: last block newly gathered = %v, want %v", tc.name, isNew, tc.gathered)
+		}
+		if len(seg.refs) != 300 || len(seg.blocks) != 2 {
+			t.Fatalf("%s: without edited the segment it was called on", tc.name)
 		}
 	}
 }

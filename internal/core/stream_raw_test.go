@@ -2,9 +2,12 @@ package core_test
 
 import (
 	"testing"
+	"time"
 
 	"xsp/internal/core"
 	"xsp/internal/trace"
+	"xsp/internal/vclock"
+	"xsp/internal/workload"
 )
 
 // noteFed records each span's ParentID as it is about to be fed: what a raw
@@ -51,7 +54,8 @@ func checkSnapshotRaw(t testing.TB, sc *core.StreamCorrelator, fed map[uint64]ui
 		t.Fatalf("Trace holds %d spans after the snapshot was rewritten, %d before", len(after), len(live))
 	}
 	for i, s := range after {
-		if s != live[i] || s.ParentID != linked[i] || s.Begin < 0 || s.Level < 0 {
+		// By id, not by pointer: a checkpointed span is decoded anew by every read.
+		if s.ID != live[i].ID || s.ParentID != linked[i] || s.Begin < 0 || s.Level < 0 {
 			t.Fatalf("Trace position %d (span %d, parent %d) changed under SnapshotRaw: was span %d, parent %d",
 				i, s.ID, s.ParentID, live[i].ID, linked[i])
 		}
@@ -91,4 +95,83 @@ func TestSnapshotRawIsTheFedStream(t *testing.T) {
 	if st := sc.Stats(); st.Reopens == 0 || st.Compactions == 0 || st.Checkpointed == 0 {
 		t.Fatalf("not adversarial enough: %+v", st)
 	}
+}
+
+// A read pins the history under the correlator's mutex and decodes it after
+// letting go, so a SnapshotTrace of a 200k-span history delays a concurrent
+// FeedLogged by the pin — the segment list and the live tail's headers — and
+// not by the decode: batches fed while the snapshot is being taken start and
+// finish inside it, each in a small fraction of its time. (Were the mutex
+// held for the decode, a feed begun after the snapshot took it could not
+// finish before the snapshot did.)
+func TestSnapshotDecodesOutsideTheMutex(t *testing.T) {
+	batches := workload.StreamingArrivals(workload.StreamingSpec{Trace: payloadTrace(200_000, 31), BatchSize: 1_000})
+	sc := core.NewStreamCorrelator(core.StreamOptions{ReorderWindow: 64, Retain: 1_000})
+	feedAll(sc, batches)
+	sc.Flush()
+	sc.Checkpoint()
+	st := sc.Stats()
+	if st.Checkpointed < 190_000 {
+		t.Fatalf("only %d of %d spans folded", st.Checkpointed, st.Fed)
+	}
+	var tip vclock.Time
+	for _, s := range batches[len(batches)-1] {
+		tip = max(tip, s.End)
+	}
+
+	type interval struct{ from, to time.Time }
+	snapshots := make(chan interval)
+	stop := make(chan struct{})
+	go func() {
+		defer close(snapshots)
+		for {
+			from := time.Now()
+			if got := len(sc.SnapshotTrace().Spans); got < st.Fed {
+				t.Errorf("snapshot holds %d spans, %d were fed before it", got, st.Fed)
+			}
+			select {
+			case snapshots <- interval{from, time.Now()}:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	defer func() { // and wait for the snapshot under way
+		close(stop)
+		for range snapshots {
+		}
+	}()
+
+	id := uint64(10_000_000)
+	var feeds []interval
+	for round := 0; round < 5; round++ {
+		feeds = feeds[:0]
+		var snap interval
+		for done := false; !done; {
+			id++
+			tip++
+			from := time.Now()
+			if err := sc.FeedLogged(0, &trace.Span{ID: id, Level: trace.LevelKernel, Name: "k", Begin: tip, End: tip + 1}); err != nil {
+				t.Fatal(err)
+			}
+			feeds = append(feeds, interval{from, time.Now()})
+			select {
+			case snap, done = <-snapshots:
+			default:
+			}
+		}
+		inside, slowest := 0, time.Duration(0)
+		for _, f := range feeds {
+			if f.from.After(snap.from) && f.to.Before(snap.to) {
+				inside++
+				slowest = max(slowest, f.to.Sub(f.from))
+			}
+		}
+		took := snap.to.Sub(snap.from)
+		t.Logf("snapshot of %d spans took %v: %d feeds began and ended inside it, the slowest in %v", st.Fed, took, inside, slowest)
+		if inside >= 20 && slowest < took/2 {
+			return
+		}
+	}
+	t.Fatal("no snapshot in five let twenty feeds through, each in under half its time: the read holds the mutex while it decodes")
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"xsp/internal/core"
+	"xsp/internal/segio"
+	"xsp/internal/segio/faultfs"
 	"xsp/internal/trace"
 	"xsp/internal/vclock"
 	"xsp/internal/workload"
@@ -209,4 +211,86 @@ func TestWindowedReopenMatchesFullReopen(t *testing.T) {
 	if st := sc.Stats(); st.CorrEvicted == 0 || st.DegradedWindows == 0 {
 		t.Fatalf("the cycles never evicted a correlation entry or degraded a window: %+v", st)
 	}
+}
+
+// A moved launch's new parent must reach its folded exec even when no repair
+// window reaches behind the checkpoint horizon: the exec ended before its
+// launch began (the correlation id pairs them, not the clock), folded, and
+// the launch — long, still live — is re-parented by a straggler whose
+// window every folded span ends before. Fed as clones, compared with a batch
+// correlation of the pristine spans; the durable arm checks the link again
+// after a restart, where it must have reached the WAL.
+func TestMovedLaunchReachesFoldedExecWithoutDeepWindow(t *testing.T) {
+	const corr = 7
+	model := &trace.Span{ID: 1, Level: trace.LevelModel, Name: "model", Begin: 0, End: 1_000_000}
+	exec := &trace.Span{ID: 4, Level: trace.LevelKernel, Kind: trace.KindExec, Name: "exec", Begin: 150, End: 200, CorrelationID: corr}
+	launch := &trace.Span{ID: 5, Level: trace.LevelKernel, Kind: trace.KindLaunch, Name: "launch", Begin: 300, End: 50_000, CorrelationID: corr}
+	punctual := []*trace.Span{
+		model,
+		{ID: 2, Level: trace.LevelKernel, Name: "early", Begin: 10, End: 20},
+		{ID: 3, Level: trace.LevelKernel, Name: "early", Begin: 30, End: 40},
+		exec,
+		launch,
+		{ID: 6, Level: trace.LevelKernel, Name: "tip", Begin: 20_000, End: 20_010},
+	}
+	layer := &trace.Span{ID: 7, Level: trace.LevelLayer, Name: "layer", Begin: 290, End: 50_100}
+	want := batchParents([][]*trace.Span{punctual, {layer}})
+	if want[launch.ID] != layer.ID || want[exec.ID] != layer.ID {
+		t.Fatalf("batch parents launch %d exec %d: the case needs both under the layer %d", want[launch.ID], want[exec.ID], layer.ID)
+	}
+
+	check := func(ctx string, sc *core.StreamCorrelator) {
+		t.Helper()
+		for _, s := range sc.Trace().Spans {
+			if s.ParentID != want[s.ID] {
+				t.Fatalf("%s: span %d (%s): stream parent %d, batch parent %d", ctx, s.ID, s.Name, s.ParentID, want[s.ID])
+			}
+		}
+	}
+	run := func(ctx string, sc *core.StreamCorrelator) {
+		t.Helper()
+		sc.Feed(cloneBatch(punctual)...)
+		if folded := sc.Checkpoint(); folded != 3 {
+			t.Fatalf("%s: folded %d spans, want the exec and the two early kernels", ctx, folded)
+		}
+		if _, maxEnd, _, _ := sc.CheckpointSummary(); maxEnd >= layer.Begin {
+			t.Fatalf("%s: a folded span ends at %d, inside the straggler's window [%d, %d]: the repair would be deep", ctx, maxEnd, layer.Begin, layer.End)
+		}
+		sc.Feed(cloneBatch([]*trace.Span{layer})...)
+		if st := sc.Stats(); st.Stragglers != 1 || st.Repaired == 0 {
+			t.Fatalf("%s: the layer was not repaired as a straggler at feed time: %+v", ctx, st)
+		}
+		sc.Flush()
+		check(ctx, sc)
+	}
+
+	opts := core.StreamOptions{Retain: 1_000}
+	run("ram", core.NewStreamCorrelator(opts))
+
+	fs := faultfs.New()
+	st, rec, err := segio.Open(fs, segio.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Store = st
+	sc, err := core.RecoverStream(opts, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run("durable", sc)
+	if err := sc.DurabilityErr(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, rec, err = segio.Open(fs, segio.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	opts.Store = st
+	if sc, err = core.RecoverStream(opts, rec); err != nil {
+		t.Fatal(err)
+	}
+	sc.Flush()
+	check("durable, restarted", sc)
 }

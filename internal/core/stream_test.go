@@ -45,9 +45,12 @@ func payloadTrace(spans int, seed int64) workload.SyntheticSpec {
 	}
 }
 
+// feedAll feeds clones: the correlator writes parent links into the spans it
+// is fed for as long as they are live, and the batches stay what a batch
+// correlation is later run over.
 func feedAll(sc *core.StreamCorrelator, batches [][]*trace.Span) {
 	for _, b := range batches {
-		sc.Feed(b...)
+		sc.Feed(cloneBatch(b)...)
 	}
 }
 
@@ -336,7 +339,7 @@ func TestStreamCorrelatorGeometricCompactionBoundsSegments(t *testing.T) {
 	sc := core.NewStreamCorrelator(core.StreamOptions{Retain: 256})
 	maxSegments := 0
 	for _, b := range batches {
-		sc.Feed(b...)
+		sc.Feed(cloneBatch(b)...)
 		if st := sc.Stats(); st.Segments > maxSegments {
 			maxSegments = st.Segments
 		}
@@ -669,13 +672,11 @@ func TestStreamCorrelatorStragglerReopensCheckpoint(t *testing.T) {
 	sc := core.NewStreamCorrelator(core.StreamOptions{Retain: 64})
 	// Feed everything but the withheld final batch, then fold the history
 	// — including the stragglers' window — into the checkpoint.
-	for _, b := range batches[:len(batches)-1] {
-		sc.Feed(b...)
-	}
+	feedAll(sc, batches[:len(batches)-1])
 	if sc.Checkpoint() == 0 {
 		t.Fatal("checkpoint folded nothing before the stragglers arrived")
 	}
-	sc.Feed(batches[len(batches)-1]...)
+	sc.Feed(cloneBatch(batches[len(batches)-1])...)
 	sc.Flush()
 
 	st := sc.Stats()

@@ -95,9 +95,12 @@ func BenchmarkIngestToCorrelate(b *testing.B) {
 // streaming hot path: a sustained stream past warmup must stay within a
 // checked-in per-span budget. A released span costs an append to its level's
 // run and nothing else, so what is left is amortized work — slice growth,
-// checkpoint folds, the occasional segment compaction — and the budgets sit
-// a few times above it (measured: shared 0.062 allocs/span, server 0.007
-// allocs/span and 68 B/span), with headroom for slower boxes.
+// checkpoint folds, the occasional segment compaction — and the one thing a
+// fold keeps: the block it encodes its spans into, 113 B/span for these
+// spans, plus their 8-byte references. The budgets sit above that (measured:
+// shared 0.07 allocs/span, server 0.01 allocs/span and 171-179 B/span — 68
+// before folded history was held encoded, when the spans a fold kept had
+// been allocated by whoever decoded them), with headroom for slower boxes.
 //
 //   - shared is a pipelined stream: pooled interval-tree nodes hold its
 //     degraded windows far below one allocation per span — before the pool
@@ -107,8 +110,8 @@ func BenchmarkIngestToCorrelate(b *testing.B) {
 //     not Isolated (the correlator is the tenant's one span store), spans
 //     carrying the Tags and Metrics a profiled model publishes. Both the
 //     count and the bytes are pinned: a per-span table entry (one allocation
-//     per exec), a header copy per span (~120 B) or a per-span hash set
-//     through a fold fails it.
+//     per exec), a header copy per span (~120 B), a second copy of the
+//     block or a per-span hash set through a fold fails it.
 func TestStreamAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -126,7 +129,7 @@ func TestStreamAllocBudget(t *testing.T) {
 			name:   "server",
 			trace:  payloadTrace(120_000, 7),
 			opts:   core.StreamOptions{ReorderWindow: 64, Retain: 10_000, CorrRetain: 100_000},
-			allocs: 0.25, bytes: 120,
+			allocs: 0.25, bytes: 240,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -162,8 +165,17 @@ func TestStreamAllocBudget(t *testing.T) {
 			if allocs > tc.allocs {
 				t.Fatalf("steady-state stream path allocates %.2f allocs/span, budget %v", allocs, tc.allocs)
 			}
-			if tc.bytes > 0 && bytes > tc.bytes {
-				t.Fatalf("steady-state stream path allocates %.0f B/span, budget %v", bytes, tc.bytes)
+			// The block a fold keeps is encoded in the history's own buffer, but
+			// its tables pass through the codec's pooled scratch, and under -race
+			// sync.Pool drops one Put in four: each of the window's 20 folds may
+			// have to regrow that scratch, 8 B/span a time (187-243 measured over
+			// 30 runs). The bound that holds whatever the pool does is 160 up.
+			budget := tc.bytes
+			if raceEnabled {
+				budget += 160
+			}
+			if tc.bytes > 0 && bytes > budget {
+				t.Fatalf("steady-state stream path allocates %.0f B/span, budget %v", bytes, budget)
 			}
 			t.Logf("steady-state stream path: %.3f allocs/span, %.0f B/span", allocs, bytes)
 		})

@@ -10,8 +10,9 @@
 //     reopen rewrites the file as once the WAL carries the spans it took
 //     out. The payload is a fixed-layout span block —
 //     constant-size records up front, one shared string blob at the end —
-//     so a reader can index spans at fixed offsets and decode all strings
-//     as substrings of a single allocation.
+//     which the correlator hands over already encoded (the block a fold
+//     made, or records gathered from several) and which Open hands back
+//     validated but not decoded: a reader indexes spans at fixed offsets.
 //
 //   - A write-ahead log (wal-<gen>.wal): an append-only record stream
 //     covering everything not yet in a segment — the live span tail as
@@ -41,9 +42,9 @@
 // recovery can drop superseded leftovers by span-id overlap (newest file
 // wins) without a manifest.
 //
-// Buffers: WriteSegment encodes its payload once, into the buffer it hands
-// File.Write, and patches length and checksum into the header afterwards;
-// LogBatch builds each record in one buffer the Store owns and reuses under
+// Buffers: WriteSegment copies the block it is given behind a header into
+// the buffer it hands File.Write; LogBatch builds each record in one buffer
+// the Store owns and reuses under
 // its lock. So an FS's File must not retain p past Write — which is what
 // io.Writer already says.
 package segio

@@ -97,11 +97,12 @@ type Snapshot struct {
 	nextSeg uint64
 }
 
-// Segment is one recovered segment file.
+// Segment is one recovered segment file: its payload, checksummed and
+// structurally validated, kept as the encoded block it is — every record
+// addressable, owned flags in the records — rather than decoded.
 type Segment struct {
 	ID    uint64
-	Spans []*trace.Span
-	Owned []uint64
+	Block trace.SpanBlock
 	// SinceSnapshot reports that the file was written after the recovered
 	// WAL's snapshot record (or that the WAL holds none): if the WAL also
 	// carries the segment's spans, the segment is a fold whose rotation was
@@ -256,7 +257,7 @@ func Open(fs FS, opts Options) (*Store, *Recovery, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		spans, owned, err := decodeSegment(data)
+		blk, err := decodeSegment(data)
 		if err != nil {
 			if qerr := quarantine(name); qerr != nil {
 				return nil, nil, qerr
@@ -264,11 +265,8 @@ func Open(fs FS, opts Options) (*Store, *Recovery, error) {
 			continue
 		}
 		superseded := false
-		for _, s := range spans {
-			if _, ok := seen[s.ID]; ok {
-				superseded = true
-				break
-			}
+		for i := 0; i < blk.Len() && !superseded; i++ {
+			_, superseded = seen[blk.ID(i)]
 		}
 		if superseded {
 			rec.SupersededSegments++
@@ -278,10 +276,10 @@ func Open(fs FS, opts Options) (*Store, *Recovery, error) {
 			dirty = true
 			continue
 		}
-		for _, s := range spans {
-			seen[s.ID] = struct{}{}
+		for i := 0; i < blk.Len(); i++ {
+			seen[blk.ID(i)] = struct{}{}
 		}
-		rec.Segments = append(rec.Segments, Segment{ID: id, Spans: spans, Owned: owned})
+		rec.Segments = append(rec.Segments, Segment{ID: id, Block: blk})
 		st.segs[id] = int64(len(data))
 	}
 	sort.Slice(rec.Segments, func(i, j int) bool { return rec.Segments[i].ID < rec.Segments[j].ID })
@@ -503,24 +501,24 @@ func (st *Store) LogBatch(spans []*trace.Span, owned []uint64, batchID uint64) e
 	return nil
 }
 
-// WriteSegment durably publishes one segment file and then deletes the
-// files it replaces (compaction inputs). The new file is fully synced and
-// renamed into place before any old file is touched, so a crash anywhere
-// leaves either the old set, or the new file plus deletable leftovers
-// that recovery drops by span-id overlap.
-func (st *Store) WriteSegment(spans []*trace.Span, owned []uint64, replaces []uint64) (uint64, error) {
+// WriteSegment durably publishes one segment file whose payload is block —
+// an encoded span block, owned flags in its records, which the caller holds
+// or gathered and the store does not look into — and then deletes the files
+// it replaces (compaction inputs). The new file is fully synced and renamed
+// into place before any old file is touched, so a crash anywhere leaves
+// either the old set, or the new file plus deletable leftovers that recovery
+// drops by span-id overlap.
+func (st *Store) WriteSegment(block []byte, replaces []uint64) (uint64, error) {
 	st.lock()
 	defer st.unlock()
 	id := st.nextSeg
 	st.nextSeg++
-	// The payload is encoded once, behind a header patched afterwards.
-	buf := make([]byte, segHeaderLen, segHeaderLen+64+spanEncSize*len(spans))
-	buf = trace.AppendSpanBlock(buf, spans, func(i int) bool { return ownedBit(owned, i) })
-	payload := buf[segHeaderLen:]
+	buf := make([]byte, segHeaderLen+len(block))
 	copy(buf, segMagic)
 	binary.LittleEndian.PutUint32(buf[8:], formatVersion)
-	binary.LittleEndian.PutUint64(buf[12:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(buf[20:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint64(buf[12:], uint64(len(block)))
+	binary.LittleEndian.PutUint32(buf[20:], crc32.Checksum(block, castagnoli))
+	copy(buf[segHeaderLen:], block)
 
 	if err := st.publishFile(segName(id), buf); err != nil {
 		return 0, err
@@ -653,24 +651,30 @@ func sealWALRecord(buf []byte, start int) []byte {
 	return buf
 }
 
-func decodeSegment(data []byte) (spans []*trace.Span, owned []uint64, err error) {
+// decodeSegment checks a segment file — header, checksum, and the payload's
+// structure, which fails exactly where decoding it would — and returns the
+// payload as the block it is, sharing data.
+func decodeSegment(data []byte) (trace.SpanBlock, error) {
 	if len(data) < segHeaderLen || string(data[:8]) != segMagic {
-		return nil, nil, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
+		return trace.SpanBlock{}, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
 	}
 	le := binary.LittleEndian
 	if v := le.Uint32(data[8:]); v != formatVersion {
-		return nil, nil, fmt.Errorf("%w: unsupported segment version %d", ErrCorrupt, v)
+		return trace.SpanBlock{}, fmt.Errorf("%w: unsupported segment version %d", ErrCorrupt, v)
 	}
 	payloadLen := le.Uint64(data[12:])
 	if payloadLen > uint64(len(data)-segHeaderLen) {
-		return nil, nil, fmt.Errorf("%w: segment truncated (%d of %d payload bytes)", ErrCorrupt, len(data)-segHeaderLen, payloadLen)
+		return trace.SpanBlock{}, fmt.Errorf("%w: segment truncated (%d of %d payload bytes)", ErrCorrupt, len(data)-segHeaderLen, payloadLen)
 	}
 	payload := data[segHeaderLen : segHeaderLen+int(payloadLen)]
 	if crc32.Checksum(payload, castagnoli) != le.Uint32(data[20:]) {
-		return nil, nil, fmt.Errorf("%w: segment checksum mismatch", ErrCorrupt)
+		return trace.SpanBlock{}, fmt.Errorf("%w: segment checksum mismatch", ErrCorrupt)
 	}
-	spans, owned, _, err = decodeSpanBlock(payload)
-	return spans, owned, err
+	blk, _, err := trace.ParseSpanBlock(payload)
+	if err != nil {
+		return trace.SpanBlock{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return blk, nil
 }
 
 // decodeWAL parses a WAL image. A header failure is an error (the file

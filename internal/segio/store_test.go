@@ -23,6 +23,12 @@ func mkSpan(id uint64, begin, end vclock.Time, level trace.Level, kind trace.Kin
 	}
 }
 
+// block encodes spans, with their owned bitset, as the payload WriteSegment
+// takes.
+func block(spans []*trace.Span, owned []uint64) []byte {
+	return trace.AppendSpanBlock(nil, spans, func(i int) bool { return i/64 < len(owned) && owned[i/64]&(1<<(i%64)) != 0 })
+}
+
 func requireNoErr(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
@@ -48,7 +54,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	spans := []*trace.Span{a, b, c}
 	owned := []uint64{0b100} // only c's parent was derived online
 
-	id, err := st.WriteSegment(spans, owned, nil)
+	id, err := st.WriteSegment(block(spans, owned), nil)
 	requireNoErr(t, err)
 	requireNoErr(t, st.Close())
 
@@ -58,12 +64,13 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if len(rec2.Segments) != 1 || rec2.Segments[0].ID != id {
 		t.Fatalf("want 1 segment id=%d, got %+v", id, rec2.Segments)
 	}
-	got := rec2.Segments[0]
-	if !reflect.DeepEqual(got.Spans, spans) {
-		t.Fatalf("segment spans differ:\n got %v\nwant %v", got.Spans, spans)
+	gotSpans, gotOwned, _, err := trace.DecodeSpanBlock(rec2.Segments[0].Block.Bytes())
+	requireNoErr(t, err)
+	if !reflect.DeepEqual(gotSpans, spans) {
+		t.Fatalf("segment spans differ:\n got %v\nwant %v", gotSpans, spans)
 	}
-	if !reflect.DeepEqual(got.Owned, owned) {
-		t.Fatalf("owned bitset differs: got %v want %v", got.Owned, owned)
+	if !reflect.DeepEqual(gotOwned, owned) {
+		t.Fatalf("owned bitset differs: got %v want %v", gotOwned, owned)
 	}
 }
 
@@ -138,10 +145,10 @@ func TestSnapshotDatesSegments(t *testing.T) {
 	fs := faultfs.New()
 	st, _, err := segio.Open(fs, segio.Options{})
 	requireNoErr(t, err)
-	before, err := st.WriteSegment([]*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}, nil, nil)
+	before, err := st.WriteSegment(block([]*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}, nil), nil)
 	requireNoErr(t, err)
 	requireNoErr(t, st.Rotate(segio.Snapshot{}))
-	since, err := st.WriteSegment([]*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}, nil, nil)
+	since, err := st.WriteSegment(block([]*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}, nil), nil)
 	requireNoErr(t, err)
 	requireNoErr(t, st.Close())
 
@@ -161,7 +168,7 @@ func TestSnapshotDatesSegments(t *testing.T) {
 		t.Fatalf("dropped segments recovered: %+v", rec.Segments)
 	}
 	requireNoErr(t, st.Rotate(segio.Snapshot{}))
-	next, err := st.WriteSegment([]*trace.Span{mkSpan(3, 20, 30, 0, trace.KindSync)}, nil, nil)
+	next, err := st.WriteSegment(block([]*trace.Span{mkSpan(3, 20, 30, 0, trace.KindSync)}, nil), nil)
 	requireNoErr(t, err)
 	if next <= since {
 		t.Fatalf("segment id %d reused after a restart over an empty directory (last was %d)", next, since)
@@ -175,14 +182,14 @@ func TestSupersededSegmentsDropped(t *testing.T) {
 
 	s1 := []*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}
 	s2 := []*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}
-	_, err = st.WriteSegment(s1, nil, nil)
+	_, err = st.WriteSegment(block(s1, nil), nil)
 	requireNoErr(t, err)
-	_, err = st.WriteSegment(s2, nil, nil)
+	_, err = st.WriteSegment(block(s2, nil), nil)
 	requireNoErr(t, err)
 	// A compaction that crashed after publishing the merged file but
 	// before deleting its inputs: pass no replaces.
 	merged := []*trace.Span{s1[0], s2[0]}
-	mid, err := st.WriteSegment(merged, nil, nil)
+	mid, err := st.WriteSegment(block(merged, nil), nil)
 	requireNoErr(t, err)
 	st.Close()
 
@@ -206,9 +213,9 @@ func TestCorruptSegmentQuarantined(t *testing.T) {
 	fs := faultfs.New()
 	st, _, err := segio.Open(fs, segio.Options{})
 	requireNoErr(t, err)
-	_, err = st.WriteSegment([]*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}, nil, nil)
+	_, err = st.WriteSegment(block([]*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}, nil), nil)
 	requireNoErr(t, err)
-	keepID, err := st.WriteSegment([]*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}, nil, nil)
+	keepID, err := st.WriteSegment(block([]*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}, nil), nil)
 	requireNoErr(t, err)
 	st.Close()
 
@@ -306,7 +313,7 @@ func TestResetClearsEverything(t *testing.T) {
 	fs := faultfs.New()
 	st, _, err := segio.Open(fs, segio.Options{})
 	requireNoErr(t, err)
-	_, err = st.WriteSegment([]*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}, nil, nil)
+	_, err = st.WriteSegment(block([]*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}, nil), nil)
 	requireNoErr(t, err)
 	requireNoErr(t, st.LogBatch([]*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}, nil, 5))
 	requireNoErr(t, st.Reset())
@@ -333,7 +340,7 @@ func TestCrashMidSegmentWriteLeavesOldState(t *testing.T) {
 	base := []*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}
 	requireNoErr(t, st.LogBatch(base, nil, 42))
 	opsBefore := dry.Ops()
-	_, err = st.WriteSegment([]*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}, nil, nil)
+	_, err = st.WriteSegment(block([]*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}, nil), nil)
 	requireNoErr(t, err)
 	opsAfter := dry.Ops()
 
@@ -343,7 +350,7 @@ func TestCrashMidSegmentWriteLeavesOldState(t *testing.T) {
 		st, _, err := segio.Open(fs, segio.Options{})
 		requireNoErr(t, err)
 		requireNoErr(t, st.LogBatch(base, nil, 42))
-		if _, err := st.WriteSegment([]*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}, nil, nil); err == nil {
+		if _, err := st.WriteSegment(block([]*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}, nil), nil); err == nil {
 			t.Fatalf("crash=%d: WriteSegment unexpectedly succeeded", crash)
 		}
 		_, rec, err := segio.Open(fs.Recovered(), segio.Options{})

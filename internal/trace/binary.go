@@ -8,6 +8,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"xsp/internal/vclock"
 )
@@ -15,17 +16,23 @@ import (
 // This file is the binary span codec — one layout shared by every binary
 // consumer in the tree: the HTTP wire format (EncodeBinary/DecodeBinary,
 // content type ContentTypeBinary), segio's segment files and WAL records
-// (which wrap AppendSpanBlock/DecodeSpanBlock), and anything else that
-// wants to persist spans compactly.
+// (which wrap AppendSpanBlock/DecodeSpanBlock), and core.StreamCorrelator's
+// folded history, which holds its spans as span blocks and decodes one only
+// when somebody reads it.
 //
 // The span block is: a count, then fixed 80-byte span records, then the
 // tag and metric entry tables, then a single shared string blob. Fixed
-// records up front keep the format mmap-friendly — a reader can index
-// span i at a constant offset — and the decoder materializes the blob as
-// one Go string, so every name, source, tag key, and tag value is a
-// zero-copy substring of a single allocation rather than a per-field
-// copy. Decoded Span structs themselves come out of a SpanStore arena
-// (one allocation per 256 spans), so decoding a batch costs O(1)
+// records up front make a block addressable, not only shippable: a holder
+// that has validated one (ParseSpanBlock) reads span i's id, parent,
+// interval, level, kind, correlation id and owned flag at a constant offset
+// (the SpanBlock accessors, RecordLess), decodes that one record (SpanDecoder),
+// and gathers records of several blocks into a new block (GatherSpanBlock)
+// without decoding any — which is what lets spans be kept, sorted, merged
+// and written to a file as encoded bytes plus 8-byte RecordRefs. The decoder
+// materializes the blob as one Go string, so every name, source, tag key,
+// and tag value is a zero-copy substring of a single allocation rather than
+// a per-field copy. Decoded Span structs themselves come out of a SpanStore
+// arena (one allocation per 256 spans), so decoding a batch costs O(1)
 // allocations plus the rare tag/metric map, not one per span.
 //
 // Fixed records also let the encoder write where the bytes are going:
@@ -105,6 +112,18 @@ type blockScratch struct {
 	mets []byte
 	blob []byte
 	pos  map[string]uint32 // interned blob offsets: names and sources repeat heavily
+	// seen is a direct-mapped cache in front of pos, keyed by a string's
+	// identity (data pointer, length) instead of its content: the names of
+	// decoded spans are substrings of one blob and a tracer's are literals, so
+	// a repeat is nearly always the very same bytes and skips the hash. The
+	// addresses are never dereferenced, and mean something only while the
+	// strings they came from are alive and unchanged — the one encode call,
+	// whose spans (or source blocks) hold them; finish clears the cache with
+	// the map.
+	seen [256]struct {
+		data    uintptr
+		n1, off uint32 // length plus one, so the zero slot matches nothing
+	}
 }
 
 // maxPooledScratch is the most buffer capacity a scratch may take back to
@@ -113,14 +132,43 @@ const maxPooledScratch = 8 << 20
 
 var blockScratchPool = sync.Pool{New: func() any { return &blockScratch{pos: make(map[string]uint32)} }}
 
+// intern returns where s sits in the blob, appending it on first sight. The
+// identity cache only ever answers what pos would: the bytes written are the
+// same with or without it.
 func (e *blockScratch) intern(s string) (off, n uint32) {
-	if off, ok := e.pos[s]; ok {
-		return off, uint32(len(s))
+	n = uint32(len(s))
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	slot := &e.seen[(uint64(p)*0x9E3779B97F4A7C15)>>56]
+	if slot.data == p && slot.n1 == n+1 {
+		return slot.off, n
 	}
-	off = uint32(len(e.blob))
-	e.pos[s] = off
-	e.blob = append(e.blob, s...)
-	return off, uint32(len(s))
+	off, ok := e.pos[s]
+	if !ok {
+		off = uint32(len(e.blob))
+		e.pos[s] = off
+		e.blob = append(e.blob, s...)
+	}
+	slot.data, slot.n1, slot.off = p, n+1, off
+	return off, n
+}
+
+// finish appends the tables and the blob behind the records already in buf,
+// and hands the scratch back to the pool. A scratch in steady use never
+// leaves the pool: one a whole-history snapshot grew is dropped rather than
+// kept alive by 1k-span records.
+func (e *blockScratch) finish(buf []byte) []byte {
+	le := binary.LittleEndian
+	buf = slices.Grow(buf, 12+len(e.tags)+len(e.mets)+len(e.blob))
+	buf = append(le.AppendUint32(buf, uint32(len(e.tags)/16)), e.tags...)
+	buf = append(le.AppendUint32(buf, uint32(len(e.mets)/16)), e.mets...)
+	buf = append(le.AppendUint32(buf, uint32(len(e.blob))), e.blob...)
+	if cap(e.tags)+cap(e.mets)+cap(e.blob) <= maxPooledScratch {
+		e.tags, e.mets, e.blob = e.tags[:0], e.mets[:0], e.blob[:0]
+		clear(e.pos)
+		clear(e.seen[:])
+		blockScratchPool.Put(e)
+	}
+	return buf
 }
 
 // put fills rec, one span's record, in place. rec may be dirty spare
@@ -184,18 +232,7 @@ func AppendSpanBlock(buf []byte, spans []*Span, owned func(i int) bool) []byte {
 			at += SpanRecordSize
 		}
 	}
-	buf = slices.Grow(buf, 12+len(e.tags)+len(e.mets)+len(e.blob))
-	buf = append(le.AppendUint32(buf, uint32(len(e.tags)/16)), e.tags...)
-	buf = append(le.AppendUint32(buf, uint32(len(e.mets)/16)), e.mets...)
-	buf = append(le.AppendUint32(buf, uint32(len(e.blob))), e.blob...)
-	// A scratch in steady use never leaves the pool: one a whole-history
-	// snapshot grew is dropped rather than kept alive by 1k-span records.
-	if cap(e.tags)+cap(e.mets)+cap(e.blob) <= maxPooledScratch {
-		e.tags, e.mets, e.blob = e.tags[:0], e.mets[:0], e.blob[:0]
-		clear(e.pos)
-		blockScratchPool.Put(e)
-	}
-	return buf
+	return e.finish(buf)
 }
 
 // blockReader walks a span block with running bounds checks; the first
@@ -231,6 +268,214 @@ func (r *blockReader) u32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
+// SpanBlock is an encoded span block that passed ParseSpanBlock, read where
+// it lies: every offset a record or a table entry holds is known to be in
+// bounds, so the accessors need no error and cannot panic. The bytes are
+// shared, not copied, and must not change while the SpanBlock is in use —
+// which is what lets a holder keep spans as these 80-byte records plus their
+// share of the tables instead of as decoded Spans. The zero SpanBlock is empty.
+type SpanBlock struct {
+	b                []byte // the block, count through blob
+	n                int    // records
+	tags, mets, blob []byte // its three trailing sections, inside b
+}
+
+// RecordRef names one record of one block in a list of blocks: eight
+// pointer-free bytes, the unit a holder of many blocks sorts and merges.
+type RecordRef struct{ Block, Record uint32 }
+
+// ParseSpanBlock validates the span block at the head of b — every section
+// inside b, every record's kind known, every string and table entry a
+// record reaches inside its section — and returns it with the bytes that
+// follow. It fails exactly when DecodeSpanBlock does (which is built on it);
+// errors wrap ErrBadFrame.
+func ParseSpanBlock(b []byte) (blk SpanBlock, rest []byte, err error) {
+	r := &blockReader{b: b}
+	le := binary.LittleEndian
+	count := int(r.u32())
+	recs := r.bytes(count * SpanRecordSize)
+	tagN := int(r.u32())
+	blk.tags = r.bytes(tagN * 16)
+	metN := int(r.u32())
+	blk.mets = r.bytes(metN * 16)
+	blk.blob = r.bytes(int(r.u32()))
+	if r.err != nil {
+		return SpanBlock{}, nil, r.err
+	}
+	blk.b, blk.n = b[:r.off:r.off], count
+	inBlob := func(ent []byte) bool {
+		return int64(le.Uint32(ent[0:]))+int64(le.Uint32(ent[4:])) <= int64(len(blk.blob))
+	}
+	bad := func(i int, what string) (SpanBlock, []byte, error) {
+		return SpanBlock{}, nil, fmt.Errorf("%w: span %d %s", ErrBadFrame, i, what)
+	}
+	for i := 0; i < count; i++ {
+		rec := recs[i*SpanRecordSize:][:SpanRecordSize]
+		if k := Kind(rec[44]); k != KindSync && k != KindLaunch && k != KindExec {
+			return bad(i, fmt.Sprintf("has unknown kind %d", rec[44]))
+		}
+		if !inBlob(rec[48:]) || !inBlob(rec[56:]) {
+			return bad(i, "name or source out of blob bounds")
+		}
+		tOff, tCnt := int(le.Uint32(rec[64:])), int(le.Uint32(rec[68:]))
+		if tCnt > 0 && tOff+tCnt > tagN {
+			return bad(i, "tag table out of bounds")
+		}
+		for j := tOff; j < tOff+tCnt; j++ {
+			if ent := blk.tags[j*16:]; !inBlob(ent[0:]) || !inBlob(ent[8:]) {
+				return bad(i, "tag out of blob bounds")
+			}
+		}
+		mOff, mCnt := int(le.Uint32(rec[72:])), int(le.Uint32(rec[76:]))
+		if mCnt > 0 && mOff+mCnt > metN {
+			return bad(i, "metric table out of bounds")
+		}
+		for j := mOff; j < mOff+mCnt; j++ {
+			if !inBlob(blk.mets[j*16:]) {
+				return bad(i, "metric key out of blob bounds")
+			}
+		}
+	}
+	return blk, b[r.off:], nil
+}
+
+// Bytes returns the encoded block: what ParseSpanBlock was given, less the
+// bytes that followed it.
+func (b *SpanBlock) Bytes() []byte { return b.b }
+
+// Len returns the number of records.
+func (b *SpanBlock) Len() int { return b.n }
+
+// rec returns record i, which must be in [0, Len()).
+func (b *SpanBlock) rec(i int) []byte { return b.b[4+i*SpanRecordSize:][:SpanRecordSize] }
+
+// The record accessors: one fixed-offset read each, no decode.
+
+func (b *SpanBlock) u64(i, at int) uint64 { return binary.LittleEndian.Uint64(b.rec(i)[at:]) }
+
+func (b *SpanBlock) ID(i int) uint64            { return b.u64(i, 0) }
+func (b *SpanBlock) ParentID(i int) uint64      { return b.u64(i, 8) }
+func (b *SpanBlock) CorrelationID(i int) uint64 { return b.u64(i, 16) }
+func (b *SpanBlock) Begin(i int) vclock.Time    { return vclock.Time(b.u64(i, 24)) }
+func (b *SpanBlock) End(i int) vclock.Time      { return vclock.Time(b.u64(i, 32)) }
+func (b *SpanBlock) Level(i int) Level          { return Level(int32(b.u64(i, 40))) } // the low half of the word at 40
+func (b *SpanBlock) Kind(i int) Kind            { return Kind(b.rec(i)[44]) }
+
+// Owned reports record i's owned flag: its ParentID was derived by a
+// correlator, not received from the tracer.
+func (b *SpanBlock) Owned(i int) bool { return b.rec(i)[45]&flagOwned != 0 }
+
+// RecordLess is CanonicalLess over two records, read in place.
+func RecordLess(a *SpanBlock, i int, b *SpanBlock, j int) bool {
+	if x, y := a.Begin(i), b.Begin(j); x != y {
+		return x < y
+	}
+	if x, y := a.Level(i), b.Level(j); x != y {
+		return x < y
+	}
+	return a.ID(i) < b.ID(j)
+}
+
+// SpanDecoder decodes the records of one block one at a time. The spans it
+// returns share one copy of the block's string blob — every name, source,
+// tag key and tag value a zero-copy substring of it — and nothing with the
+// block itself.
+type SpanDecoder struct {
+	blk  SpanBlock
+	blob string
+}
+
+// Decoder copies the block's blob into a string and returns a decoder over it.
+func (b *SpanBlock) Decoder() SpanDecoder { return SpanDecoder{blk: *b, blob: string(b.blob)} }
+
+func (d *SpanDecoder) str(ent []byte) string {
+	off, n := binary.LittleEndian.Uint32(ent[0:]), binary.LittleEndian.Uint32(ent[4:])
+	return d.blob[off : off+n]
+}
+
+// Span decodes record i into a span carved from st's arena, exactly as
+// DecodeSpanBlock would: ParentID as recorded, whatever the owned flag says.
+func (d *SpanDecoder) Span(st *SpanStore, i int) *Span {
+	le := binary.LittleEndian
+	rec := d.blk.rec(i)
+	s := st.Alloc()
+	s.ID = le.Uint64(rec[0:])
+	s.ParentID = le.Uint64(rec[8:])
+	s.CorrelationID = le.Uint64(rec[16:])
+	s.Begin = vclock.Time(le.Uint64(rec[24:]))
+	s.End = vclock.Time(le.Uint64(rec[32:]))
+	s.Level = Level(int32(le.Uint32(rec[40:])))
+	s.Kind = Kind(rec[44])
+	s.Name = d.str(rec[48:])
+	s.Source = d.str(rec[56:])
+	if tOff, tCnt := int(le.Uint32(rec[64:])), int(le.Uint32(rec[68:])); tCnt > 0 {
+		s.Tags = make(map[string]string, tCnt)
+		for j := tOff; j < tOff+tCnt; j++ {
+			ent := d.blk.tags[j*16:]
+			s.Tags[d.str(ent[0:])] = d.str(ent[8:])
+		}
+	}
+	if mOff, mCnt := int(le.Uint32(rec[72:])), int(le.Uint32(rec[76:])); mCnt > 0 {
+		s.Metrics = make(map[string]float64, mCnt)
+		for j := mOff; j < mOff+mCnt; j++ {
+			ent := d.blk.mets[j*16:]
+			s.Metrics[d.str(ent[0:])] = math.Float64frombits(le.Uint64(ent[8:]))
+		}
+	}
+	return s
+}
+
+// str views one blob string of the block without copying it: for the
+// encoder's intern table, which copies what it keeps.
+func (b *SpanBlock) str(ent []byte) string {
+	off, n := binary.LittleEndian.Uint32(ent[0:]), binary.LittleEndian.Uint32(ent[4:])
+	if n == 0 {
+		return ""
+	}
+	return unsafe.String(&b.blob[off], n)
+}
+
+// GatherSpanBlock encodes the records refs names, in that order, as one new
+// span block appended to buf: each 80-byte record is copied — owned flag and
+// all — with its string and table offsets rebased, and only the table entries
+// and strings those records reach come along, interned afresh. The result is
+// an ordinary version-1 block: DecodeSpanBlock reads from it the spans it
+// would read from the sources. Nothing is decoded on the way.
+func GatherSpanBlock(buf []byte, blocks []SpanBlock, refs []RecordRef) []byte {
+	le := binary.LittleEndian
+	at := len(buf) + 4
+	buf = slices.Grow(buf, 4+len(refs)*SpanRecordSize)[:at+len(refs)*SpanRecordSize]
+	le.PutUint32(buf[at-4:], uint32(len(refs)))
+	e := blockScratchPool.Get().(*blockScratch)
+	for _, ref := range refs {
+		src := blocks[ref.Block]
+		rec := buf[at : at+SpanRecordSize]
+		at += copy(rec, src.rec(int(ref.Record)))
+		for _, at := range [2]int{48, 56} { // name, source
+			off, n := e.intern(src.str(rec[at:]))
+			le.PutUint32(rec[at:], off)
+			le.PutUint32(rec[at+4:], n)
+		}
+		tOff, tCnt := int(le.Uint32(rec[64:])), int(le.Uint32(rec[68:]))
+		le.PutUint32(rec[64:], uint32(len(e.tags)/16))
+		for j := tOff; j < tOff+tCnt; j++ {
+			ent := src.tags[j*16:]
+			off, n := e.intern(src.str(ent[0:]))
+			e.tags = le.AppendUint32(le.AppendUint32(e.tags, off), n)
+			off, n = e.intern(src.str(ent[8:]))
+			e.tags = le.AppendUint32(le.AppendUint32(e.tags, off), n)
+		}
+		mOff, mCnt := int(le.Uint32(rec[72:])), int(le.Uint32(rec[76:]))
+		le.PutUint32(rec[72:], uint32(len(e.mets)/16))
+		for j := mOff; j < mOff+mCnt; j++ {
+			ent := src.mets[j*16:]
+			off, n := e.intern(src.str(ent[0:]))
+			e.mets = append(le.AppendUint32(le.AppendUint32(e.mets, off), n), ent[8:16]...)
+		}
+	}
+	return e.finish(buf)
+}
+
 // DecodeSpanBlock decodes one span block from b, returning the spans,
 // their owned bitset, and the remaining bytes after the block. Spans are
 // carved from a fresh arena. Errors wrap ErrBadFrame.
@@ -241,90 +486,24 @@ func DecodeSpanBlock(b []byte) (spans []*Span, owned []uint64, rest []byte, err 
 
 // DecodeSpanBlockInto is DecodeSpanBlock allocating the decoded spans
 // from the given store's arena, so a caller that decodes many blocks
-// (segment recovery, a busy ingest endpoint) shares chunks instead of
-// allocating per span. The decoded spans are returned in record order and
-// are not added to the store's view.
+// (a busy ingest endpoint) shares chunks instead of allocating per span.
+// The decoded spans are returned in record order and are not added to the
+// store's view.
 func DecodeSpanBlockInto(st *SpanStore, b []byte) (spans []*Span, owned []uint64, rest []byte, err error) {
-	r := &blockReader{b: b}
-	le := binary.LittleEndian
-	count := int(r.u32())
-	recs := r.bytes(count * SpanRecordSize)
-	tagN := int(r.u32())
-	tags := r.bytes(tagN * 16)
-	metN := int(r.u32())
-	mets := r.bytes(metN * 16)
-	blobLen := int(r.u32())
-	blobBytes := r.bytes(blobLen)
-	if r.err != nil {
-		return nil, nil, nil, r.err
+	blk, rest, err := ParseSpanBlock(b)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	blob := string(blobBytes)
-	str := func(off, n uint32) (string, bool) {
-		if int64(off)+int64(n) > int64(len(blob)) {
-			return "", false
-		}
-		return blob[off : off+n], true
-	}
-
-	spans = make([]*Span, count)
-	owned = make([]uint64, (count+63)/64)
-	for i := 0; i < count; i++ {
-		rec := recs[i*SpanRecordSize:]
-		s := st.Alloc()
-		s.ID = le.Uint64(rec[0:])
-		s.ParentID = le.Uint64(rec[8:])
-		s.CorrelationID = le.Uint64(rec[16:])
-		s.Begin = vclock.Time(le.Uint64(rec[24:]))
-		s.End = vclock.Time(le.Uint64(rec[32:]))
-		s.Level = Level(int32(le.Uint32(rec[40:])))
-		s.Kind = Kind(rec[44])
-		if s.Kind != KindSync && s.Kind != KindLaunch && s.Kind != KindExec {
-			return nil, nil, nil, fmt.Errorf("%w: span %d has unknown kind %d", ErrBadFrame, i, rec[44])
-		}
-		if rec[45]&flagOwned != 0 {
+	d := blk.Decoder()
+	spans = make([]*Span, blk.Len())
+	owned = make([]uint64, (len(spans)+63)/64)
+	for i := range spans {
+		spans[i] = d.Span(st, i)
+		if blk.Owned(i) {
 			owned[i/64] |= 1 << (i % 64)
 		}
-		var ok bool
-		if s.Name, ok = str(le.Uint32(rec[48:]), le.Uint32(rec[52:])); !ok {
-			return nil, nil, nil, fmt.Errorf("%w: span %d name out of blob bounds", ErrBadFrame, i)
-		}
-		if s.Source, ok = str(le.Uint32(rec[56:]), le.Uint32(rec[60:])); !ok {
-			return nil, nil, nil, fmt.Errorf("%w: span %d source out of blob bounds", ErrBadFrame, i)
-		}
-		tOff, tCnt := int(le.Uint32(rec[64:])), int(le.Uint32(rec[68:]))
-		if tCnt > 0 {
-			if tOff+tCnt > tagN {
-				return nil, nil, nil, fmt.Errorf("%w: span %d tag table out of bounds", ErrBadFrame, i)
-			}
-			s.Tags = make(map[string]string, tCnt)
-			for j := tOff; j < tOff+tCnt; j++ {
-				ent := tags[j*16:]
-				k, ok1 := str(le.Uint32(ent[0:]), le.Uint32(ent[4:]))
-				v, ok2 := str(le.Uint32(ent[8:]), le.Uint32(ent[12:]))
-				if !ok1 || !ok2 {
-					return nil, nil, nil, fmt.Errorf("%w: span %d tag out of blob bounds", ErrBadFrame, i)
-				}
-				s.Tags[k] = v
-			}
-		}
-		mOff, mCnt := int(le.Uint32(rec[72:])), int(le.Uint32(rec[76:]))
-		if mCnt > 0 {
-			if mOff+mCnt > metN {
-				return nil, nil, nil, fmt.Errorf("%w: span %d metric table out of bounds", ErrBadFrame, i)
-			}
-			s.Metrics = make(map[string]float64, mCnt)
-			for j := mOff; j < mOff+mCnt; j++ {
-				ent := mets[j*16:]
-				k, ok := str(le.Uint32(ent[0:]), le.Uint32(ent[4:]))
-				if !ok {
-					return nil, nil, nil, fmt.Errorf("%w: span %d metric key out of blob bounds", ErrBadFrame, i)
-				}
-				s.Metrics[k] = math.Float64frombits(le.Uint64(ent[8:]))
-			}
-		}
-		spans[i] = s
 	}
-	return spans, owned, r.b[r.off:], nil
+	return spans, owned, rest, nil
 }
 
 // IsBinaryFrame reports whether prefix starts a framed binary span batch

@@ -54,23 +54,22 @@ func sortedRun(run []*Span) bool {
 // run is also a convenient "sort a copy canonically". The outer slice may
 // be reordered in place. core.StreamCorrelator merges its immutable
 // checkpoint segments with the live tail through this.
-func MergeRuns(runs [][]*Span) []*Span {
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	return mergeRuns(runs, total)
-}
+func MergeRuns(runs [][]*Span) []*Span { return MergeRunsInto(nil, runs) }
 
-// mergeRuns is MergeRuns with a precomputed total; each run's sortedness
-// is discovered with an O(len) scan. Callers that already know (SpanStore
-// tracks it incrementally) use mergeKnownRuns directly.
-func mergeRuns(runs [][]*Span, total int) []*Span {
+// MergeRunsInto is MergeRuns writing its result over dst, whose array is
+// reused when it has the room: for a caller that merges again and again and
+// keeps no result (core.StreamCorrelator's folds). dst must not overlap a
+// run. Each run's sortedness is discovered with an O(len) scan; callers that
+// already know (SpanStore tracks it incrementally) use mergeKnownRuns
+// directly.
+func MergeRunsInto(dst []*Span, runs [][]*Span) []*Span {
+	total := 0
 	known := make([]spanRun, len(runs))
 	for i, run := range runs {
+		total += len(run)
 		known[i] = spanRun{spans: run, sorted: sortedRun(run)}
 	}
-	return mergeKnownRuns(known, total)
+	return mergeKnownRuns(dst, known, total)
 }
 
 // spanRun is one input run for mergeKnownRuns: a span slice plus whether
@@ -90,13 +89,12 @@ type spanRun struct {
 // are copied and sorted privately. Ties across runs break toward the
 // lower run index and, within a run, toward the earlier position, which is
 // exactly the stability the old concatenate-then-stable-sort gave.
-func mergeKnownRuns(known []spanRun, total int) []*Span {
+func mergeKnownRuns(dst []*Span, known []spanRun, total int) []*Span {
 	switch len(known) {
 	case 0:
 		return nil
 	case 1:
-		out := make([]*Span, len(known[0].spans))
-		copy(out, known[0].spans)
+		out := append(dst[:0], known[0].spans...)
 		if !known[0].sorted {
 			sortSpansCanonical(out)
 		}
@@ -120,7 +118,7 @@ func mergeKnownRuns(known []spanRun, total int) []*Span {
 	// matching the heap's run-index tie-break exactly.
 	if len(runs) == 2 {
 		a, b := runs[0], runs[1]
-		out := make([]*Span, 0, total)
+		out := slices.Grow(dst[:0], total)
 		i, j := 0, 0
 		for i < len(a) && j < len(b) {
 			if CanonicalLess(b[j], a[i]) {
@@ -178,7 +176,7 @@ func mergeKnownRuns(known []spanRun, total int) []*Span {
 		down(i)
 	}
 
-	out := make([]*Span, 0, total)
+	out := slices.Grow(dst[:0], total)
 	for len(heads) > 0 {
 		h := &heads[0]
 		out = append(out, runs[h.run][h.pos])

@@ -83,12 +83,12 @@ func TestMemoryTraceOwnsItsSlice(t *testing.T) {
 }
 
 func TestMergeRunsEdgeCases(t *testing.T) {
-	if got := mergeRuns(nil, 0); got != nil {
+	if got := MergeRuns(nil); got != nil {
 		t.Fatalf("empty merge = %v", got)
 	}
 	a := &Span{ID: 1, Begin: 3}
 	b := &Span{ID: 2, Begin: 1}
-	got := mergeRuns([][]*Span{{a, b}}, 2) // single unsorted run
+	got := MergeRuns([][]*Span{{a, b}}) // single unsorted run
 	if got[0] != b || got[1] != a {
 		t.Fatal("single-run merge did not sort")
 	}
@@ -96,7 +96,7 @@ func TestMergeRunsEdgeCases(t *testing.T) {
 	// identical keys resolve toward the earlier run.
 	x := &Span{ID: 5, Begin: 7}
 	y := &Span{ID: 5, Begin: 7}
-	got = mergeRuns([][]*Span{{x}, {y}}, 2)
+	got = MergeRuns([][]*Span{{x}, {y}})
 	if got[0] != x || got[1] != y {
 		t.Fatal("cross-run tie did not keep run order")
 	}

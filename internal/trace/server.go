@@ -558,6 +558,12 @@ func (s *Server) shedOverloaded(w http.ResponseWriter, tn *ServerTenant, adm *Ad
 	return false
 }
 
+// The body read deadline of a span POST that holds a byte reservation:
+// bodyReadGrace, plus its Content-Length at minBodyBytesPerSec.
+var bodyReadGrace = 10 * time.Second // a variable for the tests, which cannot wait that long
+
+const minBodyBytesPerSec = 64 << 10
+
 // handleSpans ingests a POSTed span batch, JSON or framed binary by
 // Content-Type, routed to the tenant the request names (X-Tenant header
 // or ?tenant=), or the batch's wire tenant when the request names none,
@@ -621,6 +627,19 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			defer s.inflightB.Add(-n)
+			// The reservation is held until the body has been read, so the
+			// body has a deadline: a grace period plus the time its declared
+			// length takes at the slowest rate a publisher is allowed. A
+			// client that trickles is cut — the read fails, the request is a
+			// 400 and its bytes and batch id are free again — instead of
+			// pinning a budget every tenant shares. (A ResponseWriter with no
+			// connection behind it, a test's recorder, supports no deadline
+			// and has no slow client to cut.) The deadline is never cleared
+			// here: net/http clears it when the body reaches its end, so a
+			// publish that then waits on its tap is not cut, and after a
+			// read that failed it has to stand, or net/http's drain of the
+			// unread body, which comes before the answer, would wait forever.
+			_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(bodyReadGrace + time.Duration(n)*time.Second/minBodyBytesPerSec))
 			// A body must not exceed its Content-Length reservation, or the
 			// whole budget: decode fails cleanly instead of growing past
 			// the admitted bytes.

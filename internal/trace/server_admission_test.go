@@ -1,8 +1,11 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -100,6 +103,70 @@ func TestServerAdmissionByteBudget(t *testing.T) {
 	}
 	if st := srv.OverloadStats(); st.InflightBytes != 0 || srv.Received() != 3 {
 		t.Fatalf("after the 411 and its re-post: %d bytes in flight, %d received; want 0 and 3", st.InflightBytes, srv.Received())
+	}
+
+	// A trickling POST — over a real connection, where a read deadline
+	// exists — holds its reservation only until the deadline its declared
+	// length earns: then the read is cut, the answer is not a 202, and the
+	// bytes and the batch id are free again.
+	defer func(d time.Duration) { bodyReadGrace = d }(bodyReadGrace)
+	bodyReadGrace = 50 * time.Millisecond
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second)) // an uncut request fails the test, not hangs it
+	body = encodeSpans(t, span(5))
+	fmt.Fprintf(conn, "POST /api/spans HTTP/1.1\r\nHost: x\r\nContent-Type: %s\r\n%s: 3b\r\nContent-Length: %d\r\n\r\n", ContentTypeJSON, batchIDHeader, len(body))
+	if _, err := conn.Write(body[:len(body)/2]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the trickling request to reserve its bytes", func() bool {
+		return srv.OverloadStats().InflightBytes == int64(len(body))
+	})
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil) // the rest of the body never comes
+	if err != nil {
+		t.Fatalf("no answer to the trickling POST: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("trickling POST = %d, want the 400 of a body cut short", resp.StatusCode)
+	}
+	waitFor(t, "the cut request to release its bytes", func() bool { return srv.OverloadStats().InflightBytes == 0 })
+	if rec := postSpans(srv, bytes.NewReader(body), int64(len(body)), "3b"); rec.Code != http.StatusAccepted || rec.Header().Get("X-Duplicate-Batch") != "" {
+		t.Fatalf("the cut batch re-posted = %d, duplicate %q; want a fresh 202", rec.Code, rec.Header().Get("X-Duplicate-Batch"))
+	}
+	if srv.Received() != 4 {
+		t.Fatalf("Received = %d, want 4: the cut request must have published nothing", srv.Received())
+	}
+
+	// The deadline is the body's, not the request's (net/http clears it when
+	// the body reaches its end): a body read in time and then published
+	// through a tap that takes longer than the deadline is still a 202, its
+	// request context alive when the handler returns.
+	slowTap := &recordingCollector{gate: make(chan struct{})}
+	srv.Tenant(DefaultTenant).SetTap(slowTap)
+	ctxErr := make(chan error, 1)
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(w, r)
+		ctxErr <- r.Context().Err()
+	}))
+	defer slow.Close()
+	wait := 4 * bodyReadGrace
+	go func() {
+		time.Sleep(wait)
+		slowTap.gate <- struct{}{}
+	}()
+	resp, err = http.Post(slow.URL+"/api/spans", ContentTypeJSON, bytes.NewReader(encodeSpans(t, span(6))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if err := <-ctxErr; resp.StatusCode != http.StatusAccepted || err != nil {
+		t.Fatalf("POST published %v after its body = %d, request context %v; want 202 and a live context", wait, resp.StatusCode, err)
 	}
 }
 

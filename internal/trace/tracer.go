@@ -231,7 +231,7 @@ func (m *Memory) Trace() *Trace {
 			total += len(spans)
 		}
 	})
-	return &Trace{Spans: mergeKnownRuns(runs, total)}
+	return &Trace{Spans: mergeKnownRuns(nil, runs, total)}
 }
 
 // SnapshotTrace is Trace with every span deep-copied (Span.Clone): the

@@ -555,10 +555,18 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 			}
 		}
 		spans, owned, _, err := DecodeSpanBlock(data)
+		// The structural validator is what a holder of encoded blocks trusts
+		// instead of a decode: it must refuse exactly the blocks the decoder
+		// refuses.
+		blk, _, perr := ParseSpanBlock(data)
+		if (perr == nil) != (err == nil) {
+			t.Fatalf("ParseSpanBlock: %v, DecodeSpanBlock: %v", perr, err)
+		}
 		if err != nil {
 			return
 		}
 		ownedIn := func(i int) bool { return owned[i/64]&(1<<(i%64)) != 0 }
+		checkSpanBlockReads(t, blk, spans, ownedIn)
 		first := AppendSpanBlock(nil, spans, ownedIn)
 		// Again, into a reused buffer whose spare capacity is dirty: the
 		// same length always, and the same bytes unless some span's several
@@ -585,6 +593,91 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 			sameSpan(t, spans2[i], spans[i])
 		}
 	})
+}
+
+// checkSpanBlockReads holds the in-place reads of a validated block to its
+// decode: every record accessor returns the decoded span's field, a record
+// decoded alone is the span DecodeSpanBlock made of it, and the records
+// gathered in another order — here backwards, out of two copies of the block
+// alternately — decode, with the unchanged DecodeSpanBlock, to the spans,
+// order and owned bits AppendSpanBlock gives for the decoded spans in that
+// order. None of it may panic, whatever the fuzzer made of the tables.
+func checkSpanBlockReads(t *testing.T, blk SpanBlock, spans []*Span, owned func(i int) bool) {
+	t.Helper()
+	if blk.Len() != len(spans) {
+		t.Fatalf("block of %d records decoded to %d spans", blk.Len(), len(spans))
+	}
+	var st SpanStore
+	d := blk.Decoder()
+	refs := make([]RecordRef, 0, len(spans))
+	var reversed []*Span
+	for i := len(spans) - 1; i >= 0; i-- {
+		s := spans[i]
+		if blk.ID(i) != s.ID || blk.ParentID(i) != s.ParentID || blk.CorrelationID(i) != s.CorrelationID ||
+			blk.Begin(i) != s.Begin || blk.End(i) != s.End || blk.Level(i) != s.Level || blk.Kind(i) != s.Kind || blk.Owned(i) != owned(i) {
+			t.Fatalf("record %d read in place as id %d parent %d corr %d [%d,%d) level %d kind %d owned %v, decoded as %+v owned %v",
+				i, blk.ID(i), blk.ParentID(i), blk.CorrelationID(i), blk.Begin(i), blk.End(i), blk.Level(i), blk.Kind(i), blk.Owned(i), s, owned(i))
+		}
+		sameSpan(t, d.Span(&st, i), s)
+		if j := i + 1; j < len(spans) && RecordLess(&blk, i, &blk, j) != CanonicalLess(s, spans[j]) {
+			t.Fatalf("RecordLess(%d, %d) = %v, CanonicalLess of the decoded spans %v", i, j, RecordLess(&blk, i, &blk, j), CanonicalLess(s, spans[j]))
+		}
+		refs = append(refs, RecordRef{Block: uint32(i % 2), Record: uint32(i)})
+		reversed = append(reversed, s)
+	}
+	gathered, gOwned, rest, err := DecodeSpanBlock(GatherSpanBlock(nil, []SpanBlock{blk, blk}, refs))
+	want, wOwned, _, _ := DecodeSpanBlock(AppendSpanBlock(nil, reversed, func(i int) bool { return owned(len(spans) - 1 - i) }))
+	if err != nil || len(rest) != 0 || len(gathered) != len(want) || !slices.Equal(gOwned, wOwned) {
+		t.Fatalf("gathered block: %v, %d bytes left, %d spans (want %d), owned %x (want %x)", err, len(rest), len(gathered), len(want), gOwned, wOwned)
+	}
+	for i := range want {
+		sameSpan(t, gathered[i], want[i])
+	}
+}
+
+// A segment's payload is gathered out of several blocks by reference: the
+// result must be an ordinary span block — the one AppendSpanBlock would
+// encode from the decoded spans in that order, owned bits included, as far
+// as DecodeSpanBlock can tell — with the blocks' shared strings interned
+// once, not once per source.
+func TestGatherSpanBlockMatchesAppend(t *testing.T) {
+	sources := [][]*Span{binarySpans(), encoderBatch(700, 3, true), nil, encoderBatch(300, 5000, false)}
+	ownedIn := func(b, i int) bool { return (b+i)%3 == 0 }
+	var blocks []SpanBlock
+	var refs []RecordRef
+	var picked []*Span
+	var pickedOwned []bool
+	size := 0
+	for b, spans := range sources {
+		buf := AppendSpanBlock(nil, spans, func(i int) bool { return ownedIn(b, i) })
+		blk, rest, err := ParseSpanBlock(buf)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("source %d: %v, %d bytes left", b, err, len(rest))
+		}
+		checkSpanBlockReads(t, blk, spans, func(i int) bool { return ownedIn(b, i) })
+		blocks = append(blocks, blk)
+		size += len(buf)
+		for i := len(spans) - 1; i >= 0; i -= 1 + b { // some of each, not in record order
+			refs = append(refs, RecordRef{Block: uint32(b), Record: uint32(i)})
+			picked = append(picked, spans[i])
+			pickedOwned = append(pickedOwned, ownedIn(b, i))
+		}
+	}
+	prefix := []byte("prefix")
+	payload := GatherSpanBlock(bytes.Repeat([]byte{0xFF}, 64)[:len(prefix)], blocks, refs)[len(prefix):]
+	got, owned, rest, err := DecodeSpanBlock(payload)
+	if err != nil || len(rest) != 0 || len(got) != len(picked) {
+		t.Fatalf("gathered payload: %v, %d bytes left, %d spans of %d", err, len(rest), len(got), len(picked))
+	}
+	for i, s := range picked {
+		sameSpan(t, got[i], s)
+		if is := owned[i/64]&(1<<(i%64)) != 0; is != pickedOwned[i] {
+			t.Fatalf("gathered span %d owned=%v, want %v", i, is, pickedOwned[i])
+		}
+	}
+	if direct := AppendSpanBlock(nil, picked, func(i int) bool { return pickedOwned[i] }); len(payload) != len(direct) {
+		t.Fatalf("gathered payload is %d bytes, the spans encoded directly %d (sources %d): tables or strings came along that no record reaches", len(payload), len(direct), size)
+	}
 }
 
 func TestServerSpanContentNegotiation(t *testing.T) {
