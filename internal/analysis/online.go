@@ -14,8 +14,9 @@ import (
 )
 
 // Online is the incremental counterpart of the batch RunSet analyses: an
-// engine fed one accepted span at a time from the streaming pipeline
-// (core.StreamOptions.Observer, or any trace.Collector tap) that maintains
+// engine fed accepted spans — one at a time or a released run at a time —
+// from the streaming pipeline (core.StreamOptions.Observer, or any
+// trace.Collector tap) that maintains
 // live versions of the headline analyses — A3/A6 layer latencies by layer
 // and type, launch-gap queue delay (the LaunchGaps logic, incremental),
 // memcpy totals and copy/compute overlap, and A9-style roofline buckets —
@@ -183,20 +184,33 @@ func (e *Online) SpansObserved() int64 {
 // pipelines. Streaming deployments attach it as the correlator's
 // Observer instead, which delivers each accepted span exactly once in
 // (mostly) sweep order.
-func (e *Online) Publish(spans ...*trace.Span) {
-	for _, s := range spans {
-		e.ObserveSpan(s)
-	}
-}
+func (e *Online) Publish(spans ...*trace.Span) { e.ObserveSpans(spans) }
 
 // ObserveSpan folds one accepted span into every analysis it contributes
-// to. It is cheap (a map probe or two and O(1) accumulator updates; no
-// allocation at steady state) because the stream correlator calls it
-// under its own mutex for every released span — BenchmarkOnlineAnalysis
-// pins the per-span overhead.
+// to: ObserveSpans for a run of one.
 func (e *Online) ObserveSpan(s *trace.Span) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.observe(s)
+}
+
+// ObserveSpans folds a run of accepted spans, in order, into the analyses
+// under one acquisition of the engine's lock: the stream correlator, which
+// calls under its own mutex, hands over what a drain released rather than
+// lock per span. A span is cheap to fold — its attributes are a handful of
+// flat pairs read by a short scan, the aggregates a probe of a model-sized
+// table and O(1) accumulator updates, no allocation at steady state
+// (BenchmarkOnlineAnalysis pins both arms). run is read, not kept.
+func (e *Online) ObserveSpans(run []*trace.Span) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, s := range run {
+		e.observe(s)
+	}
+}
+
+// observe is ObserveSpan under e.mu.
+func (e *Online) observe(s *trace.Span) {
 	e.spans++
 	switch s.Level {
 	case trace.LevelLayer:

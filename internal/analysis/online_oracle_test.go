@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"xsp/internal/core"
@@ -261,6 +263,24 @@ func onlineOracleBody(t *testing.T, spans uint16, streams uint8, dropLaunches bo
 	}
 	eng, tr := runOnlineStream(t, batches, opts, restart, checkpointAt)
 	assertOnlineEqualsBatch(t, eng, tr)
+
+	// The engine above was handed runs, as the correlator cut them. Whatever
+	// the cut, a run is its spans one after the other: the same spans in runs
+	// of random length leave an engine in the state, to the bit, that span by
+	// span delivery leaves.
+	bySpan, byRun := NewOnline(OnlineOptions{Spec: gpu.TeslaV100}), NewOnline(OnlineOptions{Spec: gpu.TeslaV100})
+	rng := rand.New(rand.NewSource(seed))
+	for rest := tr.Spans; len(rest) > 0; {
+		run := rest[:1+rng.Intn(min(len(rest), 2*bs))]
+		rest = rest[len(run):]
+		byRun.ObserveSpans(run)
+		for _, s := range run {
+			bySpan.ObserveSpan(s)
+		}
+	}
+	if want, got := bySpan.Snapshot(), byRun.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ObserveSpans over random runs: snapshot %+v, span by span %+v", got, want)
+	}
 }
 
 // FuzzOnlineVsBatch drives the oracle across arrival disorder,

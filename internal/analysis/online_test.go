@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math/rand"
 	"testing"
 
 	"xsp/internal/gpu"
@@ -121,11 +122,26 @@ func BenchmarkOnlineAnalysis(b *testing.B) {
 		Spans: 100_000, LayerTypes: onlineLayerTypes, KernelMetrics: true,
 		MemcpysPerLayer: 2, Seed: 41,
 	})
-	eng := NewOnline(OnlineOptions{Spec: gpu.TeslaV100})
 	spans := tr.Spans
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.ObserveSpan(spans[i%len(spans)])
-	}
+	// One op is one span in both arms: what the run arm saves is the lock.
+	b.Run("span", func(b *testing.B) {
+		eng := NewOnline(OnlineOptions{Spec: gpu.TeslaV100})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.ObserveSpan(spans[i%len(spans)])
+		}
+	})
+	// Runs of random length up to a server batch, as a drain releases them.
+	b.Run("runs", func(b *testing.B) {
+		eng := NewOnline(OnlineOptions{Spec: gpu.TeslaV100})
+		rng := rand.New(rand.NewSource(41))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for done, at := 0, 0; done < b.N; {
+			n := min(1+rng.Intn(1024), b.N-done, len(spans)-at)
+			eng.ObserveSpans(spans[at : at+n])
+			done, at = done+n, (at+n)%len(spans)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -197,6 +198,45 @@ func TestKernelMetricsAttached(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no scudnn kernel in trace at batch 16")
+	}
+}
+
+// A span encodes its metrics in the order it holds them, so the order the
+// session attaches them in reaches the bytes: profiling one model twice must
+// encode to the same bytes — once the span ids, minted from a process-wide
+// counter, are counted from each run's first.
+func TestProfileEncodesDeterministically(t *testing.T) {
+	encode := func() []byte {
+		res, err := newSession().Profile(resnetGraph(t, 4), Options{Levels: MLG, GPUMetrics: cupti.StandardMetrics})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := ^uint64(0)
+		for _, sp := range res.Trace.Spans {
+			base = min(base, sp.ID-1)
+		}
+		multi := false
+		for _, sp := range res.Trace.Spans {
+			sp.ID -= base
+			if sp.ParentID != 0 {
+				sp.ParentID -= base
+			}
+			multi = multi || len(sp.Metrics) > 1
+		}
+		if !multi {
+			t.Fatal("no span carries several metrics: the profile does not exercise their order")
+		}
+		var buf bytes.Buffer
+		if err := res.Trace.EncodeBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := encode()
+	for run := 1; run < 4; run++ {
+		if again := encode(); !bytes.Equal(again, first) {
+			t.Fatalf("profile %d encoded to %d bytes that differ from the first profile's %d", run, len(again), len(first))
+		}
 	}
 }
 

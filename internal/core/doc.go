@@ -89,8 +89,8 @@
 // ladder operation — compaction, extraction, remainders — reads keys from
 // the records and moves references, never encoded bytes. A checkpointed span
 // therefore costs what the codec makes of it (~113 B plus its reference, not
-// the ~250 B of a decoded span with its maps) and holds no pointer for the
-// collector to follow; a block leaves with the last reference to it, and one
+// a decoded span's 136-byte header, its tag and metric entries and its share
+// of a blob string) and holds no pointer for the collector to follow; a block leaves with the last reference to it, and one
 // under half referenced gives its records up to a gathered block. Reads
 // (Trace, SnapshotTrace, SnapshotRaw, recovery's observer replay) decode
 // through the references into fresh copies — the correlator's mutex held

@@ -301,10 +301,8 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 	// the files' blocks — merged into one canonical order, which keeps
 	// begins non-decreasing across segments — and the WAL replay below
 	// re-releases the rest through the ordinary drain path.
-	if opts.Observer != nil {
-		for _, s := range trace.MergeRuns(decodeSegments(sc.hist.segs, false)) {
-			opts.Observer.ObserveSpan(s)
-		}
+	if sc.observe != nil && sc.hist.spans > 0 {
+		sc.observe(trace.MergeRuns(decodeSegments(sc.hist.segs, false)))
 	}
 
 	sc.replaying = true

@@ -370,9 +370,15 @@ func (s *Session) profileOnce(g *framework.Graph, opts Options, serialize bool, 
 			sp.SetTag("block", kr.Kernel.Block.String())
 			sp.SetTag("stream", fmt.Sprint(kr.Stream))
 			// Without metric collection CUPTI still knows the kernel
-			// identity; metrics are attached only when requested.
-			for name, v := range cu.Metrics(kr) {
-				sp.SetMetric(name, v)
+			// identity; metrics are attached only when requested — in the
+			// order they were requested, which is the order the span holds
+			// and encodes them in: ranging over the map would make two
+			// profiles of one model encode to different bytes.
+			values := cu.Metrics(kr)
+			for _, name := range opts.GPUMetrics {
+				if v, ok := values[name]; ok {
+					sp.SetMetric(name, v)
+				}
 			}
 			gpuTracer.PublishCompleted(sp)
 		}

@@ -119,10 +119,18 @@ type StreamOptions struct {
 	// splice during repair, and — through RecoverStream — at recovered
 	// checkpoint-segment install plus WAL replay, so an observer attached
 	// before recovery rebuilds the same state the crashed process's
-	// observer held. Calls happen under the correlator's mutex: the
-	// observer must be fast, must never call back into the correlator,
-	// and must not assume the span's ParentID is final (degraded windows,
-	// repairs, and reopens may revise it after delivery). analysis.Online
+	// observer held. An observer that also offers
+	// ObserveSpans(run []*trace.Span) is handed a run at a time instead —
+	// what one drain released, what one repair spliced, the recovered
+	// segments merged — the same spans in the same order, one call (for
+	// analysis.Online, one lock) per run; the slice is the correlator's
+	// and must not be kept. Calls happen under the correlator's mutex: the
+	// observer must be fast and must never call back into the correlator.
+	// Nothing is promised about ParentID at delivery: a span may hold the
+	// parent the sweep gave it or still wait for one (an open degraded
+	// window, an exec pending its launch) — in a run, later spans of the
+	// run have been resolved too by then — and windows, repairs and reopens
+	// may revise it afterwards. analysis.Online, which reads no ParentID,
 	// is the intended consumer.
 	Observer StreamObserver
 
@@ -152,6 +160,25 @@ const defaultMaxWindowSpans = 4096
 // contract.
 type StreamObserver interface {
 	ObserveSpan(s *trace.Span)
+}
+
+// observerRuns returns how a run of accepted spans reaches obs: as one
+// ObserveSpans call when obs offers that, span by span otherwise; nil when
+// there is no observer. Resolved once, at construction — every delivery
+// (drain, repair, recovery) goes through the result.
+func observerRuns(obs StreamObserver) func(run []*trace.Span) {
+	switch o := obs.(type) {
+	case nil:
+		return nil
+	case interface{ ObserveSpans(run []*trace.Span) }:
+		return o.ObserveSpans
+	default:
+		return func(run []*trace.Span) {
+			for _, s := range run {
+				o.ObserveSpan(s)
+			}
+		}
+	}
 }
 
 // autoFoldEvery is the least number of releases Feed lets pass between
@@ -214,6 +241,9 @@ type StreamCorrelator struct {
 	// window structure.
 	treePool interval.Pool
 
+	observe func(run []*trace.Span) // opts.Observer's delivery (see observerRuns); nil without one
+	drained []*trace.Span           // the run a drain released, for observe; empty between drains
+
 	replaying bool  // RecoverStream replay in progress: suppress durable writes
 	durErr    error // first Store failure; durability is off once set
 
@@ -222,7 +252,7 @@ type StreamCorrelator struct {
 
 // streamState is what a StreamCorrelator knows about the spans it was fed —
 // everything Reset returns to empty, which is every field of the correlator
-// but its options, its node pool and its store's latch.
+// but its options, its observer's delivery, its node pool and its store's latch.
 type streamState struct {
 	// A live span is held in exactly one of three places: the reorder buffer
 	// until the watermark releases it, stragglers if it arrived behind the
@@ -308,7 +338,7 @@ func (p pendingExec) settle(parent uint64) {
 
 // NewStreamCorrelator returns an empty streaming correlator.
 func NewStreamCorrelator(opts StreamOptions) *StreamCorrelator {
-	return &StreamCorrelator{opts: opts, streamState: newStreamState()}
+	return &StreamCorrelator{opts: opts, observe: observerRuns(opts.Observer), streamState: newStreamState()}
 }
 
 func newStreamState() streamState {
@@ -471,7 +501,8 @@ func (sc *StreamCorrelator) noteCorrSet(corr uint64, at vclock.Time) {
 }
 
 // drain releases buffered spans whose begin the watermark has passed, in
-// sweep order, into the resolver.
+// sweep order, into the resolver, and hands the observer what it released as
+// one run.
 func (sc *StreamCorrelator) drain(watermark vclock.Time) {
 	for len(sc.buf) > 0 && sc.buf[0].Begin <= watermark {
 		s := sc.buf.pop()
@@ -479,9 +510,14 @@ func (sc *StreamCorrelator) drain(watermark vclock.Time) {
 		sc.rel.slot(s.Level).push(s)
 		sc.lastReleased = s
 		sc.released++
-		if sc.opts.Observer != nil {
-			sc.opts.Observer.ObserveSpan(s)
+		if sc.observe != nil {
+			sc.drained = append(sc.drained, s)
 		}
+	}
+	if len(sc.drained) > 0 {
+		sc.observe(sc.drained)
+		clear(sc.drained) // the scratch must not keep a span from the collector
+		sc.drained = sc.drained[:0]
 	}
 }
 
@@ -983,10 +1019,8 @@ func (sc *StreamCorrelator) repair() {
 	// deliver them now, after their parents settled. They arrive behind
 	// the release frontier, so observers tracking delivery order see them
 	// as out-of-order (which is what they are).
-	if sc.opts.Observer != nil {
-		for _, s := range stragglers {
-			sc.opts.Observer.ObserveSpan(s)
-		}
+	if sc.observe != nil {
+		sc.observe(stragglers)
 	}
 
 	// A reopen moved folded spans into the live tail: rotate the WAL so its

@@ -6,7 +6,6 @@ package core_test
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 	"testing"
@@ -903,11 +902,11 @@ func TestIsolatedCorrelatorSharesPayloadReadOnly(t *testing.T) {
 	readPayload := func(spans []*trace.Span) (n int) {
 		for _, s := range spans {
 			n += len(s.Name)
-			for k, v := range s.Tags {
-				n += len(k) + len(v)
+			for _, tag := range s.Tags {
+				n += len(tag.Key) + len(tag.Value)
 			}
-			for k, v := range s.Metrics {
-				n += len(k) + int(v)
+			for _, m := range s.Metrics {
+				n += len(m.Key) + int(m.Value)
 			}
 		}
 		return n
@@ -980,7 +979,7 @@ func TestIsolatedCorrelatorSharesPayloadReadOnly(t *testing.T) {
 		if s == r {
 			t.Fatalf("span %d: the correlator holds the raw store's span, not a copy", s.ID)
 		}
-		if s.Name != r.Name || !maps.Equal(s.Tags, r.Tags) || !maps.Equal(s.Metrics, r.Metrics) {
+		if s.Name != r.Name || !slices.Equal(s.Tags, r.Tags) || !slices.Equal(s.Metrics, r.Metrics) {
 			t.Fatalf("span %d: payload differs between the raw store and the correlator", s.ID)
 		}
 	}

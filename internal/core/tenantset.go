@@ -81,7 +81,7 @@ func OpenTenantStream(key string, opts StreamOptions, open func() (*segio.Store,
 		if err == nil {
 			opts.Store = store
 			if st.sc, err = RecoverStream(opts, rec); err == nil {
-				st.store, st.rec = store, rec
+				st.store, st.rec = store, releaseContent(rec)
 			}
 		}
 		if err != nil {
@@ -93,6 +93,24 @@ func OpenTenantStream(key string, opts StreamOptions, open func() (*segio.Store,
 		st.sc = NewStreamCorrelator(opts)
 	}
 	return st
+}
+
+// releaseContent drops what a recovery carried in for RecoverStream — the
+// snapshot's live tail, the batches' spans, the segments' blocks (the
+// correlator holds what it took of them) — and keeps what is read of it
+// afterwards: how many segments and batch records there were, the dedup
+// window, the quarantined files, the repair counters. A TenantStream holds
+// its Recovery for the life of the process; the content would be a second
+// copy of the recovered stream held just as long.
+func releaseContent(rec *segio.Recovery) *segio.Recovery {
+	rec.Snapshot = nil
+	for i := range rec.Segments {
+		rec.Segments[i].Block = trace.SpanBlock{}
+	}
+	for i := range rec.Batches {
+		rec.Batches[i].Spans, rec.Batches[i].Owned = nil, nil
+	}
+	return rec
 }
 
 // Stream returns the named tenant's stream, creating (and, with OpenStore
@@ -161,7 +179,9 @@ func (st *TenantStream) Store() *segio.Store { return st.store }
 
 // Recovery returns what segio recovered from the tenant's store at
 // creation — the dedup ids to seed the server's window with, the
-// recovered-state counts for observability — or nil without a store.
+// recovered-state counts for observability — or nil without a store. It is
+// the report without the content: the segments and batch records are there
+// to be counted, their spans and blocks are not (see releaseContent).
 func (st *TenantStream) Recovery() *segio.Recovery { return st.rec }
 
 // Err returns the OpenStore or recovery error that degraded this tenant

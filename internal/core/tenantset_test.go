@@ -206,6 +206,26 @@ func testTenantSetIndependentCrashRecovery(t *testing.T, opts func(core.SegmentS
 		t.Fatalf("crashy recovery: %d dedup ids, acked %d", len(rec.DedupIDs), crashyAcked)
 	}
 
+	// What a tenant keeps of its recovery for the process's life is the
+	// report, not the content: segments and batch records to count, and no
+	// span, decoded or encoded, behind any of them.
+	for name, st := range map[string]*core.TenantStream{"crashy": crashy2, "steady": steady2} {
+		rec := st.Recovery()
+		if len(rec.Segments) == 0 || rec.Snapshot != nil {
+			t.Fatalf("%s recovery: %d segments to count (want some), snapshot kept: %v", name, len(rec.Segments), rec.Snapshot != nil)
+		}
+		for _, seg := range rec.Segments {
+			if seg.ID == 0 || seg.Block.Len() != 0 || seg.Block.Bytes() != nil {
+				t.Fatalf("%s recovery: segment %d still holds a block of %d records", name, seg.ID, seg.Block.Len())
+			}
+		}
+		for _, b := range rec.Batches {
+			if b.Spans != nil || b.Owned != nil {
+				t.Fatalf("%s recovery: batch record %d still holds %d spans", name, b.BatchID, len(b.Spans))
+			}
+		}
+	}
+
 	// The client refeeds everything the crashed tenant never acked, both
 	// streams finish, and each equals its own oracle.
 	if acked, crashed := feedDurable2(crashy2.Correlator(), crashyLoad, crashyAcked); crashed || acked != len(crashyLoad)-crashyAcked {

@@ -45,8 +45,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 
 	a := mkSpan(1, 0, 100, 0, trace.KindSync)
-	a.Tags = map[string]string{"model": "resnet", "phase": "fwd"}
-	a.Metrics = map[string]float64{"flops": 1.5e9, "bytes": 4096}
+	a.Tags = []trace.Tag{{Key: "model", Value: "resnet"}, {Key: "phase", Value: "fwd"}}
+	a.Metrics = []trace.Metric{{Key: "flops", Value: 1.5e9}, {Key: "bytes", Value: 4096}}
 	b := mkSpan(2, 10, 20, 1, trace.KindLaunch)
 	b.CorrelationID = 77
 	c := mkSpan(3, 12, 18, 2, trace.KindExec)

@@ -472,7 +472,7 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request, t *tenan
 }
 
 // minWatchInterval is the shortest SSE period watch honours. Each event
-// re-encodes a snapshot under the engine lock ObserveSpan takes under the
+// re-encodes a snapshot under the engine lock ObserveSpans takes under the
 // correlator's mutex, so an unclamped ?interval=1ns would slow the tenant's
 // ingest for as long as the GET stays open.
 const minWatchInterval = time.Millisecond

@@ -32,8 +32,12 @@ import (
 // materializes the blob as one Go string, so every name, source, tag key,
 // and tag value is a zero-copy substring of a single allocation rather than
 // a per-field copy. Decoded Span structs themselves come out of a SpanStore
-// arena (one allocation per 256 spans), so decoding a batch costs O(1)
-// allocations plus the rare tag/metric map, not one per span.
+// arena (one allocation per storeChunkSpans spans) and their tags and
+// metrics, flat pairs, out of one entry arena per block, so decoding a batch
+// costs O(1) allocations, whatever its spans carry. Entries are written and
+// read in the order the span holds them, so encoding is deterministic: the
+// same spans give the same bytes, and a block AppendSpanBlock wrote decodes
+// to spans it encodes to those bytes again.
 //
 // Fixed records also let the encoder write where the bytes are going:
 // AppendSpanBlock counts the spans, grows the caller's buffer once and
@@ -194,18 +198,18 @@ func (e *blockScratch) put(rec []byte, s *Span, owned bool) {
 	le.PutUint32(rec[60:], n)
 	le.PutUint32(rec[64:], uint32(len(e.tags)/16))
 	le.PutUint32(rec[68:], uint32(len(s.Tags)))
-	for k, v := range s.Tags {
-		off, n = e.intern(k)
+	for _, t := range s.Tags {
+		off, n = e.intern(t.Key)
 		e.tags = le.AppendUint32(le.AppendUint32(e.tags, off), n)
-		off, n = e.intern(v)
+		off, n = e.intern(t.Value)
 		e.tags = le.AppendUint32(le.AppendUint32(e.tags, off), n)
 	}
 	le.PutUint32(rec[72:], uint32(len(e.mets)/16))
 	le.PutUint32(rec[76:], uint32(len(s.Metrics)))
-	for k, v := range s.Metrics {
-		off, n = e.intern(k)
+	for _, m := range s.Metrics {
+		off, n = e.intern(m.Key)
 		e.mets = le.AppendUint32(le.AppendUint32(e.mets, off), n)
-		e.mets = le.AppendUint64(e.mets, math.Float64bits(v))
+		e.mets = le.AppendUint64(e.mets, math.Float64bits(m.Value))
 	}
 }
 
@@ -378,11 +382,16 @@ func RecordLess(a *SpanBlock, i int, b *SpanBlock, j int) bool {
 
 // SpanDecoder decodes the records of one block one at a time. The spans it
 // returns share one copy of the block's string blob — every name, source,
-// tag key and tag value a zero-copy substring of it — and nothing with the
-// block itself.
+// tag key and tag value a zero-copy substring of it — and one arena of tag
+// and metric entries, and nothing with the block itself.
 type SpanDecoder struct {
 	blk  SpanBlock
 	blob string
+	// The entry arenas: each span's Tags and Metrics are carved off the spare
+	// capacity, which is sized on first use to the block's whole table — what
+	// the records of a block from AppendSpanBlock or GatherSpanBlock add up to.
+	tags []Tag
+	mets []Metric
 }
 
 // Decoder copies the block's blob into a string and returns a decoder over it.
@@ -393,8 +402,24 @@ func (d *SpanDecoder) str(ent []byte) string {
 	return d.blob[off : off+n]
 }
 
+// carve returns n fresh entries off the end of arena with no capacity to
+// spare, so appending to one span's entries can never write into the next
+// span's. n is at most table, the block's entry count (ParseSpanBlock checked
+// it). An arena that runs out — the records reach the table more than once,
+// which no encoder here writes — is left to the spans carved from it and
+// replaced.
+func carve[T any](arena *[]T, n, table int) []T {
+	if cap(*arena)-len(*arena) < n {
+		*arena = make([]T, 0, table)
+	}
+	at := len(*arena)
+	*arena = (*arena)[:at+n]
+	return (*arena)[at : at+n : at+n]
+}
+
 // Span decodes record i into a span carved from st's arena, exactly as
-// DecodeSpanBlock would: ParentID as recorded, whatever the owned flag says.
+// DecodeSpanBlock would: ParentID as recorded, whatever the owned flag says,
+// tags and metrics in table order (nil when the record has none).
 func (d *SpanDecoder) Span(st *SpanStore, i int) *Span {
 	le := binary.LittleEndian
 	rec := d.blk.rec(i)
@@ -409,17 +434,17 @@ func (d *SpanDecoder) Span(st *SpanStore, i int) *Span {
 	s.Name = d.str(rec[48:])
 	s.Source = d.str(rec[56:])
 	if tOff, tCnt := int(le.Uint32(rec[64:])), int(le.Uint32(rec[68:])); tCnt > 0 {
-		s.Tags = make(map[string]string, tCnt)
-		for j := tOff; j < tOff+tCnt; j++ {
-			ent := d.blk.tags[j*16:]
-			s.Tags[d.str(ent[0:])] = d.str(ent[8:])
+		s.Tags = carve(&d.tags, tCnt, len(d.blk.tags)/16)
+		for j := range s.Tags {
+			ent := d.blk.tags[(tOff+j)*16:]
+			s.Tags[j] = Tag{d.str(ent[0:]), d.str(ent[8:])}
 		}
 	}
 	if mOff, mCnt := int(le.Uint32(rec[72:])), int(le.Uint32(rec[76:])); mCnt > 0 {
-		s.Metrics = make(map[string]float64, mCnt)
-		for j := mOff; j < mOff+mCnt; j++ {
-			ent := d.blk.mets[j*16:]
-			s.Metrics[d.str(ent[0:])] = math.Float64frombits(le.Uint64(ent[8:]))
+		s.Metrics = carve(&d.mets, mCnt, len(d.blk.mets)/16)
+		for j := range s.Metrics {
+			ent := d.blk.mets[(mOff+j)*16:]
+			s.Metrics[j] = Metric{d.str(ent[0:]), math.Float64frombits(le.Uint64(ent[8:]))}
 		}
 	}
 	return s
@@ -570,10 +595,11 @@ const maxPooledFrame = 1 << 20
 // DecodeBinary reads one framed binary span batch written by EncodeBinary
 // (or AppendBinaryFrame) and returns the decoded trace in canonical begin
 // order, exactly like DecodeJSON. The spans are decoded straight into a
-// fresh arena: one allocation per 256 spans, with every string a
-// zero-copy substring of the frame's shared blob. Any framing or payload
-// problem — bad magic, unknown version, truncated body, corrupt block,
-// trailing garbage — returns an error wrapping ErrBadFrame and no spans.
+// fresh arena: one allocation per storeChunkSpans spans and one per entry
+// table, with every string a zero-copy substring of the frame's shared
+// blob. Any framing or payload problem — bad magic, unknown version,
+// truncated body, corrupt block, trailing garbage — returns an error
+// wrapping ErrBadFrame and no spans.
 func DecodeBinary(r io.Reader) (*Trace, error) {
 	var hdr [len(wireMagic) + 1]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -61,5 +62,30 @@ func TestAppendSpanBlockAllocBudget(t *testing.T) {
 	buf := trace.AppendSpanBlock(nil, spans, nil)
 	if avg := testing.AllocsPerRun(100, func() { buf = trace.AppendSpanBlock(buf[:0], spans, nil) }); avg > 1 {
 		t.Fatalf("AppendSpanBlock into a presized buffer: %.2f allocs per call, budget 1", avg)
+	}
+}
+
+// TestDecodeBinaryAllocBudget pins the decoder's side: a frame of the
+// server benchmark's shape — eight launch/exec pairs a layer, four metrics an
+// exec, three tags a layer — decodes in a number of allocations that does not
+// grow with what its spans carry: the trace, the span and owned lists, the
+// blob, one arena chunk per storeChunkSpans spans and the list of them, one
+// arena per entry table. A map per attributed span was ~1 270.
+func TestDecodeBinaryAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops items at random")
+	}
+	spans := serverShapeSpans(1 << 10)
+	frame := trace.AppendBinaryFrame(nil, spans)
+	decode := func() {
+		if tr, err := trace.DecodeBinary(bytes.NewReader(frame)); err != nil || len(tr.Spans) != len(spans) {
+			t.Fatalf("decode: %v", err)
+		}
+	}
+	decode() // warm the payload pool
+	avg := testing.AllocsPerRun(100, decode)
+	t.Logf("DecodeBinary of a %d-span server-shape frame: %.1f allocs", len(spans), avg)
+	if avg > 32 {
+		t.Fatalf("DecodeBinary of a %d-span server-shape frame: %.1f allocs, budget 32", len(spans), avg)
 	}
 }

@@ -40,11 +40,11 @@ func (t *Trace) EncodeChromeTrace(w io.Writer) error {
 		if s.CorrelationID != 0 {
 			args["correlation_id"] = s.CorrelationID
 		}
-		for k, v := range s.Tags {
-			args[k] = v
+		for _, t := range s.Tags {
+			args[t.Key] = t.Value
 		}
-		for k, v := range s.Metrics {
-			args[k] = v
+		for _, m := range s.Metrics {
+			args[m.Key] = m.Value
 		}
 		events = append(events, chromeEvent{
 			Name:     s.Name,

@@ -114,9 +114,17 @@
 // (core.Correlate rewriting ParentID) persist across reads. Use
 // [Memory.SnapshotTrace] for a deep-copied, isolated trace instead. A
 // span's payload — Name, Source, Tags, Metrics — is immutable after
-// publish: readers iterate the maps without locks, and [CloneHeaders]
-// (what every stream-correlator snapshot holds)
+// publish: readers walk the tag and metric entries without locks, and
+// [CloneHeaders] (what every stream-correlator snapshot holds)
 // copies the header fields and shares the payload.
+//
+// Tags and Metrics are flat pairs ([Tag], [Metric]) in insertion order, not
+// maps: a span carries a handful, so [Span.Tag] and [Span.Metric] are short
+// scans, and nothing hashes, allocates a table or iterates in a random order
+// on the way from a socket to a fold. A key may repeat — the binary format
+// does not forbid it — and the last entry with it is the one read,
+// overwritten by [Span.SetTag] and shown by the JSON form, whose objects
+// list each key once, sorted.
 //
 // # Multi-tenant ingestion
 //
@@ -180,8 +188,9 @@
 // # Arena span storage
 //
 // Memory shards and the wire decoders do not allocate spans one by one:
-// a [SpanStore] carves them from chunked arenas (one allocation per 256
-// spans) and tracks canonical sortedness incrementally, from the previous
+// a [SpanStore] carves them from chunked arenas (one allocation per 240
+// spans, the most that fits Go's largest small-object size class) and tracks
+// canonical sortedness incrementally, from the previous
 // append's (Begin, Level, ID) alone, so snapshot merges ([Memory.Trace])
 // read an O(1) flag instead of re-scanning span structs; [Interner]
 // collapses the names and sources that repeat across thousands of spans
@@ -201,8 +210,12 @@
 // blob — and [AppendBinaryFrame]/[DecodeBinary] wrap a block in a
 // magic+version+length frame for transport. DecodeBinary materializes
 // the batch straight into a SpanStore arena with every string a
-// zero-copy substring of the blob, which is what makes binary ingest on
-// /api/spans several times cheaper than JSON. The same block format is
+// zero-copy substring of the blob and every span's tags and metrics carved,
+// in table order, from one entry arena per block — a batch decodes in a
+// fixed number of allocations, whatever its spans carry — which is what
+// makes binary ingest on /api/spans several times cheaper than JSON. The
+// encoder writes a span's entries in the order the span holds them, so the
+// same spans always encode to the same bytes. The same block format is
 // the durable store's on-disk representation (internal/segio delegates
 // here), so wire, WAL, and segment bytes share one codec and one fuzzer
 // ([ErrBadFrame] on any corruption, never a partial decode). Content

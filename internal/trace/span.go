@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -81,54 +82,80 @@ type Span struct {
 	// asynchronous operation, mirroring CUPTI's correlation_id.
 	CorrelationID uint64
 
-	// Tags carry user annotations (layer type, shape, ...).
-	Tags map[string]string
+	// Tags carry user annotations (layer type, shape, ...) as flat pairs in
+	// insertion order — the order the binary codec writes and reads them in,
+	// so an encode is deterministic. A key may repeat (a decoded block can
+	// carry one twice); readers answer the last entry with it.
+	Tags []Tag
 
 	// Metrics carry numeric measurements (flop_count_sp, dram_read_bytes,
-	// dram_write_bytes, achieved_occupancy, alloc_bytes, ...).
-	Metrics map[string]float64
+	// dram_write_bytes, achieved_occupancy, alloc_bytes, ...), held like
+	// Tags: insertion order, last entry wins on read.
+	Metrics []Metric
+}
+
+// Tag is one user annotation of a span.
+type Tag struct{ Key, Value string }
+
+// Metric is one numeric measurement of a span.
+type Metric struct {
+	Key   string
+	Value float64
 }
 
 // Duration returns the span's measured latency.
 func (s *Span) Duration() vclock.Duration { return s.End.Sub(s.Begin) }
 
-// Tag returns the value of a tag, or "" when absent.
-func (s *Span) Tag(key string) string { return s.Tags[key] }
-
-// Metric returns the value of a metric, or 0 when absent.
-func (s *Span) Metric(key string) float64 { return s.Metrics[key] }
-
-// SetTag annotates the span, allocating the tag map on first use.
-func (s *Span) SetTag(key, value string) {
-	if s.Tags == nil {
-		s.Tags = make(map[string]string)
+// Tag returns the value of a tag, or "" when absent. A span carries a
+// handful of entries, so the lookup is a scan: from the back, which is what
+// makes the last entry with the key the one that counts.
+func (s *Span) Tag(key string) string {
+	for i := len(s.Tags) - 1; i >= 0; i-- {
+		if s.Tags[i].Key == key {
+			return s.Tags[i].Value
+		}
 	}
-	s.Tags[key] = value
+	return ""
 }
 
-// SetMetric records a numeric measurement on the span.
-func (s *Span) SetMetric(key string, value float64) {
-	if s.Metrics == nil {
-		s.Metrics = make(map[string]float64)
+// Metric returns the value of a metric, or 0 when absent.
+func (s *Span) Metric(key string) float64 {
+	for i := len(s.Metrics) - 1; i >= 0; i-- {
+		if s.Metrics[i].Key == key {
+			return s.Metrics[i].Value
+		}
 	}
-	s.Metrics[key] = value
+	return 0
+}
+
+// SetTag annotates the span: the entry Tag reads for key is overwritten,
+// and a new key is appended.
+func (s *Span) SetTag(key, value string) {
+	for i := len(s.Tags) - 1; i >= 0; i-- {
+		if s.Tags[i].Key == key {
+			s.Tags[i].Value = value
+			return
+		}
+	}
+	s.Tags = append(s.Tags, Tag{key, value})
+}
+
+// SetMetric records a numeric measurement on the span, like SetTag.
+func (s *Span) SetMetric(key string, value float64) {
+	for i := len(s.Metrics) - 1; i >= 0; i-- {
+		if s.Metrics[i].Key == key {
+			s.Metrics[i].Value = value
+			return
+		}
+	}
+	s.Metrics = append(s.Metrics, Metric{key, value})
 }
 
 // Clone returns a deep copy of the span.
 func (s *Span) Clone() *Span {
 	c := *s
-	if s.Tags != nil {
-		c.Tags = make(map[string]string, len(s.Tags))
-		for k, v := range s.Tags {
-			c.Tags[k] = v
-		}
-	}
-	if s.Metrics != nil {
-		c.Metrics = make(map[string]float64, len(s.Metrics))
-		for k, v := range s.Metrics {
-			c.Metrics[k] = v
-		}
-	}
+	c.Tags = slices.Clone(s.Tags)
+	c.Metrics = slices.Clone(s.Metrics)
 	return &c
 }
 
@@ -139,7 +166,7 @@ func (s *Span) Clone() *Span {
 // stream correlator writes ParentID and nothing else) needs no more than
 // this, and the process holds one copy of every payload however many views
 // of a span exist. The copies share one allocation, which lives as long as
-// any of them does. Use Clone for a span whose maps may be written.
+// any of them does. Use Clone for a span whose entries may be written.
 func CloneHeaders(spans []*Span) []*Span {
 	headers := make([]Span, 0, len(spans))
 	out := make([]*Span, len(spans))

@@ -1,13 +1,22 @@
 package trace
 
-import "xsp/internal/vclock"
+import (
+	"unsafe"
+
+	"xsp/internal/vclock"
+)
 
 // storeChunkSpans is the arena chunk size. Chunks are fixed-capacity so a
 // span's address never changes after Alloc: growing the arena appends a
 // new chunk instead of reallocating, which is what makes handing out
-// stable *Span pointers safe. 256 spans ≈ 36 KiB per chunk — one
-// allocation amortized over 256 spans instead of one per span.
-const storeChunkSpans = 256
+// stable *Span pointers safe. 240 spans of 136 bytes are 32 640 bytes: the
+// most that stays within Go's largest small-object size class (32 KiB), past
+// which every chunk is a large-object allocation of its own, cleared in
+// chunks — one allocation amortized over 240 spans instead of one per span.
+const storeChunkSpans = 240
+
+// A chunk must not outgrow the size class the count was chosen for.
+const _ = uint(32<<10 - unsafe.Sizeof(Span{})*storeChunkSpans)
 
 // SpanStore is an arena-backed span container: the hot ingest
 // representation underneath Memory shards and the binary decode path.
@@ -16,7 +25,7 @@ const storeChunkSpans = 256
 //
 //   - An arena of fixed-capacity []Span chunks. Alloc hands out stable
 //     pointers into the current chunk, so decoding a batch costs one
-//     allocation per 256 spans instead of one per span, while every
+//     allocation per storeChunkSpans spans instead of one per span, while every
 //     existing consumer keeps working on ordinary *Span values.
 //   - A dense pointer view (Spans), the unit shared with Trace snapshots.
 //     The prefix of the view is immutable — appends extend it, Reset
@@ -61,7 +70,7 @@ func (st *SpanStore) Alloc() *Span {
 		n++
 	}
 	c := &st.chunks[n-1]
-	*c = append(*c, Span{})
+	*c = (*c)[:len(*c)+1] // zero as make left it: a chunk is never truncated and refilled
 	return &(*c)[len(*c)-1]
 }
 

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"xsp/internal/vclock"
 )
@@ -24,7 +26,24 @@ type wireSpan struct {
 	Metrics       map[string]float64 `json:"metrics,omitempty"`
 }
 
+// toWire builds the JSON form: tags and metrics as objects, which
+// encoding/json writes sorted by key. A repeated key shows once, with the
+// value Tag and Metric read.
 func toWire(s *Span) wireSpan {
+	var tags map[string]string
+	if len(s.Tags) > 0 {
+		tags = make(map[string]string, len(s.Tags))
+		for _, t := range s.Tags {
+			tags[t.Key] = t.Value
+		}
+	}
+	var metrics map[string]float64
+	if len(s.Metrics) > 0 {
+		metrics = make(map[string]float64, len(s.Metrics))
+		for _, m := range s.Metrics {
+			metrics[m.Key] = m.Value
+		}
+	}
 	return wireSpan{
 		ID:            s.ID,
 		ParentID:      s.ParentID,
@@ -35,14 +54,15 @@ func toWire(s *Span) wireSpan {
 		Begin:         int64(s.Begin),
 		End:           int64(s.End),
 		CorrelationID: s.CorrelationID,
-		Tags:          s.Tags,
-		Metrics:       s.Metrics,
+		Tags:          tags,
+		Metrics:       metrics,
 	}
 }
 
 // fromWire fills s (typically arena-allocated) from its wire form,
 // interning the heavily repeated name/source strings through in so a
-// decoded batch retains one canonical copy per distinct string.
+// decoded batch retains one canonical copy per distinct string. A JSON
+// object has no order, so tags and metrics come out sorted by key.
 func fromWire(s *Span, w wireSpan, in *Interner) error {
 	var kind Kind
 	switch w.Kind {
@@ -65,8 +85,20 @@ func fromWire(s *Span, w wireSpan, in *Interner) error {
 		Begin:         vclock.Time(w.Begin),
 		End:           vclock.Time(w.End),
 		CorrelationID: w.CorrelationID,
-		Tags:          w.Tags,
-		Metrics:       w.Metrics,
+	}
+	if len(w.Tags) > 0 {
+		s.Tags = make([]Tag, 0, len(w.Tags))
+		for k, v := range w.Tags {
+			s.Tags = append(s.Tags, Tag{k, v})
+		}
+		slices.SortFunc(s.Tags, func(a, b Tag) int { return strings.Compare(a.Key, b.Key) })
+	}
+	if len(w.Metrics) > 0 {
+		s.Metrics = make([]Metric, 0, len(w.Metrics))
+		for k, v := range w.Metrics {
+			s.Metrics = append(s.Metrics, Metric{k, v})
+		}
+		slices.SortFunc(s.Metrics, func(a, b Metric) int { return strings.Compare(a.Key, b.Key) })
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
@@ -16,10 +17,7 @@ import (
 	"xsp/internal/vclock"
 )
 
-// binarySpans builds a batch exercising every encoded field. At most one
-// tag and one metric per span, so the encoding is deterministic (map
-// iteration cannot reorder the intern table) and byte-exact re-encoding
-// can be asserted.
+// binarySpans builds a batch exercising every encoded field.
 func binarySpans() []*Span {
 	s1 := &Span{ID: 1, Level: LevelApplication, Name: "evaluate", Source: "xsp-app", Begin: 0, End: 100}
 	s2 := &Span{ID: 2, ParentID: 1, Level: LevelModel, Name: "model_prediction", Source: "xsp-model", Begin: 5, End: 90}
@@ -40,23 +38,21 @@ func sameSpan(t *testing.T, got, want *Span) {
 	if len(got.Tags) != len(want.Tags) || len(got.Metrics) != len(want.Metrics) {
 		t.Fatalf("span %d tags/metrics %d/%d, want %d/%d", want.ID, len(got.Tags), len(got.Metrics), len(want.Tags), len(want.Metrics))
 	}
-	for k, v := range want.Tags {
-		if got.Tags[k] != v {
-			t.Fatalf("span %d tag %q = %q, want %q", want.ID, k, got.Tags[k], v)
-		}
+	// Entry by entry: the order is part of what a span holds.
+	if !slices.Equal(got.Tags, want.Tags) {
+		t.Fatalf("span %d tags %v, want %v", want.ID, got.Tags, want.Tags)
 	}
-	for k, v := range want.Metrics {
+	for i, m := range want.Metrics {
 		// Bit equality, so NaN-valued metrics (fuzz inputs) compare equal.
-		if math.Float64bits(got.Metrics[k]) != math.Float64bits(v) {
-			t.Fatalf("span %d metric %q = %v, want %v", want.ID, k, got.Metrics[k], v)
+		if g := got.Metrics[i]; g.Key != m.Key || math.Float64bits(g.Value) != math.Float64bits(m.Value) {
+			t.Fatalf("span %d metric %d = %v, want %v", want.ID, i, g, m)
 		}
 	}
 }
 
 // spanBlockEncoder is the encoder AppendSpanBlock replaced, kept as its
 // oracle: four private buffers grown from zero, copied into the output at
-// the end. Same layout, same intern order, so the same bytes wherever map
-// iteration order cannot differ.
+// the end. Same layout, same intern order, so the same bytes.
 type spanBlockEncoder struct {
 	recs []byte
 	tags []byte
@@ -102,12 +98,12 @@ func (e *spanBlockEncoder) add(s *Span, owned bool) {
 	le.PutUint32(rec[60:], n)
 	le.PutUint32(rec[64:], e.tagN)
 	le.PutUint32(rec[68:], uint32(len(s.Tags)))
-	for k, v := range s.Tags {
+	for _, tag := range s.Tags {
 		var ent [16]byte
-		off, n = e.intern(k)
+		off, n = e.intern(tag.Key)
 		le.PutUint32(ent[0:], off)
 		le.PutUint32(ent[4:], n)
-		off, n = e.intern(v)
+		off, n = e.intern(tag.Value)
 		le.PutUint32(ent[8:], off)
 		le.PutUint32(ent[12:], n)
 		e.tags = append(e.tags, ent[:]...)
@@ -115,12 +111,12 @@ func (e *spanBlockEncoder) add(s *Span, owned bool) {
 	}
 	le.PutUint32(rec[72:], e.metN)
 	le.PutUint32(rec[76:], uint32(len(s.Metrics)))
-	for k, v := range s.Metrics {
+	for _, m := range s.Metrics {
 		var ent [16]byte
-		off, n = e.intern(k)
+		off, n = e.intern(m.Key)
 		le.PutUint32(ent[0:], off)
 		le.PutUint32(ent[4:], n)
-		le.PutUint64(ent[8:], math.Float64bits(v))
+		le.PutUint64(ent[8:], math.Float64bits(m.Value))
 		e.mets = append(e.mets, ent[:]...)
 		e.metN++
 	}
@@ -157,9 +153,8 @@ func appendSpanBlockByCopy(buf []byte, spans []*Span, owned func(i int) bool) []
 var AppendSpanBlockByCopy = appendSpanBlockByCopy
 
 // encoderBatch builds n spans over a handful of repeating names and
-// sources. With multi false every span has at most one tag and one metric,
-// so map iteration cannot reorder the intern table and two encoders must
-// agree to the byte; with multi true some spans carry several of each.
+// sources. With multi false every span has at most one tag and one metric;
+// with multi true some spans carry several of each.
 func encoderBatch(n int, seed uint64, multi bool) []*Span {
 	names := []string{"layer", "cudaLaunchKernel", "synthetic_kernel", "MemcpyHtoD", ""}
 	spans := make([]*Span, n)
@@ -188,9 +183,8 @@ func encoderBatch(n int, seed uint64, multi bool) []*Span {
 }
 
 // TestAppendSpanBlockMatchesReference holds the in-place encoder to the
-// copying one it replaced: the same bytes wherever the encoding is
-// deterministic, the same spans everywhere, and none of the ways writing
-// in place can go wrong — dirty spare capacity showing through, a pooled
+// copying one it replaced: the same bytes, the same spans, and none of the
+// ways writing in place can go wrong — dirty spare capacity showing through, a pooled
 // scratch aliased by a returned block, nil spans shifting the owned index.
 func TestAppendSpanBlockMatchesReference(t *testing.T) {
 	ownedIn := func(i int) bool { return i%3 == 1 }
@@ -205,6 +199,7 @@ func TestAppendSpanBlockMatchesReference(t *testing.T) {
 		"every field": binarySpans(),
 		"one span":    encoderBatch(1, 1, false),
 		"batch":       encoderBatch(1500, 3, false),
+		"multi-entry": encoderBatch(800, 5, true),
 		"nil spans":   withNils,
 	}
 	for name, spans := range exact {
@@ -244,17 +239,14 @@ func TestAppendSpanBlockMatchesReference(t *testing.T) {
 		t.Fatalf("decoded %d spans, encoded %d non-nil ones", len(got), at)
 	}
 
-	// Several tags or metrics on a span: map order may differ between two
-	// encodings, the decoded spans may not.
+	// Several tags and metrics on a span come back as they went in.
 	multi := encoderBatch(800, 5, true)
-	a, _, _, errA := DecodeSpanBlock(AppendSpanBlock(nil, multi, ownedIn))
-	b, _, _, errB := DecodeSpanBlock(appendSpanBlockByCopy(nil, multi, ownedIn))
-	if errA != nil || errB != nil || len(a) != len(multi) || len(b) != len(multi) {
-		t.Fatalf("multi-entry batch: decoded %d (%v) and %d (%v) of %d spans", len(a), errA, len(b), errB, len(multi))
+	a, _, _, err := DecodeSpanBlock(AppendSpanBlock(nil, multi, ownedIn))
+	if err != nil || len(a) != len(multi) {
+		t.Fatalf("multi-entry batch: decoded %d of %d spans: %v", len(a), len(multi), err)
 	}
 	for i := range multi {
 		sameSpan(t, a[i], multi[i])
-		sameSpan(t, b[i], multi[i])
 	}
 
 	// The scratch goes back to the pool: the next encoding must not reach
@@ -352,11 +344,11 @@ func TestDecodeBinaryPooledBufferDoesNotAlias(t *testing.T) {
 				Begin: s.Begin, End: s.End + 1, Level: s.Level, Kind: s.Kind,
 				Name: strings.ToUpper(s.Name), Source: strings.ToUpper(s.Source),
 			}
-			for k, v := range s.Tags {
-				c.SetTag(strings.ToUpper(k), strings.ToUpper(v))
+			for _, tag := range s.Tags {
+				c.SetTag(strings.ToUpper(tag.Key), strings.ToUpper(tag.Value))
 			}
-			for k, v := range s.Metrics {
-				c.SetMetric(strings.ToUpper(k), -v-1)
+			for _, m := range s.Metrics {
+				c.SetMetric(strings.ToUpper(m.Key), -m.Value-1)
 			}
 			out[i] = c
 		}
@@ -568,14 +560,12 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		ownedIn := func(i int) bool { return owned[i/64]&(1<<(i%64)) != 0 }
 		checkSpanBlockReads(t, blk, spans, ownedIn)
 		first := AppendSpanBlock(nil, spans, ownedIn)
-		// Again, into a reused buffer whose spare capacity is dirty: the
-		// same length always, and the same bytes unless some span's several
-		// tags or metrics may come out of their maps in another order. The
-		// dirty encoding is the one decoded below.
+		// Again, into a reused buffer whose spare capacity is dirty: the same
+		// bytes, whatever the spans carry. The dirty encoding is the one
+		// decoded below.
 		buf := AppendSpanBlock(bytes.Repeat([]byte{0xFF}, len(first)+1)[:0], spans, ownedIn)
-		ordered := !slices.ContainsFunc(spans, func(s *Span) bool { return len(s.Tags) > 1 || len(s.Metrics) > 1 })
-		if len(buf) != len(first) || (ordered && !bytes.Equal(buf, first)) {
-			t.Fatalf("encoding into a dirty buffer gave %d bytes, into a fresh one %d; equal must be %v", len(buf), len(first), ordered)
+		if !bytes.Equal(buf, first) {
+			t.Fatalf("encoding into a dirty buffer (%d bytes) differs from encoding into a fresh one (%d bytes)", len(buf), len(first))
 		}
 		spans2, owned2, rest, err := DecodeSpanBlock(buf)
 		if err != nil {
@@ -601,7 +591,9 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 // gathered in another order — here backwards, out of two copies of the block
 // alternately — decode, with the unchanged DecodeSpanBlock, to the spans,
 // order and owned bits AppendSpanBlock gives for the decoded spans in that
-// order. None of it may panic, whatever the fuzzer made of the tables.
+// order (not to the same bytes: a gather copies a record's padding and
+// unknown flag bits, which the fuzzer sets and the encoder zeroes). None of
+// it may panic, whatever the fuzzer made of the tables.
 func checkSpanBlockReads(t *testing.T, blk SpanBlock, spans []*Span, owned func(i int) bool) {
 	t.Helper()
 	if blk.Len() != len(spans) {
@@ -636,10 +628,10 @@ func checkSpanBlockReads(t *testing.T, blk SpanBlock, spans []*Span, owned func(
 }
 
 // A segment's payload is gathered out of several blocks by reference: the
-// result must be an ordinary span block — the one AppendSpanBlock would
-// encode from the decoded spans in that order, owned bits included, as far
-// as DecodeSpanBlock can tell — with the blocks' shared strings interned
-// once, not once per source.
+// result must be an ordinary span block — byte for byte the one
+// AppendSpanBlock encodes from the decoded spans in that order, owned bits
+// included, spans of several tags and metrics among them — with the blocks'
+// shared strings interned once, not once per source.
 func TestGatherSpanBlockMatchesAppend(t *testing.T) {
 	sources := [][]*Span{binarySpans(), encoderBatch(700, 3, true), nil, encoderBatch(300, 5000, false)}
 	ownedIn := func(b, i int) bool { return (b+i)%3 == 0 }
@@ -675,8 +667,95 @@ func TestGatherSpanBlockMatchesAppend(t *testing.T) {
 			t.Fatalf("gathered span %d owned=%v, want %v", i, is, pickedOwned[i])
 		}
 	}
-	if direct := AppendSpanBlock(nil, picked, func(i int) bool { return pickedOwned[i] }); len(payload) != len(direct) {
-		t.Fatalf("gathered payload is %d bytes, the spans encoded directly %d (sources %d): tables or strings came along that no record reaches", len(payload), len(direct), size)
+	if direct := AppendSpanBlock(nil, picked, func(i int) bool { return pickedOwned[i] }); !bytes.Equal(payload, direct) {
+		t.Fatalf("gathered payload (%d bytes) differs from the spans encoded directly (%d bytes, sources %d): tables or strings came along that no record reaches, or in another order", len(payload), len(direct), size)
+	}
+}
+
+// A block may carry one key twice on a span (nothing in the format forbids
+// it, and GatherSpanBlock copies what it finds): the decoded span holds both
+// entries, Tag and Metric answer the last — what a map decode kept of them —
+// the JSON view shows the key once, and a binary re-encode keeps both.
+func TestRepeatedKeyLastEntryWins(t *testing.T) {
+	in := &Span{ID: 1, Name: "volta_sgemm", Begin: 1, End: 2,
+		Tags:    []Tag{{"stream", "1"}, {"grid", "8x8"}, {"stream", "2"}},
+		Metrics: []Metric{{"bytes", 1}, {"bytes", 2}},
+	}
+	block := appendSpanBlockByCopy(nil, []*Span{in}, nil)
+	spans, _, _, err := DecodeSpanBlock(block)
+	if err != nil || len(spans) != 1 {
+		t.Fatalf("decode: %d spans, %v", len(spans), err)
+	}
+	s := spans[0]
+	sameSpan(t, s, in)
+	if s.Tag("stream") != "2" || s.Tag("grid") != "8x8" || s.Metric("bytes") != 2 {
+		t.Fatalf("stream=%q grid=%q bytes=%v: want the last entry of each key", s.Tag("stream"), s.Tag("grid"), s.Metric("bytes"))
+	}
+
+	var js bytes.Buffer
+	if err := (&Trace{Spans: spans}).EncodeJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	var view []struct {
+		Tags    map[string]string  `json:"tags"`
+		Metrics map[string]float64 `json:"metrics"`
+	}
+	if err := json.Unmarshal(js.Bytes(), &view); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(js.String(), `"stream"`); n != 1 || len(view[0].Tags) != 2 || view[0].Tags["stream"] != "2" || len(view[0].Metrics) != 1 || view[0].Metrics["bytes"] != 2 {
+		t.Fatalf("JSON view: %q written %d times, tags %v, metrics %v", "stream", n, view[0].Tags, view[0].Metrics)
+	}
+
+	if again := AppendSpanBlock(nil, spans, nil); !bytes.Equal(again, block) {
+		t.Fatalf("re-encode of the decoded span (%d bytes) differs from the block (%d bytes)", len(again), len(block))
+	}
+
+	// SetTag writes the entry Tag reads, and adds none.
+	s.SetTag("stream", "3")
+	s.SetMetric("bytes", 3)
+	if want := []Tag{{"stream", "1"}, {"grid", "8x8"}, {"stream", "3"}}; !slices.Equal(s.Tags, want) || !slices.Equal(s.Metrics, []Metric{{"bytes", 1}, {"bytes", 3}}) {
+		t.Fatalf("after overwriting: tags %v, metrics %v", s.Tags, s.Metrics)
+	}
+}
+
+// Decoded spans carve their tags and metrics out of arenas the whole batch
+// shares, and a clone starts from its original's: writing one span's — an
+// overwrite in place, an append that must not spill into the neighbour's
+// entries — leaves every other span of the batch, and the original of a
+// clone, as decoded.
+func TestDecodedAttributesDoNotAlias(t *testing.T) {
+	batch := encoderBatch(64, 8, true)
+	block := AppendSpanBlock(nil, batch, nil)
+	spans, _, _, err := DecodeSpanBlock(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(s *Span) {
+		s.SetTag("layer_index", "overwritten")
+		s.SetTag("added", "tag")
+		s.SetMetric("bytes", -1)
+		s.SetMetric("added", 1)
+	}
+	for i, s := range spans {
+		if cap(s.Tags) != len(s.Tags) || cap(s.Metrics) != len(s.Metrics) {
+			t.Fatalf("span %d: %d tags in room for %d, %d metrics in room for %d: an append would write into the arena", i, len(s.Tags), cap(s.Tags), len(s.Metrics), cap(s.Metrics))
+		}
+		if (s.Tags == nil) != (len(batch[i].Tags) == 0) || (s.Metrics == nil) != (len(batch[i].Metrics) == 0) {
+			t.Fatalf("span %d: tags %v, metrics %v: want nil exactly when the span has none", i, s.Tags, s.Metrics)
+		}
+		c := s.Clone()
+		write(c)
+		sameSpan(t, s, batch[i])
+	}
+	for i, s := range spans {
+		write(s)
+		if s.Tag("added") != "tag" || s.Metric("added") != 1 || s.Metric("bytes") != -1 {
+			t.Fatalf("span %d: the writes did not take: %v %v", i, s.Tags, s.Metrics)
+		}
+		for j := i + 1; j < len(spans); j++ {
+			sameSpan(t, spans[j], batch[j])
+		}
 	}
 }
 
