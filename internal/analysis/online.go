@@ -42,6 +42,13 @@ import (
 // entries each (evictions are counted and surfaced; an evicted unpaired
 // entry can only under-count gaps for launches arriving later than
 // MaxPending kernels out of order, far beyond any real device queue).
+// Launch ends sit in a trace.CorrTable — a direct-mapped slot array indexed
+// by correlation id, which spills colliding ids to a map only while under a
+// quarter full — with their FIFO a ring of MaxPending ids: 16-byte slots, one
+// to two a live launch on counter-assigned ids, plus 8 bytes of ring, and no
+// hash map touched by a launch or exec that pairs in order. Execs waiting for
+// their launch (the rare path) stay in a map, their FIFO compacted past
+// twice the waiting count plus 64, so pairing late does not grow it either.
 type Online struct {
 	mu   sync.Mutex
 	opts OnlineOptions
@@ -54,10 +61,12 @@ type Online struct {
 
 	// Launch gaps: correlation id -> launch end (last launch wins, like
 	// the batch scan) and execs still waiting for their launch.
-	launchEnd       map[uint64]vclock.Time
-	launchQ         []uint64
+	launchEnd       trace.CorrTable[vclock.Time]
+	launchQ         []uint64 // launchEnd's ids, a ring in first-insertion order once MaxPending long
+	launchHead      int      // launchQ's oldest id
 	pendExec        map[uint64][]pendingGapExec
-	pendQ           []uint64
+	pendQ           []pendRef // waiting execs in arrival order, paired ones until compacted
+	pendSeq         uint64
 	pendN           int
 	evictedLaunches int64
 	evictedExecs    int64
@@ -71,8 +80,9 @@ type Online struct {
 	dirOrder []string
 	sweep    overlapSweep
 
-	// Roofline: log2(intensity) buckets over kernel executions.
-	buckets     map[int]*RooflineBucket
+	// Roofline: log2(intensity) buckets over kernel executions, indexed by
+	// key - rooflineZeroKey (nil until a kernel lands in one).
+	buckets     [rooflineMaxExp - rooflineZeroKey + 1]*RooflineBucket
 	kernels     int64
 	kernLatMS   float64
 	kernGflops  float64
@@ -124,9 +134,15 @@ type onlineLayer struct {
 }
 
 type pendingGapExec struct {
+	seq   uint64 // arrival number: a pendRef names the exec by it
 	begin vclock.Time
 	name  string
 }
+
+// pendRef is an exec's place in the pending FIFO. It is stale once the exec
+// paired or was evicted: an id's waiting execs are always its latest
+// arrivals, and leave all at once (a launch) or oldest first (eviction).
+type pendRef struct{ corr, seq uint64 }
 
 type onlineDir struct {
 	count int64
@@ -146,8 +162,8 @@ func (e *Online) reset() {
 	e.spans = 0
 	e.layers = make(map[layerKey]*onlineLayer)
 	e.layerOrder = nil
-	e.launchEnd = make(map[uint64]vclock.Time)
-	e.launchQ = nil
+	e.launchEnd = trace.CorrTable[vclock.Time]{}
+	e.launchQ, e.launchHead = nil, 0
 	e.pendExec = make(map[uint64][]pendingGapExec)
 	e.pendQ = nil
 	e.pendN = 0
@@ -159,7 +175,7 @@ func (e *Online) reset() {
 	e.dirs = make(map[string]*onlineDir)
 	e.dirOrder = nil
 	e.sweep = overlapSweep{}
-	e.buckets = make(map[int]*RooflineBucket)
+	e.buckets = [rooflineMaxExp - rooflineZeroKey + 1]*RooflineBucket{}
 	e.kernels, e.kernLatMS, e.kernGflops = 0, 0, 0
 	e.memBound, e.memBoundLat = 0, 0
 }
@@ -198,9 +214,10 @@ func (e *Online) ObserveSpan(s *trace.Span) {
 // under one acquisition of the engine's lock: the stream correlator, which
 // calls under its own mutex, hands over what a drain released rather than
 // lock per span. A span is cheap to fold — its attributes are a handful of
-// flat pairs read by a short scan, the aggregates a probe of a model-sized
-// table and O(1) accumulator updates, no allocation at steady state
-// (BenchmarkOnlineAnalysis pins both arms). run is read, not kept.
+// flat pairs read by a short scan, a layer or roofline aggregate a probe of a
+// map of model-sized or fixed range, a launch or exec one slot of the
+// correlation-id table, the rest O(1) accumulator updates, no allocation at
+// steady state (BenchmarkOnlineAnalysis pins its arms). run is read, not kept.
 func (e *Online) ObserveSpans(run []*trace.Span) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -256,16 +273,21 @@ func (e *Online) observeLayer(s *trace.Span) {
 
 func (e *Online) observeLaunch(s *trace.Span) {
 	corr := s.CorrelationID
-	if _, seen := e.launchEnd[corr]; !seen {
-		e.launchQ = append(e.launchQ, corr)
-		if len(e.launchQ) > e.opts.MaxPending {
-			old := e.launchQ[0]
-			e.launchQ = e.launchQ[1:]
-			delete(e.launchEnd, old)
+	if _, seen := e.launchEnd.Get(corr); !seen {
+		if len(e.launchQ) < e.opts.MaxPending {
+			e.launchQ = append(e.launchQ, corr)
+		} else {
+			// The ring is full: the oldest launch gives up its place and its entry.
+			e.launchEnd.Delete(e.launchQ[e.launchHead])
 			e.evictedLaunches++
+			e.launchQ[e.launchHead] = corr
+			e.launchHead = (e.launchHead + 1) % len(e.launchQ)
 		}
 	}
-	e.launchEnd[corr] = s.End // duplicates: the later launch wins, like batch
+	e.launchEnd.Put(corr, s.End) // duplicates: the later launch wins, like batch
+	if len(e.pendExec) == 0 {
+		return
+	}
 	if waiting, ok := e.pendExec[corr]; ok {
 		delete(e.pendExec, corr)
 		e.pendN -= len(waiting)
@@ -282,10 +304,10 @@ func (e *Online) observeKernelExec(s *trace.Span) {
 	ai := ArithmeticIntensity(flops, s.Metric("dram_read_bytes"), s.Metric("dram_write_bytes"))
 	lat := ms(s.Duration())
 	key := rooflineBucketKey(ai)
-	b, ok := e.buckets[key]
-	if !ok {
+	b := e.buckets[key-rooflineZeroKey]
+	if b == nil {
 		b = newRooflineBucket(key)
-		e.buckets[key] = b
+		e.buckets[key-rooflineZeroKey] = b
 	}
 	b.Count++
 	b.LatencyMS += lat
@@ -310,33 +332,51 @@ func (e *Online) observeKernelExec(s *trace.Span) {
 	if corr == 0 {
 		return
 	}
-	if end, ok := e.launchEnd[corr]; ok {
+	if end, ok := e.launchEnd.Get(corr); ok {
 		e.recordGap(s.Name, s.Begin, end)
 		return
 	}
-	e.pendExec[corr] = append(e.pendExec[corr], pendingGapExec{begin: s.Begin, name: s.Name})
-	e.pendQ = append(e.pendQ, corr)
+	e.pendSeq++
+	e.pendExec[corr] = append(e.pendExec[corr], pendingGapExec{seq: e.pendSeq, begin: s.Begin, name: s.Name})
+	e.pendQ = append(e.pendQ, pendRef{corr: corr, seq: e.pendSeq})
 	e.pendN++
 	if e.pendN > e.opts.MaxPending {
-		// FIFO-evict the oldest waiting exec. The queue may hold corr ids
-		// whose entries already paired; skip those.
+		// FIFO-evict the oldest waiting exec, skipping refs to execs that
+		// already paired.
 		for len(e.pendQ) > 0 {
-			old := e.pendQ[0]
+			r := e.pendQ[0]
 			e.pendQ = e.pendQ[1:]
-			waiting, ok := e.pendExec[old]
-			if !ok {
+			if !e.pendLive(r) {
 				continue
 			}
-			if len(waiting) == 1 {
-				delete(e.pendExec, old)
+			if waiting := e.pendExec[r.corr]; len(waiting) == 1 {
+				delete(e.pendExec, r.corr)
 			} else {
-				e.pendExec[old] = waiting[1:]
+				e.pendExec[r.corr] = waiting[1:]
 			}
 			e.pendN--
 			e.evictedExecs++
 			break
 		}
 	}
+	if len(e.pendQ) > 2*e.pendN+64 {
+		// Execs that paired with a late launch left their refs behind:
+		// drop them, so the FIFO is bounded by what waits, not by what
+		// ever waited.
+		live := e.pendQ[:0]
+		for _, r := range e.pendQ {
+			if e.pendLive(r) {
+				live = append(live, r)
+			}
+		}
+		e.pendQ = live
+	}
+}
+
+// pendLive reports whether r's exec still waits for its launch.
+func (e *Online) pendLive(r pendRef) bool {
+	waiting := e.pendExec[r.corr]
+	return len(waiting) > 0 && r.seq >= waiting[0].seq
 }
 
 func (e *Online) recordGap(name string, execBegin, launchEnd vclock.Time) {
@@ -536,7 +576,7 @@ func (e *Online) launchGapsSnapshotLocked() OnlineLaunchGapsSnapshot {
 		P95MS:           e.gapSketch.Quantile(0.95),
 		P99MS:           e.gapSketch.Quantile(0.99),
 		PendingExecs:    e.pendN,
-		PendingLaunches: len(e.launchEnd),
+		PendingLaunches: e.launchEnd.Len(),
 		EvictedExecs:    e.evictedExecs,
 		EvictedLaunches: e.evictedLaunches,
 	}
@@ -593,15 +633,12 @@ func (e *Online) rooflineSnapshotLocked() OnlineRooflineSnapshot {
 		ComputeBound:         e.kernels - e.memBound,
 		MemoryBoundLatencyMS: e.memBoundLat,
 		IdealIntensity:       e.idealAI,
-		Buckets:              make([]RooflineBucket, 0, len(e.buckets)),
+		Buckets:              []RooflineBucket{}, // [] on the wire before the first kernel, not null
 	}
-	keys := make([]int, 0, len(e.buckets))
-	for k := range e.buckets {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		snap.Buckets = append(snap.Buckets, *e.buckets[k])
+	for _, b := range e.buckets {
+		if b != nil {
+			snap.Buckets = append(snap.Buckets, *b)
+		}
 	}
 	return snap
 }

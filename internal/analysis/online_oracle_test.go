@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -234,59 +235,108 @@ func onlineOracleBody(t *testing.T, spans uint16, streams uint8, dropLaunches bo
 	}
 	st := int(streams)%4 + 1
 
-	batches := workload.StreamingArrivals(workload.StreamingSpec{
-		Trace: workload.SyntheticSpec{
-			Spans:           n,
-			Streams:         st,
-			DropLaunches:    dropLaunches,
-			LayerTypes:      onlineLayerTypes,
-			KernelMetrics:   true,
-			MemcpysPerLayer: 2,
-			Seed:            seed,
-		},
-		BatchSize:       bs,
-		ReorderSkew:     vclock.Duration(skew % 128),
-		StragglerWindow: vclock.Duration(stragglerWin % 128),
-		Seed:            seed + 1,
-	})
-	opts := core.StreamOptions{
-		ReorderWindow: vclock.Duration(window % 128),
-		Retain:        vclock.Duration(retain % 512),
-	}
-	restart := -1
-	if durable {
-		restart = int(restartAt) % (len(batches) + 1)
-	}
-	checkpointAt := -1
-	if opts.Retain > 0 {
-		checkpointAt = len(batches) / 2
-	}
-	eng, tr := runOnlineStream(t, batches, opts, restart, checkpointAt)
-	assertOnlineEqualsBatch(t, eng, tr)
+	for _, remap := range corrRemaps(seed) {
+		t.Logf("correlation ids: %s", remap.name)
+		batches := workload.StreamingArrivals(workload.StreamingSpec{
+			Trace: workload.SyntheticSpec{
+				Spans:           n,
+				Streams:         st,
+				DropLaunches:    dropLaunches,
+				LayerTypes:      onlineLayerTypes,
+				KernelMetrics:   true,
+				MemcpysPerLayer: 2,
+				Seed:            seed,
+			},
+			BatchSize:       bs,
+			ReorderSkew:     vclock.Duration(skew % 128),
+			StragglerWindow: vclock.Duration(stragglerWin % 128),
+			Seed:            seed + 1,
+		})
+		remap.apply(batches)
+		opts := core.StreamOptions{
+			ReorderWindow: vclock.Duration(window % 128),
+			Retain:        vclock.Duration(retain % 512),
+		}
+		restart := -1
+		if durable {
+			restart = int(restartAt) % (len(batches) + 1)
+		}
+		checkpointAt := -1
+		if opts.Retain > 0 {
+			checkpointAt = len(batches) / 2
+		}
+		eng, tr := runOnlineStream(t, batches, opts, restart, checkpointAt)
+		assertOnlineEqualsBatch(t, eng, tr)
 
-	// The engine above was handed runs, as the correlator cut them. Whatever
-	// the cut, a run is its spans one after the other: the same spans in runs
-	// of random length leave an engine in the state, to the bit, that span by
-	// span delivery leaves.
-	bySpan, byRun := NewOnline(OnlineOptions{Spec: gpu.TeslaV100}), NewOnline(OnlineOptions{Spec: gpu.TeslaV100})
-	rng := rand.New(rand.NewSource(seed))
-	for rest := tr.Spans; len(rest) > 0; {
-		run := rest[:1+rng.Intn(min(len(rest), 2*bs))]
-		rest = rest[len(run):]
-		byRun.ObserveSpans(run)
-		for _, s := range run {
-			bySpan.ObserveSpan(s)
+		// The engine above was handed runs, as the correlator cut them. Whatever
+		// the cut, a run is its spans one after the other: the same spans in runs
+		// of random length leave an engine in the state, to the bit, that span by
+		// span delivery leaves.
+		bySpan, byRun := NewOnline(OnlineOptions{Spec: gpu.TeslaV100}), NewOnline(OnlineOptions{Spec: gpu.TeslaV100})
+		rng := rand.New(rand.NewSource(seed))
+		for rest := tr.Spans; len(rest) > 0; {
+			run := rest[:1+rng.Intn(min(len(rest), 2*bs))]
+			rest = rest[len(run):]
+			byRun.ObserveSpans(run)
+			for _, s := range run {
+				bySpan.ObserveSpan(s)
+			}
+		}
+		if want, got := bySpan.Snapshot(), byRun.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ObserveSpans over random runs: snapshot %+v, span by span %+v", got, want)
 		}
 	}
-	if want, got := bySpan.Snapshot(), byRun.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ObserveSpans over random runs: snapshot %+v, span by span %+v", got, want)
+}
+
+// corrRemap is an injective rewrite of a stream's correlation ids, applied
+// before the stream is fed, so the engine and the batch analyses of the
+// correlator's trace see the same rewritten ids. (FuzzStreamVsBatch's package
+// holds the same rewrites for the correlator's own oracle.)
+type corrRemap struct {
+	name string
+	id   func(corr uint64) uint64 // nil: the ids as generated
+}
+
+// corrRemaps returns the rewrites every oracle input runs under: the
+// generator's dense ids; a seed-chosen stride c<<20, which puts every id on
+// one slot of any correlation table under 2^20 slots and so drives its spill
+// and its growth; and random 64-bit ids.
+func corrRemaps(seed int64) []corrRemap {
+	rng := rand.New(rand.NewSource(seed))
+	c := uint64(1 + rng.Intn(255))
+	random, used := make(map[uint64]uint64), make(map[uint64]bool)
+	return []corrRemap{
+		{name: "dense"},
+		{name: fmt.Sprintf("stride %d<<20", c), id: func(corr uint64) uint64 { return corr * c << 20 }},
+		{name: "random", id: func(corr uint64) uint64 {
+			for random[corr] == 0 {
+				if r := rng.Uint64(); r != 0 && !used[r] {
+					random[corr], used[r] = r, true
+				}
+			}
+			return random[corr]
+		}},
+	}
+}
+
+func (m corrRemap) apply(batches [][]*trace.Span) {
+	if m.id == nil {
+		return
+	}
+	for _, b := range batches {
+		for _, s := range b {
+			if s.CorrelationID != 0 {
+				s.CorrelationID = m.id(s.CorrelationID)
+			}
+		}
 	}
 }
 
 // FuzzOnlineVsBatch drives the oracle across arrival disorder,
 // stragglers, pipelined overlap, checkpoint folds, and mid-stream durable
 // restarts — the same dimensions FuzzStreamVsBatch proves parent
-// equivalence over.
+// equivalence over — each input under every corrRemaps rewrite of its
+// correlation ids, so the launch table's spill and growth run through it.
 func FuzzOnlineVsBatch(f *testing.F) {
 	// spans, streams, dropLaunches, batchSize, skew, window, stragglerWin, retain, seed, durable, restartAt
 	f.Add(uint16(2_000), uint8(0), false, uint16(128), uint16(0), uint16(0), uint16(0), uint16(0), int64(1), false, uint16(0))

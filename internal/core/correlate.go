@@ -251,90 +251,6 @@ func (ls *levelStacks) parent(levels []trace.Level, s *trace.Span) *trace.Span {
 	return nil
 }
 
-// corrTable maps correlation id -> launch parent span id. Correlation ids
-// come from per-process counters (CUPTI's correlation_id; internal/cuda
-// mirrors it), so they are almost always a dense range: a flat array then
-// beats a map by a wide margin. Sparse id sets fall back to a map. A zero
-// parent means "unresolved", which readers treat the same as absent.
-type corrTable struct {
-	min    uint64
-	dense  []uint64
-	sparse map[uint64]uint64
-}
-
-// newSparseCorrTable returns a map-backed corrTable for callers that
-// cannot pre-scan the launch set — the stream correlator, whose launches
-// arrive one at a time.
-func newSparseCorrTable() *corrTable {
-	return &corrTable{sparse: make(map[uint64]uint64)}
-}
-
-func newCorrTable(launches []*trace.Span) *corrTable {
-	ct := &corrTable{}
-	var lo, hi uint64
-	n := 0
-	for _, s := range launches {
-		if s.CorrelationID == 0 {
-			continue
-		}
-		if n == 0 || s.CorrelationID < lo {
-			lo = s.CorrelationID
-		}
-		if s.CorrelationID > hi {
-			hi = s.CorrelationID
-		}
-		n++
-	}
-	if n == 0 {
-		return ct
-	}
-	if span := hi - lo + 1; span <= uint64(4*n+64) {
-		ct.min = lo
-		ct.dense = make([]uint64, span)
-	} else {
-		ct.sparse = make(map[uint64]uint64, n)
-	}
-	return ct
-}
-
-func (ct *corrTable) set(corr, parent uint64) {
-	if ct.dense != nil {
-		ct.dense[corr-ct.min] = parent
-		return
-	}
-	if ct.sparse != nil {
-		ct.sparse[corr] = parent
-	}
-}
-
-func (ct *corrTable) get(corr uint64) uint64 {
-	if ct.dense != nil {
-		if i := corr - ct.min; i < uint64(len(ct.dense)) {
-			return ct.dense[i]
-		}
-		return 0
-	}
-	return ct.sparse[corr] // nil map reads as 0
-}
-
-// delete removes an entry, releasing its memory on the sparse (streaming)
-// form — the CorrRetain eviction path. The dense form only zeroes the
-// slot; its backing array is sized by the batch pre-scan and lives for one
-// correlation anyway.
-func (ct *corrTable) delete(corr uint64) {
-	if ct.dense != nil {
-		if i := corr - ct.min; i < uint64(len(ct.dense)) {
-			ct.dense[i] = 0
-		}
-		return
-	}
-	delete(ct.sparse, corr)
-}
-
-// len reports the number of live entries on the sparse (streaming) form;
-// the dense batch form is transient and never inspected for size.
-func (ct *corrTable) len() int { return len(ct.sparse) }
-
 func correlateSweep(tr *trace.Trace, levels []trace.Level, events []*trace.Span) {
 	top := levels[0]
 
@@ -360,11 +276,10 @@ func correlateSweep(tr *trace.Trace, levels []trace.Level, events []*trace.Span)
 		stacks.push(s)
 	}
 
-	launchParent := newCorrTable(pass1Launches)
+	var launchParent trace.CorrTable[uint64] // correlation id -> parent span id (Put refuses id 0)
+	launchParent.Grow(len(pass1Launches))
 	for _, s := range pass1Launches {
-		if s.CorrelationID != 0 {
-			launchParent.set(s.CorrelationID, s.ParentID)
-		}
+		launchParent.Put(s.CorrelationID, s.ParentID)
 	}
 
 	// Second pass: execution spans inherit the launch span's parent via
@@ -376,7 +291,7 @@ func correlateSweep(tr *trace.Trace, levels []trace.Level, events []*trace.Span)
 		if s.ParentID != 0 || s.Kind != trace.KindExec {
 			continue
 		}
-		if pid := launchParent.get(s.CorrelationID); pid != 0 {
+		if pid, _ := launchParent.Get(s.CorrelationID); pid != 0 {
 			s.ParentID = pid
 			continue
 		}
@@ -526,13 +441,14 @@ func correlateTree(tr *trace.Trace, levels []trace.Level) {
 		pass1 = append(pass1, s)
 	}
 	parents := treeParents(levels, tree, pass1)
-	launchParent := make(map[uint64]uint64) // correlation id -> parent span id
+	var launchParent trace.CorrTable[uint64] // correlation id -> parent span id (Put refuses id 0)
+	launchParent.Grow(len(pass1))
 	for i, s := range pass1 {
 		if parents[i] != 0 {
 			s.ParentID = parents[i]
 		}
-		if s.Kind == trace.KindLaunch && s.CorrelationID != 0 {
-			launchParent[s.CorrelationID] = s.ParentID
+		if s.Kind == trace.KindLaunch {
+			launchParent.Put(s.CorrelationID, s.ParentID)
 		}
 	}
 
@@ -544,7 +460,7 @@ func correlateTree(tr *trace.Trace, levels []trace.Level) {
 		if s.ParentID != 0 || s.Kind != trace.KindExec {
 			continue
 		}
-		if pid, ok := launchParent[s.CorrelationID]; ok && pid != 0 {
+		if pid, _ := launchParent.Get(s.CorrelationID); pid != 0 {
 			s.ParentID = pid
 			continue
 		}

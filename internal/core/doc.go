@@ -67,6 +67,16 @@
 // live spans and no table of execution spans by correlation id to keep in
 // step with them.
 //
+// The launch/exec join itself — a resolved launch's parent, found by each of
+// its execs through the correlation id — is a trace.CorrTable, the same type
+// the batch Correlate fills: a power-of-two array of {id, entry} slots indexed
+// by the id's low bits, which holds the dense or strided id windows tracers
+// assign with no hash and no collision, and spills a colliding id to a map
+// only while under a quarter full. A resolved launch costs one slot write
+// (its parent and, under CorrRetain, the watermark the eviction sweep checks,
+// in one entry), an exec one slot read, an eviction one slot check; the
+// pending-exec table, which in-order traffic leaves empty, is not probed.
+//
 // For always-on servers, [StreamCorrelator.Checkpoint] (and
 // StreamOptions.Retain for the automatic form) folds finalized history —
 // spans the sweep has passed by more than ReorderWindow+Retain, with no

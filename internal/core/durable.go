@@ -145,11 +145,11 @@ func (sc *StreamCorrelator) snapshotLocked() segio.Snapshot {
 		}
 	}
 	snap := segio.Snapshot{Live: live, Owned: owned}
-	sc.corr.each(func(corr, parent uint64) {
-		if parent == 0 {
+	sc.corr.Each(func(corr uint64, e corrEntry) {
+		if e.parent == 0 {
 			return // absent and zero-parent entries are indistinguishable to every reader
 		}
-		snap.Corr = append(snap.Corr, segio.CorrEntry{Corr: corr, Parent: parent, At: sc.corrAt[corr]})
+		snap.Corr = append(snap.Corr, segio.CorrEntry{Corr: corr, Parent: e.parent, At: e.at})
 	})
 	slices.SortFunc(snap.Corr, func(a, b segio.CorrEntry) int {
 		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Corr, b.Corr))
@@ -170,21 +170,6 @@ func (sc *StreamCorrelator) releaseFloor() *trace.Span {
 		f = sc.lastReleased
 	}
 	return f
-}
-
-// each visits every correlation-table entry.
-func (ct *corrTable) each(fn func(corr, parent uint64)) {
-	if ct.dense != nil {
-		for i, p := range ct.dense {
-			if p != 0 {
-				fn(ct.min+uint64(i), p)
-			}
-		}
-		return
-	}
-	for c, p := range ct.sparse {
-		fn(c, p)
-	}
 }
 
 // RecoverStream rebuilds a StreamCorrelator from what segio.Open
@@ -225,7 +210,6 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 	var walSeen map[uint64]bool
 
 	seen := make(map[uint64]bool)
-	segCorr := make(map[uint64]uint64)
 	var tip trace.Span // the folded span latest in sweep order, a compare key (ID 0: none yet)
 	for _, seg := range rec.Segments {
 		var covered []int
@@ -270,13 +254,9 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 				// a live exec replaying later would degrade to containment.
 				// Only for a launch the resolver parented: a tracer-parented
 				// one never sets an entry in a live process either.
-				segCorr[corr] = parent
+				sc.setCorr(corr, parent, 0)
 			}
 		})
-	}
-	for corr, parent := range segCorr {
-		sc.corr.set(corr, parent)
-		sc.noteCorrSet(corr, 0)
 	}
 
 	snap := rec.Snapshot
@@ -285,13 +265,12 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 			if c.Parent == 0 {
 				continue
 			}
-			if _, ok := segCorr[c.Corr]; ok {
+			if _, ok := sc.corr.Get(c.Corr); ok {
 				// Segments are at least as new as the snapshot for any
 				// launch they hold: keep the segment-derived entry.
 				continue
 			}
-			sc.corr.set(c.Corr, c.Parent)
-			sc.noteCorrSet(c.Corr, c.At)
+			sc.setCorr(c.Corr, c.Parent, c.At)
 		}
 	}
 

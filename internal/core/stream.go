@@ -273,9 +273,15 @@ type streamState struct {
 	lastReleased *trace.Span // last span handed to the resolver, in sweep order
 	released     int
 
-	stacks  levelStacks
-	levels  []trace.Level // sorted distinct levels seen
-	corr    *corrTable    // correlation id -> resolved launch parent; survives checkpoints
+	stacks levelStacks
+	levels []trace.Level // sorted distinct levels seen
+	// corr maps a resolved launch's correlation id to its parent (and, under
+	// CorrRetain, the watermark it was set at): one direct-mapped table
+	// (trace.CorrTable) of 24-byte slots, one to two a live entry on the
+	// counter-assigned ids tracers send, spilling to a map only ids that collide
+	// while it is under a quarter full. It survives checkpoints. pending is
+	// the rare path — an exec that arrived before its launch — and stays a map.
+	corr    trace.CorrTable[corrEntry]
 	pending map[uint64][]pendingExec
 
 	degraded    bool
@@ -289,9 +295,8 @@ type streamState struct {
 	stragglersSeen int
 	repaired       int // spans re-correlated by straggler repair, cumulative
 
-	corrLog     []corrRecord           // resolved launches in watermark order, for CorrRetain eviction
-	corrAt      map[uint64]vclock.Time // correlation id -> watermark at its last set (CorrRetain only)
-	corrSweep   vclock.Time            // watermark at the last CorrRetain eviction sweep
+	corrLog     []corrRecord // resolved launches in watermark order, for CorrRetain eviction
+	corrSweep   vclock.Time  // watermark at the last CorrRetain eviction sweep
 	corrEvicted int
 
 	hist      history // immutable finalized history: the checkpoint ladder
@@ -302,6 +307,14 @@ type streamState struct {
 
 	floor    *trace.Span // release floor recovered from a previous process (synthetic compare key)
 	walSpans int         // spans the WAL holds, live or since folded: its snapshot's tail plus every batch logged after it
+}
+
+// corrEntry is a resolved launch's correlation-table entry: its parent (0:
+// the launch found none, which every reader treats as absent) and, under
+// CorrRetain, the watermark at its last set — the key its corrRecords match.
+type corrEntry struct {
+	parent uint64
+	at     vclock.Time
 }
 
 // corrRecord remembers when (in watermark time) a correlation-id entry was
@@ -344,7 +357,6 @@ func NewStreamCorrelator(opts StreamOptions) *StreamCorrelator {
 func newStreamState() streamState {
 	return streamState{
 		parented: make(map[*trace.Span]bool),
-		corr:     newSparseCorrTable(),
 		pending:  make(map[uint64][]pendingExec),
 	}
 }
@@ -457,9 +469,8 @@ func (sc *StreamCorrelator) evictCorr() {
 		// A record is authoritative only if the entry was not re-set since
 		// (a straggler repair refreshes launches it touches): a superseded
 		// record neither evicts nor counts — the newer record will.
-		if at, ok := sc.corrAt[rec.corr]; ok && at == rec.at {
-			sc.corr.delete(rec.corr)
-			delete(sc.corrAt, rec.corr)
+		if e, ok := sc.corr.Get(rec.corr); ok && e.at == rec.at {
+			sc.corr.Delete(rec.corr)
 			sc.corrEvicted++
 		}
 	}
@@ -485,19 +496,24 @@ func (sc *StreamCorrelator) evictCorr() {
 	}
 }
 
-// noteCorrSet records a correlation-id entry, set at watermark at, in the
-// retention log, so the CorrRetain sweep can age it out; re-setting an entry
-// (straggler repair) supersedes its earlier records. A no-op unless
-// CorrRetain is set.
-func (sc *StreamCorrelator) noteCorrSet(corr uint64, at vclock.Time) {
-	if sc.opts.CorrRetain <= 0 {
-		return
+// setCorr records a launch's resolved parent under its correlation id, set
+// at watermark at. Under CorrRetain the entry keeps at and is logged for the
+// sweep that ages it out — re-setting an entry (straggler repair) supersedes
+// its earlier records; without it at is dropped, so an entry is its parent.
+func (sc *StreamCorrelator) setCorr(corr, parent uint64, at vclock.Time) {
+	if sc.opts.CorrRetain > 0 {
+		sc.corrLog = append(sc.corrLog, corrRecord{corr: corr, at: at})
+	} else {
+		at = 0
 	}
-	if sc.corrAt == nil {
-		sc.corrAt = make(map[uint64]vclock.Time)
-	}
-	sc.corrLog = append(sc.corrLog, corrRecord{corr: corr, at: at})
-	sc.corrAt[corr] = at
+	sc.corr.Put(corr, corrEntry{parent: parent, at: at})
+}
+
+// corrParent is the parent a launch resolved to under corr: 0 when it found
+// none, or no launch with corr has resolved.
+func (sc *StreamCorrelator) corrParent(corr uint64) uint64 {
+	e, _ := sc.corr.Get(corr)
+	return e.parent
 }
 
 // drain releases buffered spans whose begin the watermark has passed, in
@@ -606,8 +622,7 @@ func (sc *StreamCorrelator) resolve(s *trace.Span) {
 				s.ParentID = p.ID
 			}
 			if s.Kind == trace.KindLaunch && s.CorrelationID != 0 {
-				sc.corr.set(s.CorrelationID, s.ParentID)
-				sc.noteCorrSet(s.CorrelationID, sc.maxBegin)
+				sc.setCorr(s.CorrelationID, s.ParentID, sc.maxBegin)
 				sc.launchResolved(s.CorrelationID, s.ParentID)
 			}
 		} else {
@@ -628,11 +643,9 @@ func (sc *StreamCorrelator) resolve(s *trace.Span) {
 // waits in the pending table with its containment fallback (computed now,
 // while the stacks hold this position) for the launch — or Flush.
 func (sc *StreamCorrelator) resolveExec(s *trace.Span, containment func() uint64) {
-	if s.CorrelationID != 0 {
-		if pid := sc.corr.get(s.CorrelationID); pid != 0 {
-			s.ParentID = pid
-			return
-		}
+	if pid := sc.corrParent(s.CorrelationID); pid != 0 {
+		s.ParentID = pid
+		return
 	}
 	c := containment()
 	if s.CorrelationID == 0 {
@@ -649,8 +662,12 @@ func (sc *StreamCorrelator) resolveExec(s *trace.Span, containment func() uint64
 // launchResolved resolves the execution spans waiting on a launch the
 // moment the launch's own parent is known: they inherit it, or take their
 // stored containment fallback when the launch found none — matching the
-// batch second pass.
+// batch second pass. In-order traffic has nothing pending, and the table is
+// not probed.
 func (sc *StreamCorrelator) launchResolved(corr, parent uint64) {
+	if len(sc.pending) == 0 {
+		return
+	}
 	waiting := sc.pending[corr]
 	if len(waiting) == 0 {
 		return
@@ -722,8 +739,7 @@ func (sc *StreamCorrelator) closeWindow() {
 	for i, s := range p1 {
 		s.ParentID = parents[i]
 		if s.Kind == trace.KindLaunch && s.CorrelationID != 0 {
-			sc.corr.set(s.CorrelationID, s.ParentID)
-			sc.noteCorrSet(s.CorrelationID, sc.maxBegin)
+			sc.setCorr(s.CorrelationID, s.ParentID, sc.maxBegin)
 			sc.launchResolved(s.CorrelationID, s.ParentID)
 		}
 	}
@@ -737,11 +753,9 @@ func (sc *StreamCorrelator) closeWindow() {
 		if s.ParentID != 0 || s.Kind != trace.KindExec {
 			continue
 		}
-		if s.CorrelationID != 0 {
-			if pid := sc.corr.get(s.CorrelationID); pid != 0 {
-				s.ParentID = pid
-				continue
-			}
+		if pid := sc.corrParent(s.CorrelationID); pid != 0 {
+			s.ParentID = pid
+			continue
 		}
 		p2 = append(p2, s)
 	}
@@ -924,9 +938,8 @@ func (sc *StreamCorrelator) repair() {
 		for i, s := range pass1 {
 			s.ParentID = parents[i]
 			if s.Kind == trace.KindLaunch && s.CorrelationID != 0 {
-				old := sc.corr.get(s.CorrelationID)
-				sc.corr.set(s.CorrelationID, s.ParentID)
-				sc.noteCorrSet(s.CorrelationID, sc.maxBegin)
+				old := sc.corrParent(s.CorrelationID)
+				sc.setCorr(s.CorrelationID, s.ParentID, sc.maxBegin)
 				if old != s.ParentID {
 					// Changed — or newly resolved: a straggler launch whose
 					// exec a previous Flush finalized by containment must
@@ -960,7 +973,7 @@ func (sc *StreamCorrelator) repair() {
 				continue
 			}
 			if s.CorrelationID != 0 {
-				if pid := sc.corr.get(s.CorrelationID); pid != 0 {
+				if pid := sc.corrParent(s.CorrelationID); pid != 0 {
 					s.ParentID = pid
 					continue
 				}
@@ -984,7 +997,7 @@ func (sc *StreamCorrelator) repair() {
 	// A straggler launch resolves the execs that were pending on its
 	// correlation id, wherever they sit in the stream.
 	for corr, waiting := range sc.pending {
-		if pid := sc.corr.get(corr); pid != 0 {
+		if pid := sc.corrParent(corr); pid != 0 {
 			delete(sc.pending, corr)
 			for _, p := range waiting {
 				p.settle(pid)
@@ -1299,7 +1312,7 @@ func (sc *StreamCorrelator) Stats() StreamStats {
 		Segments:        len(sc.hist.segs),
 		Compactions:     sc.hist.compactions,
 		Reopens:         sc.reopens,
-		CorrEntries:     sc.corr.len(),
+		CorrEntries:     sc.corr.Len(),
 		CorrEvicted:     sc.corrEvicted,
 	}
 }

@@ -17,6 +17,8 @@ import (
 //
 //   - stream: StreamCorrelator consumes each batch online and Flushes
 //     once at the end — per-batch cost is the incremental stack advance;
+//   - sparse: the same with random 64-bit correlation ids, and
+//     sparse-retained with them behind a CorrRetain horizon;
 //   - stream-reordered: the same with cross-shard skew absorbed by the
 //     reorder buffer;
 //   - rebatch: the pre-streaming pattern, a full batch CorrelateWith after
@@ -65,6 +67,34 @@ func BenchmarkStreamCorrelate(b *testing.B) {
 			sc.Flush()
 		}
 	})
+	// The stream arm with random 64-bit correlation ids: the correlation
+	// table's spill path, which the generator's dense ids never reach — as it
+	// grows from empty to every launch of the stream, and as xsp-server runs
+	// it, a window behind a retention horizon (-corr-retain).
+	for _, arm := range []struct {
+		name string
+		opts core.StreamOptions
+	}{
+		{"sparse/100k", core.StreamOptions{}},
+		{"sparse-retained/100k", core.StreamOptions{CorrRetain: 65_536}},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			batches := mkBatches(0)
+			corrRemaps(42)[2].apply(batches)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				resetParents(batches)
+				sc := core.NewStreamCorrelator(arm.opts)
+				b.StartTimer()
+				for _, batch := range batches {
+					sc.Feed(batch...)
+				}
+				sc.Flush()
+			}
+		})
+	}
 	b.Run("stream-reordered/100k", func(b *testing.B) {
 		batches := mkBatches(48)
 		b.ReportAllocs()

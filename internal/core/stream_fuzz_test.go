@@ -41,6 +41,10 @@ import (
 // tenant's stream must equal its own batch oracle — with wireBinary
 // round-tripping tenant-tagged v2 frames and a durable restart tearing
 // down and recovering the whole set mid-interleave.
+//
+// Every input runs once per corrRemaps rewrite of its correlation ids — as
+// generated, on one slot of any small table, and random 64-bit — so the same
+// stream drives the correlation tables' dense, spill and growth paths.
 func FuzzStreamVsBatch(f *testing.F) {
 	// spans, streams, dropLaunches, batchSize, skew, window, stragglerWin, maxWindow, retain, seed, durable, restartAt, wireBinary, tenants
 	f.Add(uint16(2_000), uint8(1), false, uint16(128), uint16(0), uint16(0), uint16(0), int16(0), uint16(0), int64(1), false, uint16(0), false, uint8(0))
@@ -80,51 +84,98 @@ func FuzzStreamVsBatch(f *testing.F) {
 		if n > 4_096 {
 			n = 4_096
 		}
-		if T := int(tenants % 4); T >= 2 {
-			fuzzTenantInterleave(t, T, n, streams, dropLaunches,
-				batchSize, skew, window, stragglerWin, maxWindow, retain, seed,
-				durable, restartAt, wireBinary)
-			return
-		}
-		batches := workload.StreamingArrivals(workload.StreamingSpec{
-			Trace: workload.SyntheticSpec{
-				Spans:        n,
-				Streams:      int(streams % 4),
-				DropLaunches: dropLaunches,
-				Seed:         seed,
-			},
-			BatchSize:       int(batchSize % 1024),
-			ReorderSkew:     vclock.Duration(skew % 512),
-			StragglerWindow: vclock.Duration(stragglerWin % 2048),
-			Seed:            seed + 1,
-		})
-		parentSome(batches)
-		if wireBinary {
-			// The binary ingest path: round-trip every batch through the
-			// wire codec before feeding, exactly as spans arrive off
-			// /api/spans. The decoded clones carry the same IDs and
-			// tracer-truth parents, so the oracle below is unaffected;
-			// DecodeBinary's canonical within-batch order is what a real
-			// binary-ingesting server publishes.
-			for i, b := range batches {
-				tr, err := trace.DecodeBinary(bytes.NewReader(trace.AppendBinaryFrame(nil, b)))
-				if err != nil {
-					t.Fatalf("batch %d failed the wire round trip: %v", i, err)
+		for _, remap := range corrRemaps(seed) {
+			t.Logf("correlation ids: %s", remap.name)
+			if T := int(tenants % 4); T >= 2 {
+				fuzzTenantInterleave(t, T, n, streams, dropLaunches,
+					batchSize, skew, window, stragglerWin, maxWindow, retain, seed,
+					durable, restartAt, wireBinary, remap)
+				continue
+			}
+			batches := workload.StreamingArrivals(workload.StreamingSpec{
+				Trace: workload.SyntheticSpec{
+					Spans:        n,
+					Streams:      int(streams % 4),
+					DropLaunches: dropLaunches,
+					Seed:         seed,
+				},
+				BatchSize:       int(batchSize % 1024),
+				ReorderSkew:     vclock.Duration(skew % 512),
+				StragglerWindow: vclock.Duration(stragglerWin % 2048),
+				Seed:            seed + 1,
+			})
+			remap.apply(batches)
+			parentSome(batches)
+			if wireBinary {
+				// The binary ingest path: round-trip every batch through the
+				// wire codec before feeding, exactly as spans arrive off
+				// /api/spans. The decoded clones carry the same IDs and
+				// tracer-truth parents, so the oracle below is unaffected;
+				// DecodeBinary's canonical within-batch order is what a real
+				// binary-ingesting server publishes.
+				for i, b := range batches {
+					tr, err := trace.DecodeBinary(bytes.NewReader(trace.AppendBinaryFrame(nil, b)))
+					if err != nil {
+						t.Fatalf("batch %d failed the wire round trip: %v", i, err)
+					}
+					batches[i] = tr.Spans
 				}
-				batches[i] = tr.Spans
+			}
+			opts := core.StreamOptions{
+				ReorderWindow:  vclock.Duration(window % 512),
+				MaxWindowSpans: int(maxWindow), // negative = unbounded, 0 = default, tiny = aggressive chaining
+				Retain:         vclock.Duration(retain % 4096),
+			}
+			restart := -1
+			if durable && len(batches) > 0 {
+				restart = int(restartAt) % len(batches)
+			}
+			checkStreamVsBatch(t, batches, opts, durable, restart)
+		}
+	})
+}
+
+// corrRemap is an injective rewrite of a stream's correlation ids, applied
+// before the stream is fed and its batch oracle computed, so the two must
+// still agree under it.
+type corrRemap struct {
+	name string
+	id   func(corr uint64) uint64 // nil: the ids as generated
+}
+
+// corrRemaps returns the rewrites every oracle input runs under: the
+// generator's dense ids; a seed-chosen stride c<<20, which puts every id on
+// one slot of any correlation table under 2^20 slots and so drives its spill
+// and its growth; and random 64-bit ids.
+func corrRemaps(seed int64) []corrRemap {
+	rng := rand.New(rand.NewSource(seed))
+	c := uint64(1 + rng.Intn(255))
+	random, used := make(map[uint64]uint64), make(map[uint64]bool)
+	return []corrRemap{
+		{name: "dense"},
+		{name: fmt.Sprintf("stride %d<<20", c), id: func(corr uint64) uint64 { return corr * c << 20 }},
+		{name: "random", id: func(corr uint64) uint64 {
+			for random[corr] == 0 {
+				if r := rng.Uint64(); r != 0 && !used[r] {
+					random[corr], used[r] = r, true
+				}
+			}
+			return random[corr]
+		}},
+	}
+}
+
+func (m corrRemap) apply(batches [][]*trace.Span) {
+	if m.id == nil {
+		return
+	}
+	for _, b := range batches {
+		for _, s := range b {
+			if s.CorrelationID != 0 {
+				s.CorrelationID = m.id(s.CorrelationID)
 			}
 		}
-		opts := core.StreamOptions{
-			ReorderWindow:  vclock.Duration(window % 512),
-			MaxWindowSpans: int(maxWindow), // negative = unbounded, 0 = default, tiny = aggressive chaining
-			Retain:         vclock.Duration(retain % 4096),
-		}
-		restart := -1
-		if durable && len(batches) > 0 {
-			restart = int(restartAt) % len(batches)
-		}
-		checkStreamVsBatch(t, batches, opts, durable, restart)
-	})
+	}
 }
 
 // checkStreamVsBatch feeds batches to one correlator built from opts and
@@ -394,7 +445,7 @@ func TestRecoveryIgnoresSnapshotLiveOrder(t *testing.T) {
 // each batch through a tenant-tagged v2 binary frame.
 func fuzzTenantInterleave(t *testing.T, T, n int, streams uint8, dropLaunches bool,
 	batchSize, skew, window uint16, stragglerWin uint16, maxWindow int16, retain uint16, seed int64,
-	durable bool, restartAt uint16, wireBinary bool) {
+	durable bool, restartAt uint16, wireBinary bool, remap corrRemap) {
 	keys := make([]string, T)
 	loads := make([][][]*trace.Span, T)
 	wants := make([]map[uint64]uint64, T)
@@ -414,6 +465,7 @@ func fuzzTenantInterleave(t *testing.T, T, n int, streams uint8, dropLaunches bo
 			StragglerWindow: vclock.Duration(stragglerWin % 2048),
 			Seed:            seed + 1 + int64(k)*103,
 		})
+		remap.apply(loads[k])
 		parentSome(loads[k])
 		if wireBinary {
 			for i, b := range loads[k] {
