@@ -27,7 +27,6 @@ import (
 
 	"xsp/internal/gpu"
 	"xsp/internal/server"
-	"xsp/internal/trace"
 )
 
 // shutdownDeadline is how long a signalled server waits for the requests in
@@ -42,11 +41,8 @@ func bindFlags(fs *flag.FlagSet, cfg *server.Config) *string {
 	fs.DurationVar(&cfg.ReorderWindow, "reorder-window", time.Millisecond, "virtual-time arrival skew the streaming correlator absorbs in order")
 	fs.DurationVar(&cfg.Retain, "retain", 0, "virtual-time length of finalized history kept live for cheap straggler repair; older history folds into checkpoints (0 keeps everything live)")
 	fs.DurationVar(&cfg.CorrRetain, "corr-retain", 0, "virtual-time retention horizon for correlation-id entries — size to the device queue depth; execs later than this resolve by containment (0 retains forever)")
-	fs.IntVar(&cfg.MaxWindowSpans, "max-window-spans", 0, "span bound at which a degraded window closes and chains a successor, keeping checkpoints flowing under sustained pipelined overlap (0 applies the default, negative disables)")
 	fs.IntVar(&cfg.MaxInflightSpans, "max-inflight-spans", 0, "per-tenant admission budget: decoded spans not yet landed plus the tenant's tap queue backlog; past it the tenant's span POSTs shed with 429 (0 unlimited)")
 	fs.Int64Var(&cfg.MaxInflightBytes, "max-inflight-bytes", 0, "process-wide admission budget: request body bytes in flight, reserved from Content-Length; past it span POSTs shed with 429 (0 unlimited)")
-	fs.IntVar(&cfg.TapQueue, "tap-queue", trace.DefaultTapQueue, "bound, in spans, of each tenant's async correlator tap queue; 0 runs the taps inline on the publish path")
-	fs.StringVar(&cfg.ShedPolicy, "shed-policy", "block", "tap overflow behavior: block (backpressure), drop (shed overflowing batch), degrade (shed stream until drained)")
 	fs.DurationVar(&cfg.RetryAfter, "retry-after", time.Second, "Retry-After hint on 429/503 push-backs")
 	fs.IntVar(&cfg.PressureSpans, "pressure-spans", 0, "per-tenant live-span budget of the streaming correlator; at it the tenant reports overloaded and its ingest sheds (0 disables the signal)")
 	fs.BoolVar(&cfg.LiveAnalysis, "live-analysis", false, "maintain the paper's analyses online per tenant as spans stream in; serves GET /api/analysis/{layers,launchgaps,memcpy,roofline} as JSON or SSE")

@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -781,121 +782,149 @@ func checkCorrelatedView(t *testing.T, when, baseURL, tenant string, acked [][]*
 	}
 }
 
-// tapDropped reads the default tenant's tap.dropped counter off /api/overload.
-func tapDropped(t *testing.T, baseURL string) int {
+// checkAnalysisSpans holds the tenant's live analyses to one observation
+// per acknowledged span.
+func checkAnalysisSpans(t *testing.T, when, baseURL, tenant string, acked [][]*trace.Span) {
 	t.Helper()
-	var overload struct {
-		Tenants map[string]struct {
-			Tap struct{ Dropped int }
-		}
+	want := 0
+	for _, b := range acked {
+		want += len(b)
 	}
-	if err := json.Unmarshal(getBody(t, baseURL+"/api/overload", ""), &overload); err != nil {
+	req, err := http.NewRequest(http.MethodGet, baseURL+"/api/analysis?flush=1", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return overload.Tenants["default"].Tap.Dropped
+	if tenant != "" {
+		req.Header.Set(trace.TenantHeader, tenant)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s: tenant %q GET /api/analysis: %v", when, tenant, err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get("X-Analysis-Spans"); got != strconv.Itoa(want) {
+		t.Fatalf("%s: tenant %q analyses observed %s spans, %d were acknowledged", when, tenant, got, want)
+	}
+}
+
+// shedWatch is a RoundTripper that notes whether any response carried a
+// nonzero X-Shed-Requests: a push-back its collector then retried.
+type shedWatch struct{ seen atomic.Bool }
+
+func (w *shedWatch) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil {
+		if n, _ := strconv.Atoi(resp.Header.Get("X-Shed-Requests")); n > 0 {
+			w.seen.Store(true)
+		}
+	}
+	return resp, err
+}
+
+// ship publishes batches to one tenant through eight concurrent retrying
+// HTTPCollectors — batch i by collector i%8 — and returns once every
+// collector's backlog has drained, nothing dropped.
+func ship(t *testing.T, baseURL, tenant string, watch *shedWatch, batches [][]*trace.Span) {
+	t.Helper()
+	const collectors = 8
+	var wg sync.WaitGroup
+	for c := 0; c < collectors; c++ {
+		col := trace.NewHTTPCollector(baseURL)
+		col.SetHTTPClient(&http.Client{Transport: watch})
+		col.SetRetryPolicy(trace.RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond})
+		if err := col.SetTenant(tenant); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < len(batches); i += collectors {
+				col.Publish(batches[i]...)
+				_, _ = col.Flush()
+			}
+			for deadline := time.Now().Add(30 * time.Second); col.Backlog() > 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Errorf("tenant %q collector %d: backlog %d never drained", tenant, c, col.Backlog())
+					return
+				}
+				_, _ = col.Flush()
+			}
+			if b, s := col.Dropped(); b != 0 {
+				t.Errorf("tenant %q collector %d dropped %d batch(es), %d span(s)", tenant, c, b, s)
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
 }
 
 // TestServerTraceIsTheFedStream: /api/trace is served from the correlator's
-// history — merged, where the tap may shed, with the batches it shed — and in
-// every mode it must be the stream as it was fed — two tenants, stragglers,
-// tracer-parented spans — the moment the last 202 has returned, with nothing
-// flushed by the reader. Every acknowledged span is held once: resolved in
-// the history, or unresolved among the shed.
+// history, and in every mode it must be the stream as it was fed — two
+// tenants, stragglers, tracer-parented spans — the moment the last 202 has
+// returned, with nothing flushed by the reader; /api/correlated?flush=1 is
+// its batch correlation and the live analyses observed each span once. The
+// overload arm drives the tenants past their admission budget through
+// eight concurrent retrying collectors: every batch admission pushes back
+// is retried, and every one acknowledged is in every view, exactly once.
 func TestServerTraceIsTheFedStream(t *testing.T) {
 	tmp := t.TempDir()
 	window := []string{"-reorder-window", "64ns", "-retain", "512ns"}
 	modes := []struct {
-		name string
-		args []string
-		shed bool // the tap may drop batches: the correlated view owes only the rest
+		name     string
+		args     []string
+		overload bool // published through retrying collectors, past the budget
 	}{
-		{"plain", nil, false}, // no flag at all: the defaults, nothing ever folds
+		{"plain", nil, false}, // the defaults, live analyses aside: nothing ever folds
 		{"block", window, false},
-		{"inline", append([]string{"-tap-queue", "0"}, window...), false},
-		{"drop", append([]string{"-shed-policy", "drop", "-tap-queue", "2048"}, window...), true},
-		{"degrade", append([]string{"-shed-policy", "degrade", "-tap-queue", "2048"}, window...), true},
 		{"durable", append([]string{"-data-dir", filepath.Join(tmp, "data")}, window...), false},
+		{"overload", append([]string{"-max-inflight-spans", "4096", "-retry-after", "5ms"}, window...), true},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
-			baseURL := serveInProcess(t, append([]string{"-addr", "127.0.0.1:0"}, mode.args...)...)
+			baseURL := serveInProcess(t, append([]string{"-addr", "127.0.0.1:0", "-live-analysis"}, mode.args...)...)
 
 			tenants := []string{"", "acme"}
 			streams := [][][]*trace.Span{fedStream(31, 6_000), fedStream(33, 4_000)}
-			for i := 0; i < len(streams[0]) || i < len(streams[1]); i++ {
+			if mode.overload {
+				watch := &shedWatch{}
 				for k, tenant := range tenants {
-					if i < len(streams[k]) {
-						postBatch(t, baseURL, tenant, uint64(i+1), streams[k][i])
+					ship(t, baseURL, tenant, watch, streams[k])
+				}
+				// Overdrive the default tenant until admission has pushed back:
+				// bursts of eight batches, two budgets' worth each.
+				nextID, at := uint64(1<<32), streams[0][len(streams[0])-1][0].End+10_000
+				for burst := 0; !watch.seen.Load(); burst++ {
+					if burst == 50 {
+						t.Fatal("fifty bursts of two budgets each were never pushed back")
+					}
+					batches := make([][]*trace.Span, 8)
+					for b := range batches {
+						batches[b] = make([]*trace.Span, 1_024)
+						for i := range batches[b] {
+							nextID, at = nextID+1, at+2
+							batches[b][i] = &trace.Span{ID: nextID, Level: trace.LevelKernel, Name: "burst", Begin: at, End: at + 1}
+						}
+					}
+					streams[0] = append(streams[0], batches...)
+					ship(t, baseURL, "", watch, batches)
+				}
+			} else {
+				for i := 0; i < len(streams[0]) || i < len(streams[1]); i++ {
+					for k, tenant := range tenants {
+						if i < len(streams[k]) {
+							postBatch(t, baseURL, tenant, uint64(i+1), streams[k][i])
+						}
 					}
 				}
 			}
 			for k, tenant := range tenants {
 				checkRawView(t, "after the last 202", baseURL, tenant, streams[k])
-			}
-
-			if mode.shed {
-				// Overdrive one tenant's tap until it sheds: bursts of
-				// concurrent batches, each burst four times the queue bound.
-				// What the tap dropped, the raw view still holds.
-				nextID, at := uint64(1<<32), streams[0][len(streams[0])-1][0].End+10_000
-				for burst := 0; ; burst++ {
-					var wg sync.WaitGroup
-					for p := 0; p < 8; p++ {
-						batch := make([]*trace.Span, 1_024)
-						for i := range batch {
-							nextID, at = nextID+1, at+2
-							batch[i] = &trace.Span{ID: nextID, Level: trace.LevelKernel, Name: "burst", Begin: at, End: at + 1}
-						}
-						streams[0] = append(streams[0], batch)
-						wg.Add(1)
-						go func(id uint64) {
-							defer wg.Done()
-							postBatch(t, baseURL, "", id, batch)
-						}(nextID)
-					}
-					wg.Wait()
-					if tapDropped(t, baseURL) > 0 {
-						break
-					}
-					if burst == 50 {
-						t.Fatal("fifty bursts of four queue bounds each never overflowed the tap")
-					}
-				}
-				checkRawView(t, "after the tap shed", baseURL, "", streams[0])
-
-				// Held once: what is not in the history is what the tap counts
-				// dropped. And the gap is a gap, not the end of the online view:
-				// the queue has drained, so a fresh batch is correlated again.
-				heldOnce := func(when string) *trace.Trace {
-					t.Helper()
-					acked := 0
-					for _, b := range streams[0] {
-						acked += len(b)
-					}
-					got, err := trace.DecodeJSON(bytes.NewReader(getBody(t, baseURL+"/api/correlated?flush=1", "")))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if dropped := tapDropped(t, baseURL); len(got.Spans)+dropped != acked {
-						t.Fatalf("%s: /api/correlated holds %d spans and the tap dropped %d: %d were acknowledged", when, len(got.Spans), dropped, acked)
-					}
-					return got
-				}
-				heldOnce("after the tap shed")
-				layer := &trace.Span{ID: nextID + 1, Level: trace.LevelLayer, Name: "fresh", Begin: at + 10, End: at + 20}
-				kernel := &trace.Span{ID: nextID + 2, Level: trace.LevelKernel, Name: "fresh", Begin: at + 12, End: at + 14}
-				streams[0] = append(streams[0], []*trace.Span{layer, kernel})
-				postBatch(t, baseURL, "", nextID+2, streams[0][len(streams[0])-1])
-				if k := heldOnce("after the queue drained").ByID(kernel.ID); k == nil || k.ParentID != layer.ID {
-					t.Fatalf("a batch posted after the queue drained was not correlated: %+v", k)
-				}
-				checkRawView(t, "after the queue drained", baseURL, "", streams[0])
-			} else {
-				for k, tenant := range tenants {
-					checkCorrelatedView(t, "after the last 202", baseURL, tenant, streams[k])
-					// Settling every link changed nothing in the raw view.
-					checkRawView(t, "after the flush", baseURL, tenant, streams[k])
-				}
+				checkCorrelatedView(t, "after the last 202", baseURL, tenant, streams[k])
+				// Settling every link changed nothing in the raw view.
+				checkRawView(t, "after the flush", baseURL, tenant, streams[k])
+				checkAnalysisSpans(t, "after the flush", baseURL, tenant, streams[k])
 			}
 
 			req, _ := http.NewRequest(http.MethodPost, baseURL+"/api/reset?tenant=acme", nil)
@@ -905,6 +934,7 @@ func TestServerTraceIsTheFedStream(t *testing.T) {
 			}
 			resp.Body.Close()
 			checkRawView(t, "after its reset", baseURL, "acme", nil)
+			checkAnalysisSpans(t, "after its reset", baseURL, "acme", nil)
 			checkRawView(t, "after the neighbour's reset", baseURL, "", streams[0])
 		})
 	}
@@ -919,79 +949,73 @@ func TestServerTraceIsTheFedStream(t *testing.T) {
 // tracers sent (a boot that republished the correlator's snapshot served the
 // resolver's parents here), /api/correlated?flush=1 is its batch
 // correlation, and the store is clean.
-// -shed-policy is ignored in durable mode, and stays ignored.
 func TestServerRawViewSurvivesRestartCycles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real server processes")
 	}
 	tmp := t.TempDir()
 	bin := buildServer(t, tmp)
-	for _, mode := range []struct {
-		name  string
-		extra []string
-	}{{"default", nil}, {"shed-policy-drop", []string{"-shed-policy", "drop"}}} {
-		t.Run(mode.name, func(t *testing.T) {
-			dataDir := filepath.Join(tmp, "data-"+mode.name)
-			serverArgs := func(addr string) []string {
-				return append([]string{"-addr", addr, "-data-dir", dataDir, "-reorder-window", "64ns", "-retain", "512ns"}, mode.extra...)
-			}
-			proc, baseURL := startServer(t, bin, serverArgs("127.0.0.1:0")...)
-			defer func() {
-				_ = proc.Process.Kill()
-				_ = proc.Wait()
-			}()
-			addr := strings.TrimPrefix(baseURL, "http://")
+	t.Run("default", func(t *testing.T) {
+		dataDir := filepath.Join(tmp, "data")
+		serverArgs := func(addr string) []string {
+			return []string{"-addr", addr, "-data-dir", dataDir, "-reorder-window", "64ns", "-retain", "512ns"}
+		}
+		proc, baseURL := startServer(t, bin, serverArgs("127.0.0.1:0")...)
+		defer func() {
+			_ = proc.Process.Kill()
+			_ = proc.Wait()
+		}()
+		addr := strings.TrimPrefix(baseURL, "http://")
 
-			tenants := []string{"", "acme"}
-			streams := [][][]*trace.Span{fedStream(41, 6_000), fedStream(43, 4_000)}
-			acked := make([][][]*trace.Span, len(tenants))
-			const cycles = 4
-			for cycle := 0; cycle <= cycles; cycle++ {
-				// One more quarter of each stream; the last holds the withheld
-				// window, which reaches behind four restarts' worth of folds.
-				for k, tenant := range tenants {
-					n := len(streams[k])
-					for i := cycle * n / (cycles + 1); i < (cycle+1)*n/(cycles+1); i++ {
-						postBatch(t, baseURL, tenant, uint64(i+1), streams[k][i])
-						acked[k] = append(acked[k], streams[k][i])
-					}
-				}
-				when := "after the last quarter"
-				if cycle < cycles {
-					if cycle%2 == 0 {
-						stopServer(t, proc)
-						when = "after SIGTERM and restart " + strconv.Itoa(cycle+1)
-					} else {
-						if err := proc.Process.Kill(); err != nil {
-							t.Fatalf("kill server: %v", err)
-						}
-						_ = proc.Wait()
-						when = "after SIGKILL and restart " + strconv.Itoa(cycle+1)
-					}
-					proc, baseURL = startServer(t, bin, serverArgs(addr)...)
-				}
-				for k, tenant := range tenants {
-					checkRawView(t, when, baseURL, tenant, acked[k])
-					checkCorrelatedView(t, when, baseURL, tenant, acked[k])
-					checkRawView(t, when+" and a flush", baseURL, tenant, acked[k])
-				}
-				var dur struct {
-					Tenants map[string]struct {
-						Err      string `json:"err"`
-						Recovery struct {
-							Quarantined []string `json:"quarantined"`
-						} `json:"recovery"`
-					} `json:"tenants"`
-				}
-				if err := json.Unmarshal(getBody(t, baseURL+"/api/durability", ""), &dur); err != nil {
-					t.Fatal(err)
-				}
-				for _, key := range []string{"default", "acme"} {
-					if d, ok := dur.Tenants[key]; !ok || d.Err != "" || len(d.Recovery.Quarantined) != 0 {
-						t.Fatalf("%s: tenant %s durability: present %v, err %q, quarantined %v", when, key, ok, d.Err, d.Recovery.Quarantined)
-					}
+		tenants := []string{"", "acme"}
+		streams := [][][]*trace.Span{fedStream(41, 6_000), fedStream(43, 4_000)}
+		acked := make([][][]*trace.Span, len(tenants))
+		const cycles = 4
+		for cycle := 0; cycle <= cycles; cycle++ {
+			// One more quarter of each stream; the last holds the withheld
+			// window, which reaches behind four restarts' worth of folds.
+			for k, tenant := range tenants {
+				n := len(streams[k])
+				for i := cycle * n / (cycles + 1); i < (cycle+1)*n/(cycles+1); i++ {
+					postBatch(t, baseURL, tenant, uint64(i+1), streams[k][i])
+					acked[k] = append(acked[k], streams[k][i])
 				}
 			}
-		})
-	}
+			when := "after the last quarter"
+			if cycle < cycles {
+				if cycle%2 == 0 {
+					stopServer(t, proc)
+					when = "after SIGTERM and restart " + strconv.Itoa(cycle+1)
+				} else {
+					if err := proc.Process.Kill(); err != nil {
+						t.Fatalf("kill server: %v", err)
+					}
+					_ = proc.Wait()
+					when = "after SIGKILL and restart " + strconv.Itoa(cycle+1)
+				}
+				proc, baseURL = startServer(t, bin, serverArgs(addr)...)
+			}
+			for k, tenant := range tenants {
+				checkRawView(t, when, baseURL, tenant, acked[k])
+				checkCorrelatedView(t, when, baseURL, tenant, acked[k])
+				checkRawView(t, when+" and a flush", baseURL, tenant, acked[k])
+			}
+			var dur struct {
+				Tenants map[string]struct {
+					Err      string `json:"err"`
+					Recovery struct {
+						Quarantined []string `json:"quarantined"`
+					} `json:"recovery"`
+				} `json:"tenants"`
+			}
+			if err := json.Unmarshal(getBody(t, baseURL+"/api/durability", ""), &dur); err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range []string{"default", "acme"} {
+				if d, ok := dur.Tenants[key]; !ok || d.Err != "" || len(d.Recovery.Quarantined) != 0 {
+					t.Fatalf("%s: tenant %s durability: present %v, err %q, quarantined %v", when, key, ok, d.Err, d.Recovery.Quarantined)
+				}
+			}
+		}
+	})
 }

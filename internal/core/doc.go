@@ -141,12 +141,11 @@
 // waiting for the amortized fold cadence, so a well-behaved stream
 // recovers toward nominal as spans finalize rather than camping at the
 // budget between scheduled folds. Backpressure composes with
-// correctness: spans shed upstream (admission, or a lossy tap policy)
-// simply never arrive, and the stream-equals-batch property holds over
-// the spans that did; a batch shed only from the online tap is still
-// held by whoever published it (xsp-server: once, unresolved, by the
-// tenant's ingest half, merged into /api/trace beside the history), and
-// re-correlating a snapshot recovers it exactly.
+// correctness: a batch admission sheds was never acknowledged and simply
+// never arrives — its publisher retries it — and the stream-equals-batch
+// property holds over the spans that did. Nothing between admission and
+// the correlator sheds: xsp-server's tap blocks at its bound, so every
+// acknowledged batch is fed.
 //
 // # Multi-tenant correlation
 //

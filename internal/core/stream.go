@@ -72,8 +72,9 @@ type StreamOptions struct {
 	// contain) and every span still active at the close is re-seeded into
 	// the successor window from the ancestor stacks, so chained windows
 	// resolve the same parents one unbounded window would. Zero (the
-	// default) applies a bound of 4096; negative disables the bound and
-	// restores the close-at-overlap-end-only behavior.
+	// default) applies a bound of 4096, which is what xsp-server runs;
+	// negative disables the bound and restores the close-at-overlap-end-only
+	// behavior. Tests set tiny bounds to force chaining.
 	MaxWindowSpans int
 
 	// PressureSpans is the live-state span budget behind the correlator's

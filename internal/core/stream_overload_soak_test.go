@@ -33,7 +33,7 @@ func retryUntilShipped(t *testing.T, col *trace.HTTPCollector, aborted *atomic.B
 }
 
 // The adversarial soak: 10x overdriven publishers against a small
-// admission budget, ShedBlock tap, and the stream correlator's pressure
+// admission budget, a blocking tap, and the stream correlator's pressure
 // driving the shedding. Asserts the tentpole's three properties: (a) every
 // live structure stays bounded by its configured limit, (b) the final
 // correlated trace equals the batch oracle over all accepted spans — no
@@ -67,9 +67,9 @@ func TestOverloadSoakBlockPolicy(t *testing.T) {
 	srv.Tenant(trace.DefaultTenant).SetLoad(sc)
 	// The consumer is throttled (as a real correlator under CPU contention
 	// would be), so the overdrive genuinely outruns it and admission has to
-	// shed; ShedBlock means no span is ever dropped on the way in.
+	// shed; the tap blocks, so no span is ever dropped on the way in.
 	tap := srv.Tenant(trace.DefaultTenant).SetTapAsync(&slowCollector{dst: sc, delay: time.Millisecond},
-		trace.TapOptions{Queue: tapQueue, Policy: trace.ShedBlock})
+		trace.TapOptions{Queue: tapQueue})
 	defer tap.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -158,16 +158,13 @@ func TestOverloadSoakBlockPolicy(t *testing.T) {
 	if ost.ShedRequests == 0 {
 		t.Fatal("overdriven run never shed a request — the soak is not overloading")
 	}
-	if st := tap.Stats(); st.Dropped != 0 {
-		t.Fatalf("ShedBlock tap dropped %d spans", st.Dropped)
-	}
 
 	// Drain: the tap barrier, then the final Flush.
 	tap.Flush()
 	sc.Flush()
 
 	// (b) Exactly-once and stream-vs-batch equality over accepted spans.
-	// With ShedBlock and retry-forever publishers, accepted means all.
+	// With a blocking tap and retry-forever publishers, accepted means all.
 	if got := srv.Received(); got != generated {
 		t.Fatalf("server accepted %d spans, generated %d — retried batches double-counted or lost", got, generated)
 	}
@@ -204,8 +201,8 @@ func TestOverloadSoakBlockPolicy(t *testing.T) {
 	}
 }
 
-// slowCollector throttles the tap's consumer, so the drop/degrade soaks
-// reliably overflow the queue.
+// slowCollector throttles the tap's consumer, so an overdriven soak
+// reliably fills the queue.
 type slowCollector struct {
 	dst   trace.Collector
 	delay time.Duration
@@ -214,111 +211,4 @@ type slowCollector struct {
 func (c *slowCollector) Publish(spans ...*trace.Span) {
 	time.Sleep(c.delay)
 	c.dst.Publish(spans...)
-}
-
-// The shedding policies under the same overdrive: the tap stays bounded
-// and sheds by its policy, while the store keeps every accepted span
-// exactly once — shed spans are not lost, they are simply absent from the
-// online view until a batch re-correlate over the store (the documented
-// recovery path) picks them up.
-func TestOverloadSoakShedPoliciesKeepStoreExact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak test: skipped in -short")
-	}
-	for _, pol := range []trace.ShedPolicy{trace.ShedDropNewest, trace.ShedDegradeToBatch} {
-		t.Run(pol.String(), func(t *testing.T) {
-			total := soakSpans(t) / 25
-			const (
-				publishers = 10
-				batchSpans = 32
-				tapQueue   = 128
-			)
-			sc := core.NewStreamCorrelator(core.StreamOptions{Isolated: true, ReorderWindow: 512})
-			srv := trace.NewServer()
-			srv.SetAdmission(trace.AdmissionPolicy{
-				MaxInflightSpans: 512,
-				RetryAfter:       time.Millisecond,
-			})
-			tap := srv.Tenant(trace.DefaultTenant).SetTapAsync(&slowCollector{dst: sc, delay: 200 * time.Microsecond},
-				trace.TapOptions{Queue: tapQueue, Policy: pol})
-			defer tap.Close()
-			ts := httptest.NewServer(srv)
-			defer ts.Close()
-
-			cols := make([]*trace.HTTPCollector, publishers)
-			for p := range cols {
-				cols[p] = trace.NewHTTPCollector(ts.URL)
-				cols[p].SetRetryPolicy(trace.RetryPolicy{BaseDelay: 200 * time.Microsecond, MaxDelay: 5 * time.Millisecond})
-			}
-			var aborted atomic.Bool
-			deadline := time.Now().Add(2 * time.Minute)
-			generated := workload.PublishOverdriven(workload.OverloadSpec{
-				Publishers: publishers,
-				SpansEach:  total / publishers,
-				BatchSpans: batchSpans,
-				Seed:       7,
-			}, func(p int, batch []*trace.Span) {
-				retryUntilShipped(t, cols[p], &aborted, deadline, batch)
-			})
-			if aborted.Load() {
-				t.Fatal("soak aborted on a wedged publisher")
-			}
-			tap.Flush()
-			sc.Flush()
-
-			// The store is exact regardless of tap shedding.
-			if got := srv.Received(); got != generated {
-				t.Fatalf("server accepted %d spans, generated %d", got, generated)
-			}
-			accepted := srv.Trace()
-			seen := make(map[uint64]bool, generated)
-			for _, s := range accepted.Spans {
-				if seen[s.ID] {
-					t.Fatalf("span %d stored twice", s.ID)
-				}
-				seen[s.ID] = true
-			}
-			if len(seen) != generated {
-				t.Fatalf("store holds %d distinct spans, want %d", len(seen), generated)
-			}
-
-			// The tap held its bound, shed by its policy, and accounted for
-			// every accepted span: enqueued + dropped, no third fate.
-			st := tap.Stats()
-			if st.MaxDepth > tapQueue {
-				t.Fatalf("tap queue peaked at %d, bound is %d", st.MaxDepth, tapQueue)
-			}
-			if st.Dropped == 0 {
-				t.Fatalf("%v: overdrive against a throttled consumer never shed", pol)
-			}
-			if pol == trace.ShedDegradeToBatch && st.Degradations == 0 {
-				t.Fatal("degrade policy shed without ever degrading")
-			}
-			if st.Enqueued+st.Dropped != int64(generated) {
-				t.Fatalf("tap accounted %d enqueued + %d dropped, want %d accepted",
-					st.Enqueued, st.Dropped, generated)
-			}
-			if st.Forwarded != st.Enqueued {
-				t.Fatalf("tap forwarded %d of %d enqueued after Flush", st.Forwarded, st.Enqueued)
-			}
-			if got := sc.Stats().Fed; got != int(st.Forwarded) {
-				t.Fatalf("correlator fed %d spans, tap forwarded %d", got, st.Forwarded)
-			}
-
-			// Recovery: the documented repair — a batch correlate over the
-			// store — sees every span, shed ones included.
-			repaired := &trace.Trace{Spans: make([]*trace.Span, 0, len(accepted.Spans))}
-			for _, s := range accepted.Spans {
-				repaired.Spans = append(repaired.Spans, s.Clone())
-			}
-			repaired.SortByBegin()
-			core.CorrelateWith(repaired, core.StrategyAuto)
-			if len(repaired.Spans) != generated {
-				t.Fatalf("re-correlate covers %d spans, want %d", len(repaired.Spans), generated)
-			}
-			if tap.Depth() != 0 {
-				t.Fatalf("tap backlog %d after drain, want 0", tap.Depth())
-			}
-		})
-	}
 }

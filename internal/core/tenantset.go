@@ -82,6 +82,8 @@ func OpenTenantStream(key string, opts StreamOptions, open func() (*segio.Store,
 			opts.Store = store
 			if st.sc, err = RecoverStream(opts, rec); err == nil {
 				st.store, st.rec = store, releaseContent(rec)
+			} else {
+				store.Close() // it may hold the WAL a recovery rotated onto
 			}
 		}
 		if err != nil {

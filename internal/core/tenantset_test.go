@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -449,5 +450,79 @@ func TestOpenTenantStreamDegradesToRAM(t *testing.T) {
 	got := st.Correlator().Trace()
 	if len(got.Spans) != 2 || got.ByID(2).ParentID != 1 {
 		t.Fatalf("degraded tenant holds %d spans, layer parent %d; want 2 spans, parent 1", len(got.Spans), got.ByID(2).ParentID)
+	}
+}
+
+// handleFS is a segio.FS that counts the file handles open on it and, while
+// failSeg is set, fails the next segment file created.
+type handleFS struct {
+	segio.FS
+	open    int
+	failSeg bool
+}
+
+var errSegWrite = errors.New("segment write refused")
+
+func (f *handleFS) Create(name string) (segio.File, error) {
+	if f.failSeg && strings.HasPrefix(name, "seg-") {
+		f.failSeg = false
+		return nil, errSegWrite
+	}
+	return f.track(f.FS.Create(name))
+}
+
+func (f *handleFS) OpenAppend(name string) (segio.File, error) { return f.track(f.FS.OpenAppend(name)) }
+
+func (f *handleFS) track(file segio.File, err error) (segio.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	f.open++
+	return &countedFile{File: file, fs: f}, nil
+}
+
+type countedFile struct {
+	segio.File
+	fs     *handleFS
+	closed bool
+}
+
+func (c *countedFile) Close() error {
+	if !c.closed {
+		c.closed = true
+		c.fs.open--
+	}
+	return c.File.Close()
+}
+
+// A recovery that fails after it rotated the WAL — here on the segment
+// files its replay folded — degrades the tenant to RAM-only and leaves no
+// handle open: the store it opened is closed, not dropped holding the new
+// WAL.
+func TestOpenTenantStreamClosesStoreOnLateRecoveryFailure(t *testing.T) {
+	fs := &handleFS{FS: faultfs.New()}
+	open := func() (*segio.Store, *segio.Recovery, error) { return segio.Open(fs, segio.Options{}) }
+	st := core.OpenTenantStream("acme", core.StreamOptions{ReorderWindow: 16}, open) // nothing folds
+	for i, b := range tenantWorkload(4_000, 7) {
+		if err := st.IngestLogged(uint64(i+1), cloneBatch(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Store().Close(); err != nil || fs.open != 0 {
+		t.Fatalf("closing the first store: %v, %d handles left open", err, fs.open)
+	}
+
+	// Reopened with a retain horizon, the replay folds, and the segment
+	// files it owes are written after the rotation.
+	fs.failSeg = true
+	st = core.OpenTenantStream("acme", core.StreamOptions{ReorderWindow: 16, Retain: 32}, open)
+	if fs.failSeg {
+		t.Fatal("recovery wrote no segment file: the failure was never reached")
+	}
+	if !errors.Is(st.Err(), errSegWrite) || st.Store() != nil {
+		t.Fatalf("Err() = %v, Store() = %v; want the segment write's error and no store", st.Err(), st.Store())
+	}
+	if fs.open != 0 {
+		t.Fatalf("the failed recovery left %d file handles open", fs.open)
 	}
 }

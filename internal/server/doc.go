@@ -35,20 +35,19 @@
 // serving the spans as published, from the same store — the correlator
 // links the decoded spans themselves, a streamed span is held once, and
 // /api/trace is its history with its links masked out: every batch whose 202
-// has returned and, durable, everything recovered (a batch a ShedPolicy
-// drop|degrade tap shed is kept once by the ingest half instead, and merged
-// in; there is no raw store beside the history in any mode) — and /api/reset
+// has returned and, durable, everything recovered (there is no raw store
+// beside the history in any mode) — and /api/reset
 // clears the addressed tenant's collector and streaming state together — and
 // only that tenant's. ReorderWindow sets how much cross-shard arrival skew
 // (in virtual-clock duration) the stream absorbs in order, and Retain
 // bounds the live correlator state on a long-running server: finalized
 // history older than the retain window folds into immutable checkpoint
 // segments (POST /api/checkpoint folds on demand) that /api/correlated
-// merges back seamlessly. For always-on ingest, MaxWindowSpans keeps
-// checkpoints flowing under sustained pipelined overlap (degraded windows
-// close at the bound and chain successors) and CorrRetain ages
-// correlation-id entries out past the device queue depth, so no table
-// grows with total launches; batches POSTed with an X-Batch-Id header
+// merges back seamlessly. For always-on ingest, degraded windows close at a
+// fixed span bound and chain successors, keeping checkpoints flowing under
+// sustained pipelined overlap, and CorrRetain ages correlation-id entries
+// out past the device queue depth, so no table grows with total launches;
+// batches POSTed with an X-Batch-Id header
 // ingest exactly once across client retries. A batch holding a span that
 // ends before it begins is refused whole with a 400.
 //
@@ -66,15 +65,15 @@
 // correlator's live-state budget, so shedding is driven by the component
 // whose memory actually grows. The byte budget is process-wide; the span
 // budget and pressure signal are per tenant, so an overdriven tenant
-// sheds alone while its neighbors keep landing batches first-try. Each
-// tenant's correlator tap runs asynchronously behind a bounded queue
-// (TapQueue spans; 0 restores the inline synchronous tap) whose
-// overflow behavior is ShedPolicy: "block" applies backpressure to the
-// publish path, "drop" sheds the overflowing batch, "degrade" sheds the
-// whole stream until the queue drains. A batch so shed is never lost — the
-// tenant's ingest half holds it, once and unresolved, /api/trace merges it
-// in, and a batch re-correlate of /api/trace covers it — and shed clients
-// retry safely under their batch ids. While the byte budget is set a span
+// sheds alone while its neighbors keep landing batches first-try. Admission
+// is the one overload rule. In RAM mode each tenant's correlator tap runs
+// asynchronously behind a bounded queue (trace.DefaultTapQueue spans) that
+// never sheds: a full queue holds the handler, the in-flight budgets fill,
+// and admission answers 429. So a batch that got its 202 is in /api/trace,
+// /api/correlated and /api/analysis alike, and shed clients retry safely
+// under their batch ids. RetryAfter is the hint on every push-back, a 503
+// for a retry racing its still-decoding original included, budgets set or
+// not. While the byte budget is set a span
 // POST must declare its length: a chunked body has nothing to reserve and is
 // a 411 before it is read. GET /api/overload reports the admission, tap,
 // and pressure counters, per tenant; a tenant's pressure is derived from the
@@ -95,8 +94,7 @@
 // publish). GET /api/durability reports every tenant's store stats and
 // recovery outcome; POST /api/reset wipes the addressed tenant's durable
 // state along with its in-memory state. In durable mode correlators
-// consume batches synchronously at the ack barrier, so TapQueue and
-// ShedPolicy are ignored.
+// consume batches synchronously at the ack barrier; there is no tap.
 //
 // # Lifecycle
 //

@@ -21,18 +21,16 @@ import (
 // Config is the server's whole configuration: one field per xsp-server
 // flag (the listen address stays with whoever listens) with the flag's
 // meaning; its help text in cmd/xsp-server is the field's reference. The
-// zero Config is not the flags' defaults: ShedPolicy must name a policy,
-// and a zero TapQueue runs the taps inline.
+// zero Config runs — RAM-only, no budgets, no reorder window, one-second
+// push-back hints — but it is not the flags' defaults: those also set
+// ReorderWindow and the GPU LiveAnalysis needs.
 type Config struct {
 	DataDir          string        // -data-dir
 	ReorderWindow    time.Duration // -reorder-window
 	Retain           time.Duration // -retain
 	CorrRetain       time.Duration // -corr-retain
-	MaxWindowSpans   int           // -max-window-spans
 	MaxInflightSpans int           // -max-inflight-spans
 	MaxInflightBytes int64         // -max-inflight-bytes
-	TapQueue         int           // -tap-queue
-	ShedPolicy       string        // -shed-policy: block, drop or degrade
 	RetryAfter       time.Duration // -retry-after
 	PressureSpans    int           // -pressure-spans
 	LiveAnalysis     bool          // -live-analysis
@@ -42,9 +40,8 @@ type Config struct {
 // Server is the tracing server as a value: an http.Handler from New until
 // Close. See the package comment for what it serves.
 type Server struct {
-	cfg    Config
-	policy trace.ShedPolicy
-	gpu    gpu.Spec // set with LiveAnalysis, its only reader
+	cfg Config
+	gpu gpu.Spec // set with LiveAnalysis, its only reader
 
 	ingest *trace.Server // /api/spans, /api/trace, and the tenants' ingest halves
 	mux    *http.ServeMux
@@ -59,26 +56,23 @@ type Server struct {
 }
 
 // New builds a server from cfg and opens the default tenant and every
-// tenant DataDir holds, recovering each. The only errors are a ShedPolicy
-// or GPU that names nothing; a store that will not open degrades its tenant
-// to RAM-only instead (see /api/durability).
+// tenant DataDir holds, recovering each. The only error is a GPU that names
+// nothing; a store that will not open degrades its tenant to RAM-only
+// instead (see /api/durability).
 func New(cfg Config) (*Server, error) {
-	pol, err := trace.ParseShedPolicy(cfg.ShedPolicy)
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{cfg: cfg, policy: pol, ingest: trace.NewServer(), mux: http.NewServeMux(),
+	s := &Server{cfg: cfg, ingest: trace.NewServer(), mux: http.NewServeMux(),
 		tenants: map[string]*tenant{}, done: make(chan struct{})}
 	if cfg.LiveAnalysis {
+		var err error
 		if s.gpu, err = gpu.SystemByName(cfg.GPU); err != nil {
 			return nil, fmt.Errorf("unknown -gpu %q", cfg.GPU)
 		}
 		s.idle = analysis.NewOnline(analysis.OnlineOptions{Spec: s.gpu})
 		fmt.Fprintf(os.Stderr, "xsp-server: live analyses on (%s)\n", s.gpu.Name)
 	}
-	if cfg.MaxInflightSpans > 0 || cfg.MaxInflightBytes > 0 || cfg.PressureSpans > 0 {
-		s.ingest.SetAdmission(trace.AdmissionPolicy{MaxInflightBytes: cfg.MaxInflightBytes, MaxInflightSpans: cfg.MaxInflightSpans, RetryAfter: cfg.RetryAfter})
-	}
+	// Always installed: the policy carries the Retry-After of every push-back,
+	// a 503 included. Its zero budgets admit everything.
+	s.ingest.SetAdmission(trace.AdmissionPolicy{MaxInflightBytes: cfg.MaxInflightBytes, MaxInflightSpans: cfg.MaxInflightSpans, RetryAfter: cfg.RetryAfter})
 	s.mux.Handle("/", s.ingest)
 	s.route(http.MethodGet, "/api/tenants", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, append([]string{}, s.ingest.Tenants()...)) // in creation order; never null
@@ -196,8 +190,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // tenant is everything the server holds for one tenant key: the ingest half
 // (collector, dedup window, admission counters), the correlator with its
-// durable store, the async tap between them (RAM mode with a queue; nil
-// otherwise) and the live-analysis engine (nil without LiveAnalysis). Built
+// durable store, the async tap between them (RAM mode; nil durable) and the
+// live-analysis engine (nil without LiveAnalysis). Built
 // once by open, immutable afterwards.
 type tenant struct {
 	ingest *trace.ServerTenant
@@ -209,16 +203,15 @@ type tenant struct {
 // open is trace.Server's tenant-init hook, run once per key under that
 // server's table lock before any request can reach the tenant: it opens
 // (durable: recovers) the tenant's stream and wires it to the ingest half —
-// as load reporter, and as durable sink (recovered dedup ids seeded first)
-// or behind the tap.
+// as load reporter when there is a pressure budget, and as durable sink
+// (recovered dedup ids seeded first) or behind the tap.
 func (s *Server) open(tn *trace.ServerTenant) {
 	t := &tenant{ingest: tn}
 	opts := core.StreamOptions{
-		ReorderWindow:  vclock.Duration(s.cfg.ReorderWindow),
-		Retain:         vclock.Duration(s.cfg.Retain),
-		CorrRetain:     vclock.Duration(s.cfg.CorrRetain),
-		MaxWindowSpans: s.cfg.MaxWindowSpans,
-		PressureSpans:  s.cfg.PressureSpans,
+		ReorderWindow: vclock.Duration(s.cfg.ReorderWindow),
+		Retain:        vclock.Duration(s.cfg.Retain),
+		CorrRetain:    vclock.Duration(s.cfg.CorrRetain),
+		PressureSpans: s.cfg.PressureSpans,
 	}
 	if s.cfg.LiveAnalysis {
 		// The engine attaches as the stream's observer before the correlator
@@ -240,9 +233,12 @@ func (s *Server) open(tn *trace.ServerTenant) {
 	}
 	st := core.OpenTenantStream(tn.Key(), opts, openStore)
 	t.stream = st
-	tn.SetLoad(st)
-	switch {
-	case s.cfg.DataDir != "":
+	if s.cfg.PressureSpans > 0 {
+		// Without a budget the pressure is always nominal, and asking would
+		// take the correlator's mutex on every POST.
+		tn.SetLoad(st)
+	}
+	if s.cfg.DataDir != "" {
 		if err := st.Err(); err != nil {
 			fmt.Fprintf(os.Stderr, "xsp-server: tenant %s degraded to RAM-only: %v\n", tn.Key(), err)
 		}
@@ -256,14 +252,11 @@ func (s *Server) open(tn *trace.ServerTenant) {
 		// Batches reach the correlator synchronously at the ack barrier (WAL
 		// fsync before the 202), replacing the tap.
 		tn.SetDurable(st)
-	case s.cfg.TapQueue > 0:
-		t.tap = tn.SetTapAsync(st, trace.TapOptions{Queue: s.cfg.TapQueue, Policy: s.policy})
-	default:
-		tn.SetTap(st)
+	} else {
+		t.tap = tn.SetTapAsync(st, trace.TapOptions{})
 	}
 	// The correlator's history is the tenant's span store: it links the
-	// decoded spans themselves and /api/trace masks its links back out. A
-	// batch a drop|degrade tap sheds stays with the ingest half instead.
+	// decoded spans themselves and /api/trace masks its links back out.
 	tn.SetHistory(func() *trace.Trace {
 		t.settle() // a batch whose 202 has returned is in the view
 		return st.Correlator().SnapshotRaw()

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -32,7 +33,7 @@ import (
 func testConfig(dataDir string) Config {
 	return Config{
 		DataDir: dataDir, LiveAnalysis: true, GPU: gpu.TeslaV100.Name,
-		ReorderWindow: 64, Retain: 512, TapQueue: trace.DefaultTapQueue, ShedPolicy: "block", RetryAfter: time.Second,
+		ReorderWindow: 64, Retain: 512, RetryAfter: time.Second,
 	}
 }
 
@@ -293,20 +294,88 @@ func TestCloseEndsWatchers(t *testing.T) {
 	}
 }
 
-// Thermal cycling for the shed path: three times over, a degrade tap of 2048
-// spans is overdriven until it sheds, drained, and its tenant reset — and
-// every invariant is inspected in every cycle, not just the last. The raw
-// view is the stream as fed, tracer-sent parents included; every acknowledged
-// span is held once (in the history, or in the ingest half's store, which
-// holds exactly what the tap counts dropped); the reset leaves both empty;
-// and no cycle leaves a goroutine behind.
+// postRetrying posts one batch until it is acknowledged, waiting out each
+// push-back's Retry-After the way HTTPCollector does, and reports how often
+// it was pushed back.
+func postRetrying(t *testing.T, s http.Handler, id uint64, spans []*trace.Span) (shed int) {
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); shed++ {
+		rec := post(s, "", id, spans)
+		switch rec.Code {
+		case http.StatusAccepted:
+			return shed
+		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			secs, err := strconv.ParseFloat(rec.Header().Get("Retry-After"), 64)
+			if err != nil {
+				t.Errorf("batch %x: %d with Retry-After %q", id, rec.Code, rec.Header().Get("Retry-After"))
+				return shed
+			}
+			time.Sleep(time.Duration(secs * float64(time.Second)))
+		default:
+			t.Errorf("batch %x: %d %s", id, rec.Code, rec.Body)
+			return shed
+		}
+	}
+	t.Errorf("batch %x was pushed back for 30s", id)
+	return shed
+}
+
+// checkViews holds every view of the default tenant to the acknowledged
+// batches: /api/trace to the stream as fed, /api/correlated?flush=1 to its
+// batch correlation, and the live analyses to one observation per span.
+func checkViews(t *testing.T, s http.Handler, when string, acked [][]*trace.Span) {
+	t.Helper()
+	mem, want := trace.NewMemory(), &trace.Trace{}
+	for _, b := range acked {
+		for _, sp := range b {
+			mem.Publish(sp.Clone())
+			want.Spans = append(want.Spans, sp.Clone())
+		}
+	}
+	raw := mem.Trace()
+	raw.Tenant = trace.DefaultTenant
+	var rawBody bytes.Buffer
+	if err := raw.EncodeJSON(&rawBody); err != nil {
+		t.Fatal(err)
+	}
+	if got := get(t, s, "/api/trace", ""); !bytes.Equal(got, rawBody.Bytes()) {
+		t.Fatalf("%s: /api/trace is %d bytes, the fed stream encodes to %d", when, len(got), rawBody.Len())
+	}
+	want.SortByBegin()
+	core.CorrelateWith(want, core.StrategyAuto)
+	got, err := trace.DecodeJSON(bytes.NewReader(get(t, s, "/api/correlated?flush=1", "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Spans) != len(want.Spans) {
+		t.Fatalf("%s: /api/correlated holds %d spans, %d were acknowledged", when, len(got.Spans), len(want.Spans))
+	}
+	for i, sp := range got.Spans {
+		if w := want.Spans[i]; sp.ID != w.ID || sp.ParentID != w.ParentID {
+			t.Fatalf("%s: /api/correlated position %d: span %d under %d, batch correlation has span %d under %d", when, i, sp.ID, sp.ParentID, w.ID, w.ParentID)
+		}
+	}
+	rec := do(s, http.MethodGet, "/api/analysis", "", nil, nil)
+	if n := rec.Header().Get("X-Analysis-Spans"); n != strconv.Itoa(len(want.Spans)) {
+		t.Fatalf("%s: the analyses observed %s spans, %d were acknowledged", when, n, len(want.Spans))
+	}
+}
+
+// Thermal cycling for the one overload rule: three times over, a tenant is
+// overdriven past a 4096-span admission budget until it sheds, drained, and
+// reset — and every invariant is inspected in every cycle, not just the
+// last. Every acknowledged span is in every view: the raw view is the
+// stream as fed, tracer-sent parents included, the correlated view is its
+// batch correlation, and the analyses observed each span once; the tap is
+// empty once settled; the reset leaves every view empty; and no cycle
+// leaves a goroutine behind.
 func TestShedDrainResetCycles(t *testing.T) {
 	cfg := testConfig("")
-	cfg.ShedPolicy, cfg.TapQueue = "degrade", 2048
+	cfg.MaxInflightSpans, cfg.RetryAfter = 4096, 5*time.Millisecond
 	s := newServer(t, cfg)
 	tn := s.lookup("")
-	nextID, droppedBefore, goroutines := uint64(1<<32), int64(0), 0
+	nextID, goroutines := uint64(1<<32), 0
 	for cycle := 1; cycle <= 3; cycle++ {
+		shedBefore := tn.ingest.OverloadStats().ShedRequests
 		fed := arrivals(int64(100+cycle), 3_000)
 		for i, b := range fed {
 			for _, sp := range b {
@@ -314,15 +383,14 @@ func TestShedDrainResetCycles(t *testing.T) {
 					sp.ParentID = 1 // tracer-sent: the raw view gives it back
 				}
 			}
-			if rec := post(s, "", uint64(cycle)<<20|uint64(i+1), b); rec.Code != http.StatusAccepted {
-				t.Fatalf("cycle %d batch %d: %d %s", cycle, i+1, rec.Code, rec.Body)
-			}
+			postRetrying(t, s, uint64(cycle)<<20|uint64(i+1), b)
 		}
-		// Overflow: bursts of eight concurrent batches, four queue bounds each.
+		// Overdrive: bursts of eight concurrent retrying publishers, two
+		// budgets' worth each, until admission has shed.
 		at := vclock.Time(1 << 40)
-		for burst := 0; tn.tap.Stats().Dropped == droppedBefore; burst++ {
+		for burst := 0; tn.ingest.OverloadStats().ShedRequests == shedBefore; burst++ {
 			if burst == 50 {
-				t.Fatalf("cycle %d: fifty bursts of four queue bounds each never overflowed the tap", cycle)
+				t.Fatalf("cycle %d: fifty bursts of two budgets each never shed", cycle)
 			}
 			var wg sync.WaitGroup
 			for p := 0; p < 8; p++ {
@@ -335,57 +403,90 @@ func TestShedDrainResetCycles(t *testing.T) {
 				wg.Add(1)
 				go func(id uint64) {
 					defer wg.Done()
-					if rec := post(s, "", id, batch); rec.Code != http.StatusAccepted {
-						t.Errorf("cycle %d burst batch %x: %d %s", cycle, id, rec.Code, rec.Body)
-					}
+					postRetrying(t, s, id, batch)
 				}(nextID)
 			}
 			wg.Wait()
 		}
+		if t.Failed() {
+			t.FailNow()
+		}
 
-		mem, acked := trace.NewMemory(), 0
-		for _, b := range fed {
-			acked += len(b)
-			for _, sp := range b {
-				mem.Publish(sp.Clone())
-			}
-		}
-		want := mem.Trace()
-		want.Tenant = trace.DefaultTenant
-		var wantBody bytes.Buffer
-		if err := want.EncodeJSON(&wantBody); err != nil {
-			t.Fatal(err)
-		}
-		if got := get(t, s, "/api/trace", ""); !bytes.Equal(got, wantBody.Bytes()) {
-			t.Fatalf("cycle %d: /api/trace is %d bytes, the fed stream encodes to %d", cycle, len(got), wantBody.Len())
-		}
-		correlated, err := trace.DecodeJSON(bytes.NewReader(get(t, s, "/api/correlated?flush=1", "")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		shed := tn.tap.Stats().Dropped - droppedBefore
-		if kept := tn.ingest.Collector().Len(); len(correlated.Spans)+int(shed) != acked || int64(kept) != shed {
-			t.Fatalf("cycle %d: %d spans acknowledged; the history holds %d, the tap shed %d, the ingest half keeps %d",
-				cycle, acked, len(correlated.Spans), shed, kept)
-		}
-		if st := tn.tap.Stats(); st.Degraded || st.Depth != 0 {
-			t.Fatalf("cycle %d: the drained tap is still degraded: %+v", cycle, st)
+		checkViews(t, s, fmt.Sprintf("cycle %d", cycle), fed)
+		if d := tn.tap.Depth(); d != 0 {
+			t.Fatalf("cycle %d: the settled tap still holds %d spans", cycle, d)
 		}
 
 		if rec := do(s, http.MethodPost, "/api/reset", "", nil, nil); rec.Code != http.StatusNoContent {
 			t.Fatalf("cycle %d: POST /api/reset: %d", cycle, rec.Code)
 		}
-		if kept, fedNow := tn.ingest.Collector().Len(), tn.stream.Correlator().Stats().Fed; kept != 0 || fedNow != 0 {
-			t.Fatalf("cycle %d: after the reset the ingest half keeps %d spans and the history %d", cycle, kept, fedNow)
+		if fedNow := tn.stream.Correlator().Stats().Fed; fedNow != 0 {
+			t.Fatalf("cycle %d: after the reset the history holds %d spans", cycle, fedNow)
 		}
-		if got := string(get(t, s, "/api/trace", "")); got != "[]\n" {
-			t.Fatalf("cycle %d: /api/trace after the reset: %q", cycle, got)
-		}
-		droppedBefore = tn.tap.Stats().Dropped
+		checkViews(t, s, fmt.Sprintf("cycle %d after the reset", cycle), nil)
 		if n := runtime.NumGoroutine(); cycle == 1 {
 			goroutines = n
 		} else if n > goroutines {
 			t.Fatalf("cycle %d ends with %d goroutines, cycle 1 ended with %d", cycle, n, goroutines)
+		}
+	}
+}
+
+// The push-back hint is RetryAfter whether or not a budget is set: a retry
+// racing its still-decoding original is a 503 that carries it.
+func TestRetryAfterWithoutBudgets(t *testing.T) {
+	s := newServer(t, Config{RetryAfter: 250 * time.Millisecond})
+	batch := arrivals(97, 300)[0]
+	body := &heldBody{r: bytes.NewReader(trace.AppendBinaryFrameTenant(nil, "", batch)), reading: make(chan struct{}), release: make(chan struct{})}
+	req := httptest.NewRequest(http.MethodPost, "/api/spans", body)
+	req.Header.Set("Content-Type", trace.ContentTypeBinary)
+	req.Header.Set("X-Batch-Id", "7")
+	original := make(chan int)
+	go func() {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		original <- rec.Code
+	}()
+	<-body.reading // the original holds the batch's claim
+	retry := post(s, "", 7, batch)
+	close(body.release)
+	if retry.Code != http.StatusServiceUnavailable || retry.Header().Get("Retry-After") != "0.25" {
+		t.Errorf("a retry racing its original: %d with Retry-After %q, want 503 with 0.25", retry.Code, retry.Header().Get("Retry-After"))
+	}
+	if code := <-original; code != http.StatusAccepted {
+		t.Errorf("the original: %d, want 202", code)
+	}
+}
+
+// heldBody is a request body whose first read waits for release.
+type heldBody struct {
+	r                io.Reader
+	once             sync.Once
+	reading, release chan struct{}
+}
+
+func (b *heldBody) Read(p []byte) (int, error) {
+	b.once.Do(func() {
+		close(b.reading)
+		<-b.release
+	})
+	return b.r.Read(p)
+}
+
+// An in-process publish into the default tenant's collector is held once,
+// by the correlator — not also by the ingest half beside it — in RAM mode
+// and durable alike, and it survives a restart like an accepted batch.
+func TestInProcessPublishIsHeldOnce(t *testing.T) {
+	for _, dataDir := range []string{"", t.TempDir()} {
+		cfg := testConfig(dataDir)
+		s := newServer(t, cfg)
+		layer := &trace.Span{ID: 1, Level: trace.LevelLayer, Name: "l", Begin: 10, End: 20}
+		kernel := &trace.Span{ID: 2, Level: trace.LevelKernel, Name: "k", Begin: 12, End: 14}
+		s.ingest.Tenant(trace.DefaultTenant).Collector().Publish(layer.Clone(), kernel.Clone())
+		checkViews(t, s, fmt.Sprintf("data dir %q", dataDir), [][]*trace.Span{{layer, kernel}})
+		if dataDir != "" {
+			s.Close()
+			checkViews(t, newServer(t, cfg), "after a restart", [][]*trace.Span{{layer, kernel}})
 		}
 	}
 }
@@ -396,7 +497,7 @@ func TestShedDrainResetCycles(t *testing.T) {
 // fast the tenant is filling and emptying meanwhile.
 func TestOverloadViewIsOneSnapshot(t *testing.T) {
 	cfg := testConfig("")
-	cfg.TapQueue, cfg.PressureSpans = 0, 128 // inline tap: a 202 means the correlator holds the batch
+	cfg.PressureSpans = 128
 	s := newServer(t, cfg)
 	batch := arrivals(71, 128)[0][:96] // past half the budget, under it: elevated
 
@@ -696,10 +797,11 @@ func TestExternalContract(t *testing.T) {
 		t.Errorf("/api/durability does not report the degraded tenant's error")
 	}
 
-	// What New refuses: the two names that can be wrong.
-	for _, bad := range []Config{{ShedPolicy: "sometimes"}, {ShedPolicy: "block", LiveAnalysis: true, GPU: "Voodoo2"}} {
-		if _, err := New(bad); err == nil {
-			t.Errorf("New(%+v) succeeded", bad)
-		}
+	// What New refuses: the one name that can be wrong. The zero Config runs.
+	if _, err := New(Config{LiveAnalysis: true, GPU: "Voodoo2"}); err == nil {
+		t.Errorf("New with -gpu Voodoo2 succeeded")
+	}
+	if rec := post(newServer(t, Config{}), "", 1, arrivals(97, 300)[0]); rec.Code != http.StatusAccepted {
+		t.Errorf("POST to a zero-Config server: %d %s", rec.Code, rec.Body)
 	}
 }

@@ -44,11 +44,11 @@
 // accepted by /api/spans (zero-ID spans get fresh server-side IDs first)
 // and in-process publishes into ServerTenant.Collector — how cmd/xsp-server
 // feeds a core.StreamCorrelator for streaming correlation.
-// Where nothing between the handler and the tap's consumer can shed a
-// batch, [ServerTenant.SetHistory] makes that consumer the store: accepted
-// batches skip the tenant's Memory and /api/trace serves the consumer's
-// history (a stream correlator's SnapshotRaw) — a streamed span is held
-// once.
+// Nothing between the handler and the tap's consumer sheds a batch, so
+// [ServerTenant.SetHistory] can make that consumer the store: accepted
+// batches and in-process publishes skip the tenant's Memory and /api/trace
+// serves the consumer's history alone (a stream correlator's SnapshotRaw) —
+// a streamed span is held once.
 //
 // Ingest accounting: [Server.Received] counts spans accepted over HTTP
 // since the server started or since the last /api/reset — the reset
@@ -65,18 +65,12 @@
 //     replaces the inline tap with an [AsyncTap]: publishers enqueue onto
 //     a queue bounded at [TapOptions.Queue] spans and a single worker
 //     forwards to the consumer, so the publish path decouples from
-//     consumer latency. At the bound, [TapOptions.Policy] decides:
-//     [ShedBlock] applies backpressure to the publisher, [ShedDropNewest]
-//     sheds the overflowing batch, [ShedDegradeToBatch] sheds every batch
-//     until the queue fully drains (hysteresis, so a saturated consumer
-//     gets a quiet catch-up window). Shedding is batch-granular and
-//     counted ([AsyncTap.Stats]); a shed batch is only lost to the
-//     *online* consumer — it already landed in the Memory store, or, on a
-//     tenant whose consumer is its span store ([ServerTenant.SetHistory]),
-//     the tenant's Memory keeps exactly the shed batches and
-//     [ServerTenant.Trace] merges them in — so a snapshot re-correlate
-//     recovers it. An oversized batch is admitted when it has the queue to
-//     itself, so one batch larger than the bound cannot wedge.
+//     consumer latency. At the bound the tap sheds nothing: Publish waits
+//     for room. Behind the HTTP handler that wait keeps the batch in
+//     flight, the admission budgets below fill, and new POSTs are shed at
+//     the edge — the one overload rule, so every acknowledged batch
+//     reaches the consumer. An oversized batch is admitted when it has the
+//     queue to itself, so one batch larger than the bound cannot wedge.
 //   - In-flight request bytes and spans. [Server.SetAdmission] installs an
 //     [AdmissionPolicy]: request bodies reserve their Content-Length
 //     against MaxInflightBytes before being read (a chunked body, which

@@ -5,77 +5,25 @@ import (
 	"sync"
 )
 
-// ShedPolicy is what an AsyncTap does with a published batch when its
-// queue is full — the explicit overload contract between the publish path
-// and a slower online consumer. Whatever the policy, the spans themselves
-// are never lost: a tap on a Memory forwards spans the collector already
-// buffers, and a ServerTenant whose consumer is its span store (SetHistory)
-// keeps a batch its tap sheds itself — once, unresolved, merged into
-// ServerTenant.Trace — so a batch re-correlate of that trace still sees it
-// (see the package comment's "Overload" section). The policies trade
-// publish-path latency against online-view completeness.
+// ShedPolicy names an AsyncTap's behavior at a full queue, which has one
+// value, ShedBlock. Kept for bench/replica.go; it goes with the benchmark PR
+// that re-bases the replica on server.New.
 type ShedPolicy int
 
-const (
-	// ShedBlock applies backpressure: Publish waits for queue room. The
-	// publish path inherits the consumer's pace when the queue is full —
-	// for HTTP ingest that propagates naturally into admission control
-	// (in-flight budgets fill, the server sheds 429s) — and the online
-	// consumer sees every span.
-	ShedBlock ShedPolicy = iota
-
-	// ShedDropNewest keeps the publish path wait-free: the overflowing
-	// batch is counted dropped and not enqueued. Later batches enqueue
-	// again as soon as the queue has room, so the online view has point
-	// gaps under bursts rather than falling behind.
-	ShedDropNewest
-
-	// ShedDegradeToBatch sheds the whole stream once the queue overflows:
-	// every batch is dropped until the queue drains empty, then streaming
-	// resumes. The online view's gap is one contiguous stretch per
-	// degradation — the shape a batch re-correlate over the store repairs
-	// most cheaply — instead of scattered holes.
-	ShedDegradeToBatch
-)
-
-// String returns the flag-style name of the policy (see ParseShedPolicy).
-func (p ShedPolicy) String() string {
-	switch p {
-	case ShedBlock:
-		return "block"
-	case ShedDropNewest:
-		return "drop"
-	case ShedDegradeToBatch:
-		return "degrade"
-	default:
-		return fmt.Sprintf("ShedPolicy(%d)", int(p))
-	}
-}
-
-// ParseShedPolicy parses a policy's flag-style name.
-func ParseShedPolicy(s string) (ShedPolicy, error) {
-	switch s {
-	case "block":
-		return ShedBlock, nil
-	case "drop":
-		return ShedDropNewest, nil
-	case "degrade":
-		return ShedDegradeToBatch, nil
-	default:
-		return 0, fmt.Errorf("trace: unknown shed policy %q (want block, drop, or degrade)", s)
-	}
-}
+// ShedBlock is backpressure, what every AsyncTap does at its bound: Publish
+// waits for queue room. Kept for bench/replica.go, like ShedPolicy.
+const ShedBlock ShedPolicy = 0
 
 // TapOptions configures an AsyncTap.
 type TapOptions struct {
 	// Queue bounds the tap's backlog, in spans: batches enqueue until the
-	// spans waiting to be forwarded would exceed it, then Policy applies.
-	// Zero applies DefaultTapQueue. An oversized batch (bigger than the
-	// whole bound) is admitted alone when the queue is empty, so no batch
-	// can wedge a ShedBlock tap forever.
+	// spans waiting to be forwarded would exceed it, and then Publish waits
+	// for room. Zero applies DefaultTapQueue. An oversized batch (bigger than
+	// the whole bound) is admitted alone when the queue is empty, so no batch
+	// can wedge the tap forever.
 	Queue int
 
-	// Policy is what Publish does when the queue is full.
+	// Policy is ignored. Kept for bench/replica.go, like ShedPolicy.
 	Policy ShedPolicy
 }
 
@@ -85,9 +33,11 @@ const DefaultTapQueue = 65536
 // AsyncTap decouples the publish path from a tap consumer through a
 // bounded queue: Publish enqueues the batch — a short critical section,
 // no consumer work — and a single worker goroutine forwards batches to
-// the destination collector in arrival order. The queue bound and
-// ShedPolicy make behavior under overload explicit instead of letting a
-// slow consumer grow an unbounded backlog or stall every publisher.
+// the destination collector in arrival order. A full queue backpressures
+// the publisher: Publish waits for room, so a slow consumer neither grows
+// an unbounded backlog nor loses a batch. Behind an HTTP handler that wait
+// fills the admission budgets, and admission control sheds at the edge
+// (see AdmissionPolicy).
 //
 // AsyncTap implements Collector, so it drops in wherever a synchronous
 // tap went: mem.SetTap(NewAsyncTap(sc, opts)) — or the one-call
@@ -100,35 +50,31 @@ const DefaultTapQueue = 65536
 type AsyncTap struct {
 	dst  Collector
 	max  int
-	pol  ShedPolicy
-	keep func([]*Span) // takes each batch the policy sheds; nil when whoever publishes already holds it
 	wg   sync.WaitGroup
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast: queue state changed (room, work, or close)
 
-	queue    [][]*Span
-	depth    int // spans enqueued, not yet handed to dst
-	busy     int // spans handed to dst, Publish not yet returned
-	closed   bool
-	degraded bool // ShedDegradeToBatch: shedding until the queue drains
+	queue  [][]*Span
+	depth  int // spans enqueued, not yet handed to dst
+	busy   int // spans handed to dst, Publish not yet returned
+	closed bool
 
-	enqueued     int64 // spans accepted into the queue, ever
-	forwarded    int64 // spans delivered to dst, ever
-	dropped      int64 // spans shed by policy, ever
-	degradations int   // times ShedDegradeToBatch switched to shedding
-	maxDepth     int
+	enqueued  int64 // spans accepted into the queue, ever
+	forwarded int64 // spans delivered to dst, ever
+	maxDepth  int
 }
 
-// AsyncTapStats is a point-in-time snapshot of an AsyncTap's progress and
-// shedding counters.
+// AsyncTapStats is a point-in-time snapshot of an AsyncTap's progress
+// counters.
 type AsyncTapStats struct {
-	Enqueued     int64 // spans accepted into the queue, ever
-	Forwarded    int64 // spans delivered to the destination, ever
-	Dropped      int64 // spans shed by the policy, ever
-	Depth        int   // spans currently queued or being forwarded
-	MaxDepth     int   // high-water mark of Depth
-	Degraded     bool  // ShedDegradeToBatch currently shedding
-	Degradations int   // times ShedDegradeToBatch switched to shedding, ever
+	Enqueued  int64 // spans accepted into the queue, ever
+	Forwarded int64 // spans delivered to the destination, ever
+	Depth     int   // spans currently queued or being forwarded
+	MaxDepth  int   // high-water mark of Depth
+
+	// Dropped is always zero: the tap never sheds. Kept for bench/replica.go
+	// and bench/run.go, like ShedPolicy.
+	Dropped int64 `json:"-"`
 }
 
 // NewAsyncTap starts an async tap forwarding to dst. Close it when done.
@@ -136,50 +82,30 @@ func NewAsyncTap(dst Collector, opts TapOptions) *AsyncTap {
 	if opts.Queue <= 0 {
 		opts.Queue = DefaultTapQueue
 	}
-	t := &AsyncTap{dst: dst, max: opts.Queue, pol: opts.Policy}
+	t := &AsyncTap{dst: dst, max: opts.Queue}
 	t.cond = sync.NewCond(&t.mu)
 	t.wg.Add(1)
 	go t.run()
 	return t
 }
 
-// Publish enqueues the batch for the worker, applying the shed policy
-// when the queue is full. After Close, batches forward synchronously to
-// the destination — a tap being detached must not silently eat a final
-// straggling publish.
+// Publish enqueues the batch for the worker, waiting while the queue is
+// full. After Close, batches forward synchronously to the destination — a
+// tap being detached must not silently eat a final straggling publish.
 func (t *AsyncTap) Publish(spans ...*Span) {
 	n := len(spans)
 	if n == 0 {
 		return
 	}
 	t.mu.Lock()
-	for {
-		if t.closed {
-			t.mu.Unlock()
-			t.dst.Publish(spans...)
-			return
-		}
-		if t.degraded {
-			// Degraded: shed everything until the worker drains the queue.
-			t.drop(spans)
-			return
-		}
-		if t.depth+t.busy+n <= t.max || t.depth+t.busy == 0 {
-			break // room — or an oversized batch admitted alone
-		}
-		switch t.pol {
-		case ShedBlock:
-			t.cond.Wait()
-			continue
-		case ShedDropNewest:
-			t.drop(spans)
-			return
-		case ShedDegradeToBatch:
-			t.degraded = true
-			t.degradations++
-			t.drop(spans)
-			return
-		}
+	// Wait for room — an oversized batch is admitted alone.
+	for !t.closed && t.depth+t.busy+n > t.max && t.depth+t.busy > 0 {
+		t.cond.Wait()
+	}
+	if t.closed {
+		t.mu.Unlock()
+		t.dst.Publish(spans...)
+		return
 	}
 	t.queue = append(t.queue, spans)
 	t.depth += n
@@ -189,17 +115,6 @@ func (t *AsyncTap) Publish(spans ...*Span) {
 	}
 	t.cond.Broadcast()
 	t.mu.Unlock()
-}
-
-// drop sheds a batch: counted, the lock released, and the batch handed to
-// the keeper — outside the lock, so shedding never waits on a store. Callers
-// hold t.mu and return.
-func (t *AsyncTap) drop(spans []*Span) {
-	t.dropped += int64(len(spans))
-	t.mu.Unlock()
-	if t.keep != nil {
-		t.keep(spans)
-	}
 }
 
 // run is the worker: it forwards queued batches to the destination, one
@@ -227,9 +142,6 @@ func (t *AsyncTap) run() {
 		t.mu.Lock()
 		t.busy = 0
 		t.forwarded += int64(len(batch))
-		if t.degraded && t.depth == 0 {
-			t.degraded = false // drained: resume streaming
-		}
 		t.cond.Broadcast()
 	}
 }
@@ -274,13 +186,10 @@ func (t *AsyncTap) Stats() AsyncTapStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return AsyncTapStats{
-		Enqueued:     t.enqueued,
-		Forwarded:    t.forwarded,
-		Dropped:      t.dropped,
-		Depth:        t.depth + t.busy,
-		MaxDepth:     t.maxDepth,
-		Degraded:     t.degraded,
-		Degradations: t.degradations,
+		Enqueued:  t.enqueued,
+		Forwarded: t.forwarded,
+		Depth:     t.depth + t.busy,
+		MaxDepth:  t.maxDepth,
 	}
 }
 
@@ -288,7 +197,7 @@ func (t *AsyncTap) Stats() AsyncTapStats {
 // publishes enqueue and return instead of running the consumer inline, and
 // the returned AsyncTap carries the queue's stats and lifecycle (Close it
 // when detaching — SetTap(nil) alone leaves the worker running). See
-// AsyncTap for the shedding and ordering contract; the exactly-once and
+// AsyncTap for the backpressure and ordering contract; the exactly-once and
 // pointer-sharing contract of SetTap is unchanged.
 func (m *Memory) SetTapAsync(dst Collector, opts TapOptions) *AsyncTap {
 	t := NewAsyncTap(dst, opts)

@@ -18,7 +18,7 @@ import (
 // leaves correlation to the tap worker. On the non-overloaded path —
 // which is what a publish-side benchmark measures; the queue never fills
 // here — the async tap must cost no more per publish than the inline tap,
-// since all it adds is the enqueue. Once the queue saturates, ShedBlock
+// since all it adds is the enqueue. Once the queue saturates, the tap's
 // throughput converges to the consumer's either way; the win is that the
 // publisher is no longer coupled to per-batch correlation latency.
 func BenchmarkPublishTapped(b *testing.B) {
@@ -62,7 +62,7 @@ func BenchmarkPublishTapped(b *testing.B) {
 	})
 	b.Run("async-tap", func(b *testing.B) {
 		mem := trace.NewMemory()
-		tap := mem.SetTapAsync(newCorrelator(), trace.TapOptions{Policy: trace.ShedBlock})
+		tap := mem.SetTapAsync(newCorrelator(), trace.TapOptions{})
 		var cursor vclock.Time
 		var id uint64
 		b.ReportAllocs()

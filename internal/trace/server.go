@@ -66,7 +66,7 @@ type ServerTenant struct {
 	received atomic.Int64 // spans accepted over HTTP since start or the tenant's last reset
 
 	load         atomic.Pointer[LoadReporter]
-	history      func() *Trace // SetHistory: the consumer's store serves Trace, mem holds only what the tap shed
+	history      func() *Trace // SetHistory: the consumer's store serves Trace, mem holds nothing
 	tapQ         atomic.Pointer[AsyncTap]
 	durable      atomic.Pointer[DurableSink]
 	inflightS    atomic.Int64 // spans decoded, not yet landed in this tenant's collector
@@ -187,34 +187,63 @@ func (s *Server) EachTenant(fn func(*ServerTenant)) {
 func (t *ServerTenant) Key() string { return t.key }
 
 // Collector returns the tenant's in-process collector, for tracers
-// running in the same process as the server. With a history set
-// (SetHistory) spans accepted over HTTP bypass it: it then holds exactly
-// the batches the tenant's async tap shed, which Trace merges in.
-func (t *ServerTenant) Collector() *Memory { return t.mem }
+// running in the same process as the server. Without a history it is the
+// tenant's Memory. With one (SetHistory) a publish takes an accepted POST's
+// path to the consumer — the durable sink, then the tap — and nothing is
+// kept beside it; a batch the sink refuses is dropped, as
+// core.StreamCorrelator.Feed drops it.
+func (t *ServerTenant) Collector() Collector {
+	if t.history != nil {
+		return storeCollector{t}
+	}
+	return t.mem
+}
+
+// storeCollector is the in-process collector of a tenant whose consumer is
+// its store.
+type storeCollector struct{ t *ServerTenant }
+
+func (c storeCollector) Publish(spans ...*Span) {
+	if len(spans) > 0 {
+		_ = c.t.publish(0, spans)
+	}
+}
+
+// publish hands a batch to the tenant's consumers: the durable sink first,
+// when one is set — its error refuses the batch, nothing downstream sees
+// it — and then the tenant's Memory, or, with a history set, its tap alone.
+func (t *ServerTenant) publish(batchID uint64, spans []*Span) error {
+	if d := t.durable.Load(); d != nil {
+		if err := (*d).IngestLogged(batchID, spans); err != nil {
+			return err
+		}
+	}
+	if t.history != nil {
+		t.mem.tapPublish(spans) // the tap's consumer is the store: held once
+	} else {
+		t.mem.Publish(spans...) // forwards to the tenant's Memory tap, if attached
+	}
+	return nil
+}
 
 // SetHistory makes the tenant's consumer its span store: an accepted batch
-// is forwarded to the tap (after the durable sink) without being appended
-// to the tenant's Memory, and Trace — hence GET /api/trace — serves src():
-// every span the consumer was handed, in canonical order with ParentIDs as
-// published, safe to encode while ingest continues
-// (core.StreamCorrelator.SnapshotRaw). A batch the tenant's async tap sheds
-// on the way (SetTapAsync under ShedDropNewest or ShedDegradeToBatch) never
-// reaches the consumer: the tenant's Memory keeps it instead, untouched, and
-// Trace merges the two, so every accepted span is held once and served. Call
-// it from the SetTenantInit hook, before the tenant serves: unlike its
+// — or an in-process publish into Collector — is forwarded to the tap
+// (after the durable sink) without being appended to the tenant's Memory,
+// and Trace — hence GET /api/trace — serves src() alone: every span the
+// consumer was handed, in canonical order with ParentIDs as published,
+// safe to encode while ingest continues (core.StreamCorrelator.SnapshotRaw).
+// Call it from the SetTenantInit hook, before the tenant serves: unlike its
 // siblings it is not atomic.
 func (t *ServerTenant) SetHistory(src func() *Trace) { t.history = src }
 
 // Trace returns the tenant's currently aggregated timeline trace — with a
-// history set, the history's merged with whatever the tap shed — tagged
-// with the tenant key.
+// history set, the history — tagged with the tenant key.
 func (t *ServerTenant) Trace() *Trace {
-	tr := t.mem.Trace()
+	var tr *Trace
 	if t.history != nil {
-		shed := tr.Spans
-		if tr = t.history(); len(shed) > 0 {
-			tr.Spans = MergeRuns([][]*Span{tr.Spans, shed})
-		}
+		tr = t.history()
+	} else {
+		tr = t.mem.Trace()
 	}
 	tr.Tenant = t.key
 	return tr
@@ -290,17 +319,11 @@ func (t *ServerTenant) SetLoad(l LoadReporter) {
 // (see Memory.SetTapAsync) and registers the queue with admission
 // control, so its backlog counts against the tenant's share of
 // AdmissionPolicy.MaxInflightSpans and is reported in the
-// X-Tap-Queue-Depth header. With a history set (SetHistory) the tenant's
-// Memory is the tap's keeper: a shed batch lands there and nowhere else.
+// X-Tap-Queue-Depth header. A full queue holds the handler, whose batch
+// stays in flight, so the budgets fill and admission sheds new POSTs.
 // Close the returned tap when detaching.
 func (t *ServerTenant) SetTapAsync(dst Collector, opts TapOptions) *AsyncTap {
-	tap := NewAsyncTap(dst, opts)
-	tap.keep = func(spans []*Span) {
-		if t.history != nil { // else Publish already appended the batch
-			t.mem.append(spans)
-		}
-	}
-	t.mem.SetTap(tap)
+	tap := t.mem.SetTapAsync(dst, opts)
 	t.tapQ.Store(tap)
 	return tap
 }
@@ -747,17 +770,10 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	// before the 202 is written. A log failure is refused retryably — the
 	// deferred unclaim releases the batch id, so the client's retry gets a
 	// fresh claim once the sink recovers.
-	if d := tn.durable.Load(); d != nil {
-		if err := (*d).IngestLogged(batchID, t.Spans); err != nil {
-			s.overloadHeaders(w.Header(), tn, s.retryAfterHint())
-			http.Error(w, "trace: durable log append failed, retry later", http.StatusServiceUnavailable)
-			return
-		}
-	}
-	if tn.history != nil {
-		tn.mem.tapPublish(t.Spans) // the tap's consumer is the store: held once
-	} else {
-		tn.mem.Publish(t.Spans...) // forwards to the tenant's Memory tap, if attached
+	if err := tn.publish(batchID, t.Spans); err != nil {
+		s.overloadHeaders(w.Header(), tn, s.retryAfterHint())
+		http.Error(w, "trace: durable log append failed, retry later", http.StatusServiceUnavailable)
+		return
 	}
 	tn.received.Add(int64(len(t.Spans)))
 	if batchID != 0 {

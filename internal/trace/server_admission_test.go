@@ -185,7 +185,7 @@ func TestServerAdmissionSpanBudgetCountsTapBacklog(t *testing.T) {
 	srv := NewServer()
 	srv.SetAdmission(AdmissionPolicy{MaxInflightSpans: 4, RetryAfter: time.Second})
 	dst := &recordingCollector{gate: make(chan struct{})}
-	tap := srv.Tenant(DefaultTenant).SetTapAsync(dst, TapOptions{Queue: 100, Policy: ShedBlock})
+	tap := srv.Tenant(DefaultTenant).SetTapAsync(dst, TapOptions{Queue: 100})
 	defer tap.Close()
 	defer close(dst.gate)
 

@@ -45,7 +45,8 @@ func (f *failingSink) IngestLogged(uint64, []*Span) error {
 }
 
 // With a history set the tenant holds nothing itself: an accepted POST goes
-// to the tap — once, in order, after the durable sink — and /api/trace is the
+// to the tap — once, in order, after the durable sink — and so does an
+// in-process publish, and /api/trace is the
 // history's answer under the tenant's key. Whatever is not accepted forwards
 // nothing, and a tenant without a history is the server it always was.
 func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
@@ -68,7 +69,7 @@ func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
 		if got := store.snapshot(); !slices.EqualFunc(got, want, slices.Equal[[]uint64]) {
 			t.Fatalf("%s: the tap has seen batches %v, want %v", step, got, want)
 		}
-		if n := hist.Collector().Len(); n != 0 {
+		if n := hist.mem.Len(); n != 0 {
 			t.Fatalf("%s: the tenant's own store holds %d spans, want none", step, n)
 		}
 	}
@@ -114,6 +115,11 @@ func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
 	if got := hist.Received(); got != 6 {
 		t.Fatalf("Received = %d after the pushed-back batches, want 6", got)
 	}
+	// An in-process publish lands where an accepted batch does: on the tap,
+	// once, and nowhere else.
+	hist.Collector().Publish(span(17))
+	want = append(want, []uint64{17})
+	forwarded("in-process publish")
 
 	// /api/trace is src() under the tenant's key, byte for byte, both ways.
 	for _, accept := range []string{ContentTypeJSON, ContentTypeBinary} {
@@ -139,11 +145,11 @@ func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Tenant != "hist" || len(got.Spans) != 6 || got.ByID(9).ParentID != 3 {
+		if got.Tenant != "hist" || len(got.Spans) != 7 || got.ByID(9).ParentID != 3 {
 			t.Fatalf("GET /api/trace (%s): tenant %q, %d spans, span 9 under %d", accept, got.Tenant, len(got.Spans), got.ByID(9).ParentID)
 		}
 	}
-	if tr := hist.Trace(); tr.Tenant != "hist" || len(tr.Spans) != 6 {
+	if tr := hist.Trace(); tr.Tenant != "hist" || len(tr.Spans) != 7 {
 		t.Fatalf("ServerTenant.Trace: tenant %q, %d spans", tr.Tenant, len(tr.Spans))
 	}
 
@@ -151,7 +157,7 @@ func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
 	if rec := postTenant(srv, "plain", encodeSpans(t, span(1), span(2)), ContentTypeJSON, "a1"); rec.Code != http.StatusAccepted {
 		t.Fatalf("plain tenant POST = %d", rec.Code)
 	}
-	if n, tr := plain.Collector().Len(), plain.Trace(); n != 2 || len(tr.Spans) != 2 || tr.Tenant != "plain" {
+	if n, tr := plain.mem.Len(), plain.Trace(); n != 2 || len(tr.Spans) != 2 || tr.Tenant != "plain" {
 		t.Fatalf("plain tenant holds %d spans, serves %d as %q", n, len(tr.Spans), tr.Tenant)
 	}
 	forwarded("neighbour's POST")
@@ -170,72 +176,5 @@ func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
 	}
 	if rec := postTenant(srv, "plain", encodeSpans(t, span(1), span(2)), ContentTypeJSON, "a1"); rec.Header().Get("X-Duplicate-Batch") != "1" {
 		t.Fatal("the neighbour's dedup window did not survive the reset")
-	}
-}
-
-// A history-backed tenant loses nothing its tap sheds. The consumer blocks, a
-// drop tap of queue 1 fills, and every batch acknowledged after that never
-// reaches the history: the tenant's own store must hold it — it and nothing
-// else, exactly the spans the tap counts dropped — and Trace must serve both
-// halves as one canonical timeline with the ParentIDs as sent.
-func TestTenantHistoryKeepsWhatItSheds(t *testing.T) {
-	srv := NewServer()
-	store := &historyStore{}
-	store.gate = make(chan struct{}, 4) // one token lets one batch through
-	var tap *AsyncTap
-	srv.SetTenantInit(func(tn *ServerTenant) {
-		tap = tn.SetTapAsync(store, TapOptions{Queue: 1, Policy: ShedDropNewest})
-		tn.SetHistory(store.trace)
-	})
-	tn := srv.Tenant("hist")
-	defer tap.Close()
-
-	var acked []*Span
-	post := func(batchID string, spans ...*Span) {
-		t.Helper()
-		if rec := postTenant(srv, "hist", encodeSpans(t, spans...), ContentTypeJSON, batchID); rec.Code != http.StatusAccepted {
-			t.Fatalf("batch %s: POST = %d (%s)", batchID, rec.Code, rec.Body)
-		}
-		acked = append(acked, spans...)
-	}
-	check := func(step string, wantDropped int64) {
-		t.Helper()
-		tap.Flush()
-		if got := tap.Stats().Dropped; got != wantDropped {
-			t.Fatalf("%s: the tap counts %d spans dropped, want %d", step, got, wantDropped)
-		}
-		if n := tn.Collector().Len(); int64(n) != wantDropped {
-			t.Fatalf("%s: the tenant's own store holds %d spans, the tap shed %d", step, n, wantDropped)
-		}
-		got, want := tn.Trace().Spans, MergeRuns([][]*Span{acked})
-		if len(got) != len(want) {
-			t.Fatalf("%s: Trace serves %d spans, %d were acknowledged", step, len(got), len(want))
-		}
-		for i, w := range want {
-			if g := got[i]; g.ID != w.ID || g.ParentID != w.ParentID {
-				t.Fatalf("%s: Trace position %d holds span %d under %d, want span %d under %d", step, i, g.ID, g.ParentID, w.ID, w.ParentID)
-			}
-		}
-	}
-
-	store.gate <- struct{}{}
-	post("c1", span(4), span(2))
-	check("consumer keeping up", 0)
-
-	// The worker is stuck handing c2 to the consumer: the queue's one slot is
-	// taken, and c3 and c4 — sorting before, between and after what the
-	// history holds — are shed.
-	post("c2", span(6))
-	parented := span(3)
-	parented.ParentID = 2
-	post("c3", span(9), parented)
-	post("c4", span(5))
-	store.gate <- struct{}{}
-	check("after the tap shed", 3)
-
-	// Reset empties the tenant's half; the history is its owner's to clear.
-	tn.Reset()
-	if n, tr := tn.Collector().Len(), tn.Trace(); n != 0 || tn.Received() != 0 || len(tr.Spans) != 3 {
-		t.Fatalf("after Reset the tenant holds %d spans and counts %d received; Trace serves %d, the history holds 3", n, tn.Received(), len(tr.Spans))
 	}
 }

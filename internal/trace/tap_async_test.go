@@ -56,7 +56,7 @@ func span(id uint64) *Span {
 // batch boundaries preserved.
 func TestAsyncTapForwardsExactlyOnceInOrder(t *testing.T) {
 	dst := &recordingCollector{}
-	tap := NewAsyncTap(dst, TapOptions{Queue: 8, Policy: ShedBlock})
+	tap := NewAsyncTap(dst, TapOptions{Queue: 8})
 	defer tap.Close()
 
 	var want [][]uint64
@@ -90,17 +90,17 @@ func TestAsyncTapForwardsExactlyOnceInOrder(t *testing.T) {
 		}
 	}
 	st := tap.Stats()
-	if st.Enqueued != int64(id-1) || st.Forwarded != int64(id-1) || st.Dropped != 0 {
-		t.Fatalf("stats = %+v, want %d enqueued and forwarded, 0 dropped", st, id-1)
+	if st.Enqueued != int64(id-1) || st.Forwarded != int64(id-1) {
+		t.Fatalf("stats = %+v, want %d enqueued and forwarded", st, id-1)
 	}
 }
 
-// Concurrent publishers against a small ShedBlock queue: every span lands
+// Concurrent publishers against a small queue: every span lands
 // exactly once, and the queue's high-water mark respects the bound.
 func TestAsyncTapConcurrentPublishExactlyOnce(t *testing.T) {
 	dst := &recordingCollector{}
 	const bound = 4
-	tap := NewAsyncTap(dst, TapOptions{Queue: bound, Policy: ShedBlock})
+	tap := NewAsyncTap(dst, TapOptions{Queue: bound})
 	defer tap.Close()
 
 	const publishers, each = 8, 50
@@ -136,11 +136,11 @@ func TestAsyncTapConcurrentPublishExactlyOnce(t *testing.T) {
 	}
 }
 
-// ShedBlock: a Publish against a full queue waits for room instead of
-// dropping or growing the backlog.
+// A Publish against a full queue waits for room instead of dropping or
+// growing the backlog.
 func TestAsyncTapBlockPolicyBackpressures(t *testing.T) {
 	dst := &recordingCollector{gate: make(chan struct{})}
-	tap := NewAsyncTap(dst, TapOptions{Queue: 2, Policy: ShedBlock})
+	tap := NewAsyncTap(dst, TapOptions{Queue: 2})
 	defer close(dst.gate)
 	defer tap.Close()
 
@@ -155,7 +155,7 @@ func TestAsyncTapBlockPolicyBackpressures(t *testing.T) {
 	}()
 	select {
 	case <-done:
-		t.Fatal("Publish returned against a full ShedBlock queue")
+		t.Fatal("Publish returned against a full queue")
 	case <-time.After(20 * time.Millisecond):
 	}
 
@@ -171,88 +171,13 @@ func TestAsyncTapBlockPolicyBackpressures(t *testing.T) {
 	if got := dst.snapshot(); len(got) != 3 {
 		t.Fatalf("destination saw %d batches, want 3", len(got))
 	}
-	if st := tap.Stats(); st.Dropped != 0 {
-		t.Fatalf("ShedBlock dropped %d spans", st.Dropped)
-	}
-}
-
-// ShedDropNewest: the overflowing batch is dropped and counted; later
-// batches enqueue again as soon as the queue has room.
-func TestAsyncTapDropNewestShedsPointwise(t *testing.T) {
-	dst := &recordingCollector{gate: make(chan struct{})}
-	tap := NewAsyncTap(dst, TapOptions{Queue: 2, Policy: ShedDropNewest})
-	defer tap.Close()
-
-	tap.Publish(span(1))
-	tap.Publish(span(2))
-	waitFor(t, "queue to fill", func() bool { return tap.Depth() == 2 })
-	tap.Publish(span(3)) // full: dropped, wait-free
-	if st := tap.Stats(); st.Dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", st.Dropped)
-	}
-
-	dst.gate <- struct{}{}
-	dst.gate <- struct{}{}
-	waitFor(t, "queue to drain", func() bool { return tap.Depth() == 0 })
-	tap.Publish(span(4)) // room again: enqueues
-	dst.gate <- struct{}{}
-	tap.Flush()
-
-	var ids []uint64
-	for _, b := range dst.snapshot() {
-		ids = append(ids, b...)
-	}
-	if len(ids) != 3 || ids[0] != 1 || ids[1] != 2 || ids[2] != 4 {
-		t.Fatalf("destination saw %v, want [1 2 4]", ids)
-	}
-}
-
-// ShedDegradeToBatch: overflow sheds the whole stream — even batches that
-// would fit — until the queue drains empty, then streaming resumes. The
-// online view's gap is one contiguous stretch.
-func TestAsyncTapDegradeToBatchShedsUntilDrained(t *testing.T) {
-	dst := &recordingCollector{gate: make(chan struct{})}
-	tap := NewAsyncTap(dst, TapOptions{Queue: 2, Policy: ShedDegradeToBatch})
-	defer tap.Close()
-
-	tap.Publish(span(1))
-	tap.Publish(span(2))
-	waitFor(t, "queue to fill", func() bool { return tap.Depth() == 2 })
-	tap.Publish(span(3)) // overflow: degrade
-	st := tap.Stats()
-	if !st.Degraded || st.Degradations != 1 || st.Dropped != 1 {
-		t.Fatalf("after overflow: %+v, want degraded, 1 degradation, 1 dropped", st)
-	}
-
-	// Release span 1: the queue now has room, but the tap is degraded —
-	// everything sheds until it drains empty.
-	dst.gate <- struct{}{}
-	waitFor(t, "first forward", func() bool { return tap.Stats().Forwarded == 1 })
-	tap.Publish(span(4))
-	if st := tap.Stats(); st.Dropped != 2 || st.Degradations != 1 {
-		t.Fatalf("mid-degradation publish: %+v, want 2 dropped, still 1 degradation", st)
-	}
-
-	dst.gate <- struct{}{} // release span 2: queue drains, streaming resumes
-	waitFor(t, "degradation to clear", func() bool { return !tap.Stats().Degraded })
-	tap.Publish(span(5))
-	dst.gate <- struct{}{}
-	tap.Flush()
-
-	var ids []uint64
-	for _, b := range dst.snapshot() {
-		ids = append(ids, b...)
-	}
-	if len(ids) != 3 || ids[0] != 1 || ids[1] != 2 || ids[2] != 5 {
-		t.Fatalf("destination saw %v, want [1 2 5] (one contiguous gap)", ids)
-	}
 }
 
 // A batch bigger than the whole queue bound is admitted when it is alone,
-// so it cannot wedge a ShedBlock tap forever.
+// so it cannot wedge the tap forever.
 func TestAsyncTapOversizedBatchAdmittedAlone(t *testing.T) {
 	dst := &recordingCollector{}
-	tap := NewAsyncTap(dst, TapOptions{Queue: 4, Policy: ShedBlock})
+	tap := NewAsyncTap(dst, TapOptions{Queue: 4})
 	defer tap.Close()
 
 	batch := make([]*Span, 10)
@@ -261,7 +186,7 @@ func TestAsyncTapOversizedBatchAdmittedAlone(t *testing.T) {
 	}
 	tap.Publish(batch...)
 	tap.Flush()
-	if st := tap.Stats(); st.Forwarded != 10 || st.Dropped != 0 {
+	if st := tap.Stats(); st.Forwarded != 10 {
 		t.Fatalf("oversized batch: %+v, want 10 forwarded", st)
 	}
 }
@@ -270,7 +195,7 @@ func TestAsyncTapOversizedBatchAdmittedAlone(t *testing.T) {
 // — a detached tap must not silently eat a straggling publish.
 func TestAsyncTapCloseDrainsThenForwardsSynchronously(t *testing.T) {
 	dst := &recordingCollector{}
-	tap := NewAsyncTap(dst, TapOptions{Queue: 16, Policy: ShedDropNewest})
+	tap := NewAsyncTap(dst, TapOptions{Queue: 16})
 	for i := 1; i <= 5; i++ {
 		tap.Publish(span(uint64(i)))
 	}
@@ -291,7 +216,7 @@ func TestAsyncTapCloseDrainsThenForwardsSynchronously(t *testing.T) {
 func TestMemorySetTapAsync(t *testing.T) {
 	mem := NewMemory()
 	dst := &recordingCollector{}
-	tap := mem.SetTapAsync(dst, TapOptions{Queue: 8, Policy: ShedBlock})
+	tap := mem.SetTapAsync(dst, TapOptions{Queue: 8})
 	defer tap.Close()
 
 	for i := 1; i <= 20; i++ {
