@@ -44,7 +44,6 @@ func bindFlags(fs *flag.FlagSet, cfg *server.Config) *string {
 	fs.IntVar(&cfg.MaxInflightSpans, "max-inflight-spans", 0, "per-tenant admission budget: decoded spans not yet landed plus the tenant's tap queue backlog; past it the tenant's span POSTs shed with 429 (0 unlimited)")
 	fs.Int64Var(&cfg.MaxInflightBytes, "max-inflight-bytes", 0, "process-wide admission budget: request body bytes in flight, reserved from Content-Length; past it span POSTs shed with 429 (0 unlimited)")
 	fs.DurationVar(&cfg.RetryAfter, "retry-after", time.Second, "Retry-After hint on 429/503 push-backs")
-	fs.IntVar(&cfg.PressureSpans, "pressure-spans", 0, "per-tenant live-span budget of the streaming correlator; at it the tenant reports overloaded and its ingest sheds (0 disables the signal)")
 	fs.BoolVar(&cfg.LiveAnalysis, "live-analysis", false, "maintain the paper's analyses online per tenant as spans stream in; serves GET /api/analysis/{layers,launchgaps,memcpy,roofline} as JSON or SSE")
 	fs.StringVar(&cfg.GPU, "gpu", gpu.TeslaV100.Name, "GPU system the live analyses classify kernels against (roofline ridge point); one of the paper's Table VII systems")
 	return addr

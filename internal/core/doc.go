@@ -33,11 +33,12 @@
 // [StreamCorrelator] is the online counterpart of Correlate for
 // correlate-as-you-ingest: it consumes spans in arrival order (Feed, or
 // Publish as a trace.Collector tap — trace.Memory.SetTap covers every
-// in-process publisher, trace.ServerTenant.SetTap rides it for the HTTP path,
-// and Session/Application runs attach one through Options.Tap or
-// Application.SetTap) and maintains the same per-level active-ancestor
-// stacks incrementally, so launch and synchronous spans resolve the
-// moment they arrive and execution spans the moment their launch does
+// in-process publisher, xsp-server feeds it an admitted POST through the
+// tenant's async tap or durable sink, and Session/Application runs attach
+// one through Options.Tap or Application.SetTap) and maintains the same
+// per-level active-ancestor stacks incrementally, so launch and synchronous
+// spans resolve the moment they arrive and execution spans the moment their
+// launch does
 // (device-only records wait in a pending correlation-id table for the
 // containment fallback). Pipelined overlap degrades only the window it
 // occurs in — that stretch of the stream resolves through per-level
@@ -127,38 +128,30 @@
 // divergence from batch equality: an execution span arriving later than
 // the horizon resolves by containment rather than correlation id.
 //
-// Under overload the correlator is also the load signal.
-// StreamOptions.PressureSpans gives the live resolver state a soft
-// budget: [StreamCorrelator.Pressure] (which is [Load.Pressure] of the
-// current load) reports nominal below half of it,
-// elevated past half, and overloaded at the budget — the
-// trace.LoadReporter contract trace.ServerTenant.SetLoad consumes, so HTTP
-// ingest sheds (429 + Retry-After) exactly when the component whose
-// memory actually grows says it is full — and [StreamCorrelator.Load]
-// itemizes where the live state sits (buffered reorder window, pending
-// executions, window spans, released-not-folded history). Crossing the
-// budget also folds eagerly: the Retain fold runs immediately instead of
-// waiting for the amortized fold cadence, so a well-behaved stream
-// recovers toward nominal as spans finalize rather than camping at the
-// budget between scheduled folds. Backpressure composes with
-// correctness: a batch admission sheds was never acknowledged and simply
-// never arrives — its publisher retries it — and the stream-equals-batch
-// property holds over the spans that did. Nothing between admission and
-// the correlator sheds: xsp-server's tap blocks at its bound, so every
-// acknowledged batch is fed.
+// The Retain fold cadence, window chaining and the CorrRetain horizon are
+// what bound the live state; [StreamCorrelator.Load] itemizes where it sits
+// (buffered reorder window, pending executions, window spans,
+// released-not-folded history) for stats endpoints. The correlator is not an
+// admission input: its live count falls only when new input is released and
+// folded, so shedding on it could refuse the very input that would drain it.
+// HTTP admission sheds (429 + Retry-After) on in-flight budgets alone, which
+// drain without new input. Backpressure composes with correctness: a batch
+// admission sheds was never acknowledged and simply never arrives — its
+// publisher retries it — and the stream-equals-batch property holds over the
+// spans that did. Nothing between admission and the correlator sheds:
+// xsp-server's tap blocks at its bound, so every acknowledged batch is fed.
 //
 // # Multi-tenant correlation
 //
 // The streaming pipeline shards by tenant: [OpenTenantStream] builds one
-// [TenantStream] — its own StreamCorrelator, its own durable store, its
-// own pressure signal — for a tenant key, and streams share nothing, so
-// feeds for distinct tenants (WAL fsyncs included) run concurrently across
-// cores; within one tenant the correlator's own mutex keeps arrival order
-// and every single-stream contract above intact. A TenantStream
-// implements trace.Collector, trace.DurableSink, and trace.LoadReporter,
-// so trace.Server's per-tenant hooks wire to it directly. The open
-// function handed to OpenTenantStream gives the tenant its own segio store
-// (internal/server maps the default tenant to the data-dir root —
+// [TenantStream] — its own StreamCorrelator and its own durable store — for
+// a tenant key, and streams share nothing, so feeds for distinct tenants
+// (WAL fsyncs included) run concurrently across cores; within one tenant
+// the correlator's own mutex keeps arrival order and every single-stream
+// contract above intact. A TenantStream implements trace.Collector and
+// trace.DurableSink, so trace.Server's per-tenant hooks wire to it
+// directly. The open function handed to OpenTenantStream gives the tenant
+// its own segio store (internal/server maps the default tenant to the data-dir root —
 // pre-tenant layouts recover unchanged — and every other tenant to
 // tenants/<key>/), so tenants crash and recover independently; a store
 // that fails to open or recover degrades that tenant to RAM-only with

@@ -21,7 +21,7 @@ import (
 type SegmentStore interface {
 	// LogBatch durably appends one fed batch (and its ingest batch id, 0
 	// when none) to the WAL before the correlator consumes it.
-	LogBatch(spans []*trace.Span, owned []uint64, batchID uint64) error
+	LogBatch(spans []*trace.Span, batchID uint64) error
 	// WriteSegment durably publishes one checkpoint segment — block is its
 	// spans as one encoded span block, owned flags in the records — then
 	// deletes the segment files it replaces.
@@ -75,7 +75,7 @@ func (sc *StreamCorrelator) logBatch(spans []*trace.Span, batchID uint64) error 
 	if !sc.durable() {
 		return nil
 	}
-	if err := sc.opts.Store.LogBatch(spans, nil, batchID); err != nil {
+	if err := sc.opts.Store.LogBatch(spans, batchID); err != nil {
 		sc.durErr = err
 		return err
 	}

@@ -122,10 +122,10 @@ func (l *storeLog) closeFold() {
 	l.foldOpen = false
 }
 
-func (l *storeLog) LogBatch(spans []*trace.Span, owned []uint64, batchID uint64) error {
+func (l *storeLog) LogBatch(spans []*trace.Span, batchID uint64) error {
 	l.closeFold()
 	l.afterForced = false
-	if err := l.SegmentStore.LogBatch(spans, owned, batchID); err != nil {
+	if err := l.SegmentStore.LogBatch(spans, batchID); err != nil {
 		return err
 	}
 	l.fed += len(spans)

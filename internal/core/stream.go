@@ -55,9 +55,8 @@ type StreamOptions struct {
 	// the segments holding them — the history stays folded. Size Retain to
 	// the stragglers you expect to repair without that pass. Between
 	// automatic folds the live tail may exceed this horizon by up to an
-	// eighth of itself (see autoFoldEvery); PressureSpans still folds
-	// eagerly. Zero (the default) keeps every span live; Checkpoint folds on
-	// demand either way.
+	// eighth of itself (see autoFoldEvery). Zero (the default) keeps every
+	// span live; Checkpoint folds on demand either way.
 	Retain vclock.Duration
 
 	// MaxWindowSpans bounds how many spans a degraded window may
@@ -76,16 +75,6 @@ type StreamOptions struct {
 	// negative disables the bound and restores the close-at-overlap-end-only
 	// behavior. Tests set tiny bounds to force chaining.
 	MaxWindowSpans int
-
-	// PressureSpans is the live-state span budget behind the correlator's
-	// load signal (Load, Pressure): at or past this many live spans the
-	// correlator reports PressureOverloaded — the state trace.Server
-	// admission control sheds on — and past half of it PressureElevated.
-	// When Retain is set, crossing the budget also folds eagerly (without
-	// waiting for the amortized fold cadence), so a burst that outruns
-	// the fold horizon recovers as soon as spans finalize. Zero disables
-	// the signal: Pressure always reports nominal.
-	PressureSpans int
 
 	// CorrRetain bounds the correlation-id state of a long-running
 	// stream. When nonzero, a resolved launch's correlation-id entry is
@@ -439,18 +428,9 @@ func (sc *StreamCorrelator) feedLocked(spans []*trace.Span) {
 		// horizon anyway and closes on a bounded schedule.
 		sc.repair()
 	}
-	if sc.opts.Retain > 0 {
-		live := sc.liveLen()
-		overBudget := sc.opts.PressureSpans > 0 && live >= sc.opts.PressureSpans
-		if sc.released-sc.foldCheck >= max(autoFoldEvery, live/8) || (overBudget && sc.released != sc.foldCheck) {
-			// The eager (over-budget) fold skips the amortization cadence:
-			// under pressure, reclaiming finalized spans now is worth the
-			// O(live) pass. It still waits for the resolver to advance since
-			// the last attempt — folding twice at the same release point
-			// finds nothing new.
-			sc.foldCheck = sc.released
-			sc.fold()
-		}
+	if sc.opts.Retain > 0 && sc.released-sc.foldCheck >= max(autoFoldEvery, sc.liveLen()/8) {
+		sc.foldCheck = sc.released
+		sc.fold()
 	}
 }
 
@@ -1326,20 +1306,18 @@ func (sc *StreamCorrelator) pendingExecs() (n int) {
 	return n
 }
 
-// Load describes the correlator's live occupancy against its configured
-// bounds — the numbers behind Pressure, for stats endpoints and logs.
+// Load describes the correlator's live occupancy, for stats endpoints and
+// logs.
 type Load struct {
 	LiveSpans    int // live, repairable spans (StreamStats.Live)
 	Buffered     int // spans waiting in the reorder buffer
 	PendingExecs int // execution spans waiting for their launch
 	WindowSpans  int // candidates accumulated by the open degraded window
-	Budget       int // StreamOptions.PressureSpans (0: no budget configured)
 }
 
 // Load returns the correlator's current occupancy. The reorder buffer,
 // pending table, and degraded window are all subsets of the live span
-// count, so LiveSpans vs Budget is the load signal; the rest locate where
-// the occupancy sits.
+// count; they locate where the occupancy sits.
 func (sc *StreamCorrelator) Load() Load {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -1348,34 +1326,7 @@ func (sc *StreamCorrelator) Load() Load {
 		Buffered:     len(sc.buf),
 		PendingExecs: sc.pendingExecs(),
 		WindowSpans:  len(sc.winCands),
-		Budget:       sc.opts.PressureSpans,
 	}
-}
-
-// Pressure is the load state l amounts to: nominal below half the budget,
-// elevated past half, overloaded at it; always nominal when no budget is
-// configured. A view that prints a Load derives its pressure from that Load,
-// so the two cannot disagree.
-func (l Load) Pressure() trace.Pressure {
-	switch {
-	case l.Budget <= 0 || 2*l.LiveSpans < l.Budget:
-		return trace.PressureNominal
-	case l.LiveSpans < l.Budget:
-		return trace.PressureElevated
-	default:
-		return trace.PressureOverloaded
-	}
-}
-
-// Pressure reports the correlator's load state against the PressureSpans
-// budget (see Load.Pressure), implementing trace.LoadReporter so ingest
-// admission control is driven by the component that actually owns the memory.
-// Admission asks per request, so this fills in only the two fields the state
-// depends on: Load itself counts the pending table.
-func (sc *StreamCorrelator) Pressure() trace.Pressure {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return Load{LiveSpans: sc.liveLen(), Budget: sc.opts.PressureSpans}.Pressure()
 }
 
 // levelRun is the released-span timeline of one level: spans in sweep

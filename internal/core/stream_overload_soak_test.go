@@ -33,12 +33,17 @@ func retryUntilShipped(t *testing.T, col *trace.HTTPCollector, aborted *atomic.B
 }
 
 // The adversarial soak: 10x overdriven publishers against a small
-// admission budget, a blocking tap, and the stream correlator's pressure
-// driving the shedding. Asserts the tentpole's three properties: (a) every
-// live structure stays bounded by its configured limit, (b) the final
-// correlated trace equals the batch oracle over all accepted spans — no
-// corruption, no double-count via retried batches — and (c) the system
-// recovers to normal behavior after the burst.
+// admission budget and a blocking tap, with nothing driving the shedding
+// but the two in-flight budgets. Asserts the tentpole's three properties:
+// (a) every live structure stays bounded — the correlator's live spans by
+// a ceiling that does not grow with the stream, held by the Retain fold
+// cadence, window chaining and the CorrRetain horizon alone — (b) the
+// final correlated trace equals the batch oracle over all accepted spans
+// — no corruption, no double-count via retried batches — and (c) the
+// system recovers to normal behavior after the burst. Nothing folds or
+// flushes the correlator while publishers run: shedding ends because the
+// budgets drain by themselves. Run it at two XSP_SOAK_SPANS sizes to see
+// the ceiling hold flat.
 func TestOverloadSoakBlockPolicy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test: skipped in -short")
@@ -48,15 +53,18 @@ func TestOverloadSoakBlockPolicy(t *testing.T) {
 		publishers = 10
 		batchSpans = 64
 		tapQueue   = 256
-		spanBudget = 512  // server in-flight span budget
-		pressure   = 2048 // correlator live-span budget
+		spanBudget = 512 // server in-flight span budget
+		// liveBound is the correlator's live-span ceiling, whatever the
+		// stream's length: peaks read 2.1k-2.6k at 20k and at 100k spans
+		// fed, and nearly all 20k live without CorrRetain.
+		liveBound = 3072
 	)
 
 	sc := core.NewStreamCorrelator(core.StreamOptions{
 		Isolated:      true,
 		ReorderWindow: 512,
 		Retain:        1024,
-		PressureSpans: pressure,
+		CorrRetain:    4096,
 	})
 	srv := trace.NewServer()
 	srv.SetAdmission(trace.AdmissionPolicy{
@@ -64,7 +72,6 @@ func TestOverloadSoakBlockPolicy(t *testing.T) {
 		MaxInflightSpans: spanBudget,
 		RetryAfter:       time.Millisecond,
 	})
-	srv.Tenant(trace.DefaultTenant).SetLoad(sc)
 	// The consumer is throttled (as a real correlator under CPU contention
 	// would be), so the overdrive genuinely outruns it and admission has to
 	// shed; the tap blocks, so no span is ever dropped on the way in.
@@ -74,11 +81,7 @@ func TestOverloadSoakBlockPolicy(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// The monitor is the periodic snapshot reader a server runs: its Flush
-	// repairs stragglers (batches delayed by retry backoff land behind the
-	// sweep) and its Checkpoint folds finalized history, which is what lets
-	// live state recover while admission is shedding. It also samples every
-	// bound the soak asserts.
+	// The monitor only samples every bound the soak asserts.
 	var mu sync.Mutex
 	var maxLive, maxBuffered, maxPending, maxWindow int
 	sample := func() {
@@ -100,8 +103,6 @@ func TestOverloadSoakBlockPolicy(t *testing.T) {
 			case <-stop:
 				return
 			case <-time.After(10 * time.Millisecond):
-				sc.Flush()
-				sc.Checkpoint()
 				sample()
 			}
 		}
@@ -136,13 +137,10 @@ func TestOverloadSoakBlockPolicy(t *testing.T) {
 		t.Fatal("soak aborted on a wedged publisher")
 	}
 
-	// (a) Every structure held its configured bound. The live-span ceiling
-	// is the admission pipeline's worst case: the pressure budget plus one
-	// crossing batch, plus everything already admitted (span budget) or
-	// queued (tap bound) when the pressure trip was detected.
-	liveBound := pressure + batchSpans + spanBudget + tapQueue
+	// (a) Every structure held its bound.
+	t.Logf("live spans peaked at %d of %d fed", maxLive, generated)
 	if maxLive > liveBound {
-		t.Fatalf("live spans peaked at %d, admission ceiling is %d", maxLive, liveBound)
+		t.Fatalf("live spans peaked at %d of %d fed, ceiling is %d", maxLive, generated, liveBound)
 	}
 	if st := tap.Stats(); st.MaxDepth > tapQueue {
 		t.Fatalf("tap queue peaked at %d, bound is %d", st.MaxDepth, tapQueue)
@@ -159,34 +157,9 @@ func TestOverloadSoakBlockPolicy(t *testing.T) {
 		t.Fatal("overdriven run never shed a request — the soak is not overloading")
 	}
 
-	// Drain: the tap barrier, then the final Flush.
+	// (c) Recovery: the tap drains by itself, the in-flight state is empty,
+	// and a fresh publisher is admitted first try — no fold, no Flush.
 	tap.Flush()
-	sc.Flush()
-
-	// (b) Exactly-once and stream-vs-batch equality over accepted spans.
-	// With a blocking tap and retry-forever publishers, accepted means all.
-	if got := srv.Received(); got != generated {
-		t.Fatalf("server accepted %d spans, generated %d — retried batches double-counted or lost", got, generated)
-	}
-	accepted := srv.Trace()
-	if len(accepted.Spans) != generated {
-		t.Fatalf("store holds %d spans, want %d", len(accepted.Spans), generated)
-	}
-	seen := make(map[uint64]bool, generated)
-	for _, s := range accepted.Spans {
-		if seen[s.ID] {
-			t.Fatalf("span %d stored twice — a retried batch re-published", s.ID)
-		}
-		seen[s.ID] = true
-	}
-	assertStreamMatchesBatch(t, sc, [][]*trace.Span{accepted.Spans})
-
-	// (c) Recovery: with the burst over and history folded, pressure is
-	// back to nominal and a fresh publisher is admitted first try.
-	sc.Checkpoint()
-	if got := sc.Pressure(); got != trace.PressureNominal {
-		t.Fatalf("post-burst pressure %v (%d live), want nominal", got, sc.Load().LiveSpans)
-	}
 	if ost := srv.OverloadStats(); ost.InflightBytes != 0 || ost.InflightSpans != 0 || ost.TapDepth != 0 {
 		t.Fatalf("post-burst in-flight state not drained: %+v", ost)
 	}
@@ -199,6 +172,26 @@ func TestOverloadSoakBlockPolicy(t *testing.T) {
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("post-burst probe took %v — latency did not recover", d)
 	}
+	tap.Flush()
+	sc.Flush()
+
+	// (b) Exactly-once and stream-vs-batch equality over accepted spans.
+	// With a blocking tap and retry-forever publishers, accepted means all.
+	if got := srv.Received(); got != generated+1 {
+		t.Fatalf("server accepted %d spans, generated %d and a probe — retried batches double-counted or lost", got, generated)
+	}
+	accepted := srv.Trace()
+	if len(accepted.Spans) != generated+1 {
+		t.Fatalf("store holds %d spans, want %d", len(accepted.Spans), generated+1)
+	}
+	seen := make(map[uint64]bool, generated)
+	for _, s := range accepted.Spans {
+		if seen[s.ID] {
+			t.Fatalf("span %d stored twice — a retried batch re-published", s.ID)
+		}
+		seen[s.ID] = true
+	}
+	assertStreamMatchesBatch(t, sc, [][]*trace.Span{accepted.Spans})
 }
 
 // slowCollector throttles the tap's consumer, so an overdriven soak

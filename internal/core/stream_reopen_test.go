@@ -294,3 +294,79 @@ func TestMovedLaunchReachesFoldedExecWithoutDeepWindow(t *testing.T) {
 	sc.Flush()
 	check("durable, restarted", sc)
 }
+
+// A deep straggler keeps the live state bounded: its repair takes the spans
+// its window overlaps out of the checkpoint, not the history, so the live
+// count stays at tail + window + stragglers. Run both ways a repair happens:
+// at feed time, and at Flush (the server's ?flush=1) when an open degraded
+// window made the feed skip it — Flush does not fold, so there a
+// whole-ladder reopen would leave the entire history live until the next
+// feed.
+func TestDeepStragglerKeepsLiveBounded(t *testing.T) {
+	for _, atFlush := range []bool{false, true} {
+		name := "feed"
+		if atFlush {
+			name = "flush"
+		}
+		t.Run(name, func(t *testing.T) {
+			batches := workload.StreamingArrivals(workload.StreamingSpec{
+				Trace: workload.SyntheticSpec{Spans: 40_000, Seed: 11}, BatchSize: 256,
+				StragglerWindow: 256, StragglerPos: 0.25, Seed: 12,
+			})
+			punctual, held := batches[:len(batches)-1], batches[len(batches)-1]
+			if atFlush {
+				// Two layers crossing past the end of the trace, and a kernel
+				// to release them: the window they degrade stays open.
+				var end vclock.Time
+				for _, b := range punctual {
+					for _, s := range b {
+						end = max(end, s.End)
+					}
+				}
+				punctual = append(punctual[:len(punctual):len(punctual)], []*trace.Span{
+					{ID: 1 << 40, Level: trace.LevelLayer, Name: "a", Begin: end + 10, End: end + 110},
+					{ID: 1<<40 + 1, Level: trace.LevelLayer, Name: "b", Begin: end + 60, End: end + 160},
+					{ID: 1<<40 + 2, Level: trace.LevelKernel, Name: "k", Begin: end + 90, End: end + 95},
+				})
+			}
+			all := append(punctual[:len(punctual):len(punctual)], held)
+			lo, hi := held[0].Begin, held[0].End
+			for _, s := range held {
+				lo, hi = min(lo, s.Begin), max(hi, s.End)
+			}
+			window := 0 // punctual spans overlapping the stragglers' combined window
+			for _, b := range punctual {
+				for _, s := range b {
+					if s.Begin <= hi && s.End >= lo {
+						window++
+					}
+				}
+			}
+
+			sc := core.NewStreamCorrelator(core.StreamOptions{ReorderWindow: 16, Retain: 64})
+			feedAll(sc, cloneBatches(punctual))
+			sc.Checkpoint()
+			before := sc.Stats()
+			if before.Checkpointed < 36_000 || before.Live > 500 {
+				t.Fatalf("history not folded: %+v", before)
+			}
+			sc.Feed(cloneBatch(held)...)
+			if atFlush {
+				if st := sc.Stats(); st.Repaired != 0 || st.DegradedWindows == 0 {
+					t.Fatalf("the feed repaired in spite of an open degraded window: %+v", st)
+				}
+				sc.Flush()
+			}
+			st, load := sc.Stats(), sc.Load()
+			if st.Reopens != 1 || st.Stragglers != len(held) {
+				t.Fatalf("want one reopen for %d stragglers: %+v", len(held), st)
+			}
+			if bound := before.Live + window + len(held); load.LiveSpans > bound || st.Live != load.LiveSpans {
+				t.Fatalf("%d spans live after the repair, want at most tail %d + window %d + stragglers %d = %d (history %d)",
+					load.LiveSpans, before.Live, window, len(held), bound, st.Fed)
+			}
+			sc.Flush()
+			assertStreamMatchesBatch(t, sc, all)
+		})
+	}
+}

@@ -22,8 +22,11 @@ import (
 // live state stays inside its own configured ceiling, (b) every tenant
 // ends exactly-once — its span set is precisely what its publishers
 // generated, nothing leaked in from a neighbor, and its stream equals the
-// batch oracle — and (c) every tenant's pressure recovers to nominal
-// after the burst.
+// batch oracle — and (c) every tenant's in-flight state drains after the
+// burst. Nothing folds or flushes a correlator while publishers run: each
+// tenant's live spans stay under a ceiling that does not grow with the
+// stream (run it at two XSP_SOAK_SPANS sizes to see it hold), held by the
+// Retain fold cadence, window chaining and the CorrRetain horizon alone.
 func TestMultiTenantSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test: skipped in -short")
@@ -34,7 +37,7 @@ func TestMultiTenantSoak(t *testing.T) {
 		batchSpans = 64
 		tapQueue   = 256
 		spanBudget = 512  // per-tenant in-flight span budget
-		pressure   = 2048 // per-tenant correlator live-span budget
+		liveBound  = 3072 // per-tenant live-span ceiling, whatever the stream's length
 	)
 	perTenant := soakSpans(t) / 20
 
@@ -43,7 +46,7 @@ func TestMultiTenantSoak(t *testing.T) {
 			Isolated:      true,
 			ReorderWindow: 512,
 			Retain:        1024,
-			PressureSpans: pressure,
+			CorrRetain:    4096,
 		},
 	})
 	srv := trace.NewServer()
@@ -62,7 +65,6 @@ func TestMultiTenantSoak(t *testing.T) {
 			t.Errorf("tenant %s: %v", tn.Key(), err)
 			return
 		}
-		tn.SetLoad(st)
 		taps[tn.Key()] = tn.SetTapAsync(&slowCollector{dst: st, delay: 2 * time.Millisecond},
 			trace.TapOptions{Queue: tapQueue})
 	})
@@ -79,9 +81,7 @@ func TestMultiTenantSoak(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// The monitor is each tenant's periodic snapshot reader: Flush repairs
-	// stragglers, Checkpoint folds history so pressure can recover while
-	// admission sheds, and the samples back the per-tenant bound asserts.
+	// The monitor only samples the per-tenant bound the soak asserts.
 	maxLive := make([]int, tenants)
 	var sampleMu sync.Mutex
 	sample := func() {
@@ -101,11 +101,6 @@ func TestMultiTenantSoak(t *testing.T) {
 			case <-stop:
 				return
 			case <-time.After(10 * time.Millisecond):
-				for _, key := range keys {
-					sc := set.Lookup(key).Correlator()
-					sc.Flush()
-					sc.Checkpoint()
-				}
 				sample()
 			}
 		}
@@ -166,15 +161,15 @@ func TestMultiTenantSoak(t *testing.T) {
 		set.Lookup(key).Correlator().Flush()
 	}
 
-	liveBound := pressure + batchSpans + spanBudget + tapQueue
 	var totalShed int64
 	for ti, key := range keys {
 		tn := srv.Tenant(key)
 		sc := set.Lookup(key).Correlator()
 
 		// (a) This tenant's structures held this tenant's bounds.
+		t.Logf("tenant %s: live spans peaked at %d of %d fed", key, maxLive[ti], generated[ti])
 		if maxLive[ti] > liveBound {
-			t.Errorf("tenant %s: live spans peaked at %d, admission ceiling is %d", key, maxLive[ti], liveBound)
+			t.Errorf("tenant %s: live spans peaked at %d of %d fed, ceiling is %d", key, maxLive[ti], generated[ti], liveBound)
 		}
 		if st := taps[key].Stats(); st.MaxDepth > tapQueue {
 			t.Errorf("tenant %s: tap peaked at %d (bound %d)", key, st.MaxDepth, tapQueue)
@@ -203,12 +198,7 @@ func TestMultiTenantSoak(t *testing.T) {
 		}
 		assertStreamMatchesBatch(t, sc, [][]*trace.Span{accepted.Spans})
 
-		// (c) Post-burst recovery, per tenant: history folded, pressure
-		// nominal, in-flight accounting drained.
-		sc.Checkpoint()
-		if got := sc.Pressure(); got != trace.PressureNominal {
-			t.Errorf("tenant %s post-burst pressure %v, want nominal", key, got)
-		}
+		// (c) Post-burst recovery, per tenant: in-flight accounting drained.
 		if ost := tn.OverloadStats(); ost.InflightSpans != 0 || ost.TapDepth != 0 {
 			t.Errorf("tenant %s post-burst in-flight state not drained: %+v", key, ost)
 		}

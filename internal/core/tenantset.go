@@ -49,12 +49,12 @@ func NewTenantSet(opts TenantSetOptions) *TenantSet {
 
 // TenantStream is one tenant's stream: its correlator, its durable store
 // (when one was opened), and what recovery found in it. It implements
-// trace.Collector, trace.DurableSink, and trace.LoadReporter, so it can be
-// handed to a ServerTenant's tap, durable-sink, and load hooks directly.
-// Distinct tenants' streams share nothing — separate correlators (locks,
-// reorder windows, checkpoint ladders), separate stores, separate pressure
-// signals — so their feeds, WAL fsyncs included, run in parallel, while
-// each keeps the exact single-stream semantics of its own StreamCorrelator.
+// trace.Collector and trace.DurableSink, so it can be handed to a
+// ServerTenant's tap and durable-sink hooks directly. Distinct tenants'
+// streams share nothing — separate correlators (locks, reorder windows,
+// checkpoint ladders), separate stores — so their feeds, WAL fsyncs
+// included, run in parallel, while each keeps the exact single-stream
+// semantics of its own StreamCorrelator.
 type TenantStream struct {
 	key string
 
@@ -201,6 +201,6 @@ func (st *TenantStream) IngestLogged(batchID uint64, spans []*trace.Span) error 
 	return st.sc.FeedLogged(batchID, spans...)
 }
 
-// Pressure reports the tenant correlator's admission pressure,
-// implementing trace.LoadReporter.
-func (st *TenantStream) Pressure() trace.Pressure { return st.sc.Pressure() }
+// Pressure returns trace.PressureNominal, implementing trace.LoadReporter.
+// Kept for bench/replica.go; it goes with the benchmark PR.
+func (st *TenantStream) Pressure() trace.Pressure { return trace.PressureNominal }

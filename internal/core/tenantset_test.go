@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -255,106 +256,105 @@ func feedDurable2(sc *core.StreamCorrelator, batches [][]*trace.Span, from int) 
 	return acked, false
 }
 
-// End-to-end overload isolation through the HTTP server: an overdriven
-// tenant saturates its own correlator's pressure budget and gets 429s,
-// while a quiet tenant's posts keep landing first-try — the per-tenant
-// half of the admission contract, wired exactly as xsp-server wires it
-// (SetTenantInit attaching one TenantStream per tenant).
+// End-to-end overload isolation through the HTTP server: concurrent
+// publishers overdrive one tenant past its own in-flight span budget
+// against a slowed tap and get 429s, while a quiet tenant's posts keep
+// landing first-try — the per-tenant half of the admission contract, wired
+// the way xsp-server wires a RAM tenant (SetTenantInit attaching one
+// TenantStream per tenant behind an async tap). Nothing here folds or
+// flushes a correlator: the noisy tenant is admitted again because its tap
+// drains by itself, and every span it published lands exactly once.
 func TestTenantOverloadIsolation(t *testing.T) {
-	const pressure = 512
+	const (
+		publishers = 8
+		batches    = 24 // per publisher
+		batchSpans = 64
+		spanBudget = 256 // per-tenant in-flight span budget
+	)
 	set := core.NewTenantSet(core.TenantSetOptions{
-		Stream: core.StreamOptions{
-			Isolated: true,
-			// The window is well under the pressure budget, so a drained
-			// correlator's residual live tail (one window of history that
-			// cannot fold) sits far below the shed threshold.
-			ReorderWindow: 64,
-			PressureSpans: pressure,
-		},
+		Stream: core.StreamOptions{Isolated: true, ReorderWindow: 64},
 	})
 	srv := trace.NewServer()
-	srv.SetAdmission(trace.AdmissionPolicy{RetryAfter: time.Millisecond})
+	srv.SetAdmission(trace.AdmissionPolicy{MaxInflightSpans: spanBudget, RetryAfter: time.Millisecond})
+	var taps []*trace.AsyncTap
 	srv.SetTenantInit(func(tn *trace.ServerTenant) {
 		st, err := set.Stream(tn.Key())
 		if err != nil {
 			t.Errorf("tenant %s: %v", tn.Key(), err)
 			return
 		}
-		tn.SetLoad(st)
-		tn.SetTap(st) // synchronous: pressure reflects feeds immediately
+		taps = append(taps, tn.SetTapAsync(&slowCollector{dst: st, delay: 2 * time.Millisecond},
+			trace.TapOptions{Queue: spanBudget}))
 	})
+	srv.Tenant("noisy")
+	srv.Tenant("quiet")
+	defer func() {
+		for _, tap := range taps {
+			tap.Close()
+		}
+	}()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	noisy := trace.NewHTTPCollector(ts.URL)
-	if err := noisy.SetTenant("noisy"); err != nil {
-		t.Fatal(err)
+	// The noisy publishers hammer with no client pacing beyond the server's
+	// 1ms Retry-After, and retry every batch until it is accepted.
+	var nextID atomic.Uint64
+	var aborted atomic.Bool
+	deadline := time.Now().Add(time.Minute)
+	var wg sync.WaitGroup
+	for range publishers {
+		col := trace.NewHTTPCollector(ts.URL)
+		if err := col.SetTenant("noisy"); err != nil {
+			t.Fatal(err)
+		}
+		col.SetRetryPolicy(trace.RetryPolicy{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range batches {
+				batch := make([]*trace.Span, batchSpans)
+				for i := range batch {
+					batch[i] = span(nextID.Add(1))
+				}
+				retryUntilShipped(t, col, &aborted, deadline, batch)
+			}
+		}()
 	}
-	noisy.SetRetryPolicy(trace.RetryPolicy{}) // no client pacing: hammer
+
+	noisy := srv.Tenant("noisy")
+	for noisy.OverloadStats().ShedRequests == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("noisy tenant was never shed despite exceeding its span budget")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	// The quiet tenant lands first-try, repeatedly, while its neighbor is
+	// overdriven.
 	quiet := trace.NewHTTPCollector(ts.URL)
 	if err := quiet.SetTenant("quiet"); err != nil {
 		t.Fatal(err)
 	}
-
-	// Overdrive the noisy tenant until the server sheds it. Nothing is
-	// flushed or checkpointed on its correlator, so live state only grows.
-	id := uint64(1)
-	batch := func() []*trace.Span {
-		spans := make([]*trace.Span, 128)
-		for i := range spans {
-			spans[i] = span(id)
-			id++
-		}
-		return spans
-	}
-	shed := false
-	for i := 0; i < 64 && !shed; i++ {
-		noisy.Publish(batch()...)
-		if _, err := noisy.Flush(); err != nil {
-			shed = true
-		}
-	}
-	if !shed {
-		t.Fatal("noisy tenant was never shed despite exceeding its pressure budget")
-	}
-	if got := srv.Tenant("noisy").OverloadStats().ShedRequests; got == 0 {
-		t.Fatal("noisy tenant shed, but its shed counter is zero")
-	}
-
-	// The quiet tenant lands first-try, repeatedly, while its neighbor is
-	// being refused.
-	for i := 0; i < 5; i++ {
+	for i := range 5 {
 		quiet.Publish(span(1_000_000 + uint64(i)))
 		if n, err := quiet.Flush(); err != nil || n != 1 {
 			t.Fatalf("quiet tenant post %d = %d, %v — not admitted first try while neighbor shed", i, n, err)
-		}
-		if _, err := noisy.Flush(); err == nil {
-			t.Fatal("noisy tenant admitted while its pressure is overloaded")
 		}
 	}
 	if got := srv.Tenant("quiet").OverloadStats().ShedRequests; got != 0 {
 		t.Fatalf("quiet tenant shed %d times", got)
 	}
 
-	// Recovery: flushing and checkpointing the noisy correlator drains its
-	// live state, pressure returns to nominal, and the tenant is admitted
-	// again — isolation is not a permanent ban.
-	noisyStream := set.Lookup("noisy")
-	noisyStream.Correlator().Flush()
-	noisyStream.Correlator().Checkpoint()
-	if got := noisyStream.Pressure(); got != trace.PressureNominal {
-		t.Fatalf("noisy pressure %v after drain, want nominal", got)
+	// Recovery with no help: every noisy batch is admitted in the end.
+	wg.Wait()
+	if aborted.Load() {
+		t.Fatal("a noisy publisher stayed refused — shedding did not end")
 	}
-	// The collector may still be pacing off the last 429's Retry-After;
-	// give it a moment to come out of backoff.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := noisy.Flush(); err == nil {
-			break
-		} else if time.Now().After(deadline) {
-			t.Fatalf("noisy tenant still refused after drain: %v", err)
-		}
-		time.Sleep(time.Millisecond)
+	if got, want := noisy.Received(), publishers*batches*batchSpans; got != want {
+		t.Fatalf("noisy tenant accepted %d spans, its publishers sent %d", got, want)
+	}
+	if got := srv.Tenant("quiet").Received(); got != 5 {
+		t.Fatalf("quiet tenant accepted %d spans, want 5", got)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -175,16 +176,17 @@ type Stats struct {
 func segName(id uint64) string  { return fmt.Sprintf("seg-%016x.seg", id) }
 func walName(gen uint64) string { return fmt.Sprintf("wal-%016x.wal", gen) }
 
-func parseName(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+// parseName reads the id out of a file name that format (segName or
+// walName) writes. Any other name — upper-case hex digits included, which
+// would parse to an id whose file is named otherwise — is not the store's,
+// and is left alone like any unrelated file.
+func parseName(name string, format func(uint64) string) (uint64, bool) {
+	_, hexPart, ok := strings.Cut(name, "-")
+	if !ok || len(hexPart) < 16 {
 		return 0, false
 	}
-	hexPart := name[len(prefix) : len(name)-len(suffix)]
-	if len(hexPart) != 16 {
-		return 0, false
-	}
-	var id uint64
-	if _, err := fmt.Sscanf(hexPart, "%016x", &id); err != nil {
+	id, err := strconv.ParseUint(hexPart[:16], 16, 64)
+	if err != nil || format(id) != name {
 		return 0, false
 	}
 	return id, true
@@ -223,14 +225,14 @@ func Open(fs FS, opts Options) (*Store, *Recovery, error) {
 			dirty = true
 			continue
 		}
-		if id, ok := parseName(n, "seg-", ".seg"); ok {
+		if id, ok := parseName(n, segName); ok {
 			segIDs = append(segIDs, id)
 			if id > maxSeg {
 				maxSeg = id
 			}
 			continue
 		}
-		if gen, ok := parseName(n, "wal-", ".wal"); ok {
+		if gen, ok := parseName(n, walName); ok {
 			walGens = append(walGens, gen)
 		}
 	}
@@ -471,10 +473,11 @@ func (st *Store) Rotate(snap Snapshot) error {
 }
 
 // LogBatch appends one batch record (spans plus an optional nonzero batch
-// id) to the WAL and syncs it before returning.
-// Once LogBatch returns nil the batch survives any crash. owned may be
-// nil. After a recovery it fails with ErrNeedRotate until Rotate runs.
-func (st *Store) LogBatch(spans []*trace.Span, owned []uint64, batchID uint64) error {
+// id) to the WAL and syncs it before returning. A batch is logged as it
+// arrived, so no span in it is owned.
+// Once LogBatch returns nil the batch survives any crash. After a recovery
+// it fails with ErrNeedRotate until Rotate runs.
+func (st *Store) LogBatch(spans []*trace.Span, batchID uint64) error {
 	st.lock()
 	defer st.unlock()
 	if st.needRot || st.wal == nil {
@@ -482,7 +485,7 @@ func (st *Store) LogBatch(spans []*trace.Span, owned []uint64, batchID uint64) e
 	}
 	rec, start := beginWALRecord(st.rec[:0], walBatchRec)
 	rec = binary.LittleEndian.AppendUint64(rec, batchID)
-	rec = sealWALRecord(trace.AppendSpanBlock(rec, spans, func(i int) bool { return ownedBit(owned, i) }), start)
+	rec = sealWALRecord(trace.AppendSpanBlock(rec, spans, nil), start)
 	st.rec = rec
 	if _, err := st.wal.Write(rec); err != nil {
 		return err

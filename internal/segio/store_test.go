@@ -3,6 +3,7 @@ package segio_test
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"xsp/internal/segio"
@@ -81,8 +82,8 @@ func TestWALBatchAndRotate(t *testing.T) {
 
 	b1 := []*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}
 	b2 := []*trace.Span{mkSpan(2, 5, 8, 1, trace.KindLaunch)}
-	requireNoErr(t, st.LogBatch(b1, nil, 101))
-	requireNoErr(t, st.LogBatch(b2, nil, 102))
+	requireNoErr(t, st.LogBatch(b1, 101))
+	requireNoErr(t, st.LogBatch(b2, 102))
 
 	// Rotate: snapshot covers the live tail, trims batch records, and
 	// carries the dedup window forward.
@@ -94,7 +95,7 @@ func TestWALBatchAndRotate(t *testing.T) {
 	}
 	requireNoErr(t, st.Rotate(snap))
 	b3 := []*trace.Span{mkSpan(4, 9, 12, 1, trace.KindLaunch)}
-	requireNoErr(t, st.LogBatch(b3, nil, 103))
+	requireNoErr(t, st.LogBatch(b3, 103))
 	requireNoErr(t, st.Close())
 
 	_, rec, err := segio.Open(fs, segio.Options{})
@@ -127,7 +128,7 @@ func TestDedupWindowBounded(t *testing.T) {
 	st, _, err := segio.Open(fs, segio.Options{MaxDedup: 3})
 	requireNoErr(t, err)
 	for id := uint64(1); id <= 5; id++ {
-		requireNoErr(t, st.LogBatch([]*trace.Span{mkSpan(id, vclock.Time(id), vclock.Time(id+1), 0, trace.KindSync)}, nil, 100+id))
+		requireNoErr(t, st.LogBatch([]*trace.Span{mkSpan(id, vclock.Time(id), vclock.Time(id+1), 0, trace.KindSync)}, 100+id))
 	}
 	st.Close()
 	_, rec, err := segio.Open(fs, segio.Options{MaxDedup: 3})
@@ -260,7 +261,7 @@ func TestCorruptSegmentQuarantined(t *testing.T) {
 	if err := st2.Rotate(segio.Snapshot{}); err != nil {
 		t.Fatal(err)
 	}
-	requireNoErr(t, st2.LogBatch([]*trace.Span{mkSpan(9, 30, 40, 0, trace.KindSync)}, nil, 9))
+	requireNoErr(t, st2.LogBatch([]*trace.Span{mkSpan(9, 30, 40, 0, trace.KindSync)}, 9))
 }
 
 func TestTornWALTailTruncated(t *testing.T) {
@@ -269,8 +270,8 @@ func TestTornWALTailTruncated(t *testing.T) {
 	requireNoErr(t, err)
 	b1 := []*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}
 	b2 := []*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}
-	requireNoErr(t, st.LogBatch(b1, nil, 11))
-	requireNoErr(t, st.LogBatch(b2, nil, 12))
+	requireNoErr(t, st.LogBatch(b1, 11))
+	requireNoErr(t, st.LogBatch(b2, 12))
 	st.Close()
 
 	// Tear the tail: append garbage that looks like the start of a record.
@@ -301,12 +302,50 @@ func TestTornWALTailTruncated(t *testing.T) {
 		t.Fatal("torn tail not reported")
 	}
 	// Appends are gated until the WAL is re-established.
-	err = st2.LogBatch(b1, nil, 13)
+	err = st2.LogBatch(b1, 13)
 	if !errors.Is(err, segio.ErrNeedRotate) {
 		t.Fatalf("LogBatch after recovery = %v, want ErrNeedRotate", err)
 	}
 	requireNoErr(t, st2.Rotate(segio.Snapshot{}))
-	requireNoErr(t, st2.LogBatch(b1, nil, 13))
+	requireNoErr(t, st2.LogBatch(b1, 13))
+}
+
+// A file whose name only looks like the store's — upper-case hex digits
+// parse to an id whose file has the lower-case name — is not the store's:
+// recovery ignores it and leaves it where it is, instead of failing on a
+// file that does not exist and degrading the tenant to RAM-only.
+func TestStrayNamesIgnored(t *testing.T) {
+	fs := faultfs.New()
+	st, _, err := segio.Open(fs, segio.Options{})
+	requireNoErr(t, err)
+	b1 := []*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}
+	requireNoErr(t, st.LogBatch(b1, 11))
+	requireNoErr(t, st.Close())
+	strays := []string{"seg-00000000000000AB.seg", "wal-00000000000000CD.wal", "seg-00000000000000ab.seg.bak", "seg-ab.seg"}
+	for _, name := range strays {
+		f, err := fs.Create(name)
+		requireNoErr(t, err)
+		_, err = f.Write([]byte("not a store file"))
+		requireNoErr(t, err)
+		requireNoErr(t, f.Close())
+	}
+
+	st2, rec, err := segio.Open(fs, segio.Options{})
+	requireNoErr(t, err)
+	defer st2.Close()
+	if len(rec.Batches) != 1 || rec.Batches[0].BatchID != 11 || !reflect.DeepEqual(rec.Batches[0].Spans, b1) {
+		t.Fatalf("acked batch not recovered: %+v", rec.Batches)
+	}
+	if len(rec.Segments) != 0 || len(rec.Quarantined) != 0 {
+		t.Fatalf("a stray file was taken for the store's: segments %+v, quarantined %v", rec.Segments, rec.Quarantined)
+	}
+	names, err := fs.ReadDir()
+	requireNoErr(t, err)
+	for _, name := range strays {
+		if !slices.Contains(names, name) {
+			t.Errorf("stray %s was moved or removed: %v", name, names)
+		}
+	}
 }
 
 func TestResetClearsEverything(t *testing.T) {
@@ -315,14 +354,14 @@ func TestResetClearsEverything(t *testing.T) {
 	requireNoErr(t, err)
 	_, err = st.WriteSegment(block([]*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}, nil), nil)
 	requireNoErr(t, err)
-	requireNoErr(t, st.LogBatch([]*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}, nil, 5))
+	requireNoErr(t, st.LogBatch([]*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}, 5))
 	requireNoErr(t, st.Reset())
 	stats := st.Stats()
 	if stats.Segments != 0 || stats.DedupIDs != 0 {
 		t.Fatalf("post-reset stats = %+v", stats)
 	}
 	// Reset is immediately appendable (no rotate gate).
-	requireNoErr(t, st.LogBatch([]*trace.Span{mkSpan(3, 20, 30, 0, trace.KindSync)}, nil, 6))
+	requireNoErr(t, st.LogBatch([]*trace.Span{mkSpan(3, 20, 30, 0, trace.KindSync)}, 6))
 	st.Close()
 	_, rec, err := segio.Open(fs, segio.Options{})
 	requireNoErr(t, err)
@@ -338,7 +377,7 @@ func TestCrashMidSegmentWriteLeavesOldState(t *testing.T) {
 	st, _, err := segio.Open(dry, segio.Options{})
 	requireNoErr(t, err)
 	base := []*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}
-	requireNoErr(t, st.LogBatch(base, nil, 42))
+	requireNoErr(t, st.LogBatch(base, 42))
 	opsBefore := dry.Ops()
 	_, err = st.WriteSegment(block([]*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}, nil), nil)
 	requireNoErr(t, err)
@@ -349,7 +388,7 @@ func TestCrashMidSegmentWriteLeavesOldState(t *testing.T) {
 		fs.Arm(faultfs.Plan{CrashAfter: crash, Mode: faultfs.ModeTorn})
 		st, _, err := segio.Open(fs, segio.Options{})
 		requireNoErr(t, err)
-		requireNoErr(t, st.LogBatch(base, nil, 42))
+		requireNoErr(t, st.LogBatch(base, 42))
 		if _, err := st.WriteSegment(block([]*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}, nil), nil); err == nil {
 			t.Fatalf("crash=%d: WriteSegment unexpectedly succeeded", crash)
 		}

@@ -60,24 +60,23 @@
 //
 // Overload control: MaxInflightSpans and MaxInflightBytes give the
 // server an admission budget — past it, span POSTs are shed with 429 and a
-// Retry-After hint (RetryAfter) instead of accepted unboundedly — and
-// PressureSpans puts the same back-pressure under each streaming
-// correlator's live-state budget, so shedding is driven by the component
-// whose memory actually grows. The byte budget is process-wide; the span
-// budget and pressure signal are per tenant, so an overdriven tenant
-// sheds alone while its neighbors keep landing batches first-try. Admission
-// is the one overload rule. In RAM mode each tenant's correlator tap runs
-// asynchronously behind a bounded queue (trace.DefaultTapQueue spans) that
-// never sheds: a full queue holds the handler, the in-flight budgets fill,
-// and admission answers 429. So a batch that got its 202 is in /api/trace,
+// Retry-After hint (RetryAfter) instead of accepted unboundedly. Both budgets
+// drain without new input — handlers finish and the tap worker empties its
+// queue — so a shed tenant is always admitted again. The byte budget is
+// process-wide; the span budget is per tenant, so an overdriven tenant sheds
+// alone while its neighbors keep landing batches first-try. Admission is the
+// one overload rule; it never reads the correlator, whose live state is
+// bounded by Retain, CorrRetain and window chaining instead. In RAM mode each
+// tenant's correlator tap runs asynchronously behind a bounded queue
+// (trace.DefaultTapQueue spans) that never sheds: a full queue holds the
+// handler, the in-flight budgets fill, and admission answers 429. So a batch that got its 202 is in /api/trace,
 // /api/correlated and /api/analysis alike, and shed clients retry safely
 // under their batch ids. RetryAfter is the hint on every push-back, a 503
 // for a retry racing its still-decoding original included, budgets set or
 // not. While the byte budget is set a span
 // POST must declare its length: a chunked body has nothing to reserve and is
-// a 411 before it is read. GET /api/overload reports the admission, tap,
-// and pressure counters, per tenant; a tenant's pressure is derived from the
-// load printed beside it, one read of its correlator.
+// a 411 before it is read. GET /api/overload reports, per tenant, the
+// admission counters, the correlator's load and, in RAM mode, the tap's.
 //
 // Durability: DataDir names a directory the streaming state survives
 // crashes in. The default tenant's store

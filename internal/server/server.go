@@ -32,7 +32,6 @@ type Config struct {
 	MaxInflightSpans int           // -max-inflight-spans
 	MaxInflightBytes int64         // -max-inflight-bytes
 	RetryAfter       time.Duration // -retry-after
-	PressureSpans    int           // -pressure-spans
 	LiveAnalysis     bool          // -live-analysis
 	GPU              string        // -gpu: a gpu.Systems name; read only with LiveAnalysis
 }
@@ -203,15 +202,13 @@ type tenant struct {
 // open is trace.Server's tenant-init hook, run once per key under that
 // server's table lock before any request can reach the tenant: it opens
 // (durable: recovers) the tenant's stream and wires it to the ingest half —
-// as load reporter when there is a pressure budget, and as durable sink
-// (recovered dedup ids seeded first) or behind the tap.
+// as durable sink (recovered dedup ids seeded first) or behind the tap.
 func (s *Server) open(tn *trace.ServerTenant) {
 	t := &tenant{ingest: tn}
 	opts := core.StreamOptions{
 		ReorderWindow: vclock.Duration(s.cfg.ReorderWindow),
 		Retain:        vclock.Duration(s.cfg.Retain),
 		CorrRetain:    vclock.Duration(s.cfg.CorrRetain),
-		PressureSpans: s.cfg.PressureSpans,
 	}
 	if s.cfg.LiveAnalysis {
 		// The engine attaches as the stream's observer before the correlator
@@ -233,11 +230,6 @@ func (s *Server) open(tn *trace.ServerTenant) {
 	}
 	st := core.OpenTenantStream(tn.Key(), opts, openStore)
 	t.stream = st
-	if s.cfg.PressureSpans > 0 {
-		// Without a budget the pressure is always nominal, and asking would
-		// take the correlator's mutex on every POST.
-		tn.SetLoad(st)
-	}
 	if s.cfg.DataDir != "" {
 		if err := st.Err(); err != nil {
 			fmt.Fprintf(os.Stderr, "xsp-server: tenant %s degraded to RAM-only: %v\n", tn.Key(), err)
@@ -310,12 +302,12 @@ func (t *tenant) close() {
 	}
 }
 
-// GET /api/overload: the admission, tap and pressure counters, per tenant.
+// GET /api/overload: the admission and tap counters and the correlator's
+// load, per tenant.
 func (s *Server) handleOverload(w http.ResponseWriter, _ *http.Request) {
 	type tenantView struct {
 		Admission trace.OverloadStats  `json:"admission"`
 		Tap       *trace.AsyncTapStats `json:"tap,omitempty"`
-		Pressure  string               `json:"pressure,omitempty"`
 		Load      *core.Load           `json:"load,omitempty"`
 	}
 	type overloadView struct {
@@ -331,7 +323,7 @@ func (s *Server) handleOverload(w http.ResponseWriter, _ *http.Request) {
 				tv.Tap = &st
 			}
 			l := t.stream.Correlator().Load()
-			tv.Pressure, tv.Load = l.Pressure().String(), &l // one snapshot: the state is this load's
+			tv.Load = &l
 		}
 		v.Tenants[tn.Key()] = tv
 	})

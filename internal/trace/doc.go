@@ -76,9 +76,10 @@
 //     against MaxInflightBytes before being read (a chunked body, which
 //     declares none, is a 411 while that budget is set), and decoded-but-unlanded
 //     spans plus the tap backlog count against MaxInflightSpans. Past
-//     either budget — or when the [LoadReporter] installed with
-//     [ServerTenant.SetLoad] reports [PressureOverloaded] — the POST is shed
-//     with 429, a Retry-After hint, and the X-Shed-* stats headers.
+//     either budget the POST is shed with 429, a Retry-After hint, and the
+//     X-Shed-* stats headers. Both budgets drain without new input —
+//     handlers finish, the tap worker empties its queue — so a shed tenant
+//     is always admitted again; admission reads nothing else.
 //   - The batch-dedup FIFO, bounded at maxRememberedBatches ids.
 //
 // The safe-retry contract ties these together: a shed batch's id is never
@@ -123,7 +124,7 @@
 // # Multi-tenant ingestion
 //
 // One [Server] hosts many tenants: each tenant key owns a [ServerTenant]
-// — its own Memory collector, tap, load signal, dedup window, and shed
+// — its own Memory collector, tap, dedup window, and shed
 // counters — created lazily on the first write addressed to it
 // ([Server.Tenant]; reads never materialize). A request names its tenant
 // three ways, in precedence order: the X-Tenant header ([TenantHeader]),
@@ -136,8 +137,7 @@
 //
 // The admission split follows what each budget protects: request bytes
 // are a process-wide resource, so MaxInflightBytes stays server-wide,
-// while the span budget, the [LoadReporter] pressure signal
-// ([ServerTenant.SetLoad]), and the dedup window are per tenant — an
+// while the span budget and the dedup window are per tenant — an
 // overdriven tenant sheds 429s against its own budgets while its
 // neighbors keep landing first-try, and [ServerTenant.OverloadStats]
 // attributes the sheds. /api/reset scoped to a tenant

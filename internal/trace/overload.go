@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // ShedPolicy names an AsyncTap's behavior at a full queue, which has one
 // value, ShedBlock. Kept for bench/replica.go; it goes with the benchmark PR
@@ -205,40 +202,16 @@ func (m *Memory) SetTapAsync(dst Collector, opts TapOptions) *AsyncTap {
 	return t
 }
 
-// Pressure is a consumer's coarse load state, reported through a
-// LoadReporter so the ingest path can shed before the consumer's memory
-// grows past its configured bounds.
+// Pressure is a consumer's load state, which has one value,
+// PressureNominal. Kept for bench/replica.go, like ShedPolicy.
 type Pressure int
 
-const (
-	// PressureNominal: well inside every configured bound.
-	PressureNominal Pressure = iota
-	// PressureElevated: past half of a configured bound — worth surfacing
-	// in stats, not yet worth shedding.
-	PressureElevated
-	// PressureOverloaded: a configured bound is reached; admission
-	// control sheds new ingest until the consumer recovers.
-	PressureOverloaded
-)
+// PressureNominal is the one Pressure. Kept for bench/replica.go, like
+// ShedPolicy.
+const PressureNominal Pressure = 0
 
-// String names the pressure state for stats headers and logs.
-func (p Pressure) String() string {
-	switch p {
-	case PressureNominal:
-		return "nominal"
-	case PressureElevated:
-		return "elevated"
-	case PressureOverloaded:
-		return "overloaded"
-	default:
-		return fmt.Sprintf("Pressure(%d)", int(p))
-	}
-}
-
-// LoadReporter is implemented by the component that owns the memory
-// ingest feeds — core.StreamCorrelator for the streaming path — so
-// degradation decisions are driven by its actual occupancy, not by proxy
-// guesses at the server. Pressure must be safe for concurrent use.
+// LoadReporter is what ServerTenant.SetLoad takes; admission never asks it.
+// Kept for bench/replica.go, like ShedPolicy.
 type LoadReporter interface {
 	Pressure() Pressure
 }

@@ -26,21 +26,19 @@ import (
 // the X-Tenant header (or ?tenant= query parameter, or the batch's own
 // wire tenant; see tenant.go), defaulting to DefaultTenant — and each
 // tenant owns an independent ServerTenant: its own Memory collector,
-// received count, batch-dedup window, tap, load reporter, durable sink,
-// and in-flight span accounting. Tenants are created lazily on first use
-// (SetTenantInit hooks the wiring); requests without a tenant land on
-// DefaultTenant with semantics identical to the pre-tenant server. Spans
-// arriving over HTTP land on their tenant collector's hashed shards, so
-// concurrent POSTs do not serialize on one lock either — and POSTs for
-// distinct tenants share nothing past admission at all.
+// received count, batch-dedup window, tap, durable sink, and in-flight
+// span accounting. Tenants are created lazily on first use (SetTenantInit
+// hooks the wiring); requests without a tenant land on DefaultTenant with
+// semantics identical to the pre-tenant server. POSTs for distinct tenants
+// share nothing past admission.
 type Server struct {
 	mux *http.ServeMux
 
 	// Admission control (SetAdmission): nil means accept unboundedly, the
 	// pre-admission behavior. The byte budget is server-wide (request
-	// bodies are a process resource); the span budget, load signal, and
-	// tap backlog are per tenant, so one tenant's overload sheds that
-	// tenant without touching its neighbors.
+	// bodies are a process resource); the span budget and tap backlog are
+	// per tenant, so one tenant's overload sheds that tenant without
+	// touching its neighbors.
 	adm          atomic.Pointer[AdmissionPolicy]
 	inflightB    atomic.Int64 // request body bytes admitted, response not yet written
 	shedRequests atomic.Int64 // requests refused by admission control, ever (all tenants)
@@ -54,7 +52,7 @@ type Server struct {
 
 // ServerTenant is one tenant's slice of a Server: an independent
 // collector, ingest counter, exactly-once batch-dedup window, and
-// consumer wiring (tap, load reporter, durable sink). Everything that
+// consumer wiring (tap, durable sink). Everything that
 // made the pre-tenant Server a single-stream ingest endpoint lives here,
 // once per tenant; resetting, overloading, or crashing one tenant never
 // touches another's state.
@@ -65,7 +63,6 @@ type ServerTenant struct {
 	mem      *Memory
 	received atomic.Int64 // spans accepted over HTTP since start or the tenant's last reset
 
-	load         atomic.Pointer[LoadReporter]
 	history      func() *Trace // SetHistory: the consumer's store serves Trace, mem holds nothing
 	tapQ         atomic.Pointer[AsyncTap]
 	durable      atomic.Pointer[DurableSink]
@@ -112,7 +109,7 @@ func NewServer() *Server {
 
 // SetTenantInit registers the hook run once for every tenant the server
 // creates, before any request can reach it — the place to wire the
-// tenant's tap, load reporter, or durable sink (a profiling server
+// tenant's tap, history, or durable sink (a profiling server
 // attaches one streaming correlator per tenant here). The hook runs with
 // the server's tenant table locked: it must not call Server.Tenant (wire
 // through the *ServerTenant it is handed instead). Install it before the
@@ -300,20 +297,9 @@ type AdmissionPolicy struct {
 // admission control. Safe to call while serving.
 func (s *Server) SetAdmission(p AdmissionPolicy) { s.adm.Store(&p) }
 
-// SetLoad registers the load reporter admission control consults before
-// accepting one tenant's batch: at PressureOverloaded, the tenant's span
-// POSTs shed with 429 until the reporter recovers — other tenants are
-// unaffected. The tenant's streaming correlator behind its tap is the
-// intended reporter (core.StreamCorrelator implements LoadReporter) —
-// the component whose memory ingest actually grows decides when to shed.
-// A nil reporter detaches. Safe to call while serving.
-func (t *ServerTenant) SetLoad(l LoadReporter) {
-	if l == nil {
-		t.load.Store(nil)
-		return
-	}
-	t.load.Store(&l)
-}
+// SetLoad ignores its argument: admission reads only the in-flight budgets.
+// Kept for bench/replica.go; it goes with the benchmark PR.
+func (t *ServerTenant) SetLoad(LoadReporter) {}
 
 // SetTapAsync attaches dst as the tenant's tap behind a bounded queue
 // (see Memory.SetTapAsync) and registers the queue with admission
@@ -569,18 +555,6 @@ func (s *Server) claimFor(w http.ResponseWriter, tn *ServerTenant, batchID uint6
 	return true
 }
 
-// shedOverloaded sheds the request when the tenant's load reporter says
-// so, returning true if it shed. Pressure has the final say: the
-// component that owns the memory (the tenant's stream correlator behind
-// its tap) decides when its tenant stops accepting.
-func (s *Server) shedOverloaded(w http.ResponseWriter, tn *ServerTenant, adm *AdmissionPolicy) bool {
-	if l := tn.load.Load(); l != nil && (*l).Pressure() == PressureOverloaded {
-		s.shed(w, tn, adm.RetryAfter, 0, "trace: consumer overloaded, retry later")
-		return true
-	}
-	return false
-}
-
 // The body read deadline of a span POST that holds a byte reservation:
 // bodyReadGrace, plus its Content-Length at minBodyBytesPerSec.
 var bodyReadGrace = 10 * time.Second // a variable for the tests, which cannot wait that long
@@ -626,52 +600,46 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	tn := s.Tenant(explicit)
 	// Admission, phase 1 — before the body is touched, so a shed request
 	// costs no decode and claims no batch id (the client's retry stays
-	// exactly-once). The byte budget is server-wide; the pressure signal
-	// is the working tenant's own.
+	// exactly-once). The byte budget is server-wide.
 	adm := s.adm.Load()
-	if adm != nil {
-		if s.shedOverloaded(w, tn, adm) {
+	if adm != nil && adm.MaxInflightBytes > 0 {
+		n := r.ContentLength
+		if n < 0 {
+			// A chunked body declares nothing to reserve, so any number of
+			// them would be in flight beside a full budget.
+			http.Error(w, "trace: a span POST needs a Content-Length while an in-flight byte budget is set", http.StatusLengthRequired)
 			return
 		}
-		if adm.MaxInflightBytes > 0 {
-			n := r.ContentLength
-			if n < 0 {
-				// A chunked body declares nothing to reserve, so any number of
-				// them would be in flight beside a full budget.
-				http.Error(w, "trace: a span POST needs a Content-Length while an in-flight byte budget is set", http.StatusLengthRequired)
-				return
-			}
-			if cur := s.inflightB.Add(n); cur > adm.MaxInflightBytes && cur != n {
-				// Over budget with other requests in flight. (Alone — cur
-				// == n — even an oversized body is admitted, so one big
-				// batch cannot starve forever.)
-				s.inflightB.Add(-n)
-				s.shed(w, tn, adm.RetryAfter, 0, "trace: in-flight byte budget exhausted, retry later")
-				return
-			}
-			defer s.inflightB.Add(-n)
-			// The reservation is held until the body has been read, so the
-			// body has a deadline: a grace period plus the time its declared
-			// length takes at the slowest rate a publisher is allowed. A
-			// client that trickles is cut — the read fails, the request is a
-			// 400 and its bytes and batch id are free again — instead of
-			// pinning a budget every tenant shares. (A ResponseWriter with no
-			// connection behind it, a test's recorder, supports no deadline
-			// and has no slow client to cut.) The deadline is never cleared
-			// here: net/http clears it when the body reaches its end, so a
-			// publish that then waits on its tap is not cut, and after a
-			// read that failed it has to stand, or net/http's drain of the
-			// unread body, which comes before the answer, would wait forever.
-			_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(bodyReadGrace + time.Duration(n)*time.Second/minBodyBytesPerSec))
-			// A body must not exceed its Content-Length reservation, or the
-			// whole budget: decode fails cleanly instead of growing past
-			// the admitted bytes.
-			limit := adm.MaxInflightBytes
-			if n > 0 && n < limit {
-				limit = n
-			}
-			r.Body = http.MaxBytesReader(w, r.Body, limit)
+		if cur := s.inflightB.Add(n); cur > adm.MaxInflightBytes && cur != n {
+			// Over budget with other requests in flight. (Alone — cur
+			// == n — even an oversized body is admitted, so one big
+			// batch cannot starve forever.)
+			s.inflightB.Add(-n)
+			s.shed(w, tn, adm.RetryAfter, 0, "trace: in-flight byte budget exhausted, retry later")
+			return
 		}
+		defer s.inflightB.Add(-n)
+		// The reservation is held until the body has been read, so the
+		// body has a deadline: a grace period plus the time its declared
+		// length takes at the slowest rate a publisher is allowed. A
+		// client that trickles is cut — the read fails, the request is a
+		// 400 and its bytes and batch id are free again — instead of
+		// pinning a budget every tenant shares. (A ResponseWriter with no
+		// connection behind it, a test's recorder, supports no deadline
+		// and has no slow client to cut.) The deadline is never cleared
+		// here: net/http clears it when the body reaches its end, so a
+		// publish that then waits on its tap is not cut, and after a
+		// read that failed it has to stand, or net/http's drain of the
+		// unread body, which comes before the answer, would wait forever.
+		_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(bodyReadGrace + time.Duration(n)*time.Second/minBodyBytesPerSec))
+		// A body must not exceed its Content-Length reservation, or the
+		// whole budget: decode fails cleanly instead of growing past
+		// the admitted bytes.
+		limit := adm.MaxInflightBytes
+		if n > 0 && n < limit {
+			limit = n
+		}
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
 	}
 	batchID, err := parseBatchID(r.Header.Get(batchIDHeader))
 	if err != nil {
@@ -727,9 +695,6 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 			// posted by a header-less intermediary): re-route, moving the
 			// batch claim to the wire tenant's dedup window.
 			next := s.Tenant(wire)
-			if adm != nil && s.shedOverloaded(w, next, adm) {
-				return
-			}
 			if batchID != 0 {
 				if !s.claimFor(w, next, batchID) {
 					return

@@ -8,15 +8,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// fakeLoad is a settable LoadReporter.
-type fakeLoad struct{ p atomic.Int32 }
-
-func (f *fakeLoad) Pressure() Pressure { return Pressure(f.p.Load()) }
 
 func encodeSpans(t *testing.T, spans ...*Span) []byte {
 	t.Helper()
@@ -170,6 +164,17 @@ func TestServerAdmissionByteBudget(t *testing.T) {
 	}
 }
 
+// holdBytes reserves n bytes of the byte budget with a request whose body
+// has not arrived, until release; the request then fails decode, a 400.
+func holdBytes(t *testing.T, srv *Server, n int64) (release func()) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	done := make(chan struct{})
+	go func() { postSpans(srv, pr, n, ""); close(done) }()
+	waitFor(t, "the held request to reserve its bytes", func() bool { return srv.OverloadStats().InflightBytes == n })
+	return func() { pw.Close(); <-done }
+}
+
 // unreadBody is a request body that must not be read.
 type unreadBody struct{ t *testing.T }
 
@@ -233,30 +238,6 @@ func TestServerAdmissionSpanBudgetCountsTapBacklog(t *testing.T) {
 	dst.gate <- struct{}{}
 }
 
-// The load reporter has the final say: at PressureOverloaded every span
-// POST sheds before the body is touched, and recovery re-admits.
-func TestServerAdmissionConsultsLoadReporter(t *testing.T) {
-	srv := NewServer()
-	srv.SetAdmission(AdmissionPolicy{RetryAfter: time.Second})
-	load := &fakeLoad{}
-	srv.Tenant(DefaultTenant).SetLoad(load)
-
-	body := encodeSpans(t, span(1))
-	load.p.Store(int32(PressureOverloaded))
-	rec := postSpans(srv, bytes.NewReader(body), int64(len(body)), "")
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("overloaded POST = %d, want 429", rec.Code)
-	}
-	load.p.Store(int32(PressureElevated))
-	if rec := postSpans(srv, bytes.NewReader(body), int64(len(body)), ""); rec.Code != http.StatusAccepted {
-		t.Fatalf("elevated POST = %d, want 202 (elevated is not shedding)", rec.Code)
-	}
-	load.p.Store(int32(PressureNominal))
-	if rec := postSpans(srv, bytes.NewReader(body), int64(len(body)), ""); rec.Code != http.StatusAccepted {
-		t.Fatalf("nominal POST = %d, want 202", rec.Code)
-	}
-}
-
 // Both push-back paths carry Retry-After: the 429 shed and the 503
 // batch-still-in-flight response — with the default one-second hint when
 // no admission policy configures one.
@@ -278,13 +259,12 @@ func TestRetryAfterOnBothPushbackPaths(t *testing.T) {
 		t.Fatalf("503 Retry-After = %q, want default 1", rec.Header().Get("Retry-After"))
 	}
 
-	// 429: pressure shed, with a configured hint — rendered as integer
-	// seconds, rounded up.
-	srv.SetAdmission(AdmissionPolicy{RetryAfter: 1500 * time.Millisecond})
-	load := &fakeLoad{}
-	load.p.Store(int32(PressureOverloaded))
-	srv.Tenant(DefaultTenant).SetLoad(load)
+	// 429: a byte-budget shed behind a held request, with a configured hint
+	// — rendered as integer seconds, rounded up.
+	srv.SetAdmission(AdmissionPolicy{MaxInflightBytes: 10, RetryAfter: 1500 * time.Millisecond})
+	release := holdBytes(t, srv, 10)
 	rec = postSpans(srv, bytes.NewReader(body), int64(len(body)), "")
+	release()
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("shed POST = %d, want 429", rec.Code)
 	}

@@ -52,12 +52,11 @@ func (f *failingSink) IngestLogged(uint64, []*Span) error {
 func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
 	srv := NewServer()
 	srv.SetAdmission(AdmissionPolicy{})
-	store, sink, load := &historyStore{}, &failingSink{}, &fakeLoad{}
+	store, sink := &historyStore{}, &failingSink{}
 	srv.SetTenantInit(func(tn *ServerTenant) {
 		if tn.Key() == "hist" {
 			tn.SetTap(store)
 			tn.SetDurable(sink)
-			tn.SetLoad(load)
 			tn.SetHistory(store.trace)
 		}
 	})
@@ -102,9 +101,11 @@ func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
 
 	// Not accepted: each of these must leave the tap where it was.
 	post("400", http.StatusBadRequest, []byte("{not json"), ContentTypeJSON, "b1")
-	load.p.Store(int32(PressureOverloaded))
+	srv.SetAdmission(AdmissionPolicy{MaxInflightBytes: 10})
+	release := holdBytes(t, srv, 10)
 	post("429", http.StatusTooManyRequests, encodeSpans(t, span(13)), ContentTypeJSON, "b2")
-	load.p.Store(int32(PressureNominal))
+	release()
+	srv.SetAdmission(AdmissionPolicy{})
 	if rec := post("duplicate", http.StatusAccepted, encodeSpans(t, span(5), span(3)), ContentTypeJSON, "a1"); rec.Header().Get("X-Duplicate-Batch") != "1" {
 		t.Fatal("a re-shipped batch id was not acknowledged as a duplicate")
 	}

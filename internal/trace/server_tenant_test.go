@@ -286,18 +286,21 @@ func TestResetIsPerTenant(t *testing.T) {
 	}
 }
 
-// Overload isolation at the admission layer: an overloaded tenant's
-// POSTs shed with 429 while another tenant's land first-try, under one
-// shared admission policy.
+// Overload isolation at the admission layer: a tenant whose stalled tap
+// fills its span budget sheds with 429 while another tenant's POSTs land
+// first-try, under one shared admission policy.
 func TestOverloadShedsPerTenant(t *testing.T) {
 	srv := NewServer()
-	srv.SetAdmission(AdmissionPolicy{RetryAfter: 50 * time.Millisecond})
+	srv.SetAdmission(AdmissionPolicy{MaxInflightSpans: 2, RetryAfter: 50 * time.Millisecond})
 
-	noisy := &fakeLoad{}
-	noisy.p.Store(int32(PressureOverloaded))
-	srv.Tenant("noisy").SetLoad(noisy)
-	quiet := &fakeLoad{}
-	srv.Tenant("quiet").SetLoad(quiet)
+	stalled := &recordingCollector{gate: make(chan struct{})}
+	tap := srv.Tenant("noisy").SetTapAsync(stalled, TapOptions{})
+	defer tap.Close()
+	defer close(stalled.gate)
+	if rec := postTenant(srv, "noisy", encodeSpans(t, span(7), span(8)), "", ""); rec.Code != http.StatusAccepted {
+		t.Fatalf("noisy tenant's budget-filling POST = %d, want 202", rec.Code)
+	}
+	waitFor(t, "the stalled tap to hold the batch", func() bool { return srv.Tenant("noisy").OverloadStats().TapDepth == 2 })
 
 	body := encodeSpans(t, span(1))
 	if rec := postTenant(srv, "noisy", body, "", ""); rec.Code != http.StatusTooManyRequests {
