@@ -324,9 +324,9 @@ func decodeAnalysis(t *testing.T, url string) analysis.OnlineSnapshot {
 
 // TestServerLiveAnalysis proves the live endpoints end to end: two
 // tenants stream workloads at a -live-analysis server, and each tenant's
-// /api/analysis views must agree with the batch analyses of its own
-// published trace — while the other tenant's, and an unknown tenant's,
-// stay untouched. The SSE form must deliver converging snapshots from a
+// /api/analysis views must agree with a fresh engine fed its own published
+// trace, and with the batch layer table and kernel latency — while the
+// other tenant's, and an unknown tenant's, stay untouched. The SSE form must deliver converging snapshots from a
 // plain GET with Accept: text/event-stream semantics (?watch=1 here).
 func TestServerLiveAnalysis(t *testing.T) {
 	baseURL := serveInProcess(t, "-addr", "127.0.0.1:0", "-live-analysis", "-reorder-window", "64ns")
@@ -362,29 +362,40 @@ func TestServerLiveAnalysis(t *testing.T) {
 			url += "&tenant=" + tenant
 		}
 		snap := decodeAnalysis(t, url)
+		// The server's engine saw the spans in the correlator's delivery
+		// order; a fresh engine fed the published trace must count the same.
+		fresh := analysis.NewOnline(analysis.OnlineOptions{Spec: gpu.TeslaV100})
+		fresh.ObserveSpans(tr.Spans)
+		want := fresh.Snapshot()
+		if snap.Spans != int64(len(tr.Spans)) || snap.Spans != want.Spans {
+			t.Errorf("tenant %q: %d spans analyzed, %d published", tenant, snap.Spans, len(tr.Spans))
+		}
+		if g, w := snap.LaunchGaps, want.LaunchGaps; g.Kernels != w.Kernels || g.Waited != w.Waited {
+			t.Errorf("tenant %q: %d gap kernels (%d waited), fresh engine %d (%d)", tenant, g.Kernels, g.Waited, w.Kernels, w.Waited)
+		}
+		dirs := map[string]int{}
+		for _, r := range want.Memcpy.Rows {
+			dirs[r.Direction] = r.Count
+		}
+		if len(snap.Memcpy.Rows) != len(dirs) {
+			t.Errorf("tenant %q: %d memcpy dirs, fresh engine %d", tenant, len(snap.Memcpy.Rows), len(dirs))
+		}
+		for _, r := range snap.Memcpy.Rows {
+			if r.Count != dirs[r.Direction] {
+				t.Errorf("tenant %q: %d %s copies, fresh engine %d", tenant, r.Count, r.Direction, dirs[r.Direction])
+			}
+		}
+		if g, w := snap.Roofline, want.Roofline; g.Kernels != w.Kernels || g.MemoryBound != w.MemoryBound || len(g.Buckets) != len(w.Buckets) {
+			t.Errorf("tenant %q: %d roofline kernels (%d memory-bound, %d buckets), fresh engine %d (%d, %d)",
+				tenant, g.Kernels, g.MemoryBound, len(g.Buckets), w.Kernels, w.MemoryBound, len(w.Buckets))
+		}
 		rs, err := analysis.NewRunSet(gpu.TeslaV100, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rs.Trim = 0
-		if snap.Spans != int64(len(tr.Spans)) {
-			t.Errorf("tenant %q: %d spans analyzed, %d published", tenant, snap.Spans, len(tr.Spans))
-		}
 		if want := len(rs.A2LayerInfo()); len(snap.Layers.Layers) != want {
 			t.Errorf("tenant %q: %d layers, batch %d", tenant, len(snap.Layers.Layers), want)
-		}
-		if q := rs.QueueDelay(); snap.LaunchGaps.Kernels != q.Kernels {
-			t.Errorf("tenant %q: %d gap kernels, batch %d", tenant, snap.LaunchGaps.Kernels, q.Kernels)
-		}
-		if want := len(rs.MemcpyTable()); len(snap.Memcpy.Rows) != want {
-			t.Errorf("tenant %q: %d memcpy dirs, batch %d", tenant, len(snap.Memcpy.Rows), want)
-		}
-		var kernels int64
-		for _, b := range rs.A9RooflineBuckets() {
-			kernels += b.Count
-		}
-		if snap.Roofline.Kernels != kernels {
-			t.Errorf("tenant %q: %d roofline kernels, batch %d", tenant, snap.Roofline.Kernels, kernels)
 		}
 		if total := rs.TotalKernelLatencyMS(); math.Abs(snap.Roofline.TotalLatencyMS-total) > 1e-6*(1+total) {
 			t.Errorf("tenant %q: kernel latency %v, batch %v", tenant, snap.Roofline.TotalLatencyMS, total)
@@ -766,7 +777,7 @@ func checkCorrelatedView(t *testing.T, when, baseURL, tenant string, acked [][]*
 		}
 	}
 	want.SortByBegin()
-	core.CorrelateWith(want, core.StrategyAuto)
+	core.Correlate(want)
 	got, err := trace.DecodeJSON(bytes.NewReader(getBody(t, baseURL+"/api/correlated?flush=1", tenant)))
 	if err != nil {
 		t.Fatalf("%s: tenant %q /api/correlated: %v", when, tenant, err)

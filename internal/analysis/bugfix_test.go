@@ -1,42 +1,11 @@
 package analysis
 
 import (
-	"strconv"
 	"testing"
 
 	"xsp/internal/gpu"
 	"xsp/internal/workload"
 )
-
-func TestAtoiOr(t *testing.T) {
-	const maxInt = int(^uint(0) >> 1)
-	cases := []struct {
-		in   string
-		def  int
-		want int
-	}{
-		{"", -1, -1},
-		{"0", -1, 0},
-		{"7", -1, 7},
-		{"42", -1, 42},
-		{"007", -1, 7},
-		{"-3", -1, -1}, // signs are not layer indices
-		{"+3", -1, -1},
-		{"3.5", -1, -1},
-		{"3x", -1, -1},
-		{" 3", -1, -1},
-		{"abc", 9, 9},
-		{strconv.Itoa(maxInt), -1, maxInt},
-		{"9223372036854775808", -1, -1},  // maxInt64 + 1 overflows
-		{"99999999999999999999", -1, -1}, // far past any int
-		{"18446744073709551616", 5, 5},   // would wrap uint64 too
-	}
-	for _, tc := range cases {
-		if got := atoiOr(tc.in, tc.def); got != tc.want {
-			t.Errorf("atoiOr(%q, %d) = %d, want %d", tc.in, tc.def, got, tc.want)
-		}
-	}
-}
 
 // TestTopKClamped pins the negative-k fix across every Top* helper: any
 // k < 0 yields an empty slice instead of a slice-bounds panic, and k past
@@ -54,7 +23,6 @@ func TestTopKClamped(t *testing.T) {
 		name string
 		call func(k int) int
 	}{
-		{"TopLaunchGaps", func(k int) int { return len(rs.TopLaunchGaps(k)) }},
 		{"TopKernelsByLatency", func(k int) int { return len(rs.TopKernelsByLatency(k)) }},
 		{"TopLayersByLatency", func(k int) int { return len(rs.TopLayersByLatency(k)) }},
 		{"TopLayersByKernelLatency", func(k int) int { return len(rs.TopLayersByKernelLatency(k)) }},

@@ -7,9 +7,11 @@ import (
 	"xsp/internal/gpu"
 	"xsp/internal/modelzoo"
 	"xsp/internal/tensorflow"
+	"xsp/internal/trace"
 )
 
-func gapRunSet(t *testing.T, batch int, pipelined bool) *RunSet {
+// profileResNet returns an M/L/G profile of ResNet50 at the batch size.
+func profileResNet(t *testing.T, batch int, pipelined bool) *trace.Trace {
 	t.Helper()
 	m, _ := modelzoo.ByName("MLPerf_ResNet50_v1.5")
 	s := core.NewSession(tensorflow.New(), gpu.TeslaV100)
@@ -21,30 +23,38 @@ func gapRunSet(t *testing.T, batch int, pipelined bool) *RunSet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := NewRunSet(gpu.TeslaV100, res.Trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rs
+	return res.Trace
+}
+
+// gapEngine returns an engine that observed the whole profile.
+func gapEngine(t *testing.T, batch int, pipelined bool) *Online {
+	t.Helper()
+	eng := NewOnline(OnlineOptions{Spec: gpu.TeslaV100})
+	eng.ObserveSpans(profileResNet(t, batch, pipelined).Spans)
+	return eng
 }
 
 func TestLaunchGapsCoverKernels(t *testing.T) {
-	rs := gapRunSet(t, 16, false)
-	rows := rs.LaunchGaps()
-	if len(rows) < 200 {
-		t.Fatalf("gap rows = %d", len(rows))
-	}
-	attributed := 0
-	for _, r := range rows {
-		if r.QueueMS < 0 {
-			t.Fatalf("negative queue delay for %q", r.Name)
-		}
-		if r.LayerIndex >= 0 {
-			attributed++
+	tr := profileResNet(t, 16, false)
+	eng := NewOnline(OnlineOptions{Spec: gpu.TeslaV100})
+	eng.ObserveSpans(tr.Spans)
+	g := eng.LaunchGapsSnapshot()
+	kernels := 0
+	for _, sp := range tr.Spans {
+		if isKernelExec(sp) {
+			kernels++
 		}
 	}
-	if attributed < len(rows)*8/10 {
-		t.Fatalf("only %d/%d gaps attributed to layers", attributed, len(rows))
+	if g.Kernels < 200 || g.Kernels != kernels {
+		t.Fatalf("gaps for %d kernels, the profile executes %d", g.Kernels, kernels)
+	}
+	if g.PendingExecs != 0 {
+		t.Fatalf("every exec pairs with its launch, yet %d wait", g.PendingExecs)
+	}
+	for _, r := range g.Top {
+		if r.QueueMS < 0 || r.LayerIndex != -1 {
+			t.Fatalf("top gap %+v: negative delay or a layer the engine cannot know", r)
+		}
 	}
 }
 
@@ -52,14 +62,14 @@ func TestLaunchGapsCoverKernels(t *testing.T) {
 // device, so queueing delays grow; serialized per-layer profiling drains
 // the queue at every layer boundary.
 func TestQueueDelayGrowsWhenPipelined(t *testing.T) {
-	serialized := gapRunSet(t, 256, false).QueueDelay()
-	pipelined := gapRunSet(t, 256, true).QueueDelay()
+	serialized := gapEngine(t, 256, false).LaunchGapsSnapshot()
+	pipelined := gapEngine(t, 256, true).LaunchGapsSnapshot()
 	if pipelined.TotalMS <= serialized.TotalMS {
 		t.Fatalf("pipelined queue delay %v ms should exceed serialized %v ms",
 			pipelined.TotalMS, serialized.TotalMS)
 	}
 	if pipelined.Kernels == 0 || pipelined.MaxMS <= 0 {
-		t.Fatalf("summary malformed: %+v", pipelined)
+		t.Fatalf("summary malformed: %+v", pipelined.QueueDelaySummary)
 	}
 	if pipelined.WaitShare <= 0 || pipelined.WaitShare > 1 {
 		t.Fatalf("wait share = %v", pipelined.WaitShare)
@@ -67,14 +77,16 @@ func TestQueueDelayGrowsWhenPipelined(t *testing.T) {
 }
 
 func TestTopLaunchGaps(t *testing.T) {
-	rs := gapRunSet(t, 256, true)
-	top := rs.TopLaunchGaps(5)
-	if len(top) != 5 {
-		t.Fatalf("top = %d", len(top))
+	g := gapEngine(t, 256, true).LaunchGapsSnapshot()
+	if len(g.Top) != defaultTopGaps {
+		t.Fatalf("top = %d, want %d", len(g.Top), defaultTopGaps)
 	}
-	for i := 1; i < len(top); i++ {
-		if top[i].QueueMS > top[i-1].QueueMS {
+	for i := 1; i < len(g.Top); i++ {
+		if g.Top[i].QueueMS > g.Top[i-1].QueueMS {
 			t.Fatal("top gaps not sorted")
 		}
+	}
+	if g.Top[0].QueueMS != g.MaxMS {
+		t.Fatalf("largest top gap %v, max %v", g.Top[0].QueueMS, g.MaxMS)
 	}
 }

@@ -7,13 +7,12 @@ import (
 )
 
 func TestMemcpyTable(t *testing.T) {
-	rs := gapRunSet(t, 256, false) // M/L/G profile of ResNet50 at 256
-	rows := rs.MemcpyTable()
-	if len(rows) != 2 {
-		t.Fatalf("directions = %d, want HtoD and DtoH", len(rows))
+	snap := gapEngine(t, 256, false).MemcpySnapshot() // M/L/G profile of ResNet50 at 256
+	if len(snap.Rows) != 2 {
+		t.Fatalf("directions = %d, want HtoD and DtoH", len(snap.Rows))
 	}
 	byDir := map[string]MemcpyRow{}
-	for _, r := range rows {
+	for _, r := range snap.Rows {
 		byDir[r.Direction] = r
 	}
 	h2d := byDir["HtoD"]
@@ -30,14 +29,16 @@ func TestMemcpyTable(t *testing.T) {
 	if d2h.MB < 0.9 || d2h.MB > 1.2 {
 		t.Fatalf("DtoH = %+v, want ~1MB", d2h)
 	}
-	if rs.MemcpyTotalMS() <= 0 {
-		t.Fatal("total copy latency missing")
+	if snap.TotalMS <= 0 || snap.TotalMS != h2d.LatencyMS+d2h.LatencyMS {
+		t.Fatalf("total copy latency %v, directions %v + %v", snap.TotalMS, h2d.LatencyMS, d2h.LatencyMS)
 	}
 }
 
-func TestMemcpyTableEmptyRunSet(t *testing.T) {
-	rs := &RunSet{Spec: gpu.TeslaV100}
-	if rows := rs.MemcpyTable(); rows != nil {
-		t.Fatalf("rows = %v", rows)
+// TestMemcpyTableEmptyEngine: before any span, the view has no rows — an
+// empty list on the wire, not null.
+func TestMemcpyTableEmptyEngine(t *testing.T) {
+	snap := NewOnline(OnlineOptions{Spec: gpu.TeslaV100}).MemcpySnapshot()
+	if snap.Rows == nil || len(snap.Rows) != 0 || snap.TotalMS != 0 || !snap.OverlapExact {
+		t.Fatalf("empty engine's memcpy view = %+v", snap)
 	}
 }

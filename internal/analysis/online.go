@@ -13,14 +13,20 @@ import (
 	"xsp/internal/vclock"
 )
 
-// Online is the incremental counterpart of the batch RunSet analyses: an
-// engine fed accepted spans — one at a time or a released run at a time —
-// from the streaming pipeline (core.StreamOptions.Observer, or any
-// trace.Collector tap) that maintains
-// live versions of the headline analyses — A3/A6 layer latencies by layer
-// and type, launch-gap queue delay (the LaunchGaps logic, incremental),
-// memcpy totals and copy/compute overlap, and A9-style roofline buckets —
-// each snapshot-able under the engine's lock without stopping ingest.
+// Online is the one implementation of the server's live analyses: A3/A6
+// layer latencies by layer and type, launch-gap queue delay, memcpy totals
+// with the copy/compute overlap, and A9-style roofline buckets. The
+// streaming pipeline feeds it accepted spans (core.StreamOptions.Observer),
+// one at a time or a released run at a time; a finished trace is its spans
+// handed to ObserveSpans in order. Each analysis is snapshot-able under the
+// engine's lock without stopping ingest.
+//
+// The paper's A2–A15 stay batch (RunSet): each summarizes repeated, leveled
+// runs with a trimmed mean, which needs every run's samples, and A8–A15 also
+// match per-kernel rows by occurrence across runs. Online keeps neither — it
+// keeps running moments and sketches of one stream — so its layer view
+// equals A2/A3/A6 at Trim 0 over the same spans, and nothing here replaces
+// the multi-run tables.
 //
 // Every aggregate is deliberately independent of span parent links: the
 // stream correlator may still revise a released span's ParentID (degraded
@@ -28,30 +34,32 @@ import (
 // the engine keys layers by their own layer_index/layer_type tags, pairs
 // launches with executions by correlation id alone, and reads kernel
 // metrics off the execution spans. That is what makes a snapshot taken
-// mid-stream equal to the batch analysis of the same accepted spans
-// (with Trim=0, the only summary an online engine can compute without
-// retaining samples) — see the online-equals-batch oracle test. The one
-// divergence is LaunchGapRow.LayerIndex, which needs ancestry: online top
-// rows report -1.
+// mid-stream equal to the same analysis of the accepted spans as one
+// finished trace — see the online-equals-batch oracle test, whose reference
+// implementations read the trace and share no code with the observe path.
+// For the same reason LaunchGapRow.LayerIndex, which needs ancestry, is -1.
 //
 // Memory is bounded for unbounded streams: layer aggregates grow with the
 // number of distinct (index, name) layers (model-sized, not stream-sized),
 // per-layer percentiles come from stats.Sketch (capped buckets, no
 // samples), roofline buckets are a fixed range of log2(intensity), and
-// the two launch/exec pairing tables are FIFO-capped at MaxPending
-// entries each (evictions are counted and surfaced; an evicted unpaired
-// entry can only under-count gaps for launches arriving later than
-// MaxPending kernels out of order, far beyond any real device queue).
+// the two launch/exec pairing tables are FIFO-capped at maxPending
+// (65 536) entries each (evictions are counted and surfaced; an evicted
+// unpaired entry can only under-count gaps for launches arriving more
+// than that many kernels out of order, far beyond any real device queue).
 // Launch ends sit in a trace.CorrTable — a direct-mapped slot array indexed
 // by correlation id, which spills colliding ids to a map only while under a
-// quarter full — with their FIFO a ring of MaxPending ids: 16-byte slots, one
+// quarter full — with their FIFO a ring of maxPending ids: 16-byte slots, one
 // to two a live launch on counter-assigned ids, plus 8 bytes of ring, and no
 // hash map touched by a launch or exec that pairs in order. Execs waiting for
 // their launch (the rare path) stay in a map, their FIFO compacted past
 // twice the waiting count plus 64, so pairing late does not grow it either.
 type Online struct {
-	mu   sync.Mutex
-	opts OnlineOptions
+	mu sync.Mutex
+
+	idealAI    float64 // the spec's ideal arithmetic intensity: memory- vs compute-bound
+	maxPending int     // cap on each pairing table, defaultMaxPending outside tests
+	topK       int     // largest queue delays kept, defaultTopGaps outside tests
 
 	spans int64
 
@@ -59,10 +67,10 @@ type Online struct {
 	layers     map[layerKey]*onlineLayer
 	layerOrder []layerKey
 
-	// Launch gaps: correlation id -> launch end (last launch wins, like
-	// the batch scan) and execs still waiting for their launch.
+	// Launch gaps: correlation id -> launch end (the last launch wins) and
+	// execs still waiting for their launch.
 	launchEnd       trace.CorrTable[vclock.Time]
-	launchQ         []uint64 // launchEnd's ids, a ring in first-insertion order once MaxPending long
+	launchQ         []uint64 // launchEnd's ids, a ring in first-insertion order once maxPending long
 	launchHead      int      // launchQ's oldest id
 	pendExec        map[uint64][]pendingGapExec
 	pendQ           []pendRef // waiting execs in arrival order, paired ones until compacted
@@ -73,7 +81,7 @@ type Online struct {
 	gaps            stats.Online
 	gapSketch       *stats.Sketch
 	waited          int64
-	topGaps         []LaunchGapRow // ascending by QueueMS, at most TopGaps
+	topGaps         []LaunchGapRow // ascending by QueueMS, at most topK
 
 	// Memcpy: per-direction totals plus the copy/compute overlap sweep.
 	dirs     map[string]*onlineDir
@@ -88,7 +96,6 @@ type Online struct {
 	kernGflops  float64
 	memBound    int64
 	memBoundLat float64
-	idealAI     float64
 }
 
 // OnlineOptions configures an Online engine.
@@ -96,33 +103,16 @@ type OnlineOptions struct {
 	// Spec classifies roofline buckets (memory- vs compute-bound against
 	// the system's ideal arithmetic intensity), like RunSet.Spec.
 	Spec gpu.Spec
-
-	// MaxPending caps each of the two launch/exec pairing tables (unpaired
-	// launch ends, execs waiting for a launch); the oldest entry is
-	// evicted FIFO past it. Zero applies 65536.
-	MaxPending int
-
-	// TopGaps is how many largest queue delays the engine retains.
-	// Zero applies 32.
-	TopGaps int
-
-	// SketchAlpha is the relative-error target of the latency quantile
-	// sketches. Zero applies stats.DefaultSketchAlpha.
-	SketchAlpha float64
 }
 
-func (o OnlineOptions) withDefaults() OnlineOptions {
-	if o.MaxPending <= 0 {
-		o.MaxPending = 65536
-	}
-	if o.TopGaps <= 0 {
-		o.TopGaps = 32
-	}
-	if o.SketchAlpha <= 0 {
-		o.SketchAlpha = stats.DefaultSketchAlpha
-	}
-	return o
-}
+const (
+	// defaultMaxPending caps each of the two launch/exec pairing tables
+	// (unpaired launch ends, execs waiting for a launch); the oldest entry
+	// is evicted FIFO past it.
+	defaultMaxPending = 65536
+	// defaultTopGaps is how many largest queue delays the engine retains.
+	defaultTopGaps = 32
+)
 
 type onlineLayer struct {
 	key       layerKey
@@ -152,8 +142,11 @@ type onlineDir struct {
 
 // NewOnline returns an empty engine.
 func NewOnline(opts OnlineOptions) *Online {
-	e := &Online{opts: opts.withDefaults()}
-	e.idealAI = e.opts.Spec.IdealArithmeticIntensity()
+	e := &Online{
+		idealAI:    opts.Spec.IdealArithmeticIntensity(),
+		maxPending: defaultMaxPending,
+		topK:       defaultTopGaps,
+	}
 	e.reset()
 	return e
 }
@@ -169,7 +162,7 @@ func (e *Online) reset() {
 	e.pendN = 0
 	e.evictedLaunches, e.evictedExecs = 0, 0
 	e.gaps = stats.Online{}
-	e.gapSketch = stats.NewSketch(e.opts.SketchAlpha)
+	e.gapSketch = stats.NewSketch(stats.DefaultSketchAlpha)
 	e.waited = 0
 	e.topGaps = nil
 	e.dirs = make(map[string]*onlineDir)
@@ -194,13 +187,6 @@ func (e *Online) SpansObserved() int64 {
 	defer e.mu.Unlock()
 	return e.spans
 }
-
-// Publish feeds spans to the engine, implementing trace.Collector so an
-// Online can sit directly behind a collector tap in simple in-process
-// pipelines. Streaming deployments attach it as the correlator's
-// Observer instead, which delivers each accepted span exactly once in
-// (mostly) sweep order.
-func (e *Online) Publish(spans ...*trace.Span) { e.ObserveSpans(spans) }
 
 // ObserveSpan folds one accepted span into every analysis it contributes
 // to: ObserveSpans for a run of one.
@@ -251,7 +237,7 @@ func (e *Online) observe(s *trace.Span) {
 func (e *Online) observeLayer(s *trace.Span) {
 	idx, err := strconv.Atoi(s.Tag("layer_index"))
 	if err != nil {
-		return // same skip as the batch layerGroups
+		return // the same skip as RunSet.layerGroups
 	}
 	k := layerKey{index: idx, name: s.Name}
 	l, ok := e.layers[k]
@@ -261,7 +247,7 @@ func (e *Online) observeLayer(s *trace.Span) {
 			layerType: s.Tag("layer_type"),
 			shape:     s.Tag("layer_shape"),
 			alloc:     s.Metric("alloc_bytes"),
-			sketch:    stats.NewSketch(e.opts.SketchAlpha),
+			sketch:    stats.NewSketch(stats.DefaultSketchAlpha),
 		}
 		e.layers[k] = l
 		e.layerOrder = append(e.layerOrder, k)
@@ -274,7 +260,7 @@ func (e *Online) observeLayer(s *trace.Span) {
 func (e *Online) observeLaunch(s *trace.Span) {
 	corr := s.CorrelationID
 	if _, seen := e.launchEnd.Get(corr); !seen {
-		if len(e.launchQ) < e.opts.MaxPending {
+		if len(e.launchQ) < e.maxPending {
 			e.launchQ = append(e.launchQ, corr)
 		} else {
 			// The ring is full: the oldest launch gives up its place and its entry.
@@ -284,7 +270,7 @@ func (e *Online) observeLaunch(s *trace.Span) {
 			e.launchHead = (e.launchHead + 1) % len(e.launchQ)
 		}
 	}
-	e.launchEnd.Put(corr, s.End) // duplicates: the later launch wins, like batch
+	e.launchEnd.Put(corr, s.End) // duplicates: the later launch wins
 	if len(e.pendExec) == 0 {
 		return
 	}
@@ -340,7 +326,7 @@ func (e *Online) observeKernelExec(s *trace.Span) {
 	e.pendExec[corr] = append(e.pendExec[corr], pendingGapExec{seq: e.pendSeq, begin: s.Begin, name: s.Name})
 	e.pendQ = append(e.pendQ, pendRef{corr: corr, seq: e.pendSeq})
 	e.pendN++
-	if e.pendN > e.opts.MaxPending {
+	if e.pendN > e.maxPending {
 		// FIFO-evict the oldest waiting exec, skipping refs to execs that
 		// already paired.
 		for len(e.pendQ) > 0 {
@@ -389,16 +375,16 @@ func (e *Online) recordGap(name string, execBegin, launchEnd vclock.Time) {
 	if gap > 1e-6 {
 		e.waited++
 	}
-	// topGaps stays sorted ascending; O(TopGaps) worst-case insert, O(1)
+	// topGaps stays sorted ascending; O(topK) worst-case insert, O(1)
 	// reject once the table is full of larger gaps.
-	if len(e.topGaps) >= e.opts.TopGaps && gap <= e.topGaps[0].QueueMS {
+	if len(e.topGaps) >= e.topK && gap <= e.topGaps[0].QueueMS {
 		return
 	}
 	i := sort.Search(len(e.topGaps), func(i int) bool { return e.topGaps[i].QueueMS > gap })
 	e.topGaps = append(e.topGaps, LaunchGapRow{})
 	copy(e.topGaps[i+1:], e.topGaps[i:])
 	e.topGaps[i] = LaunchGapRow{Name: name, LayerIndex: -1, QueueMS: gap}
-	if len(e.topGaps) > e.opts.TopGaps {
+	if len(e.topGaps) > e.topK {
 		e.topGaps = e.topGaps[1:]
 	}
 }
@@ -442,12 +428,37 @@ type OnlineLayerRow struct {
 // index order and the per-type aggregation.
 type OnlineLayersSnapshot struct {
 	LayerSpans int64
-	TotalMS    float64 // sum of per-layer mean latencies, like batch A3 summed
+	TotalMS    float64 // sum of per-layer mean latencies, like A3 summed
 	Layers     []OnlineLayerRow
 	Types      []TypeStat
 }
 
-// OnlineLaunchGapsSnapshot is the live queue-delay view: the batch
+// LaunchGapRow reports, for one kernel invocation, the delay between the
+// host's cudaLaunchKernel call returning and the kernel starting on the
+// device — the queueing delay. A growing gap means the host is running
+// ahead of the device (GPU-bound); a near-zero gap means the device drains
+// launches as fast as they arrive (launch/CPU-bound). This analysis is
+// only possible because XSP keeps both the launch and execution span of
+// each asynchronous kernel, tied by correlation_id (Section III-B) — it
+// extends the paper's 15 analyses using the same trace.
+type LaunchGapRow struct {
+	Name       string
+	LayerIndex int     // always -1: the engine keys nothing by ancestry
+	QueueMS    float64 // exec begin minus launch end
+}
+
+// QueueDelaySummary is the total and maximum queueing delay plus the
+// fraction of kernels that waited at all.
+type QueueDelaySummary struct {
+	Kernels   int
+	Waited    int
+	TotalMS   float64
+	MaxMS     float64
+	MeanMS    float64
+	WaitShare float64 // Waited / Kernels
+}
+
+// OnlineLaunchGapsSnapshot is the live queue-delay view: the
 // QueueDelaySummary plus quantiles, the largest gaps seen, and the
 // pairing-table bounds.
 type OnlineLaunchGapsSnapshot struct {
@@ -455,11 +466,22 @@ type OnlineLaunchGapsSnapshot struct {
 	P50MS           float64
 	P95MS           float64
 	P99MS           float64
-	Top             []LaunchGapRow // descending; LayerIndex is -1 online
+	Top             []LaunchGapRow // descending
 	PendingExecs    int
 	PendingLaunches int
 	EvictedExecs    int64
 	EvictedLaunches int64
+}
+
+// MemcpyRow summarizes the host<->device copies of one direction — the
+// "GPU activities" besides kernels that CUPTI's activity API records
+// (Section III-B lists kernel executions and memory copies together).
+type MemcpyRow struct {
+	Direction     string // "HtoD" or "DtoH"
+	Count         int
+	LatencyMS     float64
+	MB            float64
+	BandwidthGBps float64
 }
 
 // OnlineMemcpySnapshot is the live memcpy view: per-direction totals and
@@ -586,7 +608,7 @@ func (e *Online) launchGapsSnapshotLocked() OnlineLaunchGapsSnapshot {
 	}
 	snap.Top = make([]LaunchGapRow, len(e.topGaps))
 	for i, r := range e.topGaps {
-		snap.Top[len(e.topGaps)-1-i] = r // descending, like TopLaunchGaps
+		snap.Top[len(e.topGaps)-1-i] = r // descending
 	}
 	return snap
 }
@@ -643,7 +665,7 @@ func (e *Online) rooflineSnapshotLocked() OnlineRooflineSnapshot {
 	return snap
 }
 
-// --- shared roofline bucketing (batch + online) ---
+// --- roofline bucketing ---
 
 // Roofline buckets span 2^-10 .. 2^20 flops/byte in factor-of-two steps;
 // intensities outside clamp to the edge buckets, and kernels with no
@@ -691,38 +713,7 @@ func newRooflineBucket(key int) *RooflineBucket {
 	}
 }
 
-// A9RooflineBuckets returns the batch counterpart of the online roofline
-// histogram: A8's kernel rows bucketed by log2(intensity). The online
-// engine produces the same buckets over the same accepted spans.
-func (rs *RunSet) A9RooflineBuckets() []RooflineBucket {
-	byKey := map[int]*RooflineBucket{}
-	for _, r := range rs.A8KernelInfo() {
-		key := rooflineBucketKey(r.Intensity)
-		b, ok := byKey[key]
-		if !ok {
-			b = newRooflineBucket(key)
-			byKey[key] = b
-		}
-		b.Count++
-		b.LatencyMS += r.LatencyMS
-		b.Gflops += r.Gflops
-		if r.MemoryBound {
-			b.MemoryBound++
-		}
-	}
-	keys := make([]int, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]RooflineBucket, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, *byKey[k])
-	}
-	return out
-}
-
-// --- shared copy/compute overlap sweep (batch + online) ---
+// --- copy/compute overlap sweep ---
 
 // overlapSweep measures |union(copies) ∩ union(kernels)| over intervals
 // arriving in begin order, in O(1) state: because every already-seen
@@ -772,31 +763,4 @@ func (o *overlapSweep) add(begin, end vclock.Time, isCopy bool) {
 		*ownEnd = end
 	}
 	*hasOwn = true
-}
-
-// MemcpyOverlapMS returns the batch counterpart of the online overlap
-// figure: the virtual time during which at least one memory copy and at
-// least one kernel execution were simultaneously in flight, in the first
-// trace of the run set.
-func (rs *RunSet) MemcpyOverlapMS() float64 {
-	if len(rs.Traces) == 0 {
-		return 0
-	}
-	type iv struct {
-		begin, end vclock.Time
-		isCopy     bool
-	}
-	var ivs []iv
-	for _, sp := range rs.Traces[0].Spans {
-		if sp.Kind != trace.KindExec || sp.Level != trace.LevelKernel {
-			continue
-		}
-		ivs = append(ivs, iv{begin: sp.Begin, end: sp.End, isCopy: strings.HasPrefix(sp.Name, "Memcpy")})
-	}
-	sort.SliceStable(ivs, func(i, j int) bool { return ivs[i].begin < ivs[j].begin })
-	var sweep overlapSweep
-	for _, v := range ivs {
-		sweep.add(v.begin, v.end, v.isCopy)
-	}
-	return ms(sweep.overlap)
 }

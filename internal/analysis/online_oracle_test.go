@@ -1,10 +1,14 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"xsp/internal/core"
@@ -18,13 +22,166 @@ import (
 
 // The online-equals-batch oracle: the same generated workload goes
 // through an Online engine attached as the stream correlator's observer
-// and through the batch RunSet analyses over the correlator's final
-// trace, and every analysis must agree over the accepted spans. Trim is 0
-// on the batch side — the only cross-run summary an online engine can
-// compute without retaining samples; with one run per value the trimmed
-// mean at 0 is the plain mean. Floats tolerate summation-order
-// differences (Welford and per-delivery-order sums vs sorted-slice sums);
-// counts and classifications must match exactly.
+// and through the batch analyses of the correlator's final trace — RunSet's
+// A2/A3/A6 and the reference implementations below — and every analysis
+// must agree over the accepted spans. Trim is 0 on the batch side — the
+// only cross-run summary an online engine can compute without retaining
+// samples; with one run per value the trimmed mean at 0 is the plain mean.
+// Floats tolerate summation-order differences (Welford and
+// per-delivery-order sums vs sorted-slice sums); counts and
+// classifications must match exactly.
+
+// The reference implementations below are the batch forms of the launch-gap,
+// memcpy, overlap and roofline analyses, functions of one finished trace.
+// They read the trace directly and call nothing on Online's observe path: a
+// launch gap pairs through the trace's correlation index, the overlap is the
+// measure of the intersection of the two classes' interval unions, and a
+// roofline bucket is derived from A8's kernel rows.
+
+// oracleLaunchGaps returns the queueing delay, in ms, of every kernel
+// execution in tr that has a cudaLaunchKernel launch, in trace order. Among
+// launches sharing a correlation id the last one in the trace wins.
+func oracleLaunchGaps(tr *trace.Trace) []float64 {
+	var gaps []float64
+	for _, sp := range tr.Spans {
+		if !isKernelExec(sp) {
+			continue
+		}
+		var launch *trace.Span
+		for _, c := range tr.ByCorrelation(sp.CorrelationID) {
+			if c.Kind == trace.KindLaunch && c.Name == "cudaLaunchKernel" {
+				launch = c
+			}
+		}
+		if launch != nil {
+			gaps = append(gaps, max(0, ms(sp.Begin.Sub(launch.End))))
+		}
+	}
+	return gaps
+}
+
+// oracleQueueDelay summarizes oracleLaunchGaps.
+func oracleQueueDelay(tr *trace.Trace) QueueDelaySummary {
+	var s QueueDelaySummary
+	for _, gap := range oracleLaunchGaps(tr) {
+		s.Kernels++
+		s.TotalMS += gap
+		s.MaxMS = max(s.MaxMS, gap)
+		if gap > 1e-6 {
+			s.Waited++
+		}
+	}
+	if s.Kernels > 0 {
+		s.MeanMS = s.TotalMS / float64(s.Kernels)
+		s.WaitShare = float64(s.Waited) / float64(s.Kernels)
+	}
+	return s
+}
+
+// oracleTopLaunchGaps returns the k largest queueing delays, descending.
+func oracleTopLaunchGaps(tr *trace.Trace, k int) []float64 {
+	gaps := oracleLaunchGaps(tr)
+	sort.Sort(sort.Reverse(sort.Float64Slice(gaps)))
+	return gaps[:min(k, len(gaps))]
+}
+
+// oracleMemcpyTable aggregates the copies in tr by direction, in order of
+// each direction's first copy.
+func oracleMemcpyTable(tr *trace.Trace) []MemcpyRow {
+	var rows []MemcpyRow
+	for _, sp := range tr.Spans {
+		if sp.Kind != trace.KindExec || !strings.HasPrefix(sp.Name, "Memcpy") {
+			continue
+		}
+		dir := strings.TrimPrefix(sp.Name, "Memcpy")
+		i := slices.IndexFunc(rows, func(r MemcpyRow) bool { return r.Direction == dir })
+		if i < 0 {
+			i = len(rows)
+			rows = append(rows, MemcpyRow{Direction: dir})
+		}
+		rows[i].Count++
+		rows[i].LatencyMS += ms(sp.Duration())
+		rows[i].MB += sp.Metric("bytes") / 1e6
+	}
+	for i := range rows {
+		if rows[i].LatencyMS > 0 {
+			rows[i].BandwidthGBps = rows[i].MB / 1e3 / (rows[i].LatencyMS / 1e3)
+		}
+	}
+	return rows
+}
+
+// oracleMemcpyOverlapMS returns the virtual time during which at least one
+// memory copy and at least one kernel execution of tr were in flight: the
+// measure of union(copies) ∩ union(kernels).
+func oracleMemcpyOverlapMS(tr *trace.Trace) float64 {
+	type iv struct{ begin, end vclock.Time }
+	// union merges a class's intervals into disjoint ones, in begin order.
+	union := func(ivs []iv) []iv {
+		sort.Slice(ivs, func(i, j int) bool { return ivs[i].begin < ivs[j].begin })
+		var out []iv
+		for _, v := range ivs {
+			switch {
+			case v.end <= v.begin:
+			case len(out) > 0 && v.begin <= out[len(out)-1].end:
+				out[len(out)-1].end = max(out[len(out)-1].end, v.end)
+			default:
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	var copies, kernels []iv
+	for _, sp := range tr.Spans {
+		if sp.Kind != trace.KindExec || sp.Level != trace.LevelKernel {
+			continue
+		}
+		if strings.HasPrefix(sp.Name, "Memcpy") {
+			copies = append(copies, iv{sp.Begin, sp.End})
+		} else {
+			kernels = append(kernels, iv{sp.Begin, sp.End})
+		}
+	}
+	a, b := union(copies), union(kernels)
+	var overlap vclock.Duration
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		if lo, hi := max(a[i].begin, b[j].begin), min(a[i].end, b[j].end); lo < hi {
+			overlap += hi.Sub(lo)
+		}
+		if a[i].end < b[j].end {
+			i++
+		} else {
+			j++
+		}
+	}
+	return ms(overlap)
+}
+
+// oracleRooflineBuckets buckets A8's kernel rows of tr by
+// floor(log2(intensity)), clamped to [2^-10, 2^21); kernels with no DRAM
+// traffic form the zero bucket. Buckets come in ascending intensity.
+func oracleRooflineBuckets(spec gpu.Spec, tr *trace.Trace) []RooflineBucket {
+	var out []RooflineBucket
+	for _, r := range (&RunSet{Spec: spec, Traces: []*trace.Trace{tr}}).A8KernelInfo() { // Trim 0
+		var lo, hi float64 // the zero bucket's bounds
+		if r.Intensity > 0 {
+			e := min(max(math.Floor(math.Log2(r.Intensity)), -10), 20)
+			lo, hi = math.Exp2(e), math.Exp2(e+1)
+		}
+		i, found := slices.BinarySearchFunc(out, lo, func(b RooflineBucket, lo float64) int { return cmp.Compare(b.MinIntensity, lo) })
+		if !found {
+			out = slices.Insert(out, i, RooflineBucket{MinIntensity: lo, MaxIntensity: hi})
+		}
+		b := &out[i]
+		b.Count++
+		b.LatencyMS += r.LatencyMS
+		b.Gflops += r.Gflops
+		if r.MemoryBound {
+			b.MemoryBound++
+		}
+	}
+	return out
+}
 
 func relClose(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b))
@@ -147,7 +304,7 @@ func assertOnlineEqualsBatch(t *testing.T, eng *Online, tr *trace.Trace) {
 	}
 
 	// Launch-gap queue delay.
-	q := rs.QueueDelay()
+	q := oracleQueueDelay(tr)
 	g := snap.LaunchGaps
 	if g.Kernels != q.Kernels || g.Waited != q.Waited {
 		t.Fatalf("queue delay counts: online %d/%d batch %d/%d", g.Kernels, g.Waited, q.Kernels, q.Waited)
@@ -156,17 +313,17 @@ func assertOnlineEqualsBatch(t *testing.T, eng *Online, tr *trace.Trace) {
 		!relClose(g.MeanMS, q.MeanMS) || !relClose(g.WaitShare, q.WaitShare) {
 		t.Fatalf("queue delay: online %+v batch %+v", g.QueueDelaySummary, q)
 	}
-	top := rs.TopLaunchGaps(10)
-	for i := 0; i < len(top) && i < len(g.Top) && i < 10; i++ {
-		if !relClose(top[i].QueueMS, g.Top[i].QueueMS) {
-			t.Fatalf("top gap %d: online %v batch %v", i, g.Top[i].QueueMS, top[i].QueueMS)
+	top := oracleTopLaunchGaps(tr, 10)
+	for i := 0; i < len(top) && i < len(g.Top); i++ {
+		if !relClose(top[i], g.Top[i].QueueMS) {
+			t.Fatalf("top gap %d: online %v batch %v", i, g.Top[i].QueueMS, top[i])
 		}
 	}
 
 	// Memcpy totals (keyed by direction; first-seen order may differ
 	// between canonical and delivery order).
 	batchDirs := map[string]MemcpyRow{}
-	for _, r := range rs.MemcpyTable() {
+	for _, r := range oracleMemcpyTable(tr) {
 		batchDirs[r.Direction] = r
 	}
 	if len(snap.Memcpy.Rows) != len(batchDirs) {
@@ -183,13 +340,13 @@ func assertOnlineEqualsBatch(t *testing.T, eng *Online, tr *trace.Trace) {
 		}
 	}
 	if snap.Memcpy.OverlapExact {
-		if want := rs.MemcpyOverlapMS(); !relClose(snap.Memcpy.OverlapMS, want) {
+		if want := oracleMemcpyOverlapMS(tr); !relClose(snap.Memcpy.OverlapMS, want) {
 			t.Fatalf("overlap: online %v batch %v", snap.Memcpy.OverlapMS, want)
 		}
 	}
 
 	// A9 roofline buckets.
-	buckets := rs.A9RooflineBuckets()
+	buckets := oracleRooflineBuckets(gpu.TeslaV100, tr)
 	if len(snap.Roofline.Buckets) != len(buckets) {
 		t.Fatalf("online buckets = %d, batch = %d", len(snap.Roofline.Buckets), len(buckets))
 	}
@@ -412,12 +569,7 @@ func TestOnlineOverlapExactInOrder(t *testing.T) {
 	if snap.OverlapMS <= 0 {
 		t.Fatal("pipelined streams should overlap copies with kernels")
 	}
-	rs, err := NewRunSet(gpu.TeslaV100, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs.Trim = 0
-	if want := rs.MemcpyOverlapMS(); !relClose(snap.OverlapMS, want) {
+	if want := oracleMemcpyOverlapMS(tr); !relClose(snap.OverlapMS, want) {
 		t.Fatalf("overlap: online %v batch %v", snap.OverlapMS, want)
 	}
 }

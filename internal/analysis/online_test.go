@@ -16,7 +16,7 @@ func TestOnlineResetAndRepublish(t *testing.T) {
 		MemcpysPerLayer: 2, Seed: 31,
 	})
 	eng := NewOnline(OnlineOptions{Spec: gpu.TeslaV100})
-	eng.Publish(tr.Spans...)
+	eng.ObserveSpans(tr.Spans)
 	first := eng.Snapshot()
 	if first.Spans != int64(len(tr.Spans)) {
 		t.Fatalf("observed %d spans, fed %d", first.Spans, len(tr.Spans))
@@ -33,7 +33,7 @@ func TestOnlineResetAndRepublish(t *testing.T) {
 	}
 
 	// Feeding again after Reset must reproduce the first snapshot exactly.
-	eng.Publish(tr.Spans...)
+	eng.ObserveSpans(tr.Spans)
 	second := eng.Snapshot()
 	if second.Spans != first.Spans || second.LaunchGaps.Kernels != first.LaunchGaps.Kernels ||
 		second.Roofline.Kernels != first.Roofline.Kernels ||
@@ -44,7 +44,7 @@ func TestOnlineResetAndRepublish(t *testing.T) {
 }
 
 // TestOnlinePendingBounds pins the bounded-memory contract: unmatched
-// launches and execs are capped at MaxPending each and evictions are
+// launches and execs are capped at maxPending each and evictions are
 // counted, so a stream that never pairs cannot grow the engine without
 // bound. The colliding arm gives every correlation id one slot of the launch
 // table, so the table's spill and growth run under the same FIFO.
@@ -57,7 +57,8 @@ func TestOnlinePendingBounds(t *testing.T) {
 		{"colliding", func(i int) uint64 { return uint64(i) << 20 }},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
-			eng := NewOnline(OnlineOptions{Spec: gpu.TeslaV100, MaxPending: 4})
+			eng := NewOnline(OnlineOptions{Spec: gpu.TeslaV100})
+			eng.maxPending = 4
 			for i := 1; i <= 20; i++ {
 				eng.ObserveSpan(&trace.Span{
 					Level: trace.LevelKernel, Kind: trace.KindLaunch,
@@ -74,7 +75,7 @@ func TestOnlinePendingBounds(t *testing.T) {
 			}
 			g := eng.LaunchGapsSnapshot()
 			if g.PendingLaunches > 4 || g.PendingExecs > 4 {
-				t.Fatalf("pending state exceeded MaxPending=4: %+v", g)
+				t.Fatalf("pending state exceeded maxPending=4: %+v", g)
 			}
 			if g.EvictedLaunches != 16 || g.EvictedExecs != 16 {
 				t.Fatalf("expected 16/16 evictions, got %d/%d", g.EvictedLaunches, g.EvictedExecs)
@@ -104,13 +105,14 @@ func TestOnlinePendingBounds(t *testing.T) {
 // launch used to leave its id queued for good — the queue shrank only when an
 // eviction popped it — so a stream whose execs precede their launches grew it
 // by an id a pair while one exec at a time waited. A million such pairs at
-// MaxPending 4 leave at most 2·4+64 refs queued, and every pair still counts
-// its gap as the batch LaunchGaps does. The batch side is summed over
+// maxPending 4 leave at most 2·4+64 refs queued, and every pair still counts
+// its gap as the batch reference does. The batch side is summed over
 // 64k-pair chunks: correlation ids do not cross a chunk, so the sum is the
 // whole trace's.
 func TestOnlinePendingQueueBounded(t *testing.T) {
 	const pairs, chunk = 1 << 20, 1 << 16
-	eng := NewOnline(OnlineOptions{Spec: gpu.TeslaV100, MaxPending: 4})
+	eng := NewOnline(OnlineOptions{Spec: gpu.TeslaV100})
+	eng.maxPending = 4
 	var want QueueDelaySummary
 	spans := make([]trace.Span, 2*chunk)
 	run := make([]*trace.Span, 2*chunk)
@@ -132,11 +134,7 @@ func TestOnlinePendingQueueBounded(t *testing.T) {
 		if n := len(eng.pendQ); n > 2*4+64 {
 			t.Fatalf("after %d pairs the exec FIFO holds %d refs, at most one exec waiting at a time", base+chunk, n)
 		}
-		rs, err := NewRunSet(gpu.TeslaV100, &trace.Trace{Spans: run})
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := rs.QueueDelay()
+		q := oracleQueueDelay(&trace.Trace{Spans: run})
 		want.Kernels += q.Kernels
 		want.Waited += q.Waited
 		want.TotalMS += q.TotalMS
@@ -152,7 +150,8 @@ func TestOnlinePendingQueueBounded(t *testing.T) {
 }
 
 func TestOnlineTopGapsBounded(t *testing.T) {
-	eng := NewOnline(OnlineOptions{Spec: gpu.TeslaV100, TopGaps: 3})
+	eng := NewOnline(OnlineOptions{Spec: gpu.TeslaV100})
+	eng.topK = 3
 	for i := 1; i <= 50; i++ {
 		eng.ObserveSpan(&trace.Span{
 			Level: trace.LevelKernel, Kind: trace.KindLaunch,
@@ -167,7 +166,7 @@ func TestOnlineTopGapsBounded(t *testing.T) {
 	}
 	g := eng.LaunchGapsSnapshot()
 	if len(g.Top) != 3 {
-		t.Fatalf("TopGaps=3 kept %d rows", len(g.Top))
+		t.Fatalf("topK=3 kept %d rows", len(g.Top))
 	}
 	// Largest gaps first: corr 50, 49, 48 → gaps 50, 49, 48 virtual ns.
 	for i, want := range []float64{50, 49, 48} {

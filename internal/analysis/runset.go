@@ -5,15 +5,20 @@
 // the tracing server, correlates the same performance value across a
 // user-defined number of evaluations, and summarizes with a trimmed mean.
 //
-// The analyses come in two equivalent forms. The batch form (RunSet)
-// reads a finished trace. The streaming form (Online) consumes spans one
-// at a time as a core.StreamObserver attached to a streaming correlator,
-// maintaining the layer, launch-gap, memcpy, and roofline analyses
-// incrementally in bounded memory: exact running moments (stats.Online),
-// quantiles from a bounded sketch (stats.Sketch), launch/exec pairing
-// through capped FIFO tables, and an O(1) copy/kernel overlap sweep.
-// FuzzOnlineVsBatch pins the two forms equal over the same accepted
-// spans, including across checkpoint folds and mid-stream recovery.
+// Each analysis has one implementation. The batch form (RunSet) holds the
+// paper's A1–A15 over finished traces of repeated, leveled runs: every one
+// summarizes a value across runs with a trimmed mean, which needs the
+// samples, and A8–A15 also match per-kernel rows by occurrence across runs,
+// so none of them can run on a stream. The streaming form (Online) is the
+// only implementation of the live analyses — layer latencies, launch-gap
+// queue delay, memcpy totals with copy/compute overlap, and roofline
+// buckets — consuming spans as a core.StreamObserver in bounded memory:
+// exact running moments (stats.Online), quantiles from a bounded sketch
+// (stats.Sketch), launch/exec pairing through capped FIFO tables, and an
+// O(1) copy/kernel overlap sweep. FuzzOnlineVsBatch pins Online's layer
+// view to A2/A3/A6 at Trim 0 and its other three analyses to reference
+// implementations kept with the tests, over the same accepted spans,
+// including across checkpoint folds and mid-stream recovery.
 package analysis
 
 import (

@@ -11,32 +11,6 @@ import (
 	"xsp/internal/vclock"
 )
 
-// Strategy selects how Correlate reconstructs span parents.
-type Strategy int
-
-const (
-	// StrategyAuto uses the sweep-line fast path when every parent-capable
-	// level is properly nested (the serialized case the paper's profilers
-	// produce) and falls back to the interval trees otherwise.
-	StrategyAuto Strategy = iota
-	// StrategySweep forces the single-sort sweep-line path.
-	StrategySweep
-	// StrategyTree forces the per-level interval-tree path.
-	StrategyTree
-)
-
-// String returns the strategy name used in benchmarks and test output.
-func (s Strategy) String() string {
-	switch s {
-	case StrategySweep:
-		return "sweep"
-	case StrategyTree:
-		return "tree"
-	default:
-		return "auto"
-	}
-}
-
 // Correlate reconstructs the parent-child relationships that the disjoint
 // profilers could not record (Section III-A of the paper). Spans that
 // already carry a parent reference keep it. For the rest:
@@ -51,11 +25,7 @@ func (s Strategy) String() string {
 // with an active-ancestor stack per level; overlap-heavy traces (e.g.
 // pipelined layers on concurrent streams) fall back to per-level interval
 // trees, built concurrently. Both paths assign identical parents.
-func Correlate(tr *trace.Trace) { CorrelateWith(tr, StrategyAuto) }
-
-// CorrelateWith is Correlate with an explicit strategy, so the sweep-line
-// and interval-tree paths can be exercised and benchmarked independently.
-func CorrelateWith(tr *trace.Trace, st Strategy) {
+func Correlate(tr *trace.Trace) {
 	// Levels and (on the tree path) ByLevel come straight from the trace's
 	// incrementally maintained index: when the trace grew by appends since
 	// the last correlation, the index extends with just the tail, and the
@@ -65,18 +35,10 @@ func CorrelateWith(tr *trace.Trace, st Strategy) {
 	if len(levels) == 0 {
 		return
 	}
-	switch st {
-	case StrategySweep:
-		correlateSweep(tr, levels, sortedEvents(tr))
-	case StrategyTree:
+	if events := sortedEvents(tr); eventsEligible(events, levels) {
+		correlateSweep(tr, levels, events)
+	} else {
 		correlateTree(tr, levels)
-	default:
-		events := sortedEvents(tr)
-		if eventsEligible(events, levels) {
-			correlateSweep(tr, levels, events)
-		} else {
-			correlateTree(tr, levels)
-		}
 	}
 	// Only ParentID links changed in place: drop just the children
 	// adjacency and keep the per-level, ID, name, and correlation indexes.
@@ -120,13 +82,6 @@ func sortedEvents(tr *trace.Trace) []*trace.Span {
 	copy(events, tr.Spans)
 	slices.SortFunc(events, compareEvents)
 	return events
-}
-
-// sweepEligible reports whether the sweep-line path should serve this
-// trace. Exposed for tests; the auto path uses eventsEligible directly to
-// reuse its sorted event slice.
-func sweepEligible(tr *trace.Trace, levels []trace.Level) bool {
-	return eventsEligible(sortedEvents(tr), levels)
 }
 
 // eventsEligible scans every parent-capable level (all but the deepest —

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"xsp/internal/core"
+	"xsp/internal/trace"
 	"xsp/internal/workload"
 )
 
@@ -18,21 +19,21 @@ var benchSizes = []int{10_000, 100_000, 1_000_000}
 // fallback. The acceptance target is the sweep being ≥5x faster at 100k
 // spans.
 func BenchmarkCorrelate(b *testing.B) {
-	for _, strat := range []core.Strategy{core.StrategySweep, core.StrategyTree} {
+	for _, path := range []core.Path{core.PathSweep, core.PathTree} {
 		for _, n := range benchSizes {
-			b.Run(fmt.Sprintf("%v/%s", strat, sizeName(n)), func(b *testing.B) {
-				benchCorrelate(b, n, workload.SyntheticSpec{Spans: n, Seed: 42}, strat)
+			b.Run(fmt.Sprintf("%v/%s", path, sizeName(n)), func(b *testing.B) {
+				benchCorrelate(b, n, workload.SyntheticSpec{Spans: n, Seed: 42}, func(tr *trace.Trace) { core.CorrelateBy(tr, path) })
 			})
 		}
 	}
-	// The pipelined shape exercises the auto strategy's fallback
-	// detection plus tree correlation on an overlap-heavy trace.
+	// The pipelined shape exercises Correlate's own path choice (the
+	// fallback detection) plus tree correlation on an overlap-heavy trace.
 	b.Run("auto/pipelined/100k", func(b *testing.B) {
-		benchCorrelate(b, 100_000, workload.SyntheticSpec{Spans: 100_000, Streams: 2, Seed: 42}, core.StrategyAuto)
+		benchCorrelate(b, 100_000, workload.SyntheticSpec{Spans: 100_000, Streams: 2, Seed: 42}, core.Correlate)
 	})
 }
 
-func benchCorrelate(b *testing.B, n int, spec workload.SyntheticSpec, strat core.Strategy) {
+func benchCorrelate(b *testing.B, n int, spec workload.SyntheticSpec, correlate func(*trace.Trace)) {
 	tr := workload.SyntheticTrace(spec)
 	// Traces reach Correlate through the tracing server, which sorts them
 	// (Memory.Trace calls SortByBegin); measure from that state.
@@ -49,7 +50,7 @@ func benchCorrelate(b *testing.B, n int, spec workload.SyntheticSpec, strat core
 			s.ParentID = parents[j]
 		}
 		b.StartTimer()
-		core.CorrelateWith(tr, strat)
+		correlate(tr)
 	}
 }
 
@@ -60,18 +61,18 @@ func sizeName(n int) string {
 	return fmt.Sprintf("%dk", n/1_000)
 }
 
-// Sanity for the benchmark harness itself: both strategies fully resolve
+// Sanity for the benchmark harness itself: both paths fully resolve
 // the synthetic trace (every kernel attributed to a layer).
 func TestSyntheticTraceCorrelates(t *testing.T) {
-	for _, strat := range []core.Strategy{core.StrategySweep, core.StrategyTree} {
+	for _, path := range []core.Path{core.PathSweep, core.PathTree} {
 		tr := workload.SyntheticTrace(workload.SyntheticSpec{Spans: 2_000, Seed: 7})
-		core.CorrelateWith(tr, strat)
+		core.CorrelateBy(tr, path)
 		if core.Ambiguous(tr) {
-			t.Fatalf("%v: serialized synthetic trace left ambiguous kernels", strat)
+			t.Fatalf("%v: serialized synthetic trace left ambiguous kernels", path)
 		}
 		for _, s := range tr.Spans[1:] {
 			if s.ParentID == 0 {
-				t.Fatalf("%v: span %d (%s) has no parent", strat, s.ID, s.Level)
+				t.Fatalf("%v: span %d (%s) has no parent", path, s.ID, s.Level)
 			}
 		}
 	}

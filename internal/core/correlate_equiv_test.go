@@ -76,7 +76,7 @@ func cloneTrace(tr *trace.Trace) *trace.Trace {
 
 // Property: the sweep-line and interval-tree paths assign identical
 // parents, on every shape the generator produces — including the
-// pipelined traces the auto strategy would route to the tree.
+// pipelined traces Correlate would route to the tree.
 func TestSweepMatchesTreeOnRandomTraces(t *testing.T) {
 	for _, shape := range []string{"nested", "pipelined", "deviceonly"} {
 		t.Run(shape, func(t *testing.T) {
@@ -84,8 +84,8 @@ func TestSweepMatchesTreeOnRandomTraces(t *testing.T) {
 				base := randomTrace(rand.New(rand.NewSource(seed)), shape)
 				bySweep := cloneTrace(base)
 				byTree := cloneTrace(base)
-				CorrelateWith(bySweep, StrategySweep)
-				CorrelateWith(byTree, StrategyTree)
+				CorrelateBy(bySweep, PathSweep)
+				CorrelateBy(byTree, PathTree)
 				for i := range base.Spans {
 					s, tt := bySweep.Spans[i], byTree.Spans[i]
 					if s.ParentID != tt.ParentID {
@@ -98,7 +98,7 @@ func TestSweepMatchesTreeOnRandomTraces(t *testing.T) {
 	}
 }
 
-// Property: the auto strategy is always equivalent to the tree path — it
+// Property: Correlate is always equivalent to the tree path — it
 // only takes the fast path when that is safe.
 func TestAutoCorrelateMatchesTree(t *testing.T) {
 	for _, shape := range []string{"nested", "pipelined", "deviceonly"} {
@@ -107,7 +107,7 @@ func TestAutoCorrelateMatchesTree(t *testing.T) {
 			auto := cloneTrace(base)
 			byTree := cloneTrace(base)
 			Correlate(auto)
-			CorrelateWith(byTree, StrategyTree)
+			CorrelateBy(byTree, PathTree)
 			for i := range base.Spans {
 				if auto.Spans[i].ParentID != byTree.Spans[i].ParentID {
 					t.Fatalf("%s seed %d: span %d: auto parent %d, tree parent %d",
@@ -180,7 +180,7 @@ func TestSweepEligibility(t *testing.T) {
 // an exec span crossing its layer's end resolves through its launch span's
 // correlation id, not containment, on both paths.
 func TestSweepResolvesPipelinedExecViaCorrelation(t *testing.T) {
-	for _, strat := range []Strategy{StrategySweep, StrategyTree} {
+	for _, path := range []Path{PathSweep, PathTree} {
 		tr := &trace.Trace{Spans: []*trace.Span{
 			{ID: 1, Level: trace.LevelModel, Begin: 0, End: 200},
 			{ID: 2, Level: trace.LevelLayer, Begin: 10, End: 50},
@@ -189,15 +189,15 @@ func TestSweepResolvesPipelinedExecViaCorrelation(t *testing.T) {
 			{ID: 4, Level: trace.LevelKernel, Kind: trace.KindLaunch, Name: "cudaLaunchKernel", Begin: 12, End: 14, CorrelationID: 9},
 			{ID: 5, Level: trace.LevelKernel, Kind: trace.KindExec, Name: "kernel", Begin: 40, End: 70, CorrelationID: 9},
 		}}
-		CorrelateWith(tr, strat)
+		CorrelateBy(tr, path)
 		if got := tr.ByID(4).ParentID; got != 2 {
-			t.Fatalf("%v: launch parent = %d, want layer 2", strat, got)
+			t.Fatalf("%v: launch parent = %d, want layer 2", path, got)
 		}
 		if got := tr.ByID(5).ParentID; got != 2 {
-			t.Fatalf("%v: exec crossing layers must inherit launch parent 2, got %d", strat, got)
+			t.Fatalf("%v: exec crossing layers must inherit launch parent 2, got %d", path, got)
 		}
 		if got := tr.ByID(2).ParentID; got != 1 {
-			t.Fatalf("%v: layer parent = %d, want model 1", strat, got)
+			t.Fatalf("%v: layer parent = %d, want model 1", path, got)
 		}
 	}
 }

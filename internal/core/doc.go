@@ -52,7 +52,7 @@
 // exactly that region, with launch-parent changes propagated through the
 // correlation table to execution spans outside it, which one pass over the
 // released runs finds — so the post-Flush
-// assignment is exactly the batch CorrelateWith result (property-tested
+// assignment is exactly the batch Correlate result (property-tested
 // across nested, pipelined, and device-only workloads under every arrival
 // regime) at a cost proportional to the stragglers' overlap (plus, when a
 // launch moved, that pass over what is live), not the accumulated trace.
@@ -116,7 +116,7 @@
 // 2x of each other they merge, so the segment sizes form a doubling
 // ladder — ~log2 of the checkpointed span count — and each span pays
 // O(log n) amortized merge work over the stream's life. Degraded windows
-// close at a size bound (StreamOptions.MaxWindowSpans) and chain
+// close at a size bound (maxWindowSpans, 4096 spans) and chain
 // successors seeded from the ancestor stacks, so sustained pipelined
 // overlap — under which a window would otherwise never close — cannot
 // stall the fold horizon; chaining is exact, because every container of a

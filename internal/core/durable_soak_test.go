@@ -32,11 +32,10 @@ func TestDurableStreamSoak(t *testing.T) {
 		t.Fatalf("dir fs: %v", err)
 	}
 	opts := core.StreamOptions{
-		ReorderWindow:  48,
-		Retain:         4_096,
-		CorrRetain:     16_384,
-		MaxWindowSpans: 2_048,
-	}
+		ReorderWindow: 48,
+		Retain:        4_096,
+		CorrRetain:    16_384,
+	}.WithMaxWindowSpans(2_048)
 	var store *segio.Store
 	open := func() *core.StreamCorrelator {
 		st, rec, err := segio.Open(fs, segio.Options{})

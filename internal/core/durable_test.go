@@ -746,7 +746,7 @@ func TestSnapshotWithoutSegStampRecoversByCoverage(t *testing.T) {
 	}
 	ref.SortByBegin()
 	want := batchParents([][]*trace.Span{ref.Spans})
-	core.CorrelateWith(ref, core.StrategyAuto)
+	core.Correlate(ref)
 	horizon := ref.Spans[len(ref.Spans)/2].Begin
 	var folded []*trace.Span
 	for _, s := range ref.Spans {
@@ -846,7 +846,7 @@ func TestRecoverDropsWALCoveredSpansFromOlderSegment(t *testing.T) {
 	}
 	ref.SortByBegin()
 	want := batchParents([][]*trace.Span{ref.Spans})
-	core.CorrelateWith(ref, core.StrategyAuto)
+	core.Correlate(ref)
 	horizon := ref.Spans[2*len(ref.Spans)/3].Begin
 	lo, hi := ref.Spans[len(ref.Spans)/4].Begin, ref.Spans[len(ref.Spans)/3].Begin
 

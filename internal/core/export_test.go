@@ -7,6 +7,49 @@ import (
 	"xsp/internal/vclock"
 )
 
+// Path names one of Correlate's two parent-assignment paths, so each can be
+// exercised and benchmarked on traces Correlate would route to the other.
+type Path int
+
+const (
+	PathSweep Path = iota // the single-sort sweep-line path
+	PathTree              // the per-level interval-tree path
+)
+
+func (p Path) String() string {
+	if p == PathSweep {
+		return "sweep"
+	}
+	return "tree"
+}
+
+// CorrelateBy is Correlate forced onto one path.
+func CorrelateBy(tr *trace.Trace, p Path) {
+	levels := tr.Levels()
+	if len(levels) == 0 {
+		return
+	}
+	if p == PathSweep {
+		correlateSweep(tr, levels, sortedEvents(tr))
+	} else {
+		correlateTree(tr, levels)
+	}
+	tr.InvalidateChildren()
+}
+
+// sweepEligible reports whether Correlate takes the sweep-line path on tr.
+func sweepEligible(tr *trace.Trace, levels []trace.Level) bool {
+	return eventsEligible(sortedEvents(tr), levels)
+}
+
+// WithMaxWindowSpans returns o with its degraded-window bound set to n in
+// place of maxWindowSpans: tiny to force chaining, negative for no bound,
+// zero for the default.
+func (o StreamOptions) WithMaxWindowSpans(n int) StreamOptions {
+	o.windowSpans = n
+	return o
+}
+
 // reopenAll is the whole-ladder reopen the windowed extraction replaced,
 // kept as its reference: every checkpoint segment folds back into the live
 // state — parented set and released runs rebuilt over all of history — so

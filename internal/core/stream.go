@@ -59,23 +59,6 @@ type StreamOptions struct {
 	// span live; Checkpoint folds on demand either way.
 	Retain vclock.Duration
 
-	// MaxWindowSpans bounds how many spans a degraded window may
-	// accumulate before it is closed where it stands and a successor
-	// window chained in its place (Stats.WindowsChained counts the forced
-	// closes). Under sustained pipelined overlap a window would otherwise
-	// never close: every crossing span extends it, its candidate set grows
-	// with the stream, and — because the fold horizon cannot pass an open
-	// window — checkpointing stalls at the window's start until a Flush.
-	// Closing at a size bound is exact: every container of a deferred span
-	// has been released (containers begin no later than the spans they
-	// contain) and every span still active at the close is re-seeded into
-	// the successor window from the ancestor stacks, so chained windows
-	// resolve the same parents one unbounded window would. Zero (the
-	// default) applies a bound of 4096, which is what xsp-server runs;
-	// negative disables the bound and restores the close-at-overlap-end-only
-	// behavior. Tests set tiny bounds to force chaining.
-	MaxWindowSpans int
-
 	// CorrRetain bounds the correlation-id state of a long-running
 	// stream. When nonzero, a resolved launch's correlation-id entry is
 	// evicted once the watermark has passed it by more than
@@ -138,11 +121,25 @@ type StreamOptions struct {
 	// paths that must not acknowledge before the WAL fsync use FeedLogged
 	// instead of Feed.
 	Store SegmentStore
+
+	// windowSpans replaces maxWindowSpans as the degraded-window bound when
+	// nonzero; negative disables it. Only tests set it, through a hook in
+	// export_test.go, tiny to force chaining.
+	windowSpans int
 }
 
-// defaultMaxWindowSpans is the degraded-window size bound applied when
-// StreamOptions.MaxWindowSpans is zero.
-const defaultMaxWindowSpans = 4096
+// maxWindowSpans bounds how many spans a degraded window may accumulate
+// before it is closed where it stands and a successor window chained in its
+// place (Stats.WindowsChained counts the forced closes). Under sustained
+// pipelined overlap a window would otherwise never close: every crossing
+// span extends it, its candidate set grows with the stream, and — because
+// the fold horizon cannot pass an open window — checkpointing stalls at the
+// window's start until a Flush. Closing at a size bound is exact: every
+// container of a deferred span has been released (containers begin no later
+// than the spans they contain) and every span still active at the close is
+// re-seeded into the successor window from the ancestor stacks, so chained
+// windows resolve the same parents one unbounded window would.
+const maxWindowSpans = 4096
 
 // StreamObserver consumes accepted spans as a StreamCorrelator finishes
 // placing them — the feed point for incremental analyses that never need
@@ -212,7 +209,7 @@ const autoFoldEvery = 1024
 // there is no arrival list beside them and no second table of execution
 // spans. Folded, it sits in one checkpoint segment.
 //
-// After Flush, parent assignments are identical to CorrelateWith on the
+// After Flush, parent assignments are identical to Correlate on the
 // same spans in canonical order. Before Flush they are provisional: spans
 // still buffered, deferred in an open window, or pending a launch are not
 // yet linked, and once a straggler has arrived (Stats().Stragglers > 0)
@@ -523,7 +520,7 @@ func (sc *StreamCorrelator) drain(watermark vclock.Time) {
 // that arrived behind the release point (re-correlating just the spans
 // overlapping their window), and applies the containment fallback to
 // execution spans whose launch never resolved — so the final parent
-// assignment is exactly what CorrelateWith would produce. The stream
+// assignment is exactly what Correlate would produce. The stream
 // remains usable: later Feed calls continue from the flushed state.
 func (sc *StreamCorrelator) Flush() {
 	sc.mu.Lock()
@@ -587,7 +584,7 @@ func (sc *StreamCorrelator) resolve(s *trace.Span) {
 		if s.ParentID == 0 {
 			sc.winDeferred = append(sc.winDeferred, s)
 		}
-		if bound := sc.maxWindowSpans(); bound > 0 && len(sc.winCands) >= bound {
+		if bound := sc.windowBound(); bound > 0 && len(sc.winCands) >= bound {
 			// The window hit its size bound under still-open overlap: close
 			// it here — exact, since every container of its deferred spans
 			// has already been released into it — and let the next
@@ -659,16 +656,16 @@ func (sc *StreamCorrelator) launchResolved(corr, parent uint64) {
 	}
 }
 
-// maxWindowSpans resolves the degraded-window size bound from the
-// options: the default when unset, no bound when negative.
-func (sc *StreamCorrelator) maxWindowSpans() int {
+// windowBound is the degraded-window size bound: maxWindowSpans unless a
+// test set its own, none when that is negative.
+func (sc *StreamCorrelator) windowBound() int {
 	switch {
-	case sc.opts.MaxWindowSpans > 0:
-		return sc.opts.MaxWindowSpans
-	case sc.opts.MaxWindowSpans < 0:
+	case sc.opts.windowSpans > 0:
+		return sc.opts.windowSpans
+	case sc.opts.windowSpans < 0:
 		return 0
 	default:
-		return defaultMaxWindowSpans
+		return maxWindowSpans
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 //     sparse-retained with them behind a CorrRetain horizon;
 //   - stream-reordered: the same with cross-shard skew absorbed by the
 //     reorder buffer;
-//   - rebatch: the pre-streaming pattern, a full batch CorrelateWith after
+//   - rebatch: the pre-streaming pattern, a full batch Correlate after
 //     every batch — per-batch cost re-sorts and re-sweeps everything
 //     ingested so far, so it keeps growing with the trace while the
 //     stream's per-batch cost stays flat (the whole 100k-span stream costs
@@ -121,7 +121,7 @@ func BenchmarkStreamCorrelate(b *testing.B) {
 			b.StartTimer()
 			for _, batch := range batches {
 				tr.Spans = append(tr.Spans, batch...)
-				core.CorrelateWith(tr, core.StrategyAuto)
+				core.Correlate(tr)
 			}
 		}
 	})
@@ -187,9 +187,7 @@ func BenchmarkStreamCorrelate(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			resetParents(batches)
-			sc := core.NewStreamCorrelator(core.StreamOptions{
-				ReorderWindow: 48, Retain: 4_096, MaxWindowSpans: 512,
-			})
+			sc := core.NewStreamCorrelator(core.StreamOptions{ReorderWindow: 48, Retain: 4_096}.WithMaxWindowSpans(512))
 			b.StartTimer()
 			for _, batch := range batches {
 				sc.Feed(batch...)

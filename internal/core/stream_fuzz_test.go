@@ -20,7 +20,7 @@ import (
 // span shapes (span count, pipelined stream count, device-only capture) ×
 // arrival regimes (batch size, bounded skew, straggler windows) × lifecycle
 // knobs (reorder window, checkpoint retention, degraded-window size bound)
-// must all land, after Flush, on exactly the batch CorrelateWith
+// must all land, after Flush, on exactly the batch Correlate
 // assignment. The seed corpus is the property-test matrix: each entry is
 // one shape×arrival combination TestStreamCorrelatorMatchesBatch pins.
 // CorrRetain is deliberately not fuzzed — its horizon trades exactness for
@@ -122,10 +122,9 @@ func FuzzStreamVsBatch(f *testing.F) {
 				}
 			}
 			opts := core.StreamOptions{
-				ReorderWindow:  vclock.Duration(window % 512),
-				MaxWindowSpans: int(maxWindow), // negative = unbounded, 0 = default, tiny = aggressive chaining
-				Retain:         vclock.Duration(retain % 4096),
-			}
+				ReorderWindow: vclock.Duration(window % 512),
+				Retain:        vclock.Duration(retain % 4096),
+			}.WithMaxWindowSpans(int(maxWindow)) // negative = unbounded, 0 = default, tiny = aggressive chaining
 			restart := -1
 			if durable && len(batches) > 0 {
 				restart = int(restartAt) % len(batches)
@@ -184,7 +183,7 @@ func (m corrRemap) apply(batches [][]*trace.Span) {
 // negative), simulates a process restart: close the store, reopen the
 // surviving files, RecoverStream, keep feeding.
 func checkStreamVsBatch(t *testing.T, batches [][]*trace.Span, opts core.StreamOptions, durable bool, restart int) {
-	// The oracle must come from pristine spans: CorrelateWith keeps
+	// The oracle must come from pristine spans: Correlate keeps
 	// nonzero parents as tracer truth, and feeding mutates the spans
 	// in place (batchParents clones, so compute it before the feed).
 	want := batchParents(batches)
@@ -296,7 +295,7 @@ func TestRecoveryWithTracerParentedLaunches(t *testing.T) {
 				Seed:            108,
 			})
 			parentSome(batches)
-			checkStreamVsBatch(t, batches, core.StreamOptions{ReorderWindow: 8, MaxWindowSpans: 24, Retain: 15}, true, restart)
+			checkStreamVsBatch(t, batches, core.StreamOptions{ReorderWindow: 8, Retain: 15}.WithMaxWindowSpans(24), true, restart)
 		})
 	}
 }
@@ -329,7 +328,7 @@ func TestRecoveryRestoresReleaseFloorAfterDeferredFold(t *testing.T) {
 				Seed:            tc.seed + 1,
 			})
 			parentSome(batches)
-			checkStreamVsBatch(t, batches, core.StreamOptions{ReorderWindow: tc.window, MaxWindowSpans: 24, Retain: tc.retain}, true, tc.restart)
+			checkStreamVsBatch(t, batches, core.StreamOptions{ReorderWindow: tc.window, Retain: tc.retain}.WithMaxWindowSpans(24), true, tc.restart)
 		})
 	}
 }
@@ -486,10 +485,9 @@ func fuzzTenantInterleave(t *testing.T, T, n int, streams uint8, dropLaunches bo
 	}
 
 	setOpts := core.TenantSetOptions{Stream: core.StreamOptions{
-		ReorderWindow:  vclock.Duration(window % 512),
-		MaxWindowSpans: int(maxWindow),
-		Retain:         vclock.Duration(retain % 4096),
-	}}
+		ReorderWindow: vclock.Duration(window % 512),
+		Retain:        vclock.Duration(retain % 4096),
+	}.WithMaxWindowSpans(int(maxWindow))}
 	if durable {
 		fses := make(map[string]*faultfs.FS, T)
 		for _, key := range keys {

@@ -68,7 +68,7 @@ func checkSnapshotRaw(t testing.TB, sc *core.StreamCorrelator, fed map[uint64]ui
 // compactions, windowed reopens that shift the owned bits of the segments
 // they leave behind — not only at the end.
 func TestSnapshotRawIsTheFedStream(t *testing.T) {
-	sc := core.NewStreamCorrelator(core.StreamOptions{ReorderWindow: 32, Retain: 64, CorrRetain: 2_048, MaxWindowSpans: 256})
+	sc := core.NewStreamCorrelator(core.StreamOptions{ReorderWindow: 32, Retain: 64, CorrRetain: 2_048}.WithMaxWindowSpans(256))
 	gen := &reopenCycles{seed: 16}
 	fed := make(map[uint64]uint64)
 	for cycle := 1; cycle <= 4; cycle++ {

@@ -114,7 +114,7 @@ func (c *reopenCycles) next() (punctual [][]*trace.Span, held []*trace.Span) {
 // batch correlation of everything fed so far.
 func TestWindowedReopenMatchesFullReopen(t *testing.T) {
 	const cycles = 11
-	opts := core.StreamOptions{ReorderWindow: 32, Retain: 64, CorrRetain: 2_048, MaxWindowSpans: 256}
+	opts := core.StreamOptions{ReorderWindow: 32, Retain: 64, CorrRetain: 2_048}.WithMaxWindowSpans(256)
 	sc, oracle := core.NewStreamCorrelator(opts), core.NewStreamCorrelator(opts)
 	gen := &reopenCycles{seed: 16}
 	var fed [][]*trace.Span

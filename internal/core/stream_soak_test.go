@@ -46,11 +46,10 @@ func TestStreamCorrelatorSustainedSoak(t *testing.T) {
 	runtime.ReadMemStats(&heapBefore)
 
 	sc := core.NewStreamCorrelator(core.StreamOptions{
-		ReorderWindow:  48,
-		Retain:         4_096,
-		CorrRetain:     16_384,
-		MaxWindowSpans: 2_048,
-	})
+		ReorderWindow: 48,
+		Retain:        4_096,
+		CorrRetain:    16_384,
+	}.WithMaxWindowSpans(2_048))
 
 	fed := 0
 	var maxLive, maxSegments, maxCorr, maxPending, maxBuffered int

@@ -16,7 +16,7 @@ import (
 	"xsp/internal/workload"
 )
 
-// batchParents returns the reference assignment: batch CorrelateWith on a
+// batchParents returns the reference assignment: batch Correlate on a
 // clone of the accumulated spans in canonical order.
 func batchParents(batches [][]*trace.Span) map[uint64]uint64 {
 	ref := &trace.Trace{}
@@ -26,7 +26,7 @@ func batchParents(batches [][]*trace.Span) map[uint64]uint64 {
 		}
 	}
 	ref.SortByBegin()
-	core.CorrelateWith(ref, core.StrategyAuto)
+	core.Correlate(ref)
 	parents := make(map[uint64]uint64, len(ref.Spans))
 	for _, s := range ref.Spans {
 		parents[s.ID] = s.ParentID
@@ -72,7 +72,7 @@ func assertStreamMatchesBatch(t *testing.T, sc *core.StreamCorrelator, batches [
 // fallback), device-only (pending-exec fallback) — and under every
 // arrival regime — in order, reordered within the window, reordered
 // beyond it (stragglers) — the stream correlator's post-Flush parents are
-// exactly the batch CorrelateWith assignment.
+// exactly the batch Correlate assignment.
 func TestStreamCorrelatorMatchesBatch(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -111,9 +111,7 @@ func TestStreamCorrelatorMatchesBatch(t *testing.T) {
 						batches := workload.StreamingArrivals(workload.StreamingSpec{
 							Trace: spec, BatchSize: 128, ReorderSkew: arr.skew, Seed: seed + 100,
 						})
-						sc := core.NewStreamCorrelator(core.StreamOptions{
-							ReorderWindow: arr.window, MaxWindowSpans: bound.max,
-						})
+						sc := core.NewStreamCorrelator(core.StreamOptions{ReorderWindow: arr.window}.WithMaxWindowSpans(bound.max))
 						feedAll(sc, batches)
 						sc.Flush()
 						assertStreamMatchesBatch(t, sc, batches)
@@ -236,7 +234,7 @@ func TestStreamCorrelatorPreservesExplicitParents(t *testing.T) {
 		t.Fatalf("explicit parents overwritten: %d, %d", spans[1].ParentID, spans[2].ParentID)
 	}
 	// Exec: its launch was pre-parented (not in the table), so containment
-	// finds the layer — matching CorrelateWith.
+	// finds the layer — matching Correlate.
 	if spans[3].ParentID != 2 {
 		t.Fatalf("exec parent = %d, want containment layer 2", spans[3].ParentID)
 	}
@@ -304,7 +302,7 @@ func TestStreamCorrelatorChainedWindowsAdvanceFoldHorizon(t *testing.T) {
 	batches := workload.StreamingArrivals(workload.StreamingSpec{
 		Trace: workload.SyntheticSpec{Spans: 20_000, Streams: 3, Seed: 5}, BatchSize: 256,
 	})
-	sc := core.NewStreamCorrelator(core.StreamOptions{Retain: 512, MaxWindowSpans: 512})
+	sc := core.NewStreamCorrelator(core.StreamOptions{Retain: 512}.WithMaxWindowSpans(512))
 	feedAll(sc, batches)
 
 	st := sc.Stats()

@@ -122,7 +122,7 @@ func TestStreamAllocBudget(t *testing.T) {
 		{
 			name:   "shared",
 			trace:  workload.SyntheticSpec{Spans: 120_000, Streams: 3, Seed: 7},
-			opts:   core.StreamOptions{ReorderWindow: 48, Retain: 4_096, MaxWindowSpans: 2_048},
+			opts:   core.StreamOptions{ReorderWindow: 48, Retain: 4_096}.WithMaxWindowSpans(2_048),
 			allocs: 0.25,
 		},
 		{

@@ -344,7 +344,7 @@ func checkViews(t *testing.T, s http.Handler, when string, acked [][]*trace.Span
 		t.Fatalf("%s: /api/trace is %d bytes, the fed stream encodes to %d", when, len(got), rawBody.Len())
 	}
 	want.SortByBegin()
-	core.CorrelateWith(want, core.StrategyAuto)
+	core.Correlate(want)
 	got, err := trace.DecodeJSON(bytes.NewReader(get(t, s, "/api/correlated?flush=1", "")))
 	if err != nil {
 		t.Fatal(err)

@@ -673,13 +673,17 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Ingress validation: a span that ends before it begins refuses its
-	// whole batch the same way (End == Begin, a zero-length event, is
-	// valid). The index counts in begin order, the order decoding leaves.
-	if i := slices.IndexFunc(t.Spans, func(sp *Span) bool { return sp.End < sp.Begin }); i >= 0 {
-		http.Error(w, fmt.Sprintf("trace: span %d of the batch (id %d) ends before it begins: end_ns %d < begin_ns %d",
-			i, t.Spans[i].ID, t.Spans[i].End, t.Spans[i].Begin), http.StatusBadRequest)
-		return
+	// Ingress validation: a span that ends before it begins, or carries a
+	// metric no JSON view can encode (NaN or ±Inf, which only the binary
+	// wire can send), refuses its whole batch the same way (End == Begin, a
+	// zero-length event, is valid). The index counts in begin order, the
+	// order decoding leaves. Stored data is not re-checked: recovery reads
+	// what earlier servers accepted.
+	for i, sp := range t.Spans {
+		if why := invalidSpan(sp); why != "" {
+			http.Error(w, fmt.Sprintf("trace: span %d of the batch (id %d) %s", i, sp.ID, why), http.StatusBadRequest)
+			return
+		}
 	}
 	if wire := t.Tenant; wire != "" {
 		if explicit != "" {
@@ -746,6 +750,19 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		committed = true
 	}
 	w.WriteHeader(http.StatusAccepted)
+}
+
+// invalidSpan says why ingress refuses sp, or "" when it does not.
+func invalidSpan(sp *Span) string {
+	if sp.End < sp.Begin {
+		return fmt.Sprintf("ends before it begins: end_ns %d < begin_ns %d", sp.End, sp.Begin)
+	}
+	for _, m := range sp.Metrics {
+		if math.IsNaN(m.Value) || math.IsInf(m.Value, 0) {
+			return fmt.Sprintf("has a non-finite metric: %s = %v", m.Key, m.Value)
+		}
+	}
+	return ""
 }
 
 // parseBatchID decodes the hex batch id header; empty means "no id". An

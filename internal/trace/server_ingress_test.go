@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -59,7 +60,11 @@ func (p *ingressProbe) held(t *testing.T) (received, stored int) {
 	t.Helper()
 	p.srv.EachTenant(func(tn *ServerTenant) {
 		received += tn.Received()
-		stored += len(tn.Trace().Spans)
+		tr := tn.Trace()
+		stored += len(tr.Spans)
+		if err := tr.EncodeJSON(io.Discard); err != nil {
+			t.Errorf("tenant %s holds a span its JSON views cannot encode: %v", tn.Key(), err)
+		}
 		tn.batchMu.Lock()
 		for id, committed := range tn.seenBatch {
 			if !committed {
@@ -74,10 +79,13 @@ func (p *ingressProbe) held(t *testing.T) (received, stored int) {
 	return received, stored
 }
 
-// A span that ends before it begins refuses its whole batch, in either
-// encoding, exactly like a decode failure: 400 naming the span, nothing
-// published, logged or tapped, and the batch id and reservations released
-// so the corrected batch lands under the same id. End == Begin is valid.
+// A span that ends before it begins, or carries a non-finite metric, refuses
+// its whole batch exactly like a decode failure: 400 naming the span, nothing
+// published, logged or tapped, and the batch id and reservations released so
+// the corrected batch lands under the same id. End == Begin is valid. A NaN
+// or ±Inf metric has no JSON form, so only the binary wire can carry one; let
+// in, it would fail every JSON read of the tenant, and survive a restart in
+// the WAL.
 func TestServerRejectsSpanEndingBeforeItBegins(t *testing.T) {
 	good := func() []*Span {
 		return []*Span{
@@ -86,30 +94,44 @@ func TestServerRejectsSpanEndingBeforeItBegins(t *testing.T) {
 			{ID: 3, Level: LevelKernel, Name: "k", Begin: 20, End: 30},
 		}
 	}
-	bad := good()
-	bad[2].End = bad[2].Begin - 1
-	encodings := map[string]func([]*Span) []byte{
-		ContentTypeJSON: func(spans []*Span) []byte {
-			var b bytes.Buffer
-			if err := (&Trace{Spans: spans}).EncodeJSON(&b); err != nil {
-				t.Fatal(err)
-			}
-			return b.Bytes()
-		},
-		ContentTypeBinary: func(spans []*Span) []byte { return AppendBinaryFrame(nil, spans) },
+	backwards := good()
+	backwards[2].End = backwards[2].Begin - 1
+	metric := func(v float64) []*Span {
+		spans := good()
+		spans[2].SetMetric("flop_count_sp", v)
+		return spans
 	}
-	for contentType, encode := range encodings {
-		t.Run(contentType, func(t *testing.T) {
+	encodeJSON := func(spans []*Span) []byte {
+		var b bytes.Buffer
+		if err := (&Trace{Spans: spans}).EncodeJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	encodeBinary := func(spans []*Span) []byte { return AppendBinaryFrame(nil, spans) }
+	for _, tc := range []struct {
+		name, contentType string
+		encode            func([]*Span) []byte
+		bad               []*Span
+		why               string
+	}{
+		{ContentTypeJSON, ContentTypeJSON, encodeJSON, backwards, "ends before it begins"},
+		{ContentTypeBinary, ContentTypeBinary, encodeBinary, backwards, "ends before it begins"},
+		{"NaN_metric", ContentTypeBinary, encodeBinary, metric(math.NaN()), "has a non-finite metric: flop_count_sp = NaN"},
+		{"+Inf_metric", ContentTypeBinary, encodeBinary, metric(math.Inf(1)), "has a non-finite metric: flop_count_sp = +Inf"},
+		{"-Inf_metric", ContentTypeBinary, encodeBinary, metric(math.Inf(-1)), "has a non-finite metric: flop_count_sp = -Inf"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			p := newIngressProbe()
 			post := func(spans []*Span) *httptest.ResponseRecorder {
-				body := encode(spans)
+				body := tc.encode(spans)
 				rec := httptest.NewRecorder()
-				p.srv.ServeHTTP(rec, spansRequest(http.MethodPost, contentType, "", "2a", int64(len(body)), body))
+				p.srv.ServeHTTP(rec, spansRequest(http.MethodPost, tc.contentType, "", "2a", int64(len(body)), body))
 				return rec
 			}
-			rec := post(bad)
-			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "span 2 of the batch (id 3) ends before it begins") {
-				t.Fatalf("batch with End < Begin: %d %q", rec.Code, rec.Body)
+			rec := post(tc.bad)
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "span 2 of the batch (id 3) "+tc.why) {
+				t.Fatalf("batch whose span %s: %d %q", tc.why, rec.Code, rec.Body)
 			}
 			if received, stored := p.held(t); received != 0 || stored != 0 || p.tapped != 0 || p.logged != 0 {
 				t.Fatalf("the refused batch left %d received, %d stored, %d tapped, %d logged", received, stored, p.tapped, p.logged)
@@ -147,6 +169,9 @@ func FuzzHandleSpans(f *testing.F) {
 	frame := AppendBinaryFrame(nil, valid)
 	tenantFrame := AppendBinaryFrameTenant(nil, "acme", valid)
 	backwards := AppendBinaryFrame(nil, []*Span{{ID: 9, Name: "backwards", Begin: 10, End: 9}})
+	nan := &Span{ID: 11, Level: LevelKernel, Kind: KindExec, Name: "k", Begin: 20, End: 30, CorrelationID: 7}
+	nan.SetMetric("flop_count_sp", math.NaN())
+	nanFrame := AppendBinaryFrame(nil, []*Span{nan})
 	for _, seed := range []struct {
 		method, contentType, tenant, batchID string
 		body                                 []byte
@@ -160,6 +185,7 @@ func FuzzHandleSpans(f *testing.F) {
 		{http.MethodPost, ContentTypeBinary, "", "c", tenantFrame}, // re-routed by the wire tenant
 		{http.MethodPost, ContentTypeBinary, "", "3", frame},       // odd id: the sink refuses
 		{http.MethodPost, ContentTypeBinary, "", "e", backwards},
+		{http.MethodPost, ContentTypeBinary, "", "20", nanFrame},
 		{http.MethodPost, ContentTypeBinary, "", "10", frame[:len(frame)/2]},
 		{http.MethodPost, ContentTypeJSON, "", "12", jsonBody.Bytes()[:jsonBody.Len()/2]},
 		{http.MethodPost, ContentTypeBinary, "", "14", jsonBody.Bytes()},
