@@ -532,6 +532,9 @@ func TestServerLiveAnalysisSoak(t *testing.T) {
 				}
 				var snap analysis.OnlineSnapshot
 				if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &snap); err != nil {
+					if ctx.Err() != nil {
+						return // the cancel cut the body mid-line: Scan yields the fragment
+					}
 					t.Errorf("SSE decode: %v", err)
 					return
 				}

@@ -53,18 +53,8 @@ func (app *Application) Profile(s *Session, g *framework.Graph, opts Options) (*
 	if app.finished {
 		return nil, fmt.Errorf("core: application %q already finished", app.name)
 	}
-	if opts.Collector != nil {
-		return nil, fmt.Errorf("core: application profiling owns the collector")
-	}
 	return s.profile(g, opts, &env{clock: app.clock, collector: app.collector, appRoot: app.root})
 }
-
-// SetTap attaches an online consumer (e.g. a StreamCorrelator) to the
-// application's collector via trace.Memory.SetTap: it receives every span
-// of every profiled prediction exactly once — promoted speculative runs
-// arrive as one batch on promotion, serialized re-runs stream live, and
-// abandoned first attempts never arrive at all. A nil tap detaches.
-func (app *Application) SetTap(c trace.Collector) { app.collector.SetTap(c) }
 
 // Idle advances the application's timeline without device work (request
 // gaps, host-side business logic between model calls).
@@ -79,7 +69,6 @@ func (app *Application) Idle(d vclock.Duration) {
 func (app *Application) Finish() *trace.Trace {
 	if !app.finished {
 		app.tracer.FinishSpan(app.root, app.clock.Now())
-		app.tracer.Close()
 		app.finished = true
 	}
 	tr := app.collector.Trace()

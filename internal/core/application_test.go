@@ -137,15 +137,6 @@ func TestApplicationFinishedRejectsWork(t *testing.T) {
 	}
 }
 
-func TestApplicationRejectsCustomCollector(t *testing.T) {
-	app := NewApplication("a")
-	s := newSession()
-	_, err := app.Profile(s, resnetGraph(t, 1), Options{Levels: M, Collector: trace.NewMemory()})
-	if err == nil {
-		t.Fatal("custom collector should be rejected inside an application")
-	}
-}
-
 // Different sessions (frameworks/systems) can feed one application.
 func TestApplicationAcrossSessions(t *testing.T) {
 	app := NewApplication("multi-system")

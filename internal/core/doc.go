@@ -32,10 +32,10 @@
 //
 // [StreamCorrelator] is the online counterpart of Correlate for
 // correlate-as-you-ingest: it consumes spans in arrival order (Feed, or
-// Publish as a trace.Collector tap — trace.Memory.SetTap covers every
-// in-process publisher, xsp-server feeds it an admitted POST through the
-// tenant's async tap or durable sink, and Session/Application runs attach
-// one through Options.Tap or Application.SetTap) and maintains the same
+// Publish as a trace.Collector tap — trace.ServerTenant.SetTap covers a
+// tenant's in-process publishes and accepted POSTs alike, and xsp-server
+// feeds it an admitted POST through the tenant's async tap or durable
+// sink) and maintains the same
 // per-level active-ancestor stacks incrementally, so launch and synchronous
 // spans resolve the moment they arrive and execution spans the moment their
 // launch does

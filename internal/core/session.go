@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"xsp/internal/cuda"
@@ -74,30 +73,6 @@ type Options struct {
 	// interval containment, and a serialized re-run is needed whenever
 	// execution crosses layer boundaries.
 	ActivityOnly bool
-
-	// Collector receives the published spans; defaults to a fresh
-	// in-memory tracing server per run. A caller-provided collector is
-	// treated as shared: runs profile speculatively into a scratch
-	// collector and publish into Collector exactly once — on promotion of
-	// an unambiguous attempt, or directly during a serialized re-run — so
-	// an abandoned first attempt never double-counts spans in it. On the
-	// promoted path the returned Result.Trace covers just this run's
-	// spans; a serialized re-run returns the collector's full view.
-	Collector trace.Collector
-
-	// Tap attaches an online consumer (e.g. a core.StreamCorrelator) to
-	// the run's own collector via trace.Memory.SetTap: it receives every
-	// span of the run exactly once, and never the spans of a speculative
-	// attempt that a serialized re-run abandons. Only valid when Collector
-	// is unset — a caller who owns the collector sets the tap on it
-	// directly (and an Application run uses Application.SetTap).
-	//
-	// Ordering: the tap sees the run's original online publish order on
-	// every path. A promoted speculative attempt replays its publishes
-	// batch by batch in the order they happened (not as one
-	// canonical-order batch at promotion time), so a streaming consumer
-	// observes the same interleaving the serialized path produces.
-	Tap trace.Collector
 }
 
 // Per-image host costs of the model-level pipeline steps surrounding
@@ -142,7 +117,7 @@ type Result struct {
 // predictions) the enclosing application span.
 type env struct {
 	clock     *vclock.Clock
-	collector trace.Collector
+	collector *trace.Memory
 	appRoot   *trace.Span
 }
 
@@ -153,33 +128,14 @@ func (s *Session) Profile(g *framework.Graph, opts Options) (*Result, error) {
 }
 
 func (s *Session) profile(g *framework.Graph, opts Options, e *env) (*Result, error) {
-	if opts.Tap != nil {
-		if e != nil || opts.Collector != nil {
-			return nil, fmt.Errorf("core: Options.Tap requires the run's own collector; set the tap on the shared collector instead (trace.Memory.SetTap, Application.SetTap)")
-		}
-		// The tap rides a run-owned Memory, wrapped in an env below so the
-		// speculative first attempt stays out of it.
-		m := trace.NewMemory()
-		m.SetTap(opts.Tap)
-		e = &env{clock: vclock.New(0), collector: m}
-	} else if e == nil && opts.Collector != nil {
-		// A caller-provided collector outlives the attempt exactly like an
-		// application's shared collector does, so it takes the same
-		// speculate-and-promote path — publishing the first attempt
-		// directly and then re-running serialized would double-count every
-		// span of the abandoned attempt in it. One clock spans both
-		// attempts, keeping the shared timeline monotonic.
-		e = &env{clock: vclock.New(0), collector: opts.Collector}
-	}
 	first := e
 	if e != nil {
-		// The collector is shared across runs (or tapped), so the first
-		// attempt — speculative until Ambiguous clears it — profiles into
-		// a scratch collector. The attempt still runs on the shared clock
-		// under the shared root (if any), so its spans drop into the
-		// shared timeline unchanged if promoted. The scratch collector
-		// journals its publishes so promotion can replay them in order.
-		first = &env{clock: e.clock, collector: newReplayCollector(), appRoot: e.appRoot}
+		// The collector is shared across runs, so the first attempt —
+		// speculative until Ambiguous clears it — profiles into a scratch
+		// collector. The attempt still runs on the shared clock under the
+		// shared root (if any), so its spans drop into the shared timeline
+		// unchanged if promoted.
+		first = &env{clock: e.clock, collector: trace.NewMemory(), appRoot: e.appRoot}
 	}
 	res, err := s.profileOnce(g, opts, false, first)
 	if err != nil {
@@ -187,14 +143,9 @@ func (s *Session) profile(g *framework.Graph, opts Options, e *env) (*Result, er
 	}
 	if !Ambiguous(res.Trace) {
 		if e != nil {
-			// Promote the attempt: its spans (parents already resolved by
-			// Correlate, in place) move into the shared collector — and
-			// through it to any tap — exactly once, replayed batch by
-			// batch in the original online publish order rather than as
-			// one canonical-order batch, so a streaming consumer behind
-			// the tap sees the same interleaving a serialized run
-			// produces.
-			first.collector.(*replayCollector).replayInto(e.collector)
+			// Promote the attempt: its spans, parents already resolved by
+			// Correlate in place, move into the shared collector once.
+			e.collector.Publish(res.Trace.Spans...)
 		}
 		return res, nil
 	}
@@ -213,16 +164,9 @@ func (s *Session) profileOnce(g *framework.Graph, opts Options, serialize bool, 
 	if !opts.Levels.Model {
 		return nil, fmt.Errorf("core: model-level profiling cannot be disabled (it anchors the trace)")
 	}
-	var clock *vclock.Clock
-	collector := opts.Collector
+	clock, collector := vclock.New(0), trace.NewMemory()
 	if e != nil {
-		clock = e.clock
-		collector = e.collector
-	} else {
-		clock = vclock.New(0)
-	}
-	if collector == nil {
-		collector = trace.NewMemory()
+		clock, collector = e.clock, e.collector
 	}
 	dev := gpu.NewDevice(s.spec)
 	ctx := cuda.NewContext(dev, clock)
@@ -245,13 +189,8 @@ func (s *Session) profileOnce(g *framework.Graph, opts Options, serialize bool, 
 		ctx.Attach(cu)
 	}
 
-	// Per-run tracers get dedicated collector shards; Close releases the
-	// shards so repeated runs into a long-lived collector (Application)
-	// do not accumulate them.
 	modelTracer := trace.NewTracer("xsp-model", trace.LevelModel, collector)
-	defer modelTracer.Close()
 	appTracer := trace.NewTracer("xsp-app", trace.LevelApplication, collector)
-	defer appTracer.Close()
 
 	batch := float64(g.BatchSize())
 
@@ -297,7 +236,6 @@ func (s *Session) profileOnce(g *framework.Graph, opts Options, serialize bool, 
 	// offline (adds no overhead beyond the profiler's own). Layer spans
 	// are direct children of the prediction span.
 	layerTracer := trace.NewTracer(s.exec.Name()+"-profiler", trace.LevelLayer, collector)
-	defer layerTracer.Close()
 	if opts.Levels.Layer {
 		for _, lr := range run.Layers {
 			sp := &trace.Span{
@@ -323,7 +261,6 @@ func (s *Session) profileOnce(g *framework.Graph, opts Options, serialize bool, 
 	// would not share identifiers with the framework profiler.
 	if opts.Levels.Library {
 		libTracer := trace.NewTracer("cudnn-api", trace.LevelLibrary, collector)
-		defer libTracer.Close()
 		for _, lc := range run.LibCalls {
 			sp := &trace.Span{
 				ID:     trace.NewSpanID(),
@@ -340,7 +277,6 @@ func (s *Session) profileOnce(g *framework.Graph, opts Options, serialize bool, 
 
 	// GPU-level tracer: CUPTI records become launch + execution spans.
 	gpuTracer := trace.NewTracer("cupti", trace.LevelKernel, collector)
-	defer gpuTracer.Close()
 	if opts.Levels.GPU {
 		for _, api := range cu.APIRecords() {
 			sp := &trace.Span{
@@ -398,56 +334,7 @@ func (s *Session) profileOnce(g *framework.Graph, opts Options, serialize bool, 
 		}
 	}
 
-	src, ok := collector.(interface{ Trace() *trace.Trace })
-	if !ok {
-		return nil, fmt.Errorf("core: non-memory collectors require fetching the trace from the server")
-	}
-	tr := src.Trace()
+	tr := collector.Trace()
 	Correlate(tr)
 	return &Result{Trace: tr, ModelSpan: predict, Run: run}, nil
-}
-
-// replayCollector is the scratch collector of a speculative attempt: a
-// run-owned Memory plus a journal of every publish, in arrival order. On
-// promotion the journal replays into the shared collector batch by batch,
-// preserving the run's online publish order for any tap behind it; an
-// abandoned attempt's journal is simply dropped with the scratch Memory.
-type replayCollector struct {
-	mem *trace.Memory
-
-	mu      sync.Mutex
-	batches [][]*trace.Span
-}
-
-func newReplayCollector() *replayCollector {
-	return &replayCollector{mem: trace.NewMemory()}
-}
-
-// Publish journals the batch and lands it in the scratch Memory. The
-// journal copies the batch slice (not the spans): a publisher may reuse
-// its argument slice, but the span pointers must stay shared so Correlate
-// resolutions on the scratch trace are visible after promotion.
-func (rc *replayCollector) Publish(spans ...*trace.Span) {
-	batch := make([]*trace.Span, len(spans))
-	copy(batch, spans)
-	rc.mu.Lock()
-	rc.batches = append(rc.batches, batch)
-	rc.mu.Unlock()
-	rc.mem.Publish(spans...)
-}
-
-// Trace returns the scratch Memory's merged trace (profileOnce correlates
-// through this).
-func (rc *replayCollector) Trace() *trace.Trace { return rc.mem.Trace() }
-
-// replayInto re-publishes the journaled batches into dst in their
-// original order.
-func (rc *replayCollector) replayInto(dst trace.Collector) {
-	rc.mu.Lock()
-	batches := rc.batches
-	rc.batches = nil
-	rc.mu.Unlock()
-	for _, b := range batches {
-		dst.Publish(b...)
-	}
 }

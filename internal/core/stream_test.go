@@ -815,22 +815,22 @@ func TestFoldRetiresExactlyTheFolded(t *testing.T) {
 	exactlyOnce("after Flush")
 }
 
-// The Memory-level tap under load: concurrent tracers publish through
-// dedicated shards into a tapped Memory while Checkpoint, Stats, and
-// snapshot readers run — the -race exercise for the Publish/tap/Checkpoint
-// surface. The tap must see every span exactly once, shard Close moves
-// included.
+// The tap under load: concurrent tracers publish into a Memory-mode
+// tenant's collector, tapped, while Checkpoint, Stats, and snapshot
+// readers run — the -race exercise for the Publish/tap/Checkpoint surface.
+// The tap must see every span exactly once.
 func TestMemoryTapStreamCheckpointConcurrently(t *testing.T) {
 	const publishers = 4
 	const perPublisher = 500
 
-	mem := trace.NewMemory()
+	tn := trace.NewServer().Tenant(trace.DefaultTenant)
 	sc := core.NewStreamCorrelator(core.StreamOptions{
 		Isolated:      true, // publishers keep their spans; correlate copies
 		ReorderWindow: 512,
 		Retain:        512,
 	})
-	mem.SetTap(sc)
+	tn.SetTap(sc)
+	mem := tn.Collector()
 
 	var wg sync.WaitGroup
 	for w := 0; w < publishers; w++ {
@@ -838,7 +838,6 @@ func TestMemoryTapStreamCheckpointConcurrently(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			tr := trace.NewTracer(fmt.Sprintf("pub-%d", w), trace.LevelLayer, mem)
-			defer tr.Close()
 			base := vclock.Time(w * 11)
 			for i := 0; i < perPublisher; i++ {
 				sp := tr.StartSpan("work", base)
@@ -855,14 +854,14 @@ func TestMemoryTapStreamCheckpointConcurrently(t *testing.T) {
 			sc.Checkpoint()
 			sc.Stats()
 			sc.SnapshotTrace()
-			mem.Trace()
+			tn.Trace()
 		}
 	}()
 	wg.Wait()
 	<-done
 	sc.Flush()
 
-	if got := mem.Len(); got != publishers*perPublisher {
+	if got := len(tn.Trace().Spans); got != publishers*perPublisher {
 		t.Fatalf("collector holds %d spans, want %d", got, publishers*perPublisher)
 	}
 	st := sc.Stats()
@@ -879,7 +878,7 @@ func TestMemoryTapStreamCheckpointConcurrently(t *testing.T) {
 // headers and shares the payload with the raw store, so the rule is that a
 // span's payload is immutable once published and the correlator writes
 // only ParentID, on its own copy. Publishers land batches in a tapped
-// Memory while raw-store readers and SnapshotTrace readers iterate Tags and
+// Memory-mode tenant while raw-store readers and SnapshotTrace readers iterate Tags and
 // Metrics and the stream folds; the raw spans must stay unparented, the
 // correlator's copies must resolve, the payloads must compare equal, and
 // the race detector must have nothing to say.
@@ -891,11 +890,12 @@ func TestIsolatedCorrelatorSharesPayloadReadOnly(t *testing.T) {
 	})
 	want := batchParents(batches)
 
-	mem := trace.NewMemory()
+	tn := trace.NewServer().Tenant(trace.DefaultTenant)
 	// The window absorbs most of the skew the racing publishers add, so the
 	// stream folds as it goes; what it misses repairs as stragglers.
 	sc := core.NewStreamCorrelator(core.StreamOptions{Isolated: true, ReorderWindow: 4_096, Retain: 256})
-	mem.SetTap(sc)
+	tn.SetTap(sc)
+	mem := tn.Collector()
 
 	readPayload := func(spans []*trace.Span) (n int) {
 		for _, s := range spans {
@@ -924,7 +924,7 @@ func TestIsolatedCorrelatorSharesPayloadReadOnly(t *testing.T) {
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for _, read := range []func(){
-		func() { readPayload(mem.Trace().Spans) },
+		func() { readPayload(tn.Trace().Spans) },
 		func() {
 			snap := sc.SnapshotTrace().Spans
 			readPayload(snap)
@@ -959,7 +959,7 @@ func TestIsolatedCorrelatorSharesPayloadReadOnly(t *testing.T) {
 		t.Fatalf("the stream never folded: %+v", st)
 	}
 	raw := make(map[uint64]*trace.Span, len(want))
-	for _, s := range mem.Trace().Spans {
+	for _, s := range tn.Trace().Spans {
 		if s.ParentID != 0 {
 			t.Fatalf("raw span %d got parent %d: the correlator wrote through its copy", s.ID, s.ParentID)
 		}

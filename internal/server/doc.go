@@ -23,8 +23,8 @@
 // engine — in the package's one per-tenant table.
 //
 // The server always correlates: a core.StreamCorrelator per tenant taps the
-// ingestion path (a Memory-level tap, so any future in-process publisher
-// is covered too) and resolves span parents online as batches arrive,
+// ingestion path (the tenant's tap, so an in-process publisher into the
+// tenant's collector is covered too) and resolves span parents online as batches arrive,
 // instead of leaving correlation to whoever fetches the trace. The
 // correlated view is served from /api/correlated; GET it with ?flush=1 to
 // finalize pending work (device-only executions, buffered reordered

@@ -5,45 +5,24 @@
 // [Memory] collector, or [Server] over HTTP) which aggregates them into a
 // single timeline [Trace].
 //
-// # Sharded ingestion
+// # Collection
 //
-// A Memory collector is sharded so that concurrent publishers never
-// serialize on a shared mutex:
+// A [Memory] collector is one span slice behind one mutex: [Memory.Publish]
+// appends, and [Memory.Trace] copies the slice and sorts the copy into
+// canonical begin order ([CanonicalLess]) outside the lock — one scan when
+// the spans arrived in order, as a single tracer publishes them. A Trace
+// call observes every span whose Publish completed before it.
+// [Tracer.StartSpan] on a disabled tracer is a single atomic load, so
+// leveled experimentation can leave tracers in place and toggle them per
+// run.
 //
-//   - [Memory.Publish] hashes each batch onto one of a fixed array of
-//     public shards by span ID, so independent callers almost always land
-//     on distinct shards;
-//   - [Memory.Shard] hands out dedicated single-publisher buffers whose
-//     lock is uncontended on the publish path. [NewTracer] takes one
-//     automatically when given a *Memory, so every tracer owns its shard;
-//     [Tracer.Close] releases it (spans move to the hashed shards), so
-//     short-lived tracers do not accumulate shards in a long-lived
-//     collector.
-//
-// The shard-merge contract: shard buffers are merged into canonical begin
-// order lazily, when [Memory.Trace] is called — a k-way merge of the
-// per-shard runs, not a full re-sort. Each shard's buffer is nearly
-// begin-ordered (a tracer publishes along its own advancing timeline), so
-// already-sorted runs merge in O(n log k) and only out-of-order runs pay
-// a private sort, which is what keeps repeated snapshots cheap alongside
-// streaming consumers. Publishing is O(1) per batch regardless of tracer
-// count, and a Trace call observes every span whose Publish completed
-// before it. [Tracer.StartSpan] on a disabled tracer is a single atomic
-// load, so leveled experimentation can leave tracers in place and toggle
-// them per run.
-//
-// [Memory.SetTap] attaches an online consumer to the collector itself:
-// every published batch — hashed Publish, dedicated shards, and Tracers
-// alike — is forwarded to the tap after landing in its shard, so a
-// core.StreamCorrelator can follow in-process ingestion without every
-// publisher teeing manually. The tap sees each span exactly once (a shard
-// Close moves already-tapped spans without re-forwarding), runs outside
-// the Memory's locks, and must be concurrency-safe; batches from
-// concurrent publishers arrive in an unspecified relative order.
-// [ServerTenant.SetTap] delegates to it, so a server tap covers both spans
-// accepted by /api/spans (zero-ID spans get fresh server-side IDs first)
-// and in-process publishes into ServerTenant.Collector — how cmd/xsp-server
-// feeds a core.StreamCorrelator for streaming correlation.
+// [ServerTenant.SetTap] attaches an online consumer to a server tenant:
+// every batch the tenant takes — spans accepted by /api/spans (zero-ID
+// spans get fresh server-side IDs first) and in-process publishes into
+// [ServerTenant.Collector] alike — is forwarded to the tap after it lands,
+// exactly once, which is how cmd/xsp-server feeds a core.StreamCorrelator
+// for streaming correlation. The tap must be concurrency-safe; batches
+// from concurrent publishers arrive in an unspecified relative order.
 // Nothing between the handler and the tap's consumer sheds a batch, so
 // [ServerTenant.SetHistory] can make that consumer the store: accepted
 // batches and in-process publishes skip the tenant's Memory and /api/trace
@@ -61,8 +40,8 @@
 // Every structure on the ingest path has an explicit bound and a defined
 // shed behavior when it is reached; nothing grows with offered load.
 //
-//   - The tap queue. [Memory.SetTapAsync] (and [ServerTenant.SetTapAsync])
-//     replaces the inline tap with an [AsyncTap]: publishers enqueue onto
+//   - The tap queue. [ServerTenant.SetTapAsync] replaces the inline tap
+//     with an [AsyncTap]: publishers enqueue onto
 //     a queue bounded at [TapOptions.Queue] spans and a single worker
 //     forwards to the consumer, so the publish path decouples from
 //     consumer latency. At the bound the tap sheds nothing: Publish waits
@@ -106,9 +85,8 @@
 // eviction to make progress.
 //
 // [Memory.Trace] shares span pointers with the collector: in-place edits
-// (core.Correlate rewriting ParentID) persist across reads. Use
-// [Memory.SnapshotTrace] for a deep-copied, isolated trace instead. A
-// span's payload — Name, Source, Tags, Metrics — is immutable after
+// (core.Correlate rewriting ParentID) persist across reads; a caller that
+// wants private spans clones them ([Span.Clone]). A span's payload — Name, Source, Tags, Metrics — is immutable after
 // publish: readers walk the tag and metric entries without locks, and
 // [CloneHeaders] (what every stream-correlator snapshot holds)
 // copies the header fields and shares the payload.
@@ -181,18 +159,15 @@
 //
 // # Arena span storage
 //
-// Memory shards and the wire decoders do not allocate spans one by one:
-// a [SpanStore] carves them from chunked arenas (one allocation per 240
-// spans, the most that fits Go's largest small-object size class) and tracks
-// canonical sortedness incrementally, from the previous
-// append's (Begin, Level, ID) alone, so snapshot merges ([Memory.Trace])
-// read an O(1) flag instead of re-scanning span structs; [Interner]
-// collapses the names and sources that repeat across thousands of spans
-// into shared strings.
+// The wire decoders do not allocate spans one by one: a [SpanStore]
+// carves them from chunked arenas (one allocation per 240 spans, the most
+// that fits Go's largest small-object size class); [Interner] collapses the
+// names and sources that repeat across thousands of spans into shared
+// strings.
 //
 // The aliasing rule that makes this safe: the arena's *Span pointers are
 // stable for the store's lifetime, and only fields that never reorder a
-// trace are mutable through them. The store mirrors no field —
+// trace are mutable through them. Nothing mirrors a span's fields —
 // core.Correlate rewrites ParentID in place through shared pointers (see
 // the Memory.Trace contract above), and a copy would go silently stale.
 // The Span structs stay authoritative.
@@ -227,7 +202,7 @@
 // tapped or logged, the batch claim and admission reservations released
 // exactly as on a decode failure, so the corrected batch lands under the
 // same id. End == Begin, a zero-length event, is valid. Consumers fed
-// directly (a tap attached to a [Memory], core.StreamCorrelator.Feed) are
+// directly (an in-process publish, core.StreamCorrelator.Feed) are
 // not behind this check and keep tolerating such spans.
 // FuzzHandleSpans holds the handler to the rest of the ingress contract
 // under arbitrary methods, headers, declared lengths and bodies: no

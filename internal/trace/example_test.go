@@ -46,18 +46,20 @@ func ExampleTracer_SetEnabled() {
 	// spans collected while disabled: 0
 }
 
-// Trace shares span pointers with the collector; SnapshotTrace deep-copies
-// them, so edits stay local to the snapshot.
-func ExampleMemory_SnapshotTrace() {
+// Trace shares span pointers with the collector, so an edit made through
+// one snapshot — core.Correlate's ParentID links — is visible in the next;
+// a caller that wants a private copy clones the spans (Span.Clone).
+func ExampleMemory_Trace() {
 	mem := trace.NewMemory()
 	mem.Publish(&trace.Span{ID: 1, Name: "conv1", Begin: 0, End: 10})
 
-	snap := mem.SnapshotTrace()
-	snap.Spans[0].Name = "renamed"
+	mem.Trace().Spans[0].ParentID = 7
+	own := mem.Trace().Spans[0].Clone()
+	own.Name = "renamed"
 
-	fmt.Println("snapshot:", snap.Spans[0].Name)
+	fmt.Println("parent:", mem.Trace().Spans[0].ParentID)
 	fmt.Println("collector:", mem.Trace().Spans[0].Name)
 	// Output:
-	// snapshot: renamed
+	// parent: 7
 	// collector: conv1
 }

@@ -21,10 +21,9 @@ func sortSpansCanonical(spans []*Span) {
 }
 
 // CanonicalLess is the canonical timeline order: begin ascending, outer
-// levels first on ties, then span ID. SortByBegin and the shard k-way merge
-// sort by it, so a merged Memory.Trace and a re-sorted one agree exactly;
-// core.StreamCorrelator's checkpoint segments are stored in it and merged
-// by it.
+// levels first on ties, then span ID. SortByBegin, Memory.Trace and
+// MergeRuns sort by it, so they agree exactly; core.StreamCorrelator's
+// checkpoint segments are stored in it and merged by it.
 func CanonicalLess(a, b *Span) bool {
 	if a.Begin != b.Begin {
 		return a.Begin < b.Begin
@@ -36,8 +35,8 @@ func CanonicalLess(a, b *Span) bool {
 }
 
 // sortedRun reports whether the run is already in canonical order — the
-// common case for a shard: a tracer publishes along its own advancing
-// timeline, so a dedicated shard's buffer is begin-ordered as ingested.
+// common case: a tracer publishes along its own advancing timeline, and a
+// checkpoint segment is stored in it.
 func sortedRun(run []*Span) bool {
 	for i := 1; i < len(run); i++ {
 		if CanonicalLess(run[i], run[i-1]) {
@@ -52,64 +51,38 @@ func sortedRun(run []*Span) bool {
 // sorted are read in place and must not be mutated while the merge runs;
 // out-of-order runs are copied and sorted privately, so a single unsorted
 // run is also a convenient "sort a copy canonically". The outer slice may
-// be reordered in place. core.StreamCorrelator merges its immutable
+// be modified in place. core.StreamCorrelator merges its immutable
 // checkpoint segments with the live tail through this.
 func MergeRuns(runs [][]*Span) []*Span { return MergeRunsInto(nil, runs) }
 
 // MergeRunsInto is MergeRuns writing its result over dst, whose array is
 // reused when it has the room: for a caller that merges again and again and
 // keeps no result (core.StreamCorrelator's folds). dst must not overlap a
-// run. Each run's sortedness is discovered with an O(len) scan; callers that
-// already know (SpanStore tracks it incrementally) use mergeKnownRuns
-// directly.
-func MergeRunsInto(dst []*Span, runs [][]*Span) []*Span {
-	total := 0
-	known := make([]spanRun, len(runs))
-	for i, run := range runs {
-		total += len(run)
-		known[i] = spanRun{spans: run, sorted: sortedRun(run)}
-	}
-	return mergeKnownRuns(dst, known, total)
-}
-
-// spanRun is one input run for mergeKnownRuns: a span slice plus whether
-// it is already in canonical order.
-type spanRun struct {
-	spans  []*Span
-	sorted bool
-}
-
-// mergeKnownRuns k-way-merges per-shard runs into one canonically ordered
-// slice, instead of concatenating and re-sorting the full timeline: n
-// spans across k shards merge in O(n log k) comparisons, and the (usual)
-// already-sorted runs skip their O(len log len) sort entirely.
+// run.
 //
-// Runs marked sorted are read in place — the caller guarantees their
-// prefixes are immutable (shards only append) — while out-of-order runs
-// are copied and sorted privately. Ties across runs break toward the
-// lower run index and, within a run, toward the earlier position, which is
-// exactly the stability the old concatenate-then-stable-sort gave.
-func mergeKnownRuns(dst []*Span, known []spanRun, total int) []*Span {
-	switch len(known) {
+// n spans across k runs merge in O(n log k) comparisons, and the (usual)
+// already-sorted runs skip their sort entirely: each run's order is
+// discovered with an O(len) scan, sorted runs are read in place and
+// out-of-order runs are copied and sorted privately. Ties across runs break
+// toward the lower run index and, within a run, toward the earlier
+// position — the stability a concatenate-then-stable-sort gives.
+func MergeRunsInto(dst []*Span, runs [][]*Span) []*Span {
+	switch len(runs) {
 	case 0:
 		return nil
 	case 1:
-		out := append(dst[:0], known[0].spans...)
-		if !known[0].sorted {
-			sortSpansCanonical(out)
-		}
+		out := append(dst[:0], runs[0]...)
+		sortSpansCanonical(out)
 		return out
 	}
-	runs := make([][]*Span, len(known))
-	for i, run := range known {
-		if run.sorted {
-			runs[i] = run.spans
-			continue
+	total := 0
+	for i, run := range runs {
+		total += len(run)
+		if !sortedRun(run) {
+			run = slices.Clone(run)
+			sortSpansCanonical(run)
+			runs[i] = run
 		}
-		sorted := make([]*Span, len(run.spans))
-		copy(sorted, run.spans)
-		sortSpansCanonical(sorted)
-		runs[i] = sorted
 	}
 
 	// Two runs — the geometric checkpoint compaction's shape, and a

@@ -8,23 +8,19 @@ import (
 	"xsp/internal/vclock"
 )
 
-// legacyTrace is the pre-merge Memory.Trace behavior — concatenate every
-// shard buffer, then stable-sort the whole timeline — kept as the oracle
-// (and the benchmark baseline) for the k-way merge.
+// legacyTrace is the reference Memory.Trace: every collected span in
+// publish order, stable-sorted over the whole timeline by SortByBegin.
 func legacyTrace(m *Memory) *Trace {
-	t := &Trace{}
-	m.forEachShard(func(sh *MemoryShard) {
-		sh.mu.Lock()
-		t.Spans = append(t.Spans, sh.store.Spans()...)
-		sh.mu.Unlock()
-	})
+	m.mu.Lock()
+	t := &Trace{Spans: append([]*Span(nil), m.spans...)}
+	m.mu.Unlock()
 	t.SortByBegin()
 	return t
 }
 
-// populate fills the collector from several publishers: sorted per-tracer
-// streams through dedicated shards, plus (optionally) out-of-order batches
-// through the hashed public shards.
+// populate fills the collector from several publishers, one after the
+// other: sorted per-tracer streams whose timelines interleave, plus
+// (optionally) one out-of-order batch.
 func populate(m *Memory, publishers, each int, outOfOrder bool, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for p := 0; p < publishers; p++ {
@@ -46,9 +42,9 @@ func populate(m *Memory, publishers, each int, outOfOrder bool, seed int64) {
 	}
 }
 
-// The merged snapshot must be exactly what the old concatenate-and-re-sort
-// produced: same spans, same canonical order, for sorted and out-of-order
-// shard contents alike.
+// The snapshot must be exactly what a stable re-sort of the whole timeline
+// produces: same spans, same canonical order, for sorted and out-of-order
+// contents alike.
 func TestMemoryTraceMatchesLegacySort(t *testing.T) {
 	for _, outOfOrder := range []bool{false, true} {
 		m := NewMemory()
@@ -66,19 +62,18 @@ func TestMemoryTraceMatchesLegacySort(t *testing.T) {
 	}
 }
 
-// The merge must not hand the caller a slice aliased to a shard buffer:
+// Trace must not hand the caller a slice aliased to the collector's:
 // appending to the returned trace while a publisher keeps publishing would
-// otherwise corrupt the shard.
+// otherwise corrupt the collector.
 func TestMemoryTraceOwnsItsSlice(t *testing.T) {
 	m := NewMemory()
-	sh := m.Shard()
-	sh.Publish(&Span{ID: 1, Begin: 0, End: 1})
+	m.Publish(&Span{ID: 1, Begin: 0, End: 1})
 	tr := m.Trace()
 	tr.Spans = append(tr.Spans, &Span{ID: 99})
-	sh.Publish(&Span{ID: 2, Begin: 2, End: 3})
+	m.Publish(&Span{ID: 2, Begin: 2, End: 3})
 	after := m.Trace()
 	if len(after.Spans) != 2 || after.Spans[0].ID != 1 || after.Spans[1].ID != 2 {
-		t.Fatalf("shard corrupted by append to a returned trace: %+v", after.Spans)
+		t.Fatalf("collector corrupted by append to a returned trace: %+v", after.Spans)
 	}
 }
 
@@ -103,24 +98,24 @@ func TestMergeRunsEdgeCases(t *testing.T) {
 }
 
 // BenchmarkMemoryTrace measures repeated snapshots of a populated
-// collector — the correlate-as-you-ingest read pattern the k-way merge
-// exists for — against the old full re-sort.
+// collector — the correlate-as-you-ingest read pattern — when one tracer
+// published it in order (Trace copies and scans) and when eight tracers'
+// timelines interleave in it (Trace copies and sorts).
 func BenchmarkMemoryTrace(b *testing.B) {
-	const publishers = 8
-	const each = 12_500 // ~100k spans total
-	run := func(b *testing.B, snapshot func(*Memory) *Trace) {
+	const total = 100_000
+	run := func(b *testing.B, publishers int) {
 		m := NewMemory()
-		populate(m, publishers, each, false, 7)
+		populate(m, publishers, total/publishers, false, 7)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if tr := snapshot(m); len(tr.Spans) != publishers*each {
+			if tr := m.Trace(); len(tr.Spans) != total {
 				b.Fatalf("snapshot lost spans: %d", len(tr.Spans))
 			}
 		}
 	}
-	b.Run("kway-merge/100k", func(b *testing.B) { run(b, (*Memory).Trace) })
-	b.Run("full-resort/100k", func(b *testing.B) { run(b, legacyTrace) })
+	b.Run("in-order/100k", func(b *testing.B) { run(b, 1) })
+	b.Run("interleaved/100k", func(b *testing.B) { run(b, 8) })
 }
 
 // sortSpansCanonicalBySlice is the reflection-based stable sort

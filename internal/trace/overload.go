@@ -37,10 +37,10 @@ const DefaultTapQueue = 65536
 // (see AdmissionPolicy).
 //
 // AsyncTap implements Collector, so it drops in wherever a synchronous
-// tap went: mem.SetTap(NewAsyncTap(sc, opts)) — or the one-call
-// Memory.SetTapAsync / ServerTenant.SetTapAsync. Like a synchronous tap it
-// forwards the same span pointers and the same batch slices it was given;
-// the destination's sharing contract (see Memory.SetTap) is unchanged,
+// tap went: tenant.SetTap(NewAsyncTap(sc, opts)) — or the one-call
+// ServerTenant.SetTapAsync. Like a synchronous tap it forwards the same
+// span pointers and the same batch slices it was given; the destination's
+// sharing contract (see ServerTenant.SetTap) is unchanged,
 // and batches reach the destination exactly once, in the order their
 // Publish calls enqueued them. Close the tap when detaching it, so the
 // worker exits.
@@ -188,18 +188,6 @@ func (t *AsyncTap) Stats() AsyncTapStats {
 		Depth:     t.depth + t.busy,
 		MaxDepth:  t.maxDepth,
 	}
-}
-
-// SetTapAsync attaches dst as the Memory's tap behind a bounded queue:
-// publishes enqueue and return instead of running the consumer inline, and
-// the returned AsyncTap carries the queue's stats and lifecycle (Close it
-// when detaching — SetTap(nil) alone leaves the worker running). See
-// AsyncTap for the backpressure and ordering contract; the exactly-once and
-// pointer-sharing contract of SetTap is unchanged.
-func (m *Memory) SetTapAsync(dst Collector, opts TapOptions) *AsyncTap {
-	t := NewAsyncTap(dst, opts)
-	m.SetTap(t)
-	return t
 }
 
 // Pressure is a consumer's load state, which has one value,

@@ -11,11 +11,12 @@ import (
 	"xsp/internal/vclock"
 )
 
-// BenchmarkPublishTapped measures the Memory publish path with a
-// streaming-correlator tap attached, the way xsp-server wires it. The
-// inline variant runs correlation on the publish path (the pre-AsyncTap
-// design); the async variant only enqueues onto the bounded tap queue and
-// leaves correlation to the tap worker. On the non-overloaded path —
+// BenchmarkPublishTapped measures a tenant's in-process publish path
+// (ServerTenant.Collector, a Memory-mode tenant) with a streaming-correlator
+// tap attached. The inline variant (SetTap) runs correlation on the publish
+// path; the async variant (SetTapAsync, the way xsp-server wires it) only
+// enqueues onto the bounded tap queue and leaves correlation to the tap
+// worker. On the non-overloaded path —
 // which is what a publish-side benchmark measures; the queue never fills
 // here — the async tap must cost no more per publish than the inline tap,
 // since all it adds is the enqueue. Once the queue saturates, the tap's
@@ -39,7 +40,7 @@ func BenchmarkPublishTapped(b *testing.B) {
 		return batch
 	}
 	newCorrelator := func() *core.StreamCorrelator {
-		// Isolated, because the Memory it taps keeps the same spans; Retain
+		// Isolated, because the tenant's Memory keeps the same spans; Retain
 		// folds finalized history, so the cost is the steady-state one, not
 		// an ever-growing append.
 		return core.NewStreamCorrelator(core.StreamOptions{
@@ -50,25 +51,27 @@ func BenchmarkPublishTapped(b *testing.B) {
 	}
 
 	b.Run("inline-tap", func(b *testing.B) {
-		mem := trace.NewMemory()
-		mem.SetTap(newCorrelator())
+		tn := trace.NewServer().Tenant(trace.DefaultTenant)
+		tn.SetTap(newCorrelator())
+		c := tn.Collector()
 		var cursor vclock.Time
 		var id uint64
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			mem.Publish(makeBatch(&cursor, &id)...)
+			c.Publish(makeBatch(&cursor, &id)...)
 		}
 	})
 	b.Run("async-tap", func(b *testing.B) {
-		mem := trace.NewMemory()
-		tap := mem.SetTapAsync(newCorrelator(), trace.TapOptions{})
+		tn := trace.NewServer().Tenant(trace.DefaultTenant)
+		tap := tn.SetTapAsync(newCorrelator(), trace.TapOptions{})
+		c := tn.Collector()
 		var cursor vclock.Time
 		var id uint64
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			mem.Publish(makeBatch(&cursor, &id)...)
+			c.Publish(makeBatch(&cursor, &id)...)
 		}
 		b.StopTimer()
 		// Drain off the clock: the measured op is the publish path alone.

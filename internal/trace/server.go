@@ -64,7 +64,8 @@ type ServerTenant struct {
 	received atomic.Int64 // spans accepted over HTTP since start or the tenant's last reset
 
 	history      func() *Trace // SetHistory: the consumer's store serves Trace, mem holds nothing
-	tapQ         atomic.Pointer[AsyncTap]
+	tap          atomic.Pointer[Collector]
+	tapQ         atomic.Pointer[AsyncTap] // SetTapAsync's queue, for admission
 	durable      atomic.Pointer[DurableSink]
 	inflightS    atomic.Int64 // spans decoded, not yet landed in this tenant's collector
 	shedRequests atomic.Int64 // requests of this tenant refused by admission control, ever
@@ -184,23 +185,16 @@ func (s *Server) EachTenant(fn func(*ServerTenant)) {
 func (t *ServerTenant) Key() string { return t.key }
 
 // Collector returns the tenant's in-process collector, for tracers
-// running in the same process as the server. Without a history it is the
-// tenant's Memory. With one (SetHistory) a publish takes an accepted POST's
-// path to the consumer — the durable sink, then the tap — and nothing is
-// kept beside it; a batch the sink refuses is dropped, as
-// core.StreamCorrelator.Feed drops it.
-func (t *ServerTenant) Collector() Collector {
-	if t.history != nil {
-		return storeCollector{t}
-	}
-	return t.mem
-}
+// running in the same process as the server: a publish takes an accepted
+// POST's path to the consumers — the durable sink, then the tenant's Memory
+// (without a history, SetHistory), then the tap. A batch the sink refuses
+// is dropped, as core.StreamCorrelator.Feed drops it.
+func (t *ServerTenant) Collector() Collector { return tenantCollector{t} }
 
-// storeCollector is the in-process collector of a tenant whose consumer is
-// its store.
-type storeCollector struct{ t *ServerTenant }
+// tenantCollector is a tenant's in-process collector.
+type tenantCollector struct{ t *ServerTenant }
 
-func (c storeCollector) Publish(spans ...*Span) {
+func (c tenantCollector) Publish(spans ...*Span) {
 	if len(spans) > 0 {
 		_ = c.t.publish(0, spans)
 	}
@@ -208,17 +202,19 @@ func (c storeCollector) Publish(spans ...*Span) {
 
 // publish hands a batch to the tenant's consumers: the durable sink first,
 // when one is set — its error refuses the batch, nothing downstream sees
-// it — and then the tenant's Memory, or, with a history set, its tap alone.
+// it — then the tenant's Memory when no history is set (with one, the
+// tap's consumer is the store, and the span is held once), then the tap.
 func (t *ServerTenant) publish(batchID uint64, spans []*Span) error {
 	if d := t.durable.Load(); d != nil {
 		if err := (*d).IngestLogged(batchID, spans); err != nil {
 			return err
 		}
 	}
-	if t.history != nil {
-		t.mem.tapPublish(spans) // the tap's consumer is the store: held once
-	} else {
-		t.mem.Publish(spans...) // forwards to the tenant's Memory tap, if attached
+	if t.history == nil {
+		t.mem.Publish(spans...)
+	}
+	if tap := t.tap.Load(); tap != nil {
+		(*tap).Publish(spans...)
 	}
 	return nil
 }
@@ -302,15 +298,19 @@ func (s *Server) SetAdmission(p AdmissionPolicy) { s.adm.Store(&p) }
 func (t *ServerTenant) SetLoad(LoadReporter) {}
 
 // SetTapAsync attaches dst as the tenant's tap behind a bounded queue
-// (see Memory.SetTapAsync) and registers the queue with admission
-// control, so its backlog counts against the tenant's share of
+// (NewAsyncTap): publishes enqueue and return instead of running the
+// consumer inline. The queue is registered with admission control, so its
+// backlog counts against the tenant's share of
 // AdmissionPolicy.MaxInflightSpans and is reported in the
 // X-Tap-Queue-Depth header. A full queue holds the handler, whose batch
-// stays in flight, so the budgets fill and admission sheds new POSTs.
-// Close the returned tap when detaching.
+// stays in flight, so the budgets fill and admission sheds new POSTs. See
+// AsyncTap for the backpressure and ordering contract. Close the returned
+// tap when detaching — SetTap(nil) alone leaves the worker running; a later
+// SetTap may put a wrapper around it (the queue stays registered).
 func (t *ServerTenant) SetTapAsync(dst Collector, opts TapOptions) *AsyncTap {
-	tap := t.mem.SetTapAsync(dst, opts)
+	tap := NewAsyncTap(dst, opts)
 	t.tapQ.Store(tap)
+	t.SetTap(tap)
 	return tap
 }
 
@@ -465,14 +465,22 @@ func (t *ServerTenant) SeedBatches(ids []uint64) {
 
 // SetTap registers a collector that receives every span the tenant
 // aggregates — spans accepted over HTTP (after server-side ID assignment)
-// and spans published in-process through Collector() alike — the hook an
-// online consumer (e.g. a core.StreamCorrelator) attaches to. It
-// delegates to the tenant Memory's SetTap; see that method for the
-// exactly-once and pointer-sharing contract (a tap that mutates spans
-// while /api/trace readers run must work on its own copies, like the
-// stream correlator's Isolated mode — or be the tenant's store itself,
-// see SetHistory). A nil tap detaches. Safe to call while serving.
-func (t *ServerTenant) SetTap(c Collector) { t.mem.SetTap(c) }
+// and spans published in-process through Collector() alike, each exactly
+// once, after the span has landed — the hook an online consumer (e.g. a
+// core.StreamCorrelator) attaches to. Batches from concurrent publishers
+// reach it in an unspecified relative order, so a tap must be safe for
+// concurrent use. It sees the same span pointers the tenant stores: a tap
+// that mutates spans while /api/trace readers run must work on its own
+// copies, like the stream correlator's Isolated mode — or be the tenant's
+// store itself, see SetHistory. Spans published before SetTap are not
+// replayed. A nil tap detaches. Safe to call while serving.
+func (t *ServerTenant) SetTap(c Collector) {
+	if c == nil {
+		t.tap.Store(nil)
+		return
+	}
+	t.tap.Store(&c)
+}
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -569,9 +577,8 @@ const minBodyBytesPerSec = 64 << 10
 // within the publishing process and tenant (ID 0 means "no span"
 // everywhere — ParentID and correlation lookups treat it as absent).
 // Spans that arrive with a zero ID are assigned fresh server-side IDs
-// rather than rejected: left at zero, every such batch would hash onto
-// the same public shard in Memory.Publish and all zero-ID spans would
-// collide on one entry of the ByID index. A reassigned span was never
+// rather than rejected: left at zero, all zero-ID spans would collide on
+// one entry of the ByID index. A reassigned span was never
 // referenceable by its old ID, so no ParentID link can break; the
 // assigned IDs carry serverAssignedIDBit so they stay out of the clients'
 // ID space.
@@ -859,15 +866,21 @@ func (t *ServerTenant) unclaimBatch(id uint64) {
 }
 
 // AcceptsBinary reports whether an Accept header explicitly lists the
-// binary span media type (ContentTypeBinary). JSON remains the default
-// for everything else (browsers, curl, old clients); trace endpoints
-// outside this package negotiate with the same rule.
+// binary span media type (ContentTypeBinary) as acceptable: a zero weight
+// ("q=0", "q=0.000") means "not acceptable" (RFC 9110) and does not count.
+// JSON remains the default for everything else (browsers, curl, old
+// clients); trace endpoints outside this package negotiate with the same
+// rule.
 func AcceptsBinary(accept string) bool {
 	for _, part := range strings.Split(accept, ",") {
-		mt, _, err := mime.ParseMediaType(strings.TrimSpace(part))
-		if err == nil && mt == ContentTypeBinary {
-			return true
+		mt, params, err := mime.ParseMediaType(strings.TrimSpace(part))
+		if err != nil || mt != ContentTypeBinary {
+			continue
 		}
+		if q, err := strconv.ParseFloat(params["q"], 64); err == nil && q == 0 {
+			continue
+		}
+		return true
 	}
 	return false
 }

@@ -10,8 +10,8 @@ import (
 	"xsp/internal/vclock"
 )
 
-// Zero-ID spans POSTed to /api/spans must not all collapse onto one hashed
-// shard and one ByID entry: the server assigns them fresh IDs at ingress.
+// Zero-ID spans POSTed to /api/spans must not all collapse onto one ByID
+// entry: the server assigns them fresh IDs at ingress.
 func TestHandleSpansReassignsZeroIDs(t *testing.T) {
 	srv := NewServer()
 	ts := httptest.NewServer(srv)

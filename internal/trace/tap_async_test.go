@@ -211,16 +211,17 @@ func TestAsyncTapCloseDrainsThenForwardsSynchronously(t *testing.T) {
 	}
 }
 
-// Memory.SetTapAsync attaches the async tap with the tap contract intact:
-// spans published to the Memory reach the destination exactly once.
+// A Memory-mode tenant's SetTapAsync attaches the async tap with the tap
+// contract intact: spans published through the tenant's collector land in
+// its Memory and reach the destination exactly once.
 func TestMemorySetTapAsync(t *testing.T) {
-	mem := NewMemory()
+	tn := NewServer().Tenant(DefaultTenant)
 	dst := &recordingCollector{}
-	tap := mem.SetTapAsync(dst, TapOptions{Queue: 8})
+	tap := tn.SetTapAsync(dst, TapOptions{Queue: 8})
 	defer tap.Close()
 
 	for i := 1; i <= 20; i++ {
-		mem.Publish(span(uint64(i)))
+		tn.Collector().Publish(span(uint64(i)))
 	}
 	tap.Flush()
 	seen := map[uint64]bool{}
@@ -235,7 +236,7 @@ func TestMemorySetTapAsync(t *testing.T) {
 	if len(seen) != 20 {
 		t.Fatalf("destination saw %d spans, want 20", len(seen))
 	}
-	if mem.Len() != 20 {
-		t.Fatalf("store holds %d spans, want 20 — the tap must not divert", mem.Len())
+	if n := len(tn.Trace().Spans); n != 20 {
+		t.Fatalf("store holds %d spans, want 20 — the tap must not divert", n)
 	}
 }

@@ -759,6 +759,36 @@ func TestDecodedAttributesDoNotAlias(t *testing.T) {
 	}
 }
 
+// AcceptsBinary counts the binary media type only where it is listed with
+// a nonzero weight: q=0 is "not acceptable" (RFC 9110), however written.
+func TestAcceptsBinary(t *testing.T) {
+	for _, tc := range []struct {
+		accept string
+		want   bool
+	}{
+		{"", false},
+		{"application/json", false},
+		{"*/*", false},
+		{"application/x-xsp-spans", true},
+		{"application/json, application/x-xsp-spans", true},
+		{"application/x-xsp-spans;q=0, application/json", false},
+		{"application/x-xsp-spans; q=0.000", false},
+		{"application/x-xsp-spans;q=0.0, application/json;q=0.5", false},
+		{"application/x-xsp-spans;q=0.5", true},
+		{"application/x-xsp-spans;q=0.001", true},
+		{"application/x-xsp-spans;q=1", true},
+		{"  application/x-xsp-spans ;  q=0 , application/json", false},
+		{"  application/x-xsp-spans ;  q=0.5 ", true},
+		{"Application/X-XSP-Spans", true},
+		{"APPLICATION/X-XSP-SPANS; Q=0", false},
+		{"application/json, Application/X-XSP-Spans; Q=0.9", true},
+	} {
+		if got := AcceptsBinary(tc.accept); got != tc.want {
+			t.Errorf("AcceptsBinary(%q) = %v, want %v", tc.accept, got, tc.want)
+		}
+	}
+}
+
 func TestServerSpanContentNegotiation(t *testing.T) {
 	srv := NewServer()
 	ts := httptest.NewServer(srv)

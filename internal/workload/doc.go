@@ -13,12 +13,10 @@
 //     up to millions of spans, optionally multi-stream (overlapping
 //     layers, defeating the sweep-line fast path), launch-free (the
 //     activity-API capture mode), or prelinked (already correlated);
-//   - [PublishConcurrent] drives many tracers publishing into one
-//     collector at once — the ingestion load the sharded trace.Memory
-//     exists for — and is the generator behind the parallel-publish
-//     benchmarks and tests;
 //   - [StreamingArrivals] delivers a synthetic trace in arrival order, in
-//     batches, with a bounded amount of cross-shard reordering
+//     batches, with a bounded amount of reordering
 //     (StreamingSpec.ReorderSkew) — the feed the core.StreamCorrelator
-//     property tests and BenchmarkStreamCorrelate consume.
+//     property tests and BenchmarkStreamCorrelate consume;
+//   - [PublishOverdriven] drives many publishers flat out at once, the load the
+//     admission and overload soaks shed against.
 package workload

@@ -28,7 +28,8 @@ type OverloadSpec struct {
 	BatchSpans int
 
 	// Seed drives each publisher's deterministic pseudo-random durations
-	// (publisher i uses Seed+i), like ConcurrentSpec.Seed.
+	// (publisher i uses Seed+i), so runs are reproducible per publisher even
+	// though the interleaving across publishers is not.
 	Seed int64
 }
 
@@ -77,9 +78,17 @@ func PublishOverdriven(spec OverloadSpec, ship func(p int, batch []*trace.Span))
 	return spec.Publishers * spec.SpansEach
 }
 
+// publisherLevels is the level each publisher profiles at, round-robin:
+// the paper's stack has one tracer per level, so a run with more
+// publishers than levels models several processes' profilers feeding one
+// tracing server.
+var publisherLevels = []trace.Level{
+	trace.LevelModel, trace.LevelLayer, trace.LevelLibrary, trace.LevelKernel,
+}
+
 // overdriveOne is one publisher's flat-out stream.
 func overdriveOne(clock *atomic.Int64, spec OverloadSpec, p int, ship func(int, []*trace.Span)) {
-	level := concurrentLevels[p%len(concurrentLevels)]
+	level := publisherLevels[p%len(publisherLevels)]
 	rng := rand.New(rand.NewSource(spec.Seed + int64(p)))
 	tick := func(n int64) vclock.Time { return vclock.Time(clock.Add(n)) }
 

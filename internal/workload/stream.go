@@ -9,8 +9,8 @@ import (
 
 // StreamingSpec shapes a streaming-arrival run: a synthetic trace's spans
 // delivered in arrival order, in batches, with controllable reordering —
-// the cross-shard skew a sharded collector introduces. It backs the
-// StreamCorrelator property tests and BenchmarkStreamCorrelate.
+// the skew concurrent publishers introduce. It backs the StreamCorrelator
+// property tests and BenchmarkStreamCorrelate.
 type StreamingSpec struct {
 	// Trace is the underlying workload; see SyntheticSpec (Streams > 1
 	// yields pipelined overlap, DropLaunches the device-only shape).
