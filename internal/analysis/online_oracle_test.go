@@ -34,7 +34,7 @@ import (
 // The reference implementations below are the batch forms of the launch-gap,
 // memcpy, overlap and roofline analyses, functions of one finished trace.
 // They read the trace directly and call nothing on Online's observe path: a
-// launch gap pairs through the trace's correlation index, the overlap is the
+// launch gap pairs by correlation id, the overlap is the
 // measure of the intersection of the two classes' interval unions, and a
 // roofline bucket is derived from A8's kernel rows.
 
@@ -42,18 +42,18 @@ import (
 // execution in tr that has a cudaLaunchKernel launch, in trace order. Among
 // launches sharing a correlation id the last one in the trace wins.
 func oracleLaunchGaps(tr *trace.Trace) []float64 {
+	launches := map[uint64]*trace.Span{} // correlation id 0 marks no correlation
+	for _, sp := range tr.Spans {
+		if sp.CorrelationID != 0 && sp.Kind == trace.KindLaunch && sp.Name == "cudaLaunchKernel" {
+			launches[sp.CorrelationID] = sp
+		}
+	}
 	var gaps []float64
 	for _, sp := range tr.Spans {
 		if !isKernelExec(sp) {
 			continue
 		}
-		var launch *trace.Span
-		for _, c := range tr.ByCorrelation(sp.CorrelationID) {
-			if c.Kind == trace.KindLaunch && c.Name == "cudaLaunchKernel" {
-				launch = c
-			}
-		}
-		if launch != nil {
+		if launch := launches[sp.CorrelationID]; launch != nil {
 			gaps = append(gaps, max(0, ms(sp.Begin.Sub(launch.End))))
 		}
 	}

@@ -204,6 +204,7 @@ func isKernelExec(sp *trace.Span) bool {
 func (rs *RunSet) kernelGroups() []*kernelGroup {
 	var out []*kernelGroup
 	for run, t := range rs.Traces {
+		byID := t.SpansByID()
 		layerIndexOf := func(sp *trace.Span) int {
 			for hops := 0; sp != nil && hops < 8; hops++ {
 				if sp.Level == trace.LevelLayer {
@@ -212,7 +213,7 @@ func (rs *RunSet) kernelGroups() []*kernelGroup {
 					}
 					return -1
 				}
-				sp = t.ByID(sp.ParentID)
+				sp = byID[sp.ParentID]
 			}
 			return -1
 		}
@@ -224,7 +225,7 @@ func (rs *RunSet) kernelGroups() []*kernelGroup {
 			if run == 0 {
 				out = append(out, &kernelGroup{
 					name:       sp.Name,
-					layerIndex: layerIndexOf(t.ByID(sp.ParentID)),
+					layerIndex: layerIndexOf(byID[sp.ParentID]),
 					flops:      sp.Metric("flop_count_sp"),
 					reads:      sp.Metric("dram_read_bytes"),
 					writes:     sp.Metric("dram_write_bytes"),

@@ -81,8 +81,14 @@ func TestModelLevelProfile(t *testing.T) {
 		}
 	}
 	root := tr.Find("evaluate")
-	if kids := tr.Children(root); len(kids) != 3 {
-		t.Fatalf("root children = %d", len(kids))
+	kids := 0
+	for _, s := range tr.Spans {
+		if s.ParentID == root.ID && s.ID != root.ID {
+			kids++
+		}
+	}
+	if kids != 3 {
+		t.Fatalf("root children = %d", kids)
 	}
 	if res.ModelSpan == nil || res.ModelSpan.Duration() <= 0 {
 		t.Fatal("model span missing or empty")
@@ -144,8 +150,9 @@ func TestFullStackProfileCorrelation(t *testing.T) {
 	// Every launch span must be inside a layer span (serialized layer
 	// profiling), and every exec span must share its launch's parent.
 	byCorr := map[uint64]*trace.Span{}
+	byID := tr.SpansByID()
 	for _, l := range launches {
-		p := tr.ByID(l.ParentID)
+		p := byID[l.ParentID]
 		if p == nil {
 			t.Fatal("launch span without parent")
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"runtime"
 	"slices"
 	"strings"
@@ -26,11 +27,6 @@ import (
 // pipelined layers on concurrent streams) fall back to per-level interval
 // trees, built concurrently. Both paths assign identical parents.
 func Correlate(tr *trace.Trace) {
-	// Levels and (on the tree path) ByLevel come straight from the trace's
-	// incrementally maintained index: when the trace grew by appends since
-	// the last correlation, the index extends with just the tail, and the
-	// closing InvalidateChildren below keeps everything but the adjacency,
-	// so repeated correlate-as-you-ingest rounds never rebuild these views.
 	levels := tr.Levels()
 	if len(levels) == 0 {
 		return
@@ -40,9 +36,6 @@ func Correlate(tr *trace.Trace) {
 	} else {
 		correlateTree(tr, levels)
 	}
-	// Only ParentID links changed in place: drop just the children
-	// adjacency and keep the per-level, ID, name, and correlation indexes.
-	tr.InvalidateChildren()
 }
 
 // compareEvents is the sweep order shared by the batch sort and the
@@ -343,33 +336,35 @@ func treeParentAt(levels []trace.Level, tree func(trace.Level) *interval.Tree, s
 }
 
 // correlateTree is the interval-tree path: one tree per level, queried
-// span by span. It handles arbitrary overlap. The per-level slices come
-// from the trace's index — already begin-sorted stably over Spans order,
-// which is the insertion order the tree's tie-break among equal-duration
-// containers depends on — and the trees build concurrently, one goroutine
-// per level.
+// span by span. It handles arbitrary overlap. The spans split by level in
+// one pass, and each level's slice is sorted by begin stably over Spans
+// order — the insertion order the tree's tie-break among equal-duration
+// containers depends on (trace.Trace.ByLevel's order) — and the trees
+// build concurrently, one goroutine per level.
 func correlateTree(tr *trace.Trace, levels []trace.Level) {
+	perLevel := make([][]*trace.Span, len(levels))
+	for _, s := range tr.Spans {
+		// The deepest level's tree can never be consulted — parent queries
+		// only walk levels above the querying span's — and it would hold
+		// the bulk of the spans (the kernels). treeParentAt skips nil
+		// trees, so eliding it is invisible.
+		if i := slices.Index(levels, s.Level); i < len(levels)-1 {
+			perLevel[i] = append(perLevel[i], s)
+		}
+	}
 	trees := make([]*interval.Tree, len(levels))
 	var wg sync.WaitGroup
-	for i, l := range levels {
-		if i == len(levels)-1 {
-			// The deepest level's tree can never be consulted — parent
-			// queries only walk levels above the querying span's — and it
-			// would hold the bulk of the spans (the kernels). treeParentAt
-			// skips nil trees, so eliding it is invisible.
-			continue
-		}
+	for i, spans := range perLevel[:len(levels)-1] {
 		wg.Add(1)
-		// The indexed slice is shared and read-only; insertion copies the
-		// interval bounds out, so the tree build never mutates it.
-		go func(i int, spans []*trace.Span) {
+		go func() {
 			defer wg.Done()
+			slices.SortStableFunc(spans, func(a, b *trace.Span) int { return cmp.Compare(a.Begin, b.Begin) })
 			t := interval.New()
 			for _, s := range spans {
 				t.Insert(interval.Interval{Start: s.Begin, End: s.End, Value: s})
 			}
 			trees[i] = t
-		}(i, tr.ByLevel(l))
+		}()
 	}
 	wg.Wait()
 
@@ -439,11 +434,14 @@ func correlateTree(tr *trace.Trace, levels []trace.Level) {
 // belong to the model span (they frame the layer stream), so they are
 // never ambiguous.
 func Ambiguous(tr *trace.Trace) bool {
-	hasLayers := len(tr.ByLevel(trace.LevelLayer)) > 0
-	if !hasLayers {
+	if !slices.ContainsFunc(tr.Spans, func(s *trace.Span) bool { return s.Level == trace.LevelLayer }) {
 		return false // nothing finer than the model span to attribute to
 	}
-	for _, s := range tr.ByLevel(trace.LevelKernel) {
+	byID := tr.SpansByID()
+	for _, s := range tr.Spans {
+		if s.Level != trace.LevelKernel {
+			continue
+		}
 		if s.Kind == trace.KindLaunch && s.Name != "cudaLaunchKernel" {
 			continue // memcpy and other non-kernel API calls
 		}
@@ -453,7 +451,7 @@ func Ambiguous(tr *trace.Trace) bool {
 		if s.ParentID == 0 {
 			return true
 		}
-		if p := tr.ByID(s.ParentID); p != nil && p.Level != trace.LevelLayer {
+		if p := byID[s.ParentID]; p != nil && p.Level != trace.LevelLayer {
 			return true
 		}
 	}

@@ -190,13 +190,13 @@ func TestSweepResolvesPipelinedExecViaCorrelation(t *testing.T) {
 			{ID: 5, Level: trace.LevelKernel, Kind: trace.KindExec, Name: "kernel", Begin: 40, End: 70, CorrelationID: 9},
 		}}
 		CorrelateBy(tr, path)
-		if got := tr.ByID(4).ParentID; got != 2 {
+		if got := tr.SpansByID()[4].ParentID; got != 2 {
 			t.Fatalf("%v: launch parent = %d, want layer 2", path, got)
 		}
-		if got := tr.ByID(5).ParentID; got != 2 {
+		if got := tr.SpansByID()[5].ParentID; got != 2 {
 			t.Fatalf("%v: exec crossing layers must inherit launch parent 2, got %d", path, got)
 		}
-		if got := tr.ByID(2).ParentID; got != 1 {
+		if got := tr.SpansByID()[2].ParentID; got != 1 {
 			t.Fatalf("%v: layer parent = %d, want model 1", path, got)
 		}
 	}

@@ -62,8 +62,9 @@ func TestCorrelateRecoversNestedHierarchy(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr, truth := buildNestedTrace(rng)
 		Correlate(tr)
+		byID := tr.SpansByID()
 		for id, wantParent := range truth {
-			sp := tr.ByID(id)
+			sp := byID[id]
 			if sp == nil || sp.ParentID != wantParent {
 				return false
 			}
@@ -88,8 +89,9 @@ func TestCorrelatePreservesExplicitParents(t *testing.T) {
 			}
 		}
 		Correlate(tr)
+		byID := tr.SpansByID()
 		for id, p := range want {
-			if tr.ByID(id).ParentID != p {
+			if byID[id].ParentID != p {
 				return false
 			}
 		}

@@ -20,13 +20,10 @@
 // serialized (CUDA_LAUNCH_BLOCKING=1) to recover the correlation — exactly
 // the paper's Section III design.
 //
-// Correlate consumes the trace's incrementally maintained index — Levels
-// and the begin-sorted per-level views — and finishes with
-// trace.Trace.InvalidateChildren rather than a full invalidation, since
-// only ParentID links changed. Correlating a trace that grew by appends
-// since the last round therefore extends the index by just the appended
-// tail instead of rebuilding it, which is what makes repeated
-// correlate-as-you-ingest rounds cheap.
+// Correlate reads the trace's spans as they are at the call and writes
+// only ParentID links; it keeps no state between calls. A trace that grows
+// batch by batch belongs in [StreamCorrelator], which resolves each span as
+// it arrives instead of re-reading the accumulated trace.
 //
 // # Streaming correlation
 //

@@ -23,9 +23,10 @@ func ExampleCorrelate() {
 
 	core.Correlate(tr)
 
+	byID := tr.SpansByID()
 	for _, s := range tr.Spans {
 		parent := "-"
-		if p := tr.ByID(s.ParentID); p != nil {
+		if p := byID[s.ParentID]; p != nil {
 			parent = p.Name
 		}
 		fmt.Printf("%-19s parent=%s\n", s.Name, parent)

@@ -34,7 +34,6 @@ func CorrelateBy(tr *trace.Trace, p Path) {
 	} else {
 		correlateTree(tr, levels)
 	}
-	tr.InvalidateChildren()
 }
 
 // sweepEligible reports whether Correlate takes the sweep-line path on tr.

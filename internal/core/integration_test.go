@@ -61,7 +61,7 @@ func TestEndToEndHTTPTracing(t *testing.T) {
 	}
 
 	// Fetch the aggregated timeline back and analyze it.
-	fetched, err := trace.FetchTrace(ts.Client(), ts.URL)
+	fetched, err := trace.FetchTraceTenant(ts.Client(), ts.URL, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,9 @@ func TestEndToEndHTTPTracing(t *testing.T) {
 	}
 
 	// The tree view of the fetched trace preserves the hierarchy.
-	tree := fetched.TreeString(2)
+	var sb strings.Builder
+	fetched.FormatTree(&sb, 2)
+	tree := sb.String()
 	for _, want := range []string{"evaluate", "model_prediction", "[launch]", "[exec]"} {
 		if !strings.Contains(tree, want) {
 			t.Errorf("tree missing %q", want)
@@ -115,7 +117,7 @@ func TestServerAccumulatesRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fetched, err := trace.FetchTrace(ts.Client(), ts.URL)
+	fetched, err := trace.FetchTraceTenant(ts.Client(), ts.URL, "")
 	if err != nil {
 		t.Fatal(err)
 	}

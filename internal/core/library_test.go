@@ -27,8 +27,9 @@ func TestLibraryLevelProfile(t *testing.T) {
 
 	// Every library span's parent is a layer span.
 	names := map[string]bool{}
+	byID := tr.SpansByID()
 	for _, lib := range libSpans {
-		p := tr.ByID(lib.ParentID)
+		p := byID[lib.ParentID]
 		if p == nil || p.Level != trace.LevelLayer {
 			t.Fatalf("library span %q parent = %+v, want a layer", lib.Name, p)
 		}
@@ -45,7 +46,7 @@ func TestLibraryLevelProfile(t *testing.T) {
 	launchUnderLib := 0
 	for _, sp := range tr.Spans {
 		if sp.Kind == trace.KindLaunch && sp.Name == "cudaLaunchKernel" {
-			if p := tr.ByID(sp.ParentID); p != nil && p.Level == trace.LevelLibrary {
+			if p := byID[sp.ParentID]; p != nil && p.Level == trace.LevelLibrary {
 				launchUnderLib++
 			}
 		}

@@ -114,7 +114,7 @@ func FuzzStreamVsBatch(f *testing.F) {
 				// DecodeBinary's canonical within-batch order is what a real
 				// binary-ingesting server publishes.
 				for i, b := range batches {
-					tr, err := trace.DecodeBinary(bytes.NewReader(trace.AppendBinaryFrame(nil, b)))
+					tr, err := trace.DecodeBinary(bytes.NewReader(trace.AppendBinaryFrameTenant(nil, "", b)))
 					if err != nil {
 						t.Fatalf("batch %d failed the wire round trip: %v", i, err)
 					}

@@ -253,10 +253,10 @@ func TestStreamCorrelatorResolvesPipelinedExecViaCorrelation(t *testing.T) {
 		&trace.Span{ID: 3, Level: trace.LevelLayer, Begin: 50, End: 90},
 	)
 	tr := sc.Trace()
-	if got := tr.ByID(4).ParentID; got != 2 {
+	if got := tr.SpansByID()[4].ParentID; got != 2 {
 		t.Fatalf("launch parent = %d, want layer 2", got)
 	}
-	if got := tr.ByID(5).ParentID; got != 2 {
+	if got := tr.SpansByID()[5].ParentID; got != 2 {
 		t.Fatalf("exec crossing layers must inherit launch parent 2 online, got %d", got)
 	}
 }
@@ -996,7 +996,7 @@ func TestStreamCorrelatorIsolated(t *testing.T) {
 	if orig[1].ParentID != 0 {
 		t.Fatal("isolated correlator wrote through to the fed span")
 	}
-	if got := sc.Trace().ByID(2).ParentID; got != 1 {
+	if got := sc.Trace().SpansByID()[2].ParentID; got != 1 {
 		t.Fatalf("isolated copy not correlated: parent = %d", got)
 	}
 }

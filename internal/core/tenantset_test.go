@@ -448,8 +448,8 @@ func TestOpenTenantStreamDegradesToRAM(t *testing.T) {
 	st.Publish(&trace.Span{ID: 2, Level: trace.LevelLayer, Begin: 2, End: 3})
 	st.Correlator().Flush()
 	got := st.Correlator().Trace()
-	if len(got.Spans) != 2 || got.ByID(2).ParentID != 1 {
-		t.Fatalf("degraded tenant holds %d spans, layer parent %d; want 2 spans, parent 1", len(got.Spans), got.ByID(2).ParentID)
+	if len(got.Spans) != 2 || got.SpansByID()[2].ParentID != 1 {
+		t.Fatalf("degraded tenant holds %d spans, layer parent %d; want 2 spans, parent 1", len(got.Spans), got.SpansByID()[2].ParentID)
 	}
 }
 

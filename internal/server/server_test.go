@@ -198,12 +198,21 @@ func TestCloseDrainsTheTap(t *testing.T) {
 	if fed := tn.stream.Correlator().Stats().Fed; fed != total {
 		t.Errorf("the correlator was fed %d spans, %d were acknowledged", fed, total)
 	}
+	// Close waits for the worker's wg.Done, which runs a few instructions
+	// before its goroutine exits, so the profile may still catch it on the
+	// way out: poll until it is gone, and fail if it never leaves.
 	var stacks bytes.Buffer
-	if err := pprof.Lookup("goroutine").WriteTo(&stacks, 1); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(stacks.String(), "(*AsyncTap).run") {
-		t.Errorf("a tap worker is still running after Close:\n%s", stacks.String())
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		stacks.Reset()
+		if err := pprof.Lookup("goroutine").WriteTo(&stacks, 1); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(stacks.String(), "(*AsyncTap).run") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a tap worker is still running 2s after Close:\n%s", stacks.String())
+		}
 	}
 }
 

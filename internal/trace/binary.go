@@ -539,19 +539,12 @@ func IsBinaryFrame(prefix []byte) bool {
 	return len(prefix) >= frameHeaderSize && string(prefix[:len(wireMagic)]) == wireMagic
 }
 
-// AppendBinaryFrame encodes spans as one framed binary batch (header +
-// span block) onto buf and returns the extended buffer. The frame is what
-// EncodeBinary writes and DecodeBinary reads. Frames written here carry
-// no tenant key (format version 1, byte-identical to pre-tenant
-// encoders); AppendBinaryFrameTenant stamps one.
-func AppendBinaryFrame(buf []byte, spans []*Span) []byte {
-	return AppendBinaryFrameTenant(buf, "", spans)
-}
-
-// AppendBinaryFrameTenant is AppendBinaryFrame with a tenant key in the
-// frame header. A zero tenant (empty or DefaultTenant) emits a version-1
-// frame — old decoders read it, and a tenantless round trip stays
-// byte-exact with the pre-tenant format; any other key emits version 2.
+// AppendBinaryFrameTenant encodes spans as one framed binary batch (header
+// + span block) onto buf and returns the extended buffer. The frame is what
+// EncodeBinary writes and DecodeBinary reads. A zero tenant (empty or
+// DefaultTenant) emits a version-1 frame — old decoders read it, and a
+// tenantless round trip stays byte-exact with the pre-tenant format; any
+// other key emits version 2.
 // The key must satisfy ValidateTenant (enforced at every ingress); an
 // invalid key here is a programming error and panics.
 func AppendBinaryFrameTenant(buf []byte, tenant string, spans []*Span) []byte {
@@ -593,8 +586,8 @@ var framePool = sync.Pool{New: func() any { return new([]byte) }}
 const maxPooledFrame = 1 << 20
 
 // DecodeBinary reads one framed binary span batch written by EncodeBinary
-// (or AppendBinaryFrame) and returns the decoded trace in canonical begin
-// order, exactly like DecodeJSON. The spans are decoded straight into a
+// (or AppendBinaryFrameTenant) and returns the decoded trace in canonical
+// begin order, exactly like DecodeJSON. The spans are decoded straight into a
 // fresh arena: one allocation per storeChunkSpans spans and one per entry
 // table, with every string a zero-copy substring of the frame's shared
 // blob. Any framing or payload problem — bad magic, unknown version,

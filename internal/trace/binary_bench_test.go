@@ -76,7 +76,7 @@ func TestDecodeBinaryAllocBudget(t *testing.T) {
 		t.Skip("under -race sync.Pool drops items at random")
 	}
 	spans := serverShapeSpans(1 << 10)
-	frame := trace.AppendBinaryFrame(nil, spans)
+	frame := trace.AppendBinaryFrameTenant(nil, "", spans)
 	decode := func() {
 		if tr, err := trace.DecodeBinary(bytes.NewReader(frame)); err != nil || len(tr.Spans) != len(spans) {
 			t.Fatalf("decode: %v", err)

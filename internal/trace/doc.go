@@ -132,31 +132,6 @@
 // [HTTPCollector.SetTenant] tags a collector's output;
 // [FetchTraceTenant] scopes reads.
 //
-// # Indexed queries
-//
-// Trace lookups ([Trace.ByID], [Trace.ByLevel], [Trace.Children],
-// [Trace.Find], [Trace.ByCorrelation], [Trace.Levels], [Trace.Subtree])
-// are served from lazily built indexes — a span-by-ID map, begin-sorted
-// per-level slices, a children adjacency list, and a correlation-id map —
-// so repeated queries on large traces are O(1) or amortized O(1) instead
-// of a linear scan per call.
-//
-// The index growth and invalidation contract:
-//
-//   - The index is rebuilt when the trace has grown (or shrunk) since
-//     the last build: a changed len(Trace.Spans) is detected on the next
-//     query, and so is a truncate-and-regrow to the same length. Growing
-//     an indexed trace batch by batch is therefore O(n log n) per batch;
-//     a stream of batches belongs in core.StreamCorrelator.
-//   - Mutations that change indexed state without changing the span count
-//     — renaming spans, reordering the Spans slice — must be followed by
-//     [Trace.InvalidateIndex] ([Trace.SortByBegin] invalidates itself).
-//     Rewriting only ParentID links may use the cheaper
-//     [Trace.InvalidateChildren], which drops just the adjacency and keeps
-//     every other index; core.Correlate relies on this.
-//   - Slices returned by indexed accessors are shared with the index:
-//     treat them as read-only.
-//
 // # Arena span storage
 //
 // The wire decoders do not allocate spans one by one: a [SpanStore]
@@ -176,7 +151,7 @@
 //
 // [AppendSpanBlock]/[DecodeSpanBlock] implement the columnar span-block
 // codec — fixed 80-byte records, tag/metric tables, one shared string
-// blob — and [AppendBinaryFrame]/[DecodeBinary] wrap a block in a
+// blob — and [AppendBinaryFrameTenant]/[DecodeBinary] wrap a block in a
 // magic+version+length frame for transport. DecodeBinary materializes
 // the batch straight into a SpanStore arena with every string a
 // zero-copy substring of the blob and every span's tags and metrics carved,

@@ -1,34 +1,40 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
 
 // FormatTree writes the trace as an indented span tree in begin order —
 // the textual equivalent of the hierarchical timeline the paper's Fig 1
-// visualizes. maxChildren bounds the children printed per span (0 means
-// unlimited); elided children are summarized on one line.
+// visualizes. Roots are the spans whose parent is 0 or absent from the
+// trace; a span naming itself as parent is nobody's child. Siblings print
+// by begin, then ID. maxChildren bounds the children printed per span (0
+// means unlimited); elided children are summarized on one line.
 func (t *Trace) FormatTree(w io.Writer, maxChildren int) {
-	children := t.childrenIndex() // also (re)builds the rest of the index
-	ix := t.index()
+	byID := t.SpansByID()
+	children := make(map[uint64][]*Span)
 	var roots []*Span
 	for _, s := range t.Spans {
-		if s.ParentID == 0 || ix.byID[s.ParentID] == nil {
+		if s.ParentID == 0 || byID[s.ParentID] == nil {
 			roots = append(roots, s)
+		}
+		if s.ParentID != 0 && s.ParentID != s.ID {
+			children[s.ParentID] = append(children[s.ParentID], s)
 		}
 	}
 	byBegin := func(spans []*Span) {
-		sort.SliceStable(spans, func(i, j int) bool {
-			if spans[i].Begin != spans[j].Begin {
-				return spans[i].Begin < spans[j].Begin
-			}
-			return spans[i].ID < spans[j].ID
+		slices.SortStableFunc(spans, func(a, b *Span) int {
+			return cmp.Or(cmp.Compare(a.Begin, b.Begin), cmp.Compare(a.ID, b.ID))
 		})
 	}
 	byBegin(roots)
+	for _, kids := range children {
+		byBegin(kids)
+	}
 
 	var walk func(s *Span, depth int)
 	walk = func(s *Span, depth int) {
@@ -38,11 +44,7 @@ func (t *Trace) FormatTree(w io.Writer, maxChildren int) {
 			kind = " [" + s.Kind.String() + "]"
 		}
 		fmt.Fprintf(w, "%s%s%s (%s, %v)\n", indent, s.Name, kind, s.Level, s.Duration())
-		// Copy before sorting: the index's child lists are shared, and
-		// their begin ties follow trace order while byBegin orders ties
-		// by span ID.
-		kids := append([]*Span(nil), children[s.ID]...)
-		byBegin(kids)
+		kids := children[s.ID]
 		limit := len(kids)
 		if maxChildren > 0 && limit > maxChildren {
 			limit = maxChildren
@@ -57,11 +59,4 @@ func (t *Trace) FormatTree(w io.Writer, maxChildren int) {
 	for _, r := range roots {
 		walk(r, 0)
 	}
-}
-
-// TreeString renders FormatTree to a string.
-func (t *Trace) TreeString(maxChildren int) string {
-	var sb strings.Builder
-	t.FormatTree(&sb, maxChildren)
-	return sb.String()
 }

@@ -15,8 +15,14 @@ func treeFixture() *Trace {
 	}}
 }
 
+func treeString(tr *Trace, maxChildren int) string {
+	var sb strings.Builder
+	tr.FormatTree(&sb, maxChildren)
+	return sb.String()
+}
+
 func TestFormatTree(t *testing.T) {
-	out := treeFixture().TreeString(0)
+	out := treeString(treeFixture(), 0)
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 5 {
 		t.Fatalf("lines = %d:\n%s", len(lines), out)
@@ -38,7 +44,7 @@ func TestFormatTree(t *testing.T) {
 
 func TestFormatTreeElision(t *testing.T) {
 	tr := treeFixture()
-	out := tr.TreeString(1)
+	out := treeString(tr, 1)
 	if !strings.Contains(out, "... 1 more children") {
 		t.Fatalf("elision missing:\n%s", out)
 	}
@@ -50,7 +56,7 @@ func TestFormatTreeOrphans(t *testing.T) {
 	tr := &Trace{Spans: []*Span{
 		{ID: 7, ParentID: 99, Level: LevelKernel, Name: "orphan", Begin: 0, End: 1},
 	}}
-	if !strings.Contains(tr.TreeString(0), "orphan") {
+	if !strings.Contains(treeString(tr, 0), "orphan") {
 		t.Fatal("orphan span lost")
 	}
 }

@@ -578,7 +578,7 @@ const minBodyBytesPerSec = 64 << 10
 // everywhere — ParentID and correlation lookups treat it as absent).
 // Spans that arrive with a zero ID are assigned fresh server-side IDs
 // rather than rejected: left at zero, all zero-ID spans would collide on
-// one entry of the ByID index. A reassigned span was never
+// one ID in every lookup by ID. A reassigned span was never
 // referenceable by its old ID, so no ParentID link can break; the
 // assigned IDs carry serverAssignedIDBit so they stay out of the clients'
 // ID space.
@@ -1344,16 +1344,10 @@ func parseRetryAfter(h string) time.Duration {
 	return time.Duration(secs * float64(time.Second))
 }
 
-// FetchTrace retrieves the default tenant's aggregated trace from a
-// tracing server. It asks for the binary encoding (Accept) and decodes by
-// the response's Content-Type, so it speaks binary to this package's
-// Server and JSON to anything older.
-func FetchTrace(client *http.Client, baseURL string) (*Trace, error) {
-	return FetchTraceTenant(client, baseURL, "")
-}
-
-// FetchTraceTenant retrieves one tenant's aggregated trace; the empty
-// tenant reads the default tenant, same as FetchTrace.
+// FetchTraceTenant retrieves one tenant's aggregated trace from a tracing
+// server; the empty tenant reads the default tenant. It asks for the binary
+// encoding (Accept) and decodes by the response's Content-Type, so it
+// speaks binary to this package's Server and JSON to anything older.
 func FetchTraceTenant(client *http.Client, baseURL, tenant string) (*Trace, error) {
 	if err := ValidateTenant(tenant); err != nil {
 		return nil, err

@@ -146,8 +146,8 @@ func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Tenant != "hist" || len(got.Spans) != 7 || got.ByID(9).ParentID != 3 {
-			t.Fatalf("GET /api/trace (%s): tenant %q, %d spans, span 9 under %d", accept, got.Tenant, len(got.Spans), got.ByID(9).ParentID)
+		if got.Tenant != "hist" || len(got.Spans) != 7 || got.SpansByID()[9].ParentID != 3 {
+			t.Fatalf("GET /api/trace (%s): tenant %q, %d spans, span 9 under %d", accept, got.Tenant, len(got.Spans), got.SpansByID()[9].ParentID)
 		}
 	}
 	if tr := hist.Trace(); tr.Tenant != "hist" || len(tr.Spans) != 7 {

@@ -108,7 +108,7 @@ func TestServerRejectsSpanEndingBeforeItBegins(t *testing.T) {
 		}
 		return b.Bytes()
 	}
-	encodeBinary := func(spans []*Span) []byte { return AppendBinaryFrame(nil, spans) }
+	encodeBinary := func(spans []*Span) []byte { return AppendBinaryFrameTenant(nil, "", spans) }
 	for _, tc := range []struct {
 		name, contentType string
 		encode            func([]*Span) []byte
@@ -166,12 +166,12 @@ func FuzzHandleSpans(f *testing.F) {
 	if err := (&Trace{Spans: valid, Tenant: "acme"}).EncodeJSON(&envelope); err != nil {
 		f.Fatal(err)
 	}
-	frame := AppendBinaryFrame(nil, valid)
+	frame := AppendBinaryFrameTenant(nil, "", valid)
 	tenantFrame := AppendBinaryFrameTenant(nil, "acme", valid)
-	backwards := AppendBinaryFrame(nil, []*Span{{ID: 9, Name: "backwards", Begin: 10, End: 9}})
+	backwards := AppendBinaryFrameTenant(nil, "", []*Span{{ID: 9, Name: "backwards", Begin: 10, End: 9}})
 	nan := &Span{ID: 11, Level: LevelKernel, Kind: KindExec, Name: "k", Begin: 20, End: 30, CorrelationID: 7}
 	nan.SetMetric("flop_count_sp", math.NaN())
-	nanFrame := AppendBinaryFrame(nil, []*Span{nan})
+	nanFrame := AppendBinaryFrameTenant(nil, "", []*Span{nan})
 	for _, seed := range []struct {
 		method, contentType, tenant, batchID string
 		body                                 []byte

@@ -10,8 +10,8 @@ import (
 	"xsp/internal/vclock"
 )
 
-// Zero-ID spans POSTed to /api/spans must not all collapse onto one ByID
-// entry: the server assigns them fresh IDs at ingress.
+// Zero-ID spans POSTed to /api/spans must not all collapse onto one ID:
+// the server assigns them fresh IDs at ingress.
 func TestHandleSpansReassignsZeroIDs(t *testing.T) {
 	srv := NewServer()
 	ts := httptest.NewServer(srv)
@@ -57,8 +57,8 @@ func TestHandleSpansReassignsZeroIDs(t *testing.T) {
 		t.Fatal("a nonzero client ID was rewritten")
 	}
 	// Every reassigned span is individually addressable.
-	if sp := got.Find("anon"); sp == nil || got.ByID(sp.ID) != sp {
-		t.Fatal("reassigned span not reachable through ByID")
+	if sp := got.Find("anon"); sp == nil || got.SpansByID()[sp.ID] != sp {
+		t.Fatal("reassigned span not reachable by ID")
 	}
 }
 

@@ -48,8 +48,8 @@ func TestLegacyV1FrameRoutesToDefaultTenant(t *testing.T) {
 	legacy = binary.LittleEndian.AppendUint32(legacy, uint32(len(payload)))
 	legacy = append(legacy, payload...)
 
-	if got := AppendBinaryFrame(nil, spans); !bytes.Equal(got, legacy) {
-		t.Fatalf("tenantless AppendBinaryFrame is not byte-identical to the v1 layout:\n got %x\nwant %x", got, legacy)
+	if got := AppendBinaryFrameTenant(nil, "", spans); !bytes.Equal(got, legacy) {
+		t.Fatalf("tenantless AppendBinaryFrameTenant is not byte-identical to the v1 layout:\n got %x\nwant %x", got, legacy)
 	}
 	if got := AppendBinaryFrameTenant(nil, DefaultTenant, spans); !bytes.Equal(got, legacy) {
 		t.Fatalf("DefaultTenant frame is not byte-identical to the v1 layout")
@@ -158,8 +158,8 @@ func TestTenantRouting(t *testing.T) {
 	if got := b.Received(); got != 1 {
 		t.Fatalf("team-b Received = %d, want 1 (span 2)", got)
 	}
-	if tr := a.Trace(); tr.Tenant != "team-a" || tr.ByID(4) != nil {
-		t.Fatalf("team-a trace tenant %q, span4 %v", tr.Tenant, tr.ByID(4))
+	if tr := a.Trace(); tr.Tenant != "team-a" || tr.SpansByID()[4] != nil {
+		t.Fatalf("team-a trace tenant %q, span4 %v", tr.Tenant, tr.SpansByID()[4])
 	}
 	if srv.lookupTenant("no") != nil || srv.lookupTenant("no/slashes") != nil {
 		t.Fatal("invalid tenant key materialized a tenant")
@@ -193,7 +193,7 @@ func TestTraceReadsPerTenant(t *testing.T) {
 		t.Fatalf("team-a trace has %d spans, want 2", len(got.Spans))
 	}
 	// The default tenant saw nothing.
-	def, err := FetchTrace(ts.Client(), ts.URL)
+	def, err := FetchTraceTenant(ts.Client(), ts.URL, "")
 	if err != nil {
 		t.Fatal(err)
 	}

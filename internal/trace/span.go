@@ -1,9 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"xsp/internal/vclock"
@@ -185,12 +185,11 @@ var nextSpanID atomic.Uint64
 func NewSpanID() uint64 { return nextSpanID.Add(1) }
 
 // Trace is an aggregated timeline: the set of spans published by all
-// tracers during one evaluation, as assembled by a tracing server.
-//
-// Query methods are index-backed; see the package documentation for the
-// index invalidation contract. A Trace may be queried concurrently, but
-// appends and in-place span mutations need external synchronization, as
-// before.
+// tracers during one evaluation, as assembled by a tracing server. It is
+// its spans and nothing else: every query below is a loop over Spans as
+// they are at the call, so appending, truncating, reordering or editing
+// spans in place needs no bookkeeping. Appends and in-place span mutations
+// need external synchronization against concurrent readers.
 type Trace struct {
 	Spans []*Span
 
@@ -199,57 +198,56 @@ type Trace struct {
 	// header field, the JSON envelope) so a batch stays routable without
 	// its transport headers; span-level queries ignore it.
 	Tenant string
-
-	mu  sync.Mutex
-	idx *traceIndex
 }
 
 // SortByBegin orders the spans by begin time, breaking ties by level (outer
 // levels first) and then by span ID, giving a stable hierarchical timeline.
-// Reordering changes what Find considers the "first" span, so the indexes
-// are invalidated.
-func (t *Trace) SortByBegin() {
-	sortSpansCanonical(t.Spans)
-	t.InvalidateIndex()
-}
+func (t *Trace) SortByBegin() { sortSpansCanonical(t.Spans) }
 
-// ByLevel returns the spans at the given stack level, in begin order. The
-// returned slice is shared with the index and must not be mutated.
+// ByLevel returns the spans at the given stack level in begin order, ties
+// kept in Spans order. The slice is the caller's.
 func (t *Trace) ByLevel(level Level) []*Span {
-	return t.index().byLevel[level]
+	var out []*Span
+	for _, s := range t.Spans {
+		if s.Level == level {
+			out = append(out, s)
+		}
+	}
+	slices.SortStableFunc(out, func(a, b *Span) int { return cmp.Compare(a.Begin, b.Begin) })
+	return out
 }
 
-// Find returns the first span with the given name, or nil. "First" is
-// relative to the span order at index build time.
+// Find returns the first span in Spans order with the given name, or nil.
 func (t *Trace) Find(name string) *Span {
-	return t.index().byName[name]
+	for _, s := range t.Spans {
+		if s.Name == name {
+			return s
+		}
+	}
+	return nil
 }
 
-// ByID returns the span with the given ID, or nil.
-func (t *Trace) ByID(id uint64) *Span {
-	return t.index().byID[id]
-}
-
-// Children returns the spans whose ParentID is the given span's ID, in
-// begin order. The returned slice is shared with the index and must not be
-// mutated.
-func (t *Trace) Children(parent *Span) []*Span {
-	return t.childrenIndex()[parent.ID]
+// SpansByID maps each span ID to its span; of spans sharing an ID, the
+// first in Spans order wins. Code that walks parent links builds it once
+// per pass.
+func (t *Trace) SpansByID() map[uint64]*Span {
+	byID := make(map[uint64]*Span, len(t.Spans))
+	for _, s := range t.Spans {
+		if _, ok := byID[s.ID]; !ok {
+			byID[s.ID] = s
+		}
+	}
+	return byID
 }
 
 // Levels returns the sorted distinct levels present in the trace.
 func (t *Trace) Levels() []Level {
-	ix := t.index()
-	out := make([]Level, len(ix.levels))
-	copy(out, ix.levels)
-	return out
-}
-
-// Merge returns a new trace containing the spans of t and u.
-func (t *Trace) Merge(u *Trace) *Trace {
-	m := &Trace{Spans: make([]*Span, 0, len(t.Spans)+len(u.Spans))}
-	m.Spans = append(m.Spans, t.Spans...)
-	m.Spans = append(m.Spans, u.Spans...)
-	m.SortByBegin()
-	return m
+	var levels []Level
+	for _, s := range t.Spans {
+		if !slices.Contains(levels, s.Level) {
+			levels = append(levels, s.Level)
+		}
+	}
+	slices.Sort(levels)
+	return levels
 }

@@ -99,12 +99,14 @@ func TestTraceQueries(t *testing.T) {
 	if tr.Find("relu1") == nil || tr.Find("nope") != nil {
 		t.Fatal("Find wrong")
 	}
-	if tr.ByID(4) == nil || tr.ByID(99) != nil {
-		t.Fatal("ByID wrong")
+	if byID := tr.SpansByID(); byID[4] == nil || byID[99] != nil {
+		t.Fatal("SpansByID wrong")
 	}
-	kids := tr.Children(tr.ByID(1))
-	if len(kids) != 2 || kids[0].Name != "conv1" || kids[1].Name != "relu1" {
-		t.Fatalf("Children = %v", kids)
+	// Of spans sharing an ID, the first in Spans order is the one mapped.
+	first := tr.Spans[1]
+	tr.Spans = append(tr.Spans, &Span{ID: first.ID, Level: LevelLayer, Name: "dup-id"})
+	if byID := tr.SpansByID(); len(byID) != 4 || byID[first.ID] != first {
+		t.Fatalf("SpansByID with a duplicated ID: %d entries, span %d -> %v", len(byID), first.ID, byID[first.ID])
 	}
 	levels := tr.Levels()
 	if len(levels) != 3 || levels[0] != LevelModel || levels[2] != LevelKernel {
@@ -121,18 +123,6 @@ func TestSortByBegin(t *testing.T) {
 	tr.SortByBegin()
 	if tr.Spans[0].ID != 3 || tr.Spans[1].ID != 1 || tr.Spans[2].ID != 2 {
 		t.Fatalf("sort order wrong: %v %v %v", tr.Spans[0].ID, tr.Spans[1].ID, tr.Spans[2].ID)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := &Trace{Spans: []*Span{{ID: 1, Begin: 10}}}
-	b := &Trace{Spans: []*Span{{ID: 2, Begin: 5}}}
-	m := a.Merge(b)
-	if len(m.Spans) != 2 || m.Spans[0].ID != 2 {
-		t.Fatalf("Merge = %v", m.Spans)
-	}
-	if len(a.Spans) != 1 || len(b.Spans) != 1 {
-		t.Fatal("Merge mutated inputs")
 	}
 }
 
@@ -206,7 +196,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if len(got.Spans) != len(tr.Spans) {
 		t.Fatalf("round trip lost spans: %d vs %d", len(got.Spans), len(tr.Spans))
 	}
-	k := got.ByID(4)
+	k := got.SpansByID()[4]
 	if k.Kind != KindExec || k.CorrelationID != 42 || k.Tag("grid") != "[1,2,3]" || k.Metric("flop_count_sp") != 6.2e10 {
 		t.Fatalf("round trip mangled span: %+v", k)
 	}
@@ -235,7 +225,7 @@ func TestHTTPServerRoundTrip(t *testing.T) {
 		t.Fatalf("server received %d", srv.Received())
 	}
 
-	got, err := FetchTrace(nil, ts.URL)
+	got, err := FetchTraceTenant(nil, ts.URL, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -314,7 +314,7 @@ func TestDecodeBinaryShortBodyAllocatesWhatItReads(t *testing.T) {
 	// Past the first MiB the buffer follows the bytes: a large honest frame
 	// still decodes whole.
 	big := encoderBatch(40_000, 1, false)
-	honest := AppendBinaryFrame(nil, big)
+	honest := AppendBinaryFrameTenant(nil, "", big)
 	if len(honest) < 2<<20 {
 		t.Fatalf("frame of %d bytes does not reach past the up-front allocation", len(honest))
 	}
@@ -357,7 +357,7 @@ func TestDecodeBinaryPooledBufferDoesNotAlias(t *testing.T) {
 	check := func(t *testing.T, seed uint64) {
 		a := encoderBatch(1_000, seed, true)
 		b := other(a)
-		frameA, frameB := AppendBinaryFrame(nil, a), AppendBinaryFrame(nil, b)
+		frameA, frameB := AppendBinaryFrameTenant(nil, "", a), AppendBinaryFrameTenant(nil, "", b)
 		if len(frameA) != len(frameB) {
 			t.Errorf("frames of %d and %d bytes: not the same size", len(frameA), len(frameB))
 			return
@@ -394,7 +394,7 @@ func TestDecodeBinaryPooledBufferDoesNotAlias(t *testing.T) {
 	}
 	wg.Wait()
 
-	big := AppendBinaryFrame(nil, encoderBatch(40_000, 1, false))
+	big := AppendBinaryFrameTenant(nil, "", encoderBatch(40_000, 1, false))
 	if _, err := DecodeBinary(bytes.NewReader(big)); err != nil || len(big) <= maxPooledFrame {
 		t.Fatalf("frame of %d bytes past the pooling bound: %v", len(big), err)
 	}
@@ -460,8 +460,9 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 			t.Fatal("decoded trace not in canonical order")
 		}
 	}
+	byID := tr.SpansByID()
 	for _, want := range spans {
-		got := tr.ByID(want.ID)
+		got := byID[want.ID]
 		if got == nil {
 			t.Fatalf("span %d missing after round trip", want.ID)
 		}
@@ -470,7 +471,7 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 }
 
 func TestBinaryDecodeRejectsCorruption(t *testing.T) {
-	frame := AppendBinaryFrame(nil, binarySpans())
+	frame := AppendBinaryFrameTenant(nil, "", binarySpans())
 
 	// Every truncation must fail cleanly — wrapping ErrBadFrame, never
 	// panicking, never returning spans.
@@ -521,7 +522,7 @@ func TestBinaryDecodeRejectsCorruption(t *testing.T) {
 // FuzzBinaryRoundTrip: arbitrary bytes must never panic the decoder, and
 // anything that decodes must re-encode/re-decode to the same spans.
 func FuzzBinaryRoundTrip(f *testing.F) {
-	f.Add(AppendBinaryFrame(nil, binarySpans()))
+	f.Add(AppendBinaryFrameTenant(nil, "", binarySpans()))
 	f.Add(AppendSpanBlock(nil, binarySpans(), nil))
 	f.Add([]byte(wireMagic))
 	f.Add([]byte{})
@@ -534,7 +535,7 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 			if err2 != nil || len(twice.Spans) != len(tr.Spans) {
 				t.Fatalf("second decode of the same frame: %v", err2)
 			}
-			again, err2 := DecodeBinary(bytes.NewReader(AppendBinaryFrame(nil, tr.Spans)))
+			again, err2 := DecodeBinary(bytes.NewReader(AppendBinaryFrameTenant(nil, "", tr.Spans)))
 			if err2 != nil {
 				t.Fatalf("re-encode of decoded frame failed: %v", err2)
 			}
@@ -815,7 +816,7 @@ func TestServerSpanContentNegotiation(t *testing.T) {
 	}
 
 	spans := binarySpans()
-	frame := AppendBinaryFrame(nil, spans)
+	frame := AppendBinaryFrameTenant(nil, "", spans)
 
 	// An unsupported content type is refused with 415 before any batch id
 	// is claimed.
@@ -844,7 +845,7 @@ func TestServerSpanContentNegotiation(t *testing.T) {
 	}
 
 	// /api/trace content-negotiates: binary when asked, JSON otherwise —
-	// and FetchTrace (which asks for binary) sees the same spans.
+	// and FetchTraceTenant (which asks for binary) sees the same spans.
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/api/trace", nil)
 	req.Header.Set("Accept", ContentTypeBinary)
 	resp, err := http.DefaultClient.Do(req)
@@ -862,15 +863,16 @@ func TestServerSpanContentNegotiation(t *testing.T) {
 	if len(tr.Spans) != len(spans) {
 		t.Fatalf("binary /api/trace returned %d spans, want %d", len(tr.Spans), len(spans))
 	}
-	fetched, err := FetchTrace(nil, ts.URL)
+	fetched, err := FetchTraceTenant(nil, ts.URL, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fetched.Spans) != len(spans) {
-		t.Fatalf("FetchTrace returned %d spans, want %d", len(fetched.Spans), len(spans))
+		t.Fatalf("FetchTraceTenant returned %d spans, want %d", len(fetched.Spans), len(spans))
 	}
+	byID := fetched.SpansByID()
 	for _, want := range spans {
-		if got := fetched.ByID(want.ID); got == nil {
+		if got := byID[want.ID]; got == nil {
 			t.Fatalf("span %d missing from fetched trace", want.ID)
 		} else {
 			sameSpan(t, got, want)

@@ -49,9 +49,9 @@ type SyntheticSpec struct {
 	MemcpysPerLayer int
 
 	// Prelinked fills every span's ParentID with the ground-truth parent,
-	// producing an already-correlated trace. Use it to exercise
-	// parent-dependent queries (Children, Subtree) without running
-	// core.Correlate first; leave it false to give Correlate work.
+	// producing an already-correlated trace. Use it to exercise parent
+	// walks (FormatTree, the analyses) without running core.Correlate
+	// first; leave it false to give Correlate work.
 	Prelinked bool
 
 	// Seed drives the deterministic pseudo-random durations.
