@@ -56,7 +56,7 @@ func TestLevelSetString(t *testing.T) {
 		}
 	}
 	// The paper's notation for the common sets, pinned explicitly.
-	for ls, want := range map[LevelSet]string{M: "M", ML: "M/L", MLG: "M/L/G", MG: "M/G", MLLG: "M/L/Lib/G",
+	for ls, want := range map[LevelSet]string{M: "M", ML: "M/L", MLG: "M/L/G", MG: "M/G", {Model: true, Layer: true, Library: true, GPU: true}: "M/L/Lib/G",
 		{Layer: true, GPU: true}: "L/G"} {
 		if got := ls.String(); got != want {
 			t.Errorf("LevelSet = %q, want %q", got, want)
@@ -303,7 +303,7 @@ func TestLeveledExperimentation(t *testing.T) {
 	}
 	// The M/L/G prediction latency decomposes into the accurate M
 	// latency plus the two overheads.
-	mlgLat := PredictionLatency(lv.MLGTrace)
+	mlgLat := lv.MLGTrace.Find("model_prediction").Duration()
 	if got := lv.ModelLatency + lv.LayerOverhead + lv.GPUOverhead; got != mlgLat {
 		t.Fatalf("overhead decomposition %v != M/L/G latency %v", got, mlgLat)
 	}
@@ -340,7 +340,7 @@ func TestMetricProfilingIsExpensive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(PredictionLatency(withMetrics.Trace)) / float64(PredictionLatency(plain.Trace))
+	ratio := float64(withMetrics.ModelSpan.Duration()) / float64(plain.ModelSpan.Duration())
 	if ratio < 15 {
 		t.Fatalf("metric profiling slowdown = %.1fx, want substantial (paper: >100x on kernel time)", ratio)
 	}

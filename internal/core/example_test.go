@@ -4,6 +4,9 @@ import (
 	"fmt"
 
 	"xsp/internal/core"
+	"xsp/internal/gpu"
+	"xsp/internal/modelzoo"
+	"xsp/internal/tensorflow"
 	"xsp/internal/trace"
 )
 
@@ -36,4 +39,27 @@ func ExampleCorrelate() {
 	// conv1               parent=model_prediction
 	// cudaLaunchKernel    parent=conv1
 	// volta_scudnn_128x64 parent=conv1
+}
+
+// Leveled experimentation picks a run's levels by its LevelSet: Profile
+// builds a tracer for each level in the set and none for the others, so a
+// level outside the set costs nothing and leaves no spans.
+func ExampleLevelSet() {
+	m, _ := modelzoo.ByName("MLPerf_ResNet50_v1.5")
+	s := core.NewSession(tensorflow.New(), gpu.TeslaV100)
+	for _, levels := range []core.LevelSet{core.M, core.ML, core.MLG} {
+		g, err := m.Graph(1)
+		if err != nil {
+			panic(err)
+		}
+		res, err := s.Profile(g, core.Options{Levels: levels})
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("%-5s %v\n", levels, res.Trace.Levels())
+	}
+	// Output:
+	// M     [application model]
+	// M/L   [application model layer]
+	// M/L/G [application model layer kernel]
 }

@@ -5,7 +5,6 @@ import (
 
 	"xsp/internal/framework"
 	"xsp/internal/trace"
-	"xsp/internal/vclock"
 )
 
 // Leveled is the result of leveled experimentation (Section III-C): the
@@ -61,13 +60,4 @@ func (s *Session) LeveledProfile(g *framework.Graph, gpuMetrics []string) (*Leve
 	out.LayerOverhead = lat(ml.Trace) - out.ModelLatency
 	out.GPUOverhead = lat(mlg.Trace) - lat(ml.Trace)
 	return out, nil
-}
-
-// PredictionLatency returns the model-prediction latency recorded in a
-// trace, or 0 when absent.
-func PredictionLatency(t *trace.Trace) vclock.Duration {
-	if sp := t.Find("model_prediction"); sp != nil {
-		return sp.Duration()
-	}
-	return 0
 }

@@ -8,13 +8,16 @@ import (
 	"xsp/internal/trace"
 )
 
+// mllg adds the ML-library level between layers and kernels.
+var mllg = LevelSet{Model: true, Layer: true, Library: true, GPU: true}
+
 // The paper's extensibility example (Section III-E): an ML-library tracer
 // between the layer and GPU kernel levels. Library-call spans must nest
 // under their layer spans, and kernel launches must nest under the library
 // calls — a four-deep hierarchy.
 func TestLibraryLevelProfile(t *testing.T) {
 	s := newSession()
-	res, err := s.Profile(resnetGraph(t, 4), Options{Levels: MLLG, GPUMetrics: cupti.StandardMetrics})
+	res, err := s.Profile(resnetGraph(t, 4), Options{Levels: mllg, GPUMetrics: cupti.StandardMetrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +61,7 @@ func TestLibraryLevelProfile(t *testing.T) {
 
 func TestLibraryLevelKeepsKernelAttribution(t *testing.T) {
 	s := newSession()
-	res, err := s.Profile(resnetGraph(t, 64), Options{Levels: MLLG})
+	res, err := s.Profile(resnetGraph(t, 64), Options{Levels: mllg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func TestLibraryLevelKeepsKernelAttribution(t *testing.T) {
 }
 
 func TestLevelSetStringWithLibrary(t *testing.T) {
-	if got := MLLG.String(); got != "M/L/Lib/G" {
-		t.Fatalf("MLLG = %q", got)
+	if got := mllg.String(); got != "M/L/Lib/G" {
+		t.Fatalf("M/L/Lib/G set = %q", got)
 	}
 }

@@ -26,11 +26,10 @@ type LevelSet struct {
 
 // Common level sets.
 var (
-	M    = LevelSet{Model: true}
-	ML   = LevelSet{Model: true, Layer: true}
-	MG   = LevelSet{Model: true, GPU: true}
-	MLG  = LevelSet{Model: true, Layer: true, GPU: true}
-	MLLG = LevelSet{Model: true, Layer: true, Library: true, GPU: true}
+	M   = LevelSet{Model: true}
+	ML  = LevelSet{Model: true, Layer: true}
+	MG  = LevelSet{Model: true, GPU: true}
+	MLG = LevelSet{Model: true, Layer: true, GPU: true}
 )
 
 // String renders the paper's notation, e.g. "M/L/G". Sets that skip the
@@ -95,9 +94,6 @@ func NewSession(exec *framework.Executor, spec gpu.Spec) *Session {
 
 // Spec returns the session's GPU system.
 func (s *Session) Spec() gpu.Spec { return s.spec }
-
-// Executor returns the session's framework executor.
-func (s *Session) Executor() *framework.Executor { return s.exec }
 
 // Result is the outcome of one profiled run.
 type Result struct {

@@ -518,7 +518,7 @@ func fuzzTenantInterleave(t *testing.T, T, n int, streams uint8, dropLaunches bo
 				// store closes, and a fresh set recovers each tenant from
 				// its own surviving files.
 				for _, key := range set.Keys() {
-					if err := set.Lookup(key).Store().Close(); err != nil {
+					if err := streamOf(set, key).Store().Close(); err != nil {
 						t.Fatalf("close %s store before restart: %v", key, err)
 					}
 				}
@@ -544,9 +544,9 @@ func fuzzTenantInterleave(t *testing.T, T, n int, streams uint8, dropLaunches bo
 	}
 
 	for k := 0; k < T; k++ {
-		// Stream, not Lookup: a tenant that finished feeding before the
-		// whole-set restart exists only in its durable files at this point,
-		// and reading it back is itself recovery under test.
+		// A tenant that finished feeding before the whole-set restart
+		// exists only in its durable files at this point: Stream recovers
+		// it, and reading it back is itself recovery under test.
 		st, err := set.Stream(keys[k])
 		if err != nil {
 			t.Fatal(err)

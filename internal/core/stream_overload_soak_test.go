@@ -177,10 +177,10 @@ func TestOverloadSoakBlockPolicy(t *testing.T) {
 
 	// (b) Exactly-once and stream-vs-batch equality over accepted spans.
 	// With a blocking tap and retry-forever publishers, accepted means all.
-	if got := srv.Received(); got != generated+1 {
+	if got := srv.Tenant(trace.DefaultTenant).Received(); got != generated+1 {
 		t.Fatalf("server accepted %d spans, generated %d and a probe — retried batches double-counted or lost", got, generated)
 	}
-	accepted := srv.Trace()
+	accepted := srv.Tenant(trace.DefaultTenant).Trace()
 	if len(accepted.Spans) != generated+1 {
 		t.Fatalf("store holds %d spans, want %d", len(accepted.Spans), generated+1)
 	}

@@ -88,7 +88,7 @@ func TestMultiTenantSoak(t *testing.T) {
 		sampleMu.Lock()
 		defer sampleMu.Unlock()
 		for i, key := range keys {
-			maxLive[i] = max(maxLive[i], set.Lookup(key).Correlator().Load().LiveSpans)
+			maxLive[i] = max(maxLive[i], streamOf(set, key).Correlator().Load().LiveSpans)
 		}
 	}
 	stop := make(chan struct{})
@@ -158,13 +158,13 @@ func TestMultiTenantSoak(t *testing.T) {
 	// Drain: each tenant's tap barrier, then its final Flush.
 	for _, key := range keys {
 		taps[key].Flush()
-		set.Lookup(key).Correlator().Flush()
+		streamOf(set, key).Correlator().Flush()
 	}
 
 	var totalShed int64
 	for ti, key := range keys {
 		tn := srv.Tenant(key)
-		sc := set.Lookup(key).Correlator()
+		sc := streamOf(set, key).Correlator()
 
 		// (a) This tenant's structures held this tenant's bounds.
 		t.Logf("tenant %s: live spans peaked at %d of %d fed", key, maxLive[ti], generated[ti])
@@ -306,7 +306,7 @@ func BenchmarkIngestToCorrelateParallel(b *testing.B) {
 	b.ReportMetric(float64(shipped.Load())/b.Elapsed().Seconds(), "spans/s")
 	total := 0
 	for _, key := range set.Keys() {
-		sc := set.Lookup(key).Correlator()
+		sc := streamOf(set, key).Correlator()
 		sc.Flush()
 		stats := sc.Stats()
 		total += stats.Live + stats.Checkpointed

@@ -151,14 +151,6 @@ func (ts *TenantSet) Stream(key string) (*TenantStream, error) {
 	return st, nil
 }
 
-// Lookup returns the named tenant's stream only if it already exists.
-func (ts *TenantSet) Lookup(key string) *TenantStream {
-	key = trace.CanonicalTenant(key)
-	ts.mu.RLock()
-	defer ts.mu.RUnlock()
-	return ts.streams[key]
-}
-
 // Keys returns every tenant key the set has created, in creation order.
 func (ts *TenantSet) Keys() []string {
 	ts.mu.RLock()

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -71,10 +72,11 @@ func TestTenantSetParallelFeedsMatchBatchOracle(t *testing.T) {
 		t.Fatalf("set holds %d tenants, want %d", got, tenants)
 	}
 	for i := 0; i < tenants; i++ {
-		st := set.Lookup(fmt.Sprintf("tenant-%d", i))
-		if st == nil {
-			t.Fatalf("tenant-%d missing", i)
+		key := fmt.Sprintf("tenant-%d", i)
+		if !slices.Contains(set.Keys(), key) {
+			t.Fatalf("%s missing", key)
 		}
+		st := streamOf(set, key)
 		st.Correlator().Flush()
 		assertStreamMatchesBatch(t, st.Correlator(), loads[i])
 	}
@@ -525,4 +527,13 @@ func TestOpenTenantStreamClosesStoreOnLateRecoveryFailure(t *testing.T) {
 	if fs.open != 0 {
 		t.Fatalf("the failed recovery left %d file handles open", fs.open)
 	}
+}
+
+// streamOf returns the stream of a tenant key the set has already created.
+func streamOf(set *core.TenantSet, key string) *core.TenantStream {
+	st, err := set.Stream(key)
+	if err != nil {
+		panic(err)
+	}
+	return st
 }

@@ -77,7 +77,7 @@ func BenchmarkIngestToCorrelate(b *testing.B) {
 				sc.Flush()
 
 				b.StopTimer()
-				if got := srv.Received(); got != total {
+				if got := srv.Tenant(trace.DefaultTenant).Received(); got != total {
 					b.Fatalf("server received %d spans, shipped %d", got, total)
 				}
 				if st := sc.Stats(); st.Live+st.Checkpointed != total {

@@ -90,16 +90,6 @@ func (c *Context) Clock() *vclock.Clock { return c.clock }
 // Attach registers a profiler hook (CUPTI subscription).
 func (c *Context) Attach(h ProfilerHook) { c.hooks = append(c.hooks, h) }
 
-// Detach removes a previously attached hook.
-func (c *Context) Detach(h ProfilerHook) {
-	for i, x := range c.hooks {
-		if x == h {
-			c.hooks = append(c.hooks[:i], c.hooks[i+1:]...)
-			return
-		}
-	}
-}
-
 func (c *Context) correlation() uint64 {
 	c.nextCorrelation++
 	return c.nextCorrelation

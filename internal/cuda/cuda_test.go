@@ -141,18 +141,6 @@ func TestReplayPassesInflateStreamNotWindow(t *testing.T) {
 	}
 }
 
-func TestDetach(t *testing.T) {
-	ctx, _ := newCtx()
-	r := &recorder{}
-	ctx.Attach(r)
-	ctx.Detach(r)
-	ctx.LaunchKernel(oneMsKernel, ctx.Device().DefaultStream())
-	if len(r.kernels) != 0 {
-		t.Fatal("detached hook still receiving")
-	}
-	ctx.Detach(r) // detaching twice is harmless
-}
-
 func TestMemcpyBlocksHost(t *testing.T) {
 	ctx, clock := newCtx()
 	r := &recorder{}

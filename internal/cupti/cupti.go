@@ -61,13 +61,6 @@ type Config struct {
 	// the paper's Fig 2: profiling the first Conv layer's 3 child
 	// kernels costs 0.24ms.
 	LaunchOverhead time.Duration
-
-	// ActivityBufferRecords bounds the activity buffer, like CUPTI's
-	// fixed-size activity buffers: once full, further kernel/memcpy
-	// records are dropped (and counted) until Reset. 0 means unbounded.
-	// XSP publishes spans asynchronously precisely to drain these
-	// buffers before they overflow.
-	ActivityBufferRecords int
 }
 
 // DefaultLaunchOverhead is the per-launch host cost of activity capture.
@@ -83,7 +76,6 @@ type CUPTI struct {
 	apis    []cuda.APIRecord
 	kernels []cuda.KernelRecord
 	memcpys []cuda.MemcpyRecord
-	dropped int
 }
 
 // New validates cfg and returns a profiling session. Unknown metric names
@@ -109,9 +101,6 @@ func New(cfg Config) (*CUPTI, error) {
 	return &CUPTI{cfg: cfg, passes: passes}, nil
 }
 
-// Config returns the session's configuration.
-func (c *CUPTI) Config() Config { return c.cfg }
-
 // LaunchCPUOverhead implements cuda.ProfilerHook.
 func (c *CUPTI) LaunchCPUOverhead() time.Duration {
 	if c.cfg.Callback || c.cfg.Activity {
@@ -134,13 +123,6 @@ func (c *CUPTI) RecordAPI(a cuda.APIRecord) {
 	c.apis = append(c.apis, a)
 }
 
-// activityFull reports whether the bounded activity buffer is exhausted.
-// Callers must hold c.mu.
-func (c *CUPTI) activityFull() bool {
-	limit := c.cfg.ActivityBufferRecords
-	return limit > 0 && len(c.kernels)+len(c.memcpys) >= limit
-}
-
 // RecordKernel implements cuda.ProfilerHook.
 func (c *CUPTI) RecordKernel(k cuda.KernelRecord) {
 	if !c.cfg.Activity {
@@ -148,10 +130,6 @@ func (c *CUPTI) RecordKernel(k cuda.KernelRecord) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.activityFull() {
-		c.dropped++
-		return
-	}
 	c.kernels = append(c.kernels, k)
 }
 
@@ -162,19 +140,7 @@ func (c *CUPTI) RecordMemcpy(m cuda.MemcpyRecord) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.activityFull() {
-		c.dropped++
-		return
-	}
 	c.memcpys = append(c.memcpys, m)
-}
-
-// Dropped returns how many activity records were lost to buffer overflow
-// since the last Reset.
-func (c *CUPTI) Dropped() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
 }
 
 // APIRecords returns the captured CUDA API calls in begin order.
@@ -235,11 +201,10 @@ func (c *CUPTI) Metrics(k cuda.KernelRecord) map[string]float64 {
 	return out
 }
 
-// Reset discards captured records (and the drop counter) so the session
-// can be reused — the equivalent of requesting fresh activity buffers.
+// Reset discards captured records so the session can be reused — the
+// equivalent of requesting fresh activity buffers.
 func (c *CUPTI) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.apis, c.kernels, c.memcpys = nil, nil, nil
-	c.dropped = 0
 }

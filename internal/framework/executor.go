@@ -142,9 +142,6 @@ type LayerRecord struct {
 	AllocBytes int64
 }
 
-// Latency returns the layer's measured latency.
-func (r LayerRecord) Latency() vclock.Duration { return r.End.Sub(r.Begin) }
-
 // RunResult is the outcome of one model-prediction run.
 type RunResult struct {
 	Model      string
@@ -161,9 +158,6 @@ type RunResult struct {
 	AllocTotal int64
 }
 
-// Latency returns the model-prediction latency of the run.
-func (r *RunResult) Latency() vclock.Duration { return r.End.Sub(r.Begin) }
-
 // Executor drives layer graphs through a CUDA context with one framework
 // personality.
 type Executor struct {
@@ -175,9 +169,6 @@ func NewExecutor(p Personality) *Executor { return &Executor{p: p} }
 
 // Name returns the framework name.
 func (e *Executor) Name() string { return e.p.Name }
-
-// Personality returns the executor's personality (read-only use).
-func (e *Executor) Personality() Personality { return e.p }
 
 // expand applies the framework's runtime graph rewriting: TensorFlow
 // decomposes each BatchNorm into a Mul followed by an Add, so the executed
@@ -331,7 +322,7 @@ func (e *Executor) Run(g *Graph, ctx *cuda.Context, opts RunOptions) (*RunResult
 			scale := 1 + 0.75*float64(l.In.N-1)
 			clock.Advance(time.Duration(float64(e.p.WhereCPU) * scale))
 		}
-		kernels, workspace := e.planLayer(l, dev.Arch, dev.MemAvailable())
+		kernels, workspace := e.planLayer(l, dev.Arch, dev.MemBytes)
 		libBegin := clock.Now()
 		if opts.LibraryProfiling {
 			clock.Advance(libCallOverhead)

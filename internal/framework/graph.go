@@ -211,15 +211,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// CountByType returns how many layers of each type the graph contains.
-func (g *Graph) CountByType() map[LayerType]int {
-	out := make(map[LayerType]int)
-	for _, l := range g.Layers {
-		out[l.Type]++
-	}
-	return out
-}
-
 // TotalFlops returns the algorithmic flops of the whole graph.
 func (g *Graph) TotalFlops() float64 {
 	var f float64

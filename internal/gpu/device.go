@@ -38,17 +38,6 @@ func CacheFactor(batch int) float64 {
 // Dim3 is a CUDA grid or block dimension triple.
 type Dim3 [3]int
 
-// Count returns the total number of elements in the dimension.
-func (d Dim3) Count() int {
-	n := 1
-	for _, v := range d {
-		if v > 0 {
-			n *= v
-		}
-	}
-	return n
-}
-
 // String formats like the paper's figures, e.g. "[98,2,2]".
 func (d Dim3) String() string { return fmt.Sprintf("[%d,%d,%d]", d[0], d[1], d[2]) }
 
@@ -150,17 +139,12 @@ func (st *Stream) Enqueue(at vclock.Time, d time.Duration) (start, end vclock.Ti
 // kernels on other streams, kernels below it co-run proportionally.
 const saturationOccupancy = 0.55
 
-// Device is one simulated GPU: a spec plus runtime state (streams, a
-// device-wide execution engine that makes concurrent streams contend, and
-// a simple device-memory allocator used by cuDNN's algorithm heuristics
-// which consult available workspace memory).
+// Device is one simulated GPU: a spec plus runtime state (streams and a
+// device-wide execution engine that makes concurrent streams contend).
 type Device struct {
 	Spec
-	streams  []*Stream
-	engine   Stream // shared SM pool: cross-stream contention
-	memUsed  int64
-	memPeak  int64
-	launched int
+	streams []*Stream
+	engine  Stream // shared SM pool: cross-stream contention
 }
 
 // NewDevice returns a device with its default stream created.
@@ -180,9 +164,6 @@ func (d *Device) NewStream() *Stream {
 	return st
 }
 
-// Streams returns all streams on the device.
-func (d *Device) Streams() []*Stream { return d.streams }
-
 // MaxTail returns the completion instant of the latest work on any stream.
 func (d *Device) MaxTail() vclock.Time {
 	var t vclock.Time
@@ -193,7 +174,7 @@ func (d *Device) MaxTail() vclock.Time {
 }
 
 // Execute enqueues kernel k on stream st no earlier than at, returning the
-// execution window. It also counts the launch for utilization reporting.
+// execution window.
 //
 // Streams contend for the device: each kernel consumes a share of the
 // device-wide engine proportional to its achieved occupancy (saturating at
@@ -202,7 +183,6 @@ func (d *Device) MaxTail() vclock.Time {
 // is unchanged; with multiple streams, low-occupancy kernels co-run while
 // high-occupancy kernels serialize against each other.
 func (d *Device) Execute(st *Stream, k Kernel, at vclock.Time) (start, end vclock.Time) {
-	d.launched++
 	dur := d.Duration(k)
 	start = vclock.Max(at, st.tail)
 	end = start.Add(dur)
@@ -222,49 +202,9 @@ func (d *Device) Execute(st *Stream, k Kernel, at vclock.Time) (start, end vcloc
 	return start, end
 }
 
-// Launched returns the number of kernels executed on the device.
-func (d *Device) Launched() int { return d.launched }
-
-// Alloc reserves n bytes of device memory. It fails when the device is out
-// of memory, which the cuDNN heuristics use to fall back to workspace-free
-// algorithms.
-func (d *Device) Alloc(n int64) error {
-	if n < 0 {
-		return fmt.Errorf("gpu: negative allocation %d", n)
-	}
-	if d.memUsed+n > d.MemBytes {
-		return fmt.Errorf("gpu: out of memory: used %d + %d > %d", d.memUsed, n, d.MemBytes)
-	}
-	d.memUsed += n
-	if d.memUsed > d.memPeak {
-		d.memPeak = d.memUsed
-	}
-	return nil
-}
-
-// Free releases n bytes of device memory.
-func (d *Device) Free(n int64) {
-	d.memUsed -= n
-	if d.memUsed < 0 {
-		d.memUsed = 0
-	}
-}
-
-// MemUsed returns the currently allocated device memory in bytes.
-func (d *Device) MemUsed() int64 { return d.memUsed }
-
-// MemAvailable returns the remaining device memory in bytes.
-func (d *Device) MemAvailable() int64 { return d.MemBytes - d.memUsed }
-
-// MemPeak returns the high-water mark of device memory usage.
-func (d *Device) MemPeak() int64 { return d.memPeak }
-
-// Reset clears runtime state (streams, engine, allocator, counters) so the
-// device can be reused for an independent evaluation.
+// Reset clears runtime state (streams and engine) so the device can be
+// reused for an independent evaluation.
 func (d *Device) Reset() {
 	d.streams = []*Stream{{id: 0}}
 	d.engine = Stream{}
-	d.memUsed = 0
-	d.memPeak = 0
-	d.launched = 0
 }

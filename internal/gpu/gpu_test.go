@@ -54,14 +54,8 @@ func TestSystemByName(t *testing.T) {
 
 func TestDim3(t *testing.T) {
 	d := Dim3{98, 2, 2}
-	if d.Count() != 392 {
-		t.Errorf("Count = %d", d.Count())
-	}
 	if d.String() != "[98,2,2]" {
 		t.Errorf("String = %q", d.String())
-	}
-	if (Dim3{0, 0, 0}).Count() != 1 {
-		t.Error("zero dims should count as 1")
 	}
 }
 
@@ -155,43 +149,13 @@ func TestDeviceStreams(t *testing.T) {
 		t.Fatal("default stream id != 0")
 	}
 	s1 := d.NewStream()
-	if s1.ID() != 1 || len(d.Streams()) != 2 {
+	if s1.ID() != 1 {
 		t.Fatal("NewStream bookkeeping wrong")
 	}
 	d.Execute(d.DefaultStream(), Kernel{Flops: 15.7e9, ComputeEff: 1}, 0)
 	d.Execute(s1, Kernel{Flops: 15.7e9, ComputeEff: 1}, 0)
-	if d.Launched() != 2 {
-		t.Fatalf("Launched = %d", d.Launched())
-	}
 	if d.MaxTail() != d.DefaultStream().Tail() {
 		t.Fatal("MaxTail mismatch")
-	}
-}
-
-func TestDeviceMemory(t *testing.T) {
-	d := NewDevice(TeslaM60) // 8 GiB
-	if err := d.Alloc(4 << 30); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Alloc(5 << 30); err == nil {
-		t.Fatal("expected OOM")
-	}
-	if err := d.Alloc(-1); err == nil {
-		t.Fatal("expected error on negative alloc")
-	}
-	if d.MemUsed() != 4<<30 || d.MemAvailable() != 4<<30 {
-		t.Fatal("allocator accounting wrong")
-	}
-	d.Free(1 << 30)
-	if d.MemUsed() != 3<<30 {
-		t.Fatal("Free accounting wrong")
-	}
-	if d.MemPeak() != 4<<30 {
-		t.Fatal("MemPeak wrong")
-	}
-	d.Free(100 << 30) // over-free clamps to zero
-	if d.MemUsed() != 0 {
-		t.Fatal("over-free did not clamp")
 	}
 }
 
@@ -199,11 +163,8 @@ func TestDeviceReset(t *testing.T) {
 	d := NewDevice(TeslaV100)
 	d.NewStream()
 	d.Execute(d.DefaultStream(), Kernel{Flops: 1e9, ComputeEff: 1}, 0)
-	if err := d.Alloc(1 << 20); err != nil {
-		t.Fatal(err)
-	}
 	d.Reset()
-	if len(d.Streams()) != 1 || d.MemUsed() != 0 || d.Launched() != 0 || d.MemPeak() != 0 {
+	if d.MaxTail() != 0 || d.NewStream().ID() != 1 {
 		t.Fatal("Reset incomplete")
 	}
 }

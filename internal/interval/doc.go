@@ -6,10 +6,11 @@
 //
 // The tree is an iteratively balanced (AVL) binary search tree ordered by
 // interval start, with each node augmented by the maximum end time in its
-// subtree so that stabbing and containment queries prune aggressively.
+// subtree so that containment and overlap queries prune aggressively.
 // [Tree.SmallestContaining] answers the correlation query directly;
 // [Tree.VisitContaining] and [Tree.VisitOverlapping] are the
-// allocation-free visitor forms the hot paths use.
+// allocation-free visitors the other queries run on. A point (stabbing)
+// query is a containment query for a zero-length interval.
 //
 // The tree is core.Correlate's fallback for overlap-heavy traces; the
 // common properly nested case is served by a sweep-line that never builds

@@ -179,36 +179,6 @@ func (t *Tree) insert(n *node, iv Interval) *node {
 	return balance(n)
 }
 
-// Stab returns every stored interval that contains the instant t.
-func (t *Tree) Stab(at vclock.Time) []Interval {
-	var out []Interval
-	stab(t.root, at, &out)
-	return out
-}
-
-func stab(n *node, at vclock.Time, out *[]Interval) {
-	if n == nil || n.maxEnd < at {
-		return
-	}
-	stab(n.left, at, out)
-	if n.iv.Start <= at && at <= n.iv.End {
-		*out = append(*out, n.iv)
-	}
-	if at >= n.iv.Start {
-		stab(n.right, at, out)
-	}
-}
-
-// Containing returns every stored interval that fully contains q.
-func (t *Tree) Containing(q Interval) []Interval {
-	var out []Interval
-	t.VisitContaining(q, func(iv Interval) bool {
-		out = append(out, iv)
-		return true
-	})
-	return out
-}
-
 // VisitContaining calls fn for every stored interval that fully contains
 // q, in ascending start order, without allocating. fn returns false to
 // stop the walk early. VisitContaining reports whether the walk ran to
@@ -231,16 +201,6 @@ func visitContaining(n *node, q Interval, fn func(Interval) bool) bool {
 		return visitContaining(n.right, q, fn)
 	}
 	return true
-}
-
-// Overlapping returns every stored interval that overlaps q.
-func (t *Tree) Overlapping(q Interval) []Interval {
-	var out []Interval
-	t.VisitOverlapping(q, func(iv Interval) bool {
-		out = append(out, iv)
-		return true
-	})
-	return out
 }
 
 // VisitOverlapping calls fn for every stored interval that overlaps q, in
@@ -292,23 +252,3 @@ func (t *Tree) SmallestContaining(q Interval) (Interval, bool) {
 	})
 	return best, found
 }
-
-// All returns the stored intervals in ascending start order.
-func (t *Tree) All() []Interval {
-	out := make([]Interval, 0, t.size)
-	var walk func(*node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		walk(n.left)
-		out = append(out, n.iv)
-		walk(n.right)
-	}
-	walk(t.root)
-	return out
-}
-
-// Height returns the height of the underlying balanced tree. Exposed for
-// testing the AVL invariant.
-func (t *Tree) Height() int { return height(t.root) }

@@ -7,27 +7,23 @@ import (
 )
 
 // buildAndRelease grows a tree of n intervals out of the pool and releases
-// it again, checking query results against the plain-allocated baseline.
+// it again, checking query results against the brute-force oracle.
 func buildAndRelease(t *testing.T, p *Pool, n int) {
 	t.Helper()
-	pooled := NewIn(p)
-	plain := New()
+	o := &oracle{tree: NewIn(p)}
 	for i := 0; i < n; i++ {
-		iv := Interval{Start: vclock.Time(i), End: vclock.Time(i + 10), Value: i}
-		pooled.Insert(iv)
-		plain.Insert(iv)
+		o.insert(Interval{Start: vclock.Time(i), End: vclock.Time(i + 10), Value: i})
 	}
-	q := Interval{Start: vclock.Time(n / 2), End: vclock.Time(n/2 + 1)}
-	got, want := pooled.Containing(q), plain.Containing(q)
-	if len(got) != len(want) {
-		t.Fatalf("pooled tree Containing returned %d intervals, plain %d", len(got), len(want))
+	if got := o.containing(t, Interval{Start: vclock.Time(n / 2), End: vclock.Time(n/2 + 1)}); len(got) == 0 {
+		t.Fatal("pooled tree found no container")
 	}
+	pooled := o.tree
 	if pooled.Len() != n {
 		t.Fatalf("pooled tree Len = %d, want %d", pooled.Len(), n)
 	}
 	pooled.Release()
-	if pooled.Len() != 0 || pooled.Height() != 0 {
-		t.Fatalf("after Release: Len=%d Height=%d, want 0/0", pooled.Len(), pooled.Height())
+	if h := height(pooled.root); pooled.Len() != 0 || h != 0 {
+		t.Fatalf("after Release: Len=%d height=%d, want 0/0", pooled.Len(), h)
 	}
 }
 

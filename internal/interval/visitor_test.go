@@ -2,7 +2,6 @@ package interval
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"xsp/internal/vclock"
@@ -16,37 +15,32 @@ func buildTree(ivs ...Interval) *Tree {
 	return t
 }
 
-// The visitor must see exactly the intervals Containing returns, in the
-// same ascending-start order, without allocating.
-func TestVisitContainingMatchesContaining(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	tree := New()
-	for i := 0; i < 400; i++ {
-		start := int64(rng.Intn(1000))
-		tree.Insert(Interval{Start: vclock.Time(start), End: vclock.Time(start + int64(rng.Intn(200))), Value: i})
-	}
-	for i := 0; i < 50; i++ {
-		start := int64(rng.Intn(1000))
-		q := Interval{Start: vclock.Time(start), End: vclock.Time(start + int64(rng.Intn(50)))}
-		var visited []Interval
-		done := tree.VisitContaining(q, func(iv Interval) bool {
-			visited = append(visited, iv)
-			return true
-		})
-		if !done {
-			t.Fatal("walk with always-true fn must run to completion")
-		}
-		want := tree.Containing(q)
-		if len(visited) != len(want) {
-			t.Fatalf("visit saw %d intervals, Containing returned %d", len(visited), len(want))
-		}
-		for j := range want {
-			if visited[j] != want[j] {
-				t.Fatalf("visit order diverges at %d: %v vs %v", j, visited[j], want[j])
+// Both visitors report exactly the brute-force filter of the inserted
+// intervals, in ascending start order, over several seeded random trees of
+// different sizes and interval lengths; every walk with an always-true fn
+// runs to completion, and one returning false stops at once.
+func TestVisitorsMatchBruteForce(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		o := randomOracle(rng, 50*int(seed), 20+40*int(seed))
+		for i := 0; i < 50; i++ {
+			start := vclock.Time(rng.Intn(1100))
+			q := Interval{Start: start, End: start + vclock.Time(rng.Intn(60))}
+			o.containing(t, q)
+			o.overlapping(t, q)
+			o.stab(t, start)
+
+			if !o.tree.VisitContaining(q, func(Interval) bool { return true }) ||
+				!o.tree.VisitOverlapping(q, func(Interval) bool { return true }) {
+				t.Fatal("walk with always-true fn must run to completion")
 			}
-		}
-		if !sort.SliceIsSorted(visited, func(a, b int) bool { return visited[a].Start < visited[b].Start }) {
-			t.Fatal("visit order is not ascending by start")
+			for _, visit := range []func(Interval, func(Interval) bool) bool{o.tree.VisitContaining, o.tree.VisitOverlapping} {
+				seen := 0
+				done := visit(q, func(Interval) bool { seen++; return false })
+				if seen > 1 || done != (seen == 0) {
+					t.Fatalf("stop on first: seen=%d done=%v", seen, done)
+				}
+			}
 		}
 	}
 }
@@ -65,8 +59,9 @@ func TestVisitOverlappingEarlyExit(t *testing.T) {
 	if done || seen != 2 {
 		t.Fatalf("early exit: done=%v seen=%d, want false/2", done, seen)
 	}
-	if got := tree.Overlapping(Interval{Start: 11, End: 13}); len(got) != 2 {
-		t.Fatalf("Overlapping = %d intervals, want 2 (b and c)", len(got))
+	o := &oracle{tree: tree, ivs: inOrder(tree)}
+	if got := o.overlapping(t, Interval{Start: 11, End: 13}); len(got) != 2 {
+		t.Fatalf("overlapping = %d intervals, want 2 (b and c)", len(got))
 	}
 }
 

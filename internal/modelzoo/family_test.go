@@ -42,7 +42,7 @@ func TestVGG16Parameters(t *testing.T) {
 		t.Fatalf("FC share = %.2f, want ~0.9", fc/weightBytes(g))
 	}
 	// 13 convolutions + 3 dense layers.
-	counts := g.CountByType()
+	counts := countByType(g)
 	if counts[framework.Conv2D] != 13 || counts[framework.MatMul] != 3 {
 		t.Fatalf("conv/fc = %d/%d, want 13/3", counts[framework.Conv2D], counts[framework.MatMul])
 	}
@@ -79,7 +79,7 @@ func TestMobileNetParameters(t *testing.T) {
 // grouped convolutions at conv2/4/5.
 func TestAlexNetStructure(t *testing.T) {
 	g := graphFor(t, "BVLC_AlexNet_Caffe", 1)
-	counts := g.CountByType()
+	counts := countByType(g)
 	if counts[framework.Conv2D] != 5 || counts[framework.MatMul] != 3 {
 		t.Fatalf("conv/fc = %d/%d, want 5/3", counts[framework.Conv2D], counts[framework.MatMul])
 	}
@@ -93,7 +93,7 @@ func TestAlexNetStructure(t *testing.T) {
 // reach 1024 before the classifier.
 func TestDenseNet121Structure(t *testing.T) {
 	g := graphFor(t, "AI_Matrix_DenseNet121", 1)
-	counts := g.CountByType()
+	counts := countByType(g)
 	if counts[framework.Concat] != 58 {
 		t.Fatalf("concats = %d, want 58", counts[framework.Concat])
 	}
@@ -117,7 +117,7 @@ func TestDenseNet121Structure(t *testing.T) {
 // module convs with the 1x1-reduce structure), ~7M parameters.
 func TestGoogLeNetStructure(t *testing.T) {
 	g := graphFor(t, "Inception_v1", 1)
-	counts := g.CountByType()
+	counts := countByType(g)
 	// stem 3 convs + 9 modules x 6 convs = 57.
 	if counts[framework.Conv2D] != 57 {
 		t.Fatalf("convs = %d, want 57", counts[framework.Conv2D])
@@ -158,7 +158,7 @@ func TestSRGANStructure(t *testing.T) {
 	if last.Out.C != 3 || last.Out.H != 4*in.H {
 		t.Fatalf("output = %v, want 3x%dx%d", last.Out, 4*in.H, 4*in.W)
 	}
-	if got := g.CountByType()[framework.AddN]; got != 17 { // 16 blocks + trunk skip
+	if got := countByType(g)[framework.AddN]; got != 17 { // 16 blocks + trunk skip
 		t.Fatalf("residual adds = %d, want 17", got)
 	}
 }
@@ -180,7 +180,7 @@ func TestDeepLabOutputShape(t *testing.T) {
 // the box list.
 func TestSSDStructure(t *testing.T) {
 	g := graphFor(t, "MLPerf_SSD_MobileNet_v1_300x300", 1)
-	counts := g.CountByType()
+	counts := countByType(g)
 	if counts[framework.Where] != 145 {
 		t.Fatalf("Where ops = %d, want 145", counts[framework.Where])
 	}

@@ -93,7 +93,7 @@ func TestResNet50Structure(t *testing.T) {
 	}
 	// The static graph carries BatchNorm layers; TF expands each into
 	// Mul+Add at runtime, so executed = static + #BN.
-	counts := g.CountByType()
+	counts := countByType(g)
 	executed := len(g.Layers) + counts[framework.BatchNorm]
 	if executed < 210 || executed > 260 {
 		t.Errorf("executed TF layers = %d, want ~234", executed)
@@ -180,7 +180,7 @@ func TestDetectionModelsHaveWhereLayers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := g.CountByType()[framework.Where]; got < 100 {
+		if got := countByType(g)[framework.Where]; got < 100 {
 			t.Errorf("%s has %d Where layers, want >= 100", name, got)
 		}
 	}
@@ -258,4 +258,13 @@ func TestMXNetModelsPairWithTF(t *testing.T) {
 			t.Errorf("%s flops differ from TF counterpart by %.2fx", m.Name, r)
 		}
 	}
+}
+
+// countByType returns how many layers of each type the graph contains.
+func countByType(g *framework.Graph) map[framework.LayerType]int {
+	out := make(map[framework.LayerType]int)
+	for _, l := range g.Layers {
+		out[l.Type]++
+	}
+	return out
 }

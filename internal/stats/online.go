@@ -32,30 +32,6 @@ func (o *Online) Add(x float64) {
 	}
 }
 
-// Merge folds another accumulator into this one, as if every observation
-// it saw had been Added here (Chan et al.'s parallel variance update).
-func (o *Online) Merge(p Online) {
-	if p.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = p
-		return
-	}
-	n := o.n + p.n
-	d := p.mean - o.mean
-	o.m2 += p.m2 + d*d*float64(o.n)*float64(p.n)/float64(n)
-	o.mean += d * float64(p.n) / float64(n)
-	o.sum += p.sum
-	o.n = n
-	if p.min < o.min {
-		o.min = p.min
-	}
-	if p.max > o.max {
-		o.max = p.max
-	}
-}
-
 // Count returns the number of observations.
 func (o *Online) Count() int64 { return o.n }
 
@@ -73,7 +49,7 @@ func (o *Online) Min() float64 { return o.min }
 func (o *Online) Max() float64 { return o.max }
 
 // Variance returns the population variance, or 0 with fewer than two
-// observations — matching StdDev's convention for slices.
+// observations.
 func (o *Online) Variance() float64 {
 	if o.n < 2 {
 		return 0

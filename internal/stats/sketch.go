@@ -8,8 +8,8 @@ import (
 // Sketch is a bounded-memory streaming quantile sketch over positive
 // values, in the DDSketch family: values land in geometrically spaced
 // buckets sized so every quantile estimate is within a relative error of
-// Alpha of some true sample value. Memory is bounded twice over — the
-// geometric spacing needs only O(log(max/min)/Alpha) buckets to cover any
+// alpha of some true sample value. Memory is bounded twice over — the
+// geometric spacing needs only O(log(max/min)/alpha) buckets to cover any
 // value range, and MaxBuckets is a hard cap past which the lowest buckets
 // collapse together (biasing only the lowest quantiles, the cheap ones;
 // the high quantiles analyses care about keep their guarantee). Values
@@ -18,7 +18,6 @@ import (
 // The zero value is not usable; construct with NewSketch. A Sketch is
 // not safe for concurrent use.
 type Sketch struct {
-	alpha      float64
 	gamma      float64
 	logGamma   float64
 	maxBuckets int
@@ -51,16 +50,12 @@ func NewSketch(alpha float64) *Sketch {
 	}
 	gamma := (1 + alpha) / (1 - alpha)
 	return &Sketch{
-		alpha:      alpha,
 		gamma:      gamma,
 		logGamma:   math.Log(gamma),
 		maxBuckets: DefaultSketchMaxBuckets,
 		buckets:    make(map[int]int64),
 	}
 }
-
-// Alpha returns the sketch's relative-error target.
-func (sk *Sketch) Alpha() float64 { return sk.alpha }
 
 // key maps a positive value to its bucket index: the unique i with
 // gamma^(i-1) < x <= gamma^i.
@@ -82,14 +77,11 @@ func (sk *Sketch) Add(x float64) {
 		sk.zeroCount++
 		return
 	}
-	sk.add(sk.key(x), 1)
-}
-
-func (sk *Sketch) add(key int, n int64) {
+	key := sk.key(x)
 	if len(sk.buckets) == 0 || key < sk.minKey {
 		sk.minKey = key
 	}
-	sk.buckets[key] += n
+	sk.buckets[key]++
 	if len(sk.buckets) > sk.maxBuckets {
 		sk.collapseLowest()
 	}
@@ -109,29 +101,8 @@ func (sk *Sketch) collapseLowest() {
 	sk.minKey = next
 }
 
-// Merge folds another sketch into this one. Both sketches must have been
-// built with the same alpha; merging sketches with different bucket
-// spacings would misplace every count.
-func (sk *Sketch) Merge(other *Sketch) {
-	if other == nil {
-		return
-	}
-	sk.count += other.count
-	sk.zeroCount += other.zeroCount
-	for k, n := range other.buckets {
-		sk.add(k, n)
-	}
-}
-
-// Count returns the number of observations, including zero-bucket ones.
-func (sk *Sketch) Count() int64 { return sk.count }
-
-// Buckets returns how many geometric buckets the sketch currently holds,
-// for asserting the memory bound.
-func (sk *Sketch) Buckets() int { return len(sk.buckets) }
-
 // Quantile returns an estimate of the q-th quantile (q in [0,1], clamped)
-// with relative error at most Alpha, or 0 for an empty sketch. The
+// with relative error at most alpha, or 0 for an empty sketch. The
 // estimate converges on the same order statistic Percentile(xs, 100q)
 // picks: the value at rank floor(q*(count-1)).
 func (sk *Sketch) Quantile(q float64) float64 {

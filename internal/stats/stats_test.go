@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -61,19 +62,16 @@ func TestWeightedMean(t *testing.T) {
 	}
 }
 
+// Min, Max and Sum are Online's: the summaries a stream keeps.
 func TestMinMaxSum(t *testing.T) {
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Error("Min(nil) should err")
+	var o Online
+	for _, x := range []float64{3, 1, 2} {
+		o.Add(x)
 	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Error("Max(nil) should err")
-	}
-	mn, _ := Min([]float64{3, 1, 2})
-	mx, _ := Max([]float64{3, 1, 2})
-	if mn != 1 || mx != 3 {
+	if o.Min() != 1 || o.Max() != 3 {
 		t.Error("Min/Max wrong")
 	}
-	if Sum([]float64{1, 2, 3}) != 6 {
+	if o.Sum() != 6 {
 		t.Error("Sum wrong")
 	}
 }
@@ -97,12 +95,20 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+// StdDev is the population standard deviation, 0 for a single sample.
 func TestStdDev(t *testing.T) {
-	if StdDev([]float64{5}) != 0 {
+	stddev := func(xs ...float64) float64 {
+		var o Online
+		for _, x := range xs {
+			o.Add(x)
+		}
+		return o.StdDev()
+	}
+	if stddev(5) != 0 {
 		t.Error("single sample stddev should be 0")
 	}
-	if !almost(StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}), 2) {
-		t.Errorf("StdDev = %v", StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}))
+	if got := stddev(2, 4, 4, 4, 5, 5, 7, 9); !almost(got, 2) {
+		t.Errorf("StdDev = %v", got)
 	}
 }
 
@@ -121,8 +127,7 @@ func TestTrimmedMeanBoundedProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mn, _ := Min(xs)
-		mx, _ := Max(xs)
+		mn, mx := slices.Min(xs), slices.Max(xs)
 		return got >= mn-1e-9 && got <= mx+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -11,10 +11,10 @@
 // appends, and [Memory.Trace] copies the slice and sorts the copy into
 // canonical begin order ([CanonicalLess]) outside the lock — one scan when
 // the spans arrived in order, as a single tracer publishes them. A Trace
-// call observes every span whose Publish completed before it.
-// [Tracer.StartSpan] on a disabled tracer is a single atomic load, so
-// leveled experimentation can leave tracers in place and toggle them per
-// run.
+// call observes every span whose Publish completed before it. A [Tracer]
+// always publishes: leveled experimentation picks a run's levels by which
+// tracers it builds (core.Session.Profile builds one per level of its
+// LevelSet), not by switching tracers off.
 //
 // [ServerTenant.SetTap] attaches an online consumer to a server tenant:
 // every batch the tenant takes — spans accepted by /api/spans (zero-ID
@@ -29,9 +29,9 @@
 // serves the consumer's history alone (a stream correlator's SnapshotRaw) —
 // a streamed span is held once.
 //
-// Ingest accounting: [Server.Received] counts spans accepted over HTTP
-// since the server started or since the last /api/reset — the reset
-// zeroes the counter together with the collector — and a failed
+// Ingest accounting: [ServerTenant.Received] counts the spans a tenant
+// accepted over HTTP since the server started or since its last reset —
+// the reset zeroes the counter together with the collector — and a failed
 // [HTTPCollector.Flush] re-buffers its batch ahead of newer spans, so a
 // transient server error delays publication instead of losing spans.
 //

@@ -30,22 +30,6 @@ func ExampleNewTracer() {
 	// layer     relu1            [ 45, 60)
 }
 
-// A disabled tracer publishes nothing and returns nil spans, so call sites
-// need no branching — the paper's leveled experimentation toggles tracers
-// per run exactly this way.
-func ExampleTracer_SetEnabled() {
-	mem := trace.NewMemory()
-	kernels := trace.NewTracer("cupti", trace.LevelKernel, mem)
-
-	kernels.SetEnabled(false)
-	s := kernels.StartSpan("volta_scudnn_128x64", 10)
-	kernels.FinishSpan(s, 20) // accepts the nil span
-
-	fmt.Println("spans collected while disabled:", mem.Len())
-	// Output:
-	// spans collected while disabled: 0
-}
-
 // Trace shares span pointers with the collector, so an edit made through
 // one snapshot — core.Correlate's ParentID links — is visible in the next;
 // a caller that wants a private copy clones the spans (Span.Clone).

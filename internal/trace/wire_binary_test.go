@@ -829,8 +829,8 @@ func TestServerSpanContentNegotiation(t *testing.T) {
 	if resp := post(frame[:len(frame)-3], ContentTypeBinary, "ab"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("corrupt frame: got %s, want 400", resp.Status)
 	}
-	if srv.Received() != 0 {
-		t.Fatalf("corrupt frame published %d spans", srv.Received())
+	if srv.Tenant(DefaultTenant).Received() != 0 {
+		t.Fatalf("corrupt frame published %d spans", srv.Tenant(DefaultTenant).Received())
 	}
 
 	// The corrected retry with the same batch id lands exactly once.
@@ -840,7 +840,7 @@ func TestServerSpanContentNegotiation(t *testing.T) {
 	if resp := post(frame, ContentTypeBinary, "ab"); resp.StatusCode != http.StatusAccepted || resp.Header.Get("X-Duplicate-Batch") != "1" {
 		t.Fatal("binary re-ship of a committed batch must be acknowledged as duplicate")
 	}
-	if got, want := srv.Received(), len(spans); got != want {
+	if got, want := srv.Tenant(DefaultTenant).Received(), len(spans); got != want {
 		t.Fatalf("server received %d spans, want %d exactly once", got, want)
 	}
 
@@ -940,7 +940,7 @@ func TestCollectorBinaryFallbackExactlyOnce(t *testing.T) {
 	if binaryPosts != 1 {
 		t.Fatalf("retry went out as binary again (%d binary posts)", binaryPosts)
 	}
-	if got, want := srv.Received(), len(spans); got != want {
+	if got, want := srv.Tenant(DefaultTenant).Received(), len(spans); got != want {
 		t.Fatalf("server received %d spans, want exactly %d", got, want)
 	}
 	if c.Backlog() != 0 {

@@ -28,23 +28,12 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // Before reports whether t precedes u.
 func (t Time) Before(u Time) bool { return t < u }
 
-// After reports whether t follows u.
-func (t Time) After(u Time) bool { return t > u }
-
 // String formats the instant as a duration offset from simulation start.
 func (t Time) String() string { return fmt.Sprintf("vt+%s", Duration(t)) }
 
 // Max returns the later of a and b.
 func Max(a, b Time) Time {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// Min returns the earlier of a and b.
-func Min(a, b Time) Time {
-	if a < b {
 		return a
 	}
 	return b

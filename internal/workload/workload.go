@@ -77,23 +77,6 @@ func OptimalBatch(points []Point) Point {
 	return points[len(points)-1]
 }
 
-// OptimalBatchWithinLatency applies the paper's user-defined-metric
-// variant of the optimal-batch rule: the throughput-optimal batch size
-// among those whose batch latency stays within the target (e.g. an SLA of
-// 50ms). Returns false when no measured batch size meets the target.
-func OptimalBatchWithinLatency(points []Point, target time.Duration) (Point, bool) {
-	var eligible []Point
-	for _, p := range points {
-		if p.Latency <= target {
-			eligible = append(eligible, p)
-		}
-	}
-	if len(eligible) == 0 {
-		return Point{}, false
-	}
-	return OptimalBatch(eligible), true
-}
-
 // MaxThroughput returns the sweep's peak throughput point.
 func MaxThroughput(points []Point) Point {
 	best := points[0]
@@ -114,28 +97,4 @@ func OnlineLatency(points []Point) time.Duration {
 		}
 	}
 	return 0
-}
-
-// ModelInfoRow is one row of the A1 model information table.
-type ModelInfoRow struct {
-	Batch      int
-	LatencyMS  float64
-	Throughput float64
-	Optimal    bool
-}
-
-// A1ModelInfo renders the sweep as the A1 table, marking the optimal
-// batch size.
-func A1ModelInfo(points []Point) []ModelInfoRow {
-	opt := OptimalBatch(points)
-	out := make([]ModelInfoRow, 0, len(points))
-	for _, p := range points {
-		out = append(out, ModelInfoRow{
-			Batch:      p.Batch,
-			LatencyMS:  float64(p.Latency) / 1e6,
-			Throughput: p.Throughput,
-			Optimal:    p.Batch == opt.Batch,
-		})
-	}
-	return out
 }

@@ -39,50 +39,6 @@ func TestOptimalBatchRule(t *testing.T) {
 	}
 }
 
-// The paper's Section III-D1: "XSP then computes the model's optimal batch
-// size given a user-defined metric (e.g. a latency target)".
-func TestOptimalBatchWithinLatency(t *testing.T) {
-	mk := func(batch int, latMS float64, tput float64) Point {
-		return Point{Batch: batch, Latency: time.Duration(latMS * 1e6), Throughput: tput}
-	}
-	points := []Point{
-		mk(1, 6, 160), mk(8, 20, 400), mk(64, 90, 700), mk(256, 360, 820),
-	}
-	// A 100ms budget excludes batch 256.
-	got, ok := OptimalBatchWithinLatency(points, 100*time.Millisecond)
-	if !ok || got.Batch != 64 {
-		t.Fatalf("100ms target -> batch %d, want 64", got.Batch)
-	}
-	// A 10ms budget allows only online inference.
-	got, ok = OptimalBatchWithinLatency(points, 10*time.Millisecond)
-	if !ok || got.Batch != 1 {
-		t.Fatalf("10ms target -> batch %d, want 1", got.Batch)
-	}
-	// An impossible budget reports failure.
-	if _, ok := OptimalBatchWithinLatency(points, time.Millisecond); ok {
-		t.Fatal("1ms target should be unattainable")
-	}
-}
-
-func TestOptimalBatchWithinLatencyOnModel(t *testing.T) {
-	s := core.NewSession(tensorflow.New(), gpu.TeslaV100)
-	points, err := Sweep(s, builderFor(t, "MLPerf_ResNet50_v1.5"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unconstrained := OptimalBatch(points)
-	constrained, ok := OptimalBatchWithinLatency(points, 50*time.Millisecond)
-	if !ok {
-		t.Fatal("50ms should be attainable")
-	}
-	if constrained.Batch >= unconstrained.Batch {
-		t.Fatalf("latency target should lower the optimal batch: %d vs %d", constrained.Batch, unconstrained.Batch)
-	}
-	if constrained.Latency > 50*time.Millisecond {
-		t.Fatal("constrained point violates the target")
-	}
-}
-
 func TestMaxThroughputAndOnlineLatency(t *testing.T) {
 	points := []Point{
 		{Batch: 1, Latency: 5 * time.Millisecond, Throughput: 200},
@@ -155,23 +111,6 @@ func TestSweepSkipsOversizedBatches(t *testing.T) {
 	}
 	if len(points) != 3 {
 		t.Fatalf("points = %d, want 3 (batch 64 exceeds MaxBatch)", len(points))
-	}
-}
-
-func TestA1ModelInfo(t *testing.T) {
-	points := []Point{
-		{Batch: 1, Latency: 5 * time.Millisecond, Throughput: 200},
-		{Batch: 2, Latency: 9 * time.Millisecond, Throughput: 222},
-	}
-	rows := A1ModelInfo(points)
-	if len(rows) != 2 {
-		t.Fatal("row count wrong")
-	}
-	if rows[0].Optimal || !rows[1].Optimal {
-		t.Fatalf("optimal flags wrong: %+v", rows)
-	}
-	if rows[0].LatencyMS != 5 {
-		t.Fatalf("latency ms = %v", rows[0].LatencyMS)
 	}
 }
 
