@@ -146,32 +146,25 @@
 // (WAL fsyncs included) run concurrently across cores; within one tenant
 // the correlator's own mutex keeps arrival order and every single-stream
 // contract above intact. A TenantStream implements trace.Collector and
-// trace.DurableSink, so trace.Server's per-tenant hooks wire to it
-// directly. The open function handed to OpenTenantStream gives the tenant
+// trace.DurableSink, so a trace.ServerTenant's tap and durable sink wire to
+// it directly. The open function handed to OpenTenantStream gives the tenant
 // its own segio store (internal/server maps the default tenant to the data-dir root —
 // pre-tenant layouts recover unchanged — and every other tenant to
 // tenants/<key>/), so tenants crash and recover independently; a store
 // that fails to open or recover degrades that tenant to RAM-only with
 // the error latched on [TenantStream.Err], the same keep-ingesting
 // posture as a mid-stream durability error. internal/server opens each
-// tenant's stream into its own per-tenant table; [TenantSet], a keyed
-// cache of OpenTenantStream results, remains for bench/replica.go and this
-// package's tests.
+// tenant's stream as it builds the tenant, in its one tenant table
+// (trace.Table).
 //
 // # Allocation discipline on the hot path
 //
 // Both correlation paths mutate spans in place through the shared
 // pointers the trace substrate hands out (the trace.Memory.Trace
 // aliasing contract; spans themselves live in trace.SpanStore arenas),
-// so correlating allocates no span copies. An Isolated StreamCorrelator
-// copies headers only, one allocation per fed batch: a span's payload
-// (Name, Source, Tags, Metrics) is immutable after publish, the
-// correlator writes only ParentID, and so the copy shares the payload
-// with whoever else holds the span (bench/replica.go and this package's
-// tests; the option goes with the benchmark PR that re-bases the replica
-// on server.New). A correlator that is the only holder of its spans needs
-// no copy: cmd/xsp-server runs it non-Isolated, in every mode, as the
-// tenant's one span store, and [StreamCorrelator.SnapshotRaw] —
+// so correlating allocates no span copies. A correlator that is the only
+// holder of its spans needs no copy: cmd/xsp-server's is the tenant's one
+// span store, in every mode, and [StreamCorrelator.SnapshotRaw] —
 // SnapshotTrace with every resolver-assigned link zeroed on the copies —
 // serves /api/trace what was published, before and after a restart. The StreamCorrelator
 // additionally draws every interval-tree node — degraded windows and

@@ -27,16 +27,7 @@ type StreamOptions struct {
 	// straggler.
 	ReorderWindow vclock.Duration
 
-	// Isolated makes Feed copy every span's header (trace.CloneHeaders)
-	// before using it, so the correlator's parent links never write into
-	// spans a concurrent reader (or the publishing tracer) still holds. The
-	// copy shares Name, Source, Tags and Metrics with the fed span: a span's
-	// payload is immutable once published, and the correlator writes only
-	// ParentID. xsp-server never sets it: there the correlator alone holds
-	// its spans. Kept for bench/replica.go (a tap beside a raw store) and the
-	// core tests; it goes with the benchmark PR that re-bases the replica on
-	// server.New.
-	Isolated bool
+	Isolated bool // see benchapi.go
 
 	// Retain bounds the live, repairable state of a long-running stream:
 	// what the correlator holds outside its checkpoint — the reorder buffer,
@@ -387,9 +378,7 @@ func (sc *StreamCorrelator) Feed(spans ...*trace.Span) {
 
 // feedLocked is FeedLogged past the WAL append. Callers hold sc.mu.
 func (sc *StreamCorrelator) feedLocked(spans []*trace.Span) {
-	if sc.opts.Isolated {
-		spans = trace.CloneHeaders(spans)
-	}
+	spans = sc.opts.isolate(spans)
 	for _, s := range spans {
 		if s == nil {
 			continue
@@ -1199,12 +1188,11 @@ func (sc *StreamCorrelator) fold() int {
 
 // Trace returns the accumulated spans — checkpointed history and live tail
 // merged — as a canonically ordered trace. The live tail's spans are shared
-// with the correlator (and, unless the correlator is Isolated, with whoever
-// fed them): parents resolved later are visible through the returned trace,
-// exactly like trace.Memory.Trace. Checkpointed spans are not: the history
-// holds them encoded, so they come back as decoded copies — final as folded,
-// and the caller's own — and a span read live by one call may be a copy in
-// the next.
+// with the correlator (and with whoever fed them): parents resolved later
+// are visible through the returned trace, exactly like trace.Memory.Trace.
+// Checkpointed spans are not: the history holds them encoded, so they come
+// back as decoded copies — final as folded, and the caller's own — and a
+// span read live by one call may be a copy in the next.
 func (sc *StreamCorrelator) Trace() *trace.Trace {
 	return sc.read(slices.Clone[[]*trace.Span], false)
 }
@@ -1220,7 +1208,7 @@ func (sc *StreamCorrelator) SnapshotTrace() *trace.Trace { return sc.read(trace.
 // link the resolver assigned — a folded record's owned flag, owns for the
 // live tail — reads zero again, and a tracer-supplied ParentID stays. It is what
 // a raw store fed the same batches would serve, at query-time cost only, so
-// a non-Isolated correlator can be a server tenant's one span store.
+// the correlator can be a server tenant's one span store.
 func (sc *StreamCorrelator) SnapshotRaw() *trace.Trace {
 	return sc.read(func(run []*trace.Span) []*trace.Span {
 		raw := trace.CloneHeaders(run)

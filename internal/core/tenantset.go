@@ -2,50 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"xsp/internal/segio"
 	"xsp/internal/trace"
 )
-
-// TenantSetOptions configures a TenantSet.
-type TenantSetOptions struct {
-	// Stream is the option template every tenant's correlator is built
-	// from. Its Store field is ignored — durability is wired per tenant
-	// through OpenStore, which is what keeps one tenant's WAL, segments,
-	// and quarantine in its own directory.
-	Stream StreamOptions
-
-	// InitStream, when non-nil, customizes one tenant's stream options at
-	// creation time, before OpenTenantStream builds (and recovers) the
-	// correlator — so a per-tenant StreamOptions.Observer sees recovered
-	// history too. The returned options' Store field is ignored.
-	InitStream func(tenant string, opts StreamOptions) StreamOptions
-
-	// OpenStore opens (or creates) the named tenant's durable store: the
-	// open argument of the tenant's OpenTenantStream call. Nil runs every
-	// tenant RAM-only.
-	OpenStore func(tenant string) (*segio.Store, *segio.Recovery, error)
-}
-
-// TenantSet is a keyed cache of OpenTenantStream results, created lazily
-// on first use. The server does not use it — internal/server opens each
-// tenant's stream itself, into its own per-tenant table; it is kept for
-// bench/replica.go and this package's tests, and goes with the benchmark
-// PR that re-bases the replica on server.New.
-type TenantSet struct {
-	opts TenantSetOptions
-
-	mu      sync.RWMutex
-	streams map[string]*TenantStream
-	keys    []string // creation order, for stable iteration
-}
-
-// NewTenantSet returns an empty set; tenants materialize on first
-// Stream call.
-func NewTenantSet(opts TenantSetOptions) *TenantSet {
-	return &TenantSet{opts: opts}
-}
 
 // TenantStream is one tenant's stream: its correlator, its durable store
 // (when one was opened), and what recovery found in it. It implements
@@ -115,51 +75,6 @@ func releaseContent(rec *segio.Recovery) *segio.Recovery {
 	return rec
 }
 
-// Stream returns the named tenant's stream, creating (and, with OpenStore
-// set, recovering) it on first use. The empty key canonicalizes to
-// trace.DefaultTenant; an invalid key is an error.
-func (ts *TenantSet) Stream(key string) (*TenantStream, error) {
-	if err := trace.ValidateTenant(key); err != nil {
-		return nil, err
-	}
-	key = trace.CanonicalTenant(key)
-	ts.mu.RLock()
-	st := ts.streams[key]
-	ts.mu.RUnlock()
-	if st != nil {
-		return st, nil
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if st = ts.streams[key]; st != nil {
-		return st, nil
-	}
-	opts := ts.opts.Stream
-	if ts.opts.InitStream != nil {
-		opts = ts.opts.InitStream(key, opts)
-	}
-	var open func() (*segio.Store, *segio.Recovery, error)
-	if ts.opts.OpenStore != nil {
-		open = func() (*segio.Store, *segio.Recovery, error) { return ts.opts.OpenStore(key) }
-	}
-	st = OpenTenantStream(key, opts, open)
-	if ts.streams == nil {
-		ts.streams = make(map[string]*TenantStream)
-	}
-	ts.streams[key] = st
-	ts.keys = append(ts.keys, key)
-	return st, nil
-}
-
-// Keys returns every tenant key the set has created, in creation order.
-func (ts *TenantSet) Keys() []string {
-	ts.mu.RLock()
-	defer ts.mu.RUnlock()
-	out := make([]string, len(ts.keys))
-	copy(out, ts.keys)
-	return out
-}
-
 // Key returns the tenant's key.
 func (st *TenantStream) Key() string { return st.key }
 
@@ -192,7 +107,3 @@ func (st *TenantStream) Publish(spans ...*trace.Span) { st.sc.Feed(spans...) }
 func (st *TenantStream) IngestLogged(batchID uint64, spans []*trace.Span) error {
 	return st.sc.FeedLogged(batchID, spans...)
 }
-
-// Pressure returns trace.PressureNominal, implementing trace.LoadReporter.
-// Kept for bench/replica.go; it goes with the benchmark PR.
-func (st *TenantStream) Pressure() trace.Pressure { return trace.PressureNominal }

@@ -9,22 +9,24 @@
 //
 // The server is multi-tenant: requests carrying an X-Tenant header (or
 // ?tenant= query parameter) route to that tenant's independent ingest
-// domain — its own collector, batch-dedup window, streaming correlator,
+// domain — its own batch-dedup window, streaming correlator,
 // and durable state — and requests carrying neither route to the
 // "default" tenant with exactly the single-tenant behavior this server
 // always had. Every /api endpoint resolves the tenant the same way;
-// GET /api/tenants lists the tenants the process has materialized.
-// Tenants are created lazily on first use, and distinct tenants share
-// nothing on the feed path, so a multi-tenant ingest load spreads across
-// cores (WAL fsyncs included) while each tenant keeps strict per-tenant
-// ordering and exactly-once dedup. Everything held for one
-// key is one tenant value — ingest half, correlator and store
-// (core.OpenTenantStream, called as the tenant is created), tap, analysis
-// engine — in the package's one per-tenant table.
+// GET /api/tenants lists the tenants the process holds, in the order they
+// were opened. Tenants are created lazily on first write, and distinct
+// tenants share nothing on the feed path, so a multi-tenant ingest load
+// spreads across cores (WAL fsyncs included) while each tenant keeps strict
+// per-tenant ordering and exactly-once dedup. Everything held for one key
+// is one tenant value — ingest half, correlator and store
+// (core.OpenTenantStream, called as the tenant is built), tap, analysis
+// engine — in the package's one tenant table, a trace.Table that the wire
+// half (trace.Server: decode, dedup, admission, /api/spans, /api/trace)
+// routes through. A tenant is built once, before the table lists it,
+// however many requests race to mint it, and reads never mint one.
 //
-// The server always correlates: a core.StreamCorrelator per tenant taps the
-// ingestion path (the tenant's tap, so an in-process publisher into the
-// tenant's collector is covered too) and resolves span parents online as batches arrive,
+// The server always correlates: a core.StreamCorrelator per tenant takes
+// every accepted batch and resolves span parents online as batches arrive,
 // instead of leaving correlation to whoever fetches the trace. The
 // correlated view is served from /api/correlated; GET it with ?flush=1 to
 // finalize pending work (device-only executions, buffered reordered
@@ -37,7 +39,7 @@
 // /api/trace is its history with its links masked out: every batch whose 202
 // has returned and, durable, everything recovered (there is no raw store
 // beside the history in any mode) — and /api/reset
-// clears the addressed tenant's collector and streaming state together — and
+// clears the addressed tenant's dedup window and streaming state together — and
 // only that tenant's. ReorderWindow sets how much cross-shard arrival skew
 // (in virtual-clock duration) the stream absorbs in order, and Retain
 // bounds the live correlator state on a long-running server: finalized

@@ -42,12 +42,10 @@ type Server struct {
 	cfg Config
 	gpu gpu.Spec // set with LiveAnalysis, its only reader
 
-	ingest *trace.Server // /api/spans, /api/trace, and the tenants' ingest halves
-	mux    *http.ServeMux
-	idle   *analysis.Online // never fed: the analyses of a tenant that does not exist
-
-	mu      sync.RWMutex
-	tenants map[string]*tenant
+	tenants *trace.Table[*tenant] // every tenant the process holds
+	ingest  *trace.Server         // /api/spans and /api/trace, routed through tenants
+	mux     *http.ServeMux
+	idle    *analysis.Online // never fed: the analyses of a tenant that does not exist
 
 	life      sync.RWMutex  // shared by every request in flight, exclusive in Close
 	done      chan struct{} // closed when Close begins: watchers leave, new requests are refused
@@ -59,8 +57,9 @@ type Server struct {
 // nothing; a store that will not open degrades its tenant to RAM-only
 // instead (see /api/durability).
 func New(cfg Config) (*Server, error) {
-	s := &Server{cfg: cfg, ingest: trace.NewServer(), mux: http.NewServeMux(),
-		tenants: map[string]*tenant{}, done: make(chan struct{})}
+	s := &Server{cfg: cfg, mux: http.NewServeMux(), done: make(chan struct{})}
+	s.tenants = trace.NewTable(s.open)
+	s.ingest = trace.NewServerOn(s.tenants, func(t *tenant) *trace.ServerTenant { return t.ingest })
 	if cfg.LiveAnalysis {
 		var err error
 		if s.gpu, err = gpu.SystemByName(cfg.GPU); err != nil {
@@ -74,7 +73,7 @@ func New(cfg Config) (*Server, error) {
 	s.ingest.SetAdmission(trace.AdmissionPolicy{MaxInflightBytes: cfg.MaxInflightBytes, MaxInflightSpans: cfg.MaxInflightSpans, RetryAfter: cfg.RetryAfter})
 	s.mux.Handle("/", s.ingest)
 	s.route(http.MethodGet, "/api/tenants", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, append([]string{}, s.ingest.Tenants()...)) // in creation order; never null
+		writeJSON(w, append([]string{}, s.tenants.Keys()...)) // in creation order; never null
 	})
 	s.route(http.MethodGet, "/api/overload", s.handleOverload)
 	s.tenantRoute(http.MethodPost, "/api/reset", s.handleReset)
@@ -87,18 +86,17 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DataDir != "" {
 		s.route(http.MethodGet, "/api/durability", s.handleDurability)
 	}
-	s.ingest.SetTenantInit(s.open)
 
 	// The default tenant exists from boot — the common single-tenant
 	// deployment recovers (or starts) its stream before the first request —
 	// and so does every tenant with a directory, so no tenant's recovery
 	// waits for its first POST.
-	s.ingest.Tenant(trace.DefaultTenant)
+	s.tenants.Open(trace.DefaultTenant)
 	if cfg.DataDir != "" {
 		entries, _ := os.ReadDir(s.dir("")) // no directory yet: no tenants yet
 		for _, e := range entries {
 			if e.IsDir() && trace.ValidateTenant(e.Name()) == nil {
-				s.ingest.Tenant(e.Name())
+				s.tenants.Open(e.Name())
 			}
 		}
 	}
@@ -139,17 +137,11 @@ func (s *Server) Close() {
 		close(s.done)
 		s.life.Lock()
 		defer s.life.Unlock()
-		for _, t := range s.tenants { // nothing is in flight: the table is still
+		for _, key := range s.tenants.Keys() { // nothing is in flight: the table is still
+			t, _ := s.tenants.Lookup(key)
 			t.close()
 		}
 	})
-}
-
-// lookup returns the named tenant only if it exists: reads never mint one.
-func (s *Server) lookup(key string) *tenant {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tenants[trace.CanonicalTenant(key)]
 }
 
 // route registers h as pattern's handler for one method; any other is a
@@ -176,7 +168,8 @@ func (s *Server) tenantRoute(method, pattern string, h func(http.ResponseWriter,
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		h(w, r, s.lookup(key))
+		t, _ := s.tenants.Lookup(key)
+		h(w, r, t)
 	})
 }
 
@@ -188,10 +181,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // tenant is everything the server holds for one tenant key: the ingest half
-// (collector, dedup window, admission counters), the correlator with its
-// durable store, the async tap between them (RAM mode; nil durable) and the
-// live-analysis engine (nil without LiveAnalysis). Built
-// once by open, immutable afterwards.
+// (dedup window, admission counters), the correlator with its durable store,
+// the async tap between them (RAM mode; nil durable) and the live-analysis
+// engine (nil without LiveAnalysis). Built once by open, immutable
+// afterwards.
 type tenant struct {
 	ingest *trace.ServerTenant
 	stream *core.TenantStream
@@ -199,12 +192,18 @@ type tenant struct {
 	engine *analysis.Online
 }
 
-// open is trace.Server's tenant-init hook, run once per key under that
-// server's table lock before any request can reach the tenant: it opens
-// (durable: recovers) the tenant's stream and wires it to the ingest half —
-// as durable sink (recovered dedup ids seeded first) or behind the tap.
-func (s *Server) open(tn *trace.ServerTenant) {
-	t := &tenant{ingest: tn}
+// open builds the tenant named key, once, before the table inserts it: it
+// opens (durable: recovers) the tenant's stream and wires it to a fresh
+// ingest half — as durable sink (recovered dedup ids seeded first) or
+// behind the tap. The correlator's history is the tenant's span store: it
+// links the decoded spans themselves and /api/trace masks its links back
+// out.
+func (s *Server) open(key string) *tenant {
+	t := &tenant{}
+	t.ingest = s.ingest.NewTenant(key, func() *trace.Trace {
+		t.settle() // a batch whose 202 has returned is in the view
+		return t.stream.Correlator().SnapshotRaw()
+	})
 	opts := core.StreamOptions{
 		ReorderWindow: vclock.Duration(s.cfg.ReorderWindow),
 		Retain:        vclock.Duration(s.cfg.Retain),
@@ -221,41 +220,32 @@ func (s *Server) open(tn *trace.ServerTenant) {
 	var openStore func() (*segio.Store, *segio.Recovery, error)
 	if s.cfg.DataDir != "" {
 		openStore = func() (*segio.Store, *segio.Recovery, error) {
-			fs, err := segio.DirFS(s.dir(tn.Key())) // creates the directory
+			fs, err := segio.DirFS(s.dir(key)) // creates the directory
 			if err != nil {
 				return nil, nil, err
 			}
 			return segio.Open(fs, segio.Options{})
 		}
 	}
-	st := core.OpenTenantStream(tn.Key(), opts, openStore)
-	t.stream = st
+	t.stream = core.OpenTenantStream(key, opts, openStore)
 	if s.cfg.DataDir != "" {
-		if err := st.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "xsp-server: tenant %s degraded to RAM-only: %v\n", tn.Key(), err)
+		if err := t.stream.Err(); err != nil {
+			fmt.Fprintf(os.Stderr, "xsp-server: tenant %s degraded to RAM-only: %v\n", key, err)
 		}
-		if rec := st.Recovery(); rec != nil {
+		if rec := t.stream.Recovery(); rec != nil {
 			// The recovered dedup window makes client retries of pre-crash
 			// acked batches duplicate-ack instead of double-publish.
-			tn.SeedBatches(rec.DedupIDs)
+			t.ingest.SeedBatches(rec.DedupIDs)
 			fmt.Fprintf(os.Stderr, "xsp-server: tenant %s recovered %d segment(s), %d live batch record(s), %d dedup id(s)\n",
-				tn.Key(), len(rec.Segments), len(rec.Batches), len(rec.DedupIDs))
+				key, len(rec.Segments), len(rec.Batches), len(rec.DedupIDs))
 		}
 		// Batches reach the correlator synchronously at the ack barrier (WAL
 		// fsync before the 202), replacing the tap.
-		tn.SetDurable(st)
+		t.ingest.SetDurable(t.stream)
 	} else {
-		t.tap = tn.SetTapAsync(st, trace.TapOptions{})
+		t.tap = t.ingest.SetTapAsync(t.stream, trace.TapOptions{})
 	}
-	// The correlator's history is the tenant's span store: it links the
-	// decoded spans themselves and /api/trace masks its links back out.
-	tn.SetHistory(func() *trace.Trace {
-		t.settle() // a batch whose 202 has returned is in the view
-		return st.Correlator().SnapshotRaw()
-	})
-	s.mu.Lock()
-	s.tenants[tn.Key()] = t
-	s.mu.Unlock()
+	return t
 }
 
 // settle waits until every batch acknowledged so far has reached the
@@ -315,18 +305,17 @@ func (s *Server) handleOverload(w http.ResponseWriter, _ *http.Request) {
 		Tenants   map[string]tenantView `json:"tenants,omitempty"`
 	}
 	v := overloadView{Admission: s.ingest.OverloadStats(), Tenants: map[string]tenantView{}}
-	s.ingest.EachTenant(func(tn *trace.ServerTenant) {
-		tv := tenantView{Admission: tn.OverloadStats()}
-		if t := s.lookup(tn.Key()); t != nil {
-			if t.tap != nil {
-				st := t.tap.Stats()
-				tv.Tap = &st
-			}
-			l := t.stream.Correlator().Load()
-			tv.Load = &l
+	for _, key := range s.tenants.Keys() {
+		t, _ := s.tenants.Lookup(key)
+		tv := tenantView{Admission: t.ingest.OverloadStats()}
+		if t.tap != nil {
+			st := t.tap.Stats()
+			tv.Tap = &st
 		}
-		v.Tenants[tn.Key()] = tv
-	})
+		l := t.stream.Correlator().Load()
+		tv.Load = &l
+		v.Tenants[key] = tv
+	}
 	writeJSON(w, v)
 }
 
@@ -352,19 +341,19 @@ func (s *Server) handleDurability(w http.ResponseWriter, _ *http.Request) {
 		Tenants map[string]tenantView `json:"tenants"`
 	}
 	v := durabilityView{Dir: s.cfg.DataDir, Tenants: map[string]tenantView{}}
-	for _, key := range s.ingest.Tenants() {
-		st := s.lookup(key).stream // open tables a tenant before trace.Server lists its key
+	for _, key := range s.tenants.Keys() {
+		t, _ := s.tenants.Lookup(key)
 		tv := tenantView{Dir: s.dir(key)}
-		if store := st.Store(); store != nil {
+		if store := t.stream.Store(); store != nil {
 			stats := store.Stats()
 			tv.Store = &stats
 		}
-		if rec := st.Recovery(); rec != nil {
+		if rec := t.stream.Recovery(); rec != nil {
 			tv.Recovery = &recoveryView{len(rec.Segments), len(rec.Batches), len(rec.DedupIDs), rec.Quarantined, rec.SupersededSegments, rec.WALTruncatedBytes}
 		}
-		if err := st.Err(); err != nil {
+		if err := t.stream.Err(); err != nil {
 			tv.Err = err.Error()
-		} else if err := st.Correlator().DurabilityErr(); err != nil {
+		} else if err := t.stream.Correlator().DurabilityErr(); err != nil {
 			tv.Err = err.Error()
 		}
 		v.Tenants[key] = tv

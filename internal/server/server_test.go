@@ -187,7 +187,7 @@ func TestCloseDrainsTheTap(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	tn := s.lookup("")
+	tn, _ := s.tenants.Lookup("")
 	t.Logf("tap depth at Close: %d spans (high-water %d)", tn.tap.Depth(), tn.tap.Stats().MaxDepth)
 	s.Close()
 
@@ -397,7 +397,7 @@ func TestShedDrainResetCycles(t *testing.T) {
 			cfg.RetryAfter = 5 * time.Millisecond
 			arm.budget(&cfg)
 			s := newServer(t, cfg)
-			tn := s.lookup("")
+			tn, _ := s.tenants.Lookup("")
 			nextID, goroutines := uint64(1<<32), 0
 			for cycle := 1; cycle <= 3; cycle++ {
 				shedBefore := tn.ingest.OverloadStats().ShedRequests
@@ -511,9 +511,10 @@ func (b *heldBody) Read(p []byte) (int, error) {
 	return b.r.Read(p)
 }
 
-// An in-process publish into the default tenant's collector is held once,
-// by the correlator — not also by the ingest half beside it — in RAM mode
-// and durable alike, and it survives a restart like an accepted batch.
+// An in-process publish into the default tenant (the compat Collector the
+// benchmark's replica publishes recovered spans through) is held once, by
+// the correlator — not also by the ingest half beside it — in RAM mode and
+// durable alike, and it survives a restart like an accepted batch.
 func TestInProcessPublishIsHeldOnce(t *testing.T) {
 	for _, dataDir := range []string{"", t.TempDir()} {
 		cfg := testConfig(dataDir)
@@ -526,6 +527,126 @@ func TestInProcessPublishIsHeldOnce(t *testing.T) {
 			s.Close()
 			checkViews(t, newServer(t, cfg), "after a restart", [][]*trace.Span{{layer, kernel}})
 		}
+	}
+}
+
+// Tenants minted concurrently are each opened once. On a durable server,
+// eight writers race each other onto sixteen fresh keys while readers poll
+// the three endpoints that walk every tenant. Each key ends with one store
+// directory and one recovery line; /api/tenants lists it once, in the order
+// the tenants were opened, and every listing a reader saw was a prefix of
+// the last; every batch is acknowledged once and held once; no read panics.
+func TestConcurrentMintingOpensEachTenantOnce(t *testing.T) {
+	const writers, keys = 8, 16
+	dir := t.TempDir()
+	var final []string
+	stderr := captureStderr(t, func() {
+		s := newServer(t, testConfig(dir))
+		var (
+			writing, reading sync.WaitGroup
+			done             atomic.Bool
+			sent             [keys][]uint64 // span ids per key
+			sentMu           sync.Mutex
+		)
+		for w := 0; w < writers; w++ {
+			writing.Add(1)
+			go func(w int) {
+				defer writing.Done()
+				for i := 0; i < keys; i++ {
+					k := (i + w) % keys // every key is fresh to someone at once
+					id := uint64(k*writers+w) + 1
+					batch := []*trace.Span{{ID: id, Level: trace.LevelModel, Name: "m", Begin: vclock.Time(id), End: vclock.Time(id + 1)}}
+					rec := post(s, fmt.Sprintf("mint-%02d", k), id, batch)
+					if rec.Code != http.StatusAccepted || rec.Header().Get("X-Duplicate-Batch") != "" {
+						t.Errorf("writer %d, key %d: %d %q (duplicate %q)", w, k, rec.Code, rec.Body, rec.Header().Get("X-Duplicate-Batch"))
+					}
+					sentMu.Lock()
+					sent[k] = append(sent[k], id)
+					sentMu.Unlock()
+				}
+			}(w)
+		}
+		listings := make([][][]string, 3)
+		for r := range listings {
+			reading.Add(1)
+			go func(r int) {
+				defer reading.Done()
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("reader %d panicked: %v", r, p)
+					}
+				}()
+				for !done.Load() {
+					var listed []string
+					if err := json.Unmarshal(get(t, s, "/api/tenants", ""), &listed); err != nil {
+						t.Error(err)
+						return
+					}
+					listings[r] = append(listings[r], listed)
+					get(t, s, "/api/overload", "")
+					durability(t, s)
+				}
+			}(r)
+		}
+		writing.Wait()
+		done.Store(true)
+		reading.Wait()
+
+		if err := json.Unmarshal(get(t, s, "/api/tenants", ""), &final); err != nil {
+			t.Fatal(err)
+		}
+		for r, ls := range listings {
+			for _, l := range ls {
+				if !slices.Equal(l, final[:min(len(l), len(final))]) {
+					t.Errorf("reader %d saw %v, not a prefix of the final %v", r, l, final)
+				}
+			}
+		}
+		for k := range sent {
+			key := fmt.Sprintf("mint-%02d", k)
+			tr, err := trace.DecodeJSON(bytes.NewReader(get(t, s, "/api/trace", key)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var held []uint64
+			for _, sp := range tr.Spans {
+				held = append(held, sp.ID)
+			}
+			slices.Sort(held)
+			slices.Sort(sent[k])
+			if !slices.Equal(held, sent[k]) {
+				t.Errorf("%s holds spans %v, was sent %v", key, held, sent[k])
+			}
+			if rec := post(s, key, sent[k][0], nil); rec.Header().Get("X-Duplicate-Batch") != "1" {
+				t.Errorf("%s: a re-shipped batch was not a duplicate: %d", key, rec.Code)
+			}
+		}
+	})
+
+	if len(final) != keys+1 || final[0] != trace.DefaultTenant {
+		t.Fatalf("/api/tenants = %v, want the default tenant and %d minted keys", final, keys)
+	}
+	var opened []string // the recovery lines, in the order the tenants opened
+	for _, line := range strings.Split(stderr, "\n") {
+		if key, ok := strings.CutPrefix(line, "xsp-server: tenant "); ok && strings.Contains(key, " recovered ") {
+			opened = append(opened, key[:strings.Index(key, " ")])
+		}
+	}
+	if !slices.Equal(opened, final) {
+		t.Errorf("recovery lines name %v; /api/tenants lists %v", opened, final)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "tenants"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dirs []string
+	for _, e := range entries {
+		dirs = append(dirs, e.Name())
+	}
+	want := slices.Clone(final[1:])
+	slices.Sort(want)
+	if !slices.Equal(dirs, want) {
+		t.Errorf("store directories %v, want %v", dirs, want)
 	}
 }
 

@@ -17,21 +17,19 @@
 // LevelSet), not by switching tracers off.
 //
 // [ServerTenant.SetTap] attaches an online consumer to a server tenant:
-// every batch the tenant takes — spans accepted by /api/spans (zero-ID
-// spans get fresh server-side IDs first) and in-process publishes into
-// [ServerTenant.Collector] alike — is forwarded to the tap after it lands,
-// exactly once, which is how cmd/xsp-server feeds a core.StreamCorrelator
-// for streaming correlation. The tap must be concurrency-safe; batches
-// from concurrent publishers arrive in an unspecified relative order.
-// Nothing between the handler and the tap's consumer sheds a batch, so
-// [ServerTenant.SetHistory] can make that consumer the store: accepted
-// batches and in-process publishes skip the tenant's Memory and /api/trace
-// serves the consumer's history alone (a stream correlator's SnapshotRaw) —
-// a streamed span is held once.
+// every batch accepted by /api/spans (zero-ID spans get fresh server-side
+// IDs first) is forwarded to the tap after it lands, exactly once, which is
+// how cmd/xsp-server feeds a core.StreamCorrelator for streaming
+// correlation. The tap must be concurrency-safe; batches from concurrent
+// publishers arrive in an unspecified relative order. Nothing between the
+// handler and the tap's consumer sheds a batch, so that consumer is the
+// tenant's store: the history handed to [Server.NewTenant] is what
+// /api/trace serves (a stream correlator's SnapshotRaw), and the tenant
+// holds no spans itself — a streamed span is held once.
 //
 // Ingest accounting: [ServerTenant.Received] counts the spans a tenant
 // accepted over HTTP since the server started or since its last reset —
-// the reset zeroes the counter together with the collector — and a failed
+// the reset zeroes the counter together with the dedup window — and a failed
 // [HTTPCollector.Flush] re-buffers its batch ahead of newer spans, so a
 // transient server error delays publication instead of losing spans.
 //
@@ -101,10 +99,13 @@
 //
 // # Multi-tenant ingestion
 //
-// One [Server] hosts many tenants: each tenant key owns a [ServerTenant]
-// — its own Memory collector, tap, dedup window, and shed
-// counters — created lazily on the first write addressed to it
-// ([Server.Tenant]; reads never materialize). A request names its tenant
+// One [Server] hosts many tenants, which live in a [Table] its caller
+// owns and hands it ([NewServerOn]): one value per key, built once by the
+// table's open function before it is inserted, listed in creation order,
+// on the first write addressed to the key (reads never build one). The
+// server reaches each tenant's [ServerTenant] — its tap, durable sink,
+// dedup window, and shed counters, built with [Server.NewTenant]. A
+// request names its tenant
 // three ways, in precedence order: the X-Tenant header ([TenantHeader]),
 // a ?tenant= query parameter, or the key embedded in the wire payload
 // itself (the version-2 binary frame, or the JSON envelope form) — a
@@ -118,12 +119,8 @@
 // while the span budget and the dedup window are per tenant — an
 // overdriven tenant sheds 429s against its own budgets while its
 // neighbors keep landing first-try, and [ServerTenant.OverloadStats]
-// attributes the sheds. /api/reset scoped to a tenant
-// ([ServerTenant.Reset]) clears that tenant's store, counters, and dedup
-// window together and touches nothing else. [Server.SetTenantInit] runs
-// a hook under the tenant-table lock before a new tenant is published,
-// so per-tenant wiring (taps, correlators, durable sinks — see
-// core.OpenTenantStream) is complete before the first request can see it.
+// attributes the sheds. [ServerTenant.Reset] clears one tenant's counters
+// and dedup window together and touches nothing else.
 //
 // The wire stays backward compatible: encoders emit the pre-tenant
 // version-1 frame and bare JSON array whenever the tenant is the
@@ -177,8 +174,7 @@
 // tapped or logged, the batch claim and admission reservations released
 // exactly as on a decode failure, so the corrected batch lands under the
 // same id. End == Begin, a zero-length event, is valid. Consumers fed
-// directly (an in-process publish, core.StreamCorrelator.Feed) are
-// not behind this check and keep tolerating such spans.
+// directly (core.StreamCorrelator.Feed) are not behind this check and keep tolerating such spans.
 // FuzzHandleSpans holds the handler to the rest of the ingress contract
 // under arbitrary methods, headers, declared lengths and bodies: no
 // panic, no partial publish, no leaked batch claim or reservation.

@@ -2,15 +2,6 @@ package trace
 
 import "sync"
 
-// ShedPolicy names an AsyncTap's behavior at a full queue, which has one
-// value, ShedBlock. Kept for bench/replica.go; it goes with the benchmark PR
-// that re-bases the replica on server.New.
-type ShedPolicy int
-
-// ShedBlock is backpressure, what every AsyncTap does at its bound: Publish
-// waits for queue room. Kept for bench/replica.go, like ShedPolicy.
-const ShedBlock ShedPolicy = 0
-
 // TapOptions configures an AsyncTap.
 type TapOptions struct {
 	// Queue bounds the tap's backlog, in spans: batches enqueue until the
@@ -20,8 +11,7 @@ type TapOptions struct {
 	// can wedge the tap forever.
 	Queue int
 
-	// Policy is ignored. Kept for bench/replica.go, like ShedPolicy.
-	Policy ShedPolicy
+	Policy int // ignored; see benchapi.go
 }
 
 // DefaultTapQueue is the queue bound applied when TapOptions.Queue is zero.
@@ -68,10 +58,7 @@ type AsyncTapStats struct {
 	Forwarded int64 // spans delivered to the destination, ever
 	Depth     int   // spans currently queued or being forwarded
 	MaxDepth  int   // high-water mark of Depth
-
-	// Dropped is always zero: the tap never sheds. Kept for bench/replica.go
-	// and bench/run.go, like ShedPolicy.
-	Dropped int64 `json:"-"`
+	Dropped   int64 `json:"-"` // always zero; see benchapi.go
 }
 
 // NewAsyncTap starts an async tap forwarding to dst. Close it when done.
@@ -188,18 +175,4 @@ func (t *AsyncTap) Stats() AsyncTapStats {
 		Depth:     t.depth + t.busy,
 		MaxDepth:  t.maxDepth,
 	}
-}
-
-// Pressure is a consumer's load state, which has one value,
-// PressureNominal. Kept for bench/replica.go, like ShedPolicy.
-type Pressure int
-
-// PressureNominal is the one Pressure. Kept for bench/replica.go, like
-// ShedPolicy.
-const PressureNominal Pressure = 0
-
-// LoadReporter is what ServerTenant.SetLoad takes; admission never asks it.
-// Kept for bench/replica.go, like ShedPolicy.
-type LoadReporter interface {
-	Pressure() Pressure
 }

@@ -10,7 +10,6 @@ import (
 	mrand "math/rand"
 	"mime"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,21 +17,28 @@ import (
 	"time"
 )
 
-// Server is an HTTP tracing server. Tracers on other processes (or the
-// HTTPCollector in this process) POST spans to /api/spans; the aggregated
-// trace is read back from /api/trace.
+// Server is the wire half of an HTTP tracing server: tracers on other
+// processes (or the HTTPCollector in this process) POST spans to
+// /api/spans, and a tenant's aggregated trace is read back from /api/trace.
+// It decodes, deduplicates and admits batches; the tenants themselves live
+// in a table the server is handed (NewServerOn), whose owner builds each
+// one and wires its consumers.
 //
-// A Server is multi-tenant: every request routes to one tenant — named by
-// the X-Tenant header (or ?tenant= query parameter, or the batch's own
-// wire tenant; see tenant.go), defaulting to DefaultTenant — and each
-// tenant owns an independent ServerTenant: its own Memory collector,
-// received count, batch-dedup window, tap, durable sink, and in-flight
-// span accounting. Tenants are created lazily on first use (SetTenantInit
-// hooks the wiring); requests without a tenant land on DefaultTenant with
-// semantics identical to the pre-tenant server. POSTs for distinct tenants
-// share nothing past admission.
+// Every request routes to one tenant — named by the X-Tenant header (or
+// ?tenant= query parameter, or the batch's own wire tenant; see tenant.go),
+// defaulting to DefaultTenant — and each tenant owns an independent
+// ServerTenant: its received count, batch-dedup window, tap, durable sink,
+// and in-flight span accounting. A write to a key the table does not hold
+// yet opens the tenant; a read never does. POSTs for distinct tenants share
+// nothing past admission.
 type Server struct {
 	mux *http.ServeMux
+
+	// The table the server is handed (NewServerOn): every key, in creation
+	// order, and a key's ingest half — opened on first use when open is
+	// set, nil for an unknown key when it is not.
+	keys   func() []string
+	ingest func(key string, open bool) *ServerTenant
 
 	// Admission control (SetAdmission): nil means accept unboundedly, the
 	// pre-admission behavior. The byte budget is server-wide (request
@@ -43,31 +49,24 @@ type Server struct {
 	inflightB    atomic.Int64 // request body bytes admitted, response not yet written
 	shedRequests atomic.Int64 // requests refused by admission control, ever (all tenants)
 	shedSpans    atomic.Int64 // spans refused after decode (span budget), ever (all tenants)
-
-	tenantMu   sync.RWMutex
-	tenants    map[string]*ServerTenant
-	tenantKeys []string // creation order, for stable iteration
-	tenantInit func(*ServerTenant)
 }
 
-// ServerTenant is one tenant's slice of a Server: an independent
-// collector, ingest counter, exactly-once batch-dedup window, and
-// consumer wiring (tap, durable sink). Everything that
-// made the pre-tenant Server a single-stream ingest endpoint lives here,
-// once per tenant; resetting, overloading, or crashing one tenant never
+// ServerTenant is one tenant's ingest half: its ingest counter,
+// exactly-once batch-dedup window, admission counters and consumer wiring
+// (tap, durable sink). Resetting, overloading, or crashing one tenant never
 // touches another's state.
 type ServerTenant struct {
 	key string
 	srv *Server
 
-	mem      *Memory
-	received atomic.Int64 // spans accepted over HTTP since start or the tenant's last reset
+	history  func() *Trace // what /api/trace serves: the consumer's store
+	mem      *Memory       // NewServer's raw store (benchapi.go); nil otherwise
+	received atomic.Int64  // spans accepted over HTTP since start or the tenant's last reset
 
-	history      func() *Trace // SetHistory: the consumer's store serves Trace, mem holds nothing
 	tap          atomic.Pointer[Collector]
 	tapQ         atomic.Pointer[AsyncTap] // SetTapAsync's queue, for admission
 	durable      atomic.Pointer[DurableSink]
-	inflightS    atomic.Int64 // spans decoded, not yet landed in this tenant's collector
+	inflightS    atomic.Int64 // spans decoded, not yet landed with this tenant's consumers
 	shedRequests atomic.Int64 // requests of this tenant refused by admission control, ever
 	shedSpans    atomic.Int64 // spans of this tenant refused after decode, ever
 
@@ -98,119 +97,59 @@ const maxRememberedBatches = 4096
 // (at-least-once, the pre-dedup wire behavior).
 const batchIDHeader = "X-Batch-Id"
 
-// NewServer returns a tracing server with no tenants yet; the default
-// tenant (and any other) materializes on first use.
-func NewServer() *Server {
+// NewServerOn returns a tracing server over tb, a table its caller owns:
+// each request reaches the ingest half half picks from the tenant it
+// names, and a write opens that tenant (tb.Open) if tb does not hold it
+// yet. tb's open function builds each ingest half with NewTenant.
+func NewServerOn[T any](tb *Table[T], half func(T) *ServerTenant) *Server {
+	return route(newServer(), tb, half)
+}
+
+func newServer() *Server {
 	s := &Server{mux: http.NewServeMux()}
 	s.mux.HandleFunc("/api/spans", s.handleSpans)
 	s.mux.HandleFunc("/api/trace", s.handleTrace)
-	s.mux.HandleFunc("/api/reset", s.handleReset)
 	return s
 }
 
-// SetTenantInit registers the hook run once for every tenant the server
-// creates, before any request can reach it — the place to wire the
-// tenant's tap, history, or durable sink (a profiling server
-// attaches one streaming correlator per tenant here). The hook runs with
-// the server's tenant table locked: it must not call Server.Tenant (wire
-// through the *ServerTenant it is handed instead). Install it before the
-// first tenant is touched; tenants created earlier are not re-wired.
-func (s *Server) SetTenantInit(fn func(*ServerTenant)) {
-	s.tenantMu.Lock()
-	defer s.tenantMu.Unlock()
-	s.tenantInit = fn
-}
-
-// Tenant returns the named tenant's state, creating (and wiring, via the
-// SetTenantInit hook) it on first use. The empty key canonicalizes to
-// DefaultTenant; a key failing ValidateTenant returns nil.
-func (s *Server) Tenant(key string) *ServerTenant {
-	key = CanonicalTenant(key)
-	if ValidateTenant(key) != nil {
+// route points s at tb and returns s.
+func route[T any](s *Server, tb *Table[T], half func(T) *ServerTenant) *Server {
+	s.keys = tb.Keys
+	s.ingest = func(key string, open bool) *ServerTenant {
+		if open {
+			return half(tb.Open(key))
+		}
+		if t, ok := tb.Lookup(key); ok {
+			return half(t)
+		}
 		return nil
 	}
-	s.tenantMu.RLock()
-	t := s.tenants[key]
-	s.tenantMu.RUnlock()
-	if t != nil {
-		return t
-	}
-	s.tenantMu.Lock()
-	defer s.tenantMu.Unlock()
-	if t = s.tenants[key]; t != nil {
-		return t
-	}
-	t = &ServerTenant{key: key, srv: s, mem: NewMemory()}
-	if s.tenantInit != nil {
-		s.tenantInit(t)
-	}
-	// Inserted only after the init hook has wired it, so no request ever
-	// sees a tenant whose tap or durable sink is still being attached.
-	if s.tenants == nil {
-		s.tenants = make(map[string]*ServerTenant)
-	}
-	s.tenants[key] = t
-	s.tenantKeys = append(s.tenantKeys, key)
-	return t
+	return s
 }
 
-// lookupTenant returns the named tenant only if it already exists —
-// read-side endpoints use it so a GET for an unknown tenant does not
-// allocate (or durably wire) one.
-func (s *Server) lookupTenant(key string) *ServerTenant {
-	key = CanonicalTenant(key)
-	s.tenantMu.RLock()
-	defer s.tenantMu.RUnlock()
-	return s.tenants[key]
-}
-
-// Tenants returns the keys of every tenant the server has created, in
-// creation order.
-func (s *Server) Tenants() []string {
-	s.tenantMu.RLock()
-	defer s.tenantMu.RUnlock()
-	return slices.Clone(s.tenantKeys)
-}
-
-// EachTenant calls fn for every existing tenant, in creation order.
-func (s *Server) EachTenant(fn func(*ServerTenant)) {
-	for _, key := range s.Tenants() {
-		if t := s.lookupTenant(key); t != nil {
-			fn(t)
-		}
-	}
+// NewTenant returns a fresh ingest half for the tenant named key, for the
+// open function of the table s routes through. history is what GET
+// /api/trace serves for the tenant: the store its consumer keeps, holding
+// every span an acknowledged batch carried, in canonical order with
+// ParentIDs as published, safe to encode while ingest continues
+// (core.StreamCorrelator.SnapshotRaw) — the tenant keeps no spans itself.
+func (s *Server) NewTenant(key string, history func() *Trace) *ServerTenant {
+	return &ServerTenant{key: key, srv: s, history: history}
 }
 
 // Key returns the tenant's key.
 func (t *ServerTenant) Key() string { return t.key }
 
-// Collector returns the tenant's in-process collector, for tracers
-// running in the same process as the server: a publish takes an accepted
-// POST's path to the consumers — the durable sink, then the tenant's Memory
-// (without a history, SetHistory), then the tap. A batch the sink refuses
-// is dropped, as core.StreamCorrelator.Feed drops it.
-func (t *ServerTenant) Collector() Collector { return tenantCollector{t} }
-
-// tenantCollector is a tenant's in-process collector.
-type tenantCollector struct{ t *ServerTenant }
-
-func (c tenantCollector) Publish(spans ...*Span) {
-	if len(spans) > 0 {
-		_ = c.t.publish(0, spans)
-	}
-}
-
 // publish hands a batch to the tenant's consumers: the durable sink first,
 // when one is set — its error refuses the batch, nothing downstream sees
-// it — then the tenant's Memory when no history is set (with one, the
-// tap's consumer is the store, and the span is held once), then the tap.
+// it — then a NewServer tenant's raw store, then the tap.
 func (t *ServerTenant) publish(batchID uint64, spans []*Span) error {
 	if d := t.durable.Load(); d != nil {
 		if err := (*d).IngestLogged(batchID, spans); err != nil {
 			return err
 		}
 	}
-	if t.history == nil {
+	if t.mem != nil {
 		t.mem.Publish(spans...)
 	}
 	if tap := t.tap.Load(); tap != nil {
@@ -219,25 +158,9 @@ func (t *ServerTenant) publish(batchID uint64, spans []*Span) error {
 	return nil
 }
 
-// SetHistory makes the tenant's consumer its span store: an accepted batch
-// — or an in-process publish into Collector — is forwarded to the tap
-// (after the durable sink) without being appended to the tenant's Memory,
-// and Trace — hence GET /api/trace — serves src() alone: every span the
-// consumer was handed, in canonical order with ParentIDs as published,
-// safe to encode while ingest continues (core.StreamCorrelator.SnapshotRaw).
-// Call it from the SetTenantInit hook, before the tenant serves: unlike its
-// siblings it is not atomic.
-func (t *ServerTenant) SetHistory(src func() *Trace) { t.history = src }
-
-// Trace returns the tenant's currently aggregated timeline trace — with a
-// history set, the history — tagged with the tenant key.
+// Trace returns the tenant's history, tagged with the tenant key.
 func (t *ServerTenant) Trace() *Trace {
-	var tr *Trace
-	if t.history != nil {
-		tr = t.history()
-	} else {
-		tr = t.mem.Trace()
-	}
+	tr := t.history()
 	tr.Tenant = t.key
 	return tr
 }
@@ -264,7 +187,7 @@ type AdmissionPolicy struct {
 	MaxInflightBytes int64
 
 	// MaxInflightSpans bounds, per tenant, the decoded spans not yet
-	// landed in the tenant's collector plus the tenant's async tap
+	// landed with the tenant's consumers plus the tenant's async tap
 	// backlog (ServerTenant.SetTapAsync) — the span population admission
 	// has accepted but the online consumer has not absorbed. The budget
 	// is per tenant deliberately: an overdriven tenant saturates its own
@@ -282,10 +205,6 @@ type AdmissionPolicy struct {
 // SetAdmission installs (or, with a zero policy, effectively disables)
 // admission control. Safe to call while serving.
 func (s *Server) SetAdmission(p AdmissionPolicy) { s.adm.Store(&p) }
-
-// SetLoad ignores its argument: admission reads only the in-flight budgets.
-// Kept for bench/replica.go; it goes with the benchmark PR.
-func (t *ServerTenant) SetLoad(LoadReporter) {}
 
 // SetTapAsync attaches dst as the tenant's tap behind a bounded queue
 // (NewAsyncTap): publishes enqueue and return instead of running the
@@ -310,7 +229,7 @@ func (t *ServerTenant) SetTapAsync(dst Collector, opts TapOptions) *AsyncTap {
 // scopes them to one tenant (with the server-wide byte figures).
 type OverloadStats struct {
 	InflightBytes int64 // request body bytes currently admitted (server-wide)
-	InflightSpans int64 // decoded spans not yet landed in the collector(s)
+	InflightSpans int64 // decoded spans not yet landed with the consumers
 	TapDepth      int   // async tap backlog, if attached
 	ShedRequests  int64 // requests refused by admission control, ever
 	ShedSpans     int64 // spans refused after decode, ever
@@ -324,12 +243,13 @@ func (s *Server) OverloadStats() OverloadStats {
 		ShedRequests:  s.shedRequests.Load(),
 		ShedSpans:     s.shedSpans.Load(),
 	}
-	s.EachTenant(func(t *ServerTenant) {
+	for _, key := range s.keys() {
+		t := s.ingest(key, false)
 		st.InflightSpans += t.inflightS.Load()
 		if tq := t.tapQ.Load(); tq != nil {
 			st.TapDepth += tq.Depth()
 		}
-	})
+	}
 	return st
 }
 
@@ -454,16 +374,14 @@ func (t *ServerTenant) SeedBatches(ids []uint64) {
 }
 
 // SetTap registers a collector that receives every span the tenant
-// aggregates — spans accepted over HTTP (after server-side ID assignment)
-// and spans published in-process through Collector() alike, each exactly
-// once, after the span has landed — the hook an online consumer (e.g. a
-// core.StreamCorrelator) attaches to. Batches from concurrent publishers
+// accepts over HTTP (after server-side ID assignment), each exactly once,
+// after the durable sink has logged it — the hook an online consumer (e.g.
+// a core.StreamCorrelator) attaches to. Batches from concurrent publishers
 // reach it in an unspecified relative order, so a tap must be safe for
-// concurrent use. It sees the same span pointers the tenant stores: a tap
-// that mutates spans while /api/trace readers run must work on its own
-// copies, like the stream correlator's Isolated mode — or be the tenant's
-// store itself, see SetHistory. Spans published before SetTap are not
-// replayed. A nil tap detaches. Safe to call while serving.
+// concurrent use. It is handed the decoded spans themselves: a tap that
+// mutates them is the store the tenant's history reads, or works on its
+// own copies. Spans published before SetTap are not replayed. A nil tap
+// detaches. Safe to call while serving.
 func (t *ServerTenant) SetTap(c Collector) {
 	if c == nil {
 		t.tap.Store(nil)
@@ -594,7 +512,7 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	// one, else DefaultTenant (where every tenantless legacy client
 	// lands). A wire-level tenant inside the batch can still re-route a
 	// request that named none — handled after decode.
-	tn := s.Tenant(explicit)
+	tn := s.ingest(explicit, true)
 	// Admission, phase 1 — before the body is touched, so a shed request
 	// costs no decode and claims no batch id (the client's retry stays
 	// exactly-once). The byte budget is server-wide.
@@ -695,7 +613,7 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 			// The request named no tenant but the batch does (a frame
 			// posted by a header-less intermediary): re-route, moving the
 			// batch claim to the wire tenant's dedup window.
-			next := s.Tenant(wire)
+			next := s.ingest(wire, true)
 			if batchID != 0 {
 				if !s.claimFor(w, next, batchID) {
 					return
@@ -885,11 +803,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// A read must not materialize a tenant: an unknown (or not-yet-used)
-	// tenant serves the empty trace it would have anyway, without
-	// allocating dedup windows or running the init hook for a typo.
+	// A read must not open a tenant: an unknown (or not-yet-used) tenant
+	// serves the empty trace it would have anyway, without opening a store
+	// for a typo.
 	tr := &Trace{Tenant: CanonicalTenant(key)}
-	if tn := s.lookupTenant(key); tn != nil {
+	if tn := s.ingest(key, false); tn != nil {
 		tr = tn.Trace()
 	}
 	WriteTrace(w, r, tr)
@@ -910,40 +828,22 @@ func WriteTrace(w http.ResponseWriter, r *http.Request, tr *Trace) {
 	}
 }
 
-// Reset clears the tenant back to an empty aggregation: collector, ingest
-// counter, and batch-dedup window together. The counter resets with the
-// spans it counted: Received() describes the current aggregation, not the
-// tenant's lifetime. The remembered batch ids go with it — a post-reset
-// re-ship of an old batch is a new aggregation's ingest, not a duplicate
-// of anything it holds. Only this tenant is touched: a neighbor's dedup
-// window, received count, and collected spans survive unchanged (the
-// /api/reset contract README documents).
+// Reset clears the tenant's ingest counter and batch-dedup window (the
+// history is its owner's to clear). The counter resets with the spans it
+// counted: Received() describes the current aggregation, not the tenant's
+// lifetime. The remembered batch ids go with it — a post-reset re-ship of an
+// old batch is a new aggregation's ingest, not a duplicate of anything it
+// holds. Only this tenant is touched: a neighbor's dedup window and received
+// count survive unchanged (the /api/reset contract README documents).
 func (t *ServerTenant) Reset() {
-	t.mem.Reset()
+	if t.mem != nil {
+		t.mem.Reset()
+	}
 	t.received.Store(0)
 	t.batchMu.Lock()
 	t.seenBatch = nil
 	t.batchOrder = nil
 	t.batchMu.Unlock()
-}
-
-// handleReset clears exactly the tenant the request addresses (X-Tenant /
-// ?tenant=, default when absent) — never its neighbors. Resetting a
-// tenant that does not exist yet is a no-op 204: it is already empty.
-func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	key, err := RequestTenant(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if tn := s.lookupTenant(key); tn != nil {
-		tn.Reset()
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // HTTPCollector publishes spans to a remote tracing server over HTTP. It

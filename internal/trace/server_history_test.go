@@ -11,7 +11,7 @@ import (
 
 // historyStore is a tap consumer that keeps what it is handed — the batch
 // boundaries through the recordingCollector it embeds — and serves it back
-// the way SetHistory asks: header copies in canonical order.
+// the way a tenant's history must: header copies in canonical order.
 type historyStore struct {
 	recordingCollector
 	spans []*Span // under recordingCollector.mu
@@ -44,22 +44,26 @@ func (f *failingSink) IngestLogged(uint64, []*Span) error {
 	return nil
 }
 
-// With a history set the tenant holds nothing itself: an accepted POST goes
-// to the tap — once, in order, after the durable sink — and so does an
-// in-process publish, and /api/trace is the
-// history's answer under the tenant's key. Whatever is not accepted forwards
-// nothing, and a tenant without a history is the server it always was.
+// A tenant holds no spans itself: an accepted POST goes to the tap — once,
+// in order, after the durable sink — and /api/trace is the history's answer
+// under the tenant's key. Whatever is not accepted forwards nothing, and a
+// neighbour's history sees only its own batches. The server is wired the
+// way internal/server wires it: over a table its caller owns.
 func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
-	srv := NewServer()
-	srv.SetAdmission(AdmissionPolicy{})
-	store, sink := &historyStore{}, &failingSink{}
-	srv.SetTenantInit(func(tn *ServerTenant) {
-		if tn.Key() == "hist" {
-			tn.SetTap(store)
-			tn.SetDurable(sink)
-			tn.SetHistory(store.trace)
+	store, sink, neighbour := &historyStore{}, &failingSink{}, &historyStore{}
+	var srv *Server
+	srv = NewServerOn(NewTable(func(key string) *ServerTenant {
+		if key != "hist" {
+			tn := srv.NewTenant(key, neighbour.trace)
+			tn.SetTap(neighbour)
+			return tn
 		}
-	})
+		tn := srv.NewTenant(key, store.trace)
+		tn.SetTap(store)
+		tn.SetDurable(sink)
+		return tn
+	}), func(tn *ServerTenant) *ServerTenant { return tn })
+	srv.SetAdmission(AdmissionPolicy{})
 	hist, plain := srv.Tenant("hist"), srv.Tenant("plain")
 
 	var want [][]uint64
@@ -67,9 +71,6 @@ func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
 		t.Helper()
 		if got := store.snapshot(); !slices.EqualFunc(got, want, slices.Equal[[]uint64]) {
 			t.Fatalf("%s: the tap has seen batches %v, want %v", step, got, want)
-		}
-		if n := hist.mem.Len(); n != 0 {
-			t.Fatalf("%s: the tenant's own store holds %d spans, want none", step, n)
 		}
 	}
 	post := func(step string, wantCode int, body []byte, contentType, batchID string, ids ...uint64) *httptest.ResponseRecorder {
@@ -116,12 +117,6 @@ func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
 	if got := hist.Received(); got != 6 {
 		t.Fatalf("Received = %d after the pushed-back batches, want 6", got)
 	}
-	// An in-process publish lands where an accepted batch does: on the tap,
-	// once, and nowhere else.
-	hist.Collector().Publish(span(17))
-	want = append(want, []uint64{17})
-	forwarded("in-process publish")
-
 	// /api/trace is src() under the tenant's key, byte for byte, both ways.
 	for _, accept := range []string{ContentTypeJSON, ContentTypeBinary} {
 		req := httptest.NewRequest(http.MethodGet, "/api/trace", nil)
@@ -146,31 +141,28 @@ func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Tenant != "hist" || len(got.Spans) != 7 || got.SpansByID()[9].ParentID != 3 {
+		if got.Tenant != "hist" || len(got.Spans) != 6 || got.SpansByID()[9].ParentID != 3 {
 			t.Fatalf("GET /api/trace (%s): tenant %q, %d spans, span 9 under %d", accept, got.Tenant, len(got.Spans), got.SpansByID()[9].ParentID)
 		}
 	}
-	if tr := hist.Trace(); tr.Tenant != "hist" || len(tr.Spans) != 7 {
+	if tr := hist.Trace(); tr.Tenant != "hist" || len(tr.Spans) != 6 {
 		t.Fatalf("ServerTenant.Trace: tenant %q, %d spans", tr.Tenant, len(tr.Spans))
 	}
 
-	// The neighbour has no history: it keeps what it accepts.
+	// The neighbour's history holds its own batch and nothing of hist's.
 	if rec := postTenant(srv, "plain", encodeSpans(t, span(1), span(2)), ContentTypeJSON, "a1"); rec.Code != http.StatusAccepted {
 		t.Fatalf("plain tenant POST = %d", rec.Code)
 	}
-	if n, tr := plain.mem.Len(), plain.Trace(); n != 2 || len(tr.Spans) != 2 || tr.Tenant != "plain" {
-		t.Fatalf("plain tenant holds %d spans, serves %d as %q", n, len(tr.Spans), tr.Tenant)
+	if tr := plain.Trace(); len(tr.Spans) != 2 || tr.Tenant != "plain" {
+		t.Fatalf("plain tenant serves %d spans as %q, want 2", len(tr.Spans), tr.Tenant)
 	}
 	forwarded("neighbour's POST")
 
-	// Reset still forgets the dedup window and the count; the history is
-	// its owner's to clear.
-	req := httptest.NewRequest(http.MethodPost, "/api/reset", nil)
-	req.Header.Set(TenantHeader, "hist")
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusNoContent || hist.Received() != 0 || plain.Received() != 2 {
-		t.Fatalf("reset = %d, Received hist %d plain %d", rec.Code, hist.Received(), plain.Received())
+	// Reset forgets the dedup window and the count; the history is its
+	// owner's to clear.
+	hist.Reset()
+	if hist.Received() != 0 || plain.Received() != 2 {
+		t.Fatalf("after reset: Received hist %d plain %d", hist.Received(), plain.Received())
 	}
 	if rec := post("after reset", http.StatusAccepted, encodeSpans(t, span(5), span(3)), ContentTypeJSON, "a1", 3, 5); rec.Header().Get("X-Duplicate-Batch") != "" {
 		t.Fatal("a batch id from before the reset was still remembered")

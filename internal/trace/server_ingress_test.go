@@ -58,7 +58,8 @@ func spansRequest(method, contentType, tenant, batchID string, contentLength int
 // claim is still marked in flight with no request running.
 func (p *ingressProbe) held(t *testing.T) (received, stored int) {
 	t.Helper()
-	p.srv.EachTenant(func(tn *ServerTenant) {
+	for _, key := range p.srv.Tenants() {
+		tn := p.srv.Tenant(key)
 		received += tn.Received()
 		tr := tn.Trace()
 		stored += len(tr.Spans)
@@ -72,7 +73,7 @@ func (p *ingressProbe) held(t *testing.T) (received, stored int) {
 			}
 		}
 		tn.batchMu.Unlock()
-	})
+	}
 	if st := p.srv.OverloadStats(); st.InflightBytes != 0 || st.InflightSpans != 0 {
 		t.Errorf("admission reservations leaked: %d bytes, %d spans in flight with no request running", st.InflightBytes, st.InflightSpans)
 	}

@@ -1,6 +1,10 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // Tenant keys partition one tracing server into independent ingest
 // domains: each tenant gets its own collector, received count, batch-dedup
@@ -74,4 +78,55 @@ func ValidateTenant(key string) error {
 		}
 	}
 	return nil
+}
+
+// Table is a tenant table: one value per tenant key, listed in creation
+// order. Open builds a tenant once, with the table's open function, before
+// it is inserted, so no reader ever sees one half built; Lookup and Keys
+// never build one. Nothing is removed: a key, once listed, stays.
+type Table[T any] struct {
+	open func(key string) T
+
+	mu   sync.RWMutex
+	m    map[string]T
+	keys []string
+}
+
+// NewTable returns an empty table whose tenants open builds. open runs with
+// the table locked, so it must not call back into the table.
+func NewTable[T any](open func(key string) T) *Table[T] {
+	return &Table[T]{open: open, m: map[string]T{}}
+}
+
+// Open returns the tenant named key, building it on first use. The empty
+// key canonicalizes to DefaultTenant; any other must pass ValidateTenant.
+func (tb *Table[T]) Open(key string) T {
+	key = CanonicalTenant(key)
+	if v, ok := tb.Lookup(key); ok {
+		return v
+	}
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	if v, ok := tb.m[key]; ok {
+		return v
+	}
+	v := tb.open(key)
+	tb.m[key] = v
+	tb.keys = append(tb.keys, key)
+	return v
+}
+
+// Lookup returns the tenant named key and whether it exists.
+func (tb *Table[T]) Lookup(key string) (T, bool) {
+	tb.mu.RLock()
+	defer tb.mu.RUnlock()
+	v, ok := tb.m[CanonicalTenant(key)]
+	return v, ok
+}
+
+// Keys returns every tenant's key, in creation order.
+func (tb *Table[T]) Keys() []string {
+	tb.mu.RLock()
+	defer tb.mu.RUnlock()
+	return slices.Clone(tb.keys)
 }

@@ -17,4 +17,6 @@ func main() {
 
 	p := lib.Pair{1, 2}
 	println(p.A + p.B)
+
+	println(lib.Compat(), lib.Opts{Size: 2}.Grow())
 }

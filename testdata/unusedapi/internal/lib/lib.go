@@ -47,3 +47,17 @@ func Quiet() any { return quiet{} }
 // Pair is only ever written as an unkeyed literal, so every field counts
 // as set: not flagged.
 type Pair struct{ A, B int }
+
+// Opts holds a compat field, Legacy, that benchapi.go lists.
+type Opts struct {
+	Size   int
+	Legacy bool
+}
+
+// Grow reads Legacy: product code naming a listed compat field.
+func (o Opts) Grow() int {
+	if o.Legacy {
+		return 0
+	}
+	return o.Size
+}

@@ -50,16 +50,33 @@ type lintPkg struct {
 	info  *types.Info
 }
 
-// findUnusedAPI runs the lint over the module rooted at root.
-func findUnusedAPI(root string) ([]apiFinding, error) {
+// lintModule is a module's non-test files, type-checked.
+type lintModule struct {
+	root        string
+	modPath     string
+	fset        *token.FileSet
+	pkgs        map[string]*lintPkg
+	paths       []string                  // import paths of pkgs, sorted
+	prodImports map[string]bool           // import paths named by non-test files
+	testImports map[string]bool           // import paths named by test files
+	stdUsed     map[string]*types.Package // standard packages the module imports
+}
+
+var lintModules = map[string]*lintModule{}
+
+// loadLintModule parses and type-checks the module rooted at root, once.
+func loadLintModule(root string) (*lintModule, error) {
+	if m := lintModules[root]; m != nil {
+		return m, nil
+	}
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
 	pkgs := map[string]*lintPkg{}
-	prodImports := map[string]bool{} // import paths named by non-test files
-	testImports := map[string]bool{} // import paths named by test files
+	prodImports := map[string]bool{}
+	testImports := map[string]bool{}
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -88,7 +105,7 @@ func findUnusedAPI(root string) ([]apiFinding, error) {
 			}
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments) // benchapi.go's header lists fields
 		if err != nil {
 			return err
 		}
@@ -154,6 +171,18 @@ func findUnusedAPI(root string) ([]apiFinding, error) {
 			return nil, err
 		}
 	}
+	m := &lintModule{root, modPath, fset, pkgs, paths, prodImports, testImports, stdUsed}
+	lintModules[root] = m
+	return m, nil
+}
+
+// findUnusedAPI runs the lint over the module rooted at root.
+func findUnusedAPI(root string) ([]apiFinding, error) {
+	m, err := loadLintModule(root)
+	if err != nil {
+		return nil, err
+	}
+	fset, pkgs, paths := m.fset, m.pkgs, m.paths
 
 	// Method names any interface type carries: those methods may be
 	// reached by dynamic dispatch, which leaves no reference to them.
@@ -172,7 +201,7 @@ func findUnusedAPI(root string) ([]apiFinding, error) {
 			}
 		}
 	}
-	for _, sp := range stdUsed {
+	for _, sp := range m.stdUsed {
 		for _, n := range sp.Scope().Names() {
 			if tn, ok := sp.Scope().Lookup(n).(*types.TypeName); ok {
 				addIface(tn.Type())
@@ -188,11 +217,11 @@ func findUnusedAPI(root string) ([]apiFinding, error) {
 		}
 	}
 
-	internal := modPath + "/internal/"
+	internal := m.modPath + "/internal/"
 	var out []apiFinding
 	for _, ip := range paths {
 		p := pkgs[ip]
-		if !strings.HasPrefix(ip, internal) || (!prodImports[ip] && testImports[ip]) {
+		if !strings.HasPrefix(ip, internal) || (!m.prodImports[ip] && m.testImports[ip]) {
 			continue
 		}
 		prefix := strings.TrimPrefix(ip, internal) + "."
@@ -239,6 +268,116 @@ func findUnusedAPI(root string) ([]apiFinding, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out, nil
+}
+
+// The compat quarantine. The API only the frozen benchmark (bench/) calls
+// lives in one benchapi.go file per package: every exported name declared
+// there is compat, and so is every field that file's header comment lists
+// on a tab-indented "Type.Field" line (a field cannot leave its struct's
+// declaration). findCompatLeaks returns the compat names and every place a
+// non-test file outside bench/ and the benchapi.go files names one.
+const compatFile = "benchapi.go"
+
+var compatFieldLine = regexp.MustCompile(`^//\t([A-Z]\w*)\.([A-Z]\w*)\b`)
+
+func findCompatLeaks(root string) (compat []string, leaks []apiFinding, err error) {
+	m, err := loadLintModule(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	names := map[types.Object]string{}
+	for _, ip := range m.paths {
+		p := m.pkgs[ip]
+		prefix := ip[strings.LastIndex(ip, "/")+1:] + "."
+		for _, f := range p.files {
+			if filepath.Base(m.fset.Position(f.Pos()).Filename) != compatFile {
+				continue
+			}
+			add := func(id *ast.Ident, name string) {
+				if id.IsExported() {
+					names[p.info.Defs[id]] = prefix + name
+				}
+			}
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						add(d.Name, d.Name.Name)
+						break
+					}
+					recv := derefType(p.info.Defs[d.Name].Type().(*types.Signature).Recv().Type()).(*types.Named).Obj()
+					if recv.Exported() {
+						add(d.Name, recv.Name()+"."+d.Name.Name)
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							add(s.Name, s.Name.Name)
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								add(n, n.Name)
+							}
+						}
+					}
+				}
+			}
+			for _, cg := range f.Comments {
+				if cg.End() >= f.Package {
+					break
+				}
+				for _, c := range cg.List {
+					sm := compatFieldLine.FindStringSubmatch(c.Text)
+					if sm == nil {
+						continue
+					}
+					var field types.Object
+					if tn, ok := p.types.Scope().Lookup(sm[1]).(*types.TypeName); ok {
+						if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+							for i := 0; i < st.NumFields(); i++ {
+								if st.Field(i).Name() == sm[2] {
+									field = st.Field(i)
+								}
+							}
+						}
+					}
+					if field == nil {
+						return nil, nil, fmt.Errorf("%s: lists %s.%s, which is not a field of the package", m.fset.Position(c.Pos()), sm[1], sm[2])
+					}
+					names[field] = prefix + sm[1] + "." + sm[2]
+				}
+			}
+		}
+	}
+	for _, name := range names {
+		compat = append(compat, name)
+	}
+	sort.Strings(compat)
+
+	for _, ip := range m.paths {
+		p := m.pkgs[ip]
+		for _, f := range p.files {
+			file := m.fset.Position(f.Pos()).Filename
+			rel, err := filepath.Rel(m.root, file)
+			if err != nil {
+				return nil, nil, err
+			}
+			if rel = filepath.ToSlash(rel); strings.HasPrefix(rel, "bench/") || filepath.Base(rel) == compatFile {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if name, ok := names[lintOrigin(p.info.Uses[id])]; ok {
+						pos := m.fset.Position(id.Pos())
+						pos.Filename = rel
+						leaks = append(leaks, apiFinding{name: name, pos: pos})
+					}
+				}
+				return true
+			})
+		}
+	}
+	return compat, leaks, nil
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -465,10 +604,67 @@ func TestUnusedAPIFixture(t *testing.T) {
 	want := []string{
 		"lib.Box.Drop: unused",     // a method nothing calls
 		"lib.Box.Limit: never set", // read by the product, set only by a test
+		"lib.Orphan: unused",       // a compat function nothing calls, bench/ included
 		"lib.Unused: unused",       // a function nothing calls
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("findings:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+}
+
+// TestCompatQuarantine keeps product code off the API only bench/ calls,
+// and pins what that API is: a name leaves this list by leaving the
+// product, or by bench/ no longer calling it.
+func TestCompatQuarantine(t *testing.T) {
+	compat, leaks, err := findCompatLeaks(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range leaks {
+		t.Errorf("%s: names %s, which only bench/ may call: it is declared, or listed as a field, in a %s", l.pos, l.name, compatFile)
+	}
+	want := []string{
+		"core.NewTenantSet",
+		"core.StreamOptions.Isolated",
+		"core.TenantSet",
+		"core.TenantSet.Keys",
+		"core.TenantSet.Stream",
+		"core.TenantSetOptions",
+		"trace.AsyncTapStats.Dropped",
+		"trace.NewServer",
+		"trace.Server.SetTenantInit",
+		"trace.Server.Tenant",
+		"trace.Server.Tenants",
+		"trace.ServerTenant.Collector",
+		"trace.ServerTenant.SetLoad",
+		"trace.ShedBlock",
+		"trace.TapOptions.Policy",
+	}
+	if !reflect.DeepEqual(compat, want) {
+		t.Errorf("compat API:\n  %s\nwant:\n  %s", strings.Join(compat, "\n  "), strings.Join(want, "\n  "))
+	}
+}
+
+// TestCompatQuarantineFixture pins the check on the fixture module: a
+// product file naming a compat function or a listed field is a leak, a
+// bench/ file naming them is not, and a compat name nothing calls is the
+// unused lint's (TestUnusedAPIFixture).
+func TestCompatQuarantineFixture(t *testing.T) {
+	compat, leaks, err := findCompatLeaks("testdata/unusedapi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, l := range leaks {
+		got = append(got, l.pos.Filename+": "+l.name)
+	}
+	wantCompat := []string{"lib.Compat", "lib.Opts.Legacy", "lib.Orphan"}
+	wantLeaks := []string{
+		"cmd/app/main.go: lib.Compat",          // a product caller
+		"internal/lib/lib.go: lib.Opts.Legacy", // product code reading a listed field
+	}
+	if !reflect.DeepEqual(compat, wantCompat) || !reflect.DeepEqual(got, wantLeaks) {
+		t.Errorf("compat %v, leaks:\n  %s\nwant compat %v, leaks:\n  %s", compat, strings.Join(got, "\n  "), wantCompat, strings.Join(wantLeaks, "\n  "))
 	}
 }
 
