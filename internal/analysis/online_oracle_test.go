@@ -248,7 +248,7 @@ func runOnlineStream(t *testing.T, batches [][]*trace.Span, opts core.StreamOpti
 			t.Fatal(err)
 		}
 	}
-	return eng, sc.Trace()
+	return eng, sc.SnapshotTrace()
 }
 
 func assertOnlineEqualsBatch(t *testing.T, eng *Online, tr *trace.Trace) {

@@ -60,8 +60,8 @@
 // prefix maxima over End — until a fold moves it into a checkpoint
 // segment. The released runs, the buffer and the stragglers are the live
 // set: repairs collect their regions from the runs, folds evict from them,
-// WAL snapshots and Trace / SnapshotTrace / SnapshotRaw enumerate the three
-// holders, and Stats().Live sums them. There is no arrival-ordered list of
+// WAL snapshots and every read (View) enumerate the three holders, and
+// Stats().Live sums them. There is no arrival-ordered list of
 // live spans and no table of execution spans by correlation id to keep in
 // step with them.
 //
@@ -79,7 +79,7 @@
 // StreamOptions.Retain for the automatic form) folds finalized history —
 // spans the sweep has passed by more than ReorderWindow+Retain, with no
 // open degraded window or pending execution reaching back — into
-// immutable checkpoint segments that Trace and SnapshotTrace merge with
+// immutable checkpoint segments that every read merges with
 // the live tail, keeping the live resolver state bounded (the automatic
 // fold waits for 1024 releases or an eighth of the live tail, whichever is
 // more, so its O(live) pass and its segment file cost what they fold at any
@@ -99,14 +99,21 @@
 // therefore costs what the codec makes of it (~113 B plus its reference, not
 // a decoded span's 136-byte header, its tag and metric entries and its share
 // of a blob string) and holds no pointer for the collector to follow; a block leaves with the last reference to it, and one
-// under half referenced gives its records up to a gathered block. Reads
-// (Trace, SnapshotTrace, SnapshotRaw, recovery's observer replay) decode
-// through the references into fresh copies — the correlator's mutex held
-// only to pin the immutable segment list and copy the live tail's headers,
-// the decode after it is released — a reopen decodes only the spans it takes
-// back, and a durable segment file is the fold's block as it is, or the
-// records of several gathered with their table offsets rebased; recovery
-// keeps a validated file payload as the block.
+// under half referenced gives its records up to a gathered block. A read
+// ([StreamCorrelator.View]) holds the correlator's mutex only to pin the
+// immutable segment list and copy the live tail's headers; after it is
+// released, one k-way merge over the segments' references and the live run
+// hands each span, in canonical order, to a sink. The binary reply of
+// /api/correlated and /api/trace is one sink: it gathers each record into
+// the frame with its offsets rebased and its owned flag cleared, in two
+// passes (strings and tables first, so the frame's length is known; then the
+// records, written ~64 KB at a time), so nothing is decoded and the frame
+// is never held whole. A decode sink serves everything that wants Spans —
+// JSON replies, SnapshotTrace, recovery's observer replay, which it hands
+// over 4096 spans at a time — with fresh copies. A reopen decodes only the
+// spans it takes back, and a durable segment file is the fold's block as it
+// is, or the records of several gathered with their table offsets rebased;
+// recovery keeps a validated file payload as the block.
 //
 // Three further mechanisms make unbounded runs flat-cost. Segments compact
 // on a geometric (size-tiered) schedule: whenever two size-adjacent segments are within
@@ -164,8 +171,8 @@
 // aliasing contract; spans themselves live in trace.SpanStore arenas),
 // so correlating allocates no span copies. A correlator that is the only
 // holder of its spans needs no copy: cmd/xsp-server's is the tenant's one
-// span store, in every mode, and [StreamCorrelator.SnapshotRaw] —
-// SnapshotTrace with every resolver-assigned link zeroed on the copies —
+// span store, in every mode, and its raw [StreamCorrelator.View] — every
+// resolver-assigned link reading zero, on the copies and in the records —
 // serves /api/trace what was published, before and after a restart. The StreamCorrelator
 // additionally draws every interval-tree node — degraded windows and
 // straggler repairs both — from a per-correlator free-list pool

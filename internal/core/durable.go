@@ -9,6 +9,10 @@ import (
 	"xsp/internal/trace"
 )
 
+// replayRun is how many recovered segment spans reach the observer per
+// call: the most recovery holds decoded at once.
+const replayRun = 4096
+
 // SegmentStore is the durability hook a StreamCorrelator writes through
 // when StreamOptions.Store is set. *segio.Store satisfies it; the
 // indirection keeps core testable against in-memory fakes and keeps the
@@ -277,11 +281,22 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 	// An observer attached for recovery sees the whole stream again:
 	// recovered segments never pass through the release path, so their
 	// spans are delivered here — decoded for the occasion, the history keeps
-	// the files' blocks — merged into one canonical order, which keeps
-	// begins non-decreasing across segments — and the WAL replay below
-	// re-releases the rest through the ordinary drain path.
+	// the files' blocks, and merged into one canonical order, which keeps
+	// begins non-decreasing across segments — in runs of replayRun, so what
+	// the replay holds decoded is one run, not the history; the WAL replay
+	// below re-releases the rest through the ordinary drain path.
 	if sc.observe != nil && sc.hist.spans > 0 {
-		sc.observe(trace.MergeRuns(decodeSegments(sc.hist.segs, false)))
+		run := make([]*trace.Span, 0, replayRun)
+		view := trace.View{Walk: (&pinned{segs: sc.hist.segs}).walk}
+		view.Decode(func(s *trace.Span) {
+			if run = append(run, s); len(run) == replayRun {
+				sc.observe(run)
+				run = run[:0]
+			}
+		})
+		if len(run) > 0 {
+			sc.observe(run)
+		}
 	}
 
 	sc.replaying = true

@@ -59,7 +59,7 @@ func (sc *StreamCorrelator) reopenAll() {
 	for _, l := range sc.levels {
 		released = append(released, sc.rel.slot(l).spans...)
 	}
-	for k, run := range decodeSegments(sc.hist.segs, false) {
+	for k, run := range decodeRuns(sc.hist.segs) {
 		seg := &sc.hist.segs[k]
 		for i, s := range run {
 			if blk, r := seg.at(i); !blk.Owned(r) {
@@ -150,4 +150,26 @@ func (sc *StreamCorrelator) BlockResidency() (resident, referenced int, shared b
 		}
 	}
 	return resident, referenced, shared
+}
+
+// SnapshotRaw is the raw View decoded: the stream as it was fed, for the
+// tests that hold the raw view to the spans they fed.
+func (sc *StreamCorrelator) SnapshotRaw() *trace.Trace { return sc.View(true).Trace() }
+
+// Trace is SnapshotTrace sharing the live tail's spans with the correlator
+// (and with whoever fed them): parents resolved later show through it.
+// Checkpointed spans come back as decoded copies, so a span read live by one
+// call may be a copy in the next.
+func (sc *StreamCorrelator) Trace() *trace.Trace {
+	return trace.View{Walk: sc.pin(slices.Clone[[]*trace.Span]).walk}.Trace()
+}
+
+// decodeRuns decodes each segment on its own, through the read merge over
+// that segment alone: one canonically ordered run of fresh spans each.
+func decodeRuns(segs []ckptSegment) [][]*trace.Span {
+	runs := make([][]*trace.Span, len(segs))
+	for k := range segs {
+		runs[k] = trace.View{Walk: (&pinned{segs: segs[k : k+1]}).walk}.Trace().Spans
+	}
+	return runs
 }

@@ -40,8 +40,8 @@ func (b ownedBits) has(i int) bool { return i/64 < len(b) && b[i/64]&(1<<(i%64))
 // The correlator's mutex guards the ladder — the list of segments and the
 // counters — like everything the resolver holds. The segments themselves and
 // the blocks behind them are immutable, replaced and never edited, so a
-// reader holds the mutex only to pin the list — copy it — and decodes what
-// it pinned after letting go (see StreamCorrelator.read).
+// reader holds the mutex only to pin the list — copy it — and walks what it
+// pinned after letting go (see StreamCorrelator.View and pinned.walk).
 type history struct {
 	segs        []ckptSegment // geometric compaction merges by size, so segments carry no time order
 	spans       int           // folded spans, over all segments
@@ -208,27 +208,76 @@ func (h *history) install(blk trace.SpanBlock, fileID uint64, drop []int, kept f
 // repair window opening at t has anything to take back.
 func (h *history) reaches(t vclock.Time) bool { return h.spans > 0 && h.maxEnd >= t }
 
-// decodeSegments decodes pinned segments, one canonically ordered run of
-// fresh spans each: copies nobody else holds. With raw the spans are as they
-// were fed: every owned link — the record's flag — zero again.
-func decodeSegments(segs []ckptSegment, raw bool) [][]*trace.Span {
-	var st trace.SpanStore
-	runs := make([][]*trace.Span, len(segs))
-	for k, seg := range segs {
-		decs := make([]trace.SpanDecoder, len(seg.blocks))
-		for b := range seg.blocks {
-			decs[b] = seg.blocks[b].Decoder()
+// pinned is one read of a stream: the history's segment list and the live
+// tail as the read took them under the correlator's mutex — immutable
+// segments, and one canonically ordered run of live spans nobody else
+// holds — walked as often as the reader needs after the mutex is released.
+type pinned struct {
+	segs []ckptSegment
+	live []*trace.Span
+}
+
+// walk is the one merge every read goes through: a k-way merge of the
+// segments' records and the live run into canonical order, handing yield a
+// folded span as its record — nothing is decoded — and a live span as
+// itself. Equal keys (duplicate span ids) break toward the segments, in
+// ladder order, then the live run: trace.MergeRuns' tie-break over the
+// runs in that order.
+func (p *pinned) walk(yield func(blk *trace.SpanBlock, i int, s *trace.Span) bool) {
+	// A head is a run's next span, its key read once: run len(p.segs) is
+	// the live run.
+	type head struct {
+		begin    vclock.Time
+		level    trace.Level
+		id       uint64
+		run, pos int
+	}
+	load := func(h *head) bool {
+		if h.run < len(p.segs) {
+			seg := &p.segs[h.run]
+			if h.pos == len(seg.refs) {
+				return false
+			}
+			blk, r := seg.at(h.pos)
+			h.begin, h.level, h.id = blk.Begin(r), blk.Level(r), blk.ID(r)
+			return true
 		}
-		run := make([]*trace.Span, len(seg.refs))
-		for i, r := range seg.refs {
-			run[i] = decs[r.Block].Span(&st, int(r.Record))
-			if raw && seg.blocks[r.Block].Owned(int(r.Record)) {
-				run[i].ParentID = 0
+		if h.pos == len(p.live) {
+			return false
+		}
+		s := p.live[h.pos]
+		h.begin, h.level, h.id = s.Begin, s.Level, s.ID
+		return true
+	}
+	var heads []head // in run order, so the first least head wins a tie
+	for run := 0; run <= len(p.segs); run++ {
+		if h := (head{run: run}); load(&h) {
+			heads = append(heads, h)
+		}
+	}
+	for len(heads) > 0 {
+		least := 0
+		for k := 1; k < len(heads); k++ { // a ladder is ~log n segments: a scan beats a heap's bookkeeping
+			a, b := &heads[k], &heads[least]
+			if cmp.Or(cmp.Compare(a.begin, b.begin), cmp.Compare(a.level, b.level), cmp.Compare(a.id, b.id)) < 0 {
+				least = k
 			}
 		}
-		runs[k] = run
+		h := &heads[least]
+		var more bool
+		if h.run < len(p.segs) {
+			blk, r := p.segs[h.run].at(h.pos)
+			more = yield(&blk.SpanBlock, r, nil)
+		} else {
+			more = yield(nil, 0, p.live[h.pos])
+		}
+		if !more {
+			return
+		}
+		if h.pos++; !load(h) {
+			heads = slices.Delete(heads, least, least+1)
+		}
 	}
-	return runs
 }
 
 // persistLadder writes a segment file for every checkpoint segment that

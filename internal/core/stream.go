@@ -37,7 +37,7 @@ type StreamOptions struct {
 	// sweep has passed by more than ReorderWindow+Retain of virtual time,
 	// with no open degraded window, pending execution span, or unrepaired
 	// straggler reaching back to them — into an immutable checkpoint
-	// segment that Trace and SnapshotTrace merge with the live tail, so
+	// segment that every read (View) merges with the live tail, so
 	// the resolver's live state covers a bounded stretch of recent history
 	// instead of every span ever fed. Stragglers whose repair window
 	// reaches behind the checkpoint horizon reopen it (exact, counted in
@@ -1186,58 +1186,58 @@ func (sc *StreamCorrelator) fold() int {
 	return folded
 }
 
-// Trace returns the accumulated spans — checkpointed history and live tail
-// merged — as a canonically ordered trace. The live tail's spans are shared
-// with the correlator (and with whoever fed them): parents resolved later
-// are visible through the returned trace, exactly like trace.Memory.Trace.
-// Checkpointed spans are not: the history holds them encoded, so they come
-// back as decoded copies — final as folded, and the caller's own — and a
-// span read live by one call may be a copy in the next.
-func (sc *StreamCorrelator) Trace() *trace.Trace {
-	return sc.read(slices.Clone[[]*trace.Span], false)
-}
-
-// SnapshotTrace is Trace with every live span's header copied
-// (trace.CloneHeaders): a point-in-time snapshot whose parent links stay as
-// they were while the stream keeps feeding, and whose header fields the
-// caller may rewrite. The live tail's payload — Name, Source, Tags, Metrics —
-// is shared read-only with the correlator's spans: immutable once published.
-func (sc *StreamCorrelator) SnapshotTrace() *trace.Trace { return sc.read(trace.CloneHeaders, false) }
-
-// SnapshotRaw is SnapshotTrace as the spans were fed: on the copies, every
-// link the resolver assigned — a folded record's owned flag, owns for the
-// live tail — reads zero again, and a tracer-supplied ParentID stays. It is what
-// a raw store fed the same batches would serve, at query-time cost only, so
-// the correlator can be a server tenant's one span store.
-func (sc *StreamCorrelator) SnapshotRaw() *trace.Trace {
-	return sc.read(func(run []*trace.Span) []*trace.Span {
-		raw := trace.CloneHeaders(run)
-		for i, s := range run {
-			if sc.owns(s) {
-				raw[i].ParentID = 0
+// View pins the stream for one read: the history's segment list and header
+// copies of the live tail (trace.CloneHeaders), taken under the mutex, and
+// merged into canonical order — records handed out as they lie in their
+// blocks — each time the view is walked, after the mutex is released. So a
+// read of a long history delays ingest by the live tail, not by the
+// history, and a reply streams from the folded records without decoding
+// them. Not raw, every span carries the parent the resolver has settled so
+// far. Raw, every link the resolver assigned — a folded record's owned flag,
+// owns for the live tail — reads zero again and a tracer-supplied ParentID
+// stays: what a raw store fed the same batches would serve, at query-time
+// cost only, so the correlator can be a server tenant's one span store. The
+// live payload — Name, Source, Tags, Metrics — is shared read-only with the
+// correlator's spans: immutable once published.
+func (sc *StreamCorrelator) View(raw bool) trace.View {
+	live := trace.CloneHeaders
+	if raw {
+		live = func(run []*trace.Span) []*trace.Span {
+			headers := trace.CloneHeaders(run)
+			for i, s := range run {
+				if sc.owns(s) {
+					headers[i].ParentID = 0
+				}
 			}
+			return headers
 		}
-		return raw
-	}, true)
+	}
+	return trace.View{Walk: sc.pin(live).walk, Raw: raw}
 }
 
-// read is the three reads above. Under the mutex it only pins the history's
-// segment list and takes the live set, run by run, through live — a copy of
-// the run at least: the holders' arrays are theirs. Decoding the history
-// (raw: owned links zeroed) and merging it with the live runs happen after
-// the mutex is released, so a read of a long history delays ingest by the
-// live tail, not by the history.
-func (sc *StreamCorrelator) read(live func(run []*trace.Span) []*trace.Span, raw bool) *trace.Trace {
+// SnapshotTrace is the correlated View decoded: a point-in-time snapshot
+// whose parent links stay as they were while the stream keeps feeding, and
+// whose header fields the caller may rewrite. Checkpointed spans come back
+// as decoded copies, the live tail as header copies.
+func (sc *StreamCorrelator) SnapshotTrace() *trace.Trace { return sc.View(false).Trace() }
+
+// pin is what a read holds the mutex for: the history's segment list —
+// segments and blocks are immutable, so the copy stays readable whatever
+// follows — and the live set, run by run, through live: a copy of each run
+// at least, the holders' arrays are theirs. The live runs are merged after
+// the mutex is released.
+func (sc *StreamCorrelator) pin(live func(run []*trace.Span) []*trace.Span) *pinned {
 	sc.mu.Lock()
-	segs := slices.Clone(sc.hist.segs) // segments and blocks are immutable: the copy stays decodable whatever follows
+	p := &pinned{segs: slices.Clone(sc.hist.segs)}
 	var tail [][]*trace.Span
 	for _, run := range sc.liveRuns() {
-		if len(run) > 0 { // an empty stream reads as nil, not as an empty slice
+		if len(run) > 0 {
 			tail = append(tail, live(run))
 		}
 	}
 	sc.mu.Unlock()
-	return &trace.Trace{Spans: trace.MergeRuns(append(decodeSegments(segs, raw), tail...))}
+	p.live = trace.MergeRuns(tail)
+	return p
 }
 
 // StreamStats describes a correlator's progress, for observability and

@@ -577,3 +577,88 @@ func fuzzTenantInterleave(t *testing.T, T, n int, streams uint8, dropLaunches bo
 		checkSnapshotRaw(t, sc, feds[k])
 	}
 }
+
+// runObserver records the runs an ObserveSpans observer is handed: each
+// run's length and, in order, every span's key.
+type runObserver struct {
+	runs []int
+	keys []*trace.Span
+}
+
+func (o *runObserver) ObserveSpan(s *trace.Span) { o.ObserveSpans([]*trace.Span{s}) }
+
+func (o *runObserver) ObserveSpans(run []*trace.Span) {
+	o.runs = append(o.runs, len(run))
+	for _, s := range run {
+		o.keys = append(o.keys, &trace.Span{ID: s.ID, Begin: s.Begin, Level: s.Level})
+	}
+}
+
+// Recovery hands an observer the folded history in runs of at most 4096
+// spans, never the whole history in one: the runs together are the
+// recovered segments in canonical order, and with the WAL replay after them
+// the observer sees every fed span exactly once.
+func TestRecoveryReplaysHistoryInBoundedRuns(t *testing.T) {
+	batches := durableLoad(20_000, 3)
+	disk := faultfs.New()
+	st, rec, err := segio.Open(disk, segio.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := core.RecoverStream(durableOpts(st), rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acked, crashed := feedDurable(sc, batches); crashed {
+		t.Fatalf("a healthy disk failed after %d batches", acked)
+	}
+	folded := sc.Stats().Checkpointed
+	if folded < 3*4096 {
+		t.Fatalf("only %d spans folded", folded)
+	}
+
+	st, rec, err = segio.Open(disk.Recovered(), segio.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := &runObserver{}
+	opts := durableOpts(st)
+	opts.Observer = obs
+	if sc, err = core.RecoverStream(opts, rec); err != nil {
+		t.Fatal(err)
+	}
+	replayed := 0
+	for _, n := range obs.runs {
+		if replayed >= folded {
+			break
+		}
+		if n > 4096 {
+			t.Fatalf("recovery handed the observer a run of %d spans", n)
+		}
+		replayed += n
+	}
+	if replayed != folded {
+		t.Fatalf("the replay runs hold %d spans, the segments %d", replayed, folded)
+	}
+	for i := 1; i < folded; i++ {
+		if trace.CanonicalLess(obs.keys[i], obs.keys[i-1]) {
+			t.Fatalf("replayed span %d (id %d) sorts before span %d (id %d)", i, obs.keys[i].ID, i-1, obs.keys[i-1].ID)
+		}
+	}
+	sc.Flush()
+	seen := make(map[uint64]int)
+	for _, s := range obs.keys {
+		seen[s.ID]++
+	}
+	fed := 0
+	for _, b := range batches {
+		for _, s := range b {
+			if fed++; seen[s.ID] != 1 {
+				t.Fatalf("span %d reached the observer %d times", s.ID, seen[s.ID])
+			}
+		}
+	}
+	if len(seen) != fed {
+		t.Fatalf("the observer saw %d spans, %d were fed", len(seen), fed)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -22,7 +23,7 @@ type keyed struct {
 // built from both inputs.
 func mergeSegmentsByMap(a, b ckptSegment) (merged []keyed, replaced []uint64) {
 	ownedSet := make(map[*trace.Span]bool)
-	runs := decodeSegments([]ckptSegment{a, b}, false)
+	runs := decodeRuns([]ckptSegment{a, b})
 	for k, seg := range []ckptSegment{a, b} {
 		for i, s := range runs[k] {
 			if blk, r := seg.at(i); blk.Owned(r) {
@@ -223,6 +224,72 @@ func TestWithoutKeepsBlocksHalfReferenced(t *testing.T) {
 		}
 		if len(seg.refs) != 300 || len(seg.blocks) != 2 {
 			t.Fatalf("%s: without edited the segment it was called on", tc.name)
+		}
+	}
+}
+
+// Property: the read merge is trace.MergeRuns over the decoded segments and
+// the live run, in that order — keys that collide on begin and level, and
+// live spans that tie a folded one completely (a duplicate id), which go
+// after it — and the view it walks frames to the bytes its decoded spans
+// do, with a live tail and with none (a history alone).
+func TestPinnedWalkIsMergeRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for round := 0; round < 40; round++ {
+		ids := make([]uint64, 2_000)
+		for i := range ids {
+			ids[i] = uint64(i + 1)
+		}
+		p := &pinned{}
+		for k := rng.Intn(6); k > 0; k-- {
+			p.segs = append(p.segs, randomSegment(rng, rng.Intn(300), vclock.Time(rng.Intn(50)), &ids))
+		}
+		if round%2 == 1 {
+			for _, s := range trace.MergeRuns(decodeRuns(p.segs)) {
+				if rng.Intn(8) == 0 { // a duplicate of a folded span
+					p.live = append(p.live, &trace.Span{ID: s.ID, Begin: s.Begin, Level: s.Level, Name: "live"})
+				}
+			}
+			for i := rng.Intn(200); i > 0; i-- {
+				p.live = append(p.live, &trace.Span{ID: ids[i], Begin: vclock.Time(rng.Intn(150)), Level: trace.Level(rng.Intn(3)), Name: "live"})
+			}
+			p.live = trace.MergeRuns([][]*trace.Span{p.live})
+		}
+
+		type item struct {
+			id   uint64
+			live bool
+		}
+		var want, got []item
+		for _, s := range trace.MergeRuns(append(decodeRuns(p.segs), p.live)) {
+			want = append(want, item{s.ID, s.Name == "live"})
+		}
+		p.walk(func(blk *trace.SpanBlock, i int, s *trace.Span) bool {
+			if blk != nil {
+				got = append(got, item{blk.ID(i), false})
+			} else {
+				got = append(got, item{s.ID, true})
+			}
+			return true
+		})
+		if !slices.Equal(got, want) {
+			at := 0
+			for at < min(len(got), len(want)) && got[at] == want[at] {
+				at++
+			}
+			t.Fatalf("round %d: %d segments and %d live spans walk to %d spans, MergeRuns gives %d: first difference at %d: %v, want %v",
+				round, len(p.segs), len(p.live), len(got), len(want), at, got[at:min(at+3, len(got))], want[at:min(at+3, len(want))])
+		}
+
+		for _, raw := range []bool{false, true} {
+			view := trace.View{Walk: p.walk, Raw: raw}
+			var frame bytes.Buffer
+			if err := view.WriteBinary(&frame); err != nil {
+				t.Fatal(err)
+			}
+			if want := trace.AppendBinaryFrameTenant(nil, "", view.Trace().Spans); !bytes.Equal(frame.Bytes(), want) {
+				t.Fatalf("round %d, raw %v: the streamed frame differs from the decoded view's", round, raw)
+			}
 		}
 	}
 }

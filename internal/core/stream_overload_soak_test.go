@@ -180,7 +180,7 @@ func TestOverloadSoakBlockPolicy(t *testing.T) {
 	if got := srv.Tenant(trace.DefaultTenant).Received(); got != generated+1 {
 		t.Fatalf("server accepted %d spans, generated %d and a probe — retried batches double-counted or lost", got, generated)
 	}
-	accepted := srv.Tenant(trace.DefaultTenant).Trace()
+	accepted := srv.Tenant(trace.DefaultTenant).View().Trace()
 	if len(accepted.Spans) != generated+1 {
 		t.Fatalf("store holds %d spans, want %d", len(accepted.Spans), generated+1)
 	}

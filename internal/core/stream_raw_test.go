@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -27,6 +28,7 @@ func noteFed(fed map[uint64]uint64, batches ...[]*trace.Span) {
 // rewriting it shows through Trace.
 func checkSnapshotRaw(t testing.TB, sc *core.StreamCorrelator, fed map[uint64]uint64) {
 	t.Helper()
+	checkViewFrames(t, sc, "")
 	live := sc.Trace().Spans
 	linked := make([]uint64, len(live))
 	for i, s := range live {
@@ -60,6 +62,61 @@ func checkSnapshotRaw(t testing.TB, sc *core.StreamCorrelator, fed map[uint64]ui
 				i, s.ID, s.ParentID, live[i].ID, linked[i])
 		}
 	}
+}
+
+// checkViewFrames is the byte-identity oracle of the streamed views: for
+// the correlated and the raw view alike, the frame View writes record by
+// record is the frame AppendBinaryFrameTenant encodes from the decoded
+// snapshot — SnapshotTrace, SnapshotRaw — under tenant.
+func checkViewFrames(t testing.TB, sc *core.StreamCorrelator, tenant string) {
+	t.Helper()
+	for _, raw := range []bool{false, true} {
+		view := sc.View(raw)
+		view.Tenant = tenant
+		var got bytes.Buffer
+		if err := view.WriteBinary(&got); err != nil {
+			t.Fatal(err)
+		}
+		snap := sc.SnapshotTrace()
+		if raw {
+			snap = sc.SnapshotRaw()
+		}
+		if want := trace.AppendBinaryFrameTenant(nil, tenant, snap.Spans); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("raw %v: the streamed frame (%d bytes) differs from the decoded snapshot's (%d bytes, %d spans)", raw, got.Len(), len(want), len(snap.Spans))
+		}
+	}
+}
+
+// The streamed frames are the snapshots' at the edges too: an empty stream,
+// a live tail with no history, a history behind a tail of a few spans, a
+// tenant-named (version-2) frame, and views long enough to be written in
+// many chunks. (A history with no tail at all is TestHistoryViewMergesTheSegments.)
+func TestViewFramesAtTheEdges(t *testing.T) {
+	sc := core.NewStreamCorrelator(core.StreamOptions{ReorderWindow: 64})
+	checkViewFrames(t, sc, "")
+	checkViewFrames(t, sc, "acme")
+
+	batches := workload.StreamingArrivals(workload.StreamingSpec{Trace: payloadTrace(4_000, 5), BatchSize: 500})
+	feedAll(sc, batches[:len(batches)/2])
+	if st := sc.Stats(); st.Checkpointed != 0 || st.Live == 0 {
+		t.Fatalf("not a live tail alone: %+v", st)
+	}
+	checkViewFrames(t, sc, "")
+	checkViewFrames(t, sc, "acme")
+
+	sc.Flush()
+	sc.Checkpoint()
+	if st := sc.Stats(); st.Live > 10 || st.Checkpointed == 0 {
+		t.Fatalf("not a history behind a few live spans: %+v", st)
+	}
+	checkViewFrames(t, sc, "")
+	checkViewFrames(t, sc, "acme")
+
+	feedAll(sc, batches[len(batches)/2:])
+	if st := sc.Stats(); st.Live == 0 || st.Checkpointed == 0 || st.Fed < 3*(64<<10/trace.SpanRecordSize) {
+		t.Fatalf("not a history, a live tail and several chunks: %+v", st)
+	}
+	checkViewFrames(t, sc, "acme")
 }
 
 // SnapshotRaw is a server tenant's raw view, so it is inspected the way the

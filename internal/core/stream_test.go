@@ -854,14 +854,14 @@ func TestMemoryTapStreamCheckpointConcurrently(t *testing.T) {
 			sc.Checkpoint()
 			sc.Stats()
 			sc.SnapshotTrace()
-			tn.Trace()
+			tn.View().Trace()
 		}
 	}()
 	wg.Wait()
 	<-done
 	sc.Flush()
 
-	if got := len(tn.Trace().Spans); got != publishers*perPublisher {
+	if got := len(tn.View().Trace().Spans); got != publishers*perPublisher {
 		t.Fatalf("collector holds %d spans, want %d", got, publishers*perPublisher)
 	}
 	st := sc.Stats()
@@ -924,7 +924,7 @@ func TestIsolatedCorrelatorSharesPayloadReadOnly(t *testing.T) {
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for _, read := range []func(){
-		func() { readPayload(tn.Trace().Spans) },
+		func() { readPayload(tn.View().Trace().Spans) },
 		func() {
 			snap := sc.SnapshotTrace().Spans
 			readPayload(snap)
@@ -959,7 +959,7 @@ func TestIsolatedCorrelatorSharesPayloadReadOnly(t *testing.T) {
 		t.Fatalf("the stream never folded: %+v", st)
 	}
 	raw := make(map[uint64]*trace.Span, len(want))
-	for _, s := range tn.Trace().Spans {
+	for _, s := range tn.View().Trace().Spans {
 		if s.ParentID != 0 {
 			t.Fatalf("raw span %d got parent %d: the correlator wrote through its copy", s.ID, s.ParentID)
 		}

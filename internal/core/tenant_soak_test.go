@@ -182,7 +182,7 @@ func TestMultiTenantSoak(t *testing.T) {
 		if got := tn.Received(); got != generated[ti] {
 			t.Errorf("tenant %s accepted %d spans, generated %d", key, got, generated[ti])
 		}
-		accepted := tn.Trace()
+		accepted := tn.View().Trace()
 		if len(accepted.Spans) != generated[ti] {
 			t.Errorf("tenant %s store holds %d spans, want %d", key, len(accepted.Spans), generated[ti])
 		}

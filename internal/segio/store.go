@@ -411,18 +411,21 @@ func (st *Store) publishWAL(snap *Snapshot) error {
 	return nil
 }
 
-// publishFile durably publishes buf as the file name: written to a
-// temporary name, synced and closed, renamed into place, and the directory
-// synced — so a crash leaves either no file of that name or all of it.
-func (st *Store) publishFile(name string, buf []byte) error {
+// publishFile durably publishes bufs, one after another, as the file name:
+// written to a temporary name, synced and closed, renamed into place, and
+// the directory synced — so a crash leaves either no file of that name or
+// all of it.
+func (st *Store) publishFile(name string, bufs ...[]byte) error {
 	tmp := name + tmpSuffix
 	f, err := st.fs.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
+	for _, buf := range bufs {
+		if _, err := f.Write(buf); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -516,17 +519,18 @@ func (st *Store) WriteSegment(block []byte, replaces []uint64) (uint64, error) {
 	defer st.unlock()
 	id := st.nextSeg
 	st.nextSeg++
-	buf := make([]byte, segHeaderLen+len(block))
-	copy(buf, segMagic)
-	binary.LittleEndian.PutUint32(buf[8:], formatVersion)
-	binary.LittleEndian.PutUint64(buf[12:], uint64(len(block)))
-	binary.LittleEndian.PutUint32(buf[20:], crc32.Checksum(block, castagnoli))
-	copy(buf[segHeaderLen:], block)
+	var hdr [segHeaderLen]byte
+	copy(hdr[:], segMagic)
+	binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
+	binary.LittleEndian.PutUint64(hdr[12:], uint64(len(block)))
+	binary.LittleEndian.PutUint32(hdr[20:], crc32.Checksum(block, castagnoli))
 
-	if err := st.publishFile(segName(id), buf); err != nil {
+	// The header and the caller's block go out as two writes, the block
+	// from where it lies: a crash between them leaves only a .tmp.
+	if err := st.publishFile(segName(id), hdr[:], block); err != nil {
 		return 0, err
 	}
-	st.segs[id] = int64(len(buf))
+	st.segs[id] = int64(segHeaderLen + len(block))
 	if err := st.dropLocked(replaces); err != nil {
 		return 0, err
 	}

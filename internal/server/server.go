@@ -200,9 +200,9 @@ type tenant struct {
 // out.
 func (s *Server) open(key string) *tenant {
 	t := &tenant{}
-	t.ingest = s.ingest.NewTenant(key, func() *trace.Trace {
+	t.ingest = s.ingest.NewTenant(key, func() trace.View {
 		t.settle() // a batch whose 202 has returned is in the view
-		return t.stream.Correlator().SnapshotRaw()
+		return t.stream.Correlator().View(true)
 	})
 	opts := core.StreamOptions{
 		ReorderWindow: vclock.Duration(s.cfg.ReorderWindow),
@@ -384,7 +384,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request, t *ten
 // GET /api/correlated: the tenant's trace with parents resolved, settled
 // first when ?flush= asks, under the correlator's counters as headers.
 func (s *Server) handleCorrelated(w http.ResponseWriter, r *http.Request, t *tenant) {
-	snap := &trace.Trace{}
+	var view trace.View
 	if t != nil {
 		if r.URL.Query().Get("flush") != "" {
 			t.flush()
@@ -405,10 +405,10 @@ func (s *Server) handleCorrelated(w http.ResponseWriter, r *http.Request, t *ten
 		set("Reopens", st.Reopens)
 		set("Corr-Entries", st.CorrEntries)
 		set("Corr-Evicted", st.CorrEvicted)
-		snap = sc.SnapshotTrace()
-		snap.Tenant = t.stream.Key()
+		view = sc.View(false)
+		view.Tenant = t.stream.Key()
 	}
-	trace.WriteTrace(w, r, snap)
+	trace.WriteView(w, r, view)
 }
 
 // analysisViews are the snapshots /api/analysis[/view] serves; the combined

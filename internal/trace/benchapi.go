@@ -42,7 +42,7 @@ func NewServer() *Server {
 func (s *Server) SetTenantInit(init func(*ServerTenant)) {
 	route(s, NewTable(func(key string) *ServerTenant {
 		mem := NewMemory()
-		t := s.NewTenant(key, mem.Trace)
+		t := s.NewTenant(key, func() View { return spansView(mem.Trace().Spans) })
 		t.mem = mem
 		if init != nil {
 			init(t)
@@ -101,3 +101,14 @@ func (t *ServerTenant) SetLoad(any) {}
 
 // ShedBlock is the one TapOptions.Policy: at its bound the tap waits.
 const ShedBlock = 0
+
+// spansView is the view of spans, which must be in canonical order.
+func spansView(spans []*Span) View {
+	return View{Walk: func(yield func(*SpanBlock, int, *Span) bool) {
+		for _, s := range spans {
+			if !yield(nil, 0, s) {
+				return
+			}
+		}
+	}}
+}

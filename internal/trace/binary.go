@@ -128,6 +128,13 @@ type blockScratch struct {
 		data    uintptr
 		n1, off uint32 // length plus one, so the zero slot matches nothing
 	}
+	// tagN and metN count the tag and metric entries the records put or
+	// gathered so far reach: where the next record's entries start. Once
+	// tabled is set — a second pass over records a first pass already
+	// tabled (View.WriteBinary) — the tables and the blob are complete, and
+	// put and gather only count and look up.
+	tagN, metN uint32
+	tabled     bool
 }
 
 // maxPooledScratch is the most buffer capacity a scratch may take back to
@@ -157,25 +164,38 @@ func (e *blockScratch) intern(s string) (off, n uint32) {
 }
 
 // finish appends the tables and the blob behind the records already in buf,
-// and hands the scratch back to the pool. A scratch in steady use never
-// leaves the pool: one a whole-history snapshot grew is dropped rather than
-// kept alive by 1k-span records.
+// and hands the scratch back to the pool.
 func (e *blockScratch) finish(buf []byte) []byte {
-	le := binary.LittleEndian
 	buf = slices.Grow(buf, 12+len(e.tags)+len(e.mets)+len(e.blob))
+	buf = e.appendTables(buf)
+	e.release()
+	return buf
+}
+
+// appendTables appends the tag table, the metric table and the blob, each
+// behind its count: the sections that follow a block's records.
+func (e *blockScratch) appendTables(buf []byte) []byte {
+	le := binary.LittleEndian
 	buf = append(le.AppendUint32(buf, uint32(len(e.tags)/16)), e.tags...)
 	buf = append(le.AppendUint32(buf, uint32(len(e.mets)/16)), e.mets...)
-	buf = append(le.AppendUint32(buf, uint32(len(e.blob))), e.blob...)
+	return append(le.AppendUint32(buf, uint32(len(e.blob))), e.blob...)
+}
+
+// release hands the scratch back to the pool. A scratch in steady use never
+// leaves the pool: one a whole-history snapshot grew is dropped rather than
+// kept alive by 1k-span records.
+func (e *blockScratch) release() {
 	if cap(e.tags)+cap(e.mets)+cap(e.blob) <= maxPooledScratch {
 		e.tags, e.mets, e.blob = e.tags[:0], e.mets[:0], e.blob[:0]
+		e.tagN, e.metN, e.tabled = 0, 0, false
 		clear(e.pos)
 		clear(e.seen[:])
 		blockScratchPool.Put(e)
 	}
-	return buf
 }
 
-// put fills rec, one span's record, in place. rec may be dirty spare
+// put fills rec, one span's record, in place, and appends the span's table
+// entries (only counts them once e is tabled). rec may be dirty spare
 // capacity, so every byte is written, flags and padding included.
 func (e *blockScratch) put(rec []byte, s *Span, owned bool) {
 	_ = rec[SpanRecordSize-1]
@@ -196,20 +216,60 @@ func (e *blockScratch) put(rec []byte, s *Span, owned bool) {
 	off, n = e.intern(s.Source)
 	le.PutUint32(rec[56:], off)
 	le.PutUint32(rec[60:], n)
-	le.PutUint32(rec[64:], uint32(len(e.tags)/16))
-	le.PutUint32(rec[68:], uint32(len(s.Tags)))
+	e.tagN, e.metN = putReach(rec[64:], e.tagN, len(s.Tags)), putReach(rec[72:], e.metN, len(s.Metrics))
+	if e.tabled {
+		return
+	}
 	for _, t := range s.Tags {
 		off, n = e.intern(t.Key)
 		e.tags = le.AppendUint32(le.AppendUint32(e.tags, off), n)
 		off, n = e.intern(t.Value)
 		e.tags = le.AppendUint32(le.AppendUint32(e.tags, off), n)
 	}
-	le.PutUint32(rec[72:], uint32(len(e.mets)/16))
-	le.PutUint32(rec[76:], uint32(len(s.Metrics)))
 	for _, m := range s.Metrics {
 		off, n = e.intern(m.Key)
 		e.mets = le.AppendUint32(le.AppendUint32(e.mets, off), n)
 		e.mets = le.AppendUint64(e.mets, math.Float64bits(m.Value))
+	}
+}
+
+// putReach writes a record's reach into a table — the first entry, at, and the
+// count — into ent and returns where the next record's entries start.
+func putReach(ent []byte, at uint32, count int) uint32 {
+	binary.LittleEndian.PutUint32(ent[0:], at)
+	binary.LittleEndian.PutUint32(ent[4:], uint32(count))
+	return at + uint32(count)
+}
+
+// gather copies record i of src into rec, owned flag and all, rebasing its
+// string and table offsets onto e's blob and tables, and appends the table
+// entries it reaches, their strings interned afresh (only counted once e is
+// tabled).
+func (e *blockScratch) gather(rec []byte, src *SpanBlock, i int) {
+	le := binary.LittleEndian
+	copy(rec[:SpanRecordSize], src.rec(i))
+	for _, at := range [2]int{48, 56} { // name, source
+		off, n := e.intern(src.str(rec[at:]))
+		le.PutUint32(rec[at:], off)
+		le.PutUint32(rec[at+4:], n)
+	}
+	tOff, tCnt := int(le.Uint32(rec[64:])), int(le.Uint32(rec[68:]))
+	mOff, mCnt := int(le.Uint32(rec[72:])), int(le.Uint32(rec[76:]))
+	e.tagN, e.metN = putReach(rec[64:], e.tagN, tCnt), putReach(rec[72:], e.metN, mCnt)
+	if e.tabled {
+		return
+	}
+	for j := tOff; j < tOff+tCnt; j++ {
+		ent := src.tags[j*16:]
+		off, n := e.intern(src.str(ent[0:]))
+		e.tags = le.AppendUint32(le.AppendUint32(e.tags, off), n)
+		off, n = e.intern(src.str(ent[8:]))
+		e.tags = le.AppendUint32(le.AppendUint32(e.tags, off), n)
+	}
+	for j := mOff; j < mOff+mCnt; j++ {
+		ent := src.mets[j*16:]
+		off, n := e.intern(src.str(ent[0:]))
+		e.mets = append(le.AppendUint32(le.AppendUint32(e.mets, off), n), ent[8:16]...)
 	}
 }
 
@@ -467,36 +527,13 @@ func (b *SpanBlock) str(ent []byte) string {
 // an ordinary version-1 block: DecodeSpanBlock reads from it the spans it
 // would read from the sources. Nothing is decoded on the way.
 func GatherSpanBlock(buf []byte, blocks []SpanBlock, refs []RecordRef) []byte {
-	le := binary.LittleEndian
 	at := len(buf) + 4
 	buf = slices.Grow(buf, 4+len(refs)*SpanRecordSize)[:at+len(refs)*SpanRecordSize]
-	le.PutUint32(buf[at-4:], uint32(len(refs)))
+	binary.LittleEndian.PutUint32(buf[at-4:], uint32(len(refs)))
 	e := blockScratchPool.Get().(*blockScratch)
 	for _, ref := range refs {
-		src := blocks[ref.Block]
-		rec := buf[at : at+SpanRecordSize]
-		at += copy(rec, src.rec(int(ref.Record)))
-		for _, at := range [2]int{48, 56} { // name, source
-			off, n := e.intern(src.str(rec[at:]))
-			le.PutUint32(rec[at:], off)
-			le.PutUint32(rec[at+4:], n)
-		}
-		tOff, tCnt := int(le.Uint32(rec[64:])), int(le.Uint32(rec[68:]))
-		le.PutUint32(rec[64:], uint32(len(e.tags)/16))
-		for j := tOff; j < tOff+tCnt; j++ {
-			ent := src.tags[j*16:]
-			off, n := e.intern(src.str(ent[0:]))
-			e.tags = le.AppendUint32(le.AppendUint32(e.tags, off), n)
-			off, n = e.intern(src.str(ent[8:]))
-			e.tags = le.AppendUint32(le.AppendUint32(e.tags, off), n)
-		}
-		mOff, mCnt := int(le.Uint32(rec[72:])), int(le.Uint32(rec[76:]))
-		le.PutUint32(rec[72:], uint32(len(e.mets)/16))
-		for j := mOff; j < mOff+mCnt; j++ {
-			ent := src.mets[j*16:]
-			off, n := e.intern(src.str(ent[0:]))
-			e.mets = append(le.AppendUint32(le.AppendUint32(e.mets, off), n), ent[8:16]...)
-		}
+		e.gather(buf[at:at+SpanRecordSize], &blocks[ref.Block], int(ref.Record))
+		at += SpanRecordSize
 	}
 	return e.finish(buf)
 }
@@ -548,6 +585,17 @@ func IsBinaryFrame(prefix []byte) bool {
 // The key must satisfy ValidateTenant (enforced at every ingress); an
 // invalid key here is a programming error and panics.
 func AppendBinaryFrameTenant(buf []byte, tenant string, spans []*Span) []byte {
+	buf = appendFrameHeader(buf, tenant, 0) // payload length, patched below
+	payloadAt := len(buf)
+	buf = AppendSpanBlock(buf, spans, nil)
+	binary.LittleEndian.PutUint32(buf[payloadAt-4:], uint32(len(buf)-payloadAt))
+	return buf
+}
+
+// appendFrameHeader appends a frame's header, up to and including its
+// payload length: version 1 for a zero tenant, version 2 with the key
+// otherwise. An invalid key panics (see AppendBinaryFrameTenant).
+func appendFrameHeader(buf []byte, tenant string, payload uint32) []byte {
 	if tenant == DefaultTenant {
 		tenant = ""
 	}
@@ -561,12 +609,7 @@ func AppendBinaryFrameTenant(buf []byte, tenant string, spans []*Span) []byte {
 		buf = append(buf, wireVersionTenant, byte(len(tenant)))
 		buf = append(buf, tenant...)
 	}
-	lenAt := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // payload length, patched below
-	payloadAt := len(buf)
-	buf = AppendSpanBlock(buf, spans, nil)
-	binary.LittleEndian.PutUint32(buf[lenAt:], uint32(len(buf)-payloadAt))
-	return buf
+	return binary.LittleEndian.AppendUint32(buf, payload)
 }
 
 // EncodeBinary writes the trace to w as one framed binary span batch —

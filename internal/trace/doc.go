@@ -24,7 +24,7 @@
 // publishers arrive in an unspecified relative order. Nothing between the
 // handler and the tap's consumer sheds a batch, so that consumer is the
 // tenant's store: the history handed to [Server.NewTenant] is what
-// /api/trace serves (a stream correlator's SnapshotRaw), and the tenant
+// /api/trace serves (a stream correlator's raw View), and the tenant
 // holds no spans itself — a streamed span is held once.
 //
 // Ingest accounting: [ServerTenant.Received] counts the spans a tenant
@@ -161,9 +161,10 @@
 // here), so wire, WAL, and segment bytes share one codec and one fuzzer
 // ([ErrBadFrame] on any corruption, never a partial decode). Content
 // negotiation — [ContentTypeBinary] vs [ContentTypeJSON] on POST,
-// [AcceptsBinary] on GET ([WriteTrace] is the one reply every
-// trace-serving endpoint gives), the HTTPCollector's 415-latched JSON
-// fallback — keeps pre-binary clients and servers interoperable.
+// [AcceptsBinary] on GET ([WriteView] is the one reply every
+// trace-serving endpoint gives, the binary one streamed from a [View]),
+// the HTTPCollector's 415-latched JSON fallback — keeps pre-binary clients
+// and servers interoperable.
 //
 // # Ingress validation
 //

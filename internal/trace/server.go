@@ -59,9 +59,9 @@ type ServerTenant struct {
 	key string
 	srv *Server
 
-	history  func() *Trace // what /api/trace serves: the consumer's store
-	mem      *Memory       // NewServer's raw store (benchapi.go); nil otherwise
-	received atomic.Int64  // spans accepted over HTTP since start or the tenant's last reset
+	history  func() View  // what /api/trace serves: the consumer's store
+	mem      *Memory      // NewServer's raw store (benchapi.go); nil otherwise
+	received atomic.Int64 // spans accepted over HTTP since start or the tenant's last reset
 
 	tap          atomic.Pointer[Collector]
 	tapQ         atomic.Pointer[AsyncTap] // SetTapAsync's queue, for admission
@@ -129,11 +129,12 @@ func route[T any](s *Server, tb *Table[T], half func(T) *ServerTenant) *Server {
 
 // NewTenant returns a fresh ingest half for the tenant named key, for the
 // open function of the table s routes through. history is what GET
-// /api/trace serves for the tenant: the store its consumer keeps, holding
-// every span an acknowledged batch carried, in canonical order with
-// ParentIDs as published, safe to encode while ingest continues
-// (core.StreamCorrelator.SnapshotRaw) — the tenant keeps no spans itself.
-func (s *Server) NewTenant(key string, history func() *Trace) *ServerTenant {
+// /api/trace serves for the tenant: a view of the store its consumer keeps,
+// holding every span an acknowledged batch carried, in canonical order with
+// ParentIDs as published, pinned so that ingest may continue while it is
+// written (core.StreamCorrelator.View, raw) — the tenant keeps no spans
+// itself.
+func (s *Server) NewTenant(key string, history func() View) *ServerTenant {
 	return &ServerTenant{key: key, srv: s, history: history}
 }
 
@@ -158,11 +159,11 @@ func (t *ServerTenant) publish(batchID uint64, spans []*Span) error {
 	return nil
 }
 
-// Trace returns the tenant's history, tagged with the tenant key.
-func (t *ServerTenant) Trace() *Trace {
-	tr := t.history()
-	tr.Tenant = t.key
-	return tr
+// View returns the tenant's history, under the tenant key.
+func (t *ServerTenant) View() View {
+	v := t.history()
+	v.Tenant = t.key
+	return v
 }
 
 // Received returns the count of spans the tenant accepted over HTTP since
@@ -806,26 +807,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	// A read must not open a tenant: an unknown (or not-yet-used) tenant
 	// serves the empty trace it would have anyway, without opening a store
 	// for a typo.
-	tr := &Trace{Tenant: CanonicalTenant(key)}
+	v := View{Tenant: CanonicalTenant(key)}
 	if tn := s.ingest(key, false); tn != nil {
-		tr = tn.Trace()
+		v = tn.View()
 	}
-	WriteTrace(w, r, tr)
-}
-
-// WriteTrace answers a GET with tr in the encoding the request's Accept
-// header negotiates (AcceptsBinary: binary when listed, JSON otherwise) —
-// the one reply every trace-serving endpoint gives, /api/trace here and a
-// profiling server's /api/correlated alike.
-func WriteTrace(w http.ResponseWriter, r *http.Request, tr *Trace) {
-	encode, contentType := tr.EncodeJSON, ContentTypeJSON
-	if AcceptsBinary(r.Header.Get("Accept")) {
-		encode, contentType = tr.EncodeBinary, ContentTypeBinary
-	}
-	w.Header().Set("Content-Type", contentType)
-	if err := encode(w); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	WriteView(w, r, v)
 }
 
 // Reset clears the tenant's ingest counter and batch-dedup window (the

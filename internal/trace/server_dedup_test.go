@@ -71,7 +71,7 @@ func TestHTTPCollectorRetryAfterLostAckIsExactlyOnce(t *testing.T) {
 	if srv.Tenant(DefaultTenant).Received() != 3 {
 		t.Fatalf("server received %d spans after the retry, want exactly 3", srv.Tenant(DefaultTenant).Received())
 	}
-	tr := srv.Tenant(DefaultTenant).Trace()
+	tr := srv.Tenant(DefaultTenant).View().Trace()
 	if len(tr.Spans) != 3 {
 		t.Fatalf("server aggregated %d spans, want 3 — the retried batch must not duplicate", len(tr.Spans))
 	}

@@ -24,10 +24,10 @@ func (h *historyStore) Publish(spans ...*Span) {
 	h.mu.Unlock()
 }
 
-func (h *historyStore) trace() *Trace {
+func (h *historyStore) view() View {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return &Trace{Spans: MergeRuns([][]*Span{CloneHeaders(h.spans)})}
+	return spansView(MergeRuns([][]*Span{CloneHeaders(h.spans)}))
 }
 
 // failingSink is a DurableSink that refuses while fail is set.
@@ -54,11 +54,11 @@ func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
 	var srv *Server
 	srv = NewServerOn(NewTable(func(key string) *ServerTenant {
 		if key != "hist" {
-			tn := srv.NewTenant(key, neighbour.trace)
+			tn := srv.NewTenant(key, neighbour.view)
 			tn.SetTap(neighbour)
 			return tn
 		}
-		tn := srv.NewTenant(key, store.trace)
+		tn := srv.NewTenant(key, store.view)
 		tn.SetTap(store)
 		tn.SetDurable(sink)
 		return tn
@@ -124,7 +124,7 @@ func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
 		req.Header.Set("Accept", accept)
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
-		src := store.trace()
+		src := store.view().Trace()
 		src.Tenant = "hist"
 		var wantBody bytes.Buffer
 		encode, decode := src.EncodeJSON, DecodeJSON
@@ -145,7 +145,7 @@ func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
 			t.Fatalf("GET /api/trace (%s): tenant %q, %d spans, span 9 under %d", accept, got.Tenant, len(got.Spans), got.SpansByID()[9].ParentID)
 		}
 	}
-	if tr := hist.Trace(); tr.Tenant != "hist" || len(tr.Spans) != 6 {
+	if tr := hist.View().Trace(); tr.Tenant != "hist" || len(tr.Spans) != 6 {
 		t.Fatalf("ServerTenant.Trace: tenant %q, %d spans", tr.Tenant, len(tr.Spans))
 	}
 
@@ -153,7 +153,7 @@ func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
 	if rec := postTenant(srv, "plain", encodeSpans(t, span(1), span(2)), ContentTypeJSON, "a1"); rec.Code != http.StatusAccepted {
 		t.Fatalf("plain tenant POST = %d", rec.Code)
 	}
-	if tr := plain.Trace(); len(tr.Spans) != 2 || tr.Tenant != "plain" {
+	if tr := plain.View().Trace(); len(tr.Spans) != 2 || tr.Tenant != "plain" {
 		t.Fatalf("plain tenant serves %d spans as %q, want 2", len(tr.Spans), tr.Tenant)
 	}
 	forwarded("neighbour's POST")

@@ -61,7 +61,7 @@ func (p *ingressProbe) held(t *testing.T) (received, stored int) {
 	for _, key := range p.srv.Tenants() {
 		tn := p.srv.Tenant(key)
 		received += tn.Received()
-		tr := tn.Trace()
+		tr := tn.View().Trace()
 		stored += len(tr.Spans)
 		if err := tr.EncodeJSON(io.Discard); err != nil {
 			t.Errorf("tenant %s holds a span its JSON views cannot encode: %v", tn.Key(), err)

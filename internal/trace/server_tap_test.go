@@ -33,7 +33,7 @@ func TestHandleSpansReassignsZeroIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := srv.Tenant(DefaultTenant).Trace()
+	got := srv.Tenant(DefaultTenant).View().Trace()
 	if len(got.Spans) != n+4 {
 		t.Fatalf("aggregated %d spans, want %d", len(got.Spans), n+4)
 	}
@@ -167,7 +167,7 @@ func TestServerResetClearsReceived(t *testing.T) {
 	if srv.Tenant(DefaultTenant).Received() != 1 {
 		t.Fatalf("received %d after post-reset publish, want 1", srv.Tenant(DefaultTenant).Received())
 	}
-	if got := len(srv.Tenant(DefaultTenant).Trace().Spans); got != 1 {
+	if got := len(srv.Tenant(DefaultTenant).View().Trace().Spans); got != 1 {
 		t.Fatalf("trace holds %d spans after reset+publish, want 1", got)
 	}
 }
@@ -211,7 +211,7 @@ func TestHTTPCollectorFlushRebuffersOnError(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("retry shipped %d spans, want 3", n)
 	}
-	tr := srv.Tenant(DefaultTenant).Trace()
+	tr := srv.Tenant(DefaultTenant).View().Trace()
 	if len(tr.Spans) != 3 {
 		t.Fatalf("server aggregated %d spans, want 3", len(tr.Spans))
 	}

@@ -64,7 +64,7 @@ func TestLegacyV1FrameRoutesToDefaultTenant(t *testing.T) {
 	if got := srv.Tenant(DefaultTenant).Received(); got != len(spans) {
 		t.Fatalf("default tenant Received = %d, want %d", got, len(spans))
 	}
-	tr := srv.Tenant(DefaultTenant).Trace()
+	tr := srv.Tenant(DefaultTenant).View().Trace()
 	if len(tr.Spans) != len(spans) {
 		t.Fatalf("default tenant trace has %d spans, want %d", len(tr.Spans), len(spans))
 	}
@@ -159,7 +159,7 @@ func TestTenantRouting(t *testing.T) {
 	if got := b.Received(); got != 1 {
 		t.Fatalf("team-b Received = %d, want 1 (span 2)", got)
 	}
-	if tr := a.Trace(); tr.Tenant != "team-a" || tr.SpansByID()[4] != nil {
+	if tr := a.View().Trace(); tr.Tenant != "team-a" || tr.SpansByID()[4] != nil {
 		t.Fatalf("team-a trace tenant %q, span4 %v", tr.Tenant, tr.SpansByID()[4])
 	}
 	if slices.Contains(srv.Tenants(), "no") || slices.Contains(srv.Tenants(), "no/slashes") {
@@ -265,14 +265,14 @@ func TestResetIsPerTenant(t *testing.T) {
 	if got := a.Received(); got != 0 {
 		t.Fatalf("team-a Received after reset = %d, want 0", got)
 	}
-	if got := len(a.Trace().Spans); got != 0 {
+	if got := len(a.View().Trace().Spans); got != 0 {
 		t.Fatalf("team-a trace after reset has %d spans", got)
 	}
 	// team-b is untouched: count, spans, and dedup window.
 	if got := b.Received(); got != 2 {
 		t.Fatalf("team-b Received after neighbor reset = %d, want 2", got)
 	}
-	if got := len(b.Trace().Spans); got != 2 {
+	if got := len(b.View().Trace().Spans); got != 2 {
 		t.Fatalf("team-b trace after neighbor reset has %d spans", got)
 	}
 	if resp := post("team-b", "b1", span(2), span(3)); resp.Header.Get("X-Duplicate-Batch") != "1" {

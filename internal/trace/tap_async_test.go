@@ -236,7 +236,7 @@ func TestMemorySetTapAsync(t *testing.T) {
 	if len(seen) != 20 {
 		t.Fatalf("destination saw %d spans, want 20", len(seen))
 	}
-	if n := len(tn.Trace().Spans); n != 20 {
+	if n := len(tn.View().Trace().Spans); n != 20 {
 		t.Fatalf("store holds %d spans, want 20 — the tap must not divert", n)
 	}
 }

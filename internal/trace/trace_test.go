@@ -252,7 +252,7 @@ func TestServerReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(srv.Tenant(DefaultTenant).Trace().Spans) != 0 {
+	if len(srv.Tenant(DefaultTenant).View().Trace().Spans) != 0 {
 		t.Fatal("reset did not clear trace")
 	}
 }

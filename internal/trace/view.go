@@ -1,0 +1,192 @@
+package trace
+
+import (
+	"encoding/binary"
+	"io"
+	"net/http"
+)
+
+// A View is one read of a span store, pinned for as long as it is in use:
+// its spans in canonical order, handed out one at a time as often as a
+// reader asks. A span the store holds encoded comes as its record in a
+// validated span block, which a binary reply copies out with its offsets
+// rebased and never decodes; any other comes as a Span. So a reply streams
+// from what the store holds (WriteBinary), and a reader that wants Spans
+// decodes them one at a time (Decode, Trace).
+type View struct {
+	Tenant string // the key a reply names; the zero value is tenantless
+
+	// Walk hands yield the view's spans in canonical order, the same ones
+	// on every call, and stops at the first false yield returns: a span held
+	// encoded as record i of blk, any other as s (blk nil). Neither the
+	// blocks nor the spans may change while the View is in use. A nil Walk
+	// is the empty view.
+	Walk func(yield func(blk *SpanBlock, i int, s *Span) bool)
+
+	// Raw reads an owned record (a ParentID a correlator derived) with
+	// ParentID zero. A span handed as s is read as it is.
+	Raw bool
+}
+
+func (v View) walk(yield func(blk *SpanBlock, i int, s *Span) bool) {
+	if v.Walk != nil {
+		v.Walk(yield)
+	}
+}
+
+// viewChunk is the most bytes WriteBinary holds before writing them out:
+// ~64 KB of records, whatever the view's size. A variable so that tests can
+// force writes mid-run.
+var viewChunk = 64 << 10 / SpanRecordSize * SpanRecordSize
+
+// WriteBinary writes the view to w as one framed binary batch: the bytes
+// AppendBinaryFrameTenant writes for the spans Decode hands out, without
+// decoding a record or holding the frame. It walks the view twice. The
+// first pass interns every string and builds the tag and metric tables,
+// which fixes the payload's length, so the frame header goes out first.
+// The second writes the 80-byte records, viewChunk bytes at a time, and
+// then the tables and the blob. A record is gathered as GatherSpanBlock
+// gathers it, with its owned flag cleared; a span is encoded as
+// AppendSpanBlock encodes it. What stays resident is the view's strings and
+// table entries, not its records. WriteBinary returns the first write error
+// and writes nothing after it.
+func (v View) WriteBinary(w io.Writer) error {
+	e := blockScratchPool.Get().(*blockScratch)
+	defer e.release()
+	var rec [SpanRecordSize]byte
+	n := 0
+	v.walk(func(blk *SpanBlock, i int, s *Span) bool {
+		v.record(e, rec[:], blk, i, s)
+		n++
+		return true
+	})
+
+	le := binary.LittleEndian
+	payload := 4 + n*SpanRecordSize + 12 + len(e.tags) + len(e.mets) + len(e.blob)
+	chunk := appendFrameHeader(make([]byte, 0, viewChunk), v.Tenant, uint32(payload))
+	var err error
+	out := func(b []byte) bool {
+		if len(chunk)+len(b) > cap(chunk) {
+			if _, err = w.Write(chunk); err != nil {
+				return false
+			}
+			chunk = chunk[:0]
+			if len(b) > cap(chunk) { // a table or the blob: written from where it lies
+				_, err = w.Write(b)
+				return err == nil
+			}
+		}
+		chunk = append(chunk, b...)
+		return true
+	}
+	out(le.AppendUint32(rec[:0], uint32(n)))
+	e.tagN, e.metN, e.tabled = 0, 0, true
+	v.walk(func(blk *SpanBlock, i int, s *Span) bool {
+		v.record(e, rec[:], blk, i, s)
+		return out(rec[:])
+	})
+	if err != nil {
+		return err
+	}
+	for _, sec := range [3]struct {
+		n int
+		b []byte
+	}{{len(e.tags) / 16, e.tags}, {len(e.mets) / 16, e.mets}, {len(e.blob), e.blob}} {
+		if !out(le.AppendUint32(rec[:0], uint32(sec.n))) || !out(sec.b) {
+			return err
+		}
+	}
+	_, err = w.Write(chunk)
+	return err
+}
+
+// record fills rec from one span of the view: a record gathered, its owned
+// flag cleared (and, Raw, its ParentID with it), or a span put, owned by
+// nobody.
+func (v View) record(e *blockScratch, rec []byte, blk *SpanBlock, i int, s *Span) {
+	if blk == nil {
+		e.put(rec, s, false)
+		return
+	}
+	e.gather(rec, blk, i)
+	if rec[45]&flagOwned != 0 {
+		rec[45] &^= flagOwned
+		if v.Raw {
+			clear(rec[8:16])
+		}
+	}
+}
+
+// Decode hands visit the view's spans in order, as Spans: a record decoded
+// into a fresh span (ParentID as recorded, or zero when Raw and the record
+// is owned), any other span as it is. The fresh spans share their block's
+// blob string and entry arena, and are visit's to keep: Decode keeps none
+// of them, so a visitor that lets go of each decodes a view in bounded
+// memory.
+func (v View) Decode(visit func(s *Span)) {
+	var st SpanStore
+	decs := make(map[*SpanBlock]*SpanDecoder)
+	var last *SpanBlock
+	var d *SpanDecoder
+	v.walk(func(blk *SpanBlock, i int, s *Span) bool {
+		if blk != nil {
+			if blk != last {
+				if d = decs[blk]; d == nil {
+					dec := blk.Decoder()
+					d = &dec
+					decs[blk] = d
+				}
+				last = blk
+			}
+			if n := len(st.chunks); n > 1 { // the filled chunks' spans are visit's: let go of them
+				c := st.chunks[n-1]
+				clear(st.chunks)
+				st.chunks = append(st.chunks[:0], c)
+			}
+			if s = d.Span(&st, i); v.Raw && blk.Owned(i) {
+				s.ParentID = 0
+			}
+		}
+		visit(s)
+		return true
+	})
+}
+
+// Trace returns the view decoded: a Trace of its spans under its tenant.
+func (v View) Trace() *Trace {
+	t := &Trace{Tenant: v.Tenant}
+	v.Decode(func(s *Span) { t.Spans = append(t.Spans, s) })
+	return t
+}
+
+// WriteView answers a GET with v in the encoding the request's Accept
+// header negotiates (AcceptsBinary: binary, streamed, when listed; JSON
+// otherwise) — the one reply every trace-serving endpoint gives,
+// /api/trace here and a profiling server's /api/correlated alike. A reply
+// that fails once its body has begun ends there: the status is out, and an
+// error text would only be appended to the partial body.
+func WriteView(w http.ResponseWriter, r *http.Request, v View) {
+	sw := &sentWriter{w: w}
+	var err error
+	if AcceptsBinary(r.Header.Get("Accept")) {
+		w.Header().Set("Content-Type", ContentTypeBinary)
+		err = v.WriteBinary(sw)
+	} else {
+		w.Header().Set("Content-Type", ContentTypeJSON)
+		err = v.Trace().EncodeJSON(sw)
+	}
+	if err != nil && !sw.sent {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
+// sentWriter notes whether anything was written through it.
+type sentWriter struct {
+	w    io.Writer
+	sent bool
+}
+
+func (s *sentWriter) Write(p []byte) (int, error) {
+	s.sent = true
+	return s.w.Write(p)
+}
