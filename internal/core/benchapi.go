@@ -4,7 +4,11 @@
 // them (TestCompatQuarantine in unusedapi_test.go holds it to that):
 //
 //   - TenantSet, TenantSetOptions, NewTenantSet, TenantSet.Stream and
-//     TenantSet.Keys: a Table of OpenTenantStream results.
+//     TenantSet.Keys: a Table of OpenTenantStream results;
+//   - TenantStream, OpenTenantStream and the accessors Correlator, Store,
+//     Recovery and Err: OpenStream's four results as one value;
+//   - TenantStream.Publish and IngestLogged: the stream as a tap and as a
+//     trace.DurableSink.
 //
 // A field cannot leave its struct, so this one stays where it is and is
 // compat all the same:
@@ -24,6 +28,44 @@ import (
 	"xsp/internal/segio"
 	"xsp/internal/trace"
 )
+
+// TenantStream is one tenant's stream: OpenStream's results.
+type TenantStream struct {
+	sc    *StreamCorrelator
+	store *segio.Store
+	rec   *segio.Recovery
+	err   error
+}
+
+// OpenTenantStream is OpenStream, its results held as one value.
+func OpenTenantStream(key string, opts StreamOptions, open func() (*segio.Store, *segio.Recovery, error)) *TenantStream {
+	st := &TenantStream{}
+	st.sc, st.store, st.rec, st.err = OpenStream(key, opts, open)
+	return st
+}
+
+// Correlator returns the tenant's streaming correlator.
+func (st *TenantStream) Correlator() *StreamCorrelator { return st.sc }
+
+// Store returns the tenant's durable store, nil when it runs RAM-only.
+func (st *TenantStream) Store() *segio.Store { return st.store }
+
+// Recovery returns what the tenant's recovery found, nil without a store.
+func (st *TenantStream) Recovery() *segio.Recovery { return st.rec }
+
+// Err returns the open or recovery error that degraded the tenant to
+// RAM-only, or nil.
+func (st *TenantStream) Err() error { return st.err }
+
+// Publish feeds spans to the tenant's correlator, implementing
+// trace.Collector.
+func (st *TenantStream) Publish(spans ...*trace.Span) { st.sc.Feed(spans...) }
+
+// IngestLogged feeds one batch through the tenant's durability barrier,
+// implementing trace.DurableSink.
+func (st *TenantStream) IngestLogged(batchID uint64, spans []*trace.Span) error {
+	return st.sc.FeedLogged(batchID, spans...)
+}
 
 // isolate applies StreamOptions.Isolated to a batch about to be fed.
 func (o *StreamOptions) isolate(spans []*trace.Span) []*trace.Span {

@@ -29,10 +29,10 @@
 //
 // [StreamCorrelator] is the online counterpart of Correlate for
 // correlate-as-you-ingest: it consumes spans in arrival order (Feed, or
-// Publish as a trace.Collector tap — trace.ServerTenant.SetTap covers a
-// tenant's in-process publishes and accepted POSTs alike, and xsp-server
-// feeds it an admitted POST through the tenant's async tap or durable
-// sink) and maintains the same
+// Publish as a trace.Collector — xsp-server's tenant, the trace.Consumer of
+// its ingest half, feeds it an admitted POST through an async tap in RAM
+// mode and with FeedLogged at the ack barrier when durable) and maintains
+// the same
 // per-level active-ancestor stacks incrementally, so launch and synchronous
 // spans resolve the moment they arrive and execution spans the moment their
 // launch does
@@ -147,21 +147,20 @@
 //
 // # Multi-tenant correlation
 //
-// The streaming pipeline shards by tenant: [OpenTenantStream] builds one
-// [TenantStream] — its own StreamCorrelator and its own durable store — for
-// a tenant key, and streams share nothing, so feeds for distinct tenants
-// (WAL fsyncs included) run concurrently across cores; within one tenant
-// the correlator's own mutex keeps arrival order and every single-stream
-// contract above intact. A TenantStream implements trace.Collector and
-// trace.DurableSink, so a trace.ServerTenant's tap and durable sink wire to
-// it directly. The open function handed to OpenTenantStream gives the tenant
-// its own segio store (internal/server maps the default tenant to the data-dir root —
-// pre-tenant layouts recover unchanged — and every other tenant to
-// tenants/<key>/), so tenants crash and recover independently; a store
-// that fails to open or recover degrades that tenant to RAM-only with
-// the error latched on [TenantStream.Err], the same keep-ingesting
-// posture as a mid-stream durability error. internal/server opens each
-// tenant's stream as it builds the tenant, in its one tenant table
+// The streaming pipeline shards by tenant: [OpenStream] opens one tenant's
+// stream — its own StreamCorrelator, its own durable store and what
+// recovery found in it — and streams share nothing, so feeds for distinct
+// tenants (WAL fsyncs included) run concurrently across cores; within one
+// tenant the correlator's own mutex keeps arrival order and every
+// single-stream contract above intact. The open function handed to
+// OpenStream gives the tenant its own segio store (internal/server maps the
+// default tenant to the data-dir root — pre-tenant layouts recover
+// unchanged — and every other tenant to tenants/<key>/), so tenants crash
+// and recover independently; a store that fails to open or recover
+// degrades that tenant to RAM-only, the error returned beside the
+// correlator, the same keep-ingesting posture as a mid-stream durability
+// error. internal/server opens each tenant's stream as it builds the
+// tenant, which holds the four results itself, in its one tenant table
 // (trace.Table).
 //
 // # Allocation discipline on the hot path

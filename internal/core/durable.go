@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"slices"
 
 	"xsp/internal/segio"
@@ -55,12 +56,6 @@ func (sc *StreamCorrelator) FeedLogged(batchID uint64, spans ...*trace.Span) err
 	}
 	sc.feedLocked(spans)
 	return nil
-}
-
-// IngestLogged implements trace.DurableSink over FeedLogged, so a durable
-// correlator can be handed to trace.ServerTenant.SetDurable directly.
-func (sc *StreamCorrelator) IngestLogged(batchID uint64, spans []*trace.Span) error {
-	return sc.FeedLogged(batchID, spans...)
 }
 
 // DurabilityErr returns the first store error the correlator hit, if
@@ -329,6 +324,51 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 		return nil, err
 	}
 	return sc, nil
+}
+
+// OpenStream builds the stream of the tenant named key from opts (whose
+// Store field is ignored): its correlator, its durable store and what
+// recovery found in it. With open non-nil it opens the tenant's store and
+// rebuilds the correlator from it with RecoverStream — opts.Observer,
+// attached before the replay, sees recovered history too — so every
+// tenant's checkpoint ladder and dedup window comes back independently
+// after a crash; nil runs the tenant RAM-only. An open or recovery error
+// does not fail the tenant: it degrades to a RAM-only correlator, store and
+// rec nil, and the error is returned beside it — the same keep-ingesting
+// posture as StreamCorrelator.DurabilityErr. rec is the report without the
+// content (see releaseContent).
+func OpenStream(key string, opts StreamOptions, open func() (*segio.Store, *segio.Recovery, error)) (sc *StreamCorrelator, store *segio.Store, rec *segio.Recovery, err error) {
+	opts.Store = nil
+	if open != nil {
+		if store, rec, err = open(); err == nil {
+			opts.Store = store
+			if sc, err = RecoverStream(opts, rec); err == nil {
+				return sc, store, releaseContent(rec), nil
+			}
+			store.Close() // it may hold the WAL a recovery rotated onto
+		}
+		err = fmt.Errorf("core: tenant %q durable store: %w", key, err)
+		opts.Store = nil
+	}
+	return NewStreamCorrelator(opts), nil, nil, err
+}
+
+// releaseContent drops what a recovery carried in for RecoverStream — the
+// snapshot's live tail, the batches' spans, the segments' blocks (the
+// correlator holds what it took of them) — and keeps what is read of it
+// afterwards: how many segments and batch records there were, the dedup
+// window, the quarantined files, the repair counters. A tenant holds its
+// Recovery for the life of the process; the content would be a second copy
+// of the recovered stream held just as long.
+func releaseContent(rec *segio.Recovery) *segio.Recovery {
+	rec.Snapshot = nil
+	for i := range rec.Segments {
+		rec.Segments[i].Block = trace.SpanBlock{}
+	}
+	for i := range rec.Batches {
+		rec.Batches[i].Spans, rec.Batches[i].Owned = nil, nil
+	}
+	return rec
 }
 
 // walSpanIDs indexes the id of every span the recovered WAL carries, in its

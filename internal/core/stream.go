@@ -364,7 +364,7 @@ func (sc *StreamCorrelator) liveLen() int {
 }
 
 // Publish implements trace.Collector, so the correlator can tap a span
-// stream directly (e.g. behind trace.ServerTenant.SetTap).
+// stream directly (xsp-server's RAM tenants feed it through a trace.AsyncTap).
 func (sc *StreamCorrelator) Publish(spans ...*trace.Span) { sc.Feed(spans...) }
 
 // Feed consumes the next spans in arrival order, resolving every parent

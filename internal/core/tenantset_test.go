@@ -406,20 +406,21 @@ func TestDurableTenantsSyncConcurrently(t *testing.T) {
 	armed := false
 	var arrived sync.WaitGroup
 	arrived.Add(tenants)
-	streams := make([]*core.TenantStream, tenants)
+	streams := make([]*core.StreamCorrelator, tenants)
 	for i := range streams {
 		fs := syncBarrierFS{FS: faultfs.New(), armed: &armed, arrived: &arrived}
-		streams[i] = core.OpenTenantStream(fmt.Sprintf("tenant-%d", i), core.StreamOptions{},
+		var err error
+		streams[i], _, _, err = core.OpenStream(fmt.Sprintf("tenant-%d", i), core.StreamOptions{},
 			func() (*segio.Store, *segio.Recovery, error) { return segio.Open(fs, segio.Options{}) })
-		if err := streams[i].Err(); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	armed = true
 	errs := make(chan error, tenants)
-	for i, st := range streams {
+	for i, sc := range streams {
 		go func() {
-			errs <- st.IngestLogged(1, []*trace.Span{{ID: uint64(i + 1), Level: trace.LevelModel, Begin: 1, End: 2}})
+			errs <- sc.FeedLogged(1, &trace.Span{ID: uint64(i + 1), Level: trace.LevelModel, Begin: 1, End: 2})
 		}()
 	}
 	deadline := time.After(10 * time.Second)
@@ -439,17 +440,17 @@ func TestDurableTenantsSyncConcurrently(t *testing.T) {
 // says why.
 func TestOpenTenantStreamDegradesToRAM(t *testing.T) {
 	boom := errors.New("disk on fire")
-	st := core.OpenTenantStream("acme", core.StreamOptions{},
+	sc, store, rec, err := core.OpenStream("acme", core.StreamOptions{},
 		func() (*segio.Store, *segio.Recovery, error) { return nil, nil, boom })
-	if !errors.Is(st.Err(), boom) || st.Store() != nil || st.Recovery() != nil {
-		t.Fatalf("Err() = %v, Store() = %v, Recovery() = %v; want the open error and neither", st.Err(), st.Store(), st.Recovery())
+	if !errors.Is(err, boom) || store != nil || rec != nil {
+		t.Fatalf("err = %v, store = %v, rec = %v; want the open error and neither", err, store, rec)
 	}
-	if err := st.IngestLogged(1, []*trace.Span{{ID: 1, Level: trace.LevelModel, Begin: 1, End: 5}}); err != nil {
+	if err := sc.FeedLogged(1, &trace.Span{ID: 1, Level: trace.LevelModel, Begin: 1, End: 5}); err != nil {
 		t.Fatalf("degraded tenant refused a batch: %v", err)
 	}
-	st.Publish(&trace.Span{ID: 2, Level: trace.LevelLayer, Begin: 2, End: 3})
-	st.Correlator().Flush()
-	got := st.Correlator().Trace()
+	sc.Feed(&trace.Span{ID: 2, Level: trace.LevelLayer, Begin: 2, End: 3})
+	sc.Flush()
+	got := sc.Trace()
 	if len(got.Spans) != 2 || got.SpansByID()[2].ParentID != 1 {
 		t.Fatalf("degraded tenant holds %d spans, layer parent %d; want 2 spans, parent 1", len(got.Spans), got.SpansByID()[2].ParentID)
 	}
@@ -504,25 +505,28 @@ func (c *countedFile) Close() error {
 func TestOpenTenantStreamClosesStoreOnLateRecoveryFailure(t *testing.T) {
 	fs := &handleFS{FS: faultfs.New()}
 	open := func() (*segio.Store, *segio.Recovery, error) { return segio.Open(fs, segio.Options{}) }
-	st := core.OpenTenantStream("acme", core.StreamOptions{ReorderWindow: 16}, open) // nothing folds
+	sc, store, _, err := core.OpenStream("acme", core.StreamOptions{ReorderWindow: 16}, open) // nothing folds
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, b := range tenantWorkload(4_000, 7) {
-		if err := st.IngestLogged(uint64(i+1), cloneBatch(b)); err != nil {
+		if err := sc.FeedLogged(uint64(i+1), cloneBatch(b)...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Store().Close(); err != nil || fs.open != 0 {
+	if err := store.Close(); err != nil || fs.open != 0 {
 		t.Fatalf("closing the first store: %v, %d handles left open", err, fs.open)
 	}
 
 	// Reopened with a retain horizon, the replay folds, and the segment
 	// files it owes are written after the rotation.
 	fs.failSeg = true
-	st = core.OpenTenantStream("acme", core.StreamOptions{ReorderWindow: 16, Retain: 32}, open)
+	_, store, _, err = core.OpenStream("acme", core.StreamOptions{ReorderWindow: 16, Retain: 32}, open)
 	if fs.failSeg {
 		t.Fatal("recovery wrote no segment file: the failure was never reached")
 	}
-	if !errors.Is(st.Err(), errSegWrite) || st.Store() != nil {
-		t.Fatalf("Err() = %v, Store() = %v; want the segment write's error and no store", st.Err(), st.Store())
+	if !errors.Is(err, errSegWrite) || store != nil {
+		t.Fatalf("err = %v, store = %v; want the segment write's error and no store", err, store)
 	}
 	if fs.open != 0 {
 		t.Fatalf("the failed recovery left %d file handles open", fs.open)

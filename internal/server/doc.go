@@ -18,12 +18,15 @@
 // tenants share nothing on the feed path, so a multi-tenant ingest load
 // spreads across cores (WAL fsyncs included) while each tenant keeps strict
 // per-tenant ordering and exactly-once dedup. Everything held for one key
-// is one tenant value — ingest half, correlator and store
-// (core.OpenTenantStream, called as the tenant is built), tap, analysis
-// engine — in the package's one tenant table, a trace.Table that the wire
-// half (trace.Server: decode, dedup, admission, /api/spans, /api/trace)
-// routes through. A tenant is built once, before the table lists it,
-// however many requests race to mint it, and reads never mint one.
+// is one tenant value, the tenant's one owner: its correlator, store and
+// recovery report (core.OpenStream, called as the tenant is built), its tap
+// and analysis engine, and the ingest half it builds around itself — it is
+// the trace.Consumer that ingest half hands every accepted batch to and
+// reads /api/trace and its backlog from. The tenants live in the package's
+// one tenant table, a trace.Table that the wire half (trace.Server: decode,
+// dedup, admission, /api/spans, /api/trace) routes through. A tenant is
+// built once, before the table lists it, however many requests race to mint
+// it, and reads never mint one.
 //
 // The server always correlates: a core.StreamCorrelator per tenant takes
 // every accepted batch and resolves span parents online as batches arrive,

@@ -180,30 +180,29 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// tenant is everything the server holds for one tenant key: the ingest half
-// (dedup window, admission counters), the correlator with its durable store,
-// the async tap between them (RAM mode; nil durable) and the live-analysis
-// engine (nil without LiveAnalysis). Built once by open, immutable
-// afterwards.
+// tenant is everything the server holds for one tenant key, and the
+// trace.Consumer its ingest half (dedup window, admission counters) hands
+// every accepted batch to: the correlator — whose history is the tenant's
+// span store — with its durable store and what recovery found, the async
+// tap in front of the correlator (RAM mode; nil durable) and the
+// live-analysis engine (nil without LiveAnalysis). Built once by open,
+// immutable afterwards.
 type tenant struct {
 	ingest *trace.ServerTenant
-	stream *core.TenantStream
+	sc     *core.StreamCorrelator
+	store  *segio.Store
+	rec    *segio.Recovery
+	err    error // the store's open or recovery failure: the tenant runs RAM-only past it
 	tap    *trace.AsyncTap
 	engine *analysis.Online
 }
 
 // open builds the tenant named key, once, before the table inserts it: it
-// opens (durable: recovers) the tenant's stream and wires it to a fresh
-// ingest half — as durable sink (recovered dedup ids seeded first) or
-// behind the tap. The correlator's history is the tenant's span store: it
-// links the decoded spans themselves and /api/trace masks its links back
-// out.
+// opens (durable: recovers) the tenant's stream and hands it, as the
+// consumer, to a fresh ingest half — with the recovered dedup ids seeded
+// first, or, in RAM mode, behind a tap.
 func (s *Server) open(key string) *tenant {
 	t := &tenant{}
-	t.ingest = s.ingest.NewTenant(key, func() trace.View {
-		t.settle() // a batch whose 202 has returned is in the view
-		return t.stream.Correlator().View(true)
-	})
 	opts := core.StreamOptions{
 		ReorderWindow: vclock.Duration(s.cfg.ReorderWindow),
 		Retain:        vclock.Duration(s.cfg.Retain),
@@ -217,35 +216,59 @@ func (s *Server) open(key string) *tenant {
 		t.engine = analysis.NewOnline(analysis.OnlineOptions{Spec: s.gpu})
 		opts.Observer = t.engine
 	}
-	var openStore func() (*segio.Store, *segio.Recovery, error)
-	if s.cfg.DataDir != "" {
-		openStore = func() (*segio.Store, *segio.Recovery, error) {
-			fs, err := segio.DirFS(s.dir(key)) // creates the directory
-			if err != nil {
-				return nil, nil, err
-			}
-			return segio.Open(fs, segio.Options{})
-		}
+	if s.cfg.DataDir == "" {
+		t.sc = core.NewStreamCorrelator(opts)
+		t.tap = trace.NewAsyncTap(t.sc, trace.TapOptions{})
+		t.ingest = s.ingest.NewTenant(key, t)
+		return t
 	}
-	t.stream = core.OpenTenantStream(key, opts, openStore)
-	if s.cfg.DataDir != "" {
-		if err := t.stream.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "xsp-server: tenant %s degraded to RAM-only: %v\n", key, err)
+	// Durable, batches reach the correlator synchronously at the ack
+	// barrier (WAL fsync before the 202): there is no tap, even when the
+	// store did not open.
+	t.sc, t.store, t.rec, t.err = core.OpenStream(key, opts, func() (*segio.Store, *segio.Recovery, error) {
+		fs, err := segio.DirFS(s.dir(key)) // creates the directory
+		if err != nil {
+			return nil, nil, err
 		}
-		if rec := t.stream.Recovery(); rec != nil {
-			// The recovered dedup window makes client retries of pre-crash
-			// acked batches duplicate-ack instead of double-publish.
-			t.ingest.SeedBatches(rec.DedupIDs)
-			fmt.Fprintf(os.Stderr, "xsp-server: tenant %s recovered %d segment(s), %d live batch record(s), %d dedup id(s)\n",
-				key, len(rec.Segments), len(rec.Batches), len(rec.DedupIDs))
-		}
-		// Batches reach the correlator synchronously at the ack barrier (WAL
-		// fsync before the 202), replacing the tap.
-		t.ingest.SetDurable(t.stream)
-	} else {
-		t.tap = t.ingest.SetTapAsync(t.stream, trace.TapOptions{})
+		return segio.Open(fs, segio.Options{})
+	})
+	t.ingest = s.ingest.NewTenant(key, t)
+	if t.err != nil {
+		fmt.Fprintf(os.Stderr, "xsp-server: tenant %s degraded to RAM-only: %v\n", key, t.err)
+	}
+	if t.rec != nil {
+		// The recovered dedup window makes client retries of pre-crash
+		// acked batches duplicate-ack instead of double-publish.
+		t.ingest.SeedBatches(t.rec.DedupIDs)
+		fmt.Fprintf(os.Stderr, "xsp-server: tenant %s recovered %d segment(s), %d live batch record(s), %d dedup id(s)\n",
+			key, len(t.rec.Segments), len(t.rec.Batches), len(t.rec.DedupIDs))
 	}
 	return t
+}
+
+// Ingest implements trace.Consumer: a batch goes through the tap in RAM
+// mode, and durable through the WAL into the correlator before it returns.
+func (t *tenant) Ingest(batchID uint64, spans []*trace.Span) error {
+	if t.tap == nil {
+		return t.sc.FeedLogged(batchID, spans...)
+	}
+	t.tap.Publish(spans...)
+	return nil
+}
+
+// Backlog implements trace.Consumer: the tap's depth, when there is a tap.
+func (t *tenant) Backlog() (int, bool) {
+	if t.tap == nil {
+		return 0, false
+	}
+	return t.tap.Depth(), true
+}
+
+// View implements trace.Consumer: the correlator's history with its links
+// masked out, settled first, so a batch whose 202 has returned is in it.
+func (t *tenant) View() trace.View {
+	t.settle()
+	return t.sc.View(true)
 }
 
 // settle waits until every batch acknowledged so far has reached the
@@ -261,7 +284,7 @@ func (t *tenant) settle() {
 // batch correlation would: what ?flush=1 asks for.
 func (t *tenant) flush() {
 	t.settle()
-	t.stream.Correlator().Flush()
+	t.sc.Flush()
 }
 
 // reset clears both sides of the tap, or the correlated view would keep
@@ -272,7 +295,7 @@ func (t *tenant) flush() {
 func (t *tenant) reset() {
 	t.ingest.Reset()
 	t.settle()
-	t.stream.Correlator().Reset()
+	t.sc.Reset()
 	if t.engine != nil {
 		t.engine.Reset()
 	}
@@ -285,9 +308,9 @@ func (t *tenant) close() {
 	if t.tap != nil {
 		t.tap.Close()
 	}
-	if store := t.stream.Store(); store != nil {
-		if err := store.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "xsp-server: tenant %s: closing the store: %v\n", t.stream.Key(), err)
+	if t.store != nil {
+		if err := t.store.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "xsp-server: tenant %s: closing the store: %v\n", t.ingest.Key(), err)
 		}
 	}
 }
@@ -312,7 +335,7 @@ func (s *Server) handleOverload(w http.ResponseWriter, _ *http.Request) {
 			st := t.tap.Stats()
 			tv.Tap = &st
 		}
-		l := t.stream.Correlator().Load()
+		l := t.sc.Load()
 		tv.Load = &l
 		v.Tenants[key] = tv
 	}
@@ -344,16 +367,16 @@ func (s *Server) handleDurability(w http.ResponseWriter, _ *http.Request) {
 	for _, key := range s.tenants.Keys() {
 		t, _ := s.tenants.Lookup(key)
 		tv := tenantView{Dir: s.dir(key)}
-		if store := t.stream.Store(); store != nil {
-			stats := store.Stats()
+		if t.store != nil {
+			stats := t.store.Stats()
 			tv.Store = &stats
 		}
-		if rec := t.stream.Recovery(); rec != nil {
+		if rec := t.rec; rec != nil {
 			tv.Recovery = &recoveryView{len(rec.Segments), len(rec.Batches), len(rec.DedupIDs), rec.Quarantined, rec.SupersededSegments, rec.WALTruncatedBytes}
 		}
-		if err := t.stream.Err(); err != nil {
-			tv.Err = err.Error()
-		} else if err := t.stream.Correlator().DurabilityErr(); err != nil {
+		if t.err != nil {
+			tv.Err = t.err.Error()
+		} else if err := t.sc.DurabilityErr(); err != nil {
 			tv.Err = err.Error()
 		}
 		v.Tenants[key] = tv
@@ -376,21 +399,21 @@ func (s *Server) handleReset(w http.ResponseWriter, _ *http.Request, t *tenant) 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request, t *tenant) {
 	folded := 0
 	if t != nil {
-		folded = t.stream.Correlator().Checkpoint()
+		folded = t.sc.Checkpoint()
 	}
 	writeJSON(w, map[string]int{"folded": folded})
 }
 
 // GET /api/correlated: the tenant's trace with parents resolved, settled
-// first when ?flush= asks, under the correlator's counters as headers.
+// first when ?flush= asks, under the correlator's counters as headers. An
+// unknown tenant's empty trace names the key, as /api/trace's does.
 func (s *Server) handleCorrelated(w http.ResponseWriter, r *http.Request, t *tenant) {
 	var view trace.View
 	if t != nil {
 		if r.URL.Query().Get("flush") != "" {
 			t.flush()
 		}
-		sc := t.stream.Correlator()
-		st := sc.Stats()
+		st := t.sc.Stats()
 		set := func(name string, v int) { w.Header().Set("X-Stream-"+name, fmt.Sprint(v)) }
 		set("Released", st.Released)
 		set("Pending", st.Buffered+st.PendingExecs)
@@ -405,9 +428,10 @@ func (s *Server) handleCorrelated(w http.ResponseWriter, r *http.Request, t *ten
 		set("Reopens", st.Reopens)
 		set("Corr-Entries", st.CorrEntries)
 		set("Corr-Evicted", st.CorrEvicted)
-		view = sc.View(false)
-		view.Tenant = t.stream.Key()
+		view = t.sc.View(false)
 	}
+	key, _ := trace.RequestTenant(r) // tenantRoute has validated it
+	view.Tenant = trace.CanonicalTenant(key)
 	trace.WriteView(w, r, view)
 }
 

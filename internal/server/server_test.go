@@ -195,7 +195,7 @@ func TestCloseDrainsTheTap(t *testing.T) {
 	if st.Enqueued != int64(total) || st.Forwarded != st.Enqueued || st.Depth != 0 {
 		t.Errorf("after Close the tap has enqueued %d, forwarded %d, holds %d; %d spans were acknowledged", st.Enqueued, st.Forwarded, st.Depth, total)
 	}
-	if fed := tn.stream.Correlator().Stats().Fed; fed != total {
+	if fed := tn.sc.Stats().Fed; fed != total {
 		t.Errorf("the correlator was fed %d spans, %d were acknowledged", fed, total)
 	}
 	// Close waits for the worker's wg.Done, which runs a few instructions
@@ -445,7 +445,7 @@ func TestShedDrainResetCycles(t *testing.T) {
 				if rec := do(s, http.MethodPost, "/api/reset", "", nil, nil); rec.Code != http.StatusNoContent {
 					t.Fatalf("cycle %d: POST /api/reset: %d", cycle, rec.Code)
 				}
-				if fedNow := tn.stream.Correlator().Stats().Fed; fedNow != 0 {
+				if fedNow := tn.sc.Stats().Fed; fedNow != 0 {
 					t.Fatalf("cycle %d: after the reset the history holds %d spans", cycle, fedNow)
 				}
 				checkViews(t, s, fmt.Sprintf("cycle %d after the reset", cycle), nil)
@@ -509,6 +509,63 @@ func (b *heldBody) Read(p []byte) (int, error) {
 		<-b.release
 	})
 	return b.r.Read(p)
+}
+
+// A push-back names the tap's depth only where there is a tap: a RAM
+// tenant's 429 and in-flight 503 carry X-Tap-Queue-Depth, zero included, and
+// a durable tenant's, which feeds its correlator at the ack barrier, carry
+// none.
+func TestPushBackTapDepthHeader(t *testing.T) {
+	for _, dataDir := range []string{"", t.TempDir()} {
+		frame := trace.AppendBinaryFrameTenant(nil, "", arrivals(99, 300)[0])
+		// The budget holds the original and a one-byte retry, not a second
+		// frame.
+		s := newServer(t, Config{DataDir: dataDir, MaxInflightBytes: int64(len(frame)) + 1})
+		body := &heldBody{r: bytes.NewReader(frame), reading: make(chan struct{}), release: make(chan struct{})}
+		req := httptest.NewRequest(http.MethodPost, "/api/spans", body)
+		req.ContentLength = int64(len(frame))
+		req.Header.Set("Content-Type", trace.ContentTypeBinary)
+		req.Header.Set("X-Batch-Id", "7")
+		original := make(chan int)
+		go func() {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			original <- rec.Code
+		}()
+		<-body.reading // the original holds the batch's claim and its bytes
+		hdr := map[string]string{"Content-Type": trace.ContentTypeBinary, "X-Batch-Id": "7"}
+		retry := do(s, http.MethodPost, "/api/spans", "", hdr, []byte{0})
+		hdr["X-Batch-Id"] = "8"
+		shed := do(s, http.MethodPost, "/api/spans", "", hdr, frame)
+		close(body.release)
+		if code := <-original; code != http.StatusAccepted {
+			t.Errorf("data dir %q: the original: %d, want 202", dataDir, code)
+		}
+		want := []string{"0"}
+		if dataDir != "" {
+			want = nil
+		}
+		for _, c := range []struct {
+			rec  *httptest.ResponseRecorder
+			code int
+		}{{retry, http.StatusServiceUnavailable}, {shed, http.StatusTooManyRequests}} {
+			if got := c.rec.Header().Values("X-Tap-Queue-Depth"); c.rec.Code != c.code || !slices.Equal(got, want) {
+				t.Errorf("data dir %q: %d with X-Tap-Queue-Depth %q, want %d with %q", dataDir, c.rec.Code, got, c.code, want)
+			}
+		}
+	}
+}
+
+// An unknown tenant's empty views name the key asked for, in the binary
+// frame as in JSON.
+func TestUnknownTenantViewsNameTheKey(t *testing.T) {
+	s := newServer(t, testConfig(""))
+	for _, path := range []string{"/api/trace", "/api/correlated"} {
+		rec := do(s, http.MethodGet, path, "ghost", map[string]string{"Accept": trace.ContentTypeBinary}, nil)
+		if tr, err := trace.DecodeBinary(rec.Body); rec.Code != http.StatusOK || err != nil || tr.Tenant != "ghost" || len(tr.Spans) != 0 {
+			t.Errorf("GET %s for an unknown tenant: %d, %v, %+v; want an empty frame naming ghost", path, rec.Code, err, tr)
+		}
+	}
 }
 
 // An in-process publish into the default tenant (the compat Collector the
@@ -730,7 +787,7 @@ func TestExternalContract(t *testing.T) {
 		{"/api/durability", http.MethodGet, false, ""},
 		{"/api/reset", http.MethodPost, true, ""},
 		{"/api/checkpoint", http.MethodPost, true, "{\"folded\":0}\n"},
-		{"/api/correlated", http.MethodGet, true, "[]\n"},
+		{"/api/correlated", http.MethodGet, true, "{\n \"tenant\": \"ghost\",\n \"spans\": []\n}\n"},
 		{"/api/analysis", http.MethodGet, true, string(get(t, newServer(t, testConfig("")), "/api/analysis", ""))},
 		{"/api/analysis/layers", http.MethodGet, true, ""},
 		{"/api/analysis/launchgaps", http.MethodGet, true, ""},

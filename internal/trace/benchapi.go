@@ -6,6 +6,9 @@
 //   - NewServer, SetTenantInit, Tenant and Tenants: a Server that owns its
 //     tenant table, a Table of ServerTenants each wired by the init hook and
 //     holding its spans in a Memory, plus its own /api/reset;
+//   - ServerTenant.SetTap, SetTapAsync and SetDurable, with DurableSink:
+//     the init hook's wiring of a NewServer tenant's consumer (hooks), a
+//     durable sink, the Memory and a tap, in that order;
 //   - ServerTenant.Collector: an in-process publish onto an accepted POST's
 //     path;
 //   - ServerTenant.SetLoad and ShedBlock: inert, admission reads only the
@@ -16,9 +19,6 @@
 //
 //	TapOptions.Policy      ignored
 //	AsyncTapStats.Dropped  always zero: the tap never sheds
-//
-// ServerTenant.mem, unexported, is NewServer's too: nil in every tenant a
-// NewServerOn table builds.
 
 package trace
 
@@ -41,9 +41,7 @@ func NewServer() *Server {
 // touched: the table it replaces is dropped, tenants and all.
 func (s *Server) SetTenantInit(init func(*ServerTenant)) {
 	route(s, NewTable(func(key string) *ServerTenant {
-		mem := NewMemory()
-		t := s.NewTenant(key, func() View { return spansView(mem.Trace().Spans) })
-		t.mem = mem
+		t := s.NewTenant(key, &hooks{mem: NewMemory()})
 		if init != nil {
 			init(t)
 		}
@@ -79,6 +77,7 @@ func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 	}
 	if tn := s.ingest(key, false); tn != nil {
 		tn.Reset()
+		tn.c.(*hooks).mem.Reset()
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -92,8 +91,67 @@ type tenantCollector struct{ t *ServerTenant }
 
 func (c tenantCollector) Publish(spans ...*Span) {
 	if len(spans) > 0 {
-		_ = c.t.publish(0, spans)
+		_ = c.t.c.Ingest(0, spans)
 	}
+}
+
+// hooks is a NewServer tenant's Consumer: the durable sink first, when one
+// is set — its error refuses the batch, nothing after it sees it — then the
+// Memory /api/trace serves, then the tap. The init hook sets its fields
+// before the table lists the tenant; nothing changes them while a request
+// can reach it.
+type hooks struct {
+	durable DurableSink
+	mem     *Memory
+	tap     Collector
+	queue   *AsyncTap // SetTapAsync's queue, the Backlog
+}
+
+func (h *hooks) Ingest(batchID uint64, spans []*Span) error {
+	if h.durable != nil {
+		if err := h.durable.IngestLogged(batchID, spans); err != nil {
+			return err
+		}
+	}
+	h.mem.Publish(spans...)
+	if h.tap != nil {
+		h.tap.Publish(spans...)
+	}
+	return nil
+}
+
+func (h *hooks) Backlog() (int, bool) {
+	if h.queue == nil {
+		return 0, false
+	}
+	return h.queue.Depth(), true
+}
+
+func (h *hooks) View() View { return spansView(h.mem.Trace().Spans) }
+
+// DurableSink is a consumer with an acknowledgment barrier: IngestLogged
+// makes the batch durable (fsynced to a write-ahead log) before returning
+// nil. A non-nil error refuses the batch retryably.
+type DurableSink interface {
+	IngestLogged(batchID uint64, spans []*Span) error
+}
+
+// SetDurable makes d the sink every accepted batch of this NewServer tenant
+// reaches before anything else, and before its 202; nil detaches.
+func (t *ServerTenant) SetDurable(d DurableSink) { t.c.(*hooks).durable = d }
+
+// SetTap makes c the collector every batch this NewServer tenant accepts
+// reaches last, after its Memory; nil detaches.
+func (t *ServerTenant) SetTap(c Collector) { t.c.(*hooks).tap = c }
+
+// SetTapAsync sets dst as the tap behind an AsyncTap, whose queue depth is
+// the tenant's Backlog from here on even if a later SetTap wraps it, and
+// returns the tap for its owner to close.
+func (t *ServerTenant) SetTapAsync(dst Collector, opts TapOptions) *AsyncTap {
+	tap := NewAsyncTap(dst, opts)
+	t.c.(*hooks).queue = tap
+	t.SetTap(tap)
+	return tap
 }
 
 // SetLoad ignores its argument.

@@ -16,16 +16,16 @@
 // tracers it builds (core.Session.Profile builds one per level of its
 // LevelSet), not by switching tracers off.
 //
-// [ServerTenant.SetTap] attaches an online consumer to a server tenant:
-// every batch accepted by /api/spans (zero-ID spans get fresh server-side
-// IDs first) is forwarded to the tap after it lands, exactly once, which is
-// how cmd/xsp-server feeds a core.StreamCorrelator for streaming
-// correlation. The tap must be concurrency-safe; batches from concurrent
-// publishers arrive in an unspecified relative order. Nothing between the
-// handler and the tap's consumer sheds a batch, so that consumer is the
-// tenant's store: the history handed to [Server.NewTenant] is what
-// /api/trace serves (a stream correlator's raw View), and the tenant
-// holds no spans itself — a streamed span is held once.
+// A server tenant is built around one [Consumer], handed to
+// [Server.NewTenant]: every batch accepted by /api/spans (zero-ID spans get
+// fresh server-side IDs first) goes to its Ingest before the 202, exactly
+// once, which is how cmd/xsp-server feeds a core.StreamCorrelator for
+// streaming correlation. The consumer must be concurrency-safe; batches
+// from concurrent publishers arrive in an unspecified relative order.
+// Nothing between the handler and the consumer sheds a batch, so the
+// consumer is the tenant's store: its View is what /api/trace serves (a
+// stream correlator's raw View), and the tenant holds no spans itself — a
+// streamed span is held once.
 //
 // Ingest accounting: [ServerTenant.Received] counts the spans a tenant
 // accepted over HTTP since the server started or since its last reset —
@@ -38,21 +38,22 @@
 // Every structure on the ingest path has an explicit bound and a defined
 // shed behavior when it is reached; nothing grows with offered load.
 //
-//   - The tap queue. [ServerTenant.SetTapAsync] replaces the inline tap
-//     with an [AsyncTap]: publishers enqueue onto
-//     a queue bounded at [TapOptions.Queue] spans and a single worker
-//     forwards to the consumer, so the publish path decouples from
-//     consumer latency. At the bound the tap sheds nothing: Publish waits
-//     for room. Behind the HTTP handler that wait keeps the batch in
-//     flight, the admission budgets below fill, and new POSTs are shed at
-//     the edge — the one overload rule, so every acknowledged batch
-//     reaches the consumer. An oversized batch is admitted when it has the
-//     queue to itself, so one batch larger than the bound cannot wedge.
+//   - The tap queue. An [AsyncTap] in front of a consumer's correlator
+//     (xsp-server's RAM tenants) lets publishers enqueue onto a queue
+//     bounded at [TapOptions.Queue] spans while a single worker forwards
+//     to the correlator, so the publish path decouples from its latency.
+//     At the bound the tap sheds nothing: Publish waits for room. Behind
+//     the HTTP handler that wait keeps the batch in flight, the admission
+//     budgets below fill, and new POSTs are shed at the edge — the one
+//     overload rule, so every acknowledged batch reaches the correlator.
+//     An oversized batch is admitted when it has the queue to itself, so
+//     one batch larger than the bound cannot wedge. The queue's depth is
+//     its consumer's [Consumer] Backlog.
 //   - In-flight request bytes and spans. [Server.SetAdmission] installs an
 //     [AdmissionPolicy]: request bodies reserve their Content-Length
 //     against MaxInflightBytes before being read (a chunked body, which
 //     declares none, is a 411 while that budget is set), and decoded-but-unlanded
-//     spans plus the tap backlog count against MaxInflightSpans. Past
+//     spans plus the consumer's backlog count against MaxInflightSpans. Past
 //     either budget the POST is shed with 429, a Retry-After hint, and the
 //     X-Shed-* stats headers. Both budgets drain without new input —
 //     handlers finish, the tap worker empties its queue — so a shed tenant
@@ -103,9 +104,9 @@
 // owns and hands it ([NewServerOn]): one value per key, built once by the
 // table's open function before it is inserted, listed in creation order,
 // on the first write addressed to the key (reads never build one). The
-// server reaches each tenant's [ServerTenant] — its tap, durable sink,
-// dedup window, and shed counters, built with [Server.NewTenant]. A
-// request names its tenant
+// server reaches each tenant's [ServerTenant] — its consumer, dedup window
+// and shed counters, built with [Server.NewTenant]. A request names its
+// tenant
 // three ways, in precedence order: the X-Tenant header ([TenantHeader]),
 // a ?tenant= query parameter, or the key embedded in the wire payload
 // itself (the version-2 binary frame, or the JSON envelope form) — a

@@ -26,14 +26,12 @@ const DefaultTapQueue = 65536
 // fills the admission budgets, and admission control sheds at the edge
 // (see AdmissionPolicy).
 //
-// AsyncTap implements Collector, so it drops in wherever a synchronous
-// tap went: tenant.SetTap(NewAsyncTap(sc, opts)) — or the one-call
-// ServerTenant.SetTapAsync. Like a synchronous tap it forwards the same
-// span pointers and the same batch slices it was given; the destination's
-// sharing contract (see ServerTenant.SetTap) is unchanged,
-// and batches reach the destination exactly once, in the order their
-// Publish calls enqueued them. Close the tap when detaching it, so the
-// worker exits.
+// AsyncTap implements Collector, so it stands wherever a synchronous
+// collector would: xsp-server's RAM tenants put one in front of their
+// correlator. It forwards the same span pointers and the same batch slices
+// it was given, and batches reach the destination exactly once, in the
+// order their Publish calls enqueued them. Close the tap when detaching it,
+// so the worker exits.
 type AsyncTap struct {
 	dst  Collector
 	max  int

@@ -1,13 +1,9 @@
 package trace
 
 import (
-	"bytes"
-	"crypto/rand"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	mrand "math/rand"
 	"mime"
 	"net/http"
 	"strconv"
@@ -22,13 +18,13 @@ import (
 // /api/spans, and a tenant's aggregated trace is read back from /api/trace.
 // It decodes, deduplicates and admits batches; the tenants themselves live
 // in a table the server is handed (NewServerOn), whose owner builds each
-// one and wires its consumers.
+// one around its consumer.
 //
 // Every request routes to one tenant — named by the X-Tenant header (or
 // ?tenant= query parameter, or the batch's own wire tenant; see tenant.go),
 // defaulting to DefaultTenant — and each tenant owns an independent
-// ServerTenant: its received count, batch-dedup window, tap, durable sink,
-// and in-flight span accounting. A write to a key the table does not hold
+// ServerTenant: its received count, batch-dedup window, consumer and
+// in-flight span accounting. A write to a key the table does not hold
 // yet opens the tenant; a read never does. POSTs for distinct tenants share
 // nothing past admission.
 type Server struct {
@@ -52,21 +48,16 @@ type Server struct {
 }
 
 // ServerTenant is one tenant's ingest half: its ingest counter,
-// exactly-once batch-dedup window, admission counters and consumer wiring
-// (tap, durable sink). Resetting, overloading, or crashing one tenant never
-// touches another's state.
+// exactly-once batch-dedup window, admission counters and the consumer its
+// accepted batches go to. Resetting, overloading, or crashing one tenant
+// never touches another's state.
 type ServerTenant struct {
 	key string
 	srv *Server
+	c   Consumer
 
-	history  func() View  // what /api/trace serves: the consumer's store
-	mem      *Memory      // NewServer's raw store (benchapi.go); nil otherwise
-	received atomic.Int64 // spans accepted over HTTP since start or the tenant's last reset
-
-	tap          atomic.Pointer[Collector]
-	tapQ         atomic.Pointer[AsyncTap] // SetTapAsync's queue, for admission
-	durable      atomic.Pointer[DurableSink]
-	inflightS    atomic.Int64 // spans decoded, not yet landed with this tenant's consumers
+	received     atomic.Int64 // spans accepted over HTTP since start or the tenant's last reset
+	inflightS    atomic.Int64 // spans decoded, not yet landed with this tenant's consumer
 	shedRequests atomic.Int64 // requests of this tenant refused by admission control, ever
 	shedSpans    atomic.Int64 // spans of this tenant refused after decode, ever
 
@@ -127,41 +118,45 @@ func route[T any](s *Server, tb *Table[T], half func(T) *ServerTenant) *Server {
 	return s
 }
 
-// NewTenant returns a fresh ingest half for the tenant named key, for the
-// open function of the table s routes through. history is what GET
-// /api/trace serves for the tenant: a view of the store its consumer keeps,
-// holding every span an acknowledged batch carried, in canonical order with
-// ParentIDs as published, pinned so that ingest may continue while it is
-// written (core.StreamCorrelator.View, raw) — the tenant keeps no spans
-// itself.
-func (s *Server) NewTenant(key string, history func() View) *ServerTenant {
-	return &ServerTenant{key: key, srv: s, history: history}
+// Consumer is the owner of a tenant's spans: every batch the tenant
+// accepts goes to it, and /api/trace serves what it holds — the tenant's
+// ingest half keeps no spans itself. Batches from concurrent requests reach
+// Ingest in an unspecified relative order, so a Consumer must be safe for
+// concurrent use.
+type Consumer interface {
+	// Ingest takes one accepted batch, with its final span ids, before the
+	// 202 is written: the spans themselves, which the consumer may link or
+	// keep. A non-nil error refuses the batch with a retryable 503 and the
+	// consumer keeps nothing of it — a durable consumer's WAL append failed.
+	Ingest(batchID uint64, spans []*Span) error
+
+	// Backlog returns the spans the consumer holds but has not yet absorbed,
+	// which count against the tenant's share of
+	// AdmissionPolicy.MaxInflightSpans, and whether it queues at all: a
+	// queueing consumer's backlog is the X-Tap-Queue-Depth header of every
+	// push-back, zero included.
+	Backlog() (spans int, queued bool)
+
+	// View is what GET /api/trace serves: every span an acknowledged batch
+	// carried, in canonical order with ParentIDs as published, pinned so
+	// that ingest may continue while it is written
+	// (core.StreamCorrelator.View, raw).
+	View() View
+}
+
+// NewTenant returns a fresh ingest half for the tenant named key, whose
+// accepted batches go to c, for the open function of the table s routes
+// through.
+func (s *Server) NewTenant(key string, c Consumer) *ServerTenant {
+	return &ServerTenant{key: key, srv: s, c: c}
 }
 
 // Key returns the tenant's key.
 func (t *ServerTenant) Key() string { return t.key }
 
-// publish hands a batch to the tenant's consumers: the durable sink first,
-// when one is set — its error refuses the batch, nothing downstream sees
-// it — then a NewServer tenant's raw store, then the tap.
-func (t *ServerTenant) publish(batchID uint64, spans []*Span) error {
-	if d := t.durable.Load(); d != nil {
-		if err := (*d).IngestLogged(batchID, spans); err != nil {
-			return err
-		}
-	}
-	if t.mem != nil {
-		t.mem.Publish(spans...)
-	}
-	if tap := t.tap.Load(); tap != nil {
-		(*tap).Publish(spans...)
-	}
-	return nil
-}
-
-// View returns the tenant's history, under the tenant key.
+// View returns the consumer's view, under the tenant key.
 func (t *ServerTenant) View() View {
-	v := t.history()
+	v := t.c.View()
 	v.Tenant = t.key
 	return v
 }
@@ -188,12 +183,11 @@ type AdmissionPolicy struct {
 	MaxInflightBytes int64
 
 	// MaxInflightSpans bounds, per tenant, the decoded spans not yet
-	// landed with the tenant's consumers plus the tenant's async tap
-	// backlog (ServerTenant.SetTapAsync) — the span population admission
-	// has accepted but the online consumer has not absorbed. The budget
-	// is per tenant deliberately: an overdriven tenant saturates its own
-	// budget and sheds while a quiet tenant's batches keep landing
-	// first-try. Zero is unlimited.
+	// landed with the tenant's consumer plus the consumer's Backlog — the
+	// span population admission has accepted but the consumer has not
+	// absorbed. The budget is per tenant deliberately: an overdriven tenant
+	// saturates its own budget and sheds while a quiet tenant's batches
+	// keep landing first-try. Zero is unlimited.
 	MaxInflightSpans int
 
 	// RetryAfter is the hint sent on 429 and 503 responses. Values of a
@@ -207,31 +201,14 @@ type AdmissionPolicy struct {
 // admission control. Safe to call while serving.
 func (s *Server) SetAdmission(p AdmissionPolicy) { s.adm.Store(&p) }
 
-// SetTapAsync attaches dst as the tenant's tap behind a bounded queue
-// (NewAsyncTap): publishes enqueue and return instead of running the
-// consumer inline. The queue is registered with admission control, so its
-// backlog counts against the tenant's share of
-// AdmissionPolicy.MaxInflightSpans and is reported in the
-// X-Tap-Queue-Depth header. A full queue holds the handler, whose batch
-// stays in flight, so the budgets fill and admission sheds new POSTs. See
-// AsyncTap for the backpressure and ordering contract. Close the returned
-// tap when detaching — SetTap(nil) alone leaves the worker running; a later
-// SetTap may put a wrapper around it (the queue stays registered).
-func (t *ServerTenant) SetTapAsync(dst Collector, opts TapOptions) *AsyncTap {
-	tap := NewAsyncTap(dst, opts)
-	t.tapQ.Store(tap)
-	t.SetTap(tap)
-	return tap
-}
-
 // OverloadStats is a point-in-time snapshot of admission state, for
 // observability and tests. From Server.OverloadStats the per-tenant
 // figures are summed over every tenant; ServerTenant.OverloadStats
 // scopes them to one tenant (with the server-wide byte figures).
 type OverloadStats struct {
 	InflightBytes int64 // request body bytes currently admitted (server-wide)
-	InflightSpans int64 // decoded spans not yet landed with the consumers
-	TapDepth      int   // async tap backlog, if attached
+	InflightSpans int64 // decoded spans not yet landed with the consumer
+	TapDepth      int   // the consumer's Backlog
 	ShedRequests  int64 // requests refused by admission control, ever
 	ShedSpans     int64 // spans refused after decode, ever
 }
@@ -245,11 +222,9 @@ func (s *Server) OverloadStats() OverloadStats {
 		ShedSpans:     s.shedSpans.Load(),
 	}
 	for _, key := range s.keys() {
-		t := s.ingest(key, false)
-		st.InflightSpans += t.inflightS.Load()
-		if tq := t.tapQ.Load(); tq != nil {
-			st.TapDepth += tq.Depth()
-		}
+		ts := s.ingest(key, false).OverloadStats()
+		st.InflightSpans += ts.InflightSpans
+		st.TapDepth += ts.TapDepth
 	}
 	return st
 }
@@ -258,16 +233,14 @@ func (s *Server) OverloadStats() OverloadStats {
 // the server-wide figure (bodies are admitted before their tenant is
 // known in every case the byte budget exists to bound).
 func (t *ServerTenant) OverloadStats() OverloadStats {
-	st := OverloadStats{
+	depth, _ := t.c.Backlog()
+	return OverloadStats{
 		InflightBytes: t.srv.inflightB.Load(),
 		InflightSpans: t.inflightS.Load(),
+		TapDepth:      depth,
 		ShedRequests:  t.shedRequests.Load(),
 		ShedSpans:     t.shedSpans.Load(),
 	}
-	if tq := t.tapQ.Load(); tq != nil {
-		st.TapDepth = tq.Depth()
-	}
-	return st
 }
 
 // retryAfterValue renders a Retry-After hint: standard integer seconds
@@ -285,14 +258,14 @@ func retryAfterValue(d time.Duration) string {
 // overloadHeaders stamps the retry hint and shed stats on a pushed-back
 // response, so clients can pace retries and operators can see shedding.
 // The shed counters are server-wide; the tap depth is the addressed
-// tenant's (when known — nil tn omits it).
+// tenant's, when it is known and its consumer queues.
 func (s *Server) overloadHeaders(h http.Header, tn *ServerTenant, retryAfter time.Duration) {
 	h.Set("Retry-After", retryAfterValue(retryAfter))
 	h.Set("X-Shed-Requests", strconv.FormatInt(s.shedRequests.Load(), 10))
 	h.Set("X-Shed-Spans", strconv.FormatInt(s.shedSpans.Load(), 10))
 	if tn != nil {
-		if tq := tn.tapQ.Load(); tq != nil {
-			h.Set("X-Tap-Queue-Depth", strconv.Itoa(tq.Depth()))
+		if depth, queued := tn.c.Backlog(); queued {
+			h.Set("X-Tap-Queue-Depth", strconv.Itoa(depth))
 		}
 	}
 }
@@ -326,29 +299,6 @@ func (s *Server) retryAfterHint() time.Duration {
 	return 0
 }
 
-// DurableSink is a consumer with an acknowledgment barrier: IngestLogged
-// must make the batch durable (fsynced to a write-ahead log) before
-// returning nil — only then does the server publish the spans and write
-// the 202 that lets the client drop the batch. A non-nil error refuses
-// the batch retryably. core.StreamCorrelator.IngestLogged is the
-// intended implementation.
-type DurableSink interface {
-	IngestLogged(batchID uint64, spans []*Span) error
-}
-
-// SetDurable installs the durable sink every accepted span batch of this
-// tenant must reach before it is acknowledged. In durable mode the sink
-// replaces the tap as the streaming consumer — do not attach the same
-// consumer as both, or it sees every span twice. A nil sink detaches.
-// Safe to call while serving.
-func (t *ServerTenant) SetDurable(d DurableSink) {
-	if d == nil {
-		t.durable.Store(nil)
-		return
-	}
-	t.durable.Store(&d)
-}
-
 // SeedBatches preloads the tenant's batch-dedup window with ids recovered
 // from its durable store, marking each committed: a client retrying a
 // batch the crashed process already acknowledged gets the duplicate ack
@@ -372,23 +322,6 @@ func (t *ServerTenant) SeedBatches(ids []uint64) {
 		delete(t.seenBatch, t.batchOrder[0])
 		t.batchOrder = t.batchOrder[1:]
 	}
-}
-
-// SetTap registers a collector that receives every span the tenant
-// accepts over HTTP (after server-side ID assignment), each exactly once,
-// after the durable sink has logged it — the hook an online consumer (e.g.
-// a core.StreamCorrelator) attaches to. Batches from concurrent publishers
-// reach it in an unspecified relative order, so a tap must be safe for
-// concurrent use. It is handed the decoded spans themselves: a tap that
-// mutates them is the store the tenant's history reads, or works on its
-// own copies. Spans published before SetTap are not replayed. A nil tap
-// detaches. Safe to call while serving.
-func (t *ServerTenant) SetTap(c Collector) {
-	if c == nil {
-		t.tap.Store(nil)
-		return
-	}
-	t.tap.Store(&c)
 }
 
 // ServeHTTP implements http.Handler.
@@ -627,16 +560,13 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	}
 	// Admission, phase 2 — the span budget, now that the batch's size and
 	// tenant are known: the tenant's decoded-but-unlanded spans plus its
-	// async tap backlog must fit MaxInflightSpans. A shed here released
+	// consumer's backlog must fit MaxInflightSpans. A shed here released
 	// its batch claim (the deferred unclaim above), so the retry is
 	// admitted fresh. A batch is admitted alone even when oversized, for
 	// the same liveness reason as the byte budget.
 	if adm != nil && adm.MaxInflightSpans > 0 {
-		n := int64(len(t.Spans))
-		depth := int64(0)
-		if tq := tn.tapQ.Load(); tq != nil {
-			depth = int64(tq.Depth())
-		}
+		backlog, _ := tn.c.Backlog()
+		n, depth := int64(len(t.Spans)), int64(backlog)
 		cur := tn.inflightS.Add(n)
 		if cur+depth > int64(adm.MaxInflightSpans) && !(cur == n && depth == 0) {
 			tn.inflightS.Add(-n)
@@ -650,12 +580,11 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 			sp.ID = NewSpanID() | serverAssignedIDBit
 		}
 	}
-	// Durability barrier: the batch (with its final span ids) reaches the
-	// tenant's write-ahead log before anything downstream sees it and
-	// before the 202 is written. A log failure is refused retryably — the
-	// deferred unclaim releases the batch id, so the client's retry gets a
-	// fresh claim once the sink recovers.
-	if err := tn.publish(batchID, t.Spans); err != nil {
+	// The batch (with its final span ids) reaches the consumer before the
+	// 202 is written — durable, its write-ahead log first. A refusal is
+	// retryable: the deferred unclaim releases the batch id, so the client's
+	// retry gets a fresh claim once the consumer recovers.
+	if err := tn.c.Ingest(batchID, t.Spans); err != nil {
 		s.overloadHeaders(w.Header(), tn, s.retryAfterHint())
 		http.Error(w, "trace: durable log append failed, retry later", http.StatusServiceUnavailable)
 		return
@@ -822,426 +751,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // holds. Only this tenant is touched: a neighbor's dedup window and received
 // count survive unchanged (the /api/reset contract README documents).
 func (t *ServerTenant) Reset() {
-	if t.mem != nil {
-		t.mem.Reset()
-	}
 	t.received.Store(0)
 	t.batchMu.Lock()
 	t.seenBatch = nil
 	t.batchOrder = nil
 	t.batchMu.Unlock()
-}
-
-// HTTPCollector publishes spans to a remote tracing server over HTTP. It
-// buffers spans and ships them in batches to keep publishing overhead away
-// from the measured path, as XSP does (spans are published asynchronously
-// to avoid added overhead).
-//
-// Failed POSTs retry with capped exponential backoff and jitter (see
-// RetryPolicy): after a failure, Flush refuses to re-POST — returning an
-// ErrBackoff error without touching the network — until the backoff
-// (or the server's Retry-After hint, whichever is longer) has elapsed, so
-// a fleet of collectors facing an overloaded server paces and spreads its
-// retries instead of hammering in lockstep.
-type HTTPCollector struct {
-	baseURL string
-	client  *http.Client
-
-	mu       sync.Mutex
-	tenant   string // ingest domain batches are tagged with; "" means DefaultTenant
-	buf      []*Span
-	pending  []httpBatch // batches whose POST failed, oldest first, awaiting retry
-	encoding Encoding    // wire encoding; latches to JSON on a 415
-
-	policy   RetryPolicy
-	now      func() time.Time // injectable clock, for tests
-	rng      *mrand.Rand      // jitter source; guarded by mu
-	retryAt  time.Time        // earliest next POST attempt; zero when not backing off
-	attempts int              // consecutive failed attempts for the head batch
-	backoff  time.Duration    // current backoff step, pre-jitter
-
-	droppedBatches int
-	droppedSpans   int
-}
-
-// Encoding selects HTTPCollector's wire encoding for span batches.
-type Encoding int
-
-const (
-	// EncodingBinary is the default: the framed binary batch format
-	// (ContentTypeBinary), several times cheaper to decode than JSON. A
-	// server that does not understand it answers 415 and the collector
-	// falls back to JSON automatically, re-shipping the same batch id, so
-	// delivery stays exactly-once across the switch.
-	EncodingBinary Encoding = iota
-
-	// EncodingJSON forces the JSON wire format (the historical default).
-	EncodingJSON
-)
-
-// SetEncoding selects the wire encoding for subsequent POSTs. Mostly a
-// benchmarking and compatibility knob — the 415 fallback handles old
-// servers without it.
-func (c *HTTPCollector) SetEncoding(e Encoding) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.encoding = e
-}
-
-// Encoding returns the wire encoding currently in use; it reads
-// EncodingJSON after the 415 fallback has latched.
-func (c *HTTPCollector) Encoding() Encoding {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.encoding
-}
-
-// SetTenant routes subsequent batches to the named tenant: every POST
-// carries the key both in the X-Tenant header and inside the wire batch
-// (the binary frame's tenant field, the JSON envelope), so the batch
-// stays routable even through an intermediary that strips headers. The
-// empty key (the default) restores tenantless publishing — byte-for-byte
-// the pre-tenant wire — which servers route to DefaultTenant. The key is
-// applied when a batch is POSTed, not when it is cut, so set it before
-// publishing the spans it should cover (pending retries re-ship under the
-// current key).
-func (c *HTTPCollector) SetTenant(key string) error {
-	if err := ValidateTenant(key); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tenant = key
-	return nil
-}
-
-// RetryPolicy shapes HTTPCollector's retry pacing after a failed POST.
-type RetryPolicy struct {
-	// BaseDelay is the first backoff step; each consecutive failure
-	// doubles it (jittered into [delay/2, delay], so synchronized
-	// collectors spread out) up to MaxDelay. Zero disables backoff: Flush
-	// may retry immediately, though an explicit Retry-After from the
-	// server is still honored.
-	BaseDelay time.Duration
-
-	// MaxDelay caps the doubling. Zero leaves it uncapped.
-	MaxDelay time.Duration
-
-	// MaxAttempts is the consecutive-failure cap for one batch: when the
-	// head batch has failed this many times in a row it is dropped —
-	// shed at the client, counted in Dropped — and Flush moves on, so a
-	// poisoned or permanently rejected batch cannot dam every span
-	// behind it forever. Zero retries forever.
-	MaxAttempts int
-}
-
-// DefaultRetryPolicy is the pacing NewHTTPCollector installs: backoff
-// from 100ms to 10s, never dropping a batch.
-var DefaultRetryPolicy = RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: 10 * time.Second}
-
-// ErrBackoff is wrapped by the error Flush returns when it refuses to
-// POST because the retry backoff window has not elapsed: nothing new went
-// wrong, the collector is pacing itself. Callers loop-flushing against an
-// overloaded server can errors.Is for it to distinguish pacing from fresh
-// failures.
-var ErrBackoff = fmt.Errorf("trace: collector in retry backoff")
-
-// httpBatch is a formed span batch with the id that makes its retries
-// idempotent: the id is assigned once, when the batch is cut from the
-// buffer, and survives every retry, so the server can recognize a re-ship
-// of a batch it already committed (a 202 lost in transit) and acknowledge
-// without publishing twice.
-type httpBatch struct {
-	id    uint64
-	spans []*Span
-}
-
-// newBatchID returns a random nonzero batch id. Random — not the
-// per-process span counter: collectors in different processes share one
-// server's dedup table, and counters restarting at 1 in every process
-// would collide, silently dropping the second process's batches as
-// duplicates.
-func newBatchID() uint64 {
-	var b [8]byte
-	for {
-		if _, err := rand.Read(b[:]); err != nil {
-			// No entropy: fall back to the process-local counter rather
-			// than fail the flush; uniqueness degrades to per-process.
-			return NewSpanID()
-		}
-		if id := binary.LittleEndian.Uint64(b[:]); id != 0 {
-			return id
-		}
-	}
-}
-
-// NewHTTPCollector returns a collector that ships spans to the tracing
-// server rooted at baseURL (e.g. "http://127.0.0.1:7777"), retrying
-// failed flushes under DefaultRetryPolicy.
-func NewHTTPCollector(baseURL string) *HTTPCollector {
-	return &HTTPCollector{
-		baseURL: baseURL,
-		client:  http.DefaultClient,
-		policy:  DefaultRetryPolicy,
-		now:     time.Now,
-		rng:     mrand.New(mrand.NewSource(int64(NewSpanID())*2654435761 + time.Now().UnixNano())),
-	}
-}
-
-// SetHTTPClient replaces the HTTP client flushes are posted with (nil
-// restores http.DefaultClient). Many collectors hammering one server —
-// the multi-tenant fleet shape — want a shared Transport with
-// MaxIdleConnsPerHost sized to the collector count: the default
-// transport keeps only two idle connections per host, so every
-// collector past the second pays a fresh TCP handshake per flush.
-func (c *HTTPCollector) SetHTTPClient(client *http.Client) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if client == nil {
-		client = http.DefaultClient
-	}
-	c.client = client
-}
-
-// SetRetryPolicy replaces the collector's retry pacing. A zero policy
-// restores the pre-backoff behavior: retry on every Flush, immediately,
-// forever (the server's explicit Retry-After hints are still honored).
-func (c *HTTPCollector) SetRetryPolicy(p RetryPolicy) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.policy = p
-	c.attempts, c.backoff, c.retryAt = 0, 0, time.Time{}
-}
-
-// Backlog returns the spans buffered or awaiting retry — zero means
-// everything published has been acknowledged by the server.
-func (c *HTTPCollector) Backlog() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.buf)
-	for _, b := range c.pending {
-		n += len(b.spans)
-	}
-	return n
-}
-
-// Dropped reports the batches (and their spans) shed client-side by the
-// RetryPolicy.MaxAttempts cap, ever.
-func (c *HTTPCollector) Dropped() (batches, spans int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.droppedBatches, c.droppedSpans
-}
-
-// Publish buffers spans for the next Flush.
-func (c *HTTPCollector) Publish(spans ...*Span) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.buf = append(c.buf, spans...)
-}
-
-// Flush ships every buffered span to the server, retrying batches from
-// earlier failed flushes first (oldest first, ahead of spans published in
-// the meantime, preserving each tracer's nearly-sorted publish order). It
-// returns the number of spans shipped. On any failure — transport error,
-// server rejection, or an encoding error — the unshipped batches are kept
-// for the next Flush, so a transient server error never loses spans
-// (except under the explicit RetryPolicy.MaxAttempts cap, which sheds the
-// repeatedly failing head batch and counts it in Dropped). Delivery is
-// exactly-once against this package's Server: each batch carries an id
-// assigned when it was cut and kept across retries, and the server
-// acknowledges a batch id it has already committed without re-publishing
-// — so a 202 lost in transit no longer duplicates the batch on retry.
-//
-// After a failure, Flush paces itself: until the RetryPolicy backoff (or
-// the server's Retry-After hint, whichever is longer) has elapsed it cuts
-// the buffer into a pending batch but touches no network, returning an
-// error wrapping ErrBackoff. Flush never sleeps — pacing is enforced by
-// refusal, so a publisher thread calling Flush is delayed by at most one
-// POST.
-func (c *HTTPCollector) Flush() (int, error) {
-	c.mu.Lock()
-	if len(c.buf) > 0 {
-		c.pending = append(c.pending, httpBatch{id: newBatchID(), spans: c.buf})
-		c.buf = nil
-	}
-	if !c.retryAt.IsZero() {
-		if wait := c.retryAt.Sub(c.now()); wait > 0 {
-			c.mu.Unlock()
-			return 0, fmt.Errorf("%w (%v remaining)", ErrBackoff, wait)
-		}
-	}
-	batches := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-
-	shipped := 0
-	for i, b := range batches {
-		retryAfter, err := c.post(b)
-		if err != nil {
-			c.mu.Lock()
-			c.attempts++
-			dropped := c.policy.MaxAttempts > 0 && c.attempts >= c.policy.MaxAttempts
-			keep := i
-			if dropped {
-				// The head batch exhausted its attempts: shed it here, so a
-				// permanently rejected batch cannot dam everything behind
-				// it. Its spans remain counted in Dropped.
-				c.droppedBatches++
-				c.droppedSpans += len(b.spans)
-				c.attempts, c.backoff, c.retryAt = 0, 0, time.Time{}
-				keep = i + 1
-			} else {
-				c.scheduleRetry(retryAfter)
-			}
-			// The unshipped batches go back, ahead of batches cut while
-			// this Flush ran.
-			rest := make([]httpBatch, 0, len(batches)-keep+len(c.pending))
-			rest = append(rest, batches[keep:]...)
-			rest = append(rest, c.pending...)
-			c.pending = rest
-			c.mu.Unlock()
-			if dropped {
-				return shipped, fmt.Errorf("trace: batch dropped after %d attempts: %w", c.policy.MaxAttempts, err)
-			}
-			return shipped, err
-		}
-		shipped += len(b.spans)
-		c.mu.Lock()
-		c.attempts, c.backoff, c.retryAt = 0, 0, time.Time{}
-		c.mu.Unlock()
-	}
-	return shipped, nil
-}
-
-// scheduleRetry sets the earliest next POST attempt after a failure:
-// capped exponential backoff, jittered into [delay/2, delay], never
-// earlier than the server's Retry-After hint. Callers hold c.mu.
-func (c *HTTPCollector) scheduleRetry(retryAfter time.Duration) {
-	var d time.Duration
-	if p := c.policy; p.BaseDelay > 0 {
-		if c.backoff == 0 {
-			c.backoff = p.BaseDelay
-		} else {
-			c.backoff *= 2
-		}
-		if p.MaxDelay > 0 && c.backoff > p.MaxDelay {
-			c.backoff = p.MaxDelay
-		}
-		half := c.backoff / 2
-		d = half + time.Duration(c.rng.Int63n(int64(half)+1))
-	}
-	if retryAfter > d {
-		d = retryAfter
-	}
-	if d > 0 {
-		c.retryAt = c.now().Add(d)
-	}
-}
-
-// post ships one batch, with its idempotency id in the batch-id header.
-// Batches go out in the collector's current encoding — binary by default;
-// a 415 latches JSON and immediately re-ships the same batch (same id, so
-// the fallback stays exactly-once even if the server partially processed
-// nothing, which a 415 guarantees). On a push-back response it also
-// returns the server's Retry-After hint, so the retry schedule can honor
-// it.
-func (c *HTTPCollector) post(b httpBatch) (time.Duration, error) {
-	c.mu.Lock()
-	enc := c.encoding
-	c.mu.Unlock()
-	retryAfter, status, err := c.postAs(b, enc)
-	if status == http.StatusUnsupportedMediaType && enc == EncodingBinary {
-		c.mu.Lock()
-		c.encoding = EncodingJSON
-		c.mu.Unlock()
-		retryAfter, _, err = c.postAs(b, EncodingJSON)
-	}
-	return retryAfter, err
-}
-
-// postAs ships one batch in the given encoding, returning the server's
-// Retry-After hint and HTTP status (zero when the request never got a
-// response).
-func (c *HTTPCollector) postAs(b httpBatch, enc Encoding) (time.Duration, int, error) {
-	c.mu.Lock()
-	tenant := c.tenant
-	client := c.client
-	c.mu.Unlock()
-	var body bytes.Buffer
-	contentType := ContentTypeBinary
-	if enc == EncodingJSON {
-		contentType = ContentTypeJSON
-		if err := (&Trace{Spans: b.spans, Tenant: tenant}).EncodeJSON(&body); err != nil {
-			return 0, 0, err
-		}
-	} else {
-		body.Write(AppendBinaryFrameTenant(nil, tenant, b.spans))
-	}
-	req, err := http.NewRequest(http.MethodPost, c.baseURL+"/api/spans", &body)
-	if err != nil {
-		return 0, 0, err
-	}
-	req.Header.Set("Content-Type", contentType)
-	req.Header.Set(batchIDHeader, strconv.FormatUint(b.id, 16))
-	if tenant != "" {
-		req.Header.Set(TenantHeader, tenant)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, 0, fmt.Errorf("trace: publishing spans: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return parseRetryAfter(resp.Header.Get("Retry-After")), resp.StatusCode, fmt.Errorf("trace: server rejected spans: %s", resp.Status)
-	}
-	return 0, resp.StatusCode, nil
-}
-
-// parseRetryAfter decodes a numeric Retry-After value — integer seconds
-// per the HTTP spec, or this package's non-standard sub-second decimals.
-// The HTTP-date form (and anything else unparseable) yields zero: the
-// client falls back to its own backoff.
-func parseRetryAfter(h string) time.Duration {
-	if h == "" {
-		return 0
-	}
-	secs, err := strconv.ParseFloat(h, 64)
-	if err != nil || secs < 0 || secs > 3600 {
-		return 0
-	}
-	return time.Duration(secs * float64(time.Second))
-}
-
-// FetchTraceTenant retrieves one tenant's aggregated trace from a tracing
-// server; the empty tenant reads the default tenant. It asks for the binary
-// encoding (Accept) and decodes by the response's Content-Type, so it
-// speaks binary to this package's Server and JSON to anything older.
-func FetchTraceTenant(client *http.Client, baseURL, tenant string) (*Trace, error) {
-	if err := ValidateTenant(tenant); err != nil {
-		return nil, err
-	}
-	if client == nil {
-		client = http.DefaultClient
-	}
-	req, err := http.NewRequest(http.MethodGet, baseURL+"/api/trace", nil)
-	if err != nil {
-		return nil, err
-	}
-	if tenant != "" {
-		req.Header.Set(TenantHeader, tenant)
-	}
-	req.Header.Set("Accept", ContentTypeBinary+", "+ContentTypeJSON)
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("trace: fetching trace: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("trace: server error: %s", resp.Status)
-	}
-	if mt, _, err := mime.ParseMediaType(resp.Header.Get("Content-Type")); err == nil && mt == ContentTypeBinary {
-		return DecodeBinary(resp.Body)
-	}
-	return DecodeJSON(resp.Body)
 }

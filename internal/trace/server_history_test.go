@@ -30,7 +30,29 @@ func (h *historyStore) view() View {
 	return spansView(MergeRuns([][]*Span{CloneHeaders(h.spans)}))
 }
 
-// failingSink is a DurableSink that refuses while fail is set.
+// historyConsumer is a Consumer double shaped like internal/server's
+// tenant: the sink first, when there is one — its refusal is the batch's —
+// then the store, whose view /api/trace serves.
+type historyConsumer struct {
+	store *historyStore
+	sink  *failingSink // nil: nothing refuses
+}
+
+func (c historyConsumer) Ingest(batchID uint64, spans []*Span) error {
+	if c.sink != nil {
+		if err := c.sink.IngestLogged(batchID, spans); err != nil {
+			return err
+		}
+	}
+	c.store.Publish(spans...)
+	return nil
+}
+
+func (historyConsumer) Backlog() (int, bool) { return 0, false }
+
+func (c historyConsumer) View() View { return c.store.view() }
+
+// failingSink is a durable log that refuses while fail is set.
 type failingSink struct {
 	fail   bool
 	logged int
@@ -44,24 +66,20 @@ func (f *failingSink) IngestLogged(uint64, []*Span) error {
 	return nil
 }
 
-// A tenant holds no spans itself: an accepted POST goes to the tap — once,
-// in order, after the durable sink — and /api/trace is the history's answer
-// under the tenant's key. Whatever is not accepted forwards nothing, and a
-// neighbour's history sees only its own batches. The server is wired the
-// way internal/server wires it: over a table its caller owns.
+// A tenant holds no spans itself: an accepted POST goes to its consumer's
+// store — once, in order, after the durable sink — and /api/trace is the
+// history's answer under the tenant's key. Whatever is not accepted
+// forwards nothing, and a neighbour's history sees only its own batches.
+// The server is wired the way internal/server wires it: over a table its
+// caller owns, each tenant built around its one consumer.
 func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
 	store, sink, neighbour := &historyStore{}, &failingSink{}, &historyStore{}
 	var srv *Server
 	srv = NewServerOn(NewTable(func(key string) *ServerTenant {
 		if key != "hist" {
-			tn := srv.NewTenant(key, neighbour.view)
-			tn.SetTap(neighbour)
-			return tn
+			return srv.NewTenant(key, historyConsumer{store: neighbour})
 		}
-		tn := srv.NewTenant(key, store.view)
-		tn.SetTap(store)
-		tn.SetDurable(sink)
-		return tn
+		return srv.NewTenant(key, historyConsumer{store: store, sink: sink})
 	}), func(tn *ServerTenant) *ServerTenant { return tn })
 	srv.SetAdmission(AdmissionPolicy{})
 	hist, plain := srv.Tenant("hist"), srv.Tenant("plain")

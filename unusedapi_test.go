@@ -625,18 +625,30 @@ func TestCompatQuarantine(t *testing.T) {
 	}
 	want := []string{
 		"core.NewTenantSet",
+		"core.OpenTenantStream",
 		"core.StreamOptions.Isolated",
 		"core.TenantSet",
 		"core.TenantSet.Keys",
 		"core.TenantSet.Stream",
 		"core.TenantSetOptions",
+		"core.TenantStream",
+		"core.TenantStream.Correlator",
+		"core.TenantStream.Err",
+		"core.TenantStream.IngestLogged",
+		"core.TenantStream.Publish",
+		"core.TenantStream.Recovery",
+		"core.TenantStream.Store",
 		"trace.AsyncTapStats.Dropped",
+		"trace.DurableSink",
 		"trace.NewServer",
 		"trace.Server.SetTenantInit",
 		"trace.Server.Tenant",
 		"trace.Server.Tenants",
 		"trace.ServerTenant.Collector",
+		"trace.ServerTenant.SetDurable",
 		"trace.ServerTenant.SetLoad",
+		"trace.ServerTenant.SetTap",
+		"trace.ServerTenant.SetTapAsync",
 		"trace.ShedBlock",
 		"trace.TapOptions.Policy",
 	}
