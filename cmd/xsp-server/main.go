@@ -71,7 +71,7 @@ func main() {
 	hs := &http.Server{
 		Handler:           srv,
 		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,                                   // and no WriteTimeout: /api/analysis streams for as long as the client listens
+		IdleTimeout:       2 * time.Minute,                                   // and no WriteTimeout: the server bounds each reply itself, all but /api/analysis's stream
 		BaseContext:       func(net.Listener) context.Context { return ctx }, // a signal ends the SSE watchers
 	}
 	drained := make(chan struct{})

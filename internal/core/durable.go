@@ -31,6 +31,11 @@ type SegmentStore interface {
 	// spans as one encoded span block, owned flags in the records — then
 	// deletes the segment files it replaces.
 	WriteSegment(block []byte, replaces []uint64) (uint64, error)
+	// WriteGathered is WriteSegment for the n records walk hands out, in
+	// that order, streamed from the blocks and files they lie in.
+	WriteGathered(n int, walk func(yield func(blk *trace.SpanBlock, i int) bool) error, replaces []uint64) (uint64, error)
+	// OpenSegment opens a segment file for reading in windows.
+	OpenSegment(id uint64) (*segio.SegmentFile, error)
 	// DropSegments deletes segment files a reopen emptied into the live
 	// tail (after a Rotate covered their spans).
 	DropSegments(ids []uint64) error
@@ -59,8 +64,9 @@ func (sc *StreamCorrelator) FeedLogged(batchID uint64, spans ...*trace.Span) err
 }
 
 // DurabilityErr returns the first store error the correlator hit, if
-// any. After it latches, the correlator keeps running RAM-only (same
-// behavior as Store == nil) rather than failing feeds.
+// any — a failed read of a segment file included. After it latches, the
+// correlator keeps running RAM-only (same behavior as Store == nil) rather
+// than failing feeds.
 func (sc *StreamCorrelator) DurabilityErr() error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -82,6 +88,14 @@ func (sc *StreamCorrelator) logBatch(spans []*trace.Span, batchID uint64) error 
 	return nil
 }
 
+// latch keeps err as the stream's durability error unless one is latched
+// already. Callers hold sc.mu.
+func (sc *StreamCorrelator) latch(err error) {
+	if sc.durErr == nil {
+		sc.durErr = err
+	}
+}
+
 // durable reports whether store writes are armed: there is a store, this
 // is not RecoverStream's replay, and no store error has latched. Callers
 // hold sc.mu.
@@ -95,6 +109,15 @@ func (sc *StreamCorrelator) persistHistory() {
 	if sc.durable() {
 		sc.durErr = sc.hist.persistLadder(sc.opts.Store)
 	}
+}
+
+// store is the store compaction writes survivors through: nil unless store
+// writes are armed. Callers hold sc.mu.
+func (sc *StreamCorrelator) store() SegmentStore {
+	if sc.durable() {
+		return sc.opts.Store
+	}
+	return nil
 }
 
 // walNeedsRotation is the fold-time rotation rule. A fold leaves its
@@ -210,19 +233,13 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 
 	seen := make(map[uint64]bool)
 	var tip trace.Span // the folded span latest in sweep order, a compare key (ID 0: none yet)
-	for _, seg := range rec.Segments {
-		var covered []int
-		if !seg.SinceSnapshot {
-			if walSeen == nil {
-				walSeen = walSpanIDs(rec)
-			}
-			for i := 0; i < seg.Block.Len(); i++ {
-				if walSeen[seg.Block.ID(i)] {
-					covered = append(covered, i)
-				}
-			}
+	for k, seg := range rec.Segments {
+		rec.Segments[k].File = nil // the history holds it now
+		if !seg.SinceSnapshot && walSeen == nil {
+			walSeen = walSpanIDs(rec)
 		}
-		sc.hist.install(seg.Block, seg.ID, covered, func(blk *trace.SpanBlock, i int) {
+		covered := func(blk *trace.SpanBlock, i int) bool { return !seg.SinceSnapshot && walSeen[blk.ID(i)] }
+		err := sc.hist.install(seg.File, covered, func(blk *trace.SpanBlock, i int) {
 			seen[blk.ID(i)] = true
 			sc.noteLevel(blk.Level(i))
 			if begin := blk.Begin(i); begin > sc.maxBegin {
@@ -256,6 +273,13 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 				sc.setCorr(corr, parent, 0)
 			}
 		})
+		if err != nil {
+			sc.hist.release()
+			for _, left := range rec.Segments[k+1:] {
+				left.File.Close()
+			}
+			return nil, err
+		}
 	}
 
 	snap := rec.Snapshot
@@ -275,20 +299,24 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 
 	// An observer attached for recovery sees the whole stream again:
 	// recovered segments never pass through the release path, so their
-	// spans are delivered here — decoded for the occasion, the history keeps
-	// the files' blocks, and merged into one canonical order, which keeps
-	// begins non-decreasing across segments — in runs of replayRun, so what
-	// the replay holds decoded is one run, not the history; the WAL replay
-	// below re-releases the rest through the ordinary drain path.
+	// spans are delivered here — read from the files a window at a time,
+	// decoded for the occasion, and merged into one canonical order, which
+	// keeps begins non-decreasing across segments — in runs of replayRun, so
+	// what the replay holds decoded is one run, not the history; the WAL
+	// replay below re-releases the rest through the ordinary drain path.
 	if sc.observe != nil && sc.hist.spans > 0 {
 		run := make([]*trace.Span, 0, replayRun)
-		view := trace.View{Walk: (&pinned{segs: sc.hist.segs}).walk}
-		view.Decode(func(s *trace.Span) {
+		p := &pinned{segs: sc.hist.segs}
+		err := trace.View{Walk: p.walk, Err: p.error}.Decode(func(s *trace.Span) {
 			if run = append(run, s); len(run) == replayRun {
 				sc.observe(run)
 				run = run[:0]
 			}
 		})
+		if err != nil {
+			sc.hist.release()
+			return nil, err
+		}
 		if len(run) > 0 {
 			sc.observe(run)
 		}
@@ -354,8 +382,8 @@ func OpenStream(key string, opts StreamOptions, open func() (*segio.Store, *segi
 }
 
 // releaseContent drops what a recovery carried in for RecoverStream — the
-// snapshot's live tail, the batches' spans, the segments' blocks (the
-// correlator holds what it took of them) — and keeps what is read of it
+// snapshot's live tail, the batches' spans, the segments' files (the
+// correlator holds them) — and keeps what is read of it
 // afterwards: how many segments and batch records there were, the dedup
 // window, the quarantined files, the repair counters. A tenant holds its
 // Recovery for the life of the process; the content would be a second copy
@@ -363,7 +391,7 @@ func OpenStream(key string, opts StreamOptions, open func() (*segio.Store, *segi
 func releaseContent(rec *segio.Recovery) *segio.Recovery {
 	rec.Snapshot = nil
 	for i := range rec.Segments {
-		rec.Segments[i].Block = trace.SpanBlock{}
+		rec.Segments[i].File = nil
 	}
 	for i := range rec.Batches {
 		rec.Batches[i].Spans, rec.Batches[i].Owned = nil, nil

@@ -138,12 +138,23 @@ func (l *storeLog) WriteSegment(block []byte, replaces []uint64) (uint64, error)
 	if err != nil || len(rest) != 0 {
 		panic(fmt.Sprintf("segment payload is no span block: %v, %d bytes behind it", err, len(rest)))
 	}
-	spans := blk.Len()
+	return l.logSegment(blk.Len(), replaces, func() (uint64, error) { return l.SegmentStore.WriteSegment(block, replaces) })
+}
+
+// WriteGathered logs a streamed segment write as WriteSegment logs one
+// handed over whole.
+func (l *storeLog) WriteGathered(n int, walk func(yield func(blk *trace.SpanBlock, i int) bool) error, replaces []uint64) (uint64, error) {
+	return l.logSegment(n, replaces, func() (uint64, error) { return l.SegmentStore.WriteGathered(n, walk, replaces) })
+}
+
+// logSegment derives what a segment write of spans spans replacing
+// replaces was, around write.
+func (l *storeLog) logSegment(spans int, replaces []uint64, write func() (uint64, error)) (uint64, error) {
 	remainder := l.afterForced && len(replaces) == 1 && spans > 0 && spans < l.sizes[replaces[0]]
 	if remainder && l.ops != nil {
 		l.remainderAt = append(l.remainderAt, l.ops())
 	}
-	id, err := l.SegmentStore.WriteSegment(block, replaces)
+	id, err := write()
 	if err != nil {
 		return 0, err
 	}
@@ -932,14 +943,20 @@ func TestRecoverDropsWALCoveredSpansFromOlderSegment(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reopen: %v", ctx, err)
 		}
-		if len(rec.Segments) != 1 || rec.Segments[0].ID == oldID || rec.Segments[0].Block.Len() != len(remainder) {
+		if len(rec.Segments) != 1 || rec.Segments[0].ID == oldID || rec.Segments[0].File.Len() != len(remainder) {
 			t.Fatalf("%s: segments on disk %+v, want one new file of %d spans", ctx, rec.Segments, len(remainder))
 		}
-		for blk, i := rec.Segments[0].Block, 0; i < blk.Len(); i++ {
+		f := rec.Segments[0].File
+		blk, err := f.Window(f.Pass(), 0, f.Len())
+		if err != nil {
+			t.Fatalf("%s: reading the rewritten segment: %v", ctx, err)
+		}
+		for i := 0; i < blk.Len(); i++ {
 			if !remainder[blk.ID(i)] {
 				t.Fatalf("%s: the rewritten segment holds span %d, which the WAL carries", ctx, blk.ID(i))
 			}
 		}
+		f.Close()
 	}
 
 	dry := base.Recovered()
@@ -1027,6 +1044,14 @@ func TestDurableStreamQuarantinesCorruptSegment(t *testing.T) {
 		t.Fatalf("want >=2 segments on disk, have %d", len(recA.Segments))
 	}
 	victim := recA.Segments[0]
+	vblk, err := victim.File.Window(victim.File.Pass(), 0, victim.File.Len())
+	if err != nil {
+		t.Fatalf("read the victim: %v", err)
+	}
+	lost := make(map[uint64]bool)
+	for i := 0; i < vblk.Len(); i++ {
+		lost[vblk.ID(i)] = true
+	}
 	name := fmt.Sprintf("seg-%016x.seg", victim.ID)
 	data, err := fs.ReadFile(name)
 	if err != nil {
@@ -1052,10 +1077,6 @@ func TestDurableStreamQuarantinesCorruptSegment(t *testing.T) {
 	}
 	scB.Flush()
 	got := spanIDSet(scB.Trace())
-	lost := make(map[uint64]bool)
-	for i := 0; i < victim.Block.Len(); i++ {
-		lost[victim.Block.ID(i)] = true
-	}
 	for id := range got {
 		if !all[id] {
 			t.Fatalf("recovered span %d was never fed", id)

@@ -61,10 +61,15 @@ func (sc *StreamCorrelator) reopenAll() {
 	}
 	for k, run := range decodeRuns(sc.hist.segs) {
 		seg := &sc.hist.segs[k]
-		for i, s := range run {
-			if blk, r := seg.at(i); !blk.Owned(r) {
-				sc.parented[s] = true
+		i := 0
+		if err := seg.each(func(blk *trace.SpanBlock, r int) bool {
+			if !blk.Owned(r) {
+				sc.parented[run[i]] = true
 			}
+			i++
+			return true
+		}); err != nil {
+			panic(err)
 		}
 		released = append(released, run...)
 		if seg.fileID != 0 {
@@ -72,6 +77,7 @@ func (sc *StreamCorrelator) reopenAll() {
 		}
 		sc.hist.stale = append(sc.hist.stale, seg.replaced...)
 	}
+	sc.hist.release()
 	slices.SortFunc(released, compareEvents)
 
 	sc.rel = levelRuns{}
@@ -98,9 +104,11 @@ func (sc *StreamCorrelator) OwnedBits() map[uint64]bool {
 	defer sc.mu.Unlock()
 	owned := make(map[uint64]bool, sc.liveLen()+sc.hist.spans)
 	for _, seg := range sc.hist.segs {
-		for i := range seg.refs {
-			blk, r := seg.at(i)
+		if err := seg.each(func(blk *trace.SpanBlock, r int) bool {
 			owned[blk.ID(r)] = blk.Owned(r)
+			return true
+		}); err != nil {
+			panic(err)
 		}
 	}
 	for _, run := range sc.liveRuns() {
@@ -117,10 +125,12 @@ func (sc *StreamCorrelator) CheckpointSummary() (spans int, maxEnd vclock.Time, 
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	for _, seg := range sc.hist.segs {
-		wantSpans += len(seg.refs)
-		for i := range seg.refs {
-			blk, r := seg.at(i)
+		if err := seg.each(func(blk *trace.SpanBlock, r int) bool {
+			wantSpans++
 			wantMaxEnd = max(wantMaxEnd, blk.End(r))
+			return true
+		}); err != nil {
+			panic(err)
 		}
 	}
 	return sc.hist.spans, sc.hist.maxEnd, wantSpans, wantMaxEnd
@@ -135,6 +145,9 @@ func (sc *StreamCorrelator) BlockResidency() (resident, referenced int, shared b
 	defer sc.mu.Unlock()
 	holder := make(map[*byte]int)
 	for k, seg := range sc.hist.segs {
+		if seg.file != nil {
+			continue // nothing resident
+		}
 		used := make([]int, len(seg.blocks))
 		for _, r := range seg.refs {
 			used[r.Block]++
@@ -169,7 +182,11 @@ func (sc *StreamCorrelator) Trace() *trace.Trace {
 func decodeRuns(segs []ckptSegment) [][]*trace.Span {
 	runs := make([][]*trace.Span, len(segs))
 	for k := range segs {
-		runs[k] = trace.View{Walk: (&pinned{segs: segs[k : k+1]}).walk}.Trace().Spans
+		p := &pinned{segs: segs[k : k+1]}
+		v := trace.View{Walk: p.walk, Err: p.error}
+		if err := v.Decode(func(s *trace.Span) { runs[k] = append(runs[k], s) }); err != nil {
+			panic(err)
+		}
 	}
 	return runs
 }

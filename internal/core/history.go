@@ -3,10 +3,14 @@ package core
 import (
 	"bytes"
 	"cmp"
+	"io"
 	"math"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
+	"xsp/internal/segio"
 	"xsp/internal/trace"
 	"xsp/internal/vclock"
 )
@@ -27,21 +31,32 @@ func (b ownedBits) has(i int) bool { return i/64 < len(b) && b[i/64]&(1<<(i%64))
 // history is a stream's folded past — the checkpoint ladder — and the one
 // place that knows how it is laid out. A folded span is not a trace.Span: it
 // is one 80-byte record, plus its share of the tables, in an immutable encoded
-// span block (trace.SpanBlock: what a fold encoded, once, or what a segment
-// file held), and a segment is an ordered list of 8-byte references to such
-// records. So what is resident per folded span is the codec's size and holds
-// no pointer the collector has to follow; the ladder's work — compaction,
-// extraction, remainders — compares keys read from the records and moves
-// references, never encoded bytes; and a span is decoded only when somebody
-// reads it, into copies the history keeps no hold on. The resolver adds
-// folds, takes back what a straggler's windows overlap, reads the segments
-// merged with its live tail, and persists; the zero history is empty.
+// span block. Where that block lives depends on whether the segment has a
+// file. A segment without one — every segment in RAM mode, a fresh fold or a
+// compaction survivor a durable stream has not written yet, everything after
+// a store error — is resident: its blocks (what a fold encoded, once) and an
+// ordered list of 8-byte references to their records, so what is resident per
+// folded span is the codec's size and holds no pointer the collector has to
+// follow. A segment whose file is written is filed: it keeps a small
+// directory (the file's layout and string blob, and per window of records the
+// first begin, the latest end and the correlation-id buckets a repair asks
+// about) and reads its records from the file a window at a time, each window
+// a validated trace.SpanBlock — so what is resident per durable folded span
+// is a fraction of a byte, and the file holds the rest. Either way the
+// ladder's work — compaction, extraction, remainders — compares keys read
+// from the records and moves references or streams records from file to
+// file, never decoding; and a span is decoded only when somebody reads it,
+// into copies the history keeps no hold on. The resolver adds folds, takes
+// back what a straggler's windows overlap, reads the segments merged with its
+// live tail, and persists; the zero history is empty.
 //
 // The correlator's mutex guards the ladder — the list of segments and the
-// counters — like everything the resolver holds. The segments themselves and
-// the blocks behind them are immutable, replaced and never edited, so a
-// reader holds the mutex only to pin the list — copy it — and walks what it
-// pinned after letting go (see StreamCorrelator.View and pinned.walk).
+// counters — like everything the resolver holds. The segments themselves,
+// the blocks and the files behind them are immutable, replaced and never
+// edited, so a reader holds the mutex only to pin the list — copy it, and
+// hold every file in it open — and walks what it pinned after letting go
+// (see StreamCorrelator.View and pinned.walk). A file a compaction deletes
+// stays readable through the handle until the last pin on it is released.
 type history struct {
 	segs        []ckptSegment // geometric compaction merges by size, so segments carry no time order
 	spans       int           // folded spans, over all segments
@@ -51,18 +66,26 @@ type history struct {
 	enc         []byte        // where hold encodes a block before keeping its exact-size copy; empty between holds
 }
 
-// ckptSegment is one immutable run of finalized spans in canonical order:
-// refs names their records, each in one of the segment's own blocks, and a
-// record's flag byte holds the owned bit a reopen (a straggler reaching
-// behind the checkpoint horizon) restores the span's ownership from.
-// Immutable means replaced, never edited: a merge or a reopen builds a new
-// segment over a fresh refs array and a fresh list of the same blocks. No
-// two segments share a block, and every block is referenced by at least half
-// its records (see compactBlocks): one no reference reaches leaves with the
-// segment that dropped it.
+// ckptSegment is one immutable run of finalized spans in canonical order,
+// and a record's flag byte holds the owned bit a reopen (a straggler
+// reaching behind the checkpoint horizon) restores the span's ownership
+// from. Resident, refs names its records, each in one of the segment's own
+// blocks. Filed, file holds them, and refs — nil when the segment is all of
+// the file — names the records that are the segment's: a repair's remainder
+// until its own file is written (Block is then 0). Immutable means
+// replaced, never edited: a merge or a reopen builds a new segment over a
+// fresh refs array and a fresh list of the same blocks, or writes a new
+// file. No two segments share a block, and every block is referenced by at
+// least half its records (see compactBlocks): one no reference reaches
+// leaves with the segment that dropped it.
 type ckptSegment struct {
 	blocks []heldBlock
+	file   *segFile
 	refs   []trace.RecordRef
+
+	// parts is a compaction survivor compact has yet to build: its inputs,
+	// in merge order. Only compact sees one.
+	parts []ckptSegment
 
 	// fileID is the segment's durable file id (0: not yet on disk);
 	// replaced lists the file ids this segment supersedes — a compaction
@@ -70,6 +93,153 @@ type ckptSegment struct {
 	// when this segment's own file is published.
 	fileID   uint64
 	replaced []uint64
+}
+
+// segFile is a segment file the history reads records from: the open file,
+// and its directory, one entry per window of windowRecords records. It is
+// shared by the ladder entry that holds it and every view that pinned it,
+// and closed when the last of them lets go (unref).
+type segFile struct {
+	*segio.SegmentFile
+	dir  []fileWindow
+	refs atomic.Int32
+}
+
+// fileWindow is what the history keeps of one window of a file's records:
+// what lets a repair pass over the window without reading it.
+type fileWindow struct {
+	first, maxEnd vclock.Time // the first record's begin, the latest end
+	execCorr      []uint64    // as heldBlock.execCorr, over the window's records
+}
+
+// windowRecords is how many records one read of a file brings in: ~64 KB of
+// them, whatever the segment's size.
+const windowRecords = 64 << 10 / trace.SpanRecordSize
+
+// newSegFile wraps an opened segment file, the ladder its one holder.
+func newSegFile(f *segio.SegmentFile, dir []fileWindow) *segFile {
+	sf := &segFile{SegmentFile: f, dir: dir}
+	sf.refs.Store(1)
+	return sf
+}
+
+// detach readies a file leaving the ladder for the removal of its name: a
+// view still pinning it must keep reading it (segio.SegmentFile.Keep).
+// Callers hold the correlator's mutex, under which pins are taken.
+func (f *segFile) detach() {
+	if f.refs.Load() > 1 {
+		f.Keep() // a failure surfaces as the pinned view's read error
+	}
+}
+
+// unref lets go of one holder's hold, and closes the file with the last.
+func (f *segFile) unref() {
+	if f.refs.Add(-1) == 0 {
+		f.Close()
+	}
+}
+
+// retire is the ladder letting go of a file: detached, then unreferenced.
+func (f *segFile) retire() {
+	f.detach()
+	f.unref()
+}
+
+// dirBuilder builds a file's directory from its records, in file order.
+type dirBuilder struct {
+	dir []fileWindow
+	n   int
+}
+
+func (d *dirBuilder) add(blk *trace.SpanBlock, i int) {
+	if d.n%windowRecords == 0 {
+		d.dir = append(d.dir, fileWindow{first: blk.Begin(i)})
+	}
+	w := &d.dir[len(d.dir)-1]
+	w.maxEnd = max(w.maxEnd, blk.End(i))
+	w.execCorr = addExecBucket(w.execCorr, blk, i)
+	d.n++
+}
+
+func (d *dirBuilder) done() []fileWindow {
+	for k := range d.dir {
+		d.dir[k].execCorr = sealBuckets(d.dir[k].execCorr)
+	}
+	return slices.Clip(d.dir)
+}
+
+// len returns the number of spans in the segment.
+func (seg *ckptSegment) len() int {
+	switch {
+	case seg.parts != nil:
+		n := 0
+		for k := range seg.parts {
+			n += seg.parts[k].len()
+		}
+		return n
+	case seg.file != nil && seg.refs == nil:
+		return seg.file.Len()
+	}
+	return len(seg.refs)
+}
+
+// ref returns the reference of a filed segment's span i: a record of its file.
+func (seg *ckptSegment) ref(i int) trace.RecordRef {
+	if seg.refs == nil {
+		return trace.RecordRef{Record: uint32(i)}
+	}
+	return seg.refs[i]
+}
+
+// cursor reads a segment's spans in order, resident or filed: a filed one
+// a window at a time, the windows its pass reads, its first read error kept.
+type cursor struct {
+	seg  *ckptSegment
+	pos  int
+	pass io.ReaderAt
+	win  *trace.SpanBlock // a fresh one per window: readers may tell windows apart by it
+	lo   int              // the file record win starts at
+	err  error
+}
+
+// record returns the block and record index of the span at pos: false past
+// the end, or on a read error (c.err).
+func (c *cursor) record() (*trace.SpanBlock, int, bool) {
+	seg := c.seg
+	if c.err != nil || c.pos >= seg.len() {
+		return nil, 0, false
+	}
+	if seg.file == nil {
+		blk, r := seg.at(c.pos)
+		return &blk.SpanBlock, r, true
+	}
+	r := int(seg.ref(c.pos).Record)
+	if c.win == nil || r < c.lo || r >= c.lo+c.win.Len() {
+		if c.pass == nil {
+			c.pass = seg.file.Pass()
+		}
+		lo := r / windowRecords * windowRecords
+		win, err := seg.file.Window(c.pass, lo, min(lo+windowRecords, seg.file.Len()))
+		if err != nil {
+			c.err = err
+			return nil, 0, false
+		}
+		c.win, c.lo = &win, lo
+	}
+	return c.win, r - c.lo, true
+}
+
+// each hands fn the segment's spans in order, as records, until fn returns
+// false, and returns the read error that cut it short.
+func (seg *ckptSegment) each(fn func(blk *trace.SpanBlock, i int) bool) error {
+	c := cursor{seg: seg}
+	for {
+		blk, r, ok := c.record()
+		if !ok || !fn(blk, r) {
+			return c.err
+		}
+		c.pos++
+	}
 }
 
 // folded is a span on its way out of the history: decoded, with the owned
@@ -106,19 +276,33 @@ type heldBlock struct {
 // corrBucket coarsens a correlation id to the granularity execCorr keeps.
 func corrBucket(corr uint64) uint64 { return corr >> 6 }
 
+// addExecBucket adds record i's bucket to set when it is an owned execution
+// span with a correlation id. Ids minted in order repeat a bucket 64 times
+// running: a run is collected once.
+func addExecBucket(set []uint64, blk *trace.SpanBlock, i int) []uint64 {
+	if c := blk.CorrelationID(i); c != 0 && blk.Kind(i) == trace.KindExec && blk.Owned(i) {
+		if k, n := corrBucket(c), len(set); n == 0 || set[n-1] != k {
+			set = append(set, k)
+		}
+	}
+	return set
+}
+
+// sealBuckets sorts a collected bucket set and keeps it, deduplicated, in
+// an exact-size array: not the one several interleaved streams' ids were
+// collected in.
+func sealBuckets(set []uint64) []uint64 {
+	slices.Sort(set)
+	return slices.Clone(slices.Compact(set))
+}
+
 // holdBlock wraps a parsed block the history will keep.
 func holdBlock(blk trace.SpanBlock) heldBlock {
 	held := heldBlock{SpanBlock: blk}
 	for i := 0; i < blk.Len(); i++ {
-		if c := blk.CorrelationID(i); c != 0 && blk.Kind(i) == trace.KindExec && blk.Owned(i) {
-			// Ids minted in order repeat a bucket 64 times running: collect it once.
-			if k, n := corrBucket(c), len(held.execCorr); n == 0 || held.execCorr[n-1] != k {
-				held.execCorr = append(held.execCorr, k)
-			}
-		}
+		held.execCorr = addExecBucket(held.execCorr, &blk, i)
 	}
-	slices.Sort(held.execCorr)
-	held.execCorr = slices.Clone(slices.Compact(held.execCorr)) // not the array several interleaved streams' ids were collected in
+	held.execCorr = sealBuckets(held.execCorr)
 	return held
 }
 
@@ -165,42 +349,78 @@ func (seg *ckptSegment) spanBlocks() []trace.SpanBlock {
 // push appends a segment to the ladder and counts its spans in.
 func (h *history) push(seg ckptSegment) {
 	h.segs = append(h.segs, seg)
-	h.spans += len(seg.refs)
+	h.spans += seg.len()
+	h.maxEnd = max(h.maxEnd, seg.maxEnd())
+}
+
+// maxEnd is the latest End among the segment's spans — for a filed
+// remainder, among its file's, which bounds it.
+func (seg *ckptSegment) maxEnd() (end vclock.Time) {
+	if seg.file != nil {
+		for _, w := range seg.file.dir {
+			end = max(end, w.maxEnd)
+		}
+		return end
+	}
 	for i := range seg.refs {
 		blk, r := seg.at(i)
-		h.maxEnd = max(h.maxEnd, blk.End(r))
+		end = max(end, blk.End(r))
 	}
+	return end
 }
 
 // add folds spans — in canonical order, owned telling each one's bit, kept
 // so a reopen can restore their ownership exactly — into a new block, one
-// encode, and a new segment that is all of it, and restores the size ladder.
-func (h *history) add(spans []*trace.Span, owned func(i int) bool) {
+// encode, and a new segment that is all of it, and restores the size ladder:
+// with store non-nil, each survivor written to its file as it is built.
+func (h *history) add(spans []*trace.Span, owned func(i int) bool, store SegmentStore) error {
 	h.push(segmentOf(h.hold(func(buf []byte) []byte { return trace.AppendSpanBlock(buf, spans, owned) })))
 
 	// Keep the segment count in check so a snapshot's k-way merge stays
 	// shallow — geometrically, so a day-long stream amortizes O(log n)
 	// merge work per span instead of re-merging everything periodically.
-	h.compact()
+	return h.compact(store)
 }
 
-// install adds a recovered segment file to the ladder: its validated payload
-// is the segment's block, as it is — less the records at the ascending
-// indexes drop, which the WAL won — and kept is handed each record that
-// stays. A file left empty is stale.
-func (h *history) install(blk trace.SpanBlock, fileID uint64, drop []int, kept func(blk *trace.SpanBlock, i int)) {
-	seg := segmentOf(holdBlock(blk))
-	seg.fileID = fileID
+// install adds a recovered segment file to the ladder, filed: one pass over
+// its records builds its directory, hands kept each record that stays, and
+// leaves out the ones covered says the WAL won — a file left empty is
+// stale, one left with fewer records a remainder to rewrite.
+func (h *history) install(f *segio.SegmentFile, covered func(blk *trace.SpanBlock, i int) bool, kept func(blk *trace.SpanBlock, i int)) error {
+	sf := newSegFile(f, nil)
+	seg := ckptSegment{file: sf, fileID: f.ID()}
+	var dir dirBuilder
+	var drop []int
+	if err := seg.each(func(blk *trace.SpanBlock, r int) bool {
+		if dir.add(blk, r); covered(blk, r) {
+			drop = append(drop, dir.n-1)
+		} else {
+			kept(blk, r)
+		}
+		return true
+	}); err != nil {
+		sf.unref()
+		return err
+	}
+	sf.dir = dir.done()
 	if len(drop) > 0 {
-		if seg = h.without(seg, drop); len(seg.refs) == 0 {
+		if seg = h.without(seg, drop); seg.len() == 0 {
 			h.stale = append(h.stale, seg.replaced...)
-			return
+			sf.retire()
+			return nil
 		}
 	}
 	h.push(seg)
-	for i := range seg.refs {
-		held, r := seg.at(i)
-		kept(&held.SpanBlock, r)
+	return nil
+}
+
+// release lets go of every file the ladder holds: the stream is reset or
+// closed.
+func (h *history) release() {
+	for i := range h.segs {
+		if f := h.segs[i].file; f != nil {
+			f.retire()
+		}
 	}
 }
 
@@ -210,50 +430,92 @@ func (h *history) reaches(t vclock.Time) bool { return h.spans > 0 && h.maxEnd >
 
 // pinned is one read of a stream: the history's segment list and the live
 // tail as the read took them under the correlator's mutex — immutable
-// segments, and one canonically ordered run of live spans nobody else
-// holds — walked as often as the reader needs after the mutex is released.
+// segments, every file among them held open, and one canonically ordered
+// run of live spans nobody else holds — walked as often as the reader needs
+// after the mutex is released.
 type pinned struct {
 	segs []ckptSegment
 	live []*trace.Span
+	fail func(error) // latches a read error where the stream reports it; nil: nobody
+	err  error       // what cut the last walk short
+	once sync.Once
 }
 
-// walk is the one merge every read goes through: a k-way merge of the
-// segments' records and the live run into canonical order, handing yield a
-// folded span as its record — nothing is decoded — and a live span as
-// itself. Equal keys (duplicate span ids) break toward the segments, in
-// ladder order, then the live run: trace.MergeRuns' tie-break over the
-// runs in that order.
+// walk is the one merge every read goes through (see merge); a read error
+// ends it, and is kept and latched.
 func (p *pinned) walk(yield func(blk *trace.SpanBlock, i int, s *trace.Span) bool) {
-	// A head is a run's next span, its key read once: run len(p.segs) is
-	// the live run.
+	if p.err = merge(p.segs, p.live, yield); p.err != nil && p.fail != nil {
+		p.fail(p.err)
+	}
+}
+
+func (p *pinned) error() error { return p.err }
+
+// release lets go of the pinned files, once.
+func (p *pinned) release() {
+	p.once.Do(func() {
+		for i := range p.segs {
+			if f := p.segs[i].file; f != nil {
+				f.unref()
+			}
+		}
+	})
+}
+
+// merge is a k-way merge of the segments' records and the live run into
+// canonical order, handing yield a folded span as its record — nothing is
+// decoded — and a live span as itself. Equal keys (duplicate span ids)
+// break toward the segments, in the order given, then the live run:
+// trace.MergeRuns' tie-break over the runs in that order. A read error ends
+// it and is returned.
+func merge(segs []ckptSegment, live []*trace.Span, yield func(blk *trace.SpanBlock, i int, s *trace.Span) bool) error {
+	// A head is a run's next span, its key read once: run len(segs) is the
+	// live run.
 	type head struct {
 		begin    vclock.Time
 		level    trace.Level
 		id       uint64
 		run, pos int
+		blk      *trace.SpanBlock
+		r        int
 	}
+	curs := make([]cursor, len(segs))
 	load := func(h *head) bool {
-		if h.run < len(p.segs) {
-			seg := &p.segs[h.run]
-			if h.pos == len(seg.refs) {
+		if h.run < len(segs) {
+			blk, r, ok := curs[h.run].record()
+			if !ok {
 				return false
 			}
-			blk, r := seg.at(h.pos)
+			h.blk, h.r = blk, r
 			h.begin, h.level, h.id = blk.Begin(r), blk.Level(r), blk.ID(r)
 			return true
 		}
-		if h.pos == len(p.live) {
+		if h.pos == len(live) {
 			return false
 		}
-		s := p.live[h.pos]
+		s := live[h.pos]
 		h.begin, h.level, h.id = s.Begin, s.Level, s.ID
 		return true
 	}
+	failed := func() error {
+		for k := range curs {
+			if curs[k].err != nil {
+				return curs[k].err
+			}
+		}
+		return nil
+	}
 	var heads []head // in run order, so the first least head wins a tie
-	for run := 0; run <= len(p.segs); run++ {
+	for run := 0; run <= len(segs); run++ {
+		if run < len(segs) {
+			curs[run].seg = &segs[run]
+		}
 		if h := (head{run: run}); load(&h) {
 			heads = append(heads, h)
 		}
+	}
+	if err := failed(); err != nil {
+		return err
 	}
 	for len(heads) > 0 {
 		least := 0
@@ -265,54 +527,106 @@ func (p *pinned) walk(yield func(blk *trace.SpanBlock, i int, s *trace.Span) boo
 		}
 		h := &heads[least]
 		var more bool
-		if h.run < len(p.segs) {
-			blk, r := p.segs[h.run].at(h.pos)
-			more = yield(&blk.SpanBlock, r, nil)
+		if h.run < len(segs) {
+			more = yield(h.blk, h.r, nil)
+			curs[h.run].pos++
 		} else {
-			more = yield(nil, 0, p.live[h.pos])
+			more = yield(nil, 0, live[h.pos])
+			h.pos++
 		}
 		if !more {
-			return
+			return nil
 		}
-		if h.pos++; !load(h) {
+		if !load(h) {
+			if err := failed(); err != nil {
+				return err
+			}
 			heads = slices.Delete(heads, least, least+1)
 		}
 	}
+	return nil
 }
 
 // persistLadder writes a segment file for every checkpoint segment that
-// does not have one yet — fresh folds and compaction survivors — handing
-// each its own replaced-file list, so a crash between two writes can
-// never have deleted an input whose merged survivor is not yet on disk.
+// does not have one yet — fresh folds, survivors built while no store was
+// armed, and remainders — handing each its own replaced-file list, so a
+// crash between two writes can never have deleted an input whose merged
+// survivor is not yet on disk. A written segment is filed: its blocks and
+// references go, the file holds them.
 func (h *history) persistLadder(store SegmentStore) error {
 	for i := range h.segs {
 		seg := &h.segs[i]
 		if seg.fileID != 0 {
 			continue
 		}
-		id, err := store.WriteSegment(seg.payload(), seg.replaced)
+		var filed ckptSegment
+		var err error
+		if seg.file == nil && len(seg.blocks) == 1 && len(seg.refs) == seg.blocks[0].Len() {
+			// A fresh fold, whose refs are its block's records in order: the
+			// block is the file's payload, as it is.
+			var dir dirBuilder
+			blk := &seg.blocks[0].SpanBlock
+			for r := 0; r < blk.Len(); r++ {
+				dir.add(blk, r)
+			}
+			var id uint64
+			if id, err = store.WriteSegment(blk.Bytes(), seg.replaced); err == nil {
+				filed, err = openFiled(store, id, dir.done())
+			}
+		} else {
+			var leaving []*segFile
+			if seg.file != nil {
+				leaving = append(leaving, seg.file)
+			}
+			filed, err = writeFiled(store, seg.len(), seg.each, seg.replaced, leaving)
+		}
 		if err != nil {
 			return err
 		}
-		seg.fileID, seg.replaced = id, nil
+		*seg = filed
 	}
 	return nil
 }
 
-// payload returns the segment as one span block, its file's payload: the
-// block itself when the segment is all of one block — a fresh fold, whose
-// refs are then its records in order — and otherwise its records gathered in
-// segment order, table offsets rebased, nothing decoded or re-encoded from
-// maps.
-func (seg *ckptSegment) payload() []byte {
-	if len(seg.blocks) == 1 && len(seg.refs) == seg.blocks[0].Len() {
-		return seg.blocks[0].Bytes()
+// openFiled opens the segment file just written as id, and returns the
+// filed segment that is all of it.
+func openFiled(store SegmentStore, id uint64, dir []fileWindow) (ckptSegment, error) {
+	f, err := store.OpenSegment(id)
+	if err != nil {
+		return ckptSegment{}, err
 	}
-	size := 0
-	for b := range seg.blocks {
-		size += len(seg.blocks[b].Bytes())
+	return ckptSegment{file: newSegFile(f, dir), fileID: id}, nil
+}
+
+// writeFiled writes the n records walk hands out as a new segment file —
+// streamed from where they lie, resident blocks or other files, never
+// gathered into one buffer — that replaces the files of replaced, and
+// returns the filed segment that is all of it. leaving are the files of the
+// segments it replaces in the ladder: readable through the write, and let go
+// of once it is done.
+func writeFiled(store SegmentStore, n int, walk func(yield func(blk *trace.SpanBlock, i int) bool) error, replaced []uint64, leaving []*segFile) (ckptSegment, error) {
+	for _, f := range leaving {
+		f.detach()
 	}
-	return trace.GatherSpanBlock(make([]byte, 0, size), seg.spanBlocks(), seg.refs)
+	var dir dirBuilder
+	id, err := store.WriteGathered(n, func(yield func(blk *trace.SpanBlock, i int) bool) error {
+		dir = dirBuilder{} // each pass walks the same records
+		return walk(func(blk *trace.SpanBlock, i int) bool {
+			dir.add(blk, i)
+			return yield(blk, i)
+		})
+	}, replaced)
+	if err != nil {
+		return ckptSegment{}, err
+	}
+	filed, err := openFiled(store, id, dir.done())
+	if err != nil {
+		return ckptSegment{}, err
+	}
+	for _, f := range leaving {
+		f.unref()
+	}
+	return filed, nil
 }
 
 // dropStale deletes the segment files reopens emptied. Only a WAL rotation
@@ -339,11 +653,15 @@ func (h *history) dropStale(store SegmentStore) error {
 // schedule cost. Scanning the whole ladder (not just the two smallest
 // segments) matters: one tiny straggler fold must not shield a plateau of
 // equal-size segments behind it from ever merging.
-func (h *history) compact() {
+//
+// The schedule is worked out on sizes alone, and each survivor built once,
+// from all of its inputs (see build): with store non-nil, written to its
+// file by one streaming merge, however many merges made it.
+func (h *history) compact(store SegmentStore) error {
 	// order lists the segments by size, equal sizes by position, and stays
 	// sorted across the merges below.
 	bySize := func(a, b int) int {
-		return cmp.Or(cmp.Compare(len(h.segs[a].refs), len(h.segs[b].refs)), cmp.Compare(a, b))
+		return cmp.Or(cmp.Compare(h.segs[a].len(), h.segs[b].len()), cmp.Compare(a, b))
 	}
 	order := make([]int, len(h.segs))
 	for i := range order {
@@ -353,16 +671,16 @@ func (h *history) compact() {
 	for {
 		pair := -1
 		for i := 0; i+1 < len(order); i++ {
-			if 2*len(h.segs[order[i]].refs) >= len(h.segs[order[i+1]].refs) {
+			if 2*h.segs[order[i]].len() >= h.segs[order[i+1]].len() {
 				pair = i
 				break
 			}
 		}
 		if pair < 0 {
-			return // the doubling ladder holds everywhere
+			break // the doubling ladder holds everywhere
 		}
 		lo, hi := min(order[pair], order[pair+1]), max(order[pair], order[pair+1])
-		h.segs[lo] = mergeSegments(h.segs[lo], h.segs[hi])
+		h.segs[lo] = ckptSegment{parts: slices.Concat(h.segs[lo].inputs(), h.segs[hi].inputs())}
 		h.segs = slices.Delete(h.segs, hi, hi+1)
 		h.compactions++
 
@@ -377,6 +695,96 @@ func (h *history) compact() {
 		at, _ := slices.BinarySearchFunc(order, lo, bySize)
 		order = slices.Insert(order, at, lo)
 	}
+
+	var err error
+	ladder := make([]ckptSegment, 0, len(h.segs))
+	for _, seg := range h.segs {
+		if seg.parts == nil {
+			ladder = append(ladder, seg)
+			continue
+		}
+		built, berr := h.build(seg.parts, store)
+		if berr != nil && store != nil {
+			err, store = berr, nil // latched: the rest of the ladder is built resident
+			built, berr = h.build(seg.parts, nil)
+		}
+		if berr != nil { // unreadable: the inputs stay as they are, unmerged
+			err = cmp.Or(err, berr)
+			ladder = append(ladder, seg.parts...)
+			continue
+		}
+		ladder = append(ladder, built)
+	}
+	h.segs = ladder
+	return err
+}
+
+// inputs is what a survivor built from seg is built from.
+func (seg *ckptSegment) inputs() []ckptSegment {
+	if seg.parts != nil {
+		return seg.parts
+	}
+	return []ckptSegment{*seg}
+}
+
+// build merges a survivor's inputs — ties toward the earlier input, as
+// mergeSegments breaks them — into one segment with no durable file of its
+// own, which replaces the inputs' files and their pending replacements, in
+// input order. With store non-nil it is written at once, by one streaming
+// k-way merge from the inputs, resident or filed. Without one it is built
+// resident: filed inputs read in, and merged pairwise as in RAM mode.
+func (h *history) build(parts []ckptSegment, store SegmentStore) (ckptSegment, error) {
+	if store != nil {
+		var replaced []uint64
+		var leaving []*segFile
+		for k := range parts {
+			replaced = append(replaced, parts[k].replaced...)
+			if parts[k].fileID != 0 {
+				replaced = append(replaced, parts[k].fileID)
+			}
+			if parts[k].file != nil {
+				leaving = append(leaving, parts[k].file)
+			}
+		}
+		n := (&ckptSegment{parts: parts}).len()
+		return writeFiled(store, n, func(yield func(blk *trace.SpanBlock, i int) bool) error {
+			return merge(parts, nil, func(blk *trace.SpanBlock, i int, _ *trace.Span) bool { return yield(blk, i) })
+		}, replaced, leaving)
+	}
+	merged := make([]ckptSegment, len(parts))
+	for k, p := range parts {
+		if p.file != nil {
+			var err error
+			if p, err = residentOf(p); err != nil {
+				return ckptSegment{}, err
+			}
+		}
+		if merged[k] = p; k > 0 {
+			merged[k] = mergeSegments(merged[k-1], p)
+		}
+	}
+	for k := range parts {
+		if f := parts[k].file; f != nil {
+			f.retire()
+		}
+	}
+	return merged[len(merged)-1], nil
+}
+
+// residentOf reads a filed segment into one block of its own: a resident
+// segment with its file id and replacements, for a merge no store can write.
+func residentOf(seg ckptSegment) (ckptSegment, error) {
+	var buf bytes.Buffer
+	if err := trace.StreamSpanBlock(&buf, seg.len(), seg.each, nil, func(int, uint32) []byte { return nil }); err != nil {
+		return ckptSegment{}, err
+	}
+	blk, _, err := trace.ParseSpanBlock(buf.Bytes())
+	if err != nil {
+		return ckptSegment{}, err
+	}
+	res := segmentOf(holdBlock(blk))
+	res.fileID, res.replaced = seg.fileID, seg.replaced
+	return res, nil
 }
 
 // less reports whether seg's span i sorts before o's span j in canonical
@@ -437,19 +845,30 @@ func (seg *ckptSegment) take(refs []trace.RecordRef, shift uint32) {
 }
 
 // without returns seg less the spans at the ascending indexes drop: a fresh
-// refs array (seg is immutable), the rest still in canonical order, over
-// the blocks that still earn their keep. Like a merge's survivor it has no
-// durable file yet and names seg's — with seg's own pending replacements —
-// as replaced.
+// refs array (seg is immutable), the rest still in canonical order — over
+// the blocks that still earn their keep, or over seg's file, which the
+// remainder holds until its own is written. Like a merge's survivor it has
+// no durable file yet and names seg's — with seg's own pending replacements
+// — as replaced.
 func (h *history) without(seg ckptSegment, drop []int) ckptSegment {
-	rest := ckptSegment{blocks: seg.blocks, refs: make([]trace.RecordRef, 0, len(seg.refs)-len(drop))}
-	from := 0
-	for _, i := range drop {
-		rest.refs = append(rest.refs, seg.refs[from:i]...)
-		from = i + 1
+	rest := ckptSegment{blocks: seg.blocks, file: seg.file, refs: make([]trace.RecordRef, 0, seg.len()-len(drop))}
+	if seg.file != nil {
+		for i, d := 0, 0; i < seg.len(); i++ {
+			if d < len(drop) && drop[d] == i {
+				d++
+				continue
+			}
+			rest.refs = append(rest.refs, seg.ref(i))
+		}
+	} else {
+		from := 0
+		for _, i := range drop {
+			rest.refs = append(rest.refs, seg.refs[from:i]...)
+			from = i + 1
+		}
+		rest.refs = append(rest.refs, seg.refs[from:]...)
+		h.compactBlocks(&rest)
 	}
-	rest.refs = append(rest.refs, seg.refs[from:]...)
-	h.compactBlocks(&rest)
 	rest.replaced = slices.Clip(seg.replaced)
 	if seg.fileID != 0 {
 		rest.replaced = append(rest.replaced, seg.fileID)
@@ -508,33 +927,42 @@ func gallop(n int, stop func(k int) bool) int {
 }
 
 // extract takes the folded spans sel picks — ascending indexes into one
-// segment's refs — out of the ladder and returns them decoded, each with its
-// owned bit, for the resolver to make live again: only the hits are decoded,
-// gathered into a block of their own first so the spans share nothing with
-// the blocks they leave. The cost is the records sel reads plus the segments
-// it touches: a touched segment is replaced by its remainder, an emptied one
-// leaves the ladder (its files deletable once a WAL rotation covers the
-// spans), an untouched one is not looked at again.
-func (h *history) extract(sel func(seg *ckptSegment) []int) (out []folded) {
+// segment's spans — out of the ladder and returns them decoded, each with
+// its owned bit, for the resolver to make live again: only the hits are
+// decoded, gathered into a block of their own first so the spans share
+// nothing with the blocks or files they leave. The cost is the records sel
+// reads plus the segments it touches: a touched segment is replaced by its
+// remainder, an emptied one leaves the ladder (its files deletable once a
+// WAL rotation covers the spans), an untouched one is not looked at again.
+// A segment a read error cuts short stays as it is, and the error is
+// returned beside what the others gave up.
+func (h *history) extract(sel func(seg *ckptSegment) ([]int, error)) (out []folded, err error) {
 	ladder, tookMaxEnd := h.segs[:0], false
 	for _, seg := range h.segs {
-		hits := sel(&seg)
+		hits, serr := sel(&seg)
+		var block []byte
+		if serr == nil && len(hits) > 0 {
+			block, serr = seg.gather(hits)
+		}
+		if serr != nil {
+			err = cmp.Or(err, serr)
+			ladder = append(ladder, seg)
+			continue
+		}
 		if len(hits) > 0 {
-			picked := make([]trace.RecordRef, len(hits))
-			for k, i := range hits {
-				picked[k] = seg.refs[i]
-				blk, r := seg.at(i)
-				tookMaxEnd = tookMaxEnd || blk.End(r) == h.maxEnd
-			}
-			spans, owned, _, err := trace.DecodeSpanBlock(trace.GatherSpanBlock(nil, seg.spanBlocks(), picked))
-			if err != nil {
-				panic(err) // gathered from validated blocks
+			spans, owned, _, derr := trace.DecodeSpanBlock(block)
+			if derr != nil {
+				panic(derr) // gathered from validated blocks
 			}
 			for k, s := range spans {
 				out = append(out, folded{s, ownedBits(owned).has(k)})
+				tookMaxEnd = tookMaxEnd || s.End == h.maxEnd
 			}
-			if seg = h.without(seg, hits); len(seg.refs) == 0 {
+			if seg = h.without(seg, hits); seg.len() == 0 {
 				h.stale = append(h.stale, seg.replaced...)
+				if seg.file != nil {
+					seg.file.retire()
+				}
 				continue
 			}
 		}
@@ -546,26 +974,64 @@ func (h *history) extract(sel func(seg *ckptSegment) []int) (out []folded) {
 	if tookMaxEnd { // else some span left behind still ends there
 		h.maxEnd = 0
 		for i := range h.segs {
-			seg := &h.segs[i]
-			for k := range seg.refs {
-				blk, r := seg.at(k)
-				h.maxEnd = max(h.maxEnd, blk.End(r))
-			}
+			h.maxEnd = max(h.maxEnd, h.segs[i].maxEnd())
 		}
 	}
-	return out
+	return out, err
+}
+
+// gather returns the segment's spans at the ascending indexes picks as one
+// new span block, nothing decoded.
+func (seg *ckptSegment) gather(picks []int) ([]byte, error) {
+	if seg.file == nil {
+		refs := make([]trace.RecordRef, len(picks))
+		for k, i := range picks {
+			refs[k] = seg.refs[i]
+		}
+		return trace.GatherSpanBlock(nil, seg.spanBlocks(), refs), nil
+	}
+	var buf bytes.Buffer
+	err := trace.StreamSpanBlock(&buf, len(picks), func(yield func(blk *trace.SpanBlock, i int) bool) error {
+		c := cursor{seg: seg}
+		for _, i := range picks {
+			c.pos = i
+			blk, r, ok := c.record()
+			if !ok || !yield(blk, r) {
+				return c.err
+			}
+		}
+		return nil
+	}, nil, func(int, uint32) []byte { return nil })
+	return buf.Bytes(), err
 }
 
 // extractOverlapping takes out every folded span overlapping one of the
 // windows, which ascend by lo and do not overlap each other.
-func (h *history) extractOverlapping(windows []window) []folded {
-	return h.extract(func(seg *ckptSegment) (hits []int) {
+func (h *history) extractOverlapping(windows []window) ([]folded, error) {
+	last := max(windows[len(windows)-1].lo, windows[len(windows)-1].hi)
+	return h.extract(func(seg *ckptSegment) (hits []int, err error) {
 		// Segment and windows both ascend by begin: one pass over the
 		// records, done at the first span past the last window. (A
-		// malformed window, hi < lo, selects as [lo, lo]: a superset.)
+		// malformed window, hi < lo, selects as [lo, lo]: a superset.) A
+		// filed segment's directory passes over the windows of records
+		// that end before the windows left open, and stops at the first
+		// that begins past the last, unread.
+		c := cursor{seg: seg}
 		k := 0
-		for i := range seg.refs {
-			blk, r := seg.at(i)
+		for ; c.pos < seg.len(); c.pos++ {
+			if seg.file != nil {
+				w := &seg.file.dir[int(seg.ref(c.pos).Record)/windowRecords]
+				if w.first > last {
+					break
+				}
+				if w.maxEnd < windows[k].lo {
+					continue
+				}
+			}
+			blk, r, ok := c.record()
+			if !ok {
+				return nil, c.err
+			}
 			begin := blk.Begin(r)
 			for k < len(windows) && max(windows[k].lo, windows[k].hi) < begin {
 				k++
@@ -574,10 +1040,10 @@ func (h *history) extractOverlapping(windows []window) []folded {
 				break
 			}
 			if blk.End(r) >= windows[k].lo {
-				hits = append(hits, i)
+				hits = append(hits, c.pos)
 			}
 		}
-		return hits
+		return hits, nil
 	})
 }
 
@@ -617,12 +1083,13 @@ func (m movedLaunches) newParent(kind trace.Kind, corr, parent uint64) uint64 {
 	return 0
 }
 
-// mayHold reports whether the block may hold an execution span of one of the
-// moved launches: whether the two sorted bucket sets meet. One pass over the
-// block's set, each of its buckets looked for in what is left of the moved.
-func (m movedLaunches) mayHold(blk *heldBlock) bool {
+// mayHold reports whether a block or file window whose execCorr is set may
+// hold an execution span of one of the moved launches: whether the two
+// sorted bucket sets meet. One pass over set, each of its buckets looked
+// for in what is left of the moved.
+func (m movedLaunches) mayHold(set []uint64) bool {
 	rest := m.buckets
-	for _, b := range blk.execCorr {
+	for _, b := range set {
 		at, ok := slices.BinarySearch(rest, b)
 		if rest = rest[at:]; ok || len(rest) == 0 {
 			return ok
@@ -632,26 +1099,45 @@ func (m movedLaunches) mayHold(blk *heldBlock) bool {
 }
 
 // extractExecs takes out the owned execution spans a moved launch's new
-// parent must still reach. It reads the records of the blocks whose
-// correlation-id buckets meet the moved launches' and passes over the rest:
-// a repair that moved launches nothing folded hangs on costs a few
-// comparisons per block — O(folds), see heldBlock — and one that finds such
-// a block costs a pass over its segment's references besides.
-func (h *history) extractExecs(moved movedLaunches) []folded {
-	return h.extract(func(seg *ckptSegment) (hits []int) {
-		match, some := make([]bool, len(seg.blocks)), false
-		for b := range seg.blocks {
-			match[b] = moved.mayHold(&seg.blocks[b])
-			some = some || match[b]
-		}
-		if !some {
-			return nil
-		}
-		for i, ref := range seg.refs {
-			if blk, r := seg.at(i); match[ref.Block] && moved.newParent(blk.Kind(r), blk.CorrelationID(r), blk.ParentID(r)) != 0 && blk.Owned(r) {
-				hits = append(hits, i)
+// parent must still reach. It reads the records of the blocks — or file
+// windows — whose correlation-id buckets meet the moved launches' and passes
+// over the rest: a repair that moved launches nothing folded hangs on costs
+// a few comparisons per block, and one that finds such a block costs a pass
+// over its segment's references besides.
+func (h *history) extractExecs(moved movedLaunches) ([]folded, error) {
+	return h.extract(func(seg *ckptSegment) (hits []int, err error) {
+		var match []bool
+		some := false
+		if seg.file != nil {
+			match = make([]bool, len(seg.file.dir))
+			for w := range seg.file.dir {
+				match[w] = moved.mayHold(seg.file.dir[w].execCorr)
+				some = some || match[w]
+			}
+		} else {
+			match = make([]bool, len(seg.blocks))
+			for b := range seg.blocks {
+				match[b] = moved.mayHold(seg.blocks[b].execCorr)
+				some = some || match[b]
 			}
 		}
-		return hits
+		if !some {
+			return nil, nil
+		}
+		c := cursor{seg: seg}
+		for ; c.pos < seg.len(); c.pos++ {
+			if seg.file != nil && !match[int(seg.ref(c.pos).Record)/windowRecords] ||
+				seg.file == nil && !match[seg.refs[c.pos].Block] {
+				continue
+			}
+			blk, r, ok := c.record()
+			if !ok {
+				return nil, c.err
+			}
+			if moved.newParent(blk.Kind(r), blk.CorrelationID(r), blk.ParentID(r)) != 0 && blk.Owned(r) {
+				hits = append(hits, c.pos)
+			}
+		}
+		return hits, nil
 	})
 }

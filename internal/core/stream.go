@@ -539,12 +539,22 @@ func (sc *StreamCorrelator) Flush() {
 func (sc *StreamCorrelator) Reset() {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	sc.hist.release()
 	sc.streamState = newStreamState()
 	// Durable state resets with the rest; durErr stays latched — a store
 	// that failed once is not trusted again until the process restarts.
 	if sc.durable() {
 		sc.durErr = sc.opts.Store.Reset()
 	}
+}
+
+// Close lets go of the segment files the history reads, each closed once no
+// view still pins it. The correlator must not be fed or read after.
+func (sc *StreamCorrelator) Close() {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	sc.hist.release()
+	sc.hist.segs = nil
 }
 
 // resolve advances the online sweep by one span, in sweep order.
@@ -816,7 +826,11 @@ func (sc *StreamCorrelator) repair() {
 	// rel every released span overlapping [lo, hi].
 	pulled := 0
 	if sc.hist.reaches(clusters[0].lo) {
-		pulled = sc.relive(sc.hist.extractOverlapping(clusters))
+		back, err := sc.hist.extractOverlapping(clusters)
+		if err != nil {
+			sc.latch(err)
+		}
+		pulled = sc.relive(back)
 	}
 
 	// Splice the stragglers into the released timeline: their levels' runs
@@ -984,7 +998,11 @@ func (sc *StreamCorrelator) repair() {
 	if len(dirty) > 0 {
 		moved := newMovedLaunches(dirty)
 		if sc.hist.spans > 0 {
-			pulled += sc.relive(sc.hist.extractExecs(moved))
+			back, err := sc.hist.extractExecs(moved)
+			if err != nil {
+				sc.latch(err)
+			}
+			pulled += sc.relive(back)
 		}
 		for _, l := range sc.levels {
 			for _, s := range sc.rel.slot(l).spans {
@@ -1164,7 +1182,9 @@ func (sc *StreamCorrelator) fold() int {
 
 	// The levels' evicted runs are begin-ascending: the merge reads them in place.
 	spans := trace.MergeRunsInto(sc.foldMerged, runs)
-	sc.hist.add(spans, func(i int) bool { return sc.owns(spans[i]) })
+	if err := sc.hist.add(spans, func(i int) bool { return sc.owns(spans[i]) }, sc.store()); err != nil {
+		sc.latch(err)
+	}
 	for _, s := range spans {
 		delete(sc.parented, s)
 	}
@@ -1212,23 +1232,40 @@ func (sc *StreamCorrelator) View(raw bool) trace.View {
 			return headers
 		}
 	}
-	return trace.View{Walk: sc.pin(live).walk, Raw: raw}
+	p := sc.pin(live)
+	p.fail = func(err error) {
+		sc.mu.Lock()
+		sc.latch(err)
+		sc.mu.Unlock()
+	}
+	return trace.View{Walk: p.walk, Raw: raw, Err: p.error, Release: p.release}
 }
 
 // SnapshotTrace is the correlated View decoded: a point-in-time snapshot
 // whose parent links stay as they were while the stream keeps feeding, and
 // whose header fields the caller may rewrite. Checkpointed spans come back
-// as decoded copies, the live tail as header copies.
-func (sc *StreamCorrelator) SnapshotTrace() *trace.Trace { return sc.View(false).Trace() }
+// as decoded copies, the live tail as header copies. A segment file that
+// fails to read cuts it short, and latches DurabilityErr.
+func (sc *StreamCorrelator) SnapshotTrace() *trace.Trace {
+	v := sc.View(false)
+	defer v.Close()
+	return v.Trace()
+}
 
 // pin is what a read holds the mutex for: the history's segment list —
-// segments and blocks are immutable, so the copy stays readable whatever
-// follows — and the live set, run by run, through live: a copy of each run
-// at least, the holders' arrays are theirs. The live runs are merged after
-// the mutex is released.
+// segments, blocks and files are immutable, so the copy stays readable
+// whatever follows, and each file is held open until the pin is released —
+// and the live set, run by run, through live: a copy of each run at least,
+// the holders' arrays are theirs. The live runs are merged after the mutex
+// is released.
 func (sc *StreamCorrelator) pin(live func(run []*trace.Span) []*trace.Span) *pinned {
 	sc.mu.Lock()
 	p := &pinned{segs: slices.Clone(sc.hist.segs)}
+	for i := range p.segs {
+		if f := p.segs[i].file; f != nil {
+			f.refs.Add(1)
+		}
+	}
 	var tail [][]*trace.Span
 	for _, run := range sc.liveRuns() {
 		if len(run) > 0 {

@@ -219,8 +219,8 @@ func testTenantSetIndependentCrashRecovery(t *testing.T, opts func(core.SegmentS
 			t.Fatalf("%s recovery: %d segments to count (want some), snapshot kept: %v", name, len(rec.Segments), rec.Snapshot != nil)
 		}
 		for _, seg := range rec.Segments {
-			if seg.ID == 0 || seg.Block.Len() != 0 || seg.Block.Bytes() != nil {
-				t.Fatalf("%s recovery: segment %d still holds a block of %d records", name, seg.ID, seg.Block.Len())
+			if seg.ID == 0 || seg.File != nil {
+				t.Fatalf("%s recovery: segment %d still holds its file", name, seg.ID)
 			}
 		}
 		for _, b := range rec.Batches {

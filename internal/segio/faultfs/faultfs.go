@@ -26,8 +26,10 @@ package faultfs
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
+	"syscall"
 
 	"xsp/internal/segio"
 )
@@ -60,6 +62,9 @@ type Plan struct {
 	Mode       Mode
 	// DropSync makes File.Sync succeed without making anything durable.
 	DropSync bool
+	// FailReadsFrom, when positive, fails read FailReadsFrom — counting
+	// ReadFile and every ReadAt from 1 — and every read after it with EIO.
+	FailReadsFrom int
 }
 
 type inode struct {
@@ -74,6 +79,8 @@ type FS struct {
 	vol     map[string]*inode // the live (process-visible) namespace
 	dur     map[string]*inode // namespace as of the last SyncDir
 	ops     int
+	reads   int // reads so far: ReadFile and ReadAt calls
+	opened  int // read handles open
 	armed   bool
 	plan    Plan
 	crashed bool
@@ -81,7 +88,7 @@ type FS struct {
 	lastDur *inode // most recently synced inode, for ModeBitFlip
 }
 
-var _ segio.FS = (*FS)(nil)
+var _ segio.ReadAtFS = (*FS)(nil)
 
 // New returns an empty, unarmed FS (behaves like a normal in-memory fs).
 func New() *FS {
@@ -102,6 +109,29 @@ func (f *FS) Ops() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.ops
+}
+
+// Reads returns the number of reads performed so far.
+func (f *FS) Reads() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.reads
+}
+
+// OpenReads returns the number of read handles not yet closed.
+func (f *FS) OpenReads() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.opened
+}
+
+// read numbers one read and decides whether it fails. Callers hold f.mu.
+func (f *FS) read(name string) error {
+	f.reads++
+	if f.armed && f.plan.FailReadsFrom > 0 && f.reads >= f.plan.FailReadsFrom {
+		return fmt.Errorf("faultfs: read %q: %w", name, syscall.EIO)
+	}
+	return nil
 }
 
 // Crashed reports whether the crash point has been reached.
@@ -239,7 +269,60 @@ func (f *FS) ReadFile(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("faultfs: %q: file does not exist", name)
 	}
+	if err := f.read(name); err != nil {
+		return nil, err
+	}
 	return append([]byte(nil), ino.data...), nil
+}
+
+// OpenRead opens name for ranged reads. The handle reads the file's inode,
+// not its name: it keeps reading what the file holds after the name is
+// removed or renamed over.
+func (f *FS) OpenRead(name string) (segio.ReadAtCloser, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	ino, ok := f.vol[name]
+	if !ok {
+		return nil, fmt.Errorf("faultfs: %q: file does not exist", name)
+	}
+	f.opened++
+	return &reader{fs: f, ino: ino, name: name}, nil
+}
+
+type reader struct {
+	fs     *FS
+	ino    *inode
+	name   string
+	closed bool
+}
+
+func (r *reader) ReadAt(p []byte, off int64) (int, error) {
+	r.fs.mu.Lock()
+	defer r.fs.mu.Unlock()
+	if r.closed {
+		return 0, fmt.Errorf("faultfs: read %q: handle closed", r.name)
+	}
+	if err := r.fs.read(r.name); err != nil {
+		return 0, err
+	}
+	if off < 0 || off >= int64(len(r.ino.data)) {
+		return 0, io.EOF
+	}
+	n := copy(p, r.ino.data[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+func (r *reader) Close() error {
+	r.fs.mu.Lock()
+	defer r.fs.mu.Unlock()
+	if !r.closed {
+		r.closed = true
+		r.fs.opened--
+	}
+	return nil
 }
 
 func (f *FS) Rename(oldname, newname string) error {

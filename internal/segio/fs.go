@@ -38,6 +38,22 @@ type FS interface {
 	SyncDir() error
 }
 
+// ReadAtFS is an FS that also opens files for ranged reads, which is how a
+// segment is read in windows rather than whole (see SegmentFile). A handle
+// follows POSIX unlink semantics: it keeps reading a file a later Remove
+// took the name of, until it is closed. DirFS and faultfs implement it; any
+// other FS's segments are read whole, once per pass.
+type ReadAtFS interface {
+	FS
+	OpenRead(name string) (ReadAtCloser, error)
+}
+
+// ReadAtCloser is a read handle ReadAtFS.OpenRead returns.
+type ReadAtCloser interface {
+	io.ReaderAt
+	io.Closer
+}
+
 // File is a writable file handle. Writes are buffered by the OS until
 // Sync; a crash may lose or truncate anything unsynced.
 type File interface {
@@ -67,6 +83,8 @@ func (f *osFS) OpenAppend(name string) (File, error) {
 }
 
 func (f *osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(f.path(name)) }
+
+func (f *osFS) OpenRead(name string) (ReadAtCloser, error) { return os.Open(f.path(name)) }
 
 func (f *osFS) Rename(oldname, newname string) error {
 	return os.Rename(f.path(oldname), f.path(newname))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -98,12 +99,13 @@ type Snapshot struct {
 	nextSeg uint64
 }
 
-// Segment is one recovered segment file: its payload, checksummed and
-// structurally validated, kept as the encoded block it is — every record
-// addressable, owned flags in the records — rather than decoded.
+// Segment is one recovered segment file: checksummed and structurally
+// validated whole, then let go of and opened for reading in windows — every
+// record addressable, owned flags in the records, nothing decoded or held.
+// Whoever recovers it owns File and closes it.
 type Segment struct {
-	ID    uint64
-	Block trace.SpanBlock
+	ID   uint64
+	File *SegmentFile
 	// SinceSnapshot reports that the file was written after the recovered
 	// WAL's snapshot record (or that the WAL holds none): if the WAL also
 	// carries the segment's spans, the segment is a fold whose rotation was
@@ -250,7 +252,8 @@ func Open(fs FS, opts Options) (*Store, *Recovery, error) {
 	// Segments, newest file first: the survivor of a compaction carries
 	// every span of the files it replaced, so any id overlap with what is
 	// already loaded proves this file is a superseded leftover whose
-	// deletion the crash interrupted.
+	// deletion the crash interrupted. One file's bytes are held at a time:
+	// each is validated whole and then opened for windowed reads.
 	sort.Slice(segIDs, func(i, j int) bool { return segIDs[i] > segIDs[j] })
 	seen := make(map[uint64]struct{})
 	for _, id := range segIDs {
@@ -281,7 +284,14 @@ func Open(fs FS, opts Options) (*Store, *Recovery, error) {
 		for i := 0; i < blk.Len(); i++ {
 			seen[blk.ID(i)] = struct{}{}
 		}
-		rec.Segments = append(rec.Segments, Segment{ID: id, Block: blk})
+		f, err := st.OpenSegment(id)
+		if err != nil {
+			for _, seg := range rec.Segments {
+				seg.File.Close()
+			}
+			return nil, nil, err
+		}
+		rec.Segments = append(rec.Segments, Segment{ID: id, File: f})
 		st.segs[id] = int64(len(data))
 	}
 	sort.Slice(rec.Segments, func(i, j int) bool { return rec.Segments[i].ID < rec.Segments[j].ID })
@@ -402,7 +412,7 @@ func (st *Store) publishWAL(snap *Snapshot) error {
 		buf = sealWALRecord(encodeSnapshot(buf, snap, st.dedup, st.nextSeg), start)
 	}
 	name := walName(st.walGen)
-	if err := st.publishFile(name, buf); err != nil {
+	if err := st.publishFile(name, func(w io.Writer) error { _, err := w.Write(buf); return err }); err != nil {
 		return err
 	}
 	st.walName = name
@@ -411,21 +421,19 @@ func (st *Store) publishWAL(snap *Snapshot) error {
 	return nil
 }
 
-// publishFile durably publishes bufs, one after another, as the file name:
+// publishFile durably publishes what write writes as the file name:
 // written to a temporary name, synced and closed, renamed into place, and
 // the directory synced — so a crash leaves either no file of that name or
 // all of it.
-func (st *Store) publishFile(name string, bufs ...[]byte) error {
+func (st *Store) publishFile(name string, write func(w io.Writer) error) error {
 	tmp := name + tmpSuffix
 	f, err := st.fs.Create(tmp)
 	if err != nil {
 		return err
 	}
-	for _, buf := range bufs {
-		if _, err := f.Write(buf); err != nil {
-			f.Close()
-			return err
-		}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -509,32 +517,73 @@ func (st *Store) LogBatch(spans []*trace.Span, batchID uint64) error {
 
 // WriteSegment durably publishes one segment file whose payload is block —
 // an encoded span block, owned flags in its records, which the caller holds
-// or gathered and the store does not look into — and then deletes the files
-// it replaces (compaction inputs). The new file is fully synced and renamed
+// and the store does not look into — and then deletes the files it
+// replaces (compaction inputs). The new file is fully synced and renamed
 // into place before any old file is touched, so a crash anywhere leaves
 // either the old set, or the new file plus deletable leftovers that recovery
 // drops by span-id overlap.
 func (st *Store) WriteSegment(block []byte, replaces []uint64) (uint64, error) {
+	// The header and the caller's block go out as two writes, the block
+	// from where it lies: a crash between them leaves only a .tmp.
+	return st.writeSegment(replaces, func(w io.Writer) error {
+		if _, err := w.Write(segHeader(len(block), crc32.Checksum(block, castagnoli))); err != nil {
+			return err
+		}
+		_, err := w.Write(block)
+		return err
+	})
+}
+
+// WriteGathered is WriteSegment for a payload gathered from records other
+// blocks hold — a compaction's k-way merge of its inputs, or a file less
+// the records a repair took out — streamed as trace.StreamSpanBlock writes
+// it: the n records walk hands out, in that order, owned flags kept, walked
+// twice and never held whole. walk's error fails the write.
+func (st *Store) WriteGathered(n int, walk func(yield func(blk *trace.SpanBlock, i int) bool) error, replaces []uint64) (uint64, error) {
+	return st.writeSegment(replaces, func(w io.Writer) error {
+		return trace.StreamSpanBlock(w, n, walk, crc32.New(castagnoli), segHeader)
+	})
+}
+
+// writeSegment publishes the next segment file, its bytes what write
+// writes, and then deletes the files it replaces.
+func (st *Store) writeSegment(replaces []uint64, write func(w io.Writer) error) (uint64, error) {
 	st.lock()
 	defer st.unlock()
 	id := st.nextSeg
 	st.nextSeg++
-	var hdr [segHeaderLen]byte
-	copy(hdr[:], segMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(len(block)))
-	binary.LittleEndian.PutUint32(hdr[20:], crc32.Checksum(block, castagnoli))
-
-	// The header and the caller's block go out as two writes, the block
-	// from where it lies: a crash between them leaves only a .tmp.
-	if err := st.publishFile(segName(id), hdr[:], block); err != nil {
+	cw := &countingWriter{}
+	if err := st.publishFile(segName(id), func(w io.Writer) error { cw.w = w; return write(cw) }); err != nil {
 		return 0, err
 	}
-	st.segs[id] = int64(segHeaderLen + len(block))
+	st.segs[id] = cw.n
 	if err := st.dropLocked(replaces); err != nil {
 		return 0, err
 	}
 	return id, nil
+}
+
+// segHeader is a segment file's header for a payload of size bytes whose
+// checksum is sum.
+func segHeader(size int, sum uint32) []byte {
+	hdr := make([]byte, segHeaderLen)
+	copy(hdr, segMagic)
+	binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
+	binary.LittleEndian.PutUint64(hdr[12:], uint64(size))
+	binary.LittleEndian.PutUint32(hdr[20:], sum)
+	return hdr
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // DropSegments deletes segment files that are no longer referenced (for

@@ -1,7 +1,10 @@
 package segio_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"reflect"
 	"slices"
 	"testing"
@@ -65,13 +68,126 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if len(rec2.Segments) != 1 || rec2.Segments[0].ID != id {
 		t.Fatalf("want 1 segment id=%d, got %+v", id, rec2.Segments)
 	}
-	gotSpans, gotOwned, _, err := trace.DecodeSpanBlock(rec2.Segments[0].Block.Bytes())
-	requireNoErr(t, err)
+	gotSpans, gotOwned := readSegment(t, rec2.Segments[0].File, 2)
 	if !reflect.DeepEqual(gotSpans, spans) {
 		t.Fatalf("segment spans differ:\n got %v\nwant %v", gotSpans, spans)
 	}
 	if !reflect.DeepEqual(gotOwned, owned) {
 		t.Fatalf("owned bitset differs: got %v want %v", gotOwned, owned)
+	}
+}
+
+// readSegment decodes a segment file through windows of at most w records,
+// with its owned bitset.
+func readSegment(t *testing.T, f *segio.SegmentFile, w int) ([]*trace.Span, []uint64) {
+	t.Helper()
+	var st trace.SpanStore
+	var spans []*trace.Span
+	owned := make([]uint64, (f.Len()+63)/64)
+	r := f.Pass()
+	for lo := 0; lo < f.Len(); lo += w {
+		blk, err := f.Window(r, lo, min(lo+w, f.Len()))
+		requireNoErr(t, err)
+		d := blk.Decoder()
+		for i := 0; i < blk.Len(); i++ {
+			spans = append(spans, d.Span(&st, i))
+			if blk.Owned(i) {
+				owned[(lo+i)/64] |= 1 << ((lo + i) % 64)
+			}
+		}
+	}
+	return spans, owned
+}
+
+// A gathered segment — records of two files merged, one record dropped —
+// streams to the file GatherSpanBlock's block would make, reads back
+// through windows of every width, and keeps reading through a handle
+// after a later write removes its name.
+func TestWriteGatheredReadsThroughWindows(t *testing.T) {
+	fs := faultfs.New()
+	st, _, err := segio.Open(fs, segio.Options{})
+	requireNoErr(t, err)
+	defer st.Close()
+	var a, b []*trace.Span
+	for i := 0; i < 40; i++ {
+		s := mkSpan(uint64(i+1), vclock.Time(i), vclock.Time(i+5), trace.Level(i%3), trace.KindSync)
+		s.Name = []string{"conv", "relu", "pool"}[i%3]
+		s.Tags = []trace.Tag{{Key: "layer", Value: s.Name}}
+		if i%4 == 0 {
+			s.Metrics = []trace.Metric{{Key: "flops", Value: float64(i)}}
+		}
+		if i%2 == 0 {
+			a = append(a, s)
+		} else {
+			b = append(b, s)
+		}
+	}
+	ownedA := []uint64{0b1011}
+	ida, err := st.WriteSegment(block(a, ownedA), nil)
+	requireNoErr(t, err)
+	idb, err := st.WriteSegment(block(b, nil), nil)
+	requireNoErr(t, err)
+	fa, err := st.OpenSegment(ida)
+	requireNoErr(t, err)
+	fb, err := st.OpenSegment(idb)
+	requireNoErr(t, err)
+
+	// The merge in begin order, less the record of span 7: what the
+	// reference gathers from whole blocks.
+	blkA, _, _ := trace.ParseSpanBlock(block(a, ownedA))
+	blkB, _, _ := trace.ParseSpanBlock(block(b, nil))
+	var refs []trace.RecordRef
+	for i := 0; i < 40; i++ {
+		if i != 6 {
+			refs = append(refs, trace.RecordRef{Block: uint32(i % 2), Record: uint32(i / 2)})
+		}
+	}
+	want := trace.GatherSpanBlock(nil, []trace.SpanBlock{blkA, blkB}, refs)
+
+	walk := func(yield func(blk *trace.SpanBlock, i int) bool) error {
+		files := []*segio.SegmentFile{fa, fb}
+		passes := []io.ReaderAt{fa.Pass(), fb.Pass()}
+		for _, ref := range refs {
+			f := files[ref.Block]
+			win, err := f.Window(passes[ref.Block], int(ref.Record), int(ref.Record)+1)
+			if err != nil {
+				return err
+			}
+			if !yield(&win, 0) {
+				return nil
+			}
+		}
+		return nil
+	}
+	id, err := st.WriteGathered(len(refs), walk, []uint64{ida, idb})
+	requireNoErr(t, err)
+	data, err := fs.ReadFile(fmt.Sprintf("seg-%016x.seg", id))
+	requireNoErr(t, err)
+	if !bytes.Equal(data[24:], want) {
+		t.Fatalf("gathered segment payload differs from GatherSpanBlock's: %d vs %d bytes", len(data)-24, len(want))
+	}
+	if _, err := fs.ReadFile(fmt.Sprintf("seg-%016x.seg", ida)); err == nil {
+		t.Fatalf("input %d survived the write that replaced it", ida)
+	}
+	f, err := st.OpenSegment(id)
+	requireNoErr(t, err)
+	wantSpans, wantOwned, _, err := trace.DecodeSpanBlock(want)
+	requireNoErr(t, err)
+	for _, w := range []int{1, 3, 7, 39, 64} {
+		got, owned := readSegment(t, f, w)
+		if !reflect.DeepEqual(got, wantSpans) || !reflect.DeepEqual(owned, wantOwned) {
+			t.Fatalf("windows of %d: the segment reads back otherwise", w)
+		}
+	}
+	// The inputs' names are gone, their handles still read.
+	if got, _ := readSegment(t, fa, 5); !reflect.DeepEqual(got, a) {
+		t.Fatalf("a removed input no longer reads back through its handle")
+	}
+	for _, f := range []*segio.SegmentFile{f, fa, fb} {
+		requireNoErr(t, f.Close())
+	}
+	if n := fs.OpenReads(); n != 0 {
+		t.Fatalf("%d read handles open after closing every segment file", n)
 	}
 }
 

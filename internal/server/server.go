@@ -114,8 +114,18 @@ func (s *Server) dir(key string) string {
 	return filepath.Join(s.cfg.DataDir, "tenants", key)
 }
 
-// ServeHTTP implements http.Handler. After Close it answers 503.
+// replyDeadline bounds how long writing one reply may take, the analysis
+// watch's stream excepted: a client that stops reading a large
+// /api/correlated would otherwise hold the request — and the segment files
+// its view pinned, deleted or not — for as long as its connection stays up.
+// A variable so that tests can shorten it.
+var replyDeadline = time.Minute
+
+// ServeHTTP implements http.Handler. Every reply gets replyDeadline to be
+// written. After Close it answers 503.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	// A writer without deadlines (an httptest recorder) has nothing to bound.
+	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(replyDeadline))
 	s.life.RLock()
 	defer s.life.RUnlock()
 	select {
@@ -302,12 +312,14 @@ func (t *tenant) reset() {
 }
 
 // close drains the tap into the correlator and stops its worker, then
-// releases the store's WAL handle. Every record behind that handle was
-// synced before its batch was acknowledged, so an error here loses nothing.
+// releases the segment files the correlator reads and the store's WAL
+// handle. Every record behind that handle was synced before its batch was
+// acknowledged, so an error here loses nothing.
 func (t *tenant) close() {
 	if t.tap != nil {
 		t.tap.Close()
 	}
+	t.sc.Close()
 	if t.store != nil {
 		if err := t.store.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "xsp-server: tenant %s: closing the store: %v\n", t.ingest.Key(), err)
@@ -430,6 +442,7 @@ func (s *Server) handleCorrelated(w http.ResponseWriter, r *http.Request, t *ten
 		set("Corr-Evicted", st.CorrEvicted)
 		view = t.sc.View(false)
 	}
+	defer view.Close()
 	key, _ := trace.RequestTenant(r) // tenantRoute has validated it
 	view.Tenant = trace.CanonicalTenant(key)
 	trace.WriteView(w, r, view)
@@ -495,6 +508,8 @@ func (s *Server) watch(w http.ResponseWriter, r *http.Request, snapshot func() a
 		}
 		interval = max(d, minWatchInterval)
 	}
+	// The stream lasts as long as the client listens: no reply deadline.
+	_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)

@@ -355,26 +355,35 @@ type RecordRef struct{ Block, Record uint32 }
 // errors wrap ErrBadFrame.
 func ParseSpanBlock(b []byte) (blk SpanBlock, rest []byte, err error) {
 	r := &blockReader{b: b}
-	le := binary.LittleEndian
 	count := int(r.u32())
-	recs := r.bytes(count * SpanRecordSize)
-	tagN := int(r.u32())
-	blk.tags = r.bytes(tagN * 16)
-	metN := int(r.u32())
-	blk.mets = r.bytes(metN * 16)
+	r.bytes(count * SpanRecordSize)
+	blk.tags = r.bytes(int(r.u32()) * 16)
+	blk.mets = r.bytes(int(r.u32()) * 16)
 	blk.blob = r.bytes(int(r.u32()))
 	if r.err != nil {
 		return SpanBlock{}, nil, r.err
 	}
 	blk.b, blk.n = b[:r.off:r.off], count
+	if err := blk.check(); err != nil {
+		return SpanBlock{}, nil, err
+	}
+	return blk, b[r.off:], nil
+}
+
+// check validates every record of a block whose sections are in place:
+// its kind known, every string and table entry it reaches inside its
+// section.
+func (blk *SpanBlock) check() error {
+	le := binary.LittleEndian
+	tagN, metN := len(blk.tags)/16, len(blk.mets)/16
 	inBlob := func(ent []byte) bool {
 		return int64(le.Uint32(ent[0:]))+int64(le.Uint32(ent[4:])) <= int64(len(blk.blob))
 	}
-	bad := func(i int, what string) (SpanBlock, []byte, error) {
-		return SpanBlock{}, nil, fmt.Errorf("%w: span %d %s", ErrBadFrame, i, what)
+	bad := func(i int, what string) error {
+		return fmt.Errorf("%w: span %d %s", ErrBadFrame, i, what)
 	}
-	for i := 0; i < count; i++ {
-		rec := recs[i*SpanRecordSize:][:SpanRecordSize]
+	for i := 0; i < blk.n; i++ {
+		rec := blk.rec(i)
 		if k := Kind(rec[44]); k != KindSync && k != KindLaunch && k != KindExec {
 			return bad(i, fmt.Sprintf("has unknown kind %d", rec[44]))
 		}
@@ -400,7 +409,7 @@ func ParseSpanBlock(b []byte) (blk SpanBlock, rest []byte, err error) {
 			}
 		}
 	}
-	return blk, b[r.off:], nil
+	return nil
 }
 
 // Bytes returns the encoded block: what ParseSpanBlock was given, less the

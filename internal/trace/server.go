@@ -740,6 +740,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if tn := s.ingest(key, false); tn != nil {
 		v = tn.View()
 	}
+	defer v.Close()
 	WriteView(w, r, v)
 }
 

@@ -1,9 +1,9 @@
 package trace
 
 import (
-	"encoding/binary"
 	"io"
 	"net/http"
+	"unsafe"
 )
 
 // A View is one read of a span store, pinned for as long as it is in use:
@@ -26,11 +26,32 @@ type View struct {
 	// Raw reads an owned record (a ParentID a correlator derived) with
 	// ParentID zero. A span handed as s is read as it is.
 	Raw bool
+
+	// Err, when set, reports why the last walk ended before the view did: a
+	// read of what the store holds failed. A nil Err never fails.
+	Err func() error
+
+	// Release, when set, lets go of what the view pins — a file a
+	// compaction has since deleted stays readable until then. Close calls it.
+	Release func()
 }
 
-func (v View) walk(yield func(blk *SpanBlock, i int, s *Span) bool) {
-	if v.Walk != nil {
-		v.Walk(yield)
+// walk walks the view and returns the error that cut the walk short.
+func (v View) walk(yield func(blk *SpanBlock, i int, s *Span) bool) error {
+	if v.Walk == nil {
+		return nil
+	}
+	v.Walk(yield)
+	if v.Err != nil {
+		return v.Err()
+	}
+	return nil
+}
+
+// Close releases the view: it must not be walked after.
+func (v View) Close() {
+	if v.Release != nil {
+		v.Release()
 	}
 }
 
@@ -41,63 +62,16 @@ var viewChunk = 64 << 10 / SpanRecordSize * SpanRecordSize
 
 // WriteBinary writes the view to w as one framed binary batch: the bytes
 // AppendBinaryFrameTenant writes for the spans Decode hands out, without
-// decoding a record or holding the frame. It walks the view twice. The
-// first pass interns every string and builds the tag and metric tables,
-// which fixes the payload's length, so the frame header goes out first.
-// The second writes the 80-byte records, viewChunk bytes at a time, and
-// then the tables and the blob. A record is gathered as GatherSpanBlock
-// gathers it, with its owned flag cleared; a span is encoded as
-// AppendSpanBlock encodes it. What stays resident is the view's strings and
-// table entries, not its records. WriteBinary returns the first write error
-// and writes nothing after it.
+// decoding a record or holding the frame. It walks the view twice (see
+// streamBlock): a record is gathered as GatherSpanBlock gathers it, with its
+// owned flag cleared; a span is encoded as AppendSpanBlock encodes it. What
+// stays resident is the view's strings and table entries, not its records.
+// WriteBinary returns the first write or read error, and writes nothing
+// after it; a read error in the first pass writes nothing at all.
 func (v View) WriteBinary(w io.Writer) error {
-	e := blockScratchPool.Get().(*blockScratch)
-	defer e.release()
-	var rec [SpanRecordSize]byte
-	n := 0
-	v.walk(func(blk *SpanBlock, i int, s *Span) bool {
-		v.record(e, rec[:], blk, i, s)
-		n++
-		return true
+	return streamBlock(w, v.walk, v.record, 0, nil, func(_, size int, _ uint32) []byte {
+		return appendFrameHeader(nil, v.Tenant, uint32(size))
 	})
-
-	le := binary.LittleEndian
-	payload := 4 + n*SpanRecordSize + 12 + len(e.tags) + len(e.mets) + len(e.blob)
-	chunk := appendFrameHeader(make([]byte, 0, viewChunk), v.Tenant, uint32(payload))
-	var err error
-	out := func(b []byte) bool {
-		if len(chunk)+len(b) > cap(chunk) {
-			if _, err = w.Write(chunk); err != nil {
-				return false
-			}
-			chunk = chunk[:0]
-			if len(b) > cap(chunk) { // a table or the blob: written from where it lies
-				_, err = w.Write(b)
-				return err == nil
-			}
-		}
-		chunk = append(chunk, b...)
-		return true
-	}
-	out(le.AppendUint32(rec[:0], uint32(n)))
-	e.tagN, e.metN, e.tabled = 0, 0, true
-	v.walk(func(blk *SpanBlock, i int, s *Span) bool {
-		v.record(e, rec[:], blk, i, s)
-		return out(rec[:])
-	})
-	if err != nil {
-		return err
-	}
-	for _, sec := range [3]struct {
-		n int
-		b []byte
-	}{{len(e.tags) / 16, e.tags}, {len(e.mets) / 16, e.mets}, {len(e.blob), e.blob}} {
-		if !out(le.AppendUint32(rec[:0], uint32(sec.n))) || !out(sec.b) {
-			return err
-		}
-	}
-	_, err = w.Write(chunk)
-	return err
 }
 
 // record fills rec from one span of the view: a record gathered, its owned
@@ -122,21 +96,24 @@ func (v View) record(e *blockScratch, rec []byte, blk *SpanBlock, i int, s *Span
 // is owned), any other span as it is. The fresh spans share their block's
 // blob string and entry arena, and are visit's to keep: Decode keeps none
 // of them, so a visitor that lets go of each decodes a view in bounded
-// memory.
-func (v View) Decode(visit func(s *Span)) {
+// memory. Blocks that share a blob — the windows of one file — share one
+// decoder, so the blob is copied into a string once. It returns the error
+// that cut the walk short.
+func (v View) Decode(visit func(s *Span)) error {
 	var st SpanStore
-	decs := make(map[*SpanBlock]*SpanDecoder)
+	decs := make(map[*byte]*SpanDecoder)
 	var last *SpanBlock
 	var d *SpanDecoder
-	v.walk(func(blk *SpanBlock, i int, s *Span) bool {
+	return v.walk(func(blk *SpanBlock, i int, s *Span) bool {
 		if blk != nil {
 			if blk != last {
-				if d = decs[blk]; d == nil {
+				key := unsafe.SliceData(blk.blob)
+				if d = decs[key]; d == nil {
 					dec := blk.Decoder()
 					d = &dec
-					decs[blk] = d
+					decs[key] = d
 				}
-				last = blk
+				d.blk, last = *blk, blk
 			}
 			if n := len(st.chunks); n > 1 { // the filled chunks' spans are visit's: let go of them
 				c := st.chunks[n-1]
@@ -152,7 +129,8 @@ func (v View) Decode(visit func(s *Span)) {
 	})
 }
 
-// Trace returns the view decoded: a Trace of its spans under its tenant.
+// Trace returns the view decoded: a Trace of its spans under its tenant —
+// those read before an error cut the walk short (see Err).
 func (v View) Trace() *Trace {
 	t := &Trace{Tenant: v.Tenant}
 	v.Decode(func(s *Span) { t.Spans = append(t.Spans, s) })
@@ -173,7 +151,10 @@ func WriteView(w http.ResponseWriter, r *http.Request, v View) {
 		err = v.WriteBinary(sw)
 	} else {
 		w.Header().Set("Content-Type", ContentTypeJSON)
-		err = v.Trace().EncodeJSON(sw)
+		t := &Trace{Tenant: v.Tenant}
+		if err = v.Decode(func(s *Span) { t.Spans = append(t.Spans, s) }); err == nil {
+			err = t.EncodeJSON(sw)
+		}
 	}
 	if err != nil && !sw.sent {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
