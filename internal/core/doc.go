@@ -90,30 +90,46 @@
 // stays folded — so a deep repair costs a pass over span headers plus the
 // region, not a rebuild of the stream.
 //
-// Folded history is held encoded: a fold
-// encodes its spans once into an immutable span block (the trace codec's
-// layout, the owned bit in each 80-byte record), a checkpoint segment is an
-// ordered list of 8-byte references to records of such blocks, and every
-// ladder operation — compaction, extraction, remainders — reads keys from
-// the records and moves references, never encoded bytes. A checkpointed span
-// therefore costs what the codec makes of it (~113 B plus its reference, not
-// a decoded span's 136-byte header, its tag and metric entries and its share
-// of a blob string) and holds no pointer for the collector to follow; a block leaves with the last reference to it, and one
-// under half referenced gives its records up to a gathered block. A read
-// ([StreamCorrelator.View]) holds the correlator's mutex only to pin the
-// immutable segment list and copy the live tail's headers; after it is
-// released, one k-way merge over the segments' references and the live run
-// hands each span, in canonical order, to a sink. The binary reply of
+// Folded history is held encoded: a fold encodes its spans once into an
+// immutable span block (the trace codec's layout, the owned bit in each
+// 80-byte record), and every ladder operation — compaction, extraction,
+// remainders — reads keys from the records and moves references or streams
+// records, never decoding them. Where the block lives depends on whether the
+// segment has a file, not on a flag. Without one — every segment in RAM mode,
+// and a durable segment until its file is written — a segment is resident:
+// an ordered list of 8-byte references to records of its blocks, so a
+// checkpointed span costs what the codec makes of it (~113 B plus its
+// reference, not a decoded span's 136-byte header, its tag and metric entries
+// and its share of a blob string) and holds no pointer for the collector to
+// follow; a block leaves with the last reference to it, and one under half
+// referenced gives its records up to a gathered block. Once its file is
+// written a durable segment is filed: it drops its blocks and references and
+// keeps a directory — the file's layout and string blob (~0.2 B a span), and
+// per 64 KB window of records the first begin, the latest end and the
+// correlation-id buckets a repair asks about — and reads its records from
+// the file a window at a time, each window a validated span block, so the
+// heap holds a fraction of a byte per durable folded span and the file the
+// rest. A durable compaction writes its survivor once, by a streaming k-way
+// merge of all its inputs, resident or filed, and a repair's remainder
+// streams from its source the same way; recovery validates one file at a
+// time and installs it filed.
+//
+// A read ([StreamCorrelator.View]) holds the correlator's mutex only to pin
+// the immutable segment list — holding every file in it open, so a
+// compaction that deletes one does not cut the read short — and copy the
+// live tail's headers; after it is released, one k-way merge over the
+// segments' records and the live run hands each span, in canonical order, to
+// a sink, and the view's Close lets go of the files. The binary reply of
 // /api/correlated and /api/trace is one sink: it gathers each record into
 // the frame with its offsets rebased and its owned flag cleared, in two
 // passes (strings and tables first, so the frame's length is known; then the
-// records, written ~64 KB at a time), so nothing is decoded and the frame
-// is never held whole. A decode sink serves everything that wants Spans —
-// JSON replies, SnapshotTrace, recovery's observer replay, which it hands
-// over 4096 spans at a time — with fresh copies. A reopen decodes only the
-// spans it takes back, and a durable segment file is the fold's block as it
-// is, or the records of several gathered with their table offsets rebased;
-// recovery keeps a validated file payload as the block.
+// records, written ~64 KB at a time), so nothing is decoded and the frame is
+// never held whole. A decode sink serves everything that wants Spans — JSON
+// replies, SnapshotTrace, recovery's observer replay, which it hands over
+// 4096 spans at a time — with fresh copies. A reopen decodes only the spans
+// it takes back. A failed read of a segment file latches DurabilityErr like
+// a failed write and fails the read that hit it; the file and the WAL still
+// hold every acknowledged span.
 //
 // Three further mechanisms make unbounded runs flat-cost. Segments compact
 // on a geometric (size-tiered) schedule: whenever two size-adjacent segments are within

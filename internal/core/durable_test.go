@@ -947,7 +947,7 @@ func TestRecoverDropsWALCoveredSpansFromOlderSegment(t *testing.T) {
 			t.Fatalf("%s: segments on disk %+v, want one new file of %d spans", ctx, rec.Segments, len(remainder))
 		}
 		f := rec.Segments[0].File
-		blk, err := f.Window(f.Pass(), 0, f.Len())
+		blk, _, err := f.Window(f.Pass(), 0, f.Len(), nil)
 		if err != nil {
 			t.Fatalf("%s: reading the rewritten segment: %v", ctx, err)
 		}
@@ -1044,7 +1044,7 @@ func TestDurableStreamQuarantinesCorruptSegment(t *testing.T) {
 		t.Fatalf("want >=2 segments on disk, have %d", len(recA.Segments))
 	}
 	victim := recA.Segments[0]
-	vblk, err := victim.File.Window(victim.File.Pass(), 0, victim.File.Len())
+	vblk, _, err := victim.File.Window(victim.File.Pass(), 0, victim.File.Len(), nil)
 	if err != nil {
 		t.Fatalf("read the victim: %v", err)
 	}

@@ -193,20 +193,26 @@ func (seg *ckptSegment) ref(i int) trace.RecordRef {
 
 // cursor reads a segment's spans in order, resident or filed: a filed one
 // a window at a time, the windows its pass reads, its first read error kept.
+// A window's bytes are the next one's: a record it hands out is good until
+// it moves past that record's window.
 type cursor struct {
 	seg  *ckptSegment
+	n    int // the segment's spans
 	pos  int
 	pass io.ReaderAt
 	win  *trace.SpanBlock // a fresh one per window: readers may tell windows apart by it
 	lo   int              // the file record win starts at
+	buf  []byte           // the windows' array
 	err  error
 }
+
+func newCursor(seg *ckptSegment) cursor { return cursor{seg: seg, n: seg.len()} }
 
 // record returns the block and record index of the span at pos: false past
 // the end, or on a read error (c.err).
 func (c *cursor) record() (*trace.SpanBlock, int, bool) {
 	seg := c.seg
-	if c.err != nil || c.pos >= seg.len() {
+	if c.err != nil || c.pos >= c.n {
 		return nil, 0, false
 	}
 	if seg.file == nil {
@@ -219,8 +225,8 @@ func (c *cursor) record() (*trace.SpanBlock, int, bool) {
 			c.pass = seg.file.Pass()
 		}
 		lo := r / windowRecords * windowRecords
-		win, err := seg.file.Window(c.pass, lo, min(lo+windowRecords, seg.file.Len()))
-		if err != nil {
+		win, buf, err := seg.file.Window(c.pass, lo, min(lo+windowRecords, seg.file.Len()), c.buf)
+		if c.buf = buf; err != nil {
 			c.err = err
 			return nil, 0, false
 		}
@@ -232,7 +238,7 @@ func (c *cursor) record() (*trace.SpanBlock, int, bool) {
 // each hands fn the segment's spans in order, as records, until fn returns
 // false, and returns the read error that cut it short.
 func (seg *ckptSegment) each(fn func(blk *trace.SpanBlock, i int) bool) error {
-	c := cursor{seg: seg}
+	c := newCursor(seg)
 	for {
 		blk, r, ok := c.record()
 		if !ok || !fn(blk, r) {
@@ -508,7 +514,7 @@ func merge(segs []ckptSegment, live []*trace.Span, yield func(blk *trace.SpanBlo
 	var heads []head // in run order, so the first least head wins a tie
 	for run := 0; run <= len(segs); run++ {
 		if run < len(segs) {
-			curs[run].seg = &segs[run]
+			curs[run] = newCursor(&segs[run])
 		}
 		if h := (head{run: run}); load(&h) {
 			heads = append(heads, h)
@@ -656,7 +662,10 @@ func (h *history) dropStale(store SegmentStore) error {
 //
 // The schedule is worked out on sizes alone, and each survivor built once,
 // from all of its inputs (see build): with store non-nil, written to its
-// file by one streaming merge, however many merges made it.
+// file by one streaming merge, however many merges made it. With no store
+// armed, a survivor with a filed input is not built — its inputs stay — and
+// the next compaction with a store merges them; a write error latches the
+// same way.
 func (h *history) compact(store SegmentStore) error {
 	// order lists the segments by size, equal sizes by position, and stays
 	// sorted across the merges below.
@@ -682,7 +691,6 @@ func (h *history) compact(store SegmentStore) error {
 		lo, hi := min(order[pair], order[pair+1]), max(order[pair], order[pair+1])
 		h.segs[lo] = ckptSegment{parts: slices.Concat(h.segs[lo].inputs(), h.segs[hi].inputs())}
 		h.segs = slices.Delete(h.segs, hi, hi+1)
-		h.compactions++
 
 		// The pair leaves the order, the segments behind hi move down one
 		// position, and the survivor re-enters where its new size puts it.
@@ -703,16 +711,19 @@ func (h *history) compact(store SegmentStore) error {
 			ladder = append(ladder, seg)
 			continue
 		}
-		built, berr := h.build(seg.parts, store)
-		if berr != nil && store != nil {
-			err, store = berr, nil // latched: the rest of the ladder is built resident
-			built, berr = h.build(seg.parts, nil)
-		}
-		if berr != nil { // unreadable: the inputs stay as they are, unmerged
-			err = cmp.Or(err, berr)
+		if store == nil && slices.ContainsFunc(seg.parts, func(p ckptSegment) bool { return p.file != nil }) {
+			// A filed input merges only into a file: not before a store is
+			// armed — recovery's replay is through, or never once one latched.
 			ladder = append(ladder, seg.parts...)
 			continue
 		}
+		built, berr := h.build(seg.parts, store)
+		if berr != nil { // latched: the inputs stay as they are, and the rest merges resident
+			err, store = berr, nil
+			ladder = append(ladder, seg.parts...)
+			continue
+		}
+		h.compactions += len(seg.parts) - 1
 		ladder = append(ladder, built)
 	}
 	h.segs = ladder
@@ -731,60 +742,31 @@ func (seg *ckptSegment) inputs() []ckptSegment {
 // mergeSegments breaks them — into one segment with no durable file of its
 // own, which replaces the inputs' files and their pending replacements, in
 // input order. With store non-nil it is written at once, by one streaming
-// k-way merge from the inputs, resident or filed. Without one it is built
-// resident: filed inputs read in, and merged pairwise as in RAM mode.
+// k-way merge from the inputs, resident or filed. Without one, every input
+// is resident, and they merge pairwise as in RAM mode.
 func (h *history) build(parts []ckptSegment, store SegmentStore) (ckptSegment, error) {
-	if store != nil {
-		var replaced []uint64
-		var leaving []*segFile
-		for k := range parts {
-			replaced = append(replaced, parts[k].replaced...)
-			if parts[k].fileID != 0 {
-				replaced = append(replaced, parts[k].fileID)
-			}
-			if parts[k].file != nil {
-				leaving = append(leaving, parts[k].file)
-			}
+	if store == nil {
+		merged := parts[0]
+		for _, p := range parts[1:] {
+			merged = mergeSegments(merged, p)
 		}
-		n := (&ckptSegment{parts: parts}).len()
-		return writeFiled(store, n, func(yield func(blk *trace.SpanBlock, i int) bool) error {
-			return merge(parts, nil, func(blk *trace.SpanBlock, i int, _ *trace.Span) bool { return yield(blk, i) })
-		}, replaced, leaving)
+		return merged, nil
 	}
-	merged := make([]ckptSegment, len(parts))
-	for k, p := range parts {
-		if p.file != nil {
-			var err error
-			if p, err = residentOf(p); err != nil {
-				return ckptSegment{}, err
-			}
-		}
-		if merged[k] = p; k > 0 {
-			merged[k] = mergeSegments(merged[k-1], p)
-		}
-	}
+	var replaced []uint64
+	var leaving []*segFile
 	for k := range parts {
-		if f := parts[k].file; f != nil {
-			f.retire()
+		replaced = append(replaced, parts[k].replaced...)
+		if parts[k].fileID != 0 {
+			replaced = append(replaced, parts[k].fileID)
+		}
+		if parts[k].file != nil {
+			leaving = append(leaving, parts[k].file)
 		}
 	}
-	return merged[len(merged)-1], nil
-}
-
-// residentOf reads a filed segment into one block of its own: a resident
-// segment with its file id and replacements, for a merge no store can write.
-func residentOf(seg ckptSegment) (ckptSegment, error) {
-	var buf bytes.Buffer
-	if err := trace.StreamSpanBlock(&buf, seg.len(), seg.each, nil, func(int, uint32) []byte { return nil }); err != nil {
-		return ckptSegment{}, err
-	}
-	blk, _, err := trace.ParseSpanBlock(buf.Bytes())
-	if err != nil {
-		return ckptSegment{}, err
-	}
-	res := segmentOf(holdBlock(blk))
-	res.fileID, res.replaced = seg.fileID, seg.replaced
-	return res, nil
+	n := (&ckptSegment{parts: parts}).len()
+	return writeFiled(store, n, func(yield func(blk *trace.SpanBlock, i int) bool) error {
+		return merge(parts, nil, func(blk *trace.SpanBlock, i int, _ *trace.Span) bool { return yield(blk, i) })
+	}, replaced, leaving)
 }
 
 // less reports whether seg's span i sorts before o's span j in canonical
@@ -992,7 +974,7 @@ func (seg *ckptSegment) gather(picks []int) ([]byte, error) {
 	}
 	var buf bytes.Buffer
 	err := trace.StreamSpanBlock(&buf, len(picks), func(yield func(blk *trace.SpanBlock, i int) bool) error {
-		c := cursor{seg: seg}
+		c := newCursor(seg)
 		for _, i := range picks {
 			c.pos = i
 			blk, r, ok := c.record()
@@ -1016,9 +998,9 @@ func (h *history) extractOverlapping(windows []window) ([]folded, error) {
 		// filed segment's directory passes over the windows of records
 		// that end before the windows left open, and stops at the first
 		// that begins past the last, unread.
-		c := cursor{seg: seg}
+		c := newCursor(seg)
 		k := 0
-		for ; c.pos < seg.len(); c.pos++ {
+		for ; c.pos < c.n; c.pos++ {
 			if seg.file != nil {
 				w := &seg.file.dir[int(seg.ref(c.pos).Record)/windowRecords]
 				if w.first > last {
@@ -1124,8 +1106,8 @@ func (h *history) extractExecs(moved movedLaunches) ([]folded, error) {
 		if !some {
 			return nil, nil
 		}
-		c := cursor{seg: seg}
-		for ; c.pos < seg.len(); c.pos++ {
+		c := newCursor(seg)
+		for ; c.pos < c.n; c.pos++ {
 			if seg.file != nil && !match[int(seg.ref(c.pos).Record)/windowRecords] ||
 				seg.file == nil && !match[seg.refs[c.pos].Block] {
 				continue

@@ -11,8 +11,12 @@
 //     out. The payload is a fixed-layout span block —
 //     constant-size records up front, one shared string blob at the end —
 //     which the correlator hands over already encoded (the block a fold
-//     made, or records gathered from several) and which Open hands back
-//     validated but not decoded: a reader indexes spans at fixed offsets.
+//     made, WriteSegment) or streams from records other blocks and files
+//     hold (a compaction's merge or a remainder, WriteGathered, never
+//     holding the payload whole). Open validates each file whole, one at a
+//     time, and hands it back as a SegmentFile: its layout and string blob
+//     resident, its records read a window at a time, at fixed offsets,
+//     through a read handle that outlives the file's name on a ReadAtFS.
 //
 //   - A write-ahead log (wal-<gen>.wal): an append-only record stream
 //     covering everything not yet in a segment — the live span tail as
@@ -42,9 +46,9 @@
 // recovery can drop superseded leftovers by span-id overlap (newest file
 // wins) without a manifest.
 //
-// Buffers: WriteSegment copies the block it is given behind a header into
-// the buffer it hands File.Write; LogBatch builds each record in one buffer
-// the Store owns and reuses under
+// Buffers: WriteSegment writes a header and then the block it is given from
+// where it lies; WriteGathered writes through a ~64 KB buffer it reuses;
+// LogBatch builds each record in one buffer the Store owns and reuses under
 // its lock. So an FS's File must not retain p past Write — which is what
 // io.Writer already says.
 package segio

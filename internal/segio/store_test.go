@@ -86,7 +86,7 @@ func readSegment(t *testing.T, f *segio.SegmentFile, w int) ([]*trace.Span, []ui
 	owned := make([]uint64, (f.Len()+63)/64)
 	r := f.Pass()
 	for lo := 0; lo < f.Len(); lo += w {
-		blk, err := f.Window(r, lo, min(lo+w, f.Len()))
+		blk, _, err := f.Window(r, lo, min(lo+w, f.Len()), nil)
 		requireNoErr(t, err)
 		d := blk.Decoder()
 		for i := 0; i < blk.Len(); i++ {
@@ -149,7 +149,7 @@ func TestWriteGatheredReadsThroughWindows(t *testing.T) {
 		passes := []io.ReaderAt{fa.Pass(), fb.Pass()}
 		for _, ref := range refs {
 			f := files[ref.Block]
-			win, err := f.Window(passes[ref.Block], int(ref.Record), int(ref.Record)+1)
+			win, _, err := f.Window(passes[ref.Block], int(ref.Record), int(ref.Record)+1, nil)
 			if err != nil {
 				return err
 			}

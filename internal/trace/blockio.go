@@ -192,59 +192,84 @@ func (f *BlockFile) Len() int { return f.n }
 // file's, its table offsets rebased onto the window's tables, and the blob
 // is the resident one, shared. A window reads three ranges — the records
 // and the one stretch of each table they reach, contiguous for every block
-// the codec writes — and holds nothing the next window needs.
-func (f *BlockFile) Window(r io.ReaderAt, lo, hi int) (SpanBlock, error) {
+// the codec writes — into buf's array when it has room, and returns the
+// array it used, for the next window: a reader that passes it back reuses
+// it, so a window is good until the next is read.
+func (f *BlockFile) Window(r io.ReaderAt, lo, hi int, buf []byte) (SpanBlock, []byte, error) {
 	le := binary.LittleEndian
 	n := hi - lo
-	b := make([]byte, 4+n*SpanRecordSize)
+	recLen := 4 + n*SpanRecordSize
+	if cap(buf) < recLen {
+		buf = make([]byte, 0, recLen+recLen/2)
+	}
+	b := buf[:recLen]
 	le.PutUint32(b, uint32(n))
 	recOff := f.off + 4
 	if err := readFull(r, b[4:], recOff+int64(lo)*SpanRecordSize); err != nil {
-		return SpanBlock{}, err
+		return SpanBlock{}, buf, err
+	}
+	blk := SpanBlock{b: b, n: n, blob: f.blob}
+	tLo, tHi, err := blk.reach(64, f.tags)
+	if err != nil {
+		return SpanBlock{}, buf, err
+	}
+	mLo, mHi, err := blk.reach(72, f.mets)
+	if err != nil {
+		return SpanBlock{}, buf, err
+	}
+	if need := recLen + 16*(tHi-tLo+mHi-mLo); cap(buf) < need {
+		buf = append(make([]byte, 0, need+need/4), b...)
+		blk.b = buf[:recLen]
 	}
 	tagOff := recOff + int64(f.n)*SpanRecordSize + 4
 	metOff := tagOff + int64(f.tags)*16 + 4
-	blk := SpanBlock{b: b, n: n, blob: f.blob}
-	var err error
-	if blk.tags, err = f.reach(r, &blk, 64, tagOff, f.tags); err != nil {
-		return SpanBlock{}, err
-	}
-	if blk.mets, err = f.reach(r, &blk, 72, metOff, f.mets); err != nil {
-		return SpanBlock{}, err
+	at := recLen
+	for _, t := range [2]struct {
+		sec     *[]byte
+		off     int64
+		from    int
+		to, fld int
+	}{{&blk.tags, tagOff, tLo, tHi, 64}, {&blk.mets, metOff, mLo, mHi, 72}} {
+		if t.to == 0 {
+			continue
+		}
+		*t.sec = buf[at : at+16*(t.to-t.from) : at+16*(t.to-t.from)]
+		at += len(*t.sec)
+		if err := readFull(r, *t.sec, t.off+int64(t.from)*16); err != nil {
+			return SpanBlock{}, buf, err
+		}
+		blk.rebase(t.fld, t.from)
 	}
 	if err := blk.check(); err != nil {
-		return SpanBlock{}, err
+		return SpanBlock{}, buf, err
 	}
-	return blk, nil
+	return blk, buf, nil
 }
 
-// reach reads the stretch of one table — table entries at off in r, its
-// reach in each record at field at — that blk's records reach, and rebases
-// their reaches onto it.
-func (f *BlockFile) reach(r io.ReaderAt, blk *SpanBlock, at int, off int64, table int) ([]byte, error) {
+// reach returns the stretch [first, end) of a table of table entries the
+// records reach through their field at: end 0 when none reaches it.
+func (blk *SpanBlock) reach(at, table int) (first, end int, err error) {
 	le := binary.LittleEndian
-	first, end := table, 0
+	first = table
 	for i := 0; i < blk.n; i++ {
 		rec := blk.rec(i)
 		if from, cnt := int(le.Uint32(rec[at:])), int(le.Uint32(rec[at+4:])); cnt > 0 {
 			first, end = min(first, from), max(end, from+cnt)
 		}
 	}
-	if end == 0 {
-		return nil, nil
-	}
 	if end > table {
-		return nil, fmt.Errorf("%w: a record reaches past its table of %d entries", ErrBadFrame, table)
+		return 0, 0, fmt.Errorf("%w: a record reaches past its table of %d entries", ErrBadFrame, table)
 	}
-	ents := make([]byte, (end-first)*16)
-	if err := readFull(r, ents, off+int64(first)*16); err != nil {
-		return nil, err
-	}
+	return min(first, end), end, nil
+}
+
+// rebase moves the reaches in field at of the records that reach a table
+// back by first: onto the stretch of it a window holds.
+func (blk *SpanBlock) rebase(at, first int) {
+	le := binary.LittleEndian
 	for i := 0; i < blk.n; i++ {
-		rec := blk.rec(i)
-		if le.Uint32(rec[at+4:]) > 0 {
+		if rec := blk.rec(i); le.Uint32(rec[at+4:]) > 0 {
 			le.PutUint32(rec[at:], le.Uint32(rec[at:])-uint32(first))
 		}
 	}
-	return ents, nil
 }
