@@ -274,7 +274,7 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 			}
 		})
 		if err != nil {
-			sc.hist.release()
+			sc.Close()
 			for _, left := range rec.Segments[k+1:] {
 				left.File.Close()
 			}
@@ -314,7 +314,7 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 			}
 		})
 		if err != nil {
-			sc.hist.release()
+			sc.Close()
 			return nil, err
 		}
 		if len(run) > 0 {
@@ -349,6 +349,7 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 	err := sc.durErr
 	sc.mu.Unlock()
 	if err != nil {
+		sc.Close()
 		return nil, err
 	}
 	return sc, nil

@@ -63,7 +63,8 @@ func readFaultRun(fs *faultfs.FS, opts func(core.SegmentStore) core.StreamOption
 // acknowledged while the store was healthy: a clean boot from the same
 // disk, the client retrying the rest, finishes on the batch oracle. The
 // same holds with the faults in recovery itself: a boot that hits one
-// fails, and the next clean boot recovers everything.
+// fails, closing every segment file it opened, and the next clean boot
+// recovers everything.
 func TestDurableStreamReadFaults(t *testing.T) {
 	for _, shape := range durableShapes {
 		shape := shape
@@ -114,6 +115,9 @@ func TestDurableStreamReadFaults(t *testing.T) {
 					if _, err := core.RecoverStream(shape.opts(st), rec); err == nil {
 						t.Fatalf("boot with EIO from its read %d/%d recovered", n, bootReads)
 					}
+				}
+				if open := fs.OpenReads(); open != 0 {
+					t.Fatalf("a boot failed by EIO from its read %d/%d left %d segment files open", n, bootReads, open)
 				}
 				rebootAndFinish(t, fmt.Sprintf("boot EIO from read %d/%d", n, bootReads), fs.Recovered(), len(batches), shape.opts, batches, want)
 			}

@@ -660,12 +660,14 @@ func (h *history) dropStale(store SegmentStore) error {
 // segments) matters: one tiny straggler fold must not shield a plateau of
 // equal-size segments behind it from ever merging.
 //
-// The schedule is worked out on sizes alone, and each survivor built once,
-// from all of its inputs (see build): with store non-nil, written to its
-// file by one streaming merge, however many merges made it. With no store
-// armed, a survivor with a filed input is not built — its inputs stay — and
-// the next compaction with a store merges them; a write error latches the
-// same way.
+// With no store armed, two resident segments merge as they pair up, in
+// memory (mergeSegments). With a store, the schedule is worked out on sizes
+// alone and each survivor built once, from all of its inputs, written to its
+// file by one streaming merge however many merges made it (see
+// writeMerged). A
+// survivor with a filed input and no store to write it is not built: its
+// inputs stay, and the next compaction with a store merges them; a failed
+// write leaves them the same way.
 func (h *history) compact(store SegmentStore) error {
 	// order lists the segments by size, equal sizes by position, and stays
 	// sorted across the merges below.
@@ -689,7 +691,12 @@ func (h *history) compact(store SegmentStore) error {
 			break // the doubling ladder holds everywhere
 		}
 		lo, hi := min(order[pair], order[pair+1]), max(order[pair], order[pair+1])
-		h.segs[lo] = ckptSegment{parts: slices.Concat(h.segs[lo].inputs(), h.segs[hi].inputs())}
+		if a, b := &h.segs[lo], &h.segs[hi]; store == nil && a.resident() && b.resident() {
+			h.segs[lo] = mergeSegments(*a, *b)
+			h.compactions++
+		} else {
+			h.segs[lo] = ckptSegment{parts: slices.Concat(a.inputs(), b.inputs())}
+		}
 		h.segs = slices.Delete(h.segs, hi, hi+1)
 
 		// The pair leaves the order, the segments behind hi move down one
@@ -711,14 +718,14 @@ func (h *history) compact(store SegmentStore) error {
 			ladder = append(ladder, seg)
 			continue
 		}
-		if store == nil && slices.ContainsFunc(seg.parts, func(p ckptSegment) bool { return p.file != nil }) {
+		if store == nil {
 			// A filed input merges only into a file: not before a store is
-			// armed — recovery's replay is through, or never once one latched.
+			// armed — recovery's replay is through — or never, once one latched.
 			ladder = append(ladder, seg.parts...)
 			continue
 		}
-		built, berr := h.build(seg.parts, store)
-		if berr != nil { // latched: the inputs stay as they are, and the rest merges resident
+		built, berr := writeMerged(store, seg.parts)
+		if berr != nil { // latched: the inputs stay as they are
 			err, store = berr, nil
 			ladder = append(ladder, seg.parts...)
 			continue
@@ -730,6 +737,9 @@ func (h *history) compact(store SegmentStore) error {
 	return err
 }
 
+// resident reports whether the segment is its blocks and references.
+func (seg *ckptSegment) resident() bool { return seg.file == nil && seg.parts == nil }
+
 // inputs is what a survivor built from seg is built from.
 func (seg *ckptSegment) inputs() []ckptSegment {
 	if seg.parts != nil {
@@ -738,20 +748,11 @@ func (seg *ckptSegment) inputs() []ckptSegment {
 	return []ckptSegment{*seg}
 }
 
-// build merges a survivor's inputs — ties toward the earlier input, as
-// mergeSegments breaks them — into one segment with no durable file of its
-// own, which replaces the inputs' files and their pending replacements, in
-// input order. With store non-nil it is written at once, by one streaming
-// k-way merge from the inputs, resident or filed. Without one, every input
-// is resident, and they merge pairwise as in RAM mode.
-func (h *history) build(parts []ckptSegment, store SegmentStore) (ckptSegment, error) {
-	if store == nil {
-		merged := parts[0]
-		for _, p := range parts[1:] {
-			merged = mergeSegments(merged, p)
-		}
-		return merged, nil
-	}
+// writeMerged writes a survivor as a new segment file, by one streaming k-way
+// merge of its inputs, resident or filed — ties toward the earlier input,
+// as mergeSegments breaks them — which replaces the inputs' files and their
+// pending replacements, in input order, and returns it filed.
+func writeMerged(store SegmentStore, parts []ckptSegment) (ckptSegment, error) {
 	var replaced []uint64
 	var leaving []*segFile
 	for k := range parts {

@@ -211,6 +211,14 @@ func Open(fs FS, opts Options) (*Store, *Recovery, error) {
 		segs: make(map[uint64]int64),
 	}
 	rec := &Recovery{}
+	opened := false
+	defer func() {
+		if !opened { // an error return: nobody will close the segment files
+			for _, seg := range rec.Segments {
+				seg.File.Close()
+			}
+		}
+	}()
 
 	names, err := fs.ReadDir()
 	if err != nil {
@@ -286,9 +294,6 @@ func Open(fs FS, opts Options) (*Store, *Recovery, error) {
 		}
 		f, err := st.OpenSegment(id)
 		if err != nil {
-			for _, seg := range rec.Segments {
-				seg.File.Close()
-			}
 			return nil, nil, err
 		}
 		rec.Segments = append(rec.Segments, Segment{ID: id, File: f})
@@ -389,6 +394,7 @@ func Open(fs FS, opts Options) (*Store, *Recovery, error) {
 			return nil, nil, err
 		}
 	}
+	opened = true
 	return st, rec, nil
 }
 

@@ -18,9 +18,11 @@ type View struct {
 
 	// Walk hands yield the view's spans in canonical order, the same ones
 	// on every call, and stops at the first false yield returns: a span held
-	// encoded as record i of blk, any other as s (blk nil). Neither the
-	// blocks nor the spans may change while the View is in use. A nil Walk
-	// is the empty view.
+	// encoded as record i of blk, any other as s (blk nil). What a span
+	// reads as may not change while the View is in use, but a block is good
+	// only for the yield that hands it out: a store that reads its records
+	// from a file a window at a time reuses a window's bytes for the next,
+	// behind a fresh *SpanBlock. A nil Walk is the empty view.
 	Walk func(yield func(blk *SpanBlock, i int, s *Span) bool)
 
 	// Raw reads an owned record (a ParentID a correlator derived) with
