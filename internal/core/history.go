@@ -711,6 +711,9 @@ func (h *history) compact(store SegmentStore) error {
 		order = slices.Insert(order, at, lo)
 	}
 
+	if !slices.ContainsFunc(h.segs, func(seg ckptSegment) bool { return seg.parts != nil }) {
+		return nil
+	}
 	var err error
 	ladder := make([]ckptSegment, 0, len(h.segs))
 	for _, seg := range h.segs {

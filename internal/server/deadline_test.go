@@ -23,7 +23,7 @@ import (
 // in flight — returns, and no segment file is left open.
 func TestStalledReaderHitsTheReplyDeadline(t *testing.T) {
 	defer func(d time.Duration) { replyDeadline = d }(replyDeadline)
-	replyDeadline = 300 * time.Millisecond
+	replyDeadline = time.Second
 
 	dir := t.TempDir()
 	s := newServer(t, testConfig(dir))
@@ -53,11 +53,13 @@ func TestStalledReaderHitsTheReplyDeadline(t *testing.T) {
 	if _, err := io.WriteString(conn, "GET /api/correlated HTTP/1.1\r\nHost: xsp\r\nAccept: "+trace.ContentTypeBinary+"\r\n\r\n"); err != nil {
 		t.Fatal(err)
 	}
-	status, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil || !strings.Contains(status, "200") {
+	// The client reads the status line — or finds the connection closed,
+	// where a slow build (-race) spends the whole deadline on the view's
+	// first pass, before the reply's first byte — and then reads no
+	// further, keeping the connection up.
+	if status, err := bufio.NewReader(conn).ReadString('\n'); err != io.EOF && !strings.Contains(status, "200") {
 		t.Fatalf("reply status %q: %v", status, err)
 	}
-	// The client reads no further and keeps the connection up.
 
 	closed := make(chan struct{})
 	go func() {
