@@ -72,6 +72,6 @@ func (app *Application) Finish() *trace.Trace {
 		app.finished = true
 	}
 	tr := app.collector.Trace()
-	Correlate(tr)
+	correlate(tr)
 	return tr
 }

@@ -347,21 +347,25 @@ func TestMetricProfilingIsExpensive(t *testing.T) {
 }
 
 func TestCorrelateIdempotentOnEmptyTrace(t *testing.T) {
-	tr := &trace.Trace{}
-	Correlate(tr) // must not panic
-	if Ambiguous(tr) {
-		t.Fatal("empty trace ambiguous")
+	for _, c := range correlators {
+		tr := &trace.Trace{}
+		c.run(tr) // must not panic
+		if Ambiguous(tr) {
+			t.Fatalf("%s: empty trace ambiguous", c.name)
+		}
 	}
 }
 
 func TestCorrelateFallbackWithoutLaunchSpans(t *testing.T) {
 	// Activity-only capture: exec spans must fall back to containment.
-	tr := &trace.Trace{Spans: []*trace.Span{
-		{ID: 1, Level: trace.LevelModel, Name: "model_prediction", Begin: 0, End: 1000},
-		{ID: 2, Level: trace.LevelKernel, Kind: trace.KindExec, Name: "k", Begin: 100, End: 200, CorrelationID: 7},
-	}}
-	Correlate(tr)
-	if tr.Spans[1].ParentID != 1 {
-		t.Fatalf("exec span parent = %d, want model span", tr.Spans[1].ParentID)
+	for _, c := range correlators {
+		tr := &trace.Trace{Spans: []*trace.Span{
+			{ID: 1, Level: trace.LevelModel, Name: "model_prediction", Begin: 0, End: 1000},
+			{ID: 2, Level: trace.LevelKernel, Kind: trace.KindExec, Name: "k", Begin: 100, End: 200, CorrelationID: 7},
+		}}
+		c.run(tr)
+		if tr.Spans[1].ParentID != 1 {
+			t.Fatalf("%s: exec span parent = %d, want model span", c.name, tr.Spans[1].ParentID)
+		}
 	}
 }

@@ -26,17 +26,17 @@ func BenchmarkCorrelate(b *testing.B) {
 			})
 		}
 	}
-	// The pipelined shape exercises Correlate's own path choice (the
-	// fallback detection) plus tree correlation on an overlap-heavy trace.
+	// The pipelined shape exercises the path choice (the fallback
+	// detection) plus tree correlation on an overlap-heavy trace.
 	b.Run("auto/pipelined/100k", func(b *testing.B) {
-		benchCorrelate(b, 100_000, workload.SyntheticSpec{Spans: 100_000, Streams: 2, Seed: 42}, core.Correlate)
+		benchCorrelate(b, 100_000, workload.SyntheticSpec{Spans: 100_000, Streams: 2, Seed: 42}, func(tr *trace.Trace) { core.CorrelateBy(tr, core.PathAuto) })
 	})
 }
 
 func benchCorrelate(b *testing.B, n int, spec workload.SyntheticSpec, correlate func(*trace.Trace)) {
 	tr := workload.SyntheticTrace(spec)
-	// Traces reach Correlate through the tracing server, which sorts them
-	// (Memory.Trace calls SortByBegin); measure from that state.
+	// Traces reach the correlator from trace.Memory, which hands them back
+	// in canonical order (Memory.Trace); measure from that state.
 	tr.SortByBegin()
 	parents := make([]uint64, len(tr.Spans))
 	for i, s := range tr.Spans {

@@ -76,7 +76,7 @@ func cloneTrace(tr *trace.Trace) *trace.Trace {
 
 // Property: the sweep-line and interval-tree paths assign identical
 // parents, on every shape the generator produces — including the
-// pipelined traces Correlate would route to the tree.
+// pipelined traces PathAuto routes to the tree.
 func TestSweepMatchesTreeOnRandomTraces(t *testing.T) {
 	for _, shape := range []string{"nested", "pipelined", "deviceonly"} {
 		t.Run(shape, func(t *testing.T) {
@@ -98,15 +98,16 @@ func TestSweepMatchesTreeOnRandomTraces(t *testing.T) {
 	}
 }
 
-// Property: Correlate is always equivalent to the tree path — it
-// only takes the fast path when that is safe.
+// Property: the sweep-or-tree choice (PathAuto, Correlate's dispatch
+// before Correlate became the tree alone) is always equivalent to the tree
+// path — it only takes the fast path when that is safe.
 func TestAutoCorrelateMatchesTree(t *testing.T) {
 	for _, shape := range []string{"nested", "pipelined", "deviceonly"} {
 		for seed := int64(0); seed < 25; seed++ {
 			base := randomTrace(rand.New(rand.NewSource(1000+seed)), shape)
 			auto := cloneTrace(base)
 			byTree := cloneTrace(base)
-			Correlate(auto)
+			CorrelateBy(auto, PathAuto)
 			CorrelateBy(byTree, PathTree)
 			for i := range base.Spans {
 				if auto.Spans[i].ParentID != byTree.Spans[i].ParentID {

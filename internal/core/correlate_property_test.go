@@ -9,6 +9,14 @@ import (
 	"xsp/internal/vclock"
 )
 
+// correlators are the two parent reconstructions the properties below hold
+// for: the product's (the stream fed once and flushed) and the batch
+// reference it is checked against.
+var correlators = []struct {
+	name string
+	run  func(*trace.Trace)
+}{{"stream", correlate}, {"Correlate", Correlate}}
+
 // buildNestedTrace generates a random strictly-nested three-level span
 // hierarchy (model -> layers -> kernels) with known ground-truth parents,
 // then strips the kernel parents the way disjoint profilers would.
@@ -55,13 +63,19 @@ func buildNestedTrace(rng *rand.Rand) (*trace.Trace, map[uint64]uint64) {
 	return &trace.Trace{Spans: spans}, truth
 }
 
-// Property: for strictly nested, serialized span sets, interval-tree
-// reconstruction recovers exactly the ground-truth parents.
+// Property: for strictly nested, serialized span sets, both
+// reconstructions recover exactly the ground-truth parents.
 func TestCorrelateRecoversNestedHierarchy(t *testing.T) {
+	for _, c := range correlators {
+		t.Run(c.name, func(t *testing.T) { testRecoversNestedHierarchy(t, c.run) })
+	}
+}
+
+func testRecoversNestedHierarchy(t *testing.T, correlate func(*trace.Trace)) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr, truth := buildNestedTrace(rng)
-		Correlate(tr)
+		correlate(tr)
 		byID := tr.SpansByID()
 		for id, wantParent := range truth {
 			sp := byID[id]
@@ -76,9 +90,15 @@ func TestCorrelateRecoversNestedHierarchy(t *testing.T) {
 	}
 }
 
-// Property: Correlate never overwrites parents that tracers recorded
-// directly.
+// Property: neither reconstruction overwrites parents that tracers
+// recorded directly.
 func TestCorrelatePreservesExplicitParents(t *testing.T) {
+	for _, c := range correlators {
+		t.Run(c.name, func(t *testing.T) { testPreservesExplicitParents(t, c.run) })
+	}
+}
+
+func testPreservesExplicitParents(t *testing.T, correlate func(*trace.Trace)) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr, _ := buildNestedTrace(rng)
@@ -88,7 +108,7 @@ func TestCorrelatePreservesExplicitParents(t *testing.T) {
 				want[sp.ID] = sp.ParentID
 			}
 		}
-		Correlate(tr)
+		correlate(tr)
 		byID := tr.SpansByID()
 		for id, p := range want {
 			if byID[id].ParentID != p {

@@ -10,10 +10,12 @@ import (
 	"xsp/internal/trace"
 )
 
-// Correlate reconstructs the parent links the disjoint profilers could not
+// Parent reconstruction recovers the links the disjoint profilers could not
 // record: the layer nests into the model by containment, and the kernel
 // execution span inherits its launch span's parent through the shared
-// correlation id.
+// correlation id. A profiled trace is correlated the way xsp-server
+// correlates a stream: fed to a StreamCorrelator as one batch, then
+// flushed. Correlate, the batch reference, assigns the same parents.
 func ExampleCorrelate() {
 	tr := &trace.Trace{Spans: []*trace.Span{
 		{ID: 1, Level: trace.LevelModel, Name: "model_prediction", Begin: 0, End: 100},
@@ -24,7 +26,9 @@ func ExampleCorrelate() {
 			Name: "volta_scudnn_128x64", Begin: 50, End: 80, CorrelationID: 7},
 	}}
 
-	core.Correlate(tr)
+	sc := core.NewStreamCorrelator(core.StreamOptions{})
+	sc.Feed(tr.Spans...)
+	sc.Flush()
 
 	byID := tr.SpansByID()
 	for _, s := range tr.Spans {

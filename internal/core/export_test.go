@@ -7,38 +7,159 @@ import (
 	"xsp/internal/vclock"
 )
 
-// Path names one of Correlate's two parent-assignment paths, so each can be
-// exercised and benchmarked on traces Correlate would route to the other.
+// Path names one of the batch parent-assignment paths, so each can be
+// exercised and benchmarked on traces the other would handle. The product
+// correlates through the stream (correlate); Correlate, the reference the
+// stream is held to, is PathTree. PathSweep and the choice between the two
+// (PathAuto) live here, where the tests still hold them equal to the tree.
 type Path int
 
 const (
 	PathSweep Path = iota // the single-sort sweep-line path
-	PathTree              // the per-level interval-tree path
+	PathTree              // the per-level interval-tree path: Correlate
+	PathAuto              // the sweep where sweepEligible allows it, else the tree
 )
 
 func (p Path) String() string {
-	if p == PathSweep {
+	switch p {
+	case PathSweep:
 		return "sweep"
+	case PathTree:
+		return "tree"
 	}
-	return "tree"
+	return "auto"
 }
 
-// CorrelateBy is Correlate forced onto one path.
+// CorrelateBy correlates tr in place on one batch path.
 func CorrelateBy(tr *trace.Trace, p Path) {
 	levels := tr.Levels()
 	if len(levels) == 0 {
 		return
 	}
-	if p == PathSweep {
-		correlateSweep(tr, levels, sortedEvents(tr))
+	if p == PathTree {
+		correlateTree(tr, levels)
+		return
+	}
+	if events := sortedEvents(tr); p == PathSweep || eventsEligible(events, levels) {
+		correlateSweep(tr, levels, events)
 	} else {
 		correlateTree(tr, levels)
 	}
 }
 
-// sweepEligible reports whether Correlate takes the sweep-line path on tr.
+// sweepEligible reports whether PathAuto takes the sweep-line path on tr.
 func sweepEligible(tr *trace.Trace, levels []trace.Level) bool {
 	return eventsEligible(sortedEvents(tr), levels)
+}
+
+// sortedEvents returns the spans in sweep order (compareEvents).
+func sortedEvents(tr *trace.Trace) []*trace.Span {
+	events := make([]*trace.Span, len(tr.Spans))
+	copy(events, tr.Spans)
+	slices.SortFunc(events, compareEvents)
+	return events
+}
+
+// eventsEligible scans every parent-capable level (all but the deepest —
+// the deepest level is never queried for parents) and rejects:
+//
+//   - crossing overlaps (a span extending past an earlier span's end
+//     without containing it): pipelined execution keeps such spans active
+//     together, degrading the ancestor stacks toward O(n) scans;
+//   - duplicate intervals (two spans with identical bounds): the smallest
+//     container is then ambiguous and the tree path's tie-break, which
+//     depends on insertion order, must be preserved exactly.
+func eventsEligible(events []*trace.Span, levels []trace.Level) bool {
+	if len(levels) < 2 {
+		return true
+	}
+	deepest := levels[len(levels)-1]
+	var stacks levelStacks
+	for _, s := range events {
+		if s.Level == deepest {
+			continue
+		}
+		st := stacks.slot(s.Level)
+		popDead(st, s.Begin)
+		if stack := *st; len(stack) > 0 && stackConflict(stack[len(stack)-1], s) {
+			return false
+		}
+		*st = append(*st, s)
+	}
+	return true
+}
+
+func (ls *levelStacks) push(s *trace.Span) {
+	st := ls.slot(s.Level)
+	popDead(st, s.Begin)
+	*st = append(*st, s)
+}
+
+
+// correlateSweep is the sort-once sweep-line path: an active-ancestor stack
+// per level, over the spans in sweep order. It assigns the tree path's
+// parents on every trace eventsEligible accepts.
+func correlateSweep(tr *trace.Trace, levels []trace.Level, events []*trace.Span) {
+	top := levels[0]
+
+	// Launch spans that pass 1 will assign, recorded in trace order up
+	// front so launchParent is filled exactly as the tree path fills it
+	// (launches with pre-recorded parents are skipped there too).
+	var pass1Launches []*trace.Span
+	for _, s := range tr.Spans {
+		if s.ParentID == 0 && s.Level != top && s.Kind == trace.KindLaunch {
+			pass1Launches = append(pass1Launches, s)
+		}
+	}
+
+	// First pass: launch spans and synchronous spans find parents by
+	// containment as the sweep advances.
+	stacks := new(levelStacks)
+	for _, s := range events {
+		if s.ParentID == 0 && s.Level != top && s.Kind != trace.KindExec {
+			if p := stacks.parent(levels, s); p != nil {
+				s.ParentID = p.ID
+			}
+		}
+		stacks.push(s)
+	}
+
+	var launchParent trace.CorrTable[uint64] // correlation id -> parent span id (Put refuses id 0)
+	launchParent.Grow(len(pass1Launches))
+	for _, s := range pass1Launches {
+		launchParent.Put(s.CorrelationID, s.ParentID)
+	}
+
+	// Second pass: execution spans inherit the launch span's parent via
+	// correlation id; device-only records with no launch span (e.g. a
+	// trace captured with the activity API alone) fall back to
+	// containment in a fresh sweep.
+	var pending map[*trace.Span]bool
+	for _, s := range tr.Spans {
+		if s.ParentID != 0 || s.Kind != trace.KindExec {
+			continue
+		}
+		if pid, _ := launchParent.Get(s.CorrelationID); pid != 0 {
+			s.ParentID = pid
+			continue
+		}
+		if pending == nil {
+			pending = make(map[*trace.Span]bool)
+		}
+		pending[s] = true
+	}
+	if len(pending) == 0 {
+		return
+	}
+	stacks = new(levelStacks)
+	for _, s := range events {
+		if pending[s] {
+			if p := stacks.parent(levels, s); p != nil {
+				s.ParentID = p.ID
+			}
+		}
+		stacks.push(s)
+	}
 }
 
 // WithMaxWindowSpans returns o with its degraded-window bound set to n in

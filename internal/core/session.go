@@ -139,8 +139,8 @@ func (s *Session) profile(g *framework.Graph, opts Options, e *env) (*Result, er
 	}
 	if !Ambiguous(res.Trace) {
 		if e != nil {
-			// Promote the attempt: its spans, parents already resolved by
-			// Correlate in place, move into the shared collector once.
+			// Promote the attempt: its spans, parents already resolved in
+			// place by correlate, move into the shared collector once.
 			e.collector.Publish(res.Trace.Spans...)
 		}
 		return res, nil
@@ -331,6 +331,6 @@ func (s *Session) profileOnce(g *framework.Graph, opts Options, serialize bool, 
 	}
 
 	tr := collector.Trace()
-	Correlate(tr)
+	correlate(tr)
 	return &Result{Trace: tr, ModelSpan: predict, Run: run}, nil
 }

@@ -73,6 +73,14 @@ func FuzzStreamVsBatch(f *testing.F) {
 	f.Add(uint16(2_000), uint8(3), false, uint16(64), uint16(64), uint16(8), uint16(0), int16(0), uint16(0), int64(5), false, uint16(0), false, uint8(3))
 	f.Add(uint16(2_000), uint8(2), false, uint16(32), uint16(8), uint16(16), uint16(24), int16(0), uint16(32), int64(7), true, uint16(40), false, uint8(2))
 	f.Add(uint16(2_000), uint8(3), false, uint16(64), uint16(64), uint16(8), uint16(0), int16(0), uint16(64), int64(5), true, uint16(30), true, uint8(3))
+	// Session-shape seeds: what Session and Application correlate with — the
+	// whole trace as one canonically ordered batch (1000 spans fit one
+	// 1023-span batch), a zero window, then Flush — on one and three
+	// streams, with and without launch spans.
+	f.Add(uint16(1_000), uint8(1), false, uint16(1_023), uint16(0), uint16(0), uint16(0), int16(0), uint16(0), int64(11), false, uint16(0), false, uint8(0))
+	f.Add(uint16(1_000), uint8(3), false, uint16(1_023), uint16(0), uint16(0), uint16(0), int16(0), uint16(0), int64(12), false, uint16(0), false, uint8(0))
+	f.Add(uint16(1_000), uint8(1), true, uint16(1_023), uint16(0), uint16(0), uint16(0), int16(0), uint16(0), int64(13), false, uint16(0), false, uint8(0))
+	f.Add(uint16(1_000), uint8(3), true, uint16(1_023), uint16(0), uint16(0), uint16(0), int16(0), uint16(0), int64(14), false, uint16(0), false, uint8(0))
 
 	f.Fuzz(func(t *testing.T, spans uint16, streams uint8, dropLaunches bool,
 		batchSize, skew, window uint16, stragglerWin uint16, maxWindow int16, retain uint16, seed int64,

@@ -624,6 +624,7 @@ func TestCompatQuarantine(t *testing.T) {
 		t.Errorf("%s: names %s, which only bench/ may call: it is declared, or listed as a field, in a %s", l.pos, l.name, compatFile)
 	}
 	want := []string{
+		"core.Correlate",
 		"core.NewTenantSet",
 		"core.OpenTenantStream",
 		"core.StreamOptions.Isolated",
