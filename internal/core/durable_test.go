@@ -1121,3 +1121,57 @@ func TestStreamCorrelatorStragglerDoesNotPinFoldHorizon(t *testing.T) {
 	sc.Flush()
 	assertStreamMatchesBatch(t, sc, batches)
 }
+
+// A failed disk degrades, not kills: the first store error fails the batch
+// whose append it hit and latches DurabilityErr, every later FeedLogged is
+// consumed RAM-only and returns nil, folds keep running without files, and
+// after Flush the stream holds every other batch, correlated as the batch
+// reference correlates them.
+func TestStoreErrorDegradesToRAMOnly(t *testing.T) {
+	batches := workload.StreamingArrivals(workload.StreamingSpec{
+		Trace:     workload.SyntheticSpec{Spans: 3_000, Streams: 2, Seed: 31},
+		BatchSize: 100,
+	})
+	disk := faultfs.New()
+	st, _, err := segio.Open(disk, segio.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := core.NewStreamCorrelator(core.StreamOptions{Store: st, Retain: 64})
+	defer sc.Close()
+	fail := len(batches) / 2
+	var kept [][]*trace.Span
+	folded := 0
+	for i, b := range batches {
+		if i == fail {
+			disk.Arm(faultfs.Plan{CrashAfter: disk.Ops()}) // every file operation from here on fails
+			folded = sc.Stats().Checkpointed
+		}
+		err := sc.FeedLogged(uint64(i+1), cloneBatch(b)...)
+		switch {
+		case i == fail && err == nil:
+			t.Fatalf("batch %d: the append the disk failed was acknowledged", i+1)
+		case i != fail && err != nil:
+			t.Fatalf("batch %d: FeedLogged = %v; before the failure it logs, after it it runs RAM-only", i+1, err)
+		case i != fail:
+			kept = append(kept, b)
+		}
+	}
+	if sc.DurabilityErr() == nil {
+		t.Fatal("the store error did not latch")
+	}
+	if n := sc.Stats().Checkpointed; folded == 0 || n <= folded {
+		t.Fatalf("checkpointed %d spans before the failure and %d after: the stream must fold on both sides of it", folded, n)
+	}
+	sc.Flush()
+	want := batchParents(kept)
+	got := sc.Trace()
+	if len(got.Spans) != len(want) {
+		t.Fatalf("the stream holds %d spans, want the %d of every batch but the failed one", len(got.Spans), len(want))
+	}
+	for _, s := range got.Spans {
+		if p, ok := want[s.ID]; !ok || s.ParentID != p {
+			t.Fatalf("span %d: parent %d, batch parent %d (known %v)", s.ID, s.ParentID, p, ok)
+		}
+	}
+}

@@ -95,7 +95,6 @@ func (ls *levelStacks) push(s *trace.Span) {
 	*st = append(*st, s)
 }
 
-
 // correlateSweep is the sort-once sweep-line path: an active-ancestor stack
 // per level, over the spans in sweep order. It assigns the tree path's
 // parents on every trace eventsEligible accepts.

@@ -21,11 +21,11 @@ import (
 //     sparse-retained with them behind a CorrRetain horizon;
 //   - stream-reordered: the same with cross-shard skew absorbed by the
 //     reorder buffer;
-//   - rebatch: the pre-streaming pattern, a full batch Correlate after
-//     every batch — per-batch cost re-sorts and re-sweeps everything
-//     ingested so far, so it keeps growing with the trace while the
-//     stream's per-batch cost stays flat (the whole 100k-span stream costs
-//     about one 100k batch correlation);
+//   - rebatch: the pre-streaming pattern, a full batch correlation (the
+//     sweep-or-tree PathAuto) after every batch — per-batch cost re-sorts
+//     and re-sweeps everything ingested so far, so it keeps growing with
+//     the trace while the stream's per-batch cost stays flat (the whole
+//     100k-span stream costs about one 100k batch correlation);
 //   - straggler-repair: one fixed-width window of spans withheld and
 //     delivered last, timing only the Flush that repairs them — ns/op
 //     stays roughly flat from 25k to 100k total spans because the repair
@@ -121,7 +121,7 @@ func BenchmarkStreamCorrelate(b *testing.B) {
 			b.StartTimer()
 			for _, batch := range batches {
 				tr.Spans = append(tr.Spans, batch...)
-				core.Correlate(tr)
+				core.CorrelateBy(tr, core.PathAuto)
 			}
 		}
 	})

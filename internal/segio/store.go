@@ -740,8 +740,10 @@ func decodeSegment(data []byte) (trace.SpanBlock, error) {
 }
 
 // decodeWAL parses a WAL image. A header failure is an error (the file
-// is quarantined); a record failure is a torn tail — everything before it
-// is kept and trunc reports the discarded byte count.
+// is quarantined); a record failure — a bad length or checksum, a payload
+// its decoder rejects, or bytes after the payload's last field — is a torn
+// tail: everything before it is kept and trunc reports the discarded byte
+// count.
 func decodeWAL(data []byte) (snap *Snapshot, batches []Batch, trunc int64, err error) {
 	if len(data) < walHeaderLen || string(data[:8]) != walMagic {
 		return nil, nil, 0, fmt.Errorf("%w: bad WAL magic", ErrCorrupt)
@@ -771,8 +773,8 @@ func decodeWAL(data []byte) (snap *Snapshot, batches []Batch, trunc int64, err e
 				return snap, batches, int64(len(data) - off), nil
 			}
 			batchID := le.Uint64(payload)
-			spans, owned, _, derr := decodeSpanBlock(payload[8:])
-			if derr != nil {
+			spans, owned, rest, derr := decodeSpanBlock(payload[8:])
+			if derr != nil || len(rest) != 0 {
 				return snap, batches, int64(len(data) - off), nil
 			}
 			batches = append(batches, Batch{Spans: spans, Owned: owned, BatchID: batchID})
@@ -847,6 +849,9 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
+	if hasFloor[0] > 1 {
+		return nil, fmt.Errorf("%w: snapshot floor flag %d", ErrCorrupt, hasFloor[0])
+	}
 	if hasFloor[0] != 0 {
 		fb := r.bytes(29)
 		if r.err != nil {
@@ -876,6 +881,9 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 			return nil, r.err
 		}
 		s.nextSeg = le.Uint64(stamp)
+	}
+	if r.off != len(r.b) {
+		return nil, fmt.Errorf("%w: %d bytes after the snapshot's last field", ErrCorrupt, len(r.b)-r.off)
 	}
 	return s, nil
 }

@@ -183,6 +183,50 @@ func (b unreadBody) Read([]byte) (int, error) {
 	return 0, io.EOF
 }
 
+// A shed batch lands exactly once: a 429 claims nothing in the dedup table,
+// so the retry under the same batch id is admitted fresh once the budget
+// frees and its spans land, and one more re-post of that id is acknowledged
+// as a duplicate and lands nothing.
+func TestShedBatchLandsOnceOnRetry(t *testing.T) {
+	srv := NewServer()
+	srv.SetAdmission(AdmissionPolicy{MaxInflightBytes: 1000, RetryAfter: 50 * time.Millisecond})
+	pr, pw := io.Pipe()
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- postSpans(srv, pr, 800, "") }()
+	waitFor(t, "first request to reserve its bytes", func() bool {
+		return srv.OverloadStats().InflightBytes == 800
+	})
+
+	body := encodeSpans(t, span(7), span(8))
+	if rec := postSpans(srv, bytes.NewReader(body), 800, "5e"); rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("over-budget POST = %d, want 429", rec.Code)
+	}
+	if _, err := pw.Write(encodeSpans(t, span(1))); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	if rec := <-done; rec.Code != http.StatusAccepted {
+		t.Fatalf("held POST = %d (%s), want 202", rec.Code, rec.Body)
+	}
+
+	for i, want := range []string{"", "1"} { // the retry lands; a re-post of it is a duplicate
+		rec := postSpans(srv, bytes.NewReader(body), int64(len(body)), "5e")
+		if rec.Code != http.StatusAccepted || rec.Header().Get("X-Duplicate-Batch") != want {
+			t.Fatalf("post %d of the shed id = %d, X-Duplicate-Batch %q; want 202 and %q", i+1, rec.Code, rec.Header().Get("X-Duplicate-Batch"), want)
+		}
+		if got := srv.Tenant(DefaultTenant).Received(); got != 3 {
+			t.Fatalf("after post %d of the shed id: received %d spans, want 3", i+1, got)
+		}
+	}
+	seen := map[uint64]int{}
+	for _, s := range srv.Tenant(DefaultTenant).View().Trace().Spans {
+		seen[s.ID]++
+	}
+	if seen[1] != 1 || seen[7] != 1 || seen[8] != 1 || len(seen) != 3 {
+		t.Fatalf("the trace holds spans %v, want 1, 7 and 8 once each", seen)
+	}
+}
+
 // The span budget counts decoded-unlanded spans plus the async tap's
 // backlog: a stalled online consumer sheds new batches at admission, and
 // draining it re-admits them. An oversized batch alone is still admitted.
