@@ -11,29 +11,31 @@
 //     spans and activity records become execution spans, tied by
 //     correlation_id, with GPU metrics attached to execution spans.
 //
-// [Correlate] reconstructs the parent-child relationships the disjoint
-// profilers could not record: a sort-once sweep-line with per-level
-// ancestor stacks serves the properly nested traces the paper's profilers
-// produce, and per-level interval trees handle arbitrary overlap
-// (pipelined execution). When parallel events leave a kernel's layer
+// [StreamCorrelator] reconstructs the parent-child relationships the
+// disjoint profilers could not record: per-level ancestor stacks serve the
+// properly nested traces the paper's profilers produce, and per-level
+// interval trees handle a window of arbitrary overlap (pipelined
+// execution). It is the one correlator: a [Session] or [Application] feeds
+// it the profiled trace as one batch and flushes it, and xsp-server feeds it
+// spans as they arrive. When parallel events leave a kernel's layer
 // attribution genuinely ambiguous ([Ambiguous]), XSP re-runs the model
 // serialized (CUDA_LAUNCH_BLOCKING=1) to recover the correlation — exactly
 // the paper's Section III design.
 //
-// Correlate reads the trace's spans as they are at the call and writes
-// only ParentID links; it keeps no state between calls. A trace that grows
-// batch by batch belongs in [StreamCorrelator], which resolves each span as
-// it arrives instead of re-reading the accumulated trace.
+// [Correlate] is the batch reference the stream is held to, not a second
+// mode: per-level interval trees over a whole trace, reached independently
+// of the stream's buffer, stacks and windows, which the stream-vs-batch
+// oracles and the benchmark's check compare the stream's parents with. It
+// lives in benchapi.go, and product code never calls it.
 //
 // # Streaming correlation
 //
-// [StreamCorrelator] is the online counterpart of Correlate for
-// correlate-as-you-ingest: it consumes spans in arrival order (Feed, or
-// Publish as a trace.Collector — xsp-server's tenant, the trace.Consumer of
-// its ingest half, feeds it an admitted POST through an async tap in RAM
-// mode and with FeedLogged at the ack barrier when durable) and maintains
-// the same
-// per-level active-ancestor stacks incrementally, so launch and synchronous
+// [StreamCorrelator] correlates as it ingests: it consumes spans in
+// arrival order (Feed, or Publish as a trace.Collector — xsp-server's
+// tenant, the trace.Consumer of its ingest half, feeds it an admitted POST
+// through an async tap in RAM mode and with FeedLogged at the ack barrier
+// when durable) and maintains per-level active-ancestor stacks
+// incrementally, so launch and synchronous
 // spans resolve the moment they arrive and execution spans the moment their
 // launch does
 // (device-only records wait in a pending correlation-id table for the
@@ -48,11 +50,11 @@
 // (clustered by overlap) re-correlate, against interval trees over
 // exactly that region, with launch-parent changes propagated through the
 // correlation table to execution spans outside it, which one pass over the
-// released runs finds — so the post-Flush
-// assignment is exactly the batch Correlate result (property-tested
-// across nested, pipelined, and device-only workloads under every arrival
-// regime) at a cost proportional to the stragglers' overlap (plus, when a
-// launch moved, that pass over what is live), not the accumulated trace.
+// released runs finds — so the post-Flush assignment is exactly the batch
+// reference's (Correlate) result (property-tested across nested,
+// pipelined, and device-only workloads under every arrival regime) at a
+// cost proportional to the stragglers' overlap (plus, when a launch moved,
+// that pass over what is live), not the accumulated trace.
 //
 // A live span is held in exactly one place: the reorder buffer until the
 // watermark releases it, the straggler list until a repair splices it in,
@@ -67,8 +69,8 @@
 //
 // The launch/exec join itself — a resolved launch's parent, found by each of
 // its execs through the correlation id — is a trace.CorrTable, the same type
-// the batch Correlate fills: a power-of-two array of {id, entry} slots indexed
-// by the id's low bits, which holds the dense or strided id windows tracers
+// the batch reference Correlate fills: a power-of-two array of {id, entry}
+// slots indexed by the id's low bits, which holds the dense or strided id windows tracers
 // assign with no hash and no collision, and spills a colliding id to a map
 // only while under a quarter full. A resolved launch costs one slot write
 // (its parent and, under CorrRetain, the watermark the eviction sweep checks,

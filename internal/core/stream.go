@@ -167,14 +167,15 @@ func observerRuns(obs StreamObserver) func(run []*trace.Span) {
 // it, and a tail at most a seventh over its horizon (L = T + L/8).
 const autoFoldEvery = 1024
 
-// StreamCorrelator is the online counterpart of Correlate: it consumes
-// spans in arrival order — via Feed, or as a trace.Collector tap through
-// Publish — and resolves parents as the stream advances instead of
-// re-running a batch correlation per snapshot.
+// StreamCorrelator is the parent reconstruction: it consumes spans in
+// arrival order — via Feed, or as a trace.Collector tap through Publish —
+// and resolves parents as the stream advances instead of re-running a batch
+// correlation per snapshot. A profiled trace is one batch fed and flushed
+// (correlate).
 //
 //   - Launch and synchronous spans resolve the moment they arrive, against
-//     incrementally maintained per-level active-ancestor stacks (the same
-//     levelStacks the batch sweep uses).
+//     incrementally maintained per-level active-ancestor stacks
+//     (levelStacks).
 //   - Execution spans wait in a pending table keyed by correlation id and
 //     resolve the moment their launch does; device-only records (no launch
 //     ever arrives) fall back to containment at Flush, like the batch
@@ -379,11 +380,17 @@ func (sc *StreamCorrelator) Feed(spans ...*trace.Span) {
 // feedLocked is FeedLogged past the WAL append. Callers hold sc.mu.
 func (sc *StreamCorrelator) feedLocked(spans []*trace.Span) {
 	spans = sc.opts.isolate(spans)
-	for _, s := range spans {
+	sc.buf = slices.Grow(sc.buf, len(spans))
+	for i, s := range spans {
 		if s == nil {
 			continue
 		}
 		if s.ParentID != 0 {
+			if len(sc.parented) == 0 {
+				// Size the set once for the batch: a profiled trace is fed
+				// as one batch, and most of its spans carry a tracer's link.
+				sc.parented = make(map[*trace.Span]bool, parentedIn(spans[i:]))
+			}
 			sc.parented[s] = true
 		}
 		if f := sc.releaseFloor(); f != nil && compareEvents(s, f) <= 0 {
@@ -418,6 +425,17 @@ func (sc *StreamCorrelator) feedLocked(spans []*trace.Span) {
 		sc.foldCheck = sc.released
 		sc.fold()
 	}
+}
+
+// parentedIn counts the spans that carry a parent link.
+func parentedIn(spans []*trace.Span) int {
+	n := 0
+	for _, s := range spans {
+		if s != nil && s.ParentID != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // evictCorr applies the CorrRetain horizon: correlation-id entries the
@@ -487,20 +505,57 @@ func (sc *StreamCorrelator) corrParent(corr uint64) uint64 {
 // sweep order, into the resolver, and hands the observer what it released as
 // one run.
 func (sc *StreamCorrelator) drain(watermark vclock.Time) {
-	for len(sc.buf) > 0 && sc.buf[0].Begin <= watermark {
-		s := sc.buf.pop()
-		sc.resolve(s)
-		sc.rel.slot(s.Level).push(s)
-		sc.lastReleased = s
-		sc.released++
-		if sc.observe != nil {
-			sc.drained = append(sc.drained, s)
+	if watermark >= sc.maxBegin && len(sc.buf) > 1 {
+		// Everything buffered releases: one sort in sweep order in place of
+		// a pop per span. compareEvents is a total order on distinct spans,
+		// so the release order is the pops'.
+		slices.SortFunc(sc.buf, compareEvents)
+		sc.grow(sc.buf)
+		for i, s := range sc.buf {
+			sc.release(s)
+			sc.buf[i] = nil
 		}
+		sc.buf = sc.buf[:0]
+	}
+	for len(sc.buf) > 0 && sc.buf[0].Begin <= watermark {
+		sc.release(sc.buf.pop())
 	}
 	if len(sc.drained) > 0 {
 		sc.observe(sc.drained)
 		clear(sc.drained) // the scratch must not keep a span from the collector
 		sc.drained = sc.drained[:0]
+	}
+}
+
+// grow sizes each level's released run, and the correlation table, for
+// spans about to be released, so a batch released whole grows each once.
+func (sc *StreamCorrelator) grow(spans []*trace.Span) {
+	var n perLevel[int]
+	launches := 0
+	for _, s := range spans {
+		*n.slot(s.Level)++
+		if s.Kind == trace.KindLaunch {
+			launches++
+		}
+	}
+	for l, c := range n.flat {
+		sc.rel.flat[l].grow(c)
+	}
+	for l, c := range n.overflow {
+		sc.rel.slot(l).grow(*c)
+	}
+	sc.corr.Grow(sc.corr.Len() + launches)
+}
+
+// release hands one span, next in sweep order, to the resolver and its
+// level's released run.
+func (sc *StreamCorrelator) release(s *trace.Span) {
+	sc.resolve(s)
+	sc.rel.slot(s.Level).push(s)
+	sc.lastReleased = s
+	sc.released++
+	if sc.observe != nil {
+		sc.drained = append(sc.drained, s)
 	}
 }
 
@@ -1360,6 +1415,14 @@ func (sc *StreamCorrelator) Load() Load {
 type levelRun struct {
 	spans  []*trace.Span
 	maxEnd []vclock.Time // maxEnd[i] = max of spans[j].End for j <= i
+}
+
+// grow makes room for n more spans.
+func (r *levelRun) grow(n int) {
+	if n > 0 {
+		r.spans = slices.Grow(r.spans, n)
+		r.maxEnd = slices.Grow(r.maxEnd, n)
+	}
 }
 
 // push appends a span released in sweep order.

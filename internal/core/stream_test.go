@@ -1019,3 +1019,28 @@ func ExampleStreamCorrelator() {
 	// conv1 parent: 1
 	// gemm parent: 2
 }
+
+// A batch that releases whole — a zero window, as a profiled trace is
+// correlated — is released in sweep order however it arrived: spans that
+// share a begin release outer level first, so a launch beginning with its
+// layer and model still nests under the layer.
+func TestOneBatchReleasesInSweepOrder(t *testing.T) {
+	batch := []*trace.Span{ // the reverse of sweep order
+		{ID: 4, Level: trace.LevelKernel, Kind: trace.KindExec, Name: "kernel", Begin: 5, End: 9, CorrelationID: 1},
+		{ID: 3, Level: trace.LevelKernel, Kind: trace.KindLaunch, Name: "cudaLaunchKernel", Begin: 0, End: 2, CorrelationID: 1},
+		{ID: 2, Level: trace.LevelLayer, Name: "conv", Begin: 0, End: 50},
+		{ID: 1, Level: trace.LevelModel, Name: "model_prediction", Begin: 0, End: 100},
+	}
+	want := batchParents([][]*trace.Span{batch})
+	if want[3] != 2 || want[4] != 2 || want[2] != 1 {
+		t.Fatalf("batch reference parents %v, want the launch and exec under the layer, the layer under the model", want)
+	}
+	sc := core.NewStreamCorrelator(core.StreamOptions{})
+	sc.Feed(cloneBatch(batch)...)
+	sc.Flush()
+	for _, s := range sc.Trace().Spans {
+		if s.ParentID != want[s.ID] {
+			t.Errorf("span %d: parent %d, batch parent %d", s.ID, s.ParentID, want[s.ID])
+		}
+	}
+}

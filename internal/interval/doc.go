@@ -12,8 +12,9 @@
 // allocation-free visitors the other queries run on. A point (stabbing)
 // query is a containment query for a zero-length interval.
 //
-// The tree is core.Correlate's fallback for overlap-heavy traces; the
-// common properly nested case is served by a sweep-line that never builds
-// a tree. Inserts are not safe for concurrent use; a fully built tree may
+// The tree is the stream correlator's fallback for a window of
+// overlap-heavy spans, and the whole of core.Correlate, the batch
+// reference; the common properly nested case is served by ancestor stacks
+// that never build a tree. Inserts are not safe for concurrent use; a fully built tree may
 // be queried concurrently.
 package interval

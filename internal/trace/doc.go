@@ -84,7 +84,7 @@
 // eviction to make progress.
 //
 // [Memory.Trace] shares span pointers with the collector: in-place edits
-// (core.Correlate rewriting ParentID) persist across reads; a caller that
+// (the correlator rewriting ParentID) persist across reads; a caller that
 // wants private spans clones them ([Span.Clone]). A span's payload — Name, Source, Tags, Metrics — is immutable after
 // publish: readers walk the tag and metric entries without locks, and
 // [CloneHeaders] (what every stream-correlator snapshot holds)
@@ -141,7 +141,7 @@
 // The aliasing rule that makes this safe: the arena's *Span pointers are
 // stable for the store's lifetime, and only fields that never reorder a
 // trace are mutable through them. Nothing mirrors a span's fields —
-// core.Correlate rewrites ParentID in place through shared pointers (see
+// the correlator rewrites ParentID in place through shared pointers (see
 // the Memory.Trace contract above), and a copy would go silently stale.
 // The Span structs stay authoritative.
 //

@@ -48,7 +48,7 @@ func (m *Memory) Publish(spans ...*Span) {
 // The returned trace shares span pointers with the collector: mutating a
 // span through the returned trace is visible to later Trace calls and to
 // the publisher that created it. That sharing is deliberate — it is what
-// lets core.Correlate write ParentID links that persist across reads. The
+// lets the correlator write ParentID links that persist across reads. The
 // returned slice itself is the caller's.
 func (m *Memory) Trace() *Trace {
 	m.mu.Lock()
