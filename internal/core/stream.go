@@ -387,9 +387,15 @@ func (sc *StreamCorrelator) feedLocked(spans []*trace.Span) {
 		}
 		if s.ParentID != 0 {
 			if len(sc.parented) == 0 {
-				// Size the set once for the batch: a profiled trace is fed
-				// as one batch, and most of its spans carry a tracer's link.
-				sc.parented = make(map[*trace.Span]bool, parentedIn(spans[i:]))
+				// Sized once for the batch: a profiled trace is one batch,
+				// much of it linked by its tracers.
+				n := 0
+				for _, p := range spans[i:] {
+					if p != nil && p.ParentID != 0 {
+						n++
+					}
+				}
+				sc.parented = make(map[*trace.Span]bool, n)
 			}
 			sc.parented[s] = true
 		}
@@ -425,17 +431,6 @@ func (sc *StreamCorrelator) feedLocked(spans []*trace.Span) {
 		sc.foldCheck = sc.released
 		sc.fold()
 	}
-}
-
-// parentedIn counts the spans that carry a parent link.
-func parentedIn(spans []*trace.Span) int {
-	n := 0
-	for _, s := range spans {
-		if s != nil && s.ParentID != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // evictCorr applies the CorrRetain horizon: correlation-id entries the
@@ -505,20 +500,25 @@ func (sc *StreamCorrelator) corrParent(corr uint64) uint64 {
 // sweep order, into the resolver, and hands the observer what it released as
 // one run.
 func (sc *StreamCorrelator) drain(watermark vclock.Time) {
+	pop := sc.buf.pop
 	if watermark >= sc.maxBegin && len(sc.buf) > 1 {
-		// Everything buffered releases: one sort in sweep order in place of
-		// a pop per span. compareEvents is a total order on distinct spans,
-		// so the release order is the pops'.
-		slices.SortFunc(sc.buf, compareEvents)
+		// Everything buffered releases. Sorted once, last first, the buffer
+		// pops from its end in the order the heap would have popped it —
+		// compareEvents is a total order on distinct spans — with no sift
+		// per span, into runs and a correlation table sized for it.
+		slices.SortFunc(sc.buf, func(a, b *trace.Span) int { return compareEvents(b, a) })
+		pop = sc.buf.popLast
 		sc.grow(sc.buf)
-		for i, s := range sc.buf {
-			sc.release(s)
-			sc.buf[i] = nil
-		}
-		sc.buf = sc.buf[:0]
 	}
 	for len(sc.buf) > 0 && sc.buf[0].Begin <= watermark {
-		sc.release(sc.buf.pop())
+		s := pop()
+		sc.resolve(s)
+		sc.rel.slot(s.Level).push(s)
+		sc.lastReleased = s
+		sc.released++
+		if sc.observe != nil {
+			sc.drained = append(sc.drained, s)
+		}
 	}
 	if len(sc.drained) > 0 {
 		sc.observe(sc.drained)
@@ -527,8 +527,9 @@ func (sc *StreamCorrelator) drain(watermark vclock.Time) {
 	}
 }
 
-// grow sizes each level's released run, and the correlation table, for
-// spans about to be released, so a batch released whole grows each once.
+// grow sizes the released runs of the paper's levels, and the correlation
+// table, for spans about to be released, so a batch released whole grows
+// each once.
 func (sc *StreamCorrelator) grow(spans []*trace.Span) {
 	var n perLevel[int]
 	launches := 0
@@ -539,23 +540,11 @@ func (sc *StreamCorrelator) grow(spans []*trace.Span) {
 		}
 	}
 	for l, c := range n.flat {
-		sc.rel.flat[l].grow(c)
+		r := &sc.rel.flat[l]
+		r.spans, r.maxEnd = slices.Grow(r.spans, c), slices.Grow(r.maxEnd, c)
 	}
-	for l, c := range n.overflow {
-		sc.rel.slot(l).grow(*c)
-	}
-	sc.corr.Grow(sc.corr.Len() + launches)
-}
-
-// release hands one span, next in sweep order, to the resolver and its
-// level's released run.
-func (sc *StreamCorrelator) release(s *trace.Span) {
-	sc.resolve(s)
-	sc.rel.slot(s.Level).push(s)
-	sc.lastReleased = s
-	sc.released++
-	if sc.observe != nil {
-		sc.drained = append(sc.drained, s)
+	if launches > 0 {
+		sc.corr.Grow(sc.corr.Len() + launches)
 	}
 }
 
@@ -1417,14 +1406,6 @@ type levelRun struct {
 	maxEnd []vclock.Time // maxEnd[i] = max of spans[j].End for j <= i
 }
 
-// grow makes room for n more spans.
-func (r *levelRun) grow(n int) {
-	if n > 0 {
-		r.spans = slices.Grow(r.spans, n)
-		r.maxEnd = slices.Grow(r.maxEnd, n)
-	}
-}
-
 // push appends a span released in sweep order.
 func (r *levelRun) push(s *trace.Span) {
 	m := s.End
@@ -1545,6 +1526,15 @@ func (h *eventHeap) push(s *trace.Span) {
 		a[i], a[j] = a[j], a[i]
 		j = i
 	}
+}
+
+// popLast removes the buffer's last span, for a buffer sorted last first.
+func (h *eventHeap) popLast() *trace.Span {
+	a := *h
+	s := a[len(a)-1]
+	a[len(a)-1] = nil
+	*h = a[:len(a)-1]
+	return s
 }
 
 func (h *eventHeap) pop() *trace.Span {
