@@ -527,9 +527,9 @@ func (sc *StreamCorrelator) drain(watermark vclock.Time) {
 	}
 }
 
-// grow sizes the released runs of the paper's levels, and the correlation
-// table, for spans about to be released, so a batch released whole grows
-// each once.
+// grow sizes the released runs, and the correlation table, for spans about
+// to be released, so a batch released whole grows each once (a level past
+// perLevel's flat array grows as it goes).
 func (sc *StreamCorrelator) grow(spans []*trace.Span) {
 	var n perLevel[int]
 	launches := 0
