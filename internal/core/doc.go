@@ -60,7 +60,9 @@
 // watermark releases it, the straggler list until a repair splices it in,
 // and from then on its level's released run — spans in sweep order with
 // prefix maxima over End — until a fold moves it into a checkpoint
-// segment. The released runs, the buffer and the stragglers are the live
+// segment. The buffer is one run in sweep order too: each batch is sorted
+// once on arrival and merged into its tail, and a release cuts its prefix.
+// The released runs, the buffer and the stragglers are the live
 // set: repairs collect their regions from the runs, folds evict from them,
 // WAL snapshots and every read (View) enumerate the three holders, and
 // Stats().Live sums them. There is no arrival-ordered list of

@@ -1175,3 +1175,60 @@ func TestStoreErrorDegradesToRAMOnly(t *testing.T) {
 		}
 	}
 }
+
+// A fold's block is the encoder's scratch until its segment file is written.
+// When that write fails, the block stays resident and must get its own copy
+// before the next fold encodes into the scratch: after a second fold, every
+// record of the first reads back as it was fed — header, name, tags and
+// metrics — with the batch reference's parent.
+func TestFailedFoldWriteKeepsItsBlock(t *testing.T) {
+	batches := workload.StreamingArrivals(workload.StreamingSpec{Trace: payloadTrace(1_600, 3), BatchSize: 100})
+	disk := faultfs.New()
+	st, _, err := segio.Open(disk, segio.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := core.NewStreamCorrelator(core.StreamOptions{Store: st, Retain: 64})
+	defer sc.Close()
+	half := len(batches) / 2
+	for i, b := range batches[:half] {
+		if err := sc.FeedLogged(uint64(i+1), cloneBatch(b)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	disk.Arm(faultfs.Plan{CrashAfter: disk.Ops()}) // the fold's segment write is the next operation
+	first := sc.Checkpoint()
+	if first == 0 || sc.DurabilityErr() == nil {
+		t.Fatalf("folded %d spans, durability error %v: want a fold whose write failed", first, sc.DurabilityErr())
+	}
+	for _, b := range batches[half:] {
+		sc.Feed(cloneBatch(b)...)
+	}
+	sc.Checkpoint()
+	if n := sc.Stats().Checkpointed; n <= first {
+		t.Fatalf("%d spans checkpointed after the first fold's %d: no second fold", n, first)
+	}
+	sc.Flush()
+
+	fed := make(map[uint64]*trace.Span)
+	for _, b := range batches {
+		for _, s := range b {
+			fed[s.ID] = s
+		}
+	}
+	want := batchParents(batches)
+	got := sc.SnapshotTrace()
+	if len(got.Spans) != len(fed) {
+		t.Fatalf("the stream holds %d spans, fed %d", len(got.Spans), len(fed))
+	}
+	for _, s := range got.Spans {
+		f := fed[s.ID]
+		if f == nil || s.Name != f.Name || s.Begin != f.Begin || s.End != f.End || s.Level != f.Level || s.Kind != f.Kind ||
+			s.CorrelationID != f.CorrelationID || !slices.Equal(s.Tags, f.Tags) || !slices.Equal(s.Metrics, f.Metrics) {
+			t.Fatalf("span %d reads back as %+v, fed as %+v", s.ID, s, f)
+		}
+		if s.ParentID != want[s.ID] {
+			t.Fatalf("span %d: parent %d, batch parent %d", s.ID, s.ParentID, want[s.ID])
+		}
+	}
+}

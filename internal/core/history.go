@@ -64,6 +64,7 @@ type history struct {
 	compactions int           // segment merges performed by the geometric schedule
 	stale       []uint64      // segment files a reopen emptied; deletable after the next WAL rotation covers their spans
 	enc         []byte        // where hold encodes a block before keeping its exact-size copy; empty between holds
+	lent        bool          // a block hold lent is enc itself, until its file is written (see keepLent)
 }
 
 // ckptSegment is one immutable run of finalized spans in canonical order,
@@ -312,19 +313,44 @@ func holdBlock(blk trace.SpanBlock) heldBlock {
 	return held
 }
 
-// hold runs encode into the history's scratch and returns a private,
-// exact-size copy of the block it appended, parsed: the held block is one
-// allocation, and a stream in steady state makes no other for it.
-func (h *history) hold(encode func(buf []byte) []byte) heldBlock {
+// hold runs encode into the history's scratch and returns the block it
+// appended, parsed: a private, exact-size copy — one allocation, and a
+// stream in steady state makes no other for it — or, lent, the scratch
+// itself, for a fold whose file is written before the correlator's mutex is
+// let go (keepLent copies it out if that write fails).
+func (h *history) hold(encode func(buf []byte) []byte, lend bool) heldBlock {
 	buf := encode(h.enc[:0])
-	blk, _, err := trace.ParseSpanBlock(bytes.Clone(buf))
+	scratch := cap(buf) <= maxEncodeScratch
+	if scratch {
+		h.enc = buf[:0]
+	}
+	if lend {
+		h.lent = scratch
+	} else {
+		buf = bytes.Clone(buf)
+	}
+	blk, _, err := trace.ParseSpanBlock(buf)
 	if err != nil {
 		panic(err) // the encoder's own output
 	}
-	if cap(buf) <= maxEncodeScratch {
-		h.enc = buf[:0]
-	}
 	return holdBlock(blk)
+}
+
+// keepLent gives the block hold lent its own copy if it is still
+// resident — a store error kept its file from being written — so that
+// neither the next hold nor a view pinning it shares the scratch with it.
+func (h *history) keepLent() {
+	if !h.lent {
+		return
+	}
+	h.lent = false
+	for i := range h.segs {
+		for b := range h.segs[i].blocks {
+			if blk := &h.segs[i].blocks[b]; &blk.Bytes()[0] == &h.enc[:1][0] {
+				blk.SpanBlock, _, _ = trace.ParseSpanBlock(bytes.Clone(blk.Bytes()))
+			}
+		}
+	}
 }
 
 // segmentOf returns the segment that is all of blk, whose records the caller
@@ -380,7 +406,8 @@ func (seg *ckptSegment) maxEnd() (end vclock.Time) {
 // encode, and a new segment that is all of it, and restores the size ladder:
 // with store non-nil, each survivor written to its file as it is built.
 func (h *history) add(spans []*trace.Span, owned func(i int) bool, store SegmentStore) error {
-	h.push(segmentOf(h.hold(func(buf []byte) []byte { return trace.AppendSpanBlock(buf, spans, owned) })))
+	// With a store, persistLadder writes the block next: it is lent.
+	h.push(segmentOf(h.hold(func(buf []byte) []byte { return trace.AppendSpanBlock(buf, spans, owned) }, store != nil)))
 
 	// Keep the segment count in check so a snapshot's k-way merge stays
 	// shallow — geometrically, so a day-long stream amortizes O(log n)
@@ -896,7 +923,7 @@ func (h *history) compactBlocks(seg *ckptSegment) {
 		}
 	}
 	if len(moved) > 0 { // out of the blocks as they stood: seg.blocks changes below
-		kept = append(kept, h.hold(func(buf []byte) []byte { return trace.GatherSpanBlock(buf, seg.spanBlocks(), moved) }))
+		kept = append(kept, h.hold(func(buf []byte) []byte { return trace.GatherSpanBlock(buf, seg.spanBlocks(), moved) }, false))
 	}
 	seg.blocks = kept
 }

@@ -221,7 +221,7 @@ type StreamCorrelator struct {
 	treePool interval.Pool
 
 	observe func(run []*trace.Span) // opts.Observer's delivery (see observerRuns); nil without one
-	drained []*trace.Span           // the run a drain released, for observe; empty between drains
+	merging []*trace.Span           // a batch merging into the reorder buffer; empty between feeds
 
 	replaying bool  // RecoverStream replay in progress: suppress durable writes
 	durErr    error // first Store failure; durability is off once set
@@ -237,7 +237,12 @@ type streamState struct {
 	// until the watermark releases it, stragglers if it arrived behind the
 	// release point and no repair has run yet, and its level's released run
 	// from then until a fold moves it into hist (see liveRuns).
-	buf        eventHeap     // reorder buffer, min-heap in sweep order
+	//
+	// The reorder buffer is one run in sweep order, buf[bufAt:]: a batch
+	// merges into its tail, a drain cuts its prefix. The released prefix
+	// before bufAt is nil, and moves out once it passes half the array.
+	buf        []*trace.Span
+	bufAt      int
 	stragglers []*trace.Span // arrived behind the release point; Flush repairs
 	// rel holds the released spans per level, in sweep order with running
 	// prefix maxima over End — the index the straggler repair uses to
@@ -344,7 +349,7 @@ func newStreamState() streamState {
 func (sc *StreamCorrelator) owns(s *trace.Span) bool { return !sc.parented[s] }
 
 // liveRuns lists the live set, holder by holder: each level's released run
-// (sweep order, so begin-ascending), the reorder buffer (heap order) and the
+// and the reorder buffer (both in sweep order, so begin-ascending) and the
 // unrepaired stragglers (arrival order). The runs are the holders' own
 // arrays: read them under sc.mu, and do not keep them past it.
 func (sc *StreamCorrelator) liveRuns() [][]*trace.Span {
@@ -352,12 +357,15 @@ func (sc *StreamCorrelator) liveRuns() [][]*trace.Span {
 	for _, l := range sc.levels {
 		runs = append(runs, sc.rel.slot(l).spans)
 	}
-	return append(runs, sc.buf, sc.stragglers)
+	return append(runs, sc.buffered(), sc.stragglers)
 }
+
+// buffered is the reorder buffer's live run.
+func (sc *StreamCorrelator) buffered() []*trace.Span { return sc.buf[sc.bufAt:] }
 
 // liveLen is the number of live spans: what liveRuns holds.
 func (sc *StreamCorrelator) liveLen() int {
-	n := len(sc.buf) + len(sc.stragglers)
+	n := len(sc.buffered()) + len(sc.stragglers)
 	for _, l := range sc.levels {
 		n += len(sc.rel.slot(l).spans)
 	}
@@ -381,6 +389,7 @@ func (sc *StreamCorrelator) Feed(spans ...*trace.Span) {
 func (sc *StreamCorrelator) feedLocked(spans []*trace.Span) {
 	spans = sc.opts.isolate(spans)
 	sc.buf = slices.Grow(sc.buf, len(spans))
+	arrived := len(sc.buf)
 	for i, s := range spans {
 		if s == nil {
 			continue
@@ -406,11 +415,12 @@ func (sc *StreamCorrelator) feedLocked(spans []*trace.Span) {
 			sc.stragglersSeen++
 			continue
 		}
-		sc.buf.push(s)
+		sc.buf = append(sc.buf, s)
 		if s.Begin > sc.maxBegin {
 			sc.maxBegin = s.Begin
 		}
 	}
+	sc.mergeArrivals(arrived)
 	sc.drain(sc.maxBegin - vclock.Time(sc.opts.ReorderWindow))
 	if sc.opts.CorrRetain > 0 && sc.maxBegin-sc.corrSweep >= vclock.Time(sc.opts.CorrRetain) {
 		sc.corrSweep = sc.maxBegin
@@ -496,34 +506,55 @@ func (sc *StreamCorrelator) corrParent(corr uint64) uint64 {
 	return e.parent
 }
 
-// drain releases buffered spans whose begin the watermark has passed, in
-// sweep order, into the resolver, and hands the observer what it released as
-// one run.
-func (sc *StreamCorrelator) drain(watermark vclock.Time) {
-	pop := sc.buf.pop
-	if watermark >= sc.maxBegin && len(sc.buf) > 1 {
-		// Everything buffered releases. Sorted once, last first, the buffer
-		// pops from its end in the order the heap would have popped it —
-		// compareEvents is a total order on distinct spans — with no sift
-		// per span, into runs and a correlation table sized for it.
-		slices.SortFunc(sc.buf, func(a, b *trace.Span) int { return compareEvents(b, a) })
-		pop = sc.buf.popLast
-		sc.grow(sc.buf)
+// mergeArrivals makes the reorder buffer one run again once a batch's
+// arrivals are appended to it, from index at: the batch is sorted once,
+// unless it arrived in sweep order, and merged into the buffer from where
+// its head sorts — a batch whose head sorts at or after the buffer's tail
+// is already in place. Both the sort and the merge are stable, so spans
+// that compare equal stay in arrival order.
+func (sc *StreamCorrelator) mergeArrivals(at int) {
+	batch := sc.buf[at:]
+	if !slices.IsSortedFunc(batch, compareEvents) {
+		slices.SortStableFunc(batch, compareEvents)
 	}
-	for len(sc.buf) > 0 && sc.buf[0].Begin <= watermark {
-		s := pop()
+	if len(batch) > 0 && at > sc.bufAt && compareEvents(batch[0], sc.buf[at-1]) < 0 {
+		sc.merging = append(sc.merging[:0], batch...)
+		// In place: the buffer's own tail is the room the merge grows into.
+		mergeTail(sc.buf[sc.bufAt:at], sc.merging)
+		clear(sc.merging)
+	}
+}
+
+// drain releases buffered spans whose begin the watermark has passed into
+// the resolver, and hands the observer what it released as one run. The
+// buffer is in sweep order, so they are its prefix: spans that compare
+// equal — the same span fed twice — release in arrival order.
+func (sc *StreamCorrelator) drain(watermark vclock.Time) {
+	run := sc.buffered()
+	if watermark < sc.maxBegin {
+		run = run[:sort.Search(len(run), func(i int) bool { return run[i].Begin > watermark })]
+	} else {
+		sc.grow(run) // everything buffered releases
+	}
+	if len(run) == 0 {
+		return
+	}
+	for _, s := range run {
 		sc.resolve(s)
 		sc.rel.slot(s.Level).push(s)
-		sc.lastReleased = s
-		sc.released++
-		if sc.observe != nil {
-			sc.drained = append(sc.drained, s)
-		}
 	}
-	if len(sc.drained) > 0 {
-		sc.observe(sc.drained)
-		clear(sc.drained) // the scratch must not keep a span from the collector
-		sc.drained = sc.drained[:0]
+	sc.lastReleased = run[len(run)-1]
+	sc.released += len(run)
+	if sc.observe != nil {
+		sc.observe(run)
+	}
+	clear(run) // the buffer must not keep a span from the collector
+	sc.bufAt += len(run)
+	if sc.bufAt == len(sc.buf) || sc.bufAt > cap(sc.buf)/2 {
+		// Keep the array: the live suffix moves to its front.
+		n := copy(sc.buf, sc.buffered())
+		clear(sc.buf[n:])
+		sc.buf, sc.bufAt = sc.buf[:n], 0
 	}
 }
 
@@ -1244,6 +1275,7 @@ func (sc *StreamCorrelator) fold() int {
 	// always could leave — and recovery installs the segment and drops its
 	// spans from replay by span-id dedup.
 	sc.persistHistory()
+	sc.hist.keepLent()
 	if sc.walNeedsRotation() {
 		sc.rotateWAL()
 	}
@@ -1348,7 +1380,7 @@ func (sc *StreamCorrelator) Stats() StreamStats {
 	return StreamStats{
 		Fed:             sc.liveLen() + sc.hist.spans,
 		Released:        sc.released,
-		Buffered:        len(sc.buf),
+		Buffered:        len(sc.buffered()),
 		PendingExecs:    sc.pendingExecs(),
 		Stragglers:      sc.stragglersSeen,
 		DegradedWindows: sc.windows,
@@ -1389,7 +1421,7 @@ func (sc *StreamCorrelator) Load() Load {
 	defer sc.mu.Unlock()
 	return Load{
 		LiveSpans:    sc.liveLen(),
-		Buffered:     len(sc.buf),
+		Buffered:     len(sc.buffered()),
 		PendingExecs: sc.pendingExecs(),
 		WindowSpans:  len(sc.winCands),
 	}
@@ -1424,28 +1456,8 @@ func (r *levelRun) mergeIn(batch []*trace.Span) {
 	if len(batch) == 0 {
 		return
 	}
-	n := len(r.spans)
-	first, _ := slices.BinarySearchFunc(r.spans, batch[0], compareEvents)
-	// Merge in place, backwards from the grown end: every write lands
-	// beyond the unread prefix, so nothing is clobbered early and no
-	// full-run copy is allocated.
-	r.spans = append(r.spans, batch...)
-	i, j, w := n-1, len(batch)-1, len(r.spans)-1
-	for j >= 0 && i >= first {
-		if compareEvents(r.spans[i], batch[j]) > 0 {
-			r.spans[w] = r.spans[i]
-			i--
-		} else {
-			r.spans[w] = batch[j]
-			j--
-		}
-		w--
-	}
-	for ; j >= 0; j-- {
-		r.spans[w] = batch[j]
-		w--
-	}
-
+	var first int
+	r.spans, first = mergeTail(r.spans, batch)
 	r.maxEnd = slices.Grow(r.maxEnd[:first], len(r.spans)-first)
 	m := vclock.Time(math.MinInt64)
 	if first > 0 {
@@ -1457,6 +1469,28 @@ func (r *levelRun) mergeIn(batch []*trace.Span) {
 		}
 		r.maxEnd = append(r.maxEnd, m)
 	}
+}
+
+// mergeTail merges batch into run, both in sweep order and batch not
+// empty, and returns the merged run and the first index the merge could
+// move: where batch's head sorts. It merges in place, backwards from the
+// grown end, so every write lands beyond the unread part of run and only
+// run's suffix from that index is touched; spans that compare equal keep
+// run's first.
+func mergeTail(run, batch []*trace.Span) ([]*trace.Span, int) {
+	n := len(run)
+	first, _ := slices.BinarySearchFunc(run, batch[0], compareEvents)
+	run = append(run, batch...)
+	i, j := n-1, len(batch)-1
+	for w := len(run) - 1; j >= 0 && i >= first; w-- {
+		if compareEvents(run[i], batch[j]) > 0 {
+			run[w], i = run[i], i-1
+		} else {
+			run[w], j = batch[j], j-1
+		}
+	}
+	copy(run[i+1:], batch[:j+1])
+	return run, first
 }
 
 // overlapping appends every span overlapping [lo, hi] to dst, in sweep
@@ -1507,56 +1541,3 @@ func (r *levelRun) evictBefore(f vclock.Time, evicted []*trace.Span) []*trace.Sp
 
 // levelRuns holds one levelRun per stack level.
 type levelRuns = perLevel[levelRun]
-
-// eventHeap is a min-heap of spans in sweep order (compareEvents), backing
-// the reorder buffer. push and pop sift exactly as container/heap does — so
-// spans that compare equal leave in the same order — but call compareEvents
-// directly, not through heap.Interface: a pop from a 90k-span buffer is ~17
-// levels of comparisons.
-type eventHeap []*trace.Span
-
-func (h *eventHeap) push(s *trace.Span) {
-	a := append(*h, s)
-	*h = a
-	for j := len(a) - 1; j > 0; {
-		i := (j - 1) / 2 // parent
-		if compareEvents(a[j], a[i]) >= 0 {
-			break
-		}
-		a[i], a[j] = a[j], a[i]
-		j = i
-	}
-}
-
-// popLast removes the buffer's last span, for a buffer sorted last first.
-func (h *eventHeap) popLast() *trace.Span {
-	a := *h
-	s := a[len(a)-1]
-	a[len(a)-1] = nil
-	*h = a[:len(a)-1]
-	return s
-}
-
-func (h *eventHeap) pop() *trace.Span {
-	a := *h
-	n := len(a) - 1
-	a[0], a[n] = a[n], a[0]
-	for i := 0; ; {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		if j+1 < n && compareEvents(a[j+1], a[j]) < 0 {
-			j++
-		}
-		if compareEvents(a[j], a[i]) >= 0 {
-			break
-		}
-		a[i], a[j] = a[j], a[i]
-		i = j
-	}
-	s := a[n]
-	a[n] = nil
-	*h = a[:n]
-	return s
-}

@@ -81,6 +81,13 @@ func FuzzStreamVsBatch(f *testing.F) {
 	f.Add(uint16(1_000), uint8(3), false, uint16(1_023), uint16(0), uint16(0), uint16(0), int16(0), uint16(0), int64(12), false, uint16(0), false, uint8(0))
 	f.Add(uint16(1_000), uint8(1), true, uint16(1_023), uint16(0), uint16(0), uint16(0), int16(0), uint16(0), int64(13), false, uint16(0), false, uint8(0))
 	f.Add(uint16(1_000), uint8(3), true, uint16(1_023), uint16(0), uint16(0), uint16(0), int16(0), uint16(0), int64(14), false, uint16(0), false, uint8(0))
+	// Deep-merge seeds: 8-span batches shuffled over a skew as wide as the
+	// window, so a batch's head sorts 5 (one stream) to 17 (three) batches
+	// before the reorder buffer's tail and the merge reaches that deep; RAM,
+	// and durable with folds and a restart.
+	f.Add(uint16(2_000), uint8(1), false, uint16(8), uint16(511), uint16(511), uint16(0), int16(0), uint16(0), int64(15), false, uint16(0), false, uint8(0))
+	f.Add(uint16(3_000), uint8(3), false, uint16(8), uint16(511), uint16(511), uint16(0), int16(0), uint16(0), int64(15), false, uint16(0), false, uint8(0))
+	f.Add(uint16(3_000), uint8(3), false, uint16(8), uint16(511), uint16(511), uint16(0), int16(0), uint16(256), int64(15), true, uint16(100), false, uint8(0))
 
 	f.Fuzz(func(t *testing.T, spans uint16, streams uint8, dropLaunches bool,
 		batchSize, skew, window uint16, stragglerWin uint16, maxWindow int16, retain uint16, seed int64,
@@ -190,6 +197,57 @@ func (m corrRemap) apply(batches [][]*trace.Span) {
 // in-memory segio store and, before batch index restart (none when
 // negative), simulates a process restart: close the store, reopen the
 // surviving files, RecoverStream, keep feeding.
+// The reorder buffer's shapes FuzzStreamVsBatch's knobs cannot draw, held
+// to its oracle: batches fed in reverse order, within the window and behind
+// it; a Flush of an empty buffer and of a one-span one; and duplicate span
+// ids — the whole stream fed twice, each copy a full tie with the other —
+// where every copy must take the parent the batch reference gives its id.
+func TestStreamVsBatchBufferShapes(t *testing.T) {
+	for _, streams := range []int{1, 3} {
+		batches := workload.StreamingArrivals(workload.StreamingSpec{
+			Trace:     workload.SyntheticSpec{Spans: 2_000, Streams: streams, Seed: 17},
+			BatchSize: 64,
+		})
+		slices.Reverse(batches)
+		for _, window := range []vclock.Duration{0, 511, 1 << 40} {
+			t.Run(fmt.Sprintf("reversed/streams=%d/window=%d", streams, window), func(t *testing.T) {
+				checkStreamVsBatch(t, cloneBatches(batches), core.StreamOptions{ReorderWindow: window}, false, -1)
+			})
+		}
+	}
+	t.Run("flush-empty", func(t *testing.T) {
+		checkStreamVsBatch(t, nil, core.StreamOptions{ReorderWindow: 64}, false, -1)
+	})
+	t.Run("flush-one", func(t *testing.T) {
+		one := [][]*trace.Span{{{ID: 1, Level: trace.LevelModel, Name: "model_prediction", Begin: 10, End: 20}}}
+		checkStreamVsBatch(t, one, core.StreamOptions{ReorderWindow: 64}, false, -1)
+	})
+	t.Run("duplicate-ids", func(t *testing.T) {
+		batches := workload.StreamingArrivals(workload.StreamingSpec{
+			Trace:       workload.SyntheticSpec{Spans: 1_000, Streams: 3, Seed: 18},
+			BatchSize:   32,
+			ReorderSkew: 64,
+			Seed:        19,
+		})
+		twice := append(cloneBatches(batches), cloneBatches(batches)...)
+		want := batchParents(twice)
+		for _, window := range []vclock.Duration{0, 64, 1 << 40} {
+			sc := core.NewStreamCorrelator(core.StreamOptions{ReorderWindow: window})
+			feedAll(sc, twice)
+			sc.Flush()
+			got := sc.Trace()
+			if len(got.Spans) != 2*len(want) {
+				t.Fatalf("window %d: the stream holds %d spans, fed %d", window, len(got.Spans), 2*len(want))
+			}
+			for _, s := range got.Spans {
+				if s.ParentID != want[s.ID] {
+					t.Fatalf("window %d: span %d: stream parent %d, batch parent %d", window, s.ID, s.ParentID, want[s.ID])
+				}
+			}
+		}
+	})
+}
+
 func checkStreamVsBatch(t *testing.T, batches [][]*trace.Span, opts core.StreamOptions, durable bool, restart int) {
 	// The oracle must come from pristine spans: Correlate keeps
 	// nonzero parents as tracer truth, and feeding mutates the spans

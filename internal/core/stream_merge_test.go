@@ -93,7 +93,7 @@ func randomOneBlock(rng *rand.Rand, n int, shift vclock.Time, ids *[]uint64) ckp
 	}
 	return segmentOf(new(history).hold(func(buf []byte) []byte {
 		return trace.AppendSpanBlock(buf, spans, func(i int) bool { return owned[spans[i]] })
-	}))
+	}, false))
 }
 
 // splitAlternately re-homes a one-block segment's records in two blocks,
@@ -108,7 +108,7 @@ func splitAlternately(seg ckptSegment) ([]heldBlock, []trace.RecordRef) {
 	}
 	blocks := make([]heldBlock, 2)
 	for h := range blocks {
-		blocks[h] = new(history).hold(func(buf []byte) []byte { return trace.GatherSpanBlock(buf, seg.spanBlocks(), halves[h]) })
+		blocks[h] = new(history).hold(func(buf []byte) []byte { return trace.GatherSpanBlock(buf, seg.spanBlocks(), halves[h]) }, false)
 	}
 	return blocks, refs
 }

@@ -1,8 +1,8 @@
 package segio
 
 // Recovery fuzzed beneath the checksum: every input mutates a WAL record's
-// payload and then re-seals the record's CRC, so the bytes reach the
-// decoders behind it (decodeSnapshot, the span block codec) instead of
+// or a segment file's payload and then re-seals its CRC, so the bytes reach
+// the decoders behind it (decodeSnapshot, the span block codec) instead of
 // stopping at the checksum. faultfs imports this package, so these
 // internal tests keep their files in memFS below.
 
@@ -10,10 +10,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -389,6 +391,103 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		if p3 := encodeSnapshot(nil, s2, s2.dedup, s2.nextSeg); !bytes.Equal(p3, p2) {
 			t.Fatal("re-encoding is not a fixed point")
+		}
+	})
+}
+
+// fuzzSegment returns a store directory holding one segment file, written
+// by the store from a block of spans with every field filled and every
+// other one owned, and the file's name.
+func fuzzSegment(t testing.TB) (memFS, string) {
+	fs := memFS{}
+	st, _, err := Open(fs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := trace.AppendSpanBlock(nil, fuzzSpans(1, 6), func(i int) bool { return i%2 == 0 })
+	id, err := st.WriteSegment(block, nil)
+	if err == nil {
+		err = st.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs, segName(id)
+}
+
+// FuzzRecoverSegment mutates a segment file's span block beneath a
+// re-sealed checksum and recovers the directory with Open. Open must not
+// panic or fail and must allocate within allocBound of the file. Either the
+// file is quarantined — decodeSegment rejects it with ErrCorrupt — or it is
+// installed, and its records, read back through the installed file, are the
+// ones the payload decodes to and re-encode to a block that decodes to them
+// again: to the payload itself, byte for byte, when the payload is
+// canonical (canonicalBlock). The store's own block is.
+func FuzzRecoverSegment(f *testing.F) {
+	// payload offset, xor, resize
+	f.Add(uint16(0), byte(0), int8(0))       // untouched
+	f.Add(uint16(0), byte(0xff), int8(0))    // the record count
+	f.Add(uint16(0), byte(0), int8(1))       // a byte after the block
+	f.Add(uint16(0), byte(0), int8(-1))      // the blob's last byte cut off
+	f.Add(uint16(4+44), byte(0x07), int8(0)) // the first record's kind
+	f.Add(uint16(4+45), byte(0x02), int8(0)) // a flag bit nothing reads
+	f.Add(uint16(4+64), byte(0x10), int8(0)) // a tag table offset
+	f.Add(uint16(4+80+76), byte(0x01), int8(0))
+	f.Add(uint16(4+6*80), byte(0x01), int8(0)) // the tag table's count
+	f.Fuzz(func(t *testing.T, off uint16, xor byte, resize int8) {
+		fs, name := fuzzSegment(t)
+		orig := fs[name]
+		payload := mutatePayload(orig[segHeaderLen:], off, xor, resize)
+		mutated := append(segHeader(len(payload), crc32.Checksum(payload, castagnoli)), payload...)
+		fs[name] = mutated
+
+		var (
+			st  *Store
+			rec *Recovery
+			err error
+		)
+		if n := allocated(func() { st, rec, err = Open(fs, Options{}) }); n > allocBound(len(mutated)) {
+			t.Fatalf("Open allocated %d bytes for a %d-byte segment (bound %d)", n, len(mutated), allocBound(len(mutated)))
+		}
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer st.Close()
+		_, derr := decodeSegment(mutated)
+		if len(rec.Segments) == 0 {
+			if !slices.Equal(rec.Quarantined, []string{name}) {
+				t.Fatalf("the segment was neither installed nor quarantined: %v", rec.Quarantined)
+			}
+			if !errors.Is(derr, ErrCorrupt) {
+				t.Fatalf("quarantined a segment decodeSegment takes (%v)", derr)
+			}
+			return
+		}
+		if derr != nil || len(rec.Quarantined) != 0 {
+			t.Fatalf("installed a segment decodeSegment rejects (%v), quarantined %v", derr, rec.Quarantined)
+		}
+		want, owned, rest, err := trace.DecodeSpanBlock(payload)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("installed a payload that is not one whole block: %v, %d bytes after it", err, len(rest))
+		}
+		file := rec.Segments[0].File
+		win, _, err := file.Window(file.Pass(), 0, file.Len(), nil)
+		if err != nil {
+			t.Fatalf("the installed file does not read back: %v", err)
+		}
+		dec := win.Decoder()
+		var arena trace.SpanStore
+		for i := range want {
+			if got := dec.Span(&arena, i); !reflect.DeepEqual(got, want[i]) || win.Owned(i) != ownedBit(owned, i) {
+				t.Fatalf("record %d reads back as %+v (owned %v), the payload holds %+v (owned %v)", i, got, win.Owned(i), want[i], ownedBit(owned, i))
+			}
+		}
+		again := trace.AppendSpanBlock(nil, want, func(i int) bool { return ownedBit(owned, i) })
+		if canonicalBlock(payload) && !bytes.Equal(again, payload) {
+			t.Fatal("the installed records re-encode to other bytes")
+		}
+		if spans, owned2, _, err := trace.DecodeSpanBlock(again); err != nil || !reflect.DeepEqual(spans, want) || !slices.Equal(owned2, owned) {
+			t.Fatalf("the re-encoded block does not decode to the installed records: %v", err)
 		}
 	})
 }

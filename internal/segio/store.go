@@ -714,8 +714,9 @@ func sealWALRecord(buf []byte, start int) []byte {
 }
 
 // decodeSegment checks a segment file — header, checksum, and the payload's
-// structure, which fails exactly where decoding it would — and returns the
-// payload as the block it is, sharing data.
+// structure, which fails exactly where decoding it would, its length the
+// file's and its one block the whole of it — and returns the payload as the
+// block it is, sharing data.
 func decodeSegment(data []byte) (trace.SpanBlock, error) {
 	if len(data) < segHeaderLen || string(data[:8]) != segMagic {
 		return trace.SpanBlock{}, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
@@ -724,15 +725,17 @@ func decodeSegment(data []byte) (trace.SpanBlock, error) {
 	if v := le.Uint32(data[8:]); v != formatVersion {
 		return trace.SpanBlock{}, fmt.Errorf("%w: unsupported segment version %d", ErrCorrupt, v)
 	}
-	payloadLen := le.Uint64(data[12:])
-	if payloadLen > uint64(len(data)-segHeaderLen) {
-		return trace.SpanBlock{}, fmt.Errorf("%w: segment truncated (%d of %d payload bytes)", ErrCorrupt, len(data)-segHeaderLen, payloadLen)
+	payload := data[segHeaderLen:]
+	if n := le.Uint64(data[12:]); n != uint64(len(payload)) {
+		return trace.SpanBlock{}, fmt.Errorf("%w: segment of %d payload bytes, header says %d", ErrCorrupt, len(payload), n)
 	}
-	payload := data[segHeaderLen : segHeaderLen+int(payloadLen)]
 	if crc32.Checksum(payload, castagnoli) != le.Uint32(data[20:]) {
 		return trace.SpanBlock{}, fmt.Errorf("%w: segment checksum mismatch", ErrCorrupt)
 	}
-	blk, _, err := trace.ParseSpanBlock(payload)
+	blk, rest, err := trace.ParseSpanBlock(payload)
+	if err == nil && len(rest) > 0 {
+		err = fmt.Errorf("%d bytes after the span block", len(rest))
+	}
 	if err != nil {
 		return trace.SpanBlock{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
