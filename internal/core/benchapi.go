@@ -194,11 +194,10 @@ func correlateTree(tr *trace.Trace, levels []trace.Level) {
 	tree := func(l trace.Level) *interval.Tree { return byLevel[l] }
 
 	// First pass: launch spans and synchronous spans find parents by
-	// containment. The per-span queries are read-only once the trees are
-	// built, so they shard across CPUs (treeParents); the serial
-	// application below fills the correlation table in trace order,
-	// keeping the duplicate-correlation-id tie-break identical to the
-	// serial loop this replaces.
+	// containment. The per-span queries (treeParents) are read-only once
+	// the trees are built; the application below fills the correlation
+	// table in trace order, which fixes the duplicate-correlation-id
+	// tie-break.
 	var pass1 []*trace.Span
 	for _, s := range tr.Spans {
 		if s.ParentID != 0 || s.Level == levels[0] {
@@ -222,8 +221,8 @@ func correlateTree(tr *trace.Trace, levels []trace.Level) {
 	}
 
 	// Second pass: execution spans inherit the launch span's parent via
-	// correlation id; device-only records fall back to containment —
-	// those containment queries shard the same way.
+	// correlation id; device-only records fall back to containment,
+	// queried the same way.
 	var pass2 []*trace.Span
 	for _, s := range tr.Spans {
 		if s.ParentID != 0 || s.Kind != trace.KindExec {

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
 
 	"xsp/internal/interval"
 	"xsp/internal/trace"
@@ -151,51 +149,20 @@ func (ls *levelStacks) parent(levels []trace.Level, s *trace.Span) *trace.Span {
 	return nil
 }
 
-// parallelQueryThreshold is the span count below which the per-span
-// interval-tree query loops stay serial: goroutine fan-out only pays for
-// itself once there are a few thousand independent queries to amortize it.
-const parallelQueryThreshold = 2048
-
-// queryShards runs fn over contiguous shards of [0, n), one goroutine per
-// available CPU — serially when n is small or only one CPU is available.
-// Callers guarantee fn touches disjoint state per index (read-only trees,
-// per-index output slots).
-func queryShards(n int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if n < parallelQueryThreshold || workers < 2 {
-		fn(0, n)
-		return
-	}
-	stride := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += stride {
-		hi := min(lo+stride, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// treeParents resolves the containment parent of every span concurrently,
-// returning parent IDs indexed like spans (zero for no parent). The
-// queries are pure reads on fully built interval trees — the tree package
-// documents a built tree as safe for concurrent queries — and independent
-// of the correlation table, so they shard by span; callers apply the
-// results serially wherever ordering (correlation-table fills, dirty
-// tracking) matters. The stream correlator's window close and straggler
-// repair, and the batch reference (Correlate), all query through this.
+// treeParents resolves the containment parent of every span, returning
+// parent IDs indexed like spans (zero for no parent). The queries are pure
+// reads on fully built interval trees and independent of the correlation
+// table, so callers apply the results afterwards wherever ordering
+// (correlation-table fills, dirty tracking) matters. The stream
+// correlator's window close and straggler repair, and the batch reference
+// (Correlate), all query through this.
 func treeParents(levels []trace.Level, tree func(trace.Level) *interval.Tree, spans []*trace.Span) []uint64 {
 	out := make([]uint64, len(spans))
-	queryShards(len(spans), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if p := treeParentAt(levels, tree, spans[i]); p != nil {
-				out[i] = p.ID
-			}
+	for i, s := range spans {
+		if p := treeParentAt(levels, tree, s); p != nil {
+			out[i] = p.ID
 		}
-	})
+	}
 	return out
 }
 

@@ -777,10 +777,9 @@ func (sc *StreamCorrelator) closeWindow() {
 
 	// Pass 1: launch and synchronous spans resolve by containment. The
 	// queries — pure reads on the fully built trees, independent of the
-	// correlation state — are precomputed for exactly these spans,
-	// sharded across CPUs when the window is large; the application loop
-	// stays serial so the correlation table fills in window order, like
-	// the batch first pass.
+	// correlation state — are precomputed for exactly these spans; the
+	// application loop then fills the correlation table in window order,
+	// like the batch first pass.
 	var p1 []*trace.Span
 	for _, s := range deferred {
 		if s.ParentID == 0 && s.Kind != trace.KindExec {
@@ -799,7 +798,7 @@ func (sc *StreamCorrelator) closeWindow() {
 	// Pass 2: execution spans inherit through the now-filled table — the
 	// common pipelined case, no tree walk needed — and only the misses
 	// (device-only, or launch still missing) get containment queried, in
-	// one sharded batch, handed to resolveExec as their fallback.
+	// one batch, handed to resolveExec as their fallback.
 	var p2 []*trace.Span
 	for _, s := range deferred {
 		if s.ParentID != 0 || s.Kind != trace.KindExec {
@@ -981,9 +980,8 @@ func (sc *StreamCorrelator) repair() {
 		// Pass 1: launch and synchronous spans re-resolve by containment.
 		// Launches whose parent moved mark their correlation id dirty.
 		// The containment queries — pure reads on the built trees — are
-		// precomputed for exactly the spans that need them, sharded across
-		// CPUs when the set is large; the application loop stays serial so
-		// the correlation table fills in region order.
+		// precomputed for exactly the spans that need them; the application
+		// loop then fills the correlation table in region order.
 		pass1 = pass1[:0]
 		for _, s := range cands {
 			if sc.owns(s) && s.Kind != trace.KindExec {

@@ -265,7 +265,6 @@ func BenchmarkIngestToCorrelateParallel(b *testing.B) {
 		key := fmt.Sprintf("bench-%d", nextTenant.Add(1))
 		col := trace.NewHTTPCollector(ts.URL)
 		col.SetHTTPClient(client)
-		col.SetEncoding(trace.EncodingBinary)
 		if err := col.SetTenant(key); err != nil {
 			b.Error(err)
 			return

@@ -6,10 +6,9 @@
 //
 // The tree is an iteratively balanced (AVL) binary search tree ordered by
 // interval start, with each node augmented by the maximum end time in its
-// subtree so that containment and overlap queries prune aggressively.
-// [Tree.SmallestContaining] answers the correlation query directly;
-// [Tree.VisitContaining] and [Tree.VisitOverlapping] are the
-// allocation-free visitors the other queries run on. A point (stabbing)
+// subtree so that containment queries prune aggressively.
+// [Tree.SmallestContaining] answers the correlation query directly, over
+// [Tree.VisitContaining], the allocation-free visitor. A point (stabbing)
 // query is a containment query for a zero-length interval.
 //
 // The tree is the stream correlator's fallback for a window of

@@ -16,11 +16,6 @@ func (iv Interval) Contains(other Interval) bool {
 	return iv.Start <= other.Start && other.End <= iv.End
 }
 
-// Overlaps reports whether the two intervals share any instant.
-func (iv Interval) Overlaps(other Interval) bool {
-	return iv.Start < other.End && other.Start < iv.End
-}
-
 // Duration returns the length of the interval.
 func (iv Interval) Duration() vclock.Duration { return iv.End.Sub(iv.Start) }
 
@@ -199,29 +194,6 @@ func visitContaining(n *node, q Interval, fn func(Interval) bool) bool {
 	}
 	if q.Start >= n.iv.Start {
 		return visitContaining(n.right, q, fn)
-	}
-	return true
-}
-
-// VisitOverlapping calls fn for every stored interval that overlaps q, in
-// ascending start order, without allocating. fn returns false to stop the
-// walk early. VisitOverlapping reports whether the walk ran to completion.
-func (t *Tree) VisitOverlapping(q Interval, fn func(Interval) bool) bool {
-	return visitOverlapping(t.root, q, fn)
-}
-
-func visitOverlapping(n *node, q Interval, fn func(Interval) bool) bool {
-	if n == nil || n.maxEnd <= q.Start {
-		return true
-	}
-	if !visitOverlapping(n.left, q, fn) {
-		return false
-	}
-	if n.iv.Overlaps(q) && !fn(n.iv) {
-		return false
-	}
-	if q.End > n.iv.Start {
-		return visitOverlapping(n.right, q, fn)
 	}
 	return true
 }

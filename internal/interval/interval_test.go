@@ -64,15 +64,6 @@ func (o *oracle) stab(t *testing.T, at vclock.Time) []Interval {
 	return o.containing(t, iv(at, at, nil))
 }
 
-// overlapping checks VisitOverlapping(q) against the brute-force filter.
-func (o *oracle) overlapping(t *testing.T, q Interval) []Interval {
-	t.Helper()
-	var got []Interval
-	o.tree.VisitOverlapping(q, func(in Interval) bool { got = append(got, in); return true })
-	checkSameSet(t, fmt.Sprintf("VisitOverlapping(%v)", q), got, o.filter(func(in Interval) bool { return in.Overlaps(q) }))
-	return got
-}
-
 // inOrder returns the tree's intervals by an in-order walk of its nodes.
 func inOrder(tr *Tree) []Interval {
 	var out []Interval
@@ -139,9 +130,6 @@ func TestEmptyTree(t *testing.T) {
 	}
 	if got := o.containing(t, iv(0, 1, nil)); len(got) != 0 {
 		t.Fatalf("containing on empty = %v", got)
-	}
-	if got := o.overlapping(t, iv(0, 1, nil)); len(got) != 0 {
-		t.Fatalf("overlapping on empty = %v", got)
 	}
 	if _, ok := tr.SmallestContaining(iv(0, 1, nil)); ok {
 		t.Fatal("SmallestContaining on empty found a container")
@@ -213,17 +201,6 @@ func TestTouchingEndpointsCountAsContainment(t *testing.T) {
 	got, ok := tr.SmallestContaining(child)
 	if !ok || got.Value != "layer" {
 		t.Fatalf("SmallestContaining = %v, %v", got, ok)
-	}
-}
-
-func TestOverlapping(t *testing.T) {
-	o := newOracle(iv(0, 10, "a"), iv(5, 15, "b"), iv(20, 30, "c"))
-	if got := o.overlapping(t, iv(8, 22, nil)); len(got) != 3 {
-		t.Fatalf("overlapping = %v", got)
-	}
-	got := o.overlapping(t, iv(10, 20, nil)) // half-open: touches a and c only at ends
-	if len(got) != 1 || got[0].Value != "b" {
-		t.Fatalf("overlapping(half-open) = %v", got)
 	}
 }
 

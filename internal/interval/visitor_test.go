@@ -15,10 +15,10 @@ func buildTree(ivs ...Interval) *Tree {
 	return t
 }
 
-// Both visitors report exactly the brute-force filter of the inserted
-// intervals, in ascending start order, over several seeded random trees of
-// different sizes and interval lengths; every walk with an always-true fn
-// runs to completion, and one returning false stops at once.
+// The containment visitor reports exactly the brute-force filter of the
+// inserted intervals, in ascending start order, over several seeded random
+// trees of different sizes and interval lengths; every walk with an
+// always-true fn runs to completion, and one returning false stops at once.
 func TestVisitorsMatchBruteForce(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -27,41 +27,17 @@ func TestVisitorsMatchBruteForce(t *testing.T) {
 			start := vclock.Time(rng.Intn(1100))
 			q := Interval{Start: start, End: start + vclock.Time(rng.Intn(60))}
 			o.containing(t, q)
-			o.overlapping(t, q)
 			o.stab(t, start)
 
-			if !o.tree.VisitContaining(q, func(Interval) bool { return true }) ||
-				!o.tree.VisitOverlapping(q, func(Interval) bool { return true }) {
+			if !o.tree.VisitContaining(q, func(Interval) bool { return true }) {
 				t.Fatal("walk with always-true fn must run to completion")
 			}
-			for _, visit := range []func(Interval, func(Interval) bool) bool{o.tree.VisitContaining, o.tree.VisitOverlapping} {
-				seen := 0
-				done := visit(q, func(Interval) bool { seen++; return false })
-				if seen > 1 || done != (seen == 0) {
-					t.Fatalf("stop on first: seen=%d done=%v", seen, done)
-				}
+			seen := 0
+			done := o.tree.VisitContaining(q, func(Interval) bool { seen++; return false })
+			if seen > 1 || done != (seen == 0) {
+				t.Fatalf("stop on first: seen=%d done=%v", seen, done)
 			}
 		}
-	}
-}
-
-func TestVisitOverlappingEarlyExit(t *testing.T) {
-	tree := buildTree(
-		Interval{Start: 0, End: 10, Value: "a"},
-		Interval{Start: 5, End: 15, Value: "b"},
-		Interval{Start: 12, End: 20, Value: "c"},
-	)
-	var seen int
-	done := tree.VisitOverlapping(Interval{Start: 0, End: 20}, func(Interval) bool {
-		seen++
-		return seen < 2
-	})
-	if done || seen != 2 {
-		t.Fatalf("early exit: done=%v seen=%d, want false/2", done, seen)
-	}
-	o := &oracle{tree: tree, ivs: inOrder(tree)}
-	if got := o.overlapping(t, Interval{Start: 11, End: 13}); len(got) != 2 {
-		t.Fatalf("overlapping = %d intervals, want 2 (b and c)", len(got))
 	}
 }
 

@@ -47,8 +47,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Options configures a Store.
 type Options struct {
-	// MaxDedup bounds the persisted batch-dedup id window. Zero means the
-	// default (4096, matching the server's in-memory FIFO).
+	// MaxDedup bounds the persisted batch-dedup id window. Zero means
+	// trace.DedupWindow, the server's in-memory FIFO: exactly-once across a
+	// restart needs the two to match.
 	MaxDedup int
 }
 
@@ -203,7 +204,7 @@ func parseName(name string, format func(uint64) string) (uint64, bool) {
 // never appended to.
 func Open(fs FS, opts Options) (*Store, *Recovery, error) {
 	if opts.MaxDedup <= 0 {
-		opts.MaxDedup = 4096
+		opts.MaxDedup = trace.DedupWindow
 	}
 	st := &Store{
 		fs:   fs,

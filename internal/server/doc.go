@@ -56,9 +56,9 @@
 // ingest exactly once across client retries. A batch holding a span that
 // ends before it begins is refused whole with a 400.
 //
-// With LiveAnalysis each tenant's
-// analysis.Online engine observes its correlator's accepted spans exactly
-// once, recovered history included, and GET
+// Live analyses are always on: each tenant's analysis.Online engine
+// observes its correlator's accepted spans exactly once, recovered history
+// included, classifying kernels against GPU, and GET
 // /api/analysis[/layers|launchgaps|memcpy|roofline] serves the paper's
 // analyses as JSON or, with ?watch=1 or Accept: text/event-stream, as
 // server-sent events every ?interval= (a millisecond at least).

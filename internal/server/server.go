@@ -22,8 +22,8 @@ import (
 // flag (the listen address stays with whoever listens) with the flag's
 // meaning; its help text in cmd/xsp-server is the field's reference. The
 // zero Config runs — RAM-only, no budgets, no reorder window, one-second
-// push-back hints — but it is not the flags' defaults: those also set
-// ReorderWindow and the GPU LiveAnalysis needs.
+// push-back hints, live analyses against gpu.TeslaV100 — but it is not the
+// flags' defaults: those also set ReorderWindow.
 type Config struct {
 	DataDir          string        // -data-dir
 	ReorderWindow    time.Duration // -reorder-window
@@ -32,15 +32,14 @@ type Config struct {
 	MaxInflightSpans int           // -max-inflight-spans
 	MaxInflightBytes int64         // -max-inflight-bytes
 	RetryAfter       time.Duration // -retry-after
-	LiveAnalysis     bool          // -live-analysis
-	GPU              string        // -gpu: a gpu.Systems name; read only with LiveAnalysis
+	GPU              string        // -gpu: a gpu.Systems name; empty is gpu.TeslaV100
 }
 
 // Server is the tracing server as a value: an http.Handler from New until
 // Close. See the package comment for what it serves.
 type Server struct {
 	cfg Config
-	gpu gpu.Spec // set with LiveAnalysis, its only reader
+	gpu gpu.Spec // what every tenant's live analyses classify kernels against
 
 	tenants *trace.Table[*tenant] // every tenant the process holds
 	ingest  *trace.Server         // /api/spans and /api/trace, routed through tenants
@@ -57,17 +56,18 @@ type Server struct {
 // nothing; a store that will not open degrades its tenant to RAM-only
 // instead (see /api/durability).
 func New(cfg Config) (*Server, error) {
-	s := &Server{cfg: cfg, mux: http.NewServeMux(), done: make(chan struct{})}
+	if cfg.GPU == "" {
+		cfg.GPU = gpu.TeslaV100.Name
+	}
+	spec, err := gpu.SystemByName(cfg.GPU)
+	if err != nil {
+		return nil, fmt.Errorf("unknown -gpu %q", cfg.GPU)
+	}
+	s := &Server{cfg: cfg, gpu: spec, mux: http.NewServeMux(), done: make(chan struct{})}
 	s.tenants = trace.NewTable(s.open)
 	s.ingest = trace.NewServerOn(s.tenants, func(t *tenant) *trace.ServerTenant { return t.ingest })
-	if cfg.LiveAnalysis {
-		var err error
-		if s.gpu, err = gpu.SystemByName(cfg.GPU); err != nil {
-			return nil, fmt.Errorf("unknown -gpu %q", cfg.GPU)
-		}
-		s.idle = analysis.NewOnline(analysis.OnlineOptions{Spec: s.gpu})
-		fmt.Fprintf(os.Stderr, "xsp-server: live analyses on (%s)\n", s.gpu.Name)
-	}
+	s.idle = analysis.NewOnline(analysis.OnlineOptions{Spec: spec})
+	fmt.Fprintf(os.Stderr, "xsp-server: live analyses on (%s)\n", spec.Name)
 	// Always installed: the policy carries the Retry-After of every push-back,
 	// a 503 included. Its zero budgets admit everything.
 	s.ingest.SetAdmission(trace.AdmissionPolicy{MaxInflightBytes: cfg.MaxInflightBytes, MaxInflightSpans: cfg.MaxInflightSpans, RetryAfter: cfg.RetryAfter})
@@ -79,10 +79,8 @@ func New(cfg Config) (*Server, error) {
 	s.tenantRoute(http.MethodPost, "/api/reset", s.handleReset)
 	s.tenantRoute(http.MethodPost, "/api/checkpoint", s.handleCheckpoint)
 	s.tenantRoute(http.MethodGet, "/api/correlated", s.handleCorrelated)
-	if cfg.LiveAnalysis {
-		s.tenantRoute(http.MethodGet, "/api/analysis", s.handleAnalysis)
-		s.tenantRoute(http.MethodGet, "/api/analysis/", s.handleAnalysis)
-	}
+	s.tenantRoute(http.MethodGet, "/api/analysis", s.handleAnalysis)
+	s.tenantRoute(http.MethodGet, "/api/analysis/", s.handleAnalysis)
 	if cfg.DataDir != "" {
 		s.route(http.MethodGet, "/api/durability", s.handleDurability)
 	}
@@ -195,8 +193,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 // every accepted batch to: the correlator — whose history is the tenant's
 // span store — with its durable store and what recovery found, the async
 // tap in front of the correlator (RAM mode; nil durable) and the
-// live-analysis engine (nil without LiveAnalysis). Built once by open,
-// immutable afterwards.
+// live-analysis engine. Built once by open, immutable afterwards.
 type tenant struct {
 	ingest *trace.ServerTenant
 	sc     *core.StreamCorrelator
@@ -212,19 +209,16 @@ type tenant struct {
 // consumer, to a fresh ingest half — with the recovered dedup ids seeded
 // first, or, in RAM mode, behind a tap.
 func (s *Server) open(key string) *tenant {
-	t := &tenant{}
+	// The engine attaches as the stream's observer before the correlator is
+	// built — and, durable, before recovery replays the tenant's history —
+	// so a restarted server's live analyses cover everything its correlated
+	// view does.
+	t := &tenant{engine: analysis.NewOnline(analysis.OnlineOptions{Spec: s.gpu})}
 	opts := core.StreamOptions{
 		ReorderWindow: vclock.Duration(s.cfg.ReorderWindow),
 		Retain:        vclock.Duration(s.cfg.Retain),
 		CorrRetain:    vclock.Duration(s.cfg.CorrRetain),
-	}
-	if s.cfg.LiveAnalysis {
-		// The engine attaches as the stream's observer before the correlator
-		// is built — and, durable, before recovery replays the tenant's
-		// history — so a restarted server's live analyses cover everything
-		// its correlated view does.
-		t.engine = analysis.NewOnline(analysis.OnlineOptions{Spec: s.gpu})
-		opts.Observer = t.engine
+		Observer:      t.engine,
 	}
 	if s.cfg.DataDir == "" {
 		t.sc = core.NewStreamCorrelator(opts)
@@ -306,9 +300,7 @@ func (t *tenant) reset() {
 	t.ingest.Reset()
 	t.settle()
 	t.sc.Reset()
-	if t.engine != nil {
-		t.engine.Reset()
-	}
+	t.engine.Reset()
 }
 
 // close drains the tap into the correlator and stops its worker, then

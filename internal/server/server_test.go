@@ -32,7 +32,7 @@ import (
 // streams fold, straggle and reopen while a test runs.
 func testConfig(dataDir string) Config {
 	return Config{
-		DataDir: dataDir, LiveAnalysis: true, GPU: gpu.TeslaV100.Name,
+		DataDir: dataDir, GPU: gpu.TeslaV100.Name,
 		ReorderWindow: 64, Retain: 512, RetryAfter: time.Second,
 	}
 }
@@ -962,11 +962,18 @@ func TestExternalContract(t *testing.T) {
 		t.Errorf("/api/durability does not report the degraded tenant's error")
 	}
 
-	// What New refuses: the one name that can be wrong. The zero Config runs.
-	if _, err := New(Config{LiveAnalysis: true, GPU: "Voodoo2"}); err == nil {
+	// What New refuses: the one name that can be wrong. The zero Config runs,
+	// live analyses included, against the default GPU.
+	if _, err := New(Config{GPU: "Voodoo2"}); err == nil {
 		t.Errorf("New with -gpu Voodoo2 succeeded")
 	}
-	if rec := post(newServer(t, Config{}), "", 1, arrivals(97, 300)[0]); rec.Code != http.StatusAccepted {
+	zero, batch := newServer(t, Config{}), arrivals(97, 300)[0]
+	if rec := post(zero, "", 1, batch); rec.Code != http.StatusAccepted {
 		t.Errorf("POST to a zero-Config server: %d %s", rec.Code, rec.Body)
+	}
+	if rec := do(zero, http.MethodGet, "/api/analysis?flush=1", "", nil, nil); rec.Code != http.StatusOK ||
+		rec.Header().Get("X-Analysis-GPU") != gpu.TeslaV100.Name || rec.Header().Get("X-Analysis-Spans") != strconv.Itoa(len(batch)) {
+		t.Errorf("GET /api/analysis from a zero-Config server: %d, GPU %q, %q spans",
+			rec.Code, rec.Header().Get("X-Analysis-GPU"), rec.Header().Get("X-Analysis-Spans"))
 	}
 }

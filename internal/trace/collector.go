@@ -28,11 +28,10 @@ type HTTPCollector struct {
 	baseURL string
 	client  *http.Client
 
-	mu       sync.Mutex
-	tenant   string // ingest domain batches are tagged with; "" means DefaultTenant
-	buf      []*Span
-	pending  []httpBatch // batches whose POST failed, oldest first, awaiting retry
-	encoding Encoding    // wire encoding; latches to JSON on a 415
+	mu      sync.Mutex
+	tenant  string // ingest domain batches are tagged with; "" means DefaultTenant
+	buf     []*Span
+	pending []httpBatch // batches whose POST failed, oldest first, awaiting retry
 
 	policy   RetryPolicy
 	now      func() time.Time // injectable clock, for tests
@@ -45,47 +44,14 @@ type HTTPCollector struct {
 	droppedSpans   int
 }
 
-// Encoding selects HTTPCollector's wire encoding for span batches.
-type Encoding int
-
-const (
-	// EncodingBinary is the default: the framed binary batch format
-	// (ContentTypeBinary), several times cheaper to decode than JSON. A
-	// server that does not understand it answers 415 and the collector
-	// falls back to JSON automatically, re-shipping the same batch id, so
-	// delivery stays exactly-once across the switch.
-	EncodingBinary Encoding = iota
-
-	// EncodingJSON forces the JSON wire format (the historical default).
-	EncodingJSON
-)
-
-// SetEncoding selects the wire encoding for subsequent POSTs. Mostly a
-// benchmarking and compatibility knob — the 415 fallback handles old
-// servers without it.
-func (c *HTTPCollector) SetEncoding(e Encoding) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.encoding = e
-}
-
-// Encoding returns the wire encoding currently in use; it reads
-// EncodingJSON after the 415 fallback has latched.
-func (c *HTTPCollector) Encoding() Encoding {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.encoding
-}
-
 // SetTenant routes subsequent batches to the named tenant: every POST
-// carries the key both in the X-Tenant header and inside the wire batch
-// (the binary frame's tenant field, the JSON envelope), so the batch
-// stays routable even through an intermediary that strips headers. The
-// empty key (the default) restores tenantless publishing — byte-for-byte
-// the pre-tenant wire — which servers route to DefaultTenant. The key is
-// applied when a batch is POSTed, not when it is cut, so set it before
-// publishing the spans it should cover (pending retries re-ship under the
-// current key).
+// carries the key both in the X-Tenant header and inside the binary frame's
+// tenant field, so the batch stays routable even through an intermediary
+// that strips headers. The empty key (the default) restores tenantless
+// publishing — byte-for-byte the pre-tenant wire — which servers route to
+// DefaultTenant. The key is applied when a batch is POSTed, not when it is
+// cut, so set it before publishing the spans it should cover (pending
+// retries re-ship under the current key).
 func (c *HTTPCollector) SetTenant(key string) error {
 	if err := ValidateTenant(key); err != nil {
 		return err
@@ -224,11 +190,11 @@ func (c *HTTPCollector) Publish(spans ...*Span) {
 // Flush ships every buffered span to the server, retrying batches from
 // earlier failed flushes first (oldest first, ahead of spans published in
 // the meantime, preserving each tracer's nearly-sorted publish order). It
-// returns the number of spans shipped. On any failure — transport error,
-// server rejection, or an encoding error — the unshipped batches are kept
-// for the next Flush, so a transient server error never loses spans
-// (except under the explicit RetryPolicy.MaxAttempts cap, which sheds the
-// repeatedly failing head batch and counts it in Dropped). Delivery is
+// returns the number of spans shipped. On any failure — transport error or
+// server rejection — the unshipped batches are kept for the next Flush, so
+// a transient server error never loses spans (except under the explicit
+// RetryPolicy.MaxAttempts cap, which sheds the repeatedly failing head
+// batch and counts it in Dropped). Delivery is
 // exactly-once against this package's Server: each batch carries an id
 // assigned when it was cut and kept across retries, and the server
 // acknowledges a batch id it has already committed without re-publishing
@@ -320,63 +286,33 @@ func (c *HTTPCollector) scheduleRetry(retryAfter time.Duration) {
 	}
 }
 
-// post ships one batch, with its idempotency id in the batch-id header.
-// Batches go out in the collector's current encoding — binary by default;
-// a 415 latches JSON and immediately re-ships the same batch (same id, so
-// the fallback stays exactly-once even if the server partially processed
-// nothing, which a 415 guarantees). On a push-back response it also
+// post ships one batch as a binary frame (ContentTypeBinary), with its
+// idempotency id in the batch-id header. On a push-back response it also
 // returns the server's Retry-After hint, so the retry schedule can honor
 // it.
 func (c *HTTPCollector) post(b httpBatch) (time.Duration, error) {
 	c.mu.Lock()
-	enc := c.encoding
-	c.mu.Unlock()
-	retryAfter, status, err := c.postAs(b, enc)
-	if status == http.StatusUnsupportedMediaType && enc == EncodingBinary {
-		c.mu.Lock()
-		c.encoding = EncodingJSON
-		c.mu.Unlock()
-		retryAfter, _, err = c.postAs(b, EncodingJSON)
-	}
-	return retryAfter, err
-}
-
-// postAs ships one batch in the given encoding, returning the server's
-// Retry-After hint and HTTP status (zero when the request never got a
-// response).
-func (c *HTTPCollector) postAs(b httpBatch, enc Encoding) (time.Duration, int, error) {
-	c.mu.Lock()
 	tenant := c.tenant
 	client := c.client
 	c.mu.Unlock()
-	var body bytes.Buffer
-	contentType := ContentTypeBinary
-	if enc == EncodingJSON {
-		contentType = ContentTypeJSON
-		if err := (&Trace{Spans: b.spans, Tenant: tenant}).EncodeJSON(&body); err != nil {
-			return 0, 0, err
-		}
-	} else {
-		body.Write(AppendBinaryFrameTenant(nil, tenant, b.spans))
-	}
-	req, err := http.NewRequest(http.MethodPost, c.baseURL+"/api/spans", &body)
+	req, err := http.NewRequest(http.MethodPost, c.baseURL+"/api/spans", bytes.NewReader(AppendBinaryFrameTenant(nil, tenant, b.spans)))
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", ContentTypeBinary)
 	req.Header.Set(batchIDHeader, strconv.FormatUint(b.id, 16))
 	if tenant != "" {
 		req.Header.Set(TenantHeader, tenant)
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return 0, 0, fmt.Errorf("trace: publishing spans: %w", err)
+		return 0, fmt.Errorf("trace: publishing spans: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		return parseRetryAfter(resp.Header.Get("Retry-After")), resp.StatusCode, fmt.Errorf("trace: server rejected spans: %s", resp.Status)
+		return parseRetryAfter(resp.Header.Get("Retry-After")), fmt.Errorf("trace: server rejected spans: %s", resp.Status)
 	}
-	return 0, resp.StatusCode, nil
+	return 0, nil
 }
 
 // parseRetryAfter decodes a numeric Retry-After value — integer seconds

@@ -58,7 +58,7 @@
 //     X-Shed-* stats headers. Both budgets drain without new input —
 //     handlers finish, the tap worker empties its queue — so a shed tenant
 //     is always admitted again; admission reads nothing else.
-//   - The batch-dedup FIFO, bounded at maxRememberedBatches ids.
+//   - The batch-dedup FIFO, bounded at [DedupWindow] ids.
 //
 // The safe-retry contract ties these together: a shed batch's id is never
 // claimed (admission rejects either before the claim or after it with the
@@ -76,7 +76,7 @@
 // let a concurrent duplicate land twice — so the cap only needs to cover
 // *committed* batches that might still be retried. A retry arrives within
 // MaxAttempts backoffs of the original, during which a client ships at
-// most its in-flight batch count; maxRememberedBatches (4096) therefore
+// most its in-flight batch count; DedupWindow (4096) therefore
 // needs to exceed retrying-clients x batches-committed-per-retry-window,
 // and sits orders of magnitude above any real schedule (a client retries
 // one head batch at a time). The cap must merely stay above the count of
@@ -163,9 +163,9 @@
 // ([ErrBadFrame] on any corruption, never a partial decode). Content
 // negotiation — [ContentTypeBinary] vs [ContentTypeJSON] on POST,
 // [AcceptsBinary] on GET ([WriteView] is the one reply every
-// trace-serving endpoint gives, the binary one streamed from a [View]),
-// the HTTPCollector's 415-latched JSON fallback — keeps pre-binary clients
-// and servers interoperable.
+// trace-serving endpoint gives, the binary one streamed from a [View]) —
+// keeps JSON clients working against a binary-speaking server; the
+// HTTPCollector itself always posts binary.
 //
 // # Ingress validation
 //

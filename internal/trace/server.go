@@ -71,7 +71,7 @@ type ServerTenant struct {
 	// retried at all), and an ack here would lose the batch. Bounded
 	// FIFO: remembering every batch forever would reintroduce
 	// grows-with-total-ingest memory; a retry only needs to land within
-	// maxRememberedBatches flushes of the original, which is orders of
+	// DedupWindow flushes of the original, which is orders of
 	// magnitude beyond any real retry schedule. The window is per tenant:
 	// ids only need uniqueness within the tenant that assigned them, and
 	// one tenant's flood can never age out another tenant's claims.
@@ -80,8 +80,11 @@ type ServerTenant struct {
 	batchOrder []uint64        // FIFO eviction order for seenBatch
 }
 
-// maxRememberedBatches bounds each tenant's batch-dedup memory.
-const maxRememberedBatches = 4096
+// DedupWindow bounds each tenant's batch-dedup memory: the newest
+// DedupWindow batch ids are remembered. The durable store persists a window
+// of the same size (segio's default MaxDedup reads this), so a retry of any
+// id the server still remembers stays a duplicate across a restart.
+const DedupWindow = 4096
 
 // batchIDHeader carries the client-assigned batch id that makes retried
 // span batches idempotent. Batches without it are accepted unconditionally
@@ -318,7 +321,7 @@ func (t *ServerTenant) SeedBatches(ids []uint64) {
 		}
 		t.seenBatch[id] = true
 	}
-	for len(t.batchOrder) > maxRememberedBatches {
+	for len(t.batchOrder) > DedupWindow {
 		delete(t.seenBatch, t.batchOrder[0])
 		t.batchOrder = t.batchOrder[1:]
 	}
@@ -337,7 +340,7 @@ const serverAssignedIDBit = uint64(1) << 63
 // spanDecoder picks the batch decoder for a POST's Content-Type: the
 // framed binary format (ContentTypeBinary), JSON (ContentTypeJSON, or no
 // Content-Type at all, the historical wire default), or neither — the
-// caller answers 415 so a newer client knows to fall back to JSON.
+// caller answers 415 before the batch id is claimed.
 func spanDecoder(contentType string) (func(io.Reader) (*Trace, error), error) {
 	if contentType == "" {
 		return DecodeJSON, nil
@@ -655,7 +658,7 @@ func (t *ServerTenant) claimBatch(id uint64) batchClaim {
 	t.seenBatch[id] = false
 	t.batchOrder = append(t.batchOrder, id)
 	rotated := 0
-	for len(t.batchOrder) > maxRememberedBatches && rotated < len(t.batchOrder) {
+	for len(t.batchOrder) > DedupWindow && rotated < len(t.batchOrder) {
 		old := t.batchOrder[0]
 		if !t.seenBatch[old] {
 			// Still in flight: evicting it would let a concurrent retry

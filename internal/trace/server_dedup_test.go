@@ -158,17 +158,17 @@ func TestServerSpanBatchIdempotency(t *testing.T) {
 func TestServerBatchDedupMemoryBounded(t *testing.T) {
 	srv := NewServer()
 	tn := srv.Tenant(DefaultTenant)
-	for i := 0; i < maxRememberedBatches+10; i++ {
+	for i := 0; i < DedupWindow+10; i++ {
 		id := uint64(i + 1)
 		if got := tn.claimBatch(id); got != batchClaimed {
 			t.Fatalf("fresh batch id %d: claim = %v", id, got)
 		}
 		tn.commitBatch(id)
 	}
-	if got := len(tn.seenBatch); got != maxRememberedBatches {
-		t.Fatalf("remembered %d batch ids, cap is %d", got, maxRememberedBatches)
+	if got := len(tn.seenBatch); got != DedupWindow {
+		t.Fatalf("remembered %d batch ids, cap is %d", got, DedupWindow)
 	}
-	if got := tn.claimBatch(uint64(maxRememberedBatches + 10)); got != batchCommitted {
+	if got := tn.claimBatch(uint64(DedupWindow + 10)); got != batchCommitted {
 		t.Fatalf("committed live id: claim = %v, want committed", got)
 	}
 	if got := tn.claimBatch(1); got != batchClaimed {
@@ -200,7 +200,7 @@ func TestServerDedupFIFODoesNotEvictInflightClaims(t *testing.T) {
 	}
 
 	// Flood: twice the cap in newer, committed batches.
-	for i := 0; i < 2*maxRememberedBatches; i++ {
+	for i := 0; i < 2*DedupWindow; i++ {
 		id := uint64(1000 + i)
 		if got := tn.claimBatch(id); got != batchClaimed {
 			t.Fatalf("flood id %d: claim = %v", id, got)
@@ -215,8 +215,8 @@ func TestServerDedupFIFODoesNotEvictInflightClaims(t *testing.T) {
 	}
 	// The held claim must not break the memory bound: the order FIFO
 	// holds at most the cap plus the single in-flight id.
-	if got := len(tn.batchOrder); got > maxRememberedBatches+1 {
-		t.Fatalf("FIFO grew to %d entries behind one in-flight head, cap %d", got, maxRememberedBatches)
+	if got := len(tn.batchOrder); got > DedupWindow+1 {
+		t.Fatalf("FIFO grew to %d entries behind one in-flight head, cap %d", got, DedupWindow)
 	}
 
 	// Once the claim settles, it is evictable like any committed id.
@@ -224,7 +224,7 @@ func TestServerDedupFIFODoesNotEvictInflightClaims(t *testing.T) {
 	if got := tn.claimBatch(inflight); got != batchCommitted {
 		t.Fatalf("committed id: claim = %v", got)
 	}
-	for i := 0; i < maxRememberedBatches; i++ {
+	for i := 0; i < DedupWindow; i++ {
 		id := uint64(100_000 + i)
 		tn.claimBatch(id)
 		tn.commitBatch(id)
@@ -232,7 +232,7 @@ func TestServerDedupFIFODoesNotEvictInflightClaims(t *testing.T) {
 	if got := tn.claimBatch(inflight); got != batchClaimed {
 		t.Fatalf("settled id not evicted after the cap re-passed it: claim = %v", got)
 	}
-	if got := len(tn.seenBatch); got != maxRememberedBatches {
-		t.Fatalf("remembered %d ids after settling, cap is %d", got, maxRememberedBatches)
+	if got := len(tn.seenBatch); got != DedupWindow {
+		t.Fatalf("remembered %d ids after settling, cap is %d", got, DedupWindow)
 	}
 }

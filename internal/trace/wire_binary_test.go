@@ -879,71 +879,3 @@ func TestServerSpanContentNegotiation(t *testing.T) {
 		}
 	}
 }
-
-// TestCollectorBinaryFallbackExactlyOnce pins the 415 fallback contract:
-// against a server that refuses binary, the collector latches JSON and
-// keeps the batch id across the encoding switch and a lost 202, so the
-// batch lands exactly once.
-func TestCollectorBinaryFallbackExactlyOnce(t *testing.T) {
-	srv := NewServer()
-	var binaryPosts, lostOnce int
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/api/spans" && strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeBinary) {
-			binaryPosts++
-			http.Error(w, "binary spans not supported here", http.StatusUnsupportedMediaType)
-			return
-		}
-		if r.URL.Path == "/api/spans" && lostOnce == 0 {
-			// The server processes the JSON batch, but the 202 is lost in
-			// transit — the strongest duplicate temptation for the client.
-			lostOnce++
-			rec := httptest.NewRecorder()
-			srv.ServeHTTP(rec, r)
-			if rec.Code != http.StatusAccepted {
-				t.Errorf("inner server answered %d", rec.Code)
-			}
-			http.Error(w, "proxy hiccup", http.StatusBadGateway)
-			return
-		}
-		srv.ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-
-	c := NewHTTPCollector(ts.URL)
-	c.SetRetryPolicy(RetryPolicy{}) // no backoff: retry immediately
-	if c.Encoding() != EncodingBinary {
-		t.Fatal("collector must default to the binary encoding")
-	}
-	spans := binarySpans()
-	c.Publish(spans...)
-
-	// First flush: binary → 415 → JSON fallback in the same post → the
-	// 202 is lost, so the flush fails but the server committed the batch.
-	if _, err := c.Flush(); err == nil {
-		t.Fatal("first flush must surface the lost 202")
-	}
-	if c.Encoding() != EncodingJSON {
-		t.Fatal("415 did not latch the JSON fallback")
-	}
-	if binaryPosts != 1 {
-		t.Fatalf("collector tried binary %d times, want 1 (latched)", binaryPosts)
-	}
-
-	// Retry: straight JSON, same batch id → duplicate ack, no re-publish.
-	n, err := c.Flush()
-	if err != nil {
-		t.Fatalf("retry flush: %v", err)
-	}
-	if n != len(spans) {
-		t.Fatalf("retry shipped %d spans, want %d", n, len(spans))
-	}
-	if binaryPosts != 1 {
-		t.Fatalf("retry went out as binary again (%d binary posts)", binaryPosts)
-	}
-	if got, want := srv.Tenant(DefaultTenant).Received(), len(spans); got != want {
-		t.Fatalf("server received %d spans, want exactly %d", got, want)
-	}
-	if c.Backlog() != 0 {
-		t.Fatalf("collector still holds %d spans", c.Backlog())
-	}
-}
