@@ -7,7 +7,9 @@
 // Tracers POST spans to /api/spans and read the timeline back from
 // /api/trace (resolved: /api/correlated; analysed: /api/analysis). The
 // resolved listen address goes to stderr ("listening on <addr>"), so a
-// supervisor can pass ":0" and parse the port. SIGTERM or SIGINT shuts the
+// supervisor can pass ":0" and parse the port; -debug-addr serves
+// net/http/pprof's profiles of the process on a second listener, whose line
+// says "profiles served at" instead. SIGTERM or SIGINT shuts the
 // server down cleanly — stop accepting, finish the requests in flight, drain
 // every tenant's tap, close its store — and exits 0; SIGKILL loses nothing
 // that was acknowledged either.
@@ -20,6 +22,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -34,9 +37,10 @@ import (
 const shutdownDeadline = 10 * time.Second
 
 // bindFlags declares the server's flags on fs, each into its Config field,
-// and returns the listen address.
-func bindFlags(fs *flag.FlagSet, cfg *server.Config) *string {
-	addr := fs.String("addr", "127.0.0.1:7777", "listen address")
+// and returns the listen address and the profiling listener's.
+func bindFlags(fs *flag.FlagSet, cfg *server.Config) (addr, debugAddr *string) {
+	addr = fs.String("addr", "127.0.0.1:7777", "listen address")
+	debugAddr = fs.String("debug-addr", "", "listen address of a second, separate listener serving net/http/pprof's /debug/pprof/ profiles of this process (empty: none)")
 	fs.StringVar(&cfg.DataDir, "data-dir", "", "directory for the durable segment stores + WALs, one per tenant (default tenant at the root, others under tenants/<key>); batches are fsynced before they are acknowledged and each tenant's streaming state recovers exactly on restart")
 	fs.DurationVar(&cfg.ReorderWindow, "reorder-window", time.Millisecond, "virtual-time arrival skew the streaming correlator absorbs in order")
 	fs.DurationVar(&cfg.Retain, "retain", 0, "virtual-time length of finalized history kept live for cheap straggler repair; older history folds into checkpoints (0 keeps everything live)")
@@ -46,12 +50,12 @@ func bindFlags(fs *flag.FlagSet, cfg *server.Config) *string {
 	fs.DurationVar(&cfg.RetryAfter, "retry-after", time.Second, "Retry-After hint on 429/503 push-backs")
 	fs.Bool("live-analysis", false, "accepted and ignored: the paper's analyses are always maintained online per tenant as spans stream in, served by GET /api/analysis/{layers,launchgaps,memcpy,roofline} as JSON or SSE")
 	fs.StringVar(&cfg.GPU, "gpu", gpu.TeslaV100.Name, "GPU system the live analyses classify kernels against (roofline ridge point); one of the paper's Table VII systems")
-	return addr
+	return addr, debugAddr
 }
 
 func main() {
 	var cfg server.Config
-	addr := bindFlags(flag.CommandLine, &cfg)
+	addr, debugAddr := bindFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 	srv, err := server.New(cfg)
 	if err != nil {
@@ -66,6 +70,18 @@ func main() {
 	// The resolved address (meaningful with ":0") goes to stderr so a
 	// supervising process can parse the port.
 	fmt.Fprintf(os.Stderr, "xsp-server: tracing server listening on %s\n", ln.Addr())
+	if *debugAddr != "" {
+		// net/http/pprof registers on the default mux, which the main
+		// listener never serves. This line must not read like the one
+		// above: a supervisor takes the first "listening on" for the address.
+		dln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "xsp-server: -debug-addr: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "xsp-server: profiles served at http://%s/debug/pprof/\n", dln.Addr())
+		go http.Serve(dln, nil)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	hs := &http.Server{

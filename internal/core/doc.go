@@ -199,10 +199,27 @@
 // the next window rebuilds from recycled nodes, so sustained pipelined
 // overlap runs with ~0 tree-node allocations per span at steady state.
 // A released span costs one append to its level's run and no allocation of
-// its own. TestStreamAllocBudget pins the whole Feed path to a checked-in
+// its own.
+//
+// The correlator owns what it is fed only when told so. A batch fed by
+// [StreamCorrelator.FeedOwned] is the correlator's, slice and spans: the
+// slice goes back to the trace package's free list once its spans are
+// placed, and each span's slot once a fold has encoded the span into its
+// checkpoint block, from where the next recycling decode refills it
+// (trace.RecycleSpans). internal/server feeds every batch its ingest half
+// decoded this way, through the tap or at the ack barrier. Everything else is
+// lent and never recycled: Feed and FeedLogged (Session and Application, the
+// tests), recovery's replay — segio's Recovery keeps its batches — and the
+// spans live when an owned batch first arrives. Nothing the correlator keeps
+// past a fold points at a folded span: the ancestor stacks, the released runs
+// and the parented set let go of it in the fold, and the release floor is the
+// correlator's own copy of its compare key. A view copies the live tail's
+// headers under the mutex and reads tags and metrics from entry arenas that
+// are never recycled, so the aliasing rule above holds for it unchanged.
+// TestStreamAllocBudget pins the whole Feed path to a checked-in
 // allocs-per-span budget — and, in the server's configuration, bytes per
-// span too — and BenchmarkIngestToCorrelate measures it end to end from the
-// wire.
+// span too, fed lent and, with the decode in the loop, fed owned — and
+// BenchmarkIngestToCorrelate measures it end to end from the wire.
 //
 // Leveled experimentation (Section III-C) runs the model once per
 // profiling level so every level's latencies are read from the run where

@@ -54,12 +54,33 @@ type SegmentStore interface {
 // RAM-only Feed and return nil, so ingest stays available while
 // /api/durability surfaces the failure.
 func (sc *StreamCorrelator) FeedLogged(batchID uint64, spans ...*trace.Span) error {
+	return sc.feedLogged(batchID, spans, false)
+}
+
+// FeedOwned is FeedLogged for a batch the correlator takes over, the slice
+// and the spans in it: the caller keeps none of them, and each is a distinct
+// span fed once. The slice goes back to the trace free list once the spans
+// are placed (trace.RecycleBatch), and each span's slot once a fold has
+// encoded it into the checkpoint (trace.RecycleSpans), for the next
+// recycling decode to refill. A span fed any other way is only lent and
+// never recycled: Feed, FeedLogged, recovery replay, the spans live when the
+// first owned batch arrives. On a log error nothing is consumed, and the
+// batch stays the caller's.
+func (sc *StreamCorrelator) FeedOwned(batchID uint64, spans ...*trace.Span) error {
+	if err := sc.feedLogged(batchID, spans, true); err != nil {
+		return err
+	}
+	trace.RecycleBatch(spans)
+	return nil
+}
+
+func (sc *StreamCorrelator) feedLogged(batchID uint64, spans []*trace.Span, owned bool) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if err := sc.logBatch(spans, batchID); err != nil {
 		return err
 	}
-	sc.feedLocked(spans)
+	sc.feedLocked(spans, owned)
 	return nil
 }
 

@@ -253,8 +253,15 @@ type streamState struct {
 	// every link but theirs. Empty on server traffic, which is unparented.
 	parented map[*trace.Span]bool
 
+	// owning is set by the first FeedOwned: from then on a fold recycles the
+	// spans it encodes (see recycle), all but those in kept, the live spans
+	// that were only lent: live at that first owned batch, or fed since by
+	// Feed or FeedLogged.
+	owning bool
+	kept   map[*trace.Span]bool
+
 	maxBegin     vclock.Time
-	lastReleased *trace.Span // last span handed to the resolver, in sweep order
+	lastReleased *trace.Span // the last span handed to the resolver, in sweep order: the stream's copy of its key (see eventKey)
 	released     int
 
 	stacks levelStacks
@@ -289,7 +296,7 @@ type streamState struct {
 
 	foldEvicted, foldMerged []*trace.Span // fold's scratch, empty between folds
 
-	floor    *trace.Span // release floor recovered from a previous process (synthetic compare key)
+	floor    *trace.Span // release floor recovered from a previous process, or relived: a key, like lastReleased
 	walSpans int         // spans the WAL holds, live or since folded: its snapshot's tail plus every batch logged after it
 }
 
@@ -348,6 +355,42 @@ func newStreamState() streamState {
 // owns reports whether s was fed unparented: its ParentID is the correlator's.
 func (sc *StreamCorrelator) owns(s *trace.Span) bool { return !sc.parented[s] }
 
+// eventKey copies what compareEvents reads of s: a release floor the stream
+// owns, which stays valid after the span itself is folded and recycled.
+func eventKey(s *trace.Span) *trace.Span {
+	return &trace.Span{ID: s.ID, Level: s.Level, Kind: s.Kind, Begin: s.Begin, End: s.End}
+}
+
+// keep marks spans as lent to an owning stream: no fold recycles them.
+func (sc *StreamCorrelator) keep(spans []*trace.Span) {
+	if sc.kept == nil {
+		sc.kept = make(map[*trace.Span]bool)
+	}
+	for _, s := range spans {
+		if s != nil {
+			sc.kept[s] = true
+		}
+	}
+}
+
+// recycle gives the slots of folded spans back to the trace free list, all
+// but the lent ones, and forgets those. spans is fold's scratch: it is
+// filtered in place.
+func (sc *StreamCorrelator) recycle(spans []*trace.Span) {
+	if len(sc.kept) > 0 {
+		own := spans[:0]
+		for _, s := range spans {
+			if sc.kept[s] {
+				delete(sc.kept, s)
+			} else {
+				own = append(own, s)
+			}
+		}
+		spans = own
+	}
+	trace.RecycleSpans(spans)
+}
+
 // liveRuns lists the live set, holder by holder: each level's released run
 // and the reorder buffer (both in sweep order, so begin-ascending) and the
 // unrepaired stragglers (arrival order). The runs are the holders' own
@@ -385,9 +428,21 @@ func (sc *StreamCorrelator) Feed(spans ...*trace.Span) {
 	_ = sc.FeedLogged(0, spans...)
 }
 
-// feedLocked is FeedLogged past the WAL append. Callers hold sc.mu.
-func (sc *StreamCorrelator) feedLocked(spans []*trace.Span) {
+// feedLocked is FeedLogged past the WAL append, or FeedOwned when owned.
+// Callers hold sc.mu.
+func (sc *StreamCorrelator) feedLocked(spans []*trace.Span, owned bool) {
 	spans = sc.opts.isolate(spans)
+	switch {
+	case owned && !sc.owning:
+		// From the first owned batch on, folds recycle: what is live now
+		// was lent.
+		sc.owning = true
+		for _, run := range sc.liveRuns() {
+			sc.keep(run)
+		}
+	case !owned && sc.owning:
+		sc.keep(spans)
+	}
 	sc.buf = slices.Grow(sc.buf, len(spans))
 	arrived := len(sc.buf)
 	for i, s := range spans {
@@ -543,7 +598,7 @@ func (sc *StreamCorrelator) drain(watermark vclock.Time) {
 		sc.resolve(s)
 		sc.rel.slot(s.Level).push(s)
 	}
-	sc.lastReleased = run[len(run)-1]
+	sc.lastReleased = eventKey(run[len(run)-1])
 	sc.released += len(run)
 	if sc.observe != nil {
 		sc.observe(run)
@@ -746,15 +801,21 @@ func (sc *StreamCorrelator) windowBound() int {
 // openWindow starts a degraded window at the current sweep position. The
 // candidate set is seeded with every span still active on any stack: a
 // container of a span inside the window either is active now or arrives
-// during the window. The window's start position gates checkpoint folding
-// while the window stays open.
+// during the window. A dead span a stack still holds — it ended before the
+// window, so it contains nothing in it — is left out: a fold while the window
+// is open may take it, and recycle it. The window's start position gates
+// checkpoint folding while the window stays open.
 func (sc *StreamCorrelator) openWindow(top *trace.Span, at vclock.Time) {
 	sc.degraded = true
 	sc.windows++
 	sc.windowStart = at
 	sc.windowEnd = top.End
 	for _, l := range sc.levels {
-		sc.winCands = append(sc.winCands, *sc.stacks.slot(l)...)
+		for _, s := range *sc.stacks.slot(l) {
+			if s.End >= at {
+				sc.winCands = append(sc.winCands, s)
+			}
+		}
 	}
 }
 
@@ -1123,7 +1184,7 @@ func (sc *StreamCorrelator) relive(back []folded) int {
 	// recovered from its files has not, until its replay does.
 	if n := len(spans); n > 0 {
 		if f := sc.releaseFloor(); f == nil || compareEvents(spans[n-1], f) > 0 {
-			sc.floor = spans[n-1]
+			sc.floor = eventKey(spans[n-1])
 		}
 	}
 	return len(back)
@@ -1262,6 +1323,9 @@ func (sc *StreamCorrelator) fold() int {
 		delete(sc.parented, s)
 	}
 	folded := len(spans)
+	if sc.owning {
+		sc.recycle(spans)
+	}
 	clear(evicted)
 	clear(spans)
 	sc.foldEvicted, sc.foldMerged = evicted[:0], spans[:0]

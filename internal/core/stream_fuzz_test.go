@@ -42,6 +42,14 @@ import (
 // round-tripping tenant-tagged v2 frames and a durable restart tearing
 // down and recovering the whole set mid-interleave.
 //
+// The recycled dimension (tenants%4 == 1: the one tenant of a server) feeds
+// the stream as xsp-server's ingest does: each batch encoded by
+// AppendSpanBlock into a frame, decoded by DecodeBinary — whose store takes
+// the slots earlier folds gave back — just before it is fed, and fed owned
+// (FeedOwned), so every fold recycles what it encodes. Under -race a freed
+// slot holds a poison pattern until a decode takes it, so a holder that
+// outlives its fold fails the oracle here. wireBinary is moot in it.
+//
 // Every input runs once per corrRemaps rewrite of its correlation ids — as
 // generated, on one slot of any small table, and random 64-bit — so the same
 // stream drives the correlation tables' dense, spill and growth paths.
@@ -88,6 +96,12 @@ func FuzzStreamVsBatch(f *testing.F) {
 	f.Add(uint16(2_000), uint8(1), false, uint16(8), uint16(511), uint16(511), uint16(0), int16(0), uint16(0), int64(15), false, uint16(0), false, uint8(0))
 	f.Add(uint16(3_000), uint8(3), false, uint16(8), uint16(511), uint16(511), uint16(0), int16(0), uint16(0), int64(15), false, uint16(0), false, uint8(0))
 	f.Add(uint16(3_000), uint8(3), false, uint16(8), uint16(511), uint16(511), uint16(0), int16(0), uint16(256), int64(15), true, uint16(100), false, uint8(0))
+	// Recycled seeds: the server's owned feed, RAM with folds and stragglers,
+	// durable with a restart mid-stream, and durable with windowed reopens
+	// before and after one.
+	f.Add(uint16(3_000), uint8(3), false, uint16(64), uint16(64), uint16(8), uint16(24), int16(0), uint16(64), int64(5), false, uint16(0), false, uint8(1))
+	f.Add(uint16(3_000), uint8(2), false, uint16(32), uint16(8), uint16(16), uint16(24), int16(0), uint16(32), int64(7), true, uint16(40), false, uint8(1))
+	f.Add(uint16(4_096), uint8(3), false, uint16(16), uint16(64), uint16(8), uint16(300), int16(24), uint16(16), int64(4), true, uint16(195), false, uint8(1))
 
 	f.Fuzz(func(t *testing.T, spans uint16, streams uint8, dropLaunches bool,
 		batchSize, skew, window uint16, stragglerWin uint16, maxWindow int16, retain uint16, seed int64,
@@ -121,7 +135,8 @@ func FuzzStreamVsBatch(f *testing.F) {
 			})
 			remap.apply(batches)
 			parentSome(batches)
-			if wireBinary {
+			recycled := tenants%4 == 1
+			if wireBinary && !recycled {
 				// The binary ingest path: round-trip every batch through the
 				// wire codec before feeding, exactly as spans arrive off
 				// /api/spans. The decoded clones carry the same IDs and
@@ -144,7 +159,7 @@ func FuzzStreamVsBatch(f *testing.F) {
 			if durable && len(batches) > 0 {
 				restart = int(restartAt) % len(batches)
 			}
-			checkStreamVsBatch(t, batches, opts, durable, restart)
+			checkStream(t, batches, opts, durable, restart, recycled)
 		}
 	})
 }
@@ -249,6 +264,13 @@ func TestStreamVsBatchBufferShapes(t *testing.T) {
 }
 
 func checkStreamVsBatch(t *testing.T, batches [][]*trace.Span, opts core.StreamOptions, durable bool, restart int) {
+	checkStream(t, batches, opts, durable, restart, false)
+}
+
+// checkStream is checkStreamVsBatch, with recycled feeding each batch as the
+// server does: framed, decoded by the recycling DecodeBinary just before it
+// is fed, and fed owned, so the stream's folds recycle its spans.
+func checkStream(t *testing.T, batches [][]*trace.Span, opts core.StreamOptions, durable bool, restart int, recycled bool) {
 	// The oracle must come from pristine spans: Correlate keeps
 	// nonzero parents as tracer truth, and feeding mutates the spans
 	// in place (batchParents clones, so compute it before the feed).
@@ -295,12 +317,20 @@ func checkStreamVsBatch(t *testing.T, batches [][]*trace.Span, opts core.StreamO
 			// The raw view comes back as it was published, mid-stream.
 			checkSnapshotRaw(t, sc, fed)
 		}
+		feed := sc.FeedLogged
+		if recycled {
+			tr, err := trace.DecodeBinary(bytes.NewReader(trace.AppendBinaryFrameTenant(nil, "", b)))
+			if err != nil {
+				t.Fatalf("batch %d failed the wire round trip: %v", i, err)
+			}
+			b, feed = tr.Spans, sc.FeedOwned
+		}
 		if durable {
-			if err := sc.FeedLogged(uint64(i+1), b...); err != nil {
+			if err := feed(uint64(i+1), b...); err != nil {
 				t.Fatalf("batch %d not acked on a healthy disk: %v", i+1, err)
 			}
 		} else {
-			sc.Feed(b...)
+			_ = feed(0, b...) // Feed, or FeedOwned
 		}
 	}
 	sc.Flush()

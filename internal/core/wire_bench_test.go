@@ -133,12 +133,20 @@ func postJSON(baseURL string, spans []*trace.Span) error {
 //     count and the bytes are pinned: a per-span table entry (one allocation
 //     per exec), a header copy per span (~120 B), a second copy of the
 //     block or a per-span hash set through a fold fails it.
+//   - owned is server with the decode in the loop, as the server runs it:
+//     each batch decoded from its binary frame by DecodeBinary, whose store
+//     recycles, and fed owned (FeedOwned), so a fold hands the slots of the
+//     spans it encodes to the next batches' decodes. What is left per span
+//     is the fold's block and references, the decoded batch's entry arenas,
+//     blob and pointer slice; a decode that carves new chunks, ~140 B/span
+//     of arena, fails it.
 func TestStreamAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		trace         workload.SyntheticSpec
 		opts          core.StreamOptions
 		allocs, bytes float64 // per-span budgets; zero bytes leaves them unpinned
+		owned         bool    // decode each batch from its frame and feed it owned
 	}{
 		{
 			name:   "shared",
@@ -152,6 +160,12 @@ func TestStreamAllocBudget(t *testing.T) {
 			opts:   core.StreamOptions{ReorderWindow: 64, Retain: 10_000, CorrRetain: 100_000},
 			allocs: 0.25, bytes: 240,
 		},
+		{
+			name:   "owned",
+			trace:  payloadTrace(120_000, 7),
+			opts:   core.StreamOptions{ReorderWindow: 64, Retain: 10_000, CorrRetain: 100_000},
+			allocs: 0.25, bytes: 236, owned: true,
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const batchSize = 500
@@ -159,12 +173,31 @@ func TestStreamAllocBudget(t *testing.T) {
 				Trace: tc.trace, BatchSize: batchSize, ReorderSkew: 48, Seed: 7,
 			})
 			sc := core.NewStreamCorrelator(tc.opts)
+			feed := func(i int) { sc.Feed(batches[i]...) }
+			if tc.owned {
+				// One P from the start: a sync.Pool item put on another P
+				// before a GC is out of this P's reach after it, so whether the
+				// frame buffer and the encoder's scratch regrow inside the
+				// window would be a matter of scheduling (+12 B/span).
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				frames := make([][]byte, len(batches))
+				for i, b := range batches {
+					frames[i] = trace.AppendBinaryFrameTenant(nil, "", b)
+				}
+				feed = func(i int) {
+					tr, err := trace.DecodeBinary(bytes.NewReader(frames[i]))
+					if err != nil {
+						t.Fatal(err)
+					}
+					_ = sc.FeedOwned(0, tr.Spans...)
+				}
+			}
 
-			// Warm up: let the window chain, the checkpoint ladder, and the
-			// pool reach steady state.
+			// Warm up: let the window chain, the checkpoint ladder, the pool
+			// and the span free list reach steady state.
 			warm := len(batches) / 3
-			for _, b := range batches[:warm] {
-				sc.Feed(b...)
+			for i := range warm {
+				feed(i)
 			}
 			const runs = 60
 			if warm+runs > len(batches) {
@@ -176,8 +209,8 @@ func TestStreamAllocBudget(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			for _, b := range batches[warm : warm+runs] {
-				sc.Feed(b...)
+			for i := warm; i < warm+runs; i++ {
+				feed(i)
 			}
 			runtime.ReadMemStats(&after)
 			allocs := float64(after.Mallocs-before.Mallocs) / (runs * batchSize)

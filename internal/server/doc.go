@@ -26,7 +26,11 @@
 // one tenant table, a trace.Table that the wire half (trace.Server: decode,
 // dedup, admission, /api/spans, /api/trace) routes through. A tenant is
 // built once, before the table lists it, however many requests race to mint
-// it, and reads never mint one.
+// it, and reads never mint one. The batches the ingest half decodes are the
+// tenant's alone, so it feeds them to its correlator owned
+// (core.StreamCorrelator.FeedOwned), through the tap or at the ack barrier:
+// once a fold has encoded a span its slot goes back to the trace free list,
+// and the next decode, of any tenant, refills it.
 //
 // The server always correlates: a core.StreamCorrelator per tenant takes
 // every accepted batch and resolves span parents online as batches arrive,

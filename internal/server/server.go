@@ -222,7 +222,7 @@ func (s *Server) open(key string) *tenant {
 	}
 	if s.cfg.DataDir == "" {
 		t.sc = core.NewStreamCorrelator(opts)
-		t.tap = trace.NewAsyncTap(t.sc, trace.TapOptions{})
+		t.tap = trace.NewAsyncTap(t, trace.TapOptions{})
 		t.ingest = s.ingest.NewTenant(key, t)
 		return t
 	}
@@ -252,13 +252,18 @@ func (s *Server) open(key string) *tenant {
 
 // Ingest implements trace.Consumer: a batch goes through the tap in RAM
 // mode, and durable through the WAL into the correlator before it returns.
+// Either way the correlator owns its spans, which the ingest half decoded for
+// this call alone: a fold recycles them (core.StreamCorrelator.FeedOwned).
 func (t *tenant) Ingest(batchID uint64, spans []*trace.Span) error {
 	if t.tap == nil {
-		return t.sc.FeedLogged(batchID, spans...)
+		return t.sc.FeedOwned(batchID, spans...)
 	}
 	t.tap.Publish(spans...)
 	return nil
 }
+
+// Publish is the tap's destination: a batch Ingest queued, fed owned.
+func (t *tenant) Publish(spans ...*trace.Span) { _ = t.sc.FeedOwned(0, spans...) }
 
 // Backlog implements trace.Consumer: the tap's depth, when there is a tap.
 func (t *tenant) Backlog() (int, bool) {

@@ -490,9 +490,15 @@ func carve[T any](arena *[]T, n, table int) []T {
 // DecodeSpanBlock would: ParentID as recorded, whatever the owned flag says,
 // tags and metrics in table order (nil when the record has none).
 func (d *SpanDecoder) Span(st *SpanStore, i int) *Span {
+	s := st.Alloc()
+	d.fill(s, i)
+	return s
+}
+
+// fill decodes record i into s, a zero span.
+func (d *SpanDecoder) fill(s *Span, i int) {
 	le := binary.LittleEndian
 	rec := d.blk.rec(i)
-	s := st.Alloc()
 	s.ID = le.Uint64(rec[0:])
 	s.ParentID = le.Uint64(rec[8:])
 	s.CorrelationID = le.Uint64(rec[16:])
@@ -516,7 +522,6 @@ func (d *SpanDecoder) Span(st *SpanStore, i int) *Span {
 			s.Metrics[j] = Metric{d.str(ent[0:]), math.Float64frombits(le.Uint64(ent[8:]))}
 		}
 	}
-	return s
 }
 
 // str views one blob string of the block without copying it: for the
@@ -556,7 +561,7 @@ func DecodeSpanBlock(b []byte) (spans []*Span, owned []uint64, rest []byte, err 
 }
 
 // DecodeSpanBlockInto is DecodeSpanBlock allocating the decoded spans
-// from the given store's arena, so a caller that decodes many blocks
+// from the given store (see SpanStore), so a caller that decodes many blocks
 // (a busy ingest endpoint) shares chunks instead of allocating per span.
 // The decoded spans are returned in record order and are not added to the
 // store's view.
@@ -566,10 +571,10 @@ func DecodeSpanBlockInto(st *SpanStore, b []byte) (spans []*Span, owned []uint64
 		return nil, nil, nil, err
 	}
 	d := blk.Decoder()
-	spans = make([]*Span, blk.Len())
+	spans = st.allocBatch(blk.Len())
 	owned = make([]uint64, (len(spans)+63)/64)
-	for i := range spans {
-		spans[i] = d.Span(st, i)
+	for i, s := range spans {
+		d.fill(s, i)
 		if blk.Owned(i) {
 			owned[i/64] |= 1 << (i % 64)
 		}
@@ -639,9 +644,10 @@ const maxPooledFrame = 1 << 20
 
 // DecodeBinary reads one framed binary span batch written by EncodeBinary
 // (or AppendBinaryFrameTenant) and returns the decoded trace in canonical
-// begin order, exactly like DecodeJSON. The spans are decoded straight into a
-// fresh arena: one allocation per storeChunkSpans spans and one per entry
-// table, with every string a zero-copy substring of the frame's shared
+// begin order, exactly like DecodeJSON. The spans are decoded straight into
+// recycled slots (see RecycleSpans) and, past those, a fresh arena: at most
+// one allocation per storeChunkSpans spans and one per entry table, with
+// every string a zero-copy substring of the frame's shared
 // blob. Any framing or payload problem — bad magic, unknown version,
 // truncated body, corrupt block, trailing garbage — returns an error
 // wrapping ErrBadFrame and no spans.
@@ -706,7 +712,7 @@ func DecodeBinary(r io.Reader) (*Trace, error) {
 		}
 		payload = append(payload, make([]byte, min(read, int(n)-read))...)
 	}
-	var st SpanStore
+	st := SpanStore{recycle: true}
 	spans, _, rest, err := DecodeSpanBlockInto(&st, payload)
 	if err != nil {
 		return nil, err

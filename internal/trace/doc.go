@@ -139,11 +139,30 @@
 // strings.
 //
 // The aliasing rule that makes this safe: the arena's *Span pointers are
-// stable for the store's lifetime, and only fields that never reorder a
+// stable until their span is recycled, and only fields that never reorder a
 // trace are mutable through them. Nothing mirrors a span's fields —
 // the correlator rewrites ParentID in place through shared pointers (see
 // the Memory.Trace contract above), and a copy would go silently stale.
 // The Span structs stay authoritative.
+//
+// Recycling is opt-in and explicit. A span is recycled only by its one
+// owner: a consumer it was handed to for good (core.StreamCorrelator's
+// FeedOwned, which xsp-server's tenants feed every batch the ingest half
+// decoded for them), once it holds no further use for the span — the
+// correlator, once a fold has encoded it into a checkpoint block.
+// [RecycleSpans] clears the slot and puts it on the process's one free list,
+// bounded at 64 Ki slots and shared by every tenant, and [RecycleBatch] does
+// the same for the batch's pointer slice; the decoders' stores (DecodeBinary,
+// DecodeJSON) take a freed slice and freed slots before they carve a chunk,
+// so a server in steady state decodes into the slots its folds gave back.
+// Everything else a decode returns — spans fed to a Session or an
+// Application, a test's, recovery's, a copying (Isolated) correlator's — is
+// never recycled and is the garbage collector's, as before. A recycled slot
+// restarts from Span{}: tags and metrics stay in the entry arena of the block
+// they were decoded with, so a copy of a span's header (CloneHeaders) stays
+// valid after the span is recycled. Under the race detector a freed slot
+// holds a poison pattern until a decode takes it, so a holder that outlives
+// its span reads nonsense and the oracles that run under -race fail.
 //
 // # Binary wire format
 //

@@ -1,6 +1,9 @@
 package trace
 
-import "unsafe"
+import (
+	"sync"
+	"unsafe"
+)
 
 // storeChunkSpans is the arena chunk size. Chunks are fixed-capacity so a
 // span's address never changes after Alloc: growing the arena appends a
@@ -19,14 +22,20 @@ const _ = uint(32<<10 - unsafe.Sizeof(Span{})*storeChunkSpans)
 // batch costs one allocation per storeChunkSpans spans instead of one per
 // span, while every consumer keeps working on ordinary *Span values.
 //
+// A pointer is stable until its span is recycled: never, unless the span
+// was handed to a consumer that owns it (core.StreamCorrelator.FeedOwned),
+// which gives the slot back to the process's free list (RecycleSpans) once it
+// holds no further use for it. The wire decoders' stores (DecodeBinary,
+// DecodeJSON) recycle: they take freed slots before they carve a chunk.
+//
 // The zero value is an empty arena ready for use. A SpanStore is not safe
 // for concurrent use.
 type SpanStore struct {
-	chunks [][]Span // each chunk's backing array never reallocates
+	chunks  [][]Span // each chunk's backing array never reallocates
+	recycle bool     // allocBatch takes freed slices and slots first
 }
 
-// Alloc returns a pointer to a new zero span carved from the arena. The
-// pointer is stable for the life of the arena's chunks.
+// Alloc returns a pointer to a new zero span carved from the arena.
 func (st *SpanStore) Alloc() *Span {
 	n := len(st.chunks)
 	if n == 0 || len(st.chunks[n-1]) == cap(st.chunks[n-1]) {
@@ -36,6 +45,101 @@ func (st *SpanStore) Alloc() *Span {
 	c := &st.chunks[n-1]
 	*c = (*c)[:len(*c)+1] // zero as make left it: a chunk is never truncated and refilled
 	return &(*c)[len(*c)-1]
+}
+
+// allocBatch returns n new zero spans: a recycling store's come in a freed
+// batch slice and take freed slots first, and Alloc carves the rest.
+func (st *SpanStore) allocBatch(n int) []*Span {
+	var batch []*Span
+	k := 0
+	if st.recycle {
+		batch, k = takeFree(n)
+	} else {
+		batch = make([]*Span, n)
+	}
+	for i := k; i < n; i++ {
+		batch[i] = st.Alloc()
+	}
+	return batch
+}
+
+// maxFreeSpans bounds the free list: 64 Ki slots, ~8.5 MiB of spans, which
+// is what a handful of folds release and the next batches' decodes take.
+// A slot freed past it is left to the garbage collector, and so is a batch
+// slice past maxFreeBatches.
+const (
+	maxFreeSpans   = 64 << 10
+	maxFreeBatches = 16
+)
+
+// freeSpans is the process's one free list of recycled span slots and batch
+// slices, shared by every tenant's folds and feeds and every recycling decode.
+var freeSpans struct {
+	sync.Mutex
+	slots   []*Span
+	batches [][]*Span // empty, with their capacity
+}
+
+// poisonSpan is what a freed slot holds under the race detector until it is
+// taken again, so a holder that outlives its span reads nonsense loudly.
+var poisonSpan = Span{ID: 0xdeadbeefdeadbeef, ParentID: 0xdeadbeefdeadbeef, CorrelationID: 0xdeadbeefdeadbeef,
+	Level: -1 << 30, Kind: -1, Name: "<recycled span>", Source: "<recycled span>", Begin: -1 << 62, End: -1 << 61}
+
+// RecycleSpans gives the slots of spans back to the free list, for the next
+// recycling decode to refill. The caller must be their one owner and keep
+// none of them: a span fed owned to a core.StreamCorrelator is recycled by
+// the fold that encodes it. Each slot is cleared (poisoned under the race
+// detector) whether or not the list has room for it.
+func RecycleSpans(spans []*Span) {
+	for _, s := range spans {
+		if raceEnabled {
+			*s = poisonSpan
+		} else {
+			*s = Span{}
+		}
+	}
+	freeSpans.Lock()
+	k := min(len(spans), maxFreeSpans-len(freeSpans.slots))
+	freeSpans.slots = append(freeSpans.slots, spans[:k]...)
+	freeSpans.Unlock()
+}
+
+// RecycleBatch gives the slice of an owned batch back, once its spans are
+// held elsewhere: the next recycling decode of a batch no larger holds its
+// spans in it. A core.StreamCorrelator recycles what FeedOwned was handed.
+func RecycleBatch(batch []*Span) {
+	clear(batch)
+	freeSpans.Lock()
+	if len(freeSpans.batches) < maxFreeBatches {
+		freeSpans.batches = append(freeSpans.batches, batch[:0])
+	}
+	freeSpans.Unlock()
+}
+
+// takeFree returns a batch slice of n spans — the last one freed, when it is
+// large enough — whose first k are slots off the free list, each a zero span,
+// and the rest nil.
+func takeFree(n int) (batch []*Span, k int) {
+	freeSpans.Lock()
+	if b := len(freeSpans.batches) - 1; b >= 0 && cap(freeSpans.batches[b]) >= n {
+		batch = freeSpans.batches[b][:n]
+		freeSpans.batches[b] = nil
+		freeSpans.batches = freeSpans.batches[:b]
+	} else {
+		batch = make([]*Span, n)
+	}
+	k = min(n, len(freeSpans.slots))
+	rest := len(freeSpans.slots) - k
+	copy(batch, freeSpans.slots[rest:])
+	clear(freeSpans.slots[rest:])
+	freeSpans.slots = freeSpans.slots[:rest]
+	freeSpans.Unlock()
+	if raceEnabled {
+		for _, s := range batch[:k] {
+			*s = Span{}
+		}
+	}
+	return batch, k
 }
 
 // Interner deduplicates strings. Decoded span batches repeat a handful of

@@ -152,15 +152,13 @@ func DecodeJSON(r io.Reader) (*Trace, error) {
 	} else if err := json.Unmarshal(raw, &wire); err != nil {
 		return nil, fmt.Errorf("trace: decoding spans: %w", err)
 	}
-	var st SpanStore
+	st := SpanStore{recycle: true}
 	var in Interner
-	t := &Trace{Spans: make([]*Span, 0, len(wire)), Tenant: tenant}
-	for _, w := range wire {
-		s := st.Alloc()
-		if err := fromWire(s, w, &in); err != nil {
+	t := &Trace{Spans: st.allocBatch(len(wire)), Tenant: tenant}
+	for i, w := range wire {
+		if err := fromWire(t.Spans[i], w, &in); err != nil {
 			return nil, err
 		}
-		t.Spans = append(t.Spans, s)
 	}
 	t.SortByBegin()
 	return t, nil
