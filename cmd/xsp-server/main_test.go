@@ -17,7 +17,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -821,30 +820,27 @@ func checkAnalysisSpans(t *testing.T, when, baseURL, tenant string, acked [][]*t
 	}
 }
 
-// shedWatch is a RoundTripper that notes whether any response carried a
-// nonzero X-Shed-Requests: a push-back its collector then retried.
-type shedWatch struct{ seen atomic.Bool }
-
-func (w *shedWatch) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err == nil {
-		if n, _ := strconv.Atoi(resp.Header.Get("X-Shed-Requests")); n > 0 {
-			w.seen.Store(true)
-		}
+// shedRequests returns the server's shed-request count from its stats
+// document: nonzero once admission has pushed a batch back.
+func shedRequests(t *testing.T, baseURL string) int64 {
+	var doc struct {
+		Admission trace.OverloadStats `json:"admission"`
 	}
-	return resp, err
+	if err := json.Unmarshal(getBody(t, baseURL+"/api/overload", ""), &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.Admission.ShedRequests
 }
 
 // ship publishes batches to one tenant through eight concurrent retrying
 // HTTPCollectors — batch i by collector i%8 — and returns once every
 // collector's backlog has drained, nothing dropped.
-func ship(t *testing.T, baseURL, tenant string, watch *shedWatch, batches [][]*trace.Span) {
+func ship(t *testing.T, baseURL, tenant string, batches [][]*trace.Span) {
 	t.Helper()
 	const collectors = 8
 	var wg sync.WaitGroup
 	for c := 0; c < collectors; c++ {
 		col := trace.NewHTTPCollector(baseURL)
-		col.SetHTTPClient(&http.Client{Transport: watch})
 		col.SetRetryPolicy(trace.RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond})
 		if err := col.SetTenant(tenant); err != nil {
 			t.Fatal(err)
@@ -902,14 +898,13 @@ func TestServerTraceIsTheFedStream(t *testing.T) {
 			tenants := []string{"", "acme"}
 			streams := [][][]*trace.Span{fedStream(31, 6_000), fedStream(33, 4_000)}
 			if mode.overload {
-				watch := &shedWatch{}
 				for k, tenant := range tenants {
-					ship(t, baseURL, tenant, watch, streams[k])
+					ship(t, baseURL, tenant, streams[k])
 				}
 				// Overdrive the default tenant until admission has pushed back:
 				// bursts of eight batches, two budgets' worth each.
 				nextID, at := uint64(1<<32), streams[0][len(streams[0])-1][0].End+10_000
-				for burst := 0; !watch.seen.Load(); burst++ {
+				for burst := 0; shedRequests(t, baseURL) == 0; burst++ {
 					if burst == 50 {
 						t.Fatal("fifty bursts of two budgets each were never pushed back")
 					}
@@ -922,7 +917,7 @@ func TestServerTraceIsTheFedStream(t *testing.T) {
 						}
 					}
 					streams[0] = append(streams[0], batches...)
-					ship(t, baseURL, "", watch, batches)
+					ship(t, baseURL, "", batches)
 				}
 			} else {
 				for i := 0; i < len(streams[0]) || i < len(streams[1]); i++ {

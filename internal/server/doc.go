@@ -39,7 +39,7 @@
 // finalize pending work (device-only executions, buffered reordered
 // arrivals, stragglers — stragglers repair a bounded region, not the
 // whole trace, and one reaching behind the checkpoint horizon takes just
-// that region's spans back out of it: the X-Stream-Reopens response header
+// that region's spans back out of it: the stats document's stream.Reopens
 // counts those repairs) exactly as a batch correlation would. /api/trace keeps
 // serving the spans as published, from the same store — the correlator
 // links the decoded spans themselves, a streamed span is held once, and
@@ -81,11 +81,20 @@
 // handler, the in-flight budgets fill, and admission answers 429. So a batch that got its 202 is in /api/trace,
 // /api/correlated and /api/analysis alike, and shed clients retry safely
 // under their batch ids. RetryAfter is the hint on every push-back, a 503
-// for a retry racing its still-decoding original included, budgets set or
-// not. While the byte budget is set a span
+// for a retry racing its still-decoding original or refused by its store
+// included, budgets set or not, and Retry-After is the only header a
+// push-back carries. While the byte budget is set a span
 // POST must declare its length: a chunked body has nothing to reserve and is
-// a 411 before it is read. GET /api/overload reports, per tenant, the
-// admission counters, the correlator's load and, in RAM mode, the tap's.
+// a 411 before it is read.
+//
+// Stats: GET /api/overload and GET /api/durability serve one document, the
+// one place the server publishes its counters, in either mode: the
+// server's admission counters and DataDir, and a row per tenant with its
+// admission counters, tap (RAM mode), correlator load and progress
+// (core.StreamStats as stream), and, durable, its directory, store stats,
+// latched error and recovery outcome. No data-path reply carries a counter;
+// /api/analysis's X-Analysis-Spans and X-Analysis-GPU describe the
+// snapshot they come with.
 //
 // Durability: DataDir names a directory the streaming state survives
 // crashes in. The default tenant's store
@@ -99,7 +108,7 @@
 // restart the server recovers each tenant's exact pre-crash correlated
 // state (and its batch-dedup window: a client retrying a batch the
 // crashed process acknowledged gets the duplicate ack, not a second
-// publish). GET /api/durability reports every tenant's store stats and
+// publish). The stats document reports every tenant's store stats and
 // recovery outcome; POST /api/reset wipes the addressed tenant's durable
 // state along with its in-memory state. In durable mode correlators
 // consume batches synchronously at the ack barrier; there is no tap.
@@ -113,7 +122,7 @@
 // live tail replays through the correlator (and the analysis engine), the
 // dedup window is seeded, and the store rotates onto a fresh WAL before the
 // tenant takes its first batch. A store that will not open or recover
-// degrades that tenant to RAM-only with the error on /api/durability; it
+// degrades that tenant to RAM-only with the error in the stats document; it
 // does not fail New. Reset returns a tenant to empty in place. Close closes
 // them all, once.
 //

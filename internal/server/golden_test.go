@@ -50,7 +50,7 @@ func TestGoldenV1Recovers(t *testing.T) {
 			t.Errorf("%s: %d bytes recovered from the golden directory, want the %d of %s", r.target, len(got), len(want), r.file)
 		}
 	}
-	d := durability(t, s).Tenants["default"]
+	d := stats(t, s).Tenants["default"]
 	if d.Err != "" || d.Recovery == nil || len(d.Recovery.Quarantined) != 1 {
 		t.Fatalf("golden recovery: err %q, recovery %+v, want exactly the one corrupt segment quarantined", d.Err, d.Recovery)
 	}

@@ -75,15 +75,13 @@ func New(cfg Config) (*Server, error) {
 	s.route(http.MethodGet, "/api/tenants", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, append([]string{}, s.tenants.Keys()...)) // in creation order; never null
 	})
-	s.route(http.MethodGet, "/api/overload", s.handleOverload)
+	s.route(http.MethodGet, "/api/overload", s.handleStats)
+	s.route(http.MethodGet, "/api/durability", s.handleStats)
 	s.tenantRoute(http.MethodPost, "/api/reset", s.handleReset)
 	s.tenantRoute(http.MethodPost, "/api/checkpoint", s.handleCheckpoint)
 	s.tenantRoute(http.MethodGet, "/api/correlated", s.handleCorrelated)
 	s.tenantRoute(http.MethodGet, "/api/analysis", s.handleAnalysis)
 	s.tenantRoute(http.MethodGet, "/api/analysis/", s.handleAnalysis)
-	if cfg.DataDir != "" {
-		s.route(http.MethodGet, "/api/durability", s.handleDurability)
-	}
 
 	// The default tenant exists from boot — the common single-tenant
 	// deployment recovers (or starts) its stream before the first request —
@@ -266,11 +264,11 @@ func (t *tenant) Ingest(batchID uint64, spans []*trace.Span) error {
 func (t *tenant) Publish(spans ...*trace.Span) { _ = t.sc.FeedOwned(0, spans...) }
 
 // Backlog implements trace.Consumer: the tap's depth, when there is a tap.
-func (t *tenant) Backlog() (int, bool) {
+func (t *tenant) Backlog() int {
 	if t.tap == nil {
-		return 0, false
+		return 0
 	}
-	return t.tap.Depth(), true
+	return t.tap.Depth()
 }
 
 // View implements trace.Consumer: the correlator's history with its links
@@ -324,36 +322,13 @@ func (t *tenant) close() {
 	}
 }
 
-// GET /api/overload: the admission and tap counters and the correlator's
-// load, per tenant.
-func (s *Server) handleOverload(w http.ResponseWriter, _ *http.Request) {
-	type tenantView struct {
-		Admission trace.OverloadStats  `json:"admission"`
-		Tap       *trace.AsyncTapStats `json:"tap,omitempty"`
-		Load      *core.Load           `json:"load,omitempty"`
-	}
-	type overloadView struct {
-		Admission trace.OverloadStats   `json:"admission"`
-		Tenants   map[string]tenantView `json:"tenants,omitempty"`
-	}
-	v := overloadView{Admission: s.ingest.OverloadStats(), Tenants: map[string]tenantView{}}
-	for _, key := range s.tenants.Keys() {
-		t, _ := s.tenants.Lookup(key)
-		tv := tenantView{Admission: t.ingest.OverloadStats()}
-		if t.tap != nil {
-			st := t.tap.Stats()
-			tv.Tap = &st
-		}
-		l := t.sc.Load()
-		tv.Load = &l
-		v.Tenants[key] = tv
-	}
-	writeJSON(w, v)
-}
-
-// GET /api/durability: every tenant's directory, store stats, latched
-// error and what its last recovery found.
-func (s *Server) handleDurability(w http.ResponseWriter, _ *http.Request) {
+// GET /api/overload and GET /api/durability: one document, in either
+// mode, holding every stat the server publishes — the server's admission
+// counters and data directory, and per tenant its admission counters, tap,
+// correlator load and progress, directory, store, latched error and what
+// its last recovery found. A field a tenant lacks (RAM mode: dir, store,
+// recovery; durable: tap) is left out.
+func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	type recoveryView struct {
 		Segments           int      `json:"segments"`
 		BatchRecords       int      `json:"batch_records"`
@@ -363,22 +338,34 @@ func (s *Server) handleDurability(w http.ResponseWriter, _ *http.Request) {
 		WALTruncatedBytes  int64    `json:"wal_truncated_bytes,omitempty"`
 	}
 	type tenantView struct {
-		Dir      string        `json:"dir"`
-		Store    *segio.Stats  `json:"store,omitempty"`
-		Err      string        `json:"err,omitempty"`
-		Recovery *recoveryView `json:"recovery,omitempty"`
+		Admission trace.OverloadStats  `json:"admission"`
+		Tap       *trace.AsyncTapStats `json:"tap,omitempty"`
+		Load      core.Load            `json:"load"`
+		Stream    core.StreamStats     `json:"stream"`
+		Dir       string               `json:"dir,omitempty"`
+		Store     *segio.Stats         `json:"store,omitempty"`
+		Err       string               `json:"err,omitempty"`
+		Recovery  *recoveryView        `json:"recovery,omitempty"`
 	}
-	type durabilityView struct {
-		Dir     string                `json:"dir"`
-		Tenants map[string]tenantView `json:"tenants"`
+	type statsView struct {
+		Admission trace.OverloadStats   `json:"admission"`
+		Dir       string                `json:"dir,omitempty"`
+		Tenants   map[string]tenantView `json:"tenants"`
 	}
-	v := durabilityView{Dir: s.cfg.DataDir, Tenants: map[string]tenantView{}}
+	v := statsView{Admission: s.ingest.OverloadStats(), Dir: s.cfg.DataDir, Tenants: map[string]tenantView{}}
 	for _, key := range s.tenants.Keys() {
 		t, _ := s.tenants.Lookup(key)
-		tv := tenantView{Dir: s.dir(key)}
+		tv := tenantView{Admission: t.ingest.OverloadStats(), Load: t.sc.Load(), Stream: t.sc.Stats()}
+		if t.tap != nil {
+			st := t.tap.Stats()
+			tv.Tap = &st
+		}
+		if s.cfg.DataDir != "" {
+			tv.Dir = s.dir(key)
+		}
 		if t.store != nil {
-			stats := t.store.Stats()
-			tv.Store = &stats
+			st := t.store.Stats()
+			tv.Store = &st
 		}
 		if rec := t.rec; rec != nil {
 			tv.Recovery = &recoveryView{len(rec.Segments), len(rec.Batches), len(rec.DedupIDs), rec.Quarantined, rec.SupersededSegments, rec.WALTruncatedBytes}
@@ -414,29 +401,14 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request, t *ten
 }
 
 // GET /api/correlated: the tenant's trace with parents resolved, settled
-// first when ?flush= asks, under the correlator's counters as headers. An
-// unknown tenant's empty trace names the key, as /api/trace's does.
+// first when ?flush= asks. An unknown tenant's empty trace names the key, as
+// /api/trace's does.
 func (s *Server) handleCorrelated(w http.ResponseWriter, r *http.Request, t *tenant) {
 	var view trace.View
 	if t != nil {
 		if r.URL.Query().Get("flush") != "" {
 			t.flush()
 		}
-		st := t.sc.Stats()
-		set := func(name string, v int) { w.Header().Set("X-Stream-"+name, fmt.Sprint(v)) }
-		set("Released", st.Released)
-		set("Pending", st.Buffered+st.PendingExecs)
-		set("Stragglers", st.Stragglers)
-		set("Degraded-Windows", st.DegradedWindows)
-		set("Windows-Chained", st.WindowsChained)
-		set("Repaired", st.Repaired)
-		set("Live", st.Live)
-		set("Checkpointed", st.Checkpointed)
-		set("Segments", st.Segments)
-		set("Compactions", st.Compactions)
-		set("Reopens", st.Reopens)
-		set("Corr-Entries", st.CorrEntries)
-		set("Corr-Evicted", st.CorrEvicted)
 		view = t.sc.View(false)
 	}
 	defer view.Close()

@@ -87,12 +87,16 @@ func get(t *testing.T, s http.Handler, target, tenant string) []byte {
 	return rec.Body.Bytes()
 }
 
-// durabilityView is the part of /api/durability the lifecycle tests read.
-type durabilityView struct {
-	Tenants map[string]struct {
-		Dir      string `json:"dir"`
-		Err      string `json:"err"`
-		Recovery *struct {
+// statsView is the part of the stats document (GET /api/overload and
+// /api/durability) the tests read.
+type statsView struct {
+	Admission trace.OverloadStats `json:"admission"`
+	Tenants   map[string]struct {
+		Admission trace.OverloadStats `json:"admission"`
+		Stream    *core.StreamStats   `json:"stream"`
+		Dir       string              `json:"dir"`
+		Err       string              `json:"err"`
+		Recovery  *struct {
 			DedupIDs          int      `json:"dedup_ids"`
 			Quarantined       []string `json:"quarantined"`
 			WALTruncatedBytes int64    `json:"wal_truncated_bytes"`
@@ -100,13 +104,29 @@ type durabilityView struct {
 	} `json:"tenants"`
 }
 
-func durability(t *testing.T, s http.Handler) durabilityView {
+func stats(t *testing.T, s http.Handler) statsView {
 	t.Helper()
-	var v durabilityView
+	var v statsView
 	if err := json.Unmarshal(get(t, s, "/api/durability", ""), &v); err != nil {
 		t.Fatal(err)
 	}
 	return v
+}
+
+// noStatHeaders serves through h and fails t on any reply that sets a
+// header that used to carry the server's counters on data-path replies —
+// the correlator's X-Stream-* on /api/correlated, X-Shed-Requests,
+// X-Shed-Spans and X-Tap-Queue-Depth on push-backs — which the stats
+// document publishes instead.
+func noStatHeaders(t *testing.T, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		for name := range w.Header() {
+			if strings.HasPrefix(name, "X-Stream-") || name == "X-Shed-Requests" || name == "X-Shed-Spans" || name == "X-Tap-Queue-Depth" {
+				t.Errorf("%s %s answered with the stat header %s", r.Method, r.URL, name)
+			}
+		}
+	})
 }
 
 // Lifecycle (a): a durable server that was closed comes back byte for byte.
@@ -151,7 +171,7 @@ func TestDurableCloseReopenIsByteIdentical(t *testing.T) {
 			t.Errorf("tenant %q: re-post of acknowledged batch 1 after reopen: %d, X-Duplicate-Batch %q", tenant, rec.Code, rec.Header().Get("X-Duplicate-Batch"))
 		}
 	}
-	dur := durability(t, s)
+	dur := stats(t, s)
 	for _, key := range []string{"default", "acme"} {
 		d, ok := dur.Tenants[key]
 		if !ok || d.Err != "" || d.Recovery == nil {
@@ -313,8 +333,13 @@ func postRetrying(t *testing.T, s http.Handler, id uint64, spans []*trace.Span) 
 		case http.StatusAccepted:
 			return shed
 		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			if n, _ := strconv.Atoi(rec.Header().Get("X-Shed-Requests")); rec.Code == http.StatusTooManyRequests && n <= 0 {
-				t.Errorf("batch %x: a 429 with X-Shed-Requests %q", id, rec.Header().Get("X-Shed-Requests"))
+			if rec.Code == http.StatusTooManyRequests {
+				// Not stats: publishers call this off the test's goroutine.
+				var v statsView
+				doc := do(s, http.MethodGet, "/api/overload", "", nil, nil).Body.Bytes()
+				if err := json.Unmarshal(doc, &v); err != nil || v.Admission.ShedRequests <= 0 {
+					t.Errorf("batch %x: a 429, and the stats document %s counts no shed request (%v)", id, doc, err)
+				}
 			}
 			secs, err := strconv.ParseFloat(rec.Header().Get("Retry-After"), 64)
 			if err != nil {
@@ -511,11 +536,10 @@ func (b *heldBody) Read(p []byte) (int, error) {
 	return b.r.Read(p)
 }
 
-// A push-back names the tap's depth only where there is a tap: a RAM
-// tenant's 429 and in-flight 503 carry X-Tap-Queue-Depth, zero included, and
-// a durable tenant's, which feeds its correlator at the ack barrier, carry
-// none.
-func TestPushBackTapDepthHeader(t *testing.T) {
+// A push-back carries Retry-After and none of the stats headers, in either
+// mode: the in-flight 503, the 429 and, durable, the 503 of a batch its
+// store refused. Their counters are the stats document's.
+func TestPushBackCarriesRetryAfterOnly(t *testing.T) {
 	for _, dataDir := range []string{"", t.TempDir()} {
 		frame := trace.AppendBinaryFrameTenant(nil, "", arrivals(99, 300)[0])
 		// The budget holds the original and a one-byte retry, not a second
@@ -533,25 +557,38 @@ func TestPushBackTapDepthHeader(t *testing.T) {
 			original <- rec.Code
 		}()
 		<-body.reading // the original holds the batch's claim and its bytes
+		type pushBack struct {
+			what string
+			code int
+			rec  *httptest.ResponseRecorder
+		}
 		hdr := map[string]string{"Content-Type": trace.ContentTypeBinary, "X-Batch-Id": "7"}
-		retry := do(s, http.MethodPost, "/api/spans", "", hdr, []byte{0})
+		pushBacks := []pushBack{{"in-flight retry", http.StatusServiceUnavailable, do(s, http.MethodPost, "/api/spans", "", hdr, []byte{0})}}
 		hdr["X-Batch-Id"] = "8"
-		shed := do(s, http.MethodPost, "/api/spans", "", hdr, frame)
+		pushBacks = append(pushBacks, pushBack{"shed", http.StatusTooManyRequests, do(s, http.MethodPost, "/api/spans", "", hdr, frame)})
 		close(body.release)
 		if code := <-original; code != http.StatusAccepted {
 			t.Errorf("data dir %q: the original: %d, want 202", dataDir, code)
 		}
-		want := []string{"0"}
 		if dataDir != "" {
-			want = nil
+			tn, _ := s.tenants.Lookup("")
+			tn.store.Close() // the next WAL append fails
+			pushBacks = append(pushBacks, pushBack{"store-refused", http.StatusServiceUnavailable, do(s, http.MethodPost, "/api/spans", "", hdr, frame)})
 		}
-		for _, c := range []struct {
-			rec  *httptest.ResponseRecorder
-			code int
-		}{{retry, http.StatusServiceUnavailable}, {shed, http.StatusTooManyRequests}} {
-			if got := c.rec.Header().Values("X-Tap-Queue-Depth"); c.rec.Code != c.code || !slices.Equal(got, want) {
-				t.Errorf("data dir %q: %d with X-Tap-Queue-Depth %q, want %d with %q", dataDir, c.rec.Code, got, c.code, want)
+		for _, p := range pushBacks {
+			var extra []string
+			for name := range p.rec.Header() {
+				if name != "Retry-After" && name != "Content-Type" && name != "X-Content-Type-Options" {
+					extra = append(extra, name)
+				}
 			}
+			if p.rec.Code != p.code || p.rec.Header().Get("Retry-After") != "1" || len(extra) != 0 {
+				t.Errorf("data dir %q: the %s push-back: %d with Retry-After %q and %v, want %d with Retry-After 1 and nothing else",
+					dataDir, p.what, p.rec.Code, p.rec.Header().Get("Retry-After"), extra, p.code)
+			}
+		}
+		if st := stats(t, s).Tenants["default"].Admission; st.ShedRequests != 1 || st.ShedSpans != 0 {
+			t.Errorf("data dir %q: the stats document counts %d shed requests and %d shed spans, want the one byte-budget shed", dataDir, st.ShedRequests, st.ShedSpans)
 		}
 	}
 }
@@ -641,7 +678,7 @@ func TestConcurrentMintingOpensEachTenantOnce(t *testing.T) {
 					}
 					listings[r] = append(listings[r], listed)
 					get(t, s, "/api/overload", "")
-					durability(t, s)
+					stats(t, s)
 				}
 			}(r)
 		}
@@ -752,12 +789,15 @@ func jsonKeys(t *testing.T, body []byte, path ...string) []string {
 
 // TestExternalContract pins what clients and supervisors of xsp-server see,
 // over an in-process durable server with live analyses: status codes,
-// headers, JSON keys, stderr wording and the directory layout.
+// headers, JSON keys, stderr wording and the directory layout. No reply
+// carries a stat header: the stats document is the one place a counter is
+// published.
 func TestExternalContract(t *testing.T) {
 	dataDir := t.TempDir()
 	cfg := testConfig(dataDir)
-	var s *Server
-	boot := captureStderr(t, func() { s = newServer(t, cfg) })
+	var srv *Server
+	boot := captureStderr(t, func() { srv = newServer(t, cfg) })
+	s := noStatHeaders(t, srv)
 	for _, line := range []string{
 		"xsp-server: live analyses on (Tesla_V100)\n",
 		"xsp-server: tenant default recovered 0 segment(s), 0 live batch record(s), 0 dedup id(s)\n",
@@ -788,7 +828,7 @@ func TestExternalContract(t *testing.T) {
 		{"/api/reset", http.MethodPost, true, ""},
 		{"/api/checkpoint", http.MethodPost, true, "{\"folded\":0}\n"},
 		{"/api/correlated", http.MethodGet, true, "{\n \"tenant\": \"ghost\",\n \"spans\": []\n}\n"},
-		{"/api/analysis", http.MethodGet, true, string(get(t, newServer(t, testConfig("")), "/api/analysis", ""))},
+		{"/api/analysis", http.MethodGet, true, string(get(t, noStatHeaders(t, newServer(t, testConfig(""))), "/api/analysis", ""))},
 		{"/api/analysis/layers", http.MethodGet, true, ""},
 		{"/api/analysis/launchgaps", http.MethodGet, true, ""},
 		{"/api/analysis/memcpy", http.MethodGet, true, ""},
@@ -820,7 +860,7 @@ func TestExternalContract(t *testing.T) {
 		if rec.Code/100 != 2 || (e.empty != "" && rec.Body.String() != e.empty) {
 			t.Errorf("%s %s for an unknown tenant: %d %q, want the empty answer %q", e.method, e.path, rec.Code, rec.Body, e.empty)
 		}
-		if h := rec.Header(); h.Get("X-Stream-Released") != "" || (h.Get("X-Analysis-Spans") != "" && h.Get("X-Analysis-Spans") != "0") {
+		if h := rec.Header(); h.Get("X-Analysis-Spans") != "" && h.Get("X-Analysis-Spans") != "0" {
 			t.Errorf("%s %s for an unknown tenant carries a live tenant's headers: %v", e.method, e.path, h)
 		}
 	}
@@ -832,12 +872,6 @@ func TestExternalContract(t *testing.T) {
 	}
 
 	rec := do(s, http.MethodGet, "/api/correlated?flush=1", "acme", map[string]string{"Accept": trace.ContentTypeBinary}, nil)
-	for _, name := range []string{"Released", "Pending", "Stragglers", "Degraded-Windows", "Windows-Chained", "Repaired", "Live",
-		"Checkpointed", "Segments", "Compactions", "Reopens", "Corr-Entries", "Corr-Evicted"} {
-		if _, err := strconv.Atoi(rec.Header().Get("X-Stream-" + name)); err != nil {
-			t.Errorf("/api/correlated X-Stream-%s: %q", name, rec.Header().Get("X-Stream-"+name))
-		}
-	}
 	if ct := rec.Header().Get("Content-Type"); ct != trace.ContentTypeBinary {
 		t.Errorf("/api/correlated with Accept: %s answered %s", trace.ContentTypeBinary, ct)
 	}
@@ -891,40 +925,53 @@ func TestExternalContract(t *testing.T) {
 		t.Errorf("a 1ns watcher was sent %d events in a second, want one a millisecond at most", events)
 	}
 
-	overload := get(t, s, "/api/overload", "")
-	if got := jsonKeys(t, overload); fmt.Sprint(got) != "[admission tenants]" {
-		t.Errorf("/api/overload keys %v", got)
-	}
-	if got := jsonKeys(t, overload, "admission"); fmt.Sprint(got) != "[InflightBytes InflightSpans ShedRequests ShedSpans TapDepth]" {
-		t.Errorf("/api/overload admission keys %v", got)
-	}
-	if got := jsonKeys(t, overload, "tenants", "acme"); fmt.Sprint(got) != "[admission load]" {
-		t.Errorf("/api/overload tenant keys %v (durable: no tap)", got)
-	}
-	ram := newServer(t, testConfig(""))
+	// /api/overload and /api/durability are one document, in either mode.
+	ram := noStatHeaders(t, newServer(t, testConfig("")))
 	post(ram, "", 1, arrivals(93, 300)[0])
-	if got := jsonKeys(t, get(t, ram, "/api/overload", ""), "tenants", "default"); fmt.Sprint(got) != "[admission load tap]" {
-		t.Errorf("/api/overload tenant keys %v (RAM: tap)", got)
+	sent := 0
+	for _, b := range arrivals(91, 3_000) {
+		sent += len(b)
 	}
-	if rec := do(ram, http.MethodGet, "/api/durability", "", nil, nil); rec.Code != http.StatusNotFound {
-		t.Errorf("/api/durability without a data dir: %d, want 404", rec.Code)
+	for _, mode := range []struct {
+		name                     string
+		s                        http.Handler
+		keys, tenantKeys, tenant string
+	}{
+		{"durable", s, "[admission dir tenants]", "[admission dir load recovery store stream]", "acme"},
+		{"RAM", ram, "[admission tenants]", "[admission load stream tap]", "default"},
+	} {
+		doc := get(t, mode.s, "/api/overload", "")
+		if dur := get(t, mode.s, "/api/durability", ""); !bytes.Equal(doc, dur) {
+			t.Errorf("%s: /api/overload and /api/durability differ:\n%s\n%s", mode.name, doc, dur)
+		}
+		if got := jsonKeys(t, doc); fmt.Sprint(got) != mode.keys {
+			t.Errorf("%s: stats document keys %v, want %s", mode.name, got, mode.keys)
+		}
+		if got := jsonKeys(t, doc, "admission"); fmt.Sprint(got) != "[InflightBytes InflightSpans ShedRequests ShedSpans TapDepth]" {
+			t.Errorf("%s: admission keys %v", mode.name, got)
+		}
+		if got := jsonKeys(t, doc, "tenants", mode.tenant); fmt.Sprint(got) != mode.tenantKeys {
+			t.Errorf("%s: tenant keys %v, want %s", mode.name, got, mode.tenantKeys)
+		}
+		if got := jsonKeys(t, doc, "tenants", mode.tenant, "stream"); fmt.Sprint(got) != "[Buffered Checkpointed Compactions CorrEntries CorrEvicted DegradedWindows Fed Live PendingExecs Released Reopens Repaired Segments Stragglers WindowsChained]" {
+			t.Errorf("%s: stream keys %v", mode.name, got)
+		}
 	}
 	dur := get(t, s, "/api/durability", "")
-	if got := jsonKeys(t, dur); fmt.Sprint(got) != "[dir tenants]" {
-		t.Errorf("/api/durability keys %v", got)
-	}
-	if got := jsonKeys(t, dur, "tenants", "acme"); fmt.Sprint(got) != "[dir recovery store]" {
-		t.Errorf("/api/durability tenant keys %v", got)
-	}
 	if got := jsonKeys(t, dur, "tenants", "acme", "recovery"); fmt.Sprint(got) != "[batch_records dedup_ids segments]" {
 		t.Errorf("/api/durability recovery keys %v", got)
 	}
 	if got := jsonKeys(t, dur, "tenants", "acme", "store"); fmt.Sprint(got) != "[DedupIDs SegmentBytes Segments WALBytes WALRecords]" {
 		t.Errorf("/api/durability store keys %v", got)
 	}
+	// The stream row is the correlator's counters: acme, flushed above,
+	// was fed and released every span it acknowledged.
+	if st := stats(t, s).Tenants["acme"].Stream; st == nil || st.Fed != sent || st.Released != sent || st.Buffered+st.PendingExecs != 0 {
+		t.Errorf("acme's stream row %+v, want %d spans fed and released, none pending", st, sent)
+	}
 
 	// The layout: the default tenant at the root, any other under tenants/.
-	view := durability(t, s)
+	view := stats(t, s)
 	for key, dir := range map[string]string{"default": dataDir, "acme": filepath.Join(dataDir, "tenants", "acme")} {
 		if view.Tenants[key].Dir != dir {
 			t.Errorf("tenant %s reports dir %q, want %q", key, view.Tenants[key].Dir, dir)
@@ -950,15 +997,15 @@ func TestExternalContract(t *testing.T) {
 	if err := os.WriteFile(blocked, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var degraded *Server
-	boot = captureStderr(t, func() { degraded = newServer(t, testConfig(blocked)) })
+	var degraded http.Handler
+	boot = captureStderr(t, func() { degraded = noStatHeaders(t, newServer(t, testConfig(blocked))) })
 	if !strings.Contains(boot, "xsp-server: tenant default degraded to RAM-only: ") {
 		t.Errorf("boot stderr of a server over an unusable data dir:\n%s", boot)
 	}
 	if rec := post(degraded, "", 1, arrivals(95, 300)[0]); rec.Code != http.StatusAccepted {
 		t.Errorf("POST to the degraded tenant: %d %s", rec.Code, rec.Body)
 	}
-	if d := durability(t, degraded).Tenants["default"]; d.Err == "" {
+	if d := stats(t, degraded).Tenants["default"]; d.Err == "" {
 		t.Errorf("/api/durability does not report the degraded tenant's error")
 	}
 
@@ -967,7 +1014,7 @@ func TestExternalContract(t *testing.T) {
 	if _, err := New(Config{GPU: "Voodoo2"}); err == nil {
 		t.Errorf("New with -gpu Voodoo2 succeeded")
 	}
-	zero, batch := newServer(t, Config{}), arrivals(97, 300)[0]
+	zero, batch := noStatHeaders(t, newServer(t, Config{})), arrivals(97, 300)[0]
 	if rec := post(zero, "", 1, batch); rec.Code != http.StatusAccepted {
 		t.Errorf("POST to a zero-Config server: %d %s", rec.Code, rec.Body)
 	}

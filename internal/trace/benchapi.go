@@ -120,11 +120,11 @@ func (h *hooks) Ingest(batchID uint64, spans []*Span) error {
 	return nil
 }
 
-func (h *hooks) Backlog() (int, bool) {
+func (h *hooks) Backlog() int {
 	if h.queue == nil {
-		return 0, false
+		return 0
 	}
-	return h.queue.Depth(), true
+	return h.queue.Depth()
 }
 
 func (h *hooks) View() View { return spansView(h.mem.Trace().Spans) }

@@ -54,8 +54,8 @@
 //     against MaxInflightBytes before being read (a chunked body, which
 //     declares none, is a 411 while that budget is set), and decoded-but-unlanded
 //     spans plus the consumer's backlog count against MaxInflightSpans. Past
-//     either budget the POST is shed with 429, a Retry-After hint, and the
-//     X-Shed-* stats headers. Both budgets drain without new input —
+//     either budget the POST is shed with 429 and a Retry-After hint; the
+//     shed counters are [OverloadStats]. Both budgets drain without new input —
 //     handlers finish, the tap worker empties its queue — so a shed tenant
 //     is always admitted again; admission reads nothing else.
 //   - The batch-dedup FIFO, bounded at [DedupWindow] ids.

@@ -135,10 +135,8 @@ type Consumer interface {
 
 	// Backlog returns the spans the consumer holds but has not yet absorbed,
 	// which count against the tenant's share of
-	// AdmissionPolicy.MaxInflightSpans, and whether it queues at all: a
-	// queueing consumer's backlog is the X-Tap-Queue-Depth header of every
-	// push-back, zero included.
-	Backlog() (spans int, queued bool)
+	// AdmissionPolicy.MaxInflightSpans (OverloadStats.TapDepth).
+	Backlog() int
 
 	// View is what GET /api/trace serves: every span an acknowledged batch
 	// carried, in canonical order with ParentIDs as published, pinned so
@@ -170,9 +168,9 @@ func (t *ServerTenant) Received() int { return int(t.received.Load()) }
 
 // AdmissionPolicy bounds what the server will hold in flight before it
 // sheds new span batches with 429 Too Many Requests instead of accepting
-// unboundedly. Shed responses carry a Retry-After hint plus the
-// X-Shed-Spans / X-Shed-Requests / X-Tap-Queue-Depth stats headers, and a
-// shed batch is never partially ingested: its batch id stays unclaimed,
+// unboundedly. Shed responses carry a Retry-After hint and nothing else
+// (the shed counters are OverloadStats), and a shed batch is never
+// partially ingested: its batch id stays unclaimed,
 // so the client's retry (HTTPCollector re-ships the batch with the same
 // id after backoff) lands exactly once when admitted.
 type AdmissionPolicy struct {
@@ -236,11 +234,10 @@ func (s *Server) OverloadStats() OverloadStats {
 // the server-wide figure (bodies are admitted before their tenant is
 // known in every case the byte budget exists to bound).
 func (t *ServerTenant) OverloadStats() OverloadStats {
-	depth, _ := t.c.Backlog()
 	return OverloadStats{
 		InflightBytes: t.srv.inflightB.Load(),
 		InflightSpans: t.inflightS.Load(),
-		TapDepth:      depth,
+		TapDepth:      t.c.Backlog(),
 		ShedRequests:  t.shedRequests.Load(),
 		ShedSpans:     t.shedSpans.Load(),
 	}
@@ -258,24 +255,15 @@ func retryAfterValue(d time.Duration) string {
 	return strconv.FormatFloat(d.Seconds(), 'g', 3, 64)
 }
 
-// overloadHeaders stamps the retry hint and shed stats on a pushed-back
-// response, so clients can pace retries and operators can see shedding.
-// The shed counters are server-wide; the tap depth is the addressed
-// tenant's, when it is known and its consumer queues.
-func (s *Server) overloadHeaders(h http.Header, tn *ServerTenant, retryAfter time.Duration) {
-	h.Set("Retry-After", retryAfterValue(retryAfter))
-	h.Set("X-Shed-Requests", strconv.FormatInt(s.shedRequests.Load(), 10))
-	h.Set("X-Shed-Spans", strconv.FormatInt(s.shedSpans.Load(), 10))
-	if tn != nil {
-		if depth, queued := tn.c.Backlog(); queued {
-			h.Set("X-Tap-Queue-Depth", strconv.Itoa(depth))
-		}
-	}
+// pushBack answers a batch the client should retry later: code, with the
+// retry hint as Retry-After, so clients can pace their retries.
+func pushBack(w http.ResponseWriter, code int, retryAfter time.Duration, msg string) {
+	w.Header().Set("Retry-After", retryAfterValue(retryAfter))
+	http.Error(w, msg, code)
 }
 
 // shed refuses a span batch: count it (server-wide and, when the tenant
-// is known, against the tenant), stamp the overload headers, and answer
-// 429.
+// is known, against the tenant), and answer 429.
 func (s *Server) shed(w http.ResponseWriter, tn *ServerTenant, retryAfter time.Duration, spans int64, msg string) {
 	s.shedRequests.Add(1)
 	if spans > 0 {
@@ -287,8 +275,7 @@ func (s *Server) shed(w http.ResponseWriter, tn *ServerTenant, retryAfter time.D
 			tn.shedSpans.Add(spans)
 		}
 	}
-	s.overloadHeaders(w.Header(), tn, retryAfter)
-	http.Error(w, msg, http.StatusTooManyRequests)
+	pushBack(w, http.StatusTooManyRequests, retryAfter, msg)
 }
 
 // retryAfterHint is the Retry-After the push-back paths use: the
@@ -398,8 +385,7 @@ func (s *Server) claimFor(w http.ResponseWriter, tn *ServerTenant, batchID uint6
 		// collector for the next Flush, by which time the original has
 		// either committed (-> duplicate ack) or failed (-> publish).
 		// The retry hint paces the client like a 429 does.
-		s.overloadHeaders(w.Header(), tn, s.retryAfterHint())
-		http.Error(w, "trace: batch still in flight, retry later", http.StatusServiceUnavailable)
+		pushBack(w, http.StatusServiceUnavailable, s.retryAfterHint(), "trace: batch still in flight, retry later")
 		return false
 	}
 	// First claim: committing falls to this request. The claim is taken
@@ -568,8 +554,7 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	// admitted fresh. A batch is admitted alone even when oversized, for
 	// the same liveness reason as the byte budget.
 	if adm != nil && adm.MaxInflightSpans > 0 {
-		backlog, _ := tn.c.Backlog()
-		n, depth := int64(len(t.Spans)), int64(backlog)
+		n, depth := int64(len(t.Spans)), int64(tn.c.Backlog())
 		cur := tn.inflightS.Add(n)
 		if cur+depth > int64(adm.MaxInflightSpans) && !(cur == n && depth == 0) {
 			tn.inflightS.Add(-n)
@@ -588,8 +573,7 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	// retryable: the deferred unclaim releases the batch id, so the client's
 	// retry gets a fresh claim once the consumer recovers.
 	if err := tn.c.Ingest(batchID, t.Spans); err != nil {
-		s.overloadHeaders(w.Header(), tn, s.retryAfterHint())
-		http.Error(w, "trace: durable log append failed, retry later", http.StatusServiceUnavailable)
+		pushBack(w, http.StatusServiceUnavailable, s.retryAfterHint(), "trace: durable log append failed, retry later")
 		return
 	}
 	tn.received.Add(int64(len(t.Spans)))

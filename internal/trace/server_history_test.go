@@ -48,7 +48,7 @@ func (c historyConsumer) Ingest(batchID uint64, spans []*Span) error {
 	return nil
 }
 
-func (historyConsumer) Backlog() (int, bool) { return 0, false }
+func (historyConsumer) Backlog() int { return 0 }
 
 func (c historyConsumer) View() View { return c.store.view() }
 
