@@ -97,24 +97,26 @@
 // Folded history is held encoded: a fold encodes its spans once into an
 // immutable span block (the trace codec's layout, the owned bit in each
 // 80-byte record), and every ladder operation — compaction, extraction,
-// remainders — reads keys from the records and moves references or streams
-// records, never decoding them. Where the block lives depends on whether the
-// segment has a file, not on a flag. Without one — every segment in RAM mode,
-// and a durable segment until its file is written — a segment is resident:
-// an ordered list of 8-byte references to records of its blocks, so a
-// checkpointed span costs what the codec makes of it (~113 B plus its
-// reference, not a decoded span's 136-byte header, its tag and metric entries
-// and its share of a blob string) and holds no pointer for the collector to
-// follow; a block leaves with the last reference to it, and one under half
-// referenced gives its records up to a gathered block. Once its file is
-// written a durable segment is filed: it drops its blocks and references and
-// keeps a directory — the file's layout and string blob (~0.2 B a span), and
-// per 64 KB window of records the first begin, the latest end and the
-// correlation-id buckets a repair asks about — and reads its records from
-// the file a window at a time, each window a validated span block, so the
-// heap holds a fraction of a byte per durable folded span and the file the
-// rest. A durable compaction writes its survivor once, by a streaming k-way
-// merge of all its inputs, resident or filed, and a repair's remainder
+// remainders — reads keys from the records and moves runs of records or
+// streams records, never decoding them. Where the block lives depends on
+// whether the segment has a file, not on a flag. Without one — every segment
+// in RAM mode, and a durable segment until its file is written — a segment
+// is resident: an ordered list of runs, each naming consecutive records of
+// one of its blocks. Folds come from successive stretches of the stream, so
+// a merged segment holds about one run per block: a checkpointed span costs
+// what the codec makes of it (~113 B, not a decoded span's 136-byte header,
+// its tag and metric entries and its share of a blob string), a merge moves
+// O(runs), not a reference per span, and nothing holds a pointer for the
+// collector to follow; a block leaves with the last run that names it, and
+// one under half referenced gives its records up to a gathered block. Once
+// its file is written a durable segment is filed: it drops its blocks and
+// runs and keeps a directory — the file's layout and string blob (~0.2 B a
+// span), and per 64 KB window of records the first begin, the latest end
+// and the correlation-id buckets a repair asks about — and reads its records
+// from the file a window at a time, each window a validated span block, so
+// the heap holds a fraction of a byte per durable folded span and the file
+// the rest. A durable compaction writes its survivor once, by a streaming
+// k-way merge of all its inputs, resident or filed, and a repair's remainder
 // streams from its source the same way; recovery validates one file at a
 // time and installs it filed.
 //

@@ -269,8 +269,8 @@ func (sc *StreamCorrelator) BlockResidency() (resident, referenced int, shared b
 			continue // nothing resident
 		}
 		used := make([]int, len(seg.blocks))
-		for _, r := range seg.refs {
-			used[r.Block]++
+		for k, r := range seg.runs {
+			used[r.block] += seg.runLen(k)
 		}
 		for b, blk := range seg.blocks {
 			bytes := blk.Bytes()

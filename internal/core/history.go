@@ -35,20 +35,22 @@ func (b ownedBits) has(i int) bool { return i/64 < len(b) && b[i/64]&(1<<(i%64))
 // file. A segment without one — every segment in RAM mode, a fresh fold or a
 // compaction survivor a durable stream has not written yet, everything after
 // a store error — is resident: its blocks (what a fold encoded, once) and an
-// ordered list of 8-byte references to their records, so what is resident per
-// folded span is the codec's size and holds no pointer the collector has to
-// follow. A segment whose file is written is filed: it keeps a small
-// directory (the file's layout and string blob, and per window of records the
-// first begin, the latest end and the correlation-id buckets a repair asks
-// about) and reads its records from the file a window at a time, each window
-// a validated trace.SpanBlock — so what is resident per durable folded span
-// is a fraction of a byte, and the file holds the rest. Either way the
-// ladder's work — compaction, extraction, remainders — compares keys read
-// from the records and moves references or streams records from file to
-// file, never decoding; and a span is decoded only when somebody reads it,
-// into copies the history keeps no hold on. The resolver adds folds, takes
-// back what a straggler's windows overlap, reads the segments merged with its
-// live tail, and persists; the zero history is empty.
+// ordered list of runs of their records, each a stretch of one block — folds
+// of successive stretches of the stream merge into about one run per block —
+// so what is resident per folded span is the codec's size and holds no
+// pointer the collector has to follow. A segment whose file is written is
+// filed: it keeps a small directory (the file's layout and string blob, and
+// per window of records the first begin, the latest end and the
+// correlation-id buckets a repair asks about) and reads its records from the
+// file a window at a time, each window a validated trace.SpanBlock — so what
+// is resident per durable folded span is a fraction of a byte, and the file
+// holds the rest. Either way the ladder's work — compaction, extraction,
+// remainders — compares keys read from the records and moves runs of records
+// or streams records from file to file, never decoding; and a span is decoded
+// only when somebody reads it, into copies the history keeps no hold on. The
+// resolver adds folds, takes back what a straggler's windows overlap, reads
+// the segments merged with its live tail, and persists; the zero history is
+// empty.
 //
 // The correlator's mutex guards the ladder — the list of segments and the
 // counters — like everything the resolver holds. The segments themselves,
@@ -67,22 +69,22 @@ type history struct {
 	lent        bool          // a block hold lent is enc itself, until its file is written (see keepLent)
 }
 
-// ckptSegment is one immutable run of finalized spans in canonical order,
-// and a record's flag byte holds the owned bit a reopen (a straggler
+// ckptSegment is one immutable sequence of n finalized spans in canonical
+// order, and a record's flag byte holds the owned bit a reopen (a straggler
 // reaching behind the checkpoint horizon) restores the span's ownership
-// from. Resident, refs names its records, each in one of the segment's own
-// blocks. Filed, file holds them, and refs — nil when the segment is all of
-// the file — names the records that are the segment's: a repair's remainder
-// until its own file is written (Block is then 0). Immutable means
-// replaced, never edited: a merge or a reopen builds a new segment over a
-// fresh refs array and a fresh list of the same blocks, or writes a new
-// file. No two segments share a block, and every block is referenced by at
-// least half its records (see compactBlocks): one no reference reaches
-// leaves with the segment that dropped it.
+// from. runs names its records in order: resident, records of the segment's
+// own blocks; filed, records of its file (block 0) — one run when the
+// segment is all of the file, more for a repair's remainder until its own
+// file is written. Immutable means replaced, never edited: a merge or a
+// reopen builds a new segment over fresh runs and a fresh list of the same
+// blocks, or writes a new file. No two segments share a block, and every
+// block is referenced by at least half its records (see compactBlocks): one
+// no run reaches leaves with the segment that dropped it.
 type ckptSegment struct {
 	blocks []heldBlock
 	file   *segFile
-	refs   []trace.RecordRef
+	runs   []refRun
+	n      int
 
 	// parts is a compaction survivor compact has yet to build: its inputs,
 	// in merge order. Only compact sees one.
@@ -169,37 +171,68 @@ func (d *dirBuilder) done() []fileWindow {
 	return slices.Clip(d.dir)
 }
 
+// refRun names consecutive records of one block, from first on: the
+// segment's spans from position at up to where the next run starts (the
+// last run, up to the segment's end).
+type refRun struct{ at, block, first uint32 }
+
 // len returns the number of spans in the segment.
 func (seg *ckptSegment) len() int {
-	switch {
-	case seg.parts != nil:
+	if seg.parts != nil {
 		n := 0
 		for k := range seg.parts {
 			n += seg.parts[k].len()
 		}
 		return n
-	case seg.file != nil && seg.refs == nil:
-		return seg.file.Len()
 	}
-	return len(seg.refs)
+	return seg.n
 }
 
-// ref returns the reference of a filed segment's span i: a record of its file.
-func (seg *ckptSegment) ref(i int) trace.RecordRef {
-	if seg.refs == nil {
-		return trace.RecordRef{Record: uint32(i)}
+// runLen returns the number of spans run k names.
+func (seg *ckptSegment) runLen(k int) int {
+	if k+1 < len(seg.runs) {
+		return int(seg.runs[k+1].at - seg.runs[k].at)
 	}
-	return seg.refs[i]
+	return seg.n - int(seg.runs[k].at)
 }
 
-// cursor reads a segment's spans in order, resident or filed: a filed one
-// a window at a time, the windows its pass reads, its first read error kept.
-// A window's bytes are the next one's: a record it hands out is good until
-// it moves past that record's window.
+// runAt returns the index of the run that holds span i: a binary search,
+// for a reader that does not walk the runs in order (see cursor).
+func (seg *ckptSegment) runAt(i int) int {
+	return sort.Search(len(seg.runs), func(k int) bool { return int(seg.runs[k].at) > i }) - 1
+}
+
+// appendRun appends n records of block from first on, extending the last
+// run when they continue it.
+func (seg *ckptSegment) appendRun(block, first uint32, n int) {
+	if k := len(seg.runs) - 1; k >= 0 && seg.runs[k].block == block && int(seg.runs[k].first)+seg.n-int(seg.runs[k].at) == int(first) {
+		seg.n += n
+		return
+	}
+	seg.runs = append(seg.runs, refRun{at: uint32(seg.n), block: block, first: first})
+	seg.n += n
+}
+
+// appendSpans appends src's spans at positions [lo, hi), their blocks moved
+// up by shift: where src's blocks start in seg's list.
+func (seg *ckptSegment) appendSpans(src *ckptSegment, lo, hi int, shift uint32) {
+	for k := src.runAt(lo); lo < hi; k++ {
+		r := src.runs[k]
+		n := min(int(r.at)+src.runLen(k), hi) - lo
+		seg.appendRun(r.block+shift, r.first+uint32(lo)-r.at, n)
+		lo += n
+	}
+}
+
+// cursor reads a segment's spans in order, resident or filed, stepping
+// through its runs: a filed one a window at a time, the windows its pass
+// reads, its first read error kept. A window's bytes are the next one's: a
+// record it hands out is good until it moves past that record's window.
 type cursor struct {
 	seg  *ckptSegment
 	n    int // the segment's spans
-	pos  int
+	pos  int // moves only forward
+	run  int // the run pos was last found in
 	pass io.ReaderAt
 	win  *trace.SpanBlock // a fresh one per window: readers may tell windows apart by it
 	lo   int              // the file record win starts at
@@ -209,6 +242,16 @@ type cursor struct {
 
 func newCursor(seg *ckptSegment) cursor { return cursor{seg: seg, n: seg.len()} }
 
+// ref returns the block and record the span at pos (< n) is.
+func (c *cursor) ref() (block, record int) {
+	runs := c.seg.runs
+	for c.run+1 < len(runs) && int(runs[c.run+1].at) <= c.pos {
+		c.run++
+	}
+	r := runs[c.run]
+	return int(r.block), int(r.first) + c.pos - int(r.at)
+}
+
 // record returns the block and record index of the span at pos: false past
 // the end, or on a read error (c.err).
 func (c *cursor) record() (*trace.SpanBlock, int, bool) {
@@ -216,11 +259,10 @@ func (c *cursor) record() (*trace.SpanBlock, int, bool) {
 	if c.err != nil || c.pos >= c.n {
 		return nil, 0, false
 	}
+	b, r := c.ref()
 	if seg.file == nil {
-		blk, r := seg.at(c.pos)
-		return &blk.SpanBlock, r, true
+		return &seg.blocks[b].SpanBlock, r, true
 	}
-	r := int(seg.ref(c.pos).Record)
 	if c.win == nil || r < c.lo || r >= c.lo+c.win.Len() {
 		if c.pass == nil {
 			c.pass = seg.file.Pass()
@@ -353,20 +395,17 @@ func (h *history) keepLent() {
 	}
 }
 
-// segmentOf returns the segment that is all of blk, whose records the caller
-// knows to be in canonical order.
+// segmentOf returns the segment that is all of blk — one run, from record 0
+// — whose records the caller knows to be in canonical order.
 func segmentOf(blk heldBlock) ckptSegment {
-	seg := ckptSegment{blocks: []heldBlock{blk}, refs: make([]trace.RecordRef, blk.Len())}
-	for i := range seg.refs {
-		seg.refs[i].Record = uint32(i)
-	}
-	return seg
+	return ckptSegment{blocks: []heldBlock{blk}, runs: make([]refRun, min(blk.Len(), 1)), n: blk.Len()}
 }
 
-// at returns the block and the record index reference i names.
+// at returns the block and the record index of a resident segment's span i.
 func (seg *ckptSegment) at(i int) (*heldBlock, int) {
-	r := seg.refs[i]
-	return &seg.blocks[r.Block], int(r.Record)
+	c := cursor{seg: seg, pos: i, run: seg.runAt(i)}
+	b, r := c.ref()
+	return &seg.blocks[b], r
 }
 
 // spanBlocks returns the segment's blocks as the codec takes them.
@@ -394,10 +433,7 @@ func (seg *ckptSegment) maxEnd() (end vclock.Time) {
 		}
 		return end
 	}
-	for i := range seg.refs {
-		blk, r := seg.at(i)
-		end = max(end, blk.End(r))
-	}
+	seg.each(func(blk *trace.SpanBlock, r int) bool { end = max(end, blk.End(r)); return true })
 	return end
 }
 
@@ -421,7 +457,7 @@ func (h *history) add(spans []*trace.Span, owned func(i int) bool, store Segment
 // stale, one left with fewer records a remainder to rewrite.
 func (h *history) install(f *segio.SegmentFile, covered func(blk *trace.SpanBlock, i int) bool, kept func(blk *trace.SpanBlock, i int)) error {
 	sf := newSegFile(f, nil)
-	seg := ckptSegment{file: sf, fileID: f.ID()}
+	seg := filedSegment(sf, f.ID())
 	var dir dirBuilder
 	var drop []int
 	if err := seg.each(func(blk *trace.SpanBlock, r int) bool {
@@ -594,8 +630,8 @@ func (h *history) persistLadder(store SegmentStore) error {
 		}
 		var filed ckptSegment
 		var err error
-		if seg.file == nil && len(seg.blocks) == 1 && len(seg.refs) == seg.blocks[0].Len() {
-			// A fresh fold, whose refs are its block's records in order: the
+		if seg.file == nil && len(seg.blocks) == 1 && len(seg.runs) <= 1 && seg.n == seg.blocks[0].Len() {
+			// A fresh fold, one run over all of its block's records: the
 			// block is the file's payload, as it is.
 			var dir dirBuilder
 			blk := &seg.blocks[0].SpanBlock
@@ -628,7 +664,13 @@ func openFiled(store SegmentStore, id uint64, dir []fileWindow) (ckptSegment, er
 	if err != nil {
 		return ckptSegment{}, err
 	}
-	return ckptSegment{file: newSegFile(f, dir), fileID: id}, nil
+	return filedSegment(newSegFile(f, dir), id), nil
+}
+
+// filedSegment returns the segment that is all of f — one run, as
+// segmentOf's — written as id.
+func filedSegment(f *segFile, id uint64) ckptSegment {
+	return ckptSegment{file: f, fileID: id, runs: make([]refRun, min(f.Len(), 1)), n: f.Len()}
 }
 
 // writeFiled writes the n records walk hands out as a new segment file —
@@ -767,7 +809,7 @@ func (h *history) compact(store SegmentStore) error {
 	return err
 }
 
-// resident reports whether the segment is its blocks and references.
+// resident reports whether the segment is its blocks and runs.
 func (seg *ckptSegment) resident() bool { return seg.file == nil && seg.parts == nil }
 
 // inputs is what a survivor built from seg is built from.
@@ -810,32 +852,33 @@ func (seg *ckptSegment) less(i int, o *ckptSegment, j int) bool {
 
 // mergeSegments merges two immutable checkpoint segments into one: a
 // two-pointer merge of the canonically sorted inputs — ties toward a, as
-// trace.MergeRuns breaks them — that moves references and reads keys from
-// the records; the blocks, a's then b's, are carried as they are, the owned
-// bits inside them. The merged segment has no durable file yet; it inherits
-// the inputs' files (and their own pending replacements) as its replaced
-// list, so persistLadder deletes them only once the merged file is on disk.
+// trace.MergeRuns breaks them — that moves runs of records and reads keys
+// from the records; the blocks, a's then b's, are carried as they are, the
+// owned bits inside them. The merged segment has no durable file yet; it
+// inherits the inputs' files (and their own pending replacements) as its
+// replaced list, so persistLadder deletes them only once the merged file is
+// on disk.
 func mergeSegments(a, b ckptSegment) ckptSegment {
 	seg := ckptSegment{
 		blocks: slices.Concat(a.blocks, b.blocks),
-		refs:   make([]trace.RecordRef, 0, len(a.refs)+len(b.refs)),
+		runs:   make([]refRun, 0, len(a.runs)+len(b.runs)),
 	}
 	// Segments fold from successive stretches of the stream, so the merge
 	// is mostly long runs from one side: gallop to the end of each run
 	// rather than compare span by span.
 	shift := uint32(len(a.blocks))
 	i, j := 0, 0
-	for i < len(a.refs) && j < len(b.refs) {
-		end := i + gallop(len(a.refs)-i, func(k int) bool { return b.less(j, &a, i+k) })
-		seg.take(a.refs[i:end], 0)
-		if i = end; i < len(a.refs) {
-			end = j + gallop(len(b.refs)-j, func(k int) bool { return !b.less(j+k, &a, i) })
-			seg.take(b.refs[j:end], shift)
+	for i < a.n && j < b.n {
+		end := i + gallop(a.n-i, func(k int) bool { return b.less(j, &a, i+k) })
+		seg.appendSpans(&a, i, end, 0)
+		if i = end; i < a.n {
+			end = j + gallop(b.n-j, func(k int) bool { return !b.less(j+k, &a, i) })
+			seg.appendSpans(&b, j, end, shift)
 			j = end
 		}
 	}
-	seg.take(a.refs[i:], 0)
-	seg.take(b.refs[j:], shift)
+	seg.appendSpans(&a, i, a.n, 0)
+	seg.appendSpans(&b, j, b.n, shift)
 	for _, in := range [2]ckptSegment{a, b} {
 		seg.replaced = append(seg.replaced, in.replaced...)
 		if in.fileID != 0 {
@@ -845,41 +888,21 @@ func mergeSegments(a, b ckptSegment) ckptSegment {
 	return seg
 }
 
-// take appends refs to seg, their block indexes moved up by shift: where
-// their segment's blocks start in seg's list.
-func (seg *ckptSegment) take(refs []trace.RecordRef, shift uint32) {
-	at := len(seg.refs)
-	seg.refs = append(seg.refs, refs...)
-	if shift != 0 {
-		for k := at; k < len(seg.refs); k++ {
-			seg.refs[k].Block += shift
-		}
-	}
-}
-
-// without returns seg less the spans at the ascending indexes drop: a fresh
-// refs array (seg is immutable), the rest still in canonical order — over
-// the blocks that still earn their keep, or over seg's file, which the
-// remainder holds until its own is written. Like a merge's survivor it has
-// no durable file yet and names seg's — with seg's own pending replacements
-// — as replaced.
+// without returns seg less the spans at the ascending indexes drop: fresh
+// runs (seg is immutable), cut where the dropped spans were, the rest still
+// in canonical order — over the blocks that still earn their keep, or over
+// seg's file, which the remainder holds until its own is written. Like a
+// merge's survivor it has no durable file yet and names seg's — with seg's
+// own pending replacements — as replaced.
 func (h *history) without(seg ckptSegment, drop []int) ckptSegment {
-	rest := ckptSegment{blocks: seg.blocks, file: seg.file, refs: make([]trace.RecordRef, 0, seg.len()-len(drop))}
-	if seg.file != nil {
-		for i, d := 0, 0; i < seg.len(); i++ {
-			if d < len(drop) && drop[d] == i {
-				d++
-				continue
-			}
-			rest.refs = append(rest.refs, seg.ref(i))
-		}
-	} else {
-		from := 0
-		for _, i := range drop {
-			rest.refs = append(rest.refs, seg.refs[from:i]...)
-			from = i + 1
-		}
-		rest.refs = append(rest.refs, seg.refs[from:]...)
+	rest := ckptSegment{blocks: seg.blocks, file: seg.file, runs: make([]refRun, 0, len(seg.runs)+1)}
+	from := 0
+	for _, i := range drop {
+		rest.appendSpans(&seg, from, i, 0)
+		from = i + 1
+	}
+	rest.appendSpans(&seg, from, seg.n, 0)
+	if seg.file == nil {
 		h.compactBlocks(&rest)
 	}
 	rest.replaced = slices.Clip(seg.replaced)
@@ -889,18 +912,18 @@ func (h *history) without(seg ckptSegment, drop []int) ckptSegment {
 	return rest
 }
 
-// compactBlocks restores, on a segment under construction (its refs array
-// is still private), the rule that bounds what is resident by what is
-// referenced: a block fewer than half of whose records the segment still
-// references gives them up — gathered, in segment order and with the other
-// sparse blocks', into one new fully referenced block — and leaves; one no
-// reference reaches just leaves. Blocks at least half referenced stay as
-// they are, so resident bytes stay within twice the referenced ones and a
-// record is re-gathered only after as many of its block's have left.
+// compactBlocks restores, on a segment under construction (its runs are
+// still private), the rule that bounds what is resident by what is
+// referenced: a block fewer than half of whose records the runs still name
+// gives them up — gathered, in segment order and with the other sparse
+// blocks', into one new fully referenced block — and leaves; one no run
+// reaches just leaves. Blocks at least half referenced stay as they are, so
+// resident bytes stay within twice the referenced ones and a record is
+// re-gathered only after as many of its block's have left.
 func (h *history) compactBlocks(seg *ckptSegment) {
 	used := make([]int, len(seg.blocks))
-	for _, r := range seg.refs {
-		used[r.Block]++
+	for k, r := range seg.runs {
+		used[r.block] += seg.runLen(k)
 	}
 	to := make([]int, len(seg.blocks)) // a kept block's new index; -1: sparse
 	var kept []heldBlock
@@ -913,13 +936,20 @@ func (h *history) compactBlocks(seg *ckptSegment) {
 	if len(kept) == len(seg.blocks) {
 		return
 	}
+	// The runs are remapped run by run; a sparse block's records are spelled
+	// out only as the gather takes them.
 	var moved []trace.RecordRef
-	for i, r := range seg.refs {
-		if to[r.Block] < 0 {
-			seg.refs[i] = trace.RecordRef{Block: uint32(len(kept)), Record: uint32(len(moved))}
-			moved = append(moved, r)
-		} else {
-			seg.refs[i].Block = uint32(to[r.Block])
+	old := *seg
+	seg.runs, seg.n = make([]refRun, 0, len(old.runs)), 0
+	for k, r := range old.runs {
+		n := old.runLen(k)
+		if to[r.block] >= 0 {
+			seg.appendRun(uint32(to[r.block]), r.first, n)
+			continue
+		}
+		seg.appendRun(uint32(len(kept)), uint32(len(moved)), n)
+		for x := range uint32(n) {
+			moved = append(moved, trace.RecordRef{Block: r.block, Record: r.first + x})
 		}
 	}
 	if len(moved) > 0 { // out of the blocks as they stood: seg.blocks changes below
@@ -997,9 +1027,12 @@ func (h *history) extract(sel func(seg *ckptSegment) ([]int, error)) (out []fold
 // new span block, nothing decoded.
 func (seg *ckptSegment) gather(picks []int) ([]byte, error) {
 	if seg.file == nil {
+		c := newCursor(seg)
 		refs := make([]trace.RecordRef, len(picks))
 		for k, i := range picks {
-			refs[k] = seg.refs[i]
+			c.pos = i
+			b, r := c.ref()
+			refs[k] = trace.RecordRef{Block: uint32(b), Record: uint32(r)}
 		}
 		return trace.GatherSpanBlock(nil, seg.spanBlocks(), refs), nil
 	}
@@ -1033,7 +1066,8 @@ func (h *history) extractOverlapping(windows []window) ([]folded, error) {
 		k := 0
 		for ; c.pos < c.n; c.pos++ {
 			if seg.file != nil {
-				w := &seg.file.dir[int(seg.ref(c.pos).Record)/windowRecords]
+				_, r := c.ref()
+				w := &seg.file.dir[r/windowRecords]
 				if w.first > last {
 					break
 				}
@@ -1116,31 +1150,30 @@ func (m movedLaunches) mayHold(set []uint64) bool {
 // windows — whose correlation-id buckets meet the moved launches' and passes
 // over the rest: a repair that moved launches nothing folded hangs on costs
 // a few comparisons per block, and one that finds such a block costs a pass
-// over its segment's references besides.
+// over its segment's positions besides.
 func (h *history) extractExecs(moved movedLaunches) ([]folded, error) {
 	return h.extract(func(seg *ckptSegment) (hits []int, err error) {
-		var match []bool
-		some := false
+		// match is by file window when the segment is filed, else by block.
+		set := func(b int) []uint64 { return seg.blocks[b].execCorr }
+		match := make([]bool, len(seg.blocks))
 		if seg.file != nil {
-			match = make([]bool, len(seg.file.dir))
-			for w := range seg.file.dir {
-				match[w] = moved.mayHold(seg.file.dir[w].execCorr)
-				some = some || match[w]
-			}
-		} else {
-			match = make([]bool, len(seg.blocks))
-			for b := range seg.blocks {
-				match[b] = moved.mayHold(seg.blocks[b].execCorr)
-				some = some || match[b]
-			}
+			set, match = func(w int) []uint64 { return seg.file.dir[w].execCorr }, make([]bool, len(seg.file.dir))
+		}
+		some := false
+		for k := range match {
+			match[k] = moved.mayHold(set(k))
+			some = some || match[k]
 		}
 		if !some {
 			return nil, nil
 		}
 		c := newCursor(seg)
 		for ; c.pos < c.n; c.pos++ {
-			if seg.file != nil && !match[int(seg.ref(c.pos).Record)/windowRecords] ||
-				seg.file == nil && !match[seg.refs[c.pos].Block] {
+			b, r := c.ref()
+			if seg.file != nil {
+				b = r / windowRecords
+			}
+			if !match[b] {
 				continue
 			}
 			blk, r, ok := c.record()

@@ -102,6 +102,14 @@ func FuzzStreamVsBatch(f *testing.F) {
 	f.Add(uint16(3_000), uint8(3), false, uint16(64), uint16(64), uint16(8), uint16(24), int16(0), uint16(64), int64(5), false, uint16(0), false, uint8(1))
 	f.Add(uint16(3_000), uint8(2), false, uint16(32), uint16(8), uint16(16), uint16(24), int16(0), uint16(32), int64(7), true, uint16(40), false, uint8(1))
 	f.Add(uint16(4_096), uint8(3), false, uint16(16), uint16(64), uint16(8), uint16(300), int16(24), uint16(16), int64(4), true, uint16(195), false, uint8(1))
+	// Run-cut seed: 4-span batches shuffled over a 511 skew with no reorder
+	// window, recycled, so stragglers reopen the ladder time and again: a dozen
+	// reopens cut one segment that two interleaved folds merged into 26-32
+	// runs of records, each reopen cutting the runs its predecessor left.
+	// (Deeper merges are out of reach at 4 096 spans, ~4 folds of 1 024
+	// releases; TestWindowedReopenMatchesFullReopen cuts segments merged
+	// from up to 26 folds.)
+	f.Add(uint16(4_096), uint8(3), false, uint16(4), uint16(511), uint16(0), uint16(600), int16(24), uint16(64), int64(1913), false, uint16(0), false, uint8(1))
 
 	f.Fuzz(func(t *testing.T, spans uint16, streams uint8, dropLaunches bool,
 		batchSize, skew, window uint16, stragglerWin uint16, maxWindow int16, retain uint16, seed int64,

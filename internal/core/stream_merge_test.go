@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"xsp/internal/trace"
 	"xsp/internal/vclock"
@@ -51,7 +52,7 @@ func mergeSegmentsByMap(a, b ckptSegment) (merged []keyed, replaced []uint64) {
 func randomSegment(rng *rand.Rand, n int, shift vclock.Time, ids *[]uint64) ckptSegment {
 	seg := randomOneBlock(rng, n, shift, ids)
 	if rng.Intn(2) == 0 && n > 1 {
-		seg.blocks, seg.refs = splitAlternately(seg)
+		seg.blocks, seg.runs = splitAlternately(seg)
 	}
 	if rng.Intn(3) > 0 {
 		seg.fileID = 1 + uint64(rng.Intn(1000))
@@ -97,23 +98,23 @@ func randomOneBlock(rng *rand.Rand, n int, shift vclock.Time, ids *[]uint64) ckp
 }
 
 // splitAlternately re-homes a one-block segment's records in two blocks,
-// even positions and odd, and returns them with the references that keep the
-// segment's order.
-func splitAlternately(seg ckptSegment) ([]heldBlock, []trace.RecordRef) {
+// even positions and odd, and returns them with the runs that keep the
+// segment's order: one a record, the worst case runs have.
+func splitAlternately(seg ckptSegment) ([]heldBlock, []refRun) {
 	var halves [2][]trace.RecordRef
-	refs := make([]trace.RecordRef, len(seg.refs))
-	for i, r := range seg.refs {
-		refs[i] = trace.RecordRef{Block: uint32(i % 2), Record: uint32(i / 2)}
-		halves[i%2] = append(halves[i%2], r)
+	runs := make([]refRun, seg.n)
+	for i := range runs {
+		runs[i] = refRun{at: uint32(i), block: uint32(i % 2), first: uint32(i / 2)}
+		halves[i%2] = append(halves[i%2], trace.RecordRef{Record: uint32(i)})
 	}
 	blocks := make([]heldBlock, 2)
 	for h := range blocks {
 		blocks[h] = new(history).hold(func(buf []byte) []byte { return trace.GatherSpanBlock(buf, seg.spanBlocks(), halves[h]) }, false)
 	}
-	return blocks, refs
+	return blocks, runs
 }
 
-// Property: the two-pointer merge that moves references is the map-based
+// Property: the two-pointer merge that moves runs is the map-based
 // merge of decoded spans it replaced — same span order (the ID tie-break
 // across inputs included), same owned bits, same replaced list — over random
 // segment pairs with empty sides and lengths on both sides of a bitset word,
@@ -137,8 +138,8 @@ func TestMergeSegmentsCarriesOwnedBits(t *testing.T) {
 				a, b := randomSegment(rng, na, 0, &ids), randomSegment(rng, nb, follow, &ids)
 				want, wantReplaced := mergeSegmentsByMap(a, b)
 				got := mergeSegments(a, b)
-				if len(got.refs) != len(want) {
-					t.Fatalf("%d+%d spans: merged %d, reference %d", na, nb, len(got.refs), len(want))
+				if got.len() != len(want) {
+					t.Fatalf("%d+%d spans: merged %d, reference %d", na, nb, got.len(), len(want))
 				}
 				for i, w := range want {
 					blk, r := got.at(i)
@@ -175,7 +176,7 @@ func TestWithoutKeepsBlocksHalfReferenced(t *testing.T) {
 	seg := mergeSegments(a, b)
 	want := func(seg ckptSegment, drop []int) []keyed {
 		var out []keyed
-		for i := range seg.refs {
+		for i := range seg.len() {
 			if _, dropped := slices.BinarySearch(drop, i); !dropped {
 				blk, r := seg.at(i)
 				out = append(out, keyed{blk.ID(r), blk.Owned(r)})
@@ -203,7 +204,7 @@ func TestWithoutKeepsBlocksHalfReferenced(t *testing.T) {
 	} {
 		rest := new(history).without(seg, tc.drop)
 		var got []keyed
-		for i := range rest.refs {
+		for i := range rest.len() {
 			blk, r := rest.at(i)
 			got = append(got, keyed{blk.ID(r), blk.Owned(r)})
 		}
@@ -222,8 +223,110 @@ func TestWithoutKeepsBlocksHalfReferenced(t *testing.T) {
 		if isNew != tc.gathered {
 			t.Fatalf("%s: last block newly gathered = %v, want %v", tc.name, isNew, tc.gathered)
 		}
-		if len(seg.refs) != 300 || len(seg.blocks) != 2 {
+		if seg.len() != 300 || len(seg.blocks) != 2 {
 			t.Fatalf("%s: without edited the segment it was called on", tc.name)
+		}
+	}
+}
+
+// Folds of successive stretches of a stream merge into one run per fold:
+// however the ladder pairs them, every merge appends whole runs, so what the
+// ladder holds is O(folds) runs, not a reference per span.
+func TestSuccessiveFoldsMergeToOneRunEach(t *testing.T) {
+	const folds, size = 37, 100
+	h := new(history)
+	id := uint64(0)
+	for k := range folds {
+		spans := make([]*trace.Span, size)
+		for i := range spans {
+			id++
+			spans[i] = &trace.Span{ID: id, Begin: vclock.Time(k*size + i), End: vclock.Time(k*size + i + 1)}
+		}
+		if err := h.add(spans, func(i int) bool { return i%3 == 0 }, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs, blocks := 0, 0
+	for i := range h.segs {
+		runs += len(h.segs[i].runs)
+		blocks += len(h.segs[i].blocks)
+	}
+	if h.compactions == 0 || len(h.segs) >= folds {
+		t.Fatalf("%d folds made %d compactions into %d segments: nothing merged", folds, h.compactions, len(h.segs))
+	}
+	if runs != folds || blocks != folds {
+		t.Fatalf("%d successive folds merged into %d runs over %d blocks, want %d of each", folds, runs, blocks, folds)
+	}
+	var got []uint64
+	if err := merge(h.segs, nil, func(blk *trace.SpanBlock, i int, _ *trace.Span) bool {
+		if blk.Owned(i) != ((blk.ID(i)-1)%size%3 == 0) {
+			t.Fatalf("span %d lost its owned bit", blk.ID(i))
+		}
+		got = append(got, blk.ID(i))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != folds*size || !slices.IsSorted(got) {
+		t.Fatalf("the ladder walks %d spans, in order %v; want %d in order", len(got), slices.IsSorted(got), folds*size)
+	}
+}
+
+// Dropping one contiguous range of spans cuts at most one run in two,
+// whatever blocks the remainder then gathers; and runs of one record — two
+// blocks taking turns, the worst case — cost 12 bytes a record, merged or
+// not.
+func TestRunsCutOnceAndCostAtMostARecord(t *testing.T) {
+	if size := unsafe.Sizeof(refRun{}); size != 12 {
+		t.Fatalf("a run is %d bytes, want 12", size)
+	}
+	rng := rand.New(rand.NewSource(48))
+	for round := 0; round < 40; round++ {
+		ids := make([]uint64, 600)
+		for i := range ids {
+			ids[i] = uint64(i + 1)
+		}
+		a, b := randomSegment(rng, 1+rng.Intn(300), 0, &ids), randomSegment(rng, 1+rng.Intn(300), vclock.Time(rng.Intn(50)), &ids)
+		seg := mergeSegments(a, b)
+		if len(seg.runs) > seg.len() {
+			t.Fatalf("round %d: %d runs name %d spans", round, len(seg.runs), seg.len())
+		}
+		lo := rng.Intn(seg.len())
+		hi := lo + 1 + rng.Intn(seg.len()-lo)
+		var drop []int
+		for i := lo; i < hi; i++ {
+			drop = append(drop, i)
+		}
+		rest := new(history).without(seg, drop)
+		if len(rest.runs) > len(seg.runs)+1 {
+			t.Fatalf("round %d: dropping [%d, %d) of %d spans made %d runs of %d", round, lo, hi, seg.len(), len(rest.runs), len(seg.runs))
+		}
+		for i := range rest.len() {
+			j := i
+			if i >= lo {
+				j += hi - lo
+			}
+			x, r := rest.at(i)
+			y, q := seg.at(j)
+			if x.ID(r) != y.ID(q) || x.Owned(r) != y.Owned(q) {
+				t.Fatalf("round %d: the remainder's span %d is not the segment's %d", round, i, j)
+			}
+		}
+	}
+
+	ids := make([]uint64, 1_200)
+	for i := range ids {
+		ids[i] = uint64(i + 1)
+	}
+	alternating := func() ckptSegment {
+		seg := randomOneBlock(rng, 300, 0, &ids)
+		seg.blocks, seg.runs = splitAlternately(seg)
+		return seg
+	}
+	x, y := alternating(), alternating()
+	for _, seg := range []ckptSegment{x, mergeSegments(x, y), mergeSegments(randomOneBlock(rng, 300, 0, &ids), randomOneBlock(rng, 300, 0, &ids))} {
+		if size := len(seg.runs) * int(unsafe.Sizeof(refRun{})); size > 12*seg.len() {
+			t.Fatalf("%d spans in %d blocks hold %d bytes of runs, over 12 a span", seg.len(), len(seg.blocks), size)
 		}
 	}
 }

@@ -28,7 +28,7 @@ import (
 // (the SpanBlock accessors, RecordLess), decodes that one record (SpanDecoder),
 // and gathers records of several blocks into a new block (GatherSpanBlock)
 // without decoding any — which is what lets spans be kept, sorted, merged
-// and written to a file as encoded bytes plus 8-byte RecordRefs. The decoder
+// and written to a file as encoded bytes plus record references. The decoder
 // materializes the blob as one Go string, so every name, source, tag key,
 // and tag value is a zero-copy substring of a single allocation rather than
 // a per-field copy. Decoded Span structs themselves come out of a SpanStore
@@ -345,7 +345,9 @@ type SpanBlock struct {
 }
 
 // RecordRef names one record of one block in a list of blocks: eight
-// pointer-free bytes, the unit a holder of many blocks sorts and merges.
+// pointer-free bytes, the unit GatherSpanBlock takes. (The core ladder holds
+// its references as runs of consecutive records and spells a run out as
+// RecordRefs only to gather it.)
 type RecordRef struct{ Block, Record uint32 }
 
 // ParseSpanBlock validates the span block at the head of b — every section
