@@ -115,10 +115,22 @@
 // and the correlation-id buckets a repair asks about — and reads its records
 // from the file a window at a time, each window a validated span block, so
 // the heap holds a fraction of a byte per durable folded span and the file
-// the rest. A durable compaction writes its survivor once, by a streaming
-// k-way merge of all its inputs, resident or filed, and a repair's remainder
-// streams from its source the same way; recovery validates one file at a
-// time and installs it filed.
+// the rest. A compaction only plans and merges in memory; a durable
+// survivor is written once, by a streaming k-way merge of all its inputs,
+// resident or filed, and a repair's remainder streams from its source the
+// same way; recovery validates one file at a time and installs it filed.
+//
+// Every durable write goes through one step (commit), after a fold, a
+// reopening repair and at the end of recovery, under one ordering rule:
+// first the segments whose files only add spans to disk — fresh folds,
+// resident merges, compaction survivors — for until then the WAL records
+// that carried their spans are the only copy; then, when asked (by the
+// fold-time rotation rule, always after a reopen or a recovery), the WAL
+// rotates onto a snapshot of everything unfolded and the files reopens
+// emptied are deleted; only then the remainders reopens left, whose writes
+// delete spans the new snapshot now carries. With no store armed — the
+// recovery replay, or a latched error — the step writes nothing and a
+// planned survivor dissolves back into its inputs.
 //
 // A read ([StreamCorrelator.View]) holds the correlator's mutex only to pin
 // the immutable segment list — holding every file in it open, so a

@@ -124,21 +124,40 @@ func (sc *StreamCorrelator) durable() bool {
 	return sc.opts.Store != nil && !sc.replaying && sc.durErr == nil
 }
 
-// persistHistory writes the segment files the ladder still owes (see
-// history.persistLadder); an error latches. Callers hold sc.mu.
-func (sc *StreamCorrelator) persistHistory() {
+// commit is the stream's one durable step: it writes the segment files the
+// ladder owes and, when rotate asks, rotates the WAL, in the one order that
+// never leaves a span the disk holds nowhere:
+//
+//  1. every segment whose file only adds spans to disk — a fresh fold, a
+//     resident merge, a compaction survivor — is written first: until it
+//     is, the WAL records that carried its spans are their one copy;
+//  2. then the WAL rotates onto a fresh generation whose snapshot covers
+//     everything unfolded — the live tail, spans a reopen took back out of
+//     segments among it, the correlation table, the release floor — and the
+//     files reopens emptied are deleted;
+//  3. only then are the remainders reopens left written, each deleting the
+//     file that held the spans it leaves out.
+//
+// With no store armed (recovery's replay, or a latched error) it writes
+// nothing, and a compaction survivor dissolves back into its inputs. An
+// error latches. Callers hold sc.mu.
+func (sc *StreamCorrelator) commit(rotate bool) {
 	if sc.durable() {
-		sc.durErr = sc.hist.persistLadder(sc.opts.Store)
+		store := sc.opts.Store
+		sc.durErr = sc.hist.write(store, func(seg *ckptSegment) bool { return !seg.trims() })
+		if sc.durErr == nil && rotate {
+			sc.durErr = store.Rotate(sc.snapshotLocked())
+			if sc.durErr == nil {
+				sc.walSpans = sc.liveLen()
+				sc.durErr = sc.hist.dropStale(store)
+			}
+			if sc.durErr == nil {
+				sc.durErr = sc.hist.write(store, (*ckptSegment).trims)
+			}
+		}
 	}
-}
-
-// store is the store compaction writes survivors through: nil unless store
-// writes are armed. Callers hold sc.mu.
-func (sc *StreamCorrelator) store() SegmentStore {
-	if sc.durable() {
-		return sc.opts.Store
-	}
-	return nil
+	sc.hist.dissolve()
+	sc.hist.keepLent()
 }
 
 // walNeedsRotation is the fold-time rotation rule. A fold leaves its
@@ -153,23 +172,6 @@ func (sc *StreamCorrelator) store() SegmentStore {
 // hold sc.mu.
 func (sc *StreamCorrelator) walNeedsRotation() bool {
 	return sc.walSpans >= 2*sc.liveLen()
-}
-
-// rotateWAL trims the WAL: a fresh generation whose snapshot record
-// covers the entire unfolded state (live tail, correlation table, release
-// floor; the store adds the dedup-id window and its segment-id stamp).
-// Segment files a reopen emptied are deleted here and only here — the
-// rotation is what makes their spans durable elsewhere. Callers hold
-// sc.mu.
-func (sc *StreamCorrelator) rotateWAL() {
-	if !sc.durable() {
-		return
-	}
-	if sc.durErr = sc.opts.Store.Rotate(sc.snapshotLocked()); sc.durErr != nil {
-		return
-	}
-	sc.walSpans = sc.liveLen()
-	sc.durErr = sc.hist.dropStale(sc.opts.Store)
 }
 
 // snapshotLocked builds the WAL snapshot of everything not in a segment.
@@ -359,14 +361,10 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 
 	sc.mu.Lock()
 	sc.replaying = false
-	// Rotate onto a fresh WAL — which re-arms appends and covers whatever a
-	// replay-time repair, or the coverage rule above, took out of a segment
-	// — and only then persist the shape replay left the ladder in:
-	// remainders, and compaction survivors with their inputs on their
-	// replaced lists. Writing a remainder deletes the file holding the spans
-	// it left out, so the snapshot carrying them has to exist first.
-	sc.rotateWAL()
-	sc.persistHistory()
+	// Write what the replay folded, rotate onto a fresh WAL — which re-arms
+	// appends and covers whatever a replay-time repair, or the coverage rule
+	// above, took out of a segment — and write the remainders that left.
+	sc.commit(true)
 	err := sc.durErr
 	sc.mu.Unlock()
 	if err != nil {

@@ -433,6 +433,17 @@ func crashRecoveryToo(t *testing.T, ctx string, plan faultfs.Plan, opts func(cor
 	batches [][]*trace.Span, want map[uint64]uint64) {
 	t.Helper()
 	disk, acked := doomedRun(plan, opts, batches)
+	crashEachRecoveryOp(t, ctx, disk, acked, plan.Mode, opts, batches, want)
+}
+
+// crashEachRecoveryOp boots from the durable view disk with the recovery
+// crashed at each of its operations in turn, and requires the boot after
+// each to finish the stream on the batch oracle; acked batches are the
+// client's, the rest it retries. It returns how many operations the
+// recovery makes.
+func crashEachRecoveryOp(t *testing.T, ctx string, disk *faultfs.FS, acked int, mode faultfs.Mode, opts func(core.SegmentStore) core.StreamOptions,
+	batches [][]*trace.Span, want map[uint64]uint64) int {
+	t.Helper()
 	boot := func(fs *faultfs.FS) {
 		if st, rec, err := segio.Open(fs, segio.Options{}); err == nil {
 			_, _ = core.RecoverStream(opts(st), rec) // a crashed boot fails; the next one is what counts
@@ -442,9 +453,65 @@ func crashRecoveryToo(t *testing.T, ctx string, plan faultfs.Plan, opts func(cor
 	boot(dry)
 	for crash := 0; crash < dry.Ops(); crash++ {
 		fs := disk.Recovered()
-		fs.Arm(faultfs.Plan{CrashAfter: crash, Mode: plan.Mode})
+		fs.Arm(faultfs.Plan{CrashAfter: crash, Mode: mode})
 		boot(fs)
 		rebootAndFinish(t, fmt.Sprintf("%s, recovery crash@%d/%d", ctx, crash, dry.Ops()), fs.Recovered(), acked, opts, batches, want)
+	}
+	return dry.Ops()
+}
+
+// A recovery whose replay folds owes segment files for those folds, and the
+// WAL it replayed is their only durable copy until they are written: its
+// rotation onto a fresh WAL must come after them. The first process is
+// abandoned with its last fold's spans and everything since in the WAL, no
+// Checkpoint, so the second one's replay folds; that recovery is crashed at
+// each of its operations, and the boot after it must still finish the
+// stream on the batch oracle, every acked span recovered.
+func TestCrashedRecoveryKeepsReplayFolds(t *testing.T) {
+	batches := durableWorkload(6_000)
+	want := batchParents(batches)
+	for _, fed := range []int{60, 90} {
+		for _, m := range []struct {
+			name string
+			mode faultfs.Mode
+		}{{"clean", faultfs.ModeClean}, {"torn", faultfs.ModeTorn}} {
+			ctx := fmt.Sprintf("%d batches fed, %s", fed, m.name)
+			disk := faultfs.New()
+			st, rec, err := segio.Open(disk, segio.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := core.RecoverStream(durableOpts(st), rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range batches[:fed] {
+				if err := sc.FeedLogged(uint64(i+1), cloneBatch(b)...); err != nil {
+					t.Fatalf("%s: batch %d: %v", ctx, i+1, err)
+				}
+			}
+
+			// The case needs a replay that folds: its spans are in no file.
+			dry := disk.Recovered()
+			st, rec, err = segio.Open(dry, segio.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			filed := 0
+			for _, seg := range rec.Segments {
+				filed += seg.File.Len()
+			}
+			sc, err = core.RecoverStream(durableOpts(st), rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sc.Stats().Checkpointed <= filed {
+				t.Fatalf("%s: recovery folded nothing past the %d spans its files held: %+v", ctx, filed, sc.Stats())
+			}
+			if ops := crashEachRecoveryOp(t, ctx, disk.Recovered(), fed, m.mode, durableOpts, batches, want); ops < 4 {
+				t.Fatalf("%s: the recovery made %d operations: nothing to crash", ctx, ops)
+			}
+		}
 	}
 }
 

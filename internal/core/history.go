@@ -86,8 +86,8 @@ type ckptSegment struct {
 	runs   []refRun
 	n      int
 
-	// parts is a compaction survivor compact has yet to build: its inputs,
-	// in merge order. Only compact sees one.
+	// parts is a compaction survivor compact planned and the durable step
+	// has yet to build: its inputs, in merge order. None outlives that step.
 	parts []ckptSegment
 
 	// fileID is the segment's durable file id (0: not yet on disk);
@@ -439,16 +439,16 @@ func (seg *ckptSegment) maxEnd() (end vclock.Time) {
 
 // add folds spans — in canonical order, owned telling each one's bit, kept
 // so a reopen can restore their ownership exactly — into a new block, one
-// encode, and a new segment that is all of it, and restores the size ladder:
-// with store non-nil, each survivor written to its file as it is built.
-func (h *history) add(spans []*trace.Span, owned func(i int) bool, store SegmentStore) error {
-	// With a store, persistLadder writes the block next: it is lent.
-	h.push(segmentOf(h.hold(func(buf []byte) []byte { return trace.AppendSpanBlock(buf, spans, owned) }, store != nil)))
+// encode, and a new segment that is all of it, and plans the size ladder
+// back into shape. lend leaves the block in the encoder's scratch, for a
+// fold whose file the durable step writes next (see keepLent).
+func (h *history) add(spans []*trace.Span, owned func(i int) bool, lend bool) {
+	h.push(segmentOf(h.hold(func(buf []byte) []byte { return trace.AppendSpanBlock(buf, spans, owned) }, lend)))
 
 	// Keep the segment count in check so a snapshot's k-way merge stays
 	// shallow — geometrically, so a day-long stream amortizes O(log n)
 	// merge work per span instead of re-merging everything periodically.
-	return h.compact(store)
+	h.compact()
 }
 
 // install adds a recovered segment file to the ladder, filed: one pass over
@@ -616,16 +616,18 @@ func merge(segs []ckptSegment, live []*trace.Span, yield func(blk *trace.SpanBlo
 	return nil
 }
 
-// persistLadder writes a segment file for every checkpoint segment that
-// does not have one yet — fresh folds, survivors built while no store was
-// armed, and remainders — handing each its own replaced-file list, so a
-// crash between two writes can never have deleted an input whose merged
-// survivor is not yet on disk. A written segment is filed: its blocks and
-// references go, the file holds them.
-func (h *history) persistLadder(store SegmentStore) error {
+// write writes a segment file for every checkpoint segment that pick
+// selects and that has none yet — a fresh fold from its block as it is, any
+// other by one streaming merge of its inputs (writeMerged) — handing each
+// its own replaced-file list, so a crash between two writes can
+// never have deleted an input whose merged survivor is not yet on disk. A
+// written segment is filed: its blocks and runs go, the file holds them. The
+// first error ends it. Only the durable step calls it (see
+// StreamCorrelator.commit).
+func (h *history) write(store SegmentStore, pick func(seg *ckptSegment) bool) error {
 	for i := range h.segs {
 		seg := &h.segs[i]
-		if seg.fileID != 0 {
+		if seg.fileID != 0 || !pick(seg) {
 			continue
 		}
 		var filed ckptSegment
@@ -643,11 +645,10 @@ func (h *history) persistLadder(store SegmentStore) error {
 				filed, err = openFiled(store, id, dir.done())
 			}
 		} else {
-			var leaving []*segFile
-			if seg.file != nil {
-				leaving = append(leaving, seg.file)
+			parts := seg.inputs()
+			if filed, err = writeMerged(store, parts); err == nil {
+				h.compactions += len(parts) - 1
 			}
-			filed, err = writeFiled(store, seg.len(), seg.each, seg.replaced, leaving)
 		}
 		if err != nil {
 			return err
@@ -655,6 +656,33 @@ func (h *history) persistLadder(store SegmentStore) error {
 		*seg = filed
 	}
 	return nil
+}
+
+// trims reports whether writing the segment deletes spans from disk: a
+// remainder's file leaves out what a reopen took back live from the file it
+// replaces, and so does a survivor built from one. Every other segment's
+// write only adds spans to disk: a resident segment replaces no file, and a
+// survivor replaces only its inputs', whose spans it holds.
+func (seg *ckptSegment) trims() bool {
+	if seg.parts != nil {
+		return slices.ContainsFunc(seg.parts, func(p ckptSegment) bool { return p.trims() })
+	}
+	return seg.file != nil && seg.fileID == 0
+}
+
+// dissolve puts every compaction survivor not written back as its inputs:
+// a filed input merges only into a file, which no write has made — none was
+// armed, recovery's replay or a latched error, or it failed. The next
+// compaction with a store armed plans the merge again.
+func (h *history) dissolve() {
+	if !slices.ContainsFunc(h.segs, func(seg ckptSegment) bool { return seg.parts != nil }) {
+		return
+	}
+	ladder := make([]ckptSegment, 0, len(h.segs))
+	for i := range h.segs {
+		ladder = append(ladder, h.segs[i].inputs()...)
+	}
+	h.segs = ladder
 }
 
 // openFiled opens the segment file just written as id, and returns the
@@ -671,37 +699,6 @@ func openFiled(store SegmentStore, id uint64, dir []fileWindow) (ckptSegment, er
 // segmentOf's — written as id.
 func filedSegment(f *segFile, id uint64) ckptSegment {
 	return ckptSegment{file: f, fileID: id, runs: make([]refRun, min(f.Len(), 1)), n: f.Len()}
-}
-
-// writeFiled writes the n records walk hands out as a new segment file —
-// streamed from where they lie, resident blocks or other files, never
-// gathered into one buffer — that replaces the files of replaced, and
-// returns the filed segment that is all of it. leaving are the files of the
-// segments it replaces in the ladder: readable through the write, and let go
-// of once it is done.
-func writeFiled(store SegmentStore, n int, walk func(yield func(blk *trace.SpanBlock, i int) bool) error, replaced []uint64, leaving []*segFile) (ckptSegment, error) {
-	for _, f := range leaving {
-		f.detach()
-	}
-	var dir dirBuilder
-	id, err := store.WriteGathered(n, func(yield func(blk *trace.SpanBlock, i int) bool) error {
-		dir = dirBuilder{} // each pass walks the same records
-		return walk(func(blk *trace.SpanBlock, i int) bool {
-			dir.add(blk, i)
-			return yield(blk, i)
-		})
-	}, replaced)
-	if err != nil {
-		return ckptSegment{}, err
-	}
-	filed, err := openFiled(store, id, dir.done())
-	if err != nil {
-		return ckptSegment{}, err
-	}
-	for _, f := range leaving {
-		f.unref()
-	}
-	return filed, nil
 }
 
 // dropStale deletes the segment files reopens emptied. Only a WAL rotation
@@ -729,15 +726,12 @@ func (h *history) dropStale(store SegmentStore) error {
 // segments) matters: one tiny straggler fold must not shield a plateau of
 // equal-size segments behind it from ever merging.
 //
-// With no store armed, two resident segments merge as they pair up, in
-// memory (mergeSegments). With a store, the schedule is worked out on sizes
-// alone and each survivor built once, from all of its inputs, written to its
-// file by one streaming merge however many merges made it (see
-// writeMerged). A
-// survivor with a filed input and no store to write it is not built: its
-// inputs stay, and the next compaction with a store merges them; a failed
-// write leaves them the same way.
-func (h *history) compact(store SegmentStore) error {
+// Two resident segments merge as they pair up, in memory (mergeSegments). A
+// pair with a filed input is only planned, on sizes alone: a survivor whose
+// parts are its inputs, built once from all of them by the durable step,
+// which writes it to its file by one streaming merge however many merges
+// made it (see history.write) or dissolves it back into them.
+func (h *history) compact() {
 	// order lists the segments by size, equal sizes by position, and stays
 	// sorted across the merges below.
 	bySize := func(a, b int) int {
@@ -760,7 +754,7 @@ func (h *history) compact(store SegmentStore) error {
 			break // the doubling ladder holds everywhere
 		}
 		lo, hi := min(order[pair], order[pair+1]), max(order[pair], order[pair+1])
-		if a, b := &h.segs[lo], &h.segs[hi]; store == nil && a.resident() && b.resident() {
+		if a, b := &h.segs[lo], &h.segs[hi]; a.resident() && b.resident() {
 			h.segs[lo] = mergeSegments(*a, *b)
 			h.compactions++
 		} else {
@@ -779,34 +773,6 @@ func (h *history) compact(store SegmentStore) error {
 		at, _ := slices.BinarySearchFunc(order, lo, bySize)
 		order = slices.Insert(order, at, lo)
 	}
-
-	if !slices.ContainsFunc(h.segs, func(seg ckptSegment) bool { return seg.parts != nil }) {
-		return nil
-	}
-	var err error
-	ladder := make([]ckptSegment, 0, len(h.segs))
-	for _, seg := range h.segs {
-		if seg.parts == nil {
-			ladder = append(ladder, seg)
-			continue
-		}
-		if store == nil {
-			// A filed input merges only into a file: not before a store is
-			// armed — recovery's replay is through — or never, once one latched.
-			ladder = append(ladder, seg.parts...)
-			continue
-		}
-		built, berr := writeMerged(store, seg.parts)
-		if berr != nil { // latched: the inputs stay as they are
-			err, store = berr, nil
-			ladder = append(ladder, seg.parts...)
-			continue
-		}
-		h.compactions += len(seg.parts) - 1
-		ladder = append(ladder, built)
-	}
-	h.segs = ladder
-	return err
 }
 
 // resident reports whether the segment is its blocks and runs.
@@ -820,10 +786,13 @@ func (seg *ckptSegment) inputs() []ckptSegment {
 	return []ckptSegment{*seg}
 }
 
-// writeMerged writes a survivor as a new segment file, by one streaming k-way
-// merge of its inputs, resident or filed — ties toward the earlier input,
-// as mergeSegments breaks them — which replaces the inputs' files and their
-// pending replacements, in input order, and returns it filed.
+// writeMerged writes the segment built from parts as a new segment file:
+// one streaming k-way merge of their records — ties toward the earlier
+// input, as mergeSegments breaks them — read from where they lie, resident
+// blocks or files, never gathered into one buffer. The file replaces the
+// inputs' files and their pending replacements, in input order; the inputs'
+// files stay readable through the write and are let go of once it is done.
+// It returns the filed segment that is all of the file.
 func writeMerged(store SegmentStore, parts []ckptSegment) (ckptSegment, error) {
 	var replaced []uint64
 	var leaving []*segFile
@@ -832,14 +801,30 @@ func writeMerged(store SegmentStore, parts []ckptSegment) (ckptSegment, error) {
 		if parts[k].fileID != 0 {
 			replaced = append(replaced, parts[k].fileID)
 		}
-		if parts[k].file != nil {
-			leaving = append(leaving, parts[k].file)
+		if f := parts[k].file; f != nil {
+			f.detach()
+			leaving = append(leaving, f)
 		}
 	}
-	n := (&ckptSegment{parts: parts}).len()
-	return writeFiled(store, n, func(yield func(blk *trace.SpanBlock, i int) bool) error {
-		return merge(parts, nil, func(blk *trace.SpanBlock, i int, _ *trace.Span) bool { return yield(blk, i) })
-	}, replaced, leaving)
+	var dir dirBuilder
+	id, err := store.WriteGathered((&ckptSegment{parts: parts}).len(), func(yield func(blk *trace.SpanBlock, i int) bool) error {
+		dir = dirBuilder{} // each pass walks the same records
+		return merge(parts, nil, func(blk *trace.SpanBlock, i int, _ *trace.Span) bool {
+			dir.add(blk, i)
+			return yield(blk, i)
+		})
+	}, replaced)
+	if err != nil {
+		return ckptSegment{}, err
+	}
+	filed, err := openFiled(store, id, dir.done())
+	if err != nil {
+		return ckptSegment{}, err
+	}
+	for _, f := range leaving {
+		f.unref()
+	}
+	return filed, nil
 }
 
 // less reports whether seg's span i sorts before o's span j in canonical
@@ -856,8 +841,7 @@ func (seg *ckptSegment) less(i int, o *ckptSegment, j int) bool {
 // from the records; the blocks, a's then b's, are carried as they are, the
 // owned bits inside them. The merged segment has no durable file yet; it
 // inherits the inputs' files (and their own pending replacements) as its
-// replaced list, so persistLadder deletes them only once the merged file is
-// on disk.
+// replaced list, so they are deleted only once the merged file is on disk.
 func mergeSegments(a, b ckptSegment) ckptSegment {
 	seg := ckptSegment{
 		blocks: slices.Concat(a.blocks, b.blocks),

@@ -104,8 +104,10 @@ type StreamOptions struct {
 	// rotates the WAL onto a snapshot of the unfolded state once the WAL
 	// holds as many folded spans as live ones (so the WAL stays within
 	// twice the live tail plus one batch, and a fold costs what it folds,
-	// not what is live) — so a crash at any point recovers exactly
-	// through RecoverStream. All store
+	// not what is live). One step orders every write: files that only add
+	// spans to disk, then the rotation, then a reopen's remainders, which
+	// delete spans the rotated snapshot carries — so a crash at any point,
+	// a recovery's included, recovers exactly through RecoverStream. All store
 	// calls happen under the correlator's mutex (rotation can never race
 	// an append); a store error latches (DurabilityErr) and the stream
 	// degrades to RAM-only rather than failing feeds. Durable ingest
@@ -1155,13 +1157,11 @@ func (sc *StreamCorrelator) repair() {
 		sc.observe(stragglers)
 	}
 
-	// A reopen moved folded spans into the live tail: rotate the WAL so its
-	// snapshot carries them, and only then rewrite the segments they left —
-	// each remainder's write deletes the file that still holds them.
+	// A reopen moved folded spans into the live tail: the WAL rotates so its
+	// snapshot carries them, before the segments they left are rewritten.
 	if pulled > 0 {
 		sc.reopens++
-		sc.rotateWAL()
-		sc.persistHistory()
+		sc.commit(true)
 	}
 }
 
@@ -1316,9 +1316,7 @@ func (sc *StreamCorrelator) fold() int {
 
 	// The levels' evicted runs are begin-ascending: the merge reads them in place.
 	spans := trace.MergeRunsInto(sc.foldMerged, runs)
-	if err := sc.hist.add(spans, func(i int) bool { return sc.owns(spans[i]) }, sc.store()); err != nil {
-		sc.latch(err)
-	}
+	sc.hist.add(spans, func(i int) bool { return sc.owns(spans[i]) }, sc.durable())
 	for _, s := range spans {
 		delete(sc.parented, s)
 	}
@@ -1333,14 +1331,9 @@ func (sc *StreamCorrelator) fold() int {
 	// Durability: the segment files are written every time, which is
 	// O(spans folded); the WAL trim, which is O(live tail), only when the
 	// rotation rule says it pays. Until then the folded spans sit in both a
-	// segment and the WAL — the same state a crash between the two writes
-	// always could leave — and recovery installs the segment and drops its
+	// segment and the WAL, and recovery installs the segment and drops its
 	// spans from replay by span-id dedup.
-	sc.persistHistory()
-	sc.hist.keepLent()
-	if sc.walNeedsRotation() {
-		sc.rotateWAL()
-	}
+	sc.commit(sc.walNeedsRotation())
 	return folded
 }
 

@@ -242,9 +242,7 @@ func TestSuccessiveFoldsMergeToOneRunEach(t *testing.T) {
 			id++
 			spans[i] = &trace.Span{ID: id, Begin: vclock.Time(k*size + i), End: vclock.Time(k*size + i + 1)}
 		}
-		if err := h.add(spans, func(i int) bool { return i%3 == 0 }, nil); err != nil {
-			t.Fatal(err)
-		}
+		h.add(spans, func(i int) bool { return i%3 == 0 }, false)
 	}
 	runs, blocks := 0, 0
 	for i := range h.segs {

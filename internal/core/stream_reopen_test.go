@@ -110,12 +110,37 @@ func (c *reopenCycles) next() (punctual [][]*trace.Span, held []*trace.Span) {
 
 // HGTD-style stress cycles with an inspection after every one: the windowed
 // reopen against the whole-ladder reopen it replaced (reopenAll, run on a
-// second correlator right before each deep-straggler batch) and against
-// batch correlation of everything fed so far.
+// second, RAM-mode correlator right before each deep-straggler batch) and
+// against batch correlation of everything fed so far. The durable arm runs
+// the windowed side on a store: its cuts land in filed segments that
+// compactions merged from many folds, whose remainders the durable step
+// writes behind the WAL rotation, and a recovery at the end must give back
+// the stream as it stood.
 func TestWindowedReopenMatchesFullReopen(t *testing.T) {
+	t.Run("ram", func(t *testing.T) { windowedReopenCycles(t, false) })
+	t.Run("durable", func(t *testing.T) { windowedReopenCycles(t, true) })
+}
+
+func windowedReopenCycles(t *testing.T, durable bool) {
 	const cycles = 11
 	opts := core.StreamOptions{ReorderWindow: 32, Retain: 64, CorrRetain: 2_048}.WithMaxWindowSpans(256)
 	sc, oracle := core.NewStreamCorrelator(opts), core.NewStreamCorrelator(opts)
+	var disk *faultfs.FS
+	var log *cutLog
+	if durable {
+		disk = faultfs.New()
+		st, rec, err := segio.Open(disk, segio.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = &cutLog{SegmentStore: st, folds: make(map[uint64]int)}
+		dopts := opts
+		dopts.Store = log
+		if sc, err = core.RecoverStream(dopts, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer sc.Close()
 	gen := &reopenCycles{seed: 16}
 	var fed [][]*trace.Span
 	unparented := make(map[uint64]bool)
@@ -211,6 +236,87 @@ func TestWindowedReopenMatchesFullReopen(t *testing.T) {
 	if st := sc.Stats(); st.CorrEvicted == 0 || st.DegradedWindows == 0 {
 		t.Fatalf("the cycles never evicted a correlation entry or degraded a window: %+v", st)
 	}
+	if !durable {
+		return
+	}
+	if err := sc.DurabilityErr(); err != nil {
+		t.Fatal(err)
+	}
+	if log.remainders == 0 || log.deepest < 3 {
+		t.Fatalf("%d remainders written, of files holding at most %d folds: no reopen cut a filed segment merged from many", log.remainders, log.deepest)
+	}
+	st, rec, err := segio.Open(disk.Recovered(), segio.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Quarantined) != 0 {
+		t.Fatalf("recovery quarantined %v", rec.Quarantined)
+	}
+	dopts := opts
+	dopts.Store = st
+	back, err := core.RecoverStream(dopts, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	back.Flush()
+	got, want := back.Trace().Spans, sc.Trace().Spans
+	if len(got) != len(want) {
+		t.Fatalf("recovered %d spans, the stream held %d", len(got), len(want))
+	}
+	for i, s := range got {
+		if s.ID != want[i].ID || s.ParentID != want[i].ParentID {
+			t.Fatalf("recovered trace position %d: span %d parent %d, the stream's span %d parent %d", i, s.ID, s.ParentID, want[i].ID, want[i].ParentID)
+		}
+	}
+}
+
+// cutLog wraps a SegmentStore written by one stream from its first fold on,
+// and tracks how many folds' spans each segment file holds: one for a fold's
+// own file, the sum of its inputs' for a compaction survivor, the file's it
+// rewrites for a reopen's remainder — the one write that replaces a single
+// file.
+type cutLog struct {
+	core.SegmentStore
+	folds      map[uint64]int // per segment file on disk
+	remainders int            // remainders written
+	deepest    int            // the most folds a file a remainder rewrote held
+}
+
+func (l *cutLog) WriteSegment(block []byte, replaces []uint64) (uint64, error) {
+	return l.note(replaces, func() (uint64, error) { return l.SegmentStore.WriteSegment(block, replaces) })
+}
+
+func (l *cutLog) WriteGathered(n int, walk func(yield func(blk *trace.SpanBlock, i int) bool) error, replaces []uint64) (uint64, error) {
+	return l.note(replaces, func() (uint64, error) { return l.SegmentStore.WriteGathered(n, walk, replaces) })
+}
+
+func (l *cutLog) note(replaces []uint64, write func() (uint64, error)) (uint64, error) {
+	id, err := write()
+	if err != nil {
+		return 0, err
+	}
+	folds := 0
+	for _, r := range replaces {
+		folds += l.folds[r]
+		delete(l.folds, r)
+	}
+	switch len(replaces) {
+	case 0:
+		folds = 1
+	case 1:
+		l.remainders++
+		l.deepest = max(l.deepest, folds)
+	}
+	l.folds[id] = folds
+	return id, nil
+}
+
+func (l *cutLog) DropSegments(ids []uint64) error {
+	for _, id := range ids {
+		delete(l.folds, id)
+	}
+	return l.SegmentStore.DropSegments(ids)
 }
 
 // A moved launch's new parent must reach its folded exec even when no repair

@@ -457,16 +457,21 @@ func TestOpenTenantStreamDegradesToRAM(t *testing.T) {
 }
 
 // handleFS is a segio.FS that counts the file handles open on it and, while
-// failSeg is set, fails the next segment file created.
+// failSeg is set, fails the next segment file created — noting whether a WAL
+// file was created since failSeg was set.
 type handleFS struct {
 	segio.FS
-	open    int
-	failSeg bool
+	open          int
+	failSeg       bool
+	walBeforeFail bool
 }
 
 var errSegWrite = errors.New("segment write refused")
 
 func (f *handleFS) Create(name string) (segio.File, error) {
+	if f.failSeg && strings.HasPrefix(name, "wal-") {
+		f.walBeforeFail = true
+	}
 	if f.failSeg && strings.HasPrefix(name, "seg-") {
 		f.failSeg = false
 		return nil, errSegWrite
@@ -498,38 +503,81 @@ func (c *countedFile) Close() error {
 	return c.File.Close()
 }
 
-// A recovery that fails after it rotated the WAL — here on the segment
-// files its replay folded — degrades the tenant to RAM-only and leaves no
-// handle open: the store it opened is closed, not dropped holding the new
-// WAL.
+// A recovery that fails on a segment write degrades the tenant to RAM-only
+// and leaves no handle open: the store it opened is closed, not dropped
+// holding a WAL. Both of recovery's write phases are failed: the files its
+// replay folded, written before its WAL rotation, and the remainder a
+// replay-time reopen left, written after it — the store then holds the new
+// WAL the rotation opened.
 func TestOpenTenantStreamClosesStoreOnLateRecoveryFailure(t *testing.T) {
-	fs := &handleFS{FS: faultfs.New()}
-	open := func() (*segio.Store, *segio.Recovery, error) { return segio.Open(fs, segio.Options{}) }
-	sc, store, _, err := core.OpenStream("acme", core.StreamOptions{ReorderWindow: 16}, open) // nothing folds
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range tenantWorkload(4_000, 7) {
-		if err := sc.FeedLogged(uint64(i+1), cloneBatch(b)...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := store.Close(); err != nil || fs.open != 0 {
-		t.Fatalf("closing the first store: %v, %d handles left open", err, fs.open)
-	}
+	windowed := core.StreamOptions{ReorderWindow: 16}
+	retained := core.StreamOptions{ReorderWindow: 16, Retain: 32}
+	for _, tc := range []struct {
+		name string
+		// run feeds the stream's first lives through open, each closing
+		// its store, and returns the options the failing recovery runs
+		// under.
+		run func(feed func(opts core.StreamOptions, batches [][]*trace.Span, checkpoint bool))
+		// afterRotation: the failing write comes after the recovery's WAL
+		// rotation.
+		afterRotation bool
+	}{
+		{"replay fold", func(feed func(core.StreamOptions, [][]*trace.Span, bool)) {
+			// Nothing folds; reopened with a retain horizon, the replay does.
+			feed(windowed, tenantWorkload(4_000, 7), false)
+		}, false},
+		{"replay reopen", func(feed func(core.StreamOptions, [][]*trace.Span, bool)) {
+			// The history folds into files, and the withheld window arrives
+			// in a life without a retain horizon, which repairs nothing at
+			// feed time: reopened with one, the replay repairs it, taking
+			// spans back out of a file whose remainder the recovery owes.
+			batches := tenantWorkload(4_000, 7)
+			feed(retained, batches[:len(batches)-1], true)
+			feed(windowed, batches[len(batches)-1:], false)
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := &handleFS{FS: faultfs.New()}
+			open := func() (*segio.Store, *segio.Recovery, error) { return segio.Open(fs, segio.Options{}) }
+			fed := 0
+			tc.run(func(opts core.StreamOptions, batches [][]*trace.Span, checkpoint bool) {
+				sc, store, _, err := core.OpenStream("acme", opts, open)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range batches {
+					fed++
+					if err := sc.FeedLogged(uint64(fed), cloneBatch(b)...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if checkpoint {
+					sc.Checkpoint()
+				}
+				if err := sc.DurabilityErr(); err != nil {
+					t.Fatal(err)
+				}
+				sc.Close()
+				if err := store.Close(); err != nil || fs.open != 0 {
+					t.Fatalf("closing a store: %v, %d handles left open", err, fs.open)
+				}
+			})
 
-	// Reopened with a retain horizon, the replay folds, and the segment
-	// files it owes are written after the rotation.
-	fs.failSeg = true
-	_, store, _, err = core.OpenStream("acme", core.StreamOptions{ReorderWindow: 16, Retain: 32}, open)
-	if fs.failSeg {
-		t.Fatal("recovery wrote no segment file: the failure was never reached")
-	}
-	if !errors.Is(err, errSegWrite) || store != nil {
-		t.Fatalf("err = %v, store = %v; want the segment write's error and no store", err, store)
-	}
-	if fs.open != 0 {
-		t.Fatalf("the failed recovery left %d file handles open", fs.open)
+			fs.failSeg = true
+			_, store, _, err := core.OpenStream("acme", retained, open)
+			if fs.failSeg {
+				t.Fatal("recovery wrote no segment file: the failure was never reached")
+			}
+			if fs.walBeforeFail != tc.afterRotation {
+				t.Fatalf("the failed segment write came after a WAL rotation: %v, want %v", fs.walBeforeFail, tc.afterRotation)
+			}
+			if !errors.Is(err, errSegWrite) || store != nil {
+				t.Fatalf("err = %v, store = %v; want the segment write's error and no store", err, store)
+			}
+			if fs.open != 0 {
+				t.Fatalf("the failed recovery left %d file handles open", fs.open)
+			}
+		})
 	}
 }
 
