@@ -7,7 +7,7 @@
 //   - TenantSet, TenantSetOptions, NewTenantSet, TenantSet.Stream and
 //     TenantSet.Keys: a Table of OpenTenantStream results;
 //   - TenantStream, OpenTenantStream and the accessors Correlator, Store,
-//     Recovery and Err: OpenStream's four results as one value;
+//     Recovery and Err: OpenStream's three results as one value;
 //   - TenantStream.Publish and IngestLogged: the stream as a tap and as a
 //     trace.DurableSink;
 //   - Correlate: the batch reference the stream correlator is held to, by
@@ -42,13 +42,12 @@ type TenantStream struct {
 	sc    *StreamCorrelator
 	store *segio.Store
 	rec   *segio.Recovery
-	err   error
 }
 
 // OpenTenantStream is OpenStream, its results held as one value.
 func OpenTenantStream(key string, opts StreamOptions, open func() (*segio.Store, *segio.Recovery, error)) *TenantStream {
 	st := &TenantStream{}
-	st.sc, st.store, st.rec, st.err = OpenStream(key, opts, open)
+	st.sc, st.store, st.rec = OpenStream(key, opts, open)
 	return st
 }
 
@@ -62,8 +61,14 @@ func (st *TenantStream) Store() *segio.Store { return st.store }
 func (st *TenantStream) Recovery() *segio.Recovery { return st.rec }
 
 // Err returns the open or recovery error that degraded the tenant to
-// RAM-only, or nil.
-func (st *TenantStream) Err() error { return st.err }
+// RAM-only, or nil: the correlator's latched error when the tenant was left
+// without a store.
+func (st *TenantStream) Err() error {
+	if st.store != nil {
+		return nil
+	}
+	return st.sc.DurabilityErr()
+}
 
 // Publish feeds spans to the tenant's correlator, implementing
 // trace.Collector.

@@ -128,9 +128,20 @@
 // fold-time rotation rule, always after a reopen or a recovery), the WAL
 // rotates onto a snapshot of everything unfolded and the files reopens
 // emptied are deleted; only then the remainders reopens left, whose writes
-// delete spans the new snapshot now carries. With no store armed — the
-// recovery replay, or a latched error — the step writes nothing and a
-// planned survivor dissolves back into its inputs.
+// delete spans the new snapshot now carries. With no store armed — none
+// attached yet, as through recovery's replay, or a latched error — the step
+// writes nothing and a planned survivor dissolves back into its inputs.
+//
+// Recovery dedups its replay against one set, the ids of the spans the WAL
+// carries — an id per WAL span, not per folded span: a segment record kept
+// takes its id out (segments win), and so does each replayed span (the first
+// copy wins). The store is attached once the replay is through. The release
+// floor is one key that only rises: the drain raises it, relive raises it
+// past the folded spans it takes back, and recovery raises it to the
+// snapshot's floor and to the latest folded span. A stream has one
+// durability latch, DurabilityErr: the first failed write or read of its
+// store sets it, and so does OpenStream when the store cannot open or
+// recover.
 //
 // A read ([StreamCorrelator.View]) holds the correlator's mutex only to pin
 // the immutable segment list — holding every file in it open, so a
@@ -191,11 +202,11 @@
 // default tenant to the data-dir root — pre-tenant layouts recover
 // unchanged — and every other tenant to tenants/<key>/), so tenants crash
 // and recover independently; a store that fails to open or recover
-// degrades that tenant to RAM-only, the error returned beside the
-// correlator, the same keep-ingesting posture as a mid-stream durability
-// error. internal/server opens each tenant's stream as it builds the
-// tenant, which holds the four results itself, in its one tenant table
-// (trace.Table).
+// degrades that tenant to RAM-only, the error latched in the correlator
+// OpenStream returns — the one latch a mid-stream durability error sets,
+// and the same keep-ingesting posture. internal/server opens each tenant's
+// stream as it builds the tenant, which holds the three results itself, in
+// its one tenant table (trace.Table).
 //
 // # Allocation discipline on the hot path
 //

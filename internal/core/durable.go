@@ -117,11 +117,10 @@ func (sc *StreamCorrelator) latch(err error) {
 	}
 }
 
-// durable reports whether store writes are armed: there is a store, this
-// is not RecoverStream's replay, and no store error has latched. Callers
-// hold sc.mu.
+// durable reports whether store writes are armed: there is a store, and no
+// store error has latched. Callers hold sc.mu.
 func (sc *StreamCorrelator) durable() bool {
-	return sc.opts.Store != nil && !sc.replaying && sc.durErr == nil
+	return sc.opts.Store != nil && sc.durErr == nil
 }
 
 // commit is the stream's one durable step: it writes the segment files the
@@ -138,9 +137,9 @@ func (sc *StreamCorrelator) durable() bool {
 //  3. only then are the remainders reopens left written, each deleting the
 //     file that held the spans it leaves out.
 //
-// With no store armed (recovery's replay, or a latched error) it writes
-// nothing, and a compaction survivor dissolves back into its inputs. An
-// error latches. Callers hold sc.mu.
+// With no store armed (none attached yet, as through recovery's replay, or
+// a latched error) it writes nothing, and a compaction survivor dissolves
+// back into its inputs. An error latches. Callers hold sc.mu.
 func (sc *StreamCorrelator) commit(rotate bool) {
 	if sc.durable() {
 		store := sc.opts.Store
@@ -199,22 +198,20 @@ func (sc *StreamCorrelator) snapshotLocked() segio.Snapshot {
 	slices.SortFunc(snap.Corr, func(a, b segio.CorrEntry) int {
 		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Corr, b.Corr))
 	})
-	if f := sc.releaseFloor(); f != nil {
+	if f := sc.floor; f != nil {
 		snap.Floor = &segio.SpanKey{Begin: f.Begin, End: f.End, Level: f.Level, Kind: f.Kind, ID: f.ID}
 	}
 	return snap
 }
 
-// releaseFloor is the newest release point this correlator knows: its own
-// lastReleased, or the floor recovered from a previous process if that
-// compares later. Spans at or behind it are stragglers. Callers hold
-// sc.mu.
-func (sc *StreamCorrelator) releaseFloor() *trace.Span {
-	f := sc.floor
-	if sc.lastReleased != nil && (f == nil || compareEvents(sc.lastReleased, f) > 0) {
-		f = sc.lastReleased
+// raiseFloor moves the release floor up to s — a span the drain released, a
+// folded span relive made released again, or a release point recovered from
+// a previous process — unless it already stands later: the floor never moves
+// back. Callers hold sc.mu.
+func (sc *StreamCorrelator) raiseFloor(s *trace.Span) {
+	if sc.floor == nil || compareEvents(s, sc.floor) > 0 {
+		sc.floor = eventKey(s)
 	}
-	return f
 }
 
 // RecoverStream rebuilds a StreamCorrelator from what segio.Open
@@ -229,13 +226,16 @@ func (sc *StreamCorrelator) releaseFloor() *trace.Span {
 // folds first among them: a fold whose WAL rotation had not come due left
 // its spans in both places, its segment installs, and the WAL's copies
 // drop out of replay — so recovery replays the live tail, not the
-// history the WAL happened to still hold. On return the store has been
-// rotated onto a fresh WAL covering the rebuilt state, so the recovery
-// itself is crash-safe and appends are re-armed.
+// history the WAL happened to still hold. The replay runs with no store
+// attached; then the store is, and what the replay folded is written and
+// the store rotated onto a fresh WAL covering the rebuilt state, so the
+// recovery itself is crash-safe and appends are re-armed.
 func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, error) {
-	if opts.Store == nil {
+	store := opts.Store
+	if store == nil {
 		return nil, errors.New("core: RecoverStream requires StreamOptions.Store")
 	}
+	opts.Store = nil
 	sc := NewStreamCorrelator(opts)
 
 	// A segment file written after the WAL's snapshot record (the segment-id
@@ -250,20 +250,21 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 	// segment's remainder, which the end of recovery now writes. (A snapshot
 	// from before the stamp existed dates every segment as older, which is
 	// the inference it was written under: replaying a covered fold
-	// re-derives the very parents it froze.) The WAL's span ids are indexed
-	// on first use: only a segment older than the snapshot asks.
-	var walSeen map[uint64]bool
-
-	seen := make(map[uint64]bool)
+	// re-derives the very parents it froze.)
+	//
+	// One set dedups it all: the ids of the spans the WAL carries, those
+	// still to replay. A segment record kept deletes its id (segments win),
+	// and a replayed span its own (the first copy wins). An older segment
+	// tests its records against the set as the WAL left it: segments come in
+	// ascending id order, every older file before every newer one, and an
+	// older file keeps, so deletes, only ids the set lacks.
+	replay := walSpanIDs(rec)
 	var tip trace.Span // the folded span latest in sweep order, a compare key (ID 0: none yet)
 	for k, seg := range rec.Segments {
 		rec.Segments[k].File = nil // the history holds it now
-		if !seg.SinceSnapshot && walSeen == nil {
-			walSeen = walSpanIDs(rec)
-		}
-		covered := func(blk *trace.SpanBlock, i int) bool { return !seg.SinceSnapshot && walSeen[blk.ID(i)] }
+		covered := func(blk *trace.SpanBlock, i int) bool { return !seg.SinceSnapshot && replay[blk.ID(i)] }
 		err := sc.hist.install(seg.File, covered, func(blk *trace.SpanBlock, i int) {
-			seen[blk.ID(i)] = true
+			delete(replay, blk.ID(i))
 			sc.noteLevel(blk.Level(i))
 			if begin := blk.Begin(i); begin > sc.maxBegin {
 				// Every folded span was fed, so the crashed process's
@@ -345,25 +346,30 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 		}
 	}
 
-	sc.replaying = true
+	// A recovered release floor is raised to once the spans before it have
+	// replayed: the snapshot's released before the floor existed originally,
+	// and must not classify as stragglers.
 	if snap != nil {
-		sc.Feed(dedupStrip(snap.Live, snap.Owned, seen)...)
+		sc.Feed(dedupStrip(snap.Live, snap.Owned, replay)...)
 		if k := snap.Floor; k != nil {
-			sc.installFloor(&trace.Span{ID: k.ID, Level: k.Level, Kind: k.Kind, Begin: k.Begin, End: k.End})
+			sc.mu.Lock()
+			sc.raiseFloor(&trace.Span{ID: k.ID, Level: k.Level, Kind: k.Kind, Begin: k.Begin, End: k.End})
+			sc.mu.Unlock()
 		}
 	}
 	for _, b := range rec.Batches {
-		sc.Feed(dedupStrip(b.Spans, b.Owned, seen)...)
-	}
-	if tip.ID != 0 {
-		sc.installFloor(&tip)
+		sc.Feed(dedupStrip(b.Spans, b.Owned, replay)...)
 	}
 
 	sc.mu.Lock()
-	sc.replaying = false
-	// Write what the replay folded, rotate onto a fresh WAL — which re-arms
-	// appends and covers whatever a replay-time repair, or the coverage rule
-	// above, took out of a segment — and write the remainders that left.
+	if tip.ID != 0 {
+		sc.raiseFloor(&tip)
+	}
+	// Attach the store, write what the replay folded, rotate onto a fresh
+	// WAL — which re-arms appends and covers whatever a replay-time repair,
+	// or the coverage rule above, took out of a segment — and write the
+	// remainders that left.
+	sc.opts.Store = store
 	sc.commit(true)
 	err := sc.durErr
 	sc.mu.Unlock()
@@ -382,23 +388,27 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 // tenant's checkpoint ladder and dedup window comes back independently
 // after a crash; nil runs the tenant RAM-only. An open or recovery error
 // does not fail the tenant: it degrades to a RAM-only correlator, store and
-// rec nil, and the error is returned beside it — the same keep-ingesting
-// posture as StreamCorrelator.DurabilityErr. rec is the report without the
-// content (see releaseContent).
-func OpenStream(key string, opts StreamOptions, open func() (*segio.Store, *segio.Recovery, error)) (sc *StreamCorrelator, store *segio.Store, rec *segio.Recovery, err error) {
+// rec nil, with the error latched — the one DurabilityErr a store error met
+// later latches too, and the same keep-ingesting posture. rec is the report
+// without the content (see releaseContent).
+func OpenStream(key string, opts StreamOptions, open func() (*segio.Store, *segio.Recovery, error)) (*StreamCorrelator, *segio.Store, *segio.Recovery) {
 	opts.Store = nil
-	if open != nil {
-		if store, rec, err = open(); err == nil {
-			opts.Store = store
-			if sc, err = RecoverStream(opts, rec); err == nil {
-				return sc, store, releaseContent(rec), nil
-			}
-			store.Close() // it may hold the WAL a recovery rotated onto
-		}
-		err = fmt.Errorf("core: tenant %q durable store: %w", key, err)
-		opts.Store = nil
+	if open == nil {
+		return NewStreamCorrelator(opts), nil, nil
 	}
-	return NewStreamCorrelator(opts), nil, nil, err
+	store, rec, err := open()
+	if err == nil {
+		opts.Store = store
+		var sc *StreamCorrelator
+		if sc, err = RecoverStream(opts, rec); err == nil {
+			return sc, store, releaseContent(rec)
+		}
+		opts.Store = nil
+		store.Close() // it may hold the WAL a recovery rotated onto
+	}
+	sc := NewStreamCorrelator(opts)
+	sc.durErr = fmt.Errorf("core: tenant %q durable store: %w", key, err)
+	return sc, nil, nil
 }
 
 // releaseContent drops what a recovery carried in for RecoverStream — the
@@ -420,7 +430,7 @@ func releaseContent(rec *segio.Recovery) *segio.Recovery {
 }
 
 // walSpanIDs indexes the id of every span the recovered WAL carries, in its
-// snapshot or in a batch record after it.
+// snapshot or in a batch record after it: the replay's dedup set.
 func walSpanIDs(rec *segio.Recovery) map[uint64]bool {
 	ids := make(map[uint64]bool)
 	note := func(spans []*trace.Span) {
@@ -439,34 +449,21 @@ func walSpanIDs(rec *segio.Recovery) map[uint64]bool {
 	return ids
 }
 
-// dedupStrip prepares recovered spans for replay: spans whose id a
-// segment (or an earlier replayed record) already carries are dropped —
-// segments win — and correlator-owned spans lose their derived ParentID
-// so the resolver re-derives it.
-func dedupStrip(spans []*trace.Span, owned ownedBits, seen map[uint64]bool) []*trace.Span {
+// dedupStrip prepares recovered spans for replay: a span whose id is no
+// longer in replay — a segment carries it, or an earlier replayed record did
+// — is dropped, and the rest leave the set; correlator-owned spans lose their
+// derived ParentID so the resolver re-derives it.
+func dedupStrip(spans []*trace.Span, owned ownedBits, replay map[uint64]bool) []*trace.Span {
 	out := make([]*trace.Span, 0, len(spans))
 	for i, s := range spans {
-		if s == nil || seen[s.ID] {
+		if s == nil || !replay[s.ID] {
 			continue
 		}
-		seen[s.ID] = true
+		delete(replay, s.ID)
 		if owned.has(i) {
 			s.ParentID = 0
 		}
 		out = append(out, s)
 	}
 	return out
-}
-
-// installFloor adopts a recovered release floor — the crashed process's
-// release point, from its snapshot or from the spans it had folded — unless
-// the floor already stands later. It must be installed after the snapshot's
-// own spans replayed: they released before the floor existed originally and
-// must not classify as stragglers.
-func (sc *StreamCorrelator) installFloor(f *trace.Span) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if cur := sc.releaseFloor(); cur == nil || compareEvents(f, cur) > 0 {
-		sc.floor = f
-	}
 }

@@ -98,9 +98,12 @@ type storeLog struct {
 	// the remainder's write.
 	ops         func() int
 	sizes       map[uint64]int // spans per segment file on disk
+	folds       map[uint64]int // folds whose spans each segment file on disk holds: a compaction survivor sums its inputs', a remainder keeps its file's
 	forcedAt    []int          // ops as each forced rotation began: a crash there leaves the reopen to recovery's replay
 	remainderAt []int
-	afterForced bool // the last Rotate was no fold's, and no batch was logged since
+	remainders  int  // remainders written, ever
+	deepest     int  // the most folds a file a remainder rewrote held
+	afterForced bool // the last Rotate was no fold's, and nothing but its remainders was written since
 
 	// The run since the last Rotate: what a crash right now would have
 	// recovery install from segment files the WAL's snapshot predates.
@@ -112,7 +115,7 @@ type storeLog struct {
 }
 
 func newStoreLog(st core.SegmentStore) *storeLog {
-	return &storeLog{SegmentStore: st, sinceRotate: make(map[uint64]bool), sizes: make(map[uint64]int)}
+	return &storeLog{SegmentStore: st, sinceRotate: make(map[uint64]bool), sizes: make(map[uint64]int), folds: make(map[uint64]int)}
 }
 
 func (l *storeLog) closeFold() {
@@ -150,7 +153,11 @@ func (l *storeLog) WriteGathered(n int, walk func(yield func(blk *trace.SpanBloc
 // logSegment derives what a segment write of spans spans replacing
 // replaces was, around write.
 func (l *storeLog) logSegment(spans int, replaces []uint64, write func() (uint64, error)) (uint64, error) {
+	// A forced rotation's remainders follow it at once; the first write that
+	// is no remainder is a later fold's (a Checkpoint with no batch logged
+	// since the reopen, say), and ends them.
 	remainder := l.afterForced && len(replaces) == 1 && spans > 0 && spans < l.sizes[replaces[0]]
+	l.afterForced = remainder
 	if remainder && l.ops != nil {
 		l.remainderAt = append(l.remainderAt, l.ops())
 	}
@@ -160,15 +167,18 @@ func (l *storeLog) logSegment(spans int, replaces []uint64, write func() (uint64
 	}
 	l.segWrites++
 	l.sizes[id] = spans
+	folds := 0
 	for _, r := range replaces {
+		folds += l.folds[r]
 		delete(l.sizes, r)
+		delete(l.folds, r)
 	}
-	if l.afterForced {
+	l.folds[id] = max(folds, 1)
+	if remainder {
 		// A repair rewriting what it reopened, not a fold: nothing the WAL
 		// covers, nothing the rotation rule decided.
-		if !remainder {
-			panic(fmt.Sprintf("segment write behind a forced rotation is no remainder: %d spans replacing %v", spans, replaces))
-		}
+		l.remainders++
+		l.deepest = max(l.deepest, folds)
 		l.sinceRotate[id] = false
 		return id, nil
 	}
@@ -230,6 +240,7 @@ func (l *storeLog) DropSegments(ids []uint64) error {
 	}
 	for _, id := range ids {
 		delete(l.sizes, id)
+		delete(l.folds, id)
 	}
 	return l.SegmentStore.DropSegments(ids)
 }

@@ -225,8 +225,7 @@ type StreamCorrelator struct {
 	observe func(run []*trace.Span) // opts.Observer's delivery (see observerRuns); nil without one
 	merging []*trace.Span           // a batch merging into the reorder buffer; empty between feeds
 
-	replaying bool  // RecoverStream replay in progress: suppress durable writes
-	durErr    error // first Store failure; durability is off once set
+	durErr error // first store failure, or the store's open or recovery failure; durability is off once set
 
 	streamState
 }
@@ -262,9 +261,13 @@ type streamState struct {
 	owning bool
 	kept   map[*trace.Span]bool
 
-	maxBegin     vclock.Time
-	lastReleased *trace.Span // the last span handed to the resolver, in sweep order: the stream's copy of its key (see eventKey)
-	released     int
+	maxBegin vclock.Time
+	// floor is the release floor: the latest span in sweep order this stream
+	// released — by the drain, by relive, or in the process it was recovered
+	// from — as its own copy of the key (see eventKey). Spans at or behind it
+	// are stragglers. Only raiseFloor moves it, and never back.
+	floor    *trace.Span
+	released int
 
 	stacks levelStacks
 	levels []trace.Level // sorted distinct levels seen
@@ -298,8 +301,7 @@ type streamState struct {
 
 	foldEvicted, foldMerged []*trace.Span // fold's scratch, empty between folds
 
-	floor    *trace.Span // release floor recovered from a previous process, or relived: a key, like lastReleased
-	walSpans int         // spans the WAL holds, live or since folded: its snapshot's tail plus every batch logged after it
+	walSpans int // spans the WAL holds, live or since folded: its snapshot's tail plus every batch logged after it
 }
 
 // corrEntry is a resolved launch's correlation-table entry: its parent (0:
@@ -465,7 +467,7 @@ func (sc *StreamCorrelator) feedLocked(spans []*trace.Span, owned bool) {
 			}
 			sc.parented[s] = true
 		}
-		if f := sc.releaseFloor(); f != nil && compareEvents(s, f) <= 0 {
+		if f := sc.floor; f != nil && compareEvents(s, f) <= 0 {
 			// Arrived behind the release point — this process's, or a
 			// recovered predecessor's: out-of-window straggler.
 			sc.stragglers = append(sc.stragglers, s)
@@ -600,7 +602,7 @@ func (sc *StreamCorrelator) drain(watermark vclock.Time) {
 		sc.resolve(s)
 		sc.rel.slot(s.Level).push(s)
 	}
-	sc.lastReleased = eventKey(run[len(run)-1])
+	sc.raiseFloor(run[len(run)-1])
 	sc.released += len(run)
 	if sc.observe != nil {
 		sc.observe(run)
@@ -1183,9 +1185,7 @@ func (sc *StreamCorrelator) relive(back []folded) int {
 	// straggler. The process that folded them had released past them; one
 	// recovered from its files has not, until its replay does.
 	if n := len(spans); n > 0 {
-		if f := sc.releaseFloor(); f == nil || compareEvents(spans[n-1], f) > 0 {
-			sc.floor = eventKey(spans[n-1])
-		}
+		sc.raiseFloor(spans[n-1])
 	}
 	return len(back)
 }
@@ -1235,7 +1235,7 @@ func (sc *StreamCorrelator) deeperLevelSeen(l trace.Level) bool {
 // before it. Spans ending before the horizon can fold into a checkpoint.
 func (sc *StreamCorrelator) finalizedBefore() vclock.Time {
 	f := sc.maxBegin - vclock.Time(sc.opts.ReorderWindow) - vclock.Time(sc.opts.Retain)
-	if fl := sc.releaseFloor(); fl != nil && fl.Begin < f {
+	if fl := sc.floor; fl != nil && fl.Begin < f {
 		// The sweep itself is the hard bound: a future arrival is only a
 		// non-straggler if it sorts after the release floor, so it can
 		// still need any span ending at or after the floor's begin as a

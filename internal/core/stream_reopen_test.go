@@ -126,14 +126,14 @@ func windowedReopenCycles(t *testing.T, durable bool) {
 	opts := core.StreamOptions{ReorderWindow: 32, Retain: 64, CorrRetain: 2_048}.WithMaxWindowSpans(256)
 	sc, oracle := core.NewStreamCorrelator(opts), core.NewStreamCorrelator(opts)
 	var disk *faultfs.FS
-	var log *cutLog
+	var log *storeLog
 	if durable {
 		disk = faultfs.New()
 		st, rec, err := segio.Open(disk, segio.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		log = &cutLog{SegmentStore: st, folds: make(map[uint64]int)}
+		log = newStoreLog(st)
 		dopts := opts
 		dopts.Store = log
 		if sc, err = core.RecoverStream(dopts, rec); err != nil {
@@ -269,54 +269,6 @@ func windowedReopenCycles(t *testing.T, durable bool) {
 			t.Fatalf("recovered trace position %d: span %d parent %d, the stream's span %d parent %d", i, s.ID, s.ParentID, want[i].ID, want[i].ParentID)
 		}
 	}
-}
-
-// cutLog wraps a SegmentStore written by one stream from its first fold on,
-// and tracks how many folds' spans each segment file holds: one for a fold's
-// own file, the sum of its inputs' for a compaction survivor, the file's it
-// rewrites for a reopen's remainder — the one write that replaces a single
-// file.
-type cutLog struct {
-	core.SegmentStore
-	folds      map[uint64]int // per segment file on disk
-	remainders int            // remainders written
-	deepest    int            // the most folds a file a remainder rewrote held
-}
-
-func (l *cutLog) WriteSegment(block []byte, replaces []uint64) (uint64, error) {
-	return l.note(replaces, func() (uint64, error) { return l.SegmentStore.WriteSegment(block, replaces) })
-}
-
-func (l *cutLog) WriteGathered(n int, walk func(yield func(blk *trace.SpanBlock, i int) bool) error, replaces []uint64) (uint64, error) {
-	return l.note(replaces, func() (uint64, error) { return l.SegmentStore.WriteGathered(n, walk, replaces) })
-}
-
-func (l *cutLog) note(replaces []uint64, write func() (uint64, error)) (uint64, error) {
-	id, err := write()
-	if err != nil {
-		return 0, err
-	}
-	folds := 0
-	for _, r := range replaces {
-		folds += l.folds[r]
-		delete(l.folds, r)
-	}
-	switch len(replaces) {
-	case 0:
-		folds = 1
-	case 1:
-		l.remainders++
-		l.deepest = max(l.deepest, folds)
-	}
-	l.folds[id] = folds
-	return id, nil
-}
-
-func (l *cutLog) DropSegments(ids []uint64) error {
-	for _, id := range ids {
-		delete(l.folds, id)
-	}
-	return l.SegmentStore.DropSegments(ids)
 }
 
 // A moved launch's new parent must reach its folded exec even when no repair

@@ -409,10 +409,9 @@ func TestDurableTenantsSyncConcurrently(t *testing.T) {
 	streams := make([]*core.StreamCorrelator, tenants)
 	for i := range streams {
 		fs := syncBarrierFS{FS: faultfs.New(), armed: &armed, arrived: &arrived}
-		var err error
-		streams[i], _, _, err = core.OpenStream(fmt.Sprintf("tenant-%d", i), core.StreamOptions{},
+		streams[i], _, _ = core.OpenStream(fmt.Sprintf("tenant-%d", i), core.StreamOptions{},
 			func() (*segio.Store, *segio.Recovery, error) { return segio.Open(fs, segio.Options{}) })
-		if err != nil {
+		if err := streams[i].DurabilityErr(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -437,13 +436,13 @@ func TestDurableTenantsSyncConcurrently(t *testing.T) {
 }
 
 // A tenant whose store will not open is not refused: it feeds RAM-only and
-// says why.
+// says why, through the one latch a later store error would set.
 func TestOpenTenantStreamDegradesToRAM(t *testing.T) {
 	boom := errors.New("disk on fire")
-	sc, store, rec, err := core.OpenStream("acme", core.StreamOptions{},
+	sc, store, rec := core.OpenStream("acme", core.StreamOptions{},
 		func() (*segio.Store, *segio.Recovery, error) { return nil, nil, boom })
-	if !errors.Is(err, boom) || store != nil || rec != nil {
-		t.Fatalf("err = %v, store = %v, rec = %v; want the open error and neither", err, store, rec)
+	if err := sc.DurabilityErr(); !errors.Is(err, boom) || store != nil || rec != nil {
+		t.Fatalf("latched %v, store = %v, rec = %v; want the open error and neither", err, store, rec)
 	}
 	if err := sc.FeedLogged(1, &trace.Span{ID: 1, Level: trace.LevelModel, Begin: 1, End: 5}); err != nil {
 		t.Fatalf("degraded tenant refused a batch: %v", err)
@@ -541,10 +540,7 @@ func TestOpenTenantStreamClosesStoreOnLateRecoveryFailure(t *testing.T) {
 			open := func() (*segio.Store, *segio.Recovery, error) { return segio.Open(fs, segio.Options{}) }
 			fed := 0
 			tc.run(func(opts core.StreamOptions, batches [][]*trace.Span, checkpoint bool) {
-				sc, store, _, err := core.OpenStream("acme", opts, open)
-				if err != nil {
-					t.Fatal(err)
-				}
+				sc, store, _ := core.OpenStream("acme", opts, open)
 				for _, b := range batches {
 					fed++
 					if err := sc.FeedLogged(uint64(fed), cloneBatch(b)...); err != nil {
@@ -564,7 +560,8 @@ func TestOpenTenantStreamClosesStoreOnLateRecoveryFailure(t *testing.T) {
 			})
 
 			fs.failSeg = true
-			_, store, _, err := core.OpenStream("acme", retained, open)
+			sc, store, _ := core.OpenStream("acme", retained, open)
+			err := sc.DurabilityErr()
 			if fs.failSeg {
 				t.Fatal("recovery wrote no segment file: the failure was never reached")
 			}

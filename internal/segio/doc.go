@@ -34,7 +34,16 @@
 //     before are what a straggler reopen took back live before the
 //     snapshot — all of the file's, and it is a leftover; some, and its
 //     remainder's rewrite was cut short. A record without the stamp
-//     (written before it existed) dates every segment as before.
+//     (written before it existed) dates every segment as before. Open
+//     reports segments in ascending id order, so every file written before
+//     the snapshot comes ahead of every file written since: the correlator
+//     dedups its replay against one set of WAL span ids, which a file
+//     written since takes its ids out of.
+//
+// A WAL generation starts one way (Rotate, Reset, and Open in a directory
+// with no readable WAL): published whole under the next generation's
+// name — in Open, past the newest generation it saw — the one it replaces
+// deleted, and opened for appends.
 //
 // Crash safety rests on three rules, all enforced by the Store and
 // checked by the fault-injection tests in this package and faultfs:

@@ -360,36 +360,18 @@ func Open(fs FS, opts Options) (*Store, *Recovery, error) {
 	}
 	rec.DedupIDs = append([]uint64(nil), st.dedup...)
 
-	hadState := walChosen || len(rec.Segments) > 0 || rec.WALTruncatedBytes > 0 || len(rec.Quarantined) > 0
 	if !walChosen {
-		// Fresh directory (or every WAL was quarantined): publish an empty
-		// generation-1 WAL so the append path has a home.
-		st.walGen++
-		for {
-			taken := false
-			for _, gen := range walGens {
-				if gen == st.walGen {
-					taken = true
-				}
-			}
-			if !taken {
-				break
-			}
-			st.walGen++
+		// Fresh directory (or every WAL was quarantined): an empty generation
+		// past the newest one seen gives the append path a home.
+		if len(walGens) > 0 {
+			st.walGen = walGens[0]
 		}
-		if err := st.publishWAL(nil); err != nil {
+		if err := st.startGen(nil); err != nil {
 			return nil, nil, err
 		}
 		dirty = false // publishWAL synced the directory
 	}
-	st.needRot = hadState
-	if !st.needRot && st.wal == nil {
-		f, err := fs.OpenAppend(st.walName)
-		if err != nil {
-			return nil, nil, err
-		}
-		st.wal = f
-	}
+	st.needRot = walChosen || len(rec.Segments) > 0 || len(rec.Quarantined) > 0
 	if dirty {
 		if err := fs.SyncDir(); err != nil {
 			return nil, nil, err
@@ -401,8 +383,8 @@ func Open(fs FS, opts Options) (*Store, *Recovery, error) {
 
 // publishWAL writes a brand-new WAL for the current walGen containing the
 // header and, when snap is non-nil, one snapshot record; it is synced,
-// atomically renamed into place, and left closed (the caller reopens for
-// append as needed). The image is built in one buffer presized from the
+// atomically renamed into place, and left closed (startGen reopens it for
+// appends). The image is built in one buffer presized from the
 // live tail, so a snapshot is encoded once and never copied.
 func (st *Store) publishWAL(snap *Snapshot) error {
 	size := walHeaderLen
@@ -464,17 +446,23 @@ func (st *Store) publishFile(name string, write func(w io.Writer) error) error {
 func (st *Store) Rotate(snap Snapshot) error {
 	st.lock()
 	defer st.unlock()
+	return st.startGen(&snap)
+}
+
+// startGen starts the next WAL generation: published holding snap (nil: no
+// record), the generation it replaces deleted, and open for appends.
+func (st *Store) startGen(snap *Snapshot) error {
 	if st.wal != nil {
 		st.wal.Close()
 		st.wal = nil
 	}
-	oldName := st.walName
+	old := st.walName
 	st.walGen++
-	if err := st.publishWAL(&snap); err != nil {
+	if err := st.publishWAL(snap); err != nil {
 		return err
 	}
-	if oldName != "" && oldName != st.walName {
-		if err := st.fs.Remove(oldName); err != nil {
+	if old != "" {
+		if err := st.fs.Remove(old); err != nil {
 			return err
 		}
 		if err := st.fs.SyncDir(); err != nil {
@@ -619,43 +607,20 @@ func (st *Store) dropLocked(ids []uint64) error {
 	return st.fs.SyncDir()
 }
 
-// Reset deletes every segment and WAL file and starts a fresh empty
-// generation, clearing the dedup window. It mirrors the correlator's
-// Reset.
+// Reset deletes every segment file, clears the dedup window and starts a
+// fresh empty WAL generation in place of the last. It mirrors the
+// correlator's Reset.
 func (st *Store) Reset() error {
 	st.lock()
 	defer st.unlock()
-	if st.wal != nil {
-		st.wal.Close()
-		st.wal = nil
-	}
 	for id := range st.segs {
 		if err := st.fs.Remove(segName(id)); err != nil {
 			return err
 		}
 		delete(st.segs, id)
 	}
-	if st.walName != "" {
-		if err := st.fs.Remove(st.walName); err != nil {
-			return err
-		}
-		st.walName = ""
-	}
-	if err := st.fs.SyncDir(); err != nil {
-		return err
-	}
 	st.dedup = nil
-	st.walGen++
-	if err := st.publishWAL(nil); err != nil {
-		return err
-	}
-	f, err := st.fs.OpenAppend(st.walName)
-	if err != nil {
-		return err
-	}
-	st.wal = f
-	st.needRot = false
-	return nil
+	return st.startGen(nil)
 }
 
 // Stats returns a point-in-time durability summary.
@@ -833,12 +798,13 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 		return nil, err
 	}
 	s := &Snapshot{Live: spans, Owned: owned}
-	r := &blockReader{b: rest}
+	r := trace.NewBlockReader(rest)
+	truncated := func() error { return fmt.Errorf("%w: %v", ErrCorrupt, r.Err()) }
 	le := binary.LittleEndian
-	corrN := int(r.u32())
-	corrBytes := r.bytes(corrN * 24)
-	if r.err != nil {
-		return nil, r.err
+	corrN := int(r.U32())
+	corrBytes := r.Bytes(corrN * 24)
+	if r.Err() != nil {
+		return nil, truncated()
 	}
 	s.Corr = make([]CorrEntry, corrN)
 	for i := range s.Corr {
@@ -849,17 +815,17 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 			At:     vclock.Time(le.Uint64(ent[16:])),
 		}
 	}
-	hasFloor := r.bytes(1)
-	if r.err != nil {
-		return nil, r.err
+	hasFloor := r.Bytes(1)
+	if r.Err() != nil {
+		return nil, truncated()
 	}
 	if hasFloor[0] > 1 {
 		return nil, fmt.Errorf("%w: snapshot floor flag %d", ErrCorrupt, hasFloor[0])
 	}
 	if hasFloor[0] != 0 {
-		fb := r.bytes(29)
-		if r.err != nil {
-			return nil, r.err
+		fb := r.Bytes(29)
+		if r.Err() != nil {
+			return nil, truncated()
 		}
 		s.Floor = &SpanKey{
 			Begin: vclock.Time(le.Uint64(fb[0:])),
@@ -869,25 +835,25 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 			ID:    le.Uint64(fb[21:]),
 		}
 	}
-	dedupN := int(r.u32())
-	dedupBytes := r.bytes(dedupN * 8)
-	if r.err != nil {
-		return nil, r.err
+	dedupN := int(r.U32())
+	dedupBytes := r.Bytes(dedupN * 8)
+	if r.Err() != nil {
+		return nil, truncated()
 	}
 	s.dedup = make([]uint64, dedupN)
 	for i := range s.dedup {
 		s.dedup[i] = le.Uint64(dedupBytes[i*8:])
 	}
 	s.nextSeg = math.MaxUint64
-	if r.off < len(r.b) {
-		stamp := r.bytes(8)
-		if r.err != nil {
-			return nil, r.err
+	if r.Len() > 0 {
+		stamp := r.Bytes(8)
+		if r.Err() != nil {
+			return nil, truncated()
 		}
 		s.nextSeg = le.Uint64(stamp)
 	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("%w: %d bytes after the snapshot's last field", ErrCorrupt, len(r.b)-r.off)
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the snapshot's last field", ErrCorrupt, r.Len())
 	}
 	return s, nil
 }

@@ -92,7 +92,8 @@
 // server's admission counters and DataDir, and a row per tenant with its
 // admission counters, tap (RAM mode), correlator load and progress
 // (core.StreamStats as stream), and, durable, its directory, store stats,
-// latched error and recovery outcome. No data-path reply carries a counter;
+// latched error (its correlator's one latch, core's DurabilityErr, which a
+// store that never opened sets too) and recovery outcome. No data-path reply carries a counter;
 // /api/analysis's X-Analysis-Spans and X-Analysis-GPU describe the
 // snapshot they come with.
 //
@@ -122,8 +123,8 @@
 // live tail replays through the correlator (and the analysis engine), the
 // dedup window is seeded, and the store rotates onto a fresh WAL before the
 // tenant takes its first batch. A store that will not open or recover
-// degrades that tenant to RAM-only with the error in the stats document; it
-// does not fail New. Reset returns a tenant to empty in place. Close closes
+// degrades that tenant to RAM-only, its error latched in the correlator and
+// served in the stats document; it does not fail New. Reset returns a tenant to empty in place. Close closes
 // them all, once.
 //
 // Shutdown order, as cmd/xsp-server runs it on SIGTERM or SIGINT: the

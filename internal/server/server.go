@@ -197,7 +197,6 @@ type tenant struct {
 	sc     *core.StreamCorrelator
 	store  *segio.Store
 	rec    *segio.Recovery
-	err    error // the store's open or recovery failure: the tenant runs RAM-only past it
 	tap    *trace.AsyncTap
 	engine *analysis.Online
 }
@@ -227,7 +226,7 @@ func (s *Server) open(key string) *tenant {
 	// Durable, batches reach the correlator synchronously at the ack
 	// barrier (WAL fsync before the 202): there is no tap, even when the
 	// store did not open.
-	t.sc, t.store, t.rec, t.err = core.OpenStream(key, opts, func() (*segio.Store, *segio.Recovery, error) {
+	t.sc, t.store, t.rec = core.OpenStream(key, opts, func() (*segio.Store, *segio.Recovery, error) {
 		fs, err := segio.DirFS(s.dir(key)) // creates the directory
 		if err != nil {
 			return nil, nil, err
@@ -235,8 +234,8 @@ func (s *Server) open(key string) *tenant {
 		return segio.Open(fs, segio.Options{})
 	})
 	t.ingest = s.ingest.NewTenant(key, t)
-	if t.err != nil {
-		fmt.Fprintf(os.Stderr, "xsp-server: tenant %s degraded to RAM-only: %v\n", key, t.err)
+	if err := t.sc.DurabilityErr(); err != nil {
+		fmt.Fprintf(os.Stderr, "xsp-server: tenant %s degraded to RAM-only: %v\n", key, err)
 	}
 	if t.rec != nil {
 		// The recovered dedup window makes client retries of pre-crash
@@ -370,9 +369,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		if rec := t.rec; rec != nil {
 			tv.Recovery = &recoveryView{len(rec.Segments), len(rec.Batches), len(rec.DedupIDs), rec.Quarantined, rec.SupersededSegments, rec.WALTruncatedBytes}
 		}
-		if t.err != nil {
-			tv.Err = t.err.Error()
-		} else if err := t.sc.DurabilityErr(); err != nil {
+		if err := t.sc.DurabilityErr(); err != nil {
 			tv.Err = err.Error()
 		}
 		v.Tenants[key] = tv

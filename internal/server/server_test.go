@@ -1024,3 +1024,46 @@ func TestExternalContract(t *testing.T) {
 			rec.Code, rec.Header().Get("X-Analysis-GPU"), rec.Header().Get("X-Analysis-Spans"))
 	}
 }
+
+// A tenant whose store cannot open runs RAM-only with the open error latched
+// in its correlator, the one latch a later store error would set:
+// DurabilityErr reports it, boot says it, and the stats document serves it
+// as the tenant's err beside the keys a storeless tenant has.
+func TestDegradedTenantLatchesOpenError(t *testing.T) {
+	blocked := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocked, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var s *Server
+	boot := captureStderr(t, func() { s = newServer(t, testConfig(blocked)) })
+	tn, ok := s.tenants.Lookup(trace.DefaultTenant)
+	if !ok {
+		t.Fatal("no default tenant after boot")
+	}
+	latched := tn.sc.DurabilityErr()
+	if latched == nil || !strings.HasPrefix(latched.Error(), `core: tenant "default" durable store: `) {
+		t.Fatalf("the degraded tenant's correlator latched %v, want its store's open error", latched)
+	}
+	if !strings.Contains(boot, "xsp-server: tenant default degraded to RAM-only: "+latched.Error()+"\n") {
+		t.Errorf("boot stderr does not name the latched error %q:\n%s", latched, boot)
+	}
+	var doc struct {
+		Tenants map[string]map[string]json.RawMessage `json:"tenants"`
+	}
+	if err := json.Unmarshal(get(t, s, "/api/durability", ""), &doc); err != nil {
+		t.Fatal(err)
+	}
+	d := doc.Tenants["default"]
+	var keys []string
+	for k := range d {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	if want := []string{"admission", "dir", "err", "load", "stream"}; !slices.Equal(keys, want) {
+		t.Errorf("degraded tenant's stats keys %v, want %v", keys, want)
+	}
+	var served string
+	if err := json.Unmarshal(d["err"], &served); err != nil || served != latched.Error() {
+		t.Errorf("/api/durability serves err %q (%v), want %q", served, err, latched)
+	}
+}

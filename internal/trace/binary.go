@@ -299,24 +299,31 @@ func AppendSpanBlock(buf []byte, spans []*Span, owned func(i int) bool) []byte {
 	return e.finish(buf)
 }
 
-// blockReader walks a span block with running bounds checks; the first
-// violation latches an error and zeroes every later read, so a truncated
-// or bit-flipped block surfaces as ErrBadFrame instead of a panic.
-type blockReader struct {
+// BlockReader walks a span block, or the fields a record carries after one,
+// with running bounds checks; the first violation latches an error wrapping
+// ErrBadFrame and zeroes every later read, so a truncated or bit-flipped
+// record surfaces as an error instead of a panic.
+type BlockReader struct {
 	b   []byte
 	off int
 	err error
 }
 
-func (r *blockReader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated span block at offset %d", ErrBadFrame, r.off)
-	}
-}
+// NewBlockReader reads b from its start.
+func NewBlockReader(b []byte) *BlockReader { return &BlockReader{b: b} }
 
-func (r *blockReader) bytes(n int) []byte {
+// Err is the first violation, or nil.
+func (r *BlockReader) Err() error { return r.err }
+
+// Len is how many bytes are left to read.
+func (r *BlockReader) Len() int { return len(r.b) - r.off }
+
+// Bytes reads the next n bytes, shared with the input: nil past the end.
+func (r *BlockReader) Bytes(n int) []byte {
 	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail()
+		if r.err == nil {
+			r.err = fmt.Errorf("%w: truncated span block at offset %d", ErrBadFrame, r.off)
+		}
 		return nil
 	}
 	b := r.b[r.off : r.off+n]
@@ -324,8 +331,9 @@ func (r *blockReader) bytes(n int) []byte {
 	return b
 }
 
-func (r *blockReader) u32() uint32 {
-	b := r.bytes(4)
+// U32 reads the next little-endian uint32: 0 past the end.
+func (r *BlockReader) U32() uint32 {
+	b := r.Bytes(4)
 	if b == nil {
 		return 0
 	}
@@ -356,12 +364,12 @@ type RecordRef struct{ Block, Record uint32 }
 // follow. It fails exactly when DecodeSpanBlock does (which is built on it);
 // errors wrap ErrBadFrame.
 func ParseSpanBlock(b []byte) (blk SpanBlock, rest []byte, err error) {
-	r := &blockReader{b: b}
-	count := int(r.u32())
-	r.bytes(count * SpanRecordSize)
-	blk.tags = r.bytes(int(r.u32()) * 16)
-	blk.mets = r.bytes(int(r.u32()) * 16)
-	blk.blob = r.bytes(int(r.u32()))
+	r := NewBlockReader(b)
+	count := int(r.U32())
+	r.Bytes(count * SpanRecordSize)
+	blk.tags = r.Bytes(int(r.U32()) * 16)
+	blk.mets = r.Bytes(int(r.U32()) * 16)
+	blk.blob = r.Bytes(int(r.U32()))
 	if r.err != nil {
 		return SpanBlock{}, nil, r.err
 	}

@@ -41,10 +41,8 @@ type Server struct {
 	// bodies are a process resource); the span budget and tap backlog are
 	// per tenant, so one tenant's overload sheds that tenant without
 	// touching its neighbors.
-	adm          atomic.Pointer[AdmissionPolicy]
-	inflightB    atomic.Int64 // request body bytes admitted, response not yet written
-	shedRequests atomic.Int64 // requests refused by admission control, ever (all tenants)
-	shedSpans    atomic.Int64 // spans refused after decode (span budget), ever (all tenants)
+	adm       atomic.Pointer[AdmissionPolicy]
+	inflightB atomic.Int64 // request body bytes admitted, response not yet written
 }
 
 // ServerTenant is one tenant's ingest half: its ingest counter,
@@ -217,15 +215,13 @@ type OverloadStats struct {
 // OverloadStats returns the server's current admission counters, summed
 // across tenants.
 func (s *Server) OverloadStats() OverloadStats {
-	st := OverloadStats{
-		InflightBytes: s.inflightB.Load(),
-		ShedRequests:  s.shedRequests.Load(),
-		ShedSpans:     s.shedSpans.Load(),
-	}
+	st := OverloadStats{InflightBytes: s.inflightB.Load()}
 	for _, key := range s.keys() {
 		ts := s.ingest(key, false).OverloadStats()
 		st.InflightSpans += ts.InflightSpans
 		st.TapDepth += ts.TapDepth
+		st.ShedRequests += ts.ShedRequests
+		st.ShedSpans += ts.ShedSpans
 	}
 	return st
 }
@@ -262,19 +258,10 @@ func pushBack(w http.ResponseWriter, code int, retryAfter time.Duration, msg str
 	http.Error(w, msg, code)
 }
 
-// shed refuses a span batch: count it (server-wide and, when the tenant
-// is known, against the tenant), and answer 429.
-func (s *Server) shed(w http.ResponseWriter, tn *ServerTenant, retryAfter time.Duration, spans int64, msg string) {
-	s.shedRequests.Add(1)
-	if spans > 0 {
-		s.shedSpans.Add(spans)
-	}
-	if tn != nil {
-		tn.shedRequests.Add(1)
-		if spans > 0 {
-			tn.shedSpans.Add(spans)
-		}
-	}
+// shed refuses a span batch: count it against its tenant, and answer 429.
+func shed(w http.ResponseWriter, tn *ServerTenant, retryAfter time.Duration, spans int64, msg string) {
+	tn.shedRequests.Add(1)
+	tn.shedSpans.Add(spans)
 	pushBack(w, http.StatusTooManyRequests, retryAfter, msg)
 }
 
@@ -453,7 +440,7 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 			// == n — even an oversized body is admitted, so one big
 			// batch cannot starve forever.)
 			s.inflightB.Add(-n)
-			s.shed(w, tn, adm.RetryAfter, 0, "trace: in-flight byte budget exhausted, retry later")
+			shed(w, tn, adm.RetryAfter, 0, "trace: in-flight byte budget exhausted, retry later")
 			return
 		}
 		defer s.inflightB.Add(-n)
@@ -558,7 +545,7 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		cur := tn.inflightS.Add(n)
 		if cur+depth > int64(adm.MaxInflightSpans) && !(cur == n && depth == 0) {
 			tn.inflightS.Add(-n)
-			s.shed(w, tn, adm.RetryAfter, n, "trace: in-flight span budget exhausted, retry later")
+			shed(w, tn, adm.RetryAfter, n, "trace: in-flight span budget exhausted, retry later")
 			return
 		}
 		defer tn.inflightS.Add(-n)
