@@ -18,10 +18,11 @@
 //
 //	StreamOptions.Isolated  Feed copies every span's header first
 //
-// Isolated makes Feed copy every span's header (trace.CloneHeaders) before
-// using it, so the correlator's parent links never write into spans a
-// concurrent reader (or the publishing tracer) still holds. The copy shares
-// the payload, which is immutable once published. The replica sets it
+// Isolated makes Feed copy every span's header and entries
+// (trace.CloneHeaders) before using it, so the correlator's parent links
+// never write into spans a concurrent reader (or the publishing tracer) still
+// holds. The copy shares the strings, which are immutable once published.
+// The replica sets it
 // because its tenants keep a raw Memory beside the correlator; xsp-server's
 // correlator is the only holder of its spans.
 

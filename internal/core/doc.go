@@ -227,11 +227,12 @@
 // its own.
 //
 // The correlator owns what it is fed only when told so. A batch fed by
-// [StreamCorrelator.FeedOwned] is the correlator's, slice and spans: the
-// slice goes back to the trace package's free list once its spans are
-// placed, and each span's slot once a fold has encoded the span into its
-// checkpoint block, from where the next recycling decode refills it
-// (trace.RecycleSpans). internal/server feeds every batch its ingest half
+// [StreamCorrelator.FeedOwned] is the correlator's, slice and spans, each
+// span's Tags and Metrics arrays included: the slice goes back to the trace
+// package's free list once its spans are placed, and each span's slot and
+// entry arrays once a fold has encoded the span into its checkpoint block,
+// from where the next recycling decode refills them (trace.RecycleSpans).
+// internal/server feeds every batch its ingest half
 // decoded this way, through the tap or at the ack barrier. Everything else is
 // lent and never recycled: Feed and FeedLogged (Session and Application, the
 // tests), recovery's replay — segio's Recovery keeps its batches — and the
@@ -239,8 +240,10 @@
 // past a fold points at a folded span: the ancestor stacks, the released runs
 // and the parented set let go of it in the fold, and the release floor is the
 // correlator's own copy of its compare key. A view copies the live tail's
-// headers under the mutex and reads tags and metrics from entry arenas that
-// are never recycled, so the aliasing rule above holds for it unchanged.
+// headers and their tag and metric entries under the mutex
+// (trace.CloneHeaders), so what it reads is its own after a fold recycles
+// the spans it copied; names, sources and the entries' strings are
+// substrings of a decoded batch's blob, which is never recycled.
 // TestStreamAllocBudget pins the whole Feed path to a checked-in
 // allocs-per-span budget — and, in the server's configuration, bytes per
 // span too, fed lent and, with the decode in the loop, fed owned — and

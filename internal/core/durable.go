@@ -60,9 +60,10 @@ func (sc *StreamCorrelator) FeedLogged(batchID uint64, spans ...*trace.Span) err
 // FeedOwned is FeedLogged for a batch the correlator takes over, the slice
 // and the spans in it: the caller keeps none of them, and each is a distinct
 // span fed once. The slice goes back to the trace free list once the spans
-// are placed (trace.RecycleBatch), and each span's slot once a fold has
-// encoded it into the checkpoint (trace.RecycleSpans), for the next
-// recycling decode to refill. A span fed any other way is only lent and
+// are placed (trace.RecycleBatch), and each span's slot, with its Tags and
+// Metrics arrays, once a fold has encoded it into the checkpoint
+// (trace.RecycleSpans), for the next recycling decode to refill. So neither
+// a span nor its entries may be kept. A span fed any other way is only lent and
 // never recycled: Feed, FeedLogged, recovery replay, the spans live when the
 // first owned batch arrives. On a log error nothing is consumed, and the
 // batch stays the caller's.

@@ -169,6 +169,26 @@ func (o StreamOptions) WithMaxWindowSpans(n int) StreamOptions {
 	return o
 }
 
+// SetAutoFoldEvery sets the fold cadence (autoFoldEvery) to n until the
+// returned function restores it: a short stream folds into a deep ladder at a
+// small n. Not safe beside a running correlator.
+func SetAutoFoldEvery(n int) (restore func()) {
+	old := autoFoldEvery
+	autoFoldEvery = n
+	return func() { autoFoldEvery = old }
+}
+
+// WatchCuts hands cut, for every segment a reopen cuts until the returned
+// function is called, the folds its resident blocks show it holds: each
+// block holds records of at least one fold, and no fold's records are in two
+// blocks (a fold's block is gathered whole when it turns sparse). A filed
+// segment shows none: storeLog counts those. Not safe beside a running
+// correlator.
+func WatchCuts(cut func(folds int)) (stop func()) {
+	onCut = func(seg *ckptSegment) { cut(len(seg.blocks)) }
+	return func() { onCut = nil }
+}
+
 // reopenAll is the whole-ladder reopen the windowed extraction replaced,
 // kept as its reference: every checkpoint segment folds back into the live
 // state — parented set and released runs rebuilt over all of history — so

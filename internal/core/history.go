@@ -953,6 +953,9 @@ func gallop(n int, stop func(k int) bool) int {
 	return lo + sort.Search(min(step-1, n-lo), func(k int) bool { return stop(lo + k) })
 }
 
+// onCut, which only tests set, is shown each segment extract cuts.
+var onCut func(seg *ckptSegment)
+
 // extract takes the folded spans sel picks — ascending indexes into one
 // segment's spans — out of the ladder and returns them decoded, each with
 // its owned bit, for the resolver to make live again: only the hits are
@@ -969,6 +972,9 @@ func (h *history) extract(sel func(seg *ckptSegment) ([]int, error)) (out []fold
 		hits, serr := sel(&seg)
 		var block []byte
 		if serr == nil && len(hits) > 0 {
+			if onCut != nil {
+				onCut(&seg)
+			}
 			block, serr = seg.gather(hits)
 		}
 		if serr != nil {

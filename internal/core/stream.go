@@ -166,8 +166,10 @@ func observerRuns(obs StreamObserver) func(run []*trace.Span) {
 // O(live) pass and, durable, a segment file, so past 8*autoFoldEvery live
 // spans Feed waits for an eighth of the live tail instead: at most 8 spans
 // visited per span released at any tail, every file at least an eighth of
-// it, and a tail at most a seventh over its horizon (L = T + L/8).
-const autoFoldEvery = 1024
+// it, and a tail at most a seventh over its horizon (L = T + L/8). Both
+// terms scale with it (the second is an eighth at 1 024), so a test that
+// lowers it folds short streams into deep ladders.
+var autoFoldEvery = 1024
 
 // StreamCorrelator is the parent reconstruction: it consumes spans in
 // arrival order — via Feed, or as a trace.Collector tap through Publish —
@@ -496,7 +498,7 @@ func (sc *StreamCorrelator) feedLocked(spans []*trace.Span, owned bool) {
 		// horizon anyway and closes on a bounded schedule.
 		sc.repair()
 	}
-	if sc.opts.Retain > 0 && sc.released-sc.foldCheck >= max(autoFoldEvery, sc.liveLen()/8) {
+	if sc.opts.Retain > 0 && sc.released-sc.foldCheck >= max(autoFoldEvery, sc.liveLen()*autoFoldEvery/(8<<10)) {
 		sc.foldCheck = sc.released
 		sc.fold()
 	}
@@ -1348,8 +1350,9 @@ func (sc *StreamCorrelator) fold() int {
 // owns for the live tail — reads zero again and a tracer-supplied ParentID
 // stays: what a raw store fed the same batches would serve, at query-time
 // cost only, so the correlator can be a server tenant's one span store. The
-// live payload — Name, Source, Tags, Metrics — is shared read-only with the
-// correlator's spans: immutable once published.
+// live tail's Tags and Metrics are copied with the headers, because a fold
+// recycles an owned span's entry arrays; Name, Source and the entries'
+// strings are shared read-only: immutable once published.
 func (sc *StreamCorrelator) View(raw bool) trace.View {
 	live := trace.CloneHeaders
 	if raw {

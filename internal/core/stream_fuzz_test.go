@@ -50,126 +50,174 @@ import (
 // slot holds a poison pattern until a decode takes it, so a holder that
 // outlives its fold fails the oracle here. wireBinary is moot in it.
 //
+// The cadence byte picks the fold cadence from foldCadences: at the product's
+// 1 024 releases a 4 096-span stream folds a handful of times, at 16 hundreds
+// of times, so its ladder merges segments of many folds and its stragglers
+// cut them; the RAM, durable and recycled arms all take it.
+//
 // Every input runs once per corrRemaps rewrite of its correlation ids — as
 // generated, on one slot of any small table, and random 64-bit — so the same
 // stream drives the correlation tables' dense, spill and growth paths.
 func FuzzStreamVsBatch(f *testing.F) {
-	// spans, streams, dropLaunches, batchSize, skew, window, stragglerWin, maxWindow, retain, seed, durable, restartAt, wireBinary, tenants
-	f.Add(uint16(2_000), uint8(1), false, uint16(128), uint16(0), uint16(0), uint16(0), int16(0), uint16(0), int64(1), false, uint16(0), false, uint8(0))
-	f.Add(uint16(2_000), uint8(3), false, uint16(128), uint16(0), uint16(0), uint16(0), int16(0), uint16(0), int64(2), false, uint16(0), false, uint8(0))
-	f.Add(uint16(2_000), uint8(1), true, uint16(128), uint16(0), uint16(0), uint16(0), int16(0), uint16(0), int64(3), false, uint16(0), false, uint8(0))
-	f.Add(uint16(2_000), uint8(1), false, uint16(128), uint16(48), uint16(48), uint16(0), int16(0), uint16(0), int64(4), false, uint16(0), false, uint8(0))
-	f.Add(uint16(2_000), uint8(3), false, uint16(64), uint16(64), uint16(8), uint16(0), int16(0), uint16(0), int64(5), false, uint16(0), false, uint8(0))
-	f.Add(uint16(2_000), uint8(1), true, uint16(128), uint16(64), uint16(8), uint16(0), int16(0), uint16(0), int64(6), false, uint16(0), false, uint8(0))
-	f.Add(uint16(3_000), uint8(1), false, uint16(256), uint16(0), uint16(0), uint16(512), int16(0), uint16(0), int64(7), false, uint16(0), false, uint8(0))
-	f.Add(uint16(3_000), uint8(3), false, uint16(256), uint16(0), uint16(0), uint16(512), int16(96), uint16(0), int64(8), false, uint16(0), false, uint8(0))
-	f.Add(uint16(3_000), uint8(3), false, uint16(256), uint16(32), uint16(32), uint16(0), int16(64), uint16(512), int64(9), false, uint16(0), false, uint8(0))
-	f.Add(uint16(3_000), uint8(1), true, uint16(256), uint16(32), uint16(32), uint16(256), int16(0), uint16(256), int64(10), false, uint16(0), false, uint8(0))
+	for _, in := range streamSeeds {
+		f.Add(in.spans, in.streams, in.dropLaunches, in.batchSize, in.skew, in.window, in.stragglerWin,
+			in.maxWindow, in.retain, in.seed, in.durable, in.restartAt, in.wireBinary, in.tenants, in.cadence)
+	}
+	f.Fuzz(fuzzStream)
+}
+
+// streamInput is one input of FuzzStreamVsBatch, its arguments in order.
+type streamInput struct {
+	spans                                 uint16
+	streams                               uint8
+	dropLaunches                          bool
+	batchSize, skew, window, stragglerWin uint16
+	maxWindow                             int16
+	retain                                uint16
+	seed                                  int64
+	durable                               bool
+	restartAt                             uint16
+	wireBinary                            bool
+	tenants, cadence                      uint8
+}
+
+func (in streamInput) run(t *testing.T) {
+	fuzzStream(t, in.spans, in.streams, in.dropLaunches, in.batchSize, in.skew, in.window, in.stragglerWin,
+		in.maxWindow, in.retain, in.seed, in.durable, in.restartAt, in.wireBinary, in.tenants, in.cadence)
+}
+
+// foldCadences are the fold cadences (core.SetAutoFoldEvery) an input's
+// cadence byte picks from: the product's, and two that fold a 4 096-span
+// stream tens and hundreds of times, so its ladder merges segments of many
+// folds and its stragglers cut them.
+var foldCadences = [3]int{1024, 64, 16}
+
+// streamSeeds is FuzzStreamVsBatch's seed corpus, beside the files in
+// testdata/fuzz.
+var streamSeeds = []streamInput{
+	// spans, streams, dropLaunches, batchSize, skew, window, stragglerWin, maxWindow, retain, seed, durable, restartAt, wireBinary, tenants, cadence
+	{2_000, 1, false, 128, 0, 0, 0, 0, 0, 1, false, 0, false, 0, 0},
+	{2_000, 3, false, 128, 0, 0, 0, 0, 0, 2, false, 0, false, 0, 0},
+	{2_000, 1, true, 128, 0, 0, 0, 0, 0, 3, false, 0, false, 0, 0},
+	{2_000, 1, false, 128, 48, 48, 0, 0, 0, 4, false, 0, false, 0, 0},
+	{2_000, 3, false, 64, 64, 8, 0, 0, 0, 5, false, 0, false, 0, 0},
+	{2_000, 1, true, 128, 64, 8, 0, 0, 0, 6, false, 0, false, 0, 0},
+	{3_000, 1, false, 256, 0, 0, 512, 0, 0, 7, false, 0, false, 0, 0},
+	{3_000, 3, false, 256, 0, 0, 512, 96, 0, 8, false, 0, false, 0, 0},
+	{3_000, 3, false, 256, 32, 32, 0, 64, 512, 9, false, 0, false, 0, 0},
+	{3_000, 1, true, 256, 32, 32, 256, 0, 256, 10, false, 0, false, 0, 0},
 	// Durable seeds: the crash-matrix shape (folds + stragglers +
 	// reopens), a restart before the first batch, and a restart deep in
 	// the stream after many folds.
-	f.Add(uint16(3_000), uint8(2), false, uint16(32), uint16(8), uint16(16), uint16(24), int16(0), uint16(32), int64(7), true, uint16(40), false, uint8(0))
-	f.Add(uint16(2_000), uint8(3), false, uint16(64), uint16(64), uint16(8), uint16(0), int16(0), uint16(64), int64(5), true, uint16(0), false, uint8(0))
-	f.Add(uint16(3_000), uint8(1), true, uint16(256), uint16(32), uint16(32), uint16(256), int16(0), uint16(256), int64(10), true, uint16(60_000), false, uint8(0))
+	{3_000, 2, false, 32, 8, 16, 24, 0, 32, 7, true, 40, false, 0, 0},
+	{2_000, 3, false, 64, 64, 8, 0, 0, 64, 5, true, 0, false, 0, 0},
+	{3_000, 1, true, 256, 32, 32, 256, 0, 256, 10, true, 60_000, false, 0, 0},
 	// Binary-wire seeds: every batch round-trips through the span frame
 	// codec before feeding — the HTTP binary ingest path — including one
 	// with a mid-stream durable restart.
-	f.Add(uint16(2_000), uint8(3), false, uint16(64), uint16(64), uint16(8), uint16(0), int16(0), uint16(0), int64(5), false, uint16(0), true, uint8(0))
-	f.Add(uint16(3_000), uint8(2), false, uint16(32), uint16(8), uint16(16), uint16(24), int16(0), uint16(32), int64(7), true, uint16(40), true, uint8(0))
+	{2_000, 3, false, 64, 64, 8, 0, 0, 0, 5, false, 0, true, 0, 0},
+	{3_000, 2, false, 32, 8, 16, 24, 0, 32, 7, true, 40, true, 0, 0},
 	// Tenant-interleave seeds: RAM-only, durable with a whole-set restart
 	// mid-interleave, and tenant-tagged binary frames.
-	f.Add(uint16(2_000), uint8(3), false, uint16(64), uint16(64), uint16(8), uint16(0), int16(0), uint16(0), int64(5), false, uint16(0), false, uint8(3))
-	f.Add(uint16(2_000), uint8(2), false, uint16(32), uint16(8), uint16(16), uint16(24), int16(0), uint16(32), int64(7), true, uint16(40), false, uint8(2))
-	f.Add(uint16(2_000), uint8(3), false, uint16(64), uint16(64), uint16(8), uint16(0), int16(0), uint16(64), int64(5), true, uint16(30), true, uint8(3))
+	{2_000, 3, false, 64, 64, 8, 0, 0, 0, 5, false, 0, false, 3, 0},
+	{2_000, 2, false, 32, 8, 16, 24, 0, 32, 7, true, 40, false, 2, 0},
+	{2_000, 3, false, 64, 64, 8, 0, 0, 64, 5, true, 30, true, 3, 0},
 	// Session-shape seeds: what Session and Application correlate with — the
 	// whole trace as one canonically ordered batch (1000 spans fit one
 	// 1023-span batch), a zero window, then Flush — on one and three
 	// streams, with and without launch spans.
-	f.Add(uint16(1_000), uint8(1), false, uint16(1_023), uint16(0), uint16(0), uint16(0), int16(0), uint16(0), int64(11), false, uint16(0), false, uint8(0))
-	f.Add(uint16(1_000), uint8(3), false, uint16(1_023), uint16(0), uint16(0), uint16(0), int16(0), uint16(0), int64(12), false, uint16(0), false, uint8(0))
-	f.Add(uint16(1_000), uint8(1), true, uint16(1_023), uint16(0), uint16(0), uint16(0), int16(0), uint16(0), int64(13), false, uint16(0), false, uint8(0))
-	f.Add(uint16(1_000), uint8(3), true, uint16(1_023), uint16(0), uint16(0), uint16(0), int16(0), uint16(0), int64(14), false, uint16(0), false, uint8(0))
+	{1_000, 1, false, 1_023, 0, 0, 0, 0, 0, 11, false, 0, false, 0, 0},
+	{1_000, 3, false, 1_023, 0, 0, 0, 0, 0, 12, false, 0, false, 0, 0},
+	{1_000, 1, true, 1_023, 0, 0, 0, 0, 0, 13, false, 0, false, 0, 0},
+	{1_000, 3, true, 1_023, 0, 0, 0, 0, 0, 14, false, 0, false, 0, 0},
 	// Deep-merge seeds: 8-span batches shuffled over a skew as wide as the
 	// window, so a batch's head sorts 5 (one stream) to 17 (three) batches
 	// before the reorder buffer's tail and the merge reaches that deep; RAM,
 	// and durable with folds and a restart.
-	f.Add(uint16(2_000), uint8(1), false, uint16(8), uint16(511), uint16(511), uint16(0), int16(0), uint16(0), int64(15), false, uint16(0), false, uint8(0))
-	f.Add(uint16(3_000), uint8(3), false, uint16(8), uint16(511), uint16(511), uint16(0), int16(0), uint16(0), int64(15), false, uint16(0), false, uint8(0))
-	f.Add(uint16(3_000), uint8(3), false, uint16(8), uint16(511), uint16(511), uint16(0), int16(0), uint16(256), int64(15), true, uint16(100), false, uint8(0))
+	{2_000, 1, false, 8, 511, 511, 0, 0, 0, 15, false, 0, false, 0, 0},
+	{3_000, 3, false, 8, 511, 511, 0, 0, 0, 15, false, 0, false, 0, 0},
+	{3_000, 3, false, 8, 511, 511, 0, 0, 256, 15, true, 100, false, 0, 0},
 	// Recycled seeds: the server's owned feed, RAM with folds and stragglers,
 	// durable with a restart mid-stream, and durable with windowed reopens
 	// before and after one.
-	f.Add(uint16(3_000), uint8(3), false, uint16(64), uint16(64), uint16(8), uint16(24), int16(0), uint16(64), int64(5), false, uint16(0), false, uint8(1))
-	f.Add(uint16(3_000), uint8(2), false, uint16(32), uint16(8), uint16(16), uint16(24), int16(0), uint16(32), int64(7), true, uint16(40), false, uint8(1))
-	f.Add(uint16(4_096), uint8(3), false, uint16(16), uint16(64), uint16(8), uint16(300), int16(24), uint16(16), int64(4), true, uint16(195), false, uint8(1))
+	{3_000, 3, false, 64, 64, 8, 24, 0, 64, 5, false, 0, false, 1, 0},
+	{3_000, 2, false, 32, 8, 16, 24, 0, 32, 7, true, 40, false, 1, 0},
+	{4_096, 3, false, 16, 64, 8, 300, 24, 16, 4, true, 195, false, 1, 0},
 	// Run-cut seed: 4-span batches shuffled over a 511 skew with no reorder
 	// window, recycled, so stragglers reopen the ladder time and again: a dozen
 	// reopens cut one segment that two interleaved folds merged into 26-32
 	// runs of records, each reopen cutting the runs its predecessor left.
-	// (Deeper merges are out of reach at 4 096 spans, ~4 folds of 1 024
-	// releases; TestWindowedReopenMatchesFullReopen cuts segments merged
-	// from up to 26 folds.)
-	f.Add(uint16(4_096), uint8(3), false, uint16(4), uint16(511), uint16(0), uint16(600), int16(24), uint16(64), int64(1913), false, uint16(0), false, uint8(1))
+	// (At the default cadence 4 096 spans are ~4 folds of 1 024 releases; the
+	// deep-ladder seeds below fold every 16.)
+	{4_096, 3, false, 4, 511, 0, 600, 24, 64, 1913, false, 0, false, 1, 0},
+	// Deep-ladder seeds: the run-cut shape folding every 16 releases, so the
+	// ladder merges hundreds of folds and the stragglers cut segments that
+	// hold tens of them (TestStreamSeedsCutDeepSegments), RAM and durable
+	// with a restart; and recycled and durable, folding every 64.
+	{4_096, 3, false, 4, 511, 0, 600, 24, 64, 21, false, 0, false, 0, 2},
+	{4_096, 3, false, 4, 511, 0, 600, 24, 64, 21, true, 300, false, 0, 2},
+	{4_096, 3, false, 4, 511, 0, 600, 24, 64, 21, true, 300, false, 1, 1},
+}
 
-	f.Fuzz(func(t *testing.T, spans uint16, streams uint8, dropLaunches bool,
-		batchSize, skew, window uint16, stragglerWin uint16, maxWindow int16, retain uint16, seed int64,
-		durable bool, restartAt uint16, wireBinary bool, tenants uint8) {
-		n := int(spans)
-		if n < 16 {
-			n = 16
+func fuzzStream(t *testing.T, spans uint16, streams uint8, dropLaunches bool,
+	batchSize, skew, window uint16, stragglerWin uint16, maxWindow int16, retain uint16, seed int64,
+	durable bool, restartAt uint16, wireBinary bool, tenants, cadence uint8) {
+	defer core.SetAutoFoldEvery(foldCadences[cadence%3])()
+	n := int(spans)
+	if n < 16 {
+		n = 16
+	}
+	if n > 4_096 {
+		n = 4_096
+	}
+	for _, remap := range corrRemaps(seed) {
+		t.Logf("correlation ids: %s", remap.name)
+		if T := int(tenants % 4); T >= 2 {
+			fuzzTenantInterleave(t, T, n, streams, dropLaunches,
+				batchSize, skew, window, stragglerWin, maxWindow, retain, seed,
+				durable, restartAt, wireBinary, remap)
+			continue
 		}
-		if n > 4_096 {
-			n = 4_096
-		}
-		for _, remap := range corrRemaps(seed) {
-			t.Logf("correlation ids: %s", remap.name)
-			if T := int(tenants % 4); T >= 2 {
-				fuzzTenantInterleave(t, T, n, streams, dropLaunches,
-					batchSize, skew, window, stragglerWin, maxWindow, retain, seed,
-					durable, restartAt, wireBinary, remap)
-				continue
-			}
-			batches := workload.StreamingArrivals(workload.StreamingSpec{
-				Trace: workload.SyntheticSpec{
-					Spans:        n,
-					Streams:      int(streams % 4),
-					DropLaunches: dropLaunches,
-					Seed:         seed,
-				},
-				BatchSize:       int(batchSize % 1024),
-				ReorderSkew:     vclock.Duration(skew % 512),
-				StragglerWindow: vclock.Duration(stragglerWin % 2048),
-				Seed:            seed + 1,
-			})
-			remap.apply(batches)
-			parentSome(batches)
-			recycled := tenants%4 == 1
-			if wireBinary && !recycled {
-				// The binary ingest path: round-trip every batch through the
-				// wire codec before feeding, exactly as spans arrive off
-				// /api/spans. The decoded clones carry the same IDs and
-				// tracer-truth parents, so the oracle below is unaffected;
-				// DecodeBinary's canonical within-batch order is what a real
-				// binary-ingesting server publishes.
-				for i, b := range batches {
-					tr, err := trace.DecodeBinary(bytes.NewReader(trace.AppendBinaryFrameTenant(nil, "", b)))
-					if err != nil {
-						t.Fatalf("batch %d failed the wire round trip: %v", i, err)
-					}
-					batches[i] = tr.Spans
+		batches := workload.StreamingArrivals(workload.StreamingSpec{
+			Trace: workload.SyntheticSpec{
+				Spans:        n,
+				Streams:      int(streams % 4),
+				DropLaunches: dropLaunches,
+				Seed:         seed,
+			},
+			BatchSize:       int(batchSize % 1024),
+			ReorderSkew:     vclock.Duration(skew % 512),
+			StragglerWindow: vclock.Duration(stragglerWin % 2048),
+			Seed:            seed + 1,
+		})
+		remap.apply(batches)
+		parentSome(batches)
+		recycled := tenants%4 == 1
+		if wireBinary && !recycled {
+			// The binary ingest path: round-trip every batch through the
+			// wire codec before feeding, exactly as spans arrive off
+			// /api/spans. The decoded clones carry the same IDs and
+			// tracer-truth parents, so the oracle below is unaffected;
+			// DecodeBinary's canonical within-batch order is what a real
+			// binary-ingesting server publishes.
+			for i, b := range batches {
+				tr, err := trace.DecodeBinary(bytes.NewReader(trace.AppendBinaryFrameTenant(nil, "", b)))
+				if err != nil {
+					t.Fatalf("batch %d failed the wire round trip: %v", i, err)
 				}
+				batches[i] = tr.Spans
 			}
-			opts := core.StreamOptions{
-				ReorderWindow: vclock.Duration(window % 512),
-				Retain:        vclock.Duration(retain % 4096),
-			}.WithMaxWindowSpans(int(maxWindow)) // negative = unbounded, 0 = default, tiny = aggressive chaining
-			restart := -1
-			if durable && len(batches) > 0 {
-				restart = int(restartAt) % len(batches)
-			}
-			checkStream(t, batches, opts, durable, restart, recycled)
 		}
-	})
+		opts := core.StreamOptions{
+			ReorderWindow: vclock.Duration(window % 512),
+			Retain:        vclock.Duration(retain % 4096),
+		}.WithMaxWindowSpans(int(maxWindow)) // negative = unbounded, 0 = default, tiny = aggressive chaining
+		restart := -1
+		if durable && len(batches) > 0 {
+			restart = int(restartAt) % len(batches)
+		}
+		checkStream(t, batches, opts, durable, restart, recycled)
+	}
 }
 
 // corrRemap is an injective rewrite of a stream's correlation ids, applied
@@ -296,7 +344,7 @@ func checkStream(t *testing.T, batches [][]*trace.Span, opts core.StreamOptions,
 		if err != nil {
 			t.Fatalf("open store: %v", err)
 		}
-		opts.Store = st
+		opts.Store = backStore(st)
 		if sc, err = core.RecoverStream(opts, rec); err != nil {
 			t.Fatalf("recover empty store: %v", err)
 		}
@@ -318,7 +366,7 @@ func checkStream(t *testing.T, batches [][]*trace.Span, opts core.StreamOptions,
 				t.Fatalf("clean restart quarantined %v", rec.Quarantined)
 			}
 			st = store
-			opts.Store = st
+			opts.Store = backStore(st)
 			if sc, err = core.RecoverStream(opts, rec); err != nil {
 				t.Fatalf("recover after restart: %v", err)
 			}
@@ -364,6 +412,58 @@ func checkStream(t *testing.T, batches [][]*trace.Span, opts core.StreamOptions,
 	}
 	// And with every link settled, the raw view still reads as fed.
 	checkSnapshotRaw(t, sc, fed)
+}
+
+// logStores, when set, is handed each store checkStream opens and returns
+// what backs the stream in its place: TestStreamSeedsCutDeepSegments' storeLog.
+var logStores func(st *segio.Store) core.SegmentStore
+
+func backStore(st *segio.Store) core.SegmentStore {
+	if logStores != nil {
+		return logStores(st)
+	}
+	return st
+}
+
+// TestStreamSeedsCutDeepSegments holds FuzzStreamVsBatch's seed corpus to
+// reaching deep ladders: in each of its RAM, durable and recycled arms some
+// seed's stragglers cut a segment that holds at least four folds, so merged
+// at least three times. A resident segment's folds are counted from its
+// blocks (core.WatchCuts) and a filed one's as storeLog counts a file's: the
+// remainder a reopen writes names the file it rewrote. (The multi-tenant
+// arm runs the same ladder code through a TenantSet, and is not counted.)
+func TestStreamSeedsCutDeepSegments(t *testing.T) {
+	const want = 4
+	deepest := map[string]int{}
+	for i, in := range streamSeeds {
+		if in.tenants%4 >= 2 {
+			continue
+		}
+		arm := "ram"
+		if in.tenants%4 == 1 {
+			arm = "recycled"
+		} else if in.durable {
+			arm = "durable"
+		}
+		var logs []*storeLog
+		logStores = func(st *segio.Store) core.SegmentStore {
+			logs = append(logs, newStoreLog(st))
+			return logs[len(logs)-1]
+		}
+		stop := core.WatchCuts(func(folds int) { deepest[arm] = max(deepest[arm], folds) })
+		t.Run(fmt.Sprint("seed", i), in.run)
+		stop()
+		logStores = nil
+		for _, l := range logs {
+			deepest[arm] = max(deepest[arm], l.deepest)
+		}
+	}
+	for _, arm := range []string{"ram", "durable", "recycled"} {
+		if deepest[arm] < want {
+			t.Errorf("%s arm: no seed cut a segment of more than %d folds, want %d", arm, deepest[arm], want)
+		}
+	}
+	t.Logf("the most folds a cut segment held: %v", deepest)
 }
 
 // parentSome hands one span in 41 to the model span (id 1) as a tracer would:

@@ -138,10 +138,12 @@ func postJSON(baseURL string, spans []*trace.Span) error {
 //   - owned is server with the decode in the loop, as the server runs it:
 //     each batch decoded from its binary frame by DecodeBinary, whose store
 //     recycles, and fed owned (FeedOwned), so a fold hands the slots of the
-//     spans it encodes to the next batches' decodes. What is left per span
-//     is the fold's block, the decoded batch's entry arenas, blob and
-//     pointer slice (177 B/span measured, 230 with a reference per span per
-//     merge); a decode that carves new chunks, ~140 B/span of arena, fails it.
+//     spans it encodes, and their tag and metric arrays, to the next
+//     batches' decodes. What is left per span is the fold's block and the
+//     decoded batch's blob and pointer slice (118-122 B/span measured; 177
+//     while every decode carved fresh entry arenas, 230 with a reference per
+//     span per merge); a decode that carves new chunks, ~140 B/span of
+//     arena, or new entry arenas, ~50, fails it.
 func TestStreamAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -166,7 +168,7 @@ func TestStreamAllocBudget(t *testing.T) {
 			name:   "owned",
 			trace:  payloadTrace(120_000, 7),
 			opts:   core.StreamOptions{ReorderWindow: 64, Retain: 10_000, CorrRetain: 100_000},
-			allocs: 0.25, bytes: 195, owned: true,
+			allocs: 0.25, bytes: 140, owned: true,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

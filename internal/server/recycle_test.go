@@ -17,13 +17,14 @@ import (
 // binary POST decoded by the ingest half, queued on the RAM tenant's tap and
 // fed owned to its correlator — to a steady-state allocation budget, in
 // ram_nested's configuration. A fold gives the slots of the spans it encodes
-// back, and the next decodes refill them: what a span costs is the block its
-// fold keeps, the entry arenas its decode carves and the live analyses' share
-// (240 B measured; 304 while every ladder merge copied an 8-byte reference
-// per span). A tenant that fed its spans lent, so that every decode carved
-// fresh chunks, read 506.
+// back, with their tag and metric arrays, and the next decodes refill them:
+// what a span costs is the block its fold keeps, its decode's blob and the
+// live analyses' share (186 B measured; 240 while every decode carved fresh
+// entry arenas, 304 while every ladder merge copied an 8-byte reference per
+// span). A tenant that fed its spans lent, so that every decode carved fresh
+// chunks, read 506.
 func TestRAMTenantRecyclesDecodedSpans(t *testing.T) {
-	const budget = 270 // B/span
+	const budget = 210 // B/span
 	// One P: the tap's worker and the handler share it, as under the bench,
 	// and a pooled buffer stays within reach of the next Get (see
 	// TestStreamAllocBudget's owned arm).

@@ -33,8 +33,9 @@ import (
 // and tag value is a zero-copy substring of a single allocation rather than
 // a per-field copy. Decoded Span structs themselves come out of a SpanStore
 // arena (one allocation per storeChunkSpans spans) and their tags and
-// metrics, flat pairs, out of one entry arena per block, so decoding a batch
-// costs O(1) allocations, whatever its spans carry. Entries are written and
+// metrics, flat pairs, out of one entry arena per block (a recycling decode
+// refills freed entry arrays first), so decoding a batch costs O(1)
+// allocations, whatever its spans carry. Entries are written and
 // read in the order the span holds them, so encoding is deterministic: the
 // same spans give the same bytes, and a block AppendSpanBlock wrote decodes
 // to spans it encodes to those bytes again.
@@ -459,6 +460,12 @@ func RecordLess(a *SpanBlock, i int, b *SpanBlock, j int) bool {
 	return a.ID(i) < b.ID(j)
 }
 
+// entryCounts returns record i's tag and metric counts.
+func (b *SpanBlock) entryCounts(i int) (tags, mets int) {
+	rec := b.rec(i)
+	return int(binary.LittleEndian.Uint32(rec[68:])), int(binary.LittleEndian.Uint32(rec[76:]))
+}
+
 // SpanDecoder decodes the records of one block one at a time. The spans it
 // returns share one copy of the block's string blob — every name, source,
 // tag key and tag value a zero-copy substring of it — and one arena of tag
@@ -468,7 +475,8 @@ type SpanDecoder struct {
 	blob string
 	// The entry arenas: each span's Tags and Metrics are carved off the spare
 	// capacity, which is sized on first use to the block's whole table — what
-	// the records of a block from AppendSpanBlock or GatherSpanBlock add up to.
+	// the records of a block from AppendSpanBlock or GatherSpanBlock add up to
+	// — or, in a recycling decode, up front to what the free pieces lack.
 	tags []Tag
 	mets []Metric
 }
@@ -505,7 +513,8 @@ func (d *SpanDecoder) Span(st *SpanStore, i int) *Span {
 	return s
 }
 
-// fill decodes record i into s, a zero span.
+// fill decodes record i into s, a zero span but for Tags and Metrics: either
+// nil, or a piece as long as the record's entries, which fill overwrites.
 func (d *SpanDecoder) fill(s *Span, i int) {
 	le := binary.LittleEndian
 	rec := d.blk.rec(i)
@@ -519,14 +528,18 @@ func (d *SpanDecoder) fill(s *Span, i int) {
 	s.Name = d.str(rec[48:])
 	s.Source = d.str(rec[56:])
 	if tOff, tCnt := int(le.Uint32(rec[64:])), int(le.Uint32(rec[68:])); tCnt > 0 {
-		s.Tags = carve(&d.tags, tCnt, len(d.blk.tags)/16)
+		if len(s.Tags) != tCnt {
+			s.Tags = carve(&d.tags, tCnt, len(d.blk.tags)/16)
+		}
 		for j := range s.Tags {
 			ent := d.blk.tags[(tOff+j)*16:]
 			s.Tags[j] = Tag{d.str(ent[0:]), d.str(ent[8:])}
 		}
 	}
 	if mOff, mCnt := int(le.Uint32(rec[72:])), int(le.Uint32(rec[76:])); mCnt > 0 {
-		s.Metrics = carve(&d.mets, mCnt, len(d.blk.mets)/16)
+		if len(s.Metrics) != mCnt {
+			s.Metrics = carve(&d.mets, mCnt, len(d.blk.mets)/16)
+		}
 		for j := range s.Metrics {
 			ent := d.blk.mets[(mOff+j)*16:]
 			s.Metrics[j] = Metric{d.str(ent[0:]), math.Float64frombits(le.Uint64(ent[8:]))}
@@ -573,6 +586,8 @@ func DecodeSpanBlock(b []byte) (spans []*Span, owned []uint64, rest []byte, err 
 // DecodeSpanBlockInto is DecodeSpanBlock allocating the decoded spans
 // from the given store (see SpanStore), so a caller that decodes many blocks
 // (a busy ingest endpoint) shares chunks instead of allocating per span.
+// A recycling store's spans take freed tag and metric pieces first too, and
+// the entries no piece fits come from one arena of exactly their size.
 // The decoded spans are returned in record order and are not added to the
 // store's view.
 func DecodeSpanBlockInto(st *SpanStore, b []byte) (spans []*Span, owned []uint64, rest []byte, err error) {
@@ -582,6 +597,10 @@ func DecodeSpanBlockInto(st *SpanStore, b []byte) (spans []*Span, owned []uint64
 	}
 	d := blk.Decoder()
 	spans = st.allocBatch(blk.Len())
+	if st.recycle {
+		tags, mets := takePieces(&blk, spans)
+		d.tags, d.mets = make([]Tag, 0, tags), make([]Metric, 0, mets)
+	}
 	owned = make([]uint64, (len(spans)+63)/64)
 	for i, s := range spans {
 		d.fill(s, i)
@@ -655,9 +674,9 @@ const maxPooledFrame = 1 << 20
 // DecodeBinary reads one framed binary span batch written by EncodeBinary
 // (or AppendBinaryFrameTenant) and returns the decoded trace in canonical
 // begin order, exactly like DecodeJSON. The spans are decoded straight into
-// recycled slots (see RecycleSpans) and, past those, a fresh arena: at most
-// one allocation per storeChunkSpans spans and one per entry table, with
-// every string a zero-copy substring of the frame's shared
+// recycled slots and entry arrays (see RecycleSpans) and, past those, fresh
+// arenas: at most one allocation per storeChunkSpans spans and one per entry
+// table, with every string a zero-copy substring of the frame's shared
 // blob. Any framing or payload problem — bad magic, unknown version,
 // truncated body, corrupt block, trailing garbage — returns an error
 // wrapping ErrBadFrame and no spans.

@@ -88,7 +88,7 @@
 // wants private spans clones them ([Span.Clone]). A span's payload — Name, Source, Tags, Metrics — is immutable after
 // publish: readers walk the tag and metric entries without locks, and
 // [CloneHeaders] (what every stream-correlator snapshot holds)
-// copies the header fields and shares the payload.
+// copies the header fields and the entries and shares the strings.
 //
 // Tags and Metrics are flat pairs ([Tag], [Metric]) in insertion order, not
 // maps: a span carries a handful, so [Span.Tag] and [Span.Metric] are short
@@ -157,12 +157,19 @@
 // so a server in steady state decodes into the slots its folds gave back.
 // Everything else a decode returns — spans fed to a Session or an
 // Application, a test's, recovery's, a copying (Isolated) correlator's — is
-// never recycled and is the garbage collector's, as before. A recycled slot
-// restarts from Span{}: tags and metrics stay in the entry arena of the block
-// they were decoded with, so a copy of a span's header (CloneHeaders) stays
-// valid after the span is recycled. Under the race detector a freed slot
-// holds a poison pattern until a decode takes it, so a holder that outlives
-// its span reads nonsense and the oracles that run under -race fail.
+// never recycled and is the garbage collector's, as before. A recycled span
+// gives back its Tags and Metrics arrays with its slot: each array goes on
+// the free list by length (one bucket per length up to 16, 16 Ki entries in
+// all), and DecodeBinary hands each new span the arrays its record's tag and
+// metric counts fit, in one locked pass, and carves only the shortfall, from
+// one arena of exactly that size. So a span's entries are its owner's too,
+// and a copy of a span that outlives it copies them: CloneHeaders does, and
+// every view of a stream correlator's live tail is one. Names, sources and
+// the entries' strings are substrings of the decoded batch's blob, which is
+// never recycled, so they stay shared. Under the race detector a freed slot,
+// and every freed entry, holds a poison pattern until a decode takes it, so
+// a holder that outlives its span reads nonsense and the oracles that run
+// under -race fail.
 //
 // # Binary wire format
 //

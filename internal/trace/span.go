@@ -160,24 +160,46 @@ func (s *Span) Clone() *Span {
 	return &c
 }
 
-// CloneHeaders returns a copy of every span's header — the scalar fields,
-// ParentID included — sharing the payload (Name, Source, Tags, Metrics)
-// with the originals; nil entries stay nil. A span's payload is immutable
-// once published, so a consumer that rewrites only header fields (the
-// stream correlator writes ParentID and nothing else) needs no more than
-// this, and the process holds one copy of every payload however many views
-// of a span exist. The copies share one allocation, which lives as long as
-// any of them does. Use Clone for a span whose entries may be written.
+// CloneHeaders returns a copy of every span — the scalar fields, ParentID
+// included, and the Tags and Metrics entries — sharing only Name, Source and
+// the strings the entries hold, which are immutable once published; nil
+// entries stay nil. The copies share three allocations (headers, tag
+// entries, metric entries), which live as long as any of them does. A view
+// needs the entries copied: a span fed owned to a stream correlator gives its
+// entry arrays back with its slot when it folds (RecycleSpans), and the next
+// decode refills them. Use Clone for a span whose entries may be written.
 func CloneHeaders(spans []*Span) []*Span {
+	nt, nm := 0, 0
+	for _, s := range spans {
+		if s != nil {
+			nt, nm = nt+len(s.Tags), nm+len(s.Metrics)
+		}
+	}
 	headers := make([]Span, 0, len(spans))
+	tags, mets := make([]Tag, 0, nt), make([]Metric, 0, nm)
 	out := make([]*Span, len(spans))
 	for i, s := range spans {
 		if s != nil {
 			headers = append(headers, *s)
-			out[i] = &headers[len(headers)-1]
+			h := &headers[len(headers)-1]
+			h.Tags, tags = appendPiece(tags, s.Tags)
+			h.Metrics, mets = appendPiece(mets, s.Metrics)
+			out[i] = h
 		}
 	}
 	return out
+}
+
+// appendPiece copies p onto the end of arena, which has room for it, and
+// returns the copy with no capacity to spare (nil when p is empty) and the
+// extended arena.
+func appendPiece[T any](arena, p []T) ([]T, []T) {
+	if len(p) == 0 {
+		return nil, arena
+	}
+	at := len(arena)
+	arena = append(arena, p...)
+	return arena[at:len(arena):len(arena)], arena
 }
 
 var nextSpanID atomic.Uint64

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"sync"
 	"unsafe"
 )
@@ -25,8 +26,10 @@ const _ = uint(32<<10 - unsafe.Sizeof(Span{})*storeChunkSpans)
 // A pointer is stable until its span is recycled: never, unless the span
 // was handed to a consumer that owns it (core.StreamCorrelator.FeedOwned),
 // which gives the slot back to the process's free list (RecycleSpans) once it
-// holds no further use for it. The wire decoders' stores (DecodeBinary,
-// DecodeJSON) recycle: they take freed slots before they carve a chunk.
+// holds no further use for it, and with it the span's Tags and Metrics
+// arrays. The wire decoders' stores (DecodeBinary, DecodeJSON) recycle: they
+// take freed slots before they carve a chunk, and DecodeBinary refills freed
+// tag and metric arrays before it carves entries.
 //
 // The zero value is an empty arena ready for use. A SpanStore is not safe
 // for concurrent use.
@@ -66,42 +69,106 @@ func (st *SpanStore) allocBatch(n int) []*Span {
 // maxFreeSpans bounds the free list: 64 Ki slots, ~8.5 MiB of spans, which
 // is what a handful of folds release and the next batches' decodes take.
 // A slot freed past it is left to the garbage collector, and so is a batch
-// slice past maxFreeBatches.
+// slice past maxFreeBatches. A span's Tags and Metrics go back as pieces,
+// one bucket per length up to maxPieceLen, 16 Ki entries of both kinds in
+// all (~0.5 MiB): what a few folds of a thousand spans free. A piece on the
+// list keeps its whole entry arena alive, so the bound is kept tight: at
+// 32 Ki, durable_mixed_rw peaked ~4 % over no list at all (BENCH_51.json).
 const (
 	maxFreeSpans   = 64 << 10
 	maxFreeBatches = 16
+	maxPieceLen    = 16
+	maxFreeEntries = 16 << 10
 )
 
-// freeSpans is the process's one free list of recycled span slots and batch
-// slices, shared by every tenant's folds and feeds and every recycling decode.
+// freeSpans is the process's one free list of recycled span slots, batch
+// slices and entry pieces, shared by every tenant's folds and feeds and every
+// recycling decode.
 var freeSpans struct {
 	sync.Mutex
 	slots   []*Span
 	batches [][]*Span // empty, with their capacity
+	tags    [maxPieceLen + 1][][]Tag
+	mets    [maxPieceLen + 1][][]Metric
+	entries int // in tags and mets
 }
 
 // poisonSpan is what a freed slot holds under the race detector until it is
-// taken again, so a holder that outlives its span reads nonsense loudly.
-var poisonSpan = Span{ID: 0xdeadbeefdeadbeef, ParentID: 0xdeadbeefdeadbeef, CorrelationID: 0xdeadbeefdeadbeef,
-	Level: -1 << 30, Kind: -1, Name: "<recycled span>", Source: "<recycled span>", Begin: -1 << 62, End: -1 << 61}
+// taken again, so a holder that outlives its span reads nonsense loudly; a
+// freed piece holds poisonTag or poisonMetric in every entry.
+var (
+	poisonSpan = Span{ID: 0xdeadbeefdeadbeef, ParentID: 0xdeadbeefdeadbeef, CorrelationID: 0xdeadbeefdeadbeef,
+		Level: -1 << 30, Kind: -1, Name: "<recycled span>", Source: "<recycled span>", Begin: -1 << 62, End: -1 << 61}
+	poisonTag    = Tag{"<recycled tag>", "<recycled tag>"}
+	poisonMetric = Metric{"<recycled metric>", math.NaN()}
+)
 
-// RecycleSpans gives the slots of spans back to the free list, for the next
-// recycling decode to refill. The caller must be their one owner and keep
-// none of them: a span fed owned to a core.StreamCorrelator is recycled by
-// the fold that encodes it. Each slot is cleared (poisoned under the race
-// detector) whether or not the list has room for it.
+// RecycleSpans gives the slots of spans back to the free list, with their
+// Tags and Metrics arrays, for the next recycling decode to refill. The
+// caller must be their one owner and keep none of them, nor any span's
+// entries: a span fed owned to a core.StreamCorrelator is recycled by the
+// fold that encodes it. Each slot and entry is cleared (poisoned under the
+// race detector) whether or not the list has room for it.
 func RecycleSpans(spans []*Span) {
+	freeSpans.Lock()
 	for _, s := range spans {
+		putPiece(&freeSpans.tags, s.Tags, poisonTag)
+		putPiece(&freeSpans.mets, s.Metrics, poisonMetric)
 		if raceEnabled {
 			*s = poisonSpan
 		} else {
 			*s = Span{}
 		}
 	}
-	freeSpans.Lock()
 	k := min(len(spans), maxFreeSpans-len(freeSpans.slots))
 	freeSpans.slots = append(freeSpans.slots, spans[:k]...)
 	freeSpans.Unlock()
+}
+
+// putPiece clears (poisons) the entries of p and puts p in its length's
+// bucket, if there is one and the entry bound has room. freeSpans is locked.
+func putPiece[T any](pieces *[maxPieceLen + 1][][]T, p []T, poison T) {
+	if raceEnabled {
+		for i := range p {
+			p[i] = poison
+		}
+	} else {
+		clear(p)
+	}
+	if n := len(p); n > 0 && n <= maxPieceLen && freeSpans.entries+n <= maxFreeEntries {
+		pieces[n] = append(pieces[n], p[:n:n])
+		freeSpans.entries += n
+	}
+}
+
+// takePieces hands each of spans, a recycling decode's new slots for blk's
+// records, the free pieces as long as its record's tag count and metric
+// count, in one locked pass, and returns the tag and metric entries it found
+// no piece for: what the decode carves.
+func takePieces(blk *SpanBlock, spans []*Span) (tags, mets int) {
+	freeSpans.Lock()
+	for i, s := range spans {
+		t, m := blk.entryCounts(i)
+		s.Tags, tags = takePiece(&freeSpans.tags, t, tags)
+		s.Metrics, mets = takePiece(&freeSpans.mets, m, mets)
+	}
+	freeSpans.Unlock()
+	return tags, mets
+}
+
+// takePiece returns a free piece of n entries and short, or nil and short
+// plus n when its bucket is empty (bucket 0 always is) or n is none of the
+// buckets' lengths. freeSpans is locked.
+func takePiece[T any](pieces *[maxPieceLen + 1][][]T, n, short int) ([]T, int) {
+	if n > maxPieceLen || len(pieces[n]) == 0 {
+		return nil, short + n
+	}
+	k := len(pieces[n]) - 1
+	p := pieces[n][k]
+	pieces[n][k] = nil
+	pieces[n] = pieces[n][:k]
+	freeSpans.entries -= n
+	return p, short
 }
 
 // RecycleBatch gives the slice of an owned batch back, once its spans are
