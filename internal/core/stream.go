@@ -561,23 +561,24 @@ func (sc *StreamCorrelator) setCorr(corr, parent uint64, at vclock.Time) {
 }
 
 // corrParent is the parent a launch resolved to under corr: 0 when it found
-// none, or no launch with corr has resolved.
-func (sc *StreamCorrelator) corrParent(corr uint64) uint64 {
-	e, _ := sc.corr.Get(corr)
-	return e.parent
+// none, or no launch with corr has resolved (or its entry was evicted) —
+// which resolved tells apart.
+func (sc *StreamCorrelator) corrParent(corr uint64) (parent uint64, resolved bool) {
+	e, ok := sc.corr.Get(corr)
+	return e.parent, ok
 }
 
 // mergeArrivals makes the reorder buffer one run again once a batch's
-// arrivals are appended to it, from index at: the batch is sorted once,
-// unless it arrived in sweep order, and merged into the buffer from where
-// its head sorts — a batch whose head sorts at or after the buffer's tail
-// is already in place. Both the sort and the merge are stable, so spans
-// that compare equal stay in arrival order.
+// arrivals are appended to it, from index at: the batch is sorted once —
+// by trace.SortAdaptive, one scan for a batch in sweep order and a few
+// moves for a decoded one, canonical and so out of sweep order only at
+// (Begin, Level) ties — and merged into the buffer from where its head
+// sorts: a batch whose head sorts at or after the buffer's tail is already
+// in place. Both the sort and the merge are stable, so spans that compare
+// equal stay in arrival order.
 func (sc *StreamCorrelator) mergeArrivals(at int) {
 	batch := sc.buf[at:]
-	if !slices.IsSortedFunc(batch, compareEvents) {
-		slices.SortStableFunc(batch, compareEvents)
-	}
+	trace.SortAdaptive(batch, func(a, b *trace.Span) bool { return compareEvents(a, b) < 0 })
 	if len(batch) > 0 && at > sc.bufAt && compareEvents(batch[0], sc.buf[at-1]) < 0 {
 		sc.merging = append(sc.merging[:0], batch...)
 		// In place: the buffer's own tail is the room the merge grows into.
@@ -752,18 +753,21 @@ func (sc *StreamCorrelator) resolve(s *trace.Span) {
 }
 
 // resolveExec links an execution span through its launch's correlation id
-// when the launch has already resolved to a parent; otherwise the span
-// waits in the pending table with its containment fallback (computed now,
-// while the stacks hold this position) for the launch — or Flush.
+// when the launch has already resolved to a parent, and by containment when
+// it resolved to none; otherwise the span waits in the pending table with
+// its containment fallback (computed now, while the stacks hold this
+// position) for the launch — or Flush.
 func (sc *StreamCorrelator) resolveExec(s *trace.Span, containment func() uint64) {
-	if pid := sc.corrParent(s.CorrelationID); pid != 0 {
+	pid, resolved := sc.corrParent(s.CorrelationID)
+	if pid != 0 {
 		s.ParentID = pid
 		return
 	}
 	c := containment()
-	if s.CorrelationID == 0 {
-		// No launch can ever resolve it: containment is final, exactly the
-		// batch second pass.
+	if s.CorrelationID == 0 || resolved {
+		// No launch can ever resolve it, or its launch found no parent:
+		// containment is final, exactly the batch second pass. A pending
+		// exec pins the fold horizon, so it must not wait for nothing.
 		if c != 0 {
 			s.ParentID = c
 		}
@@ -871,7 +875,7 @@ func (sc *StreamCorrelator) closeWindow() {
 		if s.ParentID != 0 || s.Kind != trace.KindExec {
 			continue
 		}
-		if pid := sc.corrParent(s.CorrelationID); pid != 0 {
+		if pid, _ := sc.corrParent(s.CorrelationID); pid != 0 {
 			s.ParentID = pid
 			continue
 		}
@@ -1059,7 +1063,7 @@ func (sc *StreamCorrelator) repair() {
 		for i, s := range pass1 {
 			s.ParentID = parents[i]
 			if s.Kind == trace.KindLaunch && s.CorrelationID != 0 {
-				old := sc.corrParent(s.CorrelationID)
+				old, _ := sc.corrParent(s.CorrelationID)
 				sc.setCorr(s.CorrelationID, s.ParentID, sc.maxBegin)
 				if old != s.ParentID {
 					// Changed — or newly resolved: a straggler launch whose
@@ -1094,14 +1098,15 @@ func (sc *StreamCorrelator) repair() {
 				continue
 			}
 			if s.CorrelationID != 0 {
-				if pid := sc.corrParent(s.CorrelationID); pid != 0 {
+				pid, resolved := sc.corrParent(s.CorrelationID)
+				if pid != 0 {
 					s.ParentID = pid
 					continue
 				}
 				if pending[s] != nil {
 					continue
 				}
-				if pid, ok := settledExec[s]; ok {
+				if pid, ok := settledExec[s]; ok && !resolved {
 					s.ParentID = pid
 					continue
 				}
@@ -1116,9 +1121,10 @@ func (sc *StreamCorrelator) repair() {
 	}
 
 	// A straggler launch resolves the execs that were pending on its
-	// correlation id, wherever they sit in the stream.
+	// correlation id, wherever they sit in the stream — to containment when
+	// it found no parent.
 	for corr, waiting := range sc.pending {
-		if pid := sc.corrParent(corr); pid != 0 {
+		if pid, resolved := sc.corrParent(corr); resolved {
 			delete(sc.pending, corr)
 			for _, p := range waiting {
 				p.settle(pid)

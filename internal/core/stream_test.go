@@ -518,6 +518,43 @@ func TestStreamCorrelatorCorrRetainUnstallsDeviceOnlyFolds(t *testing.T) {
 	assertStreamMatchesBatch(t, sc, batches)
 }
 
+// An exec whose launch resolved to no parent takes its containment at once,
+// as batch gives it, whether the launch was released before it or arrives
+// after it as a straggler: it does not wait in the pending table, where it
+// pinned the fold horizon until CorrRetain's sweep (or Flush) settled it. A
+// straggler that contains it more tightly still moves it there, CorrRetain
+// or not: the settled link a repair keeps is only one whose launch's entry
+// was evicted.
+func TestExecOfParentlessLaunchDoesNotWait(t *testing.T) {
+	layer := func(id uint64) *trace.Span {
+		return &trace.Span{ID: id, Level: trace.LevelLayer, Name: "layer", Begin: 15, End: 40}
+	}
+	launch := func(id, corr uint64) *trace.Span { // before the layer: no container
+		return &trace.Span{ID: id, Level: trace.LevelKernel, Kind: trace.KindLaunch, Name: "launch", Begin: 10, End: 11, CorrelationID: corr}
+	}
+	exec := func(id, corr uint64) *trace.Span {
+		return &trace.Span{ID: id, Level: trace.LevelKernel, Kind: trace.KindExec, Name: "exec", Begin: 20, End: 30, CorrelationID: corr}
+	}
+	library := &trace.Span{ID: 4, Level: trace.LevelLibrary, Name: "library", Begin: 18, End: 35}
+	for _, tc := range []struct {
+		name       string
+		corrRetain vclock.Duration
+		batches    [][]*trace.Span
+	}{
+		{"launch released first", 0, [][]*trace.Span{{launch(1, 7)}, {layer(2)}, {exec(3, 7)}}},
+		{"launch a straggler", 0, [][]*trace.Span{{layer(2)}, {exec(3, 7)}, {launch(1, 7)}}},
+		{"a tighter container a straggler", 1000, [][]*trace.Span{{launch(1, 7)}, {layer(2)}, {exec(3, 7)}, {library}}},
+	} {
+		// Retain: stragglers repair as they arrive.
+		sc := core.NewStreamCorrelator(core.StreamOptions{Retain: 1, CorrRetain: tc.corrRetain})
+		feedAll(sc, tc.batches)
+		if n := sc.Load().PendingExecs; n != 0 {
+			t.Fatalf("%s: %d execs pending on a launch that resolved to no parent", tc.name, n)
+		}
+		assertStreamMatchesBatch(t, sc, tc.batches)
+	}
+}
+
 // cloneBatches deep-copies an arrival stream so two correlators can
 // consume the same workload without racing on shared span pointers.
 func cloneBatches(batches [][]*trace.Span) [][]*trace.Span {

@@ -28,14 +28,18 @@ import (
 // (the SpanBlock accessors, RecordLess), decodes that one record (SpanDecoder),
 // and gathers records of several blocks into a new block (GatherSpanBlock)
 // without decoding any — which is what lets spans be kept, sorted, merged
-// and written to a file as encoded bytes plus record references. The decoder
-// materializes the blob as one Go string, so every name, source, tag key,
-// and tag value is a zero-copy substring of a single allocation rather than
-// a per-field copy. Decoded Span structs themselves come out of a SpanStore
-// arena (one allocation per storeChunkSpans spans) and their tags and
-// metrics, flat pairs, out of one entry arena per block (a recycling decode
-// refills freed entry arrays first), so decoding a batch costs O(1)
-// allocations, whatever its spans carry. Entries are written and
+// and written to a file as encoded bytes plus record references. The same
+// fixed offsets let DecodeBinary put a batch in canonical order before it
+// decodes a span: it reads each record's sort key (begin, level, id) into a
+// pooled array, orders the keys and fills its span slots in key order, so
+// no pointer is sorted and the slots lie in the order they are read. The
+// decoder materializes the blob as one Go string, so every name, source,
+// tag key, and tag value is a zero-copy substring of a single allocation
+// rather than a per-field copy. Decoded Span structs themselves come out of
+// a SpanStore arena (one allocation per storeChunkSpans spans) and their
+// tags and metrics, flat pairs, out of one entry arena per block (a
+// recycling decode refills freed entry arrays first), so decoding a batch
+// costs O(1) allocations, whatever its spans carry. Entries are written and
 // read in the order the span holds them, so encoding is deterministic: the
 // same spans give the same bytes, and a block AppendSpanBlock wrote decodes
 // to spans it encodes to those bytes again.
@@ -575,32 +579,17 @@ func GatherSpanBlock(buf []byte, blocks []SpanBlock, refs []RecordRef) []byte {
 	return e.finish(buf)
 }
 
-// DecodeSpanBlock decodes one span block from b, returning the spans,
-// their owned bitset, and the remaining bytes after the block. Spans are
-// carved from a fresh arena. Errors wrap ErrBadFrame.
+// DecodeSpanBlock decodes one span block from b, returning the spans in
+// record order, their owned bitset, and the remaining bytes after the block.
+// Spans are carved from a fresh arena. Errors wrap ErrBadFrame.
 func DecodeSpanBlock(b []byte) (spans []*Span, owned []uint64, rest []byte, err error) {
-	var st SpanStore
-	return DecodeSpanBlockInto(&st, b)
-}
-
-// DecodeSpanBlockInto is DecodeSpanBlock allocating the decoded spans
-// from the given store (see SpanStore), so a caller that decodes many blocks
-// (a busy ingest endpoint) shares chunks instead of allocating per span.
-// A recycling store's spans take freed tag and metric pieces first too, and
-// the entries no piece fits come from one arena of exactly their size.
-// The decoded spans are returned in record order and are not added to the
-// store's view.
-func DecodeSpanBlockInto(st *SpanStore, b []byte) (spans []*Span, owned []uint64, rest []byte, err error) {
 	blk, rest, err := ParseSpanBlock(b)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	d := blk.Decoder()
+	var st SpanStore
 	spans = st.allocBatch(blk.Len())
-	if st.recycle {
-		tags, mets := takePieces(&blk, spans)
-		d.tags, d.mets = make([]Tag, 0, tags), make([]Metric, 0, mets)
-	}
 	owned = make([]uint64, (len(spans)+63)/64)
 	for i, s := range spans {
 		d.fill(s, i)
@@ -609,6 +598,65 @@ func DecodeSpanBlockInto(st *SpanStore, b []byte) (spans []*Span, owned []uint64
 		}
 	}
 	return spans, owned, rest, nil
+}
+
+// recordKey is one record's place in canonical order: CanonicalLess's
+// fields, read off the record, and the record's index, which breaks the
+// full ties (duplicate IDs) in record order.
+type recordKey struct {
+	begin vclock.Time
+	id    uint64
+	level int32 // as the record holds it
+	rec   uint32
+}
+
+func lessKeys(a, b recordKey) bool {
+	if a.begin != b.begin {
+		return a.begin < b.begin
+	}
+	if a.level != b.level {
+		return a.level < b.level
+	}
+	if a.id != b.id {
+		return a.id < b.id
+	}
+	return a.rec < b.rec
+}
+
+// keyPool recycles decodeCanonical's key arrays, up to the keys of the
+// largest frame framePool keeps: 24 KB a 1k-span batch.
+var keyPool = sync.Pool{New: func() any { return new([]recordKey) }}
+
+const maxPooledKeys = maxPooledFrame / SpanRecordSize
+
+// decodeCanonical decodes a validated block into a recycling store's slots
+// in canonical order: it reads each record's key into a pooled array,
+// orders the keys (SortAdaptive: a tracer's batch is nearly in order) and
+// fills the slots in key order, so the batch leaves in order with its
+// carved slots in that order in memory, and no pointer is sorted.
+func decodeCanonical(blk *SpanBlock) []*Span {
+	kp := keyPool.Get().(*[]recordKey)
+	keys := slices.Grow((*kp)[:0], blk.Len())[:blk.Len()]
+	le := binary.LittleEndian
+	for i := range keys {
+		rec := blk.rec(i)
+		keys[i] = recordKey{begin: vclock.Time(le.Uint64(rec[24:])), id: le.Uint64(rec[0:]),
+			level: int32(le.Uint32(rec[40:])), rec: uint32(i)}
+	}
+	SortAdaptive(keys, lessKeys)
+	st := SpanStore{recycle: true}
+	spans := st.allocBatch(len(keys))
+	d := blk.Decoder()
+	tags, mets := takePieces(blk, spans, keys)
+	d.tags, d.mets = make([]Tag, 0, tags), make([]Metric, 0, mets)
+	for i, s := range spans {
+		d.fill(s, int(keys[i].rec))
+	}
+	if cap(keys) <= maxPooledKeys {
+		*kp = keys[:0]
+		keyPool.Put(kp)
+	}
+	return spans
 }
 
 // IsBinaryFrame reports whether prefix starts a framed binary span batch
@@ -673,13 +721,18 @@ const maxPooledFrame = 1 << 20
 
 // DecodeBinary reads one framed binary span batch written by EncodeBinary
 // (or AppendBinaryFrameTenant) and returns the decoded trace in canonical
-// begin order, exactly like DecodeJSON. The spans are decoded straight into
-// recycled slots and entry arrays (see RecycleSpans) and, past those, fresh
-// arenas: at most one allocation per storeChunkSpans spans and one per entry
-// table, with every string a zero-copy substring of the frame's shared
-// blob. Any framing or payload problem — bad magic, unknown version,
-// truncated body, corrupt block, trailing garbage — returns an error
-// wrapping ErrBadFrame and no spans.
+// begin order, exactly like DecodeJSON. The order comes from the records'
+// keys, not from sorting spans: once the block is validated, each record's
+// (Begin, Level, ID, index) is read into a pooled key array, the keys are
+// ordered by SortAdaptive — one scan for a batch in order, O(inversions)
+// for a tracer's nearly ordered one, O(n log n) at worst — and the spans
+// are decoded in key order, full ties in record order. They are decoded
+// straight into recycled slots and entry arrays (see RecycleSpans) and,
+// past those, fresh arenas: at most one allocation per storeChunkSpans
+// spans and one per entry table, with every string a zero-copy substring
+// of the frame's shared blob. Any framing or payload problem — bad magic,
+// unknown version, truncated body, corrupt block, trailing garbage —
+// returns an error wrapping ErrBadFrame and no spans.
 func DecodeBinary(r io.Reader) (*Trace, error) {
 	var hdr [len(wireMagic) + 1]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -741,15 +794,12 @@ func DecodeBinary(r io.Reader) (*Trace, error) {
 		}
 		payload = append(payload, make([]byte, min(read, int(n)-read))...)
 	}
-	st := SpanStore{recycle: true}
-	spans, _, rest, err := DecodeSpanBlockInto(&st, payload)
+	blk, rest, err := ParseSpanBlock(payload)
 	if err != nil {
 		return nil, err
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after span block", ErrBadFrame, len(rest))
 	}
-	t := &Trace{Spans: spans, Tenant: tenant}
-	t.SortByBegin()
-	return t, nil
+	return &Trace{Spans: decodeCanonical(&blk), Tenant: tenant}, nil
 }

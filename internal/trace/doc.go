@@ -181,7 +181,14 @@
 // zero-copy substring of the blob and every span's tags and metrics carved,
 // in table order, from one entry arena per block — a batch decodes in a
 // fixed number of allocations, whatever its spans carry — which is what
-// makes binary ingest on /api/spans several times cheaper than JSON. The
+// makes binary ingest on /api/spans several times cheaper than JSON. It
+// hands the batch over in canonical order without sorting a pointer: the
+// records' keys are read into a pooled array and ordered by [SortAdaptive]
+// — an insertion sort bounded by a move budget, past which it falls back
+// to an O(n log n) stable sort — and the slots are filled in key order, so
+// a decoded batch also lies in canonical order in memory. SortAdaptive is
+// the one sort of a span batch: SortByBegin, [Memory.Trace], [MergeRuns]'
+// unsorted runs and core.StreamCorrelator's reorder buffer use it too. The
 // encoder writes a span's entries in the order the span holds them, so the
 // same spans always encode to the same bytes. The same block format is
 // the durable store's on-disk representation (internal/segio delegates

@@ -1,24 +1,85 @@
 package trace
 
-import "slices"
+import (
+	"slices"
+	"sync/atomic"
+)
 
-// sortSpansCanonical sorts spans into canonical timeline order, keeping
-// the existing order among full ties (possible only for duplicate IDs).
-// A run already in order — a tracer's batch usually is — is left alone.
-func sortSpansCanonical(spans []*Span) {
-	if sortedRun(spans) {
-		return
+// sortMoveBudget bounds SortAdaptive's insertion sort: once it has moved
+// more elements than this many per element it has placed, it hands the
+// slice to an O(n log n) sort. A bench-shaped batch moves 1.2 (one stream,
+// skew 48) to 18.5 (three streams, skew 256 — the worst batch of
+// ram_pipelined_2t) a span; a reversed one moves i elements at its i-th,
+// so it gives up at its 65th.
+const sortMoveBudget = 32
+
+// sortFallbacks, when set, is told each time SortAdaptive gives up: the
+// slice's length and the moves its insertion sort had made. Only tests set
+// it.
+var sortFallbacks atomic.Pointer[func(n, moves int)]
+
+// SortAdaptive sorts s by less, stably: elements neither of which is less
+// than the other keep their order. It is an insertion sort — O(n +
+// inversions) moves, one scan for a slice already in order and a few moves
+// a span for a tracer's batch, which arrives nearly in order — that finds
+// an element's place by galloping back from its predecessor and then
+// bisecting, so an element displaced d places costs O(log d) calls of less.
+// It gives up past sortMoveBudget moves per element placed and hands s,
+// its prefix sorted and its suffix untouched, to slices.SortStableFunc, so
+// no input costs O(n²): a decoded frame may hold a million spans in
+// reverse. Either way the result is the one stable order.
+func SortAdaptive[E any](s []E, less func(a, b E) bool) {
+	moves := 0
+	for i := 1; i < len(s); i++ {
+		x := s[i]
+		if !less(x, s[i-1]) {
+			continue
+		}
+		// x goes after lo, the last element it is not less than (-1: none),
+		// and before hi, the first it is less than.
+		lo, hi := -1, i-1
+		for step := 1; hi-step >= 0; step *= 2 {
+			if !less(x, s[hi-step]) {
+				lo = hi - step
+				break
+			}
+			hi -= step
+		}
+		for lo+1 < hi {
+			if m := int(uint(lo+hi) >> 1); less(x, s[m]) {
+				hi = m
+			} else {
+				lo = m
+			}
+		}
+		copy(s[hi+1:i+1], s[hi:i])
+		s[hi] = x
+		if moves += i - hi; moves > sortMoveBudget*i {
+			if f := sortFallbacks.Load(); f != nil {
+				(*f)(len(s), moves)
+			}
+			slices.SortStableFunc(s, compareBy(less))
+			return
+		}
 	}
-	slices.SortStableFunc(spans, func(a, b *Span) int {
+}
+
+// compareBy is less as the three-way comparison the slices package takes.
+func compareBy[E any](less func(a, b E) bool) func(a, b E) int {
+	return func(a, b E) int {
 		switch {
-		case CanonicalLess(a, b):
+		case less(a, b):
 			return -1
-		case CanonicalLess(b, a):
+		case less(b, a):
 			return 1
 		}
 		return 0
-	})
+	}
 }
+
+// sortSpansCanonical sorts spans into canonical timeline order, keeping
+// the existing order among full ties (possible only for duplicate IDs).
+func sortSpansCanonical(spans []*Span) { SortAdaptive(spans, CanonicalLess) }
 
 // CanonicalLess is the canonical timeline order: begin ascending, outer
 // levels first on ties, then span ID. SortByBegin, Memory.Trace and
@@ -32,18 +93,6 @@ func CanonicalLess(a, b *Span) bool {
 		return a.Level < b.Level
 	}
 	return a.ID < b.ID
-}
-
-// sortedRun reports whether the run is already in canonical order — the
-// common case: a tracer publishes along its own advancing timeline, and a
-// checkpoint segment is stored in it.
-func sortedRun(run []*Span) bool {
-	for i := 1; i < len(run); i++ {
-		if CanonicalLess(run[i], run[i-1]) {
-			return false
-		}
-	}
-	return true
 }
 
 // MergeRuns k-way-merges the given span runs into one new, canonically
@@ -78,7 +127,7 @@ func MergeRunsInto(dst []*Span, runs [][]*Span) []*Span {
 	total := 0
 	for i, run := range runs {
 		total += len(run)
-		if !sortedRun(run) {
+		if !slices.IsSortedFunc(run, compareBy(CanonicalLess)) {
 			run = slices.Clone(run)
 			sortSpansCanonical(run)
 			runs[i] = run

@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -124,35 +127,75 @@ func sortSpansCanonicalBySlice(spans []*Span) {
 	sort.SliceStable(spans, func(i, j int) bool { return CanonicalLess(spans[i], spans[j]) })
 }
 
-// Same comparator, both sorts stable: the order must be the old one span
-// for span — on shuffled batches dense with (Begin, Level) ties the ID
-// decides, with duplicate IDs among them (full ties, which only stability
-// orders), and on batches already in order, which are now left alone.
+// Same order as the reflection-based stable sort, span for span, from both
+// users of SortAdaptive in this package: sortSpansCanonical over pointers,
+// and DecodeBinary, which orders record keys and fills its slots in their
+// order — its batch must be a record-order decode (DecodeSpanBlock) stably
+// sorted. The shapes: reversed (the insertion sort spends its budget and
+// falls back), presorted, dense (Begin, Level) ties with duplicate IDs
+// (full ties, which only stability orders: End tells the spans apart), and
+// random. Some spans carry tags and metrics, so a decode's entries must
+// follow their records through the permutation.
 func TestSortSpansCanonicalMatchesSliceStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	for _, n := range []int{0, 1, 2, 13, 64, 257, 2048} {
-		for round := 0; round < 6; round++ {
+	shapes := []struct {
+		name string
+		span func(i, n int) *Span
+	}{
+		{"reversed", func(i, n int) *Span {
+			return &Span{ID: uint64(i + 1), Begin: vclock.Time(2 * (n - i)), Level: Level(i % 3)}
+		}},
+		{"presorted", func(i, n int) *Span {
+			return &Span{ID: uint64(i/2 + 1), Begin: vclock.Time(i / 4), Level: Level(i / 2 % 2)} // pairs of full ties
+		}},
+		{"ties", func(i, n int) *Span {
+			return &Span{ID: uint64(1 + rng.Intn(n/2+1)), Begin: vclock.Time(rng.Intn(n/8 + 1)), Level: Level(rng.Intn(3))}
+		}},
+		{"random", func(i, n int) *Span {
+			return &Span{ID: rng.Uint64(), Begin: vclock.Time(rng.Intn(4 * n)), Level: Level(rng.Intn(5))}
+		}},
+	}
+	for _, shape := range shapes {
+		for _, n := range []int{0, 1, 2, 13, 1024, 65536} {
 			batch := make([]*Span, n)
 			for i := range batch {
-				batch[i] = &Span{
-					ID:    uint64(1 + rng.Intn(n/2+1)), // collides: full ties
-					Begin: vclock.Time(rng.Intn(n/8 + 1)),
-					Level: Level(rng.Intn(3)),
-					End:   vclock.Time(rng.Intn(100)),
+				s := shape.span(i, n)
+				s.End = s.Begin + vclock.Time(i) // unique per record
+				s.Name = "s"
+				if i%5 == 0 {
+					s.SetTag("record", fmt.Sprint(i))
+					s.SetMetric("i", float64(i))
 				}
+				batch[i] = s
 			}
-			if round%3 == 2 {
-				sortSpansCanonicalBySlice(batch) // the presorted shape
-			}
-			got, want := append([]*Span(nil), batch...), append([]*Span(nil), batch...)
+			got, want := slices.Clone(batch), slices.Clone(batch)
 			sortSpansCanonical(got)
 			sortSpansCanonicalBySlice(want)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%d spans, round %d: position %d holds span %d (begin %d level %d), the old sort put span %d (begin %d level %d) there",
-						n, round, i, got[i].ID, got[i].Begin, got[i].Level, want[i].ID, want[i].Begin, want[i].Level)
+					t.Fatalf("%s, %d spans: position %d holds span %d (begin %d level %d), the old sort put span %d (begin %d level %d) there",
+						shape.name, n, i, got[i].ID, got[i].Begin, got[i].Level, want[i].ID, want[i].Begin, want[i].Level)
 				}
 			}
+
+			frame := AppendBinaryFrameTenant(nil, "", batch)
+			tr, err := DecodeBinary(bytes.NewReader(frame))
+			if err != nil {
+				t.Fatalf("%s, %d spans: %v", shape.name, n, err)
+			}
+			byRecord, _, _, err := DecodeSpanBlock(frame[frameHeaderSize:])
+			if err != nil {
+				t.Fatalf("%s, %d spans: %v", shape.name, n, err)
+			}
+			sortSpansCanonicalBySlice(byRecord)
+			if len(tr.Spans) != n {
+				t.Fatalf("%s: decoded %d spans, want %d", shape.name, len(tr.Spans), n)
+			}
+			for i, s := range tr.Spans {
+				sameSpan(t, s, byRecord[i])
+			}
+			RecycleSpans(tr.Spans)
+			RecycleBatch(tr.Spans)
 		}
 	}
 }

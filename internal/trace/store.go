@@ -142,13 +142,14 @@ func putPiece[T any](pieces *[maxPieceLen + 1][][]T, p []T, poison T) {
 }
 
 // takePieces hands each of spans, a recycling decode's new slots for blk's
-// records, the free pieces as long as its record's tag count and metric
-// count, in one locked pass, and returns the tag and metric entries it found
-// no piece for: what the decode carves.
-func takePieces(blk *SpanBlock, spans []*Span) (tags, mets int) {
+// records in key order (spans[i] is record keys[i].rec's), the free pieces
+// as long as its record's tag count and metric count, in one locked pass,
+// and returns the tag and metric entries it found no piece for: what the
+// decode carves.
+func takePieces(blk *SpanBlock, spans []*Span, keys []recordKey) (tags, mets int) {
 	freeSpans.Lock()
 	for i, s := range spans {
-		t, m := blk.entryCounts(i)
+		t, m := blk.entryCounts(int(keys[i].rec))
 		s.Tags, tags = takePiece(&freeSpans.tags, t, tags)
 		s.Metrics, mets = takePiece(&freeSpans.mets, m, mets)
 	}

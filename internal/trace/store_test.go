@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+
+	"xsp/internal/vclock"
 )
 
 // TestRecycledEntriesFeedTheNextDecode: a recycled span's Tags and Metrics
@@ -21,7 +23,10 @@ func TestRecycledEntriesFeedTheNextDecode(t *testing.T) {
 	batch := func(gen int) []*Span {
 		spans := make([]*Span, len(shape))
 		for i, n := range shape {
-			s := &Span{ID: uint64(i + 1), Name: "s", Begin: 10, End: 20}
+			// Begins fall with the record index, so the decode fills its
+			// slots in the reverse of record order: a piece must follow its
+			// record there.
+			s := &Span{ID: uint64(i + 1), Name: "s", Begin: vclock.Time(10 - i), End: 20}
 			for j := range n {
 				s.SetTag(fmt.Sprint("k", j), fmt.Sprint(gen))
 				s.SetMetric(fmt.Sprint("m", j), float64(gen))

@@ -520,9 +520,13 @@ func TestBinaryDecodeRejectsCorruption(t *testing.T) {
 }
 
 // FuzzBinaryRoundTrip: arbitrary bytes must never panic the decoder, and
-// anything that decodes must re-encode/re-decode to the same spans.
+// anything that decodes must re-encode/re-decode to the same spans — in the
+// order the reference stable sort gives a record-order decode of the block.
 func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add(AppendBinaryFrameTenant(nil, "", binarySpans()))
+	reversed := binarySpans()
+	slices.Reverse(reversed)
+	f.Add(AppendBinaryFrameTenant(nil, "acme", reversed)) // out of order, behind a tenant key
 	f.Add(AppendSpanBlock(nil, binarySpans(), nil))
 	f.Add([]byte(wireMagic))
 	f.Add([]byte{})
@@ -545,6 +549,14 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 			for i, s := range twice.Spans {
 				sameSpan(t, tr.Spans[i], s)
 				sameSpan(t, again.Spans[i], s)
+			}
+			byRecord, _, _, err := DecodeSpanBlock(framePayload(data))
+			if err != nil || len(byRecord) != len(tr.Spans) {
+				t.Fatalf("record-order decode of a frame DecodeBinary read: %d spans, %v", len(byRecord), err)
+			}
+			sortSpansCanonicalBySlice(byRecord)
+			for i, s := range tr.Spans {
+				sameSpan(t, s, byRecord[i])
 			}
 		}
 		spans, owned, _, err := DecodeSpanBlock(data)
@@ -584,6 +596,15 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 			sameSpan(t, spans2[i], spans[i])
 		}
 	})
+}
+
+// framePayload is the span block, and whatever follows it, of a frame
+// DecodeBinary read.
+func framePayload(frame []byte) []byte {
+	if frame[len(wireMagic)] == wireVersionTenant {
+		return frame[frameHeaderSize+1+int(frame[len(wireMagic)+1]):]
+	}
+	return frame[frameHeaderSize:]
 }
 
 // checkSpanBlockReads holds the in-place reads of a validated block to its
