@@ -117,8 +117,11 @@
 // the heap holds a fraction of a byte per durable folded span and the file
 // the rest. A compaction only plans and merges in memory; a durable
 // survivor is written once, by a streaming k-way merge of all its inputs,
-// resident or filed, and a repair's remainder streams from its source the
-// same way; recovery validates one file at a time and installs it filed.
+// resident or filed, walked once — each record goes to the file, and into
+// its directory, as the merge hands it out, and the store writes the header
+// last (segio.Store.WriteGathered) — and a repair's remainder streams from
+// its source the same way; recovery validates one file at a time and
+// installs it filed.
 //
 // Every durable write goes through one step (commit), after a fold, a
 // reopening repair and at the end of recovery, under one ordering rule:
@@ -233,7 +236,10 @@
 // entry arrays once a fold has encoded the span into its checkpoint block,
 // from where the next recycling decode refills them (trace.RecycleSpans).
 // internal/server feeds every batch its ingest half
-// decoded this way, through the tap or at the ack barrier. Everything else is
+// decoded this way, through the tap or at the ack barrier — durable, with
+// the span block the batch arrived in lent alongside, which the WAL logs as
+// it is; a batch fed without one (JSON, FeedLogged) is encoded once for the
+// WAL, into a buffer the correlator reuses. Everything else is
 // lent and never recycled: Feed and FeedLogged (Session and Application, the
 // tests), recovery's replay — segio's Recovery keeps its batches — and the
 // spans live when an owned batch first arrives. Nothing the correlator keeps

@@ -24,9 +24,11 @@ const replayRun = 4096
 // append, so every logged batch is either fully covered by the rotated
 // snapshot or fully present as a record in the new generation.
 type SegmentStore interface {
-	// LogBatch durably appends one fed batch (and its ingest batch id, 0
-	// when none) to the WAL before the correlator consumes it.
-	LogBatch(spans []*trace.Span, batchID uint64) error
+	// LogBatch durably appends one fed batch — block is its spans as one
+	// encoded span block, no record owned — and its ingest batch id (0 when
+	// none) to the WAL before the correlator consumes it. The store keeps
+	// none of block.
+	LogBatch(block []byte, batchID uint64) error
 	// WriteSegment durably publishes one checkpoint segment — block is its
 	// spans as one encoded span block, owned flags in the records — then
 	// deletes the segment files it replaces.
@@ -54,7 +56,7 @@ type SegmentStore interface {
 // RAM-only Feed and return nil, so ingest stays available while
 // /api/durability surfaces the failure.
 func (sc *StreamCorrelator) FeedLogged(batchID uint64, spans ...*trace.Span) error {
-	return sc.feedLogged(batchID, spans, false)
+	return sc.feedLogged(batchID, nil, spans, false)
 }
 
 // FeedOwned is FeedLogged for a batch the correlator takes over, the slice
@@ -67,18 +69,22 @@ func (sc *StreamCorrelator) FeedLogged(batchID uint64, spans ...*trace.Span) err
 // never recycled: Feed, FeedLogged, recovery replay, the spans live when the
 // first owned batch arrives. On a log error nothing is consumed, and the
 // batch stays the caller's.
-func (sc *StreamCorrelator) FeedOwned(batchID uint64, spans ...*trace.Span) error {
-	if err := sc.feedLogged(batchID, spans, true); err != nil {
+//
+// block, when not nil, is the batch as the span block it arrived in — the
+// very spans, in any order, no record owned — lent for this call alone: the
+// WAL logs it as it is instead of encoding the spans again (see logBatch).
+func (sc *StreamCorrelator) FeedOwned(batchID uint64, block []byte, spans ...*trace.Span) error {
+	if err := sc.feedLogged(batchID, block, spans, true); err != nil {
 		return err
 	}
 	trace.RecycleBatch(spans)
 	return nil
 }
 
-func (sc *StreamCorrelator) feedLogged(batchID uint64, spans []*trace.Span, owned bool) error {
+func (sc *StreamCorrelator) feedLogged(batchID uint64, block []byte, spans []*trace.Span, owned bool) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if err := sc.logBatch(spans, batchID); err != nil {
+	if err := sc.logBatch(spans, block, batchID); err != nil {
 		return err
 	}
 	sc.feedLocked(spans, owned)
@@ -95,14 +101,19 @@ func (sc *StreamCorrelator) DurabilityErr() error {
 	return sc.durErr
 }
 
-// logBatch appends one fed batch to the WAL before it is consumed, and
+// logBatch appends one fed batch to the WAL before it is consumed — block,
+// or with none the spans encoded once into the correlator's own buffer — and
 // counts its spans into walSpans. An error latches (the stream continues
 // RAM-only) and is returned. Callers hold sc.mu.
-func (sc *StreamCorrelator) logBatch(spans []*trace.Span, batchID uint64) error {
+func (sc *StreamCorrelator) logBatch(spans []*trace.Span, block []byte, batchID uint64) error {
 	if !sc.durable() {
 		return nil
 	}
-	if err := sc.opts.Store.LogBatch(spans, batchID); err != nil {
+	if block == nil {
+		sc.logged = trace.AppendSpanBlock(sc.logged[:0], spans, nil)
+		block = sc.logged
+	}
+	if err := sc.opts.Store.LogBatch(block, batchID); err != nil {
 		sc.durErr = err
 		return err
 	}

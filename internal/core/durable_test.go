@@ -125,14 +125,18 @@ func (l *storeLog) closeFold() {
 	l.foldOpen = false
 }
 
-func (l *storeLog) LogBatch(spans []*trace.Span, batchID uint64) error {
+func (l *storeLog) LogBatch(block []byte, batchID uint64) error {
+	blk, rest, err := trace.ParseSpanBlock(block)
+	if err != nil || len(rest) != 0 {
+		panic(fmt.Sprintf("batch record is no span block: %v, %d bytes behind it", err, len(rest)))
+	}
 	l.closeFold()
 	l.afterForced = false
-	if err := l.SegmentStore.LogBatch(spans, batchID); err != nil {
+	if err := l.SegmentStore.LogBatch(block, batchID); err != nil {
 		return err
 	}
-	l.fed += len(spans)
-	l.walSpans += len(spans)
+	l.fed += blk.Len()
+	l.walSpans += blk.Len()
 	return nil
 }
 

@@ -330,3 +330,11 @@ func decodeRuns(segs []ckptSegment) [][]*trace.Span {
 	}
 	return runs
 }
+
+// ReorderBuffer returns how many spans the reorder buffer holds and the
+// capacity of the array it holds them in.
+func (sc *StreamCorrelator) ReorderBuffer() (buffered, capacity int) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return len(sc.buffered()), cap(sc.buf)
+}

@@ -789,10 +789,12 @@ func (seg *ckptSegment) inputs() []ckptSegment {
 // writeMerged writes the segment built from parts as a new segment file:
 // one streaming k-way merge of their records — ties toward the earlier
 // input, as mergeSegments breaks them — read from where they lie, resident
-// blocks or files, never gathered into one buffer. The file replaces the
-// inputs' files and their pending replacements, in input order; the inputs'
-// files stay readable through the write and are let go of once it is done.
-// It returns the filed segment that is all of the file.
+// blocks or files, never gathered into one buffer, and walked once: each
+// record goes to the file, and into its directory, as the merge hands it
+// out. The file replaces the inputs' files and their pending replacements,
+// in input order; the inputs' files stay readable through the write and are
+// let go of once it is done. It returns the filed segment that is all of the
+// file.
 func writeMerged(store SegmentStore, parts []ckptSegment) (ckptSegment, error) {
 	var replaced []uint64
 	var leaving []*segFile
@@ -808,7 +810,6 @@ func writeMerged(store SegmentStore, parts []ckptSegment) (ckptSegment, error) {
 	}
 	var dir dirBuilder
 	id, err := store.WriteGathered((&ckptSegment{parts: parts}).len(), func(yield func(blk *trace.SpanBlock, i int) bool) error {
-		dir = dirBuilder{} // each pass walks the same records
 		return merge(parts, nil, func(blk *trace.SpanBlock, i int, _ *trace.Span) bool {
 			dir.add(blk, i)
 			return yield(blk, i)
@@ -1027,7 +1028,7 @@ func (seg *ckptSegment) gather(picks []int) ([]byte, error) {
 		return trace.GatherSpanBlock(nil, seg.spanBlocks(), refs), nil
 	}
 	var buf bytes.Buffer
-	err := trace.StreamSpanBlock(&buf, len(picks), func(yield func(blk *trace.SpanBlock, i int) bool) error {
+	_, err := trace.StreamSpanBlock(&buf, len(picks), func(yield func(blk *trace.SpanBlock, i int) bool) error {
 		c := newCursor(seg)
 		for _, i := range picks {
 			c.pos = i
@@ -1037,7 +1038,7 @@ func (seg *ckptSegment) gather(picks []int) ([]byte, error) {
 			}
 		}
 		return nil
-	}, nil, func(int, uint32) []byte { return nil })
+	})
 	return buf.Bytes(), err
 }
 

@@ -42,7 +42,7 @@ func TestFoldedSpanIsPoisoned(t *testing.T) {
 	id, name := held.ID, held.Name
 	sc := core.NewStreamCorrelator(core.StreamOptions{ReorderWindow: 48, Retain: 64})
 	for _, b := range decoded {
-		if err := sc.FeedOwned(0, b...); err != nil {
+		if err := sc.FeedOwned(0, nil, b...); err != nil {
 			t.Fatal(err)
 		}
 	}

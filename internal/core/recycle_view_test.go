@@ -60,7 +60,7 @@ func TestViewKeepsFoldedEntries(t *testing.T) {
 	window := last.Sub(first) + 1
 	sc := core.NewStreamCorrelator(core.StreamOptions{ReorderWindow: window, Retain: 1})
 	defer sc.Close()
-	if err := sc.FeedOwned(0, decode(fed)...); err != nil {
+	if err := sc.FeedOwned(0, nil, decode(fed)...); err != nil {
 		t.Fatal(err)
 	}
 	if st := sc.Stats(); st.Live != len(fed) || entries == 0 {
@@ -71,7 +71,7 @@ func TestViewKeepsFoldedEntries(t *testing.T) {
 	defer view.Close()
 
 	past := &trace.Span{ID: 1 << 40, Level: trace.LevelModel, Name: "past", Begin: last.Add(2 * window), End: last.Add(3 * window)}
-	if err := sc.FeedOwned(0, decode([]*trace.Span{past})...); err != nil {
+	if err := sc.FeedOwned(0, nil, decode([]*trace.Span{past})...); err != nil {
 		t.Fatal(err)
 	}
 	sc.Flush()

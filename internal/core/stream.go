@@ -226,6 +226,7 @@ type StreamCorrelator struct {
 
 	observe func(run []*trace.Span) // opts.Observer's delivery (see observerRuns); nil without one
 	merging []*trace.Span           // a batch merging into the reorder buffer; empty between feeds
+	logged  []byte                  // a batch fed with no block of its own, encoded for the WAL (see logBatch)
 
 	durErr error // first store failure, or the store's open or recovery failure; durability is off once set
 
@@ -449,7 +450,10 @@ func (sc *StreamCorrelator) feedLocked(spans []*trace.Span, owned bool) {
 	case !owned && sc.owning:
 		sc.keep(spans)
 	}
-	sc.buf = slices.Grow(sc.buf, len(spans))
+	if len(sc.buf)+len(spans) > cap(sc.buf) {
+		sc.compactBuf() // the released prefix makes room first: the array grows only past the live spans
+		sc.buf = slices.Grow(sc.buf, len(spans))
+	}
 	arrived := len(sc.buf)
 	for i, s := range spans {
 		if s == nil {
@@ -613,11 +617,16 @@ func (sc *StreamCorrelator) drain(watermark vclock.Time) {
 	clear(run) // the buffer must not keep a span from the collector
 	sc.bufAt += len(run)
 	if sc.bufAt == len(sc.buf) || sc.bufAt > cap(sc.buf)/2 {
-		// Keep the array: the live suffix moves to its front.
-		n := copy(sc.buf, sc.buffered())
-		clear(sc.buf[n:])
-		sc.buf, sc.bufAt = sc.buf[:n], 0
+		sc.compactBuf()
 	}
+}
+
+// compactBuf moves the reorder buffer's live spans to the front of its
+// array, over the released prefix: the array is kept.
+func (sc *StreamCorrelator) compactBuf() {
+	n := copy(sc.buf, sc.buffered())
+	clear(sc.buf[n:])
+	sc.buf, sc.bufAt = sc.buf[:n], 0
 }
 
 // grow sizes the released runs, and the correlation table, for spans about

@@ -374,3 +374,47 @@ func BenchmarkStragglerReopen(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRepairTail is one straggler repair whose window stays put — a
+// kernel span the same stretch of stream behind the tail at both sizes, far
+// enough to reach folded spans, where a pipelined stream's stragglers land —
+// over 50k and 200k folded spans. What the repair re-correlates is the same
+// at both sizes (repaired/op); what grows with the history is the walk that
+// looks for the folded spans the window overlaps: a resident segment is read
+// from its first record, so a repair near the tail visits nearly the whole
+// ladder (history.extractOverlapping), and ns/op grows with it.
+func BenchmarkRepairTail(b *testing.B) {
+	for _, size := range []struct {
+		name  string
+		spans int
+	}{{"50k", 50_000}, {"200k", 200_000}} {
+		b.Run(size.name, func(b *testing.B) {
+			batches := workload.StreamingArrivals(workload.StreamingSpec{
+				Trace: workload.SyntheticSpec{Spans: size.spans, Streams: 3, Seed: 16}, BatchSize: 1_024,
+			})
+			sc := core.NewStreamCorrelator(core.StreamOptions{ReorderWindow: 64, Retain: 2_000})
+			var end vclock.Time
+			for _, batch := range batches {
+				sc.Feed(batch...)
+				end = max(end, batch[len(batch)-1].Begin)
+			}
+			if st := sc.Stats(); st.Checkpointed < size.spans*3/4 {
+				b.Fatalf("history not folded: %+v", st)
+			}
+			at := end - 20_000 // behind the newest folded span's end
+			repaired := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				before := sc.Stats()
+				sc.Feed(&trace.Span{ID: uint64(1<<40 + i), Level: trace.LevelKernel, Name: "late", Begin: at, End: at + 16})
+				after := sc.Stats()
+				if after.Stragglers != before.Stragglers+1 || (i == 0 && after.Reopens != before.Reopens+1) {
+					b.Fatalf("the late span was no straggler reaching the checkpoint: %+v after %+v", after, before)
+				}
+				repaired += after.Repaired - before.Repaired
+			}
+			b.ReportMetric(float64(repaired)/float64(b.N), "repaired/op")
+		})
+	}
+}

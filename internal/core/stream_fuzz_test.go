@@ -379,7 +379,7 @@ func checkStream(t *testing.T, batches [][]*trace.Span, opts core.StreamOptions,
 			if err != nil {
 				t.Fatalf("batch %d failed the wire round trip: %v", i, err)
 			}
-			b, feed = tr.Spans, sc.FeedOwned
+			b, feed = tr.Spans, func(id uint64, spans ...*trace.Span) error { return sc.FeedOwned(id, nil, spans...) }
 		}
 		if durable {
 			if err := feed(uint64(i+1), b...); err != nil {

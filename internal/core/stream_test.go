@@ -1081,3 +1081,31 @@ func TestOneBatchReleasesInSweepOrder(t *testing.T) {
 		}
 	}
 }
+
+// The reorder buffer's array grows only past the spans it holds: a feed that
+// needs room first moves the live spans down over the released prefix, so
+// over a long-window stream the array stays within twice the most spans the
+// buffer ever held.
+func TestReorderBufferCompactsBeforeItGrows(t *testing.T) {
+	const batch, window, batches = 1000, 20_000, 400
+	sc := core.NewStreamCorrelator(core.StreamOptions{ReorderWindow: window})
+	peak, maxCap := 0, 0
+	id := uint64(0)
+	for b := 0; b < batches; b++ {
+		spans := make([]*trace.Span, batch)
+		for i := range spans {
+			id++
+			begin := vclock.Time(b*batch + (i^7)%batch) // a little disorder inside the batch
+			spans[i] = &trace.Span{ID: id, Level: trace.LevelLayer, Name: "l", Begin: begin, End: begin + 1}
+		}
+		sc.Feed(spans...)
+		buffered, capacity := sc.ReorderBuffer()
+		peak, maxCap = max(peak, buffered), max(maxCap, capacity)
+	}
+	if peak < window {
+		t.Fatalf("the buffer peaked at %d spans: the stream does not fill its %d-unit window", peak, window)
+	}
+	if maxCap > 2*peak {
+		t.Fatalf("the reorder buffer's array reached %d slots for at most %d spans buffered", maxCap, peak)
+	}
+}

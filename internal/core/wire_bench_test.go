@@ -193,7 +193,7 @@ func TestStreamAllocBudget(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					_ = sc.FeedOwned(0, tr.Spans...)
+					_ = sc.FeedOwned(0, nil, tr.Spans...)
 				}
 			}
 

@@ -13,16 +13,21 @@
 //     which the correlator hands over already encoded (the block a fold
 //     made, WriteSegment) or streams from records other blocks and files
 //     hold (a compaction's merge or a remainder, WriteGathered, never
-//     holding the payload whole). Open validates each file whole, one at a
-//     time, and hands it back as a SegmentFile: its layout and string blob
-//     resident, its records read a window at a time, at fixed offsets,
-//     through a read handle that outlives the file's name on a ReadAtFS.
+//     holding the payload whole and walking its records once: the header
+//     goes out as a placeholder and is written at offset 0 of the
+//     unpublished .tmp, File.WriteAt, once the payload's size and checksum
+//     are known). Open validates each file whole, one at a time, and
+//     hands it back as a SegmentFile: its layout and string blob resident,
+//     its records read a window at a time, at fixed offsets, through a read
+//     handle that outlives the file's name on a ReadAtFS.
 //
 //   - A write-ahead log (wal-<gen>.wal): an append-only record stream
 //     covering everything not yet in a segment — the live span tail as
-//     batch records, plus periodic snapshot records holding the live
-//     tail, the correlation-id table, the release floor, the batch
-//     dedup-id window, and the store's next segment id. Rotation replaces
+//     batch records (LogBatch: each the span block the batch arrived in,
+//     which the caller hands over encoded and the store does not look
+//     into), plus periodic snapshot records holding the live tail, the
+//     correlation-id table, the release floor, the batch dedup-id window,
+//     and the store's next segment id. Rotation replaces
 //     the WAL with a fresh generation whose first record is a snapshot;
 //     that is the trim. The caller decides when: the correlator rotates
 //     only once the WAL holds as many folded spans as live ones, so
@@ -57,7 +62,8 @@
 //
 // Buffers: WriteSegment writes a header and then the block it is given from
 // where it lies; WriteGathered writes through a ~64 KB buffer it reuses;
-// LogBatch builds each record in one buffer the Store owns and reuses under
-// its lock. So an FS's File must not retain p past Write — which is what
-// io.Writer already says.
+// LogBatch copies the block it is given, behind the record's header, into
+// one buffer the Store owns and reuses under its lock, and keeps none of
+// the caller's. So an FS's File must not retain p past Write or WriteAt —
+// which is what io.Writer and io.WriterAt already say.
 package segio

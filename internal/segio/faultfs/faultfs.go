@@ -55,7 +55,7 @@ const (
 
 // Plan arms a crash: the first CrashAfter operations succeed, everything
 // after fails with ErrCrashed. Counted operations are Create, OpenAppend,
-// Write, Sync, Rename, Remove, and SyncDir; reads and Close are free
+// Write, WriteAt, Sync, Rename, Remove, and SyncDir; reads and Close are free
 // (they don't advance the clock).
 type Plan struct {
 	CrashAfter int
@@ -235,6 +235,25 @@ func (fl *file) Write(p []byte) (int, error) {
 		return 0, err
 	}
 	fl.ino.data = append(fl.ino.data, p...)
+	fl.fs.last = fl.ino
+	return len(p), nil
+}
+
+// WriteAt is one more unsynced write: it overwrites p at off (past the end,
+// it extends the file), and a crash before the next Sync loses it or keeps
+// it torn as it does a Write. A write into the synced prefix makes the file
+// durable only up to off again.
+func (fl *file) WriteAt(p []byte, off int64) (int, error) {
+	fl.fs.mu.Lock()
+	defer fl.fs.mu.Unlock()
+	if err := fl.fs.step(); err != nil {
+		return 0, err
+	}
+	if end := int(off) + len(p); end > len(fl.ino.data) {
+		fl.ino.data = append(fl.ino.data, make([]byte, end-len(fl.ino.data))...)
+	}
+	copy(fl.ino.data[off:], p)
+	fl.ino.synced = min(fl.ino.synced, int(off))
 	fl.fs.last = fl.ino
 	return len(p), nil
 }

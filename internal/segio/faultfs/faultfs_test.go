@@ -121,3 +121,51 @@ func TestTornModeKeepsPartialTail(t *testing.T) {
 		t.Fatalf("torn recovery = %q, want a strict partial tail", got)
 	}
 }
+
+// A WriteAt before Sync is one more unsynced write: a clean crash loses it
+// with the rest of the unsynced tail, a torn one keeps part of that tail,
+// the patch in it; after Sync it is durable. A WriteAt into the synced
+// prefix makes the file durable only up to its offset again.
+func TestWriteAtIsUnsyncedUntilSync(t *testing.T) {
+	write := func(mode Mode, sync bool) []byte {
+		fs := New()
+		fs.Arm(Plan{CrashAfter: 1 << 30, Mode: mode})
+		f, _ := fs.Create("a")
+		f.Write([]byte("head"))
+		f.Sync()
+		f.Write([]byte("....-body"))
+		if n, err := f.WriteAt([]byte("HEAD"), 4); n != 4 || err != nil {
+			t.Fatalf("WriteAt = %d, %v", n, err)
+		}
+		if sync {
+			f.Sync()
+		}
+		f.Close()
+		fs.SyncDir()
+		got, err := fs.Recovered().ReadFile("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := write(ModeClean, false); string(got) != "head" {
+		t.Fatalf("clean crash before Sync recovered %q, want only the synced prefix", got)
+	}
+	if got := write(ModeTorn, false); string(got) != "headHEAD-" {
+		t.Fatalf("torn crash before Sync recovered %q, want half the unsynced tail, patched", got)
+	}
+	if got := write(ModeClean, true); string(got) != "headHEAD-body" {
+		t.Fatalf("after Sync recovered %q", got)
+	}
+
+	fs := New()
+	f, _ := fs.Create("a")
+	f.Write([]byte("durable"))
+	f.Sync()
+	f.WriteAt([]byte("DUR"), 0)
+	f.Close()
+	fs.SyncDir()
+	if got, _ := fs.Recovered().ReadFile("a"); len(got) != 0 {
+		t.Fatalf("a WriteAt into the synced prefix, unsynced, recovered %q, want nothing past offset 0", got)
+	}
+}

@@ -55,9 +55,12 @@ type ReadAtCloser interface {
 }
 
 // File is a writable file handle. Writes are buffered by the OS until
-// Sync; a crash may lose or truncate anything unsynced.
+// Sync; a crash may lose or truncate anything unsynced. WriteAt patches
+// bytes already written — a segment's header, once its payload is out —
+// and is no more durable than Write until Sync.
 type File interface {
 	io.Writer
+	io.WriterAt
 	Sync() error
 	Close() error
 }

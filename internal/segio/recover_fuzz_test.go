@@ -80,6 +80,16 @@ func (w *memFile) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+func (w *memFile) WriteAt(p []byte, off int64) (int, error) {
+	b := w.fs[w.name]
+	if end := int(off) + len(p); end > len(b) {
+		b = append(b, make([]byte, end-len(b))...)
+	}
+	copy(b[off:], p)
+	w.fs[w.name] = b
+	return len(p), nil
+}
+
 func (w *memFile) Sync() error  { return nil }
 func (w *memFile) Close() error { return nil }
 
@@ -137,10 +147,10 @@ func fuzzWAL(t testing.TB) (memFS, string) {
 		t.Fatal(err)
 	}
 	steps := []error{
-		st.LogBatch(fuzzSpans(90, 2), 5), // lands in the snapshot's dedup window
+		st.LogBatch(trace.AppendSpanBlock(nil, fuzzSpans(90, 2), nil), 5), // lands in the snapshot's dedup window
 		st.Rotate(*fuzzSnapshot()),
-		st.LogBatch(fuzzSpans(100, 4), 11),
-		st.LogBatch(fuzzSpans(200, 3), 0),
+		st.LogBatch(trace.AppendSpanBlock(nil, fuzzSpans(100, 4), nil), 11),
+		st.LogBatch(trace.AppendSpanBlock(nil, fuzzSpans(200, 3), nil), 0),
 		st.Close(),
 	}
 	for _, err := range steps {

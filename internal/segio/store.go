@@ -401,7 +401,7 @@ func (st *Store) publishWAL(snap *Snapshot) error {
 		buf = sealWALRecord(encodeSnapshot(buf, snap, st.dedup, st.nextSeg), start)
 	}
 	name := walName(st.walGen)
-	if err := st.publishFile(name, func(w io.Writer) error { _, err := w.Write(buf); return err }); err != nil {
+	if err := st.publishFile(name, func(f File) error { _, err := f.Write(buf); return err }); err != nil {
 		return err
 	}
 	st.walName = name
@@ -414,7 +414,7 @@ func (st *Store) publishWAL(snap *Snapshot) error {
 // written to a temporary name, synced and closed, renamed into place, and
 // the directory synced — so a crash leaves either no file of that name or
 // all of it.
-func (st *Store) publishFile(name string, write func(w io.Writer) error) error {
+func (st *Store) publishFile(name string, write func(f File) error) error {
 	tmp := name + tmpSuffix
 	f, err := st.fs.Create(tmp)
 	if err != nil {
@@ -478,12 +478,13 @@ func (st *Store) startGen(snap *Snapshot) error {
 	return nil
 }
 
-// LogBatch appends one batch record (spans plus an optional nonzero batch
-// id) to the WAL and syncs it before returning. A batch is logged as it
-// arrived, so no span in it is owned.
+// LogBatch appends one batch record (a span block plus an optional nonzero
+// batch id) to the WAL and syncs it before returning. block is the batch as
+// it arrived, so no record in it may be owned; the store copies it into the
+// record and keeps none of it.
 // Once LogBatch returns nil the batch survives any crash. After a recovery
 // it fails with ErrNeedRotate until Rotate runs.
-func (st *Store) LogBatch(spans []*trace.Span, batchID uint64) error {
+func (st *Store) LogBatch(block []byte, batchID uint64) error {
 	st.lock()
 	defer st.unlock()
 	if st.needRot || st.wal == nil {
@@ -491,7 +492,7 @@ func (st *Store) LogBatch(spans []*trace.Span, batchID uint64) error {
 	}
 	rec, start := beginWALRecord(st.rec[:0], walBatchRec)
 	rec = binary.LittleEndian.AppendUint64(rec, batchID)
-	rec = sealWALRecord(trace.AppendSpanBlock(rec, spans, nil), start)
+	rec = sealWALRecord(append(rec, block...), start)
 	st.rec = rec
 	if _, err := st.wal.Write(rec); err != nil {
 		return err
@@ -520,11 +521,11 @@ func (st *Store) LogBatch(spans []*trace.Span, batchID uint64) error {
 func (st *Store) WriteSegment(block []byte, replaces []uint64) (uint64, error) {
 	// The header and the caller's block go out as two writes, the block
 	// from where it lies: a crash between them leaves only a .tmp.
-	return st.writeSegment(replaces, func(w io.Writer) error {
-		if _, err := w.Write(segHeader(len(block), crc32.Checksum(block, castagnoli))); err != nil {
+	return st.writeSegment(replaces, func(f File) error {
+		if _, err := f.Write(segHeader(len(block), crc32.Checksum(block, castagnoli))); err != nil {
 			return err
 		}
-		_, err := w.Write(block)
+		_, err := f.Write(block)
 		return err
 	})
 }
@@ -533,25 +534,38 @@ func (st *Store) WriteSegment(block []byte, replaces []uint64) (uint64, error) {
 // blocks hold — a compaction's k-way merge of its inputs, or a file less
 // the records a repair took out — streamed as trace.StreamSpanBlock writes
 // it: the n records walk hands out, in that order, owned flags kept, walked
-// twice and never held whole. walk's error fails the write.
+// once and never held whole. The header goes out as a placeholder and is
+// written at offset 0 of the unpublished .tmp once the payload's size and
+// checksum are known, before the file is synced and renamed. walk's error,
+// or a walk of other than n records, fails the write and leaves only the
+// .tmp.
 func (st *Store) WriteGathered(n int, walk func(yield func(blk *trace.SpanBlock, i int) bool) error, replaces []uint64) (uint64, error) {
-	return st.writeSegment(replaces, func(w io.Writer) error {
-		return trace.StreamSpanBlock(w, n, walk, crc32.New(castagnoli), segHeader)
+	return st.writeSegment(replaces, func(f File) error {
+		if _, err := f.Write(make([]byte, segHeaderLen)); err != nil {
+			return err
+		}
+		sum := crc32.New(castagnoli)
+		size, err := trace.StreamSpanBlock(io.MultiWriter(f, sum), n, walk)
+		if err != nil {
+			return err
+		}
+		_, err = f.WriteAt(segHeader(size, sum.Sum32()), 0)
+		return err
 	})
 }
 
 // writeSegment publishes the next segment file, its bytes what write
 // writes, and then deletes the files it replaces.
-func (st *Store) writeSegment(replaces []uint64, write func(w io.Writer) error) (uint64, error) {
+func (st *Store) writeSegment(replaces []uint64, write func(f File) error) (uint64, error) {
 	st.lock()
 	defer st.unlock()
 	id := st.nextSeg
 	st.nextSeg++
-	cw := &countingWriter{}
-	if err := st.publishFile(segName(id), func(w io.Writer) error { cw.w = w; return write(cw) }); err != nil {
+	var n int64
+	if err := st.publishFile(segName(id), func(f File) error { return write(countingFile{f, &n}) }); err != nil {
 		return 0, err
 	}
-	st.segs[id] = cw.n
+	st.segs[id] = n
 	if err := st.dropLocked(replaces); err != nil {
 		return 0, err
 	}
@@ -569,15 +583,16 @@ func segHeader(size int, sum uint32) []byte {
 	return hdr
 }
 
-// countingWriter counts the bytes written through it.
-type countingWriter struct {
-	w io.Writer
-	n int64
+// countingFile counts into *n the bytes appended through it: a WriteAt
+// overwrites bytes already counted.
+type countingFile struct {
+	File
+	n *int64
 }
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
+func (c countingFile) Write(p []byte) (int, error) {
+	n, err := c.File.Write(p)
+	*c.n += int64(n)
 	return n, err
 }
 

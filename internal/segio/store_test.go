@@ -7,6 +7,7 @@ import (
 	"io"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"xsp/internal/segio"
@@ -191,6 +192,190 @@ func TestWriteGatheredReadsThroughWindows(t *testing.T) {
 	}
 }
 
+// windowRecords is the most records the correlator reads from a segment
+// file at once, and the most the block writer holds before writing them
+// out: ~64 KB of them.
+const windowRecords = 64 << 10 / trace.SpanRecordSize
+
+// gatherInputs writes two segment files whose records, merged in begin
+// order, are n spans: every third owned, every fourth carrying a tag, every
+// fifth a metric. It returns the files and the merge as references.
+func gatherInputs(t *testing.T, st *segio.Store, n int) ([]*segio.SegmentFile, []trace.RecordRef) {
+	t.Helper()
+	var halves [2][]*trace.Span
+	var owned [2][]uint64
+	var refs []trace.RecordRef
+	for i := 0; i < n; i++ {
+		s := mkSpan(uint64(i+1), vclock.Time(i), vclock.Time(i+7), trace.Level(i%3), trace.KindSync)
+		s.Name = fmt.Sprintf("op%d", i%11)
+		if i%4 == 0 {
+			s.Tags = []trace.Tag{{Key: "layer", Value: fmt.Sprint(i % 13)}}
+		}
+		if i%5 == 0 {
+			s.Metrics = []trace.Metric{{Key: "flops", Value: float64(i)}}
+		}
+		h, r := i%2, len(halves[i%2])
+		if r%64 == 0 {
+			owned[h] = append(owned[h], 0)
+		}
+		if i%3 == 0 {
+			owned[h][r/64] |= 1 << (r % 64)
+		}
+		halves[h] = append(halves[h], s)
+		refs = append(refs, trace.RecordRef{Block: uint32(h), Record: uint32(r)})
+	}
+	var files []*segio.SegmentFile
+	for h := range halves {
+		id, err := st.WriteSegment(block(halves[h], owned[h]), nil)
+		requireNoErr(t, err)
+		f, err := st.OpenSegment(id)
+		requireNoErr(t, err)
+		files = append(files, f)
+	}
+	return files, refs
+}
+
+// walkRefs walks refs through the files' windows, a record at a time, and
+// counts its walks into walks.
+func walkRefs(files []*segio.SegmentFile, refs []trace.RecordRef, walks *int) func(yield func(blk *trace.SpanBlock, i int) bool) error {
+	return func(yield func(blk *trace.SpanBlock, i int) bool) error {
+		*walks++
+		passes := []io.ReaderAt{files[0].Pass(), files[1].Pass()}
+		var buf []byte
+		for _, ref := range refs {
+			var win trace.SpanBlock
+			var err error
+			if win, buf, err = files[ref.Block].Window(passes[ref.Block], int(ref.Record), int(ref.Record)+1, buf); err != nil {
+				return err
+			}
+			if !yield(&win, 0) {
+				return nil
+			}
+		}
+		return nil
+	}
+}
+
+// A gathered segment is written in one walk of its records, and its file is
+// byte for byte the one WriteSegment writes for GatherSpanBlock's block of
+// the same records — header and all — at every size around the writer's
+// chunk: empty, one record, a window less one, one window, a window and
+// one, and a survivor of several windows.
+func TestWriteGatheredIsOnePass(t *testing.T) {
+	for _, n := range []int{0, 1, windowRecords - 1, windowRecords, windowRecords + 1, 3*windowRecords + 77} {
+		fs := faultfs.New()
+		st, _, err := segio.Open(fs, segio.Options{})
+		requireNoErr(t, err)
+		files, refs := gatherInputs(t, st, n)
+		var blocks []trace.SpanBlock
+		for _, f := range files {
+			data, err := fs.ReadFile(fmt.Sprintf("seg-%016x.seg", f.ID()))
+			requireNoErr(t, err)
+			blk, _, err := trace.ParseSpanBlock(data[24:])
+			requireNoErr(t, err)
+			blocks = append(blocks, blk)
+		}
+		wantID, err := st.WriteSegment(trace.GatherSpanBlock(nil, blocks, refs), nil)
+		requireNoErr(t, err)
+
+		walks := 0
+		id, err := st.WriteGathered(n, walkRefs(files, refs, &walks), nil)
+		requireNoErr(t, err)
+		if walks != 1 {
+			t.Fatalf("%d records: the write walked them %d times", n, walks)
+		}
+		got, err := fs.ReadFile(fmt.Sprintf("seg-%016x.seg", id))
+		requireNoErr(t, err)
+		want, err := fs.ReadFile(fmt.Sprintf("seg-%016x.seg", wantID))
+		requireNoErr(t, err)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d records: the one-pass file differs from WriteSegment's of the gathered block (%d vs %d bytes)", n, len(got), len(want))
+		}
+		var onDisk int64
+		names, err := fs.ReadDir()
+		requireNoErr(t, err)
+		for _, name := range names {
+			if strings.HasSuffix(name, ".seg") {
+				data, err := fs.ReadFile(name)
+				requireNoErr(t, err)
+				onDisk += int64(len(data))
+			}
+		}
+		if counted := st.Stats().SegmentBytes; counted != onDisk {
+			t.Fatalf("%d records: the store counts %d segment bytes, the files hold %d: the patched header counts once", n, counted, onDisk)
+		}
+		f, err := st.OpenSegment(id)
+		requireNoErr(t, err)
+		if f.Len() != n {
+			t.Fatalf("%d records: the file opens with %d", n, f.Len())
+		}
+		for _, f := range append(files, f) {
+			requireNoErr(t, f.Close())
+		}
+		requireNoErr(t, st.Close())
+	}
+}
+
+// A walk that fails, stops short or runs long fails the write: the inputs
+// stay, and what is left of the write is its unpublished .tmp, which a
+// reopened store drops.
+func TestWriteGatheredFailureLeavesOnlyTmp(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		walk func(refs []trace.RecordRef) []trace.RecordRef
+		fail error
+	}{
+		{"read error", func(refs []trace.RecordRef) []trace.RecordRef { return refs }, errors.New("read failed")},
+		{"short walk", func(refs []trace.RecordRef) []trace.RecordRef { return refs[:len(refs)-1] }, nil},
+		{"long walk", func(refs []trace.RecordRef) []trace.RecordRef { return append(refs, refs[0]) }, nil},
+	} {
+		fs := faultfs.New()
+		st, _, err := segio.Open(fs, segio.Options{})
+		requireNoErr(t, err)
+		files, refs := gatherInputs(t, st, windowRecords+5)
+		before, err := fs.ReadDir()
+		requireNoErr(t, err)
+		walks := 0
+		walk := walkRefs(files, tc.walk(refs), &walks)
+		if tc.fail != nil {
+			half := walk
+			walk = func(yield func(blk *trace.SpanBlock, i int) bool) error {
+				k := 0
+				if err := half(func(blk *trace.SpanBlock, i int) bool { k++; return k < len(refs)/2 && yield(blk, i) }); err != nil {
+					return err
+				}
+				return tc.fail
+			}
+		}
+		_, err = st.WriteGathered(len(refs), walk, []uint64{files[0].ID(), files[1].ID()})
+		if err == nil || (tc.fail != nil && !errors.Is(err, tc.fail)) {
+			t.Fatalf("%s: WriteGathered = %v", tc.name, err)
+		}
+		after, err := fs.ReadDir()
+		requireNoErr(t, err)
+		added := slices.DeleteFunc(slices.Clone(after), func(name string) bool { return slices.Contains(before, name) })
+		if len(added) != 1 || !strings.HasSuffix(added[0], ".seg.tmp") || len(after) != len(before)+1 {
+			t.Fatalf("%s: a failed write left %v beside %v, want one .tmp and the inputs", tc.name, added, before)
+		}
+		for _, f := range files {
+			requireNoErr(t, f.Close())
+		}
+		requireNoErr(t, st.Close())
+		st, rec, err := segio.Open(fs, segio.Options{})
+		requireNoErr(t, err)
+		if len(rec.Segments) != 2 {
+			t.Fatalf("%s: reopened with %d segments, want the two inputs", tc.name, len(rec.Segments))
+		}
+		for _, seg := range rec.Segments {
+			requireNoErr(t, seg.File.Close())
+		}
+		if names, _ := fs.ReadDir(); slices.ContainsFunc(names, func(name string) bool { return strings.HasSuffix(name, ".tmp") }) {
+			t.Fatalf("%s: a reopened store kept %v", tc.name, names)
+		}
+		requireNoErr(t, st.Close())
+	}
+}
+
 func TestWALBatchAndRotate(t *testing.T) {
 	fs := faultfs.New()
 	st, _, err := segio.Open(fs, segio.Options{})
@@ -198,8 +383,8 @@ func TestWALBatchAndRotate(t *testing.T) {
 
 	b1 := []*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}
 	b2 := []*trace.Span{mkSpan(2, 5, 8, 1, trace.KindLaunch)}
-	requireNoErr(t, st.LogBatch(b1, 101))
-	requireNoErr(t, st.LogBatch(b2, 102))
+	requireNoErr(t, st.LogBatch(block(b1, nil), 101))
+	requireNoErr(t, st.LogBatch(block(b2, nil), 102))
 
 	// Rotate: snapshot covers the live tail, trims batch records, and
 	// carries the dedup window forward.
@@ -211,7 +396,7 @@ func TestWALBatchAndRotate(t *testing.T) {
 	}
 	requireNoErr(t, st.Rotate(snap))
 	b3 := []*trace.Span{mkSpan(4, 9, 12, 1, trace.KindLaunch)}
-	requireNoErr(t, st.LogBatch(b3, 103))
+	requireNoErr(t, st.LogBatch(block(b3, nil), 103))
 	requireNoErr(t, st.Close())
 
 	_, rec, err := segio.Open(fs, segio.Options{})
@@ -244,7 +429,7 @@ func TestDedupWindowBounded(t *testing.T) {
 	st, _, err := segio.Open(fs, segio.Options{MaxDedup: 3})
 	requireNoErr(t, err)
 	for id := uint64(1); id <= 5; id++ {
-		requireNoErr(t, st.LogBatch([]*trace.Span{mkSpan(id, vclock.Time(id), vclock.Time(id+1), 0, trace.KindSync)}, 100+id))
+		requireNoErr(t, st.LogBatch(block([]*trace.Span{mkSpan(id, vclock.Time(id), vclock.Time(id+1), 0, trace.KindSync)}, nil), 100+id))
 	}
 	st.Close()
 	_, rec, err := segio.Open(fs, segio.Options{MaxDedup: 3})
@@ -377,7 +562,7 @@ func TestCorruptSegmentQuarantined(t *testing.T) {
 	if err := st2.Rotate(segio.Snapshot{}); err != nil {
 		t.Fatal(err)
 	}
-	requireNoErr(t, st2.LogBatch([]*trace.Span{mkSpan(9, 30, 40, 0, trace.KindSync)}, 9))
+	requireNoErr(t, st2.LogBatch(block([]*trace.Span{mkSpan(9, 30, 40, 0, trace.KindSync)}, nil), 9))
 }
 
 func TestTornWALTailTruncated(t *testing.T) {
@@ -386,8 +571,8 @@ func TestTornWALTailTruncated(t *testing.T) {
 	requireNoErr(t, err)
 	b1 := []*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}
 	b2 := []*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}
-	requireNoErr(t, st.LogBatch(b1, 11))
-	requireNoErr(t, st.LogBatch(b2, 12))
+	requireNoErr(t, st.LogBatch(block(b1, nil), 11))
+	requireNoErr(t, st.LogBatch(block(b2, nil), 12))
 	st.Close()
 
 	// Tear the tail: append garbage that looks like the start of a record.
@@ -418,12 +603,12 @@ func TestTornWALTailTruncated(t *testing.T) {
 		t.Fatal("torn tail not reported")
 	}
 	// Appends are gated until the WAL is re-established.
-	err = st2.LogBatch(b1, 13)
+	err = st2.LogBatch(block(b1, nil), 13)
 	if !errors.Is(err, segio.ErrNeedRotate) {
 		t.Fatalf("LogBatch after recovery = %v, want ErrNeedRotate", err)
 	}
 	requireNoErr(t, st2.Rotate(segio.Snapshot{}))
-	requireNoErr(t, st2.LogBatch(b1, 13))
+	requireNoErr(t, st2.LogBatch(block(b1, nil), 13))
 }
 
 // A file whose name only looks like the store's — upper-case hex digits
@@ -435,7 +620,7 @@ func TestStrayNamesIgnored(t *testing.T) {
 	st, _, err := segio.Open(fs, segio.Options{})
 	requireNoErr(t, err)
 	b1 := []*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}
-	requireNoErr(t, st.LogBatch(b1, 11))
+	requireNoErr(t, st.LogBatch(block(b1, nil), 11))
 	requireNoErr(t, st.Close())
 	strays := []string{"seg-00000000000000AB.seg", "wal-00000000000000CD.wal", "seg-00000000000000ab.seg.bak", "seg-ab.seg"}
 	for _, name := range strays {
@@ -470,14 +655,14 @@ func TestResetClearsEverything(t *testing.T) {
 	requireNoErr(t, err)
 	_, err = st.WriteSegment(block([]*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}, nil), nil)
 	requireNoErr(t, err)
-	requireNoErr(t, st.LogBatch([]*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}, 5))
+	requireNoErr(t, st.LogBatch(block([]*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}, nil), 5))
 	requireNoErr(t, st.Reset())
 	stats := st.Stats()
 	if stats.Segments != 0 || stats.DedupIDs != 0 {
 		t.Fatalf("post-reset stats = %+v", stats)
 	}
 	// Reset is immediately appendable (no rotate gate).
-	requireNoErr(t, st.LogBatch([]*trace.Span{mkSpan(3, 20, 30, 0, trace.KindSync)}, 6))
+	requireNoErr(t, st.LogBatch(block([]*trace.Span{mkSpan(3, 20, 30, 0, trace.KindSync)}, nil), 6))
 	st.Close()
 	_, rec, err := segio.Open(fs, segio.Options{})
 	requireNoErr(t, err)
@@ -493,7 +678,7 @@ func TestCrashMidSegmentWriteLeavesOldState(t *testing.T) {
 	st, _, err := segio.Open(dry, segio.Options{})
 	requireNoErr(t, err)
 	base := []*trace.Span{mkSpan(1, 0, 10, 0, trace.KindSync)}
-	requireNoErr(t, st.LogBatch(base, 42))
+	requireNoErr(t, st.LogBatch(block(base, nil), 42))
 	opsBefore := dry.Ops()
 	_, err = st.WriteSegment(block([]*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}, nil), nil)
 	requireNoErr(t, err)
@@ -504,7 +689,7 @@ func TestCrashMidSegmentWriteLeavesOldState(t *testing.T) {
 		fs.Arm(faultfs.Plan{CrashAfter: crash, Mode: faultfs.ModeTorn})
 		st, _, err := segio.Open(fs, segio.Options{})
 		requireNoErr(t, err)
-		requireNoErr(t, st.LogBatch(base, 42))
+		requireNoErr(t, st.LogBatch(block(base, nil), 42))
 		if _, err := st.WriteSegment(block([]*trace.Span{mkSpan(2, 10, 20, 0, trace.KindSync)}, nil), nil); err == nil {
 			t.Fatalf("crash=%d: WriteSegment unexpectedly succeeded", crash)
 		}

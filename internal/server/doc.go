@@ -30,7 +30,9 @@
 // tenant's alone, so it feeds them to its correlator owned
 // (core.StreamCorrelator.FeedOwned), through the tap or at the ack barrier:
 // once a fold has encoded a span its slot goes back to the trace free list,
-// and the next decode, of any tenant, refills it.
+// and the next decode, of any tenant, refills it. At the ack barrier a
+// binary batch also lends the span block it arrived in, which the WAL logs
+// as it is; the frame goes back to its pool once the feed returns.
 //
 // The server always correlates: a core.StreamCorrelator per tenant takes
 // every accepted batch and resolves span parents online as batches arrive,

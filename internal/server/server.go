@@ -248,19 +248,20 @@ func (s *Server) open(key string) *tenant {
 }
 
 // Ingest implements trace.Consumer: a batch goes through the tap in RAM
-// mode, and durable through the WAL into the correlator before it returns.
-// Either way the correlator owns its spans, which the ingest half decoded for
-// this call alone: a fold recycles them (core.StreamCorrelator.FeedOwned).
-func (t *tenant) Ingest(batchID uint64, spans []*trace.Span) error {
+// mode, and durable through the WAL into the correlator before it returns,
+// the WAL logging the block the batch arrived in when there is one. Either
+// way the correlator owns its spans, which the ingest half decoded for this
+// call alone: a fold recycles them (core.StreamCorrelator.FeedOwned).
+func (t *tenant) Ingest(batchID uint64, spans []*trace.Span, block []byte) error {
 	if t.tap == nil {
-		return t.sc.FeedOwned(batchID, spans...)
+		return t.sc.FeedOwned(batchID, block, spans...)
 	}
 	t.tap.Publish(spans...)
 	return nil
 }
 
 // Publish is the tap's destination: a batch Ingest queued, fed owned.
-func (t *tenant) Publish(spans ...*trace.Span) { _ = t.sc.FeedOwned(0, spans...) }
+func (t *tenant) Publish(spans ...*trace.Span) { _ = t.sc.FeedOwned(0, nil, spans...) }
 
 // Backlog implements trace.Consumer: the tap's depth, when there is a tap.
 func (t *tenant) Backlog() int {

@@ -91,7 +91,7 @@ type tenantCollector struct{ t *ServerTenant }
 
 func (c tenantCollector) Publish(spans ...*Span) {
 	if len(spans) > 0 {
-		_ = c.t.c.Ingest(0, spans)
+		_ = c.t.c.Ingest(0, spans, nil)
 	}
 }
 
@@ -107,7 +107,7 @@ type hooks struct {
 	queue   *AsyncTap // SetTapAsync's queue, the Backlog
 }
 
-func (h *hooks) Ingest(batchID uint64, spans []*Span) error {
+func (h *hooks) Ingest(batchID uint64, spans []*Span, _ []byte) error {
 	if h.durable != nil {
 		if err := h.durable.IngestLogged(batchID, spans); err != nil {
 			return err

@@ -734,12 +734,22 @@ const maxPooledFrame = 1 << 20
 // unknown version, truncated body, corrupt block, trailing garbage —
 // returns an error wrapping ErrBadFrame and no spans.
 func DecodeBinary(r io.Reader) (*Trace, error) {
+	t, frame, err := decodeFrame(r)
+	releaseFrame(frame)
+	return t, err
+}
+
+// decodeFrame is DecodeBinary that lends the frame's payload: *frame is its
+// span block, validated, with every record's owned flag cleared — the batch
+// as it arrived, which no tracer owns — good until releaseFrame hands the
+// buffer back to framePool. On an error the buffer is back already.
+func decodeFrame(r io.Reader) (t *Trace, frame *[]byte, err error) {
 	var hdr [len(wireMagic) + 1]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: short frame header: %v", ErrBadFrame, err)
+		return nil, nil, fmt.Errorf("%w: short frame header: %v", ErrBadFrame, err)
 	}
 	if string(hdr[:len(wireMagic)]) != wireMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFrame, hdr[:len(wireMagic)])
+		return nil, nil, fmt.Errorf("%w: bad magic %q", ErrBadFrame, hdr[:len(wireMagic)])
 	}
 	var tenant string
 	switch v := hdr[len(wireMagic)]; v {
@@ -747,31 +757,32 @@ func DecodeBinary(r io.Reader) (*Trace, error) {
 	case wireVersionTenant:
 		var tl [1]byte
 		if _, err := io.ReadFull(r, tl[:]); err != nil {
-			return nil, fmt.Errorf("%w: short tenant length: %v", ErrBadFrame, err)
+			return nil, nil, fmt.Errorf("%w: short tenant length: %v", ErrBadFrame, err)
 		}
 		key := make([]byte, tl[0])
 		if _, err := io.ReadFull(r, key); err != nil {
-			return nil, fmt.Errorf("%w: short tenant key: %v", ErrBadFrame, err)
+			return nil, nil, fmt.Errorf("%w: short tenant key: %v", ErrBadFrame, err)
 		}
 		tenant = string(key)
 		if err := ValidateTenant(tenant); err != nil || tenant == "" {
-			return nil, fmt.Errorf("%w: bad tenant key %q", ErrBadFrame, tenant)
+			return nil, nil, fmt.Errorf("%w: bad tenant key %q", ErrBadFrame, tenant)
 		}
 	default:
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFrame, v)
+		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrBadFrame, v)
 	}
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, fmt.Errorf("%w: short payload length: %v", ErrBadFrame, err)
+		return nil, nil, fmt.Errorf("%w: short payload length: %v", ErrBadFrame, err)
 	}
 	n := binary.LittleEndian.Uint32(lenBuf[:])
 	if n > maxFramePayload {
-		return nil, fmt.Errorf("%w: payload length %d exceeds limit", ErrBadFrame, n)
+		return nil, nil, fmt.Errorf("%w: payload length %d exceeds limit", ErrBadFrame, n)
 	}
 	// The declared length is a claim: allocate as the bytes arrive, in
 	// doubling steps past the first MiB. Up to there the buffer is pooled:
 	// nothing decoded aliases it (the blob is copied into one string, records
-	// and entry tables are read by value), so it is garbage on return.
+	// and entry tables are read by value), so once the caller is done with
+	// the block it lends, it is garbage.
 	bp := framePool.Get().(*[]byte)
 	first := int(min(n, maxPooledFrame))
 	payload := *bp
@@ -780,14 +791,14 @@ func DecodeBinary(r io.Reader) (*Trace, error) {
 	}
 	payload = payload[:first]
 	defer func() {
-		if cap(payload) <= maxPooledFrame {
-			*bp = payload[:0]
-			framePool.Put(bp)
+		if err != nil {
+			*bp = payload
+			releaseFrame(bp)
 		}
 	}()
 	for read := 0; ; {
 		if _, err := io.ReadFull(r, payload[read:]); err != nil {
-			return nil, fmt.Errorf("%w: short payload: %v", ErrBadFrame, err)
+			return nil, nil, fmt.Errorf("%w: short payload: %v", ErrBadFrame, err)
 		}
 		if read = len(payload); read == int(n) {
 			break
@@ -796,10 +807,23 @@ func DecodeBinary(r io.Reader) (*Trace, error) {
 	}
 	blk, rest, err := ParseSpanBlock(payload)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after span block", ErrBadFrame, len(rest))
+		return nil, nil, fmt.Errorf("%w: %d trailing bytes after span block", ErrBadFrame, len(rest))
 	}
-	return &Trace{Spans: decodeCanonical(&blk), Tenant: tenant}, nil
+	for i := range blk.Len() {
+		blk.rec(i)[45] &^= flagOwned
+	}
+	*bp = payload
+	return &Trace{Spans: decodeCanonical(&blk), Tenant: tenant}, bp, nil
+}
+
+// releaseFrame hands a frame decodeFrame lent back to framePool, unless it
+// grew past maxPooledFrame. A nil frame is none.
+func releaseFrame(frame *[]byte) {
+	if frame != nil && cap(*frame) <= maxPooledFrame {
+		*frame = (*frame)[:0]
+		framePool.Put(frame)
+	}
 }

@@ -4,117 +4,139 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 )
 
 // This file moves span blocks to and from files without holding them whole:
-// a block is written from records other blocks hold, gathered in two passes
-// (StreamSpanBlock, and View.WriteBinary for the wire), and a block that
-// lies in a file is read a window of records at a time (BlockFile).
+// a block is written from records other blocks hold, and a block that lies
+// in a file is read a window of records at a time (BlockFile). A writer that
+// can patch a header once the block is out — a segment file, whose header
+// its store writes at offset 0 afterwards — takes the block in one walk
+// (StreamSpanBlock); the wire cannot, a frame's length coming first and an
+// HTTP body never rewound, so View.WriteBinary walks twice (streamBlock).
 
 // fillFunc fills rec from one span a walk handed out: a record of blk, or s.
 type fillFunc func(e *blockScratch, rec []byte, blk *SpanBlock, i int, s *Span)
 
-// streamBlock writes the span block built from what walk hands out, each
-// record filled by fill, to w behind the bytes head returns: GatherSpanBlock's
-// block (AppendSpanBlock's for a span), written viewChunk bytes at a time and
-// never held. It walks twice. The first pass interns every string and builds
-// the tag and metric tables, which fixes the block's size; with sum non-nil it
-// also sums the block, whose count n must then be known up front. head gets
-// the count, the size and the sum. The second pass writes the records, and
-// then the tables and the blob. streamBlock returns walk's error, or the
-// first write error, and writes nothing after it.
-func streamBlock(w io.Writer, walk func(yield func(blk *SpanBlock, i int, s *Span) bool) error, fill fillFunc, n int, sum hash.Hash32, head func(n, size int, sum uint32) []byte) error {
-	e := blockScratchPool.Get().(*blockScratch)
-	defer e.release()
-	le := binary.LittleEndian
-	var rec [SpanRecordSize]byte
-	if sum != nil {
-		sum.Write(le.AppendUint32(rec[:0], uint32(n)))
-	}
-	got := 0
-	err := walk(func(blk *SpanBlock, i int, s *Span) bool {
-		fill(e, rec[:], blk, i, s)
-		if sum != nil {
-			sum.Write(rec[:])
+// blockOut writes a block out viewChunk bytes at a time: pieces gather in
+// chunk, and a piece that does not fit an empty chunk — a table or the blob —
+// is written from where it lies. The first write error latches in err, and
+// nothing is written after it.
+type blockOut struct {
+	w     io.Writer
+	chunk []byte
+	err   error
+}
+
+func (o *blockOut) put(b []byte) bool {
+	if len(o.chunk)+len(b) > cap(o.chunk) {
+		if !o.write(o.chunk) {
+			return false
 		}
-		got++
-		return true
-	})
-	if err != nil {
-		return err
+		o.chunk = o.chunk[:0]
+		if len(b) > cap(o.chunk) {
+			return o.write(b)
+		}
 	}
-	if sum == nil {
-		n = got
-	} else if got != n {
-		return fmt.Errorf("trace: a block of %d records walked %d", n, got)
+	o.chunk = append(o.chunk, b...)
+	return true
+}
+
+func (o *blockOut) write(b []byte) bool {
+	if o.err == nil {
+		_, o.err = o.w.Write(b)
 	}
-	sections := [3]struct {
+	return o.err == nil
+}
+
+// finish writes the sections that follow the records — the tag table, the
+// metric table and the blob, each behind its count — and what is left in
+// the chunk.
+func (o *blockOut) finish(e *blockScratch) error {
+	var cnt [4]byte
+	for _, sec := range [3]struct {
 		n int
 		b []byte
-	}{{len(e.tags) / 16, e.tags}, {len(e.mets) / 16, e.mets}, {len(e.blob), e.blob}}
-	var crc uint32
-	if sum != nil {
-		for _, sec := range sections {
-			sum.Write(le.AppendUint32(rec[:0], uint32(sec.n)))
-			sum.Write(sec.b)
+	}{{len(e.tags) / 16, e.tags}, {len(e.mets) / 16, e.mets}, {len(e.blob), e.blob}} {
+		if !o.put(binary.LittleEndian.AppendUint32(cnt[:0], uint32(sec.n))) || !o.put(sec.b) {
+			return o.err
 		}
-		crc = sum.Sum32()
 	}
+	o.write(o.chunk)
+	return o.err
+}
 
-	size := 4 + n*SpanRecordSize + 12 + len(e.tags) + len(e.mets) + len(e.blob)
-	chunk := append(make([]byte, 0, viewChunk), head(n, size, crc)...)
-	var werr error
-	out := func(b []byte) bool {
-		if len(chunk)+len(b) > cap(chunk) {
-			if _, werr = w.Write(chunk); werr != nil {
-				return false
-			}
-			chunk = chunk[:0]
-			if len(b) > cap(chunk) { // a table or the blob: written from where it lies
-				_, werr = w.Write(b)
-				return werr == nil
-			}
+// size is the size of the block of n records whose tables and blob e holds.
+func (e *blockScratch) size(n int) int {
+	return 4 + n*SpanRecordSize + 12 + len(e.tags) + len(e.mets) + len(e.blob)
+}
+
+// StreamSpanBlock writes to w the span block GatherSpanBlock would build from
+// the n records walk hands out, in that order, owned flags and all, in one
+// walk and without holding it: each record goes out as the walk hands it
+// out, and the tables and the blob, built meanwhile in the scratch, follow
+// the last. It returns the block's size. A walk error, a walk that hands out
+// other than n records, or a write error ends the write, and nothing is
+// written after it.
+func StreamSpanBlock(w io.Writer, n int, walk func(yield func(blk *SpanBlock, i int) bool) error) (size int, err error) {
+	e := blockScratchPool.Get().(*blockScratch)
+	defer e.release()
+	o := blockOut{w: w, chunk: make([]byte, 0, viewChunk)}
+	var rec [SpanRecordSize]byte
+	o.put(binary.LittleEndian.AppendUint32(rec[:0], uint32(n)))
+	got := 0
+	err = walk(func(blk *SpanBlock, i int) bool {
+		if got++; got > n {
+			return false
 		}
-		chunk = append(chunk, b...)
-		return true
+		e.gather(rec[:], blk, i)
+		return o.put(rec[:])
+	})
+	if err == nil && o.err == nil && got != n {
+		err = fmt.Errorf("trace: a block of %d records walked %d", n, got)
 	}
-	out(le.AppendUint32(rec[:0], uint32(n)))
+	if err = errors.Join(err, o.err); err != nil {
+		return 0, err
+	}
+	return e.size(n), o.finish(e)
+}
+
+// streamBlock writes the span block built from what walk hands out, each
+// record filled by fill, to w behind the bytes head returns for the block's
+// size: GatherSpanBlock's block (AppendSpanBlock's for a span), written
+// viewChunk bytes at a time and never held. It walks twice. The first pass
+// interns every string and builds the tag and metric tables, which fixes the
+// block's size; the second writes the head and the records, and then the
+// tables and the blob. streamBlock returns walk's error, or the first write
+// error, and writes nothing after it; an error in the first pass writes
+// nothing at all.
+func streamBlock(w io.Writer, walk func(yield func(blk *SpanBlock, i int, s *Span) bool) error, fill fillFunc, head func(size int) []byte) error {
+	e := blockScratchPool.Get().(*blockScratch)
+	defer e.release()
+	var rec [SpanRecordSize]byte
+	n := 0
+	if err := walk(func(blk *SpanBlock, i int, s *Span) bool {
+		fill(e, rec[:], blk, i, s)
+		n++
+		return true
+	}); err != nil {
+		return err
+	}
+	o := blockOut{w: w, chunk: append(make([]byte, 0, viewChunk), head(e.size(n))...)}
+	o.put(binary.LittleEndian.AppendUint32(rec[:0], uint32(n)))
 	e.tagN, e.metN, e.tabled = 0, 0, true
 	put := 0
 	if err := walk(func(blk *SpanBlock, i int, s *Span) bool {
 		fill(e, rec[:], blk, i, s)
 		put++
-		return out(rec[:])
-	}); err != nil || werr != nil {
-		return errors.Join(err, werr)
+		return o.put(rec[:])
+	}); err != nil || o.err != nil {
+		return errors.Join(err, o.err)
 	}
 	if put != n {
 		return fmt.Errorf("trace: a block of %d records walked %d the second time", n, put)
 	}
-	for _, sec := range sections {
-		if !out(le.AppendUint32(rec[:0], uint32(sec.n))) || !out(sec.b) {
-			return werr
-		}
-	}
-	_, werr = w.Write(chunk)
-	return werr
-}
-
-// StreamSpanBlock writes to w, behind the bytes head returns, the span block
-// GatherSpanBlock would build from the n records walk hands out, in that
-// order, owned flags and all — without holding it: see streamBlock. head
-// gets the block's size and its sum, which sum (reset by the caller) reads
-// over the whole block. The walk must hand out the same n records both
-// times; its error ends the write.
-func StreamSpanBlock(w io.Writer, n int, walk func(yield func(blk *SpanBlock, i int) bool) error, sum hash.Hash32, head func(size int, sum uint32) []byte) error {
-	return streamBlock(w,
-		func(yield func(*SpanBlock, int, *Span) bool) error {
-			return walk(func(blk *SpanBlock, i int) bool { return yield(blk, i, nil) })
-		},
-		func(e *blockScratch, rec []byte, blk *SpanBlock, i int, _ *Span) { e.gather(rec, blk, i) },
-		n, sum, func(_, size int, crc uint32) []byte { return head(size, crc) })
+	return o.finish(e)
 }
 
 // BlockFile is a validated span block that lies in a file, read a window of

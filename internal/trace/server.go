@@ -127,9 +127,13 @@ func route[T any](s *Server, tb *Table[T], half func(T) *ServerTenant) *Server {
 type Consumer interface {
 	// Ingest takes one accepted batch, with its final span ids, before the
 	// 202 is written: the spans themselves, which the consumer may link or
-	// keep. A non-nil error refuses the batch with a retryable 503 and the
-	// consumer keeps nothing of it — a durable consumer's WAL append failed.
-	Ingest(batchID uint64, spans []*Span) error
+	// keep. block, when not nil, is the same batch as the span block it
+	// arrived in — its records in wire order, none owned — lent until Ingest
+	// returns, for a durable consumer to log as it is; nil when the batch
+	// came as JSON or the server assigned span ids. A non-nil error refuses
+	// the batch with a retryable 503 and the consumer keeps nothing of it — a
+	// durable consumer's WAL append failed.
+	Ingest(batchID uint64, spans []*Span, block []byte) error
 
 	// Backlog returns the spans the consumer holds but has not yet absorbed,
 	// which count against the tenant's share of
@@ -312,12 +316,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 const serverAssignedIDBit = uint64(1) << 63
 
 // spanDecoder picks the batch decoder for a POST's Content-Type: the
-// framed binary format (ContentTypeBinary), JSON (ContentTypeJSON, or no
-// Content-Type at all, the historical wire default), or neither — the
-// caller answers 415 before the batch id is claimed.
-func spanDecoder(contentType string) (func(io.Reader) (*Trace, error), error) {
+// framed binary format (ContentTypeBinary), which lends the frame it read
+// (decodeFrame), JSON (ContentTypeJSON, or no Content-Type at all, the
+// historical wire default), which lends none, or neither — the caller
+// answers 415 before the batch id is claimed.
+func spanDecoder(contentType string) (func(io.Reader) (*Trace, *[]byte, error), error) {
 	if contentType == "" {
-		return DecodeJSON, nil
+		return decodeJSON, nil
 	}
 	mt, _, err := mime.ParseMediaType(contentType)
 	if err != nil {
@@ -325,11 +330,17 @@ func spanDecoder(contentType string) (func(io.Reader) (*Trace, error), error) {
 	}
 	switch mt {
 	case ContentTypeJSON:
-		return DecodeJSON, nil
+		return decodeJSON, nil
 	case ContentTypeBinary:
-		return DecodeBinary, nil
+		return decodeFrame, nil
 	}
 	return nil, fmt.Errorf("trace: unsupported span Content-Type %q (want %s or %s)", mt, ContentTypeBinary, ContentTypeJSON)
+}
+
+// decodeJSON is DecodeJSON for spanDecoder: a JSON batch lends no frame.
+func decodeJSON(r io.Reader) (*Trace, *[]byte, error) {
+	t, err := DecodeJSON(r)
+	return t, nil, err
 }
 
 // RequestTenant extracts the tenant key a request explicitly names — the
@@ -493,10 +504,17 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	// frame — is a clean 400: both decoders return no spans on error, so
 	// nothing is published, and the deferred unclaim releases the batch id
 	// for a corrected retry. Never a partial publish.
-	t, err := decode(r.Body)
+	t, frame, err := decode(r.Body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
+	}
+	// A binary batch's frame is lent down to the consumer, and goes back to
+	// its pool only once the request is through with it.
+	defer releaseFrame(frame)
+	var block []byte
+	if frame != nil {
+		block = *frame
 	}
 	// Ingress validation: a span that ends before it begins, or carries a
 	// metric no JSON view can encode (NaN or ±Inf, which only the binary
@@ -553,13 +571,14 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	for _, sp := range t.Spans {
 		if sp.ID == 0 {
 			sp.ID = NewSpanID() | serverAssignedIDBit
+			block = nil // it holds the id the tracer sent: the spans are the batch now
 		}
 	}
 	// The batch (with its final span ids) reaches the consumer before the
 	// 202 is written — durable, its write-ahead log first. A refusal is
 	// retryable: the deferred unclaim releases the batch id, so the client's
 	// retry gets a fresh claim once the consumer recovers.
-	if err := tn.c.Ingest(batchID, t.Spans); err != nil {
+	if err := tn.c.Ingest(batchID, t.Spans, block); err != nil {
 		pushBack(w, http.StatusServiceUnavailable, s.retryAfterHint(), "trace: durable log append failed, retry later")
 		return
 	}

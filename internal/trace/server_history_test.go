@@ -2,9 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -38,7 +41,7 @@ type historyConsumer struct {
 	sink  *failingSink // nil: nothing refuses
 }
 
-func (c historyConsumer) Ingest(batchID uint64, spans []*Span) error {
+func (c historyConsumer) Ingest(batchID uint64, spans []*Span, _ []byte) error {
 	if c.sink != nil {
 		if err := c.sink.IngestLogged(batchID, spans); err != nil {
 			return err
@@ -187,5 +190,79 @@ func TestTenantHistoryForwardsWithoutRetaining(t *testing.T) {
 	}
 	if rec := postTenant(srv, "plain", encodeSpans(t, span(1), span(2)), ContentTypeJSON, "a1"); rec.Header().Get("X-Duplicate-Batch") != "1" {
 		t.Fatal("the neighbour's dedup window did not survive the reset")
+	}
+}
+
+// blockConsumer keeps, for each batch, a decoded copy of the block Ingest
+// lent (nil when none), and the spans the batch carried.
+type blockConsumer struct {
+	historyConsumer
+	blocks [][]*Span
+	owned  []bool // whether any record of the block was owned
+	spans  [][]*Span
+}
+
+func (c *blockConsumer) Ingest(batchID uint64, spans []*Span, block []byte) error {
+	c.spans = append(c.spans, CloneHeaders(spans))
+	if block == nil {
+		c.blocks, c.owned = append(c.blocks, nil), append(c.owned, false)
+		return nil
+	}
+	got, owned, rest, err := DecodeSpanBlock(block)
+	if err != nil || len(rest) != 0 {
+		panic(fmt.Sprintf("the lent block is no span block: %v, %d bytes behind it", err, len(rest)))
+	}
+	c.blocks = append(c.blocks, got)
+	c.owned = append(c.owned, slices.ContainsFunc(owned, func(w uint64) bool { return w != 0 }))
+	return nil
+}
+
+// A binary batch reaches its consumer with the block it arrived in: the
+// same spans, in wire order, every record's owned flag cleared (a tracer
+// owns no link). A JSON batch lends none, and neither does a binary one
+// whose span ids the server assigned, which the block does not hold.
+func TestIngestLendsTheArrivedBlock(t *testing.T) {
+	c := &blockConsumer{historyConsumer: historyConsumer{store: &historyStore{}}}
+	var srv *Server
+	srv = NewServerOn(NewTable(func(key string) *ServerTenant { return srv.NewTenant(key, c) }),
+		func(tn *ServerTenant) *ServerTenant { return tn })
+	parented := span(4)
+	parented.ParentID = 9
+	wire := []*Span{span(9), parented, span(2)} // out of canonical order
+	owned := append(appendFrameHeader(nil, "", 0), AppendSpanBlock(nil, wire, func(int) bool { return true })...)
+	binary.LittleEndian.PutUint32(owned[frameHeaderSize-4:], uint32(len(owned)-frameHeaderSize))
+	for _, tc := range []struct {
+		name        string
+		body        []byte
+		contentType string
+		lent        bool
+	}{
+		{"owned frame", owned, ContentTypeBinary, true},
+		{"plain frame", AppendBinaryFrameTenant(nil, "", wire), ContentTypeBinary, true},
+		{"json", encodeSpans(t, wire...), ContentTypeJSON, false},
+		{"assigned id", AppendBinaryFrameTenant(nil, "", []*Span{span(5), {Level: LevelKernel, Name: "anon", Begin: 6, End: 7}}), ContentTypeBinary, false},
+	} {
+		c.blocks, c.owned, c.spans = nil, nil, nil
+		if rec := postTenant(srv, "", tc.body, tc.contentType, ""); rec.Code != http.StatusAccepted {
+			t.Fatalf("%s: POST = %d (%s)", tc.name, rec.Code, rec.Body)
+		}
+		if len(c.spans) != 1 {
+			t.Fatalf("%s: the consumer saw %d batches", tc.name, len(c.spans))
+		}
+		if !tc.lent {
+			if c.blocks[0] != nil {
+				t.Fatalf("%s: a block was lent for spans it does not hold", tc.name)
+			}
+			continue
+		}
+		if c.blocks[0] == nil || c.owned[0] {
+			t.Fatalf("%s: lent block %v, owned records %v", tc.name, c.blocks[0] != nil, c.owned[0])
+		}
+		if !reflect.DeepEqual(c.blocks[0], wire) {
+			t.Fatalf("%s: the lent block holds %v, the wire sent %v", tc.name, c.blocks[0], wire)
+		}
+		if !reflect.DeepEqual(MergeRuns([][]*Span{c.blocks[0]}), c.spans[0]) {
+			t.Fatalf("%s: the lent block is not the batch the consumer was handed", tc.name)
+		}
 	}
 }

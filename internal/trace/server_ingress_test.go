@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -173,6 +174,10 @@ func FuzzHandleSpans(f *testing.F) {
 	nan := &Span{ID: 11, Level: LevelKernel, Kind: KindExec, Name: "k", Begin: 20, End: 30, CorrelationID: 7}
 	nan.SetMetric("flop_count_sp", math.NaN())
 	nanFrame := AppendBinaryFrameTenant(nil, "", []*Span{nan})
+	// A frame whose records claim owned links, which no tracer has: the
+	// block a durable consumer logs carries the flags cleared.
+	ownedFrame := append(appendFrameHeader(nil, "", 0), AppendSpanBlock(nil, valid[:1], func(int) bool { return true })...)
+	binary.LittleEndian.PutUint32(ownedFrame[frameHeaderSize-4:], uint32(len(ownedFrame)-frameHeaderSize))
 	for _, seed := range []struct {
 		method, contentType, tenant, batchID string
 		body                                 []byte
@@ -187,6 +192,7 @@ func FuzzHandleSpans(f *testing.F) {
 		{http.MethodPost, ContentTypeBinary, "", "3", frame},       // odd id: the sink refuses
 		{http.MethodPost, ContentTypeBinary, "", "e", backwards},
 		{http.MethodPost, ContentTypeBinary, "", "20", nanFrame},
+		{http.MethodPost, ContentTypeBinary, "", "22", ownedFrame},
 		{http.MethodPost, ContentTypeBinary, "", "10", frame[:len(frame)/2]},
 		{http.MethodPost, ContentTypeJSON, "", "12", jsonBody.Bytes()[:jsonBody.Len()/2]},
 		{http.MethodPost, ContentTypeBinary, "", "14", jsonBody.Bytes()},

@@ -64,14 +64,15 @@ var viewChunk = 64 << 10 / SpanRecordSize * SpanRecordSize
 
 // WriteBinary writes the view to w as one framed binary batch: the bytes
 // AppendBinaryFrameTenant writes for the spans Decode hands out, without
-// decoding a record or holding the frame. It walks the view twice (see
-// streamBlock): a record is gathered as GatherSpanBlock gathers it, with its
-// owned flag cleared; a span is encoded as AppendSpanBlock encodes it. What
-// stays resident is the view's strings and table entries, not its records.
+// decoding a record or holding the frame. It walks the view twice, the
+// frame's length coming before its records (see streamBlock): a record is
+// gathered as GatherSpanBlock gathers it, with its owned flag cleared; a
+// span is encoded as AppendSpanBlock encodes it. What stays resident is the
+// view's strings and table entries, not its records.
 // WriteBinary returns the first write or read error, and writes nothing
 // after it; a read error in the first pass writes nothing at all.
 func (v View) WriteBinary(w io.Writer) error {
-	return streamBlock(w, v.walk, v.record, 0, nil, func(_, size int, _ uint32) []byte {
+	return streamBlock(w, v.walk, v.record, func(size int) []byte {
 		return appendFrameHeader(nil, v.Tenant, uint32(size))
 	})
 }
