@@ -110,12 +110,16 @@
 // collector to follow; a block leaves with the last run that names it, and
 // one under half referenced gives its records up to a gathered block. Once
 // its file is written a durable segment is filed: it drops its blocks and
-// runs and keeps a directory — the file's layout and string blob (~0.2 B a
-// span), and per 64 KB window of records the first begin, the latest end
-// and the correlation-id buckets a repair asks about — and reads its records
-// from the file a window at a time, each window a validated span block, so
-// the heap holds a fraction of a byte per durable folded span and the file
-// the rest. A compaction only plans and merges in memory; a durable
+// runs, keeps the file's layout and string blob (~0.2 B a span), and reads
+// its records from the file a window at a time, each window a validated span
+// block, so the heap holds a fraction of a byte per durable folded span and
+// the file the rest. Both kinds are read one way — a cursor over the runs —
+// and keep one directory: per 64 KB window of records, resident block's or
+// file's, the first begin, the latest end and the correlation-id buckets a
+// repair asks about. A block builds it once when it is held, and a fresh
+// fold's file takes its block's. A straggler's repair reads a segment
+// through it, stepping over every window it rules out, so what it costs
+// grows with the runs and windows of the history, not its records. A compaction only plans and merges in memory; a durable
 // survivor is written once, by a streaming k-way merge of all its inputs,
 // resident or filed, walked once — each record goes to the file, and into
 // its directory, as the merge hands it out, and the store writes the header

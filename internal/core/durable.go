@@ -8,6 +8,7 @@ import (
 
 	"xsp/internal/segio"
 	"xsp/internal/trace"
+	"xsp/internal/vclock"
 )
 
 // replayRun is how many recovered segment spans reach the observer per
@@ -264,19 +265,23 @@ func RecoverStream(opts StreamOptions, rec *segio.Recovery) (*StreamCorrelator, 
 	// the inference it was written under: replaying a covered fold
 	// re-derives the very parents it froze.)
 	//
-	// One set dedups it all: the ids of the spans the WAL carries, those
-	// still to replay. A segment record kept deletes its id (segments win),
-	// and a replayed span its own (the first copy wins). An older segment
-	// tests its records against the set as the WAL left it: segments come in
-	// ascending id order, every older file before every newer one, and an
-	// older file keeps, so deletes, only ids the set lacks.
-	replay := walSpanIDs(rec)
+	// One set dedups it all: the spans the WAL carries, those still to
+	// replay, counted by id and begin — a batch may carry one id twice, and
+	// the live stream keeps every copy. A segment record kept spends one copy
+	// of its key (segments win), and a replayed span one of its own, so the
+	// replay keeps as many copies of a span as the stream did. An older
+	// segment tests its records against the set as the WAL left it: segments
+	// come in ascending id order, every older file before every newer one,
+	// and an older file keeps, so spends, only keys the set lacks.
+	replay := walReplay(rec)
 	var tip trace.Span // the folded span latest in sweep order, a compare key (ID 0: none yet)
 	for k, seg := range rec.Segments {
 		rec.Segments[k].File = nil // the history holds it now
-		covered := func(blk *trace.SpanBlock, i int) bool { return !seg.SinceSnapshot && replay[blk.ID(i)] }
+		covered := func(blk *trace.SpanBlock, i int) bool {
+			return !seg.SinceSnapshot && replay[spanKey{blk.ID(i), blk.Begin(i)}] > 0
+		}
 		err := sc.hist.install(seg.File, covered, func(blk *trace.SpanBlock, i int) {
-			delete(replay, blk.ID(i))
+			replay.spend(spanKey{blk.ID(i), blk.Begin(i)})
 			sc.noteLevel(blk.Level(i))
 			if begin := blk.Begin(i); begin > sc.maxBegin {
 				// Every folded span was fed, so the crashed process's
@@ -441,14 +446,32 @@ func releaseContent(rec *segio.Recovery) *segio.Recovery {
 	return rec
 }
 
-// walSpanIDs indexes the id of every span the recovered WAL carries, in its
-// snapshot or in a batch record after it: the replay's dedup set.
-func walSpanIDs(rec *segio.Recovery) map[uint64]bool {
-	ids := make(map[uint64]bool)
+// spanKey is what recovery's replay dedups a span by: its id and begin.
+type spanKey struct {
+	id    uint64
+	begin vclock.Time
+}
+
+// replaySet counts the copies of each span still to replay.
+type replaySet map[spanKey]int
+
+// spend uses up one copy of k, if the set holds one.
+func (r replaySet) spend(k spanKey) {
+	if n := r[k]; n > 1 {
+		r[k] = n - 1
+	} else {
+		delete(r, k)
+	}
+}
+
+// walReplay counts the copies of every span the recovered WAL carries, in
+// its snapshot or in a batch record after it: the replay's dedup set.
+func walReplay(rec *segio.Recovery) replaySet {
+	ids := make(replaySet)
 	note := func(spans []*trace.Span) {
 		for _, s := range spans {
 			if s != nil {
-				ids[s.ID] = true
+				ids[spanKey{s.ID, s.Begin}]++
 			}
 		}
 	}
@@ -461,17 +484,17 @@ func walSpanIDs(rec *segio.Recovery) map[uint64]bool {
 	return ids
 }
 
-// dedupStrip prepares recovered spans for replay: a span whose id is no
-// longer in replay — a segment carries it, or an earlier replayed record did
-// — is dropped, and the rest leave the set; correlator-owned spans lose their
-// derived ParentID so the resolver re-derives it.
-func dedupStrip(spans []*trace.Span, owned ownedBits, replay map[uint64]bool) []*trace.Span {
+// dedupStrip prepares recovered spans for replay: a span with no copy left
+// in replay — a segment carries it, or earlier replayed records spent its
+// copies — is dropped, and the rest spend one; correlator-owned spans lose
+// their derived ParentID so the resolver re-derives it.
+func dedupStrip(spans []*trace.Span, owned ownedBits, replay replaySet) []*trace.Span {
 	out := make([]*trace.Span, 0, len(spans))
 	for i, s := range spans {
-		if s == nil || !replay[s.ID] {
+		if s == nil || replay[spanKey{s.ID, s.Begin}] == 0 {
 			continue
 		}
-		delete(replay, s.ID)
+		replay.spend(spanKey{s.ID, s.Begin})
 		if owned.has(i) {
 			s.ParentID = 0
 		}

@@ -39,18 +39,21 @@ func (b ownedBits) has(i int) bool { return i/64 < len(b) && b[i/64]&(1<<(i%64))
 // of successive stretches of the stream merge into about one run per block —
 // so what is resident per folded span is the codec's size and holds no
 // pointer the collector has to follow. A segment whose file is written is
-// filed: it keeps a small directory (the file's layout and string blob, and
-// per window of records the first begin, the latest end and the
-// correlation-id buckets a repair asks about) and reads its records from the
-// file a window at a time, each window a validated trace.SpanBlock — so what
-// is resident per durable folded span is a fraction of a byte, and the file
-// holds the rest. Either way the ladder's work — compaction, extraction,
+// filed: it keeps the file's layout and string blob and reads its records
+// from the file a window at a time, each window a validated trace.SpanBlock —
+// so what is resident per durable folded span is a fraction of a byte, and
+// the file holds the rest. Both kinds are read one way: a cursor over the
+// runs (see cursor), and beside every block, resident or filed, one
+// directory of its windows of records (fileWindow) — built once, when the
+// block is held or its file is written, and carried by a fresh fold's block
+// into its file — through which a repair steps over the windows it rules out
+// without reading them. The ladder's work — compaction, extraction,
 // remainders — compares keys read from the records and moves runs of records
-// or streams records from file to file, never decoding; and a span is decoded
-// only when somebody reads it, into copies the history keeps no hold on. The
-// resolver adds folds, takes back what a straggler's windows overlap, reads
-// the segments merged with its live tail, and persists; the zero history is
-// empty.
+// or streams records into a new block or file, never decoding; and a span is
+// decoded only when somebody reads it, into copies the history keeps no hold
+// on. The resolver adds folds, takes back what a straggler's windows overlap,
+// reads the segments merged with its live tail, and persists; the zero
+// history is empty.
 //
 // The correlator's mutex guards the ladder — the list of segments and the
 // counters — like everything the resolver holds. The segments themselves,
@@ -99,7 +102,7 @@ type ckptSegment struct {
 }
 
 // segFile is a segment file the history reads records from: the open file,
-// and its directory, one entry per window of windowRecords records. It is
+// and its directory, as a heldBlock's over the file's records. It is
 // shared by the ladder entry that holds it and every view that pinned it,
 // and closed when the last of them lets go (unref).
 type segFile struct {
@@ -108,15 +111,22 @@ type segFile struct {
 	refs atomic.Int32
 }
 
-// fileWindow is what the history keeps of one window of a file's records:
-// what lets a repair pass over the window without reading it.
+// fileWindow is what a directory keeps of one window of windowRecords
+// records of a block or a file: what lets a repair pass over the window
+// without reading it.
 type fileWindow struct {
 	first, maxEnd vclock.Time // the first record's begin, the latest end
-	execCorr      []uint64    // as heldBlock.execCorr, over the window's records
+	// execCorr is the sorted set of corrBucket values over the window's owned
+	// execution spans with a correlation id: one entry per 64 of them where a
+	// tracer mints the ids densely and in order, up to one per span where it
+	// does not. A block is one fold — one stretch of the stream — so a moved
+	// launch's bucket is in almost no window's, and a repair that moved a
+	// launch pays here a comparison per window, not a read.
+	execCorr []uint64
 }
 
-// windowRecords is how many records one read of a file brings in: ~64 KB of
-// them, whatever the segment's size.
+// windowRecords is how many records a directory entry covers, and one read
+// of a file brings in: ~64 KB of them, whatever the segment's size.
 const windowRecords = 64 << 10 / trace.SpanRecordSize
 
 // newSegFile wraps an opened segment file, the ladder its one holder.
@@ -148,26 +158,36 @@ func (f *segFile) retire() {
 	f.unref()
 }
 
-// dirBuilder builds a file's directory from its records, in file order.
+// dirBuilder builds a directory from a block's or a file's records, in
+// their order. The open window's buckets collect in one scratch array, kept
+// exact-size by each window as it closes.
 type dirBuilder struct {
-	dir []fileWindow
-	n   int
+	dir  []fileWindow
+	n    int
+	exec []uint64
 }
 
 func (d *dirBuilder) add(blk *trace.SpanBlock, i int) {
 	if d.n%windowRecords == 0 {
+		d.seal()
 		d.dir = append(d.dir, fileWindow{first: blk.Begin(i)})
 	}
 	w := &d.dir[len(d.dir)-1]
 	w.maxEnd = max(w.maxEnd, blk.End(i))
-	w.execCorr = addExecBucket(w.execCorr, blk, i)
+	d.exec = addExecBucket(d.exec, blk, i)
 	d.n++
 }
 
-func (d *dirBuilder) done() []fileWindow {
-	for k := range d.dir {
-		d.dir[k].execCorr = sealBuckets(d.dir[k].execCorr)
+// seal closes the open window, if any.
+func (d *dirBuilder) seal() {
+	if len(d.dir) > 0 {
+		d.dir[len(d.dir)-1].execCorr = sealBuckets(d.exec)
+		d.exec = d.exec[:0]
 	}
+}
+
+func (d *dirBuilder) done() []fileWindow {
+	d.seal()
 	return slices.Clip(d.dir)
 }
 
@@ -227,7 +247,8 @@ func (seg *ckptSegment) appendSpans(src *ckptSegment, lo, hi int, shift uint32) 
 // cursor reads a segment's spans in order, resident or filed, stepping
 // through its runs: a filed one a window at a time, the windows its pass
 // reads, its first read error kept. A window's bytes are the next one's: a
-// record it hands out is good until it moves past that record's window.
+// record it hands out is good until it moves past that record's window. It
+// is the one place that tells the two kinds apart (record, window).
 type cursor struct {
 	seg  *ckptSegment
 	n    int // the segment's spans
@@ -278,6 +299,22 @@ func (c *cursor) record() (*trace.SpanBlock, int, bool) {
 	return c.win, r - c.lo, true
 }
 
+// window returns the directory entry of the window that holds the span at
+// pos (< n) — its block's, or its file's — and next, where the run through
+// pos leaves that window: a step over the window is c.pos = next.
+func (c *cursor) window() (w *fileWindow, next int) {
+	b, r := c.ref()
+	var dir []fileWindow
+	if f := c.seg.file; f != nil {
+		dir = f.dir
+	} else {
+		dir = c.seg.blocks[b].dir
+	}
+	k := r / windowRecords
+	end := int(c.seg.runs[c.run].at) + c.seg.runLen(c.run)
+	return &dir[k], min(c.pos+(k+1)*windowRecords-r, end)
+}
+
 // each hands fn the segment's spans in order, as records, until fn returns
 // false, and returns the read error that cut it short.
 func (seg *ckptSegment) each(fn func(blk *trace.SpanBlock, i int) bool) error {
@@ -307,19 +344,15 @@ type window struct{ lo, hi vclock.Time }
 // of a whole stream — is encoded into a buffer that leaves with the call.
 const maxEncodeScratch = 8 << 20
 
-// heldBlock is a span block the history holds, with the one thing a repair
-// asks of a block before reading it: which correlation ids its execution
-// spans may carry.
+// heldBlock is a span block the history holds, with its directory: the one
+// a filed segment keeps of its file, over the block's records — what a
+// repair asks of each window of them before reading it. A fresh fold's file
+// is its block as it is, and takes the block's directory with it (see
+// history.write). Blocks are never merged, so what the directories weigh
+// grows with the folded records, a fraction of a byte each.
 type heldBlock struct {
 	trace.SpanBlock
-	// execCorr is the sorted set of corrBucket values over the block's owned
-	// execution spans with a correlation id: one entry per 64 of them where a
-	// tracer mints the ids densely and in order, up to one per span where it
-	// does not. A block is one fold — one stretch of the stream — so a moved
-	// launch's bucket is in almost no block's. Blocks are never merged, so
-	// what a repair that moved a launch pays here, and what the sets weigh,
-	// grows with the number of folds, not with the ladder's O(log n) segments.
-	execCorr []uint64
+	dir []fileWindow
 }
 
 // corrBucket coarsens a correlation id to the granularity execCorr keeps.
@@ -338,21 +371,14 @@ func addExecBucket(set []uint64, blk *trace.SpanBlock, i int) []uint64 {
 }
 
 // sealBuckets sorts a collected bucket set and keeps it, deduplicated, in
-// an exact-size array: not the one several interleaved streams' ids were
-// collected in.
+// an exact-size array of its own — nil when empty: nothing of the scratch it
+// was collected in.
 func sealBuckets(set []uint64) []uint64 {
 	slices.Sort(set)
-	return slices.Clone(slices.Compact(set))
-}
-
-// holdBlock wraps a parsed block the history will keep.
-func holdBlock(blk trace.SpanBlock) heldBlock {
-	held := heldBlock{SpanBlock: blk}
-	for i := 0; i < blk.Len(); i++ {
-		held.execCorr = addExecBucket(held.execCorr, &blk, i)
+	if set = slices.Compact(set); len(set) == 0 {
+		return nil
 	}
-	held.execCorr = sealBuckets(held.execCorr)
-	return held
+	return slices.Clone(set)
 }
 
 // hold runs encode into the history's scratch and returns the block it
@@ -375,7 +401,11 @@ func (h *history) hold(encode func(buf []byte) []byte, lend bool) heldBlock {
 	if err != nil {
 		panic(err) // the encoder's own output
 	}
-	return holdBlock(blk)
+	dir := dirBuilder{dir: make([]fileWindow, 0, (blk.Len()+windowRecords-1)/windowRecords)}
+	for i := range blk.Len() {
+		dir.add(&blk, i)
+	}
+	return heldBlock{SpanBlock: blk, dir: dir.done()}
 }
 
 // keepLent gives the block hold lent its own copy if it is still
@@ -408,15 +438,6 @@ func (seg *ckptSegment) at(i int) (*heldBlock, int) {
 	return &seg.blocks[b], r
 }
 
-// spanBlocks returns the segment's blocks as the codec takes them.
-func (seg *ckptSegment) spanBlocks() []trace.SpanBlock {
-	blocks := make([]trace.SpanBlock, len(seg.blocks))
-	for b := range seg.blocks {
-		blocks[b] = seg.blocks[b].SpanBlock
-	}
-	return blocks
-}
-
 // push appends a segment to the ladder and counts its spans in.
 func (h *history) push(seg ckptSegment) {
 	h.segs = append(h.segs, seg)
@@ -424,16 +445,15 @@ func (h *history) push(seg ckptSegment) {
 	h.maxEnd = max(h.maxEnd, seg.maxEnd())
 }
 
-// maxEnd is the latest End among the segment's spans — for a filed
-// remainder, among its file's, which bounds it.
+// maxEnd is the latest End among the segment's spans, read from the
+// directory of every window its runs reach: for a remainder, the latest
+// among those windows' records, which bounds it.
 func (seg *ckptSegment) maxEnd() (end vclock.Time) {
-	if seg.file != nil {
-		for _, w := range seg.file.dir {
-			end = max(end, w.maxEnd)
-		}
-		return end
+	for c := newCursor(seg); c.pos < c.n; {
+		var w *fileWindow
+		w, c.pos = c.window()
+		end = max(end, w.maxEnd)
 	}
-	seg.each(func(blk *trace.SpanBlock, r int) bool { end = max(end, blk.End(r)); return true })
 	return end
 }
 
@@ -632,17 +652,14 @@ func (h *history) write(store SegmentStore, pick func(seg *ckptSegment) bool) er
 		}
 		var filed ckptSegment
 		var err error
-		if seg.file == nil && len(seg.blocks) == 1 && len(seg.runs) <= 1 && seg.n == seg.blocks[0].Len() {
+		if len(seg.blocks) == 1 && len(seg.runs) <= 1 && seg.n == seg.blocks[0].Len() {
 			// A fresh fold, one run over all of its block's records: the
-			// block is the file's payload, as it is.
-			var dir dirBuilder
-			blk := &seg.blocks[0].SpanBlock
-			for r := 0; r < blk.Len(); r++ {
-				dir.add(blk, r)
-			}
+			// block is the file's payload, as it is, and its directory the
+			// file's.
+			blk := &seg.blocks[0]
 			var id uint64
 			if id, err = store.WriteSegment(blk.Bytes(), seg.replaced); err == nil {
-				filed, err = openFiled(store, id, dir.done())
+				filed, err = openFiled(store, id, blk.dir)
 			}
 		} else {
 			parts := seg.inputs()
@@ -921,10 +938,10 @@ func (h *history) compactBlocks(seg *ckptSegment) {
 	if len(kept) == len(seg.blocks) {
 		return
 	}
-	// The runs are remapped run by run; a sparse block's records are spelled
-	// out only as the gather takes them.
-	var moved []trace.RecordRef
+	// The runs are remapped run by run, and the sparse blocks' runs become
+	// the segment moved, which the gather walks whole.
 	old := *seg
+	moved := ckptSegment{blocks: old.blocks}
 	seg.runs, seg.n = make([]refRun, 0, len(old.runs)), 0
 	for k, r := range old.runs {
 		n := old.runLen(k)
@@ -932,13 +949,14 @@ func (h *history) compactBlocks(seg *ckptSegment) {
 			seg.appendRun(uint32(to[r.block]), r.first, n)
 			continue
 		}
-		seg.appendRun(uint32(len(kept)), uint32(len(moved)), n)
-		for x := range uint32(n) {
-			moved = append(moved, trace.RecordRef{Block: r.block, Record: r.first + x})
-		}
+		seg.appendRun(uint32(len(kept)), uint32(moved.n), n)
+		moved.appendRun(r.block, r.first, n)
 	}
-	if len(moved) > 0 { // out of the blocks as they stood: seg.blocks changes below
-		kept = append(kept, h.hold(func(buf []byte) []byte { return trace.GatherSpanBlock(buf, seg.spanBlocks(), moved) }, false))
+	if moved.n > 0 {
+		kept = append(kept, h.hold(func(buf []byte) []byte {
+			blk, _ := appendBlock(buf, moved.n, moved.each) // resident: no read to fail
+			return blk
+		}, false))
 	}
 	seg.blocks = kept
 }
@@ -1015,20 +1033,9 @@ func (h *history) extract(sel func(seg *ckptSegment) ([]int, error)) (out []fold
 }
 
 // gather returns the segment's spans at the ascending indexes picks as one
-// new span block, nothing decoded.
+// new span block, nothing decoded: read through a cursor, wherever they lie.
 func (seg *ckptSegment) gather(picks []int) ([]byte, error) {
-	if seg.file == nil {
-		c := newCursor(seg)
-		refs := make([]trace.RecordRef, len(picks))
-		for k, i := range picks {
-			c.pos = i
-			b, r := c.ref()
-			refs[k] = trace.RecordRef{Block: uint32(b), Record: uint32(r)}
-		}
-		return trace.GatherSpanBlock(nil, seg.spanBlocks(), refs), nil
-	}
-	var buf bytes.Buffer
-	_, err := trace.StreamSpanBlock(&buf, len(picks), func(yield func(blk *trace.SpanBlock, i int) bool) error {
+	return appendBlock(nil, len(picks), func(yield func(blk *trace.SpanBlock, i int) bool) error {
 		c := newCursor(seg)
 		for _, i := range picks {
 			c.pos = i
@@ -1039,33 +1046,46 @@ func (seg *ckptSegment) gather(picks []int) ([]byte, error) {
 		}
 		return nil
 	})
-	return buf.Bytes(), err
+}
+
+// appendBlock appends to buf the span block of the n records walk hands out,
+// in that order (trace.StreamSpanBlock's), and returns walk's error. buf
+// grows once for the records; the tables and blob follow them.
+func appendBlock(buf []byte, n int, walk func(yield func(blk *trace.SpanBlock, i int) bool) error) ([]byte, error) {
+	out := bytes.NewBuffer(slices.Grow(buf, 4+n*trace.SpanRecordSize))
+	_, err := trace.StreamSpanBlock(out, n, walk)
+	return out.Bytes(), err
 }
 
 // extractOverlapping takes out every folded span overlapping one of the
 // windows, which ascend by lo and do not overlap each other.
 func (h *history) extractOverlapping(windows []window) ([]folded, error) {
+	return h.extract(func(seg *ckptSegment) ([]int, error) { return seg.overlapping(windows) })
+}
+
+// overlapping returns the ascending positions of the segment's spans that
+// overlap one of the windows, which ascend by lo and do not overlap each
+// other. Segment and windows both ascend by begin: one pass, done at the
+// first span past the last window. (A malformed window, hi < lo, selects as
+// [lo, lo]: a superset.) The directory steps over each window of records, up
+// to the end of the run it is read in, whose records all end before the
+// windows left open, and stops at the first that begins past the last,
+// unread: the pass costs the runs and the windows, and reads the records of
+// only the windows that may hold a hit.
+func (seg *ckptSegment) overlapping(windows []window) (hits []int, err error) {
 	last := max(windows[len(windows)-1].lo, windows[len(windows)-1].hi)
-	return h.extract(func(seg *ckptSegment) (hits []int, err error) {
-		// Segment and windows both ascend by begin: one pass over the
-		// records, done at the first span past the last window. (A
-		// malformed window, hi < lo, selects as [lo, lo]: a superset.) A
-		// filed segment's directory passes over the windows of records
-		// that end before the windows left open, and stops at the first
-		// that begins past the last, unread.
-		c := newCursor(seg)
-		k := 0
-		for ; c.pos < c.n; c.pos++ {
-			if seg.file != nil {
-				_, r := c.ref()
-				w := &seg.file.dir[r/windowRecords]
-				if w.first > last {
-					break
-				}
-				if w.maxEnd < windows[k].lo {
-					continue
-				}
-			}
+	c := newCursor(seg)
+	k := 0
+	for c.pos < c.n {
+		w, next := c.window()
+		if w.first > last {
+			break
+		}
+		if w.maxEnd < windows[k].lo {
+			c.pos = next
+			continue
+		}
+		for ; c.pos < next; c.pos++ {
 			blk, r, ok := c.record()
 			if !ok {
 				return nil, c.err
@@ -1075,14 +1095,14 @@ func (h *history) extractOverlapping(windows []window) ([]folded, error) {
 				k++
 			}
 			if k == len(windows) {
-				break
+				return hits, nil
 			}
 			if blk.End(r) >= windows[k].lo {
 				hits = append(hits, c.pos)
 			}
 		}
-		return hits, nil
-	})
+	}
+	return hits, nil
 }
 
 // movedLaunches is the launches a repair gave a new parent, by correlation
@@ -1094,7 +1114,7 @@ type movedLaunches struct {
 	// Tracers mint correlation ids in order, so the moved launches' ids span
 	// a narrow range: most spans are done at one comparison.
 	minCorr, maxCorr uint64
-	buckets          []uint64 // the ids' corrBucket values, sorted: what a heldBlock's execCorr is matched against
+	buckets          []uint64 // the ids' corrBucket values, sorted: what a fileWindow's execCorr is matched against
 }
 
 func newMovedLaunches(parent map[uint64]uint64) movedLaunches {
@@ -1121,7 +1141,7 @@ func (m movedLaunches) newParent(kind trace.Kind, corr, parent uint64) uint64 {
 	return 0
 }
 
-// mayHold reports whether a block or file window whose execCorr is set may
+// mayHold reports whether a directory window whose execCorr is set may
 // hold an execution span of one of the moved launches: whether the two
 // sorted bucket sets meet. One pass over set, each of its buckets looked
 // for in what is left of the moved.
@@ -1137,42 +1157,28 @@ func (m movedLaunches) mayHold(set []uint64) bool {
 }
 
 // extractExecs takes out the owned execution spans a moved launch's new
-// parent must still reach. It reads the records of the blocks — or file
-// windows — whose correlation-id buckets meet the moved launches' and passes
-// over the rest: a repair that moved launches nothing folded hangs on costs
-// a few comparisons per block, and one that finds such a block costs a pass
-// over its segment's positions besides.
+// parent must still reach. It reads the records of the windows whose
+// correlation-id buckets meet the moved launches' and steps over the rest:
+// a repair that moved launches nothing folded hangs on costs a few
+// comparisons per run and window, and one that finds such a window costs a
+// read of its records besides.
 func (h *history) extractExecs(moved movedLaunches) ([]folded, error) {
 	return h.extract(func(seg *ckptSegment) (hits []int, err error) {
-		// match is by file window when the segment is filed, else by block.
-		set := func(b int) []uint64 { return seg.blocks[b].execCorr }
-		match := make([]bool, len(seg.blocks))
-		if seg.file != nil {
-			set, match = func(w int) []uint64 { return seg.file.dir[w].execCorr }, make([]bool, len(seg.file.dir))
-		}
-		some := false
-		for k := range match {
-			match[k] = moved.mayHold(set(k))
-			some = some || match[k]
-		}
-		if !some {
-			return nil, nil
-		}
 		c := newCursor(seg)
-		for ; c.pos < c.n; c.pos++ {
-			b, r := c.ref()
-			if seg.file != nil {
-				b = r / windowRecords
-			}
-			if !match[b] {
+		for c.pos < c.n {
+			w, next := c.window()
+			if !moved.mayHold(w.execCorr) {
+				c.pos = next
 				continue
 			}
-			blk, r, ok := c.record()
-			if !ok {
-				return nil, c.err
-			}
-			if moved.newParent(blk.Kind(r), blk.CorrelationID(r), blk.ParentID(r)) != 0 && blk.Owned(r) {
-				hits = append(hits, c.pos)
+			for ; c.pos < next; c.pos++ {
+				blk, r, ok := c.record()
+				if !ok {
+					return nil, c.err
+				}
+				if moved.newParent(blk.Kind(r), blk.CorrelationID(r), blk.ParentID(r)) != 0 && blk.Owned(r) {
+					hits = append(hits, c.pos)
+				}
 			}
 		}
 		return hits, nil

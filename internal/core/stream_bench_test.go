@@ -380,9 +380,9 @@ func BenchmarkStragglerReopen(b *testing.B) {
 // enough to reach folded spans, where a pipelined stream's stragglers land —
 // over 50k and 200k folded spans. What the repair re-correlates is the same
 // at both sizes (repaired/op); what grows with the history is the walk that
-// looks for the folded spans the window overlaps: a resident segment is read
-// from its first record, so a repair near the tail visits nearly the whole
-// ladder (history.extractOverlapping), and ns/op grows with it.
+// looks for the folded spans the window overlaps (ckptSegment.overlapping),
+// which steps over every window of records its directory rules out, so it
+// costs the ladder's runs and windows, not its records, and ns/op stays put.
 func BenchmarkRepairTail(b *testing.B) {
 	for _, size := range []struct {
 		name  string
@@ -403,6 +403,10 @@ func BenchmarkRepairTail(b *testing.B) {
 			}
 			at := end - 20_000 // behind the newest folded span's end
 			repaired := 0
+			// The feed's garbage is collected here, not in the timed loop: a
+			// mark phase left running puts a write barrier on every pointer
+			// the repair moves.
+			runtime.GC()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

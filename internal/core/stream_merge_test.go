@@ -101,15 +101,21 @@ func randomOneBlock(rng *rand.Rand, n int, shift vclock.Time, ids *[]uint64) ckp
 // even positions and odd, and returns them with the runs that keep the
 // segment's order: one a record, the worst case runs have.
 func splitAlternately(seg ckptSegment) ([]heldBlock, []refRun) {
-	var halves [2][]trace.RecordRef
+	var halves [2][]int
 	runs := make([]refRun, seg.n)
 	for i := range runs {
 		runs[i] = refRun{at: uint32(i), block: uint32(i % 2), first: uint32(i / 2)}
-		halves[i%2] = append(halves[i%2], trace.RecordRef{Record: uint32(i)})
+		halves[i%2] = append(halves[i%2], i)
 	}
 	blocks := make([]heldBlock, 2)
 	for h := range blocks {
-		blocks[h] = new(history).hold(func(buf []byte) []byte { return trace.GatherSpanBlock(buf, seg.spanBlocks(), halves[h]) }, false)
+		blocks[h] = new(history).hold(func(buf []byte) []byte {
+			blk, err := seg.gather(halves[h])
+			if err != nil {
+				panic(err)
+			}
+			return append(buf, blk...)
+		}, false)
 	}
 	return blocks, runs
 }

@@ -45,13 +45,10 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Options configures a Store.
-type Options struct {
-	// MaxDedup bounds the persisted batch-dedup id window. Zero means
-	// trace.DedupWindow, the server's in-memory FIFO: exactly-once across a
-	// restart needs the two to match.
-	MaxDedup int
-}
+// Options configures a Store. It has nothing to set: the persisted
+// batch-dedup window is trace.DedupWindow ids, the server's in-memory FIFO,
+// which exactly-once across a restart needs it to match.
+type Options struct{}
 
 // SpanKey is the canonical sweep-order compare key of a span, persisted
 // as the correlator's release floor so a restart keeps classifying deep
@@ -147,9 +144,8 @@ type Recovery struct {
 // Store is a durable segment + WAL store on a flat FS. All methods are
 // safe for concurrent use.
 type Store struct {
-	mu   sync.Mutex
-	fs   FS
-	opts Options
+	mu sync.Mutex
+	fs FS
 
 	wal      File // append handle; nil until first Rotate after recovery
 	walName  string
@@ -202,13 +198,9 @@ func parseName(name string, format func(uint64) string) (uint64, bool) {
 // first unreadable record. If any prior state existed, LogBatch fails
 // with ErrNeedRotate until the caller calls Rotate — the recovered WAL is
 // never appended to.
-func Open(fs FS, opts Options) (*Store, *Recovery, error) {
-	if opts.MaxDedup <= 0 {
-		opts.MaxDedup = trace.DedupWindow
-	}
+func Open(fs FS, _ Options) (*Store, *Recovery, error) {
 	st := &Store{
 		fs:   fs,
-		opts: opts,
 		segs: make(map[uint64]int64),
 	}
 	rec := &Recovery{}
@@ -346,7 +338,8 @@ func Open(fs FS, opts Options) (*Store, *Recovery, error) {
 	}
 
 	// Reconstruct the dedup window: the snapshot's persisted ids, then
-	// every batch id appended after it, bounded to the newest MaxDedup.
+	// every batch id appended after it, bounded to the newest
+	// trace.DedupWindow.
 	if rec.Snapshot != nil {
 		st.dedup = append(st.dedup, rec.Snapshot.dedup...)
 	}
@@ -355,8 +348,8 @@ func Open(fs FS, opts Options) (*Store, *Recovery, error) {
 			st.dedup = append(st.dedup, b.BatchID)
 		}
 	}
-	if len(st.dedup) > opts.MaxDedup {
-		st.dedup = append([]uint64(nil), st.dedup[len(st.dedup)-opts.MaxDedup:]...)
+	if len(st.dedup) > trace.DedupWindow {
+		st.dedup = append([]uint64(nil), st.dedup[len(st.dedup)-trace.DedupWindow:]...)
 	}
 	rec.DedupIDs = append([]uint64(nil), st.dedup...)
 
@@ -504,8 +497,8 @@ func (st *Store) LogBatch(block []byte, batchID uint64) error {
 	st.lastRecs++
 	if batchID != 0 {
 		st.dedup = append(st.dedup, batchID)
-		if len(st.dedup) > st.opts.MaxDedup {
-			st.dedup = st.dedup[len(st.dedup)-st.opts.MaxDedup:]
+		if len(st.dedup) > trace.DedupWindow {
+			st.dedup = st.dedup[len(st.dedup)-trace.DedupWindow:]
 		}
 	}
 	return nil

@@ -101,7 +101,7 @@ func readSegment(t *testing.T, f *segio.SegmentFile, w int) ([]*trace.Span, []ui
 }
 
 // A gathered segment — records of two files merged, one record dropped —
-// streams to the file GatherSpanBlock's block would make, reads back
+// streams to the file AppendSpanBlock's block of the merge would make, reads back
 // through windows of every width, and keeps reading through a handle
 // after a later write removes its name.
 func TestWriteGatheredReadsThroughWindows(t *testing.T) {
@@ -134,23 +134,25 @@ func TestWriteGatheredReadsThroughWindows(t *testing.T) {
 	requireNoErr(t, err)
 
 	// The merge in begin order, less the record of span 7: what the
-	// reference gathers from whole blocks.
-	blkA, _, _ := trace.ParseSpanBlock(block(a, ownedA))
-	blkB, _, _ := trace.ParseSpanBlock(block(b, nil))
-	var refs []trace.RecordRef
+	// reference encodes from the spans themselves.
+	var refs []recordRef
+	var merged []*trace.Span
+	var mergedOwned []bool
 	for i := 0; i < 40; i++ {
 		if i != 6 {
-			refs = append(refs, trace.RecordRef{Block: uint32(i % 2), Record: uint32(i / 2)})
+			refs = append(refs, recordRef{i % 2, i / 2})
+			merged = append(merged, [][]*trace.Span{a, b}[i%2][i/2])
+			mergedOwned = append(mergedOwned, i%2 == 0 && ownedA[0]&(1<<(i/2)) != 0)
 		}
 	}
-	want := trace.GatherSpanBlock(nil, []trace.SpanBlock{blkA, blkB}, refs)
+	want := trace.AppendSpanBlock(nil, merged, func(i int) bool { return mergedOwned[i] })
 
 	walk := func(yield func(blk *trace.SpanBlock, i int) bool) error {
 		files := []*segio.SegmentFile{fa, fb}
 		passes := []io.ReaderAt{fa.Pass(), fb.Pass()}
 		for _, ref := range refs {
-			f := files[ref.Block]
-			win, _, err := f.Window(passes[ref.Block], int(ref.Record), int(ref.Record)+1, nil)
+			f := files[ref.file]
+			win, _, err := f.Window(passes[ref.file], ref.record, ref.record+1, nil)
 			if err != nil {
 				return err
 			}
@@ -165,7 +167,7 @@ func TestWriteGatheredReadsThroughWindows(t *testing.T) {
 	data, err := fs.ReadFile(fmt.Sprintf("seg-%016x.seg", id))
 	requireNoErr(t, err)
 	if !bytes.Equal(data[24:], want) {
-		t.Fatalf("gathered segment payload differs from GatherSpanBlock's: %d vs %d bytes", len(data)-24, len(want))
+		t.Fatalf("gathered segment payload differs from AppendSpanBlock's: %d vs %d bytes", len(data)-24, len(want))
 	}
 	if _, err := fs.ReadFile(fmt.Sprintf("seg-%016x.seg", ida)); err == nil {
 		t.Fatalf("input %d survived the write that replaced it", ida)
@@ -197,14 +199,19 @@ func TestWriteGatheredReadsThroughWindows(t *testing.T) {
 // out: ~64 KB of them.
 const windowRecords = 64 << 10 / trace.SpanRecordSize
 
+// recordRef names record record of file file in a list of files.
+type recordRef struct{ file, record int }
+
 // gatherInputs writes two segment files whose records, merged in begin
 // order, are n spans: every third owned, every fourth carrying a tag, every
-// fifth a metric. It returns the files and the merge as references.
-func gatherInputs(t *testing.T, st *segio.Store, n int) ([]*segio.SegmentFile, []trace.RecordRef) {
+// fifth a metric. It returns the files, the merge as references, and the
+// block AppendSpanBlock encodes of the merged spans.
+func gatherInputs(t *testing.T, st *segio.Store, n int) ([]*segio.SegmentFile, []recordRef, []byte) {
 	t.Helper()
 	var halves [2][]*trace.Span
 	var owned [2][]uint64
-	var refs []trace.RecordRef
+	var refs []recordRef
+	var merged []*trace.Span
 	for i := 0; i < n; i++ {
 		s := mkSpan(uint64(i+1), vclock.Time(i), vclock.Time(i+7), trace.Level(i%3), trace.KindSync)
 		s.Name = fmt.Sprintf("op%d", i%11)
@@ -222,7 +229,8 @@ func gatherInputs(t *testing.T, st *segio.Store, n int) ([]*segio.SegmentFile, [
 			owned[h][r/64] |= 1 << (r % 64)
 		}
 		halves[h] = append(halves[h], s)
-		refs = append(refs, trace.RecordRef{Block: uint32(h), Record: uint32(r)})
+		refs = append(refs, recordRef{h, r})
+		merged = append(merged, s)
 	}
 	var files []*segio.SegmentFile
 	for h := range halves {
@@ -232,12 +240,12 @@ func gatherInputs(t *testing.T, st *segio.Store, n int) ([]*segio.SegmentFile, [
 		requireNoErr(t, err)
 		files = append(files, f)
 	}
-	return files, refs
+	return files, refs, trace.AppendSpanBlock(nil, merged, func(i int) bool { return i%3 == 0 })
 }
 
 // walkRefs walks refs through the files' windows, a record at a time, and
 // counts its walks into walks.
-func walkRefs(files []*segio.SegmentFile, refs []trace.RecordRef, walks *int) func(yield func(blk *trace.SpanBlock, i int) bool) error {
+func walkRefs(files []*segio.SegmentFile, refs []recordRef, walks *int) func(yield func(blk *trace.SpanBlock, i int) bool) error {
 	return func(yield func(blk *trace.SpanBlock, i int) bool) error {
 		*walks++
 		passes := []io.ReaderAt{files[0].Pass(), files[1].Pass()}
@@ -245,7 +253,7 @@ func walkRefs(files []*segio.SegmentFile, refs []trace.RecordRef, walks *int) fu
 		for _, ref := range refs {
 			var win trace.SpanBlock
 			var err error
-			if win, buf, err = files[ref.Block].Window(passes[ref.Block], int(ref.Record), int(ref.Record)+1, buf); err != nil {
+			if win, buf, err = files[ref.file].Window(passes[ref.file], ref.record, ref.record+1, buf); err != nil {
 				return err
 			}
 			if !yield(&win, 0) {
@@ -257,8 +265,8 @@ func walkRefs(files []*segio.SegmentFile, refs []trace.RecordRef, walks *int) fu
 }
 
 // A gathered segment is written in one walk of its records, and its file is
-// byte for byte the one WriteSegment writes for GatherSpanBlock's block of
-// the same records — header and all — at every size around the writer's
+// byte for byte the one WriteSegment writes for AppendSpanBlock's block of
+// the same spans — header and all — at every size around the writer's
 // chunk: empty, one record, a window less one, one window, a window and
 // one, and a survivor of several windows.
 func TestWriteGatheredIsOnePass(t *testing.T) {
@@ -266,16 +274,8 @@ func TestWriteGatheredIsOnePass(t *testing.T) {
 		fs := faultfs.New()
 		st, _, err := segio.Open(fs, segio.Options{})
 		requireNoErr(t, err)
-		files, refs := gatherInputs(t, st, n)
-		var blocks []trace.SpanBlock
-		for _, f := range files {
-			data, err := fs.ReadFile(fmt.Sprintf("seg-%016x.seg", f.ID()))
-			requireNoErr(t, err)
-			blk, _, err := trace.ParseSpanBlock(data[24:])
-			requireNoErr(t, err)
-			blocks = append(blocks, blk)
-		}
-		wantID, err := st.WriteSegment(trace.GatherSpanBlock(nil, blocks, refs), nil)
+		files, refs, merged := gatherInputs(t, st, n)
+		wantID, err := st.WriteSegment(merged, nil)
 		requireNoErr(t, err)
 
 		walks := 0
@@ -289,7 +289,7 @@ func TestWriteGatheredIsOnePass(t *testing.T) {
 		want, err := fs.ReadFile(fmt.Sprintf("seg-%016x.seg", wantID))
 		requireNoErr(t, err)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%d records: the one-pass file differs from WriteSegment's of the gathered block (%d vs %d bytes)", n, len(got), len(want))
+			t.Fatalf("%d records: the one-pass file differs from WriteSegment's of the merged spans' block (%d vs %d bytes)", n, len(got), len(want))
 		}
 		var onDisk int64
 		names, err := fs.ReadDir()
@@ -322,17 +322,17 @@ func TestWriteGatheredIsOnePass(t *testing.T) {
 func TestWriteGatheredFailureLeavesOnlyTmp(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		walk func(refs []trace.RecordRef) []trace.RecordRef
+		walk func(refs []recordRef) []recordRef
 		fail error
 	}{
-		{"read error", func(refs []trace.RecordRef) []trace.RecordRef { return refs }, errors.New("read failed")},
-		{"short walk", func(refs []trace.RecordRef) []trace.RecordRef { return refs[:len(refs)-1] }, nil},
-		{"long walk", func(refs []trace.RecordRef) []trace.RecordRef { return append(refs, refs[0]) }, nil},
+		{"read error", func(refs []recordRef) []recordRef { return refs }, errors.New("read failed")},
+		{"short walk", func(refs []recordRef) []recordRef { return refs[:len(refs)-1] }, nil},
+		{"long walk", func(refs []recordRef) []recordRef { return append(refs, refs[0]) }, nil},
 	} {
 		fs := faultfs.New()
 		st, _, err := segio.Open(fs, segio.Options{})
 		requireNoErr(t, err)
-		files, refs := gatherInputs(t, st, windowRecords+5)
+		files, refs, _ := gatherInputs(t, st, windowRecords+5)
 		before, err := fs.ReadDir()
 		requireNoErr(t, err)
 		walks := 0
@@ -424,18 +424,29 @@ func TestWALBatchAndRotate(t *testing.T) {
 	}
 }
 
+// The persisted dedup window is the server's: the newest trace.DedupWindow
+// batch ids, carried across a rotation by its snapshot and after it by the
+// batch records.
 func TestDedupWindowBounded(t *testing.T) {
 	fs := faultfs.New()
-	st, _, err := segio.Open(fs, segio.Options{MaxDedup: 3})
+	st, _, err := segio.Open(fs, segio.Options{})
 	requireNoErr(t, err)
-	for id := uint64(1); id <= 5; id++ {
+	const n = trace.DedupWindow + 3
+	for id := uint64(1); id <= n; id++ {
+		if id == n/2 {
+			requireNoErr(t, st.Rotate(segio.Snapshot{}))
+		}
 		requireNoErr(t, st.LogBatch(block([]*trace.Span{mkSpan(id, vclock.Time(id), vclock.Time(id+1), 0, trace.KindSync)}, nil), 100+id))
 	}
 	st.Close()
-	_, rec, err := segio.Open(fs, segio.Options{MaxDedup: 3})
+	_, rec, err := segio.Open(fs, segio.Options{})
 	requireNoErr(t, err)
-	if !reflect.DeepEqual(rec.DedupIDs, []uint64{103, 104, 105}) {
-		t.Fatalf("dedup window = %v, want newest 3", rec.DedupIDs)
+	var want []uint64
+	for id := uint64(4); id <= n; id++ {
+		want = append(want, 100+id)
+	}
+	if !reflect.DeepEqual(rec.DedupIDs, want) {
+		t.Fatalf("dedup window of %d ids from %v, want the newest %d, %d through %d", len(rec.DedupIDs), rec.DedupIDs[:min(len(rec.DedupIDs), 3)], trace.DedupWindow, want[0], want[len(want)-1])
 	}
 }
 

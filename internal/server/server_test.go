@@ -184,6 +184,43 @@ func TestDurableCloseReopenIsByteIdentical(t *testing.T) {
 	}
 }
 
+// A batch may carry one span id twice, and two batches may each carry the
+// same span: the live stream keeps every copy, and recovery's replay keeps
+// as many, so both views are the same bytes after Close and New over the
+// same directory.
+func TestDurableReopenKeepsRepeatedSpanIDs(t *testing.T) {
+	cfg := testConfig(t.TempDir())
+	s := newServer(t, cfg)
+	batches := [][]*trace.Span{
+		{
+			{ID: 7, Level: trace.LevelLayer, Name: "conv", Begin: 10, End: 40},
+			{ID: 7, Level: trace.LevelLayer, Name: "conv", Begin: 50, End: 80},
+		},
+		{{ID: 9, Level: trace.LevelKernel, Name: "gemm", Begin: 20, End: 30}},
+		{{ID: 9, Level: trace.LevelKernel, Name: "gemm", Begin: 20, End: 30}},
+	}
+	for i, b := range batches {
+		if rec := post(s, "", uint64(i+1), b); rec.Code != http.StatusAccepted {
+			t.Fatalf("batch %d: %d %s", i+1, rec.Code, rec.Body)
+		}
+	}
+	if tr, err := trace.DecodeJSON(bytes.NewReader(get(t, s, "/api/trace", ""))); err != nil || len(tr.Spans) != 4 {
+		t.Fatalf("live trace: %v, %d spans, want all 4 copies", err, len(tr.Spans))
+	}
+	views := []string{"/api/trace", "/api/correlated?flush=1"}
+	before := map[string][]byte{}
+	for _, v := range views {
+		before[v] = get(t, s, v, "")
+	}
+	s.Close()
+	s = newServer(t, cfg)
+	for _, v := range views {
+		if after := get(t, s, v, ""); !bytes.Equal(after, before[v]) {
+			t.Errorf("%s after reopen:\n%s\nbefore Close:\n%s", v, after, before[v])
+		}
+	}
+}
+
 // Lifecycle (b): Close on a RAM server drains what its tap still holds into
 // the correlator, and the tap's worker goroutine is gone when it returns.
 func TestCloseDrainsTheTap(t *testing.T) {

@@ -26,7 +26,7 @@ import (
 // that has validated one (ParseSpanBlock) reads span i's id, parent,
 // interval, level, kind, correlation id and owned flag at a constant offset
 // (the SpanBlock accessors, RecordLess), decodes that one record (SpanDecoder),
-// and gathers records of several blocks into a new block (GatherSpanBlock)
+// and gathers records of several blocks into a new block (StreamSpanBlock)
 // without decoding any — which is what lets spans be kept, sorted, merged
 // and written to a file as encoded bytes plus record references. The same
 // fixed offsets let DecodeBinary put a batch in canonical order before it
@@ -357,12 +357,6 @@ type SpanBlock struct {
 	tags, mets, blob []byte // its three trailing sections, inside b
 }
 
-// RecordRef names one record of one block in a list of blocks: eight
-// pointer-free bytes, the unit GatherSpanBlock takes. (The core ladder holds
-// its references as runs of consecutive records and spells a run out as
-// RecordRefs only to gather it.)
-type RecordRef struct{ Block, Record uint32 }
-
 // ParseSpanBlock validates the span block at the head of b — every section
 // inside b, every record's kind known, every string and table entry a
 // record reaches inside its section — and returns it with the bytes that
@@ -479,7 +473,7 @@ type SpanDecoder struct {
 	blob string
 	// The entry arenas: each span's Tags and Metrics are carved off the spare
 	// capacity, which is sized on first use to the block's whole table — what
-	// the records of a block from AppendSpanBlock or GatherSpanBlock add up to
+	// the records of a block from AppendSpanBlock or StreamSpanBlock add up to
 	// — or, in a recycling decode, up front to what the free pieces lack.
 	tags []Tag
 	mets []Metric
@@ -559,24 +553,6 @@ func (b *SpanBlock) str(ent []byte) string {
 		return ""
 	}
 	return unsafe.String(&b.blob[off], n)
-}
-
-// GatherSpanBlock encodes the records refs names, in that order, as one new
-// span block appended to buf: each 80-byte record is copied — owned flag and
-// all — with its string and table offsets rebased, and only the table entries
-// and strings those records reach come along, interned afresh. The result is
-// an ordinary version-1 block: DecodeSpanBlock reads from it the spans it
-// would read from the sources. Nothing is decoded on the way.
-func GatherSpanBlock(buf []byte, blocks []SpanBlock, refs []RecordRef) []byte {
-	at := len(buf) + 4
-	buf = slices.Grow(buf, 4+len(refs)*SpanRecordSize)[:at+len(refs)*SpanRecordSize]
-	binary.LittleEndian.PutUint32(buf[at-4:], uint32(len(refs)))
-	e := blockScratchPool.Get().(*blockScratch)
-	for _, ref := range refs {
-		e.gather(buf[at:at+SpanRecordSize], &blocks[ref.Block], int(ref.Record))
-		at += SpanRecordSize
-	}
-	return e.finish(buf)
 }
 
 // DecodeSpanBlock decodes one span block from b, returning the spans in

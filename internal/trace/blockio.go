@@ -7,11 +7,12 @@ import (
 	"io"
 )
 
-// This file moves span blocks to and from files without holding them whole:
-// a block is written from records other blocks hold, and a block that lies
-// in a file is read a window of records at a time (BlockFile). A writer that
-// can patch a header once the block is out — a segment file, whose header
-// its store writes at offset 0 afterwards — takes the block in one walk
+// This file moves span blocks without holding them whole: a block is
+// written from records other blocks hold — gathered, nothing decoded — and a
+// block that lies in a file is read a window of records at a time
+// (BlockFile). A writer that can patch a header once the block is out — a
+// segment file, whose header its store writes at offset 0 afterwards, or a
+// buffer the caller appends the block to — takes the block in one walk
 // (StreamSpanBlock); the wire cannot, a frame's length coming first and an
 // HTTP body never rewound, so View.WriteBinary walks twice (streamBlock).
 
@@ -71,11 +72,14 @@ func (e *blockScratch) size(n int) int {
 	return 4 + n*SpanRecordSize + 12 + len(e.tags) + len(e.mets) + len(e.blob)
 }
 
-// StreamSpanBlock writes to w the span block GatherSpanBlock would build from
-// the n records walk hands out, in that order, owned flags and all, in one
-// walk and without holding it: each record goes out as the walk hands it
-// out, and the tables and the blob, built meanwhile in the scratch, follow
-// the last. It returns the block's size. A walk error, a walk that hands out
+// StreamSpanBlock writes to w the span block of the n records walk hands
+// out, in that order, in one walk and without holding it: each 80-byte
+// record is copied — owned flag and all — with its string and table offsets
+// rebased as it goes out, and the tables and the blob, built meanwhile in the
+// scratch from only the entries and strings those records reach, interned
+// afresh, follow the last. The result is an ordinary version-1 block:
+// DecodeSpanBlock reads from it the spans it would read from the sources.
+// Nothing is decoded on the way. It returns the block's size. A walk error, a walk that hands out
 // other than n records, or a write error ends the write, and nothing is
 // written after it.
 func StreamSpanBlock(w io.Writer, n int, walk func(yield func(blk *SpanBlock, i int) bool) error) (size int, err error) {
@@ -103,7 +107,7 @@ func StreamSpanBlock(w io.Writer, n int, walk func(yield func(blk *SpanBlock, i 
 
 // streamBlock writes the span block built from what walk hands out, each
 // record filled by fill, to w behind the bytes head returns for the block's
-// size: GatherSpanBlock's block (AppendSpanBlock's for a span), written
+// size: StreamSpanBlock's block (AppendSpanBlock's for a span), written
 // viewChunk bytes at a time and never held. It walks twice. The first pass
 // interns every string and builds the tag and metric tables, which fixes the
 // block's size; the second writes the head and the records, and then the

@@ -80,8 +80,8 @@ type ServerTenant struct {
 
 // DedupWindow bounds each tenant's batch-dedup memory: the newest
 // DedupWindow batch ids are remembered. The durable store persists a window
-// of the same size (segio's default MaxDedup reads this), so a retry of any
-// id the server still remembers stays a duplicate across a restart.
+// of the same size (segio reads this), so a retry of any id the server still
+// remembers stays a duplicate across a restart.
 const DedupWindow = 4096
 
 // batchIDHeader carries the client-assigned batch id that makes retried

@@ -66,7 +66,7 @@ var viewChunk = 64 << 10 / SpanRecordSize * SpanRecordSize
 // AppendBinaryFrameTenant writes for the spans Decode hands out, without
 // decoding a record or holding the frame. It walks the view twice, the
 // frame's length coming before its records (see streamBlock): a record is
-// gathered as GatherSpanBlock gathers it, with its owned flag cleared; a
+// gathered as StreamSpanBlock gathers it, with its owned flag cleared; a
 // span is encoded as AppendSpanBlock encodes it. What stays resident is the
 // view's strings and table entries, not its records.
 // WriteBinary returns the first write or read error, and writes nothing

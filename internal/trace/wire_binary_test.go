@@ -623,7 +623,7 @@ func checkSpanBlockReads(t *testing.T, blk SpanBlock, spans []*Span, owned func(
 	}
 	var st SpanStore
 	d := blk.Decoder()
-	refs := make([]RecordRef, 0, len(spans))
+	refs := make([]recordRef, 0, len(spans))
 	var reversed []*Span
 	for i := len(spans) - 1; i >= 0; i-- {
 		s := spans[i]
@@ -636,10 +636,10 @@ func checkSpanBlockReads(t *testing.T, blk SpanBlock, spans []*Span, owned func(
 		if j := i + 1; j < len(spans) && RecordLess(&blk, i, &blk, j) != CanonicalLess(s, spans[j]) {
 			t.Fatalf("RecordLess(%d, %d) = %v, CanonicalLess of the decoded spans %v", i, j, RecordLess(&blk, i, &blk, j), CanonicalLess(s, spans[j]))
 		}
-		refs = append(refs, RecordRef{Block: uint32(i % 2), Record: uint32(i)})
+		refs = append(refs, recordRef{i % 2, i})
 		reversed = append(reversed, s)
 	}
-	gathered, gOwned, rest, err := DecodeSpanBlock(GatherSpanBlock(nil, []SpanBlock{blk, blk}, refs))
+	gathered, gOwned, rest, err := DecodeSpanBlock(gatherBlock(t, []SpanBlock{blk, blk}, refs))
 	want, wOwned, _, _ := DecodeSpanBlock(AppendSpanBlock(nil, reversed, func(i int) bool { return owned(len(spans) - 1 - i) }))
 	if err != nil || len(rest) != 0 || len(gathered) != len(want) || !slices.Equal(gOwned, wOwned) {
 		t.Fatalf("gathered block: %v, %d bytes left, %d spans (want %d), owned %x (want %x)", err, len(rest), len(gathered), len(want), gOwned, wOwned)
@@ -649,16 +649,38 @@ func checkSpanBlockReads(t *testing.T, blk SpanBlock, spans []*Span, owned func(
 	}
 }
 
+// recordRef names record r of block b in a list of blocks.
+type recordRef struct{ b, r int }
+
+// gatherBlock is the span block StreamSpanBlock writes of the records refs
+// names, in that order.
+func gatherBlock(t *testing.T, blocks []SpanBlock, refs []recordRef) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	size, err := StreamSpanBlock(&buf, len(refs), func(yield func(blk *SpanBlock, i int) bool) error {
+		for _, ref := range refs {
+			if !yield(&blocks[ref.b], ref.r) {
+				break
+			}
+		}
+		return nil
+	})
+	if err != nil || size != buf.Len() {
+		t.Fatalf("streamed block: %v, %d bytes reported, %d written", err, size, buf.Len())
+	}
+	return buf.Bytes()
+}
+
 // A segment's payload is gathered out of several blocks by reference: the
 // result must be an ordinary span block — byte for byte the one
 // AppendSpanBlock encodes from the decoded spans in that order, owned bits
 // included, spans of several tags and metrics among them — with the blocks'
 // shared strings interned once, not once per source.
-func TestGatherSpanBlockMatchesAppend(t *testing.T) {
+func TestStreamSpanBlockMatchesAppend(t *testing.T) {
 	sources := [][]*Span{binarySpans(), encoderBatch(700, 3, true), nil, encoderBatch(300, 5000, false)}
 	ownedIn := func(b, i int) bool { return (b+i)%3 == 0 }
 	var blocks []SpanBlock
-	var refs []RecordRef
+	var refs []recordRef
 	var picked []*Span
 	var pickedOwned []bool
 	size := 0
@@ -672,13 +694,12 @@ func TestGatherSpanBlockMatchesAppend(t *testing.T) {
 		blocks = append(blocks, blk)
 		size += len(buf)
 		for i := len(spans) - 1; i >= 0; i -= 1 + b { // some of each, not in record order
-			refs = append(refs, RecordRef{Block: uint32(b), Record: uint32(i)})
+			refs = append(refs, recordRef{b, i})
 			picked = append(picked, spans[i])
 			pickedOwned = append(pickedOwned, ownedIn(b, i))
 		}
 	}
-	prefix := []byte("prefix")
-	payload := GatherSpanBlock(bytes.Repeat([]byte{0xFF}, 64)[:len(prefix)], blocks, refs)[len(prefix):]
+	payload := gatherBlock(t, blocks, refs)
 	got, owned, rest, err := DecodeSpanBlock(payload)
 	if err != nil || len(rest) != 0 || len(got) != len(picked) {
 		t.Fatalf("gathered payload: %v, %d bytes left, %d spans of %d", err, len(rest), len(got), len(picked))
@@ -695,7 +716,7 @@ func TestGatherSpanBlockMatchesAppend(t *testing.T) {
 }
 
 // A block may carry one key twice on a span (nothing in the format forbids
-// it, and GatherSpanBlock copies what it finds): the decoded span holds both
+// it, and StreamSpanBlock copies what it finds): the decoded span holds both
 // entries, Tag and Metric answer the last — what a map decode kept of them —
 // the JSON view shows the key once, and a binary re-encode keeps both.
 func TestRepeatedKeyLastEntryWins(t *testing.T) {
